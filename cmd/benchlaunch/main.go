@@ -4,7 +4,7 @@
 // numbers land in a machine-readable artifact instead of scrolling away
 // in a CI log:
 //
-//	go run ./cmd/benchlaunch -strict -o BENCH_pr10.json
+//	go run ./cmd/benchlaunch -strict
 //
 // The report carries performance gates (spliced launch under 1 µs with
 // zero allocations, replay faster than analysis, fused CG launching
@@ -31,6 +31,7 @@ import (
 	"time"
 
 	"kdrsolvers/internal/core"
+	"kdrsolvers/internal/dpart"
 	"kdrsolvers/internal/index"
 	"kdrsolvers/internal/jobspec"
 	"kdrsolvers/internal/machine"
@@ -563,6 +564,25 @@ func measureReductionLedger() map[string]reductionResult {
 	}
 }
 
+// benchPieces is the piece count the format sections partition by — the
+// benchmark workloads' and mmsolve's default.
+const benchPieces = 8
+
+// pieceKernel returns the product a solve executes on m: one
+// MultiplyAddPart per piece of the planner's forward kernel partition,
+// the row-relation preimage of benchPieces equal row pieces (what
+// Planner.Finalize derives as kpart). The whole-matrix MultiplyAdd is
+// that same kernel over one interval, so timing it would hide exactly
+// the per-piece and per-interval costs a format pays in a solve.
+func pieceKernel(m sparse.Matrix, y, x []float64) func() {
+	kpart := dpart.PreimagePartition(m.RowRelation(), index.EqualPartition(m.Range(), benchPieces))
+	return func() {
+		for c := 0; c < benchPieces; c++ {
+			m.MultiplyAddPart(y, x, kpart.Piece(c))
+		}
+	}
+}
+
 func measureSpMV() map[string]spmvResult {
 	csr := sparse.Laplacian2D(64, 64)
 	n := csr.Domain().Size()
@@ -572,7 +592,8 @@ func measureSpMV() map[string]spmvResult {
 		x[i] = float64(i%7) + 0.5
 	}
 	out := make(map[string]spmvResult, len(sparse.Formats)+1)
-	bench := func(name string, nnz int64, mul func()) {
+	bench := func(name string, m sparse.Matrix) {
+		nnz, mul := m.NNZ(), pieceKernel(m, y, x)
 		bres := testing.Benchmark(func(b *testing.B) {
 			b.SetBytes(nnz * 16)
 			for i := 0; i < b.N; i++ {
@@ -586,48 +607,28 @@ func measureSpMV() map[string]spmvResult {
 		}
 	}
 	for _, f := range sparse.Formats {
-		mat := sparse.Convert(csr, f)
-		bench(f, mat.NNZ(), func() { mat.MultiplyAdd(y, x) })
+		bench(f, sparse.Convert(csr, f))
 	}
-	op := sparse.NewStencilOperator(sparse.Stencil2D5, index.NewGrid(64, 64))
-	bench("MatrixFree", op.NNZ(), func() { op.MultiplyAdd(y, x) })
+	bench("MatrixFree", sparse.NewStencilOperator(sparse.Stencil2D5, index.NewGrid(64, 64)))
 	return out
 }
 
-// spmvNs times y += A·x with a fixed budget: repeated timed batches,
-// best batch mean kept. Cheaper than testing.Benchmark for the 30-cell
-// auto sweep, and the min is what a tuner should be judged against.
-func spmvNs(m sparse.Matrix, y, x []float64) float64 {
-	m.MultiplyAdd(y, x) // warm caches and lazy structures
-	best := float64(0)
-	for r := 0; r < 5; r++ {
-		const batch = 50
-		start := time.Now()
-		for i := 0; i < batch; i++ {
-			m.MultiplyAdd(y, x)
-		}
-		ns := float64(time.Since(start).Nanoseconds()) / float64(batch)
-		if best == 0 || ns < best {
-			best = ns
-		}
-	}
-	return best
-}
-
-// spmvNsInterleaved times y += A·x for every candidate in lockstep
-// rounds (one batch per candidate per round) and returns each
-// candidate's best batch mean.
+// spmvNsInterleaved times the piece-kernel product y += A·x for every
+// candidate in lockstep rounds (one batch per candidate per round) and
+// returns each candidate's best batch mean.
 func spmvNsInterleaved(ms []sparse.Matrix, y, x []float64, batch int) []float64 {
-	for _, m := range ms {
-		m.MultiplyAdd(y, x) // warm caches and lazy structures
+	muls := make([]func(), len(ms))
+	for i, m := range ms {
+		muls[i] = pieceKernel(m, y, x)
+		muls[i]() // warm caches and lazy structures
 	}
 	best := make([]float64, len(ms))
 	const rounds = 9
 	for r := 0; r < rounds; r++ {
-		for i, m := range ms {
+		for i, mul := range muls {
 			start := time.Now()
 			for b := 0; b < batch; b++ {
-				m.MultiplyAdd(y, x)
+				mul()
 			}
 			ns := float64(time.Since(start).Nanoseconds()) / float64(batch)
 			if best[i] == 0 || ns < best[i] {
@@ -639,8 +640,9 @@ func spmvNsInterleaved(ms []sparse.Matrix, y, x []float64, batch int) []float64 
 }
 
 // autoMatrices are the structures the adaptive tuner is judged on: a
-// banded stencil, a scattered random matrix, and a mixed structure whose
-// bands genuinely want different formats.
+// banded stencil at the benchmark's DRAM-bound size (lap2d:512x512, the
+// system of the oneshot-large workloads), a scattered random matrix, and
+// a mixed structure whose bands genuinely want different formats.
 func autoMatrices() map[string]*sparse.CSR {
 	r := rand.New(rand.NewSource(42))
 	// The scattered matrix is big enough that x far exceeds L2: the
@@ -666,14 +668,17 @@ func autoMatrices() map[string]*sparse.CSR {
 		}
 		return sparse.CSRFromCoords(rows, cols, coords)
 	}
+	// Sized so a piece's kernel (1024 rows, ≈ 5 µs) dwarfs the composite's
+	// per-call bookkeeping, and misaligned with the 8-piece partition: the
+	// first band holds the dense head and the start of the tail.
 	var mixed []sparse.Coord
-	const mn = 512
-	for i := int64(0); i < 64; i++ { // dense head block
-		for j := int64(0); j < 64; j++ {
+	const mn, head = 8192, 128
+	for i := int64(0); i < head; i++ { // dense head block
+		for j := int64(0); j < head; j++ {
 			mixed = append(mixed, sparse.Coord{Row: i, Col: j, Val: r.Float64() + 0.1})
 		}
 	}
-	for i := int64(64); i < mn; i++ { // tridiagonal tail
+	for i := int64(head); i < mn; i++ { // tridiagonal tail
 		for _, j := range []int64{i - 1, i, i + 1} {
 			if j >= 0 && j < mn {
 				mixed = append(mixed, sparse.Coord{Row: i, Col: j, Val: r.Float64() + 0.1})
@@ -681,7 +686,7 @@ func autoMatrices() map[string]*sparse.CSR {
 		}
 	}
 	return map[string]*sparse.CSR{
-		"lap2d_64x64":     sparse.Laplacian2D(64, 64),
+		"lap2d_512x512":   sparse.Laplacian2D(512, 512),
 		"random_32768":    random(32768, 32768, 5),
 		"mixed_dense_tri": sparse.CSRFromCoords(mn, mn, mixed),
 	}
@@ -741,7 +746,7 @@ func measureFormatAuto() map[string]autoResult {
 		}
 
 		const trials = 3
-		tuned := sparse.AutoSelect(a, 4)
+		tuned := sparse.AutoSelect(a, benchPieces)
 		var cands []sparse.Matrix
 		for t := 0; t < trials; t++ {
 			for _, f := range formats {
@@ -750,7 +755,7 @@ func measureFormatAuto() map[string]autoResult {
 			if t == 0 {
 				cands = append(cands, tuned)
 			} else {
-				cands = append(cands, sparse.AutoSelect(a, 4))
+				cands = append(cands, sparse.AutoSelect(a, benchPieces))
 			}
 		}
 		ns := spmvNsInterleaved(cands, y, x, batch)
@@ -782,7 +787,7 @@ func measureFormatAuto() map[string]autoResult {
 
 // measureSDCOverhead prices the SDC defenses: the checksummed Matmul
 // sweep against the plain one (timed best-of-batches, replay on for
-// both, like spmvNs), and the deterministic launch count of one forced
+// both), and the deterministic launch count of one forced
 // residual replacement against the steady-state CG launch rate.
 func measureSDCOverhead() sdcResult {
 	type rig struct {
@@ -864,7 +869,7 @@ func measureSDCOverhead() sdcResult {
 }
 
 func main() {
-	out := flag.String("o", "BENCH_pr10.json", "output file ('-' for stdout)")
+	out := flag.String("o", "BENCH.json", "output file ('-' for stdout)")
 	strict := flag.Bool("strict", false, "exit non-zero when a performance gate fails (CI sets this)")
 	flag.Parse()
 

@@ -212,3 +212,72 @@ func TestTraceReplayGraphsAreStructurallyIdentical(t *testing.T) {
 			marks[1]-marks[0], marks[2]-marks[1])
 	}
 }
+
+// The format-equivalence contract: the tuned composite is the same
+// operator as the CSR it was built from, down to the order each output
+// element accumulates its row in, so a Krylov solve cannot tell them
+// apart.
+
+// cgSystem is CG on lap2d:64x64 over 8 pieces, written against the
+// planner's own operations, with the operator stored as CSR or tuned.
+type cgSystem struct {
+	p       *Planner
+	r, d, q VecID
+	rr      *Scalar
+}
+
+func newCGSystem(a *sparse.CSR, b []float64, auto bool) *cgSystem {
+	n := a.Domain().Size()
+	p := NewPlanner(Config{Machine: machine.Lassen(2)})
+	si := p.AddSolVector(make([]float64, n), index.EqualPartition(index.NewSpace("D", n), 8))
+	ri := p.AddRHSVector(append([]float64(nil), b...), index.EqualPartition(index.NewSpace("R", n), 8))
+	if auto {
+		p.AddOperatorAuto(a, si, ri)
+	} else {
+		p.AddOperator(a, si, ri)
+	}
+	p.Finalize()
+	s := &cgSystem{p: p, r: p.AllocateWorkspace(RhsShape), d: p.AllocateWorkspace(SolShape), q: p.AllocateWorkspace(RhsShape)}
+	p.Copy(s.r, RHS) // x0 = 0, so r0 = b
+	p.Copy(s.d, s.r)
+	s.rr = p.Dot(s.r, s.r)
+	return s
+}
+
+// step runs one CG iteration and returns the squared residual norm.
+func (s *cgSystem) step() float64 {
+	p := s.p
+	p.Matmul(s.q, s.d)
+	alpha := p.Div(s.rr, p.Dot(s.d, s.q))
+	p.Axpy(SOL, alpha, s.d)
+	p.Axpy(s.r, p.Neg(alpha), s.q)
+	rr := p.Dot(s.r, s.r)
+	p.Xpay(s.d, p.Div(rr, s.rr), s.r)
+	s.rr = rr
+	p.Drain()
+	return rr.Value()
+}
+
+func TestAutoMatchesCSRUnderCG(t *testing.T) {
+	a := sparse.Laplacian2D(64, 64)
+	n := a.Domain().Size()
+	b := make([]float64, n)
+	for i := range b {
+		b[i] = float64(i%11) - 4.5
+	}
+	csr, auto := newCGSystem(a, b, false), newCGSystem(a, b, true)
+	stop := 1e-16 * csr.rr.Value() // ‖r‖ ≤ 1e-8·‖b‖, squared
+	for it := 1; it <= 1000; it++ {
+		doneCSR, doneAuto := csr.step() <= stop, auto.step() <= stop
+		if !vecsClose(csr.p.SolData(0), auto.p.SolData(0), 1e-10) {
+			t.Fatalf("iteration %d: format auto iterate differs from csr by more than 1e-10", it)
+		}
+		if doneCSR != doneAuto {
+			t.Fatalf("iteration %d: csr converged=%v, format auto converged=%v", it, doneCSR, doneAuto)
+		}
+		if doneCSR {
+			return
+		}
+	}
+	t.Fatal("CG did not converge in 1000 iterations")
+}

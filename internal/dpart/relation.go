@@ -531,3 +531,74 @@ func (r *Inverse) Image(s index.IntervalSet) index.IntervalSet { return r.R.Prei
 
 // Preimage implements Relation.
 func (r *Inverse) Preimage(s index.IntervalSet) index.IntervalSet { return r.R.Image(s) }
+
+// ConcatPart is one member of a Concat relation: Rel's left space takes
+// the next stretch of the concatenated left space, and its right points
+// are shifted by RightOff into the shared right space.
+type ConcatPart struct {
+	Rel      Relation
+	RightOff int64
+
+	leftOff int64 // start of Rel's left space, set by NewConcat
+}
+
+// Concat stacks member relations into one whose left space is the
+// concatenation of the members' left spaces in order: left point
+// leftOff_t + i relates to right point RightOff_t + j exactly when member
+// t relates i to j. It is the relation of a row-banded composite matrix
+// (each band's kernel space placed after the previous one, band rows
+// shifted to their global position), and it stores nothing beyond its
+// members — a projection costs the sum of the members' projections.
+type Concat struct {
+	left, right index.Space
+	parts       []ConcatPart
+}
+
+// NewConcat builds the concatenation of parts, in the order given, over
+// the given right space. The slice is retained.
+func NewConcat(leftName string, parts []ConcatPart, right index.Space) *Concat {
+	var n int64
+	for i := range parts {
+		parts[i].leftOff = n
+		n += parts[i].Rel.Left().Size()
+	}
+	return &Concat{left: index.NewSpace(leftName, n), right: right, parts: parts}
+}
+
+// Left implements Relation.
+func (r *Concat) Left() index.Space { return r.left }
+
+// Right implements Relation.
+func (r *Concat) Right() index.Space { return r.right }
+
+// Image implements Relation: each member projects its own clip of s.
+func (r *Concat) Image(s index.IntervalSet) index.IntervalSet {
+	var out index.IntervalSet
+	for _, p := range r.parts {
+		if local := s.Rebase(p.leftWindow(), -p.leftOff); !local.Empty() {
+			out = out.Union(p.Rel.Image(local).Rebase(p.Rel.Right().Set.Bounds(), p.RightOff))
+		}
+	}
+	return out
+}
+
+// Preimage implements Relation.
+func (r *Concat) Preimage(s index.IntervalSet) index.IntervalSet {
+	var out index.IntervalSet
+	for _, p := range r.parts {
+		if local := s.Rebase(p.rightWindow(), -p.RightOff); !local.Empty() {
+			out = out.Union(p.Rel.Preimage(local).Rebase(p.Rel.Left().Set.Bounds(), p.leftOff))
+		}
+	}
+	return out
+}
+
+// leftWindow is the stretch of the concatenated left space p occupies.
+func (p ConcatPart) leftWindow() index.Interval {
+	return index.Interval{Lo: p.leftOff, Hi: p.leftOff + p.Rel.Left().Size() - 1}
+}
+
+// rightWindow is the stretch of the shared right space p maps into.
+func (p ConcatPart) rightWindow() index.Interval {
+	return index.Interval{Lo: p.RightOff, Hi: p.RightOff + p.Rel.Right().Size() - 1}
+}

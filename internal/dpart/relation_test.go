@@ -236,6 +236,65 @@ func TestQuickDiagRelation(t *testing.T) {
 	}
 }
 
+func TestQuickConcat(t *testing.T) {
+	// A Concat of random members — implicit and explicit, with left
+	// spaces laid end to end and right points shifted — must project like
+	// the explicit list of shifted pairs.
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		rightSize := r.Int63n(20) + 8
+		var parts []ConcatPart
+		var pairs []pair
+		var leftOff int64
+		for m := r.Intn(4) + 1; m > 0; m-- {
+			rows := r.Int63n(6) + 1
+			rightOff := r.Int63n(rightSize - rows + 1)
+			var rel Relation
+			var local []pair
+			switch r.Intn(3) {
+			case 0: // DIA rows: padding slots relate to nothing
+				d := r.Int63n(6) + 1
+				offsets := []int64{r.Int63n(2*d+1) - d, r.Int63n(2*d+1) - d}
+				for b, off := range offsets {
+					for i := int64(0); i < d; i++ {
+						if j := i - off; j >= 0 && j < rows {
+							local = append(local, pair{int64(b)*d + i, j})
+						}
+					}
+				}
+				rel = NewDiagRelation("K", offsets, d, rows, "R")
+			case 1: // ELL rows
+				q := r.Int63n(3) + 1
+				for i := int64(0); i < rows*q; i++ {
+					local = append(local, pair{i, i / q})
+				}
+				rel = NewDivRelation("K", rows, q, "R")
+			default: // explicit array, possibly empty
+				fn := make([]int64, r.Intn(8))
+				for i := range fn {
+					fn[i] = r.Int63n(rows)
+					local = append(local, pair{int64(i), fn[i]})
+				}
+				rel = NewFnRelation("K", fn, index.NewSpace("R", rows))
+			}
+			parts = append(parts, ConcatPart{Rel: rel, RightOff: rightOff})
+			for _, p := range local {
+				pairs = append(pairs, pair{leftOff + p.i, rightOff + p.j})
+			}
+			leftOff += rel.Left().Size()
+		}
+		rel := NewConcat("K", parts, index.NewSpace("R", rightSize))
+		if rel.Left().Size() != leftOff {
+			t.Fatalf("left size = %d, want %d", rel.Left().Size(), leftOff)
+		}
+		checkAgainstNaive(t, rel, pairs, r)
+		return !t.Failed()
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestComposeAndInvert(t *testing.T) {
 	// f: K -> D, g: D -> C; compose relates K to C.
 	f := []int64{0, 1, 2, 0}

@@ -297,6 +297,19 @@ func WrapIntervals(ivs []Interval) IntervalSet {
 	return IntervalSet{ivs: ivs}
 }
 
+// Rebase returns the points of s that lie inside window, each moved by
+// delta: the step between a concatenated index space and one member's
+// own coordinates.
+func (s IntervalSet) Rebase(window Interval, delta int64) IntervalSet {
+	var out IntervalSet
+	for _, iv := range s.ivs {
+		if iv = iv.Intersect(window); !iv.Empty() {
+			out.ivs = append(out.ivs, Interval{iv.Lo + delta, iv.Hi + delta})
+		}
+	}
+	return out
+}
+
 // Overlaps reports whether s and o share at least one point. It is
 // equivalent to !s.Intersect(o).Empty() but does not allocate.
 func (s IntervalSet) Overlaps(o IntervalSet) bool {

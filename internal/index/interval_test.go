@@ -98,6 +98,18 @@ func TestFromPoints(t *testing.T) {
 	}
 }
 
+func TestRebase(t *testing.T) {
+	s := NewIntervalSet(Interval{0, 4}, Interval{8, 12}, Interval{20, 25})
+	got := s.Rebase(Interval{3, 21}, -3)
+	want := NewIntervalSet(Interval{0, 1}, Interval{5, 9}, Interval{17, 18})
+	if !got.Equal(want) {
+		t.Fatalf("Rebase = %v, want %v", got, want)
+	}
+	if !s.Rebase(Interval{5, 7}, 100).Empty() || !s.Rebase(Interval{5, 4}, 0).Empty() {
+		t.Fatal("a window missing the set must give the empty set")
+	}
+}
+
 func TestUnionIntersectSubtract(t *testing.T) {
 	a := NewIntervalSet(Interval{0, 9}, Interval{20, 29})
 	b := NewIntervalSet(Interval{5, 24})

@@ -265,9 +265,13 @@ type Server struct {
 // truncation, never an error).
 func NewServer(cfg Config) (*Server, error) {
 	cfg.fillDefaults()
+	rt := taskrt.New()
+	// Nothing in the server reads the task graph, and a retained graph
+	// keeps a Node per launched task for the life of the process.
+	rt.SetGraphRetention(false)
 	s := &Server{
 		cfg:      cfg,
-		rt:       taskrt.New(),
+		rt:       rt,
 		jobs:     make(map[string]*Job),
 		matrices: make(map[string]*matrixEntry),
 		caches:   make(map[string]*solvers.RecycleCache),

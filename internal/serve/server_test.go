@@ -60,6 +60,29 @@ func TestServerSolvesConcurrently(t *testing.T) {
 	}
 }
 
+// TestServerRetainsNoGraph pins the server's memory per job: its runtime
+// must not keep a graph node per launched task (a long-lived server
+// would grow by megabytes per solve).
+func TestServerRetainsNoGraph(t *testing.T) {
+	s := mustServer(t, Config{MaxActive: 1, QueueDepth: 8, CoalesceMax: 1})
+	defer s.Drain()
+	for i := 0; i < 5; i++ {
+		j, err := s.Submit(testSpec(nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r := j.Result(); !r.Converged || r.Err != "" {
+			t.Fatalf("job %s: converged=%v err=%q", j.ID, r.Converged, r.Err)
+		}
+	}
+	if st := s.rt.Stats(); st.Launched == 0 {
+		t.Fatal("no tasks launched: the jobs did not run on the server's runtime")
+	}
+	if n := s.rt.Graph().Len(); n != 0 {
+		t.Fatalf("server runtime retains %d graph nodes after 5 solo jobs, want 0", n)
+	}
+}
+
 func TestServerRejectsInvalidSpec(t *testing.T) {
 	s := mustServer(t, Config{})
 	defer s.Drain()

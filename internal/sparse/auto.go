@@ -3,7 +3,6 @@ package sparse
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"kdrsolvers/internal/dpart"
 	"kdrsolvers/internal/index"
@@ -15,18 +14,16 @@ import (
 // the ordinary Matrix contract, so planners and solvers cannot tell a
 // tuned matrix from a hand-picked one). The composite's kernel space
 // concatenates the tiles' kernel spaces in band order, and its row and
-// column relations delegate to the tiles' own relations shifted into
-// global coordinates — partition projection, dependence analysis, and
-// the conformance matrix all work unchanged.
+// column relations are the tiles' own relations shifted into global
+// coordinates (dpart.Concat) — nothing is materialized per kernel point,
+// so a uniform pick costs the planner exactly what the plain format
+// costs, and partition projection, dependence analysis, and the
+// conformance matrix all work unchanged.
 type Auto struct {
-	rows, cols int64
-	tiles      []autoTile
-	knnz       int64 // total kernel size across tiles (padding included)
-	nnz        int64 // total stored entries
+	tiles []autoTile
+	nnz   int64 // total stored entries
 
-	relOnce sync.Once
-	rowRel  *dpart.FnRelation
-	colRel  *dpart.FnRelation
+	rowRel, colRel *dpart.Concat
 }
 
 // autoTile is one row band of an Auto matrix.
@@ -54,10 +51,11 @@ func AutoSelectBands(a *CSR, starts []int64) *Auto {
 	}
 	bounds = append(bounds, rows)
 
-	// Pick a format per band, then coalesce adjacent bands that chose the
-	// same one: a uniform pick degenerates to a single plain-format tile,
-	// so the composite costs nothing when the tuner finds no structure
-	// worth splitting over.
+	// Pick a format per band. Adjacent bands that chose the same format
+	// stay separate tiles: a merged ELL pads every row to the longest row
+	// of the union and a merged DIA stores the union of the diagonals, so
+	// merging can cost far more than the per-band predictions that
+	// justified the pick — and a piece computes over one band either way.
 	type bandPick struct {
 		r0, r1 int64
 		f      string
@@ -71,10 +69,6 @@ func AutoSelectBands(a *CSR, starts []int64) *Auto {
 		}
 		f, cost := selectFormatCost(ProfileRows(a, r0, r1))
 		bandedCost += cost
-		if n := len(picks); n > 0 && picks[n-1].f == f {
-			picks[n-1].r1 = r1
-			continue
-		}
 		picks = append(picks, bandPick{r0: r0, r1: r1, f: f})
 	}
 
@@ -85,21 +79,22 @@ func AutoSelectBands(a *CSR, starts []int64) *Auto {
 	// best single whole-matrix format and keep whichever is cheaper —
 	// uniform structure then gets the undivided layout it wants, while
 	// genuinely mixed structure keeps its per-band formats.
-	if len(picks) > 0 {
+	if len(picks) > 1 {
 		if f, cost := selectFormatCost(ProfileRows(a, 0, rows)); cost < bandedCost {
 			picks = []bandPick{{r0: 0, r1: rows, f: f}}
 		}
 	}
 
-	au := &Auto{rows: rows, cols: cols}
+	au := &Auto{}
+	var koff int64
 	for _, p := range picks {
 		r0, r1, f := p.r0, p.r1, p.f
 		mat := Convert(bandCSR(a, r0, r1), f)
 		klen := mat.Kernel().Size()
 		au.tiles = append(au.tiles, autoTile{
-			r0: r0, r1: r1, koff: au.knnz, klen: klen, mat: mat, format: f,
+			r0: r0, r1: r1, koff: koff, klen: klen, mat: mat, format: f,
 		})
-		au.knnz += klen
+		koff += klen
 		au.nnz += mat.NNZ()
 	}
 	if len(au.tiles) == 0 {
@@ -108,6 +103,14 @@ func AutoSelectBands(a *CSR, starts []int64) *Auto {
 		mat := bandCSR(a, 0, rows)
 		au.tiles = append(au.tiles, autoTile{mat: mat, format: "CSR"})
 	}
+	rowParts := make([]dpart.ConcatPart, len(au.tiles))
+	colParts := make([]dpart.ConcatPart, len(au.tiles))
+	for i, t := range au.tiles {
+		rowParts[i] = dpart.ConcatPart{Rel: t.mat.RowRelation(), RightOff: t.r0}
+		colParts[i] = dpart.ConcatPart{Rel: t.mat.ColRelation()}
+	}
+	au.rowRel = dpart.NewConcat("K", rowParts, index.NewSpace("R", rows))
+	au.colRel = dpart.NewConcat("K", colParts, index.NewSpace("D", cols))
 	return au
 }
 
@@ -157,13 +160,13 @@ func (a *Auto) String() string {
 }
 
 // Domain implements Matrix.
-func (a *Auto) Domain() index.Space { return index.NewSpace("D", a.cols) }
+func (a *Auto) Domain() index.Space { return a.colRel.Right() }
 
 // Range implements Matrix.
-func (a *Auto) Range() index.Space { return index.NewSpace("R", a.rows) }
+func (a *Auto) Range() index.Space { return a.rowRel.Right() }
 
 // Kernel implements Matrix.
-func (a *Auto) Kernel() index.Space { return index.NewSpace("K", a.knnz) }
+func (a *Auto) Kernel() index.Space { return a.rowRel.Left() }
 
 // NNZ implements Matrix.
 func (a *Auto) NNZ() int64 { return a.nnz }
@@ -171,83 +174,32 @@ func (a *Auto) NNZ() int64 { return a.nnz }
 // Format implements Matrix.
 func (a *Auto) Format() string { return "Auto" }
 
-// buildRelations materializes the global row and column relations by
-// querying each tile's own relations point by point and shifting rows
-// into the global space. Padding kernel points whose tile-local image is
-// empty (DIA and ELL fill) are clipped to the band's first row — their
-// stored value is zero, so the extra conservative dependence is the only
-// effect, and the planner's image intersection clips it out of the write
-// set anyway.
-func (a *Auto) buildRelations() {
-	a.relOnce.Do(func() {
-		rowArr := make([]int64, a.knnz)
-		colArr := make([]int64, a.knnz)
-		for _, t := range a.tiles {
-			rr, cr := t.mat.RowRelation(), t.mat.ColRelation()
-			for k := int64(0); k < t.klen; k++ {
-				pt := index.Span(k, k)
-				if img := rr.Image(pt); !img.Empty() {
-					rowArr[t.koff+k] = t.r0 + img.Bounds().Lo
-				} else {
-					rowArr[t.koff+k] = t.r0
-				}
-				if img := cr.Image(pt); !img.Empty() {
-					colArr[t.koff+k] = img.Bounds().Lo
-				}
-			}
-		}
-		a.rowRel = dpart.NewFnRelation("K", rowArr, index.NewSpace("R", a.rows))
-		a.colRel = dpart.NewFnRelation("K", colArr, index.NewSpace("D", a.cols))
-	})
-}
-
-// RowRelation implements Matrix.
-func (a *Auto) RowRelation() dpart.Relation {
-	a.buildRelations()
-	return a.rowRel
-}
+// RowRelation implements Matrix. Padding kernel points (DIA and ELL
+// fill whose tile-local image is empty) relate to no row, exactly as in
+// the tile's own format.
+func (a *Auto) RowRelation() dpart.Relation { return a.rowRel }
 
 // ColRelation implements Matrix.
-func (a *Auto) ColRelation() dpart.Relation {
-	a.buildRelations()
-	return a.colRel
-}
+func (a *Auto) ColRelation() dpart.Relation { return a.colRel }
 
-// MultiplyAdd implements Matrix.
+// MultiplyAdd implements Matrix: the range kernel over all of K.
 func (a *Auto) MultiplyAdd(y, x []float64) {
-	CheckShapes(a, y, x)
-	for _, t := range a.tiles {
-		t.mat.MultiplyAdd(y[t.r0:t.r1], x)
-	}
+	a.MultiplyAddPart(y, x, a.Kernel().Set)
 }
 
-// MultiplyAddT implements Matrix.
+// MultiplyAddT implements Matrix: the adjoint range kernel over all of K.
 func (a *Auto) MultiplyAddT(y, x []float64) {
-	checkShapesT(a, y, x)
-	for _, t := range a.tiles {
-		t.mat.MultiplyAddT(y, x[t.r0:t.r1])
-	}
+	a.MultiplyAddTPart(y, x, a.Kernel().Set)
 }
 
 // localKset clips a global kernel set to one tile and rebases it into
-// the tile's kernel space.
+// the tile's kernel space. A set already inside an unshifted tile — every
+// piece of a uniform pick — is handed through as is.
 func (t *autoTile) localKset(kset index.IntervalSet) index.IntervalSet {
-	lo, hi := t.koff, t.koff+t.klen-1
-	var out index.IntervalSet
-	kset.EachInterval(func(iv index.Interval) {
-		if iv.Hi < lo || iv.Lo > hi {
-			return
-		}
-		l, h := iv.Lo, iv.Hi
-		if l < lo {
-			l = lo
-		}
-		if h > hi {
-			h = hi
-		}
-		out.AddInterval(index.Interval{Lo: l - t.koff, Hi: h - t.koff})
-	})
-	return out
+	if t.koff == 0 && kset.Bounds().Hi < t.klen {
+		return kset
+	}
+	return kset.Rebase(index.Interval{Lo: t.koff, Hi: t.koff + t.klen - 1}, -t.koff)
 }
 
 // MultiplyAddPart implements Matrix.

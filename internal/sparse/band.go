@@ -75,54 +75,40 @@ func (a *Band) NNZ() int64 { return int64(len(a.offsets)) * a.cols }
 // Format implements Matrix.
 func (a *Band) Format() string { return "Band" }
 
-// at returns the entry for kernel slot (b, j), or 0 when out of range.
-func (a *Band) at(b int, j int64) float64 {
-	i := j - a.offsets[b]
-	if i < 0 || i >= a.rows || a.coeff == nil {
-		return 0
-	}
-	return a.coeff(b, j)
-}
-
-// MultiplyAdd implements Matrix.
+// MultiplyAdd implements Matrix: the range kernel over all of K.
 func (a *Band) MultiplyAdd(y, x []float64) {
 	CheckShapes(a, y, x)
-	a.MultiplyAddPart(y, x, a.Kernel().Set)
+	a.mulIntervals(y, x, []index.Interval{{Lo: 0, Hi: a.NNZ() - 1}}, false)
 }
 
-// MultiplyAddT implements Matrix.
+// MultiplyAddT implements Matrix: the adjoint range kernel over all of K.
 func (a *Band) MultiplyAddT(y, x []float64) {
 	checkShapesT(a, y, x)
-	a.MultiplyAddTPart(y, x, a.Kernel().Set)
+	a.mulIntervals(y, x, []index.Interval{{Lo: 0, Hi: a.NNZ() - 1}}, true)
 }
 
 // MultiplyAddPart implements Matrix.
 func (a *Band) MultiplyAddPart(y, x []float64, kset index.IntervalSet) {
-	kset.EachInterval(func(iv index.Interval) {
-		for k := iv.Lo; k <= iv.Hi; k++ {
-			b, j := int(k/a.cols), k%a.cols
-			i := j - a.offsets[b]
-			if i < 0 || i >= a.rows {
-				continue
-			}
-			if v := a.at(b, j); v != 0 {
-				y[i] += v * x[j]
-			}
-		}
-	})
+	CheckShapes(a, y, x)
+	a.mulIntervals(y, x, kset.Intervals(), false)
 }
 
 // MultiplyAddTPart implements Matrix.
 func (a *Band) MultiplyAddTPart(y, x []float64, kset index.IntervalSet) {
-	kset.EachInterval(func(iv index.Interval) {
-		for k := iv.Lo; k <= iv.Hi; k++ {
-			b, j := int(k/a.cols), k%a.cols
-			i := j - a.offsets[b]
-			if i < 0 || i >= a.rows {
-				continue
-			}
-			if v := a.at(b, j); v != 0 {
-				y[j] += v * x[i]
+	checkShapesT(a, y, x)
+	a.mulIntervals(y, x, kset.Intervals(), true)
+}
+
+// mulIntervals is the kernel over a set of kernel intervals, forward or
+// adjoint, on the shared DIA-layout walk.
+func (a *Band) mulIntervals(y, x []float64, ivs []index.Interval, adjoint bool) {
+	if a.coeff == nil {
+		return
+	}
+	walkDiagBlocks(ivs, a.offsets, a.rows, a.cols, adjoint, func(s diagSeg, lo, hi int64) {
+		for o := lo; o <= hi; o++ {
+			if v := a.coeff(s.b, s.col+o); v != 0 {
+				y[o] += v * x[o+s.shift]
 			}
 		}
 	})

@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"math/rand"
 	"testing"
 
 	"kdrsolvers/internal/index"
@@ -65,18 +66,13 @@ func TestBandAdjointAndParts(t *testing.T) {
 	if !densesEqual(got, want, 1e-15) {
 		t.Fatal("Band adjoint wrong")
 	}
-	// Partitioned forms sum to the whole, forward and adjoint.
-	kp := index.EqualPartition(band.Kernel(), 3)
-	fw := make([]float64, n)
-	ad := make([]float64, n)
-	for c := 0; c < 3; c++ {
-		band.MultiplyAddPart(fw, x, kp.Piece(c))
-		band.MultiplyAddTPart(ad, x, kp.Piece(c))
-	}
+	// Range kernels over random splits sum to the products, forward and
+	// adjoint, and the whole product is the range kernel over all of K.
 	wantF := make([]float64, n)
-	band.MultiplyAdd(wantF, x)
-	if !densesEqual(fw, wantF, 1e-15) || !densesEqual(ad, want, 1e-15) {
-		t.Fatal("Band partitioned kernels wrong")
+	ref.MultiplyAdd(wantF, x)
+	r := rand.New(rand.NewSource(8))
+	for round := 0; round < 8; round++ {
+		checkRangeKernels(t, band, r, x, x, wantF, want)
 	}
 }
 

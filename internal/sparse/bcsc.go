@@ -134,82 +134,36 @@ func (a *BCSC) Format() string { return "BCSC" }
 // BlockShape returns the (br, bd) block dimensions.
 func (a *BCSC) BlockShape() (int64, int64) { return a.br, a.bd }
 
-// MultiplyAdd implements Matrix.
+// MultiplyAdd implements Matrix: the range kernel over all of K.
 func (a *BCSC) MultiplyAdd(y, x []float64) {
 	CheckShapes(a, y, x)
-	bsz := a.br * a.bd
-	nbc := a.cols / a.bd
-	for bj := int64(0); bj < nbc; bj++ {
-		xo := bj * a.bd
-		for b := a.colptr[bj]; b < a.colptr[bj+1]; b++ {
-			yo := a.brow[b] * a.br
-			for r := int64(0); r < a.br; r++ {
-				base := b*bsz + r*a.bd
-				var sum float64
-				for c := int64(0); c < a.bd; c++ {
-					sum += a.vals[base+c] * x[xo+c]
-				}
-				y[yo+r] += sum
-			}
-		}
-	}
+	a.mulRange(y, x, 0, int64(len(a.vals))-1, false)
 }
 
-// MultiplyAddT implements Matrix.
+// MultiplyAddT implements Matrix: the adjoint range kernel over all of K.
 func (a *BCSC) MultiplyAddT(y, x []float64) {
 	checkShapesT(a, y, x)
-	bsz := a.br * a.bd
-	nbc := a.cols / a.bd
-	for bj := int64(0); bj < nbc; bj++ {
-		yo := bj * a.bd
-		for b := a.colptr[bj]; b < a.colptr[bj+1]; b++ {
-			xo := a.brow[b] * a.br
-			for r := int64(0); r < a.br; r++ {
-				base := b*bsz + r*a.bd
-				xi := x[xo+r]
-				if xi == 0 {
-					continue
-				}
-				for c := int64(0); c < a.bd; c++ {
-					y[yo+c] += a.vals[base+c] * xi
-				}
-			}
-		}
-	}
-}
-
-// blockColOf returns the block column owning block b.
-func (a *BCSC) blockColOf(b int64) int64 {
-	nbc := a.cols / a.bd
-	return int64(sort.Search(int(nbc), func(j int) bool { return a.colptr[j+1] > b }))
+	a.mulRange(y, x, 0, int64(len(a.vals))-1, true)
 }
 
 // MultiplyAddPart implements Matrix.
 func (a *BCSC) MultiplyAddPart(y, x []float64, kset index.IntervalSet) {
 	CheckShapes(a, y, x)
-	bsz := a.br * a.bd
-	kset.EachInterval(func(iv index.Interval) {
-		for k := iv.Lo; k <= iv.Hi; k++ {
-			b := k / bsz
-			within := k % bsz
-			i := a.brow[b]*a.br + within/a.bd
-			j := a.blockColOf(b)*a.bd + within%a.bd
-			y[i] += a.vals[k] * x[j]
-		}
-	})
+	for _, iv := range kset.Intervals() {
+		a.mulRange(y, x, iv.Lo, iv.Hi, false)
+	}
 }
 
 // MultiplyAddTPart implements Matrix.
 func (a *BCSC) MultiplyAddTPart(y, x []float64, kset index.IntervalSet) {
 	checkShapesT(a, y, x)
-	bsz := a.br * a.bd
-	kset.EachInterval(func(iv index.Interval) {
-		for k := iv.Lo; k <= iv.Hi; k++ {
-			b := k / bsz
-			within := k % bsz
-			i := a.brow[b]*a.br + within/a.bd
-			j := a.blockColOf(b)*a.bd + within%a.bd
-			y[j] += a.vals[k] * x[i]
-		}
-	})
+	for _, iv := range kset.Intervals() {
+		a.mulRange(y, x, iv.Lo, iv.Hi, true)
+	}
+}
+
+// mulRange is the block formats' shared range kernel (bcsr.go) with the
+// blocks ordered by block column.
+func (a *BCSC) mulRange(y, x []float64, lo, hi int64, adjoint bool) {
+	blockRange(y, x, a.vals, a.colptr, a.brow, a.br, a.bd, lo, hi, false, adjoint)
 }

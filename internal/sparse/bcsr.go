@@ -147,80 +147,83 @@ func (a *BCSR) Format() string { return "BCSR" }
 // BlockShape returns the (br, bd) block dimensions.
 func (a *BCSR) BlockShape() (int64, int64) { return a.br, a.bd }
 
-// MultiplyAdd implements Matrix.
+// MultiplyAdd implements Matrix: the range kernel over all of K.
 func (a *BCSR) MultiplyAdd(y, x []float64) {
 	CheckShapes(a, y, x)
-	bsz := a.br * a.bd
-	nbr := a.rows / a.br
-	for bi := int64(0); bi < nbr; bi++ {
-		for b := a.rowptr[bi]; b < a.rowptr[bi+1]; b++ {
-			xo := a.bcol[b] * a.bd
-			for r := int64(0); r < a.br; r++ {
-				base := b*bsz + r*a.bd
-				var sum float64
-				for c := int64(0); c < a.bd; c++ {
-					sum += a.vals[base+c] * x[xo+c]
-				}
-				y[bi*a.br+r] += sum
-			}
-		}
-	}
+	a.mulRange(y, x, 0, int64(len(a.vals))-1, false)
 }
 
-// MultiplyAddT implements Matrix.
+// MultiplyAddT implements Matrix: the adjoint range kernel over all of K.
 func (a *BCSR) MultiplyAddT(y, x []float64) {
 	checkShapesT(a, y, x)
-	bsz := a.br * a.bd
-	nbr := a.rows / a.br
-	for bi := int64(0); bi < nbr; bi++ {
-		for b := a.rowptr[bi]; b < a.rowptr[bi+1]; b++ {
-			yo := a.bcol[b] * a.bd
-			for r := int64(0); r < a.br; r++ {
-				base := b*bsz + r*a.bd
-				xi := x[bi*a.br+r]
-				if xi == 0 {
-					continue
-				}
-				for c := int64(0); c < a.bd; c++ {
-					y[yo+c] += a.vals[base+c] * xi
-				}
-			}
-		}
-	}
-}
-
-// blockRowOf returns the block row owning block b.
-func (a *BCSR) blockRowOf(b int64) int64 {
-	nbr := a.rows / a.br
-	return int64(sort.Search(int(nbr), func(i int) bool { return a.rowptr[i+1] > b }))
+	a.mulRange(y, x, 0, int64(len(a.vals))-1, true)
 }
 
 // MultiplyAddPart implements Matrix.
 func (a *BCSR) MultiplyAddPart(y, x []float64, kset index.IntervalSet) {
 	CheckShapes(a, y, x)
-	bsz := a.br * a.bd
-	kset.EachInterval(func(iv index.Interval) {
-		for k := iv.Lo; k <= iv.Hi; k++ {
-			b := k / bsz
-			within := k % bsz
-			i := a.blockRowOf(b)*a.br + within/a.bd
-			j := a.bcol[b]*a.bd + within%a.bd
-			y[i] += a.vals[k] * x[j]
-		}
-	})
+	for _, iv := range kset.Intervals() {
+		a.mulRange(y, x, iv.Lo, iv.Hi, false)
+	}
 }
 
 // MultiplyAddTPart implements Matrix.
 func (a *BCSR) MultiplyAddTPart(y, x []float64, kset index.IntervalSet) {
 	checkShapesT(a, y, x)
-	bsz := a.br * a.bd
-	kset.EachInterval(func(iv index.Interval) {
-		for k := iv.Lo; k <= iv.Hi; k++ {
-			b := k / bsz
-			within := k % bsz
-			i := a.blockRowOf(b)*a.br + within/a.bd
-			j := a.bcol[b]*a.bd + within%a.bd
-			y[j] += a.vals[k] * x[i]
+	for _, iv := range kset.Intervals() {
+		a.mulRange(y, x, iv.Lo, iv.Hi, true)
+	}
+}
+
+// mulRange is the block formats' shared range kernel with the blocks
+// ordered by block row.
+func (a *BCSR) mulRange(y, x []float64, lo, hi int64, adjoint bool) {
+	blockRange(y, x, a.vals, a.rowptr, a.bcol, a.br, a.bd, lo, hi, true, adjoint)
+}
+
+// blockRange is the range kernel the block formats share, over the
+// kernel interval [lo, hi], forward or adjoint. Blocks are br × bd,
+// row-major, back to back; ptr orders them by block row (BCSR, byRow) or
+// block column (BCSC) and other holds each block's other block
+// coordinate. The (block, within-block row, within-block column) position
+// is divided out and the owning ptr segment searched once per interval;
+// from there the walk advances one within-block row run at a time, each
+// run accumulating into its output in slot order.
+func blockRange(y, x, vals []float64, ptr, other []int64, br, bd, lo, hi int64, byRow, adjoint bool) {
+	if lo > hi {
+		return
+	}
+	bsz := br * bd
+	b := lo / bsz
+	r := (lo - b*bsz) / bd
+	c := lo - b*bsz - r*bd
+	seg := segOf(ptr, b)
+	for k := lo; k <= hi; c = 0 {
+		for b >= ptr[seg+1] {
+			seg++
 		}
-	})
+		bi, bj := seg, other[b]
+		if !byRow {
+			bi, bj = bj, bi
+		}
+		i, j := bi*br+r, bj*bd+c
+		end := min(k+bd-c, hi+1)
+		run := vals[k:end]
+		if adjoint {
+			ys, xi := y[j:j+int64(len(run))], x[i]
+			for t, v := range run {
+				ys[t] += v * xi
+			}
+		} else {
+			xs, s := x[j:j+int64(len(run))], y[i]
+			for t, v := range run {
+				s += v * xs[t]
+			}
+			y[i] = s
+		}
+		k = end
+		if r++; r == br {
+			r, b = 0, b+1
+		}
+	}
 }

@@ -64,38 +64,44 @@ func (a *COO) NNZ() int64 { return int64(len(a.vals)) }
 // Format implements Matrix.
 func (a *COO) Format() string { return "COO" }
 
-// MultiplyAdd implements Matrix.
+// MultiplyAdd implements Matrix: the range kernel over all of K.
 func (a *COO) MultiplyAdd(y, x []float64) {
 	CheckShapes(a, y, x)
-	for k, v := range a.vals {
-		y[a.rowIdx[k]] += v * x[a.colIdx[k]]
-	}
+	a.mulRange(y, x, 0, int64(len(a.vals))-1)
 }
 
-// MultiplyAddT implements Matrix.
+// MultiplyAddT implements Matrix: the adjoint range kernel over all of K.
 func (a *COO) MultiplyAddT(y, x []float64) {
 	checkShapesT(a, y, x)
-	for k, v := range a.vals {
-		y[a.colIdx[k]] += v * x[a.rowIdx[k]]
-	}
+	a.mulRangeT(y, x, 0, int64(len(a.vals))-1)
 }
 
 // MultiplyAddPart implements Matrix.
 func (a *COO) MultiplyAddPart(y, x []float64, kset index.IntervalSet) {
 	CheckShapes(a, y, x)
-	kset.EachInterval(func(iv index.Interval) {
-		for k := iv.Lo; k <= iv.Hi; k++ {
-			y[a.rowIdx[k]] += a.vals[k] * x[a.colIdx[k]]
-		}
-	})
+	for _, iv := range kset.Intervals() {
+		a.mulRange(y, x, iv.Lo, iv.Hi)
+	}
 }
 
 // MultiplyAddTPart implements Matrix.
 func (a *COO) MultiplyAddTPart(y, x []float64, kset index.IntervalSet) {
 	checkShapesT(a, y, x)
-	kset.EachInterval(func(iv index.Interval) {
-		for k := iv.Lo; k <= iv.Hi; k++ {
-			y[a.colIdx[k]] += a.vals[k] * x[a.rowIdx[k]]
-		}
-	})
+	for _, iv := range kset.Intervals() {
+		a.mulRangeT(y, x, iv.Lo, iv.Hi)
+	}
+}
+
+// mulRange is the forward kernel over the kernel interval [lo, hi].
+func (a *COO) mulRange(y, x []float64, lo, hi int64) {
+	for k := lo; k <= hi; k++ {
+		y[a.rowIdx[k]] += a.vals[k] * x[a.colIdx[k]]
+	}
+}
+
+// mulRangeT is the adjoint kernel over the kernel interval [lo, hi].
+func (a *COO) mulRangeT(y, x []float64, lo, hi int64) {
+	for k := lo; k <= hi; k++ {
+		y[a.colIdx[k]] += a.vals[k] * x[a.rowIdx[k]]
+	}
 }

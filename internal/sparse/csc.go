@@ -88,72 +88,32 @@ func (a *CSC) NNZ() int64 { return int64(len(a.vals)) }
 // Format implements Matrix.
 func (a *CSC) Format() string { return "CSC" }
 
-// MultiplyAdd implements Matrix.
+// MultiplyAdd implements Matrix: the range kernel over all of K. CSC is
+// CSR of the transpose, so its forward product is the compressed
+// formats' scatter kernel and its adjoint the gather kernel (csr.go).
 func (a *CSC) MultiplyAdd(y, x []float64) {
 	CheckShapes(a, y, x)
-	for j := int64(0); j < a.cols; j++ {
-		xj := x[j]
-		if xj == 0 {
-			continue
-		}
-		for k := a.colptr[j]; k < a.colptr[j+1]; k++ {
-			y[a.rowIdx[k]] += a.vals[k] * xj
-		}
-	}
+	scatterRange(y, x, a.colptr, a.rowIdx, a.vals, 0, int64(len(a.vals))-1)
 }
 
-// MultiplyAddT implements Matrix.
+// MultiplyAddT implements Matrix: the adjoint range kernel over all of K.
 func (a *CSC) MultiplyAddT(y, x []float64) {
 	checkShapesT(a, y, x)
-	for j := int64(0); j < a.cols; j++ {
-		var sum float64
-		for k := a.colptr[j]; k < a.colptr[j+1]; k++ {
-			sum += a.vals[k] * x[a.rowIdx[k]]
-		}
-		y[j] += sum
-	}
-}
-
-// colOf returns the column owning kernel position k.
-func (a *CSC) colOf(k int64) int64 {
-	return int64(sort.Search(int(a.cols), func(j int) bool { return a.colptr[j+1] > k }))
+	gatherRange(y, x, a.colptr, a.rowIdx, a.vals, 0, int64(len(a.vals))-1)
 }
 
 // MultiplyAddPart implements Matrix.
 func (a *CSC) MultiplyAddPart(y, x []float64, kset index.IntervalSet) {
 	CheckShapes(a, y, x)
-	kset.EachInterval(func(iv index.Interval) {
-		j := a.colOf(iv.Lo)
-		for k := iv.Lo; k <= iv.Hi; {
-			end := a.colptr[j+1]
-			if end > iv.Hi+1 {
-				end = iv.Hi + 1
-			}
-			xj := x[j]
-			for ; k < end; k++ {
-				y[a.rowIdx[k]] += a.vals[k] * xj
-			}
-			j++
-		}
-	})
+	for _, iv := range kset.Intervals() {
+		scatterRange(y, x, a.colptr, a.rowIdx, a.vals, iv.Lo, iv.Hi)
+	}
 }
 
 // MultiplyAddTPart implements Matrix.
 func (a *CSC) MultiplyAddTPart(y, x []float64, kset index.IntervalSet) {
 	checkShapesT(a, y, x)
-	kset.EachInterval(func(iv index.Interval) {
-		j := a.colOf(iv.Lo)
-		for k := iv.Lo; k <= iv.Hi; {
-			end := a.colptr[j+1]
-			if end > iv.Hi+1 {
-				end = iv.Hi + 1
-			}
-			var sum float64
-			for ; k < end; k++ {
-				sum += a.vals[k] * x[a.rowIdx[k]]
-			}
-			y[j] += sum
-			j++
-		}
-	})
+	for _, iv := range kset.Intervals() {
+		gatherRange(y, x, a.colptr, a.rowIdx, a.vals, iv.Lo, iv.Hi)
+	}
 }

@@ -97,75 +97,77 @@ func (a *CSR) ColIdx() []int64 { return a.colIdx }
 // Vals returns the value array (not to be modified).
 func (a *CSR) Vals() []float64 { return a.vals }
 
-// MultiplyAdd implements Matrix.
+// MultiplyAdd implements Matrix: the range kernel over all of K.
 func (a *CSR) MultiplyAdd(y, x []float64) {
 	CheckShapes(a, y, x)
-	for i := int64(0); i < a.rows; i++ {
-		var sum float64
-		for k := a.rowptr[i]; k < a.rowptr[i+1]; k++ {
-			sum += a.vals[k] * x[a.colIdx[k]]
-		}
-		y[i] += sum
-	}
+	gatherRange(y, x, a.rowptr, a.colIdx, a.vals, 0, int64(len(a.vals))-1)
 }
 
-// MultiplyAddT implements Matrix.
+// MultiplyAddT implements Matrix: the adjoint range kernel over all of K.
 func (a *CSR) MultiplyAddT(y, x []float64) {
 	checkShapesT(a, y, x)
-	for i := int64(0); i < a.rows; i++ {
-		xi := x[i]
-		if xi == 0 {
-			continue
-		}
-		for k := a.rowptr[i]; k < a.rowptr[i+1]; k++ {
-			y[a.colIdx[k]] += a.vals[k] * xi
-		}
-	}
+	scatterRange(y, x, a.rowptr, a.colIdx, a.vals, 0, int64(len(a.vals))-1)
 }
 
-// rowOf returns the row owning kernel position k.
-func (a *CSR) rowOf(k int64) int64 {
-	// First row whose segment ends beyond k.
-	return int64(sort.Search(int(a.rows), func(i int) bool { return a.rowptr[i+1] > k }))
-}
-
-// MultiplyAddPart implements Matrix. Within a kernel interval the row
-// index advances monotonically, so one binary search per interval
-// suffices.
+// MultiplyAddPart implements Matrix.
 func (a *CSR) MultiplyAddPart(y, x []float64, kset index.IntervalSet) {
 	CheckShapes(a, y, x)
-	kset.EachInterval(func(iv index.Interval) {
-		i := a.rowOf(iv.Lo)
-		for k := iv.Lo; k <= iv.Hi; {
-			end := a.rowptr[i+1]
-			if end > iv.Hi+1 {
-				end = iv.Hi + 1
-			}
-			var sum float64
-			for ; k < end; k++ {
-				sum += a.vals[k] * x[a.colIdx[k]]
-			}
-			y[i] += sum
-			i++
-		}
-	})
+	for _, iv := range kset.Intervals() {
+		gatherRange(y, x, a.rowptr, a.colIdx, a.vals, iv.Lo, iv.Hi)
+	}
 }
 
 // MultiplyAddTPart implements Matrix.
 func (a *CSR) MultiplyAddTPart(y, x []float64, kset index.IntervalSet) {
 	checkShapesT(a, y, x)
-	kset.EachInterval(func(iv index.Interval) {
-		i := a.rowOf(iv.Lo)
-		for k := iv.Lo; k <= iv.Hi; {
-			end := a.rowptr[i+1]
-			if end > iv.Hi+1 {
-				end = iv.Hi + 1
-			}
-			xi := x[i]
-			for ; k < end; k++ {
-				y[a.colIdx[k]] += a.vals[k] * xi
-			}
-			i++
+	for _, iv := range kset.Intervals() {
+		scatterRange(y, x, a.rowptr, a.colIdx, a.vals, iv.Lo, iv.Hi)
+	}
+}
+
+// The compressed formats share two range kernels over a kernel interval
+// [lo, hi]. ptr splits K into segments (rows of CSR, columns of CSC) and
+// idx holds the other coordinate: CSR's forward and CSC's adjoint
+// product gather through idx into the segment's output, CSR's adjoint
+// and CSC's forward product scatter the segment's input through idx.
+// Within an interval the segment advances monotonically, so one binary
+// search per interval suffices.
+
+// segOf returns the segment owning kernel position k: the first one
+// whose end lies beyond k.
+func segOf(ptr []int64, k int64) int64 {
+	return int64(sort.Search(len(ptr)-1, func(s int) bool { return ptr[s+1] > k }))
+}
+
+// gatherRange adds Σ vals[k]·x[idx[k]] into y[s] for every segment s
+// meeting [lo, hi].
+func gatherRange(y, x []float64, ptr, idx []int64, vals []float64, lo, hi int64) {
+	if lo > hi {
+		return
+	}
+	s := segOf(ptr, lo)
+	for k := lo; k <= hi; s++ {
+		end := min(ptr[s+1], hi+1)
+		var sum float64
+		for ; k < end; k++ {
+			sum += vals[k] * x[idx[k]]
 		}
-	})
+		y[s] += sum
+	}
+}
+
+// scatterRange adds vals[k]·x[s] into y[idx[k]] for every kernel point k
+// in [lo, hi], s the segment owning k.
+func scatterRange(y, x []float64, ptr, idx []int64, vals []float64, lo, hi int64) {
+	if lo > hi {
+		return
+	}
+	s := segOf(ptr, lo)
+	for k := lo; k <= hi; s++ {
+		end := min(ptr[s+1], hi+1)
+		xs := x[s]
+		for ; k < end; k++ {
+			y[idx[k]] += vals[k] * xs
+		}
+	}
 }

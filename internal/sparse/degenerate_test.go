@@ -3,8 +3,6 @@ package sparse
 import (
 	"math/rand"
 	"testing"
-
-	"kdrsolvers/internal/index"
 )
 
 // allFormats is every Convert target, the adaptive composite included.
@@ -17,7 +15,7 @@ func allFormats() []string {
 // block formats used to panic here), fully empty matrices, and matrices
 // with empty rows — through every storage format, checking SpMV and
 // SpMVᵀ against the dense reference and checking that partial kernel
-// products (two half-kernel sweeps) sum to the full product.
+// products over a random split of K sum to the full product.
 func TestDegenerateShapes(t *testing.T) {
 	cases := []struct {
 		name       string
@@ -78,33 +76,9 @@ func TestDegenerateShapes(t *testing.T) {
 						t.Errorf("SpMVT off dense reference by %g", d)
 					}
 
-					// Partial products must tile: two half-kernel sweeps
-					// reproduce the full product.
-					klen := m.Kernel().Size()
-					if klen == 0 {
-						return
-					}
-					for i := range y {
-						y[i] = 0
-					}
-					for i := range z {
-						z[i] = 0
-					}
-					if mid := klen / 2; mid > 0 && mid < klen {
-						m.MultiplyAddPart(y, x, index.Span(0, mid-1))
-						m.MultiplyAddPart(y, x, index.Span(mid, klen-1))
-						m.MultiplyAddTPart(z, w, index.Span(0, mid-1))
-						m.MultiplyAddTPart(z, w, index.Span(mid, klen-1))
-					} else {
-						m.MultiplyAddPart(y, x, index.Span(0, klen-1))
-						m.MultiplyAddTPart(z, w, index.Span(0, klen-1))
-					}
-					if d := maxAbs(y, wantY); d > 1e-12 {
-						t.Errorf("split MultiplyAddPart off dense reference by %g", d)
-					}
-					if d := maxAbs(z, wantZ); d > 1e-12 {
-						t.Errorf("split MultiplyAddTPart off dense reference by %g", d)
-					}
+					// Partial products must tile, and the whole product is
+					// the range kernel over all of K.
+					checkRangeKernels(t, m, r, x, w, wantY, wantZ)
 				})
 			}
 		})
@@ -211,6 +185,134 @@ func TestProfileFeatures(t *testing.T) {
 	}
 }
 
+// profileRowsMaps is the map-per-entry ProfileRows this package used to
+// run, kept as the reference the flat-array version must reproduce field
+// for field.
+func profileRowsMaps(a *CSR, r0, r1 int64) Profile {
+	p := Profile{Rows: r1 - r0, Cols: a.cols}
+	if p.Rows <= 0 {
+		return p
+	}
+	diags := make(map[int64]struct{})
+	blocks := make(map[int64]struct{})
+	colLen := make(map[int64]int64)
+	nbc := (a.cols + 1) / 2
+	p.MinCol = a.cols
+	var sumLen, sumLenSq int64
+	for i := r0; i < r1; i++ {
+		rl := a.rowptr[i+1] - a.rowptr[i]
+		if rl == 0 {
+			p.EmptyRows++
+		}
+		if rl > p.MaxRowLen {
+			p.MaxRowLen = rl
+		}
+		sumLen += rl
+		sumLenSq += rl * rl
+		li := i - r0
+		for k := a.rowptr[i]; k < a.rowptr[i+1]; k++ {
+			c := a.colIdx[k]
+			if c < p.MinCol {
+				p.MinCol = c
+			}
+			if c > p.MaxCol {
+				p.MaxCol = c
+			}
+			d := c - li
+			if d < 0 {
+				if -d > p.Bandwidth {
+					p.Bandwidth = -d
+				}
+			} else if d > p.Bandwidth {
+				p.Bandwidth = d
+			}
+			diags[d] = struct{}{}
+			blocks[(li/2)*nbc+c/2] = struct{}{}
+			colLen[c]++
+			if c == li {
+				p.DiagFilled++
+			}
+		}
+	}
+	p.NNZ = sumLen
+	if p.NNZ == 0 {
+		p.MinCol = 0
+	}
+	p.Diags = int64(len(diags))
+	p.Blocks2x2 = int64(len(blocks))
+	for _, n := range colLen {
+		if n > p.MaxColLen {
+			p.MaxColLen = n
+		}
+	}
+	p.MeanRowLen = float64(sumLen) / float64(p.Rows)
+	p.RowLenVar = float64(sumLenSq)/float64(p.Rows) - p.MeanRowLen*p.MeanRowLen
+	if p.Rows > 0 && p.Cols > 0 {
+		p.Density = float64(p.NNZ) / (float64(p.Rows) * float64(p.Cols))
+	}
+	if p.NNZ > 0 {
+		p.BlockWaste = 4 * float64(p.Blocks2x2) / float64(p.NNZ)
+		minDim := min(p.Rows, p.Cols)
+		if p.Diags > 0 && minDim > 0 {
+			p.DiagFill = float64(p.NNZ) / (float64(p.Diags) * float64(minDim))
+		}
+		p.RowLenSkew = float64(p.MaxRowLen) / maxf(p.MeanRowLen, 1)
+		p.ColLenSkew = float64(p.MaxColLen) * float64(p.Cols) / float64(p.NNZ)
+		if minDim > 0 {
+			p.DiagCovered = float64(p.DiagFilled) / float64(minDim)
+		}
+	}
+	return p
+}
+
+// TestProfileMatchesMapReference holds the flat-array profile to the map
+// reference on banded, scattered and mixed structures, over the whole
+// matrix and over every band of an odd band count (so band-local row
+// offsets and 2×2 block parity differ from the whole matrix's).
+func TestProfileMatchesMapReference(t *testing.T) {
+	r := rand.New(rand.NewSource(21))
+	var banded, mixed []Coord
+	for i := int64(0); i < 90; i++ {
+		for _, off := range []int64{-7, -1, 0, 1, 2, 30} {
+			if j := i + off; j >= 0 && j < 70 && (i+off)%5 != 0 {
+				banded = append(banded, Coord{Row: i, Col: j, Val: 1})
+			}
+		}
+	}
+	for i := int64(0); i < 75; i++ {
+		switch {
+		case i < 20: // dense head
+			for j := int64(0); j < 20; j++ {
+				mixed = append(mixed, Coord{Row: i, Col: j, Val: 1})
+			}
+		case i%9 != 0: // tridiagonal tail with empty rows
+			for _, j := range []int64{i - 1, i, i + 1} {
+				if j < 75 {
+					mixed = append(mixed, Coord{Row: i, Col: j, Val: 1})
+				}
+			}
+		}
+	}
+	mats := map[string]*CSR{
+		"lap2d":            Laplacian2D(9, 13),
+		"banded_tall":      CSRFromCoords(90, 70, banded),
+		"scattered_random": randomCSRMatrix(r, 61, 83, 0.05),
+		"mixed_structure":  CSRFromCoords(75, 75, mixed),
+		"empty":            CSRFromCoords(6, 4, nil),
+	}
+	for name, a := range mats {
+		check := func(r0, r1 int64) {
+			if got, want := ProfileRows(a, r0, r1), profileRowsMaps(a, r0, r1); got != want {
+				t.Errorf("%s rows [%d,%d):\n got %+v\nwant %+v", name, r0, r1, got, want)
+			}
+		}
+		check(0, a.rows)
+		for b := int64(0); b < 7; b++ {
+			check(a.rows*b/7, a.rows*(b+1)/7)
+		}
+	}
+}
+
 // TestSelectFormatSane checks the tuner returns a convertible format and
 // picks the obviously right one on an extreme structure: a large banded
 // matrix with fully occupied diagonals is DIA's best case.
@@ -265,6 +367,16 @@ func TestAutoSelectBands(t *testing.T) {
 	}
 	if d := maxAbs(ToDense(au), ToDense(a)); d != 0 {
 		t.Errorf("composite differs from source by %g", d)
+	}
+	// Range kernels over splits that straddle tile boundaries.
+	r := rand.New(rand.NewSource(17))
+	x, w := make([]float64, 512), make([]float64, 512)
+	for i := range x {
+		x[i], w[i] = r.NormFloat64(), r.NormFloat64()
+	}
+	wantY, wantZ := refProducts(ToDense(a), 512, 512, x, w)
+	for round := 0; round < 4; round++ {
+		checkRangeKernels(t, au, r, x, w, wantY, wantZ)
 	}
 	// The relations must cover the full kernel space.
 	if au.RowRelation().Left().Size() != au.Kernel().Size() {

@@ -63,50 +63,71 @@ func (a *Dense) At(i, j int64) float64 { return a.vals[i*a.cols+j] }
 // Set stores v at (i, j).
 func (a *Dense) Set(i, j int64, v float64) { a.vals[i*a.cols+j] = v }
 
-// MultiplyAdd implements Matrix.
+// MultiplyAdd implements Matrix: the range kernel over all of K.
 func (a *Dense) MultiplyAdd(y, x []float64) {
 	CheckShapes(a, y, x)
-	for i := int64(0); i < a.rows; i++ {
-		row := a.vals[i*a.cols : (i+1)*a.cols]
-		var sum float64
-		for j, v := range row {
-			sum += v * x[j]
-		}
-		y[i] += sum
-	}
+	a.mulRange(y, x, 0, a.rows*a.cols-1)
 }
 
-// MultiplyAddT implements Matrix.
+// MultiplyAddT implements Matrix: the adjoint range kernel over all of K.
 func (a *Dense) MultiplyAddT(y, x []float64) {
 	checkShapesT(a, y, x)
-	for i := int64(0); i < a.rows; i++ {
-		row := a.vals[i*a.cols : (i+1)*a.cols]
-		xi := x[i]
-		if xi == 0 {
-			continue
-		}
-		for j, v := range row {
-			y[j] += v * xi
-		}
-	}
+	a.mulRangeT(y, x, 0, a.rows*a.cols-1)
 }
 
 // MultiplyAddPart implements Matrix.
 func (a *Dense) MultiplyAddPart(y, x []float64, kset index.IntervalSet) {
 	CheckShapes(a, y, x)
-	kset.EachInterval(func(iv index.Interval) {
-		for k := iv.Lo; k <= iv.Hi; k++ {
-			y[k/a.cols] += a.vals[k] * x[k%a.cols]
-		}
-	})
+	for _, iv := range kset.Intervals() {
+		a.mulRange(y, x, iv.Lo, iv.Hi)
+	}
 }
 
 // MultiplyAddTPart implements Matrix.
 func (a *Dense) MultiplyAddTPart(y, x []float64, kset index.IntervalSet) {
 	checkShapesT(a, y, x)
-	kset.EachInterval(func(iv index.Interval) {
-		for k := iv.Lo; k <= iv.Hi; k++ {
-			y[k%a.cols] += a.vals[k] * x[k/a.cols]
+	for _, iv := range kset.Intervals() {
+		a.mulRangeT(y, x, iv.Lo, iv.Hi)
+	}
+}
+
+// mulRange is the forward kernel over the kernel interval [lo, hi]:
+// (row, column) is divided out once per interval, then each row's run
+// accumulates into y[i] in column order.
+func (a *Dense) mulRange(y, x []float64, lo, hi int64) {
+	if lo > hi {
+		return
+	}
+	i := lo / a.cols
+	j := lo - i*a.cols
+	for k := lo; k <= hi; i, j = i+1, 0 {
+		end := min((i+1)*a.cols, hi+1)
+		row := a.vals[k:end]
+		xs := x[j : j+int64(len(row))]
+		s := y[i]
+		for t, v := range row {
+			s += v * xs[t]
 		}
-	})
+		y[i] = s
+		k = end
+	}
+}
+
+// mulRangeT is the adjoint kernel over the kernel interval [lo, hi].
+func (a *Dense) mulRangeT(y, x []float64, lo, hi int64) {
+	if lo > hi {
+		return
+	}
+	i := lo / a.cols
+	j := lo - i*a.cols
+	for k := lo; k <= hi; i, j = i+1, 0 {
+		end := min((i+1)*a.cols, hi+1)
+		row := a.vals[k:end]
+		ys := y[j : j+int64(len(row))]
+		xi := x[i]
+		for t, v := range row {
+			ys[t] += v * xi
+		}
+		k = end
+	}
 }

@@ -1,8 +1,6 @@
 package sparse
 
 import (
-	"sort"
-
 	"kdrsolvers/internal/dpart"
 	"kdrsolvers/internal/index"
 )
@@ -41,26 +39,26 @@ func NewDIA(rows, cols int64, offsets []int64, vals []float64) *DIA {
 // DIAFromCSR converts a CSR matrix to DIA, storing every populated
 // diagonal.
 func DIAFromCSR(a *CSR) *DIA {
-	seen := make(map[int64]bool)
+	// slot[off+rows−1] is 1 + the storage slot of diagonal off, 0 while
+	// unpopulated; offsets span [−(rows−1), cols−1].
+	slot := make([]int32, a.rows+a.cols)
 	for i := int64(0); i < a.rows; i++ {
-		for k := a.rowptr[i]; k < a.rowptr[i+1]; k++ {
-			seen[a.colIdx[k]-i] = true
+		for _, j := range a.colIdx[a.rowptr[i]:a.rowptr[i+1]] {
+			slot[j-i+a.rows-1] = 1
 		}
 	}
-	offsets := make([]int64, 0, len(seen))
-	for off := range seen {
-		offsets = append(offsets, off)
-	}
-	sort.Slice(offsets, func(i, j int) bool { return offsets[i] < offsets[j] })
-	slot := make(map[int64]int64, len(offsets))
-	for b, off := range offsets {
-		slot[off] = int64(b)
+	var offsets []int64
+	for d, seen := range slot {
+		if seen != 0 {
+			offsets = append(offsets, int64(d)-(a.rows-1))
+			slot[d] = int32(len(offsets))
+		}
 	}
 	vals := make([]float64, int64(len(offsets))*a.cols)
 	for i := int64(0); i < a.rows; i++ {
 		for k := a.rowptr[i]; k < a.rowptr[i+1]; k++ {
 			j := a.colIdx[k]
-			vals[slot[j-i]*a.cols+j] += a.vals[k]
+			vals[int64(slot[j-i+a.rows-1]-1)*a.cols+j] += a.vals[k]
 		}
 	}
 	return NewDIA(a.rows, a.cols, offsets, vals)
@@ -90,67 +88,121 @@ func (a *DIA) Format() string { return "DIA" }
 // NumDiagonals returns the number of stored diagonals.
 func (a *DIA) NumDiagonals() int { return len(a.offsets) }
 
-// MultiplyAdd implements Matrix.
+// MultiplyAdd implements Matrix: the range kernel over all of K.
 func (a *DIA) MultiplyAdd(y, x []float64) {
 	CheckShapes(a, y, x)
-	for b, off := range a.offsets {
-		base := int64(b) * a.cols
-		// Row i = j - off must lie in [0, rows): j in [off, rows+off).
-		jLo, jHi := off, a.rows+off-1
-		if jLo < 0 {
-			jLo = 0
-		}
-		if jHi > a.cols-1 {
-			jHi = a.cols - 1
-		}
-		for j := jLo; j <= jHi; j++ {
-			y[j-off] += a.vals[base+j] * x[j]
-		}
-	}
+	a.mulIntervals(y, x, []index.Interval{{Lo: 0, Hi: int64(len(a.vals)) - 1}}, false)
 }
 
-// MultiplyAddT implements Matrix.
+// MultiplyAddT implements Matrix: the adjoint range kernel over all of K.
 func (a *DIA) MultiplyAddT(y, x []float64) {
 	checkShapesT(a, y, x)
-	for b, off := range a.offsets {
-		base := int64(b) * a.cols
-		jLo, jHi := off, a.rows+off-1
-		if jLo < 0 {
-			jLo = 0
-		}
-		if jHi > a.cols-1 {
-			jHi = a.cols - 1
-		}
-		for j := jLo; j <= jHi; j++ {
-			y[j] += a.vals[base+j] * x[j-off]
-		}
-	}
+	a.mulIntervals(y, x, []index.Interval{{Lo: 0, Hi: int64(len(a.vals)) - 1}}, true)
 }
 
 // MultiplyAddPart implements Matrix.
 func (a *DIA) MultiplyAddPart(y, x []float64, kset index.IntervalSet) {
 	CheckShapes(a, y, x)
-	kset.EachInterval(func(iv index.Interval) {
-		for k := iv.Lo; k <= iv.Hi; k++ {
-			b, j := k/a.cols, k%a.cols
-			i := j - a.offsets[b]
-			if i >= 0 && i < a.rows {
-				y[i] += a.vals[k] * x[j]
-			}
-		}
-	})
+	a.mulIntervals(y, x, kset.Intervals(), false)
 }
 
 // MultiplyAddTPart implements Matrix.
 func (a *DIA) MultiplyAddTPart(y, x []float64, kset index.IntervalSet) {
 	checkShapesT(a, y, x)
-	kset.EachInterval(func(iv index.Interval) {
-		for k := iv.Lo; k <= iv.Hi; k++ {
-			b, j := k/a.cols, k%a.cols
-			i := j - a.offsets[b]
-			if i >= 0 && i < a.rows {
-				y[j] += a.vals[k] * x[i]
-			}
+	a.mulIntervals(y, x, kset.Intervals(), true)
+}
+
+// mulIntervals is the kernel over a set of kernel intervals, forward or
+// adjoint: three parallel streams per diagonal run, no indices at all.
+func (a *DIA) mulIntervals(y, x []float64, ivs []index.Interval, adjoint bool) {
+	walkDiagBlocks(ivs, a.offsets, a.rows, a.cols, adjoint, func(s diagSeg, lo, hi int64) {
+		ys := y[lo : hi+1]
+		xs := x[lo+s.shift:][:len(ys)]
+		vs := a.vals[s.base+lo:][:len(ys)]
+		for t, v := range vs {
+			ys[t] += v * xs[t]
 		}
 	})
+}
+
+// The DIA kernel layout — nDiag blocks of cols slots, slot (b, j) holding
+// the entry at row j − offsets[b] — is shared by DIA, Band and
+// StencilOperator, and so is the way their kernels walk it.
+
+// diagSeg is one run of in-matrix kernel slots on a single diagonal,
+// described from the output vector's side: output indices [lo, hi] (rows
+// forward, columns adjoint), the input index is output + shift, the
+// kernel slot is base + output and its column col + output.
+type diagSeg struct {
+	b                int // diagonal
+	lo, hi           int64
+	shift, base, col int64
+}
+
+const (
+	// diagBlock is the number of output points one block covers: the y
+	// block and one x window per diagonal stay in L1 while every diagonal
+	// of the piece passes over them, instead of y being streamed from
+	// memory once per diagonal.
+	diagBlock = 1024
+	// diagSegBatch bounds the segments blocked together, so the walk
+	// needs no allocation; a kernel set with more runs is processed in
+	// consecutive batches, which keeps the per-output order.
+	diagSegBatch = 32
+)
+
+// walkDiagBlocks splits kernel intervals of a DIA-layout kernel space at
+// diagonal boundaries (one division per interval), drops padding slots,
+// and calls fn for every (segment, output block) pair: blocks of
+// diagBlock output points outermost, the segments within a block in
+// kernel order. Every output point therefore receives its contributions
+// in ascending kernel order — the order of a plain sweep over the
+// intervals.
+func walkDiagBlocks(ivs []index.Interval, offsets []int64, rows, cols int64, adjoint bool, fn func(s diagSeg, lo, hi int64)) {
+	var buf [diagSegBatch]diagSeg
+	segs := buf[:0]
+	flush := func() {
+		if len(segs) == 0 {
+			return
+		}
+		lo, hi := segs[0].lo, segs[0].hi
+		for _, s := range segs[1:] {
+			lo, hi = min(lo, s.lo), max(hi, s.hi)
+		}
+		for b0 := lo; b0 <= hi; b0 += diagBlock {
+			b1 := min(b0+diagBlock-1, hi)
+			for _, s := range segs {
+				if l, h := max(s.lo, b0), min(s.hi, b1); l <= h {
+					fn(s, l, h)
+				}
+			}
+		}
+		segs = segs[:0]
+	}
+	for _, iv := range ivs {
+		if iv.Empty() {
+			continue
+		}
+		b := iv.Lo / cols
+		for k := iv.Lo; k <= iv.Hi; b++ {
+			start := b * cols
+			end := min(start+cols-1, iv.Hi)
+			off := offsets[b]
+			// Columns of the run, clipped to slots whose row j − off
+			// exists.
+			jLo, jHi := max(k-start, off), min(end-start, rows-1+off)
+			if jLo <= jHi {
+				if len(segs) == cap(segs) {
+					flush()
+				}
+				if adjoint {
+					segs = append(segs, diagSeg{b: int(b), lo: jLo, hi: jHi, shift: -off, base: start})
+				} else {
+					segs = append(segs, diagSeg{b: int(b), lo: jLo - off, hi: jHi - off, shift: off, base: start + off, col: off})
+				}
+			}
+			k = end + 1
+		}
+	}
+	flush()
 }

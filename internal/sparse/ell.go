@@ -86,52 +86,70 @@ func (a *ELL) Format() string { return "ELL" }
 // Width returns the fixed number of slots per row.
 func (a *ELL) Width() int64 { return a.width }
 
-// MultiplyAdd implements Matrix.
+// MultiplyAdd implements Matrix: the range kernel over all of K.
 func (a *ELL) MultiplyAdd(y, x []float64) {
 	CheckShapes(a, y, x)
-	for i := int64(0); i < a.rows; i++ {
-		base := i * a.width
-		var sum float64
-		for s := int64(0); s < a.width; s++ {
-			sum += a.vals[base+s] * x[a.colIdx[base+s]]
-		}
-		y[i] += sum
-	}
+	slotGatherRange(y, x, a.colIdx, a.vals, a.width, 0, a.rows*a.width-1)
 }
 
-// MultiplyAddT implements Matrix.
+// MultiplyAddT implements Matrix: the adjoint range kernel over all of K.
 func (a *ELL) MultiplyAddT(y, x []float64) {
 	checkShapesT(a, y, x)
-	for i := int64(0); i < a.rows; i++ {
-		base := i * a.width
-		xi := x[i]
-		if xi == 0 {
-			continue
-		}
-		for s := int64(0); s < a.width; s++ {
-			y[a.colIdx[base+s]] += a.vals[base+s] * xi
-		}
-	}
+	slotScatterRange(y, x, a.colIdx, a.vals, a.width, 0, a.rows*a.width-1)
 }
 
 // MultiplyAddPart implements Matrix.
 func (a *ELL) MultiplyAddPart(y, x []float64, kset index.IntervalSet) {
 	CheckShapes(a, y, x)
-	kset.EachInterval(func(iv index.Interval) {
-		for k := iv.Lo; k <= iv.Hi; k++ {
-			y[k/a.width] += a.vals[k] * x[a.colIdx[k]]
-		}
-	})
+	for _, iv := range kset.Intervals() {
+		slotGatherRange(y, x, a.colIdx, a.vals, a.width, iv.Lo, iv.Hi)
+	}
 }
 
 // MultiplyAddTPart implements Matrix.
 func (a *ELL) MultiplyAddTPart(y, x []float64, kset index.IntervalSet) {
 	checkShapesT(a, y, x)
-	kset.EachInterval(func(iv index.Interval) {
-		for k := iv.Lo; k <= iv.Hi; k++ {
-			y[a.colIdx[k]] += a.vals[k] * x[k/a.width]
+	for _, iv := range kset.Intervals() {
+		slotScatterRange(y, x, a.colIdx, a.vals, a.width, iv.Lo, iv.Hi)
+	}
+}
+
+// The slotted formats share two range kernels over a kernel interval
+// [lo, hi]: slot k belongs to line k / width (a row of ELL, a column of
+// ELL′) and idx holds the other coordinate. The line is divided out once
+// per interval and then advances every width slots.
+
+// slotGatherRange adds vals[k]·x[idx[k]] into y[line] for every slot k
+// in [lo, hi], each line's slots accumulating in slot order.
+func slotGatherRange(y, x []float64, idx []int64, vals []float64, width, lo, hi int64) {
+	if lo > hi {
+		return
+	}
+	line := lo / width
+	for k := lo; k <= hi; line++ {
+		end := min((line+1)*width, hi+1)
+		s := y[line]
+		for ; k < end; k++ {
+			s += vals[k] * x[idx[k]]
 		}
-	})
+		y[line] = s
+	}
+}
+
+// slotScatterRange adds vals[k]·x[line] into y[idx[k]] for every slot k
+// in [lo, hi].
+func slotScatterRange(y, x []float64, idx []int64, vals []float64, width, lo, hi int64) {
+	if lo > hi {
+		return
+	}
+	line := lo / width
+	for k := lo; k <= hi; line++ {
+		end := min((line+1)*width, hi+1)
+		xl := x[line]
+		for ; k < end; k++ {
+			y[idx[k]] += vals[k] * xl
+		}
+	}
 }
 
 // ELLPrime is the column-major dual of ELL (the ELL′ row of Figure 3):
@@ -208,50 +226,30 @@ func (a *ELLPrime) NNZ() int64 { return a.cols * a.width }
 // Format implements Matrix.
 func (a *ELLPrime) Format() string { return "ELL'" }
 
-// MultiplyAdd implements Matrix.
+// MultiplyAdd implements Matrix: the range kernel over all of K.
 func (a *ELLPrime) MultiplyAdd(y, x []float64) {
 	CheckShapes(a, y, x)
-	for j := int64(0); j < a.cols; j++ {
-		base := j * a.width
-		xj := x[j]
-		if xj == 0 {
-			continue
-		}
-		for s := int64(0); s < a.width; s++ {
-			y[a.rowIdx[base+s]] += a.vals[base+s] * xj
-		}
-	}
+	slotScatterRange(y, x, a.rowIdx, a.vals, a.width, 0, a.cols*a.width-1)
 }
 
-// MultiplyAddT implements Matrix.
+// MultiplyAddT implements Matrix: the adjoint range kernel over all of K.
 func (a *ELLPrime) MultiplyAddT(y, x []float64) {
 	checkShapesT(a, y, x)
-	for j := int64(0); j < a.cols; j++ {
-		base := j * a.width
-		var sum float64
-		for s := int64(0); s < a.width; s++ {
-			sum += a.vals[base+s] * x[a.rowIdx[base+s]]
-		}
-		y[j] += sum
-	}
+	slotGatherRange(y, x, a.rowIdx, a.vals, a.width, 0, a.cols*a.width-1)
 }
 
 // MultiplyAddPart implements Matrix.
 func (a *ELLPrime) MultiplyAddPart(y, x []float64, kset index.IntervalSet) {
 	CheckShapes(a, y, x)
-	kset.EachInterval(func(iv index.Interval) {
-		for k := iv.Lo; k <= iv.Hi; k++ {
-			y[a.rowIdx[k]] += a.vals[k] * x[k/a.width]
-		}
-	})
+	for _, iv := range kset.Intervals() {
+		slotScatterRange(y, x, a.rowIdx, a.vals, a.width, iv.Lo, iv.Hi)
+	}
 }
 
 // MultiplyAddTPart implements Matrix.
 func (a *ELLPrime) MultiplyAddTPart(y, x []float64, kset index.IntervalSet) {
 	checkShapesT(a, y, x)
-	kset.EachInterval(func(iv index.Interval) {
-		for k := iv.Lo; k <= iv.Hi; k++ {
-			y[k/a.width] += a.vals[k] * x[a.rowIdx[k]]
-		}
-	})
+	for _, iv := range kset.Intervals() {
+		slotGatherRange(y, x, a.rowIdx, a.vals, a.width, iv.Lo, iv.Hi)
+	}
 }

@@ -66,6 +66,72 @@ func buildAll(rows, cols int64, coords []Coord) []Matrix {
 	return ms
 }
 
+// randomKernelSplit cuts [0, klen) at seeded random points and deals the
+// runs to a few kernel sets, so each set holds several non-adjacent
+// intervals. A third of the runs are single points and the rest have
+// lengths from a few slots to half the kernel space, so cuts land inside
+// rows, diagonals and blocks, and padding slots end up alone in a run.
+func randomKernelSplit(r *rand.Rand, klen int64) []index.IntervalSet {
+	sets := make([]index.IntervalSet, r.Intn(4)+1)
+	for lo := int64(0); lo < klen; {
+		n := int64(1)
+		if r.Intn(3) != 0 {
+			n += r.Int63n([]int64{4, 16, klen/2 + 1}[r.Intn(3)])
+		}
+		hi := min(lo+n, klen) - 1
+		sets[r.Intn(len(sets))].AddInterval(index.Interval{Lo: lo, Hi: hi})
+		lo = hi + 1
+	}
+	return sets
+}
+
+// checkRangeKernels is the range-kernel contract of one matrix, forward
+// and transposed: range-kernel calls over a random split of K sum to the
+// dense reference products wantY = A·x and wantZ = Aᵀ·w, and the
+// whole-matrix product is the range kernel over Span(0, |K|-1) — bit for
+// bit, started from a nonzero y so the accumulation order shows.
+func checkRangeKernels(t *testing.T, m Matrix, r *rand.Rand, x, w, wantY, wantZ []float64) {
+	t.Helper()
+	klen := m.Kernel().Size()
+	y := make([]float64, len(wantY))
+	z := make([]float64, len(wantZ))
+	for _, kset := range randomKernelSplit(r, klen) {
+		m.MultiplyAddPart(y, x, kset)
+		m.MultiplyAddTPart(z, w, kset)
+	}
+	// 1e-12 relative to the products' size (entries here reach 4096).
+	zero := make([]float64, max(len(y), len(z)))
+	if d := maxAbs(y, wantY); d > 1e-12*max(1, maxAbs(wantY, zero)) {
+		t.Errorf("%s: range kernels over a random split off dense reference by %g", m.Format(), d)
+	}
+	if d := maxAbs(z, wantZ); d > 1e-12*max(1, maxAbs(wantZ, zero)) {
+		t.Errorf("%s: adjoint range kernels over a random split off dense reference by %g", m.Format(), d)
+	}
+	for i := range y {
+		y[i] = r.NormFloat64()
+	}
+	for i := range z {
+		z[i] = r.NormFloat64()
+	}
+	yPart, zPart := append([]float64(nil), y...), append([]float64(nil), z...)
+	m.MultiplyAdd(y, x)
+	m.MultiplyAddT(z, w)
+	m.MultiplyAddPart(yPart, x, index.Span(0, klen-1))
+	m.MultiplyAddTPart(zPart, w, index.Span(0, klen-1))
+	for i := range y {
+		if math.Float64bits(y[i]) != math.Float64bits(yPart[i]) {
+			t.Errorf("%s: MultiplyAdd y[%d] = %v, range kernel over all of K gives %v", m.Format(), i, y[i], yPart[i])
+			break
+		}
+	}
+	for i := range z {
+		if math.Float64bits(z[i]) != math.Float64bits(zPart[i]) {
+			t.Errorf("%s: MultiplyAddT y[%d] = %v, range kernel over all of K gives %v", m.Format(), i, z[i], zPart[i])
+			break
+		}
+	}
+}
+
 func TestQuickFormatEquivalence(t *testing.T) {
 	// Property (Figure 3): every storage format defines the same linear
 	// transformation, for both A·x and Aᵀ·x.
@@ -120,7 +186,8 @@ func TestQuickFormatEquivalence(t *testing.T) {
 func TestQuickPartitionedMultiplyAdd(t *testing.T) {
 	// Property (Section 3.1): splitting the kernel space into any
 	// partition and summing the per-piece restricted multiply-adds equals
-	// the whole product, for every format.
+	// the whole product, for every format — and the whole product is the
+	// range kernel over the full kernel interval.
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		rows := 2 * (r.Int63n(5) + 1)
@@ -130,40 +197,18 @@ func TestQuickPartitionedMultiplyAdd(t *testing.T) {
 		for i := range x {
 			x[i] = r.NormFloat64()
 		}
-		for _, m := range buildAll(rows, cols, coords) {
-			if m.Kernel().Size() == 0 {
-				continue
-			}
-			want := make([]float64, rows)
-			m.MultiplyAdd(want, x)
-			pieces := r.Intn(4) + 1
-			kp := index.EqualPartition(m.Kernel(), pieces)
-			got := make([]float64, rows)
-			for c := 0; c < pieces; c++ {
-				m.MultiplyAddPart(got, x, kp.Piece(c))
-			}
-			if !densesEqual(got, want, 1e-12) {
-				t.Logf("%s partitioned MultiplyAdd mismatch (seed %d, %d pieces)",
-					m.Format(), seed, pieces)
-				return false
-			}
-			// Adjoint form.
-			xt := make([]float64, rows)
-			for i := range xt {
-				xt[i] = r.NormFloat64()
-			}
-			wantT := make([]float64, cols)
-			m.MultiplyAddT(wantT, xt)
-			gotT := make([]float64, cols)
-			for c := 0; c < pieces; c++ {
-				m.MultiplyAddTPart(gotT, xt, kp.Piece(c))
-			}
-			if !densesEqual(gotT, wantT, 1e-12) {
-				t.Logf("%s partitioned MultiplyAddT mismatch (seed %d)", m.Format(), seed)
-				return false
-			}
+		w := make([]float64, rows)
+		for i := range w {
+			w[i] = r.NormFloat64()
 		}
-		return true
+		wantY, wantZ := refProducts(denseFromCoords(rows, cols, coords), rows, cols, x, w)
+		for _, m := range buildAll(rows, cols, coords) {
+			checkRangeKernels(t, m, r, x, w, wantY, wantZ)
+		}
+		if t.Failed() {
+			t.Logf("seed %d", seed)
+		}
+		return !t.Failed()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

@@ -43,16 +43,20 @@ type Profile struct {
 func ProfileCSR(a *CSR) Profile { return ProfileRows(a, 0, a.rows) }
 
 // ProfileRows profiles the row band [r0, r1) of a CSR matrix. One O(nnz)
-// pass gathers every feature the format model consumes.
+// pass gathers every feature the format model consumes; the distinct
+// diagonals, column lengths and 2×2 blocks are counted in flat arrays
+// indexed by offset, column and block column — no hashing per entry.
 func ProfileRows(a *CSR, r0, r1 int64) Profile {
 	p := Profile{Rows: r1 - r0, Cols: a.cols}
 	if p.Rows <= 0 {
 		return p
 	}
-	diags := make(map[int64]struct{})
-	blocks := make(map[int64]struct{})
-	colLen := make(map[int64]int64)
-	nbc := (a.cols + 1) / 2
+	// Band-local diagonals c − li span [−(Rows−1), Cols−1].
+	diagSeen := make([]bool, p.Rows+a.cols)
+	colLen := make([]int32, a.cols)
+	// blockStamp[bc] is 1 + the last block row that touched block column
+	// bc; rows arrive in order, so a stale stamp means a new block.
+	blockStamp := make([]int64, (a.cols+1)/2)
 	p.MinCol = a.cols
 	var sumLen, sumLenSq int64
 	for i := r0; i < r1; i++ {
@@ -66,25 +70,21 @@ func ProfileRows(a *CSR, r0, r1 int64) Profile {
 		sumLen += rl
 		sumLenSq += rl * rl
 		li := i - r0 // band-local row
-		for k := a.rowptr[i]; k < a.rowptr[i+1]; k++ {
-			c := a.colIdx[k]
-			if c < p.MinCol {
-				p.MinCol = c
-			}
-			if c > p.MaxCol {
-				p.MaxCol = c
-			}
+		stamp := li/2 + 1
+		for _, c := range a.colIdx[a.rowptr[i]:a.rowptr[i+1]] {
+			p.MinCol, p.MaxCol = min(p.MinCol, c), max(p.MaxCol, c)
 			d := c - li
-			if d < 0 {
-				if -d > p.Bandwidth {
-					p.Bandwidth = -d
-				}
-			} else if d > p.Bandwidth {
-				p.Bandwidth = d
+			p.Bandwidth = max(p.Bandwidth, d, -d)
+			if !diagSeen[d+p.Rows-1] {
+				diagSeen[d+p.Rows-1] = true
+				p.Diags++
 			}
-			diags[d] = struct{}{}
-			blocks[(li/2)*nbc+c/2] = struct{}{}
+			if blockStamp[c/2] != stamp {
+				blockStamp[c/2] = stamp
+				p.Blocks2x2++
+			}
 			colLen[c]++
+			p.MaxColLen = max(p.MaxColLen, int64(colLen[c]))
 			if c == li {
 				p.DiagFilled++
 			}
@@ -93,13 +93,6 @@ func ProfileRows(a *CSR, r0, r1 int64) Profile {
 	p.NNZ = sumLen
 	if p.NNZ == 0 {
 		p.MinCol = 0
-	}
-	p.Diags = int64(len(diags))
-	p.Blocks2x2 = int64(len(blocks))
-	for _, n := range colLen {
-		if n > p.MaxColLen {
-			p.MaxColLen = n
-		}
 	}
 	p.MeanRowLen = float64(sumLen) / float64(p.Rows)
 	p.RowLenVar = float64(sumLenSq)/float64(p.Rows) - p.MeanRowLen*p.MeanRowLen
@@ -122,37 +115,35 @@ func ProfileRows(a *CSR, r0, r1 int64) Profile {
 }
 
 // formatRate is the calibrated effective SpMV bandwidth of each format in
-// bytes per second, measured by cmd/benchlaunch's format sweep on this
-// repository's kernels on regular (banded, blocked, low-diagonal-count)
-// structures. DIA's rate is against its full footprint including the
-// per-diagonal vector re-reads (see formatFootprint), where its pure
-// sequential streaming sustains the highest bandwidth of any kernel. The
-// absolute numbers only matter relative to one another; the tuner ranks
-// footprint/rate quotients.
+// bytes per second against formatFootprint, measured on the kernel a
+// solve runs: MultiplyAddPart over the planner's kernel partition (the
+// row-relation preimage of 8 equal row pieces) of DRAM-bound regular
+// structures — lap2d:512x512, a nine-diagonal band of 200 000 rows, a
+// dense 1536² block. The absolute numbers only matter relative to one
+// another; the tuner ranks footprint/rate quotients.
 var formatRate = map[string]float64{
-	"Dense": 10.0e9,
-	"COO":   8.0e9,
-	"CSR":   11.0e9,
-	"CSC":   7.0e9,
-	"ELL":   11.5e9,
-	"ELL'":  6.5e9,
-	"DIA":   20.0e9,
-	"BCSR":  9.5e9,
-	"BCSC":  6.8e9,
+	"Dense": 7.5e9,
+	"COO":   11.0e9,
+	"CSR":   10.8e9,
+	"CSC":   8.5e9,
+	"ELL":   11.7e9,
+	"ELL'":  10.5e9,
+	"DIA":   9.8e9,
+	"BCSR":  3.7e9,
+	"BCSC":  3.6e9,
 }
 
 // gatherRate overrides formatRate on scattered structures (most entries
 // on their own diagonal), where SpMV is bound by irregular x gathers
-// rather than streaming. There the winner is decided by memory-level
-// parallelism: COO's flat entry loop keeps many independent loads in
-// flight (and conversion emits entries in row-major order, so its writes
-// still stream), while the row-looped formats serialize on short
-// variable-length inner loops and measure several-fold slower per byte
-// than on regular structures.
+// rather than streaming and every format sustains about half its
+// streaming rate (same measurement on a random 262 144² matrix with six
+// entries per row). The row-looped formats keep their edge there: their
+// range kernels carry the row's sum in a register, COO's flat entry loop
+// reads and writes y per entry.
 var gatherRate = map[string]float64{
-	"COO": 14.0e9,
-	"CSR": 6.0e9,
-	"ELL": 10.0e9,
+	"COO": 5.4e9,
+	"CSR": 5.2e9,
+	"ELL": 6.0e9,
 }
 
 // Scattered reports whether the profiled structure is gather-bound:
@@ -221,11 +212,10 @@ func formatFootprint(p Profile, format string) float64 {
 	case "ELL'":
 		return 16*float64(p.Cols)*float64(p.MaxColLen) + vec
 	case "DIA":
-		// The kernel makes one pass over x and y per diagonal, so the
-		// vector traffic scales with the diagonal count — omitting that
-		// re-read makes DIA look 2× better than it measures on stencils.
-		return 8*float64(p.Diags)*float64(p.Cols) +
-			16*float64(p.Diags)*float64(p.Rows) + vec
+		// One value stream per diagonal; the row-blocked kernel keeps
+		// the y block and the x windows in cache across diagonals, so
+		// the vectors are charged once like every other format.
+		return 8*float64(p.Diags)*float64(p.Cols) + vec
 	case "BCSR":
 		// 2×2 blocks (1×1 on odd shapes, where blocking degenerates to
 		// CSR): 4 values + 1 index per block, one pointer per block row.

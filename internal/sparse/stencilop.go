@@ -103,67 +103,67 @@ func (a *StencilOperator) Format() string { return "Stencil(" + a.kind.String() 
 // Grid returns the underlying grid.
 func (a *StencilOperator) Grid() index.Grid { return a.grid }
 
-// coeff returns the matrix entry for kernel slot (b, j), or 0 for
-// padding: the neighbor must exist in the grid (no wrap-around).
-func (a *StencilOperator) coeff(b, j int64) float64 {
-	c := a.coordOff[b]
-	rem := j
-	// The entry is A[i, j] with i = j - offsets[b]; validity requires
-	// every coordinate of j minus the offset to stay in the grid.
-	for d := a.grid.Rank() - 1; d >= 0; d-- {
-		cd := rem % a.grid.Dims[d]
-		rem /= a.grid.Dims[d]
-		id := cd - c[d]
-		if id < 0 || id >= a.grid.Dims[d] {
-			return 0
-		}
-	}
-	if a.offsets[b] == 0 {
-		return a.diagVal
-	}
-	return -1
-}
-
-// MultiplyAdd implements Matrix.
+// MultiplyAdd implements Matrix: the range kernel over all of K.
 func (a *StencilOperator) MultiplyAdd(y, x []float64) {
 	CheckShapes(a, y, x)
-	a.MultiplyAddPart(y, x, a.Kernel().Set)
+	a.mulIntervals(y, x, []index.Interval{{Lo: 0, Hi: a.NNZ() - 1}}, false)
 }
 
-// MultiplyAddT implements Matrix.
+// MultiplyAddT implements Matrix: the adjoint range kernel over all of K.
 func (a *StencilOperator) MultiplyAddT(y, x []float64) {
 	checkShapesT(a, y, x)
-	a.MultiplyAddTPart(y, x, a.Kernel().Set)
+	a.mulIntervals(y, x, []index.Interval{{Lo: 0, Hi: a.NNZ() - 1}}, true)
 }
 
 // MultiplyAddPart implements Matrix.
 func (a *StencilOperator) MultiplyAddPart(y, x []float64, kset index.IntervalSet) {
-	kset.EachInterval(func(iv index.Interval) {
-		for k := iv.Lo; k <= iv.Hi; k++ {
-			b, j := k/a.n, k%a.n
-			i := j - a.offsets[b]
-			if i < 0 || i >= a.n {
-				continue
-			}
-			if v := a.coeff(b, j); v != 0 {
-				y[i] += v * x[j]
-			}
-		}
-	})
+	CheckShapes(a, y, x)
+	a.mulIntervals(y, x, kset.Intervals(), false)
 }
 
 // MultiplyAddTPart implements Matrix: for each kernel slot in kset
 // holding entry (i, j), it adds A[i,j]·x[i] into y[j].
 func (a *StencilOperator) MultiplyAddTPart(y, x []float64, kset index.IntervalSet) {
-	kset.EachInterval(func(iv index.Interval) {
-		for k := iv.Lo; k <= iv.Hi; k++ {
-			b, j := k/a.n, k%a.n
-			i := j - a.offsets[b]
-			if i < 0 || i >= a.n {
-				continue
+	checkShapesT(a, y, x)
+	a.mulIntervals(y, x, kset.Intervals(), true)
+}
+
+// mulIntervals is the kernel over a set of kernel intervals, forward or
+// adjoint, on the shared DIA-layout walk. Slot (b, j) holds the entry
+// A[j − offsets[b], j] when the neighbor exists in the grid — every
+// coordinate of j minus the stencil offset stays in range, no
+// wrap-around — and is padding otherwise. The grid coordinates of j are
+// divided out once per block and then counted up with carry.
+func (a *StencilOperator) mulIntervals(y, x []float64, ivs []index.Interval, adjoint bool) {
+	rank, dims := a.grid.Rank(), a.grid.Dims
+	walkDiagBlocks(ivs, a.offsets, a.n, a.n, adjoint, func(s diagSeg, lo, hi int64) {
+		c := a.coordOff[s.b]
+		v := -1.0
+		if a.offsets[s.b] == 0 {
+			v = a.diagVal
+		}
+		var cd [3]int64
+		rem := s.col + lo // column of the first slot
+		for d := rank - 1; d >= 0; d-- {
+			cd[d] = rem % dims[d]
+			rem /= dims[d]
+		}
+		for o := lo; o <= hi; o++ {
+			inGrid := true
+			for d := 0; d < rank; d++ {
+				if id := cd[d] - c[d]; id < 0 || id >= dims[d] {
+					inGrid = false
+					break
+				}
 			}
-			if v := a.coeff(b, j); v != 0 {
-				y[j] += v * x[i]
+			if inGrid {
+				y[o] += v * x[o+s.shift]
+			}
+			for d := rank - 1; d >= 0; d-- {
+				if cd[d]++; cd[d] < dims[d] {
+					break
+				}
+				cd[d] = 0
 			}
 		}
 	})

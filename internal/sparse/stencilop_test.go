@@ -51,33 +51,68 @@ func TestStencilOperatorAdjoint(t *testing.T) {
 }
 
 func TestStencilOperatorPartitioned(t *testing.T) {
-	// Restricted multiply-adds over any complete disjoint kernel
-	// partition must sum to the full product, forward and adjoint.
+	// Range kernels over any split of the kernel space must sum to the
+	// assembled operator's products, forward and adjoint, and the whole
+	// product is the range kernel over all of K.
 	r := rand.New(rand.NewSource(5))
 	for _, c := range stencilCases() {
 		n := c.op.n
-		x := make([]float64, n)
+		x, w := make([]float64, n), make([]float64, n)
 		for i := range x {
-			x[i] = r.NormFloat64()
+			x[i], w[i] = r.NormFloat64(), r.NormFloat64()
 		}
-		want := make([]float64, n)
-		c.op.MultiplyAdd(want, x)
-		kp := index.EqualPartition(c.op.Kernel(), 5)
-		got := make([]float64, n)
-		for p := 0; p < 5; p++ {
-			c.op.MultiplyAddPart(got, x, kp.Piece(p))
+		wantY, wantZ := refProducts(ToDense(c.ref), n, n, x, w)
+		for round := 0; round < 4; round++ {
+			checkRangeKernels(t, c.op, r, x, w, wantY, wantZ)
 		}
-		if !densesEqual(got, want, 1e-12) {
-			t.Errorf("%s partitioned forward mismatch", c.op.Format())
+	}
+}
+
+// TestDiagLayoutPaddingRuns feeds the DIA-layout kernels (DIA, Band,
+// StencilOperator) kernel sets made only of padding slots — slots whose
+// row falls outside the matrix, which the row relation maps to nothing —
+// and of every single in-matrix slot on its own: padding must contribute
+// nothing, and the single-point runs must sum to the product.
+func TestDiagLayoutPaddingRuns(t *testing.T) {
+	lap := Laplacian2D(5, 7)
+	ms := []Matrix{
+		DIAFromCSR(lap),
+		ConstBand(9, 9, []int64{-3, 0, 1, 8}, []float64{1, 2, 3, 4}),
+		NewStencilOperator(Stencil2D5, index.NewGrid(5, 7)),
+	}
+	for _, m := range ms {
+		rows, cols := Dims(m)
+		x, w := make([]float64, cols), make([]float64, rows)
+		for i := range x {
+			x[i] = float64(i%5) + 1
 		}
-		wantT := make([]float64, n)
-		c.op.MultiplyAddT(wantT, x)
-		gotT := make([]float64, n)
-		for p := 0; p < 5; p++ {
-			c.op.MultiplyAddTPart(gotT, x, kp.Piece(p))
+		for i := range w {
+			w[i] = float64(i%3) - 2
 		}
-		if !densesEqual(gotT, wantT, 1e-12) {
-			t.Errorf("%s partitioned adjoint mismatch", c.op.Format())
+		wantY, wantZ := make([]float64, rows), make([]float64, cols)
+		m.MultiplyAdd(wantY, x)
+		m.MultiplyAddT(wantZ, w)
+		var padding index.IntervalSet
+		y, z := make([]float64, rows), make([]float64, cols)
+		for k := int64(0); k < m.Kernel().Size(); k++ {
+			pt := index.Span(k, k)
+			if m.RowRelation().Image(pt).Empty() {
+				padding.Add(k)
+				continue
+			}
+			m.MultiplyAddPart(y, x, pt)
+			m.MultiplyAddTPart(z, w, pt)
+		}
+		if padding.Empty() {
+			t.Fatalf("%s: no padding slots, the case tests nothing", m.Format())
+		}
+		if !densesEqual(y, wantY, 1e-12) || !densesEqual(z, wantZ, 1e-12) {
+			t.Errorf("%s: single-point runs do not sum to the product", m.Format())
+		}
+		m.MultiplyAddPart(y, x, padding)
+		m.MultiplyAddTPart(z, w, padding)
+		if !densesEqual(y, wantY, 0) || !densesEqual(z, wantZ, 0) {
+			t.Errorf("%s: an all-padding kernel set changed the output", m.Format())
 		}
 	}
 }
