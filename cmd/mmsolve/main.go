@@ -26,20 +26,20 @@
 // Fault tolerance (chaos runs): -faults injects a deterministic fault
 // plan (e.g. -faults "panic=0.01,seed=1" or "bitflip=0.001,bit=52"),
 // -retries enables bounded re-execution of idempotent tasks, -watchdog
-// flags stragglers, and -checkpoint-every N switches to the resilient
-// driver, which checkpoints the solution every N iterations and rolls
+// flags stragglers, and -checkpoint-every N turns on the driver's
+// recovery: it checkpoints the solution every N iterations and rolls
 // back on failure, corruption, or divergence (-max-restarts bounds the
-// rollbacks).
+// rollbacks). Without it the same driver stops on the first bad state.
 //
 // Silent data corruption: -detect-sdc turns on checksummed kernels
-// (ABFT) that alarm on corrupted vector pieces; with the resilient
-// driver the alarms drive selective piece restore plus residual
-// replacement. -replace-every N rebases the recurrence residual on the
-// recomputed b − A·x every N iterations when its drift exceeds
-// -drift-tol (resilient driver only). The report always prints the
-// host-side true residual next to the recurrence residual, and
-// -strict-residual exits non-zero when a solver claims convergence the
-// true residual does not back up.
+// (ABFT) that alarm on corrupted vector pieces; with -checkpoint-every
+// the alarms drive selective piece restore plus residual replacement,
+// without it they are only counted. -replace-every N rebases the
+// recurrence residual on the recomputed b − A·x every N iterations when
+// its drift exceeds -drift-tol (needs -checkpoint-every). The report
+// always prints the host-side true residual next to the solver's own
+// residual measure, and -strict-residual exits non-zero when a solver
+// claims convergence the true residual does not back up.
 //
 // Exit status: 0 on a converged solve (including one that recovered from
 // injected or real task failures), 1 on non-convergence, breakdown, or
@@ -77,11 +77,11 @@ func main() {
 	flag.StringVar(&spec.Faults, "faults", "", "fault-injection plan, e.g. 'panic=0.01,seed=1' (see internal/fault)")
 	flag.IntVar(&spec.Retries, "retries", 0, "execution attempts per idempotent task (0 or 1 disables retry)")
 	flag.DurationVar(&spec.RetryBackoff, "retry-backoff", 0, "delay before re-executing a failed task (doubles per attempt)")
-	flag.IntVar(&spec.CheckpointEvery, "checkpoint-every", 0, "checkpoint the solution every N iterations and roll back on failure (0 disables the resilient driver)")
-	flag.IntVar(&spec.MaxRestarts, "max-restarts", spec.MaxRestarts, "checkpoint rollback budget for the resilient driver")
+	flag.IntVar(&spec.CheckpointEvery, "checkpoint-every", 0, "checkpoint the solution every N iterations and roll back on failure (0: no recovery, stop on the first bad state)")
+	flag.IntVar(&spec.MaxRestarts, "max-restarts", spec.MaxRestarts, "checkpoint rollback budget (with -checkpoint-every)")
 	flag.DurationVar(&spec.Watchdog, "watchdog", 0, "flag tasks running past this wall-clock budget as stragglers (0 disables)")
-	flag.BoolVar(&spec.DetectSDC, "detect-sdc", false, "enable ABFT checksummed kernels; with the resilient driver, recover from alarms by piece restore + residual replacement")
-	flag.IntVar(&spec.ReplaceEvery, "replace-every", 0, "rebase the recurrence residual on the recomputed b - A·x every N iterations (resilient driver only, 0 disables)")
+	flag.BoolVar(&spec.DetectSDC, "detect-sdc", false, "enable ABFT checksummed kernels; with -checkpoint-every, recover from alarms by piece restore + residual replacement")
+	flag.IntVar(&spec.ReplaceEvery, "replace-every", 0, "rebase the recurrence residual on the recomputed b - A·x every N iterations (needs -checkpoint-every, 0 disables)")
 	flag.Float64Var(&spec.DriftTol, "drift-tol", 0, "relative drift threshold for periodic residual replacement (<= 0 replaces unconditionally)")
 	strictRes := flag.Bool("strict-residual", false, "exit non-zero when the solver claims convergence but the true residual misses the tolerance")
 	flag.Parse()

@@ -27,8 +27,7 @@ type Spec struct {
 	// Matrix is a Matrix Market path or a generated-stencil spec like
 	// "lap2d:64x64".
 	Matrix string `json:"matrix"`
-	// Solver names the Krylov method (solvers.Names, plus the unfused
-	// ablation variants).
+	// Solver names the Krylov method (solvers.Names).
 	Solver string `json:"solver"`
 	// Format is the operator storage format, or "auto" for per-band
 	// adaptive selection.
@@ -50,9 +49,9 @@ type Spec struct {
 	// disables retry); RetryBackoff the delay before re-execution.
 	Retries      int           `json:"retries,omitempty"`
 	RetryBackoff time.Duration `json:"retry_backoff,omitempty"`
-	// CheckpointEvery > 0 selects the resilient driver, checkpointing
-	// every N iterations; MaxRestarts bounds its rollbacks (<= 0 maps
-	// to the driver's default budget at 0, disabled below 0).
+	// CheckpointEvery > 0 turns the driver's recovery on, checkpointing
+	// every N iterations; MaxRestarts bounds its rollbacks (<= 0
+	// disables them).
 	CheckpointEvery int `json:"checkpoint_every,omitempty"`
 	MaxRestarts     int `json:"max_restarts,omitempty"`
 	// DetectSDC enables ABFT checksummed kernels; ReplaceEvery and
@@ -80,18 +79,14 @@ func Default() Spec {
 	}
 }
 
-// KnownSolver reports whether solvers.New accepts the name: the public
-// list plus the unfused ablation variants, which stay usable from the
-// CLI and the server for benchmark reproduction.
+// KnownSolver reports whether the name is a served method: the public
+// list, solvers.Names. The unfused ablation variants solvers.New also
+// accepts exist for the Figure 8 crossover tests and are not jobs.
 func KnownSolver(name string) bool {
 	for _, n := range solvers.Names {
 		if name == n {
 			return true
 		}
-	}
-	switch name {
-	case "cg-unfused", "pcg-unfused", "bicgstab-unfused":
-		return true
 	}
 	return false
 }

@@ -47,6 +47,7 @@ func TestValidateRejections(t *testing.T) {
 		{"bad stencil", func(s *Spec) { s.Matrix = "lap2d:8" }, "bad stencil spec"},
 		{"zero stencil", func(s *Spec) { s.Matrix = "lap2d:0x8" }, "bad stencil spec"},
 		{"unknown solver", func(s *Spec) { s.Solver = "sor" }, "unknown solver"},
+		{"unfused ablation solver", func(s *Spec) { s.Solver = "cg-unfused" }, "unknown solver"},
 		{"unknown format", func(s *Spec) { s.Format = "hyb" }, "unknown format"},
 		{"bad rhs", func(s *Spec) { s.RHS = "zeros" }, "rhs must be"},
 		{"bad rand seed", func(s *Spec) { s.RHS = "rand:x" }, "integer seed"},
@@ -80,7 +81,6 @@ func TestValidateAccepts(t *testing.T) {
 		name string
 		mut  func(*Spec)
 	}{
-		{"unfused ablation solver", func(s *Spec) { s.Solver = "cg-unfused" }},
 		{"auto format", func(s *Spec) { s.Format = "auto" }},
 		{"rand rhs", func(s *Spec) { s.RHS = "rand:42" }},
 		{"ones rhs", func(s *Spec) { s.RHS = "ones" }},

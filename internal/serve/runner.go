@@ -32,11 +32,12 @@ type Options struct {
 	// the solve from (and publishes the harvested space back to) the
 	// shared cross-solve recycle cache.
 	Cache *solvers.RecycleCache
-	// Telemetry, when non-nil, is called after every iteration of a
-	// non-resilient solve with the iteration number and recurrence
-	// residual.
+	// Telemetry, when non-nil, is the driver's observer
+	// (solvers.ResilientConfig.Observe): called with the iteration number
+	// and the solver's own residual measure before the first step and
+	// after every one, on plain and checkpointing solves alike.
 	Telemetry func(iter int, res float64)
-	// Log, when non-nil, receives the resilient driver's progress lines.
+	// Log, when non-nil, receives the driver's progress lines.
 	Log func(format string, args ...any)
 	// Tracing controls trace memoization of the solve's iteration loop.
 	// Per-session templates make it safe under multi-tenancy; replay
@@ -48,13 +49,13 @@ type Options struct {
 	// solve so every task records wall-clock spans.
 	Recorder *obs.Recorder
 	// Resume, when non-nil, seeds the solve from a persisted checkpoint:
-	// the solution vector starts from Resume.X instead of zero, and a
-	// resilient solve (CheckpointEvery > 0) continues its iteration
-	// accounting at Resume.Iter — MaxIter still bounds the job's TOTAL
-	// iterations across its lifetime.
+	// the solution vector starts from Resume.X instead of zero, and the
+	// iteration accounting continues at Resume.Iter — MaxIter still
+	// bounds the job's TOTAL iterations across its lifetime.
 	Resume *ResumePoint
-	// CheckpointSink, when non-nil and the spec selects the resilient
-	// driver, receives every verified checkpoint the moment it is taken:
+	// CheckpointSink, when non-nil and the spec checkpoints
+	// (CheckpointEvery > 0), receives every verified checkpoint the
+	// moment it is taken:
 	// the absolute iteration, the host-verified true residual, the full
 	// solution vector in index order, and the operator fingerprint the
 	// job's recycle space is keyed by. The slice is only valid during
@@ -74,7 +75,7 @@ type JobResult struct {
 	Converged    bool    `json:"converged"`
 	Breakdown    string  `json:"breakdown,omitempty"`
 
-	// Resilient-driver accounting (zero for plain solves).
+	// Recovery accounting (zero for plain solves).
 	Restarts          int     `json:"restarts,omitempty"`
 	Checkpoints       int     `json:"checkpoints,omitempty"`
 	RecoveredFailures int64   `json:"recovered_failures,omitempty"`
@@ -120,25 +121,36 @@ type JobResult struct {
 // stay independent: a fault plan in one job never fires in another, and
 // one job's permanent failure never pollutes another's error state.
 func RunSolve(a *sparse.CSR, spec jobspec.Spec, opt Options) JobResult {
-	sess := opt.Session
-	logf := opt.Log
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
 	rows, _ := sparse.Dims(a)
 	n := int(rows)
-	out := JobResult{Solver: spec.Solver, N: n, NNZ: a.NNZ()}
-
 	b := spec.BuildRHS(a, n)
 	x := make([]float64, n)
 	if opt.Resume != nil {
 		if len(opt.Resume.X) != n {
-			out.Err = fmt.Sprintf("serve: resume checkpoint has %d entries, system has %d", len(opt.Resume.X), n)
-			return out
+			return JobResult{Solver: spec.Solver, N: n, NNZ: a.NNZ(),
+				Err: fmt.Sprintf("serve: resume checkpoint has %d entries, system has %d", len(opt.Resume.X), n)}
 		}
 		copy(x, opt.Resume.X)
-		out.ResumedFrom = opt.Resume.Iter
 	}
+	out := solveSystem(a, x, b, spec, opt)
+	// The honest yardstick: ‖b − A·x‖ recomputed host-side from the raw
+	// matrix and arrays, sharing no state with the solve.
+	out.TrueResidual = HostResidual(a, x, b)
+	out.X = x
+	return out
+}
+
+// solveSystem is the one place a planner is built and driven: it plans
+// A·x = b inside opt.Session as spec describes, runs spec's solver from
+// the x supplied through the one driver (solvers.SolveResilient), and
+// reports everything but the host-side evidence (TrueResidual, X), which
+// callers compute per system — RunSolve for its job, runBatch for each
+// member of a block-diagonal batch.
+func solveSystem(a *sparse.CSR, x, b []float64, spec jobspec.Spec, opt Options) JobResult {
+	sess := opt.Session
+	rows, _ := sparse.Dims(a)
+	out := JobResult{Solver: spec.Solver, N: int(rows), NNZ: a.NNZ()}
+
 	p := core.NewPlanner(core.Config{Machine: machine.Lassen(1), Session: sess})
 	si := p.AddSolVector(x, index.EqualPartition(index.NewSpace("D", rows), spec.Pieces))
 	ri := p.AddRHSVector(b, index.EqualPartition(index.NewSpace("R", rows), spec.Pieces))
@@ -153,7 +165,7 @@ func RunSolve(a *sparse.CSR, spec jobspec.Spec, opt Options) JobResult {
 		}
 		p.AddOperator(m, si, ri)
 	}
-	if spec.Solver == "pcg" || spec.Solver == "pcg-unfused" {
+	if spec.Solver == "pcg" {
 		p.AddPreconditioner(precond.Jacobi(a), si, ri)
 	}
 	p.Finalize()
@@ -181,115 +193,69 @@ func RunSolve(a *sparse.CSR, spec jobspec.Spec, opt Options) JobResult {
 		sess.SetRecorder(opt.Recorder)
 	}
 
+	var s solvers.Solver // the last solver built, for the recycle harvest
 	newSolver := func() solvers.Solver {
 		if spec.Solver == "gcrodr" && opt.Cache != nil {
-			return solvers.NewGCRODR(p, 10, 4, opt.Cache)
+			s = solvers.NewGCRODR(p, 10, 4, opt.Cache)
+		} else {
+			s = solvers.New(spec.Solver, p)
 		}
-		return solvers.New(spec.Solver, p)
+		return s
+	}
+	cfg := solvers.ResilientConfig{
+		Tol: spec.Tol, MaxIter: spec.MaxIter,
+		CheckpointEvery: spec.CheckpointEvery, MaxRestarts: spec.MaxRestarts,
+		DetectSDC:    spec.DetectSDC,
+		ReplaceEvery: spec.ReplaceEvery, DriftTol: spec.DriftTol,
+		Observe: opt.Telemetry, Log: opt.Log,
+	}
+	if cfg.MaxRestarts <= 0 {
+		cfg.MaxRestarts = -1 // solvers.ResilientConfig: negative disables restarts
+	}
+	if opt.Resume != nil {
+		cfg.StartIteration = opt.Resume.Iter
+		out.ResumedFrom = opt.Resume.Iter
+	}
+	if sink := opt.CheckpointSink; sink != nil {
+		basis := p.OperatorFingerprint()
+		cfg.CheckpointSink = func(c solvers.Checkpoint) {
+			sink(c.Iteration, c.TrueResidual, flattenCheckpoint(c.Sol), basis)
+		}
 	}
 
 	start := time.Now()
-	var res solvers.Result
-	if spec.CheckpointEvery > 0 {
-		mr := spec.MaxRestarts
-		if mr <= 0 {
-			mr = -1 // solvers.ResilientConfig: negative disables restarts
-		}
-		rcfg := solvers.ResilientConfig{
-			Tol: spec.Tol, MaxIter: spec.MaxIter,
-			CheckpointEvery: spec.CheckpointEvery, MaxRestarts: mr,
-			DetectSDC:    spec.DetectSDC,
-			ReplaceEvery: spec.ReplaceEvery, DriftTol: spec.DriftTol,
-			Log: logf,
-		}
-		if opt.Resume != nil {
-			rcfg.StartIteration = opt.Resume.Iter
-		}
-		if sink := opt.CheckpointSink; sink != nil {
-			basis := p.OperatorFingerprint()
-			rcfg.CheckpointSink = func(c solvers.Checkpoint) {
-				sink(c.Iteration, c.TrueResidual, flattenCheckpoint(c.Sol), basis)
-			}
-		}
-		rres := solvers.SolveResilient(p, newSolver, rcfg)
-		res = rres.Result
-		out.Restarts = rres.Restarts
-		out.Checkpoints = rres.Checkpoints
-		out.RecoveredFailures = rres.RecoveredFailures
-		out.Replacements = rres.Replacements
-		out.SDCAlarms = rres.SDCAlarms
-		out.PieceRestores = rres.PieceRestores
-		out.MaxDrift = rres.MaxDrift
-	} else {
-		if spec.DetectSDC {
-			p.EnableSDCDetection(0) // observe-only without the resilient driver
-		}
-		s := newSolver()
-		res = stepLoop(s, spec.Tol, spec.MaxIter, opt.Telemetry)
-		if g, ok := s.(*solvers.GCRODR); ok && opt.Cache != nil && res.Converged {
-			p.Drain()
-			g.SaveRecycleSpace()
-		}
-	}
+	res := solvers.SolveResilient(p, newSolver, cfg)
 	p.Drain()
+	if g, ok := s.(*solvers.GCRODR); ok && res.Converged {
+		g.SaveRecycleSpace()
+	}
 	out.Elapsed = time.Since(start)
 
-	// The honest yardstick: ‖b − A·x‖ recomputed host-side from the raw
-	// matrix and arrays, sharing no state with the solve.
-	out.TrueResidual = HostResidual(a, x, b)
 	out.Iterations = res.Iterations
 	out.Residual = res.Residual
 	out.Converged = res.Converged
 	if res.Breakdown != nil {
 		out.Breakdown = res.Breakdown.Error()
 	}
-	if spec.DetectSDC && spec.CheckpointEvery <= 0 {
-		if mon := p.SDCMonitor(); mon != nil {
-			out.SDCAlarms = mon.Count()
-		}
-	}
+	out.Restarts = res.Restarts
+	out.Checkpoints = res.Checkpoints
+	out.RecoveredFailures = res.RecoveredFailures
+	out.Replacements = res.Replacements
+	out.SDCAlarms = res.SDCAlarms
+	out.PieceRestores = res.PieceRestores
+	out.MaxDrift = res.MaxDrift
 	if injector != nil {
 		out.Injected = injector.Injected()
 	}
-	// A converged resilient solve has, by construction, verified the
-	// true residual after recovery, so recovered task failures do not
+	// A converged recovery-enabled solve has, by construction, verified
+	// the true residual after recovery, so recovered task failures do not
 	// fail the job. A plain solve has no recovery path: any task failure
 	// is fatal.
 	if err := sess.Err(); err != nil && !(spec.CheckpointEvery > 0 && res.Converged) {
 		out.Err = err.Error()
 	}
 	out.Session = sess.Stats()
-	out.X = x
 	return out
-}
-
-// stepLoop mirrors solvers.Solve — synchronize on the convergence
-// measure each iteration — with an optional per-iteration telemetry
-// hook.
-func stepLoop(s solvers.Solver, tol float64, maxIter int, telemetry func(int, float64)) solvers.Result {
-	res := math.Sqrt(s.ConvergenceMeasure().Value())
-	if telemetry != nil {
-		telemetry(0, res)
-	}
-	if res <= tol {
-		return solvers.Result{Iterations: 0, Residual: res, Converged: true}
-	}
-	for i := 1; i <= maxIter; i++ {
-		s.Step()
-		res = math.Sqrt(s.ConvergenceMeasure().Value())
-		if telemetry != nil {
-			telemetry(i, res)
-		}
-		if res <= tol || math.IsNaN(res) {
-			return solvers.Result{Iterations: i, Residual: res, Converged: res <= tol}
-		}
-		if bc, ok := s.(solvers.BreakdownChecker); ok {
-			if err := bc.Breakdown(); err != nil {
-				return solvers.Result{Iterations: i, Residual: res, Breakdown: err}
-			}
-		}
-	}
-	return solvers.Result{Iterations: maxIter, Residual: res, Converged: false}
 }
 
 // flattenCheckpoint concatenates a planner checkpoint's per-component

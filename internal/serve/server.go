@@ -3,14 +3,10 @@ package serve
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"time"
 
-	"kdrsolvers/internal/core"
-	"kdrsolvers/internal/index"
 	"kdrsolvers/internal/jobspec"
-	"kdrsolvers/internal/machine"
 	"kdrsolvers/internal/obs"
 	"kdrsolvers/internal/solvers"
 	"kdrsolvers/internal/sparse"
@@ -764,67 +760,27 @@ func runBatch(a *sparse.CSR, group []*Job, sess *taskrt.Session, tracing bool) [
 	n := int(rows)
 	k := len(group)
 
-	results := make([]*JobResult, k)
 	bigX := make([]float64, k*n)
 	bigB := make([]float64, k*n)
 	for i, j := range group {
 		copy(bigB[i*n:(i+1)*n], j.Spec.BuildRHS(a, n))
 	}
-	bigA := sparse.BlockDiag(a, k)
-	brows := int64(k) * rows
+	joint := solveSystem(sparse.BlockDiag(a, k), bigX, bigB, spec, Options{Session: sess, Tracing: tracing})
 
-	p := core.NewPlanner(core.Config{Machine: machine.Lassen(1), Session: sess})
-	si := p.AddSolVector(bigX, index.EqualPartition(index.NewSpace("D", brows), spec.Pieces))
-	ri := p.AddRHSVector(bigB, index.EqualPartition(index.NewSpace("R", brows), spec.Pieces))
-	if canon, _ := sparse.CanonicalFormat(spec.Format); canon == "Auto" {
-		p.AddOperatorAuto(bigA, si, ri)
-	} else {
-		m, err := sparse.ConvertNamed(bigA, spec.Format)
-		if err != nil {
-			for i, jj := range group {
-				results[i] = &JobResult{Solver: jj.Spec.Solver, N: n, NNZ: a.NNZ(), Err: err.Error()}
-			}
-			return results
-		}
-		p.AddOperator(m, si, ri)
-	}
-	p.Finalize()
-	p.SetTracing(tracing)
-
-	start := time.Now()
-	res := solvers.Solve(solvers.New(spec.Solver, p), spec.Tol, spec.MaxIter)
-	p.Drain()
-	elapsed := time.Since(start)
-
-	var errStr string
-	if err := sess.Err(); err != nil {
-		errStr = err.Error()
-	}
-	stats := sess.Stats()
-	for i, j := range group {
-		x := bigX[i*n : (i+1)*n : (i+1)*n]
-		b := bigB[i*n : (i+1)*n : (i+1)*n]
-		out := &JobResult{
-			Solver: j.Spec.Solver, N: n, NNZ: a.NNZ(),
-			Iterations: res.Iterations,
-			Residual:   res.Residual, // joint block-system norm
-			Converged:  res.Converged,
-			Coalesced:  len(group),
-			Elapsed:    elapsed,
-			Err:        errStr,
-			Session:    stats,
-			X:          x,
-		}
-		if res.Breakdown != nil {
-			out.Breakdown = res.Breakdown.Error()
-		}
-		out.TrueResidual = HostResidual(a, x, b)
+	results := make([]*JobResult, k)
+	for i := range group {
+		// Every member reports the joint solve (Residual is the
+		// block-system norm) under its own dimensions and evidence.
+		out := joint
+		out.N, out.NNZ, out.Coalesced = n, a.NNZ(), k
+		out.X = bigX[i*n : (i+1)*n : (i+1)*n]
+		out.TrueResidual = HostResidual(a, out.X, bigB[i*n:(i+1)*n])
 		// The joint norm over-reports each member's residual; trust the
 		// per-system recomputation for the member's own convergence claim.
-		if !math.IsNaN(out.TrueResidual) && out.TrueResidual <= spec.Tol {
+		if out.TrueResidual <= spec.Tol {
 			out.Converged = true
 		}
-		results[i] = out
+		results[i] = &out
 	}
 	return results
 }

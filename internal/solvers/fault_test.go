@@ -3,6 +3,8 @@ package solvers
 import (
 	"errors"
 	"math"
+	"math/rand"
+	"strings"
 	"testing"
 
 	"kdrsolvers/internal/fault"
@@ -132,6 +134,55 @@ func TestFaultSolveResilientCleanRun(t *testing.T) {
 	}
 	if d := maxAbsDiff(p.SolData(0), want); d > 1e-8 {
 		t.Fatalf("solution off by %g", d)
+	}
+
+	// The cycle-based solvers keep x at the last restart boundary while a
+	// cycle is open, so a driver that recomputes ‖b − Ax‖ before letting
+	// the solver finish its cycle rejects a good candidate against a stale
+	// x and iterates on. A fault-free recovery-enabled solve must instead
+	// stop where the plain solve of the same system stops, having rejected
+	// exactly the candidates the plain solve rejected.
+	nx, seed := int64(48), int64(3)
+	if testing.Short() {
+		nx, seed = 32, 7
+	}
+	a = sparse.Laplacian2D(nx, nx)
+	rng := rand.New(rand.NewSource(seed))
+	b = make([]float64, nx*nx)
+	for i := range b {
+		b[i] = 2*rng.Float64() - 1
+	}
+	for _, name := range []string{"gmres", "pgmres", "gcrodr"} {
+		t.Run(name, func(t *testing.T) {
+			run := func(checkpointEvery int) (ResilientResult, int) {
+				p := planFor(a, b, 8)
+				rejected := 0
+				res := SolveResilient(p, func() Solver { return New(name, p) }, ResilientConfig{
+					Tol: 1e-8, MaxIter: 5000, CheckpointEvery: checkpointEvery,
+					Log: func(format string, _ ...any) {
+						if strings.Contains(format, "continuing") {
+							rejected++
+						}
+					},
+				})
+				p.Drain()
+				if !res.Converged || res.Restarts != 0 || res.TrueResidual > 1e-8 {
+					t.Fatalf("checkpoint-every %d: %+v", checkpointEvery, res)
+				}
+				return res, rejected
+			}
+			plain, plainRejected := run(0)
+			resilient, rejected := run(50)
+			if resilient.Iterations != plain.Iterations {
+				t.Errorf("resilient solve stopped at iteration %d, plain at %d", resilient.Iterations, plain.Iterations)
+			}
+			if rejected != plainRejected {
+				t.Errorf("resilient solve rejected %d candidate(s), plain %d", rejected, plainRejected)
+			}
+			if resilient.Checkpoints == 0 {
+				t.Error("no checkpoints taken")
+			}
+		})
 	}
 }
 

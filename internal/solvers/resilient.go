@@ -6,31 +6,36 @@ import (
 	"kdrsolvers/internal/core"
 )
 
-// ResilientConfig configures SolveResilient.
+// ResilientConfig configures SolveResilient. Tol and MaxIter alone make
+// a plain solve; CheckpointEvery > 0 turns recovery on.
 type ResilientConfig struct {
 	// Tol is the residual tolerance.
 	Tol float64
 	// MaxIter bounds the total number of steps executed, across restarts.
 	MaxIter int
-	// CheckpointEvery is the number of iterations between checkpoints
-	// (default 10). Each checkpoint synchronizes, verifies the true
-	// residual is finite, and snapshots the solution vector.
+	// CheckpointEvery > 0 enables recovery and is the number of
+	// iterations between checkpoints. Each checkpoint synchronizes,
+	// verifies the true residual is finite, and snapshots the solution
+	// vector. At 0 nothing is checkpointed, verified host-side or rolled
+	// back: the solve stops on the first bad state.
 	CheckpointEvery int
-	// MaxRestarts is the restart budget (default 3; negative disables
-	// restarts). Each restart rolls the solution back to the last
-	// verified checkpoint and rebuilds the solver, re-running its
-	// residual initialization.
+	// MaxRestarts is the restart budget of a recovery-enabled solve
+	// (default 3; negative disables restarts). Each restart rolls the
+	// solution back to the last verified checkpoint and rebuilds the
+	// solver, re-running its residual initialization.
 	MaxRestarts int
 	// DivergeFactor triggers a restart when the residual exceeds this
 	// multiple of the best residual seen (default 1e8).
 	DivergeFactor float64
 	// DetectSDC enables ABFT checksum detection on the planner
-	// (core.EnableSDCDetection) and drives selective recovery from its
-	// alarms: solution pieces a checksum localized corruption to are
-	// restored from the last verified checkpoint — healthy pieces keep
-	// their newer state — and the solver's recurrence is force-rebased on
-	// the recomputed true residual. Solvers without residual replacement
-	// fall back to a whole-solve rollback on alarm.
+	// (core.EnableSDCDetection). A recovery-enabled solve drives
+	// selective recovery from its alarms: solution pieces a checksum
+	// localized corruption to are restored from the last verified
+	// checkpoint — healthy pieces keep their newer state — and the
+	// solver's recurrence is force-rebased on the recomputed true
+	// residual. Solvers without residual replacement fall back to a
+	// whole-solve rollback on alarm. Without recovery the alarms are only
+	// counted (ResilientResult.SDCAlarms).
 	DetectSDC bool
 	// ReplaceEvery, when positive and the solver implements
 	// ResidualReplacer, runs a residual-replacement check every
@@ -57,8 +62,12 @@ type ResilientConfig struct {
 	// deep copy and must not be mutated or retained past the call
 	// (serialize synchronously).
 	CheckpointSink func(Checkpoint)
+	// Observe, when non-nil, is called with every convergence measure the
+	// driver reads — the initial one (iteration StartIteration) and one
+	// per step — before anything acts on it.
+	Observe func(iter int, res float64)
 	// Log, when non-nil, receives progress lines (checkpoints, restarts,
-	// recovery decisions).
+	// rejected convergence candidates, recovery decisions).
 	Log func(format string, args ...any)
 }
 
@@ -97,14 +106,31 @@ type ResilientResult struct {
 	MaxDrift float64
 }
 
-// SolveResilient drives a solver to convergence in the presence of task
-// failures, silent data corruption, and divergence. It layers on top of
+// SolveResilient is the one convergence driver: Solve, serve.RunSolve
+// (mmsolve, a solo POST /solve) and the server's coalesced batches all
+// run this loop. It evaluates the solver's convergence measure after
+// every step (synchronizing, like the paper's driver loop) and stops on
+// the first of: an accepted convergence candidate, the iteration budget,
+// or a bad state it cannot recover from.
+//
+// Acceptance rule, the same on every path: when the measure reaches
+// Tol, a ConvergenceVerifier first finishes its open cycle — so x is
+// current — and reports its recomputed residual; a recovery-enabled
+// solve then drains the runtime and recomputes ‖b − Ax‖ from A, x and b
+// itself (a corrupted scalar can lie about a recurrence); a solver that
+// is neither is trusted, its measure being an honest inner product of
+// the residual it maintains. A rejected candidate keeps iterating.
+//
+// A bad state is a NaN/Inf residual (a poisoned future or corruption),
+// a Krylov breakdown, or — recovery only — divergence past
+// DivergeFactor × the best verified residual. Without recovery
+// (CheckpointEvery == 0) the solve stops there, launching no task a
+// bare step loop would not launch. With it, the driver layers on top of
 // the runtime's retry/poison machinery:
 //
 //   - Every CheckpointEvery iterations it drains the runtime, recomputes
-//     the TRUE residual ‖b − Ax‖ (not the recurrence residual, which a
-//     corrupted scalar can lie about), and — if finite and not diverged —
-//     checkpoints the solution vector through the planner.
+//     the true residual, and — if finite and not diverged — checkpoints
+//     the solution vector through the planner.
 //   - With DetectSDC, the planner's checksummed kernels raise alarms the
 //     driver polls every iteration. An alarm on a solution piece restores
 //     just that piece from the last checkpoint (core.RestoreSolPieces);
@@ -113,26 +139,24 @@ type ResilientResult struct {
 //     (ResidualReplacer), so corrupted workspaces are rebuilt rather than
 //     trusted. The mixed-age solution this produces is a legitimate
 //     restart point — the Krylov methods here are stationary in x.
+//     (Without recovery, detection only counts alarms.)
 //   - With ReplaceEvery > 0, a periodic residual-replacement check
 //     bounds recurrence drift (and sub-floor corruption) between alarms.
-//   - When the iteration's residual goes NaN/Inf (a poisoned future or
-//     corruption past detection), diverges past DivergeFactor × best, or
-//     the method reports a Krylov breakdown — or an alarm fires on a
-//     solver without residual replacement — it restores the whole
-//     checkpoint and rebuilds the solver with newSolver, a bounded
-//     number of times (MaxRestarts).
+//   - On a bad state — or an alarm on a solver without residual
+//     replacement — it restores the whole checkpoint and rebuilds the
+//     solver with newSolver, a bounded number of times (MaxRestarts).
 //
 // Any finite intermediate state is a legitimate restart point for the
 // Krylov methods here (they are stationary in x), which is why a verified
 // checkpoint needs only a finite true residual, not a consistent one.
 //
-// newSolver must build a fresh solver on p each call; p must be a real
-// (non-virtual), finalized planner.
+// newSolver is called once, and once more after every rollback, when it
+// must build a fresh solver. p must be the real (non-virtual), finalized
+// planner the solver runs on; it is only used by recovery and DetectSDC,
+// so a solve with neither may pass nil.
 func SolveResilient(p *core.Planner, newSolver func() Solver, cfg ResilientConfig) ResilientResult {
-	if cfg.CheckpointEvery <= 0 {
-		cfg.CheckpointEvery = 10
-	}
-	if cfg.MaxRestarts < 0 {
+	recovering := cfg.CheckpointEvery > 0
+	if cfg.MaxRestarts < 0 || !recovering {
 		cfg.MaxRestarts = 0
 	} else if cfg.MaxRestarts == 0 {
 		cfg.MaxRestarts = 3
@@ -144,14 +168,13 @@ func SolveResilient(p *core.Planner, newSolver func() Solver, cfg ResilientConfi
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	sess := p.Session()
 
 	// clearRecovered empties the session's error window once a rollback
 	// (or selective restore) has provably recovered — the state just
 	// verified against the true residual. Without this, a long-running
 	// session keeps reporting failures it already absorbed.
 	clearRecovered := func(when string) {
-		if n := sess.ClearErrs(); n > 0 {
+		if n := p.Session().ClearErrs(); n > 0 {
 			logf("resilient: cleared %d recovered task failure(s) at %s", n, when)
 		}
 	}
@@ -159,80 +182,95 @@ func SolveResilient(p *core.Planner, newSolver func() Solver, cfg ResilientConfi
 	var mon *core.SDCMonitor
 	if cfg.DetectSDC {
 		mon = p.EnableSDCDetection(0)
-		if rec := sess.Recorder(); rec != nil {
+		if rec := p.Session().Recorder(); rec != nil {
 			mon.SetRecorder(rec) // alarms show up in profiles as FailureSDC
 		}
 	}
 
-	// Workspace for true-residual verification, reused across checks.
-	verify := p.AllocateWorkspace(core.RhsShape)
+	// trueResidual recomputes ‖b − Ax‖ into a workspace reused across
+	// checks, with the runtime drained on both sides.
+	var verify core.VecID
 	trueResidual := func() float64 {
+		p.Drain()
 		p.BeginPhase("resilient.verify")
 		residualInit(p, verify)
-		rr := p.Dot(verify, verify)
-		return math.Sqrt(rr.Value())
+		rn := math.Sqrt(p.Dot(verify, verify).Value())
+		p.Drain()
+		return rn
 	}
 
 	var out ResilientResult
-	failedBase := sess.Stats().Failed
+	iter := cfg.StartIteration
+	var failedBase int64
+	finish := func(res, tr float64, converged bool) ResilientResult {
+		out.Iterations, out.Residual, out.TrueResidual, out.Converged = iter, res, tr, converged
+		if recovering {
+			out.RecoveredFailures = p.Session().Stats().Failed - failedBase
+			if converged && out.RecoveredFailures > 0 {
+				clearRecovered("verified convergence")
+			}
+		} else if mon != nil {
+			p.Drain() // observe-only detection counts the tail tasks' alarms too
+			out.SDCAlarms = mon.Count()
+		}
+		return out
+	}
 	noteDrift := func(rep ReplacementReport) {
 		if isFinite(rep.Drift) && rep.Drift > out.MaxDrift {
 			out.MaxDrift = rep.Drift
 		}
 	}
 
-	// Initial checkpoint: x0 as supplied. The evaluation itself can be hit
-	// by a fault, and x0 is trivially restorable (nothing has written to
-	// it), so a failed attempt is re-run like any other rollback, against
-	// the restart budget. Only a genuinely NaN input is unrecoverable.
-	p.Drain()
-	r0 := trueResidual()
-	p.Drain()
-	for attempt := 0; (math.IsNaN(r0) || math.IsInf(r0, 0)) && attempt <= cfg.MaxRestarts; attempt++ {
-		logf("resilient: initial residual is not finite; re-evaluating (attempt %d/%d)",
-			attempt+1, cfg.MaxRestarts+1)
-		r0 = trueResidual()
-		p.Drain()
+	var ckpt [][]float64
+	var best float64
+	checkpoint := func(rn float64) {
+		ckpt = p.CheckpointSol()
+		out.Checkpoints++
+		if cfg.CheckpointSink != nil {
+			cfg.CheckpointSink(Checkpoint{Iteration: iter, TrueResidual: rn, Sol: ckpt})
+		}
 	}
-	if math.IsNaN(r0) || math.IsInf(r0, 0) {
-		out.Residual, out.TrueResidual = r0, r0
-		return out
-	}
-	ckpt := p.CheckpointSol()
-	out.Checkpoints++
-	if cfg.CheckpointSink != nil {
-		cfg.CheckpointSink(Checkpoint{Iteration: cfg.StartIteration, TrueResidual: r0, Sol: ckpt})
-	}
-	best := r0
-	if mon != nil {
-		mon.Take() // alarms before the verified x0 checkpoint are moot
-	}
-	if r0 <= cfg.Tol {
-		out.Converged = true
-		out.Residual, out.TrueResidual = r0, r0
-		out.Iterations = cfg.StartIteration
-		return out
+	if recovering {
+		verify = p.AllocateWorkspace(core.RhsShape)
+		failedBase = p.Session().Stats().Failed
+		// Initial checkpoint: x0 as supplied. The evaluation itself can be
+		// hit by a fault, and x0 is trivially restorable (nothing has
+		// written to it), so a failed attempt is re-run like any other
+		// rollback, against the restart budget. Only a genuinely NaN input
+		// is unrecoverable.
+		best = trueResidual()
+		for attempt := 0; !isFinite(best) && attempt <= cfg.MaxRestarts; attempt++ {
+			logf("resilient: initial residual is not finite; re-evaluating (attempt %d/%d)",
+				attempt+1, cfg.MaxRestarts+1)
+			best = trueResidual()
+		}
+		if !isFinite(best) {
+			return finish(best, best, false)
+		}
+		checkpoint(best)
+		if mon != nil {
+			mon.Take() // alarms before the verified x0 checkpoint are moot
+		}
 	}
 
-	iter := cfg.StartIteration
 	for restart := 0; ; restart++ {
 		s := newSolver()
 		rplc, _ := s.(ResidualReplacer)
 		sinceCkpt, sinceReplace := 0, 0
 		bad := "" // non-empty when this leg must be abandoned
+		var res float64
 
 	leg:
-		for iter < cfg.MaxIter {
-			s.Step()
-			iter++
-			sinceCkpt++
-			sinceReplace++
-			res := math.Sqrt(s.ConvergenceMeasure().Value())
+		for {
+			res = math.Sqrt(s.ConvergenceMeasure().Value())
+			if cfg.Observe != nil {
+				cfg.Observe(iter, res)
+			}
 
 			// Selective SDC recovery, before the bad-residual triage: a
 			// detected corruption is repaired in place (piece restore +
 			// forced replacement) instead of burning a whole-solve restart.
-			if mon != nil {
+			if mon != nil && recovering {
 				alarms := mon.Take()
 				if len(alarms) > 0 {
 					p.Drain()
@@ -285,92 +323,87 @@ func SolveResilient(p *core.Planner, newSolver func() Solver, cfg ResilientConfi
 			}
 
 			switch {
-			case math.IsNaN(res) || math.IsInf(res, 0):
+			case !isFinite(res):
 				bad = "residual is not finite (task failure or corrupted data)"
-			case res > cfg.DivergeFactor*best:
+				break leg
+			case recovering && res > cfg.DivergeFactor*best:
 				bad = "residual diverged"
-			}
-			if bad == "" {
-				if bc, ok := s.(BreakdownChecker); ok {
-					if err := bc.Breakdown(); err != nil {
-						bad = err.Error()
-					}
-				}
-			}
-			if bad != "" {
 				break leg
 			}
 
 			if res <= cfg.Tol {
-				// Candidate convergence: trust only the true residual,
-				// recomputed from A, x, and b after a full drain.
-				p.Drain()
-				rn := trueResidual()
-				p.Drain()
-				if rn <= cfg.Tol {
-					out.Converged = true
-					out.Residual, out.TrueResidual = rn, rn
-					out.Iterations = iter
-					out.RecoveredFailures = sess.Stats().Failed - failedBase
-					if out.RecoveredFailures > 0 {
-						clearRecovered("verified convergence")
-					}
-					return out
+				tr := res
+				if v, ok := s.(ConvergenceVerifier); ok {
+					tr = v.VerifyConvergence()
 				}
-				logf("resilient: recurrence residual %.3g but true residual %.3g; continuing", res, rn)
-				if math.IsNaN(rn) || math.IsInf(rn, 0) {
+				if recovering && tr <= cfg.Tol {
+					tr = trueResidual()
+				}
+				if tr <= cfg.Tol {
+					return finish(res, tr, true)
+				}
+				logf("solve: measure %.3g but true residual %.3g; continuing", res, tr)
+				res = tr // keep iterating from the verified state
+				if !isFinite(tr) {
 					bad = "true residual is not finite"
 					break leg
 				}
 			}
 
-			if sinceCkpt >= cfg.CheckpointEvery {
-				p.Drain()
-				rn := trueResidual()
-				p.Drain()
-				if mon != nil && len(mon.Alarms()) > 0 {
-					// Verification tripped checksums: handle on the next
-					// iteration's recovery pass instead of checkpointing a
-					// state known to be corrupt.
-					continue
-				}
-				if math.IsNaN(rn) || math.IsInf(rn, 0) || rn > cfg.DivergeFactor*best {
-					bad = "checkpoint verification failed"
+			// Breakdown guards zero the step's coefficients, so the iterate is
+			// still finite; abandon the leg instead of spinning on a frozen
+			// residual until MaxIter.
+			if bc, ok := s.(BreakdownChecker); ok {
+				if err := bc.Breakdown(); err != nil {
+					bad = err.Error()
 					break leg
 				}
-				ckpt = p.CheckpointSol()
-				out.Checkpoints++
-				if cfg.CheckpointSink != nil {
-					cfg.CheckpointSink(Checkpoint{Iteration: iter, TrueResidual: rn, Sol: ckpt})
-				}
-				sinceCkpt = 0
-				if rn < best {
-					best = rn
-				}
-				clearRecovered("verified checkpoint")
-				logf("resilient: checkpoint at iter %d, true residual %.3g", iter, rn)
 			}
+
+			if recovering && sinceCkpt >= cfg.CheckpointEvery {
+				switch rn := trueResidual(); {
+				case mon != nil && len(mon.Alarms()) > 0:
+					// Verification tripped checksums: leave them to the next
+					// iteration's recovery pass instead of checkpointing a
+					// state known to be corrupt.
+				case !isFinite(rn) || rn > cfg.DivergeFactor*best:
+					bad = "checkpoint verification failed"
+					break leg
+				default:
+					checkpoint(rn)
+					sinceCkpt = 0
+					if rn < best {
+						best = rn
+					}
+					clearRecovered("verified checkpoint")
+					logf("resilient: checkpoint at iter %d, true residual %.3g", iter, rn)
+				}
+			}
+
+			if iter >= cfg.MaxIter {
+				break
+			}
+			s.Step()
+			iter++
+			sinceCkpt++
+			sinceReplace++
 		}
 
-		out.Iterations = iter
-		out.RecoveredFailures = sess.Stats().Failed - failedBase
-		if bad == "" { // iteration budget exhausted
-			p.Drain()
-			tr := trueResidual()
-			p.Drain()
-			out.Residual, out.TrueResidual = tr, tr
-			return out
-		}
-		if restart >= cfg.MaxRestarts {
-			logf("resilient: %s; restart budget (%d) exhausted", bad, cfg.MaxRestarts)
-			out.Residual = best
-			p.Drain()
-			out.TrueResidual = trueResidual()
-			p.Drain()
-			if bc, ok := s.(BreakdownChecker); ok {
-				out.Breakdown = bc.Breakdown()
+		if bad == "" || restart >= cfg.MaxRestarts {
+			if bad != "" {
+				logf("solve: %s; stopping after %d restart(s)", bad, restart)
+				if bc, ok := s.(BreakdownChecker); ok {
+					out.Breakdown = bc.Breakdown()
+				}
 			}
-			return out
+			tr := res
+			if recovering {
+				if bad != "" {
+					res = best // the last verified residual, not the NaN that ended the leg
+				}
+				tr = trueResidual()
+			}
+			return finish(res, tr, false)
 		}
 		logf("resilient: %s; rolling back to last checkpoint (restart %d/%d)",
 			bad, restart+1, cfg.MaxRestarts)

@@ -108,8 +108,8 @@ type Result struct {
 	Converged bool
 	// Replacements counts residual-replacement events: rebasings of the
 	// recurrence residual onto the recomputed true residual b − A·x,
-	// performed periodically or on a corruption alarm by resilient
-	// drivers. Zero for plain Solve.
+	// performed periodically or on a corruption alarm. Zero for plain
+	// Solve.
 	Replacements int
 	// Breakdown is non-nil when the method hit a Krylov breakdown (a
 	// vanished recurrence denominator) and stopped cleanly at the last
@@ -125,7 +125,8 @@ var ErrBreakdown = errors.New("solvers: Krylov breakdown")
 
 // BreakdownChecker is implemented by solvers that detect recurrence
 // breakdown (BiCG, BiCGStab, CGS). Breakdown returns nil until a guarded
-// denominator vanishes; Solve polls it every iteration and stops cleanly.
+// denominator vanishes; the driver polls it every iteration and stops
+// (or, with recovery, rolls back) cleanly.
 type BreakdownChecker interface {
 	Breakdown() error
 }
@@ -135,9 +136,9 @@ type BreakdownChecker interface {
 // family's Givens recurrence, s-step CG's coefficient-space norm).
 // VerifyConvergence recomputes the true residual ‖b − A·x‖ — finishing
 // any open restart cycle first, so x is current — and returns its norm.
-// Solve calls it before believing the measure; a verifier that
-// disagrees sends the solve back to iterating instead of returning a
-// falsely converged iterate.
+// The driver (SolveResilient, hence every solve path) calls it before
+// believing the measure; a verifier that disagrees sends the solve back
+// to iterating instead of returning a falsely converged iterate.
 type ConvergenceVerifier interface {
 	VerifyConvergence() float64
 }
@@ -198,7 +199,7 @@ func (f *breakdownFlag) get() error {
 // poisoned NaN operand), the task records a breakdown on f and yields 0,
 // so the iteration's updates degenerate to no-ops instead of NaN-
 // poisoning every downstream vector. Every guard is upstream of the
-// residual dataflow within at most one iteration, so Solve's per-step
+// residual dataflow within at most one iteration, so the driver's per-step
 // synchronization observes the flag on the step it fires or the next one.
 func guardedDiv(p *core.Planner, f *breakdownFlag, method, what string, a, b *core.Scalar) *core.Scalar {
 	return p.ScalarExpr("div.guard", func(v []float64) float64 {
@@ -212,49 +213,12 @@ func guardedDiv(p *core.Planner, f *breakdownFlag, method, what string, a, b *co
 }
 
 // Solve steps until the residual norm drops below tol or maxIter steps
-// have run. It synchronizes on the convergence measure every iteration,
-// like the paper's driver loop.
+// have run, synchronizing on the convergence measure every iteration like
+// the paper's driver loop. It is SolveResilient with nothing but the
+// stopping rule configured: a plain solve that stops on the first NaN or
+// breakdown.
 func Solve(s Solver, tol float64, maxIter int) Result {
-	res := math.Sqrt(s.ConvergenceMeasure().Value())
-	if res <= tol {
-		// The pre-iteration measure is an honest Dot of the initial
-		// residual in every solver here; no verification needed.
-		return Result{Iterations: 0, Residual: res, TrueResidual: res, Converged: true}
-	}
-	for i := 1; i <= maxIter; i++ {
-		s.Step()
-		res = math.Sqrt(s.ConvergenceMeasure().Value())
-		if math.IsNaN(res) {
-			return Result{Iterations: i, Residual: res, TrueResidual: res, Converged: false}
-		}
-		if res <= tol {
-			// Estimated measures must survive a true-residual recomputation
-			// before the solve may stop: a Givens or coefficient-space
-			// recurrence claiming convergence is not proof the iterate
-			// earned it.
-			if v, ok := s.(ConvergenceVerifier); ok {
-				tr := v.VerifyConvergence()
-				if math.IsNaN(tr) {
-					return Result{Iterations: i, Residual: res, TrueResidual: tr, Converged: false}
-				}
-				if tr > tol {
-					res = tr // estimate drifted; keep iterating from the verified state
-					continue
-				}
-				return Result{Iterations: i, Residual: res, TrueResidual: tr, Converged: true}
-			}
-			return Result{Iterations: i, Residual: res, TrueResidual: res, Converged: true}
-		}
-		// Breakdown guards zero the step's coefficients, so the iterate is
-		// still finite; report the stagnation cleanly instead of spinning
-		// on a frozen residual until maxIter.
-		if bc, ok := s.(BreakdownChecker); ok {
-			if err := bc.Breakdown(); err != nil {
-				return Result{Iterations: i, Residual: res, TrueResidual: res, Converged: false, Breakdown: err}
-			}
-		}
-	}
-	return Result{Iterations: maxIter, Residual: res, TrueResidual: res, Converged: false}
+	return SolveResilient(nil, func() Solver { return s }, ResilientConfig{Tol: tol, MaxIter: maxIter}).Result
 }
 
 // residualInit launches r ← b − A·x into workspace r, the common

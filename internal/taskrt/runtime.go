@@ -727,12 +727,12 @@ func (rt *Runtime) finishLocked(spec *TaskSpec, ts *taskState) bool {
 			// observed that failure yet (no Drain happened between the
 			// failure and this launch), so the task must be poisoned, not
 			// run on a garbage region. The ledger is per session and
-			// clears at the session's quiescence (sess.inflight == 0 in
-			// complete): a failure the session's client could have
-			// drained is a handled failure (seen via Err and recovered,
-			// e.g. SolveResilient's checkpoint restore), so tasks launched
-			// after that start from a clean slate — independent of
-			// whether other tenants keep the runtime busy forever.
+			// clears when the session's client drains it (Session.Drain,
+			// Runtime.Drain): a drained failure is a handled failure (seen
+			// via Err and recovered, e.g. SolveResilient's checkpoint
+			// restore), so tasks launched after that start from a clean
+			// slate — independent of whether other tenants keep the
+			// runtime busy forever.
 			ts.poison = perr
 		}
 	}
@@ -1018,14 +1018,6 @@ func (rt *Runtime) complete(ts *taskState, val float64, err error) {
 	ts.ready = ready
 	sess := ts.sess
 	sess.inflight--
-	if sess.inflight == 0 {
-		// Session quiescence: every task the session registered has
-		// completed, so any failure recorded above has been observable via
-		// its Err. Clear the ledger so recovery launches (checkpoint
-		// restore and the like) start clean — independent of whether other
-		// sessions keep the runtime busy forever.
-		clear(sess.failed)
-	}
 	rt.mu.Unlock()
 
 	for i, s := range ts.ready {
@@ -1101,7 +1093,14 @@ func (rt *Runtime) runGuarded(ts *taskState, attempt int) (val float64, err erro
 // retried, or been cancelled. After Drain, Err reports the aggregate
 // failure state of everything launched so far — "Drain then Err" is the
 // runtime's postcondition check.
-func (rt *Runtime) Drain() { rt.wg.Wait() }
+func (rt *Runtime) Drain() {
+	rt.wg.Wait()
+	rt.mu.Lock()
+	for _, s := range rt.sessions {
+		s.forgetHandledLocked()
+	}
+	rt.mu.Unlock()
+}
 
 // Err returns every live session's permanent task failures joined into
 // one error (errors.Join), or nil if nothing has failed. Failures

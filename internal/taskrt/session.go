@@ -231,7 +231,26 @@ func (s *Session) Recorder() *obs.Recorder {
 
 // Drain blocks until every task this session launched has completed,
 // retried, or been cancelled — other sessions' work is not waited on.
-func (s *Session) Drain() { s.wg.Wait() }
+// A drained session's failures count as handled (the client can see them
+// through Err), so Drain is also what clears the poison ledger: what is
+// launched afterwards starts from a clean slate.
+func (s *Session) Drain() {
+	s.wg.Wait()
+	s.rt.mu.Lock()
+	s.forgetHandledLocked()
+	s.rt.mu.Unlock()
+}
+
+// forgetHandledLocked clears the poison ledger of a session with nothing
+// in flight. It must only run at a point the session's client chose to
+// synchronize at: clearing whenever the last task happens to retire
+// would let a failure that completes between two launches of one sweep
+// go unnoticed by the second. Called with rt.mu held.
+func (s *Session) forgetHandledLocked() {
+	if s.inflight == 0 {
+		clear(s.failed)
+	}
+}
 
 // Err joins the session's error window — its permanent task failures
 // since the last ClearErrs, newest window of at most maxSessionErrs —
