@@ -234,7 +234,7 @@ func BenchmarkSpMVFormats(b *testing.B) {
 		b.Run(f, func(b *testing.B) {
 			b.SetBytes(mat.NNZ() * 16)
 			for i := 0; i < b.N; i++ {
-				mat.MultiplyAdd(y, x)
+				sparse.MultiplyAdd(mat, y, x)
 			}
 		})
 	}
@@ -242,7 +242,7 @@ func BenchmarkSpMVFormats(b *testing.B) {
 		op := sparse.NewStencilOperator(sparse.Stencil2D5, index.NewGrid(64, 64))
 		b.SetBytes(op.NNZ() * 16)
 		for i := 0; i < b.N; i++ {
-			op.MultiplyAdd(y, x)
+			sparse.MultiplyAdd(op, y, x)
 		}
 	})
 }

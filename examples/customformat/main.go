@@ -3,8 +3,10 @@
 // library's universal co-partitioning operators and solvers with no
 // library changes. The format below ("JDS-lite", a jagged-diagonal-style
 // layout with rows sorted by length) only has to expose its row and
-// column relations; everything else (partition derivation, halo
-// computation, dependence analysis, solving) is format-independent.
+// column relations and one range kernel per direction — the nine
+// methods of sparse.Matrix; everything else (partition derivation, halo
+// computation, dependence analysis, solving, whole-matrix products) is
+// format-independent.
 package main
 
 import (
@@ -75,14 +77,6 @@ func (j *JDSLite) RowRelation() dpart.Relation { return j.rowRel }
 func (j *JDSLite) ColRelation() dpart.Relation { return j.colRel }
 func (j *JDSLite) NNZ() int64                  { return int64(len(j.vals)) }
 func (j *JDSLite) Format() string              { return "JDS-lite (user-defined)" }
-
-func (j *JDSLite) MultiplyAdd(y, x []float64) {
-	j.MultiplyAddPart(y, x, j.Kernel().Set)
-}
-
-func (j *JDSLite) MultiplyAddT(y, x []float64) {
-	j.MultiplyAddTPart(y, x, j.Kernel().Set)
-}
 
 func (j *JDSLite) MultiplyAddPart(y, x []float64, kset index.IntervalSet) {
 	kset.EachInterval(func(iv index.Interval) {

@@ -114,10 +114,10 @@ func TestVirtualRealGraphEquivalenceTraced(t *testing.T) {
 		setupSystem(p, 64, 4)
 		y := p.AllocateWorkspace(RhsShape)
 		for i := 0; i < 3; i++ {
-			p.Runtime().BeginTrace("iter")
+			p.Session().BeginTrace("iter")
 			p.Matmul(y, SOL)
 			p.Axpy(SOL, p.Dot(y, RHS), y)
-			p.Runtime().EndTrace()
+			p.Session().EndTrace()
 		}
 	})
 	if !graphsEqual(t, real, virt) {
@@ -186,12 +186,12 @@ func TestTraceReplayGraphsAreStructurallyIdentical(t *testing.T) {
 	marks := []int{}
 	for i := 0; i < 4; i++ {
 		marks = append(marks, p.Runtime().Graph().Len())
-		p.Runtime().BeginTrace("iter")
+		p.Session().BeginTrace("iter")
 		p.Matmul(y, SOL)
 		d := p.Dot(y, RHS)
 		p.Axpy(SOL, d, y)
 		p.Xpay(y, p.Neg(d), RHS)
-		p.Runtime().EndTrace()
+		p.Session().EndTrace()
 	}
 	p.Drain()
 	g := p.Runtime().Graph()

@@ -41,12 +41,12 @@ func TestSDCCleanRunNoFalseAlarms(t *testing.T) {
 	p, mon, a, b := sdcTestPlanner(t, n, pieces)
 	alpha := p.Constant(0.01)
 	for it := 0; it < 100; it++ {
-		p.Matmul(b, a)                // checksummed SpMV
-		d := p.Dot(b, b)              // unfused dot verifies operands
-		p.Scal(a, p.Constant(0.999))  // scal maintains + verifies
-		p.Axpy(a, alpha, SOL)         // axpy maintains + verifies both
-		p.Xpay(b, p.Neg(alpha), RHS)  // xpay too
-		p.FusedSweep(                 // fused path with guard slot
+		p.Matmul(b, a)               // checksummed SpMV
+		d := p.Dot(b, b)             // unfused dot verifies operands
+		p.Scal(a, p.Constant(0.999)) // scal maintains + verifies
+		p.Axpy(a, alpha, SOL)        // axpy maintains + verifies both
+		p.Xpay(b, p.Neg(alpha), RHS) // xpay too
+		p.FusedSweep(                // fused path with guard slot
 			[]VecUpdate{{Kind: UpdAxpy, Dst: a, Alpha: alpha, Src: SOL}},
 			[]DotPair{{V: a, W: a}, {V: a, W: SOL}})
 		_ = d.Value()
@@ -135,7 +135,7 @@ func TestSDCDotBatchGuard(t *testing.T) {
 	// Corrupt every dot.batch task's output with certainty: the hook
 	// targets the scratch span (data + guard), and the flip of a low
 	// exponent bit shifts a partial enough to break the exact guard.
-	p.Runtime().SetFaultInjector(fault.NewInjector(fault.Plan{Seed: 3, BitFlipRate: 1, Bit: 52, Names: []string{"dot.batch"}}))
+	p.Session().SetFaultInjector(fault.NewInjector(fault.Plan{Seed: 3, BitFlipRate: 1, Bit: 52, Names: []string{"dot.batch"}}))
 	p.DotBatch(DotPair{V: SOL, W: RHS}, DotPair{V: RHS, W: RHS})
 	p.Drain()
 	if c := mon.Count(); c == 0 {
@@ -155,7 +155,7 @@ func TestSDCDotBatchGuard(t *testing.T) {
 func TestSDCChecksumSpMV(t *testing.T) {
 	const n, pieces = 256, 4
 	p, mon, a, b := sdcTestPlanner(t, n, pieces)
-	p.Runtime().SetFaultInjector(fault.NewInjector(fault.Plan{Seed: 9, BitFlipRate: 1, Bit: 54, Names: []string{"matmul"}, Pieces: []int{2}}))
+	p.Session().SetFaultInjector(fault.NewInjector(fault.Plan{Seed: 9, BitFlipRate: 1, Bit: 54, Names: []string{"matmul"}, Pieces: []int{2}}))
 	p.ChecksumSpMV(b, a)
 	p.Drain()
 	if c := mon.Count(); c != 0 {

@@ -249,7 +249,7 @@ func TestInterleavedApplicationWork(t *testing.T) {
 		s := solvers.New("cg", p)
 		appRegion := region.New("app", index.NewSpace("A", int64(m.NumProcs())), "v")
 		for i := 0; i < iters; i++ {
-			p.Runtime().BeginTrace("iter+app")
+			p.Session().BeginTrace("iter+app")
 			s.Step()
 			if appCost > 0 {
 				// Independent application work per GPU between solver
@@ -258,7 +258,7 @@ func TestInterleavedApplicationWork(t *testing.T) {
 				// granularity is what makes interleaving work.
 				for pr := 0; pr < m.NumProcs(); pr++ {
 					for chunk := 0; chunk < appChunks; chunk++ {
-						p.Runtime().Launch(taskrt.TaskSpec{
+						p.Session().Launch(taskrt.TaskSpec{
 							Name: "app.chemistry", Proc: pr, Cost: appCost,
 							Refs: []region.Ref{{
 								Region: appRegion.ID(), Field: "v",
@@ -269,7 +269,7 @@ func TestInterleavedApplicationWork(t *testing.T) {
 					}
 				}
 			}
-			p.Runtime().EndTrace()
+			p.Session().EndTrace()
 		}
 		p.Drain()
 		return sim.Simulate(p.Runtime().Graph(), m, opts)

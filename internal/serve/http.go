@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -87,9 +88,16 @@ func Handler(s *Server) http.Handler {
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	// Encode before the status line goes out: a value that cannot be
+	// encoded must be a 500, not a 200 with an empty body.
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		http.Error(w, "serve: encode response: "+err.Error(), http.StatusInternalServerError)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	w.Write(buf.Bytes()) // a failed write means the client is gone
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -118,4 +119,45 @@ func TestConcurrentSessionsMatchSoloBaselines(t *testing.T) {
 			t.Errorf("%s/%s: clean tenant counted failures %+v", sp.Solver, sp.Format, got.Session)
 		}
 	}
+}
+
+// Two clients against a tracing server, defaults otherwise: each job
+// traces its iteration loop in its own session, and the two sessions'
+// launches interleave in the one global task-ID space. A launch landing
+// inside the other session's replaying instance must demote that
+// instance to analysis; spliced through, a true dependence is dropped
+// and an xpay piece reads a scalar mid-write — roughly a third of these
+// jobs came back NaN or above tolerance.
+func TestTracedSessionsInterleaveSafely(t *testing.T) {
+	jobs := 40
+	if testing.Short() {
+		jobs = 20
+	}
+	s := mustServer(t, Config{Tracing: true})
+	defer s.Drain()
+	var wg sync.WaitGroup
+	for c := 0; c < 2; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for k := 0; k < jobs; k++ {
+				spec := jobspec.Default()
+				spec.Matrix, spec.Solver = "lap2d:32x32", "cg"
+				spec.RHS = fmt.Sprintf("rand:%d", c*jobs+k)
+				j, err := s.Submit(spec)
+				if err != nil {
+					t.Errorf("client %d job %d: %v", c, k, err)
+					return
+				}
+				<-j.Done()
+				r := j.Result()
+				// NaN fails the comparison too.
+				if !r.Converged || r.Err != "" || !(r.TrueResidual <= 1.05*spec.Tol) {
+					t.Errorf("client %d job %d: converged=%v true_residual=%g err=%q",
+						c, k, r.Converged, r.TrueResidual, r.Err)
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
 }

@@ -6,8 +6,10 @@
 package serve
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
+	"strconv"
 	"time"
 
 	"kdrsolvers/internal/core"
@@ -113,6 +115,59 @@ type JobResult struct {
 	// X is the computed solution, for in-process callers (the CLI's
 	// exact-solution check); never serialized.
 	X []float64 `json:"-"`
+}
+
+// jsonFloat is a float64 whose JSON form survives non-finite values.
+// encoding/json refuses NaN and ±Inf, which are exactly what a diverged
+// or fault-injected solve reports as its residual; they travel as the
+// strings "NaN", "+Inf" and "-Inf", finite values as plain numbers.
+type jsonFloat float64
+
+func (f jsonFloat) MarshalJSON() ([]byte, error) {
+	if v := float64(f); math.IsNaN(v) || math.IsInf(v, 0) {
+		return json.Marshal(strconv.FormatFloat(v, 'g', -1, 64))
+	}
+	return json.Marshal(float64(f))
+}
+
+func (f *jsonFloat) UnmarshalJSON(b []byte) error {
+	var s string
+	if json.Unmarshal(b, &s) == nil {
+		v, err := strconv.ParseFloat(s, 64)
+		*f = jsonFloat(v)
+		return err
+	}
+	return json.Unmarshal(b, (*float64)(f))
+}
+
+// jobResultJSON is JobResult's wire form: every field as declared,
+// except that the float fields are shadowed by jsonFloat twins so a
+// finished job with a non-finite residual still reaches its client and
+// its journal record (an unencodable done record would re-run the job
+// on every restart).
+type jobResultJSON struct {
+	*jobResultFields
+	Residual     jsonFloat `json:"residual"`
+	TrueResidual jsonFloat `json:"true_residual"`
+	MaxDrift     jsonFloat `json:"max_drift,omitempty"`
+}
+
+// jobResultFields is JobResult without its JSON methods.
+type jobResultFields JobResult
+
+func (r JobResult) MarshalJSON() ([]byte, error) {
+	return json.Marshal(jobResultJSON{(*jobResultFields)(&r),
+		jsonFloat(r.Residual), jsonFloat(r.TrueResidual), jsonFloat(r.MaxDrift)})
+}
+
+func (r *JobResult) UnmarshalJSON(b []byte) error {
+	w := jobResultJSON{(*jobResultFields)(r),
+		jsonFloat(r.Residual), jsonFloat(r.TrueResidual), jsonFloat(r.MaxDrift)}
+	if err := json.Unmarshal(b, &w); err != nil {
+		return err
+	}
+	r.Residual, r.TrueResidual, r.MaxDrift = float64(w.Residual), float64(w.TrueResidual), float64(w.MaxDrift)
+	return nil
 }
 
 // RunSolve executes one job against an already loaded matrix, inside

@@ -2,10 +2,12 @@ package serve
 
 import (
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -155,9 +157,9 @@ func TestJournalReplayIdempotent(t *testing.T) {
 	jn.Accept("job-1", spec, now) // duplicate accept
 	jn.Checkpoint("job-1", 8, 1e-5, []float64{3, 4}, "fp-a")
 	jn.Done("job-2", &JobResult{Solver: "cg", Converged: true})
-	jn.Accept("job-2", spec, now)               // accept after done: stays done
-	jn.Checkpoint("job-2", 2, 1e-2, nil, "fp")  // checkpoint after done: ignored
-	jn.Resume("job-1", 8)                       // provenance only
+	jn.Accept("job-2", spec, now)              // accept after done: stays done
+	jn.Checkpoint("job-2", 2, 1e-2, nil, "fp") // checkpoint after done: ignored
+	jn.Resume("job-1", 8)                      // provenance only
 	jn.Accept("job-3", spec, now)
 
 	first, err := jn.Replay()
@@ -365,5 +367,50 @@ func TestHTTPMetricsErrsDroppedAndWAL(t *testing.T) {
 	}
 	if _, ok := after["evicted_jobs"]; !ok {
 		t.Fatal("metrics missing evicted_jobs")
+	}
+}
+
+// A finished job whose residual is not finite must still reach its
+// client and its journal. encoding/json refuses NaN: the HTTP answer
+// used to be a 200 with an empty body, and the done record was never
+// written, so every restart re-queued and re-ran the job.
+func TestNonFiniteResultSurvivesHTTPAndRestart(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{MaxActive: 1, CoalesceMax: 1, WALDir: dir, FsyncEvery: 1}
+	s := mustServer(t, cfg)
+	ts := httptest.NewServer(Handler(s))
+	resp, err := http.Post(ts.URL+"/solve?wait=1", "application/json",
+		strings.NewReader(`{"matrix":"lap2d:16x16","solver":"cg","faults":"nan=0.2,seed=1"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var view JobView
+	err = json.NewDecoder(resp.Body).Decode(&view)
+	resp.Body.Close()
+	ts.Close()
+	s.Drain()
+	if resp.StatusCode != http.StatusOK || err != nil {
+		t.Fatalf("POST /solve?wait=1: status %d, decode error %v", resp.StatusCode, err)
+	}
+	nonFiniteDone := func(v JobView) bool {
+		r := v.Result
+		return v.State == StateDone && r != nil && !r.Converged &&
+			(math.IsNaN(r.Residual) || math.IsInf(r.Residual, 0))
+	}
+	if !nonFiniteDone(view) {
+		t.Fatalf("served view = %+v (result %+v), want done, not converged, non-finite residual", view, view.Result)
+	}
+
+	s2 := mustServer(t, cfg)
+	defer s2.Drain()
+	j, ok := s2.Job(view.ID)
+	if !ok {
+		t.Fatalf("job %s lost across restart", view.ID)
+	}
+	if v := j.Snapshot(); !nonFiniteDone(v) {
+		t.Fatalf("replayed view = %+v (result %+v), want the journaled done result", v, v.Result)
+	}
+	if m := s2.Metrics(); m.Completed != 0 {
+		t.Fatalf("restart re-ran %d job(s): the done record was not journaled", m.Completed)
 	}
 }

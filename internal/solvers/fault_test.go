@@ -198,8 +198,8 @@ func TestFaultSolveResilientRecoversFromInjectedPanics(t *testing.T) {
 	}
 	p := planFor(a, b, 4)
 	rt := p.Runtime()
-	rt.SetFaultInjector(fault.NewInjector(fault.Plan{Seed: 1, PanicRate: 0.01}))
-	rt.SetRetryPolicy(taskrt.RetryPolicy{MaxAttempts: 3})
+	rt.DefaultSession().SetFaultInjector(fault.NewInjector(fault.Plan{Seed: 1, PanicRate: 0.01}))
+	rt.DefaultSession().SetRetryPolicy(taskrt.RetryPolicy{MaxAttempts: 3})
 
 	res := SolveResilient(p, func() Solver { return NewCG(p) }, ResilientConfig{
 		Tol: 1e-8, MaxIter: 2000, CheckpointEvery: 5, MaxRestarts: 100,
@@ -241,7 +241,7 @@ func TestFaultSolveWithoutRecoveryAborts(t *testing.T) {
 	}
 	p := planFor(a, b, 4)
 	rt := p.Runtime()
-	rt.SetFaultInjector(fault.NewInjector(fault.Plan{Seed: 1, PanicRate: 0.01}))
+	rt.DefaultSession().SetFaultInjector(fault.NewInjector(fault.Plan{Seed: 1, PanicRate: 0.01}))
 
 	res := Solve(NewCG(p), 1e-8, 2000)
 	p.Drain()
@@ -265,7 +265,7 @@ func TestFaultSolveResilientNaNCorruption(t *testing.T) {
 	rt := p.Runtime()
 	// Corrupt only a handful of scalar results, then stop, so the run can
 	// finish once the injector's budget is spent.
-	rt.SetFaultInjector(fault.NewInjector(fault.Plan{Seed: 3, NaNRate: 0.02, MaxFaults: 5}))
+	rt.DefaultSession().SetFaultInjector(fault.NewInjector(fault.Plan{Seed: 3, NaNRate: 0.02, MaxFaults: 5}))
 
 	res := SolveResilient(p, func() Solver { return NewCG(p) }, ResilientConfig{
 		Tol: 1e-8, MaxIter: 2000, CheckpointEvery: 5, MaxRestarts: 100,

@@ -119,6 +119,69 @@ func launchesPerIter(p *core.Planner, s Solver) float64 {
 	return float64(p.Runtime().Stats().Launched-before) / window
 }
 
+// reductionsPerIter counts global reductions — the "dot.reduce" and
+// "dot.batchreduce" combining tasks that stand in for an allreduce on a
+// distributed machine — per iteration over a traced 40-step window
+// after 3 warmup steps. One Step of an s-step method is itersPerStep
+// iterations.
+func reductionsPerIter(p *core.Planner, s Solver, itersPerStep int) float64 {
+	const warmup, window = 3, 40
+	RunIterations(s, warmup)
+	p.Drain()
+	before := p.Runtime().Graph().Len()
+	RunIterations(s, window)
+	p.Drain()
+	count := 0
+	for _, n := range p.Runtime().Graph().Nodes[before:] {
+		if n.Name == "dot.reduce" || n.Name == "dot.batchreduce" {
+			count++
+		}
+	}
+	return float64(count) / float64(window*itersPerStep)
+}
+
+func TestReductionsPerIteration(t *testing.T) {
+	// The communication-avoidance ledger. These are counts of graph
+	// nodes, not timings, so equality is exact: classical CG pays two
+	// global reductions per iteration, pipelined CG one, and s-step CG
+	// one block Gram reduction per s iterations — the claim the
+	// matrix-powers kernel exists to earn.
+	for _, c := range []struct {
+		name         string
+		itersPerStep int
+		mk           func(p *core.Planner) Solver
+		want         float64
+	}{
+		{"cg", 1, func(p *core.Planner) Solver { return NewCG(p) }, 2},
+		{"pipecg", 1, func(p *core.Planner) Solver { return NewPipeCG(p) }, 1},
+		{"sstep-cg", 4, func(p *core.Planner) Solver { return NewSStepCG(p, 4) }, 0.25},
+	} {
+		p := tracedPlanFor(sparse.Laplacian2D(64, 64), fusedRHS(64*64), 4)
+		if got := reductionsPerIter(p, c.mk(p), c.itersPerStep); got != c.want {
+			t.Errorf("%s: %g reductions/iteration, want exactly %g", c.name, got, c.want)
+		}
+	}
+}
+
+func TestResidualReplacementLaunchCost(t *testing.T) {
+	// One forced ReplaceResidual (true-residual recompute plus a batched
+	// drift reduction) must stay under 5% of the launches of the 50 CG
+	// iterations it is amortized over at the documented ReplaceEvery.
+	const replaceEvery = 50
+	p := tracedPlanFor(sparse.Laplacian2D(64, 64), fusedRHS(64*64), 4)
+	s := NewCG(p)
+	perIter := launchesPerIter(p, s)
+	before := p.Runtime().Stats().Launched
+	s.ReplaceResidual(0)
+	p.Drain()
+	cost := float64(p.Runtime().Stats().Launched - before)
+	t.Logf("replacement: %.0f launches against %.1f launches/iter", cost, perIter)
+	if cost > 0.05*replaceEvery*perIter {
+		t.Errorf("one residual replacement costs %.0f launches, over 5%% of %d iterations at %.1f launches/iter",
+			cost, replaceEvery, perIter)
+	}
+}
+
 func TestFusionLaunchReduction(t *testing.T) {
 	// The PR's acceptance criterion: fused CG launches ≥30% fewer tasks
 	// per iteration than the per-operation formulation, and pipelined CG

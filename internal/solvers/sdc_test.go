@@ -79,7 +79,7 @@ func TestSDCSolverAcceptance(t *testing.T) {
 	for _, tc := range sdcCases {
 		t.Run(tc.name+"/false-convergence", func(t *testing.T) {
 			p := planFor(a, b, 4)
-			p.Runtime().SetFaultInjector(fault.NewInjector(singleFlipPlan(tc.seed)))
+			p.Session().SetFaultInjector(fault.NewInjector(singleFlipPlan(tc.seed)))
 			claimed := runTrusting(tc.mk(p), tol, 500)
 			if p.Runtime().Stats().Corrupted == 0 {
 				t.Fatal("injection inert — no task was corrupted")
@@ -95,7 +95,7 @@ func TestSDCSolverAcceptance(t *testing.T) {
 		t.Run(tc.name+"/detection", func(t *testing.T) {
 			p := planFor(a, b, 4)
 			mon := p.EnableSDCDetection(0)
-			p.Runtime().SetFaultInjector(fault.NewInjector(singleFlipPlan(tc.seed)))
+			p.Session().SetFaultInjector(fault.NewInjector(singleFlipPlan(tc.seed)))
 			runTrusting(tc.mk(p), tol, 500)
 			p.Drain()
 			if p.Runtime().Stats().Corrupted == 0 {
@@ -108,7 +108,7 @@ func TestSDCSolverAcceptance(t *testing.T) {
 
 		t.Run(tc.name+"/resilient-recovery", func(t *testing.T) {
 			p := planFor(a, b, 4)
-			p.Runtime().SetFaultInjector(fault.NewInjector(singleFlipPlan(tc.seed)))
+			p.Session().SetFaultInjector(fault.NewInjector(singleFlipPlan(tc.seed)))
 			mk := tc.mk
 			res := SolveResilient(p, func() Solver { return mk(p) }, ResilientConfig{
 				Tol: tol, MaxIter: 2000, CheckpointEvery: 5, MaxRestarts: 10,

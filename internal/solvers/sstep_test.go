@@ -36,7 +36,7 @@ func spdRandom(n int64, seed int64) *sparse.CSR {
 }
 
 // mixedDenseTri builds an SPD matrix with a dense leading block and a
-// tridiagonal tail — the shape of benchlaunch's mixed suite entry.
+// tridiagonal tail, so the auto-tuner has two regimes to tell apart.
 func mixedDenseTri(n int64) *sparse.CSR {
 	var coords []sparse.Coord
 	dense := n / 4

@@ -182,16 +182,6 @@ func (a *Auto) RowRelation() dpart.Relation { return a.rowRel }
 // ColRelation implements Matrix.
 func (a *Auto) ColRelation() dpart.Relation { return a.colRel }
 
-// MultiplyAdd implements Matrix: the range kernel over all of K.
-func (a *Auto) MultiplyAdd(y, x []float64) {
-	a.MultiplyAddPart(y, x, a.Kernel().Set)
-}
-
-// MultiplyAddT implements Matrix: the adjoint range kernel over all of K.
-func (a *Auto) MultiplyAddT(y, x []float64) {
-	a.MultiplyAddTPart(y, x, a.Kernel().Set)
-}
-
 // localKset clips a global kernel set to one tile and rebases it into
 // the tile's kernel space. A set already inside an unshifted tile — every
 // piece of a uniform pick — is handed through as is.

@@ -75,18 +75,6 @@ func (a *Band) NNZ() int64 { return int64(len(a.offsets)) * a.cols }
 // Format implements Matrix.
 func (a *Band) Format() string { return "Band" }
 
-// MultiplyAdd implements Matrix: the range kernel over all of K.
-func (a *Band) MultiplyAdd(y, x []float64) {
-	CheckShapes(a, y, x)
-	a.mulIntervals(y, x, []index.Interval{{Lo: 0, Hi: a.NNZ() - 1}}, false)
-}
-
-// MultiplyAddT implements Matrix: the adjoint range kernel over all of K.
-func (a *Band) MultiplyAddT(y, x []float64) {
-	checkShapesT(a, y, x)
-	a.mulIntervals(y, x, []index.Interval{{Lo: 0, Hi: a.NNZ() - 1}}, true)
-}
-
 // MultiplyAddPart implements Matrix.
 func (a *Band) MultiplyAddPart(y, x []float64, kset index.IntervalSet) {
 	CheckShapes(a, y, x)

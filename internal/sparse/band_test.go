@@ -39,7 +39,7 @@ func TestBandNilCoeffIsZero(t *testing.T) {
 	band := NewBand(4, 4, []int64{0, 1}, nil)
 	x := []float64{1, 2, 3, 4}
 	y := make([]float64, 4)
-	band.MultiplyAdd(y, x)
+	MultiplyAdd(band, y, x)
 	for _, v := range y {
 		if v != 0 {
 			t.Fatal("nil coeff must contribute nothing")
@@ -60,16 +60,16 @@ func TestBandAdjointAndParts(t *testing.T) {
 		x[i] = float64(i) - 3.5
 	}
 	want := make([]float64, n)
-	ref.MultiplyAddT(want, x)
+	MultiplyAddT(ref, want, x)
 	got := make([]float64, n)
-	band.MultiplyAddT(got, x)
+	MultiplyAddT(band, got, x)
 	if !densesEqual(got, want, 1e-15) {
 		t.Fatal("Band adjoint wrong")
 	}
 	// Range kernels over random splits sum to the products, forward and
-	// adjoint, and the whole product is the range kernel over all of K.
+	// adjoint.
 	wantF := make([]float64, n)
-	ref.MultiplyAdd(wantF, x)
+	MultiplyAdd(ref, wantF, x)
 	r := rand.New(rand.NewSource(8))
 	for round := 0; round < 8; round++ {
 		checkRangeKernels(t, band, r, x, x, wantF, want)
@@ -119,8 +119,8 @@ func TestVirtualTileKernelsPanic(t *testing.T) {
 	y := make([]float64, 4)
 	x := make([]float64, 4)
 	for _, fn := range []func(){
-		func() { v.MultiplyAdd(y, x) },
-		func() { v.MultiplyAddT(y, x) },
+		func() { MultiplyAdd(v, y, x) },
+		func() { MultiplyAddT(v, y, x) },
 		func() { v.MultiplyAddPart(y, x, index.Span(0, 1)) },
 		func() { v.MultiplyAddTPart(y, x, index.Span(0, 1)) },
 	} {

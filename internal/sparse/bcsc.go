@@ -134,18 +134,6 @@ func (a *BCSC) Format() string { return "BCSC" }
 // BlockShape returns the (br, bd) block dimensions.
 func (a *BCSC) BlockShape() (int64, int64) { return a.br, a.bd }
 
-// MultiplyAdd implements Matrix: the range kernel over all of K.
-func (a *BCSC) MultiplyAdd(y, x []float64) {
-	CheckShapes(a, y, x)
-	a.mulRange(y, x, 0, int64(len(a.vals))-1, false)
-}
-
-// MultiplyAddT implements Matrix: the adjoint range kernel over all of K.
-func (a *BCSC) MultiplyAddT(y, x []float64) {
-	checkShapesT(a, y, x)
-	a.mulRange(y, x, 0, int64(len(a.vals))-1, true)
-}
-
 // MultiplyAddPart implements Matrix.
 func (a *BCSC) MultiplyAddPart(y, x []float64, kset index.IntervalSet) {
 	CheckShapes(a, y, x)

@@ -147,18 +147,6 @@ func (a *BCSR) Format() string { return "BCSR" }
 // BlockShape returns the (br, bd) block dimensions.
 func (a *BCSR) BlockShape() (int64, int64) { return a.br, a.bd }
 
-// MultiplyAdd implements Matrix: the range kernel over all of K.
-func (a *BCSR) MultiplyAdd(y, x []float64) {
-	CheckShapes(a, y, x)
-	a.mulRange(y, x, 0, int64(len(a.vals))-1, false)
-}
-
-// MultiplyAddT implements Matrix: the adjoint range kernel over all of K.
-func (a *BCSR) MultiplyAddT(y, x []float64) {
-	checkShapesT(a, y, x)
-	a.mulRange(y, x, 0, int64(len(a.vals))-1, true)
-}
-
 // MultiplyAddPart implements Matrix.
 func (a *BCSR) MultiplyAddPart(y, x []float64, kset index.IntervalSet) {
 	CheckShapes(a, y, x)

@@ -64,18 +64,6 @@ func (a *COO) NNZ() int64 { return int64(len(a.vals)) }
 // Format implements Matrix.
 func (a *COO) Format() string { return "COO" }
 
-// MultiplyAdd implements Matrix: the range kernel over all of K.
-func (a *COO) MultiplyAdd(y, x []float64) {
-	CheckShapes(a, y, x)
-	a.mulRange(y, x, 0, int64(len(a.vals))-1)
-}
-
-// MultiplyAddT implements Matrix: the adjoint range kernel over all of K.
-func (a *COO) MultiplyAddT(y, x []float64) {
-	checkShapesT(a, y, x)
-	a.mulRangeT(y, x, 0, int64(len(a.vals))-1)
-}
-
 // MultiplyAddPart implements Matrix.
 func (a *COO) MultiplyAddPart(y, x []float64, kset index.IntervalSet) {
 	CheckShapes(a, y, x)

@@ -88,21 +88,9 @@ func (a *CSC) NNZ() int64 { return int64(len(a.vals)) }
 // Format implements Matrix.
 func (a *CSC) Format() string { return "CSC" }
 
-// MultiplyAdd implements Matrix: the range kernel over all of K. CSC is
-// CSR of the transpose, so its forward product is the compressed
-// formats' scatter kernel and its adjoint the gather kernel (csr.go).
-func (a *CSC) MultiplyAdd(y, x []float64) {
-	CheckShapes(a, y, x)
-	scatterRange(y, x, a.colptr, a.rowIdx, a.vals, 0, int64(len(a.vals))-1)
-}
-
-// MultiplyAddT implements Matrix: the adjoint range kernel over all of K.
-func (a *CSC) MultiplyAddT(y, x []float64) {
-	checkShapesT(a, y, x)
-	gatherRange(y, x, a.colptr, a.rowIdx, a.vals, 0, int64(len(a.vals))-1)
-}
-
-// MultiplyAddPart implements Matrix.
+// MultiplyAddPart implements Matrix. CSC is CSR of the transpose, so its
+// forward product is the compressed formats' scatter kernel and its
+// adjoint the gather kernel (csr.go).
 func (a *CSC) MultiplyAddPart(y, x []float64, kset index.IntervalSet) {
 	CheckShapes(a, y, x)
 	for _, iv := range kset.Intervals() {

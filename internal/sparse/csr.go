@@ -97,18 +97,6 @@ func (a *CSR) ColIdx() []int64 { return a.colIdx }
 // Vals returns the value array (not to be modified).
 func (a *CSR) Vals() []float64 { return a.vals }
 
-// MultiplyAdd implements Matrix: the range kernel over all of K.
-func (a *CSR) MultiplyAdd(y, x []float64) {
-	CheckShapes(a, y, x)
-	gatherRange(y, x, a.rowptr, a.colIdx, a.vals, 0, int64(len(a.vals))-1)
-}
-
-// MultiplyAddT implements Matrix: the adjoint range kernel over all of K.
-func (a *CSR) MultiplyAddT(y, x []float64) {
-	checkShapesT(a, y, x)
-	scatterRange(y, x, a.rowptr, a.colIdx, a.vals, 0, int64(len(a.vals))-1)
-}
-
 // MultiplyAddPart implements Matrix.
 func (a *CSR) MultiplyAddPart(y, x []float64, kset index.IntervalSet) {
 	CheckShapes(a, y, x)

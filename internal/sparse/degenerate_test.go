@@ -76,8 +76,7 @@ func TestDegenerateShapes(t *testing.T) {
 						t.Errorf("SpMVT off dense reference by %g", d)
 					}
 
-					// Partial products must tile, and the whole product is
-					// the range kernel over all of K.
+					// Partial products must tile.
 					checkRangeKernels(t, m, r, x, w, wantY, wantZ)
 				})
 			}

@@ -63,18 +63,6 @@ func (a *Dense) At(i, j int64) float64 { return a.vals[i*a.cols+j] }
 // Set stores v at (i, j).
 func (a *Dense) Set(i, j int64, v float64) { a.vals[i*a.cols+j] = v }
 
-// MultiplyAdd implements Matrix: the range kernel over all of K.
-func (a *Dense) MultiplyAdd(y, x []float64) {
-	CheckShapes(a, y, x)
-	a.mulRange(y, x, 0, a.rows*a.cols-1)
-}
-
-// MultiplyAddT implements Matrix: the adjoint range kernel over all of K.
-func (a *Dense) MultiplyAddT(y, x []float64) {
-	checkShapesT(a, y, x)
-	a.mulRangeT(y, x, 0, a.rows*a.cols-1)
-}
-
 // MultiplyAddPart implements Matrix.
 func (a *Dense) MultiplyAddPart(y, x []float64, kset index.IntervalSet) {
 	CheckShapes(a, y, x)

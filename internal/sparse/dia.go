@@ -88,18 +88,6 @@ func (a *DIA) Format() string { return "DIA" }
 // NumDiagonals returns the number of stored diagonals.
 func (a *DIA) NumDiagonals() int { return len(a.offsets) }
 
-// MultiplyAdd implements Matrix: the range kernel over all of K.
-func (a *DIA) MultiplyAdd(y, x []float64) {
-	CheckShapes(a, y, x)
-	a.mulIntervals(y, x, []index.Interval{{Lo: 0, Hi: int64(len(a.vals)) - 1}}, false)
-}
-
-// MultiplyAddT implements Matrix: the adjoint range kernel over all of K.
-func (a *DIA) MultiplyAddT(y, x []float64) {
-	checkShapesT(a, y, x)
-	a.mulIntervals(y, x, []index.Interval{{Lo: 0, Hi: int64(len(a.vals)) - 1}}, true)
-}
-
 // MultiplyAddPart implements Matrix.
 func (a *DIA) MultiplyAddPart(y, x []float64, kset index.IntervalSet) {
 	CheckShapes(a, y, x)

@@ -12,8 +12,11 @@
 //
 // Computational kernels are expressed as in-place multiply-adds
 // (y ← Ax + y), the primitive into which Section 4.1 decomposes all
-// matrix-vector products on multi-operator systems, with restricted
-// variants that process only the kernel points of a partition piece.
+// matrix-vector products on multi-operator systems. A format supplies
+// one range kernel per direction, processing only the kernel points of
+// a partition piece; the whole-matrix products MultiplyAdd,
+// MultiplyAddT, SpMV and SpMVT are package functions that run it over
+// all of K.
 //
 // The package also provides the stencil matrix generators used throughout
 // the paper's evaluation: 3-point 1D, 5-point 2D, 7-point 3D, and 27-point

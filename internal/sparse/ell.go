@@ -86,18 +86,6 @@ func (a *ELL) Format() string { return "ELL" }
 // Width returns the fixed number of slots per row.
 func (a *ELL) Width() int64 { return a.width }
 
-// MultiplyAdd implements Matrix: the range kernel over all of K.
-func (a *ELL) MultiplyAdd(y, x []float64) {
-	CheckShapes(a, y, x)
-	slotGatherRange(y, x, a.colIdx, a.vals, a.width, 0, a.rows*a.width-1)
-}
-
-// MultiplyAddT implements Matrix: the adjoint range kernel over all of K.
-func (a *ELL) MultiplyAddT(y, x []float64) {
-	checkShapesT(a, y, x)
-	slotScatterRange(y, x, a.colIdx, a.vals, a.width, 0, a.rows*a.width-1)
-}
-
 // MultiplyAddPart implements Matrix.
 func (a *ELL) MultiplyAddPart(y, x []float64, kset index.IntervalSet) {
 	CheckShapes(a, y, x)
@@ -225,18 +213,6 @@ func (a *ELLPrime) NNZ() int64 { return a.cols * a.width }
 
 // Format implements Matrix.
 func (a *ELLPrime) Format() string { return "ELL'" }
-
-// MultiplyAdd implements Matrix: the range kernel over all of K.
-func (a *ELLPrime) MultiplyAdd(y, x []float64) {
-	CheckShapes(a, y, x)
-	slotScatterRange(y, x, a.rowIdx, a.vals, a.width, 0, a.cols*a.width-1)
-}
-
-// MultiplyAddT implements Matrix: the adjoint range kernel over all of K.
-func (a *ELLPrime) MultiplyAddT(y, x []float64) {
-	checkShapesT(a, y, x)
-	slotGatherRange(y, x, a.rowIdx, a.vals, a.width, 0, a.cols*a.width-1)
-}
 
 // MultiplyAddPart implements Matrix.
 func (a *ELLPrime) MultiplyAddPart(y, x []float64, kset index.IntervalSet) {

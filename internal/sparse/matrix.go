@@ -12,8 +12,10 @@ import (
 // column relation (K ↔ D) that place each stored number in the grid.
 //
 // Vectors are dense []float64 slices indexed by the linearized domain and
-// range spaces. All kernels are in-place multiply-adds; use SpMV for the
-// assign-form product.
+// range spaces. A format contributes its relations and one range kernel
+// per direction, both in-place multiply-adds over a subset of K; the
+// whole-matrix products (MultiplyAdd, MultiplyAddT, SpMV, SpMVT) are
+// package functions that run the range kernel over all of K.
 type Matrix interface {
 	// Domain returns the domain space D (columns, solution vector).
 	Domain() index.Space
@@ -32,10 +34,6 @@ type Matrix interface {
 	NNZ() int64
 	// Format returns the storage format name ("CSR", "COO", ...).
 	Format() string
-	// MultiplyAdd computes y += A·x.
-	MultiplyAdd(y, x []float64)
-	// MultiplyAddT computes y += Aᵀ·x.
-	MultiplyAddT(y, x []float64)
 	// MultiplyAddPart computes the contributions of kernel points in kset
 	// only: y[row(k)] += A_k · x[col(k)] for k ∈ kset.
 	MultiplyAddPart(y, x []float64, kset index.IntervalSet)
@@ -43,12 +41,24 @@ type Matrix interface {
 	MultiplyAddTPart(y, x []float64, kset index.IntervalSet)
 }
 
+// MultiplyAdd computes y += A·x: the range kernel over all of K.
+func MultiplyAdd(a Matrix, y, x []float64) {
+	CheckShapes(a, y, x)
+	a.MultiplyAddPart(y, x, a.Kernel().Set)
+}
+
+// MultiplyAddT computes y += Aᵀ·x: the adjoint range kernel over all of K.
+func MultiplyAddT(a Matrix, y, x []float64) {
+	checkShapesT(a, y, x)
+	a.MultiplyAddTPart(y, x, a.Kernel().Set)
+}
+
 // SpMV computes y = A·x, overwriting y.
 func SpMV(a Matrix, y, x []float64) {
 	for i := range y {
 		y[i] = 0
 	}
-	a.MultiplyAdd(y, x)
+	MultiplyAdd(a, y, x)
 }
 
 // SpMVT computes y = Aᵀ·x, overwriting y.
@@ -56,7 +66,7 @@ func SpMVT(a Matrix, y, x []float64) {
 	for i := range y {
 		y[i] = 0
 	}
-	a.MultiplyAddT(y, x)
+	MultiplyAddT(a, y, x)
 }
 
 // Dims returns (rows, cols) of the matrix.

@@ -103,18 +103,6 @@ func (a *StencilOperator) Format() string { return "Stencil(" + a.kind.String() 
 // Grid returns the underlying grid.
 func (a *StencilOperator) Grid() index.Grid { return a.grid }
 
-// MultiplyAdd implements Matrix: the range kernel over all of K.
-func (a *StencilOperator) MultiplyAdd(y, x []float64) {
-	CheckShapes(a, y, x)
-	a.mulIntervals(y, x, []index.Interval{{Lo: 0, Hi: a.NNZ() - 1}}, false)
-}
-
-// MultiplyAddT implements Matrix: the adjoint range kernel over all of K.
-func (a *StencilOperator) MultiplyAddT(y, x []float64) {
-	checkShapesT(a, y, x)
-	a.mulIntervals(y, x, []index.Interval{{Lo: 0, Hi: a.NNZ() - 1}}, true)
-}
-
 // MultiplyAddPart implements Matrix.
 func (a *StencilOperator) MultiplyAddPart(y, x []float64, kset index.IntervalSet) {
 	CheckShapes(a, y, x)

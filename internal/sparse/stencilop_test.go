@@ -41,9 +41,9 @@ func TestStencilOperatorAdjoint(t *testing.T) {
 			x[i] = r.NormFloat64()
 		}
 		want := make([]float64, n)
-		c.ref.MultiplyAddT(want, x)
+		MultiplyAddT(c.ref, want, x)
 		got := make([]float64, n)
-		c.op.MultiplyAddT(got, x)
+		MultiplyAddT(c.op, got, x)
 		if !densesEqual(got, want, 1e-12) {
 			t.Errorf("%s adjoint mismatch", c.op.Format())
 		}
@@ -52,8 +52,7 @@ func TestStencilOperatorAdjoint(t *testing.T) {
 
 func TestStencilOperatorPartitioned(t *testing.T) {
 	// Range kernels over any split of the kernel space must sum to the
-	// assembled operator's products, forward and adjoint, and the whole
-	// product is the range kernel over all of K.
+	// assembled operator's products, forward and adjoint.
 	r := rand.New(rand.NewSource(5))
 	for _, c := range stencilCases() {
 		n := c.op.n
@@ -90,8 +89,8 @@ func TestDiagLayoutPaddingRuns(t *testing.T) {
 			w[i] = float64(i%3) - 2
 		}
 		wantY, wantZ := make([]float64, rows), make([]float64, cols)
-		m.MultiplyAdd(wantY, x)
-		m.MultiplyAddT(wantZ, w)
+		MultiplyAdd(m, wantY, x)
+		MultiplyAddT(m, wantZ, w)
 		var padding index.IntervalSet
 		y, z := make([]float64, rows), make([]float64, cols)
 		for k := int64(0); k < m.Kernel().Size(); k++ {
@@ -127,7 +126,7 @@ func TestStencilOperatorRelationsSound(t *testing.T) {
 			x[i] = float64(i%13) + 1
 		}
 		want := make([]float64, n)
-		c.op.MultiplyAdd(want, x)
+		MultiplyAdd(c.op, want, x)
 		rp := index.EqualPartition(c.op.Range(), 3)
 		for p := 0; p < 3; p++ {
 			kset := c.op.RowRelation().Preimage(rp.Piece(p))

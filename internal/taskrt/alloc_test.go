@@ -34,9 +34,9 @@ func TestReplayLaunchAllocs(t *testing.T) {
 		{Name: "consume", Refs: []region.Ref{ref(b, region.ReadWrite)}, Run: noop, Detached: true},
 	}
 	iter := func() {
-		rt.BeginTrace("alloc")
-		rt.LaunchBatch(specs)
-		rt.EndTrace()
+		rt.DefaultSession().BeginTrace("alloc")
+		rt.DefaultSession().LaunchBatch(specs)
+		rt.DefaultSession().EndTrace()
 		rt.Drain()
 	}
 	// Record, calibrate, then enough replays to warm every pool and the
@@ -64,8 +64,7 @@ func TestReplayLaunchAllocs(t *testing.T) {
 }
 
 // BenchmarkReplayIteration is the wall-clock companion of the alloc
-// test: one replayed three-task iteration, end to end. benchlaunch
-// reports the same quantity for BENCH_pr6.json.
+// test: one replayed three-task iteration, end to end.
 func BenchmarkReplayIteration(b *testing.B) {
 	rt := New()
 	rt.SetGraphRetention(false)
@@ -82,9 +81,9 @@ func BenchmarkReplayIteration(b *testing.B) {
 		{Name: "consume", Refs: []region.Ref{ref(rb, region.ReadWrite)}, Run: noop, Detached: true},
 	}
 	iter := func() {
-		rt.BeginTrace("bench")
-		rt.LaunchBatch(specs)
-		rt.EndTrace()
+		rt.DefaultSession().BeginTrace("bench")
+		rt.DefaultSession().LaunchBatch(specs)
+		rt.DefaultSession().EndTrace()
 		rt.Drain()
 	}
 	for i := 0; i < 8; i++ {
@@ -111,7 +110,7 @@ func TestAnalyzedLaunchAllocsBounded(t *testing.T) {
 	ref := region.Ref{Region: a.ID(), Field: "x", Subset: index.Span(0, 255), Priv: region.ReadWrite}
 	spec := TaskSpec{Name: "rmw", Refs: []region.Ref{ref}, Run: func() float64 { return 0 }, Detached: true}
 	iter := func() {
-		rt.Launch(spec)
+		rt.DefaultSession().Launch(spec)
 		rt.Drain()
 	}
 	for i := 0; i < 8; i++ {

@@ -9,6 +9,14 @@
 // and reduction tasks into overlapping data are serialized in launch order
 // so floating-point results stay deterministic.
 //
+// Session is the launch API: Launch, LaunchBatch, IndexLaunch, trace
+// scopes (BeginTrace/EndTrace), the phase label, the retry policy, the
+// watchdog, the fault injector, and the recorder are all methods of a
+// Session. A Runtime (New) owns only what is machine-wide — the worker
+// pool, the dependence history, the recorded Graph, Stats, Drain and the
+// joined Err — and hands out sessions: DefaultSession for a
+// single-client program, NewSession per tenant of a shared runtime.
+//
 // Alongside real execution, every launch is recorded into a task Graph
 // annotated with a simulated processor assignment, a roofline cost, and
 // the bytes each dependence edge carries. The discrete-event simulator
@@ -39,12 +47,12 @@
 //     their futures resolve to NaN with an error wrapping ErrPoisoned that
 //     names the root failure. No successor of a permanently failed task
 //     ever runs on garbage data.
-//   - A watchdog (SetWatchdog) flags tasks running past a wall-clock
+//   - A watchdog (Session.SetWatchdog) flags tasks running past a wall-clock
 //     budget as stragglers in Stats and the attached obs.Recorder.
 //   - Failures, retries, cancellations, and straggler flags are counted in
 //     Stats and reported through the obs telemetry (span outcomes and
 //     failure records).
-//   - Deterministic fault injection (package fault, SetFaultInjector)
+//   - Deterministic fault injection (package fault, Session.SetFaultInjector)
 //     exercises every one of these paths reproducibly.
 //
 // # Postcondition: Drain, then Err

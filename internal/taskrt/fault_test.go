@@ -16,12 +16,12 @@ import (
 
 func TestFaultRetryThenSucceed(t *testing.T) {
 	rt := New()
-	rt.SetRetryPolicy(RetryPolicy{MaxAttempts: 3})
+	rt.DefaultSession().SetRetryPolicy(RetryPolicy{MaxAttempts: 3})
 	rec := obs.NewRecorder()
-	rt.SetRecorder(rec)
+	rt.DefaultSession().SetRecorder(rec)
 
 	var attempts atomic.Int64
-	f := rt.Launch(TaskSpec{
+	f := rt.DefaultSession().Launch(TaskSpec{
 		Name:      "flaky",
 		Retryable: true,
 		Run: func() float64 {
@@ -63,9 +63,9 @@ func TestFaultRetryThenSucceed(t *testing.T) {
 
 func TestFaultRetryBudgetExhausted(t *testing.T) {
 	rt := New()
-	rt.SetRetryPolicy(RetryPolicy{MaxAttempts: 2})
+	rt.DefaultSession().SetRetryPolicy(RetryPolicy{MaxAttempts: 2})
 	var attempts atomic.Int64
-	f := rt.Launch(TaskSpec{
+	f := rt.DefaultSession().Launch(TaskSpec{
 		Name:      "doomed",
 		Retryable: true,
 		Run:       func() float64 { attempts.Add(1); panic("persistent") },
@@ -89,9 +89,9 @@ func TestFaultRetryBudgetExhausted(t *testing.T) {
 
 func TestFaultNonRetryableFailsImmediately(t *testing.T) {
 	rt := New()
-	rt.SetRetryPolicy(RetryPolicy{MaxAttempts: 5})
+	rt.DefaultSession().SetRetryPolicy(RetryPolicy{MaxAttempts: 5})
 	var attempts atomic.Int64
-	rt.Launch(TaskSpec{
+	rt.DefaultSession().Launch(TaskSpec{
 		Name: "rmw", // not Retryable: read-modify-write bodies must not re-run
 		Run:  func() float64 { attempts.Add(1); panic("boom") },
 	})
@@ -110,27 +110,27 @@ func TestFaultPoisonPropagationDiamond(t *testing.T) {
 	// ErrPoisoned naming A.
 	rt := New()
 	rec := obs.NewRecorder()
-	rt.SetRecorder(rec)
+	rt.DefaultSession().SetRecorder(rec)
 	r := region.New("v", index.NewSpace("D", 8), "x")
 	var ran atomic.Int64
 	body := func() float64 { ran.Add(1); return 1 }
 
-	rt.Launch(TaskSpec{
+	rt.DefaultSession().Launch(TaskSpec{
 		Name: "A",
 		Refs: []region.Ref{ref(r, "x", 0, 7, region.WriteDiscard)},
 		Run:  func() float64 { panic("root cause") },
 	})
-	b := rt.Launch(TaskSpec{
+	b := rt.DefaultSession().Launch(TaskSpec{
 		Name: "B",
 		Refs: []region.Ref{ref(r, "x", 0, 3, region.ReadWrite)},
 		Run:  body,
 	})
-	c := rt.Launch(TaskSpec{
+	c := rt.DefaultSession().Launch(TaskSpec{
 		Name: "C",
 		Refs: []region.Ref{ref(r, "x", 4, 7, region.ReadWrite)},
 		Run:  body,
 	})
-	d := rt.Launch(TaskSpec{
+	d := rt.DefaultSession().Launch(TaskSpec{
 		Name: "D",
 		Refs: []region.Ref{ref(r, "x", 0, 7, region.ReadOnly)},
 		Run:  body,
@@ -178,11 +178,11 @@ func TestFaultPoisonPropagationDiamond(t *testing.T) {
 func TestFaultPoisonClearedByRecovery(t *testing.T) {
 	// A retryable task that recovers must NOT poison its successors.
 	rt := New()
-	rt.SetRetryPolicy(RetryPolicy{MaxAttempts: 2})
+	rt.DefaultSession().SetRetryPolicy(RetryPolicy{MaxAttempts: 2})
 	r := region.New("v", index.NewSpace("D", 4), "x")
 	data := r.Field("x")
 	var first atomic.Bool
-	rt.Launch(TaskSpec{
+	rt.DefaultSession().Launch(TaskSpec{
 		Name:      "flaky-writer",
 		Retryable: true,
 		Refs:      []region.Ref{ref(r, "x", 0, 3, region.WriteDiscard)},
@@ -196,7 +196,7 @@ func TestFaultPoisonClearedByRecovery(t *testing.T) {
 			return 0
 		},
 	})
-	sum := rt.Launch(TaskSpec{
+	sum := rt.DefaultSession().Launch(TaskSpec{
 		Name: "reader",
 		Refs: []region.Ref{ref(r, "x", 0, 3, region.ReadOnly)},
 		Run: func() float64 {
@@ -227,7 +227,7 @@ func TestFaultErrAggregatesDistinctFailures(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		msg := "independent-" + string(rune('a'+i))
 		lo := int64(i * 10)
-		rt.Launch(TaskSpec{
+		rt.DefaultSession().Launch(TaskSpec{
 			Name: "f",
 			Refs: []region.Ref{ref(r, "x", lo, lo+9, region.ReadWrite)},
 			Run:  func() float64 { panic(msg) },
@@ -252,11 +252,11 @@ func TestFaultInjectorDeterministicThroughRuntime(t *testing.T) {
 	// Same seed, same single-threaded launch order ⇒ the same tasks fail.
 	run := func() []bool {
 		rt := New()
-		rt.SetFaultInjector(fault.NewInjector(fault.Plan{Seed: 5, PanicRate: 0.3}))
+		rt.DefaultSession().SetFaultInjector(fault.NewInjector(fault.Plan{Seed: 5, PanicRate: 0.3}))
 		r := region.New("v", index.NewSpace("D", 4), "x")
 		var futs []*Future
 		for i := 0; i < 40; i++ {
-			futs = append(futs, rt.Launch(TaskSpec{
+			futs = append(futs, rt.DefaultSession().Launch(TaskSpec{
 				Name: "t",
 				Refs: []region.Ref{ref(r, "x", 0, 3, region.ReadWrite)},
 				Run:  func() float64 { return 1 },
@@ -288,9 +288,9 @@ func TestFaultInjectorDeterministicThroughRuntime(t *testing.T) {
 
 func TestFaultInjectedNaNIsSilent(t *testing.T) {
 	rt := New()
-	rt.SetFaultInjector(fault.NewInjector(fault.Plan{Seed: 1, NaNRate: 1}))
+	rt.DefaultSession().SetFaultInjector(fault.NewInjector(fault.Plan{Seed: 1, NaNRate: 1}))
 	var ran atomic.Bool
-	f := rt.Launch(TaskSpec{Name: "t", Run: func() float64 { ran.Store(true); return 4 }})
+	f := rt.DefaultSession().Launch(TaskSpec{Name: "t", Run: func() float64 { ran.Store(true); return 4 }})
 	rt.Drain()
 	if !ran.Load() {
 		t.Fatal("NaN corruption must still run the body")
@@ -307,9 +307,9 @@ func TestFaultInjectedPanicRecoversViaRetry(t *testing.T) {
 	// Non-sticky injected panics fire only on attempt 0, so a retryable
 	// task recovers on its first retry.
 	rt := New()
-	rt.SetFaultInjector(fault.NewInjector(fault.Plan{Seed: 1, PanicRate: 1}))
-	rt.SetRetryPolicy(RetryPolicy{MaxAttempts: 2})
-	f := rt.Launch(TaskSpec{Name: "t", Retryable: true, Run: func() float64 { return 6 }})
+	rt.DefaultSession().SetFaultInjector(fault.NewInjector(fault.Plan{Seed: 1, PanicRate: 1}))
+	rt.DefaultSession().SetRetryPolicy(RetryPolicy{MaxAttempts: 2})
+	f := rt.DefaultSession().Launch(TaskSpec{Name: "t", Retryable: true, Run: func() float64 { return 6 }})
 	rt.Drain()
 	if got := f.Value(); got != 6 {
 		t.Fatalf("Value = %g, want 6 after clean retry", got)
@@ -321,9 +321,9 @@ func TestFaultInjectedPanicRecoversViaRetry(t *testing.T) {
 
 func TestFaultStickyPanicDefeatsRetry(t *testing.T) {
 	rt := New()
-	rt.SetFaultInjector(fault.NewInjector(fault.Plan{Seed: 1, PanicRate: 1, Sticky: true}))
-	rt.SetRetryPolicy(RetryPolicy{MaxAttempts: 3})
-	f := rt.Launch(TaskSpec{Name: "t", Retryable: true, Run: func() float64 { return 6 }})
+	rt.DefaultSession().SetFaultInjector(fault.NewInjector(fault.Plan{Seed: 1, PanicRate: 1, Sticky: true}))
+	rt.DefaultSession().SetRetryPolicy(RetryPolicy{MaxAttempts: 3})
+	f := rt.DefaultSession().Launch(TaskSpec{Name: "t", Retryable: true, Run: func() float64 { return 6 }})
 	rt.Drain()
 	if !math.IsNaN(f.Value()) {
 		t.Fatal("sticky fault must re-fire on every attempt")
@@ -336,16 +336,16 @@ func TestFaultStickyPanicDefeatsRetry(t *testing.T) {
 func TestFaultWatchdogFlagsStraggler(t *testing.T) {
 	rt := New()
 	rec := obs.NewRecorder()
-	rt.SetRecorder(rec)
-	rt.SetWatchdog(5 * time.Millisecond)
-	f := rt.Launch(TaskSpec{
+	rt.DefaultSession().SetRecorder(rec)
+	rt.DefaultSession().SetWatchdog(5 * time.Millisecond)
+	f := rt.DefaultSession().Launch(TaskSpec{
 		Name: "slow",
 		Run: func() float64 {
 			time.Sleep(60 * time.Millisecond)
 			return 9
 		},
 	})
-	rt.Launch(TaskSpec{Name: "fast", Run: func() float64 { return 1 }})
+	rt.DefaultSession().Launch(TaskSpec{Name: "fast", Run: func() float64 { return 1 }})
 	rt.Drain()
 	if f.Value() != 9 {
 		t.Fatal("straggler must still complete")
@@ -372,11 +372,11 @@ func TestFaultWatchdogFlagsStraggler(t *testing.T) {
 
 func TestFaultInjectedStallTriggersWatchdog(t *testing.T) {
 	rt := New()
-	rt.SetWatchdog(5 * time.Millisecond)
-	rt.SetFaultInjector(fault.NewInjector(fault.Plan{
+	rt.DefaultSession().SetWatchdog(5 * time.Millisecond)
+	rt.DefaultSession().SetFaultInjector(fault.NewInjector(fault.Plan{
 		Seed: 1, StallRate: 1, StallFor: 40 * time.Millisecond,
 	}))
-	f := rt.Launch(TaskSpec{Name: "t", Run: func() float64 { return 2 }})
+	f := rt.DefaultSession().Launch(TaskSpec{Name: "t", Run: func() float64 { return 2 }})
 	rt.Drain()
 	if f.Value() != 2 {
 		t.Fatal("stalled task must still produce its value")

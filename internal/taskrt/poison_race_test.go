@@ -50,13 +50,13 @@ func TestMidFlightFailurePoisonsLateWiredConsumers(t *testing.T) {
 	// scenario: with it parked, inflight never reaches zero, so the
 	// failure below stays "mid-flight" rather than drained.
 	release := make(chan struct{})
-	rt.Launch(TaskSpec{ // id 0
+	rt.DefaultSession().Launch(TaskSpec{ // id 0
 		Name: "blocker",
 		Refs: []region.Ref{ref(park, "x", 0, 0, region.ReadWrite)},
 		Run:  func() float64 { <-release; return 0 },
 	})
 
-	bad := rt.Launch(TaskSpec{ // id 1
+	bad := rt.DefaultSession().Launch(TaskSpec{ // id 1
 		Name: "producer",
 		Refs: []region.Ref{ref(r, "x", 0, 7, region.WriteDiscard)},
 		Run:  func() float64 { panic("producer died") },
@@ -70,7 +70,7 @@ func TestMidFlightFailurePoisonsLateWiredConsumers(t *testing.T) {
 	// dead producer in the history shards, so it must pick the poison up
 	// from the failure ledger.
 	var ran atomic.Int64
-	lone := rt.Launch(TaskSpec{
+	lone := rt.DefaultSession().Launch(TaskSpec{
 		Name: "consumer",
 		Refs: []region.Ref{ref(r, "x", 0, 7, region.ReadOnly)},
 		Run:  func() float64 { ran.Add(1); return 1 },
@@ -79,7 +79,7 @@ func TestMidFlightFailurePoisonsLateWiredConsumers(t *testing.T) {
 	// Batch path: the batch's unlocked resolve phase is the original
 	// race window. One spec consumes the failed region, one is
 	// independent and must be unaffected.
-	futs := rt.LaunchBatch([]TaskSpec{
+	futs := rt.DefaultSession().LaunchBatch([]TaskSpec{
 		{
 			Name: "batch-consumer",
 			Refs: []region.Ref{ref(r, "x", 0, 7, region.ReadWrite)},
@@ -119,7 +119,7 @@ func TestMidFlightFailurePoisonsLateWiredConsumers(t *testing.T) {
 	if ledger != 0 {
 		t.Errorf("failure ledger holds %d entries after quiescence", ledger)
 	}
-	clean := rt.Launch(TaskSpec{
+	clean := rt.DefaultSession().Launch(TaskSpec{
 		Name: "recovery",
 		Refs: []region.Ref{ref(r, "x", 0, 7, region.WriteDiscard)},
 		Run:  func() float64 { return 7 },
@@ -155,7 +155,7 @@ func TestPoisonLedgerHammer(t *testing.T) {
 			for i := 0; i < rounds; i++ {
 				val := float64(i + 1)
 				fail := i%5 == 3
-				rt.LaunchBatch([]TaskSpec{
+				rt.DefaultSession().LaunchBatch([]TaskSpec{
 					{
 						Name: "w",
 						Refs: []region.Ref{ref(r, "x", lo, hi, region.WriteDiscard)},

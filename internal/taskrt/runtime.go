@@ -25,7 +25,8 @@ type TaskSpec struct {
 	// Name labels the task kind for diagnostics and the recorded graph.
 	Name string
 	// Phase optionally labels the solver phase the task belongs to; an
-	// empty Phase inherits the runtime's current phase (SetPhase).
+	// empty Phase inherits the launching session's current phase
+	// (Session.SetPhase).
 	Phase string
 	// Proc is the simulated processor the mapper chose for the task.
 	Proc int
@@ -363,15 +364,13 @@ type launchScratch struct {
 	ready    []*taskState
 }
 
-// Runtime launches tasks, derives their dependence graph from region
-// references, executes them concurrently on a goroutine pool, and records
-// the annotated graph for the simulator. The zero value is not usable;
-// call New.
+// Runtime owns what is machine-wide: the dependence engine, the worker
+// pool that executes ready tasks, and the annotated graph recorded for
+// the simulator. Tasks are launched through a Session (DefaultSession
+// for a single client, NewSession per tenant); the runtime itself has no
+// launch methods. The zero value is not usable; call New.
 //
-// Launch, LaunchBatch, Drain, and Graph are safe for concurrent use.
-// Trace scopes (BeginTrace/EndTrace) assume a single launching goroutine
-// between them — the usual solver client; concurrent launchers may be
-// used outside trace scopes.
+// Drain, Err, Graph, and Stats are safe for concurrent use.
 type Runtime struct {
 	mu        sync.Mutex
 	hist      map[histKey]*histShard
@@ -381,11 +380,10 @@ type Runtime struct {
 	nextFlush int64          // next task ID to append to graph.Nodes
 	held      map[int64]Node // finalized nodes waiting on smaller IDs
 	stats     Stats
-	wg      sync.WaitGroup
-	workers chan int // pool of worker IDs; len = concurrency limit
-	// def is the built-in session the runtime-level session-scoped
-	// methods (SetPhase, Err, BeginTrace, SetFaultInjector, ...) operate
-	// on; sessions lists every live session, def first. The error
+	wg        sync.WaitGroup
+	workers   chan int // pool of worker IDs; len = concurrency limit
+	// def is the built-in session single-client programs launch
+	// through; sessions lists every live session, def first. The error
 	// window, poison ledger, quiescence tracking, phase label, trace
 	// state, injector, and recorder all live per session — see Session.
 	def      *Session
@@ -441,48 +439,6 @@ func New() *Runtime {
 	}
 	return rt
 }
-
-// SetRecorder attaches an observability recorder to the default
-// session: every task it executes from now on records a wall-clock span
-// (launch, start, end, worker, outcome) and failures are reported as
-// telemetry. A nil recorder disables recording. Tasks launched before
-// the call are not back-filled.
-func (rt *Runtime) SetRecorder(r *obs.Recorder) { rt.def.SetRecorder(r) }
-
-// Recorder returns the default session's recorder, or nil.
-func (rt *Runtime) Recorder() *obs.Recorder { return rt.def.Recorder() }
-
-// SetRetryPolicy bounds re-execution of the default session's retryable
-// task bodies: a task whose body panics is re-run (after backoff) until
-// it succeeds or the attempt cap is reached, at which point the failure
-// becomes permanent. The policy applies to tasks executed after the
-// call.
-func (rt *Runtime) SetRetryPolicy(p RetryPolicy) { rt.def.SetRetryPolicy(p) }
-
-// SetFaultInjector installs a fault injector on the default session,
-// consulted once per launch, under the launch lock, so a
-// single-threaded launcher gets a deterministic fault schedule. A nil
-// injector disables injection.
-func (rt *Runtime) SetFaultInjector(in *fault.Injector) { rt.def.SetFaultInjector(in) }
-
-// FaultsActive reports whether the default session has a fault
-// injector. Planner layers use it to skip building per-launch
-// corruption hooks on clean runs.
-func (rt *Runtime) FaultsActive() bool { return rt.def.FaultsActive() }
-
-// SetWatchdog flags the default session's tasks whose execution exceeds
-// budget: Stats.Stragglers is incremented and a "straggler" failure
-// record goes to the attached recorder. The task itself is not
-// interrupted (goroutines cannot be killed safely); the flag is the
-// signal a scheduler or operator acts on. The budget covers one
-// execution attempt: it is re-armed per retry, so backoff sleeps between
-// attempts do not count against it. A zero budget disables the watchdog.
-func (rt *Runtime) SetWatchdog(budget time.Duration) { rt.def.SetWatchdog(budget) }
-
-// SetPhase labels the default session's subsequently launched tasks
-// with a solver-phase name (recorded on Node.Phase and in spans). Specs
-// carrying their own Phase override it.
-func (rt *Runtime) SetPhase(label string) { rt.def.SetPhase(label) }
 
 // SetGraphRetention enables or disables recording of launched tasks into
 // the Graph (on by default). Retention off removes the last per-launch
@@ -740,14 +696,6 @@ func (rt *Runtime) finishLocked(spec *TaskSpec, ts *taskState) bool {
 	return ts.pending == 0
 }
 
-// Launch submits a task under the default session. Dependence analysis
-// against previously launched tasks happens immediately — in parallel
-// across history keys for concurrent launchers, or spliced from a
-// memoized trace template when the launch replays a recorded trace —
-// and execution happens asynchronously once all dependences complete.
-// The returned future delivers Run's result (nil for a Detached spec).
-func (rt *Runtime) Launch(spec TaskSpec) *Future { return rt.launch(rt.def, spec) }
-
 func (rt *Runtime) launch(sess *Session, spec TaskSpec) *Future {
 	start := time.Now()
 	sc := rt.scPool.Get().(*launchScratch)
@@ -778,17 +726,6 @@ func (rt *Runtime) launch(sess *Session, spec TaskSpec) *Future {
 	}
 	return fut
 }
-
-// LaunchBatch submits a slice of tasks as one fused sweep under the
-// default session: the runtime lock is taken once for the whole batch's
-// registration and once for its wiring, instead of twice per task, and
-// the per-key ticket protocol still sees strictly ascending IDs because
-// the batch registers in slice order under a single lock acquisition.
-// Dependences among batch members work exactly as under individual
-// launches. Returns the futures in spec order, or a nil slice when
-// every spec is Detached — the zero-allocation fast path for solver
-// sweeps that never read their futures.
-func (rt *Runtime) LaunchBatch(specs []TaskSpec) []*Future { return rt.launchBatch(rt.def, specs) }
 
 func (rt *Runtime) launchBatch(sess *Session, specs []TaskSpec) []*Future {
 	if len(specs) == 0 {
@@ -1142,41 +1079,9 @@ func (rt *Runtime) Stats() Stats {
 	return rt.stats
 }
 
-// BeginTrace opens a trace scope on the default session: the launches
-// up to the matching EndTrace form one instance of the trace key. The
-// first instance records a fingerprint, the second (if launched back to
-// back with the first) validates it and captures dependence edges, and
-// later back-to-back instances replay those edges without any
-// dependence analysis. Any gap, mismatch, or differently-shaped
-// instance falls back to full analysis automatically — a wrong trace
-// scope costs performance, never correctness. Traces must not nest, and
-// the launches inside a scope must come from a single goroutine.
-func (rt *Runtime) BeginTrace(key string) { rt.def.BeginTrace(key) }
-
-// EndTrace closes the default session's current trace scope and files
-// the instance's outcome: a full replay counts as a trace hit;
-// everything else — the recording and calibrating instances, gaps,
-// fallbacks, short instances — counts as a miss.
-func (rt *Runtime) EndTrace() { rt.def.EndTrace() }
-
 // String summarizes the runtime state.
 func (rt *Runtime) String() string {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	return fmt.Sprintf("runtime(%d tasks, %d edges)", rt.stats.Launched, rt.stats.DepEdges)
-}
-
-// IndexLaunch launches one point task per color of a color space
-// [0, n), the runtime analogue of Legion's index task launches (Soi et
-// al., SC'21): a single logical operation over a partition becomes n
-// point tasks whose dependences the runtime derives individually, as one
-// batch under the fused LaunchBatch locking. point builds the spec for
-// one color. The returned futures are in color order (nil when every
-// point is Detached).
-func (rt *Runtime) IndexLaunch(n int, point func(color int) TaskSpec) []*Future {
-	specs := make([]TaskSpec, n)
-	for c := 0; c < n; c++ {
-		specs[c] = point(c)
-	}
-	return rt.LaunchBatch(specs)
 }

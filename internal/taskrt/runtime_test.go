@@ -23,7 +23,7 @@ func TestRAWDependence(t *testing.T) {
 	r := region.New("v", index.NewSpace("D", 8), "x")
 	data := r.Field("x")
 
-	rt.Launch(TaskSpec{
+	rt.DefaultSession().Launch(TaskSpec{
 		Name: "write",
 		Refs: []region.Ref{ref(r, "x", 0, 7, region.WriteDiscard)},
 		Run: func() float64 {
@@ -33,7 +33,7 @@ func TestRAWDependence(t *testing.T) {
 			return 0
 		},
 	})
-	sum := rt.Launch(TaskSpec{
+	sum := rt.DefaultSession().Launch(TaskSpec{
 		Name: "read",
 		Refs: []region.Ref{ref(r, "x", 0, 7, region.ReadOnly)},
 		Run: func() float64 {
@@ -67,7 +67,7 @@ func TestIndependentTasksHaveNoEdges(t *testing.T) {
 	r := region.New("v", index.NewSpace("D", 16), "x")
 	for c := 0; c < 4; c++ {
 		lo := int64(c * 4)
-		rt.Launch(TaskSpec{
+		rt.DefaultSession().Launch(TaskSpec{
 			Name: "piece",
 			Refs: []region.Ref{ref(r, "x", lo, lo+3, region.ReadWrite)},
 			Run:  func() float64 { return 0 },
@@ -85,7 +85,7 @@ func TestReadersDoNotConflict(t *testing.T) {
 	rt := New()
 	r := region.New("v", index.NewSpace("D", 4), "x")
 	for i := 0; i < 3; i++ {
-		rt.Launch(TaskSpec{
+		rt.DefaultSession().Launch(TaskSpec{
 			Name: "read",
 			Refs: []region.Ref{ref(r, "x", 0, 3, region.ReadOnly)},
 		})
@@ -109,9 +109,9 @@ func TestWARAndWAWSerialize(t *testing.T) {
 			return 0
 		}
 	}
-	rt.Launch(TaskSpec{Name: "w1", Refs: []region.Ref{ref(r, "x", 0, 3, region.ReadWrite)}, Run: log("w1")})
-	rt.Launch(TaskSpec{Name: "r1", Refs: []region.Ref{ref(r, "x", 0, 3, region.ReadOnly)}, Run: log("r1")})
-	rt.Launch(TaskSpec{Name: "w2", Refs: []region.Ref{ref(r, "x", 0, 3, region.WriteDiscard)}, Run: log("w2")})
+	rt.DefaultSession().Launch(TaskSpec{Name: "w1", Refs: []region.Ref{ref(r, "x", 0, 3, region.ReadWrite)}, Run: log("w1")})
+	rt.DefaultSession().Launch(TaskSpec{Name: "r1", Refs: []region.Ref{ref(r, "x", 0, 3, region.ReadOnly)}, Run: log("r1")})
+	rt.DefaultSession().Launch(TaskSpec{Name: "w2", Refs: []region.Ref{ref(r, "x", 0, 3, region.WriteDiscard)}, Run: log("w2")})
 	rt.Drain()
 	if len(order) != 3 || order[0] != "w1" || order[1] != "r1" || order[2] != "w2" {
 		t.Fatalf("order = %v, want [w1 r1 w2]", order)
@@ -136,7 +136,7 @@ func TestReduceSerializedDeterministically(t *testing.T) {
 		data[0] = 0
 		for i := 1; i <= 5; i++ {
 			v := float64(i)
-			rt.Launch(TaskSpec{
+			rt.DefaultSession().Launch(TaskSpec{
 				Name: "reduce",
 				Refs: []region.Ref{ref(r, "x", 0, 0, region.ReduceSum)},
 				Run: func() float64 {
@@ -155,9 +155,9 @@ func TestReduceSerializedDeterministically(t *testing.T) {
 func TestPartialOverlapDependence(t *testing.T) {
 	rt := New()
 	r := region.New("v", index.NewSpace("D", 10), "x")
-	rt.Launch(TaskSpec{Name: "a", Refs: []region.Ref{ref(r, "x", 0, 5, region.ReadWrite)}})
-	rt.Launch(TaskSpec{Name: "b", Refs: []region.Ref{ref(r, "x", 6, 9, region.ReadWrite)}})
-	rt.Launch(TaskSpec{Name: "c", Refs: []region.Ref{ref(r, "x", 4, 7, region.ReadOnly)}})
+	rt.DefaultSession().Launch(TaskSpec{Name: "a", Refs: []region.Ref{ref(r, "x", 0, 5, region.ReadWrite)}})
+	rt.DefaultSession().Launch(TaskSpec{Name: "b", Refs: []region.Ref{ref(r, "x", 6, 9, region.ReadWrite)}})
+	rt.DefaultSession().Launch(TaskSpec{Name: "c", Refs: []region.Ref{ref(r, "x", 4, 7, region.ReadOnly)}})
 	rt.Drain()
 	g := rt.Graph()
 	c := g.Nodes[2]
@@ -178,7 +178,7 @@ func TestHistoryDomination(t *testing.T) {
 	rt := New()
 	r := region.New("v", index.NewSpace("D", 64), "x")
 	for i := 0; i < 50; i++ {
-		rt.Launch(TaskSpec{Name: "w", Refs: []region.Ref{ref(r, "x", 0, 63, region.ReadWrite)}})
+		rt.DefaultSession().Launch(TaskSpec{Name: "w", Refs: []region.Ref{ref(r, "x", 0, 63, region.ReadWrite)}})
 	}
 	rt.Drain()
 	st := rt.Stats()
@@ -199,7 +199,7 @@ func TestNoSelfDependence(t *testing.T) {
 	rt := New()
 	r := region.New("v", index.NewSpace("D", 8), "x")
 	// One task both reads and writes overlapping subsets of one field.
-	rt.Launch(TaskSpec{Name: "rw", Refs: []region.Ref{
+	rt.DefaultSession().Launch(TaskSpec{Name: "rw", Refs: []region.Ref{
 		ref(r, "x", 0, 7, region.ReadOnly),
 		ref(r, "x", 2, 5, region.ReadWrite),
 	}})
@@ -212,7 +212,7 @@ func TestNoSelfDependence(t *testing.T) {
 
 func TestFutures(t *testing.T) {
 	rt := New()
-	f := rt.Launch(TaskSpec{Name: "t", Run: func() float64 { return 42 }})
+	f := rt.DefaultSession().Launch(TaskSpec{Name: "t", Run: func() float64 { return 42 }})
 	if got := f.Value(); got != 42 {
 		t.Fatalf("Value = %g", got)
 	}
@@ -229,10 +229,10 @@ func TestTraceReplayFlags(t *testing.T) {
 	rt := New()
 	r := region.New("v", index.NewSpace("D", 4), "x")
 	iter := func() {
-		rt.BeginTrace("cg-step")
-		rt.Launch(TaskSpec{Name: "a", Refs: []region.Ref{ref(r, "x", 0, 3, region.ReadWrite)}})
-		rt.Launch(TaskSpec{Name: "b", Refs: []region.Ref{ref(r, "x", 0, 3, region.ReadOnly)}})
-		rt.EndTrace()
+		rt.DefaultSession().BeginTrace("cg-step")
+		rt.DefaultSession().Launch(TaskSpec{Name: "a", Refs: []region.Ref{ref(r, "x", 0, 3, region.ReadWrite)}})
+		rt.DefaultSession().Launch(TaskSpec{Name: "b", Refs: []region.Ref{ref(r, "x", 0, 3, region.ReadOnly)}})
+		rt.DefaultSession().EndTrace()
 	}
 	iter() // records the fingerprint
 	iter() // calibrates: validates and captures edges
@@ -262,23 +262,23 @@ func TestTraceReplayFlags(t *testing.T) {
 
 func TestTraceMisuse(t *testing.T) {
 	rt := New()
-	rt.BeginTrace("t")
+	rt.DefaultSession().BeginTrace("t")
 	func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("nested BeginTrace should panic")
 			}
 		}()
-		rt.BeginTrace("u")
+		rt.DefaultSession().BeginTrace("u")
 	}()
-	rt.EndTrace()
+	rt.DefaultSession().EndTrace()
 	func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("unmatched EndTrace should panic")
 			}
 		}()
-		rt.EndTrace()
+		rt.DefaultSession().EndTrace()
 	}()
 }
 
@@ -299,7 +299,7 @@ func TestStressRandomDAGRespectsDependences(t *testing.T) {
 		hi := lo + rng.Int63n(40-lo)
 		p := privs[rng.Intn(len(privs))]
 		i := i
-		rt.Launch(TaskSpec{
+		rt.DefaultSession().Launch(TaskSpec{
 			Name: "t",
 			Refs: []region.Ref{ref(r, "x", lo, hi, p)},
 			Run: func() float64 {
@@ -371,7 +371,7 @@ func TestConcurrentLaunchSafety(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				rt.Launch(TaskSpec{
+				rt.DefaultSession().Launch(TaskSpec{
 					Name: "w",
 					Refs: []region.Ref{
 						ref(own, "x", 0, 15, region.ReadWrite),
@@ -403,7 +403,7 @@ func TestConcurrentLaunchSafety(t *testing.T) {
 
 func TestFutureValueFromManyWaiters(t *testing.T) {
 	rt := New()
-	fut := rt.Launch(TaskSpec{Name: "slow", Run: func() float64 { return 3.5 }})
+	fut := rt.DefaultSession().Launch(TaskSpec{Name: "slow", Run: func() float64 { return 3.5 }})
 	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {
 		wg.Add(1)
@@ -421,10 +421,10 @@ func TestFutureValueFromManyWaiters(t *testing.T) {
 func TestGraphSnapshotIsolation(t *testing.T) {
 	rt := New()
 	r := region.New("v", index.NewSpace("D", 4), "x")
-	rt.Launch(TaskSpec{Name: "a", Refs: []region.Ref{ref(r, "x", 0, 3, region.ReadWrite)}})
+	rt.DefaultSession().Launch(TaskSpec{Name: "a", Refs: []region.Ref{ref(r, "x", 0, 3, region.ReadWrite)}})
 	rt.Drain()
 	g1 := rt.Graph()
-	rt.Launch(TaskSpec{Name: "b", Refs: []region.Ref{ref(r, "x", 0, 3, region.ReadWrite)}})
+	rt.DefaultSession().Launch(TaskSpec{Name: "b", Refs: []region.Ref{ref(r, "x", 0, 3, region.ReadWrite)}})
 	rt.Drain()
 	if g1.Len() != 1 {
 		t.Fatalf("snapshot mutated: %d", g1.Len())
@@ -437,14 +437,14 @@ func TestGraphSnapshotIsolation(t *testing.T) {
 func TestPanickingTaskIsCaptured(t *testing.T) {
 	rt := New()
 	r := region.New("v", index.NewSpace("D", 4), "x")
-	bad := rt.Launch(TaskSpec{
+	bad := rt.DefaultSession().Launch(TaskSpec{
 		Name: "explode",
 		Refs: []region.Ref{ref(r, "x", 0, 3, region.ReadWrite)},
 		Run:  func() float64 { panic("kernel bug") },
 	})
 	// A dependent task must NOT run its body: the failure poisons it.
 	ran := false
-	after := rt.Launch(TaskSpec{
+	after := rt.DefaultSession().Launch(TaskSpec{
 		Name: "after",
 		Refs: []region.Ref{ref(r, "x", 0, 3, region.ReadOnly)},
 		Run:  func() float64 { ran = true; return 1 },
@@ -473,7 +473,7 @@ func TestErrKeepsFirstFailure(t *testing.T) {
 	r := region.New("v", index.NewSpace("D", 1), "x")
 	for i := 0; i < 3; i++ {
 		msg := fmt.Sprintf("boom-%d", i)
-		rt.Launch(TaskSpec{
+		rt.DefaultSession().Launch(TaskSpec{
 			Name: "f",
 			Refs: []region.Ref{ref(r, "x", 0, 0, region.ReadWrite)},
 			Run:  func() float64 { panic(msg) },
@@ -487,7 +487,7 @@ func TestErrKeepsFirstFailure(t *testing.T) {
 
 func TestErrNilOnSuccess(t *testing.T) {
 	rt := New()
-	rt.Launch(TaskSpec{Name: "ok", Run: func() float64 { return 1 }})
+	rt.DefaultSession().Launch(TaskSpec{Name: "ok", Run: func() float64 { return 1 }})
 	rt.Drain()
 	if err := rt.Err(); err != nil {
 		t.Fatalf("Err = %v", err)
@@ -505,12 +505,12 @@ func TestHistoryShrinkingBoundsReaderEntries(t *testing.T) {
 	for i := 0; i < iters; i++ {
 		// Four block writers...
 		for b := int64(0); b < 4; b++ {
-			rt.Launch(TaskSpec{Name: "w", Refs: []region.Ref{
+			rt.DefaultSession().Launch(TaskSpec{Name: "w", Refs: []region.Ref{
 				ref(r, "x", b*16, b*16+15, region.WriteDiscard),
 			}})
 		}
 		// ...then a whole-piece reader.
-		rt.Launch(TaskSpec{Name: "read", Refs: []region.Ref{
+		rt.DefaultSession().Launch(TaskSpec{Name: "read", Refs: []region.Ref{
 			ref(r, "x", 0, 63, region.ReadOnly),
 		}})
 	}
@@ -527,10 +527,10 @@ func TestHistoryShrinkingRoutesBytesPerProducer(t *testing.T) {
 	// writer that produced it — not the full overlap from both.
 	rt := New()
 	r := region.New("y", index.NewSpace("R", 10), "x")
-	w1 := rt.Launch(TaskSpec{Name: "w1", Refs: []region.Ref{ref(r, "x", 0, 9, region.ReadWrite)}})
+	w1 := rt.DefaultSession().Launch(TaskSpec{Name: "w1", Refs: []region.Ref{ref(r, "x", 0, 9, region.ReadWrite)}})
 	_ = w1
-	rt.Launch(TaskSpec{Name: "w2", Refs: []region.Ref{ref(r, "x", 0, 4, region.ReadWrite)}})
-	rt.Launch(TaskSpec{Name: "read", Refs: []region.Ref{ref(r, "x", 0, 9, region.ReadOnly)}})
+	rt.DefaultSession().Launch(TaskSpec{Name: "w2", Refs: []region.Ref{ref(r, "x", 0, 4, region.ReadWrite)}})
+	rt.DefaultSession().Launch(TaskSpec{Name: "read", Refs: []region.Ref{ref(r, "x", 0, 9, region.ReadOnly)}})
 	rt.Drain()
 	g := rt.Graph()
 	read := g.Nodes[2]
@@ -551,7 +551,7 @@ func TestIndexLaunch(t *testing.T) {
 	rt := New()
 	r := region.New("v", index.NewSpace("D", 16), "x")
 	data := r.Field("x")
-	futs := rt.IndexLaunch(4, func(c int) TaskSpec {
+	futs := rt.DefaultSession().IndexLaunch(4, func(c int) TaskSpec {
 		lo := int64(c * 4)
 		return TaskSpec{
 			Name: "fill", Proc: c,
@@ -592,11 +592,11 @@ func TestTraceReplayTwoCyclesSameKey(t *testing.T) {
 	rt := New()
 	r := region.New("v", index.NewSpace("D", 8), "x")
 	cycle := func(key string) {
-		rt.BeginTrace(key)
-		rt.Launch(TaskSpec{Name: "a", Refs: []region.Ref{ref(r, "x", 0, 7, region.ReadWrite)}})
-		rt.Launch(TaskSpec{Name: "b", Refs: []region.Ref{ref(r, "x", 0, 7, region.ReadOnly)}})
-		rt.Launch(TaskSpec{Name: "c", Refs: []region.Ref{ref(r, "x", 0, 7, region.ReadOnly)}})
-		rt.EndTrace()
+		rt.DefaultSession().BeginTrace(key)
+		rt.DefaultSession().Launch(TaskSpec{Name: "a", Refs: []region.Ref{ref(r, "x", 0, 7, region.ReadWrite)}})
+		rt.DefaultSession().Launch(TaskSpec{Name: "b", Refs: []region.Ref{ref(r, "x", 0, 7, region.ReadOnly)}})
+		rt.DefaultSession().Launch(TaskSpec{Name: "c", Refs: []region.Ref{ref(r, "x", 0, 7, region.ReadOnly)}})
+		rt.DefaultSession().EndTrace()
 	}
 	cycle("step")
 	cycle("step")
@@ -630,7 +630,7 @@ func TestIndexLaunchFutureColorOrder(t *testing.T) {
 	// ordering mix-up visible.
 	rt := New()
 	r := region.New("v", index.NewSpace("D", 32), "x")
-	futs := rt.IndexLaunch(8, func(c int) TaskSpec {
+	futs := rt.DefaultSession().IndexLaunch(8, func(c int) TaskSpec {
 		lo := int64(c * 4)
 		return TaskSpec{
 			Name: "point", Proc: 7 - c,

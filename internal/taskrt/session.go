@@ -35,9 +35,8 @@ import (
 // LaunchBatch are safe for concurrent use, trace scopes assume a single
 // launching goroutine per session.
 //
-// Every runtime owns a default session (DefaultSession); the runtime's
-// legacy session-scoped methods (SetPhase, Err, BeginTrace, ...) operate
-// on it, so single-tenant clients keep working unchanged.
+// Every runtime owns a default session (DefaultSession), the one a
+// single-tenant client launches through.
 type Session struct {
 	rt     *Runtime
 	name   string
@@ -90,8 +89,8 @@ type SessionStats struct {
 // counts the evictions.
 const maxSessionErrs = 64
 
-// DefaultSession returns the runtime's built-in session, the one the
-// runtime-level Launch/SetPhase/Err/BeginTrace methods operate on.
+// DefaultSession returns the runtime's built-in session, the launch API
+// of a single-client program. It cannot be closed.
 func (rt *Runtime) DefaultSession() *Session { return rt.def }
 
 // NewSession registers a new session named name. A non-empty name
@@ -151,15 +150,32 @@ func (s *Session) Close() {
 	s.atScratch = nil
 }
 
-// Launch submits a task under this session. See Runtime.Launch.
+// Launch submits a task under this session. Dependence analysis against
+// previously launched tasks happens immediately — in parallel across
+// history keys for concurrent launchers, or spliced from a memoized
+// trace template when the launch replays a recorded trace — and
+// execution happens asynchronously once all dependences complete. The
+// returned future delivers Run's result (nil for a Detached spec).
 func (s *Session) Launch(spec TaskSpec) *Future { return s.rt.launch(s, spec) }
 
-// LaunchBatch submits a fused batch under this session. See
-// Runtime.LaunchBatch.
+// LaunchBatch submits a slice of tasks as one fused sweep under this
+// session: the runtime lock is taken once for the whole batch's
+// registration and once for its wiring, instead of twice per task, and
+// the per-key ticket protocol still sees strictly ascending IDs because
+// the batch registers in slice order under a single lock acquisition.
+// Dependences among batch members work exactly as under individual
+// launches. Returns the futures in spec order, or a nil slice when
+// every spec is Detached — the zero-allocation fast path for solver
+// sweeps that never read their futures.
 func (s *Session) LaunchBatch(specs []TaskSpec) []*Future { return s.rt.launchBatch(s, specs) }
 
-// IndexLaunch launches one point task per color under this session. See
-// Runtime.IndexLaunch.
+// IndexLaunch launches one point task per color of a color space
+// [0, n), the runtime analogue of Legion's index task launches (Soi et
+// al., SC'21): a single logical operation over a partition becomes n
+// point tasks whose dependences the runtime derives individually, as one
+// batch under the fused LaunchBatch locking. point builds the spec for
+// one color. The returned futures are in color order (nil when every
+// point is Detached).
 func (s *Session) IndexLaunch(n int, point func(color int) TaskSpec) []*Future {
 	specs := make([]TaskSpec, n)
 	for c := 0; c < n; c++ {
@@ -169,8 +185,9 @@ func (s *Session) IndexLaunch(n int, point func(color int) TaskSpec) []*Future {
 }
 
 // SetPhase labels the session's subsequently launched tasks with a
-// solver-phase name, prefixed with the session name for non-default
-// sessions. Specs carrying their own Phase override it.
+// solver-phase name (recorded on Node.Phase and in spans), prefixed with
+// the session name for non-default sessions. Specs carrying their own
+// Phase override it.
 func (s *Session) SetPhase(label string) {
 	s.rt.mu.Lock()
 	if label == "" {
@@ -183,7 +200,9 @@ func (s *Session) SetPhase(label string) {
 
 // SetFaultInjector installs a fault injector consulted once per launch
 // of this session only — one tenant's chaos plan never fires in
-// another tenant's tasks. A nil injector disables injection.
+// another tenant's tasks — under the launch lock, so a single-threaded
+// launcher gets a deterministic fault schedule. A nil injector disables
+// injection.
 func (s *Session) SetFaultInjector(in *fault.Injector) {
 	s.rt.mu.Lock()
 	s.injector = in
@@ -191,31 +210,43 @@ func (s *Session) SetFaultInjector(in *fault.Injector) {
 }
 
 // SetRetryPolicy bounds re-execution of the session's retryable task
-// bodies. See Runtime.SetRetryPolicy.
+// bodies: a task whose body panics is re-run (after backoff) until it
+// succeeds or the attempt cap is reached, at which point the failure
+// becomes permanent. The policy applies to tasks executed after the
+// call.
 func (s *Session) SetRetryPolicy(p RetryPolicy) {
 	s.rt.mu.Lock()
 	s.retry = p
 	s.rt.mu.Unlock()
 }
 
-// SetWatchdog flags this session's tasks running past budget as
-// stragglers. See Runtime.SetWatchdog.
+// SetWatchdog flags this session's tasks whose execution exceeds
+// budget: Stats.Stragglers is incremented and a "straggler" failure
+// record goes to the attached recorder. The task itself is not
+// interrupted (goroutines cannot be killed safely); the flag is the
+// signal a scheduler or operator acts on. The budget covers one
+// execution attempt: it is re-armed per retry, so backoff sleeps between
+// attempts do not count against it. A zero budget disables the watchdog.
 func (s *Session) SetWatchdog(budget time.Duration) {
 	s.rt.mu.Lock()
 	s.watchdog = budget
 	s.rt.mu.Unlock()
 }
 
-// FaultsActive reports whether the session has a fault injector.
+// FaultsActive reports whether the session has a fault injector. Planner
+// layers use it to skip building per-launch corruption hooks on clean
+// runs.
 func (s *Session) FaultsActive() bool {
 	s.rt.mu.Lock()
 	defer s.rt.mu.Unlock()
 	return s.injector != nil
 }
 
-// SetRecorder attaches an observability recorder to the session: tasks
-// it launches from now on record spans and failures there. A nil
-// recorder disables recording.
+// SetRecorder attaches an observability recorder to the session: every
+// task it launches from now on records a wall-clock span (launch, start,
+// end, worker, outcome) and failures are reported as telemetry. A nil
+// recorder disables recording. Tasks launched before the call are not
+// back-filled.
 func (s *Session) SetRecorder(r *obs.Recorder) {
 	s.rt.mu.Lock()
 	s.rec = r
@@ -295,13 +326,23 @@ func (s *Session) Stats() SessionStats {
 	return s.stats
 }
 
-// BeginTrace opens a trace scope on this session. Trace templates are
-// per-session: concurrent sessions replaying the same solver never
-// share or invalidate each other's templates. Interleaved launches from
-// other sessions do break the gapless-adjacency precondition of replay
-// (task IDs are global), demoting instances to full analysis — a
-// performance fallback, never a correctness hazard. See
-// Runtime.BeginTrace for the template lifecycle.
+// BeginTrace opens a trace scope on this session: the launches up to
+// the matching EndTrace form one instance of the trace key. The first
+// instance records a fingerprint, the second (if launched back to back
+// with the first) validates it and captures dependence edges, and later
+// back-to-back instances replay those edges without any dependence
+// analysis. Any gap, mismatch, or differently-shaped instance falls back
+// to full analysis automatically — a wrong trace scope costs
+// performance, never correctness. Traces must not nest, and the launches
+// inside a scope must come from a single goroutine.
+//
+// Trace templates are per-session: concurrent sessions replaying the
+// same solver never share or invalidate each other's templates. Task
+// IDs are global, though, so another session's launch breaks the
+// gapless adjacency replay relies on — between two instances (checked
+// here) or inside one (checked per launch in traceObserve). Either way
+// the instance is demoted to full analysis: a performance fallback,
+// never a correctness hazard.
 func (s *Session) BeginTrace(key string) {
 	rt := s.rt
 	rt.mu.Lock()
@@ -359,8 +400,10 @@ func (s *Session) BeginTrace(key string) {
 	s.trace = at
 }
 
-// EndTrace closes the session's current trace scope. See
-// Runtime.EndTrace.
+// EndTrace closes the session's current trace scope and files the
+// instance's outcome: a full replay counts as a trace hit; everything
+// else — the recording and calibrating instances, gaps, fallbacks, short
+// instances — counts as a miss.
 func (s *Session) EndTrace() {
 	rt := s.rt
 	rt.mu.Lock()

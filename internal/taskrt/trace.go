@@ -51,6 +51,10 @@ package taskrt
 // different trace key — silently demotes the next instance to full
 // analysis, and any fingerprint mismatch mid-instance falls back to
 // analysis for the rest of the instance and invalidates the template.
+// A foreign launch landing inside an instance (another session of the
+// same runtime: task IDs are global) is the same mismatch: the
+// instance's tasks are no longer base … base+n-1, which is what every
+// internal and prev offset assumes.
 // Correctness therefore never depends on the caller scoping traces
 // correctly; a wrong scope only costs performance.
 //
@@ -331,9 +335,13 @@ func (s *Session) traceObserve(spec TaskSpec, ts *taskState) {
 	at := s.trace
 	pos := at.n
 	at.n++
+	// Offsets address the instance as base … base+n-1. Another session's
+	// launch inside it shifts every later ID, so from here on a spliced
+	// or captured offset would name the wrong task.
+	gapless := ts.id == at.base+int64(pos)
 
 	if at.mode == trReplay && !at.failed {
-		if pos < len(at.tmpl.tasks) {
+		if gapless && pos < len(at.tmpl.tasks) {
 			t := &at.tmpl.tasks[pos]
 			if at.replayCompatible(t, spec) {
 				ts.deps, ts.bytes = spliceDepsInto(
@@ -342,9 +350,10 @@ func (s *Session) traceObserve(spec TaskSpec, ts *taskState) {
 				return
 			}
 		}
-		// Mismatch (or an instance longer than the template): fall back
-		// to full analysis for the rest of the instance and drop the
-		// template — it no longer describes this launch sequence.
+		// Mismatch, an ID gap, or an instance longer than the template:
+		// fall back to full analysis for the rest of the instance and
+		// drop the template — it no longer describes this launch
+		// sequence.
 		at.failed = true
 		s.rt.stats.TraceFallbacks++
 		delete(s.traces, at.key)
@@ -357,7 +366,7 @@ func (s *Session) traceObserve(spec TaskSpec, ts *taskState) {
 	c := at.fingerprint(spec)
 	at.cand = append(at.cand, c)
 	if at.mode == trCalibrate && !at.failed {
-		if pos >= len(at.tmpl.tasks) || !at.taskCompatible(at.tmpl.tasks[pos], c) {
+		if !gapless || pos >= len(at.tmpl.tasks) || !at.taskCompatible(at.tmpl.tasks[pos], c) {
 			at.failed = true
 		}
 	}

@@ -16,6 +16,7 @@ import (
 // the iteration number and may launch extra tasks or return a changed
 // privilege for the axpy task to provoke fingerprint mismatches.
 func syntheticCG(rt *Runtime, iters int, traced bool, mutate func(i int)) {
+	sess := rt.DefaultSession()
 	sp := index.NewSpace("D", 64)
 	scalar := index.NewSpace("S", 1)
 	sol := region.New("sol", sp, "x")
@@ -30,29 +31,29 @@ func syntheticCG(rt *Runtime, iters int, traced bool, mutate func(i int)) {
 
 	// Pre-trace initialization, including the initial residual scalar the
 	// first traced iteration reads (the rcStable→rcPrev upgrade case).
-	rt.Launch(TaskSpec{Name: "init.sol", Refs: []region.Ref{full(sol, region.WriteDiscard)}})
-	rt.Launch(TaskSpec{Name: "init.p", Refs: []region.Ref{full(p, region.WriteDiscard)}})
+	sess.Launch(TaskSpec{Name: "init.sol", Refs: []region.Ref{full(sol, region.WriteDiscard)}})
+	sess.Launch(TaskSpec{Name: "init.p", Refs: []region.Ref{full(p, region.WriteDiscard)}})
 	res := region.New("res", scalar, "v")
-	rt.Launch(TaskSpec{Name: "init.res", Refs: []region.Ref{
+	sess.Launch(TaskSpec{Name: "init.res", Refs: []region.Ref{
 		full(p, region.ReadOnly), sref(res, region.WriteDiscard),
 	}})
 
 	for i := 0; i < iters; i++ {
 		if traced {
-			rt.BeginTrace("step")
+			sess.BeginTrace("step")
 		}
-		rt.Launch(TaskSpec{Name: "matmul", Refs: []region.Ref{
+		sess.Launch(TaskSpec{Name: "matmul", Refs: []region.Ref{
 			full(p, region.ReadOnly), full(q, region.WriteDiscard),
 		}})
 		s1 := region.New("dot", scalar, "v")
-		rt.Launch(TaskSpec{Name: "dot", Refs: []region.Ref{
+		sess.Launch(TaskSpec{Name: "dot", Refs: []region.Ref{
 			full(p, region.ReadOnly), full(q, region.ReadOnly), sref(s1, region.WriteDiscard),
 		}})
-		rt.Launch(TaskSpec{Name: "axpy", Refs: []region.Ref{
+		sess.Launch(TaskSpec{Name: "axpy", Refs: []region.Ref{
 			full(p, region.ReadOnly), sref(s1, region.ReadOnly), full(sol, region.ReadWrite),
 		}})
 		s2 := region.New("res", scalar, "v")
-		rt.Launch(TaskSpec{Name: "update", Refs: []region.Ref{
+		sess.Launch(TaskSpec{Name: "update", Refs: []region.Ref{
 			sref(res, region.ReadOnly), sref(s1, region.ReadOnly), sref(s2, region.WriteDiscard),
 		}})
 		res = s2
@@ -60,7 +61,7 @@ func syntheticCG(rt *Runtime, iters int, traced bool, mutate func(i int)) {
 			mutate(i)
 		}
 		if traced {
-			rt.EndTrace()
+			sess.EndTrace()
 		}
 	}
 	rt.Drain()
@@ -125,16 +126,16 @@ func TestTraceReplayZeroAnalysisScans(t *testing.T) {
 	sp := index.NewSpace("D", 32)
 	v := region.New("v", sp, "x")
 	iter := func() {
-		rt.BeginTrace("step")
-		rt.Launch(TaskSpec{Name: "w", Refs: []region.Ref{
+		rt.DefaultSession().BeginTrace("step")
+		rt.DefaultSession().Launch(TaskSpec{Name: "w", Refs: []region.Ref{
 			{Region: v.ID(), Field: "x", Subset: index.Span(0, 31), Priv: region.ReadWrite},
 		}})
 		s := region.New("s", index.NewSpace("S", 1), "v")
-		rt.Launch(TaskSpec{Name: "d", Refs: []region.Ref{
+		rt.DefaultSession().Launch(TaskSpec{Name: "d", Refs: []region.Ref{
 			{Region: v.ID(), Field: "x", Subset: index.Span(0, 31), Priv: region.ReadOnly},
 			{Region: s.ID(), Field: "v", Subset: index.Span(0, 0), Priv: region.WriteDiscard},
 		}})
-		rt.EndTrace()
+		rt.DefaultSession().EndTrace()
 	}
 	iter()
 	iter()
@@ -163,7 +164,7 @@ func TestTraceFallbackOnMismatch(t *testing.T) {
 		extra := region.New("extra", sp, "x")
 		return func(i int) {
 			if i == 5 {
-				rt.Launch(TaskSpec{Name: "odd", Refs: []region.Ref{
+				rt.DefaultSession().Launch(TaskSpec{Name: "odd", Refs: []region.Ref{
 					{Region: extra.ID(), Field: "x", Subset: index.Span(0, 15), Priv: region.ReadWrite},
 				}})
 			}
@@ -200,18 +201,18 @@ func TestTraceGapDemotesToAnalysis(t *testing.T) {
 		w := func(r *region.Region, priv region.Privilege) region.Ref {
 			return region.Ref{Region: r.ID(), Field: "x", Subset: index.Span(0, 31), Priv: priv}
 		}
-		rt.Launch(TaskSpec{Name: "init", Refs: []region.Ref{w(v, region.WriteDiscard)}})
+		rt.DefaultSession().Launch(TaskSpec{Name: "init", Refs: []region.Ref{w(v, region.WriteDiscard)}})
 		for i := 0; i < 8; i++ {
 			if traced {
-				rt.BeginTrace("step")
+				rt.DefaultSession().BeginTrace("step")
 			}
-			rt.Launch(TaskSpec{Name: "a", Refs: []region.Ref{w(v, region.ReadWrite)}})
-			rt.Launch(TaskSpec{Name: "b", Refs: []region.Ref{w(v, region.ReadOnly)}})
+			rt.DefaultSession().Launch(TaskSpec{Name: "a", Refs: []region.Ref{w(v, region.ReadWrite)}})
+			rt.DefaultSession().Launch(TaskSpec{Name: "b", Refs: []region.Ref{w(v, region.ReadOnly)}})
 			if traced {
-				rt.EndTrace()
+				rt.DefaultSession().EndTrace()
 			}
 			if i == 4 {
-				rt.Launch(TaskSpec{Name: "foreign", Refs: []region.Ref{
+				rt.DefaultSession().Launch(TaskSpec{Name: "foreign", Refs: []region.Ref{
 					w(foreign, region.WriteDiscard), w(v, region.ReadOnly),
 				}})
 			}
@@ -230,6 +231,62 @@ func TestTraceGapDemotesToAnalysis(t *testing.T) {
 	}
 	if st.TraceFallbacks != 0 {
 		t.Errorf("TraceFallbacks = %d, want 0 (gaps demote before replay starts)", st.TraceFallbacks)
+	}
+}
+
+func TestTraceForeignLaunchInsideInstanceFallsBack(t *testing.T) {
+	// Task IDs are global: another session's launch landing inside a
+	// replaying instance shifts every later ID of that instance, so the
+	// template's base+off edges would name the wrong tasks (here "u"
+	// would wait on the foreign task instead of on "d"). The instance
+	// must fall back to analysis from that launch on and derive exactly
+	// the edges an untraced twin derives.
+	run := func(traced bool) *Runtime {
+		rt := New()
+		a, b := rt.DefaultSession(), rt.NewSession("b")
+		sp, scalar := index.NewSpace("D", 32), index.NewSpace("S", 1)
+		v := region.New("v", sp, "x")
+		other := region.New("other", sp, "x")
+		vec := func(r *region.Region, priv region.Privilege) region.Ref {
+			return region.Ref{Region: r.ID(), Field: "x", Subset: index.Span(0, 31), Priv: priv}
+		}
+		for i := 0; i < 7; i++ {
+			if traced {
+				a.BeginTrace("step")
+			}
+			a.Launch(TaskSpec{Name: "w", Refs: []region.Ref{vec(v, region.ReadWrite)}})
+			if i == 4 {
+				b.Launch(TaskSpec{Name: "foreign", Refs: []region.Ref{vec(other, region.ReadWrite)}})
+			}
+			s := region.New("s", scalar, "v")
+			sref := func(priv region.Privilege) region.Ref {
+				return region.Ref{Region: s.ID(), Field: "v", Subset: index.Span(0, 0), Priv: priv}
+			}
+			a.Launch(TaskSpec{Name: "d", Refs: []region.Ref{vec(v, region.ReadOnly), sref(region.WriteDiscard)}})
+			a.Launch(TaskSpec{Name: "u", Refs: []region.Ref{sref(region.ReadOnly), vec(v, region.ReadWrite)}})
+			if traced {
+				a.EndTrace()
+			}
+		}
+		rt.Drain()
+		return rt
+	}
+	analyzed, traced := run(false), run(true)
+	assertGraphsEqual(t, analyzed, traced)
+
+	// Iterations 0,1 record+calibrate, 2,3 replay; iteration 4 is IDs
+	// 12 (w, spliced), 13 (foreign), 14 (d), 15 (u).
+	nodes := traced.Graph().Nodes
+	if !nodes[12].Traced {
+		t.Error("launch before the foreign task should still be spliced")
+	}
+	for _, id := range []int{14, 15} {
+		if nodes[id].Traced {
+			t.Errorf("task %d (%s) after the foreign launch was spliced, want analyzed", id, nodes[id].Name)
+		}
+	}
+	if st := traced.Stats(); st.TraceFallbacks != 1 {
+		t.Errorf("TraceFallbacks = %d, want 1", st.TraceFallbacks)
 	}
 }
 
@@ -277,7 +334,7 @@ func TestConcurrentLaunchersWithGraphSnapshots(t *testing.T) {
 				if i%3 == 0 {
 					priv = region.ReadWrite
 				}
-				rt.Launch(TaskSpec{Name: "t", Refs: []region.Ref{
+				rt.DefaultSession().Launch(TaskSpec{Name: "t", Refs: []region.Ref{
 					{Region: shared.ID(), Field: "x", Subset: index.Span(lo, lo+3), Priv: priv},
 				}})
 			}
@@ -303,14 +360,14 @@ func TestLaunchAfterDrainedFailureRunsClean(t *testing.T) {
 	sp := index.NewSpace("D", 8)
 	v := region.New("v", sp, "x")
 	w := region.Ref{Region: v.ID(), Field: "x", Subset: index.Span(0, 7), Priv: region.ReadWrite}
-	rt.Launch(TaskSpec{Name: "boom", Refs: []region.Ref{w}, Run: func() float64 {
+	rt.DefaultSession().Launch(TaskSpec{Name: "boom", Refs: []region.Ref{w}, Run: func() float64 {
 		panic("kernel fault")
 	}})
 	rt.Drain() // "boom" has failed, retired, and is visible via Err
 	if rt.Err() == nil {
 		t.Fatal("failure not surfaced")
 	}
-	fut := rt.Launch(TaskSpec{Name: "restore", Refs: []region.Ref{w}, Run: func() float64 {
+	fut := rt.DefaultSession().Launch(TaskSpec{Name: "restore", Refs: []region.Ref{w}, Run: func() float64 {
 		return 42
 	}})
 	rt.Drain()
@@ -327,11 +384,11 @@ func TestLaunchTimingSplit(t *testing.T) {
 	sp := index.NewSpace("D", 16)
 	v := region.New("v", sp, "x")
 	iter := func() {
-		rt.BeginTrace("k")
-		rt.Launch(TaskSpec{Name: "w", Refs: []region.Ref{
+		rt.DefaultSession().BeginTrace("k")
+		rt.DefaultSession().Launch(TaskSpec{Name: "w", Refs: []region.Ref{
 			{Region: v.ID(), Field: "x", Subset: index.Span(0, 15), Priv: region.ReadWrite},
 		}})
-		rt.EndTrace()
+		rt.DefaultSession().EndTrace()
 	}
 	for i := 0; i < 5; i++ {
 		iter()
