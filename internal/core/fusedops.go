@@ -1,41 +1,44 @@
 package core
 
 import (
-	"fmt"
 	"math"
+	"slices"
 
 	"kdrsolvers/internal/index"
 	"kdrsolvers/internal/region"
 	"kdrsolvers/internal/taskrt"
 )
 
-// Fused vector kernels. The per-operation launches of vecops.go pay one
-// task per vector op per piece, so a CG iteration sweeps the same pieces
-// five times and synchronizes on two separate dot reductions. The fused
-// layer collapses both costs ("Hardware-Oriented Krylov Methods for
-// HPC"): FusedSweep applies k axpy/xpay updates to a piece in one task
+// The vector-sweep kernel. FusedSweep is the only code that launches an
+// axpy, an xpay or a dot: it applies k updates to a piece in one task
 // visit and folds any number of dot products into a single tree
 // reduction — one partial task per piece computing every requested dot,
 // and one scalar-combine task total instead of one per (dot, piece).
+// Planner.Axpy, Xpay and Dot (vecops.go) are its one-operation calls and
+// keep their task names; a solver that issues them separately sweeps the
+// same pieces once per operation and synchronizes on every dot, and the
+// fused solver steps collapse both costs ("Hardware-Oriented Krylov
+// Methods for HPC").
 //
 // Numerics are preserved exactly where the paper's solvers need them
 // preserved: updates execute in argument order inside each piece (the
-// same order the unfused launches would impose through their region
-// dependences), so fused sweeps are bitwise identical to their unfused
-// counterparts; batched dots accumulate per piece and then combine in
-// piece order, the same order Dot's reduce task uses.
+// same order separate launches would impose through their region
+// dependences), so a fused sweep is bitwise identical to the sequence of
+// single-operation sweeps; dots accumulate per piece and then combine in
+// piece order, batched or not.
 //
-// Fused tasks launch through the ordinary Launch path with ordinary
+// Sweep tasks launch through the ordinary Launch path with ordinary
 // region references, so they are traced, memoized, and replayed by the
 // runtime's trace templates like any other task.
 //
 // With SDC detection on, each piece task first verifies the incoming
-// checksum of every vector it will update or reduce over (one extra read
-// pass per distinct vector), then maintains the dst checksums through the
-// update recurrences, and finally writes a per-piece guard slot — the sum
-// of the piece's dot partials — that the combine task recomputes
-// bitwise-identically, so corruption anywhere in a solver's working set
-// or reduction scratch surfaces within one iteration.
+// checksum of every vector it reads — update dsts, update sources and dot
+// operands, one extra read pass per distinct vector — then maintains the
+// dst checksums through the update recurrences, and finally writes a
+// per-piece guard slot — the sum of the piece's dot partials — that the
+// combine task recomputes bitwise-identically, so corruption anywhere in
+// a solver's working set or reduction scratch surfaces within one
+// iteration.
 
 // UpdateKind selects the recurrence form of one fused vector update.
 type UpdateKind int
@@ -65,7 +68,7 @@ type DotPair struct{ V, W VecID }
 // one task per piece performs every update instead of one task per
 // (update, piece). Updates may chain — a later update reading a dst an
 // earlier one wrote sees the written value, exactly as the equivalent
-// sequence of Axpy/Xpay launches would.
+// sequence of Axpy/Xpay calls would.
 func (p *Planner) FusedUpdate(ups ...VecUpdate) {
 	p.FusedSweep(ups, nil)
 }
@@ -78,71 +81,87 @@ func (p *Planner) DotBatch(pairs ...DotPair) []*Scalar {
 	return p.FusedSweep(nil, pairs)
 }
 
-// AxpyDot performs dst ← dst + α·src and returns v·w computed over the
-// post-update values in the same piece sweep — the classic fused kernel
-// of pipelined Krylov methods (r ← r − αq then ‖r‖² without re-reading
-// r from memory).
-func (p *Planner) AxpyDot(dst VecID, alpha *Scalar, src, v, w VecID) *Scalar {
-	return p.FusedSweep(
-		[]VecUpdate{{Kind: UpdAxpy, Dst: dst, Alpha: alpha, Src: src}},
-		[]DotPair{{V: v, W: w}})[0]
+// sweepVec is one distinct vector of a sweep; written is set when any
+// update writes it.
+type sweepVec struct {
+	id      VecID
+	written bool
 }
 
-// XpayDot performs dst ← src + α·dst and returns v·w over the
-// post-update values in the same sweep.
-func (p *Planner) XpayDot(dst VecID, alpha *Scalar, src, v, w VecID) *Scalar {
-	return p.FusedSweep(
-		[]VecUpdate{{Kind: UpdXpay, Dst: dst, Alpha: alpha, Src: src}},
-		[]DotPair{{V: v, W: w}})[0]
-}
-
-// sweepVecs classifies the distinct vectors of a sweep: verified vectors
-// (update dsts and dot operands — their incoming checksums are checked
-// before any update runs) and pure sources (checksums only read for
-// recurrence maintenance).
-func sweepVecs(ups []VecUpdate, dots []DotPair) (verified []VecID, pureSrc []VecID) {
-	inVerified := make(map[VecID]bool)
+// sweepOperands validates a sweep and returns its distinct vectors (in
+// first-use order) and distinct coefficient scalars. Every vector must
+// share the component structure of the first, whose canonical pieces the
+// sweep iterates. Both lists hold a handful of entries, so membership is
+// a linear scan — no per-sweep map.
+func (p *Planner) sweepOperands(ups []VecUpdate, dots []DotPair) ([]sweepVec, []*Scalar) {
+	vecs := make([]sweepVec, 0, 2*(len(ups)+len(dots)))
+	add := func(id VecID, written bool) {
+		for i := range vecs {
+			if vecs[i].id == id {
+				vecs[i].written = vecs[i].written || written
+				return
+			}
+		}
+		if len(vecs) > 0 {
+			p.checkCompatible(vecs[0].id, id)
+		}
+		vecs = append(vecs, sweepVec{id, written})
+	}
+	alphas := make([]*Scalar, 0, len(ups))
 	for _, u := range ups {
-		if !inVerified[u.Dst] {
-			inVerified[u.Dst] = true
-			verified = append(verified, u.Dst)
+		if u.Alpha == nil {
+			panic("core: VecUpdate requires a scalar coefficient")
+		}
+		add(u.Dst, true)
+		add(u.Src, false)
+		if !slices.Contains(alphas, u.Alpha) {
+			alphas = append(alphas, u.Alpha)
 		}
 	}
 	for _, d := range dots {
-		for _, id := range []VecID{d.V, d.W} {
-			if !inVerified[id] {
-				inVerified[id] = true
-				verified = append(verified, id)
-			}
-		}
+		add(d.V, false)
+		add(d.W, false)
 	}
-	seenSrc := make(map[VecID]bool)
-	for _, u := range ups {
-		if !inVerified[u.Src] && !seenSrc[u.Src] {
-			seenSrc[u.Src] = true
-			pureSrc = append(pureSrc, u.Src)
-		}
-	}
-	return verified, pureSrc
+	return vecs, alphas
 }
 
-// FusedSweep is the general fused kernel: it applies the updates in
+// sweepNames returns the task names of a sweep's piece tasks and of its
+// combine task. A sweep of exactly one operation keeps that operation's
+// name — the vocabulary fault plans (name=axpy|dot.partial), profiles and
+// the benchmark's task classes are written in.
+func sweepNames(ups []VecUpdate, dots []DotPair) (piece, reduce string) {
+	switch {
+	case len(ups) == 1 && len(dots) == 0 && ups[0].Kind == UpdAxpy:
+		return "axpy", ""
+	case len(ups) == 1 && len(dots) == 0:
+		return "xpay", ""
+	case len(ups) == 0 && len(dots) == 1:
+		return "dot.partial", "dot.reduce"
+	case len(dots) == 0:
+		return "fused.update", ""
+	case len(ups) == 0:
+		return "dot.batch", "dot.batchreduce"
+	}
+	return "fused.updatedot", "dot.batchreduce"
+}
+
+// FusedSweep is the one vector-sweep kernel: it applies the updates in
 // order and then computes the dot pairs over the updated values, one
 // task per piece, followed by a single combine task when dots are
 // requested. It returns one deferred scalar per dot pair (nil slice
 // when dots is empty). At least one update or dot is required.
 //
 // All vectors must share the component structure of the first dst (or
-// first dot operand); the sweep iterates that vector's canonical
-// pieces, as the unfused operations do.
+// first dot operand); the sweep iterates that vector's canonical pieces.
 func (p *Planner) FusedSweep(ups []VecUpdate, dots []DotPair) []*Scalar {
 	p.mustBeFinalized()
 	if len(ups) == 0 && len(dots) == 0 {
 		panic("core: FusedSweep needs at least one update or dot pair")
 	}
-	anchor := p.sweepAnchor(ups, dots)
-	comps := p.comps(p.vecs[anchor].shape)
+	vecs, alphas := p.sweepOperands(ups, dots)
+	shape := p.vecs[vecs[0].id].shape
 	sdc, hooks := p.sdcOn(), p.faultHooks()
+	name, reduceName := sweepNames(ups, dots)
 
 	// One scratch slot per (piece, dot), piece-major, so each partial
 	// task writes one contiguous span. With detection on each piece gets
@@ -152,10 +171,7 @@ func (p *Planner) FusedSweep(ups []VecUpdate, dots []DotPair) []*Scalar {
 	if sdc && k > 0 {
 		stride = k + 1
 	}
-	total := 0
-	for _, c := range comps {
-		total += c.part.NumColors()
-	}
+	total := p.shapePieces(shape)
 	var scratch *region.Region
 	if k > 0 {
 		space := index.NewSpace("dotscratch", int64(total*stride))
@@ -165,61 +181,81 @@ func (p *Planner) FusedSweep(ups []VecUpdate, dots []DotPair) []*Scalar {
 			scratch = region.New("dotscratch", space, "s")
 		}
 	}
-
-	var verified, pureSrc []VecID
+	nrefs := len(vecs) + len(alphas)
+	if k > 0 {
+		nrefs++
+	}
 	if sdc {
-		verified, pureSrc = sweepVecs(ups, dots)
+		nrefs += len(vecs)
 	}
 
+	// The arithmetic is bound once per component, not once per piece.
+	var body func(subset index.IntervalSet, slot int, base int64) float64
+	bodyCI := -1
 	piece := 0
-	eachPiece(comps, func(ci, color int, subset index.IntervalSet, proc int) {
+	eachPiece(p.comps(shape), func(ci, color int, subset index.IntervalSet, proc int) {
 		mySlot := piece
 		base := int64(piece * stride)
 		piece++
-		refs, cost := p.sweepRefs(ci, subset, ups, dots)
+		var span index.IntervalSet // this piece's scratch slots
 		if k > 0 {
-			refs = append(refs, region.Ref{
-				Region: scratch.ID(), Field: "s",
-				Subset: index.Span(base, base+int64(stride)-1), Priv: region.WriteDiscard,
-			})
+			span = index.Span(base, base+int64(stride)-1)
+		}
+		// Each distinct vector is declared once, read-write when any
+		// update writes it.
+		refs := make([]region.Ref, 0, nrefs)
+		for _, v := range vecs {
+			priv := region.ReadOnly
+			if v.written {
+				priv = region.ReadWrite
+			}
+			refs = append(refs, pieceRef(p.vecs[v.id].regs[ci], subset, priv))
+		}
+		for _, a := range alphas {
+			refs = append(refs, a.ref(region.ReadOnly))
+		}
+		if k > 0 {
+			refs = append(refs, region.Ref{Region: scratch.ID(), Field: "s", Subset: span, Priv: region.WriteDiscard})
 		}
 		if sdc {
-			for _, id := range verified {
-				refs = append(refs, p.chkRef(id, mySlot, region.ReadWrite))
+			// Verification refreshes the slot, so even a pure source's
+			// checksum is read-write.
+			for _, v := range vecs {
+				refs = append(refs, p.chkRef(v.id, mySlot, region.ReadWrite))
 			}
-			for _, id := range pureSrc {
-				refs = append(refs, p.chkRef(id, mySlot, region.ReadOnly))
-			}
+		}
+		var cost float64
+		for range ups {
+			cost += p.mach.AxpyCost(subset.Size())
+		}
+		for range dots {
+			cost += p.mach.DotCost(subset.Size())
 		}
 		var run func() float64
 		if !p.virtual {
-			run = p.sweepBody(ci, mySlot, subset, base, scratch, ups, dots, verified)
-		}
-		name := "fused.update"
-		if len(ups) == 0 {
-			name = "dot.batch"
-		} else if k > 0 {
-			name = "fused.updatedot"
+			if ci != bodyCI {
+				body, bodyCI = p.sweepBody(name, ci, scratch, ups, dots, vecs), ci
+			}
+			body := body
+			run = func() float64 { return body(subset, mySlot, base) }
 		}
 		spec := taskrt.TaskSpec{
 			Name: name, Proc: proc, Piece: mySlot + 1,
 			Cost: cost, Refs: refs, Run: run,
 			// A sweep with updates read-modify-writes its dsts, so a
-			// partial first attempt would double-apply; a pure dot batch
+			// partial first attempt would double-apply; a pure dot sweep
 			// overwrites its scratch slots and is idempotent.
 			Retryable: len(ups) == 0,
 		}
 		if hooks {
 			var targets []corruptTarget
-			seen := make(map[VecID]bool)
-			for _, u := range ups {
-				if !seen[u.Dst] {
-					seen[u.Dst] = true
-					targets = append(targets, corruptTarget{p.vecs[u.Dst].regs[ci].Field("v"), subset})
+			for _, v := range vecs {
+				if v.written {
+					targets = append(targets, corruptTarget{p.vecs[v.id].regs[ci].Field("v"), subset})
 				}
 			}
 			if k > 0 {
-				targets = append(targets, corruptTarget{scratch.Field("s"), index.Span(base, base+int64(stride)-1)})
+				targets = append(targets, corruptTarget{scratch.Field("s"), span})
 			}
 			spec.Corrupt = corruptHook(targets...)
 		}
@@ -230,86 +266,17 @@ func (p *Planner) FusedSweep(ups []VecUpdate, dots []DotPair) []*Scalar {
 	if k == 0 {
 		return nil
 	}
-	return p.batchReduce(scratch, total, stride, dots)
+	return p.batchReduce(reduceName, scratch, total, stride, k)
 }
 
-// sweepAnchor returns the vector whose component structure drives the
-// sweep, after validating every participating vector against it.
-func (p *Planner) sweepAnchor(ups []VecUpdate, dots []DotPair) VecID {
-	var ids []VecID
-	for _, u := range ups {
-		if u.Alpha == nil {
-			panic("core: VecUpdate requires a scalar coefficient")
-		}
-		ids = append(ids, u.Dst, u.Src)
-	}
-	for _, d := range dots {
-		ids = append(ids, d.V, d.W)
-	}
-	anchor := ids[0]
-	ac := p.comps(p.vecs[anchor].shape)
-	for _, id := range ids[1:] {
-		c := p.comps(p.vecs[id].shape)
-		if len(c) != len(ac) {
-			panic("core: fused sweep vectors have different component counts")
-		}
-		for i := range c {
-			if c[i].space.Size() != ac[i].space.Size() {
-				panic(fmt.Sprintf("core: fused sweep component %d size mismatch: %d vs %d",
-					i, c[i].space.Size(), ac[i].space.Size()))
-			}
-		}
-	}
-	return anchor
-}
-
-// sweepRefs builds the region references and simulated cost of one
-// piece's fused task. References on the same vector region are merged
-// (read-write when any participant writes), so a vector appearing as
-// both an update dst and a dot operand is declared once.
-func (p *Planner) sweepRefs(ci int, subset index.IntervalSet, ups []VecUpdate, dots []DotPair) ([]region.Ref, float64) {
-	var refs []region.Ref
-	idx := make(map[region.ID]int)
-	vecRef := func(id VecID, writes bool) {
-		reg := p.vecs[id].regs[ci]
-		if i, ok := idx[reg.ID()]; ok {
-			if writes && refs[i].Priv == region.ReadOnly {
-				refs[i].Priv = region.ReadWrite
-			}
-			return
-		}
-		priv := region.ReadOnly
-		if writes {
-			priv = region.ReadWrite
-		}
-		idx[reg.ID()] = len(refs)
-		refs = append(refs, pieceRef(reg, subset, priv))
-	}
-	var cost float64
-	seen := make(map[*Scalar]bool)
-	for _, u := range ups {
-		vecRef(u.Dst, true)
-		vecRef(u.Src, false)
-		if !seen[u.Alpha] {
-			seen[u.Alpha] = true
-			refs = append(refs, u.Alpha.ref(region.ReadOnly))
-		}
-		cost += p.mach.AxpyCost(subset.Size())
-	}
-	for _, d := range dots {
-		vecRef(d.V, false)
-		vecRef(d.W, false)
-		cost += p.mach.DotCost(subset.Size())
-	}
-	return refs, cost
-}
-
-// sweepBody builds the real-mode task body of one piece: the checksum
-// verification pre-pass (detection only), the updates in order with
-// checksum maintenance, then the dot partials into scratch slots
-// base..base+k-1 (and the guard slot at base+k when detection is on).
-func (p *Planner) sweepBody(ci, slot int, subset index.IntervalSet, base int64,
-	scratch *region.Region, ups []VecUpdate, dots []DotPair, verified []VecID) func() float64 {
+// sweepBody binds a sweep's real-mode arithmetic to the storage of one
+// component; the component's piece tasks share the result, each calling
+// it on its own subset. A call runs the checksum verification pre-pass
+// (detection only), the updates in order with checksum maintenance, then
+// the dot partials into scratch slots base..base+k-1 (and the guard slot
+// at base+k when detection is on).
+func (p *Planner) sweepBody(name string, ci int, scratch *region.Region,
+	ups []VecUpdate, dots []DotPair, vecs []sweepVec) func(subset index.IntervalSet, slot int, base int64) float64 {
 
 	type boundUpdate struct {
 		kind   UpdateKind
@@ -342,8 +309,11 @@ func (p *Planner) sweepBody(ci, slot int, subset index.IntervalSet, base int64,
 		chk []float64
 	}
 	var bv []boundChk
-	for _, id := range verified {
-		bv = append(bv, boundChk{id: id, d: p.vecs[id].regs[ci].Field("v"), chk: p.chkData(id)})
+	if sdc {
+		bv = make([]boundChk, len(vecs))
+		for i, v := range vecs {
+			bv[i] = boundChk{id: v.id, d: p.vecs[v.id].regs[ci].Field("v"), chk: p.chkData(v.id)}
+		}
 	}
 	type boundDot struct{ v, w []float64 }
 	bd := make([]boundDot, len(dots))
@@ -359,14 +329,14 @@ func (p *Planner) sweepBody(ci, slot int, subset index.IntervalSet, base int64,
 	}
 	guard := sdc && len(dots) > 0
 	k := int64(len(dots))
-	return func() float64 {
-		// Verify every vector this sweep will update or reduce over
-		// against its incoming checksum, before touching anything: a
-		// corruption planted anywhere in a solver's recurrence set since
-		// the last sweep alarms here.
+	return func(subset index.IntervalSet, slot int, base int64) float64 {
+		// Verify every vector this sweep reads against its incoming
+		// checksum, before touching anything: a corruption planted
+		// anywhere in a solver's recurrence set since the last sweep
+		// alarms here.
 		for _, c := range bv {
 			sum, abs := sumPiece(c.d, subset)
-			verifySlot(mon, tol, "fused.verify", c.id, slot, c.chk, sum, abs)
+			verifySlot(mon, tol, name, c.id, slot, c.chk, sum, abs)
 		}
 		for _, u := range bu {
 			av := u.a[0]
@@ -417,16 +387,16 @@ func (p *Planner) sweepBody(ci, slot int, subset index.IntervalSet, base int64,
 	}
 }
 
-// batchReduce launches the single combine task of a batched reduction:
-// it folds every dot's per-piece partials (in piece order, matching
-// Dot's reduce) and writes all k output scalars, paying one allreduce
-// instead of k. The returned scalars share the combine task's future;
-// each reads its own value from its backing region. With detection on it
+// batchReduce launches the single combine task of a sweep's k dots: it
+// folds every dot's per-piece partials in piece order and writes all k
+// output scalars, paying one allreduce instead of k. The returned scalars
+// share the combine task's future. A lone scalar's value is that future's
+// value, so a fault injected on the combine reaches the host; batched
+// scalars each read their own backing region. With detection on the task
 // first recomputes each piece's guard sum — partials were written and
 // summed in the same order, so any corruption of the reduction scratch
 // makes the bitwise comparison fail.
-func (p *Planner) batchReduce(scratch *region.Region, pieces, stride int, dots []DotPair) []*Scalar {
-	k := len(dots)
+func (p *Planner) batchReduce(name string, scratch *region.Region, pieces, stride, k int) []*Scalar {
 	guard := stride > k
 	var mon *SDCMonitor
 	if guard {
@@ -458,37 +428,33 @@ func (p *Planner) batchReduce(scratch *region.Region, pieces, stride int, dots [
 					}
 					if got := in[pc*stride+k]; got != g || math.IsNaN(g) {
 						mon.report(SDCAlarm{
-							Task: "dot.batchreduce", Vec: -1, Slot: pc,
+							Task: name, Vec: -1, Slot: pc,
 							Expected: got, Got: g, Scale: math.Abs(g),
 						})
 					}
 				}
 			}
-			var first float64
 			for j := 0; j < k; j++ {
 				var sum float64
 				for pc := 0; pc < pieces; pc++ {
 					sum += in[pc*stride+j]
 				}
 				dsts[j][0] = sum
-				if j == 0 {
-					first = sum
-				}
 			}
-			return first
+			return dsts[0][0]
 		}
 	}
 	fut := p.sess.Launch(taskrt.TaskSpec{
-		Name: "dot.batchreduce", Proc: 0,
+		Name: name, Proc: 0,
 		// One tree reduction regardless of k: the scalars ride the same
-		// allreduce message.
+		// allreduce message, the MPI_Allreduce the real machine pays.
 		Cost: p.mach.AllReduceTime(),
 		Refs: refs,
 		Run:  run, Retryable: true,
 	})
 	for _, s := range outs {
 		s.fut = fut
-		if !p.virtual {
+		if k > 1 && !p.virtual {
 			val := s.reg.Field("s")
 			s.read = func() float64 { return val[0] }
 		}

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"math"
 	"sync"
 	"testing"
 
+	"kdrsolvers/internal/fault"
 	"kdrsolvers/internal/index"
 	"kdrsolvers/internal/machine"
 	"kdrsolvers/internal/sparse"
@@ -129,13 +131,17 @@ func TestAxpyDotAndXpayDotMatchUnfused(t *testing.T) {
 
 	pf, af, bf := fusedTestPlanner(n, pieces)
 	alpha = pf.Constant(-0.375)
-	gotAxpy := pf.AxpyDot(af, alpha, RHS, af, af).Value()
-	gotXpay := pf.XpayDot(bf, alpha, SOL, bf, af).Value()
+	gotAxpy := pf.FusedSweep(
+		[]VecUpdate{{Kind: UpdAxpy, Dst: af, Alpha: alpha, Src: RHS}},
+		[]DotPair{{af, af}})[0].Value()
+	gotXpay := pf.FusedSweep(
+		[]VecUpdate{{Kind: UpdXpay, Dst: bf, Alpha: alpha, Src: SOL}},
+		[]DotPair{{bf, af}})[0].Value()
 	pf.Drain()
 
 	if !bitwiseEqual(pu.VecData(au, 0), pf.VecData(af, 0)) ||
 		!bitwiseEqual(pu.VecData(bu, 0), pf.VecData(bf, 0)) {
-		t.Error("AxpyDot/XpayDot updates differ bitwise from unfused launches")
+		t.Error("axpy+dot / xpay+dot sweeps differ bitwise from unfused launches")
 	}
 	if relDiff(gotAxpy, wantAxpy) > 1e-10 || relDiff(gotXpay, wantXpay) > 1e-10 {
 		t.Errorf("fused dots differ: axpy %g vs %g, xpay %g vs %g",
@@ -155,7 +161,9 @@ func TestFusedVirtualRealGraphEquivalence(t *testing.T) {
 			VecUpdate{Kind: UpdXpay, Dst: w, Alpha: alpha, Neg: true, Src: SOL},
 		)
 		d := p.DotBatch(DotPair{w, w}, DotPair{w, RHS})
-		_ = p.AxpyDot(w, d[0], SOL, w, RHS)
+		p.FusedSweep(
+			[]VecUpdate{{Kind: UpdAxpy, Dst: w, Alpha: d[0], Src: SOL}},
+			[]DotPair{{w, RHS}})
 	})
 	if !graphsEqual(t, real, virt) {
 		t.Fatal("fused-op graphs differ between real and virtual planners")
@@ -232,4 +240,112 @@ func TestConcurrentDotBatchLaunches(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// The task names a sweep launches under are an interface: fault plans
+// filter on them (-faults name=axpy|dot.partial), profiles group by them,
+// and the benchmark sorts tasks into its vector/reduce classes by them.
+// A single-operation sweep keeps the operation's name; only genuinely
+// fused sweeps get the fused.* / dot.batch* names. Costs are the machine
+// model's, identically on real and virtual planners.
+func TestSweepTaskVocabulary(t *testing.T) {
+	const n, pieces = 64, 4
+	m := machine.Lassen(2)
+	axpy, dot := m.AxpyCost(n/pieces), m.DotCost(n/pieces)
+	type class struct {
+		count int
+		cost  float64 // -1: not a sweep task, cost not pinned here
+	}
+	for _, tc := range []struct {
+		name string
+		step func(p *Planner, w []VecID)
+		want map[string]class
+	}{
+		{"cg", func(p *Planner, w []VecID) {
+			q, pv, r := w[0], w[1], w[2]
+			p.Matmul(q, pv)
+			alpha := p.Div(p.Constant(1), p.Dot(pv, q))
+			res := p.FusedSweep([]VecUpdate{
+				{Kind: UpdAxpy, Dst: SOL, Alpha: alpha, Src: pv},
+				{Kind: UpdAxpy, Dst: r, Alpha: alpha, Neg: true, Src: q},
+			}, []DotPair{{r, r}})[0]
+			p.Xpay(pv, p.Div(res, p.Constant(1)), r)
+		}, map[string]class{
+			"matmul": {pieces, -1}, "div": {2, 0},
+			"dot.partial": {pieces, dot}, "dot.reduce": {1, m.AllReduceTime()},
+			"fused.updatedot": {pieces, axpy + axpy + dot}, "dot.batchreduce": {1, m.AllReduceTime()},
+			"xpay": {pieces, axpy},
+		}},
+		{"bicg", func(p *Planner, w []VecID) {
+			q, pv, r, qt, pt, rt := w[0], w[1], w[2], w[3], w[4], w[5]
+			p.Matmul(q, pv)
+			p.MatmulT(qt, pt)
+			alpha := p.Div(p.Constant(1), p.Dot(pt, q))
+			p.Axpy(SOL, alpha, pv)
+			p.Axpy(r, p.Neg(alpha), q)
+			p.Axpy(rt, p.Neg(alpha), qt)
+			beta := p.Div(p.Dot(rt, r), p.Constant(1))
+			p.Xpay(pv, beta, r)
+			p.Xpay(pt, beta, rt)
+			p.Dot(r, r)
+		}, map[string]class{
+			"matmul": {pieces, -1}, "matmulT": {pieces, -1}, "div": {2, 0}, "neg": {2, 0},
+			"dot.partial": {3 * pieces, dot}, "dot.reduce": {3, m.AllReduceTime()},
+			"axpy": {3 * pieces, axpy}, "xpay": {2 * pieces, axpy},
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var launched [2]int64
+			for vi, virtual := range []bool{false, true} {
+				p := NewPlanner(Config{Machine: m, Virtual: virtual})
+				setupSystem(p, n, pieces)
+				w := make([]VecID, 6)
+				for i := range w {
+					w[i] = p.AllocateWorkspace(SolShape)
+				}
+				p.Session().BeginTrace("step")
+				tc.step(p, w)
+				p.Session().EndTrace()
+				p.Drain()
+				launched[vi] = p.Runtime().Stats().Launched
+				got := map[string]int{}
+				for _, nd := range p.Runtime().Graph().Nodes {
+					got[nd.Name]++
+					want, ok := tc.want[nd.Name]
+					if !ok {
+						t.Errorf("virtual=%v: unexpected task name %q", virtual, nd.Name)
+					} else if want.cost >= 0 && nd.Cost != want.cost {
+						t.Errorf("virtual=%v: %s cost %g, want %g", virtual, nd.Name, nd.Cost, want.cost)
+					}
+				}
+				for name, want := range tc.want {
+					if got[name] != want.count {
+						t.Errorf("virtual=%v: %d %s task(s), want %d", virtual, got[name], name, want.count)
+					}
+				}
+			}
+			if launched[0] != launched[1] {
+				t.Errorf("real planner launched %d tasks, virtual %d", launched[0], launched[1])
+			}
+		})
+	}
+}
+
+// A lone dot's value is its combine task's future, so a NaN injected on
+// the combine reaches the host instead of being papered over by a read of
+// the (intact) backing region; the scalars of a batch share one future
+// and each read their own region.
+func TestInjectedNaNOnDotReduceReachesHost(t *testing.T) {
+	p, _, _ := fusedTestPlanner(64, 4)
+	p.Drain()
+	p.Session().SetFaultInjector(fault.NewInjector(fault.Plan{Seed: 1, NaNRate: 1, Names: []string{"dot.reduce"}}))
+	if v := p.Dot(SOL, RHS).Value(); !math.IsNaN(v) {
+		t.Errorf("Dot = %g under an injected NaN on dot.reduce, want NaN", v)
+	}
+	for i, d := range p.DotBatch(DotPair{SOL, RHS}, DotPair{RHS, RHS}) {
+		if v := d.Value(); math.IsNaN(v) || math.IsInf(v, 0) {
+			t.Errorf("batched dot %d = %g, want finite", i, v)
+		}
+	}
+	p.Drain()
 }

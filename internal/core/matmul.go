@@ -25,7 +25,7 @@ import (
 // checksums. Adjoint and preconditioner products maintain the checksums
 // from their computed output without the independent w·x cross-check.
 // Source-halo pieces are not re-verified here — solver sources are
-// recurrence vectors whose checksums the fused sweeps verify each
+// recurrence vectors whose checksums the vector sweeps verify each
 // iteration.
 //
 // dst must be range-shaped-compatible and src domain-shaped-compatible

@@ -586,20 +586,18 @@ func (p *Planner) flushBatch() {
 	p.specBuf = p.specBuf[:0]
 }
 
-// checkShapes panics unless both vectors exist and have compatible
-// component structure for an elementwise operation. Square systems make
-// SolShape and RhsShape interchangeable.
-func (p *Planner) checkCompatible(dst, src VecID) ([]component, vec, vec) {
-	dv, dc := p.vecComps(dst)
-	sv, sc := p.vecComps(src)
-	if len(dc) != len(sc) {
+// checkCompatible panics unless both vectors exist and have the same
+// component structure, as every elementwise operation and sweep requires.
+// Square systems make SolShape and RhsShape interchangeable.
+func (p *Planner) checkCompatible(a, b VecID) {
+	ac, bc := p.comps(p.vecs[a].shape), p.comps(p.vecs[b].shape)
+	if len(ac) != len(bc) {
 		panic("core: vectors have different component counts")
 	}
-	for i := range dc {
-		if dc[i].space.Size() != sc[i].space.Size() {
+	for i := range ac {
+		if ac[i].space.Size() != bc[i].space.Size() {
 			panic(fmt.Sprintf("core: component %d size mismatch: %d vs %d",
-				i, dc[i].space.Size(), sc[i].space.Size()))
+				i, ac[i].space.Size(), bc[i].space.Size()))
 		}
 	}
-	return dc, dv, sv
 }

@@ -33,17 +33,17 @@ import (
 //               (wⱼ = Σ_{i∈piece} Aᵢⱼ, precomputed per (operator, piece))
 //
 // so a corrupted slot value and a corrupted data value cannot cancel.
-// Readers (dot partials, fused-sweep piece tasks, explicit vec.checksum
-// tasks) re-sum the data they are streaming anyway, compare against the
-// slot within a relative tolerance, raise an SDCAlarm on mismatch, and
-// refresh the slot with the measured sum — the refresh bounds the
-// rounding drift of the recurrence maintenance to the few operations
-// between consecutive verifications.
+// Readers (sweep piece tasks — every axpy, xpay and dot, fused or single —
+// copy, scal, explicit vec.checksum tasks) re-sum the data they read,
+// compare against the slot within a relative tolerance, raise an SDCAlarm
+// on mismatch, and refresh the slot with the measured sum — the refresh
+// bounds the rounding drift of the recurrence maintenance to the few
+// operations between consecutive verifications.
 //
 // The forward SpMV additionally self-checks in-task: Σ(y over the write
 // set) must equal w·x up to rounding, the classic ABFT checksummed SpMV.
-// Fused dot batches carry a per-piece guard slot (the sum of the piece's
-// partials, recomputed bitwise-identically by the combine task), so
+// Every dot, single or batched, carries a per-piece guard slot (the sum of
+// the piece's partials, recomputed bitwise-identically by the combine task), so
 // corruption of reduction scratch between partial and combine is caught
 // exactly.
 //
@@ -376,19 +376,6 @@ func (p *Planner) VerifyChecksums(ids ...VecID) int {
 	p.LaunchChecksumCheck(ids...)
 	p.Drain()
 	return int(p.sdc.mon.Count() - before)
-}
-
-// ChecksumSpMV is the ABFT-checksummed product dst ← A_total·src: each
-// piece task also computes the column-checksum prediction w·x of its
-// contribution, self-checks Σy against it in-task, and maintains dst's
-// piece checksums. It is exactly Matmul with detection enabled — the
-// explicit name exists for callers (and benchmarks) that want the
-// checksummed path regardless of solver policy.
-func (p *Planner) ChecksumSpMV(dst, src VecID) {
-	if p.sdc == nil {
-		panic("core: ChecksumSpMV requires EnableSDCDetection")
-	}
-	p.Matmul(dst, src)
 }
 
 // nthPoint returns the k-th point (0-based) of an interval set.

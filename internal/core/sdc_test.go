@@ -60,7 +60,7 @@ func TestSDCCleanRunNoFalseAlarms(t *testing.T) {
 
 // A bit flip planted in a vector between operations must alarm at the
 // next consumer, through every detection path: the explicit checksum
-// scan, the fused-sweep pre-update verify, and the unfused kernels.
+// scan and the sweep's pre-update verify, fused or single-operation.
 func TestSDCPlantedFlipDetected(t *testing.T) {
 	const n, pieces = 256, 4
 	flip := func(p *Planner, id VecID, i int) {
@@ -113,38 +113,68 @@ func TestSDCPlantedFlipDetected(t *testing.T) {
 			t.Fatalf("axpy raised %d alarms, want 1: %v", c, mon.Alarms())
 		}
 	})
+
+	// A vector a fused sweep only reads as an update source is verified
+	// like the ones it writes or reduces over.
+	t.Run("fused pure source", func(t *testing.T) {
+		p, mon, a, b := sdcTestPlanner(t, n, pieces)
+		flip(p, SOL, 11)
+		p.FusedUpdate(
+			VecUpdate{Kind: UpdAxpy, Dst: a, Alpha: p.Constant(2), Src: SOL},
+			VecUpdate{Kind: UpdAxpy, Dst: b, Alpha: p.Constant(2), Src: RHS})
+		p.Drain()
+		if c := mon.Count(); c != 1 {
+			t.Fatalf("fused sweep raised %d alarms for a corrupted source, want 1: %v", c, mon.Alarms())
+		}
+		if al := mon.Take(); al[0].Vec != SOL || al[0].Task != "fused.update" {
+			t.Errorf("alarm = %+v, want vec %d from fused.update", al[0], SOL)
+		}
+	})
 }
 
 // Corrupting the reduction scratch between partial and combine trips the
-// bitwise guard-slot comparison. The injector targets the dot.batch
-// task's scratch span via the planner-installed corruption hook.
+// bitwise guard-slot comparison, for a batch and for a single dot alike.
+// The injector targets the partial task's scratch span via the
+// planner-installed corruption hook.
 func TestSDCDotBatchGuard(t *testing.T) {
 	const n, pieces = 256, 4
-	sol := make([]float64, n)
-	rhs := make([]float64, n)
-	for i := range sol {
-		sol[i] = float64(i%7) - 3
-		rhs[i] = float64(i%5) + 1
-	}
-	p := NewPlanner(Config{Machine: machine.Lassen(2)})
-	si := p.AddSolVector(sol, index.EqualPartition(index.NewSpace("D", n), pieces))
-	ri := p.AddRHSVector(rhs, index.EqualPartition(index.NewSpace("R", n), pieces))
-	p.AddOperator(sparse.Laplacian2D(n/8, 8), si, ri)
-	p.Finalize()
-	mon := p.EnableSDCDetection(0)
-	// Corrupt every dot.batch task's output with certainty: the hook
-	// targets the scratch span (data + guard), and the flip of a low
-	// exponent bit shifts a partial enough to break the exact guard.
-	p.Session().SetFaultInjector(fault.NewInjector(fault.Plan{Seed: 3, BitFlipRate: 1, Bit: 52, Names: []string{"dot.batch"}}))
-	p.DotBatch(DotPair{V: SOL, W: RHS}, DotPair{V: RHS, W: RHS})
-	p.Drain()
-	if c := mon.Count(); c == 0 {
-		t.Fatal("corrupted reduction scratch raised no guard alarm")
-	}
-	for _, a := range mon.Take() {
-		if a.Task != "dot.batchreduce" {
-			t.Errorf("alarm task = %q, want dot.batchreduce", a.Task)
-		}
+	for _, tc := range []struct {
+		partial, combine string
+		launch           func(p *Planner)
+	}{
+		{"dot.batch", "dot.batchreduce", func(p *Planner) {
+			p.DotBatch(DotPair{V: SOL, W: RHS}, DotPair{V: RHS, W: RHS})
+		}},
+		{"dot.partial", "dot.reduce", func(p *Planner) { p.Dot(SOL, RHS) }},
+	} {
+		t.Run(tc.partial, func(t *testing.T) {
+			sol := make([]float64, n)
+			rhs := make([]float64, n)
+			for i := range sol {
+				sol[i] = float64(i%7) - 3
+				rhs[i] = float64(i%5) + 1
+			}
+			p := NewPlanner(Config{Machine: machine.Lassen(2)})
+			si := p.AddSolVector(sol, index.EqualPartition(index.NewSpace("D", n), pieces))
+			ri := p.AddRHSVector(rhs, index.EqualPartition(index.NewSpace("R", n), pieces))
+			p.AddOperator(sparse.Laplacian2D(n/8, 8), si, ri)
+			p.Finalize()
+			mon := p.EnableSDCDetection(0)
+			// Corrupt every partial task's output with certainty: the hook
+			// targets the scratch span (data + guard), and the flip of a low
+			// exponent bit shifts a partial enough to break the exact guard.
+			p.Session().SetFaultInjector(fault.NewInjector(fault.Plan{Seed: 3, BitFlipRate: 1, Bit: 52, Names: []string{tc.partial}}))
+			tc.launch(p)
+			p.Drain()
+			if c := mon.Count(); c == 0 {
+				t.Fatal("corrupted reduction scratch raised no guard alarm")
+			}
+			for _, a := range mon.Take() {
+				if a.Task != tc.combine {
+					t.Errorf("alarm task = %q, want %s", a.Task, tc.combine)
+				}
+			}
+		})
 	}
 }
 
@@ -156,7 +186,7 @@ func TestSDCChecksumSpMV(t *testing.T) {
 	const n, pieces = 256, 4
 	p, mon, a, b := sdcTestPlanner(t, n, pieces)
 	p.Session().SetFaultInjector(fault.NewInjector(fault.Plan{Seed: 9, BitFlipRate: 1, Bit: 54, Names: []string{"matmul"}, Pieces: []int{2}}))
-	p.ChecksumSpMV(b, a)
+	p.Matmul(b, a) // the checksummed SpMV: detection is on
 	p.Drain()
 	if c := mon.Count(); c != 0 {
 		// Post-run corruption is invisible to the producing task itself.

@@ -12,19 +12,22 @@ import (
 // becomes one task per component piece (an index launch over the
 // canonical partition), placed on the piece's owning processor. Real
 // planners perform the arithmetic; virtual planners record only costs.
+// Copy and Scal build their tasks here and Zero through the product's
+// zeroPiece (write-discard privilege, retryability and their own cost
+// models set them apart); Axpy, Xpay and Dot are single-operation calls
+// of the one sweep kernel, FusedSweep (fusedops.go).
 //
 // Tasks whose bodies are idempotent — they fully overwrite their outputs
-// and read nothing they write (zero, copy, dot) — are marked Retryable so
-// the runtime may re-execute them after a transient failure. Read-modify-
-// write bodies (scal, axpy, xpay, reductions) are not: a partial first
-// attempt would double-apply, so their failures escalate to the solver's
-// checkpoint/restart layer instead.
+// and read nothing they write (zero, copy, dot.partial, dot.reduce) — are
+// marked Retryable so the runtime may re-execute them after a transient
+// failure. Read-modify-write bodies (scal, axpy, xpay) are not: a partial
+// first attempt would double-apply, so their failures escalate to the
+// solver's checkpoint/restart layer instead.
 //
 // With SDC detection on (see sdc.go) every operation also maintains the
 // per-piece checksum slots of the vectors it writes and verifies the
-// checksums of the vectors it reads — the sums fold into the passes the
-// kernels already make, so the checksummed forms read the same memory and
-// add only O(pieces) slot traffic.
+// checksums of the vectors it reads. Copy and Scal fold the sums into the
+// pass they already make; a sweep verifies in a pre-pass.
 
 // pieceRef builds a region reference for one piece of one vector
 // component.
@@ -45,43 +48,10 @@ func eachPiece(comps []component, fn func(ci, color int, subset index.IntervalSe
 func (p *Planner) Zero(dst VecID) {
 	p.mustBeFinalized()
 	dv, dc := p.vecComps(dst)
-	sdc, hooks := p.sdcOn(), p.faultHooks()
-	var chk []float64
-	if sdc {
-		chk = p.chkData(dst)
-	}
 	slot := 0
 	eachPiece(dc, func(ci, color int, subset index.IntervalSet, proc int) {
-		mySlot := slot
+		p.zeroPiece(dv.regs[ci], subset, proc, dst, slot, true)
 		slot++
-		var run func() float64
-		if !p.virtual {
-			d := dv.regs[ci].Field("v")
-			run = func() float64 {
-				subset.EachInterval(func(iv index.Interval) {
-					for i := iv.Lo; i <= iv.Hi; i++ {
-						d[i] = 0
-					}
-				})
-				if sdc {
-					chk[mySlot] = 0
-				}
-				return 0
-			}
-		}
-		spec := taskrt.TaskSpec{
-			Name: "zero", Proc: proc, Piece: mySlot + 1,
-			Cost: p.mach.Blas1Cost(subset.Size()),
-			Refs: []region.Ref{pieceRef(dv.regs[ci], subset, region.WriteDiscard)},
-			Run:  run, Retryable: true,
-		}
-		if sdc {
-			spec.Refs = append(spec.Refs, p.chkRef(dst, mySlot, region.WriteDiscard))
-		}
-		if hooks {
-			spec.Corrupt = corruptHook(corruptTarget{dv.regs[ci].Field("v"), subset})
-		}
-		p.batch(spec)
 	})
 	p.flushBatch()
 }
@@ -92,7 +62,9 @@ func (p *Planner) Copy(dst, src VecID) {
 	if dst == src {
 		return
 	}
-	dc, dv, sv := p.checkCompatible(dst, src)
+	p.checkCompatible(dst, src)
+	dv, dc := p.vecComps(dst)
+	sv := p.vecs[src]
 	sdc, hooks := p.sdcOn(), p.faultHooks()
 	var chkD, chkS []float64
 	var mon *SDCMonitor
@@ -217,144 +189,12 @@ func (p *Planner) Scal(dst VecID, alpha *Scalar) {
 
 // Axpy performs dst ← dst + α·src.
 func (p *Planner) Axpy(dst VecID, alpha *Scalar, src VecID) {
-	p.mustBeFinalized()
-	dc, dv, sv := p.checkCompatible(dst, src)
-	sdc, hooks := p.sdcOn(), p.faultHooks()
-	var chkD, chkS []float64
-	var mon *SDCMonitor
-	var tol float64
-	if sdc {
-		chkD, chkS = p.chkData(dst), p.chkData(src)
-		mon, tol = p.sdc.mon, p.sdc.tol
-	}
-	slot := 0
-	eachPiece(dc, func(ci, color int, subset index.IntervalSet, proc int) {
-		mySlot := slot
-		slot++
-		var run func() float64
-		if !p.virtual {
-			d, s := dv.regs[ci].Field("v"), sv.regs[ci].Field("v")
-			a := alpha.reg.Field("s")
-			run = func() float64 {
-				av := a[0]
-				if !sdc {
-					subset.EachInterval(func(iv index.Interval) {
-						for i := iv.Lo; i <= iv.Hi; i++ {
-							d[i] += av * s[i]
-						}
-					})
-					return 0
-				}
-				var sumD, absD, sumS, absS float64
-				subset.EachInterval(func(iv index.Interval) {
-					for i := iv.Lo; i <= iv.Hi; i++ {
-						dv0, sv0 := d[i], s[i]
-						sumD += dv0
-						absD += math.Abs(dv0)
-						sumS += sv0
-						absS += math.Abs(sv0)
-						d[i] = dv0 + av*sv0
-					}
-				})
-				verifySlot(mon, tol, "axpy", dst, mySlot, chkD, sumD, absD)
-				verifySlot(mon, tol, "axpy", src, mySlot, chkS, sumS, absS)
-				chkD[mySlot] = sumD + av*sumS
-				return 0
-			}
-		}
-		spec := taskrt.TaskSpec{
-			Name: "axpy", Proc: proc, Piece: mySlot + 1,
-			Cost: p.mach.AxpyCost(subset.Size()),
-			Refs: []region.Ref{
-				pieceRef(dv.regs[ci], subset, region.ReadWrite),
-				pieceRef(sv.regs[ci], subset, region.ReadOnly),
-				alpha.ref(region.ReadOnly),
-			},
-			Run: run,
-		}
-		if sdc {
-			spec.Refs = append(spec.Refs, p.chkRef(dst, mySlot, region.ReadWrite))
-			if src != dst {
-				spec.Refs = append(spec.Refs, p.chkRef(src, mySlot, region.ReadWrite))
-			}
-		}
-		if hooks {
-			spec.Corrupt = corruptHook(corruptTarget{dv.regs[ci].Field("v"), subset})
-		}
-		p.batch(spec)
-	})
-	p.flushBatch()
+	p.FusedSweep([]VecUpdate{{Kind: UpdAxpy, Dst: dst, Alpha: alpha, Src: src}}, nil)
 }
 
 // Xpay performs dst ← src + α·dst.
 func (p *Planner) Xpay(dst VecID, alpha *Scalar, src VecID) {
-	p.mustBeFinalized()
-	dc, dv, sv := p.checkCompatible(dst, src)
-	sdc, hooks := p.sdcOn(), p.faultHooks()
-	var chkD, chkS []float64
-	var mon *SDCMonitor
-	var tol float64
-	if sdc {
-		chkD, chkS = p.chkData(dst), p.chkData(src)
-		mon, tol = p.sdc.mon, p.sdc.tol
-	}
-	slot := 0
-	eachPiece(dc, func(ci, color int, subset index.IntervalSet, proc int) {
-		mySlot := slot
-		slot++
-		var run func() float64
-		if !p.virtual {
-			d, s := dv.regs[ci].Field("v"), sv.regs[ci].Field("v")
-			a := alpha.reg.Field("s")
-			run = func() float64 {
-				av := a[0]
-				if !sdc {
-					subset.EachInterval(func(iv index.Interval) {
-						for i := iv.Lo; i <= iv.Hi; i++ {
-							d[i] = s[i] + av*d[i]
-						}
-					})
-					return 0
-				}
-				var sumD, absD, sumS, absS float64
-				subset.EachInterval(func(iv index.Interval) {
-					for i := iv.Lo; i <= iv.Hi; i++ {
-						dv0, sv0 := d[i], s[i]
-						sumD += dv0
-						absD += math.Abs(dv0)
-						sumS += sv0
-						absS += math.Abs(sv0)
-						d[i] = sv0 + av*dv0
-					}
-				})
-				verifySlot(mon, tol, "xpay", dst, mySlot, chkD, sumD, absD)
-				verifySlot(mon, tol, "xpay", src, mySlot, chkS, sumS, absS)
-				chkD[mySlot] = sumS + av*sumD
-				return 0
-			}
-		}
-		spec := taskrt.TaskSpec{
-			Name: "xpay", Proc: proc, Piece: mySlot + 1,
-			Cost: p.mach.AxpyCost(subset.Size()),
-			Refs: []region.Ref{
-				pieceRef(dv.regs[ci], subset, region.ReadWrite),
-				pieceRef(sv.regs[ci], subset, region.ReadOnly),
-				alpha.ref(region.ReadOnly),
-			},
-			Run: run,
-		}
-		if sdc {
-			spec.Refs = append(spec.Refs, p.chkRef(dst, mySlot, region.ReadWrite))
-			if src != dst {
-				spec.Refs = append(spec.Refs, p.chkRef(src, mySlot, region.ReadWrite))
-			}
-		}
-		if hooks {
-			spec.Corrupt = corruptHook(corruptTarget{dv.regs[ci].Field("v"), subset})
-		}
-		p.batch(spec)
-	})
-	p.flushBatch()
+	p.FusedSweep([]VecUpdate{{Kind: UpdXpay, Dst: dst, Alpha: alpha, Src: src}}, nil)
 }
 
 // Dot computes the inner product v·w as a deferred scalar. Per-piece
@@ -363,120 +203,7 @@ func (p *Planner) Xpay(dst VecID, alpha *Scalar, src VecID) {
 // machine's allreduce cost. This is the global synchronization point of
 // every Krylov iteration.
 func (p *Planner) Dot(v, w VecID) *Scalar {
-	p.mustBeFinalized()
-	vc, vv, wv := p.checkCompatible(v, w)
-	sdc, hooks := p.sdcOn(), p.faultHooks()
-	var chkV, chkW []float64
-	var mon *SDCMonitor
-	var tol float64
-	if sdc {
-		chkV, chkW = p.chkData(v), p.chkData(w)
-		mon, tol = p.sdc.mon, p.sdc.tol
-	}
-
-	// Count total pieces for the scratch region.
-	total := 0
-	for _, c := range vc {
-		total += c.part.NumColors()
-	}
-	var scratch *region.Region
-	if p.virtual {
-		scratch = region.NewVirtual("dotscratch", index.NewSpace("P", int64(total)))
-	} else {
-		scratch = region.New("dotscratch", index.NewSpace("P", int64(total)), "s")
-	}
-
-	slot := 0
-	eachPiece(vc, func(ci, color int, subset index.IntervalSet, proc int) {
-		mySlot := slot
-		slot++
-		var run func() float64
-		if !p.virtual {
-			a, b := vv.regs[ci].Field("v"), wv.regs[ci].Field("v")
-			out := scratch.Field("s")
-			run = func() float64 {
-				var sum float64
-				if !sdc {
-					subset.EachInterval(func(iv index.Interval) {
-						for i := iv.Lo; i <= iv.Hi; i++ {
-							sum += a[i] * b[i]
-						}
-					})
-					out[mySlot] = sum
-					return sum
-				}
-				var sumV, absV, sumW, absW float64
-				subset.EachInterval(func(iv index.Interval) {
-					for i := iv.Lo; i <= iv.Hi; i++ {
-						x, y := a[i], b[i]
-						sum += x * y
-						sumV += x
-						absV += math.Abs(x)
-						sumW += y
-						absW += math.Abs(y)
-					}
-				})
-				verifySlot(mon, tol, "dot.partial", v, mySlot, chkV, sumV, absV)
-				if w != v {
-					verifySlot(mon, tol, "dot.partial", w, mySlot, chkW, sumW, absW)
-				}
-				out[mySlot] = sum
-				return sum
-			}
-		}
-		spec := taskrt.TaskSpec{
-			Name: "dot.partial", Proc: proc, Piece: mySlot + 1,
-			Cost: p.mach.DotCost(subset.Size()),
-			Refs: []region.Ref{
-				pieceRef(vv.regs[ci], subset, region.ReadOnly),
-				pieceRef(wv.regs[ci], subset, region.ReadOnly),
-				{Region: scratch.ID(), Field: "s", Subset: index.Span(int64(mySlot), int64(mySlot)), Priv: region.WriteDiscard},
-			},
-			Run: run, Retryable: true,
-		}
-		if sdc {
-			spec.Refs = append(spec.Refs, p.chkRef(v, mySlot, region.ReadWrite))
-			if w != v {
-				spec.Refs = append(spec.Refs, p.chkRef(w, mySlot, region.ReadWrite))
-			}
-		}
-		if hooks {
-			spec.Corrupt = corruptHook(corruptTarget{scratch.Field("s"), index.Span(int64(mySlot), int64(mySlot))})
-		}
-		p.batch(spec)
-	})
-	p.flushBatch()
-
-	out := p.newScalar("dot", 0)
-	var run func() float64
-	if !p.virtual {
-		in := scratch.Field("s")
-		dst := out.reg.Field("s")
-		run = func() float64 {
-			var sum float64
-			for _, v := range in {
-				sum += v
-			}
-			dst[0] = sum
-			return sum
-		}
-	}
-	out.fut = p.sess.Launch(taskrt.TaskSpec{
-		Name: "dot.reduce", Proc: 0,
-		// The reduce models the MPI_Allreduce tree the real machine pays.
-		Cost: p.mach.AllReduceTime(),
-		Refs: []region.Ref{
-			{Region: scratch.ID(), Field: "s", Subset: index.Span(0, int64(total)-1), Priv: region.ReadOnly},
-			out.ref(region.WriteDiscard),
-		},
-		Run: run, Retryable: true,
-	})
-	return out
-}
-
-// Norm2 returns the Euclidean norm of v as a deferred scalar.
-func (p *Planner) Norm2(v VecID) *Scalar {
-	return p.Sqrt(p.Dot(v, v))
+	return p.FusedSweep(nil, []DotPair{{V: v, W: w}})[0]
 }
 
 // AxpyConst and friends are conveniences over constant scalars.
@@ -490,16 +217,3 @@ func (p *Planner) AxpyConst(dst VecID, alpha float64, src VecID) {
 func (p *Planner) ScalConst(dst VecID, alpha float64) {
 	p.Scal(dst, p.Constant(alpha))
 }
-
-// vectorCostElems reports the total element count of a shape, used by
-// benchmarks for sanity checks.
-func (p *Planner) vectorCostElems(shape Shape) int64 {
-	var n int64
-	for _, c := range p.comps(shape) {
-		n += c.space.Size()
-	}
-	return n
-}
-
-// TotalUnknowns returns the size of the total domain space D_total.
-func (p *Planner) TotalUnknowns() int64 { return p.vectorCostElems(SolShape) }
