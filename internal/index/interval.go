@@ -2,6 +2,7 @@ package index
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -75,9 +76,8 @@ func FromPoints(points []int64) IntervalSet {
 	if len(points) == 0 {
 		return IntervalSet{}
 	}
-	ps := make([]int64, len(points))
-	copy(ps, points)
-	sort.Slice(ps, func(i, j int) bool { return ps[i] < ps[j] })
+	ps := slices.Clone(points)
+	slices.Sort(ps)
 	var s IntervalSet
 	lo, hi := ps[0], ps[0]
 	for _, p := range ps[1:] {

@@ -4,18 +4,31 @@
 // Tasks declare the data they touch as region references — (region, field,
 // index subset, privilege) tuples — and the runtime derives the dependence
 // graph automatically, exactly as Legion's interference analysis does
-// (Section 4.1 of the paper). Independent tasks execute concurrently on a
-// goroutine worker pool; tasks related by a true dependence are ordered,
-// and reduction tasks into overlapping data are serialized in launch order
-// so floating-point results stay deterministic.
+// (Section 4.1 of the paper). Independent tasks execute concurrently;
+// tasks related by a true dependence are ordered, and reduction tasks
+// into overlapping data are serialized in launch order so floating-point
+// results stay deterministic.
 //
 // Session is the launch API: Launch, LaunchBatch, IndexLaunch, trace
 // scopes (BeginTrace/EndTrace), the phase label, the retry policy, the
 // watchdog, the fault injector, and the recorder are all methods of a
-// Session. A Runtime (New) owns only what is machine-wide — the worker
-// pool, the dependence history, the recorded Graph, Stats, Drain and the
-// joined Err — and hands out sessions: DefaultSession for a
-// single-client program, NewSession per tenant of a shared runtime.
+// Session. The dependence engine is per session too: sessions must
+// reference disjoint regions, so each owns its access history and its
+// table of live tasks, guarded by the one lock a session has, and Close
+// releases them — a served job's history dies with its session. A launch
+// is one critical section of that lock: ID assignment, interference
+// analysis (or trace splice) and wiring onto live predecessors, which
+// keeps every history key's updates in task-ID order with no further
+// protocol. A Runtime (New) owns only what is machine-wide — the task-ID
+// counter, the run queue, the recorded Graph, Stats, Drain and the joined
+// Err — and hands out sessions: DefaultSession for a single-client
+// program, NewSession per tenant of a shared runtime.
+//
+// Ready tasks go to one FIFO run queue drained by at most GOMAXPROCS
+// worker goroutines. Workers are spawned when work arrives and exit when
+// the queue is empty, so an idle runtime owns no goroutine and needs no
+// Close; a worker that completes a task runs that task's first ready
+// successor itself, in a loop, and queues the rest.
 //
 // Alongside real execution, every launch is recorded into a task Graph
 // annotated with a simulated processor assignment, a roofline cost, and

@@ -12,15 +12,16 @@ import (
 	"kdrsolvers/internal/region"
 )
 
-// waitRetired spins until the task with the given ID has left rt.tasks —
+// waitRetired spins until the task with the given ID has left the default
+// session's live-task table —
 // i.e. its completion has run past the point where a later launch would
 // find it live and wire onto it. Tests use this to deterministically
 // steer a consumer launch into finishLocked's dead-predecessor branch.
 func waitRetired(rt *Runtime, id int64) {
 	for {
-		rt.mu.Lock()
-		_, live := rt.tasks[id]
-		rt.mu.Unlock()
+		rt.def.mu.Lock()
+		_, live := rt.def.tasks[id]
+		rt.def.mu.Unlock()
 		if !live {
 			return
 		}
@@ -113,9 +114,9 @@ func TestMidFlightFailurePoisonsLateWiredConsumers(t *testing.T) {
 	// Quiescence clears the ledger: the failure has been observable via
 	// Err, so recovery launches (SolveResilient's checkpoint restore)
 	// start from a clean slate exactly as before the fix.
-	rt.mu.Lock()
+	rt.def.mu.Lock()
 	ledger := len(rt.def.failed)
-	rt.mu.Unlock()
+	rt.def.mu.Unlock()
 	if ledger != 0 {
 		t.Errorf("failure ledger holds %d entries after quiescence", ledger)
 	}
@@ -199,9 +200,9 @@ func TestPoisonLedgerHammer(t *testing.T) {
 	if rt.Stats().Poisoned == 0 {
 		t.Error("hammer never exercised the poison path")
 	}
-	rt.mu.Lock()
+	rt.def.mu.Lock()
 	ledger := len(rt.def.failed)
-	rt.mu.Unlock()
+	rt.def.mu.Unlock()
 	if ledger != 0 {
 		t.Errorf("failure ledger holds %d entries after drain", ledger)
 	}

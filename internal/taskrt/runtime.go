@@ -5,8 +5,9 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"kdrsolvers/internal/fault"
@@ -143,6 +144,14 @@ type Stats struct {
 	Corrupted int64
 }
 
+// counters is Stats as the runtime keeps it: one atomic per field, so
+// sessions never share a lock to count.
+type counters struct {
+	launched, depEdges, analysisScans, traceReplays  atomic.Int64
+	traceHits, traceMisses, traceFallbacks           atomic.Int64
+	failed, retries, poisoned, stragglers, corrupted atomic.Int64
+}
+
 // histKey identifies one field of one region in the dependence history.
 type histKey struct {
 	region region.ID
@@ -160,52 +169,14 @@ type histEntry struct {
 	buf []index.Interval
 }
 
-// histShard holds one histKey's slice of the dependence history behind
-// its own lock, so the interval-set work of concurrent launches on
-// different keys proceeds in parallel instead of serializing on the
-// global runtime mutex. Per-key work must still happen in task-ID order
-// (dependences may only point backward); tickets enforce that: Launch
-// enqueues the task's ID under the runtime lock (so queue order is ID
-// order) and the analysis phase waits until its ticket reaches the
-// head. A task waits only on smaller IDs, which never wait on larger
-// ones, so the protocol cannot deadlock.
+// histShard holds one histKey's slice of the owning session's dependence
+// history. Per-key work must happen in task-ID order (dependences may
+// only point backward); the session lock a launch holds from ID
+// assignment through wiring gives exactly that, so a shard needs no lock
+// or queue of its own.
 type histShard struct {
-	mu      sync.Mutex
-	cond    sync.Cond
-	tickets []int64
-	head    int // index of the current head ticket within tickets
 	entries []histEntry
 	scratch []index.Interval // subtraction workspace, reused per shrink
-}
-
-// enqueue appends a ticket. Caller holds rt.mu (ordering) but not sh.mu.
-func (sh *histShard) enqueue(id int64) {
-	sh.mu.Lock()
-	sh.tickets = append(sh.tickets, id)
-	sh.mu.Unlock()
-}
-
-// acquire blocks until id is at the head of the ticket queue and returns
-// with sh.mu held.
-func (sh *histShard) acquire(id int64) {
-	sh.mu.Lock()
-	for sh.tickets[sh.head] != id {
-		sh.cond.Wait()
-	}
-}
-
-// release pops the head ticket and releases sh.mu. The queue is a
-// head-indexed slice rather than tickets[1:] reslicing: once it drains
-// it resets to the front of the same backing array, so a steady launch
-// rate enqueues forever without reallocating.
-func (sh *histShard) release() {
-	sh.head++
-	if sh.head == len(sh.tickets) {
-		sh.tickets = sh.tickets[:0]
-		sh.head = 0
-	}
-	sh.cond.Broadcast()
-	sh.mu.Unlock()
 }
 
 // shrinkWriterShadow subtracts a new writer's subset from an older
@@ -213,8 +184,7 @@ func (sh *histShard) release() {
 // be dropped). The subtraction runs into the shard's scratch buffer and
 // the result is copied into the entry's own reused storage, so the
 // steady-state shrink — including the common full-shadow case, which
-// produces nothing and copies nothing — is allocation-free. Caller
-// holds sh.mu.
+// produces nothing and copies nothing — is allocation-free.
 func (sh *histShard) shrinkWriterShadow(e *histEntry, by index.IntervalSet) bool {
 	res, scratch := e.subset.SubtractInto(by, sh.scratch[:0])
 	sh.scratch = scratch
@@ -231,8 +201,8 @@ func (sh *histShard) shrinkWriterShadow(e *histEntry, by index.IntervalSet) bool
 }
 
 // analyze records dependences of one reference of task id against the
-// shard's history and updates the history. Caller holds sh.mu via
-// acquire. Returns the number of entries scanned.
+// shard's history and updates the history. Returns the number of entries
+// scanned.
 func (sh *histShard) analyze(id int64, ref region.Ref, depBytes map[int64]int64) int {
 	entries := sh.entries
 	kept := entries[:0]
@@ -279,7 +249,7 @@ func (sh *histShard) analyze(id int64, ref region.Ref, depBytes map[int64]int64)
 // skipping the interference scan entirely — replay already knows the
 // edges. Keeping the history current is what makes mid-instance
 // fallback and post-trace launches see exactly the state a fully
-// analyzed execution would have left. Caller holds sh.mu via acquire.
+// analyzed execution would have left.
 func (sh *histShard) record(id int64, ref region.Ref) {
 	if ref.Priv.Writes() {
 		entries := sh.entries
@@ -299,14 +269,14 @@ func (sh *histShard) record(id int64, ref region.Ref) {
 
 // taskState tracks an incomplete task's scheduling state. Name, phase,
 // proc, and the recorder are copied out of the spec at launch so that
-// execution and failure reporting never need the runtime lock.
+// execution and failure reporting never need a lock.
 //
 // taskStates are pooled: complete() recycles the state (and its owned
-// scratch slices — deps, bytes, groups, ready — whose capacity survives
-// the round trip) unless noRecycle pins it for an async reader. A state
-// is safe to recycle at the end of its own complete(): every successor
-// was handed off under rt.mu, the ID was unregistered, and execute()
-// touches nothing after complete() returns.
+// scratch slices — deps, bytes, ready — whose capacity survives the
+// round trip) unless noRecycle pins it for an async reader. A state is
+// safe to recycle at the end of its own complete(): every successor was
+// handed off under the session lock, the ID was unregistered, and
+// execute() touches nothing after complete() returns.
 type taskState struct {
 	id        int64
 	name      string
@@ -316,86 +286,80 @@ type taskState struct {
 	future    *Future // nil for detached launches
 	pending   int
 	succs     []*taskState
-	wired     bool // dependence wiring finished; eligible to run at pending==0
 	rec       *obs.Recorder
 	sess      *Session // the session that launched the task
 	launch    float64  // recorder time at launch (valid when rec != nil)
 	retryable bool
 	inj       fault.Injection
 	corrupt   func(fault.Injection)
-	poison    error // set under rt.mu before the task becomes ready
+	poison    error // set under sess.mu before the task becomes ready
 	noRecycle bool  // an async reader (watchdog) may outlive complete()
-
-	// exec is the state's pre-bound executor thunk, created once when the
-	// state is first pooled. Spawning `go ts.exec()` passes a zero-argument
-	// func value, which the compiler hands to the scheduler as-is; the
-	// equivalent `go rt.execute(ts)` would heap-allocate a closure per
-	// spawn to carry its arguments.
-	exec func()
 
 	// Per-launch scratch, owned by the state and reused across pool
 	// round trips.
-	groups  []keyGroup   // history keys of this launch's refs
-	deps    []int64      // discovered or spliced dependence edges
-	bytes   []int64      // bytes flowing along deps (parallel slice)
-	ready   []*taskState // successors released by this task's completion
-	splice  bool         // deps came from a trace template
-	scans   int          // history entries examined by analysis
-	atEpoch int64        // trace-scope epoch at launch (at != nil)
-	trPos   int          // position within the trace instance
-	at      *activeTrace // the trace scope observed at launch, if any
-}
-
-// keyGroup is one distinct history key of a launch. The refs mapping to
-// the key are not stored — the analysis phase re-walks the spec's refs
-// per group, which for the tiny ref lists of real launches is cheaper
-// than materializing per-group ref slices and keeps the launch path
-// allocation-free.
-type keyGroup struct {
-	shard *histShard
-	key   histKey
+	deps   []int64      // discovered or spliced dependence edges
+	bytes  []int64      // bytes flowing along deps (parallel slice)
+	ready  []*taskState // successors released by this task's completion
+	splice bool         // deps came from a trace template
+	scans  int          // history entries examined by analysis
 }
 
 // launchScratch is the per-launch transient workspace, pooled on the
-// runtime so neither Launch nor LaunchBatch allocates it.
+// runtime so a launch does not allocate it.
 type launchScratch struct {
 	depBytes map[int64]int64
 	states   []*taskState
 	ready    []*taskState
 }
 
-// Runtime owns what is machine-wide: the dependence engine, the worker
-// pool that executes ready tasks, and the annotated graph recorded for
-// the simulator. Tasks are launched through a Session (DefaultSession
-// for a single client, NewSession per tenant); the runtime itself has no
-// launch methods. The zero value is not usable; call New.
+// Runtime owns what is machine-wide: the task-ID counter, the run queue
+// and its workers, and the annotated graph recorded for the simulator.
+// The dependence engine — access history and live-task table — belongs
+// to each Session and dies with it. Tasks are launched through a Session
+// (DefaultSession for a single client, NewSession per tenant); the
+// runtime itself has no launch methods. The zero value is not usable;
+// call New.
 //
 // Drain, Err, Graph, and Stats are safe for concurrent use.
 type Runtime struct {
+	// stats and nextID are atomics: sessions never share a lock on the
+	// launch or completion path.
+	stats  counters
+	nextID atomic.Int64 // next task ID to assign
+	wg     sync.WaitGroup
+
+	// mu is a leaf lock (taken after a Session.mu, never before one) over
+	// the session list and the retained graph.
 	mu        sync.Mutex
-	hist      map[histKey]*histShard
-	tasks     map[int64]*taskState // incomplete tasks only
 	graph     Graph
-	nextID    int64          // next task ID to assign
 	nextFlush int64          // next task ID to append to graph.Nodes
 	held      map[int64]Node // finalized nodes waiting on smaller IDs
-	stats     Stats
-	wg        sync.WaitGroup
-	workers   chan int // pool of worker IDs; len = concurrency limit
 	// def is the built-in session single-client programs launch
-	// through; sessions lists every live session, def first. The error
-	// window, poison ledger, quiescence tracking, phase label, trace
-	// state, injector, and recorder all live per session — see Session.
+	// through; sessions lists every live session, def first.
 	def      *Session
 	sessions []*Session
-
-	// retain controls graph retention (on by default): when off, launches
-	// skip Node construction entirely — the zero-allocation configuration
-	// for replay-dominated hot loops that never call Graph.
-	retain bool
 	// depArena chunk-allocates Node dep-edge storage so graph retention
 	// costs one allocation per ~arenaChunk edges instead of two per task.
 	depArena []int64
+
+	// retain controls graph retention (on by default): when off, launches
+	// skip Node construction — and rt.mu — entirely, the zero-allocation
+	// configuration for replay-dominated hot loops that never call Graph.
+	retain atomic.Bool
+
+	// The run queue: ready tasks in FIFO order (runq[runHead:]), drained
+	// by at most maxWorkers goroutines that are spawned when work arrives
+	// and exit when the queue is empty, so an idle runtime owns no
+	// goroutine. work is the pre-bound worker entry point: `go rt.work()`
+	// hands the scheduler an existing func value, where `go rt.worker()`
+	// would allocate a closure per spawn.
+	runMu      sync.Mutex
+	runq       []*taskState
+	runHead    int
+	live       int   // worker goroutines running
+	freeIDs    []int // worker IDs not in use, lowest on top
+	maxWorkers int
+	work       func()
 
 	tsPool sync.Pool // *taskState
 	scPool sync.Pool // *launchScratch
@@ -411,29 +375,18 @@ const arenaChunk = 4096
 // New returns an empty runtime executing up to GOMAXPROCS tasks
 // concurrently.
 func New() *Runtime {
-	nw := runtime.GOMAXPROCS(0)
-	workers := make(chan int, nw)
-	for w := 0; w < nw; w++ {
-		workers <- w
-	}
 	rt := &Runtime{
-		hist:    make(map[histKey]*histShard),
-		tasks:   make(map[int64]*taskState),
-		held:    make(map[int64]Node),
-		workers: workers,
-		retain:  true,
+		held:       make(map[int64]Node),
+		maxWorkers: runtime.GOMAXPROCS(0),
 	}
-	rt.def = &Session{
-		rt:     rt,
-		failed: make(map[int64]error),
-		traces: make(map[string]*traceTmpl),
+	rt.retain.Store(true)
+	for w := rt.maxWorkers - 1; w >= 0; w-- {
+		rt.freeIDs = append(rt.freeIDs, w)
 	}
+	rt.work = rt.worker
+	rt.def = newSession(rt, "")
 	rt.sessions = []*Session{rt.def}
-	rt.tsPool.New = func() any {
-		ts := &taskState{}
-		ts.exec = func() { rt.execute(ts) }
-		return ts
-	}
+	rt.tsPool.New = func() any { return &taskState{} }
 	rt.scPool.New = func() any {
 		return &launchScratch{depBytes: make(map[int64]int64)}
 	}
@@ -449,10 +402,10 @@ func New() *Runtime {
 // retained eras.
 func (rt *Runtime) SetGraphRetention(on bool) {
 	rt.mu.Lock()
-	if on && !rt.retain {
-		rt.nextFlush = rt.nextID // skip the unrecorded era
+	if on && !rt.retain.Load() {
+		rt.nextFlush = rt.nextID.Load() // skip the unrecorded era
 	}
-	rt.retain = on
+	rt.retain.Store(on)
 	rt.mu.Unlock()
 }
 
@@ -464,41 +417,14 @@ func (rt *Runtime) LaunchTiming() (analyzed, spliced obs.TimerSnapshot) {
 }
 
 // shardFor returns (creating if needed) the history shard of a key.
-// Caller holds rt.mu.
-func (rt *Runtime) shardFor(key histKey) *histShard {
-	sh := rt.hist[key]
+// Caller holds s.mu.
+func (s *Session) shardFor(key histKey) *histShard {
+	sh := s.hist[key]
 	if sh == nil {
 		sh = &histShard{}
-		sh.cond.L = &sh.mu
-		rt.hist[key] = sh
+		s.hist[key] = sh
 	}
 	return sh
-}
-
-// groupKeys collects a spec's distinct history keys in first-appearance
-// order into the task's reused group buffer and enqueues one ticket per
-// key. Distinctness is a linear scan over the groups found so far —
-// launches reference a handful of keys, where the scan beats a map and
-// allocates nothing. Caller holds rt.mu.
-func (rt *Runtime) groupKeys(id int64, refs []region.Ref, groups []keyGroup) []keyGroup {
-	groups = groups[:0]
-	for _, ref := range refs {
-		key := histKey{ref.Region, ref.Field}
-		seen := false
-		for i := range groups {
-			if groups[i].key == key {
-				seen = true
-				break
-			}
-		}
-		if !seen {
-			groups = append(groups, keyGroup{shard: rt.shardFor(key), key: key})
-		}
-	}
-	for i := range groups {
-		groups[i].shard.enqueue(id)
-	}
-	return groups
 }
 
 // newTaskState takes a pooled state and copies the spec fields execution
@@ -523,99 +449,64 @@ func (rt *Runtime) recycle(ts *taskState) {
 	ts.rec = nil
 	ts.sess = nil
 	ts.poison = nil
-	ts.at = nil
 	ts.inj = fault.Injection{}
 	ts.corrupt = nil
 	ts.pending = 0
-	ts.wired = false
-	ts.splice = false
-	ts.scans = 0
-	for i := range ts.succs {
-		ts.succs[i] = nil
-	}
+	clear(ts.succs)
 	ts.succs = ts.succs[:0]
-	for i := range ts.ready {
-		ts.ready[i] = nil
-	}
-	ts.ready = ts.ready[:0]
 	ts.deps = ts.deps[:0]
 	ts.bytes = ts.bytes[:0]
-	ts.groups = ts.groups[:0]
 	rt.tsPool.Put(ts)
 }
 
-// prepLocked is launch phase 1: assign the ID, consult the session's
-// tracer, enqueue per-key tickets, and register the task so later
-// launches can wire onto it. Caller holds rt.mu.
-func (rt *Runtime) prepLocked(sess *Session, spec *TaskSpec, ts *taskState) {
-	id := rt.nextID
-	rt.nextID++
+// prep is launch step 1: label the task, consult the session's tracer
+// and injector, and register the task so later launches can wire onto
+// it. Caller holds s.mu.
+func (s *Session) prep(spec *TaskSpec, ts *taskState, id int64) {
 	ts.id = id
-	ts.sess = sess
+	ts.sess = s
 	ts.phase = spec.Phase
 	if ts.phase == "" {
-		ts.phase = sess.phase
+		ts.phase = s.phase
 	}
 	ts.splice = false
 	ts.scans = 0
-	ts.at = nil
-	if sess.trace != nil {
-		ts.at = sess.trace
-		ts.atEpoch = sess.atEpoch
-		ts.trPos = sess.trace.n
-		sess.traceObserve(*spec, ts)
+	if s.trace != nil {
+		s.traceObserve(*spec, ts)
 	}
-	ts.groups = rt.groupKeys(id, spec.Refs, ts.groups)
-	if sess.injector != nil {
-		ts.inj = sess.injector.Decide(spec.Name, ts.phase, spec.Piece-1)
+	if s.injector != nil {
+		ts.inj = s.injector.Decide(spec.Name, ts.phase, spec.Piece-1)
 	}
-	ts.rec = sess.rec
+	ts.rec = s.rec
 	if ts.rec != nil {
 		ts.launch = ts.rec.Now()
 	}
-	rt.tasks[id] = ts
-	sess.inflight++
-	rt.wg.Add(1)
-	sess.wg.Add(1)
+	s.tasks[id] = ts
+	s.inflight++
+	s.rt.wg.Add(1)
+	s.wg.Add(1)
 }
 
-// resolveDeps is launch phase 2 (per-key shard locks, in ticket order):
-// the interval-set work — interference analysis for analyzed launches,
-// the history shadow update for spliced ones. Runs without rt.mu.
-func (rt *Runtime) resolveDeps(spec *TaskSpec, ts *taskState, sc *launchScratch) {
+// resolve is launch step 2, the interval-set work against the session's
+// history: interference analysis for analyzed launches, the history
+// shadow update for spliced ones. Caller holds s.mu, which is what keeps
+// every shard's updates in task-ID order.
+func (s *Session) resolve(spec *TaskSpec, ts *taskState, depBytes map[int64]int64) {
 	if ts.splice {
-		for _, g := range ts.groups {
-			g.shard.acquire(ts.id)
-			for i := range spec.Refs {
-				ref := &spec.Refs[i]
-				if (histKey{ref.Region, ref.Field}) == g.key {
-					g.shard.record(ts.id, *ref)
-				}
-			}
-			g.shard.release()
+		for _, ref := range spec.Refs {
+			s.shardFor(histKey{ref.Region, ref.Field}).record(ts.id, ref)
 		}
 		return
 	}
-	depBytes := sc.depBytes
 	clear(depBytes)
-	scans := 0
-	for _, g := range ts.groups {
-		g.shard.acquire(ts.id)
-		for i := range spec.Refs {
-			ref := &spec.Refs[i]
-			if (histKey{ref.Region, ref.Field}) == g.key {
-				scans += g.shard.analyze(ts.id, *ref, depBytes)
-			}
-		}
-		g.shard.release()
+	for _, ref := range spec.Refs {
+		ts.scans += s.shardFor(histKey{ref.Region, ref.Field}).analyze(ts.id, ref, depBytes)
 	}
-	ts.scans = scans
 	ts.deps = ts.deps[:0]
 	for d := range depBytes {
 		ts.deps = append(ts.deps, d)
 	}
-	deps := ts.deps
-	sort.Slice(deps, func(i, j int) bool { return deps[i] < deps[j] })
+	slices.Sort(ts.deps)
 	ts.bytes = ts.bytes[:0]
 	for _, d := range ts.deps {
 		ts.bytes = append(ts.bytes, depBytes[d])
@@ -630,57 +521,53 @@ func (rt *Runtime) arenaCopy(xs []int64) []int64 {
 		return nil
 	}
 	if len(rt.depArena)+len(xs) > cap(rt.depArena) {
-		sz := arenaChunk
-		if len(xs) > sz {
-			sz = len(xs)
-		}
-		rt.depArena = make([]int64, 0, sz)
+		rt.depArena = make([]int64, 0, max(arenaChunk, len(xs)))
 	}
 	n := len(rt.depArena)
 	rt.depArena = append(rt.depArena, xs...)
 	return rt.depArena[n : n+len(xs) : n+len(xs)]
 }
 
-// finishLocked is launch phase 3: record the node, update stats, capture
-// template edges when calibrating, and wire the dependences. Returns
-// whether the task is immediately ready to execute. Caller holds rt.mu.
-func (rt *Runtime) finishLocked(spec *TaskSpec, ts *taskState) bool {
-	rt.stats.Launched++
-	rt.stats.DepEdges += int64(len(ts.deps))
-	rt.stats.AnalysisScans += int64(ts.scans)
-	ts.sess.stats.Launched++
-	ts.sess.stats.DepEdges += int64(len(ts.deps))
-	if ts.splice {
-		rt.stats.TraceReplays++
-	} else if ts.at != nil && ts.sess.trace == ts.at && ts.sess.atEpoch == ts.atEpoch {
-		ts.sess.traceRecordAnalyzed(ts.trPos, ts.deps, ts.bytes)
-	}
-	ts.at = nil
-	if rt.retain {
+// retainNodes records a launched batch in the graph. IDs are global and
+// sessions interleave, so a node is held back until every smaller ID has
+// been recorded: Graph always returns a consistent prefix. Caller holds
+// the launching session's lock (the states cannot complete under it).
+func (rt *Runtime) retainNodes(specs []TaskSpec, states []*taskState) {
+	rt.mu.Lock()
+	for i, ts := range states {
+		spec := &specs[i]
 		rt.held[ts.id] = Node{
 			ID: ts.id, Name: spec.Name, Phase: ts.phase, Proc: spec.Proc, Cost: spec.Cost,
 			Deps: rt.arenaCopy(ts.deps), DepBytes: rt.arenaCopy(ts.bytes),
 			Traced: ts.splice, Host: spec.Host,
 		}
-		for {
-			n, ok := rt.held[rt.nextFlush]
-			if !ok {
-				break
-			}
-			delete(rt.held, rt.nextFlush)
-			rt.graph.Nodes = append(rt.graph.Nodes, n)
-			rt.nextFlush++
+	}
+	for {
+		n, ok := rt.held[rt.nextFlush]
+		if !ok {
+			break
 		}
+		delete(rt.held, rt.nextFlush)
+		rt.graph.Nodes = append(rt.graph.Nodes, n)
+		rt.nextFlush++
+	}
+	rt.mu.Unlock()
+}
+
+// wire is launch step 3: capture template edges when calibrating and
+// hook the task onto its live predecessors. Returns whether the task is
+// immediately ready to execute. Caller holds s.mu.
+func (s *Session) wire(ts *taskState) bool {
+	if !ts.splice && s.trace != nil {
+		s.traceRecordAnalyzed(ts.deps, ts.bytes)
 	}
 	for _, d := range ts.deps {
-		if pred, live := rt.tasks[d]; live {
+		if pred, live := s.tasks[d]; live {
 			pred.succs = append(pred.succs, ts)
 			ts.pending++
-		} else if perr, ok := ts.sess.failed[d]; ok && ts.poison == nil {
-			// The predecessor completed in failure while this launch was
-			// still in flight — in a batch's unlocked resolve phase, or
-			// racing another goroutine's launch. The client cannot have
-			// observed that failure yet (no Drain happened between the
+		} else if perr, ok := s.failed[d]; ok && ts.poison == nil {
+			// The predecessor completed in failure and the client cannot
+			// have observed that yet (no Drain happened between the
 			// failure and this launch), so the task must be poisoned, not
 			// run on a garbage region. The ledger is per session and
 			// clears when the session's client drains it (Session.Drain,
@@ -692,130 +579,149 @@ func (rt *Runtime) finishLocked(spec *TaskSpec, ts *taskState) bool {
 			ts.poison = perr
 		}
 	}
-	ts.wired = true
 	return ts.pending == 0
 }
 
-func (rt *Runtime) launch(sess *Session, spec TaskSpec) *Future {
+// launch is the one launch path (Launch is a batch of one): prep,
+// resolve and wire of every spec run in a single critical section of the
+// session lock, so launches on one session are ordered by it — IDs,
+// history updates and wiring alike — and launches on different sessions
+// share nothing but the atomic ID counter. futs, when non-nil, receives
+// the futures in spec order.
+func (s *Session) launch(specs []TaskSpec, futs []*Future) {
+	rt := s.rt
 	start := time.Now()
 	sc := rt.scPool.Get().(*launchScratch)
-	ts := rt.newTaskState(&spec)
-	fut := ts.future
+	states, ready := sc.states[:0], sc.ready[:0]
+	n := int64(len(specs))
+	var edges, scans, nSpliced int64
 
-	rt.mu.Lock()
-	rt.prepLocked(sess, &spec, ts)
-	rt.mu.Unlock()
-
-	rt.resolveDeps(&spec, ts, sc)
-
-	rt.mu.Lock()
-	ready := rt.finishLocked(&spec, ts)
-	// Once wired, a predecessor's completion may ready, run, and recycle
-	// ts at any moment — read everything needed from it before unlocking.
-	spliced := ts.splice
-	rt.mu.Unlock()
-	rt.scPool.Put(sc)
-
-	if ready {
-		go ts.exec()
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		s.panicClosed()
 	}
-	if spliced {
-		rt.tSpliced.Observe(time.Since(start))
-	} else {
-		rt.tAnalyzed.Observe(time.Since(start))
-	}
-	return fut
-}
-
-func (rt *Runtime) launchBatch(sess *Session, specs []TaskSpec) []*Future {
-	if len(specs) == 0 {
-		return nil
-	}
-	start := time.Now()
-	sc := rt.scPool.Get().(*launchScratch)
-	states := sc.states[:0]
-
-	var futs []*Future
-	for i := range specs {
-		if !specs[i].Detached {
-			futs = make([]*Future, len(specs))
-			break
-		}
-	}
-
-	// Phase 1: one runtime-lock acquisition registers the whole batch.
-	rt.mu.Lock()
+	base := rt.nextID.Add(n) - n // the whole batch's IDs are contiguous
 	for i := range specs {
 		ts := rt.newTaskState(&specs[i])
-		rt.prepLocked(sess, &specs[i], ts)
-		states = append(states, ts)
 		if futs != nil {
 			futs[i] = ts.future
 		}
-	}
-	rt.mu.Unlock()
-
-	// Phase 2: per-spec interval work in launch (= ID) order. A single
-	// goroutine acquiring its own tickets in ascending order never waits
-	// on itself, so sequential resolution cannot deadlock.
-	nSpliced := int64(0)
-	for i, ts := range states {
-		rt.resolveDeps(&specs[i], ts, sc)
+		s.prep(&specs[i], ts, base+int64(i))
+		s.resolve(&specs[i], ts, sc.depBytes)
+		if s.wire(ts) {
+			ready = append(ready, ts)
+		}
+		states = append(states, ts)
+		edges += int64(len(ts.deps))
+		scans += int64(ts.scans)
 		if ts.splice {
 			nSpliced++
 		}
 	}
-
-	// Phase 3: one lock acquisition wires and records the whole batch.
-	ready := sc.ready[:0]
-	rt.mu.Lock()
-	for i, ts := range states {
-		if rt.finishLocked(&specs[i], ts) {
-			ready = append(ready, ts)
-		}
+	s.stats.Launched += n
+	s.stats.DepEdges += edges
+	if rt.retain.Load() {
+		rt.retainNodes(specs, states)
 	}
-	rt.mu.Unlock()
+	s.mu.Unlock()
+	// From here a predecessor's completion may ready, run, and recycle
+	// any non-ready state: only the ready ones are touched again.
 
+	rt.stats.launched.Add(n)
+	rt.stats.depEdges.Add(edges)
+	rt.stats.analysisScans.Add(scans)
+	rt.stats.traceReplays.Add(nSpliced)
 	// Attribute the batch's wall time to the two launch-path timers in
-	// proportion to the split, before any spawned task can recycle.
+	// proportion to the split.
 	dur := time.Since(start)
-	n := int64(len(specs))
 	if nSpliced > 0 {
 		rt.tSpliced.ObserveN(dur*time.Duration(nSpliced)/time.Duration(n), nSpliced)
 	}
 	if nA := n - nSpliced; nA > 0 {
 		rt.tAnalyzed.ObserveN(dur*time.Duration(nA)/time.Duration(n), nA)
 	}
-	for i, ts := range ready {
-		go ts.exec()
-		ready[i] = nil
-	}
-	sc.ready = ready[:0]
-	for i := range states {
-		states[i] = nil
-	}
-	sc.states = states[:0]
+	rt.submit(ready)
+	clear(ready)
+	clear(states)
+	sc.states, sc.ready = states[:0], ready[:0]
 	rt.scPool.Put(sc)
-	return futs
 }
 
-// execute runs one ready task — or skips it when poisoned — and then
-// releases its successors.
-func (rt *Runtime) execute(ts *taskState) {
-	rt.mu.Lock()
+// submit appends ready tasks to the run queue and spawns workers for
+// them, up to the concurrency limit.
+func (rt *Runtime) submit(ready []*taskState) {
+	if len(ready) == 0 {
+		return
+	}
+	rt.runMu.Lock()
+	if rt.runHead > 0 && len(rt.runq)+len(ready) > cap(rt.runq) {
+		// Reclaim the drained front before growing, so the queue's
+		// storage is bounded by the backlog, not by history.
+		n := copy(rt.runq, rt.runq[rt.runHead:])
+		clear(rt.runq[n:])
+		rt.runq, rt.runHead = rt.runq[:n], 0
+	}
+	rt.runq = append(rt.runq, ready...)
+	spawn := min(len(ready), rt.maxWorkers-rt.live)
+	rt.live += spawn
+	rt.runMu.Unlock()
+	for ; spawn > 0; spawn-- {
+		go rt.work()
+	}
+}
+
+// worker drains the run queue and exits when it is empty. After each
+// task it keeps running that task's first ready successor inline — a
+// loop, not a recursion, so a dependent chain of any length runs on one
+// goroutine at constant stack depth without a queue round trip per link.
+func (rt *Runtime) worker() {
+	rt.runMu.Lock()
+	w := rt.freeIDs[len(rt.freeIDs)-1]
+	rt.freeIDs = rt.freeIDs[:len(rt.freeIDs)-1]
+	for rt.runHead < len(rt.runq) {
+		ts := rt.runq[rt.runHead]
+		rt.runq[rt.runHead] = nil
+		rt.runHead++
+		rt.runMu.Unlock()
+		for ts != nil {
+			ts = rt.execute(ts, w)
+		}
+		rt.runMu.Lock()
+	}
+	rt.runq, rt.runHead = rt.runq[:0], 0
+	rt.freeIDs = append(rt.freeIDs, w)
+	rt.live--
+	rt.runMu.Unlock()
+}
+
+// count bumps one runtime counter and its per-session twin.
+func (s *Session) count(global *atomic.Int64, local *int64) {
+	global.Add(1)
+	s.mu.Lock()
+	*local++
+	s.mu.Unlock()
+}
+
+// execute runs one ready task on worker w — or skips it when poisoned —
+// then releases its successors and returns the one to run next inline,
+// if any.
+func (rt *Runtime) execute(ts *taskState, w int) *taskState {
+	sess := ts.sess
+	sess.mu.Lock()
 	poison := ts.poison
-	policy := ts.sess.retry
-	budget := ts.sess.watchdog
-	rt.mu.Unlock()
+	if poison != nil {
+		sess.stats.Poisoned++
+	}
+	policy := sess.retry
+	budget := sess.watchdog
+	sess.mu.Unlock()
 
 	if poison != nil {
 		// Cancelled: the body never runs on garbage data. Record a
 		// zero-duration span so traces show the hole where the task
 		// would have been.
-		rt.mu.Lock()
-		rt.stats.Poisoned++
-		ts.sess.stats.Poisoned++
-		rt.mu.Unlock()
+		rt.stats.poisoned.Add(1)
 		if ts.rec != nil {
 			now := ts.rec.Now()
 			ts.rec.Record(obs.Span{
@@ -828,8 +734,7 @@ func (rt *Runtime) execute(ts *taskState) {
 				Kind: obs.FailureCancelled, Msg: poison.Error(), Final: true,
 			})
 		}
-		rt.complete(ts, math.NaN(), poison)
-		return
+		return rt.complete(ts, math.NaN(), poison)
 	}
 
 	if budget > 0 {
@@ -839,7 +744,6 @@ func (rt *Runtime) execute(ts *taskState) {
 		ts.noRecycle = true
 	}
 
-	w := <-rt.workers
 	var start float64
 	if ts.rec != nil {
 		start = ts.rec.Now()
@@ -883,17 +787,14 @@ func (rt *Runtime) execute(ts *taskState) {
 			val = math.NaN()
 			err = fmt.Errorf("taskrt: task %d (%s) failed after %d attempt(s): %v",
 				ts.id, ts.name, attempt+1, err)
-			rt.mu.Lock()
-			rt.stats.Failed++
-			ts.sess.stats.Failed++
-			ts.sess.pushErr(err)
-			rt.mu.Unlock()
+			rt.stats.failed.Add(1)
+			sess.mu.Lock()
+			sess.stats.Failed++
+			sess.pushErr(err)
+			sess.mu.Unlock()
 			break
 		}
-		rt.mu.Lock()
-		rt.stats.Retries++
-		ts.sess.stats.Retries++
-		rt.mu.Unlock()
+		sess.count(&rt.stats.retries, &sess.stats.Retries)
 		if policy.Backoff > 0 {
 			time.Sleep(backoffDelay(policy.Backoff, attempt))
 		}
@@ -905,8 +806,7 @@ func (rt *Runtime) execute(ts *taskState) {
 			Outcome: outcome,
 		})
 	}
-	rt.workers <- w
-	rt.complete(ts, val, err)
+	return rt.complete(ts, val, err)
 }
 
 // complete resolves the task's future, poisons and releases its
@@ -915,14 +815,13 @@ func (rt *Runtime) execute(ts *taskState) {
 // cancellation): every direct successor is poisoned, poison flows
 // transitively because poisoned successors complete with their own
 // non-nil error, and the failure is remembered so tasks wired after this
-// completion are poisoned too.
-func (rt *Runtime) complete(ts *taskState, val float64, err error) {
+// completion are poisoned too. The first successor this completion made
+// ready is returned for the calling worker to run next; the rest go to
+// the run queue.
+func (rt *Runtime) complete(ts *taskState, val float64, err error) (next *taskState) {
 	if ts.future != nil {
 		ts.future.resolve(val, err)
 	}
-
-	rt.mu.Lock()
-	delete(rt.tasks, ts.id)
 	var poisonErr error
 	if err != nil {
 		if errors.Is(err, ErrPoisoned) {
@@ -932,15 +831,17 @@ func (rt *Runtime) complete(ts *taskState, val float64, err error) {
 				ErrPoisoned, ts.id, ts.name, err)
 		}
 	}
+
+	sess := ts.sess
+	sess.mu.Lock()
+	delete(sess.tasks, ts.id)
 	if poisonErr != nil {
-		// Remember the failure for launches still in flight: a consumer
-		// registered before this completion but not yet wired (a batch's
-		// unlocked resolve phase, or a concurrent launcher) finds no live
-		// predecessor in rt.tasks and must pick the poison up from this
-		// ledger instead of silently running on a failed region. The
-		// ledger is per session so one tenant's failure never poisons
-		// another tenant's launches.
-		ts.sess.failed[ts.id] = poisonErr
+		// Remember the failure for consumers launched after this
+		// completion: they find no live predecessor in sess.tasks and must
+		// pick the poison up from this ledger instead of silently running
+		// on a failed region. The ledger is per session so one tenant's
+		// failure never poisons another tenant's launches.
+		sess.failed[ts.id] = poisonErr
 	}
 	ready := ts.ready[:0]
 	for _, s := range ts.succs {
@@ -948,34 +849,32 @@ func (rt *Runtime) complete(ts *taskState, val float64, err error) {
 			s.poison = poisonErr
 		}
 		s.pending--
-		if s.pending == 0 && s.wired {
+		if s.pending == 0 {
 			ready = append(ready, s)
 		}
 	}
-	ts.ready = ready
-	sess := ts.sess
 	sess.inflight--
-	rt.mu.Unlock()
+	sess.mu.Unlock()
 
-	for i, s := range ts.ready {
-		go s.exec()
-		ts.ready[i] = nil
+	if len(ready) > 0 {
+		next = ready[0]
+		rt.submit(ready[1:])
 	}
-	ts.ready = ts.ready[:0]
+	clear(ready)
+	ts.ready = ready[:0]
 	noRecycle := ts.noRecycle
 	sess.wg.Done()
 	rt.wg.Done()
 	if !noRecycle {
 		rt.recycle(ts)
 	}
+	return next
 }
 
 // flagStraggler records that a task blew its wall-clock budget. It runs
 // on the watchdog timer's goroutine, concurrently with the task.
 func (rt *Runtime) flagStraggler(ts *taskState, budget time.Duration) {
-	rt.mu.Lock()
-	rt.stats.Stragglers++
-	rt.mu.Unlock()
+	rt.stats.stragglers.Add(1)
 	if ts.rec != nil {
 		ts.rec.RecordFailure(obs.Failure{
 			Task: ts.id, Name: ts.name, Phase: ts.phase,
@@ -1018,12 +917,18 @@ func (rt *Runtime) runGuarded(ts *taskState, attempt int) (val float64, err erro
 		} else {
 			val = inj.CorruptValue(val)
 		}
-		rt.mu.Lock()
-		rt.stats.Corrupted++
-		ts.sess.stats.Corrupted++
-		rt.mu.Unlock()
+		ts.sess.count(&rt.stats.corrupted, &ts.sess.stats.Corrupted)
 	}
 	return val, nil
+}
+
+// liveSessions snapshots the session list into buf. The caller locks
+// each session after rt.mu is released: the lock order is Session.mu →
+// Runtime.mu.
+func (rt *Runtime) liveSessions(buf []*Session) []*Session {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	return append(buf[:0], rt.sessions...)
 }
 
 // Drain blocks until every launched task has completed, executed,
@@ -1032,11 +937,12 @@ func (rt *Runtime) runGuarded(ts *taskState, attempt int) (val float64, err erro
 // runtime's postcondition check.
 func (rt *Runtime) Drain() {
 	rt.wg.Wait()
-	rt.mu.Lock()
-	for _, s := range rt.sessions {
+	var buf [8]*Session // on the stack for the common handful of sessions
+	for _, s := range rt.liveSessions(buf[:]) {
+		s.mu.Lock()
 		s.forgetHandledLocked()
+		s.mu.Unlock()
 	}
-	rt.mu.Unlock()
 }
 
 // Err returns every live session's permanent task failures joined into
@@ -1048,11 +954,11 @@ func (rt *Runtime) Drain() {
 // appear either; servers wanting per-tenant failure state should use
 // Session.Err instead.
 func (rt *Runtime) Err() error {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
 	var all []error
-	for _, s := range rt.sessions {
+	for _, s := range rt.liveSessions(nil) {
+		s.mu.Lock()
 		all = append(all, s.errs...)
+		s.mu.Unlock()
 	}
 	return errors.Join(all...)
 }
@@ -1074,14 +980,19 @@ func (rt *Runtime) Graph() Graph {
 
 // Stats returns a snapshot of the runtime counters.
 func (rt *Runtime) Stats() Stats {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.stats
+	c := &rt.stats
+	return Stats{
+		Launched: c.launched.Load(), DepEdges: c.depEdges.Load(),
+		AnalysisScans: c.analysisScans.Load(), TraceReplays: c.traceReplays.Load(),
+		TraceHits: c.traceHits.Load(), TraceMisses: c.traceMisses.Load(),
+		TraceFallbacks: c.traceFallbacks.Load(), Failed: c.failed.Load(),
+		Retries: c.retries.Load(), Poisoned: c.poisoned.Load(),
+		Stragglers: c.stragglers.Load(), Corrupted: c.corrupted.Load(),
+	}
 }
 
 // String summarizes the runtime state.
 func (rt *Runtime) String() string {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return fmt.Sprintf("runtime(%d tasks, %d edges)", rt.stats.Launched, rt.stats.DepEdges)
+	st := rt.Stats()
+	return fmt.Sprintf("runtime(%d tasks, %d edges)", st.Launched, st.DepEdges)
 }

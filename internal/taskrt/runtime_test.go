@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"kdrsolvers/internal/index"
 	"kdrsolvers/internal/region"
@@ -648,5 +650,82 @@ func TestIndexLaunchFutureColorOrder(t *testing.T) {
 		if want := 7 - i; n.Proc != want {
 			t.Errorf("node %d mapped to proc %d, want %d", i, n.Proc, want)
 		}
+	}
+}
+
+// Workers are spawned when work arrives and exit when the run queue is
+// empty: a drained runtime owns no goroutine, so there is nothing to
+// Close and an idle taskrt.New() costs nothing.
+func TestWorkersExitWhenQueueDrains(t *testing.T) {
+	before := runtime.NumGoroutine()
+	rt := New()
+	rt.SetGraphRetention(false)
+	const lanes = 8
+	r := region.New("v", index.NewSpace("D", lanes), "x")
+	for i := 0; i < 2000; i++ {
+		lane := int64(i % lanes)
+		rt.DefaultSession().Launch(TaskSpec{
+			Name:     "w",
+			Refs:     []region.Ref{ref(r, "x", lane, lane, region.ReadWrite)},
+			Run:      func() float64 { return 0 },
+			Detached: true,
+		})
+	}
+	rt.Drain()
+	// Drain returns when the last task retires, a moment before the
+	// worker that ran it finds the queue empty and returns.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Drain, %d before the first launch: workers did not exit",
+				runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// A completing worker runs its first ready successor inline, in a loop:
+// a dependent chain of any length executes at constant stack depth. Every
+// link is wired behind a gated head before anything runs, so the whole
+// chain is one run of continuations.
+func TestLongChainRunsAtConstantStackDepth(t *testing.T) {
+	const links = 100000
+	rt := New()
+	rt.SetGraphRetention(false)
+	r := region.New("v", index.NewSpace("D", 1), "x")
+	gate := make(chan struct{})
+	rt.DefaultSession().Launch(TaskSpec{
+		Name:     "head",
+		Refs:     []region.Ref{ref(r, "x", 0, 0, region.ReadWrite)},
+		Run:      func() float64 { <-gate; return 0 },
+		Detached: true,
+	})
+	// Ordered by the chain itself, so plain variables suffice.
+	count, first, deepest := 0, 0, 0
+	link := TaskSpec{
+		Name: "link",
+		Refs: []region.Ref{ref(r, "x", 0, 0, region.ReadWrite)},
+		Run: func() float64 {
+			var pcs [128]uintptr
+			depth := runtime.Callers(0, pcs[:])
+			if count == 0 {
+				first = depth
+			}
+			deepest = max(deepest, depth)
+			count++
+			return 0
+		},
+		Detached: true,
+	}
+	for i := 0; i < links; i++ {
+		rt.DefaultSession().Launch(link)
+	}
+	close(gate)
+	rt.Drain()
+	if count != links {
+		t.Fatalf("%d links ran, want %d", count, links)
+	}
+	if deepest != first {
+		t.Fatalf("stack depth grew along the chain: %d frames at the first link, %d at the deepest", first, deepest)
 	}
 }

@@ -3,6 +3,7 @@ package taskrt
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -12,10 +13,13 @@ import (
 )
 
 // A Session scopes a client's launches within a shared runtime. The
-// runtime multiplexes many sessions over one worker pool and one
-// dependence engine; everything that is *about the client* rather than
-// about the machine lives on the session:
+// runtime multiplexes many sessions over one run queue; everything that
+// is *about the client* rather than about the machine lives on the
+// session:
 //
+//   - the dependence engine: the access history and the table of live
+//     tasks launches are analyzed against and wired onto. Close releases
+//     both, so a served job's history dies with its session,
 //   - the error window: permanent failures of tasks the session launched
 //     accumulate on the session (bounded, clearable), so one tenant's
 //     fault never pollutes another tenant's Err(),
@@ -30,10 +34,19 @@ import (
 //   - per-session launch statistics and Drain.
 //
 // Sessions sharing a runtime must reference disjoint regions (separate
-// planners guarantee this); read-only sharing is also safe. Methods on
-// one session follow the runtime's existing contract: Launch and
-// LaunchBatch are safe for concurrent use, trace scopes assume a single
-// launching goroutine per session.
+// planners guarantee this); read-only sharing is also safe — which is
+// why no dependence can cross sessions and each session can own its
+// engine outright. Methods on one session follow the runtime's existing
+// contract: Launch and LaunchBatch are safe for concurrent use, trace
+// scopes assume a single launching goroutine per session.
+//
+// Locking: one lock per session. A launch holds mu from ID assignment
+// through wiring, a worker takes it to read the retry policy and to
+// retire a task, and independent sessions never touch the same lock.
+// The lock order is Session.mu → Runtime.mu (the leaf lock over the
+// session list and the retained graph), never the reverse: runtime-wide
+// calls (Drain, Err) snapshot the session list, release Runtime.mu, and
+// only then lock each session.
 //
 // Every runtime owns a default session (DefaultSession), the one a
 // single-tenant client launches through.
@@ -46,9 +59,10 @@ type Session struct {
 	// exactly this session's work while other tenants keep running.
 	wg sync.WaitGroup
 
-	// Everything below is guarded by rt.mu: the launch and completion
-	// paths already hold it where these fields are touched, so session
-	// scoping adds no locking to the hot path.
+	// mu guards everything below.
+	mu          sync.Mutex
+	hist        map[histKey]*histShard
+	tasks       map[int64]*taskState // incomplete tasks only
 	phase       string
 	errs        []error
 	errsDropped int64
@@ -62,7 +76,6 @@ type Session struct {
 	traces      map[string]*traceTmpl
 	trace       *activeTrace
 	atScratch   *activeTrace
-	atEpoch     int64
 	closed      bool
 }
 
@@ -97,18 +110,25 @@ func (rt *Runtime) DefaultSession() *Session { return rt.def }
 // becomes a "name/" prefix on the session's phase labels, so spans and
 // graph nodes from concurrent sessions stay attributable.
 func (rt *Runtime) NewSession(name string) *Session {
+	s := newSession(rt, name)
+	rt.mu.Lock()
+	rt.sessions = append(rt.sessions, s)
+	rt.mu.Unlock()
+	return s
+}
+
+func newSession(rt *Runtime, name string) *Session {
 	s := &Session{
 		rt:     rt,
 		name:   name,
+		hist:   make(map[histKey]*histShard),
+		tasks:  make(map[int64]*taskState),
 		failed: make(map[int64]error),
 		traces: make(map[string]*traceTmpl),
 	}
 	if name != "" {
 		s.prefix = name + "/"
 	}
-	rt.mu.Lock()
-	rt.sessions = append(rt.sessions, s)
-	rt.mu.Unlock()
 	return s
 }
 
@@ -126,48 +146,72 @@ func (s *Session) Name() string { return s.name }
 // Runtime returns the runtime the session launches into.
 func (s *Session) Runtime() *Runtime { return s.rt }
 
-// Close unregisters the session: its error window, trace templates, and
-// ledger are released, and its errors stop contributing to the
-// runtime-level Err. Close does not wait for in-flight tasks — call
-// Drain first. Closing the default session or closing twice is a no-op.
+// Close unregisters the session: its dependence history, live-task
+// table, error window, and trace templates are released, and its errors
+// stop contributing to the runtime-level Err. Close does not wait for
+// in-flight tasks — they finish and Drain still counts them; call Drain
+// first. Launching or opening a trace on a closed session panics.
+// Closing the default session or closing twice is a no-op.
 func (s *Session) Close() {
 	rt := s.rt
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
+	s.mu.Lock()
 	if s.closed || s == rt.def {
+		s.mu.Unlock()
 		return
 	}
 	s.closed = true
-	for i, t := range rt.sessions {
-		if t == s {
-			rt.sessions = append(rt.sessions[:i], rt.sessions[i+1:]...)
-			break
-		}
-	}
+	s.hist = nil
+	s.tasks = nil // in-flight tasks reach their successors directly
 	s.errs = nil
 	s.traces = nil
 	s.trace = nil
 	s.atScratch = nil
+	s.mu.Unlock()
+
+	rt.mu.Lock()
+	if i := slices.Index(rt.sessions, s); i >= 0 {
+		rt.sessions = slices.Delete(rt.sessions, i, i+1)
+	}
+	rt.mu.Unlock()
+}
+
+// panicClosed rejects a launch or trace scope on a closed session: its
+// history is gone, and quietly rebuilding it would run tasks whose
+// failures no Runtime.Err ever reports.
+func (s *Session) panicClosed() {
+	panic(fmt.Sprintf("taskrt: launch on closed session %q", s.name))
 }
 
 // Launch submits a task under this session. Dependence analysis against
-// previously launched tasks happens immediately — in parallel across
-// history keys for concurrent launchers, or spliced from a memoized
-// trace template when the launch replays a recorded trace — and
-// execution happens asynchronously once all dependences complete. The
-// returned future delivers Run's result (nil for a Detached spec).
-func (s *Session) Launch(spec TaskSpec) *Future { return s.rt.launch(s, spec) }
+// the session's previously launched tasks happens immediately — or is
+// spliced from a memoized trace template when the launch replays a
+// recorded trace — and execution happens asynchronously once all
+// dependences complete. The returned future delivers Run's result (nil
+// for a Detached spec).
+func (s *Session) Launch(spec TaskSpec) *Future {
+	specs, futs := [1]TaskSpec{spec}, [1]*Future{}
+	s.launch(specs[:], futs[:])
+	return futs[0]
+}
 
 // LaunchBatch submits a slice of tasks as one fused sweep under this
-// session: the runtime lock is taken once for the whole batch's
-// registration and once for its wiring, instead of twice per task, and
-// the per-key ticket protocol still sees strictly ascending IDs because
-// the batch registers in slice order under a single lock acquisition.
-// Dependences among batch members work exactly as under individual
-// launches. Returns the futures in spec order, or a nil slice when
-// every spec is Detached — the zero-allocation fast path for solver
-// sweeps that never read their futures.
-func (s *Session) LaunchBatch(specs []TaskSpec) []*Future { return s.rt.launchBatch(s, specs) }
+// session: the session lock is taken once and one contiguous block of
+// task IDs is reserved for the whole batch. Dependences among batch
+// members work exactly as under individual launches. Returns the
+// futures in spec order, or a nil slice when every spec is Detached —
+// the zero-allocation fast path for solver sweeps that never read their
+// futures.
+func (s *Session) LaunchBatch(specs []TaskSpec) []*Future {
+	var futs []*Future
+	for i := range specs {
+		if !specs[i].Detached {
+			futs = make([]*Future, len(specs))
+			break
+		}
+	}
+	s.launch(specs, futs)
+	return futs
+}
 
 // IndexLaunch launches one point task per color of a color space
 // [0, n), the runtime analogue of Legion's index task launches (Soi et
@@ -189,13 +233,13 @@ func (s *Session) IndexLaunch(n int, point func(color int) TaskSpec) []*Future {
 // the session name for non-default sessions. Specs carrying their own
 // Phase override it.
 func (s *Session) SetPhase(label string) {
-	s.rt.mu.Lock()
+	s.mu.Lock()
 	if label == "" {
 		s.phase = s.prefix
 	} else {
 		s.phase = s.prefix + label
 	}
-	s.rt.mu.Unlock()
+	s.mu.Unlock()
 }
 
 // SetFaultInjector installs a fault injector consulted once per launch
@@ -204,9 +248,9 @@ func (s *Session) SetPhase(label string) {
 // launcher gets a deterministic fault schedule. A nil injector disables
 // injection.
 func (s *Session) SetFaultInjector(in *fault.Injector) {
-	s.rt.mu.Lock()
+	s.mu.Lock()
 	s.injector = in
-	s.rt.mu.Unlock()
+	s.mu.Unlock()
 }
 
 // SetRetryPolicy bounds re-execution of the session's retryable task
@@ -215,9 +259,9 @@ func (s *Session) SetFaultInjector(in *fault.Injector) {
 // becomes permanent. The policy applies to tasks executed after the
 // call.
 func (s *Session) SetRetryPolicy(p RetryPolicy) {
-	s.rt.mu.Lock()
+	s.mu.Lock()
 	s.retry = p
-	s.rt.mu.Unlock()
+	s.mu.Unlock()
 }
 
 // SetWatchdog flags this session's tasks whose execution exceeds
@@ -228,17 +272,17 @@ func (s *Session) SetRetryPolicy(p RetryPolicy) {
 // execution attempt: it is re-armed per retry, so backoff sleeps between
 // attempts do not count against it. A zero budget disables the watchdog.
 func (s *Session) SetWatchdog(budget time.Duration) {
-	s.rt.mu.Lock()
+	s.mu.Lock()
 	s.watchdog = budget
-	s.rt.mu.Unlock()
+	s.mu.Unlock()
 }
 
 // FaultsActive reports whether the session has a fault injector. Planner
 // layers use it to skip building per-launch corruption hooks on clean
 // runs.
 func (s *Session) FaultsActive() bool {
-	s.rt.mu.Lock()
-	defer s.rt.mu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return s.injector != nil
 }
 
@@ -248,15 +292,15 @@ func (s *Session) FaultsActive() bool {
 // recorder disables recording. Tasks launched before the call are not
 // back-filled.
 func (s *Session) SetRecorder(r *obs.Recorder) {
-	s.rt.mu.Lock()
+	s.mu.Lock()
 	s.rec = r
-	s.rt.mu.Unlock()
+	s.mu.Unlock()
 }
 
 // Recorder returns the session's recorder, or nil.
 func (s *Session) Recorder() *obs.Recorder {
-	s.rt.mu.Lock()
-	defer s.rt.mu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return s.rec
 }
 
@@ -267,16 +311,16 @@ func (s *Session) Recorder() *obs.Recorder {
 // launched afterwards starts from a clean slate.
 func (s *Session) Drain() {
 	s.wg.Wait()
-	s.rt.mu.Lock()
+	s.mu.Lock()
 	s.forgetHandledLocked()
-	s.rt.mu.Unlock()
+	s.mu.Unlock()
 }
 
 // forgetHandledLocked clears the poison ledger of a session with nothing
 // in flight. It must only run at a point the session's client chose to
 // synchronize at: clearing whenever the last task happens to retire
 // would let a failure that completes between two launches of one sweep
-// go unnoticed by the second. Called with rt.mu held.
+// go unnoticed by the second. Called with s.mu held.
 func (s *Session) forgetHandledLocked() {
 	if s.inflight == 0 {
 		clear(s.failed)
@@ -288,8 +332,8 @@ func (s *Session) forgetHandledLocked() {
 // or nil. Other sessions' failures never appear here. Call Drain first
 // for a complete picture.
 func (s *Session) Err() error {
-	s.rt.mu.Lock()
-	defer s.rt.mu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return errors.Join(s.errs...)
 }
 
@@ -299,8 +343,8 @@ func (s *Session) Err() error {
 // true-residual-verified convergence — so a recovered fault stops
 // reporting as a live error for the rest of a long-running session.
 func (s *Session) ClearErrs() int64 {
-	s.rt.mu.Lock()
-	defer s.rt.mu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	n := int64(len(s.errs)) + s.errsDropped
 	s.errs = nil
 	s.errsDropped = 0
@@ -308,7 +352,7 @@ func (s *Session) ClearErrs() int64 {
 }
 
 // pushErr appends a permanent failure to the bounded error window.
-// Caller holds rt.mu.
+// Caller holds s.mu.
 func (s *Session) pushErr(err error) {
 	if len(s.errs) >= maxSessionErrs {
 		copy(s.errs, s.errs[1:])
@@ -321,8 +365,8 @@ func (s *Session) pushErr(err error) {
 
 // Stats returns a snapshot of the session's counters.
 func (s *Session) Stats() SessionStats {
-	s.rt.mu.Lock()
-	defer s.rt.mu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return s.stats
 }
 
@@ -344,12 +388,15 @@ func (s *Session) Stats() SessionStats {
 // the instance is demoted to full analysis: a performance fallback,
 // never a correctness hazard.
 func (s *Session) BeginTrace(key string) {
-	rt := s.rt
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		s.panicClosed()
+	}
 	if s.trace != nil {
 		panic("taskrt: traces must not nest")
 	}
+	nextID := s.rt.nextID.Load()
 	tmpl := s.traces[key]
 	if tmpl == nil {
 		tmpl = &traceTmpl{}
@@ -360,10 +407,9 @@ func (s *Session) BeginTrace(key string) {
 		at = &activeTrace{}
 		s.atScratch = at
 	}
-	s.atEpoch++
 	at.key = key
 	at.tmpl = tmpl
-	at.base = rt.nextID
+	at.base = nextID
 	at.n = 0
 	at.watermark = region.LastID()
 	at.fresh = tmpl.freshBufs[tmpl.flip][:0]
@@ -375,7 +421,7 @@ func (s *Session) BeginTrace(key string) {
 	}
 	at.cand = nil // escapes into the template at EndTrace; never reused
 	at.failed = false
-	adjacent := tmpl.lastOK && tmpl.lastBase+int64(tmpl.lastLen) == rt.nextID
+	adjacent := tmpl.lastOK && tmpl.lastBase+int64(tmpl.lastLen) == nextID
 	switch {
 	case !adjacent:
 		// A gap (foreign launches, another key, a failed instance)
@@ -405,27 +451,27 @@ func (s *Session) BeginTrace(key string) {
 // else — the recording and calibrating instances, gaps, fallbacks, short
 // instances — counts as a miss.
 func (s *Session) EndTrace() {
-	rt := s.rt
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.trace == nil {
 		panic("taskrt: EndTrace without BeginTrace")
 	}
 	at := s.trace
 	s.trace = nil
 	tmpl := at.tmpl
+	st := &s.rt.stats
 
 	if at.mode == trReplay {
 		if at.failed {
 			// traceObserve already dropped the template.
-			rt.stats.TraceMisses++
+			st.traceMisses.Add(1)
 			return
 		}
 		if at.n != len(tmpl.tasks) {
 			// Shorter instance: every spliced launch was individually
 			// valid, but this instance cannot anchor the next replay.
 			tmpl.lastOK = false
-			rt.stats.TraceMisses++
+			st.traceMisses.Add(1)
 			return
 		}
 		tmpl.lastOK = true
@@ -434,11 +480,11 @@ func (s *Session) EndTrace() {
 		tmpl.lastFresh = at.fresh
 		tmpl.freshBufs[tmpl.flip] = at.fresh
 		tmpl.flip ^= 1
-		rt.stats.TraceHits++
+		st.traceHits.Add(1)
 		return
 	}
 
-	rt.stats.TraceMisses++
+	st.traceMisses.Add(1)
 	calibrated := at.mode == trCalibrate && !at.failed && at.n == len(tmpl.tasks)
 	// The candidate becomes the template: identical to the old one when
 	// the instance matched (modulo stable→prev upgrades), the new truth

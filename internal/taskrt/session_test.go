@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"kdrsolvers/internal/index"
 	"kdrsolvers/internal/region"
@@ -128,9 +129,9 @@ func TestSessionLedgerClearsAtSessionQuiescence(t *testing.T) {
 	})
 	bad.Drain() // session quiescent; runtime is not (busy still running)
 
-	rt.mu.Lock()
+	bad.mu.Lock()
 	ledger := len(bad.failed)
-	rt.mu.Unlock()
+	bad.mu.Unlock()
 	if ledger != 0 {
 		t.Fatalf("quiescent session still holds %d ledger entries while a neighbor runs", ledger)
 	}
@@ -163,9 +164,9 @@ func TestSessionErrorWindowBounded(t *testing.T) {
 	if st.ErrsDropped != n-maxSessionErrs {
 		t.Fatalf("ErrsDropped = %d, want %d", st.ErrsDropped, n-maxSessionErrs)
 	}
-	rt.mu.Lock()
+	s.mu.Lock()
 	window := len(s.errs)
-	rt.mu.Unlock()
+	s.mu.Unlock()
 	if window != maxSessionErrs {
 		t.Fatalf("error window holds %d, want %d", window, maxSessionErrs)
 	}
@@ -285,5 +286,260 @@ func TestSessionRetryScoping(t *testing.T) {
 	}
 	if plain.Err() == nil {
 		t.Fatal("plain session's permanent failure lost")
+	}
+}
+
+// A closed session says so: its dependence history is gone, so a launch
+// must not quietly rebuild it (and run with failures no Runtime.Err would
+// ever see). Close itself stays non-blocking and idempotent, and tasks
+// already in flight finish and are still waited for by Drain.
+func TestClosedSessionPanicsOnLaunch(t *testing.T) {
+	r := region.New("v", index.NewSpace("D", 4), "x")
+	spec := TaskSpec{
+		Name: "late",
+		Refs: []region.Ref{ref(r, "x", 0, 3, region.ReadWrite)},
+		Run:  func() float64 { return 1 },
+	}
+	for _, tc := range []struct {
+		name string
+		call func(s *Session)
+	}{
+		{"Launch", func(s *Session) { s.Launch(spec) }},
+		{"LaunchBatch", func(s *Session) { s.LaunchBatch([]TaskSpec{spec, spec}) }},
+		{"IndexLaunch", func(s *Session) { s.IndexLaunch(2, func(int) TaskSpec { return spec }) }},
+		{"BeginTrace", func(s *Session) { s.BeginTrace("k") }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rt := New()
+			s := rt.NewSession("gone")
+			release := make(chan struct{})
+			s.Launch(TaskSpec{
+				Name:     "inflight",
+				Refs:     []region.Ref{ref(r, "x", 0, 3, region.ReadWrite)},
+				Run:      func() float64 { <-release; return 0 },
+				Detached: true,
+			})
+			succ := s.Launch(TaskSpec{
+				Name: "successor",
+				Refs: []region.Ref{ref(r, "x", 0, 3, region.ReadOnly)},
+				Run:  func() float64 { return 7 },
+			})
+			s.Close() // does not wait for the parked task
+			s.Close()
+			if n := rt.Sessions(); n != 1 {
+				t.Fatalf("Sessions = %d after Close, want 1", n)
+			}
+
+			func() {
+				defer func() {
+					want := `taskrt: launch on closed session "gone"`
+					if got := recover(); got != want {
+						t.Fatalf("%s on a closed session: recovered %v, want panic %q", tc.name, got, want)
+					}
+				}()
+				tc.call(s)
+			}()
+
+			close(release)
+			rt.Drain() // still counts the closed session's in-flight tasks
+			s.Drain()  // and the panic left the session lock free
+			if !succ.Ready() || succ.Value() != 7 {
+				t.Fatalf("in-flight successor of a closed session did not finish: ready=%v", succ.Ready())
+			}
+			if st := s.Stats(); st.Launched != 2 {
+				t.Fatalf("closed session Launched = %d, want 2 (the rejected launch must not count)", st.Launched)
+			}
+		})
+	}
+}
+
+// laneProgram is one tenant's launch sequence for the independence
+// tests: rounds × lanes read-modify-write tasks, each lane a dependence
+// chain on its own span, alternating Launch and LaunchBatch. Alone it
+// discovers lanes·(rounds−1) edges.
+func laneProgram(s *Session, r *region.Region, lanes, rounds int) {
+	data := r.Field("x")
+	spec := func(lane int) TaskSpec {
+		return TaskSpec{
+			Name:     "rmw",
+			Refs:     []region.Ref{ref(r, "x", int64(lane), int64(lane), region.ReadWrite)},
+			Run:      func() float64 { data[lane]++; return 0 },
+			Detached: true,
+		}
+	}
+	batch := make([]TaskSpec, lanes)
+	for i := 0; i < rounds; i++ {
+		if i%2 == 0 {
+			for lane := 0; lane < lanes; lane++ {
+				s.Launch(spec(lane))
+			}
+			continue
+		}
+		for lane := range batch {
+			batch[lane] = spec(lane)
+		}
+		s.LaunchBatch(batch)
+	}
+}
+
+// Sessions are independent where it is observable: two tenants launching
+// concurrently on disjoint regions each discover exactly the edges they
+// discover alone, and the retained graph — the one structure they still
+// share, task IDs being global — holds no edge between them.
+func TestSessionsDiscoverNoCrossEdges(t *testing.T) {
+	const lanes, rounds = 4, 500
+	sp := index.NewSpace("D", lanes)
+
+	alone := New()
+	laneProgram(alone.DefaultSession(), region.New("solo", sp, "x"), lanes, rounds)
+	alone.Drain()
+	want := alone.DefaultSession().Stats()
+	if want.DepEdges != lanes*(rounds-1) {
+		t.Fatalf("solo program found %d edges, want %d", want.DepEdges, lanes*(rounds-1))
+	}
+
+	rt := New()
+	var wg sync.WaitGroup
+	sessions := []*Session{rt.NewSession("a"), rt.NewSession("b")}
+	regions := []*region.Region{region.New("ra", sp, "x"), region.New("rb", sp, "x")}
+	for i, s := range sessions {
+		s.SetPhase("lanes") // nodes carry "a/lanes" / "b/lanes"
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			laneProgram(s, regions[i], lanes, rounds)
+		}()
+	}
+	wg.Wait()
+	rt.Drain()
+
+	for i, s := range sessions {
+		if got := s.Stats(); got != want {
+			t.Errorf("session %s: stats %+v shared vs %+v alone", s.Name(), got, want)
+		}
+		for lane, v := range regions[i].Field("x") {
+			if v != rounds {
+				t.Errorf("session %s lane %d ran %g of %d chained updates", s.Name(), lane, v, rounds)
+			}
+		}
+	}
+	g := rt.Graph()
+	if len(g.Nodes) != 2*lanes*rounds {
+		t.Fatalf("graph retained %d nodes, want %d", len(g.Nodes), 2*lanes*rounds)
+	}
+	for _, n := range g.Nodes {
+		for _, d := range n.Deps {
+			if g.Nodes[d].Phase != n.Phase {
+				t.Fatalf("cross-session edge: task %d (%s) depends on task %d (%s)",
+					n.ID, n.Phase, d, g.Nodes[d].Phase)
+			}
+		}
+	}
+}
+
+// One session's work never stands in another's way: with a task of
+// session A parked mid-body and A's lock held outright, B launches,
+// executes, and drains.
+func TestParkedSessionDoesNotDelayNeighbor(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4)) // A's parked body holds one worker
+	rt := New()
+	a, b := rt.NewSession("a"), rt.NewSession("b")
+	ra := region.New("a", index.NewSpace("D", 4), "x")
+	rb := region.New("b", index.NewSpace("D", 4), "x")
+
+	release, started := make(chan struct{}), make(chan struct{})
+	a.Launch(TaskSpec{
+		Name: "parked",
+		Refs: []region.Ref{ref(ra, "x", 0, 3, region.ReadWrite)},
+		Run:  func() float64 { close(started); <-release; return 0 },
+	})
+	<-started
+
+	a.mu.Lock()
+	done := make(chan float64)
+	go func() {
+		f := b.Launch(TaskSpec{
+			Name: "free",
+			Refs: []region.Ref{ref(rb, "x", 0, 3, region.ReadWrite)},
+			Run:  func() float64 { return 3 },
+		})
+		b.Drain()
+		done <- f.Value()
+	}()
+	select {
+	case v := <-done:
+		if v != 3 {
+			t.Errorf("neighbor's task = %g, want 3", v)
+		}
+	case <-time.After(10 * time.Second):
+		t.Error("B.Launch + B.Drain did not finish while session A was parked and locked")
+	}
+	a.mu.Unlock()
+	close(release)
+	rt.Drain()
+}
+
+// The lock order is Session.mu → Runtime.mu, never the reverse: the
+// runtime-wide calls stay live (and race-free) while sessions with work
+// still in flight are closed underneath them.
+func TestRuntimeWideCallsDuringSessionClose(t *testing.T) {
+	const closers, perCloser = 4, 50
+	rt := New()
+	sessions := make([]*Session, closers*perCloser)
+	for i := range sessions {
+		s := rt.NewSession(fmt.Sprintf("t%d", i))
+		r := region.New("v", index.NewSpace("D", 4), "x")
+		laneProgram(s, r, 4, 4)
+		s.Launch(TaskSpec{
+			Name: "boom",
+			Refs: []region.Ref{ref(r, "x", 0, 3, region.ReadWrite)},
+			Run:  func() float64 { panic("die") },
+		})
+		if i%2 == 0 {
+			s.Drain() // the other half is closed with tasks in flight
+		}
+		sessions[i] = s
+	}
+
+	stop := make(chan struct{})
+	var observer, closing sync.WaitGroup
+	observer.Add(1)
+	go func() {
+		defer observer.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			rt.Drain()
+			_ = rt.Err()
+			_ = rt.Stats()
+			_ = rt.Sessions()
+			_ = rt.Graph()
+		}
+	}()
+	for c := 0; c < closers; c++ {
+		closing.Add(1)
+		go func() {
+			defer closing.Done()
+			for _, s := range sessions[c*perCloser : (c+1)*perCloser] {
+				s.Close()
+			}
+		}()
+	}
+	closing.Wait()
+	close(stop)
+	observer.Wait()
+
+	rt.Drain()
+	if got, want := rt.Stats().Launched, int64(len(sessions)*17); got != want {
+		t.Errorf("Launched = %d, want %d", got, want)
+	}
+	if n := rt.Sessions(); n != 1 {
+		t.Errorf("Sessions = %d after every tenant closed, want 1", n)
+	}
+	if err := rt.Err(); err != nil {
+		t.Errorf("closed sessions still contribute to the runtime Err: %v", err)
 	}
 }

@@ -141,8 +141,8 @@ const (
 )
 
 // activeTrace is the state of the instance currently between BeginTrace
-// and EndTrace, guarded by rt.mu. The runtime keeps a single recycled
-// activeTrace (at most one instance is open at a time) so a trace scope
+// and EndTrace, guarded by the session's mu. A session keeps a single
+// recycled activeTrace (at most one instance is open at a time) so a trace scope
 // itself costs no allocation on the replay path; its maps are cleared,
 // not rebuilt, between instances.
 type activeTrace struct {
@@ -330,7 +330,7 @@ func spliceDepsInto(tmpl []depTmpl, base int64, instLen int, deps, bytes []int64
 // traceObserve classifies one launch under the session's active trace
 // and decides whether it can be spliced. On a successful replay match it
 // sets ts.splice and fills the task's own dep/byte buffers; otherwise
-// the launch proceeds to full analysis. Caller holds rt.mu.
+// the launch proceeds to full analysis. Caller holds s.mu.
 func (s *Session) traceObserve(spec TaskSpec, ts *taskState) {
 	at := s.trace
 	pos := at.n
@@ -355,7 +355,7 @@ func (s *Session) traceObserve(spec TaskSpec, ts *taskState) {
 		// drop the template — it no longer describes this launch
 		// sequence.
 		at.failed = true
-		s.rt.stats.TraceFallbacks++
+		s.rt.stats.traceFallbacks.Add(1)
 		delete(s.traces, at.key)
 		return
 	}
@@ -373,11 +373,12 @@ func (s *Session) traceObserve(spec TaskSpec, ts *taskState) {
 }
 
 // traceRecordAnalyzed stores an analyzed launch's edges into the
-// candidate template (calibrate mode). Caller holds rt.mu; pos is the
-// launch's position within the instance.
-func (s *Session) traceRecordAnalyzed(pos int, deps, bytes []int64) {
+// candidate template (calibrate mode). Caller holds s.mu since the
+// launch's traceObserve, so the launch is the instance's latest.
+func (s *Session) traceRecordAnalyzed(deps, bytes []int64) {
 	at := s.trace
-	if at == nil || at.mode != trCalibrate || at.failed || pos >= len(at.cand) {
+	pos := at.n - 1
+	if at.mode != trCalibrate || at.failed || pos >= len(at.cand) {
 		return
 	}
 	prevBase := at.base - int64(at.tmpl.lastLen)
