@@ -1,10 +1,16 @@
 package serve
 
 import (
+	"cmp"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"kdrsolvers/internal/jobspec"
@@ -12,33 +18,148 @@ import (
 	"kdrsolvers/internal/wal"
 )
 
-// Journal record types. The journal is the server's durable job
-// history: every accepted job, every verified checkpoint, every
-// terminal state. Replay folds the record stream into "who is done,
-// who still owes work, and where can the work pick up" — so a restart
-// is a replay, not data loss.
+// The journal is the server's durable job history: every accepted job,
+// every verified checkpoint, every terminal state. Replay folds the
+// record stream into "who is done, who still owes work, and where can
+// the work pick up" — so a restart is a replay, not data loss.
+//
+// # Records
+//
+// Each WAL record is one journal record, and its first byte says which
+// decoder it needs. Accept, resume and done records are JSON objects
+// (journalRecord; they are small and carry jobspec.Spec and JobResult).
+// A checkpoint record is binary, because it is the solution vector and
+// a vector costs what its bytes cost:
+//
+//	ckptTag | i64 iter | u64 residual bits | u32 n | u16 len(id) |
+//	u16 len(basis) | id | basis | n × u64 float64 bits  (little-endian)
+//
+// so a checkpoint round-trips bit for bit by construction — NaN
+// payloads, −0 and subnormals included — and a record is valid only if
+// its length is exactly what its fields say. Checkpoint records the
+// parent format wrote as JSON (an "x" array) still decode; nothing
+// encodes them any more.
+//
+// # The fold
+//
+// Replay is an idempotent fold with three rules: a job is pending from
+// its first accept until a done record; the latest checkpoint of a
+// pending job wins; resume records are provenance and change nothing.
+// Pending jobs and done jobs are ordered by the ordinal (journalRecord.
+// Seq) stamped on accept and done records when they are first written,
+// not by where a copy of the record sits in the log. Replay keeps a
+// checkpoint's bytes and decodes the vector once, at the end, for jobs
+// still pending: a checkpoint of a finished job, or a superseded one,
+// costs a header parse.
+//
+// # Compaction
+//
+// The journal keeps that fold current as it appends. When the WAL has
+// rotated and the log is at least twice the size the last compaction
+// left (so rewriting never costs more than the history it replaces),
+// the journal hands wal.Log.Compact a snapshot: the last RetainDone done
+// records, and each pending job's accept and latest checkpoint. Compact
+// appends it, syncs, and deletes the segments sealed before it began;
+// the journal on disk is bounded by snapshot + one segment instead of
+// by history.
+//
+// Crash argument. A snapshot record is a copy of a record the log
+// already held (same ordinal) or, for a checkpoint, of the latest one.
+// A crash leaves one of: (1) all history + part of the snapshot — every
+// snapshot record is a duplicate, and duplicates change nothing; (2)
+// all history + the whole snapshot — likewise; (3) a suffix of history
+// + the whole snapshot — records in the suffix whose job's accept was
+// dropped are ignored (checkpoints) or restated (done), the snapshot
+// re-establishes every pending job and retained done job with its
+// original ordinal, and what follows the snapshot is applied as it was
+// live. In each case the fold equals the pre-crash fold on Pending, on
+// every Resume, on the retained tail of DoneOrder and on MaxID (the
+// done record of the highest job id is never dropped).
 const (
 	recAccept     = "accept"     // job admitted: id + spec + submission time
 	recCheckpoint = "checkpoint" // verified resilient checkpoint: iter + residual + solution
-	recResume     = "resume"     // informational: a replayed job was re-enqueued from iter N
+	recResume     = "resume"     // informational: a replayed job was re-enqueued from iteration N
 	recDone       = "done"       // terminal state: converged, failed, or rejected — replay skips the job
 )
 
-// journalRecord is the JSON envelope of every WAL record. Go's JSON
-// encoder formats float64 with the shortest round-tripping
-// representation, so checkpointed solution vectors survive the disk
-// round trip bit-for-bit — the property the resume-conformance rows
-// assert.
+// journalRecord is the JSON envelope of accept, resume and done
+// records, and the decode-only form of a parent-format checkpoint.
 type journalRecord struct {
-	T         string        `json:"t"`
-	ID        string        `json:"id"`
+	T  string `json:"t"`
+	ID string `json:"id"`
+	// Seq orders accept records among accepts and done records among
+	// dones (see "The fold"). Records written before it existed carry
+	// none and take their position's.
+	Seq       int64         `json:"n,omitempty"`
 	Spec      *jobspec.Spec `json:"spec,omitempty"`
 	Submitted time.Time     `json:"submitted,omitempty"`
 	Iter      int           `json:"iter,omitempty"`
 	Residual  float64       `json:"residual,omitempty"`
-	X         []float64     `json:"x,omitempty"`
+	X         []float64     `json:"x,omitempty"` // parent-format checkpoints only
 	Basis     string        `json:"basis,omitempty"`
 	Result    *JobResult    `json:"result,omitempty"`
+}
+
+// ckptTag opens a binary checkpoint record. No JSON text starts with
+// it (it is neither whitespace nor the first byte of any value).
+const ckptTag = 0xCB
+
+// ckptHeaderBytes is the fixed part of a checkpoint record: tag, iter,
+// residual, n and the two string lengths.
+const ckptHeaderBytes = 1 + 8 + 8 + 4 + 2 + 2
+
+// appendCheckpoint appends the binary checkpoint record to b.
+func appendCheckpoint(b []byte, id string, iter int, residual float64, x []float64, basis string) ([]byte, error) {
+	if id == "" || len(id) > math.MaxUint16 || len(basis) > math.MaxUint16 || int64(len(x)) > math.MaxUint32 {
+		return b, fmt.Errorf("serve: checkpoint of %q does not fit a record (id %d B, basis %d B, %d values)",
+			id, len(id), len(basis), len(x))
+	}
+	le := binary.LittleEndian
+	b = slices.Grow(b, ckptHeaderBytes+len(id)+len(basis)+8*len(x))
+	b = le.AppendUint64(append(b, ckptTag), uint64(int64(iter)))
+	b = le.AppendUint64(b, math.Float64bits(residual))
+	b = le.AppendUint32(b, uint32(len(x)))
+	b = le.AppendUint16(le.AppendUint16(b, uint16(len(id))), uint16(len(basis)))
+	b = append(append(b, id...), basis...)
+	for _, v := range x {
+		b = le.AppendUint64(b, math.Float64bits(v))
+	}
+	return b, nil
+}
+
+// parseCheckpoint validates a binary checkpoint record and returns its
+// fields with the vector still encoded (8 bytes a value). ok is false
+// unless the record is exactly as long as its header says.
+func parseCheckpoint(p []byte) (id string, rp ResumePoint, x []byte, ok bool) {
+	if len(p) < ckptHeaderBytes || p[0] != ckptTag {
+		return "", rp, nil, false
+	}
+	le := binary.LittleEndian
+	n, idLen := int64(le.Uint32(p[17:])), int(le.Uint16(p[21:]))
+	strLen := idLen + int(le.Uint16(p[23:])) // id and basis together
+	if idLen == 0 || int64(len(p)) != ckptHeaderBytes+int64(strLen)+8*n {
+		return "", rp, nil, false
+	}
+	rp.Iter = int(int64(le.Uint64(p[1:])))
+	rp.Residual = math.Float64frombits(le.Uint64(p[9:]))
+	p = p[ckptHeaderBytes:]
+	rp.Basis = string(p[idLen:strLen])
+	return string(p[:idLen]), rp, p[strLen:], true
+}
+
+// decodeCheckpoint decodes a whole binary checkpoint record.
+func decodeCheckpoint(p []byte) (string, *ResumePoint, bool) {
+	id, rp, x, ok := parseCheckpoint(p)
+	if !ok {
+		return "", nil, false
+	}
+	if len(x) > 0 {
+		rp.X = make([]float64, len(x)/8)
+		for i := range rp.X {
+			rp.X[i] = math.Float64frombits(binary.LittleEndian.Uint64(x[8*i:]))
+		}
+	}
+	return id, &rp, true
 }
 
 // ResumePoint is where a replayed job picks up: the last persisted
@@ -77,7 +198,7 @@ type JournalReplay struct {
 	// Done maps finished job ids to their journaled results, so job
 	// status survives a restart.
 	Done map[string]*JobResult
-	// DoneOrder lists Done's keys in completion-record order (retention
+	// DoneOrder lists Done's keys in completion order (retention
 	// eviction replays in the same order it would have happened live).
 	DoneOrder []string
 	// MaxID is the highest numeric suffix among journaled "job-N" ids;
@@ -91,11 +212,176 @@ type JournalReplay struct {
 	Skipped int64
 }
 
-// Journal is the job journal: typed records over one WAL. All methods
-// are safe for concurrent use (the WAL serializes appends; the
-// counters are atomic).
+// pendingJob is the fold's state for one accepted, unfinished job.
+type pendingJob struct {
+	accept journalRecord
+	ckpt   []byte // latest checkpoint record, binary; nil when none
+}
+
+// fold is the state the record stream reduces to. The same code folds
+// a log being replayed and the records a live journal appends.
+type fold struct {
+	seq         int64 // highest ordinal seen or assigned
+	maxID       int64
+	skipped     int64
+	checkpoints int64 // valid checkpoint records seen
+	pending     map[string]*pendingJob
+	done        map[string]*journalRecord
+}
+
+func newFold() *fold {
+	return &fold{pending: make(map[string]*pendingJob), done: make(map[string]*journalRecord)}
+}
+
+// apply folds one encoded record. payload is not retained.
+func (f *fold) apply(payload []byte) {
+	if len(payload) > 0 && payload[0] == ckptTag {
+		f.applyCheckpoint(payload)
+		return
+	}
+	var r journalRecord
+	if err := json.Unmarshal(payload, &r); err != nil || r.ID == "" {
+		f.skipped++
+		return
+	}
+	if r.T != recCheckpoint {
+		f.applyRecord(&r)
+		return
+	}
+	// A parent-format checkpoint: the same record as text. Re-encoded,
+	// so the fold holds one format and the next snapshot writes binary
+	// (one that does not fit the binary record encodes to nothing, which
+	// is skipped like any other invalid record).
+	b, _ := appendCheckpoint(nil, r.ID, r.Iter, r.Residual, r.X, r.Basis)
+	f.applyCheckpoint(b)
+}
+
+func (f *fold) applyCheckpoint(payload []byte) {
+	id, _, _, ok := parseCheckpoint(payload)
+	if !ok {
+		f.skipped++
+		return
+	}
+	f.noteID(id)
+	f.checkpoints++
+	if p := f.pending[id]; p != nil {
+		// Latest checkpoint wins: records are appended in order, so the
+		// last one in the log is the furthest verified state.
+		p.ckpt = append(p.ckpt[:0], payload...)
+	}
+}
+
+// applyRecord folds a decoded accept, resume or done record. r is
+// retained.
+func (f *fold) applyRecord(r *journalRecord) {
+	f.noteID(r.ID)
+	switch r.T {
+	case recAccept:
+		if r.Spec == nil {
+			f.skipped++
+			return
+		}
+		f.stamp(r)
+		// Idempotent: a re-journaled accept is one job, and an accept
+		// after done stays done.
+		if f.pending[r.ID] == nil && f.done[r.ID] == nil {
+			f.pending[r.ID] = &pendingJob{accept: *r}
+		}
+	case recDone:
+		f.stamp(r)
+		f.done[r.ID] = r
+		delete(f.pending, r.ID)
+	case recResume:
+		// Provenance only; the fold ignores it.
+	default:
+		f.skipped++
+	}
+}
+
+func (f *fold) noteID(id string) {
+	if n, ok := numericSuffix(id); ok && n > f.maxID {
+		f.maxID = n
+	}
+}
+
+// stamp gives a record written before ordinals existed the next one —
+// in such a log position is order — and otherwise advances the counter
+// past the record's own.
+func (f *fold) stamp(r *journalRecord) {
+	if r.Seq == 0 {
+		r.Seq = f.seq + 1
+	}
+	f.seq = max(f.seq, r.Seq)
+}
+
+// bySeq returns m's values ordered by ordinal.
+func bySeq[T any](m map[string]*T, seq func(*T) int64) []*T {
+	vs := make([]*T, 0, len(m))
+	for _, v := range m {
+		vs = append(vs, v)
+	}
+	slices.SortFunc(vs, func(a, b *T) int { return cmp.Compare(seq(a), seq(b)) })
+	return vs
+}
+
+func (f *fold) doneInOrder() []*journalRecord {
+	return bySeq(f.done, func(r *journalRecord) int64 { return r.Seq })
+}
+
+func (f *fold) pendingInOrder() []*pendingJob {
+	return bySeq(f.pending, func(p *pendingJob) int64 { return p.accept.Seq })
+}
+
+// replay is the fold as a restarting server consumes it. This is where
+// checkpoint vectors are decoded: one per job still pending.
+func (f *fold) replay() *JournalReplay {
+	rep := &JournalReplay{Done: make(map[string]*JobResult), MaxID: f.maxID, Skipped: f.skipped}
+	for _, r := range f.doneInOrder() {
+		rep.DoneOrder = append(rep.DoneOrder, r.ID)
+		rep.Done[r.ID] = r.Result
+	}
+	for _, p := range f.pendingInOrder() {
+		job := &ReplayedJob{ID: p.accept.ID, Spec: *p.accept.Spec, Submitted: p.accept.Submitted}
+		if p.ckpt != nil {
+			_, job.Resume, _ = decodeCheckpoint(p.ckpt)
+		}
+		rep.Pending = append(rep.Pending, job)
+	}
+	return rep
+}
+
+// snapshot restates the fold as records: what Compact writes in place
+// of history. Checkpoint records alias the fold's buffers.
+func (f *fold) snapshot() (recs [][]byte, err error) {
+	add := func(r *journalRecord) {
+		b, e := json.Marshal(r)
+		recs, err = append(recs, b), errors.Join(err, e)
+	}
+	for _, r := range f.doneInOrder() {
+		add(r)
+	}
+	for _, p := range f.pendingInOrder() {
+		add(&p.accept)
+		if p.ckpt != nil {
+			recs = append(recs, p.ckpt)
+		}
+	}
+	return recs, err
+}
+
+// Journal is the job journal: typed records over one WAL, the fold of
+// everything in it, and the compaction that keeps the two the same
+// size. All methods are safe for concurrent use.
 type Journal struct {
-	log *wal.Log
+	log    *wal.Log
+	retain int // done records a snapshot keeps: the server's RetainDone
+
+	// mu makes "append a record, fold it, compact if due" one step, so
+	// the fold always equals a replay of the log.
+	mu        sync.Mutex
+	state     *fold
+	buf       []byte // checkpoint encoding scratch
+	compacted int64  // log size right after the last compaction
 
 	checkpoints obs.Counter // checkpoint records persisted
 	resumed     obs.Counter // jobs re-enqueued from a checkpoint at replay
@@ -104,81 +390,47 @@ type Journal struct {
 // OpenJournal opens (creating if needed) the journal in dir and replays
 // it. fsyncEvery batches the WAL's fsyncs (1 = sync every record).
 func OpenJournal(dir string, fsyncEvery int) (*Journal, *JournalReplay, error) {
-	l, err := wal.Open(dir, wal.Options{FsyncEvery: fsyncEvery})
+	return openJournal(dir, wal.Options{FsyncEvery: fsyncEvery}, defaultRetainDone)
+}
+
+// openJournal is OpenJournal with the WAL's options and the number of
+// done records compaction keeps spelled out.
+func openJournal(dir string, opts wal.Options, retainDone int) (*Journal, *JournalReplay, error) {
+	l, err := wal.Open(dir, opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	j := &Journal{log: l}
-	rep, err := j.Replay()
-	if err != nil {
+	j := &Journal{log: l, retain: retainDone}
+	if j.state, err = j.fold(); err != nil {
 		l.Close()
 		return nil, nil, err
 	}
+	rep := j.state.replay()
+	j.trimDone()
 	return j, rep, nil
+}
+
+func (j *Journal) fold() (*fold, error) {
+	f := newFold()
+	return f, j.log.Replay(func(payload []byte) error {
+		f.apply(payload)
+		return nil
+	})
 }
 
 // Replay folds the journal's current record stream into a
 // JournalReplay. It is a pure function of the log contents: replaying
-// twice — or closing and reopening between replays — yields identical
-// state, and a job appears in Pending at most once no matter how many
-// times its records were written. Resume records never change the fold
-// (they are provenance, not state), which is why re-journaling a
-// resumed job cannot make it double-run.
+// twice — or closing and reopening between replays, or compacting —
+// yields identical state, and a job appears in Pending at most once no
+// matter how many times its records were written. Resume records never
+// change the fold (they are provenance, not state), which is why
+// re-journaling a resumed job cannot make it double-run.
 func (j *Journal) Replay() (*JournalReplay, error) {
-	rep := &JournalReplay{Done: make(map[string]*JobResult)}
-	pending := make(map[string]*ReplayedJob)
-	var order []string
-	err := j.log.Replay(func(payload []byte) error {
-		var r journalRecord
-		if err := json.Unmarshal(payload, &r); err != nil || r.ID == "" {
-			rep.Skipped++
-			return nil
-		}
-		if n, ok := numericSuffix(r.ID); ok && n > rep.MaxID {
-			rep.MaxID = n
-		}
-		switch r.T {
-		case recAccept:
-			if r.Spec == nil {
-				rep.Skipped++
-				return nil
-			}
-			if _, dup := pending[r.ID]; dup {
-				return nil // idempotent: a re-journaled accept is one job
-			}
-			if _, done := rep.Done[r.ID]; done {
-				return nil
-			}
-			pending[r.ID] = &ReplayedJob{ID: r.ID, Spec: *r.Spec, Submitted: r.Submitted}
-			order = append(order, r.ID)
-		case recCheckpoint:
-			if job := pending[r.ID]; job != nil {
-				// Latest checkpoint wins: records are appended in order, so
-				// the last one in the log is the furthest verified state.
-				job.Resume = &ResumePoint{Iter: r.Iter, Residual: r.Residual, X: r.X, Basis: r.Basis}
-			}
-		case recDone:
-			if _, seen := rep.Done[r.ID]; !seen {
-				rep.DoneOrder = append(rep.DoneOrder, r.ID)
-			}
-			rep.Done[r.ID] = r.Result
-			delete(pending, r.ID)
-		case recResume:
-			// Provenance only; the fold ignores it.
-		default:
-			rep.Skipped++
-		}
-		return nil
-	})
+	f, err := j.fold()
 	if err != nil {
 		return nil, err
 	}
-	for _, id := range order {
-		if job := pending[id]; job != nil {
-			rep.Pending = append(rep.Pending, job)
-		}
-	}
-	return rep, nil
+	return f.replay(), nil
 }
 
 // numericSuffix parses the N of a "job-N" id.
@@ -191,12 +443,61 @@ func numericSuffix(id string) (int64, bool) {
 	return n, err == nil
 }
 
+// append journals one accept, resume or done record and folds it.
 func (j *Journal) append(r *journalRecord) error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if r.T != recResume {
+		r.Seq = j.state.seq + 1
+	}
 	payload, err := json.Marshal(r)
 	if err != nil {
 		return fmt.Errorf("serve: journal encode: %w", err)
 	}
-	return j.log.Append(payload)
+	if err := j.log.Append(payload); err != nil {
+		return err
+	}
+	j.state.applyRecord(r)
+	if r.T == recDone {
+		j.trimDone()
+	}
+	return j.compactIfDue()
+}
+
+// trimDone drops all but the newest retain done records from the fold,
+// and so from the next snapshot. The record of the highest job id
+// stays whatever its age: the server's id counter restarts from it.
+func (j *Journal) trimDone() {
+	f := j.state
+	if len(f.done) <= j.retain {
+		return
+	}
+	recs := f.doneInOrder()
+	for _, r := range recs[:len(recs)-j.retain] {
+		if n, ok := numericSuffix(r.ID); !ok || n != f.maxID {
+			delete(f.done, r.ID)
+		}
+	}
+}
+
+// compactIfDue replaces history with a snapshot of the fold once the
+// WAL has sealed a segment and the log has doubled since the last
+// compaction. A failure is reported by the append that ran into it —
+// whose own record is in the log regardless — and retried a doubling
+// later, not on every append.
+func (j *Journal) compactIfDue() error {
+	if j.log.Segments() == 1 || j.log.Stats().BytesOnDisk < 2*j.compacted {
+		return nil
+	}
+	snap, err := j.state.snapshot()
+	if err == nil {
+		err = j.log.Compact(snap)
+	}
+	j.compacted = j.log.Stats().BytesOnDisk
+	if err != nil {
+		return fmt.Errorf("serve: journal compaction: %w", err)
+	}
+	return nil
 }
 
 // Accept journals a job admission. Once the covering fsync runs, a
@@ -209,11 +510,18 @@ func (j *Journal) Accept(id string, spec jobspec.Spec, submitted time.Time) erro
 // residual, the full solution vector, and the recycle-basis
 // fingerprint.
 func (j *Journal) Checkpoint(id string, iter int, residual float64, x []float64, basis string) error {
-	err := j.append(&journalRecord{T: recCheckpoint, ID: id, Iter: iter, Residual: residual, X: x, Basis: basis})
-	if err == nil {
-		j.checkpoints.Inc()
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	var err error
+	if j.buf, err = appendCheckpoint(j.buf[:0], id, iter, residual, x, basis); err != nil {
+		return err
 	}
-	return err
+	if err := j.log.Append(j.buf); err != nil {
+		return err
+	}
+	j.checkpoints.Inc()
+	j.state.applyCheckpoint(j.buf)
+	return j.compactIfDue()
 }
 
 // Resume journals that a replayed job was re-enqueued from iteration
@@ -252,6 +560,9 @@ type WALMetricsSnapshot struct {
 	Segments             int   `json:"segments"`
 	CheckpointsPersisted int64 `json:"checkpoints_persisted"`
 	JobsResumed          int64 `json:"jobs_resumed"`
+	Compactions          int64 `json:"compactions"`
+	SegmentsDropped      int64 `json:"segments_dropped"`
+	BytesOnDisk          int64 `json:"bytes_on_disk"`
 }
 
 // Metrics snapshots the journal's counters.
@@ -267,5 +578,8 @@ func (j *Journal) Metrics() WALMetricsSnapshot {
 		Segments:             j.log.Segments(),
 		CheckpointsPersisted: j.checkpoints.Load(),
 		JobsResumed:          j.resumed.Load(),
+		Compactions:          st.Compactions,
+		SegmentsDropped:      st.SegmentsDropped,
+		BytesOnDisk:          st.BytesOnDisk,
 	}
 }

@@ -11,7 +11,12 @@ import (
 	"kdrsolvers/internal/solvers"
 	"kdrsolvers/internal/sparse"
 	"kdrsolvers/internal/taskrt"
+	"kdrsolvers/internal/wal"
 )
+
+// defaultRetainDone is Config.RetainDone's default, and what a journal
+// opened without a server (OpenJournal) keeps through compaction.
+const defaultRetainDone = 256
 
 // Admission errors. ErrQueueFull and ErrDraining are retryable — the
 // client should resubmit later (the HTTP front end maps them to 503 with
@@ -81,7 +86,7 @@ func (c *Config) fillDefaults() {
 		c.FsyncEvery = 16
 	}
 	if c.RetainDone <= 0 {
-		c.RetainDone = 256
+		c.RetainDone = defaultRetainDone
 	}
 	if c.Log == nil {
 		c.Log = func(string, ...any) {}
@@ -289,11 +294,13 @@ func NewServer(cfg Config) (*Server, error) {
 // server: done jobs into the registry, pending jobs into the queue.
 // Runs before workers start, so no locking is needed on the maps.
 func (s *Server) replayJournal() error {
-	jn, rep, err := OpenJournal(s.cfg.WALDir, s.cfg.FsyncEvery)
+	jn, rep, err := openJournal(s.cfg.WALDir, wal.Options{FsyncEvery: s.cfg.FsyncEvery}, s.cfg.RetainDone)
 	if err != nil {
 		return fmt.Errorf("serve: open wal journal: %w", err)
 	}
 	s.journal = jn
+	// Read before the resume records below add to them.
+	mt, checkpoints := jn.Metrics(), jn.state.checkpoints
 	s.nextID = rep.MaxID
 	now := time.Now()
 	for _, id := range rep.DoneOrder {
@@ -326,10 +333,10 @@ func (s *Server) replayJournal() error {
 			}
 		}
 	}
-	if mt := jn.Metrics(); mt.RecordsReplayed > 0 || mt.RecordsTruncated > 0 {
-		s.cfg.Log("wal: replayed %d record(s) in %v (%d truncation(s)): %d done, %d requeued, %d resuming from a checkpoint",
-			mt.RecordsReplayed, time.Duration(mt.RecoveryNS), mt.RecordsTruncated,
-			len(rep.DoneOrder), len(rep.Pending), resumed)
+	if mt.RecordsReplayed > 0 || mt.RecordsTruncated > 0 {
+		s.cfg.Log("wal: replayed %d record(s), %d bytes in %v (%d truncation(s)): %d done, %d requeued, %d resuming from a checkpoint (checkpoint vectors: %d decoded, %d skipped)",
+			mt.RecordsReplayed, mt.BytesOnDisk, time.Duration(mt.RecoveryNS), mt.RecordsTruncated,
+			len(rep.DoneOrder), len(rep.Pending), resumed, resumed, checkpoints-int64(resumed))
 	}
 	if rep.Skipped > 0 {
 		s.cfg.Log("wal: skipped %d undecodable record(s) (version skew?)", rep.Skipped)

@@ -13,6 +13,7 @@ import (
 
 	"kdrsolvers/internal/jobspec"
 	"kdrsolvers/internal/taskrt"
+	"kdrsolvers/internal/wal"
 )
 
 // A drain with a journal persists queued jobs instead of losing them:
@@ -141,10 +142,31 @@ func TestWALResumeFromCheckpoint(t *testing.T) {
 // Replay is a pure fold of the record stream: replaying again — with
 // the extra resume records a restart appends — reconstructs identical
 // state, and close/reopen changes nothing.
+//
+// The compacted case runs the same history through segments smaller
+// than a record: every append rotates, so what is replayed has been
+// rewritten by compaction more than once.
 func TestJournalReplayIdempotent(t *testing.T) {
+	t.Run("one-segment", func(t *testing.T) {
+		jn := journalReplayIdempotent(t, func(dir string) (*Journal, *JournalReplay, error) { return OpenJournal(dir, 1) })
+		if got := jn.Metrics().Compactions; got != 0 {
+			t.Fatalf("%d compactions of a one-segment journal", got)
+		}
+	})
+	t.Run("compacted", func(t *testing.T) {
+		jn := journalReplayIdempotent(t, func(dir string) (*Journal, *JournalReplay, error) {
+			return openJournal(dir, wal.Options{SegmentBytes: 64, FsyncEvery: 1}, defaultRetainDone)
+		})
+		if got := jn.Metrics().Compactions; got < 2 {
+			t.Fatalf("%d compactions: the history was not rewritten", got)
+		}
+	})
+}
+
+func journalReplayIdempotent(t *testing.T, open func(dir string) (*Journal, *JournalReplay, error)) *Journal {
 	dir := t.TempDir()
 	spec := testSpec(nil)
-	jn, _, err := OpenJournal(dir, 1)
+	jn, _, err := open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +202,7 @@ func TestJournalReplayIdempotent(t *testing.T) {
 		}
 	}
 	jn.Close()
-	jn2, third, err := OpenJournal(dir, 1)
+	jn2, third, err := open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,6 +229,7 @@ func TestJournalReplayIdempotent(t *testing.T) {
 	if third.MaxID != 3 {
 		t.Fatalf("MaxID = %d, want 3", third.MaxID)
 	}
+	return jn
 }
 
 // The registry is bounded: completed jobs past RetainDone are evicted
@@ -360,7 +383,10 @@ func TestHTTPMetricsErrsDroppedAndWAL(t *testing.T) {
 			t.Fatalf("wal.%s did not move: %d -> %d", key, walBefore[key], walAfter[key])
 		}
 	}
-	for _, key := range []string{"records_replayed", "records_truncated", "recovery_ns", "segments", "jobs_resumed", "truncated_bytes"} {
+	if walAfter["bytes_on_disk"] <= walBefore["bytes_on_disk"] {
+		t.Fatalf("wal.bytes_on_disk did not grow with the journal: %d -> %d", walBefore["bytes_on_disk"], walAfter["bytes_on_disk"])
+	}
+	for _, key := range []string{"records_replayed", "records_truncated", "recovery_ns", "segments", "jobs_resumed", "truncated_bytes", "compactions", "segments_dropped"} {
 		if _, ok := walAfter[key]; !ok {
 			t.Fatalf("wal metrics missing %q: %v", key, walAfter)
 		}

@@ -20,6 +20,16 @@
 // truncated to the last valid byte and every later segment is
 // discarded. Anything after a tear is unordered history and cannot be
 // trusted (the matrixone tae/wal + replaystore recovery discipline).
+//
+// The log is bounded by Compact, the only operation that deletes valid
+// records: the caller hands it a snapshot — records that restate
+// everything in the log it still needs — and Compact appends the
+// snapshot, syncs it (file, then directory), and only then removes the
+// segments sealed before the call, oldest first. Every crash point
+// therefore leaves history, or a suffix of history, followed by as much
+// of the snapshot as was written; a caller whose replay is an
+// idempotent fold (internal/serve's journal) reads the same state from
+// each of them. Segment numbers need not start at 1 or be contiguous.
 package wal
 
 import (
@@ -31,6 +41,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -47,6 +58,10 @@ const (
 	segPrefix           = "wal-"
 	segSuffix           = ".seg"
 )
+
+// maxKeptBuffer is the largest framing buffer Append keeps between
+// calls; one huge record must not pin its size for the log's life.
+const maxKeptBuffer = 1 << 20
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
@@ -92,6 +107,12 @@ type Stats struct {
 	TruncatedBytes int64
 	// Fsyncs counts file syncs issued.
 	Fsyncs int64
+	// Compactions counts completed Compact calls, SegmentsDropped the
+	// sealed segments they deleted.
+	Compactions     int64
+	SegmentsDropped int64
+	// BytesOnDisk is the current size of every segment file together.
+	BytesOnDisk int64
 	// RecoveryNS is the wall-clock nanoseconds Open spent validating and
 	// truncating.
 	RecoveryNS int64
@@ -107,10 +128,17 @@ type Log struct {
 	active    *os.File
 	activeSeq uint64
 	activeLen int64
-	sealed    []uint64 // sealed segment sequence numbers, ascending
+	sealed    []sealedSegment // ascending
 	sinceSync int
+	buf       []byte // Append's framing buffer, reused under mu
 	stats     Stats
 	closed    bool
+}
+
+// sealedSegment is a segment no append will touch again.
+type sealedSegment struct {
+	seq  uint64
+	size int64
 }
 
 // Open opens (creating if needed) the log in dir, runs recovery, and
@@ -178,6 +206,7 @@ func (l *Log) recover() error {
 		path := filepath.Join(l.dir, segName(seq))
 		valid, count, scanErr := scanSegment(path, nil)
 		l.stats.RecordsRecovered += count
+		l.sealed = append(l.sealed, sealedSegment{seq, valid})
 		if scanErr == nil {
 			continue
 		}
@@ -213,7 +242,7 @@ func (l *Log) recover() error {
 		break
 	}
 	l.activeSeq = seqs[tail]
-	l.sealed = append([]uint64(nil), seqs[:tail]...)
+	l.sealed = l.sealed[:tail]
 	path := filepath.Join(l.dir, segName(l.activeSeq))
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
@@ -236,8 +265,9 @@ type corruptionError struct{ reason string }
 func (e *corruptionError) Error() string { return "wal: " + e.reason }
 
 // scanSegment validates path record by record, invoking fn (when
-// non-nil) with each valid payload. It returns the byte offset of the
-// end of the last valid record, the valid record count, and a
+// non-nil) with each valid payload, which it may read only until it
+// returns: one buffer serves every record. It returns the byte offset
+// of the end of the last valid record, the valid record count, and a
 // *corruptionError when the scan stopped early at a torn or corrupt
 // record (a callback error or real I/O error is returned as-is).
 func scanSegment(path string, fn func([]byte) error) (validEnd int64, count int64, err error) {
@@ -246,8 +276,14 @@ func scanSegment(path string, fn func([]byte) error) (validEnd int64, count int6
 		return 0, 0, fmt.Errorf("wal: %w", err)
 	}
 	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<20)
+	info, err := f.Stat()
+	if err != nil {
+		return 0, 0, fmt.Errorf("wal: %w", err)
+	}
+	size := info.Size()
+	br := bufio.NewReaderSize(f, int(min(size, 1<<20)))
 	var hdr [headerBytes]byte
+	var payload []byte
 	for {
 		_, err := io.ReadFull(br, hdr[:])
 		if err == io.EOF {
@@ -264,7 +300,15 @@ func scanSegment(path string, fn func([]byte) error) (validEnd int64, count int6
 		if length > MaxRecordBytes {
 			return validEnd, count, &corruptionError{"record length past cap"}
 		}
-		payload := make([]byte, length)
+		// A length field is trusted only as far as the file backs it: a
+		// flipped bit must cost a truncation, not an allocation.
+		if int64(length) > size-validEnd-headerBytes {
+			return validEnd, count, &corruptionError{"record length past segment end"}
+		}
+		if int(length) > cap(payload) {
+			payload = make([]byte, length)
+		}
+		payload = payload[:length]
 		if _, err := io.ReadFull(br, payload); err != nil {
 			if err == io.EOF || err == io.ErrUnexpectedEOF {
 				return validEnd, count, &corruptionError{"torn record payload"}
@@ -287,11 +331,23 @@ func scanSegment(path string, fn func([]byte) error) (validEnd int64, count int6
 // Append writes one record. The payload is durable once the batched
 // fsync covering it has run (every record when FsyncEvery is 1).
 func (l *Log) Append(payload []byte) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if err := l.appendLocked(payload); err != nil {
+		return err
+	}
+	if l.sinceSync >= l.opts.FsyncEvery {
+		return l.syncLocked()
+	}
+	return nil
+}
+
+// appendLocked frames and writes one record, rotating first when the
+// active segment is full. Syncing is the caller's policy.
+func (l *Log) appendLocked(payload []byte) error {
 	if int64(len(payload)) > MaxRecordBytes {
 		return fmt.Errorf("wal: record of %d bytes exceeds cap %d", len(payload), int64(MaxRecordBytes))
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	if l.closed {
 		return ErrClosed
 	}
@@ -300,10 +356,13 @@ func (l *Log) Append(payload []byte) error {
 			return err
 		}
 	}
-	rec := make([]byte, headerBytes+len(payload))
-	binary.LittleEndian.PutUint32(rec[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(rec[4:8], crc32.Checksum(payload, castagnoli))
-	copy(rec[headerBytes:], payload)
+	var hdr [headerBytes]byte
+	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, castagnoli))
+	rec := append(append(l.buf[:0], hdr[:]...), payload...)
+	if cap(rec) <= maxKeptBuffer {
+		l.buf = rec
+	}
 	// One write call: a crash mid-append tears at most this record, which
 	// recovery truncates away.
 	if _, err := l.active.Write(rec); err != nil {
@@ -312,9 +371,6 @@ func (l *Log) Append(payload []byte) error {
 	l.activeLen += int64(len(rec))
 	l.stats.RecordsAppended++
 	l.sinceSync++
-	if l.sinceSync >= l.opts.FsyncEvery {
-		return l.syncLocked()
-	}
 	return nil
 }
 
@@ -327,7 +383,7 @@ func (l *Log) rotateLocked() error {
 	if err := l.active.Close(); err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
-	l.sealed = append(l.sealed, l.activeSeq)
+	l.sealed = append(l.sealed, sealedSegment{l.activeSeq, l.activeLen})
 	l.activeSeq++
 	f, err := os.OpenFile(filepath.Join(l.dir, segName(l.activeSeq)), os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
 	if err != nil {
@@ -364,7 +420,8 @@ func (l *Log) Sync() error {
 // fn. It re-reads and re-validates from disk; a record corrupted
 // behind the log's back stops replay with an error. Appends made
 // before Replay returns are included; fn must not call back into the
-// log.
+// log. The payload slice is valid only until fn returns — the next
+// record overwrites it — so fn copies whatever it keeps.
 func (l *Log) Replay(fn func(payload []byte) error) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -372,10 +429,60 @@ func (l *Log) Replay(fn func(payload []byte) error) error {
 		return ErrClosed
 	}
 	// Appends are unbuffered writes, so disk is current; no flush needed.
-	for _, seq := range append(append([]uint64(nil), l.sealed...), l.activeSeq) {
-		if _, _, err := scanSegment(filepath.Join(l.dir, segName(seq)), fn); err != nil {
+	for _, s := range append(slices.Clone(l.sealed), sealedSegment{seq: l.activeSeq}) {
+		if _, _, err := scanSegment(filepath.Join(l.dir, segName(s.seq)), fn); err != nil {
 			return err
 		}
+	}
+	return nil
+}
+
+// Compact bounds the log: it appends snapshot — records that restate
+// everything in the log the caller still needs — syncs it, and deletes
+// every segment that was sealed before the call. The snapshot may
+// itself rotate the log; segments it seals are kept. Nothing is deleted
+// unless the whole snapshot is durable, and deletion runs oldest first,
+// so a crash anywhere leaves history or a suffix of it under whatever
+// part of the snapshot was written (see the package comment).
+func (l *Log) Compact(snapshot [][]byte) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed {
+		return ErrClosed
+	}
+	old := len(l.sealed)
+	for _, payload := range snapshot {
+		if err := l.appendLocked(payload); err != nil {
+			return err
+		}
+	}
+	if err := l.syncLocked(); err != nil {
+		return err
+	}
+	// The segment holding the snapshot must be in the directory before
+	// the history it replaces leaves it.
+	if err := syncDir(l.dir); err != nil {
+		return err
+	}
+	for ; old > 0; old-- {
+		if err := os.Remove(filepath.Join(l.dir, segName(l.sealed[0].seq))); err != nil {
+			return fmt.Errorf("wal: drop compacted segment: %w", err)
+		}
+		l.sealed = l.sealed[1:]
+		l.stats.SegmentsDropped++
+	}
+	l.stats.Compactions++
+	return syncDir(l.dir)
+}
+
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return fmt.Errorf("wal: %w", err)
+	}
+	defer d.Close()
+	if err := d.Sync(); err != nil {
+		return fmt.Errorf("wal: sync directory: %w", err)
 	}
 	return nil
 }
@@ -384,7 +491,12 @@ func (l *Log) Replay(fn func(payload []byte) error) error {
 func (l *Log) Stats() Stats {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.stats
+	st := l.stats
+	st.BytesOnDisk = l.activeLen
+	for _, s := range l.sealed {
+		st.BytesOnDisk += s.size
+	}
+	return st
 }
 
 // Segments returns how many segment files the log currently spans.

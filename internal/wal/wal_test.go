@@ -2,9 +2,11 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -362,4 +364,155 @@ func TestConcurrentAppend(t *testing.T) {
 	if st := l2.Stats(); st.RecordsRecovered != goroutines*each || st.Truncations != 0 {
 		t.Fatalf("recovered %d with %d truncations", st.RecordsRecovered, st.Truncations)
 	}
+}
+
+// A length field is believed only as far as the file backs it: a record
+// claiming 200 MiB in a 19-byte segment is a tear, found without
+// allocating what it claims.
+func TestRecoveryBoundsLengthByFile(t *testing.T) {
+	dir := t.TempDir()
+	raw, _ := buildSegment([][]byte{[]byte("hostile-len")})
+	binary.LittleEndian.PutUint32(raw[0:4], 200<<20) // under MaxRecordBytes, far past the file
+	if err := os.WriteFile(filepath.Join(dir, segName(1)), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	l, err := Open(dir, Options{})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("recovery allocated %d bytes for a record that is not there", got)
+	}
+	st := l.Stats()
+	if st.RecordsRecovered != 0 || st.Truncations != 1 || st.TruncatedBytes != int64(len(raw)) || st.BytesOnDisk != 0 {
+		t.Fatalf("stats = %+v, want the segment truncated to empty", st)
+	}
+}
+
+// Replay hands every record the same buffer: what a callback keeps it
+// must copy, and what it copies is intact.
+func TestReplayReusesPayloadBuffer(t *testing.T) {
+	l, err := Open(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	for _, r := range []string{"first-record", "second", "third-record!"} {
+		if err := l.Append([]byte(r)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var kept [][]byte
+	if err := l.Replay(func(p []byte) error {
+		kept = append(kept, p)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if &kept[0][0] != &kept[1][0] {
+		t.Fatal("records of one segment did not share a buffer")
+	}
+	if got := replayAll(t, l); string(got[0]) != "first-record" || string(got[2]) != "third-record!" {
+		t.Fatalf("copied records = %q", got)
+	}
+}
+
+// Compact replaces the segments sealed before it with a snapshot: what
+// replays afterwards is the active segment's records, then the
+// snapshot, and a snapshot that rotates the log keeps what it sealed.
+func TestCompactDropsSealedSegments(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, Options{SegmentBytes: 256, FsyncEvery: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := func(i int) []byte { return []byte(fmt.Sprintf("record-%03d-%s", i, bytes.Repeat([]byte{'x'}, 80))) }
+	for i := 0; i < 10; i++ {
+		if err := l.Append(rec(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sealed := l.Segments() - 1
+	if sealed < 2 {
+		t.Fatalf("only %d sealed segments before compaction", sealed)
+	}
+	all := replayAll(t, l)
+	inActive := all[len(all)-(10-3*sealed):] // 3 records seal a 256-byte segment
+	fsyncs := l.Stats().Fsyncs
+
+	// Six records: more than one segment, so the snapshot rotates.
+	snapshot := [][]byte{rec(100), rec(101), rec(102), rec(103), rec(104), rec(105)}
+	if err := l.Compact(snapshot); err != nil {
+		t.Fatal(err)
+	}
+	want := append(append([][]byte(nil), inActive...), snapshot...)
+	check := func(l *Log) {
+		t.Helper()
+		got := replayAll(t, l)
+		if len(got) != len(want) {
+			t.Fatalf("replayed %d records after compaction, want %d", len(got), len(want))
+		}
+		for i := range want {
+			if !bytes.Equal(got[i], want[i]) {
+				t.Fatalf("record %d = %q, want %q", i, got[i], want[i])
+			}
+		}
+		size, err := dirSize(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := l.Stats(); st.BytesOnDisk != size {
+			t.Fatalf("BytesOnDisk = %d, directory holds %d", st.BytesOnDisk, size)
+		}
+	}
+	check(l)
+	st := l.Stats()
+	if st.Compactions != 1 || st.SegmentsDropped != int64(sealed) {
+		t.Fatalf("stats = %+v, want 1 compaction dropping %d segments", st, sealed)
+	}
+	if st.Fsyncs == fsyncs {
+		t.Fatal("compaction deleted history without syncing the snapshot")
+	}
+	if l.Segments() < 2 {
+		t.Fatal("the segments the snapshot itself sealed are gone")
+	}
+	// The compacted log — first segment number past 1 — reopens the same
+	// and keeps appending.
+	if err := l.Append(rec(200)); err != nil {
+		t.Fatal(err)
+	}
+	want = append(want, rec(200))
+	l.Close()
+	if err := l.Compact(nil); err != ErrClosed {
+		t.Fatalf("Compact on a closed log = %v, want ErrClosed", err)
+	}
+	l2, err := Open(dir, Options{SegmentBytes: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	if st := l2.Stats(); st.Truncations != 0 || st.RecordsRecovered != int64(len(want)) {
+		t.Fatalf("reopen after compaction: %+v", st)
+	}
+	check(l2)
+}
+
+func dirSize(dir string) (int64, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return 0, err
+	}
+	var n int64
+	for _, e := range entries {
+		info, err := e.Info()
+		if err != nil {
+			return 0, err
+		}
+		n += info.Size()
+	}
+	return n, nil
 }
