@@ -12,11 +12,12 @@
 // overlap permitted (equation 8 defines the product).
 //
 // The planner decomposes every logical operation into per-component,
-// per-piece tasks launched on the task runtime: vector data is partitioned
-// by user-supplied canonical partitions, matrix kernels are co-partitioned
-// automatically with the universal projection operators of package dpart,
-// and the runtime's interference analysis orders conflicting multiply-adds
-// (Section 4.1). Scalars, including dot-product results, live in
+// per-piece tasks launched on the task runtime (adjacent pieces smaller
+// than a launch grain share one task; see launchGroups): vector data is
+// partitioned by user-supplied canonical partitions, matrix kernels are
+// co-partitioned automatically with the universal projection operators of
+// package dpart, and the runtime's interference analysis orders
+// conflicting multiply-adds (Section 4.1). Scalars, including dot-product results, live in
 // one-element regions so that scalar dataflow appears in the recorded task
 // graph and the simulator charges the synchronization cost of every
 // reduction.

@@ -45,6 +45,7 @@ func buildBoth(t *testing.T, program func(p *Planner)) (real, virt taskrt.Graph)
 	t.Helper()
 	m := machine.Lassen(2)
 	pr := NewPlanner(Config{Machine: m})
+	pr.grain = 0 // the virtual graph is per piece; grouping_test.go covers the contraction
 	pv := NewPlanner(Config{Machine: m, Virtual: true})
 	program(pr)
 	program(pv)

@@ -189,78 +189,75 @@ func (p *Planner) FusedSweep(ups []VecUpdate, dots []DotPair) []*Scalar {
 		nrefs += len(vecs)
 	}
 
-	// The arithmetic is bound once per component, not once per piece.
-	var body func(subset index.IntervalSet, slot int, base int64) float64
-	bodyCI := -1
-	piece := 0
-	eachPiece(p.comps(shape), func(ci, color int, subset index.IntervalSet, proc int) {
-		mySlot := piece
-		base := int64(piece * stride)
-		piece++
-		var span index.IntervalSet // this piece's scratch slots
-		if k > 0 {
-			span = index.Span(base, base+int64(stride)-1)
-		}
-		// Each distinct vector is declared once, read-write when any
-		// update writes it.
-		refs := make([]region.Ref, 0, nrefs)
-		for _, v := range vecs {
-			priv := region.ReadOnly
-			if v.written {
-				priv = region.ReadWrite
-			}
-			refs = append(refs, pieceRef(p.vecs[v.id].regs[ci], subset, priv))
-		}
-		for _, a := range alphas {
-			refs = append(refs, a.ref(region.ReadOnly))
-		}
-		if k > 0 {
-			refs = append(refs, region.Ref{Region: scratch.ID(), Field: "s", Subset: span, Priv: region.WriteDiscard})
-		}
-		if sdc {
-			// Verification refreshes the slot, so even a pure source's
-			// checksum is read-write.
-			for _, v := range vecs {
-				refs = append(refs, p.chkRef(v.id, mySlot, region.ReadWrite))
-			}
-		}
-		var cost float64
-		for range ups {
-			cost += p.mach.AxpyCost(subset.Size())
-		}
-		for range dots {
-			cost += p.mach.DotCost(subset.Size())
-		}
-		var run func() float64
+	for ci, groups := range p.launchGroups(shape, hooks) {
+		// The arithmetic is bound once per component, not once per task.
+		var body func(subset index.IntervalSet, slot int)
 		if !p.virtual {
-			if ci != bodyCI {
-				body, bodyCI = p.sweepBody(name, ci, scratch, ups, dots, vecs), ci
+			body = p.sweepBody(name, ci, scratch, stride, ups, dots, vecs)
+		}
+		for gi := range groups {
+			g := &groups[gi]
+			var span index.IntervalSet // the members' scratch slots
+			if k > 0 {
+				span = index.Span(int64(g.slot*stride), int64((g.slot+len(g.pieces))*stride)-1)
 			}
-			body := body
-			run = func() float64 { return body(subset, mySlot, base) }
-		}
-		spec := taskrt.TaskSpec{
-			Name: name, Proc: proc, Piece: mySlot + 1,
-			Cost: cost, Refs: refs, Run: run,
-			// A sweep with updates read-modify-writes its dsts, so a
-			// partial first attempt would double-apply; a pure dot sweep
-			// overwrites its scratch slots and is idempotent.
-			Retryable: len(ups) == 0,
-		}
-		if hooks {
-			var targets []corruptTarget
+			// Each distinct vector is declared once, read-write when any
+			// update writes it.
+			refs := make([]region.Ref, 0, nrefs)
 			for _, v := range vecs {
+				priv := region.ReadOnly
 				if v.written {
-					targets = append(targets, corruptTarget{p.vecs[v.id].regs[ci].Field("v"), subset})
+					priv = region.ReadWrite
 				}
+				refs = append(refs, pieceRef(p.vecs[v.id].regs[ci], g.subset, priv))
+			}
+			for _, a := range alphas {
+				refs = append(refs, a.ref(region.ReadOnly))
 			}
 			if k > 0 {
-				targets = append(targets, corruptTarget{scratch.Field("s"), span})
+				refs = append(refs, region.Ref{Region: scratch.ID(), Field: "s", Subset: span, Priv: region.WriteDiscard})
 			}
-			spec.Corrupt = corruptHook(targets...)
+			if sdc {
+				// Verification refreshes the slot, so even a pure source's
+				// checksum is read-write.
+				for _, v := range vecs {
+					refs = append(refs, p.chkRef(v.id, g.slot, len(g.pieces), region.ReadWrite))
+				}
+			}
+			size := g.subset.Size()
+			var cost float64
+			for range ups {
+				cost += p.mach.AxpyCost(size)
+			}
+			for range dots {
+				cost += p.mach.DotCost(size)
+			}
+			spec := taskrt.TaskSpec{
+				Name: name, Proc: g.proc, Piece: g.slot + 1,
+				Cost: cost, Refs: refs,
+				// A sweep with updates read-modify-writes its dsts, so a
+				// partial first attempt would double-apply; a pure dot sweep
+				// overwrites its scratch slots and is idempotent.
+				Retryable: len(ups) == 0,
+			}
+			if body != nil {
+				spec.Run = g.run(body)
+			}
+			if hooks {
+				var targets []corruptTarget
+				for _, v := range vecs {
+					if v.written {
+						targets = append(targets, corruptTarget{p.vecs[v.id].regs[ci].Field("v"), g.subset})
+					}
+				}
+				if k > 0 {
+					targets = append(targets, corruptTarget{scratch.Field("s"), span})
+				}
+				spec.Corrupt = corruptHook(targets...)
+			}
+			p.batch(spec)
 		}
-		p.batch(spec)
-	})
+	}
 	p.flushBatch()
 
 	if k == 0 {
@@ -270,13 +267,13 @@ func (p *Planner) FusedSweep(ups []VecUpdate, dots []DotPair) []*Scalar {
 }
 
 // sweepBody binds a sweep's real-mode arithmetic to the storage of one
-// component; the component's piece tasks share the result, each calling
-// it on its own subset. A call runs the checksum verification pre-pass
+// component; the component's tasks share the result, each calling it once
+// per piece it covers. A call runs the checksum verification pre-pass
 // (detection only), the updates in order with checksum maintenance, then
-// the dot partials into scratch slots base..base+k-1 (and the guard slot
-// at base+k when detection is on).
-func (p *Planner) sweepBody(name string, ci int, scratch *region.Region,
-	ups []VecUpdate, dots []DotPair, vecs []sweepVec) func(subset index.IntervalSet, slot int, base int64) float64 {
+// the dot partials into the piece's scratch slots slot·stride..+k-1 (and
+// the guard slot after them when detection is on).
+func (p *Planner) sweepBody(name string, ci int, scratch *region.Region, stride int,
+	ups []VecUpdate, dots []DotPair, vecs []sweepVec) func(subset index.IntervalSet, slot int) {
 
 	type boundUpdate struct {
 		kind   UpdateKind
@@ -329,7 +326,8 @@ func (p *Planner) sweepBody(name string, ci int, scratch *region.Region,
 	}
 	guard := sdc && len(dots) > 0
 	k := int64(len(dots))
-	return func(subset index.IntervalSet, slot int, base int64) float64 {
+	return func(subset index.IntervalSet, slot int) {
+		base := int64(slot * stride)
 		// Verify every vector this sweep reads against its incoming
 		// checksum, before touching anything: a corruption planted
 		// anywhere in a solver's recurrence set since the last sweep
@@ -365,7 +363,7 @@ func (p *Planner) sweepBody(name string, ci int, scratch *region.Region,
 				}
 			}
 		}
-		var first, gsum float64
+		var gsum float64
 		for j, d := range bd {
 			var sum float64
 			v, w := d.v, d.w
@@ -376,14 +374,10 @@ func (p *Planner) sweepBody(name string, ci int, scratch *region.Region,
 			})
 			out[base+int64(j)] = sum
 			gsum += sum
-			if j == 0 {
-				first = sum
-			}
 		}
 		if guard {
 			out[base+k] = gsum
 		}
-		return first
 	}
 }
 

@@ -176,6 +176,7 @@ func TestFusedSweepLaunchCounts(t *testing.T) {
 	// unfused.
 	const pieces = 4
 	p, a, b := fusedTestPlanner(64, pieces)
+	p.grain = 0 // the ledger counts per-piece launches
 	p.Drain()
 	before := p.Runtime().Stats().Launched
 	p.FusedSweep([]VecUpdate{
@@ -298,6 +299,7 @@ func TestSweepTaskVocabulary(t *testing.T) {
 			var launched [2]int64
 			for vi, virtual := range []bool{false, true} {
 				p := NewPlanner(Config{Machine: m, Virtual: virtual})
+				p.grain = 0 // the ledger counts per-piece launches
 				setupSystem(p, n, pieces)
 				w := make([]VecID, 6)
 				for i := range w {

@@ -10,7 +10,7 @@ import (
 
 // Matmul computes dst ← A_total · src (Section 4.1): for every operator
 // quadruple (K_ℓ, A_ℓ, i_ℓ, j_ℓ) a multiply-add y_{j_ℓ} ← A_ℓ x_{i_ℓ} +
-// y_{j_ℓ} is launched per output piece. The first task writing each
+// y_{j_ℓ} is launched per output piece (per launch group of small pieces). The first task writing each
 // output piece takes write-discard privilege and zeroes the piece inline
 // (no separate zero pass costs bandwidth); later tasks into the same
 // piece carry reduction privileges, so the runtime's interference
@@ -72,25 +72,25 @@ func opTarget(op *opEntry, adjoint, pre bool) (outIdx, inIdx int, kpart, inHalo,
 // multiply-add touches it: the operator that first reaches a point zeroes
 // it inline (write-discard when its whole write set is fresh), and points
 // no operator writes get explicit zero tasks (the empty sum of
-// equation 8).
+// equation 8). Each operator launches one multiply-add per launch group of
+// its output component (launchGroups), covering the group's output pieces
+// in color order.
 func (p *Planner) runMultiOp(ops []opEntry, dst, src VecID, adjoint, pre bool) {
 	dv, sv := p.vecs[dst], p.vecs[src]
-	outComps := p.rhs
+	outShape := RhsShape
 	if adjoint || pre {
-		outComps = p.sol
+		outShape = SolShape
 	}
+	outComps := p.comps(outShape)
+	outGroups := p.launchGroups(outShape, p.faultHooks())
 	// covered[comp][color] accumulates the points already written in this
 	// product; wrote tracks whether any task (checksum-wise, the slot
 	// writer) reached the piece yet.
 	covered := make([][]index.IntervalSet, len(outComps))
 	wrote := make([][]bool, len(outComps))
-	compOff := make([]int, len(outComps))
-	off := 0
 	for i, c := range outComps {
 		covered[i] = make([]index.IntervalSet, c.part.NumColors())
 		wrote[i] = make([]bool, c.part.NumColors())
-		compOff[i] = off
-		off += c.part.NumColors()
 	}
 	name := "matmul"
 	if adjoint {
@@ -102,37 +102,74 @@ func (p *Planner) runMultiOp(ops []opEntry, dst, src VecID, adjoint, pre bool) {
 	for oi := range ops {
 		op := &ops[oi]
 		outIdx, inIdx, kpart, inHalo, outImage := opTarget(op, adjoint, pre)
-		outComp := outComps[outIdx]
-		outReg, inReg := dv.regs[outIdx], sv.regs[inIdx]
-		for color := 0; color < outComp.part.NumColors(); color++ {
-			kset := kpart.Piece(color)
-			outSet := outImage.Piece(color)
-			if kset.Empty() || outSet.Empty() {
-				continue
-			}
-			fresh := outSet.Subtract(covered[outIdx][color])
-			covered[outIdx][color] = covered[outIdx][color].Union(outSet)
-			var cc *colCheck
-			if sdc && !adjoint && !pre {
-				if cols := p.sdc.colchk[oi]; color < len(cols) && cols[color].idx != nil {
-					cc = &cols[color]
+		for gi := range outGroups[outIdx] {
+			g := &outGroups[outIdx][gi]
+			members := make([]mulMember, 0, len(g.pieces))
+			var inSet index.IntervalSet
+			for i := range g.pieces {
+				color := g.lo + i
+				kset := kpart.Piece(color)
+				outSet := outImage.Piece(color)
+				if kset.Empty() || outSet.Empty() {
+					continue
 				}
+				fresh := outSet.Subtract(covered[outIdx][color])
+				covered[outIdx][color] = covered[outIdx][color].Union(outSet)
+				var cc *colCheck
+				if sdc && !adjoint && !pre {
+					if cols := p.sdc.colchk[oi]; color < len(cols) && cols[color].idx != nil {
+						cc = &cols[color]
+					}
+				}
+				members = append(members, mulMember{
+					kset: kset, outSet: outSet, fresh: fresh, slot: g.slot + i,
+					fold: !fresh.Equal(outSet), first: !wrote[outIdx][color], cc: cc,
+				})
+				inSet = unionInto(inSet, inHalo.Piece(color))
+				wrote[outIdx][color] = true
 			}
-			p.launchMultiplyAdd(name, oi, color, op, outReg, inReg,
-				outComp, kset, inHalo.Piece(color), outSet, fresh, adjoint, pre,
-				dst, compOff[outIdx]+color, !wrote[outIdx][color], cc)
-			wrote[outIdx][color] = true
+			if len(members) > 0 {
+				p.launchMultiplyAdd(name, oi, g, op, dv.regs[outIdx], sv.regs[inIdx],
+					members, inSet, adjoint, pre, dst)
+			}
 		}
 	}
-	// Zero whatever no operator wrote.
-	for ci, c := range outComps {
-		for color := 0; color < c.part.NumColors(); color++ {
-			rest := c.part.Piece(color).Subtract(covered[ci][color])
-			if !rest.Empty() {
-				p.zeroPiece(dv.regs[ci], rest, c.procs[color],
-					dst, compOff[ci]+color, !wrote[ci][color])
-				wrote[ci][color] = true
+	// Zero whatever no operator wrote: one fill per run of adjacent members
+	// of a group that have such points and agree on whether the fill is the
+	// piece's first checksum writer.
+	for ci, groups := range outGroups {
+		for gi := range groups {
+			g := &groups[gi]
+			var rest index.IntervalSet // the open run's points
+			var start, n int           // its first member and its length
+			var first bool
+			fill := func() {
+				if n > 0 {
+					slots := 0
+					if first {
+						slots = n
+					}
+					p.zeroPieces(dv.regs[ci], rest, outComps[ci].procs[g.lo+start],
+						dst, g.slot+start, slots)
+				}
+				rest, n = index.IntervalSet{}, 0
 			}
+			for i, piece := range g.pieces {
+				r := piece.Subtract(covered[ci][g.lo+i])
+				f := !wrote[ci][g.lo+i]
+				if r.Empty() || f != first {
+					fill()
+				}
+				if r.Empty() {
+					continue
+				}
+				if n == 0 {
+					start, first = i, f
+				}
+				rest = unionInto(rest, r)
+				n++
+			}
+			fill()
 		}
 	}
 	// The whole product — every operator's multiply-adds plus the
@@ -140,28 +177,64 @@ func (p *Planner) runMultiOp(ops []opEntry, dst, src VecID, adjoint, pre bool) {
 	p.flushBatch()
 }
 
-// launchMultiplyAdd launches one multiply-add task for one output piece of
-// one operator. outSet is the task's true write set; fresh is the part of
-// it no earlier operator wrote, which the task zeroes inline before
-// accumulating. A fully fresh write set takes write-discard privilege;
-// any overlap with earlier writers takes reduction privilege, which the
-// runtime orders. first marks the checksum-slot initializer of the piece
-// in this product; cc, when non-nil, is the forward product's
-// column-checksum vector for the ABFT cross-check.
-func (p *Planner) launchMultiplyAdd(name string, opIdx, color int, op *opEntry,
-	outReg, inReg *region.Region, outComp component,
-	kset, inSet, outSet, fresh index.IntervalSet, adjoint, pre bool,
-	dst VecID, slot int, first bool, cc *colCheck) {
+// unionInto returns acc ∪ s, sharing s's storage when acc is empty (a
+// group of one declares its member's own sets).
+func unionInto(acc, s index.IntervalSet) index.IntervalSet {
+	if acc.Empty() {
+		return s
+	}
+	return acc.Union(s)
+}
 
-	proc := outComp.procs[color]
+// mulMember is one output piece's share of a multiply-add task. outSet is
+// the member's true write set; fresh is the part of it no earlier operator
+// wrote, which the task zeroes inline before accumulating. fold marks a
+// member that accumulates into earlier writers' data (fresh ≠ outSet);
+// first marks the checksum-slot initializer of the piece in this product;
+// cc, when non-nil, is the forward product's column-checksum vector for
+// the ABFT cross-check.
+type mulMember struct {
+	kset, outSet, fresh index.IntervalSet
+	slot                int
+	fold, first         bool
+	cc                  *colCheck
+}
+
+// launchMultiplyAdd launches one multiply-add task of one operator over
+// the output pieces of one launch group. A
+// task whose members' write sets are all fresh takes write-discard
+// privilege over their union; all folding takes reduction privilege,
+// which the runtime orders; a mix takes read-write.
+func (p *Planner) launchMultiplyAdd(name string, opIdx int, g *pieceGroup, op *opEntry,
+	outReg, inReg *region.Region,
+	members []mulMember, inSet index.IntervalSet, adjoint, pre bool, dst VecID) {
+
+	proc := g.proc
 	if !pre && p.mmProc != nil {
-		if q := p.mmProc(opIdx, color); q >= 0 {
+		if q := p.mmProc(opIdx, g.lo); q >= 0 {
 			proc = q
 		}
 	}
-	priv := region.ReduceSum
-	if fresh.Equal(outSet) {
+	var outSet index.IntervalSet
+	var ksize int64
+	folds, firsts := 0, 0
+	for i := range members {
+		m := &members[i]
+		outSet = unionInto(outSet, m.outSet)
+		ksize += m.kset.Size()
+		if m.fold {
+			folds++
+		}
+		if m.first {
+			firsts++
+		}
+	}
+	priv := region.ReadWrite
+	switch folds {
+	case 0:
 		priv = region.WriteDiscard
+	case len(members):
+		priv = region.ReduceSum
 	}
 	sdc, hooks := p.sdcOn(), p.faultHooks()
 	var chk []float64
@@ -176,56 +249,60 @@ func (p *Planner) launchMultiplyAdd(name string, opIdx, color int, op *opEntry,
 		y := outReg.Field("v")
 		x := inReg.Field("v")
 		mat := op.mat
-		ks, fr, os := kset, fresh, outSet
-		wd := priv == region.WriteDiscard
 		run = func() float64 {
-			var before float64
-			if sdc && !wd {
-				// A reduction task folds into earlier writers' data; its own
-				// contribution is the sum delta over its write set.
-				before, _ = sumPiece(y, os)
-			}
-			fr.EachInterval(func(iv index.Interval) {
-				for i := iv.Lo; i <= iv.Hi; i++ {
-					y[i] = 0
+			for i := range members {
+				m := &members[i]
+				m.fresh.EachInterval(func(iv index.Interval) {
+					for i := iv.Lo; i <= iv.Hi; i++ {
+						y[i] = 0
+					}
+				})
+				var before float64
+				if sdc && m.fold {
+					// A folding member adds to earlier writers' data; its own
+					// contribution is the sum delta over its write set (taken
+					// once the fresh part holds zeros, not last product's data).
+					before, _ = sumPiece(y, m.outSet)
 				}
-			})
-			if adjoint {
-				mat.MultiplyAddTPart(y, x, ks)
-			} else {
-				mat.MultiplyAddPart(y, x, ks)
-			}
-			if sdc {
-				after, abs := sumPiece(y, os)
+				if adjoint {
+					mat.MultiplyAddTPart(y, x, m.kset)
+				} else {
+					mat.MultiplyAddPart(y, x, m.kset)
+				}
+				if !sdc {
+					continue
+				}
+				after, abs := sumPiece(y, m.outSet)
 				contrib := after - before
-				if cc != nil {
+				if m.cc != nil {
 					// The checksummed SpMV invariant: the contribution this
-					// task wrote must match the column-checksum prediction
+					// member wrote must match the column-checksum prediction
 					// w·x computed from independent data.
 					var wx float64
-					for t, j := range cc.idx {
-						wx += cc.val[t] * x[j]
+					for t, j := range m.cc.idx {
+						wx += m.cc.val[t] * x[j]
 					}
 					scale := abs + math.Abs(wx) + 1
 					if diff := math.Abs(wx - contrib); diff > tol*scale || diff != diff {
 						mon.report(SDCAlarm{
-							Task: "matmul.abft", Vec: dst, Slot: slot,
+							Task: "matmul.abft", Vec: dst, Slot: m.slot,
 							Expected: wx, Got: contrib, Scale: scale,
 						})
 					}
 				}
-				if first {
-					chk[slot] = contrib
+				if m.first {
+					chk[m.slot] = contrib
 				} else {
-					chk[slot] += contrib
+					chk[m.slot] += contrib
 				}
 			}
 			return 0
 		}
 	}
+	lo, hi := members[0].slot, members[len(members)-1].slot
 	spec := taskrt.TaskSpec{
-		Name: name, Proc: proc, Piece: slot + 1,
-		Cost: p.mach.SpMVCost(kset.Size(), outSet.Size()),
+		Name: name, Proc: proc, Piece: lo + 1,
+		Cost: p.mach.SpMVCost(ksize, outSet.Size()),
 		Refs: []region.Ref{
 			pieceRef(outReg, outSet, priv),
 			pieceRef(inReg, inSet, region.ReadOnly),
@@ -235,14 +312,15 @@ func (p *Planner) launchMultiplyAdd(name string, opIdx, color int, op *opEntry,
 		// accumulating, so re-execution is safe; a reduction into data
 		// earlier operators wrote is not, and neither is a checksum-slot
 		// accumulation (chk[slot] += contrib would double-apply).
-		Retryable: priv == region.WriteDiscard && (!sdc || first),
+		Retryable: priv == region.WriteDiscard && (!sdc || firsts == len(members)),
 	}
 	if sdc {
+		// Write-discard only when the task initializes every slot it spans.
 		chkPriv := region.ReadWrite
-		if first {
+		if firsts == hi-lo+1 {
 			chkPriv = region.WriteDiscard
 		}
-		spec.Refs = append(spec.Refs, p.chkRef(dst, slot, chkPriv))
+		spec.Refs = append(spec.Refs, p.chkRef(dst, lo, hi-lo+1, chkPriv))
 	}
 	if hooks {
 		spec.Corrupt = corruptHook(corruptTarget{outReg.Field("v"), outSet})
@@ -250,16 +328,17 @@ func (p *Planner) launchMultiplyAdd(name string, opIdx, color int, op *opEntry,
 	p.batch(spec)
 }
 
-// zeroPiece launches a zero-fill of one piece (or the remainder of one).
-// When it is the piece's first checksum writer in a product — no operator
-// touched the piece at all — it also zeroes the checksum slot.
-func (p *Planner) zeroPiece(reg *region.Region, subset index.IntervalSet, proc int,
-	dst VecID, slot int, first bool) {
+// zeroPieces launches a zero-fill of a launch group's pieces (or of their
+// remainders). slots > 0 makes it the first checksum writer, in this
+// product, of that many pieces from slot on — no operator touched them at
+// all — so it also zeroes their checksum slots.
+func (p *Planner) zeroPieces(reg *region.Region, subset index.IntervalSet, proc int,
+	dst VecID, slot, slots int) {
 
 	sdc, hooks := p.sdcOn(), p.faultHooks()
 	var chk []float64
-	if sdc {
-		chk = p.chkData(dst)
+	if sdc && slots > 0 {
+		chk = p.chkData(dst)[slot : slot+slots]
 	}
 	var run func() float64
 	if !p.virtual {
@@ -270,9 +349,7 @@ func (p *Planner) zeroPiece(reg *region.Region, subset index.IntervalSet, proc i
 					d[i] = 0
 				}
 			})
-			if sdc && first {
-				chk[slot] = 0
-			}
+			clear(chk)
 			return 0
 		}
 	}
@@ -282,8 +359,8 @@ func (p *Planner) zeroPiece(reg *region.Region, subset index.IntervalSet, proc i
 		Refs: []region.Ref{pieceRef(reg, subset, region.WriteDiscard)},
 		Run:  run, Retryable: true,
 	}
-	if sdc && first {
-		spec.Refs = append(spec.Refs, p.chkRef(dst, slot, region.WriteDiscard))
+	if chk != nil {
+		spec.Refs = append(spec.Refs, p.chkRef(dst, slot, slots, region.WriteDiscard))
 	}
 	if hooks {
 		spec.Corrupt = corruptHook(corruptTarget{reg.Field("v"), subset})

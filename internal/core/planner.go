@@ -112,6 +112,13 @@ type Planner struct {
 	ops, pre  []opEntry
 	vecs      []vec
 	finalized bool
+	// grain is the launch grain (launchGrain; tests may zero it) and groups
+	// caches each shape's launch groups under the grain last used.
+	grain  int64
+	groups [2]struct {
+		grain  int64
+		byComp [][]pieceGroup
+	}
 	colorBase int
 	scalarSeq int
 	tracing   bool
@@ -148,6 +155,7 @@ func NewPlanner(cfg Config) *Planner {
 		mapper:  mapper,
 		virtual: cfg.Virtual,
 		mmProc:  cfg.MatmulProc,
+		grain:   launchGrain,
 		vecs:    make([]vec, 2), // SOL and RHS, filled by Add*Vector
 	}
 }

@@ -186,7 +186,7 @@ func (pl *PowersPlan) Sweep(dsts []VecID, src VecID, shifts []float64) {
 			// The sweep fully recomputes each dst piece, so each dst's
 			// checksum slot is refreshed from the computed output.
 			for _, d := range dsts {
-				refs = append(refs, p.chkRef(d, pc.color, region.WriteDiscard))
+				refs = append(refs, p.chkRef(d, pc.color, 1, region.WriteDiscard))
 			}
 		}
 

@@ -61,7 +61,7 @@ type SDCAlarm struct {
 	// Task is the name of the task that detected the mismatch.
 	Task string
 	// Vec is the planner vector whose piece failed verification, and Slot
-	// its global piece index (eachPiece order).
+	// its global piece index (eachSlot order).
 	Vec  VecID
 	Slot int
 	// Expected is the maintained checksum, Got the sum measured from the
@@ -142,7 +142,7 @@ type sdcState struct {
 	mon *SDCMonitor
 	tol float64
 	// chk[id] is vector id's checksum region ("s" field, one slot per
-	// piece in eachPiece order), parallel to Planner.vecs.
+	// piece in eachSlot order), parallel to Planner.vecs.
 	chk []*region.Region
 	// colchk[op][color] is the forward product's column checksum.
 	colchk [][]colCheck
@@ -206,16 +206,6 @@ func (p *Planner) shapePieces(shape Shape) int {
 	return total
 }
 
-// slotOf returns the global checksum slot of (component ci, color) for a
-// vector of the given shape: the eachPiece visit order.
-func (p *Planner) slotOf(shape Shape, ci, color int) int {
-	slot := color
-	for _, c := range p.comps(shape)[:ci] {
-		slot += c.part.NumColors()
-	}
-	return slot
-}
-
 // sdcAddVec creates (and seeds) the checksum region of one vector.
 func (p *Planner) sdcAddVec(id VecID) {
 	s := p.sdc
@@ -234,8 +224,7 @@ func (p *Planner) sdcAddVec(id VecID) {
 func (p *Planner) seedChecksum(id VecID) {
 	v, comps := p.vecComps(id)
 	out := p.sdc.chk[id].Field("s")
-	slot := 0
-	eachPiece(comps, func(ci, color int, subset index.IntervalSet, proc int) {
+	eachSlot(comps, func(ci, slot int, subset index.IntervalSet) {
 		d := v.regs[ci].Field("v")
 		var sum float64
 		subset.EachInterval(func(iv index.Interval) {
@@ -244,7 +233,6 @@ func (p *Planner) seedChecksum(id VecID) {
 			}
 		})
 		out[slot] = sum
-		slot++
 	})
 }
 
@@ -290,11 +278,11 @@ func (p *Planner) buildColChecks(op *opEntry) []colCheck {
 	return out
 }
 
-// chkRef builds the region reference for one checksum slot.
-func (p *Planner) chkRef(id VecID, slot int, priv region.Privilege) region.Ref {
+// chkRef builds the region reference for n consecutive checksum slots.
+func (p *Planner) chkRef(id VecID, slot, n int, priv region.Privilege) region.Ref {
 	return region.Ref{
 		Region: p.sdc.chk[id].ID(), Field: "s",
-		Subset: index.Span(int64(slot), int64(slot)), Priv: priv,
+		Subset: index.Span(int64(slot), int64(slot+n-1)), Priv: priv,
 	}
 }
 
@@ -335,32 +323,31 @@ func (p *Planner) LaunchChecksumCheck(ids ...VecID) {
 	if !p.sdcOn() {
 		return
 	}
-	mon, tol := p.sdc.mon, p.sdc.tol
+	mon, tol, hooks := p.sdc.mon, p.sdc.tol, p.faultHooks()
 	for _, id := range ids {
-		v, comps := p.vecComps(id)
+		v := p.vecs[id]
 		chk := p.chkData(id)
-		slot := 0
-		eachPiece(comps, func(ci, color int, subset index.IntervalSet, proc int) {
-			mySlot := slot
-			slot++
+		for ci, groups := range p.launchGroups(v.shape, hooks) {
 			d := v.regs[ci].Field("v")
-			vid := id
-			p.batch(taskrt.TaskSpec{
-				Name: "vec.checksum", Proc: proc,
-				Cost:  p.mach.DotCost(subset.Size()),
-				Piece: mySlot + 1,
-				Refs: []region.Ref{
-					pieceRef(v.regs[ci], subset, region.ReadOnly),
-					p.chkRef(vid, mySlot, region.ReadWrite),
-				},
-				Run: func() float64 {
-					sum, abs := sumPiece(d, subset)
-					verifySlot(mon, tol, "vec.checksum", vid, mySlot, chk, sum, abs)
-					return sum
-				},
-				Retryable: true,
-			})
-		})
+			body := func(subset index.IntervalSet, slot int) {
+				sum, abs := sumPiece(d, subset)
+				verifySlot(mon, tol, "vec.checksum", id, slot, chk, sum, abs)
+			}
+			for gi := range groups {
+				g := &groups[gi]
+				p.batch(taskrt.TaskSpec{
+					Name: "vec.checksum", Proc: g.proc,
+					Cost:  p.mach.DotCost(g.subset.Size()),
+					Piece: g.slot + 1,
+					Refs: []region.Ref{
+						pieceRef(v.regs[ci], g.subset, region.ReadOnly),
+						p.chkRef(id, g.slot, len(g.pieces), region.ReadWrite),
+					},
+					Run:       g.run(body),
+					Retryable: true,
+				})
+			}
+		}
 	}
 	p.flushBatch()
 }
@@ -438,7 +425,7 @@ func (p *Planner) faultHooks() bool {
 }
 
 // RestoreSolPieces selectively restores the listed solution pieces
-// (global eachPiece slots) from a checkpoint, leaving every other piece's
+// (global eachSlot slots) from a checkpoint, leaving every other piece's
 // state intact — the recovery half of piece-level SDC containment. The
 // restored pieces' checksums are reseeded. Host-side; the runtime must be
 // quiescent. Real planners only.
@@ -450,8 +437,7 @@ func (p *Planner) RestoreSolPieces(ckpt [][]float64, slots []int) {
 		panic("core: checkpoint component count mismatch")
 	}
 	for _, want := range slots {
-		slot := 0
-		eachPiece(p.sol, func(ci, color int, subset index.IntervalSet, proc int) {
+		eachSlot(p.sol, func(ci, slot int, subset index.IntervalSet) {
 			if slot == want {
 				dst := p.vecs[SOL].regs[ci].Field("v")
 				src := ckpt[ci]
@@ -459,7 +445,6 @@ func (p *Planner) RestoreSolPieces(ckpt [][]float64, slots []int) {
 					copy(dst[iv.Lo:iv.Hi+1], src[iv.Lo:iv.Hi+1])
 				})
 			}
-			slot++
 		})
 	}
 	if p.sdcOn() {

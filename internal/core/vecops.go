@@ -9,11 +9,12 @@ import (
 )
 
 // The solver-facing vector operations of Figure 6. Each logical operation
-// becomes one task per component piece (an index launch over the
-// canonical partition), placed on the piece's owning processor. Real
+// becomes one task per launch group of the component's canonical
+// partition (launchGroups: one per piece wherever a piece holds a grain
+// of points), placed on the owning processor of its first piece. Real
 // planners perform the arithmetic; virtual planners record only costs.
 // Copy and Scal build their tasks here and Zero through the product's
-// zeroPiece (write-discard privilege, retryability and their own cost
+// zeroPieces (write-discard privilege, retryability and their own cost
 // models set them apart); Axpy, Xpay and Dot are single-operation calls
 // of the one sweep kernel, FusedSweep (fusedops.go).
 //
@@ -35,11 +36,84 @@ func pieceRef(reg *region.Region, subset index.IntervalSet, priv region.Privileg
 	return region.Ref{Region: reg.ID(), Field: "v", Subset: subset, Priv: priv}
 }
 
-// eachPiece iterates the canonical pieces of the dst components.
-func eachPiece(comps []component, fn func(ci, color int, subset index.IntervalSet, proc int)) {
+// launchGrain is the fewest points one launched task should hold. Below
+// it the runtime's fixed cost per task (about 2.7 µs wall on the benchmark
+// host) exceeds the sweep kernel's cost per piece (about 0.7 ns a point),
+// so the planner launches adjacent pieces together; the fit is recorded
+// in EXPERIMENTS.md ("Launch grain").
+const launchGrain = 4096
+
+// pieceGroup is one unit of launch: a run of adjacent colors of one
+// component's canonical partition that together hold at least a grain of
+// points (the last run of a component holds whatever is left). The unit
+// of data stays the piece: a group's one task declares the union of its
+// members' subsets and runs the per-piece kernel body once per member in
+// color order, so checksum slots, dot partials and the arithmetic are
+// those of the per-piece launch. A group of one is that launch exactly.
+type pieceGroup struct {
+	lo     int                 // first member color
+	slot   int                 // global piece slot of color lo; members' slots follow
+	proc   int                 // owner of the first member
+	pieces []index.IntervalSet // the members' canonical pieces, in color order
+	subset index.IntervalSet   // their union
+}
+
+// run wraps a per-piece kernel body as the body of the group's task.
+func (g *pieceGroup) run(body func(subset index.IntervalSet, slot int)) func() float64 {
+	return func() float64 {
+		for i, subset := range g.pieces {
+			body(subset, g.slot+i)
+		}
+		return 0
+	}
+}
+
+// launchGroups returns the units of launch of every component of a shape.
+// Two kinds of launch keep one task per piece, whatever the pieces hold:
+// a virtual planner's (each task models one simulated processor's share,
+// so coarsening would change the simulated figures) and, with perPiece
+// set, a session with an active fault injector's (a fault plan addresses
+// and corrupts or retries one piece task). The groups are rebuilt only
+// when that choice changes.
+func (p *Planner) launchGroups(shape Shape, perPiece bool) [][]pieceGroup {
+	grain := p.grain
+	if p.virtual || perPiece {
+		grain = 0
+	}
+	c := &p.groups[shape]
+	if c.byComp != nil && c.grain == grain {
+		return c.byComp
+	}
+	comps := p.comps(shape)
+	c.grain, c.byComp = grain, make([][]pieceGroup, len(comps))
+	slot := 0
+	for ci, comp := range comps {
+		pieces := comp.part.Pieces()
+		for lo := 0; lo < len(pieces); {
+			hi, subset := lo+1, pieces[lo]
+			for hi < len(pieces) && subset.Size() < grain {
+				subset = subset.Union(pieces[hi])
+				hi++
+			}
+			c.byComp[ci] = append(c.byComp[ci], pieceGroup{
+				lo: lo, slot: slot + lo, proc: comp.procs[lo],
+				pieces: pieces[lo:hi], subset: subset,
+			})
+			lo = hi
+		}
+		slot += len(pieces)
+	}
+	return c.byComp
+}
+
+// eachSlot walks the canonical pieces host-side in slot order (checksum
+// seeding, piece restore). Launches go through launchGroups.
+func eachSlot(comps []component, fn func(ci, slot int, subset index.IntervalSet)) {
+	slot := 0
 	for ci, c := range comps {
-		for color := 0; color < c.part.NumColors(); color++ {
-			fn(ci, color, c.part.Piece(color), c.procs[color])
+		for _, subset := range c.part.Pieces() {
+			fn(ci, slot, subset)
+			slot++
 		}
 	}
 }
@@ -47,12 +121,13 @@ func eachPiece(comps []component, fn func(ci, color int, subset index.IntervalSe
 // Zero sets dst to the zero vector.
 func (p *Planner) Zero(dst VecID) {
 	p.mustBeFinalized()
-	dv, dc := p.vecComps(dst)
-	slot := 0
-	eachPiece(dc, func(ci, color int, subset index.IntervalSet, proc int) {
-		p.zeroPiece(dv.regs[ci], subset, proc, dst, slot, true)
-		slot++
-	})
+	dv := p.vecs[dst]
+	for ci, groups := range p.launchGroups(dv.shape, p.faultHooks()) {
+		for gi := range groups {
+			g := &groups[gi]
+			p.zeroPieces(dv.regs[ci], g.subset, g.proc, dst, g.slot, len(g.pieces))
+		}
+	}
 	p.flushBatch()
 }
 
@@ -63,8 +138,7 @@ func (p *Planner) Copy(dst, src VecID) {
 		return
 	}
 	p.checkCompatible(dst, src)
-	dv, dc := p.vecComps(dst)
-	sv := p.vecs[src]
+	dv, sv := p.vecs[dst], p.vecs[src]
 	sdc, hooks := p.sdcOn(), p.faultHooks()
 	var chkD, chkS []float64
 	var mon *SDCMonitor
@@ -73,19 +147,16 @@ func (p *Planner) Copy(dst, src VecID) {
 		chkD, chkS = p.chkData(dst), p.chkData(src)
 		mon, tol = p.sdc.mon, p.sdc.tol
 	}
-	slot := 0
-	eachPiece(dc, func(ci, color int, subset index.IntervalSet, proc int) {
-		mySlot := slot
-		slot++
-		var run func() float64
+	for ci, groups := range p.launchGroups(dv.shape, hooks) {
+		var body func(subset index.IntervalSet, slot int)
 		if !p.virtual {
 			d, s := dv.regs[ci].Field("v"), sv.regs[ci].Field("v")
-			run = func() float64 {
+			body = func(subset index.IntervalSet, slot int) {
 				if !sdc {
 					subset.EachInterval(func(iv index.Interval) {
 						copy(d[iv.Lo:iv.Hi+1], s[iv.Lo:iv.Hi+1])
 					})
-					return 0
+					return
 				}
 				var sum, abs float64
 				subset.EachInterval(func(iv index.Interval) {
@@ -96,37 +167,42 @@ func (p *Planner) Copy(dst, src VecID) {
 						abs += math.Abs(v)
 					}
 				})
-				verifySlot(mon, tol, "copy", src, mySlot, chkS, sum, abs)
-				chkD[mySlot] = sum
-				return 0
+				verifySlot(mon, tol, "copy", src, slot, chkS, sum, abs)
+				chkD[slot] = sum
 			}
 		}
-		spec := taskrt.TaskSpec{
-			Name: "copy", Proc: proc, Piece: mySlot + 1,
-			Cost: p.mach.CopyCost(subset.Size()),
-			Refs: []region.Ref{
-				pieceRef(dv.regs[ci], subset, region.WriteDiscard),
-				pieceRef(sv.regs[ci], subset, region.ReadOnly),
-			},
-			Run: run, Retryable: true,
+		for gi := range groups {
+			g := &groups[gi]
+			spec := taskrt.TaskSpec{
+				Name: "copy", Proc: g.proc, Piece: g.slot + 1,
+				Cost: p.mach.CopyCost(g.subset.Size()),
+				Refs: []region.Ref{
+					pieceRef(dv.regs[ci], g.subset, region.WriteDiscard),
+					pieceRef(sv.regs[ci], g.subset, region.ReadOnly),
+				},
+				Retryable: true,
+			}
+			if body != nil {
+				spec.Run = g.run(body)
+			}
+			if sdc {
+				spec.Refs = append(spec.Refs,
+					p.chkRef(dst, g.slot, len(g.pieces), region.WriteDiscard),
+					p.chkRef(src, g.slot, len(g.pieces), region.ReadWrite))
+			}
+			if hooks {
+				spec.Corrupt = corruptHook(corruptTarget{dv.regs[ci].Field("v"), g.subset})
+			}
+			p.batch(spec)
 		}
-		if sdc {
-			spec.Refs = append(spec.Refs,
-				p.chkRef(dst, mySlot, region.WriteDiscard),
-				p.chkRef(src, mySlot, region.ReadWrite))
-		}
-		if hooks {
-			spec.Corrupt = corruptHook(corruptTarget{dv.regs[ci].Field("v"), subset})
-		}
-		p.batch(spec)
-	})
+	}
 	p.flushBatch()
 }
 
 // Scal performs dst ← α·dst.
 func (p *Planner) Scal(dst VecID, alpha *Scalar) {
 	p.mustBeFinalized()
-	dv, dc := p.vecComps(dst)
+	dv := p.vecs[dst]
 	sdc, hooks := p.sdcOn(), p.faultHooks()
 	var chkD []float64
 	var mon *SDCMonitor
@@ -135,15 +211,12 @@ func (p *Planner) Scal(dst VecID, alpha *Scalar) {
 		chkD = p.chkData(dst)
 		mon, tol = p.sdc.mon, p.sdc.tol
 	}
-	slot := 0
-	eachPiece(dc, func(ci, color int, subset index.IntervalSet, proc int) {
-		mySlot := slot
-		slot++
-		var run func() float64
+	for ci, groups := range p.launchGroups(dv.shape, hooks) {
+		var body func(subset index.IntervalSet, slot int)
 		if !p.virtual {
 			d := dv.regs[ci].Field("v")
 			a := alpha.reg.Field("s")
-			run = func() float64 {
+			body = func(subset index.IntervalSet, slot int) {
 				av := a[0]
 				if !sdc {
 					subset.EachInterval(func(iv index.Interval) {
@@ -151,7 +224,7 @@ func (p *Planner) Scal(dst VecID, alpha *Scalar) {
 							d[i] *= av
 						}
 					})
-					return 0
+					return
 				}
 				var sum, abs float64
 				subset.EachInterval(func(iv index.Interval) {
@@ -162,28 +235,32 @@ func (p *Planner) Scal(dst VecID, alpha *Scalar) {
 						d[i] = av * v
 					}
 				})
-				verifySlot(mon, tol, "scal", dst, mySlot, chkD, sum, abs)
-				chkD[mySlot] = av * sum
-				return 0
+				verifySlot(mon, tol, "scal", dst, slot, chkD, sum, abs)
+				chkD[slot] = av * sum
 			}
 		}
-		spec := taskrt.TaskSpec{
-			Name: "scal", Proc: proc, Piece: mySlot + 1,
-			Cost: p.mach.ScalCost(subset.Size()),
-			Refs: []region.Ref{
-				pieceRef(dv.regs[ci], subset, region.ReadWrite),
-				alpha.ref(region.ReadOnly),
-			},
-			Run: run,
+		for gi := range groups {
+			g := &groups[gi]
+			spec := taskrt.TaskSpec{
+				Name: "scal", Proc: g.proc, Piece: g.slot + 1,
+				Cost: p.mach.ScalCost(g.subset.Size()),
+				Refs: []region.Ref{
+					pieceRef(dv.regs[ci], g.subset, region.ReadWrite),
+					alpha.ref(region.ReadOnly),
+				},
+			}
+			if body != nil {
+				spec.Run = g.run(body)
+			}
+			if sdc {
+				spec.Refs = append(spec.Refs, p.chkRef(dst, g.slot, len(g.pieces), region.ReadWrite))
+			}
+			if hooks {
+				spec.Corrupt = corruptHook(corruptTarget{dv.regs[ci].Field("v"), g.subset})
+			}
+			p.batch(spec)
 		}
-		if sdc {
-			spec.Refs = append(spec.Refs, p.chkRef(dst, mySlot, region.ReadWrite))
-		}
-		if hooks {
-			spec.Corrupt = corruptHook(corruptTarget{dv.regs[ci].Field("v"), subset})
-		}
-		p.batch(spec)
-	})
+	}
 	p.flushBatch()
 }
 

@@ -37,7 +37,8 @@ type Spec struct {
 	// entries in [-1, 1)).
 	RHS string `json:"rhs"`
 	// Tol is the residual tolerance; MaxIter the iteration budget;
-	// Pieces the vector partition width.
+	// Pieces the vector partition width (1 to 65 536; a solve uses at
+	// most one piece per row).
 	Tol     float64 `json:"tol"`
 	MaxIter int     `json:"maxiter"`
 	Pieces  int     `json:"pieces"`
@@ -97,6 +98,12 @@ func KnownSolver(name string) bool {
 // 400 from the server. Validation is pure — no file access — so a
 // matrix path that does not exist fails at load time (a runtime error,
 // exit 1), not here; a malformed stencil spec fails here.
+// maxPieces bounds Spec.Pieces: a partition allocates one interval set per
+// color and the planner derives per-color kernel and halo sets from it, so
+// the width is a resource a client names. Small pieces are cheap to run
+// (the planner launches them by the grain), not to plan.
+const maxPieces = 1 << 16
+
 func (s *Spec) Validate() error {
 	var errs []error
 	fail := func(format string, args ...any) {
@@ -127,6 +134,8 @@ func (s *Spec) Validate() error {
 	}
 	if s.Pieces < 1 {
 		fail("pieces must be at least 1, got %d", s.Pieces)
+	} else if s.Pieces > maxPieces {
+		fail("pieces must be at most %d, got %d", maxPieces, s.Pieces)
 	}
 	if s.Faults != "" {
 		if _, err := fault.ParsePlan(s.Faults); err != nil {

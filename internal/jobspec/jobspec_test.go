@@ -51,6 +51,7 @@ func TestValidateRejections(t *testing.T) {
 		{"unknown format", func(s *Spec) { s.Format = "hyb" }, "unknown format"},
 		{"bad rhs", func(s *Spec) { s.RHS = "zeros" }, "rhs must be"},
 		{"bad rand seed", func(s *Spec) { s.RHS = "rand:x" }, "integer seed"},
+		{"too many pieces", func(s *Spec) { s.Pieces = maxPieces + 1 }, "pieces must be at most 65536"},
 		{"zero tol", func(s *Spec) { s.Tol = 0 }, "tol must be"},
 		{"negative tol", func(s *Spec) { s.Tol = -1e-8 }, "tol must be"},
 		{"negative retries", func(s *Spec) { s.Retries = -1 }, "retries must not"},
@@ -113,5 +114,15 @@ func TestBuildRHSDeterministic(t *testing.T) {
 		if b1[i] != b2[i] {
 			t.Fatalf("rand rhs not deterministic at %d: %g vs %g", i, b1[i], b2[i])
 		}
+	}
+}
+
+// The cap itself is a legal width: only what is above it is refused.
+func TestValidateAcceptsPiecesAtTheCap(t *testing.T) {
+	s := Default()
+	s.Matrix = "lap2d:8x8"
+	s.Pieces = maxPieces
+	if err := s.Validate(); err != nil {
+		t.Fatalf("pieces = %d rejected: %v", maxPieces, err)
 	}
 }

@@ -207,8 +207,11 @@ func solveSystem(a *sparse.CSR, x, b []float64, spec jobspec.Spec, opt Options) 
 	out := JobResult{Solver: spec.Solver, N: int(rows), NNZ: a.NNZ()}
 
 	p := core.NewPlanner(core.Config{Machine: machine.Lassen(1), Session: sess})
-	si := p.AddSolVector(x, index.EqualPartition(index.NewSpace("D", rows), spec.Pieces))
-	ri := p.AddRHSVector(b, index.EqualPartition(index.NewSpace("R", rows), spec.Pieces))
+	// Colors past the row count would be empty pieces: same answer, more
+	// to plan.
+	pieces := int(min(int64(spec.Pieces), max(rows, 1)))
+	si := p.AddSolVector(x, index.EqualPartition(index.NewSpace("D", rows), pieces))
+	ri := p.AddRHSVector(b, index.EqualPartition(index.NewSpace("R", rows), pieces))
 	if canon, _ := sparse.CanonicalFormat(spec.Format); canon == "Auto" {
 		tuned := p.AddOperatorAuto(a, si, ri)
 		out.AutoFormats = tuned.SelectedFormats()

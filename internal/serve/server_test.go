@@ -100,16 +100,44 @@ func TestServerRejectsInvalidSpec(t *testing.T) {
 	}
 }
 
-// Queue admission is bounded: with workers wedged on a slow matrix load
-// the queue fills, and the next submission gets ErrQueueFull instead of
-// unbounded growth.
+// wedgeWorker submits a job that occupies one worker until release is
+// called, however fast a solve is: the job's matrix-cache entry is planted
+// first with its sync.Once already taken, so the worker's load waits on
+// the test instead of racing it. It returns once a worker has claimed the
+// job. release is idempotent; call it before Drain.
+func wedgeWorker(t *testing.T, s *Server) (blocker *Job, release func()) {
+	t.Helper()
+	const key = "lap2d:9x9" // a valid matrix no other test job names
+	e := &matrixEntry{}
+	s.mu.Lock()
+	s.matrices[key] = e
+	s.mu.Unlock()
+	gate, taken := make(chan struct{}), make(chan struct{})
+	go e.once.Do(func() {
+		close(taken)
+		<-gate
+		e.a, e.err = jobspec.LoadMatrix(key)
+	})
+	<-taken
+	blocker, err := s.Submit(testSpec(func(sp *jobspec.Spec) { sp.Matrix = key }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for blocker.Snapshot().State != StateRunning {
+		runtime.Gosched()
+	}
+	var once sync.Once
+	return blocker, func() { once.Do(func() { close(gate) }) }
+}
+
+// Queue admission is bounded: with the worker wedged the queue fills, and
+// the next submission gets ErrQueueFull instead of unbounded growth.
 func TestServerQueueBound(t *testing.T) {
 	s := mustServer(t, Config{MaxActive: 1, QueueDepth: 2, CoalesceMax: 1})
 	defer s.Drain()
-	// A big job to occupy the single worker, then fill the queue.
-	if _, err := s.Submit(testSpec(func(sp *jobspec.Spec) { sp.Matrix = "lap2d:64x64" })); err != nil {
-		t.Fatal(err)
-	}
+	// Occupy the single worker, then fill the queue.
+	_, release := wedgeWorker(t, s)
+	defer release()
 	// Distinct tols so the queued pair can't be coalesced away even if
 	// config changes; they just wait.
 	var lastErr error
@@ -147,10 +175,8 @@ func TestServerCoalescesSameOperatorJobs(t *testing.T) {
 	s := mustServer(t, Config{MaxActive: 1, QueueDepth: 32, CoalesceMax: 8})
 	defer s.Drain()
 	// Wedge the worker so the compatible group queues up behind it.
-	blocker, err := s.Submit(testSpec(func(sp *jobspec.Spec) { sp.Matrix = "lap2d:48x48" }))
-	if err != nil {
-		t.Fatal(err)
-	}
+	blocker, release := wedgeWorker(t, s)
+	defer release()
 	var group []*Job
 	for i := 0; i < 4; i++ {
 		j, err := s.Submit(testSpec(nil))
@@ -159,6 +185,7 @@ func TestServerCoalescesSameOperatorJobs(t *testing.T) {
 		}
 		group = append(group, j)
 	}
+	release()
 	blocker.Result()
 	for _, j := range group {
 		r := j.Result()
@@ -348,5 +375,55 @@ func TestHTTPEndToEnd(t *testing.T) {
 	resp.Body.Close()
 	if m.Completed < 1 || m.RejectedInvalid != 1 {
 		t.Fatalf("metrics = %+v", m)
+	}
+}
+
+// pieces is a resource a client names. An absurd width is a 400 from
+// validation — before a partition with one interval set per color is
+// ever allocated — and a merely large one is cheap: the solve clamps the
+// width to the row count and the planner launches the one-row pieces by
+// the grain, so it runs the 8-piece solve's iterations with a handful of
+// launches each (the parent launched one task per piece per sweep and did
+// not finish -pieces 2000 on lap2d:32x32 in two minutes).
+func TestPiecesAreBounded(t *testing.T) {
+	s := mustServer(t, Config{MaxActive: 1})
+	defer s.Drain()
+	ts := httptest.NewServer(Handler(s))
+	defer ts.Close()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	resp, err := http.Post(ts.URL+"/solve", "application/json",
+		strings.NewReader(`{"matrix":"lap2d:32x32","solver":"cg","pieces":1000000000}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := make([]byte, 4096)
+	n, _ := resp.Body.Read(body)
+	resp.Body.Close()
+	runtime.ReadMemStats(&after)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body[:n]), "pieces must be at most") {
+		t.Fatalf("pieces 1e9: status %d, body %s", resp.StatusCode, body[:n])
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Errorf("rejecting pieces 1e9 allocated %d bytes", grew)
+	}
+
+	solve := func(pieces int) JobResult {
+		j, err := s.Submit(testSpec(func(sp *jobspec.Spec) { sp.Matrix = "lap2d:32x32"; sp.Pieces = pieces }))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return *j.Result()
+	}
+	few, many := solve(8), solve(2000)
+	if !many.Converged || many.Err != "" {
+		t.Fatalf("pieces 2000 failed: %+v", many)
+	}
+	if d := many.Iterations - few.Iterations; d < -1 || d > 1 {
+		t.Errorf("pieces 2000 took %d iterations, pieces 8 took %d", many.Iterations, few.Iterations)
+	}
+	if perIter := float64(many.Session.Launched) / float64(many.Iterations); perIter > 12 {
+		t.Errorf("pieces 2000 launched %.1f tasks per iteration, want at most 12", perIter)
 	}
 }

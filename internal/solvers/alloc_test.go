@@ -22,8 +22,10 @@ func TestFusedCGStepAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; the pin only means something without it")
 	}
-	const n, pieces = 4096, 8
-	a := sparse.Laplacian2D(64, 64)
+	// Eight pieces of 4 096 points, the planner's launch grain: one task
+	// per piece, the launch path the pin is about.
+	const n, pieces = 32768, 8
+	a := sparse.Laplacian2D(256, 128)
 	b := make([]float64, n)
 	ones := make([]float64, n)
 	for i := range ones {

@@ -18,34 +18,42 @@ import (
 // and virtual planner modes. The solver layer never sees the format, so
 // every cell of the matrix must behave identically.
 
-const confN = 64
+// confSide is the grid side of the 64-unknown system the convergence
+// matrix solves. confSideAboveGrain gives four pieces of 4 096 points —
+// at the planner's launch grain, so a real planner launches one task per
+// piece, as a virtual one always does — for the launch-count equality.
+const (
+	confSide           = 8
+	confN              = confSide * confSide
+	confSideAboveGrain = 128
+)
 
-// confOperator names one operator encoding of a 64-unknown system.
+// confOperator names one operator encoding of a side×side-unknown system.
 type confOperator struct {
 	name string
-	mat  func(spd bool) sparse.Matrix
+	mat  func(side int64, spd bool) sparse.Matrix
 }
 
 var confOperators = []confOperator{
-	{"csr", func(spd bool) sparse.Matrix { return confBase(spd) }},
-	{"ell", func(spd bool) sparse.Matrix { return sparse.Convert(confBase(spd), "ELL") }},
+	{"csr", func(side int64, spd bool) sparse.Matrix { return confBase(side, spd) }},
+	{"ell", func(side int64, spd bool) sparse.Matrix { return sparse.Convert(confBase(side, spd), "ELL") }},
 	// The adaptive composite picks a (possibly different) format per row
 	// band; solvers must not be able to tell.
-	{"auto", func(spd bool) sparse.Matrix { return sparse.Convert(confBase(spd), "Auto") }},
+	{"auto", func(side int64, spd bool) sparse.Matrix { return sparse.Convert(confBase(side, spd), "Auto") }},
 	// The stencil operator is matrix-free and inherently symmetric; the
 	// nonsymmetric methods must still converge on it.
-	{"stencil", func(bool) sparse.Matrix {
-		return sparse.NewStencilOperator(sparse.Stencil2D5, index.NewGrid(8, 8))
+	{"stencil", func(side int64, _ bool) sparse.Matrix {
+		return sparse.NewStencilOperator(sparse.Stencil2D5, index.NewGrid(side, side))
 	}},
 }
 
 // confBase returns the assembled test matrix: an SPD 2D Laplacian or a
 // nonsymmetric convection-diffusion operator.
-func confBase(spd bool) *sparse.CSR {
+func confBase(side int64, spd bool) *sparse.CSR {
 	if spd {
-		return sparse.Laplacian2D(8, 8)
+		return sparse.Laplacian2D(side, side)
 	}
-	return convectionDiffusion(confN, 0.2)
+	return convectionDiffusion(side*side, 0.2)
 }
 
 // wantsSPD reports whether the named method requires a symmetric
@@ -63,25 +71,25 @@ func restartFamily(name string) bool {
 	return name == "gmres" || name == "pgmres" || name == "gcrodr"
 }
 
-// confPlanner builds a planner over the given operator, with a Jacobi
-// preconditioner when withPre is set and virtual storage when virt is
-// set.
-func confPlanner(mat sparse.Matrix, withPre, virt, traced bool) *core.Planner {
+// confPlanner builds a planner over the given operator, with the given
+// preconditioner unless it is nil and virtual storage when virt is set.
+func confPlanner(mat sparse.Matrix, pre *sparse.CSR, virt, traced bool) *core.Planner {
+	n := mat.Domain().Size()
 	part := func(tag string) index.Partition {
-		return index.EqualPartition(index.NewSpace(tag, confN), 4)
+		return index.EqualPartition(index.NewSpace(tag, n), 4)
 	}
 	p := core.NewPlanner(core.Config{Machine: machine.Lassen(2), Virtual: virt})
 	var si, ri int
 	if virt {
-		si = p.AddSolVectorVirtual(confN, part("D"))
-		ri = p.AddRHSVectorVirtual(confN, part("R"))
+		si = p.AddSolVectorVirtual(n, part("D"))
+		ri = p.AddRHSVectorVirtual(n, part("R"))
 	} else {
-		si = p.AddSolVector(make([]float64, confN), part("D"))
-		ri = p.AddRHSVector(fusedRHS(confN), part("R"))
+		si = p.AddSolVector(make([]float64, n), part("D"))
+		ri = p.AddRHSVector(fusedRHS(int(n)), part("R"))
 	}
 	p.AddOperator(mat, si, ri)
-	if withPre {
-		p.AddPreconditioner(precond.Jacobi(mat), si, ri)
+	if pre != nil {
+		p.AddPreconditioner(pre, si, ri)
 	}
 	p.Finalize()
 	p.SetTracing(traced)
@@ -106,11 +114,15 @@ func TestSolverConformanceMatrix(t *testing.T) {
 	const tol = 1e-8
 	for _, name := range Names {
 		for _, op := range confOperators {
-			mat := op.mat(wantsSPD(name))
+			mat := op.mat(confSide, wantsSPD(name))
 			var iters [2]int
 			for ti, traced := range []bool{false, true} {
 				t.Run(fmt.Sprintf("%s/%s/traced=%v", name, op.name, traced), func(t *testing.T) {
-					p := confPlanner(mat, name == "pcg", false, traced)
+					var pre *sparse.CSR
+					if name == "pcg" {
+						pre = precond.Jacobi(mat)
+					}
+					p := confPlanner(mat, pre, false, traced)
 					sv := New(name, p)
 					res := Solve(sv, tol, 500)
 					p.Drain()
@@ -164,11 +176,18 @@ func TestSolverConformanceVirtual(t *testing.T) {
 	const steps = 6
 	for _, name := range Names {
 		for _, op := range confOperators {
-			mat := op.mat(wantsSPD(name))
+			mat := op.mat(confSideAboveGrain, wantsSPD(name))
+			var pre *sparse.CSR
+			if name == "pcg" {
+				// Launch counts see only the preconditioner's structure (a
+				// diagonal), and the assembled Laplacian is the encoding
+				// whose diagonal is cheap to read.
+				pre = precond.Jacobi(confBase(confSideAboveGrain, true))
+			}
 			for _, traced := range []bool{false, true} {
 				t.Run(fmt.Sprintf("%s/%s/traced=%v", name, op.name, traced), func(t *testing.T) {
 					run := func(virt bool) int64 {
-						p := confPlanner(mat, name == "pcg", virt, traced)
+						p := confPlanner(mat, pre, virt, traced)
 						RunIterations(New(name, p), steps)
 						p.Drain()
 						if err := p.Runtime().Err(); err != nil {

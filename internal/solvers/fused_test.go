@@ -156,7 +156,7 @@ func TestReductionsPerIteration(t *testing.T) {
 		{"pipecg", 1, func(p *core.Planner) Solver { return NewPipeCG(p) }, 1},
 		{"sstep-cg", 4, func(p *core.Planner) Solver { return NewSStepCG(p, 4) }, 0.25},
 	} {
-		p := tracedPlanFor(sparse.Laplacian2D(64, 64), fusedRHS(64*64), 4)
+		p := tracedPlanFor(sparse.Laplacian2D(128, 128), fusedRHS(128*128), 4)
 		if got := reductionsPerIter(p, c.mk(p), c.itersPerStep); got != c.want {
 			t.Errorf("%s: %g reductions/iteration, want exactly %g", c.name, got, c.want)
 		}
@@ -168,7 +168,7 @@ func TestResidualReplacementLaunchCost(t *testing.T) {
 	// drift reduction) must stay under 5% of the launches of the 50 CG
 	// iterations it is amortized over at the documented ReplaceEvery.
 	const replaceEvery = 50
-	p := tracedPlanFor(sparse.Laplacian2D(64, 64), fusedRHS(64*64), 4)
+	p := tracedPlanFor(sparse.Laplacian2D(128, 128), fusedRHS(128*128), 4)
 	s := NewCG(p)
 	perIter := launchesPerIter(p, s)
 	before := p.Runtime().Stats().Launched
@@ -186,14 +186,17 @@ func TestFusionLaunchReduction(t *testing.T) {
 	// The PR's acceptance criterion: fused CG launches ≥30% fewer tasks
 	// per iteration than the per-operation formulation, and pipelined CG
 	// fewer still. BiCGStab and PCG ride along with their own floors.
-	spd := func() sparse.Matrix { return sparse.Laplacian2D(8, 8) }
+	// Four pieces of 4 096 points: at the planner's launch grain, so the
+	// counts are per-piece counts.
+	const side, n = 128, 128 * 128
+	spd := func() sparse.Matrix { return sparse.Laplacian2D(side, side) }
 	measure := func(plan func() *core.Planner, mk func(p *core.Planner) Solver) float64 {
 		p := plan()
 		return launchesPerIter(p, mk(p))
 	}
-	plain := func() *core.Planner { return planFor(spd(), fusedRHS(64), 4) }
-	withJacobi := func() *core.Planner { return pcgPlanFor(spd(), fusedRHS(64), 4) }
-	nonsym := func() *core.Planner { return planFor(convectionDiffusion(64, 0.3), fusedRHS(64), 4) }
+	plain := func() *core.Planner { return planFor(spd(), fusedRHS(n), 4) }
+	withJacobi := func() *core.Planner { return pcgPlanFor(spd(), fusedRHS(n), 4) }
+	nonsym := func() *core.Planner { return planFor(convectionDiffusion(n, 0.3), fusedRHS(n), 4) }
 	cases := []struct {
 		name    string
 		plan    func() *core.Planner

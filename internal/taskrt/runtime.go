@@ -326,7 +326,6 @@ type Runtime struct {
 	// launch or completion path.
 	stats  counters
 	nextID atomic.Int64 // next task ID to assign
-	wg     sync.WaitGroup
 
 	// mu is a leaf lock (taken after a Session.mu, never before one) over
 	// the session list and the retained graph.
@@ -483,8 +482,6 @@ func (s *Session) prep(spec *TaskSpec, ts *taskState, id int64) {
 	}
 	s.tasks[id] = ts
 	s.inflight++
-	s.rt.wg.Add(1)
-	s.wg.Add(1)
 }
 
 // resolve is launch step 2, the interval-set work against the session's
@@ -854,6 +851,9 @@ func (rt *Runtime) complete(ts *taskState, val float64, err error) (next *taskSt
 		}
 	}
 	sess.inflight--
+	if sess.inflight == 0 {
+		sess.idle.Broadcast()
+	}
 	sess.mu.Unlock()
 
 	if len(ready) > 0 {
@@ -862,10 +862,7 @@ func (rt *Runtime) complete(ts *taskState, val float64, err error) (next *taskSt
 	}
 	clear(ready)
 	ts.ready = ready[:0]
-	noRecycle := ts.noRecycle
-	sess.wg.Done()
-	rt.wg.Done()
-	if !noRecycle {
+	if !ts.noRecycle {
 		rt.recycle(ts)
 	}
 	return next
@@ -931,17 +928,17 @@ func (rt *Runtime) liveSessions(buf []*Session) []*Session {
 	return append(buf[:0], rt.sessions...)
 }
 
-// Drain blocks until every launched task has completed, executed,
-// retried, or been cancelled. After Drain, Err reports the aggregate
-// failure state of everything launched so far — "Drain then Err" is the
-// runtime's postcondition check.
+// Drain drains every live session in turn (Session.Drain): it returns
+// once each has been seen with nothing in flight, so every task launched
+// before the call has completed, executed, retried, or been cancelled.
+// After Drain, Err reports the aggregate failure state of everything
+// launched so far — "Drain then Err" is the runtime's postcondition
+// check. Sessions may keep launching meanwhile; tasks still in flight on
+// a session that was closed without draining are not waited on.
 func (rt *Runtime) Drain() {
-	rt.wg.Wait()
 	var buf [8]*Session // on the stack for the common handful of sessions
 	for _, s := range rt.liveSessions(buf[:]) {
-		s.mu.Lock()
-		s.forgetHandledLocked()
-		s.mu.Unlock()
+		s.Drain()
 	}
 }
 

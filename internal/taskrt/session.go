@@ -55,12 +55,12 @@ type Session struct {
 	name   string
 	prefix string // applied to SetPhase labels; "" for the default session
 
-	// wg tracks the session's own in-flight tasks, so Drain waits for
-	// exactly this session's work while other tenants keep running.
-	wg sync.WaitGroup
-
-	// mu guards everything below.
+	// mu guards everything below; idle (on mu) is signalled whenever
+	// inflight drops to zero, so Drain waits for exactly this session's
+	// work while other tenants keep running — and, unlike a WaitGroup,
+	// may race launches.
 	mu          sync.Mutex
+	idle        sync.Cond
 	hist        map[histKey]*histShard
 	tasks       map[int64]*taskState // incomplete tasks only
 	phase       string
@@ -126,6 +126,7 @@ func newSession(rt *Runtime, name string) *Session {
 		failed: make(map[int64]error),
 		traces: make(map[string]*traceTmpl),
 	}
+	s.idle.L = &s.mu
 	if name != "" {
 		s.prefix = name + "/"
 	}
@@ -149,7 +150,8 @@ func (s *Session) Runtime() *Runtime { return s.rt }
 // Close unregisters the session: its dependence history, live-task
 // table, error window, and trace templates are released, and its errors
 // stop contributing to the runtime-level Err. Close does not wait for
-// in-flight tasks — they finish and Drain still counts them; call Drain
+// in-flight tasks — they finish, and the session's own Drain still waits
+// for them, but Runtime.Drain no longer sees the session; call Drain
 // first. Launching or opening a trace on a closed session panics.
 // Closing the default session or closing twice is a no-op.
 func (s *Session) Close() {
@@ -308,23 +310,18 @@ func (s *Session) Recorder() *obs.Recorder {
 // retried, or been cancelled — other sessions' work is not waited on.
 // A drained session's failures count as handled (the client can see them
 // through Err), so Drain is also what clears the poison ledger: what is
-// launched afterwards starts from a clean slate.
+// launched afterwards starts from a clean slate. The ledger is cleared
+// only here, at a point the session's client chose to synchronize at:
+// clearing whenever the last task happens to retire would let a failure
+// that completes between two launches of one sweep go unnoticed by the
+// second.
 func (s *Session) Drain() {
-	s.wg.Wait()
 	s.mu.Lock()
-	s.forgetHandledLocked()
-	s.mu.Unlock()
-}
-
-// forgetHandledLocked clears the poison ledger of a session with nothing
-// in flight. It must only run at a point the session's client chose to
-// synchronize at: clearing whenever the last task happens to retire
-// would let a failure that completes between two launches of one sweep
-// go unnoticed by the second. Called with s.mu held.
-func (s *Session) forgetHandledLocked() {
-	if s.inflight == 0 {
-		clear(s.failed)
+	for s.inflight > 0 {
+		s.idle.Wait()
 	}
+	clear(s.failed)
+	s.mu.Unlock()
 }
 
 // Err joins the session's error window — its permanent task failures

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -292,7 +293,8 @@ func TestSessionRetryScoping(t *testing.T) {
 // A closed session says so: its dependence history is gone, so a launch
 // must not quietly rebuild it (and run with failures no Runtime.Err would
 // ever see). Close itself stays non-blocking and idempotent, and tasks
-// already in flight finish and are still waited for by Drain.
+// already in flight finish and are still waited for by the session's own
+// Drain (Runtime.Drain walks live sessions only).
 func TestClosedSessionPanicsOnLaunch(t *testing.T) {
 	r := region.New("v", index.NewSpace("D", 4), "x")
 	spec := TaskSpec{
@@ -341,8 +343,8 @@ func TestClosedSessionPanicsOnLaunch(t *testing.T) {
 			}()
 
 			close(release)
-			rt.Drain() // still counts the closed session's in-flight tasks
-			s.Drain()  // and the panic left the session lock free
+			rt.Drain()
+			s.Drain() // waits for the in-flight tasks; the panic left the lock free
 			if !succ.Ready() || succ.Value() != 7 {
 				t.Fatalf("in-flight successor of a closed session did not finish: ready=%v", succ.Ready())
 			}
@@ -541,5 +543,65 @@ func TestRuntimeWideCallsDuringSessionClose(t *testing.T) {
 	}
 	if err := rt.Err(); err != nil {
 		t.Errorf("closed sessions still contribute to the runtime Err: %v", err)
+	}
+}
+
+// Runtime.Drain may race launches: it used to wait on a runtime-wide
+// WaitGroup that every launch re-armed, and panicked with "WaitGroup is
+// reused before previous Wait has returned" when a launch landed between
+// the counter reaching zero and Wait returning. Two sessions launch short
+// dependent tasks — so their in-flight counts keep touching zero — while
+// a third goroutine drains the runtime in a loop: no panic, and every
+// task ran and was counted.
+func TestRuntimeDrainRacesLaunches(t *testing.T) {
+	const perSession = 4000
+	rt := New()
+	var ran atomic.Int64
+	var launchers sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		s := rt.NewSession(fmt.Sprintf("t%d", i))
+		r := region.New("v", index.NewSpace("D", 1), "x")
+		launchers.Add(1)
+		go func() {
+			defer launchers.Done()
+			for k := 0; k < perSession; k++ {
+				s.Launch(TaskSpec{
+					Name:     "tick",
+					Refs:     []region.Ref{ref(r, "x", 0, 0, region.ReadWrite)},
+					Run:      func() float64 { ran.Add(1); return 0 },
+					Detached: true,
+				})
+				if k%64 == 0 {
+					s.Drain() // the session's own Drain races Runtime.Drain too
+				}
+			}
+		}()
+	}
+	stop := make(chan struct{})
+	drained := make(chan int)
+	go func() {
+		n := 0
+		for {
+			select {
+			case <-stop:
+				drained <- n
+				return
+			default:
+				rt.Drain()
+				n++
+			}
+		}
+	}()
+	launchers.Wait()
+	close(stop)
+	if n := <-drained; n == 0 {
+		t.Fatal("the draining goroutine never completed a Drain")
+	}
+	rt.Drain()
+	if got := ran.Load(); got != 2*perSession {
+		t.Errorf("%d task bodies ran, want %d", got, 2*perSession)
+	}
+	if got := rt.Stats().Launched; got != 2*perSession {
+		t.Errorf("Launched = %d, want %d", got, 2*perSession)
 	}
 }
