@@ -1,13 +1,11 @@
 package kdrsolvers
 
-// The benchmark harness regenerating every figure of the paper's
-// evaluation (Section 6), plus the ablations DESIGN.md calls out and real
-// (non-simulated) microbenchmarks of the computational substrates.
-//
-// Figure benchmarks report the simulated per-iteration time of the
-// modeled 64-GPU cluster as the custom metric "sim-sec/iter"; the Go
-// ns/op column measures the harness itself and is not the experiment.
-// Run everything with:
+// Regenerators for every figure of the paper's evaluation (Section 6)
+// and the ablations DESIGN.md calls out — simulated only. Each reports
+// the deterministic simulated per-iteration time of the modeled 64-GPU
+// cluster as the custom metric "sim-sec/iter"; the Go ns/op column
+// measures the harness itself and is not the experiment. A wall-clock
+// number comes from one place, `go run ./benchmark`. Run everything with:
 //
 //	go test -bench=. -benchmem
 //
@@ -15,21 +13,12 @@ package kdrsolvers
 // cmd/fig10.
 
 import (
-	"bytes"
 	"fmt"
-	"sync"
 	"testing"
 
-	"kdrsolvers/internal/assemble"
-
 	"kdrsolvers/internal/baseline"
-	"kdrsolvers/internal/core"
-	"kdrsolvers/internal/dpart"
 	"kdrsolvers/internal/figures"
-	"kdrsolvers/internal/index"
 	"kdrsolvers/internal/machine"
-	"kdrsolvers/internal/sim"
-	"kdrsolvers/internal/solvers"
 	"kdrsolvers/internal/sparse"
 )
 
@@ -215,168 +204,4 @@ func BenchmarkAblationPieces(b *testing.B) {
 			reportSim(b, meas)
 		})
 	}
-}
-
-// BenchmarkSpMVFormats measures the real (not simulated) multiply-add
-// kernels of every storage format on the same stencil matrix — the
-// Figure 3 zoo exercised for actual throughput.
-func BenchmarkSpMVFormats(b *testing.B) {
-	// 64 x 64 keeps the Dense variant (n² entries) within reason.
-	csr := sparse.Laplacian2D(64, 64)
-	n := csr.Domain().Size()
-	x := make([]float64, n)
-	y := make([]float64, n)
-	for i := range x {
-		x[i] = float64(i%7) + 0.5
-	}
-	for _, f := range sparse.Formats {
-		mat := sparse.Convert(csr, f)
-		b.Run(f, func(b *testing.B) {
-			b.SetBytes(mat.NNZ() * 16)
-			for i := 0; i < b.N; i++ {
-				sparse.MultiplyAdd(mat, y, x)
-			}
-		})
-	}
-	b.Run("MatrixFree", func(b *testing.B) {
-		op := sparse.NewStencilOperator(sparse.Stencil2D5, index.NewGrid(64, 64))
-		b.SetBytes(op.NNZ() * 16)
-		for i := 0; i < b.N; i++ {
-			sparse.MultiplyAdd(op, y, x)
-		}
-	})
-}
-
-// BenchmarkProjections measures the dependent-partitioning operators on a
-// paper-scale matrix-free stencil: the cost of deriving the kernel and
-// halo partitions from a range partition.
-func BenchmarkProjections(b *testing.B) {
-	op := sparse.NewStencilOperator(sparse.Stencil2D5, index.NewGrid(1<<14, 1<<14))
-	part := index.EqualPartition(op.Range(), 64)
-	b.Run("RowRToK+ColKToD", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			kp := dpart.RowRToK(op.RowRelation(), part)
-			_ = dpart.ColKToD(op.ColRelation(), kp)
-		}
-	})
-	csr := sparse.Laplacian2D(512, 512)
-	cpart := index.EqualPartition(csr.Range(), 16)
-	b.Run("CSR/MatVecInput", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = dpart.MatVecInputPartition(csr.RowRelation(), csr.ColRelation(), cpart)
-		}
-	})
-}
-
-// BenchmarkRuntimeLaunch measures the real task runtime: launch + analysis
-// + scheduling throughput for a CG-shaped dependence pattern, with the
-// dependence analysis run in full every iteration ("replay=off") and
-// memoized by trace replay ("replay=on"). The replay=on case warms the
-// trace through record and calibrate before the timer starts, so the
-// timed region is pure steady-state splicing.
-func BenchmarkRuntimeLaunch(b *testing.B) {
-	m := machine.Lassen(1)
-	a := sparse.Laplacian2D(64, 64)
-	n := a.Domain().Size()
-	for _, tracing := range []bool{false, true} {
-		name := "cg-step-real/replay=off"
-		if tracing {
-			name = "cg-step-real/replay=on"
-		}
-		b.Run(name, func(b *testing.B) {
-			p := core.NewPlanner(core.Config{Machine: m})
-			si := p.AddSolVector(make([]float64, n), index.EqualPartition(index.NewSpace("D", n), 4))
-			ri := p.AddRHSVector(make([]float64, n), index.EqualPartition(index.NewSpace("R", n), 4))
-			p.AddOperator(a, si, ri)
-			p.Finalize()
-			p.SetTracing(tracing)
-			s := solvers.NewCG(p)
-			for i := 0; i < 3; i++ {
-				s.Step() // warm: record, calibrate, first replay
-			}
-			p.Drain()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s.Step()
-			}
-			p.Drain()
-		})
-	}
-}
-
-// BenchmarkSimulator measures discrete-event simulation throughput on a
-// realistic solver graph.
-func BenchmarkSimulator(b *testing.B) {
-	m := machine.Lassen(16)
-	p := core.NewPlanner(core.Config{Machine: m, Virtual: true})
-	n := int64(1) << 24
-	op := sparse.NewStencilOperator(sparse.Stencil2D5, sparse.Stencil2D5.GridFor(n))
-	si := p.AddSolVectorVirtual(n, index.EqualPartition(index.NewSpace("D", n), 64))
-	ri := p.AddRHSVectorVirtual(n, index.EqualPartition(index.NewSpace("R", n), 64))
-	p.AddOperator(op, si, ri)
-	p.Finalize()
-	s := solvers.NewCG(p)
-	solvers.RunIterations(s, 10)
-	p.Drain()
-	g := p.Runtime().Graph()
-	opts := sim.Options{TaskOverhead: figures.KDRTaskOverhead, TracedOverhead: figures.KDRTracedOverhead}
-	b.Run(fmt.Sprintf("tasks=%d", g.Len()), func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = sim.Simulate(g, m, opts)
-		}
-	})
-}
-
-// BenchmarkAssembly measures the concurrent matrix builder: raw
-// contribution throughput and the merge into CSR.
-func BenchmarkAssembly(b *testing.B) {
-	const n = 128
-	b.Run("add-and-finish", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			bd := assemble.NewBuilder(n*n, n*n, 8)
-			var wg sync.WaitGroup
-			for w := 0; w < 8; w++ {
-				wg.Add(1)
-				w := w
-				go func() {
-					defer wg.Done()
-					for r := int64(w); r < n*n; r += 8 {
-						bd.Add(r, r, 4)
-						if r+1 < n*n {
-							bd.Add(r, r+1, -1)
-						}
-					}
-				}()
-			}
-			wg.Wait()
-			_ = bd.Finish()
-		}
-	})
-}
-
-// BenchmarkMatrixMarket measures the I/O round trip for a mid-size
-// stencil matrix.
-func BenchmarkMatrixMarket(b *testing.B) {
-	a := sparse.Laplacian2D(128, 128)
-	var buf bytes.Buffer
-	if err := sparse.WriteMatrixMarket(&buf, a); err != nil {
-		b.Fatal(err)
-	}
-	data := buf.Bytes()
-	b.Run("write", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			var w bytes.Buffer
-			if err := sparse.WriteMatrixMarket(&w, a); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("read", func(b *testing.B) {
-		b.SetBytes(int64(len(data)))
-		for i := 0; i < b.N; i++ {
-			if _, err := sparse.ReadMatrixMarket(bytes.NewReader(data)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }

@@ -118,6 +118,8 @@ func main() {
 	// a fresh runtime, driven through the same RunSolve the server
 	// multiplexes many of.
 	rt := taskrt.New()
+	// The task graph is read only by the -profile telemetry and report.
+	rt.SetGraphRetention(*profile)
 	sess := rt.DefaultSession()
 	opt := serve.Options{
 		Session: sess,

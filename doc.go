@@ -8,7 +8,7 @@
 // multi-operator linear systems — together with every substrate they need:
 // a Legion-style task runtime with privilege-based interference analysis,
 // a discrete-event cluster simulator standing in for the Lassen
-// supercomputer, the full Figure 3 format zoo, six Krylov solvers, and
+// supercomputer, the full Figure 3 format zoo, eleven Krylov solvers (solvers.Names), and
 // PETSc/Trilinos-style baseline stacks.
 //
 // Start with README.md for a tour, DESIGN.md for the system inventory and

@@ -71,19 +71,6 @@ func (b *Builder) AddBatch(coords []sparse.Coord) {
 	s.mu.Unlock()
 }
 
-// NNZContributions returns the number of raw contributions received so
-// far (before duplicate summing).
-func (b *Builder) NNZContributions() int {
-	n := 0
-	for i := range b.shards {
-		s := &b.shards[i]
-		s.mu.Lock()
-		n += len(s.coords)
-		s.mu.Unlock()
-	}
-	return n
-}
-
 // Finish merges all shards into a CSR matrix, summing duplicate
 // positions. The builder must not be used afterwards.
 func (b *Builder) Finish() *sparse.CSR {

@@ -102,7 +102,7 @@ func TestVirtualRealGraphEquivalenceScalars(t *testing.T) {
 		setupSystem(p, 32, 2)
 		d := p.Dot(SOL, RHS)
 		e := p.Div(d, p.Constant(3))
-		f := p.Mul(p.Neg(e), p.Sqrt(p.Sub(d, e)))
+		f := p.Mul(p.Neg(e), p.Sqrt(p.Mul(d, e)))
 		p.Axpy(SOL, f, RHS)
 	})
 	if !graphsEqual(t, real, virt) {
@@ -270,7 +270,7 @@ func TestAutoMatchesCSRUnderCG(t *testing.T) {
 	stop := 1e-16 * csr.rr.Value() // ‖r‖ ≤ 1e-8·‖b‖, squared
 	for it := 1; it <= 1000; it++ {
 		doneCSR, doneAuto := csr.step() <= stop, auto.step() <= stop
-		if !vecsClose(csr.p.SolData(0), auto.p.SolData(0), 1e-10) {
+		if !vecsClose(csr.p.VecData(SOL, 0), auto.p.VecData(SOL, 0), 1e-10) {
 			t.Fatalf("iteration %d: format auto iterate differs from csr by more than 1e-10", it)
 		}
 		if doneCSR != doneAuto {

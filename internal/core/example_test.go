@@ -37,7 +37,7 @@ func ExamplePlanner() {
 // (equation 8); adding the same matrix twice doubles the product without
 // duplicating storage.
 func ExamplePlanner_AddOperator() {
-	a := sparse.Identity(4)
+	a := sparse.DiagonalCSR([]float64{1, 1, 1, 1})
 	x := []float64{1, 2, 3, 4}
 	p := core.NewPlanner(core.Config{Machine: machine.Lassen(1)})
 	si := p.AddSolVector(x, index.Partition{})
@@ -59,7 +59,7 @@ func ExamplePlanner_Dot() {
 	p := core.NewPlanner(core.Config{Machine: machine.Lassen(1)})
 	si := p.AddSolVector([]float64{3, 4}, index.Partition{})
 	ri := p.AddRHSVector([]float64{1, 1}, index.Partition{})
-	p.AddOperator(sparse.Identity(2), si, ri)
+	p.AddOperator(sparse.DiagonalCSR([]float64{1, 1}), si, ri)
 	p.Finalize()
 
 	norm2 := p.Dot(core.SOL, core.SOL) // 9 + 16

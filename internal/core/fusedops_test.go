@@ -98,7 +98,7 @@ func TestDotBatchMatchesIndividualDots(t *testing.T) {
 		if relDiff(g, w) > 1e-10 {
 			t.Errorf("dot %d: batch %g vs individual %g", i, g, w)
 		}
-		if err := got[i].Err(); err != nil {
+		if err := got[i].fut.Err(); err != nil {
 			t.Errorf("dot %d: unexpected error %v", i, err)
 		}
 	}

@@ -83,9 +83,8 @@ var groupingSystems = []groupingSystem{
 		p.AddOperator(mat(1, 0), d1, r2)
 		p.AddOperator(a22, d2, r2)
 		if withPre {
-			pre := precond.JacobiForSystem([][]sparse.Matrix{{halfA11, halfA11}, {a22}})
-			p.AddPreconditioner(pre[0], d1, r1)
-			p.AddPreconditioner(pre[1], d2, r2)
+			p.AddPreconditioner(precond.Jacobi(sparse.Add(halfA11, halfA11)), d1, r1)
+			p.AddPreconditioner(precond.Jacobi(a22), d2, r2)
 		}
 		p.Finalize()
 		return p

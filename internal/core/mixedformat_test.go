@@ -138,7 +138,7 @@ func materialize(rel dpart.Relation) (*dpart.FnRelation, index.IntervalSet) {
 	var empty index.IntervalSet
 	for k := range f {
 		if img := rel.Image(index.Span(int64(k), int64(k))); img.Empty() {
-			empty.Add(int64(k))
+			empty.AddInterval(index.Interval{Lo: int64(k), Hi: int64(k)})
 		} else {
 			f[k] = img.Bounds().Lo
 		}

@@ -7,7 +7,6 @@ import (
 	"kdrsolvers/internal/dpart"
 	"kdrsolvers/internal/index"
 	"kdrsolvers/internal/machine"
-	"kdrsolvers/internal/obs"
 	"kdrsolvers/internal/region"
 	"kdrsolvers/internal/sparse"
 	"kdrsolvers/internal/taskrt"
@@ -184,9 +183,6 @@ func (p *Planner) BeginPhase(label string) { p.sess.SetPhase(label) }
 // wrongly scoped trace falls back to full analysis automatically.
 func (p *Planner) SetTracing(on bool) { p.tracing = on }
 
-// Tracing reports whether trace memoization is enabled.
-func (p *Planner) Tracing() bool { return p.tracing }
-
 // TraceBegin opens a runtime trace scope under the given key when
 // tracing is enabled, reporting whether it did. Solvers call it at the
 // top of a repeated launch sequence and hand the result to TraceEnd:
@@ -216,16 +212,6 @@ func (p *Planner) TraceEnd(began bool) {
 		p.sess.EndTrace()
 		p.traceOpen = false
 	}
-}
-
-// EnableProfiling attaches a fresh observability recorder to the
-// runtime and returns it: from now on every executed task records real
-// wall-clock timing (launch, start, end, worker) alongside the
-// simulated costs already in the graph.
-func (p *Planner) EnableProfiling() *obs.Recorder {
-	rec := obs.NewRecorder()
-	p.sess.SetRecorder(rec)
-	return rec
 }
 
 // Machine returns the machine model used for task costs.
@@ -484,12 +470,6 @@ func (p *Planner) vecComps(id VecID) (vec, []component) {
 	return v, p.comps(v.shape)
 }
 
-// SolData returns the storage of solution component i, through which
-// callers observe the computed solution after Drain. Real planners only.
-func (p *Planner) SolData(i int) []float64 {
-	return p.vecs[SOL].regs[i].Field("v")
-}
-
 // VecData returns the storage of component comp of any vector, for tests
 // and examples. Real planners only.
 func (p *Planner) VecData(id VecID, comp int) []float64 {
@@ -536,15 +516,6 @@ func (p *Planner) RestoreSol(ckpt [][]float64) {
 		p.seedChecksum(SOL)
 	}
 }
-
-// NumSolComponents returns the number of solution components.
-func (p *Planner) NumSolComponents() int { return len(p.sol) }
-
-// NumRHSComponents returns the number of right-hand-side components.
-func (p *Planner) NumRHSComponents() int { return len(p.rhs) }
-
-// NumOperators returns the number of operator quadruples.
-func (p *Planner) NumOperators() int { return len(p.ops) }
 
 // OperatorFingerprint identifies the planner's operator set by the
 // concrete matrix values backing it. Two planners built over the same

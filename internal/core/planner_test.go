@@ -140,7 +140,7 @@ func TestMultiOperatorEqualsAssembled(t *testing.T) {
 		}
 	}
 	p.Finalize()
-	if p.NumOperators() != 4 || p.NumSolComponents() != 2 {
+	if len(p.ops) != 4 || len(p.sol) != 2 {
 		t.Fatal("system shape wrong")
 	}
 	if !p.IsSquare() {
@@ -256,9 +256,6 @@ func TestDotAndScalars(t *testing.T) {
 	}
 	if v := p.Neg(d).Value(); math.Abs(v+want) > 1e-12 {
 		t.Errorf("Neg = %g", v)
-	}
-	if v := p.Sub(d, d).Value(); v != 0 {
-		t.Errorf("Sub = %g", v)
 	}
 	nrm := p.Sqrt(p.Dot(RHS, RHS))
 	var bb float64

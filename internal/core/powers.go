@@ -111,9 +111,6 @@ func NewPowersPlan(p *Planner, depth int) *PowersPlan {
 	return pl
 }
 
-// Depth returns the maximum sweep depth the plan supports.
-func (pl *PowersPlan) Depth() int { return pl.depth }
-
 // Sweep launches the matrix-powers computation: dsts[k] ← (A−shifts[k])·
 // dsts[k-1] (with dsts[-1] = src), one task per output piece, each
 // computing all len(dsts) levels from its level-deep halo. A nil shifts

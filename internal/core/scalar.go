@@ -42,11 +42,6 @@ func (s *Scalar) Value() float64 {
 	return v // NaN when the producing task failed or was poisoned
 }
 
-// Err blocks until the scalar is computed and returns its error state:
-// nil on success, the producing task's failure otherwise (including
-// taskrt.ErrPoisoned cancellations).
-func (s *Scalar) Err() error { return s.fut.Err() }
-
 // newScalar allocates the backing region for a scalar produced on proc.
 func (p *Planner) newScalar(name string, proc int) *Scalar {
 	p.scalarSeq++
@@ -122,11 +117,6 @@ func (p *Planner) Div(a, b *Scalar) *Scalar {
 // Mul returns a*b as a deferred scalar.
 func (p *Planner) Mul(a, b *Scalar) *Scalar {
 	return p.ScalarExpr("mul", func(v []float64) float64 { return v[0] * v[1] }, a, b)
-}
-
-// Sub returns a-b as a deferred scalar.
-func (p *Planner) Sub(a, b *Scalar) *Scalar {
-	return p.ScalarExpr("sub", func(v []float64) float64 { return v[0] - v[1] }, a, b)
 }
 
 // Neg returns -a as a deferred scalar.

@@ -185,15 +185,6 @@ func (p *Planner) EnableSDCDetection(tol float64) *SDCMonitor {
 	return s.mon
 }
 
-// SDCMonitor returns the planner's alarm monitor, or nil when detection
-// is off.
-func (p *Planner) SDCMonitor() *SDCMonitor {
-	if p.sdc == nil {
-		return nil
-	}
-	return p.sdc.mon
-}
-
 // sdcOn reports whether checksummed kernels are active.
 func (p *Planner) sdcOn() bool { return p.sdc != nil && !p.virtual }
 

@@ -207,9 +207,9 @@ func TestSDCRestoreSolPieces(t *testing.T) {
 	// Advance the solution, then corrupt piece 1.
 	p.Axpy(SOL, p.Constant(1), RHS)
 	p.Drain()
-	advanced := append([]float64(nil), p.SolData(0)...)
+	advanced := append([]float64(nil), p.VecData(SOL, 0)...)
 	per := int64(n / pieces)
-	d := p.SolData(0)
+	d := p.VecData(SOL, 0)
 	d[per+7] = fault.FlipBit(d[per+7], 52)
 
 	p.RestoreSolPieces(ckpt, []int{1})

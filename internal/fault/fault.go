@@ -53,10 +53,6 @@ const (
 	Scale
 )
 
-// Kinds lists every injectable fault kind, in rate-partition order. The
-// rate key accepted by ParsePlan for each kind is exactly Kind.String().
-var Kinds = []Kind{Panic, NaN, Stall, BitFlip, Scale}
-
 // String returns the kind's conventional name.
 func (k Kind) String() string {
 	switch k {
@@ -288,13 +284,6 @@ func (in *Injector) Injected() int64 {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	return in.total()
-}
-
-// Count returns how many faults of one kind were handed out.
-func (in *Injector) Count(k Kind) int64 {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.counts[k]
 }
 
 // planKeys lists every key ParsePlan accepts, for error messages.

@@ -55,8 +55,8 @@ func TestFaultRatesPartitionOneDraw(t *testing.T) {
 	if in.Injected() != int64(got[Panic]+got[NaN]+got[Stall]) {
 		t.Fatalf("Injected = %d, counts say %d", in.Injected(), got[Panic]+got[NaN]+got[Stall])
 	}
-	if in.Count(Panic) != int64(got[Panic]) {
-		t.Fatalf("Count(Panic) = %d, want %d", in.Count(Panic), got[Panic])
+	if in.counts[Panic] != int64(got[Panic]) {
+		t.Fatalf("counts[Panic] = %d, want %d", in.counts[Panic], got[Panic])
 	}
 }
 
@@ -186,10 +186,14 @@ func TestFaultCorruptValue(t *testing.T) {
 	}
 }
 
+// kinds lists every injectable fault kind; the rate key ParsePlan accepts
+// for each is exactly Kind.String().
+var kinds = []Kind{Panic, NaN, Stall, BitFlip, Scale}
+
 // Every kind's rate key round-trips: ParsePlan("<kind>=1") must yield an
 // injector whose decisions stringify back to the same kind name.
 func TestFaultKindRoundTrip(t *testing.T) {
-	for _, k := range Kinds {
+	for _, k := range kinds {
 		spec := fmt.Sprintf("%s=1", k)
 		p, err := ParsePlan(spec)
 		if err != nil {
@@ -270,7 +274,7 @@ func TestFaultParsePlanEmptyAndErrors(t *testing.T) {
 	if err == nil {
 		t.Fatal("unknown key accepted")
 	}
-	for _, k := range Kinds {
+	for _, k := range kinds {
 		if !strings.Contains(err.Error(), k.String()) {
 			t.Errorf("unknown-key error %q does not list kind %q", err, k)
 		}

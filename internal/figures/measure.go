@@ -73,12 +73,14 @@ func stencilPlanner(m machine.Machine, kind sparse.StencilKind, n int64, vp int)
 // trace scopes, so warmup doubles as trace record-and-calibrate and the
 // timed iterations replay memoized dependence analysis.
 func MeasurePlanner(p *core.Planner, solverName string, warmup, timed int, opt KDROptions) Measurement {
+	return measureSolver(p, func() solvers.Solver { return solvers.New(solverName, p) }, warmup, timed, opt)
+}
+
+// measureSolver is MeasurePlanner for a solver given by its constructor.
+func measureSolver(p *core.Planner, newSolver func() solvers.Solver, warmup, timed int, opt KDROptions) Measurement {
 	p.SetTracing(opt.Tracing)
-	s := solvers.New(solverName, p)
-	step := func(int) { s.Step() }
-	for i := 0; i < warmup; i++ {
-		step(i)
-	}
+	s := newSolver()
+	solvers.RunIterations(s, warmup)
 	p.Drain()
 	simOpts := sim.Options{TaskOverhead: KDRTaskOverhead, TracedOverhead: KDRTracedOverhead}
 	simulate := sim.Simulate
@@ -87,9 +89,7 @@ func MeasurePlanner(p *core.Planner, solverName string, warmup, timed int, opt K
 	}
 	warm := simulate(p.Runtime().Graph(), p.Machine(), simOpts)
 	warmLen := p.Runtime().Graph().Len()
-	for i := 0; i < timed; i++ {
-		step(warmup + i)
-	}
+	solvers.RunIterations(s, timed)
 	p.Drain()
 	g := p.Runtime().Graph()
 	full := simulate(g, p.Machine(), simOpts)
@@ -127,9 +127,3 @@ func BaselineIterTime(lib baseline.Library, m machine.Machine, kind sparse.Stenc
 		TasksPerIter:     float64(gFull.Len()-gWarm.Len()) / float64(timed),
 	}
 }
-
-// Baseline profiles used across the figure runners.
-var (
-	basePETSc    = baseline.PETSc()
-	baseTrilinos = baseline.Trilinos()
-)

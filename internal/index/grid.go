@@ -50,16 +50,6 @@ func (g Grid) Linearize(coords ...int64) int64 {
 	return idx
 }
 
-// Delinearize maps a row-major linear index back to coordinates.
-func (g Grid) Delinearize(idx int64) []int64 {
-	coords := make([]int64, len(g.Dims))
-	for i := len(g.Dims) - 1; i >= 0; i-- {
-		coords[i] = idx % g.Dims[i]
-		idx /= g.Dims[i]
-	}
-	return coords
-}
-
 // Space returns the linearized index space of the grid.
 func (g Grid) Space(name string) Space { return NewSpace(name, g.Size()) }
 

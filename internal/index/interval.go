@@ -167,9 +167,6 @@ func (s *IntervalSet) AddInterval(iv Interval) {
 	s.ivs = out
 }
 
-// Add inserts a single point into the set in place.
-func (s *IntervalSet) Add(p int64) { s.AddInterval(Interval{p, p}) }
-
 // Union returns the union of s and o.
 func (s IntervalSet) Union(o IntervalSet) IntervalSet {
 	if s.Empty() {
@@ -369,14 +366,6 @@ func (s IntervalSet) EachInterval(fn func(iv Interval)) {
 	for _, iv := range s.ivs {
 		fn(iv)
 	}
-}
-
-// Points materializes the set as a sorted point slice. Intended for tests
-// and small sets.
-func (s IntervalSet) Points() []int64 {
-	out := make([]int64, 0, s.Size())
-	s.Each(func(p int64) { out = append(out, p) })
-	return out
 }
 
 func (s IntervalSet) String() string {

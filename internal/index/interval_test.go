@@ -166,14 +166,15 @@ func TestOverlapsAndContainsSet(t *testing.T) {
 
 func TestEachAndPoints(t *testing.T) {
 	s := NewIntervalSet(Interval{1, 2}, Interval{5, 5})
-	got := s.Points()
+	var got []int64
+	s.Each(func(p int64) { got = append(got, p) })
 	want := []int64{1, 2, 5}
 	if len(got) != len(want) {
-		t.Fatalf("Points = %v", got)
+		t.Fatalf("Each visited %v", got)
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("Points = %v, want %v", got, want)
+			t.Fatalf("Each visited %v, want %v", got, want)
 		}
 	}
 	n := 0
@@ -247,15 +248,13 @@ func TestQuickSetInvariants(t *testing.T) {
 				return false
 			}
 		}
-		if int64(len(s.Points())) != s.Size() {
-			return false
-		}
-		for _, p := range s.Points() {
-			if !s.Contains(p) {
-				return false
-			}
-		}
-		return true
+		var n int64
+		ok := true
+		s.Each(func(p int64) {
+			n++
+			ok = ok && s.Contains(p)
+		})
+		return ok && n == s.Size()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

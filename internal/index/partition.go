@@ -1,7 +1,5 @@
 package index
 
-import "fmt"
-
 // A Partition of an index space I is a function from a finite color space
 // C = {0, ..., NumColors-1} to subsets of I (Section 3.1). Unlike the
 // set-theoretic notion, a Partition need not be complete (cover I) nor
@@ -89,39 +87,4 @@ func (p Partition) Disjoint() bool {
 		u = u.Union(pc)
 	}
 	return true
-}
-
-// ColorOf returns the lowest color whose piece contains p, or -1 if the
-// point is unassigned. Intended for tests and small partitions.
-func (p Partition) ColorOf(pt int64) int {
-	for c, pc := range p.pieces {
-		if pc.Contains(pt) {
-			return c
-		}
-	}
-	return -1
-}
-
-// Union returns the union of all pieces.
-func (p Partition) Union() IntervalSet {
-	var u IntervalSet
-	for _, pc := range p.pieces {
-		u = u.Union(pc)
-	}
-	return u
-}
-
-// Restrict returns a partition with each piece intersected with the
-// underlying space, discarding points that projections may have produced
-// outside it.
-func (p Partition) Restrict() Partition {
-	pieces := make([]IntervalSet, len(p.pieces))
-	for c, pc := range p.pieces {
-		pieces[c] = pc.Intersect(p.Space.Set)
-	}
-	return Partition{Space: p.Space, pieces: pieces}
-}
-
-func (p Partition) String() string {
-	return fmt.Sprintf("Partition(%s, %d colors)", p.Space.Name, len(p.pieces))
 }

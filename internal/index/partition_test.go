@@ -46,7 +46,7 @@ func TestEqualPartitionMoreColorsThanPoints(t *testing.T) {
 
 func TestEqualPartitionSparseSpace(t *testing.T) {
 	set := NewIntervalSet(Interval{0, 3}, Interval{10, 13}, Interval{20, 21})
-	sp := NewSparseSpace("S", set)
+	sp := Space{Name: "S", Set: set}
 	p := EqualPartition(sp, 4)
 	if !p.Complete() || !p.Disjoint() {
 		t.Fatal("sparse equal partition must be complete and disjoint")
@@ -69,24 +69,6 @@ func TestPartitionPredicates(t *testing.T) {
 	}
 	if p.Disjoint() {
 		t.Error("partition with overlap [4,5] should not be disjoint")
-	}
-	if got := p.ColorOf(4); got != 0 {
-		t.Errorf("ColorOf(4) = %d, want 0 (lowest color)", got)
-	}
-	if got := p.ColorOf(9); got != -1 {
-		t.Errorf("ColorOf(9) = %d, want -1", got)
-	}
-	if !p.Union().Equal(Span(0, 8)) {
-		t.Errorf("Union = %v", p.Union())
-	}
-}
-
-func TestPartitionRestrict(t *testing.T) {
-	sp := NewSparseSpace("S", Span(0, 4))
-	p := NewPartition(sp, []IntervalSet{Span(0, 10)})
-	r := p.Restrict()
-	if !r.Piece(0).Equal(Span(0, 4)) {
-		t.Fatalf("Restrict = %v", r.Piece(0))
 	}
 }
 
@@ -131,19 +113,22 @@ func TestGridLinearize(t *testing.T) {
 	if got := g.Linearize(1, 2, 3); got != 1*20+2*5+3 {
 		t.Errorf("Linearize(1,2,3) = %d", got)
 	}
-	c := g.Delinearize(33)
-	if c[0] != 1 || c[1] != 2 || c[2] != 3 {
-		t.Errorf("Delinearize(33) = %v", c)
-	}
 }
 
 func TestGridRoundTrip(t *testing.T) {
 	g := NewGrid(7, 11)
-	for i := int64(0); i < g.Size(); i++ {
-		c := g.Delinearize(i)
-		if got := g.Linearize(c...); got != i {
-			t.Fatalf("round trip %d -> %v -> %d", i, c, got)
+	// Row-major coordinates enumerate the linear indices in order.
+	next := int64(0)
+	for i := int64(0); i < 7; i++ {
+		for j := int64(0); j < 11; j++ {
+			if got := g.Linearize(i, j); got != next {
+				t.Fatalf("Linearize(%d,%d) = %d, want %d", i, j, got, next)
+			}
+			next++
 		}
+	}
+	if next != g.Size() {
+		t.Fatalf("enumerated %d points of %d", next, g.Size())
 	}
 }
 
@@ -219,14 +204,11 @@ func TestQuickTilePartitionInvariants(t *testing.T) {
 
 func TestSpaceBasics(t *testing.T) {
 	sp := NewSpace("D", 5)
-	if sp.Size() != 5 || !sp.Contains(0) || !sp.Contains(4) || sp.Contains(5) {
+	if sp.Size() != 5 || !sp.Set.Contains(0) || !sp.Set.Contains(4) || sp.Set.Contains(5) {
 		t.Fatalf("space = %v", sp)
 	}
-	sparse := NewSparseSpace("S", FromPoints([]int64{1, 3}))
-	if sparse.Size() != 2 || sparse.Contains(2) {
+	sparse := Space{Name: "S", Set: FromPoints([]int64{1, 3})}
+	if sparse.Size() != 2 || sparse.Set.Contains(2) {
 		t.Fatalf("sparse space = %v", sparse)
-	}
-	if sp.String() == "" || sparse.String() == "" {
-		t.Error("String should be non-empty")
 	}
 }

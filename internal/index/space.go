@@ -1,7 +1,5 @@
 package index
 
-import "fmt"
-
 // A Space is a named index space: a finite set of int64 identifiers.
 // Spaces name the three fundamental sets of a linear system — the kernel
 // space K, domain space D, and range space R — as well as total
@@ -18,17 +16,5 @@ func NewSpace(name string, n int64) Space {
 	return Space{Name: name, Set: Span(0, n-1)}
 }
 
-// NewSparseSpace returns a space over an arbitrary point set.
-func NewSparseSpace(name string, set IntervalSet) Space {
-	return Space{Name: name, Set: set}
-}
-
 // Size returns the number of points in the space.
 func (sp Space) Size() int64 { return sp.Set.Size() }
-
-// Contains reports whether p is a point of the space.
-func (sp Space) Contains(p int64) bool { return sp.Set.Contains(p) }
-
-func (sp Space) String() string {
-	return fmt.Sprintf("%s%s", sp.Name, sp.Set.String())
-}

@@ -12,6 +12,7 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -80,16 +81,10 @@ func Default() Spec {
 	}
 }
 
-// KnownSolver reports whether the name is a served method: the public
-// list, solvers.Names. The unfused ablation variants solvers.New also
-// accepts exist for the Figure 8 crossover tests and are not jobs.
+// KnownSolver reports whether the name is a served method: one of
+// solvers.Names, the list solvers.New constructs from.
 func KnownSolver(name string) bool {
-	for _, n := range solvers.Names {
-		if name == n {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(solvers.Names, name)
 }
 
 // Validate checks every parameter against its domain and returns all
@@ -181,8 +176,16 @@ func validRHS(rhs string) error {
 	return fmt.Errorf("rhs must be Aones, ones, or rand:SEED, got %q", rhs)
 }
 
+// maxStencilPoints bounds the unknowns nx·ny of a generated stencil:
+// beyond it the product overflows (and the generator indexes out of
+// range) long before memory runs out. It is the ceiling 32-bit index
+// arrays would impose; what a given server is willing to allocate is a
+// separate, smaller policy.
+const maxStencilPoints = 1<<31 - 1
+
 // ParseLap2D parses the dimensions of a "lap2d:NXxNY" stencil spec
-// (the part after the colon).
+// (the part after the colon). Both must be positive and their product
+// at most maxStencilPoints.
 func ParseLap2D(dims string) (nx, ny int64, err error) {
 	sx, sy, ok := strings.Cut(dims, "x")
 	if ok {
@@ -190,6 +193,9 @@ func ParseLap2D(dims string) (nx, ny int64, err error) {
 		nx, e1 = strconv.ParseInt(sx, 10, 64)
 		ny, e2 = strconv.ParseInt(sy, 10, 64)
 		if e1 == nil && e2 == nil && nx > 0 && ny > 0 {
+			if nx > maxStencilPoints/ny { // nx·ny > cap, without forming the product
+				return 0, 0, fmt.Errorf("stencil %q too large: at most %d unknowns", "lap2d:"+dims, maxStencilPoints)
+			}
 			return nx, ny, nil
 		}
 	}

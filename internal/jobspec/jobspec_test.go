@@ -3,6 +3,8 @@ package jobspec
 import (
 	"strings"
 	"testing"
+
+	"kdrsolvers/internal/solvers"
 )
 
 func TestDefaultValidates(t *testing.T) {
@@ -46,6 +48,10 @@ func TestValidateRejections(t *testing.T) {
 		{"no matrix", func(s *Spec) { s.Matrix = "" }, "matrix is required"},
 		{"bad stencil", func(s *Spec) { s.Matrix = "lap2d:8" }, "bad stencil spec"},
 		{"zero stencil", func(s *Spec) { s.Matrix = "lap2d:0x8" }, "bad stencil spec"},
+		{"stencil product wraps to zero", func(s *Spec) { s.Matrix = "lap2d:4294967296x4294967296" }, "too large"},
+		{"stencil product wraps negative", func(s *Spec) { s.Matrix = "lap2d:3037000500x3037000500" }, "too large"},
+		{"stencil one past the cap", func(s *Spec) { s.Matrix = "lap2d:2147483648x1" }, "too large"},
+		{"stencil of 1e10 unknowns", func(s *Spec) { s.Matrix = "lap2d:100000x100000" }, "too large"},
 		{"unknown solver", func(s *Spec) { s.Solver = "sor" }, "unknown solver"},
 		{"unfused ablation solver", func(s *Spec) { s.Solver = "cg-unfused" }, "unknown solver"},
 		{"unknown format", func(s *Spec) { s.Format = "hyb" }, "unknown format"},
@@ -83,6 +89,8 @@ func TestValidateAccepts(t *testing.T) {
 		mut  func(*Spec)
 	}{
 		{"auto format", func(s *Spec) { s.Format = "auto" }},
+		{"stencil at the cap", func(s *Spec) { s.Matrix = "lap2d:1x2147483647" }},
+		{"largest square stencil", func(s *Spec) { s.Matrix = "lap2d:46340x46340" }},
 		{"rand rhs", func(s *Spec) { s.RHS = "rand:42" }},
 		{"ones rhs", func(s *Spec) { s.RHS = "ones" }},
 		{"mtx path unchecked until load", func(s *Spec) { s.Matrix = "does-not-exist.mtx" }},
@@ -98,6 +106,21 @@ func TestValidateAccepts(t *testing.T) {
 				t.Fatalf("rejected: %v", err)
 			}
 		})
+	}
+}
+
+// KnownSolver is solvers.Names, name for name: what a job may request is
+// exactly what solvers.New constructs.
+func TestKnownSolverIsSolversNames(t *testing.T) {
+	for _, name := range solvers.Names {
+		if !KnownSolver(name) {
+			t.Errorf("solvers.Names lists %q, KnownSolver rejects it", name)
+		}
+	}
+	for _, name := range []string{"cg-unfused", "pcg-unfused", "bicgstab-unfused", "CG", "sor", ""} {
+		if KnownSolver(name) {
+			t.Errorf("KnownSolver accepts %q, which solvers.New would panic on", name)
+		}
 	}
 }
 

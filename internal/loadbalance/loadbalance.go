@@ -70,9 +70,6 @@ func New(beta, t0 float64, tiles []Tile, seed int64) *Balancer {
 // Owner returns the node currently owning tile op.
 func (b *Balancer) Owner(op int) int { return b.tiles[op].Owner }
 
-// Tiles returns the live tile table (not a copy).
-func (b *Balancer) Tiles() []Tile { return b.tiles }
-
 // Moves returns the cumulative number of tile migrations.
 func (b *Balancer) Moves() int { return b.moves }
 

@@ -43,7 +43,7 @@ func TestRebalanceMovesToOtherCandidate(t *testing.T) {
 	if moved != 2 {
 		t.Fatalf("moved = %d, want the 2 tiles owned by node 0", moved)
 	}
-	for i, tile := range b.Tiles() {
+	for i, tile := range b.tiles {
 		if tile.Owner != 1 {
 			t.Errorf("tile %d owner = %d, want 1", i, tile.Owner)
 		}
@@ -53,7 +53,7 @@ func TestRebalanceMovesToOtherCandidate(t *testing.T) {
 	}
 	// Ownership always stays within the candidate pair.
 	b.Rebalance([]float64{0.05, 10})
-	for i, tile := range b.Tiles() {
+	for i, tile := range b.tiles {
 		if tile.Owner != tile.InNode && tile.Owner != tile.OutNode {
 			t.Fatalf("tile %d escaped its candidate pair", i)
 		}

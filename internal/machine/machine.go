@@ -10,8 +10,6 @@
 // of Figures 8-10.
 package machine
 
-import "fmt"
-
 // Machine describes a cluster. All bandwidths are bytes/second and all
 // times are seconds.
 type Machine struct {
@@ -112,10 +110,6 @@ func (m Machine) AllReduceTime() float64 {
 	return 2 * float64(hops) * m.NetLatency
 }
 
-func (m Machine) String() string {
-	return fmt.Sprintf("machine(%d nodes x %d GPUs)", m.Nodes, m.GPUsPerNode)
-}
-
 // Bytes-per-element constants for the roofline cost model. Indices are
 // stored as 64-bit integers and values as float64, matching the paper's
 // double-precision experiments.
@@ -154,7 +148,3 @@ func (m Machine) CopyCost(n int64) float64 { return m.Blas1Cost(2 * n) }
 
 // ScalCost returns the time for x ← αx over n elements (1 read, 1 write).
 func (m Machine) ScalCost(n int64) float64 { return m.Blas1Cost(2 * n) }
-
-// VectorBytes returns the size in bytes of an n-element vector piece,
-// used to size halo-exchange transfers.
-func VectorBytes(n int64) int64 { return n * valBytes }

@@ -13,9 +13,6 @@ func TestLassenShape(t *testing.T) {
 	if m.NodeOf(0) != 0 || m.NodeOf(3) != 0 || m.NodeOf(4) != 1 || m.NodeOf(63) != 15 {
 		t.Fatal("NodeOf mapping wrong")
 	}
-	if m.String() == "" {
-		t.Fatal("String empty")
-	}
 }
 
 func TestTransferTime(t *testing.T) {
@@ -93,11 +90,5 @@ func TestCostModelRelativeShape(t *testing.T) {
 	// Costs are strictly positive.
 	if m.CopyCost(1) <= 0 || m.ScalCost(1) <= 0 || m.Blas1Cost(1) <= 0 {
 		t.Error("costs must be positive")
-	}
-}
-
-func TestVectorBytes(t *testing.T) {
-	if VectorBytes(100) != 800 {
-		t.Fatalf("VectorBytes(100) = %d", VectorBytes(100))
 	}
 }

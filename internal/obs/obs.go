@@ -127,13 +127,6 @@ func (r *Recorder) Failures() []Failure {
 	return append([]Failure(nil), r.failures...)
 }
 
-// Len returns the number of recorded spans.
-func (r *Recorder) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.spans)
-}
-
 // Counter is a lightweight atomic event counter.
 type Counter struct{ n atomic.Int64 }
 
@@ -165,19 +158,6 @@ func (t *Timer) ObserveN(d time.Duration, n int64) {
 	t.ns.Add(int64(d))
 	t.count.Add(n)
 }
-
-// Time runs fn and observes its duration.
-func (t *Timer) Time(fn func()) {
-	start := time.Now()
-	fn()
-	t.Observe(time.Since(start))
-}
-
-// Total returns the accumulated duration.
-func (t *Timer) Total() time.Duration { return time.Duration(t.ns.Load()) }
-
-// Count returns the number of observed sections.
-func (t *Timer) Count() int64 { return t.count.Load() }
 
 // TimerSnapshot is a point-in-time copy of a Timer, safe to pass around
 // after the timer keeps accumulating.

@@ -29,12 +29,9 @@ func TestCounterAndTimer(t *testing.T) {
 
 	var tm Timer
 	tm.Observe(3 * time.Millisecond)
-	tm.Time(func() {})
-	if tm.Count() != 2 {
-		t.Fatalf("Timer count = %d", tm.Count())
-	}
-	if tm.Total() < 3*time.Millisecond {
-		t.Fatalf("Timer total = %v", tm.Total())
+	tm.ObserveN(2*time.Millisecond, 3)
+	if got := tm.Snapshot(); got.Count != 4 || got.Total != 5*time.Millisecond {
+		t.Fatalf("Timer snapshot = %+v, want 4 sections totalling 5ms", got)
 	}
 }
 
@@ -55,7 +52,7 @@ func TestRecorderConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 	spans := r.Spans()
-	if len(spans) != 100 || r.Len() != 100 {
+	if len(spans) != 100 {
 		t.Fatalf("spans = %d", len(spans))
 	}
 	for i, s := range spans {

@@ -1,21 +1,10 @@
 // Package precond constructs preconditioners for KDRSolvers systems.
 //
-// The paper's Section 7 lists extending classical preconditioning
-// algorithms to multi-operator systems as future work; this package
-// implements that extension for the preconditioner classes whose
-// application is itself a sparse matrix-vector product — the only form
-// the planner's PSolve operation (a multi-operator multiply) can consume:
-//
-//   - Jacobi: P = diag(A)⁻¹.
-//   - Block Jacobi: P = blockdiag(A)⁻¹ with dense per-block inverses.
-//   - Neumann polynomial: the truncated series
-//     P = (I + N + N² + …)·D⁻¹ with N = I − D⁻¹A, a sparse approximate
-//     inverse that mirrors how SOR-like sweeps are adapted to
-//     communication-avoiding settings.
-//
-// For a multi-operator system, the diagonal of A_total is the sum of the
-// component diagonals of the operators on matching component pairs, which
-// JacobiForSystem assembles without materializing A_total.
+// The planner's PSolve operation is a multi-operator multiply, so a
+// preconditioner must be applied as a sparse matrix-vector product.
+// Jacobi, P = diag(A)⁻¹, is the one implemented; the paper's Section 7
+// lists extending classical preconditioning algorithms to multi-operator
+// systems as future work.
 package precond
 
 import (
@@ -33,140 +22,4 @@ func Jacobi(a sparse.Matrix) *sparse.CSR {
 		}
 	}
 	return sparse.DiagonalCSR(inv)
-}
-
-// JacobiForSystem returns per-component Jacobi preconditioners for a
-// multi-operator system without assembling A_total: mats[k] is the list
-// of operators relating solution component k to range component k (the
-// diagonal blocks), whose diagonals are summed. The k-th result should be
-// registered with AddPreconditioner(result[k], k, k).
-func JacobiForSystem(mats [][]sparse.Matrix) []*sparse.CSR {
-	out := make([]*sparse.CSR, len(mats))
-	for k, ops := range mats {
-		if len(ops) == 0 {
-			panic("precond: component has no diagonal-block operator")
-		}
-		n, _ := sparse.Dims(ops[0])
-		sum := make([]float64, n)
-		for _, m := range ops {
-			for i, v := range sparse.Diagonal(m) {
-				sum[i] += v
-			}
-		}
-		for i, v := range sum {
-			if v != 0 {
-				sum[i] = 1 / v
-			}
-		}
-		out[k] = sparse.DiagonalCSR(sum)
-	}
-	return out
-}
-
-// BlockJacobi returns blockdiag(A)⁻¹ with dense bs × bs block inverses.
-// The matrix dimension must be a multiple of bs; singular blocks panic.
-func BlockJacobi(a sparse.Matrix, bs int64) *sparse.CSR {
-	rows, cols := sparse.Dims(a)
-	if rows != cols || rows%bs != 0 {
-		panic("precond: BlockJacobi needs a square matrix with dimension divisible by bs")
-	}
-	dense := sparse.ToDense(a)
-	var coords []sparse.Coord
-	blk := make([]float64, bs*bs)
-	for b := int64(0); b < rows/bs; b++ {
-		o := b * bs
-		for i := int64(0); i < bs; i++ {
-			for j := int64(0); j < bs; j++ {
-				blk[i*bs+j] = dense[(o+i)*cols+(o+j)]
-			}
-		}
-		inv := invertDense(blk, int(bs))
-		for i := int64(0); i < bs; i++ {
-			for j := int64(0); j < bs; j++ {
-				if v := inv[i*bs+j]; v != 0 {
-					coords = append(coords, sparse.Coord{Row: o + i, Col: o + j, Val: v})
-				}
-			}
-		}
-	}
-	return sparse.CSRFromCoords(rows, cols, coords)
-}
-
-// invertDense inverts an n × n row-major matrix by Gauss-Jordan with
-// partial pivoting, panicking on singularity.
-func invertDense(m []float64, n int) []float64 {
-	a := make([]float64, n*n)
-	copy(a, m)
-	inv := make([]float64, n*n)
-	for i := 0; i < n; i++ {
-		inv[i*n+i] = 1
-	}
-	for k := 0; k < n; k++ {
-		piv := k
-		for i := k + 1; i < n; i++ {
-			if abs(a[i*n+k]) > abs(a[piv*n+k]) {
-				piv = i
-			}
-		}
-		if a[piv*n+k] == 0 {
-			panic("precond: singular diagonal block")
-		}
-		if piv != k {
-			for j := 0; j < n; j++ {
-				a[k*n+j], a[piv*n+j] = a[piv*n+j], a[k*n+j]
-				inv[k*n+j], inv[piv*n+j] = inv[piv*n+j], inv[k*n+j]
-			}
-		}
-		d := a[k*n+k]
-		for j := 0; j < n; j++ {
-			a[k*n+j] /= d
-			inv[k*n+j] /= d
-		}
-		for i := 0; i < n; i++ {
-			if i == k {
-				continue
-			}
-			f := a[i*n+k]
-			if f == 0 {
-				continue
-			}
-			for j := 0; j < n; j++ {
-				a[i*n+j] -= f * a[k*n+j]
-				inv[i*n+j] -= f * inv[k*n+j]
-			}
-		}
-	}
-	return inv
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
-
-// NeumannPolynomial returns the degree-d truncated Neumann series
-// preconditioner P = (I + N + … + N^d)·D⁻¹ with N = I − D⁻¹A, in CSR
-// form. Degree 0 reduces to Jacobi. Entries below 1e-14 are dropped to
-// keep the polynomial sparse.
-func NeumannPolynomial(a *sparse.CSR, degree int) *sparse.CSR {
-	if degree < 0 {
-		panic("precond: negative polynomial degree")
-	}
-	rows, _ := sparse.Dims(a)
-	dinv := Jacobi(a) // D⁻¹
-	if degree == 0 {
-		return dinv
-	}
-	// N = I − D⁻¹A.
-	n := sparse.Add(sparse.Identity(rows), sparse.Scale(sparse.MatMul(dinv, a), -1))
-	n = sparse.DropTiny(n, 1e-14)
-	// sum = I + N + N² + … + N^d by Horner: sum = I + N·sum.
-	sum := sparse.Identity(rows)
-	for i := 0; i < degree; i++ {
-		sum = sparse.Add(sparse.Identity(rows), sparse.MatMul(n, sum))
-		sum = sparse.DropTiny(sum, 1e-14)
-	}
-	return sparse.DropTiny(sparse.MatMul(sum, dinv), 1e-14)
 }

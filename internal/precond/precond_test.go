@@ -1,13 +1,8 @@
 package precond
 
 import (
-	"math"
 	"testing"
 
-	"kdrsolvers/internal/core"
-	"kdrsolvers/internal/index"
-	"kdrsolvers/internal/machine"
-	"kdrsolvers/internal/solvers"
 	"kdrsolvers/internal/sparse"
 )
 
@@ -37,164 +32,30 @@ func TestJacobiZeroDiagonal(t *testing.T) {
 	}
 }
 
-func TestJacobiForSystem(t *testing.T) {
-	// Two aliased copies of A on component (0,0): the summed diagonal is
-	// 2·diag(A).
-	a := sparse.Laplacian1D(4)
-	ps := JacobiForSystem([][]sparse.Matrix{{a, a}})
-	d := sparse.ToDense(ps[0])
-	if d[0] != 0.25 {
-		t.Fatalf("summed diagonal inverse = %g, want 0.25", d[0])
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("empty component should panic")
-		}
-	}()
-	JacobiForSystem([][]sparse.Matrix{{}})
-}
-
-func TestBlockJacobiInvertsBlocks(t *testing.T) {
-	// For a block-diagonal matrix, BlockJacobi is the exact inverse.
-	coords := []sparse.Coord{
-		{Row: 0, Col: 0, Val: 2}, {Row: 0, Col: 1, Val: 1},
-		{Row: 1, Col: 0, Val: 1}, {Row: 1, Col: 1, Val: 3},
-		{Row: 2, Col: 2, Val: 4}, {Row: 2, Col: 3, Val: -1},
-		{Row: 3, Col: 2, Val: 0.5}, {Row: 3, Col: 3, Val: 2},
-	}
-	a := sparse.CSRFromCoords(4, 4, coords)
-	p := BlockJacobi(a, 2)
-	pa := sparse.MatMul(p, a)
-	d := sparse.ToDense(pa)
-	for i := int64(0); i < 4; i++ {
-		for j := int64(0); j < 4; j++ {
-			want := 0.0
-			if i == j {
-				want = 1
-			}
-			if math.Abs(d[i*4+j]-want) > 1e-12 {
-				t.Fatalf("P·A != I at (%d,%d): %g", i, j, d[i*4+j])
-			}
-		}
-	}
-}
-
-func TestBlockJacobiPanics(t *testing.T) {
-	for _, fn := range []func(){
-		func() { BlockJacobi(sparse.Laplacian1D(5), 2) },           // 5 % 2 != 0
-		func() { BlockJacobi(sparse.CSRFromCoords(2, 2, nil), 2) }, // singular
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic")
-				}
-			}()
-			fn()
-		}()
-	}
-}
-
-func TestNeumannDegreeZeroIsJacobi(t *testing.T) {
-	a := sparse.Laplacian2D(3, 3)
-	p0 := NeumannPolynomial(a, 0)
-	j := Jacobi(a)
-	d0, dj := sparse.ToDense(p0), sparse.ToDense(j)
-	for i := range d0 {
-		if d0[i] != dj[i] {
-			t.Fatal("degree-0 Neumann != Jacobi")
-		}
-	}
-}
-
-// pcgIters runs PCG with the given preconditioner and returns the
-// iteration count to 1e-10.
-func pcgIters(t *testing.T, a *sparse.CSR, pre *sparse.CSR, b []float64) int {
-	t.Helper()
-	n := int64(len(b))
-	p := core.NewPlanner(core.Config{Machine: machine.Lassen(1)})
-	si := p.AddSolVector(make([]float64, n), index.EqualPartition(index.NewSpace("D", n), 2))
-	ri := p.AddRHSVector(append([]float64{}, b...), index.EqualPartition(index.NewSpace("R", n), 2))
-	p.AddOperator(a, si, ri)
-	p.AddPreconditioner(pre, si, ri)
-	p.Finalize()
-	res := solvers.Solve(solvers.NewPCG(p), 1e-10, 2000)
-	p.Drain()
-	if !res.Converged {
-		t.Fatalf("PCG did not converge: %+v", res)
-	}
-	return res.Iterations
-}
-
-func TestNeumannAcceleratesConvergence(t *testing.T) {
-	a := sparse.Laplacian2D(12, 12)
-	b := make([]float64, 144)
-	for i := range b {
-		b[i] = math.Sin(float64(i) / 3)
-	}
-	jac := pcgIters(t, a, Jacobi(a), b)
-	neu := pcgIters(t, a, NeumannPolynomial(a, 2), b)
-	if neu >= jac {
-		t.Errorf("degree-2 Neumann (%d iters) should beat Jacobi (%d iters)", neu, jac)
-	}
-}
-
-func TestBlockJacobiAcceleratesConvergence(t *testing.T) {
-	// Strong 2x2 couplings: block Jacobi must beat point Jacobi.
-	n := int64(200)
-	var coords []sparse.Coord
-	for i := int64(0); i < n; i++ {
-		// Diagonal varies so point Jacobi has real work to do; the strong
-		// ±3.5 in-block coupling is what only block Jacobi removes.
-		coords = append(coords, sparse.Coord{Row: i, Col: i, Val: 6 + float64(i%5)})
-		if i%2 == 0 {
-			coords = append(coords, sparse.Coord{Row: i, Col: i + 1, Val: 3.5})
-			coords = append(coords, sparse.Coord{Row: i + 1, Col: i, Val: 3.5})
-		}
-		if i+2 < n {
-			coords = append(coords, sparse.Coord{Row: i, Col: i + 2, Val: -1})
-			coords = append(coords, sparse.Coord{Row: i + 2, Col: i, Val: -1})
-		}
-	}
-	a := sparse.CSRFromCoords(n, n, coords)
-	b := make([]float64, n)
-	for i := range b {
-		b[i] = 1
-	}
-	point := pcgIters(t, a, Jacobi(a), b)
-	block := pcgIters(t, a, BlockJacobi(a, 2), b)
-	if block >= point {
-		t.Errorf("block Jacobi (%d iters) should beat point Jacobi (%d iters)", block, point)
-	}
-}
-
 func TestMatrixAlgebra(t *testing.T) {
 	a := sparse.Laplacian1D(4)
-	id := sparse.Identity(4)
-	// A·I == A and I·A == A.
-	for _, m := range []*sparse.CSR{sparse.MatMul(a, id), sparse.MatMul(id, a)} {
-		da, dm := sparse.ToDense(a), sparse.ToDense(m)
-		for i := range da {
-			if math.Abs(da[i]-dm[i]) > 1e-14 {
-				t.Fatal("identity product changed the matrix")
-			}
-		}
-	}
-	// A + (−1)·A == 0 after dropping cancellation noise.
-	z := sparse.DropTiny(sparse.Add(a, sparse.Scale(a, -1)), 1e-14)
-	if z.NNZ() != 0 {
-		t.Fatalf("A - A has %d nonzeros", z.NNZ())
-	}
-	// Associativity on small random-ish matrices.
 	b := sparse.CSRFromCoords(4, 4, []sparse.Coord{
 		{Row: 0, Col: 3, Val: 2}, {Row: 1, Col: 1, Val: -1}, {Row: 3, Col: 0, Val: 5},
 	})
-	l := sparse.MatMul(sparse.MatMul(a, b), a)
-	r := sparse.MatMul(a, sparse.MatMul(b, a))
-	dl, dr := sparse.ToDense(l), sparse.ToDense(r)
-	for i := range dl {
-		if math.Abs(dl[i]-dr[i]) > 1e-12 {
-			t.Fatal("MatMul not associative")
+	// A + B is the entrywise sum; entries at a shared position merge.
+	sum := sparse.Add(a, b)
+	da, db, ds := sparse.ToDense(a), sparse.ToDense(b), sparse.ToDense(sum)
+	for i := range ds {
+		if ds[i] != da[i]+db[i] {
+			t.Fatalf("(A+B)[%d] = %g, want %g", i, ds[i], da[i]+db[i])
 		}
 	}
+	if want := a.NNZ() + 2; sum.NNZ() != want {
+		t.Fatalf("A+B stores %d entries, want %d ((1,1) is shared)", sum.NNZ(), want)
+	}
+	// The Jacobi preconditioner of a sum inverts the summed diagonal.
+	if d := sparse.ToDense(Jacobi(sparse.Add(a, a))); d[0] != 0.25 {
+		t.Fatalf("Jacobi(A+A)[0,0] = %g, want 0.25", d[0])
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("shape mismatch should panic")
+		}
+	}()
+	sparse.Add(a, sparse.Laplacian1D(5))
 }

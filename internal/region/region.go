@@ -92,14 +92,8 @@ func New(name string, space index.Space, fieldNames ...string) *Region {
 // ID returns the region's unique identifier.
 func (r *Region) ID() ID { return r.id }
 
-// Name returns the region's diagnostic name.
-func (r *Region) Name() string { return r.name }
-
 // Space returns the region's index space.
 func (r *Region) Space() index.Space { return r.space }
-
-// Virtual reports whether the region has no physical storage.
-func (r *Region) Virtual() bool { return r.virtual }
 
 // Field returns the storage of the named field. It panics if the field
 // does not exist or the region is virtual, since both are programming
@@ -113,40 +107,6 @@ func (r *Region) Field(name string) []float64 {
 		panic(fmt.Sprintf("region: %s has no field %q", r.name, name))
 	}
 	return f
-}
-
-// HasField reports whether the region has the named field.
-func (r *Region) HasField(name string) bool {
-	_, ok := r.fields[name]
-	return ok
-}
-
-// AddField adds a zero-initialized field, returning its storage.
-// It panics if the field already exists.
-func (r *Region) AddField(name string) []float64 {
-	if r.HasField(name) {
-		panic(fmt.Sprintf("region: %s already has field %q", r.name, name))
-	}
-	n := r.space.Set.Bounds().Hi + 1
-	if n < 0 {
-		n = 0
-	}
-	f := make([]float64, n)
-	r.fields[name] = f
-	return f
-}
-
-// Fields returns the field names in unspecified order.
-func (r *Region) Fields() []string {
-	out := make([]string, 0, len(r.fields))
-	for f := range r.fields {
-		out = append(out, f)
-	}
-	return out
-}
-
-func (r *Region) String() string {
-	return fmt.Sprintf("region %s#%d over %s", r.name, r.id, r.space)
 }
 
 // Ref names data touched by a task: a subset of one field of one region

@@ -542,9 +542,6 @@ func (j *Journal) Done(id string, res *JobResult) error {
 	return j.append(&journalRecord{T: recDone, ID: id, Result: res})
 }
 
-// Sync forces batched records to disk.
-func (j *Journal) Sync() error { return j.log.Sync() }
-
 // Close syncs and closes the underlying WAL.
 func (j *Journal) Close() error { return j.log.Close() }
 

@@ -378,6 +378,53 @@ func TestHTTPEndToEnd(t *testing.T) {
 	}
 }
 
+// A generated stencil's size is a resource a client names too. A product
+// nx·ny above 2^31 − 1 — including one that wraps int64, which used to
+// pass validation and panic the worker goroutine in sparse.Laplacian2D,
+// killing the process and, with a journal, every restart after it — is
+// a 400 from validation before anything is allocated, and the server
+// goes on serving.
+func TestStencilSizeIsBounded(t *testing.T) {
+	s := mustServer(t, Config{MaxActive: 1})
+	defer s.Drain()
+	ts := httptest.NewServer(Handler(s))
+	defer ts.Close()
+
+	for _, matrix := range []string{
+		"lap2d:4294967296x4294967296", // nx·ny wraps to 0
+		"lap2d:3037000500x3037000500", // wraps negative
+		"lap2d:100000x100000",         // 1e10: no overflow, 800 GB of CSR
+		"lap2d:46341x46341",           // first square above the cap
+		"lap2d:1x2147483648",
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		resp, err := http.Post(ts.URL+"/solve", "application/json",
+			strings.NewReader(`{"matrix":"`+matrix+`","solver":"cg"}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := make([]byte, 4096)
+		n, _ := resp.Body.Read(body)
+		resp.Body.Close()
+		runtime.ReadMemStats(&after)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body[:n]), "too large") {
+			t.Errorf("%s: status %d, body %s", matrix, resp.StatusCode, body[:n])
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Errorf("rejecting %s allocated %d bytes", matrix, grew)
+		}
+	}
+
+	j, err := s.Submit(testSpec(func(sp *jobspec.Spec) { sp.Matrix = "lap2d:32x32" }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := j.Result(); !res.Converged || res.Err != "" {
+		t.Fatalf("job after the rejections failed: %+v", res)
+	}
+}
+
 // pieces is a resource a client names. An absurd width is a 400 from
 // validation — before a partition with one interval set per color is
 // ever allocated — and a merely large one is cheap: the solve clamps the

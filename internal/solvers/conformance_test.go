@@ -135,7 +135,7 @@ func TestSolverConformanceMatrix(t *testing.T) {
 					// The solver's recurrence said ‖r‖ ≤ tol; verify against
 					// the honest residual of the iterate it produced. ‖b‖ > 1
 					// here, so the relative measure is the stricter one.
-					tr := trueResidual(mat, p.SolData(0), fusedRHS(confN))
+					tr := trueResidual(mat, p.VecData(core.SOL, 0), fusedRHS(confN))
 					if tr > tol {
 						t.Errorf("true residual %g above tolerance %g", tr, tol)
 					}

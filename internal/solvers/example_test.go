@@ -30,7 +30,7 @@ func ExampleSolve() {
 	fmt.Println("converged:", res.Converged)
 	// The exact solution of the 1D Poisson problem with b = 1 is the
 	// parabola x_i = (i+1)(n-i)/2; spot-check the midpoint.
-	fmt.Printf("x[7] = %.6f (exact %.1f)\n", p.SolData(0)[7], 8.0*9.0/2.0)
+	fmt.Printf("x[7] = %.6f (exact %.1f)\n", p.VecData(core.SOL, 0)[7], 8.0*9.0/2.0)
 	// Output:
 	// converged: true
 	// x[7] = 36.000000 (exact 36.0)

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"kdrsolvers/internal/core"
 	"kdrsolvers/internal/fault"
 	"kdrsolvers/internal/sparse"
 	"kdrsolvers/internal/taskrt"
@@ -51,7 +52,7 @@ func TestFaultBreakdownGuards(t *testing.T) {
 			if math.IsNaN(res.Residual) || math.IsInf(res.Residual, 0) {
 				t.Fatalf("%s residual = %g, want finite after guarded breakdown", name, res.Residual)
 			}
-			for _, v := range p.SolData(0) {
+			for _, v := range p.VecData(core.SOL, 0) {
 				if math.IsNaN(v) {
 					t.Fatalf("%s left NaN in the iterate", name)
 				}
@@ -94,20 +95,20 @@ func TestFaultCheckpointRestoreRoundtrip(t *testing.T) {
 	RunIterations(s, 3)
 	p.Drain()
 	ckpt := p.CheckpointSol()
-	saved := append([]float64{}, p.SolData(0)...)
+	saved := append([]float64{}, p.VecData(core.SOL, 0)...)
 
 	RunIterations(s, 3)
 	p.Drain()
-	if maxAbsDiff(saved, p.SolData(0)) == 0 {
+	if maxAbsDiff(saved, p.VecData(core.SOL, 0)) == 0 {
 		t.Fatal("iterating did not move the solution; roundtrip test is vacuous")
 	}
 	p.RestoreSol(ckpt)
-	if d := maxAbsDiff(saved, p.SolData(0)); d != 0 {
+	if d := maxAbsDiff(saved, p.VecData(core.SOL, 0)); d != 0 {
 		t.Fatalf("restored solution off by %g", d)
 	}
 	// The checkpoint is a snapshot, not an alias: later restores are
 	// unaffected by solver progress after CheckpointSol.
-	if maxAbsDiff(ckpt[0], p.SolData(0)[:len(ckpt[0])]) != 0 {
+	if maxAbsDiff(ckpt[0], p.VecData(core.SOL, 0)[:len(ckpt[0])]) != 0 {
 		t.Fatal("checkpoint does not match restored data")
 	}
 }
@@ -132,7 +133,7 @@ func TestFaultSolveResilientCleanRun(t *testing.T) {
 	if res.Checkpoints == 0 {
 		t.Fatal("no checkpoints taken")
 	}
-	if d := maxAbsDiff(p.SolData(0), want); d > 1e-8 {
+	if d := maxAbsDiff(p.VecData(core.SOL, 0), want); d > 1e-8 {
 		t.Fatalf("solution off by %g", d)
 	}
 
@@ -211,7 +212,7 @@ func TestFaultSolveResilientRecoversFromInjectedPanics(t *testing.T) {
 	}
 	// The tolerance was verified against the TRUE residual, so the
 	// solution itself must be good regardless of what failed on the way.
-	x := p.SolData(0)
+	x := p.VecData(core.SOL, 0)
 	r := make([]float64, len(b))
 	sparse.SpMV(a, r, x)
 	var rr float64

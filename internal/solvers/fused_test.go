@@ -45,7 +45,7 @@ func runBitwisePair(t *testing.T, name string, steps int,
 		su.Step()
 		pf.Drain()
 		pu.Drain()
-		xf, xu := pf.SolData(0), pu.SolData(0)
+		xf, xu := pf.VecData(core.SOL, 0), pu.VecData(core.SOL, 0)
 		for j := range xf {
 			if xf[j] != xu[j] {
 				t.Fatalf("%s: step %d: fused x[%d]=%v != unfused %v",
@@ -97,7 +97,7 @@ func TestPipeCGAgreesWithCG(t *testing.T) {
 	if !rc.Converged || !rp.Converged {
 		t.Fatalf("convergence: cg=%+v pipecg=%+v", rc, rp)
 	}
-	if d := maxAbsDiff(pc.SolData(0), pp.SolData(0)); d > 1e-8 {
+	if d := maxAbsDiff(pc.VecData(core.SOL, 0), pp.VecData(core.SOL, 0)); d > 1e-8 {
 		t.Fatalf("pipecg solution diverged from cg: max |Δx| = %g", d)
 	}
 	// The pipelined measure lags one update, so it may take an extra

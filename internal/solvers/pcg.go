@@ -6,8 +6,7 @@ import "kdrsolvers/internal/core"
 // the user-supplied preconditioner P ≈ A⁻¹ applied through the planner's
 // PSolve operation. The paper's Section 7 notes that extending classical
 // preconditioners to multi-operator systems is future work; package
-// precond provides Jacobi and block-Jacobi constructions that PCG
-// consumes.
+// precond provides the Jacobi construction that PCG consumes.
 //
 // The fused step batches the r·z and r·r reductions into one combine
 // (core.DotBatch) and fuses the solution/residual updates into one

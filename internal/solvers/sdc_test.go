@@ -15,7 +15,7 @@ import (
 // checksum) with the machinery under test.
 func drainedResidual(a sparse.Matrix, p *core.Planner, b []float64) float64 {
 	p.Drain()
-	return hostTrueResidual(a, p.SolData(0), b)
+	return hostTrueResidual(a, p.VecData(core.SOL, 0), b)
 }
 
 // singleFlipPlan plants exactly one exponent-bit flip in the first fused
@@ -150,7 +150,7 @@ func TestSDCSelectiveRecoveryKeepsHealthyPieces(t *testing.T) {
 	s := NewCG(p)
 	RunIterations(s, 5)
 	p.Drain()
-	d := p.SolData(0)
+	d := p.VecData(core.SOL, 0)
 	d[20] = fault.FlipBit(d[20], 52) // piece 1 of 4 × 16 entries
 
 	res := SolveResilient(p, func() Solver { return NewCG(p) }, ResilientConfig{
@@ -212,7 +212,7 @@ func TestSDCReplaceResidualRebases(t *testing.T) {
 	// Corrupt the maintained residual vector r (workspace index: pv, q, r
 	// are allocated in order; use the solver's own state via reflection-free
 	// means — corrupt x instead, which desynchronizes r from b − A·x).
-	d := p.SolData(0)
+	d := p.VecData(core.SOL, 0)
 	d[3] = fault.FlipBit(d[3], 52)
 
 	rep := s.ReplaceResidual(1e-6)

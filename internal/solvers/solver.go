@@ -36,53 +36,46 @@ type Solver interface {
 	Name() string
 }
 
-// New constructs the named solver on a planner. Recognized names are
-// "cg", "pipecg", "bicgstab", "gmres" (restart 10, as in the paper's
-// benchmarks), "minres", "bicg", "pcg", "cgs", and the
-// communication-avoiding family: "sstep-cg" (s = 4), "pgmres"
-// (pipelined GMRES(10)), and "gcrodr" (GCRO-DR(10, 4), recycling
-// disabled without an explicit cache). The ablation names
-// "cg-unfused", "pcg-unfused", and "bicgstab-unfused" select the
-// pre-fusion per-operation formulations — the paper's measured
-// configuration — and are deliberately left out of Names. It panics on
-// an unknown name.
+// table is the one statement of which solvers exist, in the order Names
+// lists them: "gmres" is GMRES(10) as in the paper's benchmarks,
+// "sstep-cg" has s = 4, "pgmres" is pipelined GMRES(10) and "gcrodr" is
+// GCRO-DR(10, 4) with recycling disabled (no cache).
+var table = []struct {
+	name string
+	new  func(p *core.Planner) Solver
+}{
+	{"cg", func(p *core.Planner) Solver { return NewCG(p) }},
+	{"pipecg", func(p *core.Planner) Solver { return NewPipeCG(p) }},
+	{"bicgstab", func(p *core.Planner) Solver { return NewBiCGStab(p) }},
+	{"gmres", func(p *core.Planner) Solver { return NewGMRES(p, 10) }},
+	{"minres", func(p *core.Planner) Solver { return NewMINRES(p) }},
+	{"bicg", func(p *core.Planner) Solver { return NewBiCG(p) }},
+	{"pcg", func(p *core.Planner) Solver { return NewPCG(p) }},
+	{"cgs", func(p *core.Planner) Solver { return NewCGS(p) }},
+	{"sstep-cg", func(p *core.Planner) Solver { return NewSStepCG(p, 4) }},
+	{"pgmres", func(p *core.Planner) Solver { return NewPGMRES(p, 10) }},
+	{"gcrodr", func(p *core.Planner) Solver { return NewGCRODR(p, 10, 4, nil) }},
+}
+
+// New constructs the named solver on a planner. The recognized names
+// are Names; it panics on any other.
 func New(name string, p *core.Planner) Solver {
-	switch name {
-	case "cg":
-		return NewCG(p)
-	case "cg-unfused":
-		return NewCGUnfused(p)
-	case "pipecg":
-		return NewPipeCG(p)
-	case "bicgstab":
-		return NewBiCGStab(p)
-	case "bicgstab-unfused":
-		return NewBiCGStabUnfused(p)
-	case "gmres":
-		return NewGMRES(p, 10)
-	case "minres":
-		return NewMINRES(p)
-	case "bicg":
-		return NewBiCG(p)
-	case "pcg":
-		return NewPCG(p)
-	case "pcg-unfused":
-		return NewPCGUnfused(p)
-	case "cgs":
-		return NewCGS(p)
-	case "sstep-cg":
-		return NewSStepCG(p, 4)
-	case "pgmres":
-		return NewPGMRES(p, 10)
-	case "gcrodr":
-		return NewGCRODR(p, 10, 4, nil)
+	for _, e := range table {
+		if e.name == name {
+			return e.new(p)
+		}
 	}
 	panic(fmt.Sprintf("solvers: unknown solver %q", name))
 }
 
 // Names lists the recognized solver names.
-var Names = []string{"cg", "pipecg", "bicgstab", "gmres", "minres", "bicg", "pcg", "cgs",
-	"sstep-cg", "pgmres", "gcrodr"}
+var Names = func() []string {
+	names := make([]string, len(table))
+	for i, e := range table {
+		names[i] = e.name
+	}
+	return names
+}()
 
 // RunIterations executes exactly n steps without convergence checks —
 // the paper's benchmark mode (tolerances were set to extreme values to

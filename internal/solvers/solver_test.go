@@ -1,6 +1,7 @@
 package solvers
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -63,6 +64,39 @@ func planFor(a sparse.Matrix, b []float64, pieces int) *core.Planner {
 	return p
 }
 
+// The set of solvers is stated once, in table: every name Names lists
+// constructs through New and steps, and any other name — the unfused
+// twins have constructors but no name — panics as unknown.
+func TestNewConstructsExactlyNames(t *testing.T) {
+	a := sparse.Laplacian2D(8, 8)
+	if len(Names) != len(table) {
+		t.Fatalf("Names has %d entries, table %d", len(Names), len(table))
+	}
+	for i, name := range Names {
+		if table[i].name != name {
+			t.Errorf("Names[%d] = %q, table says %q", i, name, table[i].name)
+		}
+		p := pcgPlanFor(a, fusedRHS(64), 2) // the preconditioner is for "pcg"
+		New(name, p).Step()
+		p.Drain()
+		if err := p.Runtime().Err(); err != nil {
+			t.Errorf("%s: first step failed: %v", name, err)
+		}
+	}
+	p := pcgPlanFor(a, fusedRHS(64), 2)
+	for _, name := range []string{"cg-unfused", "pcg-unfused", "bicgstab-unfused", "sor", ""} {
+		func() {
+			defer func() {
+				want := fmt.Sprintf("solvers: unknown solver %q", name)
+				if got := recover(); got != want {
+					t.Errorf("New(%q) panicked with %v, want %q", name, got, want)
+				}
+			}()
+			New(name, p)
+		}()
+	}
+}
+
 func maxAbsDiff(a, b []float64) float64 {
 	var m float64
 	for i := range a {
@@ -105,7 +139,7 @@ func TestCGSolvesPoisson(t *testing.T) {
 		if !res.Converged {
 			t.Fatalf("pieces=%d: CG did not converge: %+v", pieces, res)
 		}
-		if d := maxAbsDiff(p.SolData(0), want); d > 1e-8 {
+		if d := maxAbsDiff(p.VecData(core.SOL, 0), want); d > 1e-8 {
 			t.Errorf("pieces=%d: CG solution off by %g", pieces, d)
 		}
 	}
@@ -132,7 +166,7 @@ func TestCGOnAllStencils(t *testing.T) {
 			t.Errorf("%s: CG failed: %+v", a.Format(), res)
 			continue
 		}
-		if d := maxAbsDiff(p.SolData(0), want); d > 1e-7 {
+		if d := maxAbsDiff(p.VecData(core.SOL, 0), want); d > 1e-7 {
 			t.Errorf("%s: solution off by %g", a.Format(), d)
 		}
 	}
@@ -152,7 +186,7 @@ func TestCGMatrixFreeOperator(t *testing.T) {
 	if !res.Converged {
 		t.Fatalf("CG on matrix-free operator failed: %+v", res)
 	}
-	if d := maxAbsDiff(p.SolData(0), want); d > 1e-8 {
+	if d := maxAbsDiff(p.VecData(core.SOL, 0), want); d > 1e-8 {
 		t.Errorf("solution off by %g", d)
 	}
 }
@@ -172,7 +206,7 @@ func TestCGResidualMonotoneInANorm(t *testing.T) {
 	for it := 0; it < 24; it++ {
 		s.Step()
 		p.Drain()
-		x := p.SolData(0)
+		x := p.VecData(core.SOL, 0)
 		// e_A² = (x-x*)ᵀ A (x-x*).
 		e := make([]float64, 24)
 		for i := range e {
@@ -204,7 +238,7 @@ func TestBiCGStabSolvesNonsymmetric(t *testing.T) {
 	if !res.Converged {
 		t.Fatalf("BiCGStab failed: %+v", res)
 	}
-	if d := maxAbsDiff(p.SolData(0), want); d > 1e-7 {
+	if d := maxAbsDiff(p.VecData(core.SOL, 0), want); d > 1e-7 {
 		t.Errorf("solution off by %g", d)
 	}
 }
@@ -221,7 +255,7 @@ func TestGMRESSolvesNonsymmetric(t *testing.T) {
 	// Convergence measure updates at restart boundaries; run whole cycles.
 	RunIterations(s, 120)
 	p.Drain()
-	if d := maxAbsDiff(p.SolData(0), want); d > 1e-6 {
+	if d := maxAbsDiff(p.VecData(core.SOL, 0), want); d > 1e-6 {
 		t.Errorf("GMRES solution off by %g", d)
 	}
 }
@@ -256,7 +290,7 @@ func TestMINRESSolvesSPD(t *testing.T) {
 	if !res.Converged {
 		t.Fatalf("MINRES failed: %+v", res)
 	}
-	if d := maxAbsDiff(p.SolData(0), want); d > 1e-6 {
+	if d := maxAbsDiff(p.VecData(core.SOL, 0), want); d > 1e-6 {
 		t.Errorf("solution off by %g", d)
 	}
 }
@@ -289,7 +323,7 @@ func TestMINRESSolvesIndefinite(t *testing.T) {
 	if !res.Converged {
 		t.Fatalf("MINRES on indefinite system failed: %+v", res)
 	}
-	if d := maxAbsDiff(p.SolData(0), want); d > 1e-6 {
+	if d := maxAbsDiff(p.VecData(core.SOL, 0), want); d > 1e-6 {
 		t.Errorf("solution off by %g", d)
 	}
 }
@@ -307,7 +341,7 @@ func TestBiCGSolvesNonsymmetric(t *testing.T) {
 	if !res.Converged {
 		t.Fatalf("BiCG failed: %+v", res)
 	}
-	if d := maxAbsDiff(p.SolData(0), want); d > 1e-7 {
+	if d := maxAbsDiff(p.VecData(core.SOL, 0), want); d > 1e-7 {
 		t.Errorf("solution off by %g", d)
 	}
 }
@@ -350,7 +384,7 @@ func TestPCGWithJacobi(t *testing.T) {
 	if !res.Converged {
 		t.Fatalf("PCG failed: %+v", res)
 	}
-	if d := maxAbsDiff(p.SolData(0), want); d > 1e-7 {
+	if d := maxAbsDiff(p.VecData(core.SOL, 0), want); d > 1e-7 {
 		t.Errorf("solution off by %g", d)
 	}
 	if res.Iterations >= plainRes.Iterations {
@@ -395,7 +429,7 @@ func TestMultiOperatorCGMatchesSingle(t *testing.T) {
 	if !res.Converged {
 		t.Fatalf("multi-operator CG failed: %+v", res)
 	}
-	got := append(append([]float64{}, p.SolData(0)...), p.SolData(1)...)
+	got := append(append([]float64{}, p.VecData(core.SOL, 0)...), p.VecData(core.SOL, 1)...)
 	if d := maxAbsDiff(got, want); d > 1e-7 {
 		t.Errorf("multi-operator solution off by %g", d)
 	}
@@ -489,7 +523,7 @@ func TestCGSSolvesNonsymmetric(t *testing.T) {
 	if !res.Converged {
 		t.Fatalf("CGS failed: %+v", res)
 	}
-	if d := maxAbsDiff(p.SolData(0), want); d > 1e-6 {
+	if d := maxAbsDiff(p.VecData(core.SOL, 0), want); d > 1e-6 {
 		t.Errorf("solution off by %g", d)
 	}
 }
@@ -510,75 +544,8 @@ func TestCGSMatchesBiCGStabSolution(t *testing.T) {
 	if !r1.Converged || !r2.Converged {
 		t.Fatalf("convergence: cgs=%+v bicgstab=%+v", r1, r2)
 	}
-	if d := maxAbsDiff(p1.SolData(0), p2.SolData(0)); d > 1e-7 {
+	if d := maxAbsDiff(p1.VecData(core.SOL, 0), p2.VecData(core.SOL, 0)); d > 1e-7 {
 		t.Errorf("solutions differ by %g", d)
-	}
-}
-
-func TestChebyshevSolvesWithKnownBounds(t *testing.T) {
-	// 1D Laplacian eigenvalues are 2 - 2cos(kπ/(n+1)) ∈ (0, 4).
-	n := int64(40)
-	a := sparse.Laplacian1D(n)
-	lmin := 2 - 2*math.Cos(math.Pi/float64(n+1))
-	lmax := 2 - 2*math.Cos(float64(n)*math.Pi/float64(n+1))
-	b := make([]float64, n)
-	for i := range b {
-		b[i] = math.Sin(float64(i)/5) + 1
-	}
-	want := denseSolve(a, b)
-	p := planFor(a, b, 2)
-	s := NewChebyshev(p, lmin, lmax)
-	res := Solve(s, 1e-9, 2000)
-	p.Drain()
-	if !res.Converged {
-		t.Fatalf("Chebyshev failed: %+v", res)
-	}
-	if d := maxAbsDiff(p.SolData(0), want); d > 1e-6 {
-		t.Errorf("solution off by %g", d)
-	}
-}
-
-func TestChebyshevIterationIsReductionFree(t *testing.T) {
-	// The headline property: fixed-iteration Chebyshev launches no
-	// reduction tasks at all.
-	a := sparse.Laplacian1D(32)
-	p := planFor(a, make([]float64, 32), 4)
-	s := NewChebyshev(p, 0.01, 4)
-	before := p.Runtime().Graph().Len()
-	RunIterations(s, 10)
-	p.Drain()
-	g := p.Runtime().Graph()
-	for _, nd := range g.Nodes[before:] {
-		if nd.Name == "dot.partial" || nd.Name == "dot.reduce" {
-			t.Fatalf("Chebyshev iteration launched a reduction: %s", nd.Name)
-		}
-	}
-}
-
-func TestChebyshevValidation(t *testing.T) {
-	a := sparse.Laplacian1D(4)
-	p := planFor(a, make([]float64, 4), 1)
-	for _, fn := range []func(){
-		func() { NewChebyshev(p, 0, 1) },
-		func() { NewChebyshev(p, 2, 1) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic")
-				}
-			}()
-			fn()
-		}()
-	}
-	// Degenerate single-point spectrum converges in a few iterations.
-	id := sparse.Identity(6)
-	b := []float64{1, 2, 3, 4, 5, 6}
-	p2 := planFor(id, b, 2)
-	res := Solve(NewChebyshev(p2, 1, 1), 1e-12, 50)
-	p2.Drain()
-	if !res.Converged {
-		t.Fatalf("identity system failed: %+v", res)
 	}
 }
 
@@ -618,7 +585,7 @@ func TestGMRESHappyBreakdown(t *testing.T) {
 	if res.Iterations >= 10 {
 		t.Fatalf("converged in %d iterations, want fewer than the restart length", res.Iterations)
 	}
-	if diff := maxAbsDiff(p.SolData(0), want); diff > 1e-8 {
+	if diff := maxAbsDiff(p.VecData(core.SOL, 0), want); diff > 1e-8 {
 		t.Errorf("solution off by %g", diff)
 	}
 }

@@ -43,9 +43,6 @@ type SStepCG struct {
 	shifts []float64
 	alphas []float64 // coefficient history for Ritz recovery
 	betas  []float64
-	// switches counts monomial→Newton basis changes (observable by tests
-	// and telemetry).
-	switches int
 }
 
 // monomialCondLimit is the Gram-diagonal growth ratio beyond which the
@@ -92,10 +89,6 @@ func (s *SStepCG) ConvergenceMeasure() *core.Scalar { return s.res }
 
 // Breakdown implements BreakdownChecker.
 func (s *SStepCG) Breakdown() error { return s.flag.get() }
-
-// BasisSwitches reports how many times the solver abandoned the
-// monomial basis for a Newton basis.
-func (s *SStepCG) BasisSwitches() int { return s.switches }
 
 // Step implements Solver: one s-iteration block — two powers sweeps,
 // one Gram reduction, s host-side coefficient iterations, one fused
@@ -284,7 +277,6 @@ func (s *SStepCG) maybeSwitchBasis(gm [][]float64, condFailed bool) {
 	for i := range s.shifts {
 		s.shifts[i] = ritz[i%len(ritz)]
 	}
-	s.switches++
 }
 
 // VerifyConvergence implements ConvergenceVerifier: the block measure is

@@ -2,6 +2,8 @@ package solvers
 
 import (
 	"testing"
+
+	"kdrsolvers/internal/core"
 )
 
 // CheckpointSol/RestoreSol land host-side writes in the middle of a
@@ -35,7 +37,7 @@ func TestTraceCheckpointRestoreMidSplice(t *testing.T) {
 				t.Fatal("trace replay never engaged — the mid-splice scenario is vacuous")
 			}
 		}
-		return append([]float64(nil), p.SolData(0)...)
+		return append([]float64(nil), p.VecData(core.SOL, 0)...)
 	}
 	want := run(false)
 	got := run(true)

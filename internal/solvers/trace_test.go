@@ -31,7 +31,7 @@ func TestCGTracedMatchesUntraced(t *testing.T) {
 	RunIterations(st, 30)
 	pa.Drain()
 	pt.Drain()
-	if d := maxAbsDiff(pa.SolData(0), pt.SolData(0)); d > 1e-12 {
+	if d := maxAbsDiff(pa.VecData(core.SOL, 0), pt.VecData(core.SOL, 0)); d > 1e-12 {
 		t.Fatalf("traced CG diverged from untraced: max |Δx| = %g", d)
 	}
 	st1 := pt.Runtime().Stats()
@@ -88,7 +88,7 @@ func TestGMRESTracedMatchesUntraced(t *testing.T) {
 	RunIterations(st, 40)
 	pa.Drain()
 	pt.Drain()
-	if d := maxAbsDiff(pa.SolData(0), pt.SolData(0)); d > 1e-12 {
+	if d := maxAbsDiff(pa.VecData(core.SOL, 0), pt.VecData(core.SOL, 0)); d > 1e-12 {
 		t.Fatalf("traced GMRES diverged from untraced: max |Δx| = %g", d)
 	}
 	if hits := pt.Runtime().Stats().TraceHits; hits < 2 {
@@ -122,7 +122,7 @@ func TestAllSolversTracedMatchUntraced(t *testing.T) {
 		RunIterations(st, 12)
 		pa.Drain()
 		pt.Drain()
-		if d := maxAbsDiff(pa.SolData(0), pt.SolData(0)); d > 1e-10 {
+		if d := maxAbsDiff(pa.VecData(core.SOL, 0), pt.VecData(core.SOL, 0)); d > 1e-10 {
 			t.Errorf("%s: traced solve diverged from untraced: max |Δx| = %g", name, d)
 		}
 	}

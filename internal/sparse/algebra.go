@@ -1,16 +1,7 @@
 package sparse
 
-// Sparse matrix algebra used by preconditioner construction: addition,
-// scaling, identity, and sparse-times-sparse products (SpGEMM).
-
-// Identity returns the n × n identity in CSR form.
-func Identity(n int64) *CSR {
-	coords := make([]Coord, n)
-	for i := int64(0); i < n; i++ {
-		coords[i] = Coord{Row: i, Col: i, Val: 1}
-	}
-	return CSRFromCoords(n, n, coords)
-}
+// Sparse matrix algebra on CSR operands: diagonals, block-diagonal
+// replication and addition.
 
 // DiagonalCSR returns diag(d) in CSR form.
 func DiagonalCSR(d []float64) *CSR {
@@ -78,85 +69,11 @@ func BlockDiag(a *CSR, k int) *CSR {
 	return NewCSR(int64(k)*a.rows, int64(k)*a.cols, rowptr, colIdx, vals)
 }
 
-// Scale returns α·A in CSR form.
-func Scale(a *CSR, alpha float64) *CSR {
-	coords := CoordsFromCSR(a)
-	for i := range coords {
-		coords[i].Val *= alpha
-	}
-	return CSRFromCoords(a.rows, a.cols, coords)
-}
-
 // Add returns A + B in CSR form; shapes must match.
 func Add(a, b *CSR) *CSR {
 	if a.rows != b.rows || a.cols != b.cols {
 		panic("sparse: Add shape mismatch")
 	}
 	coords := append(CoordsFromCSR(a), CoordsFromCSR(b)...)
-	return CSRFromCoords(a.rows, a.cols, coords)
-}
-
-// MatMul returns the sparse product A·B in CSR form using the classic
-// Gustavson row-by-row algorithm. A is rows×k, B is k×cols.
-func MatMul(a, b *CSR) *CSR {
-	if a.cols != b.rows {
-		panic("sparse: MatMul inner dimension mismatch")
-	}
-	rowptr := make([]int64, a.rows+1)
-	var colIdx []int64
-	var vals []float64
-	// Dense accumulator with a generation counter avoids clearing.
-	acc := make([]float64, b.cols)
-	gen := make([]int64, b.cols)
-	var cur int64
-	var touched []int64
-	for i := int64(0); i < a.rows; i++ {
-		cur++
-		touched = touched[:0]
-		for ka := a.rowptr[i]; ka < a.rowptr[i+1]; ka++ {
-			j := a.colIdx[ka]
-			av := a.vals[ka]
-			for kb := b.rowptr[j]; kb < b.rowptr[j+1]; kb++ {
-				c := b.colIdx[kb]
-				if gen[c] != cur {
-					gen[c] = cur
-					acc[c] = 0
-					touched = append(touched, c)
-				}
-				acc[c] += av * b.vals[kb]
-			}
-		}
-		sortInt64(touched)
-		for _, c := range touched {
-			colIdx = append(colIdx, c)
-			vals = append(vals, acc[c])
-		}
-		rowptr[i+1] = int64(len(vals))
-	}
-	return NewCSR(a.rows, b.cols, rowptr, colIdx, vals)
-}
-
-// sortInt64 is an insertion sort; SpGEMM rows are short.
-func sortInt64(s []int64) {
-	for i := 1; i < len(s); i++ {
-		v := s[i]
-		j := i - 1
-		for j >= 0 && s[j] > v {
-			s[j+1] = s[j]
-			j--
-		}
-		s[j+1] = v
-	}
-}
-
-// DropTiny returns A with entries of magnitude below eps removed
-// (structural zeros from cancellation bloat polynomial preconditioners).
-func DropTiny(a *CSR, eps float64) *CSR {
-	var coords []Coord
-	for _, c := range CoordsFromCSR(a) {
-		if c.Val >= eps || c.Val <= -eps {
-			coords = append(coords, c)
-		}
-	}
 	return CSRFromCoords(a.rows, a.cols, coords)
 }

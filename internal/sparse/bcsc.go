@@ -131,9 +131,6 @@ func (a *BCSC) NNZ() int64 { return int64(len(a.vals)) }
 // Format implements Matrix.
 func (a *BCSC) Format() string { return "BCSC" }
 
-// BlockShape returns the (br, bd) block dimensions.
-func (a *BCSC) BlockShape() (int64, int64) { return a.br, a.bd }
-
 // MultiplyAddPart implements Matrix.
 func (a *BCSC) MultiplyAddPart(y, x []float64, kset index.IntervalSet) {
 	CheckShapes(a, y, x)

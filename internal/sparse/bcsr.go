@@ -144,9 +144,6 @@ func (a *BCSR) NNZ() int64 { return int64(len(a.vals)) }
 // Format implements Matrix.
 func (a *BCSR) Format() string { return "BCSR" }
 
-// BlockShape returns the (br, bd) block dimensions.
-func (a *BCSR) BlockShape() (int64, int64) { return a.br, a.bd }
-
 // MultiplyAddPart implements Matrix.
 func (a *BCSR) MultiplyAddPart(y, x []float64, kset index.IntervalSet) {
 	CheckShapes(a, y, x)

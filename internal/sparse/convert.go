@@ -43,15 +43,6 @@ func CSCFromCSR(a *CSR) *CSC {
 	return CSCFromCoords(a.rows, a.cols, CoordsFromCSR(a))
 }
 
-// Transpose returns the transpose of a CSR matrix as CSR.
-func Transpose(a *CSR) *CSR {
-	coords := CoordsFromCSR(a)
-	for i := range coords {
-		coords[i].Row, coords[i].Col = coords[i].Col, coords[i].Row
-	}
-	return CSRFromCoords(a.cols, a.rows, coords)
-}
-
 // Convert re-encodes a CSR matrix into the named storage format. It is
 // the dispatch used by format-sweep benchmarks. Block formats use 2 × 2
 // blocks, degrading per axis to width 1 when a dimension is odd, so any

@@ -71,7 +71,7 @@ func TestConvertNamedMatchesConvert(t *testing.T) {
 // unknown candidate name last (infinite footprint), not panic — the
 // profile path used to crash on one.
 func TestFormatFootprintUnknownIsInfinite(t *testing.T) {
-	p := ProfileCSR(Laplacian2D(4, 4))
+	p := ProfileRows(Laplacian2D(4, 4), 0, 16)
 	if fp := formatFootprint(p, "hypercube"); !math.IsInf(fp, 1) {
 		t.Errorf("unknown-format footprint = %g, want +Inf", fp)
 	}

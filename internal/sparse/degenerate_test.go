@@ -158,7 +158,7 @@ func TestProfileFeatures(t *testing.T) {
 		{Row: 1, Col: 0, Val: -1}, {Row: 1, Col: 1, Val: 2}, {Row: 1, Col: 2, Val: -1},
 		{Row: 3, Col: 2, Val: -1}, {Row: 3, Col: 3, Val: 2},
 	})
-	p := ProfileCSR(a)
+	p := ProfileRows(a, 0, 4)
 	if p.Rows != 4 || p.Cols != 4 || p.NNZ != 7 {
 		t.Fatalf("shape features: %+v", p)
 	}
@@ -319,19 +319,19 @@ func TestSelectFormatSane(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	for _, sh := range []struct{ rows, cols int64 }{{1, 1}, {16, 16}, {7, 31}, {40, 3}} {
 		a := randomCSRMatrix(r, sh.rows, sh.cols, 0.2)
-		f := SelectFormat(ProfileCSR(a))
+		f, _ := selectFormatCost(ProfileRows(a, 0, a.rows))
 		found := false
 		for _, g := range Formats {
 			found = found || f == g
 		}
 		if !found {
-			t.Errorf("SelectFormat returned unknown format %q", f)
+			t.Errorf("selectFormatCost returned unknown format %q", f)
 		}
 	}
 
 	tri := Laplacian2D(64, 1) // pure tridiagonal, all three diagonals dense
-	if f := SelectFormat(ProfileCSR(tri)); f != "DIA" {
-		t.Errorf("tridiagonal SelectFormat = %s, want DIA", f)
+	if f, _ := selectFormatCost(ProfileRows(tri, 0, tri.rows)); f != "DIA" {
+		t.Errorf("tridiagonal selectFormatCost = %s, want DIA", f)
 	}
 }
 

@@ -85,9 +85,6 @@ func (a *DIA) NNZ() int64 { return int64(len(a.vals)) }
 // Format implements Matrix.
 func (a *DIA) Format() string { return "DIA" }
 
-// NumDiagonals returns the number of stored diagonals.
-func (a *DIA) NumDiagonals() int { return len(a.offsets) }
-
 // MultiplyAddPart implements Matrix.
 func (a *DIA) MultiplyAddPart(y, x []float64, kset index.IntervalSet) {
 	CheckShapes(a, y, x)

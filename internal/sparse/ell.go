@@ -83,9 +83,6 @@ func (a *ELL) NNZ() int64 { return a.rows * a.width }
 // Format implements Matrix.
 func (a *ELL) Format() string { return "ELL" }
 
-// Width returns the fixed number of slots per row.
-func (a *ELL) Width() int64 { return a.width }
-
 // MultiplyAddPart implements Matrix.
 func (a *ELL) MultiplyAddPart(y, x []float64, kset index.IntervalSet) {
 	CheckShapes(a, y, x)

@@ -39,9 +39,6 @@ type Profile struct {
 	DiagCovered    float64 // DiagFilled / min(Rows, Cols)
 }
 
-// ProfileCSR profiles the whole matrix.
-func ProfileCSR(a *CSR) Profile { return ProfileRows(a, 0, a.rows) }
-
 // ProfileRows profiles the row band [r0, r1) of a CSR matrix. One O(nnz)
 // pass gathers every feature the format model consumes; the distinct
 // diagonals, column lengths and 2×2 blocks are counted in flat arrays
@@ -239,14 +236,9 @@ func formatFootprint(p Profile, format string) float64 {
 // explicit choices.
 var autoCandidates = []string{"CSR", "COO", "ELL", "DIA", "Dense"}
 
-// SelectFormat returns the format the calibrated model predicts fastest
-// for the profiled structure: argmin of formatCost across the candidate
-// set.
-func SelectFormat(p Profile) string {
-	f, _ := selectFormatCost(p)
-	return f
-}
-
+// selectFormatCost returns the format the calibrated model predicts
+// fastest for the profiled structure, and that prediction: argmin of
+// formatCost across the candidate set.
 func selectFormatCost(p Profile) (string, float64) {
 	best := "CSR"
 	bestCost := formatCost(p, best)

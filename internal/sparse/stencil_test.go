@@ -164,20 +164,6 @@ func TestStencilKindStrings(t *testing.T) {
 	}
 }
 
-func TestTranspose(t *testing.T) {
-	coords := []Coord{{0, 1, 2}, {1, 0, 3}, {2, 2, 4}, {0, 2, 5}}
-	a := CSRFromCoords(3, 3, coords)
-	at := Transpose(a)
-	da, dat := ToDense(a), ToDense(at)
-	for i := int64(0); i < 3; i++ {
-		for j := int64(0); j < 3; j++ {
-			if da[i*3+j] != dat[j*3+i] {
-				t.Fatalf("transpose mismatch at (%d,%d)", i, j)
-			}
-		}
-	}
-}
-
 func TestConvertDispatch(t *testing.T) {
 	a := Laplacian2D(4, 4)
 	want := ToDense(a)

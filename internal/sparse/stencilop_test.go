@@ -96,7 +96,7 @@ func TestDiagLayoutPaddingRuns(t *testing.T) {
 		for k := int64(0); k < m.Kernel().Size(); k++ {
 			pt := index.Span(k, k)
 			if m.RowRelation().Image(pt).Empty() {
-				padding.Add(k)
+				padding.AddInterval(index.Interval{Lo: k, Hi: k})
 				continue
 			}
 			m.MultiplyAddPart(y, x, pt)

@@ -12,48 +12,22 @@ import "sync"
 // ErrPoisoned). Value then returns NaN so legacy numeric consumers see an
 // unmistakably invalid number; Err and Result expose the cause.
 //
-// Futures come from a process-wide free pool (the launch hot path must
-// not allocate); a client that knows it holds the last reference may
-// hand a completed future back with Recycle. Launches whose result is
-// never read should instead set TaskSpec.Detached, which skips the
-// future entirely.
+// Launches whose result is never read should set TaskSpec.Detached,
+// which skips the future entirely.
 type Future struct {
 	mu   sync.Mutex
-	cond sync.Cond // cond.L is &mu, set once at pool insertion
+	cond sync.Cond // cond.L is &mu, set once by newFuture
 	done bool
 	val  float64
 	err  error
 }
 
-// futPool recycles Future storage. A future is one object including its
-// condition variable (cond is embedded by value and wired to mu when
-// the object is first built), so a pooled launch allocates nothing.
-var futPool = sync.Pool{New: func() any {
+// newFuture allocates a future as one object including its condition
+// variable (cond is embedded by value and wired to mu here).
+func newFuture() *Future {
 	f := &Future{}
 	f.cond.L = &f.mu
 	return f
-}}
-
-func newFuture() *Future {
-	return futPool.Get().(*Future)
-}
-
-// Recycle returns a completed future to the free pool. Callers must
-// hold the only remaining reference: no other goroutine may be blocked
-// in (or about to call) Value/Err/Result/Ready on it. Recycling is an
-// optional optimization for high-rate launch loops; letting the garbage
-// collector take the future is always safe.
-func (f *Future) Recycle() {
-	f.mu.Lock()
-	done := f.done
-	f.done = false
-	f.val = 0
-	f.err = nil
-	f.mu.Unlock()
-	if !done {
-		panic("taskrt: Recycle of an unresolved future")
-	}
-	futPool.Put(f)
 }
 
 // resolve delivers the value (and error state) and wakes all waiters.
@@ -65,9 +39,6 @@ func (f *Future) resolve(v float64, err error) {
 	f.mu.Unlock()
 	f.cond.Broadcast()
 }
-
-// set delivers a successful value.
-func (f *Future) set(v float64) { f.resolve(v, nil) }
 
 // Value blocks until the producing task completes, then returns the
 // result (NaN when the task failed or was poisoned).

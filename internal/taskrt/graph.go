@@ -45,16 +45,6 @@ func (g *Graph) Add(n Node) int64 {
 // Len returns the number of tasks in the graph.
 func (g Graph) Len() int { return len(g.Nodes) }
 
-// TotalCost returns the sum of all task compute costs — the serial
-// execution time, ignoring communication.
-func (g *Graph) TotalCost() float64 {
-	var t float64
-	for _, n := range g.Nodes {
-		t += n.Cost
-	}
-	return t
-}
-
 // DepLists returns the dependence lists indexed by task ID — the shape
 // the obs critical-path analyzer consumes. The inner slices share the
 // nodes' storage; callers must not modify them.

@@ -28,14 +28,6 @@ func (m RoundRobinMapper) SelectProc(_ string, color int) int {
 	return color % m.NumProcs
 }
 
-// FixedMapper sends every task to one processor. Useful in tests.
-type FixedMapper struct {
-	Proc int
-}
-
-// SelectProc implements Mapper.
-func (m FixedMapper) SelectProc(string, int) int { return m.Proc }
-
 // FuncMapper adapts a function to the Mapper interface.
 type FuncMapper func(name string, color int) int
 

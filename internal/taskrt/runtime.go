@@ -987,9 +987,3 @@ func (rt *Runtime) Stats() Stats {
 		Stragglers: c.stragglers.Load(), Corrupted: c.corrupted.Load(),
 	}
 }
-
-// String summarizes the runtime state.
-func (rt *Runtime) String() string {
-	st := rt.Stats()
-	return fmt.Sprintf("runtime(%d tasks, %d edges)", st.Launched, st.DepEdges)
-}

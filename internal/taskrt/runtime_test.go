@@ -321,9 +321,6 @@ func TestStressRandomDAGRespectsDependences(t *testing.T) {
 			}
 		}
 	}
-	if rt.String() == "" {
-		t.Fatal("String empty")
-	}
 }
 
 func TestGraphCostHelpers(t *testing.T) {
@@ -333,9 +330,6 @@ func TestGraphCostHelpers(t *testing.T) {
 	g.Add(Node{Name: "c", Cost: 4, Deps: []int64{a, b}})
 	if g.Len() != 3 {
 		t.Fatalf("Len = %d", g.Len())
-	}
-	if got := g.TotalCost(); got != 9 {
-		t.Fatalf("TotalCost = %g", got)
 	}
 	// Critical path: max(2,3) + 4 = 7.
 	if got := g.CriticalPathCost(); got != 7 {
@@ -350,9 +344,6 @@ func TestMappers(t *testing.T) {
 	}
 	if (RoundRobinMapper{}).SelectProc("x", 3) != 0 {
 		t.Error("degenerate round robin should pin to 0")
-	}
-	if (FixedMapper{Proc: 2}).SelectProc("x", 9) != 2 {
-		t.Error("fixed mapper wrong")
 	}
 	fm := FuncMapper(func(name string, color int) int { return color * 2 })
 	if fm.SelectProc("x", 3) != 6 {

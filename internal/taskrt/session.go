@@ -141,9 +141,6 @@ func (rt *Runtime) Sessions() int {
 	return len(rt.sessions)
 }
 
-// Name returns the session's name ("" for the default session).
-func (s *Session) Name() string { return s.name }
-
 // Runtime returns the runtime the session launches into.
 func (s *Session) Runtime() *Runtime { return s.rt }
 
@@ -494,14 +491,4 @@ func (s *Session) EndTrace() {
 	tmpl.lastFresh = at.fresh
 	tmpl.freshBufs[tmpl.flip] = at.fresh
 	tmpl.flip ^= 1
-}
-
-// String summarizes the session.
-func (s *Session) String() string {
-	st := s.Stats()
-	name := s.name
-	if name == "" {
-		name = "default"
-	}
-	return fmt.Sprintf("session(%s: %d tasks, %d edges)", name, st.Launched, st.DepEdges)
 }

@@ -417,11 +417,11 @@ func TestSessionsDiscoverNoCrossEdges(t *testing.T) {
 
 	for i, s := range sessions {
 		if got := s.Stats(); got != want {
-			t.Errorf("session %s: stats %+v shared vs %+v alone", s.Name(), got, want)
+			t.Errorf("session %s: stats %+v shared vs %+v alone", s.name, got, want)
 		}
 		for lane, v := range regions[i].Field("x") {
 			if v != rounds {
-				t.Errorf("session %s lane %d ran %g of %d chained updates", s.Name(), lane, v, rounds)
+				t.Errorf("session %s lane %d ran %g of %d chained updates", s.name, lane, v, rounds)
 			}
 		}
 	}

@@ -506,9 +506,6 @@ func (l *Log) Segments() int {
 	return len(l.sealed) + 1
 }
 
-// Dir returns the log's directory.
-func (l *Log) Dir() string { return l.dir }
-
 // Close syncs and closes the log. Further operations fail with
 // ErrClosed.
 func (l *Log) Close() error {
