@@ -425,6 +425,50 @@ func TestStencilSizeIsBounded(t *testing.T) {
 	}
 }
 
+// A format is a resource a client names as well: padded formats multiply
+// a matrix's size by its shape, so this 70-byte request asked
+// DenseFromMatrix for 262 144² × 8 B and the runtime died of it ("fatal
+// error: out of memory" is not a panic; nothing recovers it). The
+// conversion now refuses before allocating: the job finishes with an
+// error naming the format and the bound, and the server goes on serving.
+func TestFormatBlowUpIsBounded(t *testing.T) {
+	s := mustServer(t, Config{MaxActive: 1})
+	defer s.Drain()
+	ts := httptest.NewServer(Handler(s))
+	defer ts.Close()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	resp, err := http.Post(ts.URL+"/solve?wait=1", "application/json",
+		strings.NewReader(`{"matrix":"lap2d:512x512","format":"dense"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var view JobView
+	if err := json.NewDecoder(resp.Body).Decode(&view); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	runtime.ReadMemStats(&after)
+	if view.State != StateDone || view.Result == nil || view.Result.Converged ||
+		!strings.Contains(view.Result.Err, "Dense") || !strings.Contains(view.Result.Err, "above the bound") {
+		t.Fatalf("dense lap2d:512x512: %+v, result %+v", view, view.Result)
+	}
+	// The 262 144-row CSR and its vectors are ≈ 35 MB; the dense form
+	// would be 550 GB.
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<20 {
+		t.Errorf("refusing the conversion allocated %d bytes", grew)
+	}
+
+	j, err := s.Submit(testSpec(func(sp *jobspec.Spec) { sp.Matrix = "lap2d:32x32" }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := j.Result(); !res.Converged || res.Err != "" {
+		t.Fatalf("job after the refusal failed: %+v", res)
+	}
+}
+
 // pieces is a resource a client names. An absurd width is a 400 from
 // validation — before a partition with one interval set per color is
 // ever allocated — and a merely large one is cheap: the solve clamps the

@@ -1,10 +1,6 @@
 package solvers
 
-import (
-	"math"
-
-	"kdrsolvers/internal/core"
-)
+import "kdrsolvers/internal/core"
 
 // GMRES is the generalized minimal residual method of Saad and Schultz
 // with a static restart schedule GMRES(m) — the paper benchmarks m = 10,
@@ -12,31 +8,11 @@ import (
 // excluded from the paper's GMRES comparison).
 //
 // Each Step produces one Krylov basis vector via modified Gram-Schmidt
-// with deferred scalar coefficients. At the end of a cycle the small
-// (m+1) × m Hessenberg least-squares problem is solved host-side with
-// Givens rotations, which synchronizes — the only blocking point of the
-// method.
+// with deferred scalar coefficients; the restart cycle around the steps
+// is arnoldi's.
 type GMRES struct {
-	p     *core.Planner
-	m     int
-	basis []core.VecID // v₀ … v_m
-	w     core.VecID
-	h     [][]*core.Scalar // h[j][i], column j of the Hessenberg matrix
-	beta  *core.Scalar     // ‖r₀‖ at cycle start
-	j     int              // next column within the cycle
-	res   *core.Scalar
-	// ls maintains the incremental Givens least-squares estimate of the
-	// cycle residual on real planners, so the convergence measure tracks
-	// progress every step instead of freezing at the restart value. The
-	// estimate is a recurrence and can drift from the true residual across
-	// an ill-conditioned cycle; VerifyConvergence recomputes r = b − Ax
-	// before convergence is believed.
-	ls *givensLS
-	// tr is true while a per-cycle trace scope is open. GMRES traces the
-	// whole restart cycle (m Arnoldi steps + least-squares update +
-	// restart) as one instance: per-step scopes would never replay
-	// because each Arnoldi step has a different Gram-Schmidt depth.
-	tr bool
+	arnoldi
+	w core.VecID
 }
 
 // NewGMRES builds a GMRES solver with restart length m on a finalized
@@ -48,137 +24,22 @@ func NewGMRES(p *core.Planner, m int) *GMRES {
 	if m < 1 {
 		panic("solvers: GMRES restart length must be positive")
 	}
-	s := &GMRES{p: p, m: m, w: p.AllocateWorkspace(core.RhsShape)}
+	s := &GMRES{arnoldi: arnoldi{p: p, name: "gmres", m: m}, w: p.AllocateWorkspace(core.RhsShape)}
 	for i := 0; i <= m; i++ {
 		s.basis = append(s.basis, p.AllocateWorkspace(core.RhsShape))
 	}
+	s.restart = s.begin
 	s.restart()
 	return s
-}
-
-// restart begins a new cycle: v₀ = r/‖r‖ with r = b − Ax.
-func (s *GMRES) restart() {
-	p := s.p
-	p.BeginPhase("gmres.restart")
-	r := s.basis[0]
-	residualInit(p, r)
-	rr := p.Dot(r, r)
-	s.res = rr
-	s.beta = p.Sqrt(rr)
-	p.Scal(r, p.Div(p.Constant(1), s.beta)) // v₀ = r / β
-	s.h = make([][]*core.Scalar, 0, s.m)
-	s.j = 0
-	s.ls = nil
-	if !p.Virtual() {
-		s.ls = newGivensLS(s.beta.Value(), s.m)
-	}
 }
 
 // Name implements Solver.
 func (s *GMRES) Name() string { return "GMRES" }
 
-// ConvergenceMeasure implements Solver.
-func (s *GMRES) ConvergenceMeasure() *core.Scalar { return s.res }
-
-// Step implements Solver: one Arnoldi step; every m-th step also solves
-// the cycle's least-squares problem and updates x.
+// Step implements Solver: one Arnoldi step, w = A v_j orthogonalized
+// against v₀ … v_j; every m-th step also ends the cycle.
 func (s *GMRES) Step() {
-	p := s.p
-	p.BeginPhase("gmres.arnoldi")
-	if s.j == 0 {
-		s.tr = p.TraceBegin("gmres.cycle")
-	}
-	j := s.j
-	// w = A v_j, then modified Gram-Schmidt against v₀ … v_j.
-	p.Matmul(s.w, s.basis[j])
-	col := make([]*core.Scalar, j+2)
-	for i := 0; i <= j; i++ {
-		hij := p.Dot(s.w, s.basis[i])
-		col[i] = hij
-		p.Axpy(s.w, p.Neg(hij), s.basis[i])
-	}
-	hlast := p.Sqrt(p.Dot(s.w, s.w))
-	col[j+1] = hlast
-	s.h = append(s.h, col)
-	s.j++
-
-	// Happy breakdown: w vanished, so the Krylov space is invariant and
-	// the cycle's least-squares solution is exact. Normalizing would
-	// divide by zero and poison the basis with NaNs; instead solve the
-	// cycle with the columns built so far and restart. The check reads
-	// h_{j+1,j} (a per-step synchronization), so it is skipped on virtual
-	// planners, where every future resolves to zero and would trigger it
-	// spuriously.
-	if !p.Virtual() {
-		hv := hlast.Value()
-		if hv <= 1e-14*(1+math.Abs(s.beta.Value())) {
-			s.finishCycle()
-			s.restart()
-			// A short (happy-breakdown) cycle closes its scope too; the
-			// runtime records it as a miss and re-records the template.
-			p.TraceEnd(s.tr)
-			s.tr = false
-			return
-		}
-		// Fold the new column into the Givens recurrence: |g_{j+1}| is the
-		// cycle's least-squares residual, the per-step convergence measure.
-		vals := make([]float64, j+2)
-		for i, sc := range col {
-			vals[i] = sc.Value()
-		}
-		est := s.ls.push(vals)
-		s.res = p.Constant(est * est)
-	}
-
-	p.Copy(s.basis[j+1], s.w)
-	p.Scal(s.basis[j+1], p.Div(p.Constant(1), hlast))
-
-	if s.j == s.m {
-		s.finishCycle()
-		s.restart()
-		p.TraceEnd(s.tr)
-		s.tr = false
-	}
-}
-
-// finishCycle solves min‖βe₁ − H y‖ by Givens rotations host-side and
-// applies x += V y.
-func (s *GMRES) finishCycle() {
-	p := s.p
-	p.BeginPhase("gmres.update")
-	m := s.j
-	// Pull the Hessenberg entries and β (synchronizes), then solve the
-	// small least-squares problem with the shared Givens helper.
-	h := make([][]float64, m)
-	for j := 0; j < m; j++ {
-		h[j] = make([]float64, j+2)
-		for i := 0; i <= j+1; i++ {
-			h[j][i] = s.h[j][i].Value()
-		}
-	}
-	y, _ := solveHessenberg(h, s.beta.Value())
-
-	// x += Σ y_j v_j. Zero coefficients still launch so that real and
-	// virtual planners record identical graphs.
-	for j := 0; j < m; j++ {
-		if math.IsNaN(y[j]) {
-			continue
-		}
-		p.AxpyConst(core.SOL, y[j], s.basis[j])
-	}
-}
-
-// VerifyConvergence implements ConvergenceVerifier: the per-step Givens
-// estimate is a recurrence over rounded Hessenberg entries and can claim
-// convergence while drifting from the truth (the restart-boundary false
-// convergence this fixes). Finish the open cycle — which actually
-// updates x — restart, and report the honestly recomputed ‖b − Ax‖.
-func (s *GMRES) VerifyConvergence() float64 {
-	if s.j > 0 {
-		s.finishCycle()
-		s.restart()
-		s.p.TraceEnd(s.tr)
-		s.tr = false
-	}
-	return math.Sqrt(math.Max(s.res.Value(), 0))
+	j := s.open()
+	s.p.Matmul(s.w, s.basis[j])
+	s.mgsStep(s.w)
 }

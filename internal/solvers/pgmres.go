@@ -17,19 +17,12 @@ import (
 // axpy sweep, no extra SpMV), and the lost norm is recovered by
 // Pythagoras: h_{j+1,j} = √(‖z_j‖² − Σᵢ h²ᵢⱼ). The price is classical
 // Gram-Schmidt orthogonalization (slightly less stable than MGS) and
-// one extra basis copy per step.
+// one extra basis copy per step. The restart cycle around the steps is
+// arnoldi's.
 type PGMRES struct {
-	p     *core.Planner
-	m     int
-	basis []core.VecID // v₀ … v_m
-	z     []core.VecID // z_j = A v_j
-	u     core.VecID
-	h     [][]*core.Scalar
-	beta  *core.Scalar
-	j     int
-	res   *core.Scalar
-	ls    *givensLS // incremental residual estimate (real planners)
-	tr    bool
+	arnoldi
+	z []core.VecID // z_j = A v_j
+	u core.VecID
 }
 
 // NewPGMRES builds a pipelined GMRES solver with restart length m.
@@ -40,51 +33,27 @@ func NewPGMRES(p *core.Planner, m int) *PGMRES {
 	if m < 1 {
 		panic("solvers: PGMRES restart length must be positive")
 	}
-	s := &PGMRES{p: p, m: m, u: p.AllocateWorkspace(core.RhsShape)}
+	s := &PGMRES{arnoldi: arnoldi{p: p, name: "pgmres", m: m}, u: p.AllocateWorkspace(core.RhsShape)}
 	for i := 0; i <= m; i++ {
 		s.basis = append(s.basis, p.AllocateWorkspace(core.RhsShape))
 		s.z = append(s.z, p.AllocateWorkspace(core.RhsShape))
+	}
+	// A cycle begins as GMRES's does, plus z₀ = A·v₀.
+	s.restart = func() {
+		s.begin()
+		p.Matmul(s.z[0], s.basis[0])
 	}
 	s.restart()
 	return s
 }
 
-// restart begins a cycle: v₀ = r/‖r‖ with the recomputed true residual
-// r = b − Ax, and z₀ = A·v₀. The convergence measure is reset to the
-// honest ‖r‖², so a cycle boundary never inherits estimate drift.
-func (s *PGMRES) restart() {
-	p := s.p
-	p.BeginPhase("pgmres.restart")
-	r := s.basis[0]
-	residualInit(p, r)
-	rr := p.Dot(r, r)
-	s.res = rr
-	s.beta = p.Sqrt(rr)
-	p.Scal(r, p.Div(p.Constant(1), s.beta))
-	p.Matmul(s.z[0], r)
-	s.h = make([][]*core.Scalar, 0, s.m)
-	s.j = 0
-	s.ls = nil
-	if !p.Virtual() {
-		s.ls = newGivensLS(s.beta.Value(), s.m)
-	}
-}
-
 // Name implements Solver.
 func (s *PGMRES) Name() string { return "PGMRES" }
-
-// ConvergenceMeasure implements Solver: the squared Givens residual
-// estimate, updated every step (true residual at cycle boundaries).
-func (s *PGMRES) ConvergenceMeasure() *core.Scalar { return s.res }
 
 // Step implements Solver: one pipelined Arnoldi step.
 func (s *PGMRES) Step() {
 	p := s.p
-	p.BeginPhase("pgmres.arnoldi")
-	if s.j == 0 {
-		s.tr = p.TraceBegin("pgmres.cycle")
-	}
-	j := s.j
+	j := s.open()
 	zj := s.z[j]
 
 	// The step's single reduction: every Gram-Schmidt coefficient and the
@@ -107,30 +76,8 @@ func (s *PGMRES) Step() {
 		}
 		return math.Sqrt(math.Max(t, 0))
 	}, append([]*core.Scalar{dots[j+1]}, dots[:j+1]...)...)
-	s.h = append(s.h, col)
-	s.j++
-
-	if !p.Virtual() {
-		// Happy breakdown, as in GMRES: the deflated z vanished, the cycle
-		// solution is exact; solve and restart instead of dividing by ~0.
-		hv := col[j+1].Value()
-		if hv <= 1e-14*(1+math.Abs(s.beta.Value())) {
-			s.finishCycle()
-			s.restart()
-			p.TraceEnd(s.tr)
-			s.tr = false
-			return
-		}
-		// Per-step residual estimate from the incremental Givens
-		// least-squares recurrence (satellite: the estimate alone must
-		// never decide convergence — VerifyConvergence recomputes the true
-		// residual before Solve may stop).
-		vals := make([]float64, j+2)
-		for i, sc := range col {
-			vals[i] = sc.Value()
-		}
-		est := s.ls.push(vals)
-		s.res = p.Constant(est * est)
+	if s.push(col) {
+		return
 	}
 
 	// v_{j+1} = (z_j − Σ h_{ij} v_i)/h_{j+1,j} and the companion
@@ -148,47 +95,7 @@ func (s *PGMRES) Step() {
 	inv := p.Div(p.Constant(1), col[j+1])
 	p.Scal(s.basis[j+1], inv)
 	p.Scal(s.z[j+1], inv)
-
-	if s.j == s.m {
-		s.finishCycle()
-		s.restart()
-		p.TraceEnd(s.tr)
-		s.tr = false
-	}
-}
-
-// finishCycle solves the cycle's Hessenberg least-squares problem and
-// applies x += V y.
-func (s *PGMRES) finishCycle() {
-	p := s.p
-	p.BeginPhase("pgmres.update")
-	m := s.j
-	h := make([][]float64, m)
-	for j := 0; j < m; j++ {
-		h[j] = make([]float64, j+2)
-		for i, sc := range s.h[j] {
-			h[j][i] = sc.Value()
-		}
-	}
-	y, _ := solveHessenberg(h, s.beta.Value())
-	for j := 0; j < m; j++ {
-		if math.IsNaN(y[j]) {
-			continue
-		}
-		p.AxpyConst(core.SOL, y[j], s.basis[j])
-	}
-}
-
-// VerifyConvergence implements ConvergenceVerifier: finish the open
-// cycle (updating x), restart, and report the recomputed true residual.
-func (s *PGMRES) VerifyConvergence() float64 {
-	if s.j > 0 {
-		s.finishCycle()
-		s.restart()
-		s.p.TraceEnd(s.tr)
-		s.tr = false
-	}
-	return math.Sqrt(math.Max(s.res.Value(), 0))
+	s.endStep()
 }
 
 // ReplaceResidual implements ResidualReplacer. PGMRES's measure is the

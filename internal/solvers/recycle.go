@@ -19,7 +19,8 @@ import (
 // Across solves the space travels through a RecycleCache keyed by the
 // planner's operator fingerprint: sequences of systems sharing an
 // operator (examples/relatedsystems, examples/multirhs) warm-start each
-// solve with the previous one's deflation space.
+// solve with the previous one's deflation space. The restart cycle
+// around the deflated steps is arnoldi's.
 
 // maxRecycleEntries bounds the cache: a server recycling across many
 // distinct operators keeps the most recently used spaces instead of
@@ -112,21 +113,14 @@ func (c *RecycleCache) store(fp string, u [][]float64) {
 // GCRODR is the recycling solver. A nil cache still performs deflated
 // restarting within one solve; a shared cache adds cross-solve recycling.
 type GCRODR struct {
-	p     *core.Planner
-	m, k  int
+	arnoldi
+	k     int
 	cache *RecycleCache
-	basis []core.VecID // v₀ … v_m
 	w     core.VecID
-	uvec  []core.VecID // recycle space U
-	cvec  []core.VecID // C = A·U, orthonormal
-	nrec  int          // active recycle vectors (0 until first harvest)
-	h     [][]*core.Scalar
+	uvec  []core.VecID     // recycle space U
+	cvec  []core.VecID     // C = A·U, orthonormal
+	nrec  int              // active recycle vectors (0 until first harvest)
 	bcol  [][]*core.Scalar // deflation coefficients B[j][i] = ⟨A v_j, c_i⟩
-	beta  *core.Scalar
-	j     int
-	res   *core.Scalar
-	ls    *givensLS
-	tr    bool
 }
 
 // NewGCRODR builds a GCRO-DR solver with cycle length m keeping k
@@ -139,7 +133,8 @@ func NewGCRODR(p *core.Planner, m, k int, cache *RecycleCache) *GCRODR {
 	if m < 1 || k < 1 || k >= m {
 		panic("solvers: GCRO-DR needs 1 ≤ k < m")
 	}
-	s := &GCRODR{p: p, m: m, k: k, cache: cache, w: p.AllocateWorkspace(core.RhsShape)}
+	s := &GCRODR{arnoldi: arnoldi{p: p, name: "gcrodr", m: m}, k: k, cache: cache, w: p.AllocateWorkspace(core.RhsShape)}
+	s.restart, s.finish = s.projectedBegin, s.correctAndHarvest
 	for i := 0; i <= m; i++ {
 		s.basis = append(s.basis, p.AllocateWorkspace(core.RhsShape))
 	}
@@ -192,9 +187,9 @@ func (s *GCRODR) refreshC() {
 	}
 }
 
-// restart begins a cycle: recompute the true residual, project it
-// against the recycle space (improving x), and normalize v₀.
-func (s *GCRODR) restart() {
+// projectedBegin is the restart prologue: recompute the true residual,
+// project it against the recycle space (improving x), and normalize v₀.
+func (s *GCRODR) projectedBegin() {
 	p := s.p
 	p.BeginPhase("gcrodr.restart")
 	r := s.basis[0]
@@ -206,33 +201,17 @@ func (s *GCRODR) restart() {
 		p.Axpy(core.SOL, z, s.uvec[i])
 		p.Axpy(r, p.Neg(z), s.cvec[i])
 	}
-	rr := p.Dot(r, r)
-	s.res = rr
-	s.beta = p.Sqrt(rr)
-	p.Scal(r, p.Div(p.Constant(1), s.beta))
-	s.h = make([][]*core.Scalar, 0, s.m)
+	s.normalize()
 	s.bcol = make([][]*core.Scalar, 0, s.m)
-	s.j = 0
-	s.ls = nil
-	if !p.Virtual() {
-		s.ls = newGivensLS(s.beta.Value(), s.m)
-	}
 }
 
 // Name implements Solver.
 func (s *GCRODR) Name() string { return "GCRO-DR" }
 
-// ConvergenceMeasure implements Solver.
-func (s *GCRODR) ConvergenceMeasure() *core.Scalar { return s.res }
-
 // Step implements Solver: one deflated Arnoldi step.
 func (s *GCRODR) Step() {
 	p := s.p
-	p.BeginPhase("gcrodr.arnoldi")
-	if s.j == 0 {
-		s.tr = p.TraceBegin("gcrodr.cycle")
-	}
-	j := s.j
+	j := s.open()
 	p.Matmul(s.w, s.basis[j])
 	// Deflate against the recycle space: w ← (I − CCᵀ) A v_j, recording
 	// the C-components as the B coupling block.
@@ -243,75 +222,23 @@ func (s *GCRODR) Step() {
 		p.Axpy(s.w, p.Neg(bij), s.cvec[i])
 	}
 	s.bcol = append(s.bcol, bc)
-	col := make([]*core.Scalar, j+2)
-	for i := 0; i <= j; i++ {
-		hij := p.Dot(s.w, s.basis[i])
-		col[i] = hij
-		p.Axpy(s.w, p.Neg(hij), s.basis[i])
-	}
-	hlast := p.Sqrt(p.Dot(s.w, s.w))
-	col[j+1] = hlast
-	s.h = append(s.h, col)
-	s.j++
-
-	if !p.Virtual() {
-		hv := hlast.Value()
-		if hv <= 1e-14*(1+math.Abs(s.beta.Value())) {
-			s.finishCycle()
-			s.restart()
-			p.TraceEnd(s.tr)
-			s.tr = false
-			return
-		}
-		vals := make([]float64, j+2)
-		for i, sc := range col {
-			vals[i] = sc.Value()
-		}
-		est := s.ls.push(vals)
-		s.res = p.Constant(est * est)
-	}
-
-	p.Copy(s.basis[j+1], s.w)
-	p.Scal(s.basis[j+1], p.Div(p.Constant(1), hlast))
-
-	if s.j == s.m {
-		s.finishCycle()
-		s.restart()
-		p.TraceEnd(s.tr)
-		s.tr = false
-	}
+	s.mgsStep(s.w)
 }
 
-// finishCycle solves the cycle's least-squares problem, applies
-// x += V y − U (B y) (the C-block of A·(Vy) is cancelled through U, as
-// in GCRO), and harvests the next recycle space from the cycle's
-// smallest Ritz vectors.
-func (s *GCRODR) finishCycle() {
+// correctAndHarvest finishes a cycle after x += V y: it applies
+// x −= U (B y) (the C-block of A·(Vy) is cancelled through U, as in
+// GCRO) and harvests the next recycle space from the cycle's smallest
+// Ritz vectors.
+func (s *GCRODR) correctAndHarvest(h [][]float64, y []float64) {
 	p := s.p
-	p.BeginPhase("gcrodr.update")
-	m := s.j
-	h := make([][]float64, m)
-	for j := 0; j < m; j++ {
-		h[j] = make([]float64, j+2)
-		for i, sc := range s.h[j] {
-			h[j][i] = sc.Value()
-		}
-	}
-	y, _ := solveHessenberg(h, s.beta.Value())
-	for j := 0; j < m; j++ {
-		if math.IsNaN(y[j]) {
-			continue
-		}
-		p.AxpyConst(core.SOL, y[j], s.basis[j])
-	}
 	if s.nrec > 0 {
 		by := make([]float64, s.nrec)
-		for j := 0; j < m; j++ {
-			if math.IsNaN(y[j]) {
+		for j, yj := range y {
+			if math.IsNaN(yj) {
 				continue
 			}
 			for i := 0; i < s.nrec; i++ {
-				by[i] += s.bcol[j][i].Value() * y[j]
+				by[i] += s.bcol[j][i].Value() * yj
 			}
 		}
 		for i := 0; i < s.nrec; i++ {
@@ -320,14 +247,15 @@ func (s *GCRODR) finishCycle() {
 			}
 		}
 	}
-	s.harvest(h, m)
+	s.harvest(h)
 }
 
 // harvest replaces the recycle space with the cycle's k Ritz vectors of
 // smallest magnitude — U_t = Σ_j y_t[j] v_j, launched in the dataflow
 // (the runtime orders the reads before the next cycle overwrites the
 // basis) — and relinearizes C = A·U.
-func (s *GCRODR) harvest(h [][]float64, m int) {
+func (s *GCRODR) harvest(h [][]float64) {
+	m := len(h)
 	if s.p.Virtual() || m <= s.k {
 		return
 	}
@@ -380,17 +308,6 @@ func (s *GCRODR) harvest(h [][]float64, m int) {
 	}
 	s.nrec = s.k
 	s.refreshC()
-}
-
-// VerifyConvergence implements ConvergenceVerifier.
-func (s *GCRODR) VerifyConvergence() float64 {
-	if s.j > 0 {
-		s.finishCycle()
-		s.restart()
-		s.p.TraceEnd(s.tr)
-		s.tr = false
-	}
-	return math.Sqrt(math.Max(s.res.Value(), 0))
 }
 
 // SaveRecycleSpace publishes the current recycle space into the cache

@@ -13,6 +13,12 @@
 // independent work across operations and iterations. Only the driver's
 // convergence check — or a solver that genuinely needs host-side scalar
 // control flow, like GMRES's restart solve — synchronizes.
+//
+// GMRES, pipelined GMRES and GCRO-DR are one Arnoldi process with
+// different orthogonalization; the restart cycle they share (trace
+// scope, happy-breakdown test, Givens estimate, Hessenberg solve,
+// x += V y, VerifyConvergence) is the embedded arnoldi type, and each
+// method keeps only its step's column and its restart prologue.
 package solvers
 
 import (

@@ -550,42 +550,57 @@ func TestCGSMatchesBiCGStabSolution(t *testing.T) {
 }
 
 func TestGMRESHappyBreakdown(t *testing.T) {
-	// A diagonal matrix with two distinct eigenvalues: the Krylov space
-	// K(A, r0) has dimension 2, so GMRES(10) exhausts it ("happy
+	// A diagonal matrix with k distinct eigenvalues: the Krylov space
+	// K(A, r0) has dimension k, so GMRES(10) exhausts it ("happy
 	// breakdown") well before the restart boundary. The Arnoldi
 	// normalization must not divide by the vanished h_{j+1,j} — doing so
-	// NaN-poisons the basis and the reported residual.
-	n := int64(6)
-	d := make([]float64, n)
-	for i := range d {
-		if i%2 == 0 {
-			d[i] = 5
-		} else {
-			d[i] = 2
-		}
-	}
-	a := sparse.DiagonalCSR(d)
-	b := make([]float64, n)
-	for i := range b {
-		b[i] = float64(i + 1)
-	}
-	want := denseSolve(a, b)
-	p := planFor(a, b, 3)
-	res := Solve(NewGMRES(p, 10), 1e-10, 50)
-	p.Drain()
-	if err := p.Runtime().Err(); err != nil {
-		t.Fatal(err)
-	}
-	if math.IsNaN(res.Residual) {
-		t.Fatalf("residual is NaN after breakdown: %+v", res)
-	}
-	if !res.Converged {
-		t.Fatalf("GMRES did not converge: %+v", res)
-	}
-	if res.Iterations >= 10 {
-		t.Fatalf("converged in %d iterations, want fewer than the restart length", res.Iterations)
-	}
-	if diff := maxAbsDiff(p.VecData(core.SOL, 0), want); diff > 1e-8 {
-		t.Errorf("solution off by %g", diff)
+	// NaN-poisons the basis and the reported residual — and the short
+	// cycle must end the way a full one does (arnoldi.close): solved,
+	// restarted, its trace scope closed.
+	for _, tc := range []struct {
+		name   string
+		eigs   []float64
+		n      int
+		pieces int
+	}{
+		{"1x1", []float64{3}, 1, 1},
+		{"two_eigenvalues", []float64{5, 2}, 6, 3},
+		{"three_eigenvalues", []float64{5, 2, 7}, 9, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := make([]float64, tc.n)
+			b := make([]float64, tc.n)
+			for i := range d {
+				d[i] = tc.eigs[i%len(tc.eigs)]
+				b[i] = float64(i + 1)
+			}
+			a := sparse.DiagonalCSR(d)
+			want := denseSolve(a, b)
+			p := tracedPlanFor(a, b, tc.pieces)
+			s := NewGMRES(p, 10)
+			// One step per eigenvalue spans the invariant subspace; the last
+			// of them must have closed the cycle on the breakdown path.
+			RunIterations(s, len(tc.eigs))
+			if s.j != 0 || s.tr {
+				t.Fatalf("after %d steps the cycle is still open: j=%d, trace scope open=%v", len(tc.eigs), s.j, s.tr)
+			}
+			res := Solve(s, 1e-10, 50)
+			if math.IsNaN(res.Residual) {
+				t.Fatalf("residual is NaN after breakdown: %+v", res)
+			}
+			if !res.Converged || res.Iterations != 0 {
+				t.Fatalf("the breakdown cycle's solution is exact, yet Solve reports %+v", res)
+			}
+			// A scope left open would make this step's TraceBegin panic
+			// ("must not nest").
+			s.Step()
+			p.Drain()
+			if err := p.Runtime().Err(); err != nil {
+				t.Fatal(err)
+			}
+			if diff := maxAbsDiff(p.VecData(core.SOL, 0), want); diff > 1e-8 {
+				t.Errorf("solution off by %g", diff)
+			}
+		})
 	}
 }

@@ -58,7 +58,7 @@ func AutoSelectBands(a *CSR, starts []int64) *Auto {
 	// justified the pick — and a piece computes over one band either way.
 	type bandPick struct {
 		r0, r1 int64
-		f      string
+		f      *format
 	}
 	var picks []bandPick
 	var bandedCost float64
@@ -89,10 +89,12 @@ func AutoSelectBands(a *CSR, starts []int64) *Auto {
 	var koff int64
 	for _, p := range picks {
 		r0, r1, f := p.r0, p.r1, p.f
-		mat := Convert(bandCSR(a, r0, r1), f)
+		// The pick is within a rate ratio of the band's CSR size, so it
+		// needs no size check.
+		mat := f.build(bandCSR(a, r0, r1))
 		klen := mat.Kernel().Size()
 		au.tiles = append(au.tiles, autoTile{
-			r0: r0, r1: r1, koff: koff, klen: klen, mat: mat, format: f,
+			r0: r0, r1: r1, koff: koff, klen: klen, mat: mat, format: f.name,
 		})
 		koff += klen
 		au.nnz += mat.NNZ()

@@ -160,38 +160,27 @@ func (a *BCSR) MultiplyAddTPart(y, x []float64, kset index.IntervalSet) {
 	}
 }
 
-// mulRange is the block formats' shared range kernel with the blocks
-// ordered by block row.
+// mulRange is the range kernel over the kernel interval [lo, hi],
+// forward or adjoint (BCSC, the transposed view of a BCSR, runs it with
+// the directions exchanged). The (block, within-block row, within-block
+// column) position is divided out and the owning block row searched once
+// per interval; from there the walk advances one within-block row run at
+// a time, each run accumulating into its output in slot order.
 func (a *BCSR) mulRange(y, x []float64, lo, hi int64, adjoint bool) {
-	blockRange(y, x, a.vals, a.rowptr, a.bcol, a.br, a.bd, lo, hi, true, adjoint)
-}
-
-// blockRange is the range kernel the block formats share, over the
-// kernel interval [lo, hi], forward or adjoint. Blocks are br × bd,
-// row-major, back to back; ptr orders them by block row (BCSR, byRow) or
-// block column (BCSC) and other holds each block's other block
-// coordinate. The (block, within-block row, within-block column) position
-// is divided out and the owning ptr segment searched once per interval;
-// from there the walk advances one within-block row run at a time, each
-// run accumulating into its output in slot order.
-func blockRange(y, x, vals []float64, ptr, other []int64, br, bd, lo, hi int64, byRow, adjoint bool) {
 	if lo > hi {
 		return
 	}
+	rowptr, bcol, vals, br, bd := a.rowptr, a.bcol, a.vals, a.br, a.bd
 	bsz := br * bd
 	b := lo / bsz
 	r := (lo - b*bsz) / bd
 	c := lo - b*bsz - r*bd
-	seg := segOf(ptr, b)
+	bi := segOf(rowptr, b)
 	for k := lo; k <= hi; c = 0 {
-		for b >= ptr[seg+1] {
-			seg++
+		for b >= rowptr[bi+1] {
+			bi++
 		}
-		bi, bj := seg, other[b]
-		if !byRow {
-			bi, bj = bj, bi
-		}
-		i, j := bi*br+r, bj*bd+c
+		i, j := bi*br+r, bcol[b]*bd+c
 		end := min(k+bd-c, hi+1)
 		run := vals[k:end]
 		if adjoint {

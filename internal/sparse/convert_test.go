@@ -2,7 +2,7 @@ package sparse
 
 import (
 	"errors"
-	"math"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -67,12 +67,57 @@ func TestConvertNamedMatchesConvert(t *testing.T) {
 	}
 }
 
-// TestFormatFootprintUnknownIsInfinite: the cost model must rank an
-// unknown candidate name last (infinite footprint), not panic — the
-// profile path used to crash on one.
-func TestFormatFootprintUnknownIsInfinite(t *testing.T) {
-	p := ProfileRows(Laplacian2D(4, 4), 0, 16)
-	if fp := formatFootprint(p, "hypercube"); !math.IsInf(fp, 1) {
-		t.Errorf("unknown-format footprint = %g, want +Inf", fp)
+// TestConvertNamedRefusesBlowUp: a padded format multiplies a matrix's
+// size by its shape (Dense), its longest row (ELL, or column for ELL′)
+// or its diagonal count (DIA), so a small matrix can name a gigabyte and
+// more. ConvertNamed must say so — naming the format asked for and the
+// bound — before allocating, and must go on converting the same matrices
+// to every format that stays linear in their entries.
+func TestConvertNamedRefusesBlowUp(t *testing.T) {
+	const n = 100000
+	longRow := make([]Coord, 0, n+1500) // a diagonal plus one row of 1 500 entries
+	manyDiags := make([]Coord, 0, 3*n)  // a diagonal plus 20 000 diagonals of one entry each
+	for i := int64(0); i < n; i++ {
+		longRow = append(longRow, Coord{Row: i, Col: i, Val: 2})
+		manyDiags = append(manyDiags, Coord{Row: i, Col: i, Val: 2})
+	}
+	for j := int64(0); j < 1500; j++ {
+		longRow = append(longRow, Coord{Row: 7, Col: 2 * j, Val: 1})
+	}
+	for d := int64(1); d <= 20000; d++ {
+		manyDiags = append(manyDiags, Coord{Row: 0, Col: d, Val: 1})
+	}
+	wide := CSRFromCoords(n, n, longRow)
+	tall := transposeCSR(wide)
+	fan := CSRFromCoords(n, n, manyDiags)
+	for _, tc := range []struct {
+		a      *CSR
+		format string
+		refuse bool
+	}{
+		{wide, "dense", true}, {wide, "ell", true}, {tall, "ell'", true}, {fan, "dia", true},
+		{wide, "ell'", false}, {tall, "ell", false},
+		{wide, "csc", false}, {fan, "coo", false}, {fan, "bcsr", false}, {fan, "bcsc", false},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		m, err := ConvertNamed(tc.a, tc.format)
+		runtime.ReadMemStats(&after)
+		canon, _ := CanonicalFormat(tc.format)
+		if !tc.refuse {
+			if err != nil || m.Format() != canon {
+				t.Errorf("%s: (%v, %v), want a %s matrix", tc.format, m, err, canon)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), canon+" storage") || !strings.Contains(err.Error(), "above the bound") {
+			t.Errorf("%s: (%v, %v), want an error naming %s and the bound", tc.format, m, err, canon)
+		}
+		if errors.Is(err, ErrUnknownFormat) {
+			t.Errorf("%s: a size refusal must not read as an unknown format: %v", tc.format, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 16<<20 {
+			t.Errorf("refusing %s allocated %d bytes", tc.format, grew)
+		}
 	}
 }

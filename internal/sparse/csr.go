@@ -113,13 +113,13 @@ func (a *CSR) MultiplyAddTPart(y, x []float64, kset index.IntervalSet) {
 	}
 }
 
-// The compressed formats share two range kernels over a kernel interval
-// [lo, hi]. ptr splits K into segments (rows of CSR, columns of CSC) and
-// idx holds the other coordinate: CSR's forward and CSC's adjoint
-// product gather through idx into the segment's output, CSR's adjoint
-// and CSC's forward product scatter the segment's input through idx.
-// Within an interval the segment advances monotonically, so one binary
-// search per interval suffices.
+// CSR's two range kernels run over a kernel interval [lo, hi]. ptr
+// splits K into segments (rows) and idx holds the other coordinate: the
+// forward product gathers through idx into the segment's output, the
+// adjoint scatters the segment's input through idx. CSC is the
+// transposed view of a CSR (transposed.go), so it runs the same two
+// kernels with the directions exchanged. Within an interval the segment
+// advances monotonically, so one binary search per interval suffices.
 
 // segOf returns the segment owning kernel position k: the first one
 // whose end lies beyond k.

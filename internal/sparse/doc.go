@@ -10,6 +10,16 @@
 // uniformly, including to user-defined formats implemented outside this
 // package.
 //
+// The nine formats are six storage layouts. Because a format is its pair
+// of relations, the column-major formats are views of their row-major
+// twins under exchanged relations (transposed): CSC is the CSR of Aᵀ,
+// ELL′ the ELL of Aᵀ and BCSC the BCSR of Aᵀ, with row and column
+// relation, domain and range, and forward and adjoint kernel swapped.
+// One table (formats) states which formats exist, how each is converted
+// to, how large its arrays are for a given structure — the bound every
+// named conversion is held to — and the calibrated rates of the formats
+// the tuner ranks.
+//
 // Computational kernels are expressed as in-place multiply-adds
 // (y ← Ax + y), the primitive into which Section 4.1 decomposes all
 // matrix-vector products on multi-operator systems. A format supplies

@@ -99,10 +99,11 @@ func (a *ELL) MultiplyAddTPart(y, x []float64, kset index.IntervalSet) {
 	}
 }
 
-// The slotted formats share two range kernels over a kernel interval
-// [lo, hi]: slot k belongs to line k / width (a row of ELL, a column of
-// ELL′) and idx holds the other coordinate. The line is divided out once
-// per interval and then advances every width slots.
+// ELL's two range kernels run over a kernel interval [lo, hi]: slot k
+// belongs to row k / width and idx holds its column. The row is divided
+// out once per interval and then advances every width slots. ELL′ is the
+// transposed view of an ELL (transposed.go), so its forward product is
+// the scatter kernel and its adjoint the gather kernel.
 
 // slotGatherRange adds vals[k]·x[idx[k]] into y[line] for every slot k
 // in [lo, hi], each line's slots accumulating in slot order.
@@ -134,95 +135,5 @@ func slotScatterRange(y, x []float64, idx []int64, vals []float64, width, lo, hi
 		for ; k < end; k++ {
 			y[idx[k]] += vals[k] * xl
 		}
-	}
-}
-
-// ELLPrime is the column-major dual of ELL (the ELL′ row of Figure 3):
-// the kernel space is K = D × [0, width) — every column owns width slots —
-// so the column relation is implicit (π1) and only row indices are stored.
-type ELLPrime struct {
-	rows, cols, width int64
-	rowIdx            []int64 // len cols*width, column-major
-	vals              []float64
-
-	rowRel *dpart.FnRelation
-	colRel *dpart.DivRelation
-}
-
-// NewELLPrime wraps column-major slot arrays (retained, not copied) of
-// length cols*width as a rows × cols matrix.
-func NewELLPrime(rows, cols, width int64, rowIdx []int64, vals []float64) *ELLPrime {
-	if int64(len(rowIdx)) != cols*width || len(rowIdx) != len(vals) {
-		panic("sparse: ELL' arrays must have cols*width entries")
-	}
-	return &ELLPrime{
-		rows: rows, cols: cols, width: width,
-		rowIdx: rowIdx, vals: vals,
-		rowRel: dpart.NewFnRelation("K", rowIdx, index.NewSpace("R", rows)),
-		colRel: dpart.NewDivRelation("K", cols, width, "D"),
-	}
-}
-
-// ELLPrimeFromCSC converts a CSC matrix to ELL′, sizing the width to the
-// longest column.
-func ELLPrimeFromCSC(a *CSC) *ELLPrime {
-	width := int64(1)
-	for j := int64(0); j < a.cols; j++ {
-		if w := a.colptr[j+1] - a.colptr[j]; w > width {
-			width = w
-		}
-	}
-	rowIdx := make([]int64, a.cols*width)
-	vals := make([]float64, a.cols*width)
-	for j := int64(0); j < a.cols; j++ {
-		var pad int64
-		s := int64(0)
-		for k := a.colptr[j]; k < a.colptr[j+1]; k++ {
-			rowIdx[j*width+s] = a.rowIdx[k]
-			vals[j*width+s] = a.vals[k]
-			pad = a.rowIdx[k]
-			s++
-		}
-		for ; s < width; s++ {
-			rowIdx[j*width+s] = pad
-		}
-	}
-	return NewELLPrime(a.rows, a.cols, width, rowIdx, vals)
-}
-
-// Domain implements Matrix.
-func (a *ELLPrime) Domain() index.Space { return a.colRel.Right() }
-
-// Range implements Matrix.
-func (a *ELLPrime) Range() index.Space { return a.rowRel.Right() }
-
-// Kernel implements Matrix.
-func (a *ELLPrime) Kernel() index.Space { return index.NewSpace("K", a.cols*a.width) }
-
-// RowRelation implements Matrix.
-func (a *ELLPrime) RowRelation() dpart.Relation { return a.rowRel }
-
-// ColRelation implements Matrix.
-func (a *ELLPrime) ColRelation() dpart.Relation { return a.colRel }
-
-// NNZ implements Matrix.
-func (a *ELLPrime) NNZ() int64 { return a.cols * a.width }
-
-// Format implements Matrix.
-func (a *ELLPrime) Format() string { return "ELL'" }
-
-// MultiplyAddPart implements Matrix.
-func (a *ELLPrime) MultiplyAddPart(y, x []float64, kset index.IntervalSet) {
-	CheckShapes(a, y, x)
-	for _, iv := range kset.Intervals() {
-		slotScatterRange(y, x, a.rowIdx, a.vals, a.width, iv.Lo, iv.Hi)
-	}
-}
-
-// MultiplyAddTPart implements Matrix.
-func (a *ELLPrime) MultiplyAddTPart(y, x []float64, kset index.IntervalSet) {
-	checkShapesT(a, y, x)
-	for _, iv := range kset.Intervals() {
-		slotGatherRange(y, x, a.rowIdx, a.vals, a.width, iv.Lo, iv.Hi)
 	}
 }

@@ -54,14 +54,14 @@ func buildAll(rows, cols int64, coords []Coord) []Matrix {
 	ms := []Matrix{
 		csr,
 		COOFromCoords(rows, cols, coords),
-		CSCFromCoords(rows, cols, coords),
+		Convert(csr, "CSC"),
 		ELLFromCSR(csr),
-		ELLPrimeFromCSC(CSCFromCSR(csr)),
+		Convert(csr, "ELL'"),
 		DIAFromCSR(csr),
 		DenseFromMatrix(csr),
 	}
 	if rows%2 == 0 && cols%2 == 0 {
-		ms = append(ms, BCSRFromCSR(csr, 2, 2), BCSCFromCSR(csr, 2, 2))
+		ms = append(ms, BCSRFromCSR(csr, 2, 2), Convert(csr, "BCSC"))
 	}
 	return ms
 }

@@ -14,58 +14,74 @@ import (
 // general/symmetric; pattern and complex matrices are rejected with a
 // clear error.
 
-// ReadMatrixMarket parses a Matrix Market coordinate stream into CSR.
-// Symmetric inputs are expanded to full storage (off-diagonal entries
-// mirrored).
-func ReadMatrixMarket(r io.Reader) (*CSR, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+// maxMatrixMarketSize is the ceiling on the rows, columns and entries a
+// Matrix Market header may declare — the one jobspec puts on generated
+// stencils.
+const maxMatrixMarketSize = 1<<31 - 1
 
-	// Header.
+// readMatrixMarketHeader parses the banner and the size line (after any
+// comments), leaving sc at the first entry line.
+func readMatrixMarketHeader(sc *bufio.Scanner) (rows, cols, nnz int64, symmetric bool, err error) {
+	fail := func(format string, args ...any) (int64, int64, int64, bool, error) {
+		return 0, 0, 0, false, fmt.Errorf("sparse: "+format, args...)
+	}
 	if !sc.Scan() {
-		return nil, fmt.Errorf("sparse: empty MatrixMarket stream")
+		return fail("empty MatrixMarket stream")
 	}
 	header := strings.Fields(strings.ToLower(sc.Text()))
 	if len(header) != 5 || header[0] != "%%matrixmarket" {
-		return nil, fmt.Errorf("sparse: not a MatrixMarket header: %q", sc.Text())
+		return fail("not a MatrixMarket header: %q", sc.Text())
 	}
 	if header[1] != "matrix" || header[2] != "coordinate" {
-		return nil, fmt.Errorf("sparse: only coordinate matrices are supported, got %s %s",
-			header[1], header[2])
+		return fail("only coordinate matrices are supported, got %s %s", header[1], header[2])
 	}
 	field, symmetry := header[3], header[4]
 	if field != "real" && field != "integer" {
-		return nil, fmt.Errorf("sparse: unsupported field type %q", field)
+		return fail("unsupported field type %q", field)
 	}
-	symmetric := false
 	switch symmetry {
 	case "general":
 	case "symmetric":
 		symmetric = true
 	default:
-		return nil, fmt.Errorf("sparse: unsupported symmetry %q", symmetry)
+		return fail("unsupported symmetry %q", symmetry)
 	}
 
-	// Size line (after comments).
-	var rows, cols, nnz int64
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		if line == "" || strings.HasPrefix(line, "%") {
 			continue
 		}
 		if _, err := fmt.Sscan(line, &rows, &cols, &nnz); err != nil {
-			return nil, fmt.Errorf("sparse: bad size line %q: %v", line, err)
+			return fail("bad size line %q: %v", line, err)
 		}
 		break
 	}
 	if rows <= 0 || cols <= 0 {
-		return nil, fmt.Errorf("sparse: invalid dimensions %d x %d", rows, cols)
+		return fail("invalid dimensions %d x %d", rows, cols)
 	}
 	if nnz < 0 {
-		return nil, fmt.Errorf("sparse: invalid entry count %d", nnz)
+		return fail("invalid entry count %d", nnz)
+	}
+	if max(rows, cols, nnz) > maxMatrixMarketSize {
+		return fail("header declares %d x %d with %d entries, above the limit of %d", rows, cols, nnz, int64(maxMatrixMarketSize))
+	}
+	return rows, cols, nnz, symmetric, nil
+}
+
+// ReadMatrixMarket parses a Matrix Market coordinate stream into CSR.
+// Symmetric inputs are expanded to full storage (off-diagonal entries
+// mirrored). Nothing is allocated on the word of the header: the entry
+// list grows with the entries actually present.
+func ReadMatrixMarket(r io.Reader) (*CSR, error) {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	rows, cols, nnz, symmetric, err := readMatrixMarketHeader(sc)
+	if err != nil {
+		return nil, err
 	}
 
-	coords := make([]Coord, 0, nnz)
+	coords := make([]Coord, 0, min(nnz, 1<<20))
 	var read int64
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())

@@ -207,7 +207,8 @@ func TestCoordsSumDuplicates(t *testing.T) {
 	if d[1*2+1] != 5 || d[0] != 1 {
 		t.Fatalf("dense = %v", d)
 	}
-	c := CSCFromCoords(2, 2, coords)
+	// A CSR wrapped around a repeated entry coalesces on its way to CSC.
+	c := Convert(NewCSR(2, 2, []int64{0, 1, 3}, []int64{0, 1, 1}, []float64{1, 2, 3}), "CSC")
 	if c.NNZ() != 2 || ToDense(c)[3] != 5 {
 		t.Fatal("CSC duplicate merge failed")
 	}
