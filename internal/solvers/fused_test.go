@@ -2,6 +2,7 @@ package solvers
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"kdrsolvers/internal/core"
@@ -80,6 +81,49 @@ func TestBiCGStabFusedBitwiseMatchesUnfused(t *testing.T) {
 		func() *core.Planner { return planFor(convectionDiffusion(64, 0.3), fusedRHS(64), 4) },
 		func(p *core.Planner) Solver { return NewBiCGStab(p) },
 		func(p *core.Planner) Solver { return NewBiCGStabUnfused(p) })
+}
+
+// unfusedBiCG is BiCG's per-operation step — seven single-operation
+// sweeps and four reductions per iteration — kept here as the bitwise
+// reference for the fused step, not as a solver anything constructs.
+type unfusedBiCG struct{ *BiCG }
+
+func (s unfusedBiCG) Step() {
+	p := s.p
+	p.BeginPhase("bicg.step")
+	p.Matmul(s.q, s.pv)
+	p.MatmulT(s.qt, s.pt)
+	alpha := guardedDiv(p, &s.bd, "bicg", "pt·Ap", s.rho, p.Dot(s.pt, s.q))
+	p.Axpy(core.SOL, alpha, s.pv)
+	p.Axpy(s.r, p.Neg(alpha), s.q)
+	p.Axpy(s.rt, p.Neg(alpha), s.qt)
+	rhoNew := p.Dot(s.rt, s.r)
+	beta := guardedDiv(p, &s.bd, "bicg", "rho", rhoNew, s.rho)
+	p.Xpay(s.pv, beta, s.r)
+	p.Xpay(s.pt, beta, s.rt)
+	s.rho = rhoNew
+	s.res = p.Dot(s.r, s.r)
+}
+
+func newUnfusedBiCG(p *core.Planner) Solver { return unfusedBiCG{NewBiCG(p)} }
+
+func TestBiCGFusedBitwiseMatchesUnfused(t *testing.T) {
+	runBitwisePair(t, "bicg", 10,
+		func() *core.Planner { return planFor(convectionDiffusion(64, 0.3), fusedRHS(64), 4) },
+		func(p *core.Planner) Solver { return NewBiCG(p) }, newUnfusedBiCG)
+
+	// A skew-symmetric system ends in the p̃ᵀAp guard at the first step:
+	// both steps must report it and agree on the (untouched) iterate.
+	var fused, unfused *BiCG
+	runBitwisePair(t, "bicg-breakdown", 3,
+		func() *core.Planner { return planFor(skewSymmetric(4), []float64{1, 2, 3, 4, 5, 6, 7, 8}, 2) },
+		func(p *core.Planner) Solver { fused = NewBiCG(p); return fused },
+		func(p *core.Planner) Solver { unfused = NewBiCG(p); return unfusedBiCG{unfused} })
+	for name, s := range map[string]*BiCG{"fused": fused, "unfused": unfused} {
+		if err := s.Breakdown(); err == nil || !strings.Contains(err.Error(), "pt·Ap") {
+			t.Errorf("%s BiCG on a skew-symmetric system: breakdown %v, want the pt·Ap guard", name, err)
+		}
+	}
 }
 
 func TestPipeCGAgreesWithCG(t *testing.T) {
@@ -185,7 +229,7 @@ func TestResidualReplacementLaunchCost(t *testing.T) {
 func TestFusionLaunchReduction(t *testing.T) {
 	// The PR's acceptance criterion: fused CG launches ≥30% fewer tasks
 	// per iteration than the per-operation formulation, and pipelined CG
-	// fewer still. BiCGStab and PCG ride along with their own floors.
+	// fewer still. BiCGStab, PCG and BiCG ride along with their own floors.
 	// Four pieces of 4 096 points: at the planner's launch grain, so the
 	// counts are per-piece counts.
 	const side, n = 128, 128 * 128
@@ -213,6 +257,8 @@ func TestFusionLaunchReduction(t *testing.T) {
 		{"bicgstab", nonsym,
 			func(p *core.Planner) Solver { return NewBiCGStab(p) },
 			func(p *core.Planner) Solver { return NewBiCGStabUnfused(p) }, 0.30},
+		{"bicg", nonsym,
+			func(p *core.Planner) Solver { return NewBiCG(p) }, newUnfusedBiCG, 0.45},
 	}
 	for _, c := range cases {
 		f := measure(c.plan, c.fused)

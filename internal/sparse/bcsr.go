@@ -147,57 +147,60 @@ func (a *BCSR) Format() string { return "BCSR" }
 // MultiplyAddPart implements Matrix.
 func (a *BCSR) MultiplyAddPart(y, x []float64, kset index.IntervalSet) {
 	CheckShapes(a, y, x)
-	for _, iv := range kset.Intervals() {
-		a.mulRange(y, x, iv.Lo, iv.Hi, false)
-	}
+	a.mul(y, x, kset, false)
 }
 
 // MultiplyAddTPart implements Matrix.
 func (a *BCSR) MultiplyAddTPart(y, x []float64, kset index.IntervalSet) {
 	checkShapesT(a, y, x)
-	for _, iv := range kset.Intervals() {
-		a.mulRange(y, x, iv.Lo, iv.Hi, true)
-	}
+	a.mul(y, x, kset, true)
 }
 
-// mulRange is the range kernel over the kernel interval [lo, hi],
-// forward or adjoint (BCSC, the transposed view of a BCSR, runs it with
-// the directions exchanged). The (block, within-block row, within-block
-// column) position is divided out and the owning block row searched once
-// per interval; from there the walk advances one within-block row run at
-// a time, each run accumulating into its output in slot order.
-func (a *BCSR) mulRange(y, x []float64, lo, hi int64, adjoint bool) {
-	if lo > hi {
+// mul is the range kernel over a kernel set, forward or adjoint (BCSC,
+// the transposed view of a BCSR, runs it with the directions exchanged).
+// The owning block row is searched once per kernel set and carried from
+// interval to interval: intervals are sorted, so it only moves forward,
+// past empty block rows by the same loop that advances it inside an
+// interval. Per interval the (block, within-block row, within-block
+// column) position is divided out; from there the walk advances one
+// within-block row run at a time, each run accumulating into its output
+// in slot order.
+func (a *BCSR) mul(y, x []float64, kset index.IntervalSet, adjoint bool) {
+	ivs := kset.Intervals()
+	if len(ivs) == 0 {
 		return
 	}
 	rowptr, bcol, vals, br, bd := a.rowptr, a.bcol, a.vals, a.br, a.bd
 	bsz := br * bd
-	b := lo / bsz
-	r := (lo - b*bsz) / bd
-	c := lo - b*bsz - r*bd
-	bi := segOf(rowptr, b)
-	for k := lo; k <= hi; c = 0 {
-		for b >= rowptr[bi+1] {
-			bi++
-		}
-		i, j := bi*br+r, bcol[b]*bd+c
-		end := min(k+bd-c, hi+1)
-		run := vals[k:end]
-		if adjoint {
-			ys, xi := y[j:j+int64(len(run))], x[i]
-			for t, v := range run {
-				ys[t] += v * xi
+	bi := segOf(rowptr, ivs[0].Lo/bsz)
+	for _, iv := range ivs {
+		lo, hi := iv.Lo, iv.Hi
+		b := lo / bsz
+		r := (lo - b*bsz) / bd
+		c := lo - b*bsz - r*bd
+		for k := lo; k <= hi; c = 0 {
+			for b >= rowptr[bi+1] {
+				bi++
 			}
-		} else {
-			xs, s := x[j:j+int64(len(run))], y[i]
-			for t, v := range run {
-				s += v * xs[t]
+			i, j := bi*br+r, bcol[b]*bd+c
+			end := min(k+bd-c, hi+1)
+			run := vals[k:end]
+			if adjoint {
+				ys, xi := y[j:j+int64(len(run))], x[i]
+				for t, v := range run {
+					ys[t] += v * xi
+				}
+			} else {
+				xs, s := x[j:j+int64(len(run))], y[i]
+				for t, v := range run {
+					s += v * xs[t]
+				}
+				y[i] = s
 			}
-			y[i] = s
-		}
-		k = end
-		if r++; r == br {
-			r, b = 0, b+1
+			k = end
+			if r++; r == br {
+				r, b = 0, b+1
+			}
 		}
 	}
 }

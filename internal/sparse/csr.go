@@ -100,26 +100,27 @@ func (a *CSR) Vals() []float64 { return a.vals }
 // MultiplyAddPart implements Matrix.
 func (a *CSR) MultiplyAddPart(y, x []float64, kset index.IntervalSet) {
 	CheckShapes(a, y, x)
-	for _, iv := range kset.Intervals() {
-		gatherRange(y, x, a.rowptr, a.colIdx, a.vals, iv.Lo, iv.Hi)
-	}
+	gather(y, x, a.rowptr, a.colIdx, a.vals, kset)
 }
 
 // MultiplyAddTPart implements Matrix.
 func (a *CSR) MultiplyAddTPart(y, x []float64, kset index.IntervalSet) {
 	checkShapesT(a, y, x)
-	for _, iv := range kset.Intervals() {
-		scatterRange(y, x, a.rowptr, a.colIdx, a.vals, iv.Lo, iv.Hi)
-	}
+	scatter(y, x, a.rowptr, a.colIdx, a.vals, kset)
 }
 
-// CSR's two range kernels run over a kernel interval [lo, hi]. ptr
-// splits K into segments (rows) and idx holds the other coordinate: the
-// forward product gathers through idx into the segment's output, the
-// adjoint scatters the segment's input through idx. CSC is the
-// transposed view of a CSR (transposed.go), so it runs the same two
-// kernels with the directions exchanged. Within an interval the segment
-// advances monotonically, so one binary search per interval suffices.
+// CSR's two range kernels run over a kernel set. ptr splits K into
+// segments (rows) and idx holds the other coordinate: the forward product
+// gathers through idx into the segment's output, the adjoint scatters the
+// segment's input through idx. CSC is the transposed view of a CSR
+// (transposed.go), so it runs the same two kernels with the directions
+// exchanged. A kernel set's intervals are sorted and disjoint, so the
+// owning segment only moves forward across the whole set: one binary
+// search per kernel set suffices, and the cursor walks from interval to
+// interval past whatever rows lie between (empty ones included, by
+// ptr[s+1] <= lo). That matters for the adjoint: its kernel sets are
+// preimages along the column relation, one interval per row a piece's
+// columns meet, hundreds per piece of a row-major matrix.
 
 // segOf returns the segment owning kernel position k: the first one
 // whose end lies beyond k.
@@ -127,13 +128,26 @@ func segOf(ptr []int64, k int64) int64 {
 	return int64(sort.Search(len(ptr)-1, func(s int) bool { return ptr[s+1] > k }))
 }
 
-// gatherRange adds Σ vals[k]·x[idx[k]] into y[s] for every segment s
-// meeting [lo, hi].
-func gatherRange(y, x []float64, ptr, idx []int64, vals []float64, lo, hi int64) {
-	if lo > hi {
+// gather adds Σ vals[k]·x[idx[k]] into y[s] for every segment s meeting
+// an interval of kset, one sum per (segment, interval).
+func gather(y, x []float64, ptr, idx []int64, vals []float64, kset index.IntervalSet) {
+	ivs := kset.Intervals()
+	if len(ivs) == 0 {
 		return
 	}
-	s := segOf(ptr, lo)
+	s := segOf(ptr, ivs[0].Lo)
+	for _, iv := range ivs {
+		for ptr[s+1] <= iv.Lo {
+			s++
+		}
+		s = gatherRange(y, x, ptr, idx, vals, s, iv.Lo, iv.Hi)
+	}
+}
+
+// gatherRange is gather over one interval [lo, hi] whose first point
+// segment s owns. It returns the segment owning hi, which may own the
+// next interval's start too.
+func gatherRange(y, x []float64, ptr, idx []int64, vals []float64, s, lo, hi int64) int64 {
 	for k := lo; k <= hi; s++ {
 		end := min(ptr[s+1], hi+1)
 		var sum float64
@@ -142,15 +156,28 @@ func gatherRange(y, x []float64, ptr, idx []int64, vals []float64, lo, hi int64)
 		}
 		y[s] += sum
 	}
+	return s - 1
 }
 
-// scatterRange adds vals[k]·x[s] into y[idx[k]] for every kernel point k
-// in [lo, hi], s the segment owning k.
-func scatterRange(y, x []float64, ptr, idx []int64, vals []float64, lo, hi int64) {
-	if lo > hi {
+// scatter adds vals[k]·x[s] into y[idx[k]] for every kernel point k of
+// kset, s the segment owning k.
+func scatter(y, x []float64, ptr, idx []int64, vals []float64, kset index.IntervalSet) {
+	ivs := kset.Intervals()
+	if len(ivs) == 0 {
 		return
 	}
-	s := segOf(ptr, lo)
+	s := segOf(ptr, ivs[0].Lo)
+	for _, iv := range ivs {
+		for ptr[s+1] <= iv.Lo {
+			s++
+		}
+		s = scatterRange(y, x, ptr, idx, vals, s, iv.Lo, iv.Hi)
+	}
+}
+
+// scatterRange is scatter over one interval [lo, hi] whose first point
+// segment s owns; it returns the segment owning hi.
+func scatterRange(y, x []float64, ptr, idx []int64, vals []float64, s, lo, hi int64) int64 {
 	for k := lo; k <= hi; s++ {
 		end := min(ptr[s+1], hi+1)
 		xs := x[s]
@@ -158,4 +185,5 @@ func scatterRange(y, x []float64, ptr, idx []int64, vals []float64, lo, hi int64
 			y[idx[k]] += vals[k] * xs
 		}
 	}
+	return s - 1
 }
