@@ -17,10 +17,11 @@
 // partitioned by user-supplied canonical partitions, matrix kernels are
 // co-partitioned automatically with the universal projection operators of
 // package dpart, and the runtime's interference analysis orders
-// conflicting multiply-adds (Section 4.1). Scalars, including dot-product results, live in
-// one-element regions so that scalar dataflow appears in the recorded task
-// graph and the simulator charges the synchronization cost of every
-// reduction.
+// conflicting multiply-adds (Section 4.1). Scalars, including dot-product
+// results, are futures a reading task receives by value: it declares the
+// regions they are computed from, so scalar dataflow is ordered like any
+// other dependence, and a virtual planner records every reduction's combine
+// so the simulator charges its synchronization cost (see Scalar).
 //
 // Solvers (package solvers) are written purely against the planner and
 // are therefore independent of storage formats, component structure, and

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"kdrsolvers/internal/index"
@@ -9,10 +10,50 @@ import (
 	"kdrsolvers/internal/taskrt"
 )
 
-// The virtual-mode contract: a virtual planner must record exactly the
-// same task graph as a real planner running the same program — same
-// tasks, same dependences, same costs, same placement. This is what
+// The virtual-mode contract: a virtual planner records the real planner's
+// task graph — same tasks, same dependences, same costs, same placement —
+// up to its scalar tasks. A real planner launches no combine and no scalar
+// arithmetic (a dot's readers fold its partials, see Scalar), so the real
+// graph is the virtual graph with those nodes contracted. This is what
 // makes simulated measurements of virtual (paper-scale) runs meaningful.
+
+// scalarNode reports whether a node is a scalar task: a host task (scalar
+// arithmetic) or a dot's combine.
+func scalarNode(n taskrt.Node) bool {
+	return n.Host || n.Name == "dot.reduce" || n.Name == "dot.batchreduce"
+}
+
+// contractScalars removes every scalar node from g, keeping the edges
+// through them transitively, and renumbers the rest densely. DepBytes are
+// dropped: a reader's bytes come from a scalar region on one planner and
+// from the partials on the other. image maps each node of g to its node in
+// the result, or -1.
+func contractScalars(g taskrt.Graph) (out taskrt.Graph, image []int) {
+	image = make([]int, g.Len())
+	through := make([][]int64, g.Len()) // a contracted node's kept producers
+	for i, n := range g.Nodes {
+		var deps []int64
+		for _, d := range n.Deps {
+			if image[d] >= 0 {
+				deps = append(deps, int64(image[d]))
+			} else {
+				deps = append(deps, through[d]...)
+			}
+		}
+		slices.Sort(deps)
+		deps = slices.Compact(deps)
+		if scalarNode(n) {
+			image[i], through[i] = -1, deps
+			continue
+		}
+		image[i] = out.Len()
+		out.Nodes = append(out.Nodes, taskrt.Node{
+			ID: int64(image[i]), Name: n.Name, Phase: n.Phase, Proc: n.Proc, Cost: n.Cost,
+			Deps: deps, Traced: n.Traced,
+		})
+	}
+	return out, image
+}
 
 // graphsEqual compares every field of every node.
 func graphsEqual(t *testing.T, a, b taskrt.Graph) bool {
@@ -25,18 +66,27 @@ func graphsEqual(t *testing.T, a, b taskrt.Graph) bool {
 		x, y := a.Nodes[i], b.Nodes[i]
 		if x.Name != y.Name || x.Proc != y.Proc || x.Cost != y.Cost ||
 			x.Traced != y.Traced || x.Host != y.Host ||
-			len(x.Deps) != len(y.Deps) {
+			!slices.Equal(x.Deps, y.Deps) || !slices.Equal(x.DepBytes, y.DepBytes) {
 			t.Logf("node %d differs: %+v vs %+v", i, x, y)
 			return false
 		}
-		for d := range x.Deps {
-			if x.Deps[d] != y.Deps[d] || x.DepBytes[d] != y.DepBytes[d] {
-				t.Logf("node %d edge differs: %+v vs %+v", i, x, y)
-				return false
-			}
-		}
 	}
 	return true
+}
+
+// contractedEqual reports whether the real graph has no scalar node left
+// and both graphs contract to the same graph.
+func contractedEqual(t *testing.T, real, virt taskrt.Graph) bool {
+	t.Helper()
+	for _, n := range real.Nodes {
+		if scalarNode(n) && !n.Host {
+			t.Logf("real planner launched a combine task: %+v", n)
+			return false
+		}
+	}
+	cr, _ := contractScalars(real)
+	cv, _ := contractScalars(virt)
+	return graphsEqual(t, cr, cv)
 }
 
 // buildBoth runs the same program on a real and a virtual planner and
@@ -80,7 +130,7 @@ func TestVirtualRealGraphEquivalenceVectorOps(t *testing.T) {
 		p.Zero(w)
 		_ = p.Dot(w, RHS)
 	})
-	if !graphsEqual(t, real, virt) {
+	if !contractedEqual(t, real, virt) {
 		t.Fatal("vector-op graphs differ between real and virtual planners")
 	}
 }
@@ -105,7 +155,10 @@ func TestVirtualRealGraphEquivalenceScalars(t *testing.T) {
 		f := p.Mul(p.Neg(e), p.Sqrt(p.Mul(d, e)))
 		p.Axpy(SOL, f, RHS)
 	})
-	if !graphsEqual(t, real, virt) {
+	if real.Len() != virt.Len()-6 {
+		t.Errorf("real graph has %d nodes, want the virtual %d less one combine and five scalar tasks", real.Len(), virt.Len())
+	}
+	if !contractedEqual(t, real, virt) {
 		t.Fatal("scalar graphs differ between real and virtual planners")
 	}
 }
@@ -121,7 +174,7 @@ func TestVirtualRealGraphEquivalenceTraced(t *testing.T) {
 			p.Session().EndTrace()
 		}
 	})
-	if !graphsEqual(t, real, virt) {
+	if !contractedEqual(t, real, virt) {
 		t.Fatal("traced graphs differ between real and virtual planners")
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"slices"
+	"sync"
 
 	"kdrsolvers/internal/index"
 	"kdrsolvers/internal/region"
@@ -12,20 +13,22 @@ import (
 // The vector-sweep kernel. FusedSweep is the only code that launches an
 // axpy, an xpay or a dot: it applies k updates to a piece in one task
 // visit and folds any number of dot products into a single tree
-// reduction — one partial task per piece computing every requested dot,
-// and one scalar-combine task total instead of one per (dot, piece).
-// Planner.Axpy, Xpay and Dot (vecops.go) are its one-operation calls and
-// keep their task names; a solver that issues them separately sweeps the
-// same pieces once per operation and synchronizes on every dot, and the
-// fused solver steps collapse both costs ("Hardware-Oriented Krylov
-// Methods for HPC").
+// reduction — one partial task per piece computing every requested dot.
+// The combine is not a task on a real planner: every reader of a dot folds
+// the partials itself (see Scalar), where a virtual planner launches one
+// combine task for all the sweep's dots, the allreduce the simulator
+// charges. Planner.Axpy, Xpay and Dot (vecops.go) are its one-operation
+// calls and keep their task names; a solver that issues them separately
+// sweeps the same pieces once per operation and synchronizes on every dot,
+// and the fused solver steps collapse both costs ("Hardware-Oriented
+// Krylov Methods for HPC").
 //
 // Numerics are preserved exactly where the paper's solvers need them
 // preserved: updates execute in argument order inside each piece (the
 // same order separate launches would impose through their region
 // dependences), so a fused sweep is bitwise identical to the sequence of
 // single-operation sweeps; dots accumulate per piece and then combine in
-// piece order, batched or not.
+// piece order, batched or not, wherever the combine runs.
 //
 // Sweep tasks launch through the ordinary Launch path with ordinary
 // region references, so they are traced, memoized, and replayed by the
@@ -36,9 +39,9 @@ import (
 // operands, one extra read pass per distinct vector — then maintains the
 // dst checksums through the update recurrences, and finally writes a
 // per-piece guard slot — the sum of the piece's dot partials — that the
-// combine task recomputes bitwise-identically, so corruption anywhere in
-// a solver's working set or reduction scratch surfaces within one
-// iteration.
+// reduction's first fold recomputes bitwise-identically, so corruption
+// anywhere in a solver's working set or reduction scratch surfaces within
+// one iteration.
 
 // UpdateKind selects the recurrence form of one fused vector update.
 type UpdateKind int
@@ -75,8 +78,8 @@ func (p *Planner) FusedUpdate(ups ...VecUpdate) {
 
 // DotBatch computes the inner products of every pair with one partial
 // task per piece (computing all the pairs' partials) and one combine
-// task total, so k simultaneous dot products pay a single reduction
-// barrier. The returned scalars are in pair order.
+// total, so k simultaneous dot products pay a single reduction barrier.
+// The returned scalars are in pair order.
 func (p *Planner) DotBatch(pairs ...DotPair) []*Scalar {
 	return p.FusedSweep(nil, pairs)
 }
@@ -126,9 +129,10 @@ func (p *Planner) sweepOperands(ups []VecUpdate, dots []DotPair) ([]sweepVec, []
 }
 
 // sweepNames returns the task names of a sweep's piece tasks and of its
-// combine task. A sweep of exactly one operation keeps that operation's
-// name — the vocabulary fault plans (name=axpy|dot.partial), profiles and
-// the benchmark's task classes are written in.
+// combine (a virtual planner's combine task, a real one's guard alarms). A
+// sweep of exactly one operation keeps that operation's name — the
+// vocabulary fault plans (name=axpy|dot.partial), profiles and the
+// benchmark's task classes are written in.
 func sweepNames(ups []VecUpdate, dots []DotPair) (piece, reduce string) {
 	switch {
 	case len(ups) == 1 && len(dots) == 0 && ups[0].Kind == UpdAxpy:
@@ -147,9 +151,9 @@ func sweepNames(ups []VecUpdate, dots []DotPair) (piece, reduce string) {
 
 // FusedSweep is the one vector-sweep kernel: it applies the updates in
 // order and then computes the dot pairs over the updated values, one
-// task per piece, followed by a single combine task when dots are
-// requested. It returns one deferred scalar per dot pair (nil slice
-// when dots is empty). At least one update or dot is required.
+// task per piece, followed by a single combine when dots are requested.
+// It returns one deferred scalar per dot pair (nil slice when dots is
+// empty). At least one update or dot is required.
 //
 // All vectors must share the component structure of the first dst (or
 // first dot operand); the sweep iterates that vector's canonical pieces.
@@ -159,6 +163,10 @@ func (p *Planner) FusedSweep(ups []VecUpdate, dots []DotPair) []*Scalar {
 		panic("core: FusedSweep needs at least one update or dot pair")
 	}
 	vecs, alphas := p.sweepOperands(ups, dots)
+	var leaves []scalarLeaf
+	for _, a := range alphas {
+		leaves = addLeaves(leaves, a)
+	}
 	shape := p.vecs[vecs[0].id].shape
 	sdc, hooks := p.sdcOn(), p.faultHooks()
 	name, reduceName := sweepNames(ups, dots)
@@ -181,7 +189,7 @@ func (p *Planner) FusedSweep(ups []VecUpdate, dots []DotPair) []*Scalar {
 			scratch = region.New("dotscratch", space, "s")
 		}
 	}
-	nrefs := len(vecs) + len(alphas)
+	nrefs := len(vecs) + len(leaves)
 	if k > 0 {
 		nrefs++
 	}
@@ -191,9 +199,9 @@ func (p *Planner) FusedSweep(ups []VecUpdate, dots []DotPair) []*Scalar {
 
 	for ci, groups := range p.launchGroups(shape, hooks) {
 		// The arithmetic is bound once per component, not once per task.
-		var body func(subset index.IntervalSet, slot int)
+		var body func(subset index.IntervalSet, slot int, alpha []float64)
 		if !p.virtual {
-			body = p.sweepBody(name, ci, scratch, stride, ups, dots, vecs)
+			body = p.sweepBody(name, ci, scratch, stride, ups, dots, vecs, alphas)
 		}
 		for gi := range groups {
 			g := &groups[gi]
@@ -211,8 +219,8 @@ func (p *Planner) FusedSweep(ups []VecUpdate, dots []DotPair) []*Scalar {
 				}
 				refs = append(refs, pieceRef(p.vecs[v.id].regs[ci], g.subset, priv))
 			}
-			for _, a := range alphas {
-				refs = append(refs, a.ref(region.ReadOnly))
+			for _, l := range leaves {
+				refs = append(refs, l.ref)
 			}
 			if k > 0 {
 				refs = append(refs, region.Ref{Region: scratch.ID(), Field: "s", Subset: span, Priv: region.WriteDiscard})
@@ -239,9 +247,11 @@ func (p *Planner) FusedSweep(ups []VecUpdate, dots []DotPair) []*Scalar {
 				// partial first attempt would double-apply; a pure dot sweep
 				// overwrites its scratch slots and is idempotent.
 				Retryable: len(ups) == 0,
+				// A real dot's readers wait on its partial tasks' futures.
+				Detached: k == 0 || p.virtual,
 			}
 			if body != nil {
-				spec.Run = g.run(body)
+				spec.Run = g.runWith(alphas, body)
 			}
 			if hooks {
 				var targets []corruptTarget
@@ -255,15 +265,22 @@ func (p *Planner) FusedSweep(ups []VecUpdate, dots []DotPair) []*Scalar {
 				}
 				spec.Corrupt = corruptHook(targets...)
 			}
-			p.batch(spec)
+			p.specBuf = append(p.specBuf, spec)
 		}
 	}
-	p.flushBatch()
+	futs := p.flushBatch()
 
 	if k == 0 {
 		return nil
 	}
-	return p.batchReduce(reduceName, scratch, total, stride, k)
+	partials := []scalarLeaf{{futs: futs, ref: region.Ref{
+		Region: scratch.ID(), Field: "s",
+		Subset: index.Span(0, int64(total*stride)-1), Priv: region.ReadOnly,
+	}}}
+	if p.virtual {
+		return p.batchReduce(reduceName, partials, k)
+	}
+	return p.dotLeaves(reduceName, scratch.Field("s"), partials, total, stride, k)
 }
 
 // sweepBody binds a sweep's real-mode arithmetic to the storage of one
@@ -271,15 +288,16 @@ func (p *Planner) FusedSweep(ups []VecUpdate, dots []DotPair) []*Scalar {
 // per piece it covers. A call runs the checksum verification pre-pass
 // (detection only), the updates in order with checksum maintenance, then
 // the dot partials into the piece's scratch slots slot·stride..+k-1 (and
-// the guard slot after them when detection is on).
+// the guard slot after them when detection is on). alpha holds the values
+// of the sweep's distinct coefficients, in sweepOperands order.
 func (p *Planner) sweepBody(name string, ci int, scratch *region.Region, stride int,
-	ups []VecUpdate, dots []DotPair, vecs []sweepVec) func(subset index.IntervalSet, slot int) {
+	ups []VecUpdate, dots []DotPair, vecs []sweepVec, alphas []*Scalar) func(subset index.IntervalSet, slot int, alpha []float64) {
 
 	type boundUpdate struct {
 		kind   UpdateKind
 		neg    bool
 		d, s   []float64
-		a      []float64
+		a      int       // index of the coefficient in alpha
 		cd, cs []float64 // checksum slots of dst and src (nil without sdc)
 	}
 	sdc := p.sdcOn()
@@ -293,7 +311,7 @@ func (p *Planner) sweepBody(name string, ci int, scratch *region.Region, stride 
 			kind: u.Kind, neg: u.Neg,
 			d: p.vecs[u.Dst].regs[ci].Field("v"),
 			s: p.vecs[u.Src].regs[ci].Field("v"),
-			a: u.Alpha.reg.Field("s"),
+			a: slices.Index(alphas, u.Alpha),
 		}
 		if sdc {
 			bu[i].cd = p.chkData(u.Dst)
@@ -326,7 +344,7 @@ func (p *Planner) sweepBody(name string, ci int, scratch *region.Region, stride 
 	}
 	guard := sdc && len(dots) > 0
 	k := int64(len(dots))
-	return func(subset index.IntervalSet, slot int) {
+	return func(subset index.IntervalSet, slot int, alpha []float64) {
 		base := int64(slot * stride)
 		// Verify every vector this sweep reads against its incoming
 		// checksum, before touching anything: a corruption planted
@@ -337,7 +355,7 @@ func (p *Planner) sweepBody(name string, ci int, scratch *region.Region, stride 
 			verifySlot(mon, tol, name, c.id, slot, c.chk, sum, abs)
 		}
 		for _, u := range bu {
-			av := u.a[0]
+			av := alpha[u.a]
 			if u.neg {
 				av = -av
 			}
@@ -381,77 +399,65 @@ func (p *Planner) sweepBody(name string, ci int, scratch *region.Region, stride 
 	}
 }
 
-// batchReduce launches the single combine task of a sweep's k dots: it
-// folds every dot's per-piece partials in piece order and writes all k
-// output scalars, paying one allreduce instead of k. The returned scalars
-// share the combine task's future. A lone scalar's value is that future's
-// value, so a fault injected on the combine reaches the host; batched
-// scalars each read their own backing region. With detection on the task
-// first recomputes each piece's guard sum — partials were written and
-// summed in the same order, so any corruption of the reduction scratch
-// makes the bitwise comparison fail.
-func (p *Planner) batchReduce(name string, scratch *region.Region, pieces, stride, k int) []*Scalar {
-	guard := stride > k
-	var mon *SDCMonitor
-	if guard {
-		mon = p.sdc.mon
-	}
+// batchReduce launches a virtual planner's one combine task for a sweep's
+// k dots, reading the partials and writing all k output scalars: one
+// allreduce instead of k. The scalars share its future.
+func (p *Planner) batchReduce(name string, partials []scalarLeaf, k int) []*Scalar {
 	outs := make([]*Scalar, k)
-	refs := make([]region.Ref, 0, k+1)
-	refs = append(refs, region.Ref{
-		Region: scratch.ID(), Field: "s",
-		Subset: index.Span(0, int64(pieces*stride)-1), Priv: region.ReadOnly,
-	})
+	refs := leafRefs(partials)
 	for j := range outs {
-		outs[j] = p.newScalar("dot", 0)
-		refs = append(refs, outs[j].ref(region.WriteDiscard))
-	}
-	var run func() float64
-	if !p.virtual {
-		in := scratch.Field("s")
-		dsts := make([][]float64, k)
-		for j, s := range outs {
-			dsts[j] = s.reg.Field("s")
-		}
-		run = func() float64 {
-			if guard {
-				for pc := 0; pc < pieces; pc++ {
-					var g float64
-					for j := 0; j < k; j++ {
-						g += in[pc*stride+j]
-					}
-					if got := in[pc*stride+k]; got != g || math.IsNaN(g) {
-						mon.report(SDCAlarm{
-							Task: name, Vec: -1, Slot: pc,
-							Expected: got, Got: g, Scale: math.Abs(g),
-						})
-					}
-				}
-			}
-			for j := 0; j < k; j++ {
-				var sum float64
-				for pc := 0; pc < pieces; pc++ {
-					sum += in[pc*stride+j]
-				}
-				dsts[j][0] = sum
-			}
-			return dsts[0][0]
-		}
+		var w region.Ref
+		outs[j], w, _ = p.newScalar("dot")
+		refs = append(refs, w)
 	}
 	fut := p.sess.Launch(taskrt.TaskSpec{
-		Name: name, Proc: 0,
+		Name: name,
 		// One tree reduction regardless of k: the scalars ride the same
 		// allreduce message, the MPI_Allreduce the real machine pays.
 		Cost: p.mach.AllReduceTime(),
-		Refs: refs,
-		Run:  run, Retryable: true,
+		Refs: refs, Retryable: true,
 	})
 	for _, s := range outs {
-		s.fut = fut
-		if k > 1 && !p.virtual {
-			val := s.reg.Field("s")
-			s.read = func() float64 { return val[0] }
+		s.produced(fut)
+	}
+	return outs
+}
+
+// dotLeaves returns a real planner's k dot results over the scratch
+// partials in: each folds its per-piece partials in slot order, the
+// combine task's arithmetic, wherever it is read. With detection on, the
+// reduction's first fold recomputes every piece's guard sum — partials
+// were written and summed in the same order, so any corruption of the
+// scratch makes the bitwise comparison fail — and alarms as name.
+func (p *Planner) dotLeaves(name string, in []float64, partials []scalarLeaf, pieces, stride, k int) []*Scalar {
+	guard := stride > k
+	var once sync.Once
+	check := func() {
+		for pc := 0; pc < pieces; pc++ {
+			var g float64
+			for j := 0; j < k; j++ {
+				g += in[pc*stride+j]
+			}
+			if got := in[pc*stride+k]; got != g || math.IsNaN(g) {
+				p.sdc.mon.report(SDCAlarm{
+					Task: name, Vec: -1, Slot: pc,
+					Expected: got, Got: g, Scale: math.Abs(g),
+				})
+			}
 		}
+	}
+	outs := make([]*Scalar, k)
+	for j := range outs {
+		outs[j] = &Scalar{leaves: partials, durable: true, eval: func() float64 {
+			if guard {
+				once.Do(check)
+			}
+			var sum float64
+			for pc := 0; pc < pieces; pc++ {
+				sum += in[pc*stride+j]
+			}
+			return sum
+		}}
 	}
 	return outs
 }

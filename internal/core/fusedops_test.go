@@ -9,6 +9,7 @@ import (
 	"kdrsolvers/internal/index"
 	"kdrsolvers/internal/machine"
 	"kdrsolvers/internal/sparse"
+	"kdrsolvers/internal/taskrt"
 )
 
 // fusedTestPlanner builds a real single-operator planner over a 2D
@@ -98,8 +99,9 @@ func TestDotBatchMatchesIndividualDots(t *testing.T) {
 		if relDiff(g, w) > 1e-10 {
 			t.Errorf("dot %d: batch %g vs individual %g", i, g, w)
 		}
-		if err := got[i].fut.Err(); err != nil {
-			t.Errorf("dot %d: unexpected error %v", i, err)
+		// One reduction: every dot of the batch folds the same partials.
+		if len(got[i].leaves) != 1 || got[i].leaves[0].ref.Region != got[0].leaves[0].ref.Region {
+			t.Errorf("dot %d reads %d leaves, want the batch's one scratch region", i, len(got[i].leaves))
 		}
 	}
 }
@@ -165,27 +167,30 @@ func TestFusedVirtualRealGraphEquivalence(t *testing.T) {
 			[]VecUpdate{{Kind: UpdAxpy, Dst: w, Alpha: d[0], Src: SOL}},
 			[]DotPair{{w, RHS}})
 	})
-	if !graphsEqual(t, real, virt) {
+	if !contractedEqual(t, real, virt) {
 		t.Fatal("fused-op graphs differ between real and virtual planners")
 	}
 }
 
 func TestFusedSweepLaunchCounts(t *testing.T) {
 	// The headline accounting: k updates and d dots over P pieces launch
-	// P + 1 tasks fused (P sweeps + one combine), versus k·P + d·(P+1)
-	// unfused.
+	// P tasks fused on a real planner (the readers combine the partials)
+	// and P + 1 on a virtual one (P sweeps + one combine), versus
+	// k·P + d·(P+1) unfused.
 	const pieces = 4
-	p, a, b := fusedTestPlanner(64, pieces)
-	p.grain = 0 // the ledger counts per-piece launches
-	p.Drain()
-	before := p.Runtime().Stats().Launched
-	p.FusedSweep([]VecUpdate{
-		{Kind: UpdAxpy, Dst: a, Alpha: p.Constant(1), Src: RHS},
-		{Kind: UpdAxpy, Dst: b, Alpha: p.Constant(2), Src: SOL},
-	}, []DotPair{{a, a}, {a, b}, {b, b}})
-	p.Drain()
-	if got := p.Runtime().Stats().Launched - before; got != pieces+1 {
-		t.Fatalf("fused sweep launched %d tasks, want %d", got, pieces+1)
+	for want, virtual := range map[int64]bool{pieces: false, pieces + 1: true} {
+		p := NewPlanner(Config{Machine: machine.Lassen(2), Virtual: virtual})
+		p.grain = 0 // the ledger counts per-piece launches
+		setupSystem(p, 64, pieces)
+		a, b := p.AllocateWorkspace(SolShape), p.AllocateWorkspace(RhsShape)
+		p.FusedSweep([]VecUpdate{
+			{Kind: UpdAxpy, Dst: a, Alpha: p.Constant(1), Src: RHS},
+			{Kind: UpdAxpy, Dst: b, Alpha: p.Constant(2), Src: SOL},
+		}, []DotPair{{a, a}, {a, b}, {b, b}})
+		p.Drain()
+		if got := p.Runtime().Stats().Launched; got != want {
+			t.Errorf("virtual=%v: fused sweep launched %d tasks, want %d", virtual, got, want)
+		}
 	}
 }
 
@@ -210,8 +215,8 @@ func TestFusedSweepValidation(t *testing.T) {
 func TestConcurrentDotBatchLaunches(t *testing.T) {
 	// Many DotBatch rounds launched back to back without draining: the
 	// partial tasks of round i+1 must be correctly ordered against round
-	// i's combine through the shared vectors, and the shared-future
-	// scalars must be race-free under the -race CI run. Several planners
+	// i's readers through the shared vectors, and scalars sharing one
+	// sweep's partials must be race-free under the -race CI run. Several planners
 	// run concurrently to exercise cross-runtime isolation too.
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -248,14 +253,16 @@ func TestConcurrentDotBatchLaunches(t *testing.T) {
 // and the benchmark sorts tasks into its vector/reduce classes by them.
 // A single-operation sweep keeps the operation's name; only genuinely
 // fused sweeps get the fused.* / dot.batch* names. Costs are the machine
-// model's, identically on real and virtual planners.
+// model's, identically on real and virtual planners; the scalar tasks
+// (combines and scalar arithmetic) exist on virtual planners only.
 func TestSweepTaskVocabulary(t *testing.T) {
 	const n, pieces = 64, 4
 	m := machine.Lassen(2)
 	axpy, dot := m.AxpyCost(n/pieces), m.DotCost(n/pieces)
 	type class struct {
-		count int
-		cost  float64 // -1: not a sweep task, cost not pinned here
+		count  int
+		cost   float64 // -1: not a sweep task, cost not pinned here
+		scalar bool    // virtual planners only
 	}
 	for _, tc := range []struct {
 		name string
@@ -272,10 +279,10 @@ func TestSweepTaskVocabulary(t *testing.T) {
 			}, []DotPair{{r, r}})[0]
 			p.Xpay(pv, p.Div(res, p.Constant(1)), r)
 		}, map[string]class{
-			"matmul": {pieces, -1}, "div": {2, 0},
-			"dot.partial": {pieces, dot}, "dot.reduce": {1, m.AllReduceTime()},
-			"fused.updatedot": {pieces, axpy + axpy + dot}, "dot.batchreduce": {1, m.AllReduceTime()},
-			"xpay": {pieces, axpy},
+			"matmul": {pieces, -1, false}, "div": {2, 0, true},
+			"dot.partial": {pieces, dot, false}, "dot.reduce": {1, m.AllReduceTime(), true},
+			"fused.updatedot": {pieces, axpy + axpy + dot, false}, "dot.batchreduce": {1, m.AllReduceTime(), true},
+			"xpay": {pieces, axpy, false},
 		}},
 		{"bicg", func(p *Planner, w []VecID) {
 			q, pv, r, qt, pt, rt := w[0], w[1], w[2], w[3], w[4], w[5]
@@ -290,13 +297,13 @@ func TestSweepTaskVocabulary(t *testing.T) {
 			p.Xpay(pt, beta, rt)
 			p.Dot(r, r)
 		}, map[string]class{
-			"matmul": {pieces, -1}, "matmulT": {pieces, -1}, "div": {2, 0}, "neg": {2, 0},
-			"dot.partial": {3 * pieces, dot}, "dot.reduce": {3, m.AllReduceTime()},
-			"axpy": {3 * pieces, axpy}, "xpay": {2 * pieces, axpy},
+			"matmul": {pieces, -1, false}, "matmulT": {pieces, -1, false}, "div": {2, 0, true}, "neg": {2, 0, true},
+			"dot.partial": {3 * pieces, dot, false}, "dot.reduce": {3, m.AllReduceTime(), true},
+			"axpy": {3 * pieces, axpy, false}, "xpay": {2 * pieces, axpy, false},
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var launched [2]int64
+			var graphs [2]taskrt.Graph
 			for vi, virtual := range []bool{false, true} {
 				p := NewPlanner(Config{Machine: m, Virtual: virtual})
 				p.grain = 0 // the ledger counts per-piece launches
@@ -309,9 +316,9 @@ func TestSweepTaskVocabulary(t *testing.T) {
 				tc.step(p, w)
 				p.Session().EndTrace()
 				p.Drain()
-				launched[vi] = p.Runtime().Stats().Launched
+				graphs[vi] = p.Runtime().Graph()
 				got := map[string]int{}
-				for _, nd := range p.Runtime().Graph().Nodes {
+				for _, nd := range graphs[vi].Nodes {
 					got[nd.Name]++
 					want, ok := tc.want[nd.Name]
 					if !ok {
@@ -321,33 +328,44 @@ func TestSweepTaskVocabulary(t *testing.T) {
 					}
 				}
 				for name, want := range tc.want {
+					if want.scalar && !virtual {
+						want.count = 0
+					}
 					if got[name] != want.count {
 						t.Errorf("virtual=%v: %d %s task(s), want %d", virtual, got[name], name, want.count)
 					}
 				}
 			}
-			if launched[0] != launched[1] {
-				t.Errorf("real planner launched %d tasks, virtual %d", launched[0], launched[1])
+			if !contractedEqual(t, graphs[0], graphs[1]) {
+				t.Error("the real graph is not the virtual graph with its scalar tasks contracted")
 			}
 		})
 	}
 }
 
-// A lone dot's value is its combine task's future, so a NaN injected on
-// the combine reaches the host instead of being papered over by a read of
-// the (intact) backing region; the scalars of a batch share one future
-// and each read their own region.
-func TestInjectedNaNOnDotReduceReachesHost(t *testing.T) {
-	p, _, _ := fusedTestPlanner(64, 4)
+// A dot is as good as its partial tasks: when one fails for good (a
+// permanent panic, no retries), Value reports NaN and every task reading
+// the dot is poisoned instead of running on a garbage partial.
+func TestFailedPartialPoisonsDotReaders(t *testing.T) {
+	const pieces = 4
+	p, a, _ := fusedTestPlanner(64, pieces)
 	p.Drain()
-	p.Session().SetFaultInjector(fault.NewInjector(fault.Plan{Seed: 1, NaNRate: 1, Names: []string{"dot.reduce"}}))
-	if v := p.Dot(SOL, RHS).Value(); !math.IsNaN(v) {
-		t.Errorf("Dot = %g under an injected NaN on dot.reduce, want NaN", v)
-	}
-	for i, d := range p.DotBatch(DotPair{SOL, RHS}, DotPair{RHS, RHS}) {
-		if v := d.Value(); math.IsNaN(v) || math.IsInf(v, 0) {
-			t.Errorf("batched dot %d = %g, want finite", i, v)
-		}
-	}
+	before := append([]float64(nil), p.VecData(a, 0)...)
+	p.Session().SetFaultInjector(fault.NewInjector(fault.Plan{
+		Seed: 1, PanicRate: 1, Sticky: true, Names: []string{"dot.partial"}, Pieces: []int{2},
+	}))
+	d := p.Dot(SOL, RHS)
+	p.Axpy(a, p.Div(d, p.Constant(3)), RHS)
 	p.Drain()
+	if v := d.Value(); !math.IsNaN(v) {
+		t.Errorf("Dot = %g with a failed partial task, want NaN", v)
+	}
+	st := p.Session().Stats()
+	if st.Failed != 1 || st.Poisoned != pieces {
+		t.Errorf("%d failed, %d poisoned tasks; want the one partial and the %d axpy tasks reading the dot",
+			st.Failed, st.Poisoned, pieces)
+	}
+	if !bitwiseEqual(before, p.VecData(a, 0)) {
+		t.Error("a poisoned axpy wrote its destination")
+	}
 }

@@ -142,16 +142,6 @@ func TestLaunchGroups(t *testing.T) {
 	}
 }
 
-// pieceTask reports whether a task name is launched once per launch group.
-func pieceTask(name string) bool {
-	switch name {
-	case "zero", "copy", "scal", "axpy", "xpay", "dot.partial", "dot.batch",
-		"fused.update", "fused.updatedot", "matmul", "matmulT", "psolve":
-		return true
-	}
-	return false
-}
-
 // groupingProgram is every kind of launch the planner has, one operation
 // per entry, so the graphs of two planners can be compared window by
 // window.
@@ -180,12 +170,13 @@ func groupingProgram(p *Planner) []func() {
 }
 
 // The grouped real graph is the virtual (one task per piece) graph with
-// each group contracted to one node: same names in the same order, each
-// node standing for members of its own group only, and the same
-// dependences — every per-piece edge lands on an edge or inside one node,
-// and no edge appears that no per-piece edge accounts for. Every piece
-// has its own processor, so a node's Proc names the piece (virtual) or the
-// group's first piece (real).
+// each group contracted to one node and the scalar tasks contracted away
+// (contractScalars): same names in the same order, each node standing for
+// members of its own group only, and the same dependences — every
+// per-piece edge lands on an edge or inside one node, and no edge appears
+// that no per-piece edge accounts for. Every piece has its own processor,
+// so a node's Proc names the piece (virtual) or the group's first piece
+// (real).
 func TestGroupedGraphIsVirtualGraphContracted(t *testing.T) {
 	for _, ops := range []int{opsPlain, opsAliased, opsPartialFirst} {
 		pr, pv := unevenPlanner(false, ops), unevenPlanner(true, ops)
@@ -200,21 +191,36 @@ func TestGroupedGraphIsVirtualGraphContracted(t *testing.T) {
 			}
 		}
 		real, virt := groupingProgram(pr), groupingProgram(pv)
-		var image []int // virtual node → real node
+		ends := make([][2]int, len(real)) // each op's end in the real and virtual graphs
 		for i := range real {
-			r0 := pr.Runtime().Graph().Len()
 			real[i]()
 			virt[i]()
-			rg, vg := pr.Runtime().Graph(), pv.Runtime().Graph()
-			v := len(image)
-			for r := r0; r < rg.Len(); r++ {
-				node := rg.Nodes[r]
-				group := map[int]bool{vg.Nodes[v].Proc: true} // a lone task stands for itself
-				if pieceTask(node.Name) {
-					group = owners[node.Proc]
+			ends[i] = [2]int{pr.Runtime().Graph().Len(), pv.Runtime().Graph().Len()}
+		}
+		pr.Drain()
+		pv.Drain()
+		rg, rimg := contractScalars(pr.Runtime().Graph())
+		vg, vimg := contractScalars(pv.Runtime().Graph())
+		// end maps a raw graph length to the contracted one.
+		end := func(img []int, n int) int {
+			kept := 0
+			for _, m := range img[:n] {
+				if m >= 0 {
+					kept++
 				}
+			}
+			return kept
+		}
+		var image []int // virtual node → real node
+		r := 0
+		for i := range real {
+			rEnd, vEnd := end(rimg, ends[i][0]), end(vimg, ends[i][1])
+			v := len(image)
+			for ; r < rEnd; r++ {
+				node := rg.Nodes[r]
+				group := owners[node.Proc]
 				stoodFor := 0
-				for v < vg.Len() && vg.Nodes[v].Name == node.Name && group[vg.Nodes[v].Proc] && stoodFor < len(group) {
+				for v < vEnd && vg.Nodes[v].Name == node.Name && group[vg.Nodes[v].Proc] && stoodFor < len(group) {
 					image = append(image, r)
 					v++
 					stoodFor++
@@ -224,13 +230,10 @@ func TestGroupedGraphIsVirtualGraphContracted(t *testing.T) {
 						ops, i, r, node.Name, node.Proc, vg.Nodes[v].Name, vg.Nodes[v].Proc)
 				}
 			}
-			if v != vg.Len() {
-				t.Fatalf("ops=%d op %d: %d per-piece tasks left over", ops, i, vg.Len()-v)
+			if v != vEnd {
+				t.Fatalf("ops=%d op %d: %d per-piece tasks left over", ops, i, vEnd-v)
 			}
 		}
-		pr.Drain()
-		pv.Drain()
-		rg, vg := pr.Runtime().Graph(), pv.Runtime().Graph()
 		if rg.Len() >= vg.Len() {
 			t.Fatalf("ops=%d: %d real nodes, %d virtual: nothing was grouped", ops, rg.Len(), vg.Len())
 		}

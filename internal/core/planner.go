@@ -120,6 +120,8 @@ type Planner struct {
 	}
 	colorBase int
 	scalarSeq int
+	// step counts TraceBegin calls: an expression never spans two (Scalar).
+	step      int
 	tracing   bool
 	traceOpen bool
 
@@ -193,8 +195,10 @@ func (p *Planner) SetTracing(on bool) { p.tracing = on }
 // A scope still open from an abandoned sequence — a GMRES solve that
 // converged mid-restart-cycle — is closed first; the runtime treats the
 // short instance as a miss and re-records, so abandonment costs only
-// performance.
+// performance. Every call, tracing or not, also starts a new step of the
+// planner's scalar expressions (see Scalar).
 func (p *Planner) TraceBegin(key string) bool {
+	p.step++
 	if !p.tracing {
 		return false
 	}
@@ -543,26 +547,29 @@ func (p *Planner) mustNotBeFinalized() {
 }
 
 // batch appends one piece task to the planner's pending detached batch.
-// The bulk per-piece launches of vector sweeps and products never read
-// their futures, so the whole batch runs detached — LaunchBatch then
-// returns nil and the launch path allocates no futures at all.
+// The bulk per-piece launches of updates and products never read their
+// futures, so the whole batch runs detached — LaunchBatch then returns nil
+// and the launch path allocates no futures at all. (A real dot sweep's
+// tasks are the exception: its scalars wait on them, see FusedSweep.)
 func (p *Planner) batch(spec taskrt.TaskSpec) {
 	spec.Detached = true
 	p.specBuf = append(p.specBuf, spec)
 }
 
 // flushBatch submits the pending piece tasks as one fused LaunchBatch
-// and resets the buffer for reuse. Entries are scrubbed so the buffer
-// does not retain task closures past the launch.
-func (p *Planner) flushBatch() {
+// and resets the buffer for reuse, returning the futures of a batch that
+// is not detached. Entries are scrubbed so the buffer does not retain task
+// closures past the launch.
+func (p *Planner) flushBatch() []*taskrt.Future {
 	if len(p.specBuf) == 0 {
-		return
+		return nil
 	}
-	p.sess.LaunchBatch(p.specBuf)
+	futs := p.sess.LaunchBatch(p.specBuf)
 	for i := range p.specBuf {
 		p.specBuf[i] = taskrt.TaskSpec{}
 	}
 	p.specBuf = p.specBuf[:0]
+	return futs
 }
 
 // checkCompatible panics unless both vectors exist and have the same

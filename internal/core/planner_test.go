@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"kdrsolvers/internal/index"
@@ -366,36 +367,41 @@ func TestVirtualPlannerGraph(t *testing.T) {
 }
 
 func TestGraphHasScalarDataflow(t *testing.T) {
-	// The axpy tasks must depend (transitively) on the dot.reduce task
-	// through the scalar region, so the simulator charges the reduction
-	// barrier.
+	// The axpy tasks reading a dot must depend on every one of its partial
+	// tasks — directly on a real planner, which combines in the reader,
+	// and through the dot.reduce task on a virtual one — so the simulator
+	// charges the reduction barrier and no reader runs on a stale partial.
 	a := sparse.Laplacian1D(16)
-	p := newTestPlanner(t, a, make([]float64, 16), make([]float64, 16), 2)
-	d := p.Dot(SOL, RHS)
-	p.Axpy(SOL, d, RHS)
-	p.Drain()
-	g := p.Runtime().Graph()
-	// Find the reduce node and an axpy node.
-	reduce, axpy := int64(-1), int64(-1)
-	for _, n := range g.Nodes {
-		switch n.Name {
-		case "dot.reduce":
-			reduce = n.ID
-		case "axpy":
-			axpy = n.ID
+	real := newTestPlanner(t, a, make([]float64, 16), make([]float64, 16), 2)
+	real.grain = 0
+	virt := NewPlanner(Config{Machine: machine.Lassen(2), Virtual: true})
+	virt.AddSolVectorVirtual(16, index.EqualPartition(index.NewSpace("D", 16), 2))
+	virt.AddRHSVectorVirtual(16, index.EqualPartition(index.NewSpace("R", 16), 2))
+	virt.AddOperator(a, 0, 0)
+	virt.Finalize()
+	for _, p := range []*Planner{real, virt} {
+		p.Axpy(SOL, p.Dot(SOL, RHS), RHS)
+		p.Drain()
+		g, _ := contractScalars(p.Runtime().Graph())
+		var partials []int64
+		axpys := 0
+		for _, n := range g.Nodes {
+			switch n.Name {
+			case "dot.partial":
+				partials = append(partials, n.ID)
+			case "axpy":
+				axpys++
+				for _, d := range partials {
+					if !slices.Contains(n.Deps, d) {
+						t.Errorf("virtual=%v: axpy %d does not depend on dot.partial %d — scalar dataflow missing from graph",
+							p.Virtual(), n.ID, d)
+					}
+				}
+			}
 		}
-	}
-	if reduce < 0 || axpy < 0 {
-		t.Fatal("expected dot.reduce and axpy tasks")
-	}
-	found := false
-	for _, dep := range g.Nodes[axpy].Deps {
-		if dep == reduce {
-			found = true
+		if len(partials) != 2 || axpys != 2 {
+			t.Fatalf("virtual=%v: %d dot.partial and %d axpy tasks, want 2 and 2", p.Virtual(), len(partials), axpys)
 		}
-	}
-	if !found {
-		t.Fatal("axpy does not depend on dot.reduce — scalar dataflow missing from graph")
 	}
 }
 

@@ -290,7 +290,7 @@ func (pl *PowersPlan) sweepBody(pc *powersPiece, offset, levels int, src VecID, 
 
 // Gram computes the Gram matrix G[i][j] = vs[i]·vs[j] of a basis with a
 // single batched reduction: one partial task per piece computing every
-// distinct pair, one combine task total. The s-step methods fold all
+// distinct pair, one combine total. The s-step methods fold all
 // their inner products into this call — the one global synchronization
 // of an s-iteration block. The returned matrix is symmetric (the lower
 // triangle aliases the upper triangle's scalars).

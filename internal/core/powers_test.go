@@ -8,6 +8,7 @@ import (
 	"kdrsolvers/internal/index"
 	"kdrsolvers/internal/machine"
 	"kdrsolvers/internal/sparse"
+	"kdrsolvers/internal/taskrt"
 )
 
 // powersTestPlanner builds a single-component square system over the
@@ -171,12 +172,13 @@ func TestPowersSweepShallowerThanPlan(t *testing.T) {
 
 func TestPowersSweepVirtualLaunchParity(t *testing.T) {
 	// The kernel's launch structure is data-independent: a virtual
-	// planner must record exactly the real planner's task count, for the
-	// sweep alone and for a sweep plus its Gram reduction.
+	// planner must record the real planner's graph, for the sweep alone
+	// and for a sweep plus its Gram reduction, up to the Gram's combine
+	// task (which only the virtual planner launches).
 	const n, pieces, depth = 64, 4, 3
 	for name, mat := range powersTestOperators() {
 		t.Run(name, func(t *testing.T) {
-			run := func(virt bool) int64 {
+			run := func(virt bool) taskrt.Graph {
 				p := powersTestPlanner(n, pieces, virt, mat)
 				p.grain = 0 // Gram's partials launch per piece, as the sweep always does
 				plan := NewPowersPlan(p, depth)
@@ -190,10 +192,10 @@ func TestPowersSweepVirtualLaunchParity(t *testing.T) {
 				if err := p.Runtime().Err(); err != nil {
 					t.Fatalf("virt=%v runtime error: %v", virt, err)
 				}
-				return p.Runtime().Stats().Launched
+				return p.Runtime().Graph()
 			}
-			if real, virt := run(false), run(true); real != virt {
-				t.Errorf("launched %d tasks real vs %d virtual", real, virt)
+			if real, virt := run(false), run(true); !contractedEqual(t, real, virt) {
+				t.Errorf("launched %d tasks real vs %d virtual, and they do not contract to one graph", real.Len(), virt.Len())
 			}
 		})
 	}

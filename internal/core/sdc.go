@@ -43,9 +43,9 @@ import (
 // The forward SpMV additionally self-checks in-task: Σ(y over the write
 // set) must equal w·x up to rounding, the classic ABFT checksummed SpMV.
 // Every dot, single or batched, carries a per-piece guard slot (the sum of
-// the piece's partials, recomputed bitwise-identically by the combine task), so
-// corruption of reduction scratch between partial and combine is caught
-// exactly.
+// the piece's partials, recomputed bitwise-identically by the reduction's
+// first fold), so corruption of reduction scratch between partial and
+// combine is caught exactly.
 //
 // Everything here is opt-in via EnableSDCDetection; with detection off,
 // no extra region references, passes, or allocations exist anywhere.

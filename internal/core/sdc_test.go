@@ -133,19 +133,20 @@ func TestSDCPlantedFlipDetected(t *testing.T) {
 }
 
 // Corrupting the reduction scratch between partial and combine trips the
-// bitwise guard-slot comparison, for a batch and for a single dot alike.
-// The injector targets the partial task's scratch span via the
+// bitwise guard-slot comparison, for a batch and for a single dot alike,
+// once the dot is read: the check runs on the reduction's first fold. The
+// injector targets the partial task's scratch span via the
 // planner-installed corruption hook.
 func TestSDCDotBatchGuard(t *testing.T) {
 	const n, pieces = 256, 4
 	for _, tc := range []struct {
 		partial, combine string
-		launch           func(p *Planner)
+		launch           func(p *Planner) []*Scalar
 	}{
-		{"dot.batch", "dot.batchreduce", func(p *Planner) {
-			p.DotBatch(DotPair{V: SOL, W: RHS}, DotPair{V: RHS, W: RHS})
+		{"dot.batch", "dot.batchreduce", func(p *Planner) []*Scalar {
+			return p.DotBatch(DotPair{V: SOL, W: RHS}, DotPair{V: RHS, W: RHS})
 		}},
-		{"dot.partial", "dot.reduce", func(p *Planner) { p.Dot(SOL, RHS) }},
+		{"dot.partial", "dot.reduce", func(p *Planner) []*Scalar { return []*Scalar{p.Dot(SOL, RHS)} }},
 	} {
 		t.Run(tc.partial, func(t *testing.T) {
 			sol := make([]float64, n)
@@ -164,10 +165,16 @@ func TestSDCDotBatchGuard(t *testing.T) {
 			// targets the scratch span (data + guard), and the flip of a low
 			// exponent bit shifts a partial enough to break the exact guard.
 			p.Session().SetFaultInjector(fault.NewInjector(fault.Plan{Seed: 3, BitFlipRate: 1, Bit: 52, Names: []string{tc.partial}}))
-			tc.launch(p)
+			dots := tc.launch(p)
 			p.Drain()
-			if c := mon.Count(); c == 0 {
-				t.Fatal("corrupted reduction scratch raised no guard alarm")
+			if c := mon.Count(); c != 0 {
+				t.Fatalf("%d guard alarms before the dot was read", c)
+			}
+			for _, d := range dots {
+				d.Value()
+			}
+			if c := mon.Count(); c != pieces {
+				t.Fatalf("reading the corrupted reduction raised %d guard alarms, want one per piece (%d), once", c, pieces)
 			}
 			for _, a := range mon.Take() {
 				if a.Task != tc.combine {

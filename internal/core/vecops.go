@@ -19,7 +19,7 @@ import (
 // of the one sweep kernel, FusedSweep (fusedops.go).
 //
 // Tasks whose bodies are idempotent — they fully overwrite their outputs
-// and read nothing they write (zero, copy, dot.partial, dot.reduce) — are
+// and read nothing they write (zero, copy, dot.partial) — are
 // marked Retryable so the runtime may re-execute them after a transient
 // failure. Read-modify-write bodies (scal, axpy, xpay) are not: a partial
 // first attempt would double-apply, so their failures escalate to the
@@ -63,6 +63,21 @@ func (g *pieceGroup) run(body func(subset index.IntervalSet, slot int)) func() f
 	return func() float64 {
 		for i, subset := range g.pieces {
 			body(subset, g.slot+i)
+		}
+		return 0
+	}
+}
+
+// runWith is run for a body that reads scalars: the task evaluates each
+// one once, before its first piece, and hands every piece the values.
+func (g *pieceGroup) runWith(scalars []*Scalar, body func(subset index.IntervalSet, slot int, vals []float64)) func() float64 {
+	return func() float64 {
+		vals := make([]float64, len(scalars))
+		for i, s := range scalars {
+			vals[i] = s.eval()
+		}
+		for i, subset := range g.pieces {
+			body(subset, g.slot+i, vals)
 		}
 		return 0
 	}
@@ -211,12 +226,12 @@ func (p *Planner) Scal(dst VecID, alpha *Scalar) {
 		chkD = p.chkData(dst)
 		mon, tol = p.sdc.mon, p.sdc.tol
 	}
+	alphas := []*Scalar{alpha}
 	for ci, groups := range p.launchGroups(dv.shape, hooks) {
-		var body func(subset index.IntervalSet, slot int)
+		var body func(subset index.IntervalSet, slot int, a []float64)
 		if !p.virtual {
 			d := dv.regs[ci].Field("v")
-			a := alpha.reg.Field("s")
-			body = func(subset index.IntervalSet, slot int) {
+			body = func(subset index.IntervalSet, slot int, a []float64) {
 				av := a[0]
 				if !sdc {
 					subset.EachInterval(func(iv index.Interval) {
@@ -244,13 +259,13 @@ func (p *Planner) Scal(dst VecID, alpha *Scalar) {
 			spec := taskrt.TaskSpec{
 				Name: "scal", Proc: g.proc, Piece: g.slot + 1,
 				Cost: p.mach.ScalCost(g.subset.Size()),
-				Refs: []region.Ref{
-					pieceRef(dv.regs[ci], g.subset, region.ReadWrite),
-					alpha.ref(region.ReadOnly),
-				},
+				Refs: []region.Ref{pieceRef(dv.regs[ci], g.subset, region.ReadWrite)},
+			}
+			for _, l := range alpha.leaves {
+				spec.Refs = append(spec.Refs, l.ref)
 			}
 			if body != nil {
-				spec.Run = g.run(body)
+				spec.Run = g.runWith(alphas, body)
 			}
 			if sdc {
 				spec.Refs = append(spec.Refs, p.chkRef(dst, g.slot, len(g.pieces), region.ReadWrite))
@@ -275,10 +290,11 @@ func (p *Planner) Xpay(dst VecID, alpha *Scalar, src VecID) {
 }
 
 // Dot computes the inner product v·w as a deferred scalar. Per-piece
-// partial dots run on the piece owners; a reduction task on processor 0
-// then combines the partials in deterministic (color) order, paying the
-// machine's allreduce cost. This is the global synchronization point of
-// every Krylov iteration.
+// partial dots run on the piece owners; the partials combine in
+// deterministic (color) order — in every reader on a real planner, in a
+// reduction task on processor 0 paying the machine's allreduce cost on a
+// virtual one. This is the global synchronization point of every Krylov
+// iteration.
 func (p *Planner) Dot(v, w VecID) *Scalar {
 	return p.FusedSweep(nil, []DotPair{{V: v, W: w}})[0]
 }

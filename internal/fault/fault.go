@@ -35,9 +35,10 @@ const (
 	// always safe to re-execute, but the runtime cannot know that and
 	// applies its usual retryability rules.
 	Panic
-	// NaN runs the task body normally and then silently corrupts its
-	// scalar result to NaN — the silent-data-corruption model. No error is
-	// raised; detection is the solver's job.
+	// NaN runs the task body normally and then silently overwrites one
+	// float64 of its output region data with NaN (or its scalar result,
+	// when the task exposes no region hook) — the silent-data-corruption
+	// model. No error is raised; detection is the solver's job.
 	NaN
 	// Stall sleeps for the plan's stall duration before running the body —
 	// the straggler model, visible to the runtime watchdog.
@@ -98,15 +99,18 @@ type Injection struct {
 	Bit int
 	// Factor is the multiplier a Scale corruption applies.
 	Factor float64
-	// Pos in [0,1) selects which output element is corrupted: the hook
-	// maps it over the task's writable points.
+	// Pos in [0,1) selects which output element a BitFlip or Scale
+	// corrupts: the hook maps it over the task's writable points. A NaN
+	// draws none and lands on the first.
 	Pos float64
 }
 
-// CorruptValue applies a BitFlip or Scale corruption to one float64 and
-// returns the corrupted value; other kinds return v unchanged.
+// CorruptValue applies a NaN, BitFlip or Scale corruption to one float64
+// and returns the corrupted value; other kinds return v unchanged.
 func (inj Injection) CorruptValue(v float64) float64 {
 	switch inj.Kind {
+	case NaN:
+		return math.NaN()
 	case BitFlip:
 		return FlipBit(v, inj.Bit)
 	case Scale:

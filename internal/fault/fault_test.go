@@ -2,6 +2,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -183,6 +184,21 @@ func TestFaultCorruptValue(t *testing.T) {
 	}
 	if v := FlipBit(1.0, 64); v != 1.0 {
 		t.Fatalf("out-of-range bit changed the value: %v", v)
+	}
+}
+
+// A nan fault is data corruption like a bit flip: the value a task's
+// corruption hook writes into its output is NaN. Its decision draws no
+// target; it lands on the first writable point.
+func TestFaultNaNCorruptsData(t *testing.T) {
+	for _, v := range []float64{0, 3, math.Inf(-1)} {
+		if got := (Injection{Kind: NaN}).CorruptValue(v); !math.IsNaN(got) {
+			t.Fatalf("nan corruption of %v = %v, want NaN", v, got)
+		}
+	}
+	in := NewInjector(Plan{Seed: 4, NaNRate: 1})
+	if inj := in.Decide("dot.partial", "", 0); inj.Kind != NaN || inj.Pos != 0 {
+		t.Fatalf("nan decision = %+v, want kind nan at position 0", inj)
 	}
 }
 

@@ -10,13 +10,13 @@ import (
 )
 
 // TestFusedCGStepAllocs pins the per-iteration allocation budget of the
-// fused CG step under trace replay. The bulk piece tasks launch detached
-// through the batch API and splice their dependences from the memoized
-// trace, so what remains is the iteration's host-side bookkeeping: the
-// handful of result scalars (each a fresh region, by design — scalars
-// are values the host reads) and the reduction futures. The pin is a
-// regression tripwire: if the hot path regrows per-task allocations the
-// count jumps by O(pieces × launches), two orders of magnitude above
+// fused CG step under trace replay. The piece tasks launch through the
+// batch API and splice their dependences from the memoized trace, so what
+// remains is the iteration's host-side bookkeeping: the dots' fresh
+// scratch regions and scalars, the futures of the dot sweeps' piece tasks
+// (a dot's host reader waits on them) and the per-task closures. The pin
+// is a regression tripwire: if the hot path regrows per-task allocations
+// the count jumps by O(pieces × launches), two orders of magnitude above
 // this budget.
 func TestFusedCGStepAllocs(t *testing.T) {
 	if raceEnabled {

@@ -165,9 +165,9 @@ func launchesPerIter(p *core.Planner, s Solver) float64 {
 
 // reductionsPerIter counts global reductions — the "dot.reduce" and
 // "dot.batchreduce" combining tasks that stand in for an allreduce on a
-// distributed machine — per iteration over a traced 40-step window
-// after 3 warmup steps. One Step of an s-step method is itersPerStep
-// iterations.
+// distributed machine, and that only a virtual planner launches — per
+// iteration over a traced 40-step window after 3 warmup steps. One Step
+// of an s-step method is itersPerStep iterations.
 func reductionsPerIter(p *core.Planner, s Solver, itersPerStep int) float64 {
 	const warmup, window = 3, 40
 	RunIterations(s, warmup)
@@ -185,8 +185,9 @@ func reductionsPerIter(p *core.Planner, s Solver, itersPerStep int) float64 {
 }
 
 func TestReductionsPerIteration(t *testing.T) {
-	// The communication-avoidance ledger. These are counts of graph
-	// nodes, not timings, so equality is exact: classical CG pays two
+	// The communication-avoidance ledger, on the virtual planner that
+	// launches the combines. These are counts of graph nodes, not
+	// timings, so equality is exact: classical CG pays two
 	// global reductions per iteration, pipelined CG one, and s-step CG
 	// one block Gram reduction per s iterations — the claim the
 	// matrix-powers kernel exists to earn.
@@ -200,7 +201,7 @@ func TestReductionsPerIteration(t *testing.T) {
 		{"pipecg", 1, func(p *core.Planner) Solver { return NewPipeCG(p) }, 1},
 		{"sstep-cg", 4, func(p *core.Planner) Solver { return NewSStepCG(p, 4) }, 0.25},
 	} {
-		p := tracedPlanFor(sparse.Laplacian2D(128, 128), fusedRHS(128*128), 4)
+		p := confPlanner(sparse.Laplacian2D(128, 128), nil, true, true)
 		if got := reductionsPerIter(p, c.mk(p), c.itersPerStep); got != c.want {
 			t.Errorf("%s: %g reductions/iteration, want exactly %g", c.name, got, c.want)
 		}
@@ -231,7 +232,9 @@ func TestFusionLaunchReduction(t *testing.T) {
 	// per iteration than the per-operation formulation, and pipelined CG
 	// fewer still. BiCGStab, PCG and BiCG ride along with their own floors.
 	// Four pieces of 4 096 points: at the planner's launch grain, so the
-	// counts are per-piece counts.
+	// counts are per-piece counts, pinned exactly — a real planner launches
+	// the piece tasks and no combine or scalar task (a PipeCG or BiCGStab
+	// step keeps one host task: an expression over the previous step's).
 	const side, n = 128, 128 * 128
 	spd := func() sparse.Matrix { return sparse.Laplacian2D(side, side) }
 	measure := func(plan func() *core.Planner, mk func(p *core.Planner) Solver) float64 {
@@ -242,23 +245,24 @@ func TestFusionLaunchReduction(t *testing.T) {
 	withJacobi := func() *core.Planner { return pcgPlanFor(spd(), fusedRHS(n), 4) }
 	nonsym := func() *core.Planner { return planFor(convectionDiffusion(n, 0.3), fusedRHS(n), 4) }
 	cases := []struct {
-		name    string
-		plan    func() *core.Planner
-		fused   func(p *core.Planner) Solver
-		unfused func(p *core.Planner) Solver
-		minDrop float64
+		name         string
+		plan         func() *core.Planner
+		fused        func(p *core.Planner) Solver
+		unfused      func(p *core.Planner) Solver
+		minDrop      float64
+		wantF, wantU float64
 	}{
 		{"cg", plain,
 			func(p *core.Planner) Solver { return NewCG(p) },
-			func(p *core.Planner) Solver { return NewCGUnfused(p) }, 0.30},
+			func(p *core.Planner) Solver { return NewCGUnfused(p) }, 0.30, 16, 24},
 		{"pcg", withJacobi,
 			func(p *core.Planner) Solver { return NewPCG(p) },
-			func(p *core.Planner) Solver { return NewPCGUnfused(p) }, 0.25},
+			func(p *core.Planner) Solver { return NewPCGUnfused(p) }, 0.25, 24, 32},
 		{"bicgstab", nonsym,
 			func(p *core.Planner) Solver { return NewBiCGStab(p) },
-			func(p *core.Planner) Solver { return NewBiCGStabUnfused(p) }, 0.30},
+			func(p *core.Planner) Solver { return NewBiCGStabUnfused(p) }, 0.30, 33, 54},
 		{"bicg", nonsym,
-			func(p *core.Planner) Solver { return NewBiCG(p) }, newUnfusedBiCG, 0.45},
+			func(p *core.Planner) Solver { return NewBiCG(p) }, newUnfusedBiCG, 0.45, 20, 40},
 	}
 	for _, c := range cases {
 		f := measure(c.plan, c.fused)
@@ -270,13 +274,65 @@ func TestFusionLaunchReduction(t *testing.T) {
 			t.Errorf("%s: launch reduction %.1f%% below the %.0f%% floor",
 				c.name, 100*drop, 100*c.minDrop)
 		}
+		if f != c.wantF || u != c.wantU {
+			t.Errorf("%s: %g fused and %g unfused launches/iter, want %g and %g",
+				c.name, f, u, c.wantF, c.wantU)
+		}
 	}
 	// PipeCG must beat even fused CG on launches: one reduction, one
 	// fully fused update sweep.
 	pipe := measure(plain, func(p *core.Planner) Solver { return NewPipeCG(p) })
 	fcg := measure(plain, func(p *core.Planner) Solver { return NewCG(p) })
 	t.Logf("pipecg: %.1f launches/iter vs fused cg %.1f", pipe, fcg)
-	if pipe >= fcg {
-		t.Errorf("pipecg launches/iter %.1f not below fused cg %.1f", pipe, fcg)
+	if pipe >= fcg || pipe != 13 {
+		t.Errorf("pipecg launches/iter %.1f, want 13, below fused cg %.1f", pipe, fcg)
+	}
+}
+
+// Expressions never span steps: a PipeCG or BiCGStab step builds its
+// coefficients over the previous step's, which the planner computes in a
+// host task instead of letting the expression reach further back. So
+// every step launches the same tasks — the same count with tracing on and
+// off — and the trace replays without a fallback.
+func TestStaleExpressionsKeepStepsAlike(t *testing.T) {
+	const steps = 50
+	for _, c := range []struct {
+		name string
+		plan func(traced bool) *core.Planner
+	}{
+		{"pipecg", func(traced bool) *core.Planner {
+			p := planFor(sparse.Laplacian2D(16, 16), fusedRHS(256), 4)
+			p.SetTracing(traced)
+			return p
+		}},
+		{"bicgstab", func(traced bool) *core.Planner {
+			p := planFor(convectionDiffusion(256, 0.3), fusedRHS(256), 4)
+			p.SetTracing(traced)
+			return p
+		}},
+	} {
+		var perStep [2]int64
+		for i, traced := range []bool{false, true} {
+			p := c.plan(traced)
+			s := New(c.name, p)
+			RunIterations(s, 2) // the first step reads constants, not expressions
+			p.Drain()
+			for k := 2; k < steps; k++ {
+				before := p.Runtime().Stats().Launched
+				s.Step()
+				p.Drain()
+				n := p.Runtime().Stats().Launched - before
+				if k > 2 && n != perStep[i] {
+					t.Fatalf("%s traced=%v: step %d launched %d tasks, step %d %d", c.name, traced, k+1, n, k, perStep[i])
+				}
+				perStep[i] = n
+			}
+			if st := p.Runtime().Stats(); traced && (st.TraceFallbacks != 0 || st.TraceHits < steps-4) {
+				t.Errorf("%s: %d trace hits and %d fallbacks over %d steps", c.name, st.TraceHits, st.TraceFallbacks, steps)
+			}
+		}
+		if perStep[0] != perStep[1] {
+			t.Errorf("%s: %d launches a step untraced, %d traced", c.name, perStep[0], perStep[1])
+		}
 	}
 }

@@ -59,7 +59,7 @@ type TaskSpec struct {
 	// one piece. The fault injector's piece filter keys on it.
 	Piece int
 	// Corrupt, when set, is invoked after a successful body run if the
-	// injector chose a data-corruption fault (bitflip, scale) for this
+	// injector chose a data-corruption fault (nan, bitflip, scale) for this
 	// launch: it applies the corruption to the task's output region data.
 	// Tasks without the hook have their scalar result corrupted instead.
 	Corrupt func(fault.Injection)
@@ -138,7 +138,7 @@ type Stats struct {
 	// exceeding the wall-clock budget.
 	Stragglers int64
 	// Corrupted is the number of tasks whose output data was silently
-	// corrupted by an injected bitflip/scale fault. No error is raised for
+	// corrupted by an injected nan/bitflip/scale fault. No error is raised for
 	// these; the counter exists so chaos tests can assert the corruption
 	// actually landed.
 	Corrupted int64
@@ -904,9 +904,7 @@ func (rt *Runtime) runGuarded(ts *taskState, attempt int) (val float64, err erro
 		val = ts.run()
 	}
 	switch inj.Kind {
-	case fault.NaN:
-		val = math.NaN() // silent result corruption; no error is raised
-	case fault.BitFlip, fault.Scale:
+	case fault.NaN, fault.BitFlip, fault.Scale:
 		// Silent data corruption lands after the body completes, so no
 		// in-task self-check can see it — only downstream checksums can.
 		if ts.corrupt != nil {
