@@ -122,12 +122,14 @@ func TestConcurrentSessionsMatchSoloBaselines(t *testing.T) {
 }
 
 // Two clients against a tracing server, defaults otherwise: each job
-// traces its iteration loop in its own session, and the two sessions'
-// launches interleave in the one global task-ID space. A launch landing
-// inside the other session's replaying instance must demote that
-// instance to analysis; spliced through, a true dependence is dropped
-// and an xpay piece reads a scalar mid-write — roughly a third of these
-// jobs came back NaN or above tolerance.
+// traces its iteration loop in its own session while the two sessions'
+// launches interleave. When task IDs were runtime-wide, a launch landing
+// inside the other session's replaying instance shifted its IDs: spliced
+// through, a true dependence was dropped and an xpay piece read a scalar
+// mid-write (roughly a third of these jobs came back NaN or above
+// tolerance); demoted, most instances ran analyzed. With per-session IDs
+// an interleaved job replays like a solo one: no fallback, and only the
+// recording and calibrating instance of each solve miss.
 func TestTracedSessionsInterleaveSafely(t *testing.T) {
 	jobs := 40
 	if testing.Short() {
@@ -160,4 +162,8 @@ func TestTracedSessionsInterleaveSafely(t *testing.T) {
 		}(c)
 	}
 	wg.Wait()
+	if st := s.rt.Stats(); st.TraceFallbacks != 0 || st.TraceMisses > int64(2*2*jobs) {
+		t.Errorf("%d jobs: %d trace fallbacks and %d misses, want 0 and at most %d",
+			2*jobs, st.TraceFallbacks, st.TraceMisses, 2*2*jobs)
+	}
 }

@@ -42,10 +42,8 @@ type Options struct {
 	// Log, when non-nil, receives the driver's progress lines.
 	Log func(format string, args ...any)
 	// Tracing controls trace memoization of the solve's iteration loop.
-	// Per-session templates make it safe under multi-tenancy; replay
-	// still demotes to analysis whenever another session's launches
-	// interleave (task IDs are global), so it mostly pays off when a
-	// session runs back-to-back iterations alone.
+	// Templates and task IDs are the session's own, so a solve replays
+	// alike whether or not other sessions' launches interleave with it.
 	Tracing bool
 	// Recorder, when non-nil, is attached to the session before the
 	// solve so every task records wall-clock spans.

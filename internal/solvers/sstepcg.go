@@ -37,6 +37,10 @@ type SStepCG struct {
 	rws   []core.VecID // R₁ … R_{s−1}
 	res   *core.Scalar
 	flag  breakdownFlag
+	// tr is the open trace scope. Step swaps rv↔rNext and pv↔pNext, so
+	// only every other block names the same regions: one trace instance
+	// spans two blocks.
+	tr bool
 
 	// shifts is nil for the monomial basis; after the Newton switch it
 	// holds the s Leja-ordered Ritz shifts (θ₁ … θ_s).
@@ -96,7 +100,10 @@ func (s *SStepCG) Breakdown() error { return s.flag.get() }
 func (s *SStepCG) Step() {
 	p := s.p
 	p.BeginPhase("sstep.basis")
-	tr := p.TraceBegin("sstep.block")
+	closing := s.tr
+	if !closing {
+		s.tr = p.TraceBegin("sstep.block")
+	}
 
 	// V = [P₀ … P_s, R₀ … R_{s−1}] with P₀ = p, R₀ = r.
 	v := make([]core.VecID, 0, 2*s.s+1)
@@ -145,7 +152,15 @@ func (s *SStepCG) Step() {
 	s.rv, s.rNext = s.rNext, s.rv
 	s.pv, s.pNext = s.pNext, s.pv
 	s.res = p.Constant(math.Max(rr, 0))
-	p.TraceEnd(tr)
+	if closing {
+		s.closeTrace()
+	}
+}
+
+// closeTrace ends the open two-block trace instance, if any.
+func (s *SStepCG) closeTrace() {
+	s.p.TraceEnd(s.tr)
+	s.tr = false
 }
 
 // coefficientBlock advances s CG iterations in the 2s+1-dimensional
@@ -285,6 +300,7 @@ func (s *SStepCG) maybeSwitchBasis(gm [][]float64, condFailed bool) {
 // restarts its direction from the honest residual, and reports ‖r‖.
 func (s *SStepCG) VerifyConvergence() float64 {
 	p := s.p
+	s.closeTrace() // the recomputation is no part of a block
 	p.BeginPhase("sstep.verify")
 	residualInit(p, s.rv)
 	rr := p.Dot(s.rv, s.rv)

@@ -97,6 +97,44 @@ func TestGMRESTracedMatchesUntraced(t *testing.T) {
 	}
 }
 
+func TestSStepCGReplaysTwoBlockInstances(t *testing.T) {
+	// Step swaps rv↔rNext and pv↔pNext, so back-to-back blocks name
+	// different stable regions: a one-block instance never matched its
+	// predecessor, and s-step CG replayed nothing in any solve. An
+	// instance spans two blocks, so after recording and calibrating every
+	// full instance replays — and the solve is the untraced one bit for
+	// bit. The odd final block's instance is cut short by the convergence
+	// check and misses.
+	a := sparse.Laplacian2D(32, 32)
+	for _, c := range []struct {
+		pieces int
+		seed   float64
+	}{{1, 1}, {8, 1}, {13, 2}} {
+		b := make([]float64, 1024)
+		for i := range b {
+			b[i] = math.Sin(c.seed * float64(i))
+		}
+		pa := planFor(a, b, c.pieces)
+		pt := tracedPlanFor(a, append([]float64(nil), b...), c.pieces)
+		ra := Solve(NewSStepCG(pa, 4), 1e-8, 200)
+		rt := Solve(NewSStepCG(pt, 4), 1e-8, 200)
+		if !rt.Converged || rt.Iterations != ra.Iterations {
+			t.Fatalf("pieces %d: traced %d blocks (converged %v), untraced %d", c.pieces, rt.Iterations, rt.Converged, ra.Iterations)
+		}
+		xa, xt := pa.VecData(core.SOL, 0), pt.VecData(core.SOL, 0)
+		for i := range xa {
+			if math.Float64bits(xa[i]) != math.Float64bits(xt[i]) {
+				t.Fatalf("pieces %d: x[%d] traced %v, untraced %v", c.pieces, i, xt[i], xa[i])
+			}
+		}
+		st := pt.Runtime().Stats()
+		if want := int64(rt.Iterations/2 - 2); st.TraceHits != want || st.TraceFallbacks != 0 {
+			t.Errorf("pieces %d, %d blocks: %d trace hits and %d fallbacks, want %d and 0",
+				c.pieces, rt.Iterations, st.TraceHits, st.TraceFallbacks, want)
+		}
+	}
+}
+
 func TestAllSolversTracedMatchUntraced(t *testing.T) {
 	// Every registered method must be trace-safe: identical solutions
 	// with tracing on and off, no fallbacks required (fallbacks are legal

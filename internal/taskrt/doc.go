@@ -12,17 +12,18 @@
 // Session is the launch API: Launch, LaunchBatch, IndexLaunch, trace
 // scopes (BeginTrace/EndTrace), the phase label, the retry policy, the
 // watchdog, the fault injector, and the recorder are all methods of a
-// Session. The dependence engine is per session too: sessions must
-// reference disjoint regions, so each owns its access history and its
-// table of live tasks, guarded by the one lock a session has, and Close
-// releases them — a served job's history dies with its session. A launch
-// is one critical section of that lock: ID assignment, interference
-// analysis (or trace splice) and wiring onto live predecessors, which
+// Session. The program is per session too: sessions must reference
+// disjoint regions, so each owns its task IDs (dense from 0), its access
+// history, its table of live tasks, its trace templates and its recorded
+// Graph, guarded by the one lock a session has, and Close releases them —
+// a served job's history dies with its session. A launch is one critical
+// section of that lock: ID assignment, interference analysis (or trace
+// splice), graph retention and wiring onto live predecessors, which
 // keeps every history key's updates in task-ID order with no further
-// protocol. A Runtime (New) owns only what is machine-wide — the task-ID
-// counter, the run queue, the recorded Graph, Stats, Drain and the joined
-// Err — and hands out sessions: DefaultSession for a single-client
-// program, NewSession per tenant of a shared runtime.
+// protocol. A Runtime (New) owns only what is machine-wide — the run
+// queue, Stats, Drain and the joined Err — and hands out sessions:
+// DefaultSession for a single-client program (whose graph Runtime.Graph
+// returns), NewSession per tenant of a shared runtime.
 //
 // Ready tasks go to one FIFO run queue drained by at most GOMAXPROCS
 // worker goroutines. Workers are spawned when work arrives and exit when
@@ -39,11 +40,11 @@
 // the paper's performance claims rest on.
 //
 // Dynamic-trace memoization (Lee et al., SC'18, cited as the overhead
-// amortization mechanism in Section 4.1) is modeled by marking tasks
-// launched inside a previously recorded trace: the dependence analysis
-// still runs — the program is deterministic, so replayed graphs are
-// identical — but replayed tasks carry the lower memoized launch overhead
-// in the simulator.
+// amortization mechanism in Section 4.1) is real (trace.go): once a
+// session's trace scope has recorded and calibrated a launch sequence,
+// later instances splice the memoized edges instead of analyzing, and
+// their tasks are marked Traced so they carry the lower memoized launch
+// overhead in the simulator.
 //
 // # Fault tolerance
 //

@@ -4,7 +4,8 @@ package taskrt
 // discrete-event simulator needs: a processor assignment, a compute cost,
 // dependence edges, and the bytes each edge must move.
 type Node struct {
-	// ID is the task's position in the graph (dense, starting at 0).
+	// ID is the task's ID within the session that launched it, which is
+	// also its position in that session's graph (dense, starting at 0).
 	ID int64
 	// Name labels the task kind ("matmul", "axpy", "dot", ...).
 	Name string

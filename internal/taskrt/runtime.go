@@ -308,42 +308,33 @@ type taskState struct {
 // runtime so a launch does not allocate it.
 type launchScratch struct {
 	depBytes map[int64]int64
-	states   []*taskState
 	ready    []*taskState
 }
 
-// Runtime owns what is machine-wide: the task-ID counter, the run queue
-// and its workers, and the annotated graph recorded for the simulator.
-// The dependence engine — access history and live-task table — belongs
-// to each Session and dies with it. Tasks are launched through a Session
+// Runtime owns what is machine-wide: the run queue and its workers, the
+// counters and the launch timers. A client's program — its task IDs,
+// dependence engine, trace templates and retained graph — belongs to a
+// Session and dies with it. Tasks are launched through a Session
 // (DefaultSession for a single client, NewSession per tenant); the
 // runtime itself has no launch methods. The zero value is not usable;
 // call New.
 //
 // Drain, Err, Graph, and Stats are safe for concurrent use.
 type Runtime struct {
-	// stats and nextID are atomics: sessions never share a lock on the
-	// launch or completion path.
-	stats  counters
-	nextID atomic.Int64 // next task ID to assign
+	// stats are atomics: sessions never share a lock on the launch or
+	// completion path.
+	stats counters
 
 	// mu is a leaf lock (taken after a Session.mu, never before one) over
-	// the session list and the retained graph.
-	mu        sync.Mutex
-	graph     Graph
-	nextFlush int64          // next task ID to append to graph.Nodes
-	held      map[int64]Node // finalized nodes waiting on smaller IDs
-	// def is the built-in session single-client programs launch
-	// through; sessions lists every live session, def first.
+	// the session list: def is the built-in session single-client
+	// programs launch through, sessions every live session, def first.
+	mu       sync.Mutex
 	def      *Session
 	sessions []*Session
-	// depArena chunk-allocates Node dep-edge storage so graph retention
-	// costs one allocation per ~arenaChunk edges instead of two per task.
-	depArena []int64
 
 	// retain controls graph retention (on by default): when off, launches
-	// skip Node construction — and rt.mu — entirely, the zero-allocation
-	// configuration for replay-dominated hot loops that never call Graph.
+	// skip Node construction entirely, the zero-allocation configuration
+	// for replay-dominated hot loops that never call Graph.
 	retain atomic.Bool
 
 	// The run queue: ready tasks in FIFO order (runq[runHead:]), drained
@@ -374,10 +365,7 @@ const arenaChunk = 4096
 // New returns an empty runtime executing up to GOMAXPROCS tasks
 // concurrently.
 func New() *Runtime {
-	rt := &Runtime{
-		held:       make(map[int64]Node),
-		maxWorkers: runtime.GOMAXPROCS(0),
-	}
+	rt := &Runtime{maxWorkers: runtime.GOMAXPROCS(0)}
 	rt.retain.Store(true)
 	for w := rt.maxWorkers - 1; w >= 0; w-- {
 		rt.freeIDs = append(rt.freeIDs, w)
@@ -393,20 +381,11 @@ func New() *Runtime {
 }
 
 // SetGraphRetention enables or disables recording of launched tasks into
-// the Graph (on by default). Retention off removes the last per-launch
-// allocations of the replay path — Node construction and its dep-slice
-// copies — for hot loops that never inspect the graph. Call it while the
-// runtime is quiescent (no launches in flight): re-enabling resumes
-// recording from the next task ID, and Graph() then reflects only the
-// retained eras.
-func (rt *Runtime) SetGraphRetention(on bool) {
-	rt.mu.Lock()
-	if on && !rt.retain.Load() {
-		rt.nextFlush = rt.nextID.Load() // skip the unrecorded era
-	}
-	rt.retain.Store(on)
-	rt.mu.Unlock()
-}
+// their sessions' graphs (on by default). Retention off removes the last
+// per-launch allocations of the replay path — Node construction and its
+// dep-slice copies — for hot loops that never inspect the graph. Set it
+// before launching: a graph misses the launches made while it was off.
+func (rt *Runtime) SetGraphRetention(on bool) { rt.retain.Store(on) }
 
 // LaunchTiming returns accumulated wall time spent inside Launch, split
 // into fully analyzed launches and launches spliced from a memoized
@@ -471,7 +450,7 @@ func (s *Session) prep(spec *TaskSpec, ts *taskState, id int64) {
 	ts.splice = false
 	ts.scans = 0
 	if s.trace != nil {
-		s.traceObserve(*spec, ts)
+		s.traceObserve(spec, ts)
 	}
 	if s.injector != nil {
 		ts.inj = s.injector.Decide(spec.Name, ts.phase, spec.Piece-1)
@@ -510,53 +489,27 @@ func (s *Session) resolve(spec *TaskSpec, ts *taskState, depBytes map[int64]int6
 	}
 }
 
-// arenaCopy copies a dep slice into the chunked graph arena, amortizing
-// Node storage to one allocation per arenaChunk edges. Caller holds
-// rt.mu.
-func (rt *Runtime) arenaCopy(xs []int64) []int64 {
+// arenaCopy copies a dep slice into the session's chunked graph arena,
+// amortizing Node storage to one allocation per arenaChunk edges. Caller
+// holds s.mu.
+func (s *Session) arenaCopy(xs []int64) []int64 {
 	if len(xs) == 0 {
 		return nil
 	}
-	if len(rt.depArena)+len(xs) > cap(rt.depArena) {
-		rt.depArena = make([]int64, 0, max(arenaChunk, len(xs)))
+	if len(s.depArena)+len(xs) > cap(s.depArena) {
+		s.depArena = make([]int64, 0, max(arenaChunk, len(xs)))
 	}
-	n := len(rt.depArena)
-	rt.depArena = append(rt.depArena, xs...)
-	return rt.depArena[n : n+len(xs) : n+len(xs)]
-}
-
-// retainNodes records a launched batch in the graph. IDs are global and
-// sessions interleave, so a node is held back until every smaller ID has
-// been recorded: Graph always returns a consistent prefix. Caller holds
-// the launching session's lock (the states cannot complete under it).
-func (rt *Runtime) retainNodes(specs []TaskSpec, states []*taskState) {
-	rt.mu.Lock()
-	for i, ts := range states {
-		spec := &specs[i]
-		rt.held[ts.id] = Node{
-			ID: ts.id, Name: spec.Name, Phase: ts.phase, Proc: spec.Proc, Cost: spec.Cost,
-			Deps: rt.arenaCopy(ts.deps), DepBytes: rt.arenaCopy(ts.bytes),
-			Traced: ts.splice, Host: spec.Host,
-		}
-	}
-	for {
-		n, ok := rt.held[rt.nextFlush]
-		if !ok {
-			break
-		}
-		delete(rt.held, rt.nextFlush)
-		rt.graph.Nodes = append(rt.graph.Nodes, n)
-		rt.nextFlush++
-	}
-	rt.mu.Unlock()
+	n := len(s.depArena)
+	s.depArena = append(s.depArena, xs...)
+	return s.depArena[n:len(s.depArena):len(s.depArena)]
 }
 
 // wire is launch step 3: capture template edges when calibrating and
 // hook the task onto its live predecessors. Returns whether the task is
 // immediately ready to execute. Caller holds s.mu.
 func (s *Session) wire(ts *taskState) bool {
-	if !ts.splice && s.trace != nil {
-		s.traceRecordAnalyzed(ts.deps, ts.bytes)
+	if s.trace != nil && s.trace.mode == trCalibrate {
+		s.traceCapture(ts.deps, ts.bytes)
 	}
 	for _, d := range ts.deps {
 		if pred, live := s.tasks[d]; live {
@@ -580,16 +533,16 @@ func (s *Session) wire(ts *taskState) bool {
 }
 
 // launch is the one launch path (Launch is a batch of one): prep,
-// resolve and wire of every spec run in a single critical section of the
-// session lock, so launches on one session are ordered by it — IDs,
-// history updates and wiring alike — and launches on different sessions
-// share nothing but the atomic ID counter. futs, when non-nil, receives
-// the futures in spec order.
+// resolve, graph retention and wire of every spec run in a single
+// critical section of the session lock, so launches on one session are
+// ordered by it — IDs, history updates, graph and wiring alike — and
+// launches on different sessions share no lock. futs, when non-nil,
+// receives the futures in spec order.
 func (s *Session) launch(specs []TaskSpec, futs []*Future) {
 	rt := s.rt
 	start := time.Now()
 	sc := rt.scPool.Get().(*launchScratch)
-	states, ready := sc.states[:0], sc.ready[:0]
+	ready := sc.ready[:0]
 	n := int64(len(specs))
 	var edges, scans, nSpliced int64
 
@@ -598,18 +551,27 @@ func (s *Session) launch(specs []TaskSpec, futs []*Future) {
 		s.mu.Unlock()
 		s.panicClosed()
 	}
-	base := rt.nextID.Add(n) - n // the whole batch's IDs are contiguous
+	retain := rt.retain.Load()
+	base := s.nextID // the whole batch's IDs are contiguous
+	s.nextID += n
 	for i := range specs {
-		ts := rt.newTaskState(&specs[i])
+		spec := &specs[i]
+		ts := rt.newTaskState(spec)
 		if futs != nil {
 			futs[i] = ts.future
 		}
-		s.prep(&specs[i], ts, base+int64(i))
-		s.resolve(&specs[i], ts, sc.depBytes)
+		s.prep(spec, ts, base+int64(i))
+		s.resolve(spec, ts, sc.depBytes)
+		if retain {
+			s.graph.Nodes = append(s.graph.Nodes, Node{
+				ID: ts.id, Name: spec.Name, Phase: ts.phase, Proc: spec.Proc, Cost: spec.Cost,
+				Deps: s.arenaCopy(ts.deps), DepBytes: s.arenaCopy(ts.bytes),
+				Traced: ts.splice, Host: spec.Host,
+			})
+		}
 		if s.wire(ts) {
 			ready = append(ready, ts)
 		}
-		states = append(states, ts)
 		edges += int64(len(ts.deps))
 		scans += int64(ts.scans)
 		if ts.splice {
@@ -618,9 +580,6 @@ func (s *Session) launch(specs []TaskSpec, futs []*Future) {
 	}
 	s.stats.Launched += n
 	s.stats.DepEdges += edges
-	if rt.retain.Load() {
-		rt.retainNodes(specs, states)
-	}
 	s.mu.Unlock()
 	// From here a predecessor's completion may ready, run, and recycle
 	// any non-ready state: only the ready ones are touched again.
@@ -640,8 +599,7 @@ func (s *Session) launch(specs []TaskSpec, futs []*Future) {
 	}
 	rt.submit(ready)
 	clear(ready)
-	clear(states)
-	sc.states, sc.ready = states[:0], ready[:0]
+	sc.ready = ready[:0]
 	rt.scPool.Put(sc)
 }
 
@@ -958,20 +916,9 @@ func (rt *Runtime) Err() error {
 	return errors.Join(all...)
 }
 
-// Graph returns a snapshot of the recorded task graph. Call Drain first
-// if the graph must reflect a quiescent state. The snapshot is O(1):
-// nodes are immutable once recorded, so the returned graph shares their
-// storage (callers must not modify it) and is unaffected by later
-// launches. With concurrent launchers the snapshot is always a
-// consistent prefix: a node appears only once its dependence analysis —
-// and that of every smaller-ID task — has finished. Launches made while
-// graph retention is off (SetGraphRetention) do not appear.
-func (rt *Runtime) Graph() Graph {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	n := len(rt.graph.Nodes)
-	return Graph{Nodes: rt.graph.Nodes[:n:n]}
-}
+// Graph returns the default session's graph (Session.Graph), the one a
+// single-client program records.
+func (rt *Runtime) Graph() Graph { return rt.def.Graph() }
 
 // Stats returns a snapshot of the runtime counters.
 func (rt *Runtime) Stats() Stats {

@@ -17,9 +17,11 @@ import (
 // is *about the client* rather than about the machine lives on the
 // session:
 //
-//   - the dependence engine: the access history and the table of live
-//     tasks launches are analyzed against and wired onto. Close releases
-//     both, so a served job's history dies with its session,
+//   - the program: task IDs (dense from 0, the session's own), the
+//     dependence engine — the access history and the table of live tasks
+//     launches are analyzed against and wired onto — and the retained
+//     graph. Close releases all of it, so a served job's history dies
+//     with its session,
 //   - the error window: permanent failures of tasks the session launched
 //     accumulate on the session (bounded, clearable), so one tenant's
 //     fault never pollutes another tenant's Err(),
@@ -36,7 +38,7 @@ import (
 // Sessions sharing a runtime must reference disjoint regions (separate
 // planners guarantee this); read-only sharing is also safe — which is
 // why no dependence can cross sessions and each session can own its
-// engine outright. Methods on one session follow the runtime's existing
+// program outright. Methods on one session follow the runtime's existing
 // contract: Launch and LaunchBatch are safe for concurrent use, trace
 // scopes assume a single launching goroutine per session.
 //
@@ -44,9 +46,9 @@ import (
 // through wiring, a worker takes it to read the retry policy and to
 // retire a task, and independent sessions never touch the same lock.
 // The lock order is Session.mu → Runtime.mu (the leaf lock over the
-// session list and the retained graph), never the reverse: runtime-wide
-// calls (Drain, Err) snapshot the session list, release Runtime.mu, and
-// only then lock each session.
+// session list), never the reverse: runtime-wide calls (Drain, Err)
+// snapshot the session list, release Runtime.mu, and only then lock each
+// session.
 //
 // Every runtime owns a default session (DefaultSession), the one a
 // single-tenant client launches through.
@@ -61,6 +63,9 @@ type Session struct {
 	// may race launches.
 	mu          sync.Mutex
 	idle        sync.Cond
+	nextID      int64 // the ID the next launched task gets
+	graph       Graph
+	depArena    []int64 // backs graph's dep slices (arenaCopy)
 	hist        map[histKey]*histShard
 	tasks       map[int64]*taskState // incomplete tasks only
 	phase       string
@@ -145,8 +150,8 @@ func (rt *Runtime) Sessions() int {
 func (s *Session) Runtime() *Runtime { return s.rt }
 
 // Close unregisters the session: its dependence history, live-task
-// table, error window, and trace templates are released, and its errors
-// stop contributing to the runtime-level Err. Close does not wait for
+// table, graph, error window, and trace templates are released, and its
+// errors stop contributing to the runtime-level Err. Close does not wait for
 // in-flight tasks — they finish, and the session's own Drain still waits
 // for them, but Runtime.Drain no longer sees the session; call Drain
 // first. Launching or opening a trace on a closed session panics.
@@ -161,6 +166,7 @@ func (s *Session) Close() {
 	s.closed = true
 	s.hist = nil
 	s.tasks = nil // in-flight tasks reach their successors directly
+	s.graph, s.depArena = Graph{}, nil
 	s.errs = nil
 	s.traces = nil
 	s.trace = nil
@@ -364,6 +370,20 @@ func (s *Session) Stats() SessionStats {
 	return s.stats
 }
 
+// Graph returns a snapshot of the task graph the session recorded (see
+// Runtime.SetGraphRetention): node i is the session's task i, and its
+// edges name the session's own earlier tasks. Call Drain first if the
+// graph must reflect a quiescent state. The snapshot is O(1): nodes are
+// immutable once recorded, so it shares their storage (callers must not
+// modify it) and is unaffected by later launches. A batch is recorded
+// under the launch's critical section, so a snapshot never holds part of
+// one.
+func (s *Session) Graph() Graph {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return Graph{Nodes: slices.Clip(s.graph.Nodes)}
+}
+
 // BeginTrace opens a trace scope on this session: the launches up to
 // the matching EndTrace form one instance of the trace key. The first
 // instance records a fingerprint, the second (if launched back to back
@@ -374,13 +394,9 @@ func (s *Session) Stats() SessionStats {
 // performance, never correctness. Traces must not nest, and the launches
 // inside a scope must come from a single goroutine.
 //
-// Trace templates are per-session: concurrent sessions replaying the
-// same solver never share or invalidate each other's templates. Task
-// IDs are global, though, so another session's launch breaks the
-// gapless adjacency replay relies on — between two instances (checked
-// here) or inside one (checked per launch in traceObserve). Either way
-// the instance is demoted to full analysis: a performance fallback,
-// never a correctness hazard.
+// Trace templates and task IDs both belong to the session, so "back to
+// back" means the session launched nothing between the two instances;
+// launches of other sessions sharing the runtime are invisible to it.
 func (s *Session) BeginTrace(key string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -390,7 +406,6 @@ func (s *Session) BeginTrace(key string) {
 	if s.trace != nil {
 		panic("taskrt: traces must not nest")
 	}
-	nextID := s.rt.nextID.Load()
 	tmpl := s.traces[key]
 	if tmpl == nil {
 		tmpl = &traceTmpl{}
@@ -401,28 +416,21 @@ func (s *Session) BeginTrace(key string) {
 		at = &activeTrace{}
 		s.atScratch = at
 	}
-	at.key = key
 	at.tmpl = tmpl
-	at.base = nextID
+	at.base = s.nextID
 	at.n = 0
 	at.watermark = region.LastID()
 	at.fresh = tmpl.freshBufs[tmpl.flip][:0]
-	if at.freshIdx != nil {
-		clear(at.freshIdx)
-	}
-	if at.prevIdx != nil {
-		clear(at.prevIdx)
-	}
-	at.cand = nil // escapes into the template at EndTrace; never reused
-	at.failed = false
-	adjacent := tmpl.lastOK && tmpl.lastBase+int64(tmpl.lastLen) == nextID
+	clear(at.freshIdx)
+	clear(at.prevIdx)
 	switch {
-	case !adjacent:
-		// A gap (foreign launches, another key, a failed instance)
-		// invalidates captured edges: ancient entries may have been
-		// shadowed and prev offsets no longer line up. Re-establish
-		// adjacency with one analyzed instance, then recalibrate.
+	case !tmpl.lastOK || tmpl.lastBase+int64(tmpl.lastLen) != s.nextID:
+		// A gap (launches outside the scope, another key, a failed
+		// instance) invalidates captured edges: ancient entries may have
+		// been shadowed and prev offsets no longer line up. Re-establish
+		// adjacency with one recorded instance, then recalibrate.
 		at.mode = trRecord
+		tmpl.tasks = tmpl.tasks[:0]
 		tmpl.hasDeps = false
 	case !tmpl.hasDeps:
 		at.mode = trCalibrate
@@ -450,41 +458,25 @@ func (s *Session) EndTrace() {
 	if s.trace == nil {
 		panic("taskrt: EndTrace without BeginTrace")
 	}
-	at := s.trace
+	at, st := s.trace, &s.rt.stats
 	s.trace = nil
 	tmpl := at.tmpl
-	st := &s.rt.stats
-
-	if at.mode == trReplay {
-		if at.failed {
-			// traceObserve already dropped the template.
-			st.traceMisses.Add(1)
-			return
-		}
-		if at.n != len(tmpl.tasks) {
-			// Shorter instance: every spliced launch was individually
-			// valid, but this instance cannot anchor the next replay.
-			tmpl.lastOK = false
-			st.traceMisses.Add(1)
-			return
-		}
-		tmpl.lastOK = true
-		tmpl.lastBase = at.base
-		tmpl.lastLen = at.n
-		tmpl.lastFresh = at.fresh
-		tmpl.freshBufs[tmpl.flip] = at.fresh
-		tmpl.flip ^= 1
+	switch {
+	case at.mode == trReplay && at.n == len(tmpl.tasks):
 		st.traceHits.Add(1)
+	case at.mode == trReplay || at.mode == trFallback:
+		// A fallback, or a shorter instance whose spliced launches were
+		// each valid: either way it cannot anchor the next replay.
+		st.traceMisses.Add(1)
+		tmpl.lastOK = false
 		return
+	default:
+		// Record or calibrate: the template now describes this instance
+		// (a calibrating instance shorter than the template ends it).
+		st.traceMisses.Add(1)
+		tmpl.hasDeps = at.mode == trCalibrate && at.n == len(tmpl.tasks)
+		tmpl.tasks = tmpl.tasks[:at.n]
 	}
-
-	st.traceMisses.Add(1)
-	calibrated := at.mode == trCalibrate && !at.failed && at.n == len(tmpl.tasks)
-	// The candidate becomes the template: identical to the old one when
-	// the instance matched (modulo stable→prev upgrades), the new truth
-	// when it did not.
-	tmpl.tasks = at.cand
-	tmpl.hasDeps = calibrated
 	tmpl.lastOK = true
 	tmpl.lastBase = at.base
 	tmpl.lastLen = at.n

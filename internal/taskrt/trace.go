@@ -4,17 +4,17 @@ package taskrt
 //
 // A trace scope (BeginTrace/EndTrace) brackets one instance of a launch
 // sequence the caller believes repeats — one solver iteration, one GMRES
-// restart cycle. The runtime memoizes the dependence analysis of the
+// restart cycle. The session memoizes the dependence analysis of the
 // sequence and, once it has proven the sequence really does repeat,
 // replays the memoized edges instead of re-running the interval-set
 // interference analysis:
 //
 //	instance 1 (record):    full analysis; fingerprint every launch
-//	                        (name + region-class refs).
-//	instance 2 (calibrate): full analysis; validate each launch against
-//	                        the fingerprint and capture its dependence
-//	                        edges as trace-relative offsets.
-//	instance 3+ (replay):   validate each launch, splice the memoized
+//	                        (name + region-class refs) into the template.
+//	instance 2 (calibrate): full analysis; match each launch against the
+//	                        template and capture its dependence edges as
+//	                        trace-relative offsets.
+//	instance 3+ (replay):   match each launch, splice the memoized
 //	                        edges in directly — zero analysis scans.
 //
 // Two executions are needed before replay because the edges of the
@@ -45,26 +45,24 @@ package taskrt
 //
 // Replay validity is strictly local: an instance may replay only when
 // the immediately preceding instance of the same key completed, matched
-// the template end to end, and no foreign task was launched in between
-// (gapless adjacency, checked with the global task-ID counter). Any
-// gap — a convergence-check residual recomputation, a checkpoint, a
-// different trace key — silently demotes the next instance to full
-// analysis, and any fingerprint mismatch mid-instance falls back to
-// analysis for the rest of the instance and invalidates the template.
-// A foreign launch landing inside an instance (another session of the
-// same runtime: task IDs are global) is the same mismatch: the
-// instance's tasks are no longer base … base+n-1, which is what every
-// internal and prev offset assumes.
+// the template end to end, and the session launched nothing in between
+// (adjacency, checked with the session's task-ID counter). Any gap — a
+// convergence-check residual recomputation, a checkpoint, a different
+// trace key — silently demotes the next instance to full analysis, and
+// any mismatch mid-instance falls back to analysis for the rest of the
+// instance. Task IDs are the session's own, so an instance's tasks are
+// always base … base+n-1, the numbering every internal and prev offset
+// assumes, however other sessions of the runtime interleave with it.
 // Correctness therefore never depends on the caller scoping traces
 // correctly; a wrong scope only costs performance.
 //
 // Replayed launches still append their accesses to the dependence
 // history (and apply the writer-shadowing shrink), so the history stays
-// exact at every task boundary: a mid-instance fallback or a foreign
-// launch right after a replayed instance sees precisely the history a
-// fully analyzed execution would have produced. What replay skips is
-// the expensive part — conflict scans, interval intersections, byte
-// accounting — which is what Stats.AnalysisScans counts.
+// exact at every task boundary: a mid-instance fallback or a launch right
+// after a replayed instance sees precisely the history a fully analyzed
+// execution would have produced. What replay skips is the expensive
+// part — conflict scans, interval intersections, byte accounting — which
+// is what Stats.AnalysisScans counts.
 
 import (
 	"kdrsolvers/internal/index"
@@ -135,9 +133,10 @@ type traceTmpl struct {
 
 // Trace modes of an active instance.
 const (
-	trRecord    = iota // full analysis; (re)build the fingerprint
-	trCalibrate        // full analysis; validate and capture edges
-	trReplay           // validate and splice memoized edges
+	trRecord    = iota // full analysis; append fingerprints to the template
+	trCalibrate        // full analysis; match launches and capture edges
+	trReplay           // match launches and splice memoized edges
+	trFallback         // a replayed launch mismatched: analyze the rest
 )
 
 // activeTrace is the state of the instance currently between BeginTrace
@@ -146,7 +145,6 @@ const (
 // itself costs no allocation on the replay path; its maps are cleared,
 // not rebuilt, between instances.
 type activeTrace struct {
-	key  string
 	tmpl *traceTmpl
 	mode int
 
@@ -157,12 +155,9 @@ type activeTrace struct {
 	fresh    []region.ID       // fresh regions, first-appearance order
 	freshIdx map[region.ID]int // inverse of fresh
 	prevIdx  map[region.ID]int // previous instance's fresh regions
-
-	cand   []taskTmpl // fingerprint being rebuilt (record/calibrate)
-	failed bool       // a mismatch demoted the rest of the instance
 }
 
-// freshClass returns the class of a region reference within the active
+// classify returns the class of a region reference within the active
 // instance, assigning first-appearance indices to newly created regions.
 func (at *activeTrace) classify(id region.ID) (class, idx int) {
 	if id > at.watermark {
@@ -183,119 +178,52 @@ func (at *activeTrace) classify(id region.ID) (class, idx int) {
 	return rcStable, 0
 }
 
-// fingerprint builds the refTmpl list for a launch under the active
+// fingerprint builds the template task of a launch under the active
 // instance's region classification.
-func (at *activeTrace) fingerprint(spec TaskSpec) taskTmpl {
+func (at *activeTrace) fingerprint(spec *TaskSpec) taskTmpl {
 	t := taskTmpl{name: spec.Name, host: spec.Host}
 	for _, ref := range spec.Refs {
 		class, idx := at.classify(ref.Region)
-		rt := refTmpl{
-			class: class, field: ref.Field,
-			subset: ref.Subset, priv: ref.Priv,
-		}
+		rt := refTmpl{class: class, idx: idx, field: ref.Field, subset: ref.Subset, priv: ref.Priv}
 		if class == rcStable {
 			rt.region = ref.Region
-		} else {
-			rt.idx = idx
 		}
 		t.refs = append(t.refs, rt)
 	}
 	return t
 }
 
-// refsCompatible reports whether a freshly observed fingerprint matches
-// a template task.
+// matches reports whether a launch fits template task t — the one
+// matcher of calibrate and replay, comparing fields against the raw spec
+// so it allocates nothing. Classifying a ref registers a fresh region
+// exactly as fingerprint would, in the same order, so a launch that
+// fails to match can be fingerprinted afterwards with the same indices.
 //
-// One divergence is tolerated while calibrating (never while replaying):
-// a template ref recorded as rcStable may be observed as rcPrev. The
-// recording instance saw a scratch region created by pre-trace code
-// (e.g. CG's initial r·r scalar, made during solver setup), which in
-// steady state is a fresh region of the previous instance. Accepting the
-// upgrade is safe in calibrate mode because the edges being captured
-// come from this instance's real analysis, and the candidate — which
-// records the ref as rcPrev — replaces the template; replay instances
-// then validate strictly against rcPrev. In replay mode a calibrated
-// template's rcStable refs name genuinely durable regions, so observing
-// rcPrev there is a real structural change and must fall back.
-func (at *activeTrace) refsCompatible(tref refTmpl, cref refTmpl) bool {
-	tclass, tidx := tref.class, tref.idx
-	if tclass != cref.class || tref.field != cref.field || tref.priv != cref.priv {
-		if tclass == rcStable && cref.class == rcPrev && at.mode != trReplay &&
-			tref.field == cref.field && tref.priv == cref.priv {
-			return tref.subset.Equal(cref.subset)
-		}
-		return false
-	}
-	if tclass == rcStable && tref.region != cref.region {
-		return false
-	}
-	if tclass != rcStable && tidx != cref.idx {
-		return false
-	}
-	return tref.subset.Equal(cref.subset)
-}
-
-// taskCompatible checks a whole launch fingerprint against a template
-// task.
-func (at *activeTrace) taskCompatible(t taskTmpl, c taskTmpl) bool {
-	if t.name != c.name || t.host != c.host || len(t.refs) != len(c.refs) {
-		return false
-	}
-	for i := range t.refs {
-		if !at.refsCompatible(t.refs[i], c.refs[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// captureDeps converts an analyzed launch's absolute edges into
-// trace-relative template edges. Called only in calibrate mode, where
-// the previous adjacent instance matched the template, so any edge at
-// or above prevBase is offset-stable.
-func captureDeps(deps []int64, bytes []int64, base, prevBase int64) []depTmpl {
-	out := make([]depTmpl, len(deps))
-	for i, d := range deps {
-		switch {
-		case d >= base:
-			out[i] = depTmpl{kind: depInternal, off: int(d - base), bytes: bytes[i]}
-		case d >= prevBase:
-			out[i] = depTmpl{kind: depPrev, off: int(d - prevBase), bytes: bytes[i]}
-		default:
-			out[i] = depTmpl{kind: depAncient, abs: d, bytes: bytes[i]}
-		}
-	}
-	return out
-}
-
-// replayCompatible validates one launch directly against a template task
-// without materializing a candidate fingerprint — the replay-path
-// equivalent of fingerprint+taskCompatible, minus their allocations.
-// Replay validation is strict (no stable→prev upgrade), so a field-level
-// comparison against the raw spec suffices. Classification side effects
-// (first-appearance registration of fresh regions) are identical to the
-// fingerprint path for every ref up to the first mismatch; after a
-// mismatch the instance is demoted to analysis, so partial registration
-// cannot corrupt a later replay.
-func (at *activeTrace) replayCompatible(t *taskTmpl, spec TaskSpec) bool {
+// One divergence is accepted while calibrating, never while replaying,
+// and written into t: a ref recorded as rcStable may be observed as
+// rcPrev. The recording instance saw a scratch region created by
+// pre-trace code (e.g. CG's initial r·r scalar, made during solver
+// setup), which in steady state is a fresh region of the previous
+// instance. The upgrade is safe in calibrate mode because the edges
+// being captured come from this instance's real analysis. In replay mode
+// a calibrated template's rcStable refs name genuinely durable regions,
+// so observing rcPrev there is a real structural change.
+func (at *activeTrace) matches(t *taskTmpl, spec *TaskSpec) bool {
 	if t.name != spec.Name || t.host != spec.Host || len(t.refs) != len(spec.Refs) {
 		return false
 	}
 	for i := range t.refs {
-		tref := &t.refs[i]
-		ref := &spec.Refs[i]
+		tref, ref := &t.refs[i], &spec.Refs[i]
 		if tref.field != ref.Field || tref.priv != ref.Priv {
 			return false
 		}
 		class, idx := at.classify(ref.Region)
-		if class != tref.class {
-			return false
-		}
-		if class == rcStable {
-			if tref.region != ref.Region {
-				return false
-			}
-		} else if idx != tref.idx {
+		switch {
+		case class == rcPrev && tref.class == rcStable && at.mode == trCalibrate:
+			tref.class, tref.idx = rcPrev, idx
+		case class != tref.class,
+			class == rcStable && tref.region != ref.Region,
+			class != rcStable && idx != tref.idx:
 			return false
 		}
 		if !tref.subset.Equal(ref.Subset) {
@@ -303,6 +231,24 @@ func (at *activeTrace) replayCompatible(t *taskTmpl, spec TaskSpec) bool {
 		}
 	}
 	return true
+}
+
+// captureDeps converts an analyzed launch's absolute edges into
+// trace-relative template edges, appending to dst. Called only in
+// calibrate mode, where the previous adjacent instance matched the
+// template, so any edge at or above prevBase is offset-stable.
+func captureDeps(dst []depTmpl, deps, bytes []int64, base, prevBase int64) []depTmpl {
+	for i, d := range deps {
+		switch {
+		case d >= base:
+			dst = append(dst, depTmpl{kind: depInternal, off: int(d - base), bytes: bytes[i]})
+		case d >= prevBase:
+			dst = append(dst, depTmpl{kind: depPrev, off: int(d - prevBase), bytes: bytes[i]})
+		default:
+			dst = append(dst, depTmpl{kind: depAncient, abs: d, bytes: bytes[i]})
+		}
+	}
+	return dst
 }
 
 // spliceDepsInto materializes a template's edges at a concrete instance
@@ -327,60 +273,47 @@ func spliceDepsInto(tmpl []depTmpl, base int64, instLen int, deps, bytes []int64
 	return deps, bytes
 }
 
-// traceObserve classifies one launch under the session's active trace
-// and decides whether it can be spliced. On a successful replay match it
-// sets ts.splice and fills the task's own dep/byte buffers; otherwise
-// the launch proceeds to full analysis. Caller holds s.mu.
-func (s *Session) traceObserve(spec TaskSpec, ts *taskState) {
+// traceObserve matches one launch against the session's active trace.
+// On a replay match it sets ts.splice and fills the task's own dep/byte
+// buffers; otherwise the launch proceeds to full analysis. The template
+// is built in place: recording appends the launch's fingerprint, and a
+// calibrating launch that does not match cuts the template there and
+// records the rest of the instance. Caller holds s.mu.
+func (s *Session) traceObserve(spec *TaskSpec, ts *taskState) {
 	at := s.trace
 	pos := at.n
 	at.n++
-	// Offsets address the instance as base … base+n-1. Another session's
-	// launch inside it shifts every later ID, so from here on a spliced
-	// or captured offset would name the wrong task.
-	gapless := ts.id == at.base+int64(pos)
-
-	if at.mode == trReplay && !at.failed {
-		if gapless && pos < len(at.tmpl.tasks) {
-			t := &at.tmpl.tasks[pos]
-			if at.replayCompatible(t, spec) {
-				ts.deps, ts.bytes = spliceDepsInto(
-					t.deps, at.base, len(at.tmpl.tasks), ts.deps[:0], ts.bytes[:0])
-				ts.splice = true
-				return
-			}
+	tasks := at.tmpl.tasks
+	switch at.mode {
+	case trReplay:
+		if pos < len(tasks) && at.matches(&tasks[pos], spec) {
+			ts.deps, ts.bytes = spliceDepsInto(
+				tasks[pos].deps, at.base, len(tasks), ts.deps[:0], ts.bytes[:0])
+			ts.splice = true
+			return
 		}
-		// Mismatch, an ID gap, or an instance longer than the template:
-		// fall back to full analysis for the rest of the instance and
-		// drop the template — it no longer describes this launch
-		// sequence.
-		at.failed = true
+		// A mismatch, or an instance longer than the template: analyze
+		// the rest of the instance, and EndTrace demotes the next one.
+		at.mode = trFallback
 		s.rt.stats.traceFallbacks.Add(1)
-		delete(s.traces, at.key)
 		return
-	}
-
-	// Record / calibrate: full analysis runs; build the candidate
-	// fingerprint, and in calibrate mode keep validating against the
-	// template so EndTrace knows whether captured edges are trustworthy.
-	c := at.fingerprint(spec)
-	at.cand = append(at.cand, c)
-	if at.mode == trCalibrate && !at.failed {
-		if !gapless || pos >= len(at.tmpl.tasks) || !at.taskCompatible(at.tmpl.tasks[pos], c) {
-			at.failed = true
+	case trFallback:
+		return
+	case trCalibrate:
+		if pos < len(tasks) && at.matches(&tasks[pos], spec) {
+			return // wire captures the analyzed edges
 		}
+		at.tmpl.tasks = tasks[:pos]
+		at.mode = trRecord
 	}
+	at.tmpl.tasks = append(at.tmpl.tasks, at.fingerprint(spec))
 }
 
-// traceRecordAnalyzed stores an analyzed launch's edges into the
-// candidate template (calibrate mode). Caller holds s.mu since the
-// launch's traceObserve, so the launch is the instance's latest.
-func (s *Session) traceRecordAnalyzed(deps, bytes []int64) {
+// traceCapture stores a calibrating launch's analyzed edges into its
+// template task. Caller holds s.mu since the launch's traceObserve, so
+// the launch is the instance's latest.
+func (s *Session) traceCapture(deps, bytes []int64) {
 	at := s.trace
-	pos := at.n - 1
-	if at.mode != trCalibrate || at.failed || pos >= len(at.cand) {
-		return
-	}
-	prevBase := at.base - int64(at.tmpl.lastLen)
-	at.cand[pos].deps = captureDeps(deps, bytes, at.base, prevBase)
+	t := &at.tmpl.tasks[at.n-1]
+	t.deps = captureDeps(t.deps[:0], deps, bytes, at.base, at.base-int64(at.tmpl.lastLen))
 }

@@ -1,6 +1,7 @@
 package taskrt
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -67,29 +68,37 @@ func syntheticCG(rt *Runtime, iters int, traced bool, mutate func(i int)) {
 	rt.Drain()
 }
 
-// assertGraphsEqual fails unless both runtimes derived the same
-// dependence structure (names, edges, edge payloads) for every task.
-func assertGraphsEqual(t *testing.T, analyzed, traced *Runtime) {
+// assertGraphsEqual fails unless both graphs hold the same dependence
+// structure (names, edges, edge payloads) for every task.
+func assertGraphsEqual(t *testing.T, ga, gt Graph) {
 	t.Helper()
-	ga, gt := analyzed.Graph(), traced.Graph()
+	if d := graphDiff(ga, gt); d != "" {
+		t.Fatal(d)
+	}
+}
+
+// graphDiff describes the first difference between two graphs' dependence
+// structures, or returns "".
+func graphDiff(ga, gt Graph) string {
 	if ga.Len() != gt.Len() {
-		t.Fatalf("graph sizes differ: analyzed %d, traced %d", ga.Len(), gt.Len())
+		return fmt.Sprintf("graph sizes differ: analyzed %d, traced %d", ga.Len(), gt.Len())
 	}
 	for i := range ga.Nodes {
 		a, b := ga.Nodes[i], gt.Nodes[i]
 		if a.Name != b.Name {
-			t.Fatalf("node %d name: analyzed %q, traced %q", i, a.Name, b.Name)
+			return fmt.Sprintf("node %d name: analyzed %q, traced %q", i, a.Name, b.Name)
 		}
 		if len(a.Deps) != len(b.Deps) {
-			t.Fatalf("node %d (%s) deps: analyzed %v, traced %v", i, a.Name, a.Deps, b.Deps)
+			return fmt.Sprintf("node %d (%s) deps: analyzed %v, traced %v", i, a.Name, a.Deps, b.Deps)
 		}
 		for j := range a.Deps {
 			if a.Deps[j] != b.Deps[j] || a.DepBytes[j] != b.DepBytes[j] {
-				t.Fatalf("node %d (%s) edge %d: analyzed %d(%dB), traced %d(%dB)",
+				return fmt.Sprintf("node %d (%s) edge %d: analyzed %d(%dB), traced %d(%dB)",
 					i, a.Name, j, a.Deps[j], a.DepBytes[j], b.Deps[j], b.DepBytes[j])
 			}
 		}
 	}
+	return ""
 }
 
 func TestTraceReplayEquivalence(t *testing.T) {
@@ -100,7 +109,7 @@ func TestTraceReplayEquivalence(t *testing.T) {
 	analyzed, traced := New(), New()
 	syntheticCG(analyzed, 8, false, nil)
 	syntheticCG(traced, 8, true, nil)
-	assertGraphsEqual(t, analyzed, traced)
+	assertGraphsEqual(t, analyzed.Graph(), traced.Graph())
 
 	st := traced.Stats()
 	// Iterations 1 and 2 record and calibrate; 3..8 replay all 4 tasks.
@@ -156,8 +165,8 @@ func TestTraceReplayZeroAnalysisScans(t *testing.T) {
 
 func TestTraceFallbackOnMismatch(t *testing.T) {
 	// An instance that diverges from the calibrated template mid-stream
-	// must fall back to full analysis and still derive correct edges; the
-	// template is dropped and rebuilt by later instances.
+	// must fall back to full analysis and still derive correct edges; later
+	// instances rebuild the template.
 	analyzed, traced := New(), New()
 	mutate := func(rt *Runtime) func(int) {
 		sp := index.NewSpace("E", 16)
@@ -172,15 +181,15 @@ func TestTraceFallbackOnMismatch(t *testing.T) {
 	}
 	syntheticCG(analyzed, 9, false, mutate(analyzed))
 	syntheticCG(traced, 9, true, mutate(traced))
-	assertGraphsEqual(t, analyzed, traced)
+	assertGraphsEqual(t, analyzed.Graph(), traced.Graph())
 
 	st := traced.Stats()
 	if st.TraceFallbacks != 1 {
 		t.Errorf("TraceFallbacks = %d, want 1", st.TraceFallbacks)
 	}
 	// Iterations 0,1 record+calibrate; 2..4 replay; 5 splices its four
-	// matching tasks, then the extra task falls back and drops the
-	// template; 6,7 re-record and recalibrate; 8 replays again.
+	// matching tasks, then the extra task falls back; 6,7 re-record and
+	// recalibrate; 8 replays again.
 	if want := int64(3*4 + 4 + 4); st.TraceReplays != want {
 		t.Errorf("TraceReplays = %d, want %d", st.TraceReplays, want)
 	}
@@ -221,7 +230,7 @@ func TestTraceGapDemotesToAnalysis(t *testing.T) {
 	}
 	run(analyzed, false)
 	run(traced, true)
-	assertGraphsEqual(t, analyzed, traced)
+	assertGraphsEqual(t, analyzed.Graph(), traced.Graph())
 
 	st := traced.Stats()
 	// Iterations 0,1 record+calibrate, 2..4 replay; the gap after 4
@@ -234,13 +243,13 @@ func TestTraceGapDemotesToAnalysis(t *testing.T) {
 	}
 }
 
-func TestTraceForeignLaunchInsideInstanceFallsBack(t *testing.T) {
-	// Task IDs are global: another session's launch landing inside a
-	// replaying instance shifts every later ID of that instance, so the
-	// template's base+off edges would name the wrong tasks (here "u"
-	// would wait on the foreign task instead of on "d"). The instance
-	// must fall back to analysis from that launch on and derive exactly
-	// the edges an untraced twin derives.
+func TestTraceForeignLaunchInsideInstanceChangesNothing(t *testing.T) {
+	// Task IDs and templates are the session's own: another session's
+	// launches — inside a replaying instance, between two instances, or
+	// both — neither shift the instance's IDs nor break adjacency. Every
+	// instance after calibration replays end to end, and the traced
+	// session records exactly the graph its untraced twin records.
+	const iters = 9
 	run := func(traced bool) *Runtime {
 		rt := New()
 		a, b := rt.DefaultSession(), rt.NewSession("b")
@@ -250,13 +259,16 @@ func TestTraceForeignLaunchInsideInstanceFallsBack(t *testing.T) {
 		vec := func(r *region.Region, priv region.Privilege) region.Ref {
 			return region.Ref{Region: r.ID(), Field: "x", Subset: index.Span(0, 31), Priv: priv}
 		}
-		for i := 0; i < 7; i++ {
+		foreign := func() {
+			b.Launch(TaskSpec{Name: "foreign", Refs: []region.Ref{vec(other, region.ReadWrite)}})
+		}
+		for i := 0; i < iters; i++ {
 			if traced {
 				a.BeginTrace("step")
 			}
 			a.Launch(TaskSpec{Name: "w", Refs: []region.Ref{vec(v, region.ReadWrite)}})
-			if i == 4 {
-				b.Launch(TaskSpec{Name: "foreign", Refs: []region.Ref{vec(other, region.ReadWrite)}})
+			if i >= 3 && i%2 == 1 {
+				foreign() // inside the instance, before "d" and "u"
 			}
 			s := region.New("s", scalar, "v")
 			sref := func(priv region.Privilege) region.Ref {
@@ -267,26 +279,26 @@ func TestTraceForeignLaunchInsideInstanceFallsBack(t *testing.T) {
 			if traced {
 				a.EndTrace()
 			}
+			if i >= 3 {
+				foreign() // between two instances
+			}
 		}
 		rt.Drain()
 		return rt
 	}
 	analyzed, traced := run(false), run(true)
-	assertGraphsEqual(t, analyzed, traced)
+	assertGraphsEqual(t, analyzed.Graph(), traced.Graph())
 
-	// Iterations 0,1 record+calibrate, 2,3 replay; iteration 4 is IDs
-	// 12 (w, spliced), 13 (foreign), 14 (d), 15 (u).
-	nodes := traced.Graph().Nodes
-	if !nodes[12].Traced {
-		t.Error("launch before the foreign task should still be spliced")
-	}
-	for _, id := range []int{14, 15} {
-		if nodes[id].Traced {
-			t.Errorf("task %d (%s) after the foreign launch was spliced, want analyzed", id, nodes[id].Name)
+	// Iterations 0,1 record and calibrate; every later one is spliced.
+	for _, n := range traced.Graph().Nodes[2*3:] {
+		if !n.Traced {
+			t.Errorf("task %d (%s) after calibration was analyzed, want spliced", n.ID, n.Name)
 		}
 	}
-	if st := traced.Stats(); st.TraceFallbacks != 1 {
-		t.Errorf("TraceFallbacks = %d, want 1", st.TraceFallbacks)
+	st := traced.Stats()
+	if st.TraceFallbacks != 0 || st.TraceHits != iters-2 || st.TraceMisses != 2 {
+		t.Errorf("TraceHits/Misses/Fallbacks = %d/%d/%d, want %d/2/0",
+			st.TraceHits, st.TraceMisses, st.TraceFallbacks, iters-2)
 	}
 }
 
@@ -294,7 +306,7 @@ func TestConcurrentLaunchersWithGraphSnapshots(t *testing.T) {
 	// Concurrent launchers on overlapping regions while another goroutine
 	// snapshots the graph: snapshots must always be a consistent prefix
 	// (every node's edges final and pointing at smaller IDs). Run under
-	// -race this also exercises the sharded history and node holdback.
+	// -race this also exercises the sharded history and graph retention.
 	rt := New()
 	sp := index.NewSpace("D", 256)
 	shared := region.New("shared", sp, "x")
