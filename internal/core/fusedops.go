@@ -6,22 +6,24 @@ import (
 	"sync"
 
 	"kdrsolvers/internal/index"
+	"kdrsolvers/internal/machine"
 	"kdrsolvers/internal/region"
 	"kdrsolvers/internal/taskrt"
 )
 
 // The vector-sweep kernel. FusedSweep is the only code that launches an
-// axpy, an xpay or a dot: it applies k updates to a piece in one task
-// visit and folds any number of dot products into a single tree
-// reduction — one partial task per piece computing every requested dot.
-// The combine is not a task on a real planner: every reader of a dot folds
-// the partials itself (see Scalar), where a virtual planner launches one
-// combine task for all the sweep's dots, the allreduce the simulator
-// charges. Planner.Axpy, Xpay and Dot (vecops.go) are its one-operation
-// calls and keep their task names; a solver that issues them separately
-// sweeps the same pieces once per operation and synchronizes on every dot,
-// and the fused solver steps collapse both costs ("Hardware-Oriented
-// Krylov Methods for HPC").
+// axpy, xpay, copy, scal, zero or dot (a product's own zero fills aside,
+// matmul.go): it applies k updates to a piece in one task visit and folds
+// any number of dot products into a single tree reduction — one partial
+// task per piece computing every requested dot. The combine is not a task
+// on a real planner: every reader of a dot folds the partials itself (see
+// Scalar), where a virtual planner launches one combine task for all the
+// sweep's dots, the allreduce the simulator charges. Planner.Axpy, Xpay,
+// Copy, Scal, Zero and Dot (vecops.go) are its one-operation calls and
+// keep their task names; a solver that issues them separately sweeps the
+// same pieces once per operation and synchronizes on every dot, and the
+// fused solver steps collapse both costs ("Hardware-Oriented Krylov
+// Methods for HPC").
 //
 // Numerics are preserved exactly where the paper's solvers need them
 // preserved: updates execute in argument order inside each piece (the
@@ -30,18 +32,27 @@ import (
 // single-operation sweeps; dots accumulate per piece and then combine in
 // piece order, batched or not, wherever the combine runs.
 //
+// Every per-vector decision of a task follows from how the sweep uses the
+// vector. One whose first use overwrites it (the dst of a copy or zero) is
+// write-discard, checksum slot included, and its incoming data is not
+// verified; one that is read and then written is read-write; one that is
+// only read is read-only. A task is retryable exactly when no vector is
+// read-write: it then reads nothing it writes, so a partial first attempt
+// cannot double-apply. Its cost is the sum of its updates' and dots' own.
+// These rules reproduce each one-operation task the planner ever launched.
+//
 // Sweep tasks launch through the ordinary Launch path with ordinary
 // region references, so they are traced, memoized, and replayed by the
 // runtime's trace templates like any other task.
 //
 // With SDC detection on, each piece task first verifies the incoming
-// checksum of every vector it reads — update dsts, update sources and dot
-// operands, one extra read pass per distinct vector — then maintains the
-// dst checksums through the update recurrences, and finally writes a
-// per-piece guard slot — the sum of the piece's dot partials — that the
-// reduction's first fold recomputes bitwise-identically, so corruption
-// anywhere in a solver's working set or reduction scratch surfaces within
-// one iteration.
+// checksum of every vector whose data it reads — update dsts, update
+// sources and dot operands, one extra read pass per distinct vector —
+// then maintains the dst checksums through the update recurrences, and
+// finally writes a per-piece guard slot — the sum of the piece's dot
+// partials — that the reduction's first fold recomputes
+// bitwise-identically, so corruption anywhere in a solver's working set
+// or reduction scratch surfaces within one iteration.
 
 // UpdateKind selects the recurrence form of one fused vector update.
 type UpdateKind int
@@ -51,11 +62,41 @@ const (
 	UpdAxpy UpdateKind = iota
 	// UpdXpay is dst ← src + α·dst.
 	UpdXpay
+	// UpdCopy is dst ← src; it takes no coefficient.
+	UpdCopy
+	// UpdScal is dst ← α·dst; it reads no source.
+	UpdScal
+	// UpdZero is dst ← 0; it takes neither.
+	UpdZero
 )
 
-// VecUpdate is one update of a fused sweep. Neg applies −α without a
+// updNames are the task names of one-update sweeps.
+var updNames = [...]string{UpdAxpy: "axpy", UpdXpay: "xpay", UpdCopy: "copy", UpdScal: "scal", UpdZero: "zero"}
+
+// hasSrc reports whether an update of kind k reads a source vector.
+func (k UpdateKind) hasSrc() bool { return k == UpdAxpy || k == UpdXpay || k == UpdCopy }
+
+// scaled reports whether an update of kind k takes a coefficient.
+func (k UpdateKind) scaled() bool { return k == UpdAxpy || k == UpdXpay || k == UpdScal }
+
+// cost is the machine model's time for one update of kind k over n points.
+func (k UpdateKind) cost(m machine.Machine, n int64) float64 {
+	switch k {
+	case UpdCopy:
+		return m.CopyCost(n)
+	case UpdScal:
+		return m.ScalCost(n)
+	case UpdZero:
+		return m.Blas1Cost(n)
+	}
+	return m.AxpyCost(n)
+}
+
+// VecUpdate is one update of a fused sweep. Alpha is required by the
+// kinds that scale (axpy, xpay, scal) and Src by those that read a source
+// (axpy, xpay, copy); the others ignore them. Neg applies −α without a
 // separate negation task (IEEE negation is exact, so the result is
-// bitwise identical to an axpy against a negated scalar).
+// bitwise identical to an update against a negated scalar).
 type VecUpdate struct {
 	Kind  UpdateKind
 	Dst   VecID
@@ -71,7 +112,7 @@ type DotPair struct{ V, W VecID }
 // one task per piece performs every update instead of one task per
 // (update, piece). Updates may chain — a later update reading a dst an
 // earlier one wrote sees the written value, exactly as the equivalent
-// sequence of Axpy/Xpay calls would.
+// sequence of single-operation calls would.
 func (p *Planner) FusedUpdate(ups ...VecUpdate) {
 	p.FusedSweep(ups, nil)
 }
@@ -84,11 +125,12 @@ func (p *Planner) DotBatch(pairs ...DotPair) []*Scalar {
 	return p.FusedSweep(nil, pairs)
 }
 
-// sweepVec is one distinct vector of a sweep; written is set when any
-// update writes it.
+// sweepVec is one distinct vector of a sweep and the privilege the
+// sweep's use of it needs: write-discard when its first use overwrites it,
+// read-write when it is read and then written, read-only otherwise.
 type sweepVec struct {
-	id      VecID
-	written bool
+	id   VecID
+	priv region.Privilege
 }
 
 // sweepOperands validates a sweep and returns its distinct vectors (in
@@ -98,32 +140,45 @@ type sweepVec struct {
 // a linear scan — no per-sweep map.
 func (p *Planner) sweepOperands(ups []VecUpdate, dots []DotPair) ([]sweepVec, []*Scalar) {
 	vecs := make([]sweepVec, 0, 2*(len(ups)+len(dots)))
-	add := func(id VecID, written bool) {
+	use := func(id VecID, priv region.Privilege) {
 		for i := range vecs {
 			if vecs[i].id == id {
-				vecs[i].written = vecs[i].written || written
+				if vecs[i].priv == region.ReadOnly && priv != region.ReadOnly {
+					vecs[i].priv = region.ReadWrite
+				}
 				return
 			}
 		}
 		if len(vecs) > 0 {
 			p.checkCompatible(vecs[0].id, id)
 		}
-		vecs = append(vecs, sweepVec{id, written})
+		vecs = append(vecs, sweepVec{id, priv})
 	}
 	alphas := make([]*Scalar, 0, len(ups))
 	for _, u := range ups {
+		// A copy or zero overwrites its dst without reading it (a copy onto
+		// its own source reads it); the other kinds read what they update.
+		dst := region.ReadWrite
+		if u.Kind == UpdZero || u.Kind == UpdCopy && u.Src != u.Dst {
+			dst = region.WriteDiscard
+		}
+		use(u.Dst, dst)
+		if u.Kind.hasSrc() {
+			use(u.Src, region.ReadOnly)
+		}
+		if !u.Kind.scaled() {
+			continue
+		}
 		if u.Alpha == nil {
 			panic("core: VecUpdate requires a scalar coefficient")
 		}
-		add(u.Dst, true)
-		add(u.Src, false)
 		if !slices.Contains(alphas, u.Alpha) {
 			alphas = append(alphas, u.Alpha)
 		}
 	}
 	for _, d := range dots {
-		add(d.V, false)
-		add(d.W, false)
+		use(d.V, region.ReadOnly)
+		use(d.W, region.ReadOnly)
 	}
 	return vecs, alphas
 }
@@ -135,10 +190,8 @@ func (p *Planner) sweepOperands(ups []VecUpdate, dots []DotPair) ([]sweepVec, []
 // benchmark's task classes are written in.
 func sweepNames(ups []VecUpdate, dots []DotPair) (piece, reduce string) {
 	switch {
-	case len(ups) == 1 && len(dots) == 0 && ups[0].Kind == UpdAxpy:
-		return "axpy", ""
 	case len(ups) == 1 && len(dots) == 0:
-		return "xpay", ""
+		return updNames[ups[0].Kind], ""
 	case len(ups) == 0 && len(dots) == 1:
 		return "dot.partial", "dot.reduce"
 	case len(dots) == 0:
@@ -196,6 +249,9 @@ func (p *Planner) FusedSweep(ups []VecUpdate, dots []DotPair) []*Scalar {
 	if sdc {
 		nrefs += len(vecs)
 	}
+	// A task that writes nothing it reads cannot double-apply a partial
+	// first attempt; one with a read-write vector can.
+	retry := !slices.ContainsFunc(vecs, func(v sweepVec) bool { return v.priv == region.ReadWrite })
 
 	for ci, groups := range p.launchGroups(shape, hooks) {
 		// The arithmetic is bound once per component, not once per task.
@@ -209,15 +265,10 @@ func (p *Planner) FusedSweep(ups []VecUpdate, dots []DotPair) []*Scalar {
 			if k > 0 {
 				span = index.Span(int64(g.slot*stride), int64((g.slot+len(g.pieces))*stride)-1)
 			}
-			// Each distinct vector is declared once, read-write when any
-			// update writes it.
+			// Each distinct vector is declared once, under its use's privilege.
 			refs := make([]region.Ref, 0, nrefs)
 			for _, v := range vecs {
-				priv := region.ReadOnly
-				if v.written {
-					priv = region.ReadWrite
-				}
-				refs = append(refs, pieceRef(p.vecs[v.id].regs[ci], g.subset, priv))
+				refs = append(refs, pieceRef(p.vecs[v.id].regs[ci], g.subset, v.priv))
 			}
 			for _, l := range leaves {
 				refs = append(refs, l.ref)
@@ -227,26 +278,26 @@ func (p *Planner) FusedSweep(ups []VecUpdate, dots []DotPair) []*Scalar {
 			}
 			if sdc {
 				// Verification refreshes the slot, so even a pure source's
-				// checksum is read-write.
+				// checksum is read-write; an overwritten vector's is not read.
 				for _, v := range vecs {
-					refs = append(refs, p.chkRef(v.id, g.slot, len(g.pieces), region.ReadWrite))
+					priv := region.ReadWrite
+					if v.priv == region.WriteDiscard {
+						priv = region.WriteDiscard
+					}
+					refs = append(refs, p.chkRef(v.id, g.slot, len(g.pieces), priv))
 				}
 			}
 			size := g.subset.Size()
 			var cost float64
-			for range ups {
-				cost += p.mach.AxpyCost(size)
+			for _, u := range ups {
+				cost += u.Kind.cost(p.mach, size)
 			}
 			for range dots {
 				cost += p.mach.DotCost(size)
 			}
 			spec := taskrt.TaskSpec{
 				Name: name, Proc: g.proc, Piece: g.slot + 1,
-				Cost: cost, Refs: refs,
-				// A sweep with updates read-modify-writes its dsts, so a
-				// partial first attempt would double-apply; a pure dot sweep
-				// overwrites its scratch slots and is idempotent.
-				Retryable: len(ups) == 0,
+				Cost: cost, Refs: refs, Retryable: retry,
 				// A real dot's readers wait on its partial tasks' futures.
 				Detached: k == 0 || p.virtual,
 			}
@@ -256,7 +307,7 @@ func (p *Planner) FusedSweep(ups []VecUpdate, dots []DotPair) []*Scalar {
 			if hooks {
 				var targets []corruptTarget
 				for _, v := range vecs {
-					if v.written {
+					if v.priv != region.ReadOnly {
 						targets = append(targets, corruptTarget{p.vecs[v.id].regs[ci].Field("v"), g.subset})
 					}
 				}
@@ -296,8 +347,8 @@ func (p *Planner) sweepBody(name string, ci int, scratch *region.Region, stride 
 	type boundUpdate struct {
 		kind   UpdateKind
 		neg    bool
-		d, s   []float64
-		a      int       // index of the coefficient in alpha
+		d, s   []float64 // s is nil for a kind without a source
+		a      int       // index of the coefficient in alpha, -1 for none
 		cd, cs []float64 // checksum slots of dst and src (nil without sdc)
 	}
 	sdc := p.sdcOn()
@@ -310,12 +361,16 @@ func (p *Planner) sweepBody(name string, ci int, scratch *region.Region, stride 
 		bu[i] = boundUpdate{
 			kind: u.Kind, neg: u.Neg,
 			d: p.vecs[u.Dst].regs[ci].Field("v"),
-			s: p.vecs[u.Src].regs[ci].Field("v"),
 			a: slices.Index(alphas, u.Alpha),
 		}
 		if sdc {
 			bu[i].cd = p.chkData(u.Dst)
-			bu[i].cs = p.chkData(u.Src)
+		}
+		if u.Kind.hasSrc() {
+			bu[i].s = p.vecs[u.Src].regs[ci].Field("v")
+			if sdc {
+				bu[i].cs = p.chkData(u.Src)
+			}
 		}
 	}
 	type boundChk struct {
@@ -323,11 +378,10 @@ func (p *Planner) sweepBody(name string, ci int, scratch *region.Region, stride 
 		d   []float64
 		chk []float64
 	}
-	var bv []boundChk
-	if sdc {
-		bv = make([]boundChk, len(vecs))
-		for i, v := range vecs {
-			bv[i] = boundChk{id: v.id, d: p.vecs[v.id].regs[ci].Field("v"), chk: p.chkData(v.id)}
+	var bv []boundChk // the vectors whose incoming data the sweep reads
+	for _, v := range vecs {
+		if sdc && v.priv != region.WriteDiscard {
+			bv = append(bv, boundChk{id: v.id, d: p.vecs[v.id].regs[ci].Field("v"), chk: p.chkData(v.id)})
 		}
 	}
 	type boundDot struct{ v, w []float64 }
@@ -355,9 +409,12 @@ func (p *Planner) sweepBody(name string, ci int, scratch *region.Region, stride 
 			verifySlot(mon, tol, name, c.id, slot, c.chk, sum, abs)
 		}
 		for _, u := range bu {
-			av := alpha[u.a]
-			if u.neg {
-				av = -av
+			var av float64
+			if u.a >= 0 {
+				av = alpha[u.a]
+				if u.neg {
+					av = -av
+				}
 			}
 			d, s := u.d, u.s
 			switch u.kind {
@@ -378,6 +435,29 @@ func (p *Planner) sweepBody(name string, ci int, scratch *region.Region, stride 
 				})
 				if u.cd != nil {
 					u.cd[slot] = u.cs[slot] + av*u.cd[slot]
+				}
+			case UpdCopy:
+				subset.EachInterval(func(iv index.Interval) {
+					copy(d[iv.Lo:iv.Hi+1], s[iv.Lo:iv.Hi+1])
+				})
+				if u.cd != nil {
+					u.cd[slot] = u.cs[slot]
+				}
+			case UpdScal:
+				subset.EachInterval(func(iv index.Interval) {
+					for i := iv.Lo; i <= iv.Hi; i++ {
+						d[i] *= av
+					}
+				})
+				if u.cd != nil {
+					u.cd[slot] *= av
+				}
+			case UpdZero:
+				subset.EachInterval(func(iv index.Interval) {
+					clear(d[iv.Lo : iv.Hi+1])
+				})
+				if u.cd != nil {
+					u.cd[slot] = 0
 				}
 			}
 		}

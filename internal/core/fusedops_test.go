@@ -2,12 +2,15 @@ package core
 
 import (
 	"math"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
 	"kdrsolvers/internal/fault"
 	"kdrsolvers/internal/index"
 	"kdrsolvers/internal/machine"
+	"kdrsolvers/internal/region"
 	"kdrsolvers/internal/sparse"
 	"kdrsolvers/internal/taskrt"
 )
@@ -197,8 +200,9 @@ func TestFusedSweepLaunchCounts(t *testing.T) {
 func TestFusedSweepValidation(t *testing.T) {
 	p, a, _ := fusedTestPlanner(32, 2)
 	for name, fn := range map[string]func(){
-		"empty":     func() { p.FusedSweep(nil, nil) },
-		"nil alpha": func() { p.FusedUpdate(VecUpdate{Kind: UpdAxpy, Dst: a, Src: RHS}) },
+		"empty":          func() { p.FusedSweep(nil, nil) },
+		"nil alpha":      func() { p.FusedUpdate(VecUpdate{Kind: UpdAxpy, Dst: a, Src: RHS}) },
+		"scal nil alpha": func() { p.FusedUpdate(VecUpdate{Kind: UpdScal, Dst: a}) },
 	} {
 		func() {
 			defer func() {
@@ -367,5 +371,123 @@ func TestFailedPartialPoisonsDotReaders(t *testing.T) {
 	}
 	if !bitwiseEqual(before, p.VecData(a, 0)) {
 		t.Error("a poisoned axpy wrote its destination")
+	}
+}
+
+// parentSpecs is what Copy, Scal and Zero launched, per launch group of
+// dst, when each built its own tasks, before they became one-update
+// sweeps: the contract the sweep's privilege, retry and cost rules
+// reproduce.
+func parentSpecs(p *Planner, kind UpdateKind, dst, src VecID, alpha *Scalar) []taskrt.TaskSpec {
+	sdc := p.sdcOn()
+	var specs []taskrt.TaskSpec
+	for ci, groups := range p.launchGroups(p.vecs[dst].shape, p.faultHooks()) {
+		for _, g := range groups {
+			n, size, d := len(g.pieces), g.subset.Size(), p.vecs[dst].regs[ci]
+			spec := taskrt.TaskSpec{Proc: g.proc, Piece: g.slot + 1, Detached: true}
+			switch kind {
+			case UpdCopy:
+				spec.Name, spec.Cost, spec.Retryable = "copy", p.mach.CopyCost(size), true
+				spec.Refs = []region.Ref{
+					pieceRef(d, g.subset, region.WriteDiscard),
+					pieceRef(p.vecs[src].regs[ci], g.subset, region.ReadOnly),
+				}
+				if sdc {
+					spec.Refs = append(spec.Refs, p.chkRef(dst, g.slot, n, region.WriteDiscard), p.chkRef(src, g.slot, n, region.ReadWrite))
+				}
+			case UpdScal:
+				spec.Name, spec.Cost = "scal", p.mach.ScalCost(size)
+				spec.Refs = []region.Ref{pieceRef(d, g.subset, region.ReadWrite)}
+				for _, l := range alpha.leaves {
+					spec.Refs = append(spec.Refs, l.ref)
+				}
+				if sdc {
+					spec.Refs = append(spec.Refs, p.chkRef(dst, g.slot, n, region.ReadWrite))
+				}
+			case UpdZero:
+				spec.Name, spec.Cost, spec.Retryable = "zero", p.mach.Blas1Cost(size), true
+				spec.Refs = []region.Ref{pieceRef(d, g.subset, region.WriteDiscard)}
+				if sdc {
+					spec.Refs = append(spec.Refs, p.chkRef(dst, g.slot, n, region.WriteDiscard))
+				}
+			}
+			specs = append(specs, spec)
+		}
+	}
+	return specs
+}
+
+// Copy, Scal and Zero are one-update sweeps, and each launches exactly the
+// task it launched when it built its own: name, processor, piece, cost,
+// the refs in order under the same privileges (write-discard on a copy or
+// zero dst and its checksum slot), retryability and detachment — on real
+// and virtual planners, with SDC detection and fault hooks on and off.
+// The specs are read from the planner's batch: its session is closed, so
+// each launch panics before the batch is consumed.
+func TestOneUpdateSweepsLaunchTheirOperationsTasks(t *testing.T) {
+	for _, c := range []struct {
+		name                   string
+		virtual, sdc, injector bool
+	}{
+		{"virtual", true, false, false},
+		{"real", false, false, false},
+		{"real+sdc", false, true, false},
+		{"real+faults", false, false, true},
+		{"real+sdc+faults", false, true, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dp, n := unevenPartition("D")
+			rp, _ := unevenPartition("R")
+			p := NewPlanner(Config{Machine: machine.Lassen(4), Virtual: c.virtual, Session: taskrt.New().NewSession("shape")})
+			var si, ri int
+			if c.virtual {
+				si, ri = p.AddSolVectorVirtual(n, dp), p.AddRHSVectorVirtual(n, rp)
+			} else {
+				si, ri = p.AddSolVector(make([]float64, n), dp), p.AddRHSVector(make([]float64, n), rp)
+			}
+			p.AddOperator(sparse.Laplacian1D(n), si, ri)
+			p.Finalize()
+			if c.sdc {
+				p.EnableSDCDetection(0)
+			}
+			if c.injector {
+				p.Session().SetFaultInjector(fault.NewInjector(fault.Plan{Seed: 1, NaNRate: 1, Names: []string{"no.such.task"}}))
+			}
+			w := p.AllocateWorkspace(SolShape)
+			alpha := p.Div(p.Dot(SOL, RHS), p.Constant(3))
+			p.Drain()
+			p.Session().Close()
+
+			for _, op := range []struct {
+				kind   UpdateKind
+				launch func()
+			}{
+				{UpdCopy, func() { p.Copy(w, SOL) }},
+				{UpdScal, func() { p.Scal(w, alpha) }},
+				{UpdZero, func() { p.Zero(w) }},
+			} {
+				func() {
+					defer func() { recover() }()
+					op.launch()
+				}()
+				got := slices.Clone(p.specBuf)
+				p.specBuf = p.specBuf[:0]
+				want := parentSpecs(p, op.kind, w, SOL, alpha)
+				if len(got) != len(want) {
+					t.Fatalf("%s: %d tasks, want %d", updNames[op.kind], len(got), len(want))
+				}
+				for i, g := range got {
+					w := want[i]
+					if g.Name != w.Name || g.Proc != w.Proc || g.Piece != w.Piece || g.Cost != w.Cost ||
+						g.Retryable != w.Retryable || g.Detached != w.Detached || g.Host != w.Host ||
+						!reflect.DeepEqual(g.Refs, w.Refs) {
+						t.Errorf("%s task %d:\n got %+v\nwant %+v", updNames[op.kind], i, g, w)
+					}
+					if (g.Run != nil) == c.virtual || (g.Corrupt != nil) != c.injector {
+						t.Errorf("%s task %d: body set %v, corruption hook set %v", updNames[op.kind], i, g.Run != nil, g.Corrupt != nil)
+					}
+				}
+			}
+		})
 	}
 }

@@ -32,13 +32,18 @@ import (
 //   - SpMV:     chk += w·x with w the operator's column-checksum vector
 //               (wⱼ = Σ_{i∈piece} Aᵢⱼ, precomputed per (operator, piece))
 //
-// so a corrupted slot value and a corrupted data value cannot cancel.
-// Readers (sweep piece tasks — every axpy, xpay and dot, fused or single —
-// copy, scal, explicit vec.checksum tasks) re-sum the data they read,
-// compare against the slot within a relative tolerance, raise an SDCAlarm
-// on mismatch, and refresh the slot with the measured sum — the refresh
-// bounds the rounding drift of the recurrence maintenance to the few
-// operations between consecutive verifications.
+// so a corrupted slot value and a corrupted data value cannot cancel. The
+// five vector rows are applied by one kernel, the sweep (fusedops.go),
+// update by update in a sweep's order whether it holds one operation or
+// many; the product applies the last row (matmul.go, whose zero fills of
+// pieces no operator writes apply the first). Readers (sweep piece tasks,
+// for every vector whose incoming data they read, and explicit
+// vec.checksum tasks) re-sum the data they read, compare against the slot
+// within a relative tolerance, raise an SDCAlarm on mismatch, and refresh
+// the slot with the measured sum — the refresh bounds the rounding drift
+// of the recurrence maintenance to the few operations between consecutive
+// verifications. A vector a sweep overwrites before reading (a copy or
+// zero dst) is not verified: its stale data is about to be discarded.
 //
 // The forward SpMV additionally self-checks in-task: Σ(y over the write
 // set) must equal w·x up to rounding, the classic ABFT checksummed SpMV.

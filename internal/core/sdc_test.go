@@ -132,6 +132,45 @@ func TestSDCPlantedFlipDetected(t *testing.T) {
 	})
 }
 
+// A sweep that overwrites a vector first (copy, then axpy and scal on the
+// copy) verifies the vectors whose data it reads and not the one it
+// overwrites: clean data raises nothing and leaves checksums the scan
+// accepts, a flip in the copy's source alarms once, and a flip in the
+// destination's stale data is overwritten without an alarm.
+func TestSDCFusedCopySweep(t *testing.T) {
+	const n, pieces = 256, 4
+	for _, corrupt := range []string{"nothing", "source", "stale destination"} {
+		t.Run(corrupt, func(t *testing.T) {
+			p, mon, a, _ := sdcTestPlanner(t, n, pieces)
+			w := p.AllocateWorkspace(SolShape)
+			p.Axpy(w, p.Constant(1), RHS) // stale contents with a maintained checksum
+			p.Drain()
+			flip := map[string]VecID{"source": a, "stale destination": w}
+			if v, ok := flip[corrupt]; ok {
+				d := p.VecData(v, 0)
+				d[n/2+3] = fault.FlipBit(d[n/2+3], 52) // piece 2
+			}
+			p.FusedUpdate(
+				VecUpdate{Kind: UpdCopy, Dst: w, Src: a},
+				VecUpdate{Kind: UpdAxpy, Dst: w, Alpha: p.Constant(0.5), Src: RHS},
+				VecUpdate{Kind: UpdScal, Dst: w, Alpha: p.Constant(2)})
+			p.Drain()
+			al := mon.Take()
+			if corrupt == "source" {
+				if len(al) != 1 || al[0].Vec != a || al[0].Slot != 2 || al[0].Task != "fused.update" {
+					t.Fatalf("alarms = %v, want one for vector %d slot 2 from fused.update", al, a)
+				}
+			} else if len(al) != 0 {
+				t.Fatalf("%d alarms, want none: %v", len(al), al)
+			}
+			// The maintained checksums match the data the sweep left.
+			if got := p.VerifyChecksums(w, RHS); got != 0 {
+				t.Errorf("scan after the sweep raised %d alarms: %v", got, mon.Alarms())
+			}
+		})
+	}
+}
+
 // Corrupting the reduction scratch between partial and combine trips the
 // bitwise guard-slot comparison, for a batch and for a single dot alike,
 // once the dot is read: the check runs on the reduction's first fold. The

@@ -1,11 +1,8 @@
 package core
 
 import (
-	"math"
-
 	"kdrsolvers/internal/index"
 	"kdrsolvers/internal/region"
-	"kdrsolvers/internal/taskrt"
 )
 
 // The solver-facing vector operations of Figure 6. Each logical operation
@@ -13,22 +10,18 @@ import (
 // partition (launchGroups: one per piece wherever a piece holds a grain
 // of points), placed on the owning processor of its first piece. Real
 // planners perform the arithmetic; virtual planners record only costs.
-// Copy and Scal build their tasks here and Zero through the product's
-// zeroPieces (write-discard privilege, retryability and their own cost
-// models set them apart); Axpy, Xpay and Dot are single-operation calls
-// of the one sweep kernel, FusedSweep (fusedops.go).
-//
-// Tasks whose bodies are idempotent — they fully overwrite their outputs
-// and read nothing they write (zero, copy, dot.partial) — are
-// marked Retryable so the runtime may re-execute them after a transient
-// failure. Read-modify-write bodies (scal, axpy, xpay) are not: a partial
-// first attempt would double-apply, so their failures escalate to the
-// solver's checkpoint/restart layer instead.
+// Zero, Copy, Scal, Axpy, Xpay and Dot are single-operation calls of the
+// one sweep kernel, FusedSweep (fusedops.go), which derives each task's
+// privileges, retryability, checksum handling and cost from how the
+// operation uses its vectors: the overwriting zero and copy and the
+// read-only dot.partial are Retryable (the runtime may re-execute them
+// after a transient failure); the read-modify-write scal, axpy and xpay
+// are not — a partial first attempt would double-apply, so their failures
+// escalate to the solver's checkpoint/restart layer instead.
 //
 // With SDC detection on (see sdc.go) every operation also maintains the
-// per-piece checksum slots of the vectors it writes and verifies the
-// checksums of the vectors it reads. Copy and Scal fold the sums into the
-// pass they already make; a sweep verifies in a pre-pass.
+// per-piece checksum slots of the vectors it writes and verifies, in a
+// pre-pass, the checksums of the vectors whose data it reads.
 
 // pieceRef builds a region reference for one piece of one vector
 // component.
@@ -135,148 +128,19 @@ func eachSlot(comps []component, fn func(ci, slot int, subset index.IntervalSet)
 
 // Zero sets dst to the zero vector.
 func (p *Planner) Zero(dst VecID) {
-	p.mustBeFinalized()
-	dv := p.vecs[dst]
-	for ci, groups := range p.launchGroups(dv.shape, p.faultHooks()) {
-		for gi := range groups {
-			g := &groups[gi]
-			p.zeroPieces(dv.regs[ci], g.subset, g.proc, dst, g.slot, len(g.pieces))
-		}
-	}
-	p.flushBatch()
+	p.FusedSweep([]VecUpdate{{Kind: UpdZero, Dst: dst}}, nil)
 }
 
 // Copy performs dst ← src componentwise.
 func (p *Planner) Copy(dst, src VecID) {
-	p.mustBeFinalized()
-	if dst == src {
-		return
+	if dst != src {
+		p.FusedSweep([]VecUpdate{{Kind: UpdCopy, Dst: dst, Src: src}}, nil)
 	}
-	p.checkCompatible(dst, src)
-	dv, sv := p.vecs[dst], p.vecs[src]
-	sdc, hooks := p.sdcOn(), p.faultHooks()
-	var chkD, chkS []float64
-	var mon *SDCMonitor
-	var tol float64
-	if sdc {
-		chkD, chkS = p.chkData(dst), p.chkData(src)
-		mon, tol = p.sdc.mon, p.sdc.tol
-	}
-	for ci, groups := range p.launchGroups(dv.shape, hooks) {
-		var body func(subset index.IntervalSet, slot int)
-		if !p.virtual {
-			d, s := dv.regs[ci].Field("v"), sv.regs[ci].Field("v")
-			body = func(subset index.IntervalSet, slot int) {
-				if !sdc {
-					subset.EachInterval(func(iv index.Interval) {
-						copy(d[iv.Lo:iv.Hi+1], s[iv.Lo:iv.Hi+1])
-					})
-					return
-				}
-				var sum, abs float64
-				subset.EachInterval(func(iv index.Interval) {
-					for i := iv.Lo; i <= iv.Hi; i++ {
-						v := s[i]
-						d[i] = v
-						sum += v
-						abs += math.Abs(v)
-					}
-				})
-				verifySlot(mon, tol, "copy", src, slot, chkS, sum, abs)
-				chkD[slot] = sum
-			}
-		}
-		for gi := range groups {
-			g := &groups[gi]
-			spec := taskrt.TaskSpec{
-				Name: "copy", Proc: g.proc, Piece: g.slot + 1,
-				Cost: p.mach.CopyCost(g.subset.Size()),
-				Refs: []region.Ref{
-					pieceRef(dv.regs[ci], g.subset, region.WriteDiscard),
-					pieceRef(sv.regs[ci], g.subset, region.ReadOnly),
-				},
-				Retryable: true,
-			}
-			if body != nil {
-				spec.Run = g.run(body)
-			}
-			if sdc {
-				spec.Refs = append(spec.Refs,
-					p.chkRef(dst, g.slot, len(g.pieces), region.WriteDiscard),
-					p.chkRef(src, g.slot, len(g.pieces), region.ReadWrite))
-			}
-			if hooks {
-				spec.Corrupt = corruptHook(corruptTarget{dv.regs[ci].Field("v"), g.subset})
-			}
-			p.batch(spec)
-		}
-	}
-	p.flushBatch()
 }
 
 // Scal performs dst ← α·dst.
 func (p *Planner) Scal(dst VecID, alpha *Scalar) {
-	p.mustBeFinalized()
-	dv := p.vecs[dst]
-	sdc, hooks := p.sdcOn(), p.faultHooks()
-	var chkD []float64
-	var mon *SDCMonitor
-	var tol float64
-	if sdc {
-		chkD = p.chkData(dst)
-		mon, tol = p.sdc.mon, p.sdc.tol
-	}
-	alphas := []*Scalar{alpha}
-	for ci, groups := range p.launchGroups(dv.shape, hooks) {
-		var body func(subset index.IntervalSet, slot int, a []float64)
-		if !p.virtual {
-			d := dv.regs[ci].Field("v")
-			body = func(subset index.IntervalSet, slot int, a []float64) {
-				av := a[0]
-				if !sdc {
-					subset.EachInterval(func(iv index.Interval) {
-						for i := iv.Lo; i <= iv.Hi; i++ {
-							d[i] *= av
-						}
-					})
-					return
-				}
-				var sum, abs float64
-				subset.EachInterval(func(iv index.Interval) {
-					for i := iv.Lo; i <= iv.Hi; i++ {
-						v := d[i]
-						sum += v
-						abs += math.Abs(v)
-						d[i] = av * v
-					}
-				})
-				verifySlot(mon, tol, "scal", dst, slot, chkD, sum, abs)
-				chkD[slot] = av * sum
-			}
-		}
-		for gi := range groups {
-			g := &groups[gi]
-			spec := taskrt.TaskSpec{
-				Name: "scal", Proc: g.proc, Piece: g.slot + 1,
-				Cost: p.mach.ScalCost(g.subset.Size()),
-				Refs: []region.Ref{pieceRef(dv.regs[ci], g.subset, region.ReadWrite)},
-			}
-			for _, l := range alpha.leaves {
-				spec.Refs = append(spec.Refs, l.ref)
-			}
-			if body != nil {
-				spec.Run = g.runWith(alphas, body)
-			}
-			if sdc {
-				spec.Refs = append(spec.Refs, p.chkRef(dst, g.slot, len(g.pieces), region.ReadWrite))
-			}
-			if hooks {
-				spec.Corrupt = corruptHook(corruptTarget{dv.regs[ci].Field("v"), g.subset})
-			}
-			p.batch(spec)
-		}
-	}
-	p.flushBatch()
+	p.FusedSweep([]VecUpdate{{Kind: UpdScal, Dst: dst, Alpha: alpha}}, nil)
 }
 
 // Axpy performs dst ← dst + α·src.
@@ -299,14 +163,7 @@ func (p *Planner) Dot(v, w VecID) *Scalar {
 	return p.FusedSweep(nil, []DotPair{{V: v, W: w}})[0]
 }
 
-// AxpyConst and friends are conveniences over constant scalars.
-
 // AxpyConst performs dst ← dst + α·src for a compile-time α.
 func (p *Planner) AxpyConst(dst VecID, alpha float64, src VecID) {
 	p.Axpy(dst, p.Constant(alpha), src)
-}
-
-// ScalConst performs dst ← α·dst for a compile-time α.
-func (p *Planner) ScalConst(dst VecID, alpha float64) {
-	p.Scal(dst, p.Constant(alpha))
 }

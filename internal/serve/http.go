@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
+	"strconv"
 	"strings"
 
 	"kdrsolvers/internal/jobspec"
@@ -15,7 +17,8 @@ import (
 //	POST /solve       submit a job (jobspec.Spec JSON body; absent fields
 //	                  take the mmsolve flag defaults). 202 + job view,
 //	                  or 200 + finished job view with ?wait=1.
-//	                  400 invalid spec, 503 queue full / draining
+//	                  400 invalid spec or data after it, 413 body
+//	                  over maxSpecBytes, 503 queue full / draining
 //	                  (Retry-After set — resubmit later).
 //	GET  /jobs/{id}   job status; result included once done. 404 unknown.
 //	GET  /metrics     cumulative counters, gauges, and runtime stats.
@@ -32,9 +35,25 @@ func Handler(s *Server) http.Handler {
 			return
 		}
 		spec := jobspec.Default()
-		dec := json.NewDecoder(r.Body)
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 		dec.DisallowUnknownFields()
-		if err := dec.Decode(&spec); err != nil {
+		err := dec.Decode(&spec)
+		if err == nil {
+			// One spec per request: anything after it but white space is
+			// an error, not a second job to drop silently.
+			switch _, tail := dec.Token(); tail {
+			case io.EOF:
+			case nil:
+				err = errors.New("data after the job spec")
+			default:
+				err = tail
+			}
+		}
+		if tooLarge := new(http.MaxBytesError); errors.As(err, &tooLarge) {
+			http.Error(w, "request body over "+strconv.Itoa(maxSpecBytes)+" bytes", http.StatusRequestEntityTooLarge)
+			return
+		}
+		if err != nil {
 			http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
 			return
 		}
@@ -86,6 +105,11 @@ func Handler(s *Server) http.Handler {
 	})
 	return mux
 }
+
+// maxSpecBytes bounds a POST /solve body. A job spec is a few hundred
+// bytes; the bound only keeps a client from making the decoder buffer an
+// arbitrarily large one.
+const maxSpecBytes = 1 << 20
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	// Encode before the status line goes out: a value that cannot be

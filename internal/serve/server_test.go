@@ -425,6 +425,49 @@ func TestStencilSizeIsBounded(t *testing.T) {
 	}
 }
 
+// A request body is a resource too. A 16 MiB spec (one long matrix
+// string) used to be decoded whole and accepted (202) — a 64 MiB one
+// allocated about 1.3 GB — and a body holding a spec and more was
+// answered for the first spec with the rest silently dropped. Now a body
+// over maxSpecBytes is a 413 that reads no further than the bound (the
+// decoder's buffer doublings allocate about 4 MiB on the way), and
+// anything after the spec but white space is a 400.
+func TestSolveBodyIsBounded(t *testing.T) {
+	s := mustServer(t, Config{MaxActive: 1})
+	defer s.Drain()
+	h := Handler(s)
+	post := func(body string) (int, string) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/solve", strings.NewReader(body)))
+		return rec.Code, rec.Body.String()
+	}
+
+	huge := `{"matrix":"` + strings.Repeat("a", 16<<20) + `"}`
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	code, body := post(huge)
+	runtime.ReadMemStats(&after)
+	if code != http.StatusRequestEntityTooLarge {
+		t.Errorf("16 MiB body: status %d, body %s", code, body)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 8<<20 {
+		t.Errorf("rejecting a 16 MiB body allocated %d bytes", grew)
+	}
+
+	for _, body := range []string{
+		`{"matrix":"lap2d:8x8"} {"solver":"bogus"} garbage`,
+		`{"matrix":"lap2d:8x8"} garbage`,
+		`{"matrix":"lap2d:8x8"}}`,
+	} {
+		if code, msg := post(body); code != http.StatusBadRequest {
+			t.Errorf("%s: status %d, body %s", body, code, msg)
+		}
+	}
+	if code, msg := post("{\"matrix\":\"lap2d:8x8\",\"solver\":\"cg\"}\n\t "); code != http.StatusAccepted {
+		t.Errorf("a spec with trailing white space: status %d, body %s", code, msg)
+	}
+}
+
 // A format is a resource a client names as well: padded formats multiply
 // a matrix's size by its shape, so this 70-byte request asked
 // DenseFromMatrix for 262 144² × 8 B and the runtime died of it ("fatal

@@ -38,11 +38,12 @@ func NewBiCG(p *core.Planner) *BiCG {
 	}
 	p.BeginPhase("bicg.init")
 	residualInit(p, s.r)
-	p.Copy(s.rt, s.r) // shadow residual r̃₀ = r₀
-	p.Copy(s.pv, s.r)
-	p.Copy(s.pt, s.rt)
-	s.rho = p.Dot(s.rt, s.r)
-	s.res = p.Dot(s.r, s.r)
+	d := p.FusedSweep([]core.VecUpdate{
+		{Kind: core.UpdCopy, Dst: s.rt, Src: s.r}, // shadow residual r̃₀ = r₀
+		{Kind: core.UpdCopy, Dst: s.pv, Src: s.r},
+		{Kind: core.UpdCopy, Dst: s.pt, Src: s.rt},
+	}, []core.DotPair{{V: s.rt, W: s.r}, {V: s.r, W: s.r}})
+	s.rho, s.res = d[0], d[1]
 	return s
 }
 

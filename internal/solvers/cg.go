@@ -101,8 +101,9 @@ func (s *CG) ReplaceResidual(driftTol float64) ReplacementReport {
 	if driftTol > 0 && isFinite(drift) && drift <= driftTol*(trueRes+1) {
 		return rep
 	}
-	p.Copy(s.r, s.q)
-	p.Copy(s.pv, s.r)
+	p.FusedUpdate(
+		core.VecUpdate{Kind: core.UpdCopy, Dst: s.r, Src: s.q},
+		core.VecUpdate{Kind: core.UpdCopy, Dst: s.pv, Src: s.r})
 	s.res = d[2]
 	rep.Replaced = true
 	return rep

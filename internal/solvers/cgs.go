@@ -7,7 +7,10 @@ import "kdrsolvers/internal/core"
 // contraction polynomial twice per iteration. It often converges in
 // fewer iterations than BiCG but with rougher residual behavior;
 // BiCGStab (its smoothed descendant) is usually preferred. The
-// implementation follows the Templates formulation.
+// implementation follows the Templates formulation, each chain of vector
+// operations one fused sweep (core.FusedSweep) — the last carrying the
+// r·r dot — so an iteration is seven tasks a piece group, with the
+// iterates of one sweep per operation, bit for bit.
 type CGS struct {
 	p *core.Planner
 	// Workspaces: residual r, shadow residual r̃, and the u/p/q/v/uq
@@ -38,8 +41,8 @@ func NewCGS(p *core.Planner) *CGS {
 	}
 	p.BeginPhase("cgs.init")
 	residualInit(p, s.r)
-	p.Copy(s.rt, s.r)
-	s.res = p.Dot(s.r, s.r)
+	s.res = p.FusedSweep([]core.VecUpdate{{Kind: core.UpdCopy, Dst: s.rt, Src: s.r}},
+		[]core.DotPair{{V: s.r, W: s.r}})[0]
 	return s
 }
 
@@ -60,32 +63,33 @@ func (s *CGS) Step() {
 	defer p.TraceEnd(p.TraceBegin("cgs.step"))
 	rho := p.Dot(s.rt, s.r)
 	if s.k == 0 {
-		p.Copy(s.u, s.r)
-		p.Copy(s.pp, s.u)
+		p.FusedUpdate( // u = r; p = u
+			core.VecUpdate{Kind: core.UpdCopy, Dst: s.u, Src: s.r},
+			core.VecUpdate{Kind: core.UpdCopy, Dst: s.pp, Src: s.u})
 	} else {
 		beta := guardedDiv(p, &s.bd, "cgs", "rho", rho, s.rho)
-		// u = r + β q
-		p.Copy(s.u, s.r)
-		p.Axpy(s.u, beta, s.q)
-		// p = u + β (q + β p)
-		p.Scal(s.pp, beta)
-		p.Axpy(s.pp, p.Constant(1), s.q)
-		p.Scal(s.pp, beta)
-		p.Axpy(s.pp, p.Constant(1), s.u)
+		one := p.Constant(1)
+		p.FusedUpdate( // u = r + β q; p = u + β (q + β p)
+			core.VecUpdate{Kind: core.UpdCopy, Dst: s.u, Src: s.r},
+			core.VecUpdate{Kind: core.UpdAxpy, Dst: s.u, Alpha: beta, Src: s.q},
+			core.VecUpdate{Kind: core.UpdScal, Dst: s.pp, Alpha: beta},
+			core.VecUpdate{Kind: core.UpdAxpy, Dst: s.pp, Alpha: one, Src: s.q},
+			core.VecUpdate{Kind: core.UpdScal, Dst: s.pp, Alpha: beta},
+			core.VecUpdate{Kind: core.UpdAxpy, Dst: s.pp, Alpha: one, Src: s.u})
 	}
 	s.k++
 	p.Matmul(s.vhat, s.pp) // v̂ = A p
 	alpha := guardedDiv(p, &s.bd, "cgs", "rt·v", rho, p.Dot(s.rt, s.vhat))
-	// q = u − α v̂
-	p.Copy(s.q, s.u)
-	p.Axpy(s.q, p.Neg(alpha), s.vhat)
-	// uq = u + q; x += α uq
-	p.Copy(s.uq, s.u)
-	p.Axpy(s.uq, p.Constant(1), s.q)
-	p.Axpy(core.SOL, alpha, s.uq)
-	// r −= α A uq (vhat reused as q̂)
+	p.FusedUpdate( // q = u − α v̂; uq = u + q; x += α uq
+		core.VecUpdate{Kind: core.UpdCopy, Dst: s.q, Src: s.u},
+		core.VecUpdate{Kind: core.UpdAxpy, Dst: s.q, Alpha: alpha, Neg: true, Src: s.vhat},
+		core.VecUpdate{Kind: core.UpdCopy, Dst: s.uq, Src: s.u},
+		core.VecUpdate{Kind: core.UpdAxpy, Dst: s.uq, Alpha: p.Constant(1), Src: s.q},
+		core.VecUpdate{Kind: core.UpdAxpy, Dst: core.SOL, Alpha: alpha, Src: s.uq})
+	// q̂ = A uq, in v̂'s storage; r −= α q̂; res = r·r
 	p.Matmul(s.vhat, s.uq)
-	p.Axpy(s.r, p.Neg(alpha), s.vhat)
+	s.res = p.FusedSweep(
+		[]core.VecUpdate{{Kind: core.UpdAxpy, Dst: s.r, Alpha: alpha, Neg: true, Src: s.vhat}},
+		[]core.DotPair{{V: s.r, W: s.r}})[0]
 	s.rho = rho
-	s.res = p.Dot(s.r, s.r)
 }

@@ -166,6 +166,35 @@ func TestSolverConformanceMatrix(t *testing.T) {
 	}
 }
 
+// MINRES's measure φ̄² is a Givens recurrence, not an inner product of a
+// residual it maintains: on this system φ̄ falls to 7.5e-13 at iteration
+// 89 while ‖b − Ax‖ is 1.37e-12, and the true residual stagnates near
+// 1.2e-12 after that. A solve that reports convergence must have it:
+// SolveResilient verifies the claim through ConvergenceVerifier.
+func TestMINRESConvergedMeansTrueResidual(t *testing.T) {
+	const side, tol = 32, 1e-12
+	a := sparse.Laplacian2D(side, side)
+	b := fusedRHS(side * side)
+	p := planFor(a, append([]float64(nil), b...), 4)
+	res := Solve(NewMINRES(p), tol, 400)
+	p.Drain()
+	x := p.VecData(core.SOL, 0)
+	ax := make([]float64, len(b))
+	sparse.SpMV(a, ax, x)
+	var rr float64
+	for i := range b {
+		rr += (b[i] - ax[i]) * (b[i] - ax[i])
+	}
+	host := math.Sqrt(rr)
+	if res.Converged && host > tol {
+		t.Errorf("MINRES claims convergence at %d iterations with ‖b − Ax‖ = %g > tol %g (measure %g)",
+			res.Iterations, host, tol, res.Residual)
+	}
+	if d := math.Abs(res.TrueResidual - host); d > 1e-6*host {
+		t.Errorf("reported true residual %g, host recomputation %g", res.TrueResidual, host)
+	}
+}
+
 // dataTasks lists, in launch order, the names of a graph's tasks other
 // than its scalar ones — host tasks and a dot's combine, which a real
 // planner folds into the readers — the graph a real and a virtual planner

@@ -126,6 +126,162 @@ func TestBiCGFusedBitwiseMatchesUnfused(t *testing.T) {
 	}
 }
 
+// unfusedCGS is CGS's per-operation step — seventeen single-operation
+// sweeps an iteration — kept as the bitwise reference for the fused step.
+type unfusedCGS struct{ *CGS }
+
+func (s unfusedCGS) Step() {
+	p := s.p
+	p.BeginPhase("cgs.step")
+	rho := p.Dot(s.rt, s.r)
+	if s.k == 0 {
+		p.Copy(s.u, s.r)
+		p.Copy(s.pp, s.u)
+	} else {
+		beta := guardedDiv(p, &s.bd, "cgs", "rho", rho, s.rho)
+		p.Copy(s.u, s.r)
+		p.Axpy(s.u, beta, s.q)
+		p.Scal(s.pp, beta)
+		p.Axpy(s.pp, p.Constant(1), s.q)
+		p.Scal(s.pp, beta)
+		p.Axpy(s.pp, p.Constant(1), s.u)
+	}
+	s.k++
+	p.Matmul(s.vhat, s.pp)
+	alpha := guardedDiv(p, &s.bd, "cgs", "rt·v", rho, p.Dot(s.rt, s.vhat))
+	p.Copy(s.q, s.u)
+	p.Axpy(s.q, p.Neg(alpha), s.vhat)
+	p.Copy(s.uq, s.u)
+	p.Axpy(s.uq, p.Constant(1), s.q)
+	p.Axpy(core.SOL, alpha, s.uq)
+	p.Matmul(s.vhat, s.uq)
+	p.Axpy(s.r, p.Neg(alpha), s.vhat)
+	s.rho = rho
+	s.res = p.Dot(s.r, s.r)
+}
+
+func newUnfusedCGS(p *core.Planner) Solver { return unfusedCGS{NewCGS(p)} }
+
+// unfusedMINRES is MINRES's per-operation step — sixteen single-operation
+// sweeps an iteration — kept as the bitwise reference for the fused step.
+type unfusedMINRES struct{ *MINRES }
+
+func (s unfusedMINRES) Step() {
+	p := s.p
+	p.BeginPhase("minres.step")
+	s.k++
+	p.Copy(s.v, s.r2)
+	p.Scal(s.v, p.Constant(safeInv(s.beta)))
+	p.Matmul(s.y, s.v)
+	if s.k > 1 {
+		p.AxpyConst(s.y, -s.beta*safeInv(s.oldb), s.r1)
+	}
+	alfa := p.Dot(s.v, s.y).Value()
+	p.AxpyConst(s.y, -alfa*safeInv(s.beta), s.r2)
+	p.Copy(s.r1, s.r2)
+	p.Copy(s.r2, s.y)
+	s.oldb = s.beta
+	s.beta = math.Sqrt(p.Dot(s.r2, s.r2).Value())
+	oldeps := s.epsln
+	delta := s.cs*s.dbar + s.sn*alfa
+	gbar := s.sn*s.dbar - s.cs*alfa
+	s.epsln = s.sn * s.beta
+	s.dbar = -s.cs * s.beta
+	gamma := math.Hypot(gbar, s.beta)
+	s.cs = gbar * safeInv(gamma)
+	s.sn = s.beta * safeInv(gamma)
+	phi := s.cs * s.phibar
+	s.phibar = s.sn * s.phibar
+	p.Copy(s.w1, s.w2)
+	p.Copy(s.w2, s.w)
+	p.Copy(s.w, s.v)
+	p.AxpyConst(s.w, -oldeps, s.w1)
+	p.AxpyConst(s.w, -delta, s.w2)
+	p.Scal(s.w, p.Constant(safeInv(gamma)))
+	p.AxpyConst(core.SOL, phi, s.w)
+	s.res = p.Constant(s.phibar * s.phibar)
+}
+
+func newUnfusedMINRES(p *core.Planner) Solver { return unfusedMINRES{NewMINRES(p)} }
+
+// unfusedPGMRES is PGMRES's step with its basis copies and normalizing
+// scals as separate sweeps — seven tasks a step where the fused step
+// launches three — kept as the bitwise reference.
+type unfusedPGMRES struct{ *PGMRES }
+
+func (s unfusedPGMRES) Step() {
+	p := s.p
+	j := s.open()
+	zj := s.z[j]
+	pairs := make([]core.DotPair, j+2)
+	for i := 0; i <= j; i++ {
+		pairs[i] = core.DotPair{V: zj, W: s.basis[i]}
+	}
+	pairs[j+1] = core.DotPair{V: zj, W: zj}
+	dots := p.DotBatch(pairs...)
+	p.Matmul(s.u, zj)
+	col := make([]*core.Scalar, j+2)
+	copy(col, dots[:j+1])
+	col[j+1] = p.ScalarExpr("pgmres.pythag", func(v []float64) float64 {
+		t := v[0]
+		for _, a := range v[1:] {
+			t -= a * a
+		}
+		return math.Sqrt(math.Max(t, 0))
+	}, append([]*core.Scalar{dots[j+1]}, dots[:j+1]...)...)
+	if s.push(col) {
+		return
+	}
+	p.Copy(s.basis[j+1], zj)
+	p.Copy(s.z[j+1], s.u)
+	ups := make([]core.VecUpdate, 0, 2*(j+1))
+	for i := 0; i <= j; i++ {
+		ups = append(ups,
+			core.VecUpdate{Kind: core.UpdAxpy, Dst: s.basis[j+1], Alpha: col[i], Neg: true, Src: s.basis[i]},
+			core.VecUpdate{Kind: core.UpdAxpy, Dst: s.z[j+1], Alpha: col[i], Neg: true, Src: s.z[i]},
+		)
+	}
+	p.FusedUpdate(ups...)
+	inv := p.Div(p.Constant(1), col[j+1])
+	p.Scal(s.basis[j+1], inv)
+	p.Scal(s.z[j+1], inv)
+	s.endStep()
+}
+
+func newUnfusedPGMRES(p *core.Planner) Solver { return unfusedPGMRES{NewPGMRES(p, 10)} }
+
+func TestCGSFusedBitwiseMatchesUnfused(t *testing.T) {
+	runBitwisePair(t, "cgs", 12,
+		func() *core.Planner { return planFor(convectionDiffusion(64, 0.3), fusedRHS(64), 4) },
+		func(p *core.Planner) Solver { return NewCGS(p) }, newUnfusedCGS)
+
+	// A skew-symmetric system ends in the r̃ᵀv̂ guard at the first step:
+	// both steps must report it and agree on the (untouched) iterate.
+	var fused, unfused *CGS
+	runBitwisePair(t, "cgs-breakdown", 3,
+		func() *core.Planner { return planFor(skewSymmetric(4), []float64{1, 2, 3, 4, 5, 6, 7, 8}, 2) },
+		func(p *core.Planner) Solver { fused = NewCGS(p); return fused },
+		func(p *core.Planner) Solver { unfused = NewCGS(p); return unfusedCGS{unfused} })
+	for name, s := range map[string]*CGS{"fused": fused, "unfused": unfused} {
+		if err := s.Breakdown(); err == nil || !strings.Contains(err.Error(), "rt·v") {
+			t.Errorf("%s CGS on a skew-symmetric system: breakdown %v, want the rt·v guard", name, err)
+		}
+	}
+}
+
+func TestMINRESFusedBitwiseMatchesUnfused(t *testing.T) {
+	runBitwisePair(t, "minres", 12,
+		func() *core.Planner { return planFor(sparse.Laplacian2D(8, 8), fusedRHS(64), 4) },
+		func(p *core.Planner) Solver { return NewMINRES(p) }, newUnfusedMINRES)
+}
+
+func TestPGMRESFusedBitwiseMatchesUnfused(t *testing.T) {
+	// x moves only when a cycle closes: 25 steps cross two closes.
+	runBitwisePair(t, "pgmres", 25,
+		func() *core.Planner { return planFor(convectionDiffusion(64, 0.3), fusedRHS(64), 4) },
+		func(p *core.Planner) Solver { return NewPGMRES(p, 10) }, newUnfusedPGMRES)
+}
+
 func TestPipeCGAgreesWithCG(t *testing.T) {
 	// Pipelined CG computes the same Krylov iterates up to rounding (its
 	// auxiliary recurrences reorder the arithmetic), so it must reach the
@@ -228,9 +384,9 @@ func TestResidualReplacementLaunchCost(t *testing.T) {
 }
 
 func TestFusionLaunchReduction(t *testing.T) {
-	// The PR's acceptance criterion: fused CG launches ≥30% fewer tasks
-	// per iteration than the per-operation formulation, and pipelined CG
-	// fewer still. BiCGStab, PCG and BiCG ride along with their own floors.
+	// Fused CG launches ≥30% fewer tasks per iteration than the
+	// per-operation formulation, and pipelined CG fewer still. BiCGStab,
+	// PCG, BiCG, CGS, MINRES and PGMRES ride along with their own floors.
 	// Four pieces of 4 096 points: at the planner's launch grain, so the
 	// counts are per-piece counts, pinned exactly — a real planner launches
 	// the piece tasks and no combine or scalar task (a PipeCG or BiCGStab
@@ -263,6 +419,13 @@ func TestFusionLaunchReduction(t *testing.T) {
 			func(p *core.Planner) Solver { return NewBiCGStabUnfused(p) }, 0.30, 33, 54},
 		{"bicg", nonsym,
 			func(p *core.Planner) Solver { return NewBiCG(p) }, newUnfusedBiCG, 0.45, 20, 40},
+		{"cgs", nonsym,
+			func(p *core.Planner) Solver { return NewCGS(p) }, newUnfusedCGS, 0.55, 28, 68},
+		{"minres", plain,
+			func(p *core.Planner) Solver { return NewMINRES(p) }, newUnfusedMINRES, 0.65, 20, 64},
+		// PGMRES's eight-step window closes one cycle (x += V y, restart).
+		{"pgmres", nonsym,
+			func(p *core.Planner) Solver { return NewPGMRES(p, 10) }, newUnfusedPGMRES, 0.40, 19.5, 35.5},
 	}
 	for _, c := range cases {
 		f := measure(c.plan, c.fused)

@@ -13,7 +13,10 @@ import (
 //
 // The rotation coefficients need host-side control flow, so MINRES
 // synchronizes on two dot products per iteration — the same behavior as
-// reference implementations.
+// reference implementations. Each chain of vector operations between
+// those synchronizations is one fused sweep (core.FusedSweep), with the
+// dot it feeds riding along: four sweeps and the product an iteration,
+// with the iterates of one sweep per operation, bit for bit.
 type MINRES struct {
 	p *core.Planner
 	// Lanczos residual history r1, r2, the current vector v, and the A·v
@@ -47,8 +50,8 @@ func NewMINRES(p *core.Planner) *MINRES {
 	}
 	p.BeginPhase("minres.init")
 	residualInit(p, s.r2)
-	p.Copy(s.r1, s.r2)
-	rr := p.Dot(s.r2, s.r2)
+	rr := p.FusedSweep([]core.VecUpdate{{Kind: core.UpdCopy, Dst: s.r1, Src: s.r2}},
+		[]core.DotPair{{V: s.r2, W: s.r2}})[0]
 	s.res = rr
 	s.beta = math.Sqrt(rr.Value())
 	s.phibar = s.beta
@@ -59,8 +62,21 @@ func NewMINRES(p *core.Planner) *MINRES {
 // Name implements Solver.
 func (s *MINRES) Name() string { return "MINRES" }
 
-// ConvergenceMeasure implements Solver.
+// ConvergenceMeasure implements Solver: φ̄², the Givens recurrence's
+// residual estimate.
 func (s *MINRES) ConvergenceMeasure() *core.Scalar { return s.res }
+
+// VerifyConvergence implements ConvergenceVerifier: φ̄ is a recurrence,
+// not an inner product of a maintained residual, and drifts from the
+// truth on ill-conditioned systems, so before convergence is believed the
+// solver recomputes b − Ax into y (scratch between steps) and reports its
+// norm. φ̄ is left alone: it is also the coefficient of x's next update.
+func (s *MINRES) VerifyConvergence() float64 {
+	p := s.p
+	p.BeginPhase("minres.verify")
+	residualInit(p, s.y)
+	return math.Sqrt(math.Max(p.Dot(s.y, s.y).Value(), 0))
+}
 
 // safeInv returns 1/x, or 0 when x is 0 (only reachable on virtual
 // planners or after exact convergence).
@@ -79,19 +95,24 @@ func (s *MINRES) Step() {
 	defer p.TraceEnd(p.TraceBegin("minres.step"))
 	s.k++
 
-	// v = r2/β; y = A v.
-	p.Copy(s.v, s.r2)
-	p.ScalConst(s.v, safeInv(s.beta))
+	// v = r2/β; y = A v − (β/β_old) r1; α = v·y.
+	p.FusedUpdate(
+		core.VecUpdate{Kind: core.UpdCopy, Dst: s.v, Src: s.r2},
+		core.VecUpdate{Kind: core.UpdScal, Dst: s.v, Alpha: p.Constant(safeInv(s.beta))})
 	p.Matmul(s.y, s.v)
+	var ups []core.VecUpdate
 	if s.k > 1 {
-		p.AxpyConst(s.y, -s.beta*safeInv(s.oldb), s.r1)
+		ups = []core.VecUpdate{{Kind: core.UpdAxpy, Dst: s.y, Alpha: p.Constant(-s.beta * safeInv(s.oldb)), Src: s.r1}}
 	}
-	alfa := p.Dot(s.v, s.y).Value()
-	p.AxpyConst(s.y, -alfa*safeInv(s.beta), s.r2)
-	p.Copy(s.r1, s.r2)
-	p.Copy(s.r2, s.y)
+	alfa := p.FusedSweep(ups, []core.DotPair{{V: s.v, W: s.y}})[0].Value()
+	// y −= (α/β) r2; r1 = r2; r2 = y; β = ‖r2‖.
+	rr := p.FusedSweep([]core.VecUpdate{
+		{Kind: core.UpdAxpy, Dst: s.y, Alpha: p.Constant(-alfa * safeInv(s.beta)), Src: s.r2},
+		{Kind: core.UpdCopy, Dst: s.r1, Src: s.r2},
+		{Kind: core.UpdCopy, Dst: s.r2, Src: s.y},
+	}, []core.DotPair{{V: s.r2, W: s.r2}})[0]
 	s.oldb = s.beta
-	s.beta = math.Sqrt(p.Dot(s.r2, s.r2).Value())
+	s.beta = math.Sqrt(rr.Value())
 
 	// Apply the previous rotation and compute the new one.
 	oldeps := s.epsln
@@ -106,14 +127,15 @@ func (s *MINRES) Step() {
 	s.phibar = s.sn * s.phibar
 
 	// Direction update: w = (v − oldeps·w1 − delta·w2)/γ, rotating the
-	// direction history.
-	p.Copy(s.w1, s.w2)
-	p.Copy(s.w2, s.w)
-	p.Copy(s.w, s.v)
-	p.AxpyConst(s.w, -oldeps, s.w1)
-	p.AxpyConst(s.w, -delta, s.w2)
-	p.ScalConst(s.w, safeInv(gamma))
-	p.AxpyConst(core.SOL, phi, s.w)
+	// direction history, then x += φ w.
+	p.FusedUpdate(
+		core.VecUpdate{Kind: core.UpdCopy, Dst: s.w1, Src: s.w2},
+		core.VecUpdate{Kind: core.UpdCopy, Dst: s.w2, Src: s.w},
+		core.VecUpdate{Kind: core.UpdCopy, Dst: s.w, Src: s.v},
+		core.VecUpdate{Kind: core.UpdAxpy, Dst: s.w, Alpha: p.Constant(-oldeps), Src: s.w1},
+		core.VecUpdate{Kind: core.UpdAxpy, Dst: s.w, Alpha: p.Constant(-delta), Src: s.w2},
+		core.VecUpdate{Kind: core.UpdScal, Dst: s.w, Alpha: p.Constant(safeInv(gamma))},
+		core.VecUpdate{Kind: core.UpdAxpy, Dst: core.SOL, Alpha: p.Constant(phi), Src: s.w})
 
 	s.res = p.Constant(s.phibar * s.phibar)
 }

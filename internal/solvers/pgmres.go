@@ -13,12 +13,14 @@ import (
 // plus ⟨z_j, z_j⟩ — and launches the next matrix-vector product
 // u = A·z_j immediately after, so the SpMV overlaps the reduction
 // in flight, the same overlap idiom PipeCG uses. The auxiliary basis
-// z_j = A·v_j is advanced by the same recurrence as v (one extra fused
-// axpy sweep, no extra SpMV), and the lost norm is recovered by
-// Pythagoras: h_{j+1,j} = √(‖z_j‖² − Σᵢ h²ᵢⱼ). The price is classical
-// Gram-Schmidt orthogonalization (slightly less stable than MGS) and
-// one extra basis copy per step. The restart cycle around the steps is
-// arnoldi's.
+// z_j = A·v_j is advanced by the same recurrence as v (no extra SpMV),
+// and the lost norm is recovered by Pythagoras: h_{j+1,j} =
+// √(‖z_j‖² − Σᵢ h²ᵢⱼ). Both recurrences — copies, Gram-Schmidt axpys and
+// the normalizing scals — are one fused sweep, so a step is three tasks a
+// piece group: the batch, the product and the sweep. The price is
+// classical Gram-Schmidt orthogonalization (slightly less stable than
+// MGS) and one extra basis vector per step. The restart cycle around the
+// steps is arnoldi's.
 type PGMRES struct {
 	arnoldi
 	z []core.VecID // z_j = A v_j
@@ -82,19 +84,22 @@ func (s *PGMRES) Step() {
 
 	// v_{j+1} = (z_j − Σ h_{ij} v_i)/h_{j+1,j} and the companion
 	// recurrence z_{j+1} = (u − Σ h_{ij} z_i)/h_{j+1,j}, one fused sweep.
-	p.Copy(s.basis[j+1], zj)
-	p.Copy(s.z[j+1], s.u)
-	ups := make([]core.VecUpdate, 0, 2*(j+1))
+	v, z := s.basis[j+1], s.z[j+1]
+	ups := make([]core.VecUpdate, 0, 2*(j+1)+4)
+	ups = append(ups,
+		core.VecUpdate{Kind: core.UpdCopy, Dst: v, Src: zj},
+		core.VecUpdate{Kind: core.UpdCopy, Dst: z, Src: s.u})
 	for i := 0; i <= j; i++ {
 		ups = append(ups,
-			core.VecUpdate{Kind: core.UpdAxpy, Dst: s.basis[j+1], Alpha: col[i], Neg: true, Src: s.basis[i]},
-			core.VecUpdate{Kind: core.UpdAxpy, Dst: s.z[j+1], Alpha: col[i], Neg: true, Src: s.z[i]},
+			core.VecUpdate{Kind: core.UpdAxpy, Dst: v, Alpha: col[i], Neg: true, Src: s.basis[i]},
+			core.VecUpdate{Kind: core.UpdAxpy, Dst: z, Alpha: col[i], Neg: true, Src: s.z[i]},
 		)
 	}
-	p.FusedUpdate(ups...)
 	inv := p.Div(p.Constant(1), col[j+1])
-	p.Scal(s.basis[j+1], inv)
-	p.Scal(s.z[j+1], inv)
+	ups = append(ups,
+		core.VecUpdate{Kind: core.UpdScal, Dst: v, Alpha: inv},
+		core.VecUpdate{Kind: core.UpdScal, Dst: z, Alpha: inv})
+	p.FusedUpdate(ups...)
 	s.endStep()
 }
 

@@ -182,8 +182,9 @@ func (s *GCRODR) refreshC() {
 			p.Axpy(s.uvec[i], p.Neg(d), s.uvec[l])
 		}
 		inv := p.Div(p.Constant(1), p.Sqrt(p.Dot(s.cvec[i], s.cvec[i])))
-		p.Scal(s.cvec[i], inv)
-		p.Scal(s.uvec[i], inv)
+		p.FusedUpdate(
+			core.VecUpdate{Kind: core.UpdScal, Dst: s.cvec[i], Alpha: inv},
+			core.VecUpdate{Kind: core.UpdScal, Dst: s.uvec[i], Alpha: inv})
 	}
 }
 
@@ -297,15 +298,17 @@ func (s *GCRODR) harvest(h [][]float64) {
 	}
 	p := s.p
 	p.BeginPhase("gcrodr.harvest")
+	var ups []core.VecUpdate
 	for t := 0; t < s.k; t++ {
 		yt := vecs[order[t]]
-		p.Zero(s.uvec[t])
+		ups = append(ups, core.VecUpdate{Kind: core.UpdZero, Dst: s.uvec[t]})
 		for j := 0; j < m; j++ {
 			if !math.IsNaN(yt[j]) {
-				p.AxpyConst(s.uvec[t], yt[j], s.basis[j])
+				ups = append(ups, core.VecUpdate{Kind: core.UpdAxpy, Dst: s.uvec[t], Alpha: p.Constant(yt[j]), Src: s.basis[j]})
 			}
 		}
 	}
+	p.FusedUpdate(ups...)
 	s.nrec = s.k
 	s.refreshC()
 }

@@ -132,7 +132,8 @@ type BreakdownChecker interface {
 
 // ConvergenceVerifier is implemented by solvers whose convergence
 // measure is an estimate that can drift from the truth (the GMRES
-// family's Givens recurrence, s-step CG's coefficient-space norm).
+// family's Givens recurrence, s-step CG's coefficient-space norm,
+// MINRES's φ̄).
 // VerifyConvergence recomputes the true residual ‖b − A·x‖ — finishing
 // any open restart cycle first, so x is current — and returns its norm.
 // The driver (SolveResilient, hence every solve path) calls it before

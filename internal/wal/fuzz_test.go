@@ -32,11 +32,11 @@ func buildSegment(records [][]byte) (raw []byte, ends []int) {
 // and replays them back intact after a reopen.
 func FuzzRecover(f *testing.F) {
 	valid, _ := buildSegment([][]byte{[]byte("alpha"), []byte("bravo-bravo"), []byte("")})
-	f.Add(valid)                   // intact log
-	f.Add(valid[:len(valid)-1])    // torn payload
-	f.Add(valid[:len(valid)-12])   // torn mid-record
-	f.Add(valid[:3])               // torn header
-	f.Add([]byte{})                // empty segment
+	f.Add(valid)                          // intact log
+	f.Add(valid[:len(valid)-1])           // torn payload
+	f.Add(valid[:len(valid)-12])          // torn mid-record
+	f.Add(valid[:3])                      // torn header
+	f.Add([]byte{})                       // empty segment
 	f.Add(bytes.Repeat([]byte{0xFF}, 64)) // hostile length fields
 	flipped := append([]byte(nil), valid...)
 	flipped[9] ^= 0x10 // bit flip inside the first payload
