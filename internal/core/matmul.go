@@ -37,10 +37,12 @@ func (p *Planner) Matmul(dst, src VecID) {
 }
 
 // MatmulT computes dst ← A_totalᵀ · src: the adjoint product, partitioned
-// by the domain components' canonical partitions.
+// by the domain components' canonical partitions. The first call derives
+// the adjoint co-partitions.
 func (p *Planner) MatmulT(dst, src VecID) {
 	p.mustBeFinalized()
 	p.checkMatmulTShapes(p.vecs[dst], p.vecs[src])
+	p.deriveAdjoint()
 	p.runMultiOp(p.ops, dst, src, true, false)
 }
 

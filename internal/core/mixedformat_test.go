@@ -187,6 +187,9 @@ func TestAutoRelationsMatchMaterialized(t *testing.T) {
 			ri := p.AddRHSVector(make([]float64, n), outPart)
 			tuned := p.AddOperatorAuto(tc.a, si, ri)
 			p.Finalize()
+			// The adjoint partitions exist from the first MatmulT on.
+			p.MatmulT(p.AllocateWorkspace(SolShape), RHS)
+			p.Drain()
 			op := p.ops[0]
 			row, pad := materialize(tuned.RowRelation())
 			col, _ := materialize(tuned.ColRelation())

@@ -91,8 +91,20 @@ type opEntry struct {
 	// operators writing disjoint parts of one component stay parallel.
 	kpart, inHalo, outImage index.Partition
 	// Adjoint product partitions, derived from the input component's
-	// canonical partition.
+	// canonical partition by the first MatmulT (deriveAdjoint).
 	kpartT, inHaloT, outImageT index.Partition
+}
+
+// coPartition derives one product direction's partitions (Section 3.1):
+// out relates the kernel to the output space and in to the input space.
+// The kernel is partitioned by the preimage of the output partition, then
+// projected along in to the input halo each piece reads and along out to
+// the output points it really writes.
+func coPartition(out, in dpart.Relation, outPart index.Partition) (kpart, inHalo, outImage index.Partition) {
+	kpart = dpart.PreimagePartition(out, outPart)
+	inHalo = dpart.ImagePartition(in, kpart)
+	outImage = intersectPieces(dpart.ImagePartition(out, kpart), outPart)
+	return kpart, inHalo, outImage
 }
 
 // Planner assembles a multi-operator system and exposes the mathematical
@@ -111,6 +123,8 @@ type Planner struct {
 	ops, pre  []opEntry
 	vecs      []vec
 	finalized bool
+	// adjoint is set once every operator's adjoint partitions exist.
+	adjoint bool
 	// grain is the launch grain (launchGrain; tests may zero it) and groups
 	// caches each shape's launch groups under the grain last used.
 	grain  int64
@@ -370,10 +384,14 @@ func (p *Planner) AddPreconditioner(mat sparse.Matrix, solIdx, rhsIdx int) {
 	p.pre = append(p.pre, opEntry{mat: mat, solIdx: solIdx, rhsIdx: rhsIdx})
 }
 
-// Finalize derives the co-partitions of every operator from the canonical
-// partitions using the universal projection operators, after which the
-// mathematical operations become available. Finalize must be called
-// exactly once, after all Add* calls.
+// Finalize derives the forward co-partitions of every operator and
+// preconditioner from the canonical partitions using the universal
+// projection operators, after which the mathematical operations become
+// available. Finalize must be called exactly once, after all Add* calls.
+// The adjoint co-partitions wait for the first MatmulT: only solvers
+// that run Aᵀ read them, and the preimage along the column relation they
+// start from is the costliest projection (for an explicit column array it
+// builds the relation's inverted index).
 func (p *Planner) Finalize() {
 	p.mustNotBeFinalized()
 	if len(p.sol) == 0 || len(p.rhs) == 0 {
@@ -381,30 +399,32 @@ func (p *Planner) Finalize() {
 	}
 	for i := range p.ops {
 		op := &p.ops[i]
-		row, col := op.mat.RowRelation(), op.mat.ColRelation()
-		// Forward: partition the kernel by the output (range) partition,
-		// then project to the input halo (Section 3.1).
-		outPart := p.rhs[op.rhsIdx].part
-		op.kpart = dpart.PreimagePartition(row, outPart)
-		op.inHalo = dpart.ImagePartition(col, op.kpart)
-		op.outImage = intersectPieces(dpart.ImagePartition(row, op.kpart), outPart)
-		// Adjoint: the roles of the relations swap.
-		inPart := p.sol[op.solIdx].part
-		op.kpartT = dpart.PreimagePartition(col, inPart)
-		op.inHaloT = dpart.ImagePartition(row, op.kpartT)
-		op.outImageT = intersectPieces(dpart.ImagePartition(col, op.kpartT), inPart)
+		op.kpart, op.inHalo, op.outImage = coPartition(op.mat.RowRelation(), op.mat.ColRelation(),
+			p.rhs[op.rhsIdx].part)
 	}
 	for i := range p.pre {
-		op := &p.pre[i]
-		row, col := op.mat.RowRelation(), op.mat.ColRelation()
 		// A preconditioner writes a solution component: its output
 		// partition is the domain component's canonical partition.
-		outPart := p.sol[op.solIdx].part
-		op.kpart = dpart.PreimagePartition(row, outPart)
-		op.inHalo = dpart.ImagePartition(col, op.kpart)
-		op.outImage = intersectPieces(dpart.ImagePartition(row, op.kpart), outPart)
+		op := &p.pre[i]
+		op.kpart, op.inHalo, op.outImage = coPartition(op.mat.RowRelation(), op.mat.ColRelation(),
+			p.sol[op.solIdx].part)
 	}
 	p.finalized = true
+}
+
+// deriveAdjoint derives every operator's adjoint co-partitions on the
+// first call: the roles of the relations swap, and the input (domain)
+// component's canonical partition drives the kernel.
+func (p *Planner) deriveAdjoint() {
+	if p.adjoint {
+		return
+	}
+	for i := range p.ops {
+		op := &p.ops[i]
+		op.kpartT, op.inHaloT, op.outImageT = coPartition(op.mat.ColRelation(), op.mat.RowRelation(),
+			p.sol[op.solIdx].part)
+	}
+	p.adjoint = true
 }
 
 // intersectPieces clips each piece of an image partition to the

@@ -93,7 +93,9 @@ func PartitionByField(space index.Space, colors []int64, nColors int) index.Part
 	if int64(len(colors)) != space.Size() {
 		panic("dpart: one color per point required")
 	}
-	buckets := make([][]int64, nColors)
+	// Points arrive in increasing order, so each lands at the end of its
+	// piece: extending the last interval or opening the next, no sort.
+	pieces := make([]index.IntervalSet, nColors)
 	for i, c := range colors {
 		if c < 0 {
 			continue
@@ -101,11 +103,7 @@ func PartitionByField(space index.Space, colors []int64, nColors int) index.Part
 		if c >= int64(nColors) {
 			panic("dpart: color out of range")
 		}
-		buckets[c] = append(buckets[c], int64(i))
-	}
-	pieces := make([]index.IntervalSet, nColors)
-	for c, pts := range buckets {
-		pieces[c] = index.FromPoints(pts)
+		pieces[c].AddInterval(index.Interval{Lo: int64(i), Hi: int64(i)})
 	}
 	return index.NewPartition(space, pieces)
 }

@@ -62,17 +62,18 @@ func (r *FnRelation) Right() index.Space { return r.right }
 // At returns f(i).
 func (r *FnRelation) At(i int64) int64 { return r.f[i] }
 
-// Image implements Relation.
+// Image implements Relation: the values of f over s, marked straight from
+// the function array.
 func (r *FnRelation) Image(s index.IntervalSet) index.IntervalSet {
 	n := int64(len(r.f))
-	vals := make([]int64, 0, s.Size())
+	var runs [][]int64
 	s.EachInterval(func(iv index.Interval) {
 		iv = clip(iv, n)
 		if !iv.Empty() {
-			vals = append(vals, r.f[iv.Lo:iv.Hi+1]...)
+			runs = append(runs, r.f[iv.Lo:iv.Hi+1])
 		}
 	})
-	return index.FromPoints(vals)
+	return index.FromPoints(runs...)
 }
 
 // clip restricts iv to the dense space [0, n).
@@ -86,10 +87,11 @@ func clip(iv index.Interval, n int64) index.Interval {
 	return iv
 }
 
-// Preimage implements Relation.
+// Preimage implements Relation: the inverted index's buckets of the values
+// in s, marked where they lie.
 func (r *FnRelation) Preimage(s index.IntervalSet) index.IntervalSet {
 	r.buildInverse()
-	var pts []int64
+	var runs [][]int64
 	s.EachInterval(func(iv index.Interval) {
 		lo, hi := iv.Lo, iv.Hi
 		if lo < 0 {
@@ -101,9 +103,9 @@ func (r *FnRelation) Preimage(s index.IntervalSet) index.IntervalSet {
 		if lo > hi {
 			return
 		}
-		pts = append(pts, r.inv[r.invStart[lo]:r.invStart[hi+1]]...)
+		runs = append(runs, r.inv[r.invStart[lo]:r.invStart[hi+1]])
 	})
-	return index.FromPoints(pts)
+	return index.FromPoints(runs...)
 }
 
 func (r *FnRelation) buildInverse() {
@@ -127,8 +129,8 @@ func (r *FnRelation) buildInverse() {
 			inv[next[v]] = int64(i)
 			next[v]++
 		}
-		// Sort each bucket so FromPoints sees ordered runs quickly.
-		// Buckets are already in increasing i order by construction.
+		// A counting sort: each bucket holds its kernel points in
+		// increasing order, as the pass above visits them.
 		r.inv, r.invStart = inv, start
 	})
 }

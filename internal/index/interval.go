@@ -2,6 +2,8 @@ package index
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"slices"
 	"sort"
 	"strings"
@@ -70,13 +72,78 @@ func Span(lo, hi int64) IntervalSet {
 	return IntervalSet{ivs: []Interval{{lo, hi}}}
 }
 
-// FromPoints builds a set from arbitrary points (duplicates allowed).
-// The input slice is not modified.
-func FromPoints(points []int64) IntervalSet {
-	if len(points) == 0 {
+// FromPoints builds a set from the points of one or more slices, in any
+// order, duplicates allowed. The slices are not modified, so a projection
+// can pass sub-slices of its relation's arrays as they are.
+//
+// The points are marked in a bitset over their span, whose runs are the
+// intervals: linear in the points plus span/64, with no copy and no sort.
+// Points spread over more than 64 times their count (a bitset larger than
+// the points themselves) are sorted instead.
+func FromPoints(points ...[]int64) IntervalSet {
+	n := 0
+	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
+	for _, ps := range points {
+		n += len(ps)
+		for _, p := range ps {
+			lo, hi = min(lo, p), max(hi, p)
+		}
+	}
+	if n == 0 {
 		return IntervalSet{}
 	}
-	ps := slices.Clone(points)
+	d := uint64(hi) - uint64(lo) // unsigned: no overflow, whatever the span
+	if d/64 >= uint64(n) {
+		return fromSorted(points, n)
+	}
+	marks := make([]uint64, d/64+1)
+	for _, ps := range points {
+		for _, p := range ps {
+			o := uint64(p - lo)
+			marks[o/64] |= 1 << (o % 64)
+		}
+	}
+	return fromMarks(marks, lo)
+}
+
+// fromMarks reads the set off a bitset whose bit o stands for point
+// base + o: each maximal run of set bits is one interval.
+func fromMarks(marks []uint64, base int64) IntervalSet {
+	var s IntervalSet
+	in := false // inside a run; start is its first point
+	var start int64
+	for w, word := range marks {
+		for b := 0; b < 64; {
+			// The next bit at or after b that ends (in) or starts a run.
+			x := word >> b
+			if in {
+				x = ^word >> b
+			}
+			if x == 0 {
+				break
+			}
+			b += bits.TrailingZeros64(x)
+			p := base + int64(w)*64 + int64(b)
+			if in {
+				s.ivs = append(s.ivs, Interval{start, p - 1})
+			} else {
+				start = p
+			}
+			in = !in
+		}
+	}
+	if in {
+		s.ivs = append(s.ivs, Interval{start, base + int64(len(marks))*64 - 1})
+	}
+	return s
+}
+
+// fromSorted is FromPoints for sparse points: sort a copy, merge runs.
+func fromSorted(points [][]int64, n int) IntervalSet {
+	ps := make([]int64, 0, n)
+	for _, c := range points {
+		ps = append(ps, c...)
+	}
 	slices.Sort(ps)
 	var s IntervalSet
 	lo, hi := ps[0], ps[0]

@@ -146,10 +146,15 @@ func gather(y, x []float64, ptr, idx []int64, vals []float64, kset index.Interva
 
 // gatherRange is gather over one interval [lo, hi] whose first point
 // segment s owns. It returns the segment owning hi, which may own the
-// next interval's start too.
+// next interval's start too. An empty segment inside the interval is
+// skipped, not written: it is outside the row image the task declares,
+// and another task may be zeroing it.
 func gatherRange(y, x []float64, ptr, idx []int64, vals []float64, s, lo, hi int64) int64 {
 	for k := lo; k <= hi; s++ {
 		end := min(ptr[s+1], hi+1)
+		if k == end {
+			continue
+		}
 		var sum float64
 		for ; k < end; k++ {
 			sum += vals[k] * x[idx[k]]

@@ -33,12 +33,17 @@ func outVec(r *rand.Rand, n int64) []float64 {
 // checkWalkIsPerIntervalCall requires MultiplyAddPart / MultiplyAddTPart
 // over the whole of kset to equal, Float64bits for Float64bits, the same
 // kernel called once per interval of kset — where a row-major kernel
-// searches its owning row afresh each time instead of carrying a cursor.
+// searches its owning row afresh each time instead of carrying a cursor —
+// and to leave every output outside kset's image along the output
+// relation bit for bit as it was: a planner task declares only that image,
+// and a neighbouring task may be writing the rest — an empty row inside
+// an interval included, which a zero sum must not touch.
 func checkWalkIsPerIntervalCall(t *testing.T, label string, m Matrix, r *rand.Rand, kset index.IntervalSet) {
 	t.Helper()
 	rows, cols := m.Range().Size(), m.Domain().Size()
 	x, w := randVec(r, cols), randVec(r, rows)
 	y, z := outVec(r, rows), outVec(r, cols)
+	y0, z0 := slices.Clone(y), slices.Clone(z)
 	yEach, zEach := slices.Clone(y), slices.Clone(z)
 	m.MultiplyAddPart(y, x, kset)
 	m.MultiplyAddTPart(z, w, kset)
@@ -47,13 +52,18 @@ func checkWalkIsPerIntervalCall(t *testing.T, label string, m Matrix, r *rand.Ra
 		m.MultiplyAddTPart(zEach, w, index.Span(iv.Lo, iv.Hi))
 	}
 	for _, c := range []struct {
-		dir        string
-		walk, each []float64
-	}{{"A·x", y, yEach}, {"Aᵀ·x", z, zEach}} {
+		dir              string
+		walk, each, orig []float64
+		img              index.IntervalSet
+	}{{"A·x", y, yEach, y0, m.RowRelation().Image(kset)}, {"Aᵀ·x", z, zEach, z0, m.ColRelation().Image(kset)}} {
 		for i := range c.walk {
 			if math.Float64bits(c.walk[i]) != math.Float64bits(c.each[i]) {
 				t.Fatalf("%s %s %s over %d intervals: [%d] = %v walking the set, %v per interval",
 					label, m.Format(), c.dir, len(kset.Intervals()), i, c.walk[i], c.each[i])
+			}
+			if !c.img.Contains(int64(i)) && math.Float64bits(c.walk[i]) != math.Float64bits(c.orig[i]) {
+				t.Fatalf("%s %s %s over %d intervals: [%d], outside the image, went from %v to %v",
+					label, m.Format(), c.dir, len(kset.Intervals()), i, c.orig[i], c.walk[i])
 			}
 		}
 	}
