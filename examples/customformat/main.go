@@ -113,7 +113,7 @@ func main() {
 	ri := p.AddRHSVector(b, index.EqualPartition(index.NewSpace("R", n), 6))
 	p.AddOperator(custom, si, ri)
 	p.Finalize()
-	res := solvers.Solve(solvers.NewCG(p), 1e-10, 2000)
+	res := solvers.Solve(p, solvers.NewCG(p), 1e-10, 2000)
 	p.Drain()
 
 	// Check the residual against the reference CSR operator.

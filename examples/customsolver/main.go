@@ -3,7 +3,9 @@
 // solvers". A steepest-descent solver is written here, in application
 // code, against nothing but the planner's Figure 6 operations — the same
 // ~20 lines of mathematics the paper's Figure 7 shows for CG. It plugs
-// into the library's Solve driver unchanged.
+// into the library's Solve driver unchanged, and the driver checks its
+// every convergence claim against ‖b − Ax‖ without the solver doing
+// anything for it.
 package main
 
 import (
@@ -78,7 +80,7 @@ func main() {
 	p.Finalize()
 
 	var s solvers.Solver = NewSteepestDescent(p) // drop-in: same interface
-	res := solvers.Solve(s, 1e-5, 50000)
+	res := solvers.Solve(p, s, 1e-5, 50000)
 	p.Drain()
 
 	// Verify the residual independently.

@@ -108,7 +108,7 @@ func main() {
 	p.AddOperator(a, si, ri)
 	p.AddPreconditioner(precond.Jacobi(a), si, ri)
 	p.Finalize()
-	res := solvers.Solve(solvers.NewPCG(p), 1e-10, 2000)
+	res := solvers.Solve(p, solvers.NewPCG(p), 1e-10, 2000)
 	p.Drain()
 
 	var maxErr float64

@@ -47,7 +47,7 @@ func main() {
 	p.AddOperator(correction, si, ri) // stored COO, same component pair
 	p.Finalize()
 
-	res := solvers.Solve(solvers.NewCG(p), 1e-10, 2000)
+	res := solvers.Solve(p, solvers.NewCG(p), 1e-10, 2000)
 	p.Drain()
 
 	// Verify against the explicitly assembled operator.

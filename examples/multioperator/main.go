@@ -41,7 +41,7 @@ func main() {
 	ri := ref.AddRHSVector(append([]float64{}, bFull...), index.EqualPartition(index.NewSpace("R", n), 4))
 	ref.AddOperator(full, si, ri)
 	ref.Finalize()
-	refRes := solvers.Solve(solvers.NewCG(ref), 1e-11, 2000)
+	refRes := solvers.Solve(ref, solvers.NewCG(ref), 1e-11, 2000)
 	ref.Drain()
 
 	// Multi-operator formulation: split the matrix into the four blocks
@@ -68,7 +68,7 @@ func main() {
 		}
 	}
 	p.Finalize()
-	res := solvers.Solve(solvers.NewCG(p), 1e-11, 2000)
+	res := solvers.Solve(p, solvers.NewCG(p), 1e-11, 2000)
 	p.Drain()
 
 	var maxDiff float64

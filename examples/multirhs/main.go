@@ -39,7 +39,7 @@ func main() {
 		p.AddOperator(a, si, ri) // the same a every time: aliasing, not copying
 	}
 	p.Finalize()
-	res := solvers.Solve(solvers.NewCG(p), 1e-10, 4000)
+	res := solvers.Solve(p, solvers.NewCG(p), 1e-10, 4000)
 	p.Drain()
 
 	// Verify each system independently: ‖A x_k − b_k‖ small.
@@ -82,7 +82,7 @@ func main() {
 		pk.AddOperator(a2, si, ri)
 		pk.Finalize()
 		s := solvers.NewGCRODR(pk, 10, 4, cache)
-		rk := solvers.Solve(s, 1e-8, 4000)
+		rk := solvers.Solve(pk, s, 1e-8, 4000)
 		pk.Drain()
 		if !rk.Converged {
 			panic("multirhs: recycled solve failed")

@@ -46,7 +46,7 @@ func main() {
 	p.Finalize()
 
 	// Solve with CG to a tight tolerance.
-	res := solvers.Solve(solvers.NewCG(p), 1e-10, 1000)
+	res := solvers.Solve(p, solvers.NewCG(p), 1e-10, 1000)
 	p.Drain()
 
 	var maxErr float64

@@ -49,7 +49,7 @@ func main() {
 		p.AddOperator(deltas[k], si, ri) // per-system ΔA_k, summed implicitly
 	}
 	p.Finalize()
-	res := solvers.Solve(solvers.NewCG(p), 1e-10, 4000)
+	res := solvers.Solve(p, solvers.NewCG(p), 1e-10, 4000)
 	p.Drain()
 
 	// Verify against explicitly assembled A₀ + ΔA_k.

@@ -184,7 +184,7 @@ func TestMorePiecesThanPointsConverges(t *testing.T) {
 		ri := p.AddRHSVector(b, index.EqualPartition(index.NewSpace("R", n), pieces))
 		p.AddOperator(a, si, ri)
 		p.Finalize()
-		res := solvers.Solve(solvers.New("cg", p), 1e-10, 500)
+		res := solvers.Solve(p, solvers.New("cg", p), 1e-10, 500)
 		p.Drain()
 		if err := p.Runtime().Err(); err != nil {
 			t.Fatalf("pieces=%d: runtime error: %v", pieces, err)

@@ -265,9 +265,6 @@ func solveSystem(a *sparse.CSR, x, b []float64, spec jobspec.Spec, opt Options) 
 		ReplaceEvery: spec.ReplaceEvery, DriftTol: spec.DriftTol,
 		Observe: opt.Telemetry, Log: opt.Log,
 	}
-	if cfg.MaxRestarts <= 0 {
-		cfg.MaxRestarts = -1 // solvers.ResilientConfig: negative disables restarts
-	}
 	if opt.Resume != nil {
 		cfg.StartIteration = opt.Resume.Iter
 		out.ResumedFrom = opt.Resume.Iter

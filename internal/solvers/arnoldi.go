@@ -31,8 +31,8 @@ type arnoldi struct {
 	// cycle residual on real planners, so the convergence measure tracks
 	// progress every step instead of freezing at the restart value. The
 	// estimate is a recurrence and can drift from the true residual across
-	// an ill-conditioned cycle; VerifyConvergence recomputes r = b − Ax
-	// before convergence is believed.
+	// an ill-conditioned cycle; the driver settles the cycle and
+	// recomputes r = b − Ax before convergence is believed.
 	ls *givensLS
 	tr bool // a per-cycle trace scope is open
 
@@ -174,14 +174,25 @@ func (s *arnoldi) close() {
 	s.tr = false
 }
 
-// VerifyConvergence implements ConvergenceVerifier: the per-step Givens
-// estimate is a recurrence over rounded Hessenberg entries and can claim
-// convergence while drifting from the truth (the restart-boundary false
-// convergence this fixes). Finish the open cycle — which actually
-// updates x — restart, and report the honestly recomputed ‖b − Ax‖.
-func (s *arnoldi) VerifyConvergence() float64 {
+// settle implements settler: the per-step Givens estimate is a
+// recurrence over rounded Hessenberg entries and can claim convergence
+// while x still holds the last restart's iterate. Closing the open cycle
+// applies x += V y and restarts from the recomputed residual.
+func (s *arnoldi) settle() {
 	if s.j > 0 {
 		s.close()
 	}
-	return math.Sqrt(math.Max(s.res.Value(), 0))
+}
+
+// ReplaceResidual implements ResidualReplacer. The measure is the Givens
+// least-squares estimate, so drift is |est − true|; replacement settles
+// the open cycle, and the restart that follows rebuilds v₀ (and each
+// method's companions, PGMRES's z₀) from the honest residual b − A·x —
+// a restart IS the method's residual replacement, discarding any
+// corrupted basis columns along with the estimate.
+func (s *arnoldi) ReplaceResidual(float64) ReplacementReport {
+	est := math.Sqrt(math.Max(s.res.Value(), 0))
+	s.settle()
+	tr := math.Sqrt(math.Max(s.res.Value(), 0))
+	return ReplacementReport{TrueResidual: tr, Drift: math.Abs(tr - est), Replaced: true}
 }

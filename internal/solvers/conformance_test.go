@@ -125,8 +125,7 @@ func TestSolverConformanceMatrix(t *testing.T) {
 						pre = precond.Jacobi(mat)
 					}
 					p := confPlanner(mat, pre, false, traced)
-					sv := New(name, p)
-					res := Solve(sv, tol, 500)
+					res := Solve(p, New(name, p), tol, 500)
 					p.Drain()
 					if err := p.Runtime().Err(); err != nil {
 						t.Fatalf("runtime error: %v", err)
@@ -141,19 +140,15 @@ func TestSolverConformanceMatrix(t *testing.T) {
 					if tr > tol {
 						t.Errorf("true residual %g above tolerance %g", tr, tol)
 					}
-					// True-residual equivalence column: a verifier solver's
-					// reported TrueResidual is a recomputed ‖b − Ax‖ and must
+					// True-residual equivalence column: the reported
+					// TrueResidual is the driver's recomputed ‖b − Ax‖ and must
 					// agree with the host-side computation on the same iterate.
-					if _, ok := sv.(ConvergenceVerifier); ok {
-						b := fusedRHS(confN)
-						var bb float64
-						for _, v := range b {
-							bb += v * v
-						}
-						rel := res.TrueResidual / math.Sqrt(bb)
-						if math.Abs(rel-tr) > 1e-10 {
-							t.Errorf("reported true residual %g (relative) vs host %g", rel, tr)
-						}
+					var bb float64
+					for _, v := range fusedRHS(confN) {
+						bb += v * v
+					}
+					if rel := res.TrueResidual / math.Sqrt(bb); math.Abs(rel-tr) > 1e-10 {
+						t.Errorf("reported true residual %g (relative) vs host %g", rel, tr)
 					}
 					iters[ti] = res.Iterations
 				})
@@ -166,29 +161,31 @@ func TestSolverConformanceMatrix(t *testing.T) {
 	}
 }
 
+// A solver with no residual rebase stops at its first rejected claim.
 // MINRES's measure φ̄² is a Givens recurrence, not an inner product of a
 // residual it maintains: on this system φ̄ falls to 7.5e-13 at iteration
 // 89 while ‖b − Ax‖ is 1.37e-12, and the true residual stagnates near
-// 1.2e-12 after that. A solve that reports convergence must have it:
-// SolveResilient verifies the claim through ConvergenceVerifier.
-func TestMINRESConvergedMeansTrueResidual(t *testing.T) {
+// 1.2e-12 after that, so going on would only re-verify every step until
+// MaxIter. The reported TrueResidual is the iterate's honest one.
+func TestNoRebaseStopsAtFirstMiss(t *testing.T) {
 	const side, tol = 32, 1e-12
 	a := sparse.Laplacian2D(side, side)
 	b := fusedRHS(side * side)
 	p := planFor(a, append([]float64(nil), b...), 4)
-	res := Solve(NewMINRES(p), tol, 400)
+	claim := -1
+	res := SolveResilient(p, func() Solver { return NewMINRES(p) }, ResilientConfig{
+		Tol: tol, MaxIter: 400,
+		Observe: func(iter int, r float64) {
+			if claim < 0 && r <= tol {
+				claim = iter
+			}
+		},
+	})
 	p.Drain()
-	x := p.VecData(core.SOL, 0)
-	ax := make([]float64, len(b))
-	sparse.SpMV(a, ax, x)
-	var rr float64
-	for i := range b {
-		rr += (b[i] - ax[i]) * (b[i] - ax[i])
-	}
-	host := math.Sqrt(rr)
-	if res.Converged && host > tol {
-		t.Errorf("MINRES claims convergence at %d iterations with ‖b − Ax‖ = %g > tol %g (measure %g)",
-			res.Iterations, host, tol, res.Residual)
+	host := hostTrueResidual(a, p.VecData(core.SOL, 0), b)
+	if res.Converged || claim < 0 || res.Iterations != claim {
+		t.Errorf("converged=%v after %d iterations, first claim at %d; want an unconverged stop there",
+			res.Converged, res.Iterations, claim)
 	}
 	if d := math.Abs(res.TrueResidual - host); d > 1e-6*host {
 		t.Errorf("reported true residual %g, host recomputation %g", res.TrueResidual, host)

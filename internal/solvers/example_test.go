@@ -25,7 +25,7 @@ func ExampleSolve() {
 	p.AddOperator(a, si, ri)
 	p.Finalize()
 
-	res := solvers.Solve(solvers.NewCG(p), 1e-10, 100)
+	res := solvers.Solve(p, solvers.NewCG(p), 1e-10, 100)
 	p.Drain()
 	fmt.Println("converged:", res.Converged)
 	// The exact solution of the 1D Poisson problem with b = 1 is the
@@ -49,7 +49,7 @@ func ExampleNew() {
 		p.AddOperator(a, si, ri)
 		p.Finalize()
 		s := solvers.New(name, p)
-		res := solvers.Solve(s, 1e-9, 200)
+		res := solvers.Solve(p, s, 1e-9, 200)
 		p.Drain()
 		fmt.Printf("%s converged: %v\n", s.Name(), res.Converged)
 	}

@@ -36,7 +36,7 @@ func TestFaultBreakdownGuards(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			p := planFor(a, b, 2)
 			s := New(name, p)
-			res := Solve(s, 1e-10, 50)
+			res := Solve(p, s, 1e-10, 50)
 			p.Drain()
 			if res.Converged {
 				t.Fatalf("%s converged on a skew-symmetric system?! %+v", name, res)
@@ -73,7 +73,7 @@ func TestFaultBreakdownGuardsStayQuietOnHealthySystems(t *testing.T) {
 	}
 	for _, name := range []string{"bicg", "bicgstab", "cgs"} {
 		p := planFor(a, b, 4)
-		res := Solve(New(name, p), 1e-9, 300)
+		res := Solve(p, New(name, p), 1e-9, 300)
 		p.Drain()
 		if !res.Converged || res.Breakdown != nil {
 			t.Fatalf("%s on healthy system: %+v", name, res)
@@ -244,7 +244,7 @@ func TestFaultSolveWithoutRecoveryAborts(t *testing.T) {
 	rt := p.Runtime()
 	rt.DefaultSession().SetFaultInjector(fault.NewInjector(fault.Plan{Seed: 1, PanicRate: 0.01}))
 
-	res := Solve(NewCG(p), 1e-8, 2000)
+	res := Solve(p, NewCG(p), 1e-8, 2000)
 	p.Drain()
 	if res.Converged {
 		t.Fatalf("unprotected solve converged despite injected faults: %+v", res)

@@ -290,8 +290,8 @@ func TestPipeCGAgreesWithCG(t *testing.T) {
 	b := fusedRHS(64)
 	pc := planFor(mat, append([]float64(nil), b...), 4)
 	pp := planFor(mat, append([]float64(nil), b...), 4)
-	rc := Solve(NewCG(pc), 1e-10, 200)
-	rp := Solve(NewPipeCG(pp), 1e-10, 200)
+	rc := Solve(pc, NewCG(pc), 1e-10, 200)
+	rp := Solve(pp, NewPipeCG(pp), 1e-10, 200)
 	pc.Drain()
 	pp.Drain()
 	if !rc.Converged || !rp.Converged {

@@ -66,18 +66,6 @@ func (s *MINRES) Name() string { return "MINRES" }
 // residual estimate.
 func (s *MINRES) ConvergenceMeasure() *core.Scalar { return s.res }
 
-// VerifyConvergence implements ConvergenceVerifier: φ̄ is a recurrence,
-// not an inner product of a maintained residual, and drifts from the
-// truth on ill-conditioned systems, so before convergence is believed the
-// solver recomputes b − Ax into y (scratch between steps) and reports its
-// norm. φ̄ is left alone: it is also the coefficient of x's next update.
-func (s *MINRES) VerifyConvergence() float64 {
-	p := s.p
-	p.BeginPhase("minres.verify")
-	residualInit(p, s.y)
-	return math.Sqrt(math.Max(p.Dot(s.y, s.y).Value(), 0))
-}
-
 // safeInv returns 1/x, or 0 when x is 0 (only reachable on virtual
 // planners or after exact convergence).
 func safeInv(x float64) float64 {

@@ -102,15 +102,3 @@ func (s *PGMRES) Step() {
 	p.FusedUpdate(ups...)
 	s.endStep()
 }
-
-// ReplaceResidual implements ResidualReplacer. PGMRES's measure is the
-// Givens least-squares estimate, so drift is |est − true|; replacement
-// closes the open cycle (applying its accumulated solution update) and
-// restarts, which rebuilds v₀ and z₀ from the honest residual b − A·x —
-// a restart IS the method's residual replacement, discarding any
-// corrupted basis columns along with the estimate.
-func (s *PGMRES) ReplaceResidual(driftTol float64) ReplacementReport {
-	est := math.Sqrt(math.Max(s.res.Value(), 0))
-	tr := s.VerifyConvergence()
-	return ReplacementReport{TrueResidual: tr, Drift: math.Abs(tr - est), Replaced: true}
-}

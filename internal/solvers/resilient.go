@@ -16,17 +16,14 @@ type ResilientConfig struct {
 	// CheckpointEvery > 0 enables recovery and is the number of
 	// iterations between checkpoints. Each checkpoint synchronizes,
 	// verifies the true residual is finite, and snapshots the solution
-	// vector. At 0 nothing is checkpointed, verified host-side or rolled
-	// back: the solve stops on the first bad state.
+	// vector. At 0 nothing is checkpointed or rolled back: the solve
+	// stops on the first bad state.
 	CheckpointEvery int
 	// MaxRestarts is the restart budget of a recovery-enabled solve
-	// (default 3; negative disables restarts). Each restart rolls the
-	// solution back to the last verified checkpoint and rebuilds the
-	// solver, re-running its residual initialization.
+	// (<= 0 disables restarts). Each restart rolls the solution back to
+	// the last verified checkpoint and rebuilds the solver, re-running
+	// its residual initialization.
 	MaxRestarts int
-	// DivergeFactor triggers a restart when the residual exceeds this
-	// multiple of the best residual seen (default 1e8).
-	DivergeFactor float64
 	// DetectSDC enables ABFT checksum detection on the planner
 	// (core.EnableSDCDetection). A recovery-enabled solve drives
 	// selective recovery from its alarms: solution pieces a checksum
@@ -67,7 +64,7 @@ type ResilientConfig struct {
 	// per step — before anything acts on it.
 	Observe func(iter int, res float64)
 	// Log, when non-nil, receives progress lines (checkpoints, restarts,
-	// rejected convergence candidates, recovery decisions).
+	// rejected convergence claims, recovery decisions).
 	Log func(format string, args ...any)
 }
 
@@ -106,27 +103,30 @@ type ResilientResult struct {
 	MaxDrift float64
 }
 
+// divergeFactor is the multiple of the best verified residual past which
+// a recovery-enabled solve declares divergence and rolls back.
+const divergeFactor = 1e8
+
 // SolveResilient is the one convergence driver: Solve, serve.RunSolve
 // (mmsolve, a solo POST /solve) and the server's coalesced batches all
 // run this loop. It evaluates the solver's convergence measure after
 // every step (synchronizing, like the paper's driver loop) and stops on
-// the first of: an accepted convergence candidate, the iteration budget,
-// or a bad state it cannot recover from.
+// the first of: a convergence claim ‖b − Ax‖ backs, the iteration
+// budget, or a bad state it cannot recover from.
 //
-// Acceptance rule, the same on every path: when the measure reaches
-// Tol, a ConvergenceVerifier first finishes its open cycle — so x is
-// current — and reports its recomputed residual; a recovery-enabled
-// solve then drains the runtime and recomputes ‖b − Ax‖ from A, x and b
-// itself (a corrupted scalar can lie about a recurrence); a solver that
-// is neither is trusted, its measure being an honest inner product of
-// the residual it maintains. A rejected candidate keeps iterating.
+// Acceptance rule, the same for every solver on every path: when the
+// measure reaches Tol, the driver settles the solver's deferred state
+// (the Arnoldi cycle's x += V y), drains the runtime and recomputes
+// ‖b − Ax‖ from A, x and b itself. Converged is true exactly when that
+// number is within Tol. On a miss, a ResidualReplacer is rebased on
+// b − Ax and keeps iterating, until a miss fails to halve the previous
+// miss's true residual; any other solver stops unconverged there.
 //
 // A bad state is a NaN/Inf residual (a poisoned future or corruption),
 // a Krylov breakdown, or — recovery only — divergence past
-// DivergeFactor × the best verified residual. Without recovery
-// (CheckpointEvery == 0) the solve stops there, launching no task a
-// bare step loop would not launch. With it, the driver layers on top of
-// the runtime's retry/poison machinery:
+// divergeFactor × the best verified residual. Without recovery
+// (CheckpointEvery == 0) the solve stops there. With it, the driver
+// layers on top of the runtime's retry/poison machinery:
 //
 //   - Every CheckpointEvery iterations it drains the runtime, recomputes
 //     the true residual, and — if finite and not diverged — checkpoints
@@ -152,17 +152,11 @@ type ResilientResult struct {
 //
 // newSolver is called once, and once more after every rollback, when it
 // must build a fresh solver. p must be the real (non-virtual), finalized
-// planner the solver runs on; it is only used by recovery and DetectSDC,
-// so a solve with neither may pass nil.
+// planner the solver runs on.
 func SolveResilient(p *core.Planner, newSolver func() Solver, cfg ResilientConfig) ResilientResult {
 	recovering := cfg.CheckpointEvery > 0
-	if cfg.MaxRestarts < 0 || !recovering {
+	if !recovering {
 		cfg.MaxRestarts = 0
-	} else if cfg.MaxRestarts == 0 {
-		cfg.MaxRestarts = 3
-	}
-	if cfg.DivergeFactor <= 0 {
-		cfg.DivergeFactor = 1e8
 	}
 	logf := cfg.Log
 	if logf == nil {
@@ -189,7 +183,7 @@ func SolveResilient(p *core.Planner, newSolver func() Solver, cfg ResilientConfi
 
 	// trueResidual recomputes ‖b − Ax‖ into a workspace reused across
 	// checks, with the runtime drained on both sides.
-	var verify core.VecID
+	verify := p.AllocateWorkspace(core.RhsShape)
 	trueResidual := func() float64 {
 		p.Drain()
 		p.BeginPhase("resilient.verify")
@@ -231,7 +225,6 @@ func SolveResilient(p *core.Planner, newSolver func() Solver, cfg ResilientConfi
 		}
 	}
 	if recovering {
-		verify = p.AllocateWorkspace(core.RhsShape)
 		failedBase = p.Session().Stats().Failed
 		// Initial checkpoint: x0 as supplied. The evaluation itself can be
 		// hit by a fault, and x0 is trivially restorable (nothing has
@@ -259,6 +252,7 @@ func SolveResilient(p *core.Planner, newSolver func() Solver, cfg ResilientConfi
 		sinceCkpt, sinceReplace := 0, 0
 		bad := "" // non-empty when this leg must be abandoned
 		var res float64
+		lastMiss := math.Inf(1) // true residual of the leg's last rejected claim
 
 	leg:
 		for {
@@ -326,28 +320,34 @@ func SolveResilient(p *core.Planner, newSolver func() Solver, cfg ResilientConfi
 			case !isFinite(res):
 				bad = "residual is not finite (task failure or corrupted data)"
 				break leg
-			case recovering && res > cfg.DivergeFactor*best:
+			case recovering && res > divergeFactor*best:
 				bad = "residual diverged"
 				break leg
 			}
 
 			if res <= cfg.Tol {
-				tr := res
-				if v, ok := s.(ConvergenceVerifier); ok {
-					tr = v.VerifyConvergence()
+				if st, ok := s.(settler); ok {
+					st.settle()
 				}
-				if recovering && tr <= cfg.Tol {
-					tr = trueResidual()
-				}
+				tr := trueResidual()
 				if tr <= cfg.Tol {
 					return finish(res, tr, true)
 				}
-				logf("solve: measure %.3g but true residual %.3g; continuing", res, tr)
-				res = tr // keep iterating from the verified state
 				if !isFinite(tr) {
 					bad = "true residual is not finite"
 					break leg
 				}
+				if rplc == nil || tr > lastMiss/2 {
+					logf("solve: measure %.3g but true residual %.3g; stopping", res, tr)
+					return finish(res, tr, false)
+				}
+				lastMiss = tr
+				rep := rplc.ReplaceResidual(0)
+				out.Replacements++
+				noteDrift(rep)
+				sinceReplace = 0
+				logf("solve: measure %.3g but true residual %.3g; residual replaced", res, tr)
+				res = rep.TrueResidual
 			}
 
 			// Breakdown guards zero the step's coefficients, so the iterate is
@@ -366,7 +366,7 @@ func SolveResilient(p *core.Planner, newSolver func() Solver, cfg ResilientConfi
 					// Verification tripped checksums: leave them to the next
 					// iteration's recovery pass instead of checkpointing a
 					// state known to be corrupt.
-				case !isFinite(rn) || rn > cfg.DivergeFactor*best:
+				case !isFinite(rn) || rn > divergeFactor*best:
 					bad = "checkpoint verification failed"
 					break leg
 				default:
@@ -395,15 +395,13 @@ func SolveResilient(p *core.Planner, newSolver func() Solver, cfg ResilientConfi
 				if bc, ok := s.(BreakdownChecker); ok {
 					out.Breakdown = bc.Breakdown()
 				}
-			}
-			tr := res
-			if recovering {
-				if bad != "" {
+				if recovering {
 					res = best // the last verified residual, not the NaN that ended the leg
 				}
-				tr = trueResidual()
+			} else if st, ok := s.(settler); ok {
+				st.settle()
 			}
-			return finish(res, tr, false)
+			return finish(res, trueResidual(), false)
 		}
 		logf("resilient: %s; rolling back to last checkpoint (restart %d/%d)",
 			bad, restart+1, cfg.MaxRestarts)

@@ -222,7 +222,7 @@ func TestSDCReplaceResidualRebases(t *testing.T) {
 	if !(rep.Drift > 0) {
 		t.Fatalf("replacement reported no drift: %+v", rep)
 	}
-	res := Solve(s, tol, 500)
+	res := Solve(p, s, tol, 500)
 	p.Drain()
 	if !res.Converged {
 		t.Fatalf("post-replacement solve: %+v", res)

@@ -17,8 +17,12 @@
 // GMRES, pipelined GMRES and GCRO-DR are one Arnoldi process with
 // different orthogonalization; the restart cycle they share (trace
 // scope, happy-breakdown test, Givens estimate, Hessenberg solve,
-// x += V y, VerifyConvergence) is the embedded arnoldi type, and each
+// x += V y, residual replacement) is the embedded arnoldi type, and each
 // method keeps only its step's column and its restart prologue.
+//
+// No solver decides its own convergence: the driver (SolveResilient)
+// recomputes ‖b − Ax‖ at every claim of its measure, and that number
+// alone decides Result.Converged.
 package solvers
 
 import (
@@ -99,16 +103,15 @@ type Result struct {
 	// Residual is the final residual 2-norm as the solver's own
 	// convergence measure reports it (a recurrence for most methods).
 	Residual float64
-	// TrueResidual is the recomputed ‖b − A·x‖ for solvers implementing
-	// ConvergenceVerifier; for the rest it equals Residual (their measure
-	// is already an honest inner product of the maintained residual).
+	// TrueResidual is ‖b − A·x‖ recomputed by the driver from A, x and b
+	// at the end of the solve, for every solver.
 	TrueResidual float64
-	// Converged reports whether the tolerance was reached.
+	// Converged reports whether TrueResidual is within the tolerance.
 	Converged bool
 	// Replacements counts residual-replacement events: rebasings of the
 	// recurrence residual onto the recomputed true residual b − A·x,
-	// performed periodically or on a corruption alarm. Zero for plain
-	// Solve.
+	// performed after a rejected convergence claim, periodically, or on a
+	// corruption alarm.
 	Replacements int
 	// Breakdown is non-nil when the method hit a Krylov breakdown (a
 	// vanished recurrence denominator) and stopped cleanly at the last
@@ -130,17 +133,13 @@ type BreakdownChecker interface {
 	Breakdown() error
 }
 
-// ConvergenceVerifier is implemented by solvers whose convergence
-// measure is an estimate that can drift from the truth (the GMRES
-// family's Givens recurrence, s-step CG's coefficient-space norm,
-// MINRES's φ̄).
-// VerifyConvergence recomputes the true residual ‖b − A·x‖ — finishing
-// any open restart cycle first, so x is current — and returns its norm.
-// The driver (SolveResilient, hence every solve path) calls it before
-// believing the measure; a verifier that disagrees sends the solve back
-// to iterating instead of returning a falsely converged iterate.
-type ConvergenceVerifier interface {
-	VerifyConvergence() float64
+// settler is implemented by solvers holding deferred state the iterate
+// does not reflect yet: the Arnoldi cycle's pending x += V y, s-step CG's
+// open two-block trace scope. The driver calls settle before it
+// recomputes ‖b − Ax‖, so the residual it checks is that of the x the
+// solve returns.
+type settler interface {
+	settle()
 }
 
 // ReplacementReport describes one residual-replacement decision.
@@ -165,8 +164,9 @@ type ReplacementReport struct {
 // method converges to the actual solution rather than to its drifted
 // recurrence's fiction. Pipelined and s-step methods rebuild their
 // auxiliary recurrences (w = Ar, s = Ap, basis blocks) from the rebased
-// state; estimate-based methods (PGMRES, s-step CG) finish any open
-// cycle first and always replace.
+// state; estimate-based methods (the Arnoldi family, s-step CG) finish
+// any open cycle first and always replace. The driver also rebases a
+// replacer whose convergence claim ‖b − Ax‖ did not back.
 type ResidualReplacer interface {
 	ReplaceResidual(driftTol float64) ReplacementReport
 }
@@ -212,13 +212,14 @@ func guardedDiv(p *core.Planner, f *breakdownFlag, method, what string, a, b *co
 	}, a, b)
 }
 
-// Solve steps until the residual norm drops below tol or maxIter steps
-// have run, synchronizing on the convergence measure every iteration like
-// the paper's driver loop. It is SolveResilient with nothing but the
-// stopping rule configured: a plain solve that stops on the first NaN or
+// Solve steps s, built on planner p, until its residual norm drops below
+// tol or maxIter steps have run, synchronizing on the convergence measure
+// every iteration like the paper's driver loop. It is SolveResilient with
+// nothing but the stopping rule configured: a plain solve whose claims
+// are checked against ‖b − Ax‖ and that stops on the first NaN or
 // breakdown.
-func Solve(s Solver, tol float64, maxIter int) Result {
-	return SolveResilient(nil, func() Solver { return s }, ResilientConfig{Tol: tol, MaxIter: maxIter}).Result
+func Solve(p *core.Planner, s Solver, tol float64, maxIter int) Result {
+	return SolveResilient(p, func() Solver { return s }, ResilientConfig{Tol: tol, MaxIter: maxIter}).Result
 }
 
 // residualInit launches r ← b − A·x into workspace r, the common

@@ -134,7 +134,7 @@ func TestCGSolvesPoisson(t *testing.T) {
 		want := denseSolve(a, b)
 		p := planFor(a, b, pieces)
 		s := NewCG(p)
-		res := Solve(s, 1e-10, 200)
+		res := Solve(p, s, 1e-10, 200)
 		p.Drain()
 		if !res.Converged {
 			t.Fatalf("pieces=%d: CG did not converge: %+v", pieces, res)
@@ -160,7 +160,7 @@ func TestCGOnAllStencils(t *testing.T) {
 		}
 		want := denseSolve(a, b)
 		p := planFor(a, b, 3)
-		res := Solve(NewCG(p), 1e-10, 500)
+		res := Solve(p, NewCG(p), 1e-10, 500)
 		p.Drain()
 		if !res.Converged {
 			t.Errorf("%s: CG failed: %+v", a.Format(), res)
@@ -181,7 +181,7 @@ func TestCGMatrixFreeOperator(t *testing.T) {
 	}
 	want := denseSolve(ref, b)
 	p := planFor(op, b, 4)
-	res := Solve(NewCG(p), 1e-10, 200)
+	res := Solve(p, NewCG(p), 1e-10, 200)
 	p.Drain()
 	if !res.Converged {
 		t.Fatalf("CG on matrix-free operator failed: %+v", res)
@@ -233,7 +233,7 @@ func TestBiCGStabSolvesNonsymmetric(t *testing.T) {
 	}
 	want := denseSolve(a, b)
 	p := planFor(a, b, 4)
-	res := Solve(NewBiCGStab(p), 1e-10, 300)
+	res := Solve(p, NewBiCGStab(p), 1e-10, 300)
 	p.Drain()
 	if !res.Converged {
 		t.Fatalf("BiCGStab failed: %+v", res)
@@ -285,7 +285,7 @@ func TestMINRESSolvesSPD(t *testing.T) {
 	}
 	want := denseSolve(a, b)
 	p := planFor(a, b, 3)
-	res := Solve(NewMINRES(p), 1e-9, 300)
+	res := Solve(p, NewMINRES(p), 1e-9, 300)
 	p.Drain()
 	if !res.Converged {
 		t.Fatalf("MINRES failed: %+v", res)
@@ -318,7 +318,7 @@ func TestMINRESSolvesIndefinite(t *testing.T) {
 	}
 	want := denseSolve(a, b)
 	p := planFor(a, b, 2)
-	res := Solve(NewMINRES(p), 1e-9, 200)
+	res := Solve(p, NewMINRES(p), 1e-9, 200)
 	p.Drain()
 	if !res.Converged {
 		t.Fatalf("MINRES on indefinite system failed: %+v", res)
@@ -336,7 +336,7 @@ func TestBiCGSolvesNonsymmetric(t *testing.T) {
 	}
 	want := denseSolve(a, b)
 	p := planFor(a, b, 3)
-	res := Solve(NewBiCG(p), 1e-10, 200)
+	res := Solve(p, NewBiCG(p), 1e-10, 200)
 	p.Drain()
 	if !res.Converged {
 		t.Fatalf("BiCG failed: %+v", res)
@@ -366,7 +366,7 @@ func TestPCGWithJacobi(t *testing.T) {
 	want := denseSolve(a, b)
 
 	plain := planFor(a, b, 2)
-	plainRes := Solve(NewCG(plain), 1e-10, 500)
+	plainRes := Solve(plain, NewCG(plain), 1e-10, 500)
 	plain.Drain()
 
 	p := core.NewPlanner(core.Config{Machine: machine.Lassen(1)})
@@ -379,7 +379,7 @@ func TestPCGWithJacobi(t *testing.T) {
 	}
 	p.AddPreconditioner(sparse.CSRFromCoords(n, n, diag), si, ri)
 	p.Finalize()
-	res := Solve(NewPCG(p), 1e-10, 500)
+	res := Solve(p, NewPCG(p), 1e-10, 500)
 	p.Drain()
 	if !res.Converged {
 		t.Fatalf("PCG failed: %+v", res)
@@ -424,7 +424,7 @@ func TestMultiOperatorCGMatchesSingle(t *testing.T) {
 		}
 	}
 	p.Finalize()
-	res := Solve(NewCG(p), 1e-10, 300)
+	res := Solve(p, NewCG(p), 1e-10, 300)
 	p.Drain()
 	if !res.Converged {
 		t.Fatalf("multi-operator CG failed: %+v", res)
@@ -503,7 +503,7 @@ func TestSolveConvergedImmediately(t *testing.T) {
 	// b = 0 with x0 = 0 converges in zero iterations.
 	a := sparse.Laplacian1D(8)
 	p := planFor(a, make([]float64, 8), 1)
-	res := Solve(NewCG(p), 1e-12, 10)
+	res := Solve(p, NewCG(p), 1e-12, 10)
 	p.Drain()
 	if !res.Converged || res.Iterations != 0 {
 		t.Fatalf("expected immediate convergence, got %+v", res)
@@ -518,7 +518,7 @@ func TestCGSSolvesNonsymmetric(t *testing.T) {
 	}
 	want := denseSolve(a, b)
 	p := planFor(a, b, 3)
-	res := Solve(NewCGS(p), 1e-10, 300)
+	res := Solve(p, NewCGS(p), 1e-10, 300)
 	p.Drain()
 	if !res.Converged {
 		t.Fatalf("CGS failed: %+v", res)
@@ -537,8 +537,8 @@ func TestCGSMatchesBiCGStabSolution(t *testing.T) {
 	}
 	p1 := planFor(a, append([]float64{}, b...), 2)
 	p2 := planFor(a, append([]float64{}, b...), 2)
-	r1 := Solve(NewCGS(p1), 1e-11, 400)
-	r2 := Solve(NewBiCGStab(p2), 1e-11, 400)
+	r1 := Solve(p1, NewCGS(p1), 1e-11, 400)
+	r2 := Solve(p2, NewBiCGStab(p2), 1e-11, 400)
 	p1.Drain()
 	p2.Drain()
 	if !r1.Converged || !r2.Converged {
@@ -584,7 +584,7 @@ func TestGMRESHappyBreakdown(t *testing.T) {
 			if s.j != 0 || s.tr {
 				t.Fatalf("after %d steps the cycle is still open: j=%d, trace scope open=%v", len(tc.eigs), s.j, s.tr)
 			}
-			res := Solve(s, 1e-10, 50)
+			res := Solve(p, s, 1e-10, 50)
 			if math.IsNaN(res.Residual) {
 				t.Fatalf("residual is NaN after breakdown: %+v", res)
 			}

@@ -91,7 +91,7 @@ func TestCommAvoidingTrueResidualAgreement(t *testing.T) {
 				trs := make([]float64, 2)
 				for i, name := range pair {
 					p := planFor(mat, b, 4)
-					res := Solve(New(name, p), tol, 2000)
+					res := Solve(p, New(name, p), tol, 2000)
 					p.Drain()
 					if err := p.Runtime().Err(); err != nil {
 						t.Fatalf("%s runtime error: %v", name, err)
@@ -129,7 +129,7 @@ func TestSStepCGBreakdownWrapsErrBreakdown(t *testing.T) {
 		b[i] = 1 // r₀ = b ⇒ p₀ᵀA p₀ = Σ ±1 = 0
 	}
 	p := planFor(mat, b, 2)
-	res := Solve(NewSStepCG(p, 4), 1e-10, 50)
+	res := Solve(p, NewSStepCG(p, 4), 1e-10, 50)
 	p.Drain()
 	if res.Converged {
 		t.Fatal("indefinite system must not converge")
@@ -164,7 +164,7 @@ func TestSStepCGNewtonBasisSwitch(t *testing.T) {
 	b := fusedRHS(n)
 	p := planFor(mat, b, 4)
 	sv := NewSStepCG(p, 6)
-	res := Solve(sv, 1e-8, 500)
+	res := Solve(p, sv, 1e-8, 500)
 	p.Drain()
 	if err := p.Runtime().Err(); err != nil {
 		t.Fatalf("runtime error: %v", err)
@@ -185,8 +185,8 @@ func TestSStepCGNewtonBasisSwitch(t *testing.T) {
 // mid-cycle while x still holds the previous restart's iterate — the
 // exact state where trusting the estimate (the pre-fix behavior)
 // reports convergence with a residual orders of magnitude above
-// tolerance. VerifyConvergence must close the cycle and report the
-// honest residual.
+// tolerance. Settling must close the cycle, so the x the driver checks
+// is current, and the replacement must report its honest residual.
 func TestGMRESMidCycleEstimateNeedsVerification(t *testing.T) {
 	const tol = 1e-8
 	mat := sparse.Laplacian2D(8, 8)
@@ -219,31 +219,31 @@ func TestGMRESMidCycleEstimateNeedsVerification(t *testing.T) {
 	if est > tol {
 		t.Fatalf("estimate %g above tol after loop", est)
 	}
-	// Post-fix: verification closes the cycle and reports the truth.
-	tr := s.VerifyConvergence()
+	// Post-fix: settling closes the cycle; the rebase reports the truth.
+	tr := s.ReplaceResidual(0).TrueResidual
 	p.Drain()
 	if err := p.Runtime().Err(); err != nil {
 		t.Fatalf("runtime error: %v", err)
 	}
 	honest := hostTrueResidual(mat, p.VecData(core.SOL, 0), b)
 	if math.Abs(tr-honest) > 1e-10 {
-		t.Errorf("VerifyConvergence reported %g, host recomputation %g", tr, honest)
+		t.Errorf("ReplaceResidual reported %g, host recomputation %g", tr, honest)
 	}
 	if tr > tol {
 		t.Logf("estimate %g vs verified %g: drift caught, solve would continue", est, tr)
 	}
 }
 
-// TestSolveSetsTrueResidual checks the Result plumbing: verifier solvers
-// report a recomputed TrueResidual at or below tolerance, and plain
-// solvers mirror their recurrence residual.
+// TestSolveSetsTrueResidual checks the Result plumbing: a converged
+// solve reports the driver's recomputed TrueResidual, at or below
+// tolerance.
 func TestSolveSetsTrueResidual(t *testing.T) {
 	mat := sparse.Laplacian2D(8, 8)
 	b := fusedRHS(64)
 	for _, name := range []string{"gmres", "pgmres", "sstep-cg", "gcrodr", "cg"} {
 		t.Run(name, func(t *testing.T) {
 			p := planFor(mat, b, 4)
-			res := Solve(New(name, p), 1e-8, 2000)
+			res := Solve(p, New(name, p), 1e-8, 2000)
 			p.Drain()
 			if !res.Converged {
 				t.Fatalf("did not converge: %+v", res)
@@ -271,7 +271,7 @@ func TestGCRODRRecycleAcrossSolves(t *testing.T) {
 		b := fusedRHS(64)
 		p := planFor(mat, b, 4)
 		s := NewGCRODR(p, 10, 4, cache)
-		res := Solve(s, tol, 500)
+		res := Solve(p, s, tol, 500)
 		p.Drain()
 		if err := p.Runtime().Err(); err != nil {
 			t.Fatalf("round %d runtime error: %v", round, err)

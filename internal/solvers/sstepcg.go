@@ -294,31 +294,25 @@ func (s *SStepCG) maybeSwitchBasis(gm [][]float64, condFailed bool) {
 	}
 }
 
-// VerifyConvergence implements ConvergenceVerifier: the block measure is
-// a coefficient-space recurrence that can drift from the true residual,
-// so before declaring convergence the solver recomputes r = b − Ax,
-// restarts its direction from the honest residual, and reports ‖r‖.
-func (s *SStepCG) VerifyConvergence() float64 {
-	p := s.p
-	s.closeTrace() // the recomputation is no part of a block
-	p.BeginPhase("sstep.verify")
-	residualInit(p, s.rv)
-	rr := p.Dot(s.rv, s.rv)
-	p.Copy(s.pv, s.rv)
-	s.res = rr
-	return math.Sqrt(math.Max(rr.Value(), 0))
-}
+// settle implements settler: the driver's residual check is no part of
+// a block, so it must not launch inside the open two-block trace scope.
+func (s *SStepCG) settle() { s.closeTrace() }
 
 // ReplaceResidual implements ResidualReplacer. The s-step block measure
 // lives entirely in coefficient space, so there is no recurrence vector
 // to compare elementwise: drift is |est − true| between the block's
 // coefficient-space estimate and the recomputed ‖b − A·x‖, and
-// replacement always rebases (VerifyConvergence already restarts the
-// direction from the honest residual, which is exactly the recovery a
-// corrupted basis block needs).
-func (s *SStepCG) ReplaceResidual(driftTol float64) ReplacementReport {
+// replacement always rebases — r ← b − Ax with the direction restarted
+// from it, which is exactly the recovery a corrupted basis block needs.
+func (s *SStepCG) ReplaceResidual(float64) ReplacementReport {
+	p := s.p
 	est := math.Sqrt(math.Max(s.res.Value(), 0))
-	tr := s.VerifyConvergence()
+	s.settle()
+	p.BeginPhase("sstep.replace")
+	residualInit(p, s.rv)
+	s.res = p.Dot(s.rv, s.rv)
+	p.Copy(s.pv, s.rv)
+	tr := math.Sqrt(math.Max(s.res.Value(), 0))
 	return ReplacementReport{TrueResidual: tr, Drift: math.Abs(tr - est), Replaced: true}
 }
 

@@ -116,8 +116,8 @@ func TestSStepCGReplaysTwoBlockInstances(t *testing.T) {
 		}
 		pa := planFor(a, b, c.pieces)
 		pt := tracedPlanFor(a, append([]float64(nil), b...), c.pieces)
-		ra := Solve(NewSStepCG(pa, 4), 1e-8, 200)
-		rt := Solve(NewSStepCG(pt, 4), 1e-8, 200)
+		ra := Solve(pa, NewSStepCG(pa, 4), 1e-8, 200)
+		rt := Solve(pt, NewSStepCG(pt, 4), 1e-8, 200)
 		if !rt.Converged || rt.Iterations != ra.Iterations {
 			t.Fatalf("pieces %d: traced %d blocks (converged %v), untraced %d", c.pieces, rt.Iterations, rt.Converged, ra.Iterations)
 		}
