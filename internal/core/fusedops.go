@@ -32,6 +32,15 @@ import (
 // single-operation sweeps; dots accumulate per piece and then combine in
 // piece order, batched or not, wherever the combine runs.
 //
+// A piece task makes one pass over the piece per update, and a dot rides
+// the pass of the update that last writes one of its operands: right
+// after that pass writes d[i] it adds v[i]·w[i], which no later update
+// changes. The dot's terms are the ones a separate pass after the updates
+// would add, in the same ascending order, so the partial is bitwise the
+// same while its operands are read from memory one time fewer. A pass
+// carries at most one dot; the others, and dots over vectors no update
+// writes, keep a pass of their own after the updates.
+//
 // Every per-vector decision of a task follows from how the sweep uses the
 // vector. One whose first use overwrites it (the dst of a copy or zero) is
 // write-discard, checksum slot included, and its incoming data is not
@@ -337,10 +346,11 @@ func (p *Planner) FusedSweep(ups []VecUpdate, dots []DotPair) []*Scalar {
 // sweepBody binds a sweep's real-mode arithmetic to the storage of one
 // component; the component's tasks share the result, each calling it once
 // per piece it covers. A call runs the checksum verification pre-pass
-// (detection only), the updates in order with checksum maintenance, then
-// the dot partials into the piece's scratch slots slot·stride..+k-1 (and
-// the guard slot after them when detection is on). alpha holds the values
-// of the sweep's distinct coefficients, in sweepOperands order.
+// (detection only), the updates in order with checksum maintenance —
+// each pass computing the dot that rides it — then the remaining dots,
+// writing every partial into the piece's scratch slots slot·stride..+k-1
+// (and the guard slot after them when detection is on). alpha holds the
+// values of the sweep's distinct coefficients, in sweepOperands order.
 func (p *Planner) sweepBody(name string, ci int, scratch *region.Region, stride int,
 	ups []VecUpdate, dots []DotPair, vecs []sweepVec, alphas []*Scalar) func(subset index.IntervalSet, slot int, alpha []float64) {
 
@@ -349,6 +359,7 @@ func (p *Planner) sweepBody(name string, ci int, scratch *region.Region, stride 
 		neg    bool
 		d, s   []float64 // s is nil for a kind without a source
 		a      int       // index of the coefficient in alpha, -1 for none
+		dot    int       // index of the dot its pass computes, -1 for none
 		cd, cs []float64 // checksum slots of dst and src (nil without sdc)
 	}
 	sdc := p.sdcOn()
@@ -360,8 +371,9 @@ func (p *Planner) sweepBody(name string, ci int, scratch *region.Region, stride 
 	for i, u := range ups {
 		bu[i] = boundUpdate{
 			kind: u.Kind, neg: u.Neg,
-			d: p.vecs[u.Dst].regs[ci].Field("v"),
-			a: slices.Index(alphas, u.Alpha),
+			d:   p.vecs[u.Dst].regs[ci].Field("v"),
+			a:   slices.Index(alphas, u.Alpha),
+			dot: -1,
 		}
 		if sdc {
 			bu[i].cd = p.chkData(u.Dst)
@@ -384,12 +396,26 @@ func (p *Planner) sweepBody(name string, ci int, scratch *region.Region, stride 
 			bv = append(bv, boundChk{id: v.id, d: p.vecs[v.id].regs[ci].Field("v"), chk: p.chkData(v.id)})
 		}
 	}
-	type boundDot struct{ v, w []float64 }
+	type boundDot struct {
+		v, w  []float64
+		fused bool // computed in the pass of its operands' last writer
+	}
 	bd := make([]boundDot, len(dots))
 	for j, d := range dots {
 		bd[j] = boundDot{
 			v: p.vecs[d.V].regs[ci].Field("v"),
 			w: p.vecs[d.W].regs[ci].Field("v"),
+		}
+		// The dot rides the pass of the last update writing an operand,
+		// unless an earlier dot already rides it.
+		last := -1
+		for i, u := range ups {
+			if u.Dst == d.V || u.Dst == d.W {
+				last = i
+			}
+		}
+		if last >= 0 && bu[last].dot < 0 {
+			bu[last].dot, bd[j].fused = j, true
 		}
 	}
 	var out []float64
@@ -400,6 +426,7 @@ func (p *Planner) sweepBody(name string, ci int, scratch *region.Region, stride 
 	k := int64(len(dots))
 	return func(subset index.IntervalSet, slot int, alpha []float64) {
 		base := int64(slot * stride)
+		ivs := subset.Intervals()
 		// Verify every vector this sweep reads against its incoming
 		// checksum, before touching anything: a corruption planted
 		// anywhere in a solver's recurrence set since the last sweep
@@ -416,67 +443,117 @@ func (p *Planner) sweepBody(name string, ci int, scratch *region.Region, stride 
 					av = -av
 				}
 			}
-			d, s := u.d, u.s
+			var v, w []float64
+			if u.dot >= 0 {
+				v, w = bd[u.dot].v, bd[u.dot].w
+			}
+			var sum float64
+			for _, iv := range ivs {
+				sum = sweepRun(u.kind, av, u.d, u.s, v, w, iv, sum)
+			}
+			if u.dot >= 0 {
+				out[base+int64(u.dot)] = sum
+			}
+			if u.cd == nil {
+				continue
+			}
 			switch u.kind {
 			case UpdAxpy:
-				subset.EachInterval(func(iv index.Interval) {
-					for i := iv.Lo; i <= iv.Hi; i++ {
-						d[i] += av * s[i]
-					}
-				})
-				if u.cd != nil {
-					u.cd[slot] += av * u.cs[slot]
-				}
+				u.cd[slot] += av * u.cs[slot]
 			case UpdXpay:
-				subset.EachInterval(func(iv index.Interval) {
-					for i := iv.Lo; i <= iv.Hi; i++ {
-						d[i] = s[i] + av*d[i]
-					}
-				})
-				if u.cd != nil {
-					u.cd[slot] = u.cs[slot] + av*u.cd[slot]
-				}
+				u.cd[slot] = u.cs[slot] + av*u.cd[slot]
 			case UpdCopy:
-				subset.EachInterval(func(iv index.Interval) {
-					copy(d[iv.Lo:iv.Hi+1], s[iv.Lo:iv.Hi+1])
-				})
-				if u.cd != nil {
-					u.cd[slot] = u.cs[slot]
-				}
+				u.cd[slot] = u.cs[slot]
 			case UpdScal:
-				subset.EachInterval(func(iv index.Interval) {
-					for i := iv.Lo; i <= iv.Hi; i++ {
-						d[i] *= av
-					}
-				})
-				if u.cd != nil {
-					u.cd[slot] *= av
-				}
+				u.cd[slot] *= av
 			case UpdZero:
-				subset.EachInterval(func(iv index.Interval) {
-					clear(d[iv.Lo : iv.Hi+1])
-				})
-				if u.cd != nil {
-					u.cd[slot] = 0
-				}
+				u.cd[slot] = 0
 			}
 		}
 		var gsum float64
 		for j, d := range bd {
-			var sum float64
-			v, w := d.v, d.w
-			subset.EachInterval(func(iv index.Interval) {
-				for i := iv.Lo; i <= iv.Hi; i++ {
-					sum += v[i] * w[i]
+			if !d.fused {
+				var sum float64
+				for _, iv := range ivs {
+					vs := d.v[iv.Lo : iv.Hi+1]
+					ws := d.w[iv.Lo : iv.Hi+1][:len(vs)]
+					for i := range vs {
+						sum += vs[i] * ws[i]
+					}
 				}
-			})
-			out[base+int64(j)] = sum
-			gsum += sum
+				out[base+int64(j)] = sum
+			}
+			gsum += out[base+int64(j)]
 		}
 		if guard {
 			out[base+k] = gsum
 		}
 	}
+}
+
+// sweepRun applies one update of kind k with coefficient av to d over
+// the interval iv, reading the source s, and returns sum plus v[i]·w[i]
+// over iv, each term added right after d[i] is written; v is nil when the
+// pass computes no dot. The loops run on resliced slices of one length, so
+// they carry no per-element bounds check.
+func sweepRun(k UpdateKind, av float64, d, s, v, w []float64, iv index.Interval, sum float64) float64 {
+	lo, hi := iv.Lo, iv.Hi+1
+	ds := d[lo:hi]
+	if v == nil {
+		switch k {
+		case UpdAxpy:
+			ss := s[lo:hi][:len(ds)]
+			for i := range ds {
+				ds[i] += av * ss[i]
+			}
+		case UpdXpay:
+			ss := s[lo:hi][:len(ds)]
+			for i := range ds {
+				ds[i] = ss[i] + av*ds[i]
+			}
+		case UpdCopy:
+			copy(ds, s[lo:hi])
+		case UpdScal:
+			for i := range ds {
+				ds[i] *= av
+			}
+		case UpdZero:
+			clear(ds)
+		}
+		return sum
+	}
+	vs, ws := v[lo:hi][:len(ds)], w[lo:hi][:len(ds)]
+	switch k {
+	case UpdAxpy:
+		ss := s[lo:hi][:len(ds)]
+		for i := range ds {
+			ds[i] += av * ss[i]
+			sum += vs[i] * ws[i]
+		}
+	case UpdXpay:
+		ss := s[lo:hi][:len(ds)]
+		for i := range ds {
+			ds[i] = ss[i] + av*ds[i]
+			sum += vs[i] * ws[i]
+		}
+	case UpdCopy:
+		ss := s[lo:hi][:len(ds)]
+		for i := range ds {
+			ds[i] = ss[i]
+			sum += vs[i] * ws[i]
+		}
+	case UpdScal:
+		for i := range ds {
+			ds[i] *= av
+			sum += vs[i] * ws[i]
+		}
+	case UpdZero:
+		for i := range ds {
+			ds[i] = 0
+			sum += vs[i] * ws[i]
+		}
+	}
+	return sum
 }
 
 // batchReduce launches a virtual planner's one combine task for a sweep's

@@ -254,11 +254,9 @@ func (p *Planner) launchMultiplyAdd(name string, opIdx int, g *pieceGroup, op *o
 		run = func() float64 {
 			for i := range members {
 				m := &members[i]
-				m.fresh.EachInterval(func(iv index.Interval) {
-					for i := iv.Lo; i <= iv.Hi; i++ {
-						y[i] = 0
-					}
-				})
+				for _, iv := range m.fresh.Intervals() {
+					clear(y[iv.Lo : iv.Hi+1])
+				}
 				var before float64
 				if sdc && m.fold {
 					// A folding member adds to earlier writers' data; its own

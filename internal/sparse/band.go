@@ -93,10 +93,13 @@ func (a *Band) mulIntervals(y, x []float64, ivs []index.Interval, adjoint bool) 
 	if a.coeff == nil {
 		return
 	}
-	walkDiagBlocks(ivs, a.offsets, a.rows, a.cols, adjoint, func(s diagSeg, lo, hi int64) {
-		for o := lo; o <= hi; o++ {
-			if v := a.coeff(s.b, s.col+o); v != 0 {
-				y[o] += v * x[o+s.shift]
+	var blk blockSegs
+	walkDiagBlocks(ivs, a.offsets, a.rows, a.cols, adjoint, &blk, func() {
+		for _, s := range blk.segs[:blk.n] {
+			for o := s.lo; o <= s.hi; o++ {
+				if v := a.coeff(s.b, s.col+o); v != 0 {
+					y[o] += v * x[o+s.shift]
+				}
 			}
 		}
 	})

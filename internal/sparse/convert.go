@@ -111,7 +111,7 @@ var formats = []format{
 	{name: "ELL'", twin: "ELL"},
 	{name: "DIA", build: func(a *CSR) Matrix { return DIAFromCSR(a) },
 		bytes: func(p Profile) float64 { return 8 * float64(p.Diags) * float64(p.Cols) },
-		rate:  9.8e9},
+		rate:  13.6e9},
 	{name: "BCSR", build: func(a *CSR) Matrix {
 		br, bd := blockShape(a)
 		return BCSRFromCSR(a, br, bd)

@@ -98,16 +98,65 @@ func (a *DIA) MultiplyAddTPart(y, x []float64, kset index.IntervalSet) {
 }
 
 // mulIntervals is the kernel over a set of kernel intervals, forward or
-// adjoint: three parallel streams per diagonal run, no indices at all.
+// adjoint: parallel streams per diagonal, no indices at all. Where three
+// consecutive segments of a block cover a common stretch, one loop applies
+// all three there, so each output of the stretch is loaded and stored once
+// instead of three times; the terms are added left to right in kernel
+// order, which is the order of three per-diagonal passes. The rest of each
+// segment, and any segment without two successors to share a stretch
+// with, runs the per-diagonal loop. (On lap2d:512x512 groups of four
+// gained less than three and groups of five almost nothing: EXPERIMENTS.md,
+// "One pass per output".)
 func (a *DIA) mulIntervals(y, x []float64, ivs []index.Interval, adjoint bool) {
-	walkDiagBlocks(ivs, a.offsets, a.rows, a.cols, adjoint, func(s diagSeg, lo, hi int64) {
-		ys := y[lo : hi+1]
-		xs := x[lo+s.shift:][:len(ys)]
-		vs := a.vals[s.base+lo:][:len(ys)]
-		for t, v := range vs {
-			ys[t] += v * xs[t]
+	var blk blockSegs
+	walkDiagBlocks(ivs, a.offsets, a.rows, a.cols, adjoint, &blk, func() {
+		segs := blk.segs[:blk.n]
+		for len(segs) > 0 {
+			if len(segs) >= 3 {
+				s0, s1, s2 := segs[0], segs[1], segs[2]
+				if lo, hi := max(s0.lo, s1.lo, s2.lo), min(s0.hi, s1.hi, s2.hi); lo <= hi {
+					// An output outside [lo, hi] gets its terms from the
+					// per-diagonal runs before or after it, still in order.
+					for _, s := range segs[:3] {
+						a.mulSeg(y, x, s, s.lo, lo-1)
+					}
+					a.mulSeg3(y, x, s0, s1, s2, lo, hi)
+					for _, s := range segs[:3] {
+						a.mulSeg(y, x, s, hi+1, s.hi)
+					}
+					segs = segs[3:]
+					continue
+				}
+			}
+			a.mulSeg(y, x, segs[0], segs[0].lo, segs[0].hi)
+			segs = segs[1:]
 		}
 	})
+}
+
+// mulSeg adds segment s's terms to the outputs [lo, hi] (none when lo > hi).
+func (a *DIA) mulSeg(y, x []float64, s diagSeg, lo, hi int64) {
+	if lo > hi {
+		return
+	}
+	ys := y[lo : hi+1]
+	xs := x[lo+s.shift:][:len(ys)]
+	vs := a.vals[s.base+lo:][:len(ys)]
+	for t, v := range vs {
+		ys[t] += v * xs[t]
+	}
+}
+
+// mulSeg3 adds the terms of three segments, in order, to the outputs
+// [lo, hi], which all three cover.
+func (a *DIA) mulSeg3(y, x []float64, s0, s1, s2 diagSeg, lo, hi int64) {
+	ys := y[lo : hi+1]
+	x0, v0 := x[lo+s0.shift:][:len(ys)], a.vals[s0.base+lo:][:len(ys)]
+	x1, v1 := x[lo+s1.shift:][:len(ys)], a.vals[s1.base+lo:][:len(ys)]
+	x2, v2 := x[lo+s2.shift:][:len(ys)], a.vals[s2.base+lo:][:len(ys)]
+	for t := range ys {
+		ys[t] = ys[t] + v0[t]*x0[t] + v1[t]*x1[t] + v2[t]*x2[t]
+	}
 }
 
 // The DIA kernel layout — nDiag blocks of cols slots, slot (b, j) holding
@@ -136,14 +185,24 @@ const (
 	diagSegBatch = 32
 )
 
+// blockSegs is one output block of a walk: the segments that meet it,
+// clipped to it, in kernel order.
+type blockSegs struct {
+	n    int
+	segs [diagSegBatch]diagSeg
+}
+
 // walkDiagBlocks splits kernel intervals of a DIA-layout kernel space at
 // diagonal boundaries (one division per interval), drops padding slots,
-// and calls fn for every (segment, output block) pair: blocks of
-// diagBlock output points outermost, the segments within a block in
-// kernel order. Every output point therefore receives its contributions
-// in ascending kernel order — the order of a plain sweep over the
-// intervals.
-func walkDiagBlocks(ivs []index.Interval, offsets []int64, rows, cols int64, adjoint bool, fn func(s diagSeg, lo, hi int64)) {
+// and hands fn every output block in turn: blocks of diagBlock output
+// points outermost, each with all of its segments, clipped to the block
+// and in kernel order. A kernel that applies a block's segments in the
+// order given therefore gives every output point its contributions in
+// ascending kernel order — the order of a plain sweep over the intervals.
+// The block arrives in *blk, which the caller owns, rather than as an
+// argument of fn: a slice handed to a function value escapes, and the
+// walk would allocate on every call.
+func walkDiagBlocks(ivs []index.Interval, offsets []int64, rows, cols int64, adjoint bool, blk *blockSegs, fn func()) {
 	var buf [diagSegBatch]diagSeg
 	segs := buf[:0]
 	flush := func() {
@@ -156,10 +215,16 @@ func walkDiagBlocks(ivs []index.Interval, offsets []int64, rows, cols int64, adj
 		}
 		for b0 := lo; b0 <= hi; b0 += diagBlock {
 			b1 := min(b0+diagBlock-1, hi)
+			blk.n = 0
 			for _, s := range segs {
 				if l, h := max(s.lo, b0), min(s.hi, b1); l <= h {
-					fn(s, l, h)
+					s.lo, s.hi = l, h
+					blk.segs[blk.n] = s
+					blk.n++
 				}
+			}
+			if blk.n > 0 {
+				fn()
 			}
 		}
 		segs = segs[:0]

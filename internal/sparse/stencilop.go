@@ -124,34 +124,37 @@ func (a *StencilOperator) MultiplyAddTPart(y, x []float64, kset index.IntervalSe
 // divided out once per block and then counted up with carry.
 func (a *StencilOperator) mulIntervals(y, x []float64, ivs []index.Interval, adjoint bool) {
 	rank, dims := a.grid.Rank(), a.grid.Dims
-	walkDiagBlocks(ivs, a.offsets, a.n, a.n, adjoint, func(s diagSeg, lo, hi int64) {
-		c := a.coordOff[s.b]
-		v := -1.0
-		if a.offsets[s.b] == 0 {
-			v = a.diagVal
-		}
-		var cd [3]int64
-		rem := s.col + lo // column of the first slot
-		for d := rank - 1; d >= 0; d-- {
-			cd[d] = rem % dims[d]
-			rem /= dims[d]
-		}
-		for o := lo; o <= hi; o++ {
-			inGrid := true
-			for d := 0; d < rank; d++ {
-				if id := cd[d] - c[d]; id < 0 || id >= dims[d] {
-					inGrid = false
-					break
-				}
+	var blk blockSegs
+	walkDiagBlocks(ivs, a.offsets, a.n, a.n, adjoint, &blk, func() {
+		for _, s := range blk.segs[:blk.n] {
+			c := a.coordOff[s.b]
+			v := -1.0
+			if a.offsets[s.b] == 0 {
+				v = a.diagVal
 			}
-			if inGrid {
-				y[o] += v * x[o+s.shift]
-			}
+			var cd [3]int64
+			rem := s.col + s.lo // column of the first slot
 			for d := rank - 1; d >= 0; d-- {
-				if cd[d]++; cd[d] < dims[d] {
-					break
+				cd[d] = rem % dims[d]
+				rem /= dims[d]
+			}
+			for o := s.lo; o <= s.hi; o++ {
+				inGrid := true
+				for d := 0; d < rank; d++ {
+					if id := cd[d] - c[d]; id < 0 || id >= dims[d] {
+						inGrid = false
+						break
+					}
 				}
-				cd[d] = 0
+				if inGrid {
+					y[o] += v * x[o+s.shift]
+				}
+				for d := rank - 1; d >= 0; d-- {
+					if cd[d]++; cd[d] < dims[d] {
+						break
+					}
+					cd[d] = 0
+				}
 			}
 		}
 	})
