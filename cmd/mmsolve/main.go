@@ -28,15 +28,16 @@
 // -retries enables bounded re-execution of idempotent tasks, -watchdog
 // flags stragglers, and -checkpoint-every N turns on the driver's
 // recovery: it checkpoints the solution every N iterations and rolls
-// back on failure, corruption, or divergence (-max-restarts bounds the
-// rollbacks). Without it the same driver stops on the first bad state.
+// back on failure, divergence, or recurrence drift (a verified residual
+// more than twice the solver's own measure), restarting the solver from
+// the restored solution; -max-restarts bounds the rollbacks. Without it
+// the same driver stops on the first bad state. Either way a rejected
+// convergence claim restarts the solver from its current solution.
 //
 // Silent data corruption: -detect-sdc turns on checksummed kernels
 // (ABFT) that alarm on corrupted vector pieces; with -checkpoint-every
-// the alarms drive selective piece restore plus residual replacement,
-// without it they are only counted. -replace-every N rebases the
-// recurrence residual on the recomputed b − A·x every N iterations when
-// its drift exceeds -drift-tol (needs -checkpoint-every). The report
+// an alarm rolls back to the last checkpoint without spending
+// -max-restarts, without it the alarms are only counted. The report
 // always prints the host-side true residual next to the solver's own
 // residual measure, and -strict-residual exits non-zero when a solver
 // claims convergence the true residual does not back up.
@@ -45,7 +46,7 @@
 // injected or real task failures), 1 on non-convergence, breakdown, or
 // unrecovered task failure, 2 on usage errors — an unknown -format,
 // -solver, or -rhs name, or a nonsensical numeric value (-pieces 0,
-// -maxiter -1, -replace-every -5, a non-positive -tol); the error lists
+// -maxiter -1, -retries -1, a non-positive -tol); the error lists
 // what was wrong with every offending flag.
 package main
 
@@ -78,11 +79,9 @@ func main() {
 	flag.IntVar(&spec.Retries, "retries", 0, "execution attempts per idempotent task (0 or 1 disables retry)")
 	flag.DurationVar(&spec.RetryBackoff, "retry-backoff", 0, "delay before re-executing a failed task (doubles per attempt)")
 	flag.IntVar(&spec.CheckpointEvery, "checkpoint-every", 0, "checkpoint the solution every N iterations and roll back on failure (0: no recovery, stop on the first bad state)")
-	flag.IntVar(&spec.MaxRestarts, "max-restarts", spec.MaxRestarts, "checkpoint rollback budget (with -checkpoint-every)")
+	flag.IntVar(&spec.MaxRestarts, "max-restarts", spec.MaxRestarts, "checkpoint rollback budget for failures, divergence and recurrence drift (with -checkpoint-every; sdc alarms do not spend it)")
 	flag.DurationVar(&spec.Watchdog, "watchdog", 0, "flag tasks running past this wall-clock budget as stragglers (0 disables)")
-	flag.BoolVar(&spec.DetectSDC, "detect-sdc", false, "enable ABFT checksummed kernels; with -checkpoint-every, recover from alarms by piece restore + residual replacement")
-	flag.IntVar(&spec.ReplaceEvery, "replace-every", 0, "rebase the recurrence residual on the recomputed b - A·x every N iterations (needs -checkpoint-every, 0 disables)")
-	flag.Float64Var(&spec.DriftTol, "drift-tol", 0, "relative drift threshold for periodic residual replacement (<= 0 replaces unconditionally)")
+	flag.BoolVar(&spec.DetectSDC, "detect-sdc", false, "enable ABFT checksummed kernels; with -checkpoint-every, an alarm rolls back to the last checkpoint")
 	strictRes := flag.Bool("strict-residual", false, "exit non-zero when the solver claims convergence but the true residual misses the tolerance")
 	flag.Parse()
 	if flag.NArg() != 1 {
@@ -165,12 +164,7 @@ func main() {
 			out.Checkpoints, out.Restarts, out.RecoveredFailures)
 	}
 	if spec.DetectSDC {
-		fmt.Printf("sdc: %d checksum alarm(s)", out.SDCAlarms)
-		if resilient {
-			fmt.Printf("; %d piece restore(s), %d residual replacement(s), max drift %.3g",
-				out.PieceRestores, out.Replacements, out.MaxDrift)
-		}
-		fmt.Println()
+		fmt.Printf("sdc: %d checksum alarm(s)\n", out.SDCAlarms)
 	}
 
 	// The exit is deferred past the profile output — a failed chaos run

@@ -58,8 +58,9 @@ import (
 // Detection floor: a flip in the low mantissa bits of one entry changes
 // Σv by a relative amount far below any tolerance that survives honest
 // rounding drift. Such corruptions are undetectable by summation ABFT —
-// and numerically harmless at the same order; residual replacement (the
-// recovery layer) bounds their effect on the returned solution.
+// and numerically harmless at the same order; the recovery layer's
+// verified residuals (a convergence claim, the drift test at every
+// checkpoint) bound their effect on the returned solution.
 
 // SDCAlarm records one detected checksum violation.
 type SDCAlarm struct {
@@ -418,32 +419,4 @@ func corruptHook(targets ...corruptTarget) func(fault.Injection) {
 // only when an injector is installed, so clean runs pay nothing.
 func (p *Planner) faultHooks() bool {
 	return !p.virtual && p.sess.FaultsActive()
-}
-
-// RestoreSolPieces selectively restores the listed solution pieces
-// (global eachSlot slots) from a checkpoint, leaving every other piece's
-// state intact — the recovery half of piece-level SDC containment. The
-// restored pieces' checksums are reseeded. Host-side; the runtime must be
-// quiescent. Real planners only.
-func (p *Planner) RestoreSolPieces(ckpt [][]float64, slots []int) {
-	if p.virtual {
-		panic("core: checkpointing requires a real planner")
-	}
-	if len(ckpt) != len(p.vecs[SOL].regs) {
-		panic("core: checkpoint component count mismatch")
-	}
-	for _, want := range slots {
-		eachSlot(p.sol, func(ci, slot int, subset index.IntervalSet) {
-			if slot == want {
-				dst := p.vecs[SOL].regs[ci].Field("v")
-				src := ckpt[ci]
-				subset.EachInterval(func(iv index.Interval) {
-					copy(dst[iv.Lo:iv.Hi+1], src[iv.Lo:iv.Hi+1])
-				})
-			}
-		})
-	}
-	if p.sdcOn() {
-		p.seedChecksum(SOL)
-	}
 }

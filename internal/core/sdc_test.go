@@ -243,36 +243,6 @@ func TestSDCChecksumSpMV(t *testing.T) {
 	}
 }
 
-// RestoreSolPieces restores only the named pieces and reseeds their
-// checksums; untouched pieces keep their (newer) state.
-func TestSDCRestoreSolPieces(t *testing.T) {
-	const n, pieces = 256, 4
-	p, mon, _, _ := sdcTestPlanner(t, n, pieces)
-	p.Drain()
-	ckpt := p.CheckpointSol()
-	// Advance the solution, then corrupt piece 1.
-	p.Axpy(SOL, p.Constant(1), RHS)
-	p.Drain()
-	advanced := append([]float64(nil), p.VecData(SOL, 0)...)
-	per := int64(n / pieces)
-	d := p.VecData(SOL, 0)
-	d[per+7] = fault.FlipBit(d[per+7], 52)
-
-	p.RestoreSolPieces(ckpt, []int{1})
-	if got := p.VerifyChecksums(SOL); got != 0 {
-		t.Fatalf("restored solution failed verification: %v", mon.Alarms())
-	}
-	for i := int64(0); i < n; i++ {
-		want := advanced[i]
-		if i >= per && i < 2*per {
-			want = ckpt[0][i]
-		}
-		if d[i] != want {
-			t.Fatalf("sol[%d] = %g, want %g (piece %d)", i, d[i], want, i/per)
-		}
-	}
-}
-
 func TestNthPoint(t *testing.T) {
 	s := index.Span(3, 5).Union(index.Span(10, 10)).Union(index.Span(20, 22))
 	want := []int64{3, 4, 5, 10, 20, 21, 22}

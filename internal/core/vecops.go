@@ -115,7 +115,7 @@ func (p *Planner) launchGroups(shape Shape, perPiece bool) [][]pieceGroup {
 }
 
 // eachSlot walks the canonical pieces host-side in slot order (checksum
-// seeding, piece restore). Launches go through launchGroups.
+// seeding). Launches go through launchGroups.
 func eachSlot(comps []component, fn func(ci, slot int, subset index.IntervalSet)) {
 	slot := 0
 	for ci, c := range comps {

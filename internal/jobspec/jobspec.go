@@ -56,12 +56,8 @@ type Spec struct {
 	// disables them).
 	CheckpointEvery int `json:"checkpoint_every,omitempty"`
 	MaxRestarts     int `json:"max_restarts,omitempty"`
-	// DetectSDC enables ABFT checksummed kernels; ReplaceEvery and
-	// DriftTol configure periodic residual replacement (resilient
-	// driver only).
-	DetectSDC    bool    `json:"detect_sdc,omitempty"`
-	ReplaceEvery int     `json:"replace_every,omitempty"`
-	DriftTol     float64 `json:"drift_tol,omitempty"`
+	// DetectSDC enables ABFT checksummed kernels.
+	DetectSDC bool `json:"detect_sdc,omitempty"`
 	// Watchdog flags tasks running past this wall-clock budget as
 	// stragglers (0 disables).
 	Watchdog time.Duration `json:"watchdog,omitempty"`
@@ -145,15 +141,6 @@ func (s *Spec) Validate() error {
 	}
 	if s.CheckpointEvery < 0 {
 		fail("checkpoint-every must not be negative, got %d", s.CheckpointEvery)
-	}
-	if s.ReplaceEvery < 0 {
-		fail("replace-every must not be negative, got %d", s.ReplaceEvery)
-	}
-	if s.ReplaceEvery > 0 && s.CheckpointEvery <= 0 {
-		fail("replace-every requires the resilient driver (set checkpoint-every)")
-	}
-	if math.IsNaN(s.DriftTol) || math.IsInf(s.DriftTol, 0) {
-		fail("drift-tol must be finite, got %g", s.DriftTol)
 	}
 	if s.Watchdog < 0 {
 		fail("watchdog must not be negative, got %v", s.Watchdog)

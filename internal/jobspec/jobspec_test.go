@@ -15,15 +15,15 @@ func TestDefaultValidates(t *testing.T) {
 	}
 }
 
-// The exact combinations the issue names: -pieces 0, -maxiter -1,
-// -replace-every -5 must each be rejected, and all violations must be
-// reported together in one pass, not one per invocation.
+// -pieces 0, -maxiter -1 and -retries -1 must each be rejected, and all
+// violations must be reported together in one pass, not one per
+// invocation.
 func TestValidateJoinsAllViolations(t *testing.T) {
 	s := Default()
 	s.Matrix = "lap2d:8x8"
 	s.Pieces = 0
 	s.MaxIter = -1
-	s.ReplaceEvery = -5
+	s.Retries = -1
 	err := s.Validate()
 	if err == nil {
 		t.Fatal("invalid spec accepted")
@@ -31,7 +31,7 @@ func TestValidateJoinsAllViolations(t *testing.T) {
 	for _, want := range []string{
 		"pieces must be at least 1, got 0",
 		"maxiter must be at least 1, got -1",
-		"replace-every must not be negative, got -5",
+		"retries must not be negative, got -1",
 	} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error %q missing %q", err, want)
@@ -63,7 +63,6 @@ func TestValidateRejections(t *testing.T) {
 		{"negative retries", func(s *Spec) { s.Retries = -1 }, "retries must not"},
 		{"negative backoff", func(s *Spec) { s.RetryBackoff = -1 }, "retry-backoff"},
 		{"negative checkpoint", func(s *Spec) { s.CheckpointEvery = -2 }, "checkpoint-every"},
-		{"replace without resilient", func(s *Spec) { s.ReplaceEvery = 10 }, "requires the resilient driver"},
 		{"negative watchdog", func(s *Spec) { s.Watchdog = -1 }, "watchdog"},
 		{"bad fault plan", func(s *Spec) { s.Faults = "explode=1" }, ""},
 	}
@@ -94,7 +93,7 @@ func TestValidateAccepts(t *testing.T) {
 		{"rand rhs", func(s *Spec) { s.RHS = "rand:42" }},
 		{"ones rhs", func(s *Spec) { s.RHS = "ones" }},
 		{"mtx path unchecked until load", func(s *Spec) { s.Matrix = "does-not-exist.mtx" }},
-		{"resilient with replacement", func(s *Spec) { s.CheckpointEvery = 5; s.ReplaceEvery = 10 }},
+		{"resilient", func(s *Spec) { s.CheckpointEvery = 5 }},
 		{"fault plan", func(s *Spec) { s.Faults = "panic=0.01,seed=1" }},
 	}
 	for _, tc := range cases {

@@ -165,9 +165,37 @@ func walPayloads(t *testing.T, dir string) [][]byte {
 	return out
 }
 
+// withFields is rec's JSON with extra keys merged into its object at
+// key (the whole record when key is ""): the fields an older build wrote
+// that this one no longer declares.
+func withFields(t *testing.T, rec journalRecord, key string, extra map[string]any) json.RawMessage {
+	t.Helper()
+	b, err := json.Marshal(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]any
+	if err := json.Unmarshal(b, &m); err != nil {
+		t.Fatal(err)
+	}
+	obj := m
+	if key != "" {
+		obj = m[key].(map[string]any)
+	}
+	for k, v := range extra {
+		obj[k] = v
+	}
+	if b, err = json.Marshal(m); err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 // A journal the parent commit wrote — checkpoints as JSON with an "x"
-// array, no ordinals — replays to the same resume point bit for bit,
-// and the first compaction rewrites it in the binary format.
+// array, no ordinals, specs and results carrying the since-removed
+// periodic-replacement knobs and their accounting — replays to the same
+// resume point bit for bit, and the first compaction rewrites it in the
+// binary format.
 func TestJournalReplaysParentFormat(t *testing.T) {
 	dir := t.TempDir()
 	spec := testSpec(nil)
@@ -184,9 +212,11 @@ func TestJournalReplaysParentFormat(t *testing.T) {
 		journalRecord{T: recAccept, ID: "job-2", Spec: &spec, Submitted: now},
 		journalRecord{T: recCheckpoint, ID: "job-2", Iter: 5, Residual: 0.5, X: []float64{9, 9}, Basis: "fp"},
 		journalRecord{T: recDone, ID: "job-1", Result: &JobResult{Solver: "cg", Converged: true}},
-		journalRecord{T: recAccept, ID: "job-3", Spec: &spec, Submitted: now},
+		withFields(t, journalRecord{T: recAccept, ID: "job-3", Spec: &spec, Submitted: now},
+			"spec", map[string]any{"replace_every": 50, "drift_tol": 1e-6}),
 		journalRecord{T: recCheckpoint, ID: "job-2", Iter: 10, Residual: 0x1p-30, X: x, Basis: "fp"},
-		journalRecord{T: recDone, ID: "job-4", Result: &JobResult{Solver: "cg"}},
+		withFields(t, journalRecord{T: recDone, ID: "job-4", Result: &JobResult{Solver: "cg"}},
+			"result", map[string]any{"max_drift": 3.5e-9, "piece_restores": 2}),
 	)
 
 	check := func(rep *JournalReplay) {
@@ -198,8 +228,12 @@ func TestJournalReplaysParentFormat(t *testing.T) {
 		if rp == nil || rp.Iter != 10 || rp.Residual != 0x1p-30 || rp.Basis != "fp" || !sameBits(rp.X, x) {
 			t.Fatalf("job-2 resume point = %+v", rp)
 		}
-		if !reflect.DeepEqual(rep.DoneOrder, []string{"job-1", "job-4"}) || !rep.Done["job-1"].Converged {
+		if !reflect.DeepEqual(rep.DoneOrder, []string{"job-1", "job-4"}) || !rep.Done["job-1"].Converged ||
+			rep.Done["job-4"].Solver != "cg" {
 			t.Fatalf("done = %v %+v", rep.DoneOrder, rep.Done)
+		}
+		if !reflect.DeepEqual(rep.Pending[1].Spec, spec) {
+			t.Fatalf("job-3 spec = %+v, want %+v", rep.Pending[1].Spec, spec)
 		}
 		if rep.MaxID != 4 || rep.Skipped != 0 {
 			t.Fatalf("MaxID %d, skipped %d", rep.MaxID, rep.Skipped)

@@ -76,13 +76,11 @@ type JobResult struct {
 	Breakdown    string  `json:"breakdown,omitempty"`
 
 	// Recovery accounting (zero for plain solves).
-	Restarts          int     `json:"restarts,omitempty"`
-	Checkpoints       int     `json:"checkpoints,omitempty"`
-	RecoveredFailures int64   `json:"recovered_failures,omitempty"`
-	Replacements      int     `json:"replacements,omitempty"`
-	SDCAlarms         int64   `json:"sdc_alarms,omitempty"`
-	PieceRestores     int     `json:"piece_restores,omitempty"`
-	MaxDrift          float64 `json:"max_drift,omitempty"`
+	Restarts          int   `json:"restarts,omitempty"`
+	Checkpoints       int   `json:"checkpoints,omitempty"`
+	RecoveredFailures int64 `json:"recovered_failures,omitempty"`
+	Replacements      int   `json:"replacements,omitempty"`
+	SDCAlarms         int64 `json:"sdc_alarms,omitempty"`
 
 	// Err is the session's joined failure state after the solve ("" when
 	// clean or recovered). Retryable marks a rejection the client should
@@ -147,7 +145,6 @@ type jobResultJSON struct {
 	*jobResultFields
 	Residual     jsonFloat `json:"residual"`
 	TrueResidual jsonFloat `json:"true_residual"`
-	MaxDrift     jsonFloat `json:"max_drift,omitempty"`
 }
 
 // jobResultFields is JobResult without its JSON methods.
@@ -155,16 +152,16 @@ type jobResultFields JobResult
 
 func (r JobResult) MarshalJSON() ([]byte, error) {
 	return json.Marshal(jobResultJSON{(*jobResultFields)(&r),
-		jsonFloat(r.Residual), jsonFloat(r.TrueResidual), jsonFloat(r.MaxDrift)})
+		jsonFloat(r.Residual), jsonFloat(r.TrueResidual)})
 }
 
 func (r *JobResult) UnmarshalJSON(b []byte) error {
 	w := jobResultJSON{(*jobResultFields)(r),
-		jsonFloat(r.Residual), jsonFloat(r.TrueResidual), jsonFloat(r.MaxDrift)}
+		jsonFloat(r.Residual), jsonFloat(r.TrueResidual)}
 	if err := json.Unmarshal(b, &w); err != nil {
 		return err
 	}
-	r.Residual, r.TrueResidual, r.MaxDrift = float64(w.Residual), float64(w.TrueResidual), float64(w.MaxDrift)
+	r.Residual, r.TrueResidual = float64(w.Residual), float64(w.TrueResidual)
 	return nil
 }
 
@@ -261,9 +258,8 @@ func solveSystem(a *sparse.CSR, x, b []float64, spec jobspec.Spec, opt Options) 
 	cfg := solvers.ResilientConfig{
 		Tol: spec.Tol, MaxIter: spec.MaxIter,
 		CheckpointEvery: spec.CheckpointEvery, MaxRestarts: spec.MaxRestarts,
-		DetectSDC:    spec.DetectSDC,
-		ReplaceEvery: spec.ReplaceEvery, DriftTol: spec.DriftTol,
-		Observe: opt.Telemetry, Log: opt.Log,
+		DetectSDC: spec.DetectSDC,
+		Observe:   opt.Telemetry, Log: opt.Log,
 	}
 	if opt.Resume != nil {
 		cfg.StartIteration = opt.Resume.Iter
@@ -295,8 +291,6 @@ func solveSystem(a *sparse.CSR, x, b []float64, spec jobspec.Spec, opt Options) 
 	out.RecoveredFailures = res.RecoveredFailures
 	out.Replacements = res.Replacements
 	out.SDCAlarms = res.SDCAlarms
-	out.PieceRestores = res.PieceRestores
-	out.MaxDrift = res.MaxDrift
 	if injector != nil {
 		out.Injected = injector.Injected()
 	}

@@ -613,7 +613,7 @@ func coalescible(sp jobspec.Spec) bool {
 		return false
 	}
 	return sp.Faults == "" && sp.Retries <= 1 && sp.CheckpointEvery == 0 &&
-		!sp.DetectSDC && sp.Watchdog == 0 && sp.ReplaceEvery == 0
+		!sp.DetectSDC && sp.Watchdog == 0
 }
 
 // coalesceKey groups jobs that can share one multi-RHS planner: same
@@ -782,11 +782,9 @@ func runBatch(a *sparse.CSR, group []*Job, sess *taskrt.Session, tracing bool) [
 		out.N, out.NNZ, out.Coalesced = n, a.NNZ(), k
 		out.X = bigX[i*n : (i+1)*n : (i+1)*n]
 		out.TrueResidual = HostResidual(a, out.X, bigB[i*n:(i+1)*n])
-		// The joint norm over-reports each member's residual; trust the
-		// per-system recomputation for the member's own convergence claim.
-		if out.TrueResidual <= spec.Tol {
-			out.Converged = true
-		}
+		// A member is judged by its own residual, in both directions:
+		// the joint norm neither vouches for a member nor condemns it.
+		out.Converged = out.TrueResidual <= spec.Tol
 		results[i] = &out
 	}
 	return results

@@ -196,9 +196,16 @@ func TestServerCoalescesSameOperatorJobs(t *testing.T) {
 			t.Fatalf("job %s ran in batch of %d, want 4", j.ID, r.Coalesced)
 		}
 		// Identical spec, identical RHS: the block solve must reproduce
-		// the solo solution.
+		// the solo solution. A member is judged by its own residual.
 		if r.TrueResidual > 1.05e-8 {
 			t.Fatalf("coalesced job %s: true residual %g", j.ID, r.TrueResidual)
+		}
+		a, err := jobspec.LoadMatrix(j.Spec.Matrix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if host := HostResidual(a, r.X, j.Spec.BuildRHS(a, r.N)); r.Converged != (host <= j.Spec.Tol) {
+			t.Fatalf("coalesced job %s: converged=%v with host residual %g (tol %g)", j.ID, r.Converged, host, j.Spec.Tol)
 		}
 		for i, v := range r.X {
 			if dv := v - solo.X[i]; dv > 1e-9 || dv < -1e-9 {
@@ -347,7 +354,7 @@ func TestHTTPEndToEnd(t *testing.T) {
 	// The CLI's invalid flag combinations are this API's 400s, with the
 	// same validation messages.
 	resp, err = http.Post(ts.URL+"/solve", "application/json",
-		strings.NewReader(`{"matrix":"lap2d:16x16","pieces":0,"maxiter":-1,"replace_every":-5}`))
+		strings.NewReader(`{"matrix":"lap2d:16x16","pieces":0,"maxiter":-1,"retries":-5}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,9 +364,23 @@ func TestHTTPEndToEnd(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("invalid spec status = %d", resp.StatusCode)
 	}
-	for _, want := range []string{"pieces must be", "maxiter must be", "replace-every must not"} {
+	for _, want := range []string{"pieces must be", "maxiter must be", "retries must not"} {
 		if !strings.Contains(string(body[:n]), want) {
 			t.Errorf("400 body missing %q: %s", want, body[:n])
+		}
+	}
+	// The periodic-replacement knobs are gone: naming one is an unknown
+	// field, not a silently ignored one.
+	for _, field := range []string{`"replace_every":50`, `"drift_tol":1e-6`} {
+		resp, err = http.Post(ts.URL+"/solve", "application/json",
+			strings.NewReader(`{"matrix":"lap2d:16x16","checkpoint_every":10,`+field+`}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, _ = resp.Body.Read(body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body[:n]), "unknown field") {
+			t.Errorf("POST /solve with %s = %d %s, want 400 naming an unknown field", field, resp.StatusCode, body[:n])
 		}
 	}
 

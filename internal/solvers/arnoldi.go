@@ -13,7 +13,7 @@ import (
 // rotations at the end of the cycle (the methods' only blocking point)
 // and applied as x += V y. A method embeds it and supplies what differs:
 // how a step produces its Hessenberg column and next basis vector, and
-// what a restart does around recomputing the residual.
+// what its cycle prologue does around recomputing the residual.
 //
 // The whole cycle (m steps + least-squares update + restart) is traced
 // as one instance: per-step scopes would never replay because each
@@ -36,15 +36,25 @@ type arnoldi struct {
 	ls *givensLS
 	tr bool // a per-cycle trace scope is open
 
-	// restart is the method's cycle prologue: it leaves the cycle's
-	// initial residual in basis[0] and calls normalize.
-	restart func()
+	// prologue begins a cycle: it leaves the cycle's initial residual in
+	// basis[0] and calls normalize.
+	prologue func()
 	// finish, when set, runs after x += V y with the cycle's Hessenberg
-	// columns and least-squares solution, before the restart.
+	// columns and least-squares solution, before the next prologue.
 	finish func(h [][]float64, y []float64)
 }
 
-// begin is the plain restart prologue: the cycle starts from the
+// restart implements restarter: it discards the open cycle, if any, and
+// closes its trace scope — x owes the cycle nothing, since the driver
+// settles a cycle before it verifies a claim and a rollback replaces x —
+// then runs the cycle prologue.
+func (s *arnoldi) restart() {
+	s.p.TraceEnd(s.tr)
+	s.tr = false
+	s.prologue()
+}
+
+// begin is the plain cycle prologue: the cycle starts from the
 // recomputed true residual r = b − Ax, so a cycle boundary never
 // inherits estimate drift.
 func (s *arnoldi) begin() {
@@ -147,7 +157,7 @@ func (s *arnoldi) endStep() {
 // close ends the cycle with the columns built so far: it pulls the
 // Hessenberg entries and β (synchronizes), solves min‖βe₁ − H y‖ by
 // Givens rotations, applies x += V y, runs the method's finish and
-// restart, and closes the cycle's trace scope.
+// prologue, and closes the cycle's trace scope.
 func (s *arnoldi) close() {
 	p := s.p
 	p.BeginPhase(s.name + ".update")
@@ -169,7 +179,7 @@ func (s *arnoldi) close() {
 	if s.finish != nil {
 		s.finish(h, y)
 	}
-	s.restart()
+	s.prologue()
 	p.TraceEnd(s.tr)
 	s.tr = false
 }
@@ -179,20 +189,11 @@ func (s *arnoldi) close() {
 // while x still holds the last restart's iterate. Closing the open cycle
 // applies x += V y and restarts from the recomputed residual.
 func (s *arnoldi) settle() {
-	if s.j > 0 {
+	if s.midCycle() {
 		s.close()
 	}
 }
 
-// ReplaceResidual implements ResidualReplacer. The measure is the Givens
-// least-squares estimate, so drift is |est − true|; replacement settles
-// the open cycle, and the restart that follows rebuilds v₀ (and each
-// method's companions, PGMRES's z₀) from the honest residual b − A·x —
-// a restart IS the method's residual replacement, discarding any
-// corrupted basis columns along with the estimate.
-func (s *arnoldi) ReplaceResidual(float64) ReplacementReport {
-	est := math.Sqrt(math.Max(s.res.Value(), 0))
-	s.settle()
-	tr := math.Sqrt(math.Max(s.res.Value(), 0))
-	return ReplacementReport{TrueResidual: tr, Drift: math.Abs(tr - est), Replaced: true}
-}
+// midCycle reports whether the measure includes the open cycle's
+// update, which x does not hold until the cycle closes.
+func (s *arnoldi) midCycle() bool { return s.j > 0 }

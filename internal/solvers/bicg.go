@@ -36,6 +36,15 @@ func NewBiCG(p *core.Planner) *BiCG {
 		q:  p.AllocateWorkspace(core.RhsShape),
 		qt: p.AllocateWorkspace(core.RhsShape),
 	}
+	s.restart()
+	return s
+}
+
+// restart implements restarter: r = b − A·x, with the shadow residual
+// and both directions started from it.
+func (s *BiCG) restart() {
+	p := s.p
+	s.bd.reset()
 	p.BeginPhase("bicg.init")
 	residualInit(p, s.r)
 	d := p.FusedSweep([]core.VecUpdate{
@@ -44,7 +53,6 @@ func NewBiCG(p *core.Planner) *BiCG {
 		{Kind: core.UpdCopy, Dst: s.pt, Src: s.rt},
 	}, []core.DotPair{{V: s.rt, W: s.r}, {V: s.r, W: s.r}})
 	s.rho, s.res = d[0], d[1]
-	return s
 }
 
 // Name implements Solver.

@@ -34,14 +34,25 @@ func NewBiCGStab(p *core.Planner) *BiCGStab {
 		v:    p.AllocateWorkspace(core.RhsShape),
 		t:    p.AllocateWorkspace(core.RhsShape),
 	}
+	s.restart()
+	return s
+}
+
+// restart implements restarter: r = b − A·x is also the fixed shadow
+// residual r̂, and ρ = α = ω = 1. The first step's p = r + β(p − ω v)
+// reads p and v, so they are zeroed.
+func (s *BiCGStab) restart() {
+	p := s.p
+	s.bd.reset()
 	p.BeginPhase("bicgstab.init")
+	p.Zero(s.pv)
+	p.Zero(s.v)
 	residualInit(p, s.r)
 	p.Copy(s.rhat, s.r) // r̂₀ fixed shadow residual
 	s.rho = p.Constant(1)
 	s.alpha = p.Constant(1)
 	s.omega = p.Constant(1)
 	s.res = p.Dot(s.r, s.r)
-	return s
 }
 
 // NewBiCGStabUnfused builds a BiCGStab solver on the pre-fusion

@@ -1,10 +1,6 @@
 package solvers
 
-import (
-	"math"
-
-	"kdrsolvers/internal/core"
-)
+import "kdrsolvers/internal/core"
 
 // CG is the conjugate gradient method of Hestenes and Stiefel for
 // symmetric positive definite systems — the paper's Figure 7 solver,
@@ -35,11 +31,17 @@ func NewCG(p *core.Planner) *CG {
 		q:  p.AllocateWorkspace(core.RhsShape),
 		r:  p.AllocateWorkspace(core.RhsShape),
 	}
+	s.restart()
+	return s
+}
+
+// restart implements restarter: r = b − A·x, p = r.
+func (s *CG) restart() {
+	p := s.p
 	p.BeginPhase("cg.init")
 	residualInit(p, s.r)
 	p.Copy(s.pv, s.r)
 	s.res = p.Dot(s.r, s.r)
-	return s
 }
 
 // NewCGUnfused builds a CG solver whose Step launches one task sweep
@@ -75,38 +77,6 @@ func (s *CG) Step() {
 	beta := p.Div(newRes, s.res) // β = res' / res
 	p.Xpay(s.pv, beta, s.r)      // p = r + β p
 	s.res = newRes
-}
-
-// ReplaceResidual implements ResidualReplacer: compute t = b − A·x into
-// the q workspace (free between steps), measure the recurrence drift
-// ‖r − t‖ via one batched reduction (‖r−t‖² = r·r − 2 r·t + t·t), and
-// rebase r ← t when the relative drift exceeds driftTol (always when
-// driftTol <= 0). The search direction is reset to the rebased residual:
-// a replacement only fires when r moved measurably, and after a large
-// move the old p violates rᵀp = rᵀr, making α = rᵀr/pᵀAp no longer a
-// line minimizer — keeping p can diverge. The steepest-descent restart
-// costs a few iterations of conjugacy; correctness it keeps.
-func (s *CG) ReplaceResidual(driftTol float64) ReplacementReport {
-	p := s.p
-	p.BeginPhase("cg.replace")
-	residualInit(p, s.q) // q = b − A·x, the true residual
-	d := p.DotBatch(
-		core.DotPair{V: s.r, W: s.r},
-		core.DotPair{V: s.r, W: s.q},
-		core.DotPair{V: s.q, W: s.q})
-	rr, rt, tt := d[0].Value(), d[1].Value(), d[2].Value()
-	trueRes := math.Sqrt(math.Max(tt, 0))
-	drift := math.Sqrt(math.Max(rr-2*rt+tt, 0))
-	rep := ReplacementReport{TrueResidual: trueRes, Drift: drift}
-	if driftTol > 0 && isFinite(drift) && drift <= driftTol*(trueRes+1) {
-		return rep
-	}
-	p.FusedUpdate(
-		core.VecUpdate{Kind: core.UpdCopy, Dst: s.r, Src: s.q},
-		core.VecUpdate{Kind: core.UpdCopy, Dst: s.pv, Src: s.r})
-	s.res = d[2]
-	rep.Replaced = true
-	return rep
 }
 
 // stepUnfused is the per-operation CG iteration.

@@ -39,11 +39,20 @@ func NewCGS(p *core.Planner) *CGS {
 		vhat: p.AllocateWorkspace(core.RhsShape),
 		uq:   p.AllocateWorkspace(core.SolShape),
 	}
+	s.restart()
+	return s
+}
+
+// restart implements restarter: r = b − A·x is also the shadow residual
+// r̃, and the next step is a first step (u = p = r).
+func (s *CGS) restart() {
+	p := s.p
+	s.bd.reset()
+	s.k, s.rho = 0, nil
 	p.BeginPhase("cgs.init")
 	residualInit(p, s.r)
 	s.res = p.FusedSweep([]core.VecUpdate{{Kind: core.UpdCopy, Dst: s.rt, Src: s.r}},
 		[]core.DotPair{{V: s.r, W: s.r}})[0]
-	return s
 }
 
 // Name implements Solver.

@@ -364,22 +364,22 @@ func TestReductionsPerIteration(t *testing.T) {
 	}
 }
 
-func TestResidualReplacementLaunchCost(t *testing.T) {
-	// One forced ReplaceResidual (true-residual recompute plus a batched
-	// drift reduction) must stay under 5% of the launches of the 50 CG
-	// iterations it is amortized over at the documented ReplaceEvery.
-	const replaceEvery = 50
+func TestRestartLaunchCost(t *testing.T) {
+	// One restart from x (the true-residual recompute, the direction
+	// reset and the r·r reduction) must stay under 5% of the launches of
+	// 50 CG iterations.
+	const iters = 50
 	p := tracedPlanFor(sparse.Laplacian2D(128, 128), fusedRHS(128*128), 4)
 	s := NewCG(p)
 	perIter := launchesPerIter(p, s)
 	before := p.Runtime().Stats().Launched
-	s.ReplaceResidual(0)
+	s.restart()
 	p.Drain()
 	cost := float64(p.Runtime().Stats().Launched - before)
-	t.Logf("replacement: %.0f launches against %.1f launches/iter", cost, perIter)
-	if cost > 0.05*replaceEvery*perIter {
-		t.Errorf("one residual replacement costs %.0f launches, over 5%% of %d iterations at %.1f launches/iter",
-			cost, replaceEvery, perIter)
+	t.Logf("restart: %.0f launches against %.1f launches/iter", cost, perIter)
+	if cost > 0.05*iters*perIter {
+		t.Errorf("one restart costs %.0f launches, over 5%% of %d iterations at %.1f launches/iter",
+			cost, iters, perIter)
 	}
 }
 

@@ -28,7 +28,7 @@ func NewGMRES(p *core.Planner, m int) *GMRES {
 	for i := 0; i <= m; i++ {
 		s.basis = append(s.basis, p.AllocateWorkspace(core.RhsShape))
 	}
-	s.restart = s.begin
+	s.prologue = s.begin
 	s.restart()
 	return s
 }

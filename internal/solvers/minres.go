@@ -48,15 +48,28 @@ func NewMINRES(p *core.Planner) *MINRES {
 		w1: p.AllocateWorkspace(core.SolShape),
 		w2: p.AllocateWorkspace(core.SolShape),
 	}
+	s.restart()
+	return s
+}
+
+// restart implements restarter: r2 = r1 = b − A·x, β = φ̄ = ‖r2‖, and
+// every rotation scalar back at its first-iteration value. The first
+// direction update reads w and w2 (w = v − 0·w1 − 0·w2 after the
+// rotation), so they are zeroed.
+func (s *MINRES) restart() {
+	p := s.p
 	p.BeginPhase("minres.init")
+	p.Zero(s.w)
+	p.Zero(s.w2)
 	residualInit(p, s.r2)
 	rr := p.FusedSweep([]core.VecUpdate{{Kind: core.UpdCopy, Dst: s.r1, Src: s.r2}},
 		[]core.DotPair{{V: s.r2, W: s.r2}})[0]
 	s.res = rr
+	s.k, s.oldb = 0, 0
 	s.beta = math.Sqrt(rr.Value())
 	s.phibar = s.beta
+	s.dbar, s.epsln, s.sn = 0, 0, 0
 	s.cs = -1 // the minres.m convention makes iteration 1 need no special case
-	return s
 }
 
 // Name implements Solver.

@@ -35,13 +35,19 @@ func NewPCG(p *core.Planner) *PCG {
 		r:  p.AllocateWorkspace(core.RhsShape),
 		z:  p.AllocateWorkspace(core.SolShape),
 	}
+	s.restart()
+	return s
+}
+
+// restart implements restarter: r = b − A·x, z = P r, p = z.
+func (s *PCG) restart() {
+	p := s.p
 	p.BeginPhase("pcg.init")
 	residualInit(p, s.r)
 	p.PSolve(s.z, s.r) // z = P r
 	p.Copy(s.pv, s.z)
 	s.rz = p.Dot(s.r, s.z)
 	s.res = p.Dot(s.r, s.r)
-	return s
 }
 
 // NewPCGUnfused builds a PCG solver on the pre-fusion per-operation

@@ -41,7 +41,7 @@ func NewPGMRES(p *core.Planner, m int) *PGMRES {
 		s.z = append(s.z, p.AllocateWorkspace(core.RhsShape))
 	}
 	// A cycle begins as GMRES's does, plus z₀ = A·v₀.
-	s.restart = func() {
+	s.prologue = func() {
 		s.begin()
 		p.Matmul(s.z[0], s.basis[0])
 	}

@@ -1,10 +1,6 @@
 package solvers
 
-import (
-	"math"
-
-	"kdrsolvers/internal/core"
-)
+import "kdrsolvers/internal/core"
 
 // PipeCG is the pipelined conjugate gradient method of Ghysels and
 // Vanroose (Parallel Computing 40, 2014) for symmetric positive definite
@@ -36,20 +32,31 @@ func NewPipeCG(p *core.Planner) *PipeCG {
 		panic("solvers: PipeCG requires a square system")
 	}
 	s := &PipeCG{
-		p:     p,
-		r:     p.AllocateWorkspace(core.RhsShape),
-		w:     p.AllocateWorkspace(core.RhsShape),
-		q:     p.AllocateWorkspace(core.RhsShape),
-		z:     p.AllocateWorkspace(core.RhsShape),
-		s:     p.AllocateWorkspace(core.RhsShape),
-		pv:    p.AllocateWorkspace(core.SolShape),
-		first: true,
+		p:  p,
+		r:  p.AllocateWorkspace(core.RhsShape),
+		w:  p.AllocateWorkspace(core.RhsShape),
+		q:  p.AllocateWorkspace(core.RhsShape),
+		z:  p.AllocateWorkspace(core.RhsShape),
+		s:  p.AllocateWorkspace(core.RhsShape),
+		pv: p.AllocateWorkspace(core.SolShape),
 	}
+	s.restart()
+	return s
+}
+
+// restart implements restarter: r = b − A·x, w = A·r, and the next step
+// runs in first-iteration mode (β = 0), which derives p, s and z from
+// the pair. That step still reads them (z = q + 0·z), so they are zeroed.
+func (s *PipeCG) restart() {
+	p := s.p
 	p.BeginPhase("pipecg.init")
+	p.Zero(s.z)
+	p.Zero(s.s)
+	p.Zero(s.pv)
 	residualInit(p, s.r)
 	p.Matmul(s.w, s.r) // w = A r
 	s.res = p.Dot(s.r, s.r)
-	return s
+	s.first = true
 }
 
 // Name implements Solver.
@@ -93,35 +100,4 @@ func (s *PipeCG) Step() {
 		core.VecUpdate{Kind: core.UpdAxpy, Dst: s.w, Alpha: alpha, Neg: true, Src: s.z}, // w -= α z
 	)
 	s.gamma, s.alphaOld, s.res = gamma, alpha, gamma
-}
-
-// ReplaceResidual implements ResidualReplacer. PipeCG's auxiliary
-// recurrences (w ≈ Ar, s ≈ Ap, z ≈ A²p) drift fastest of the methods
-// here — they are never recomputed in the steady state — so replacement
-// rebuilds the whole pipeline: r ← b − A·x, w ← A·r recomputed from the
-// operator, and the next step runs in first-iteration mode (β = 0),
-// which re-derives p, s, and z from the rebased pair. Drift is measured
-// against the recurrence residual r before rebasing, using the free q
-// workspace.
-func (s *PipeCG) ReplaceResidual(driftTol float64) ReplacementReport {
-	p := s.p
-	p.BeginPhase("pipecg.replace")
-	residualInit(p, s.q) // q = b − A·x, the true residual
-	d := p.DotBatch(
-		core.DotPair{V: s.r, W: s.r},
-		core.DotPair{V: s.r, W: s.q},
-		core.DotPair{V: s.q, W: s.q})
-	rr, rt, tt := d[0].Value(), d[1].Value(), d[2].Value()
-	trueRes := math.Sqrt(math.Max(tt, 0))
-	drift := math.Sqrt(math.Max(rr-2*rt+tt, 0))
-	rep := ReplacementReport{TrueResidual: trueRes, Drift: drift}
-	if driftTol > 0 && isFinite(drift) && drift <= driftTol*(trueRes+1) {
-		return rep
-	}
-	p.Copy(s.r, s.q)
-	p.Matmul(s.w, s.r)
-	s.res = d[2]
-	s.first = true
-	rep.Replaced = true
-	return rep
 }

@@ -134,7 +134,7 @@ func NewGCRODR(p *core.Planner, m, k int, cache *RecycleCache) *GCRODR {
 		panic("solvers: GCRO-DR needs 1 ≤ k < m")
 	}
 	s := &GCRODR{arnoldi: arnoldi{p: p, name: "gcrodr", m: m}, k: k, cache: cache, w: p.AllocateWorkspace(core.RhsShape)}
-	s.restart, s.finish = s.projectedBegin, s.correctAndHarvest
+	s.prologue, s.finish = s.projectedBegin, s.correctAndHarvest
 	for i := 0; i <= m; i++ {
 		s.basis = append(s.basis, p.AllocateWorkspace(core.RhsShape))
 	}
@@ -142,10 +142,20 @@ func NewGCRODR(p *core.Planner, m, k int, cache *RecycleCache) *GCRODR {
 		s.uvec = append(s.uvec, p.AllocateWorkspace(core.RhsShape))
 		s.cvec = append(s.cvec, p.AllocateWorkspace(core.RhsShape))
 	}
+	s.restart()
+	return s
+}
+
+// restart implements restarter: the recycle space re-warms from the
+// cache — or, without a cached space for this operator, empties — and
+// the cycle prologue projects b − A·x against it.
+func (s *GCRODR) restart() {
+	p := s.p
+	p.TraceEnd(s.tr) // the warm-up is no part of the discarded cycle
+	s.tr = false
+	s.nrec = 0
 	if !p.Virtual() {
-		if cached := cache.load(p.OperatorFingerprint()); len(cached) == s.k {
-			// Nothing is in flight yet, so the cached space can be copied
-			// straight into the workspaces' backing storage.
+		if cached := s.cache.load(p.OperatorFingerprint()); len(cached) == s.k {
 			ok := true
 			for i := range cached {
 				if len(cached[i]) != len(p.VecData(s.uvec[i], 0)) {
@@ -154,6 +164,9 @@ func NewGCRODR(p *core.Planner, m, k int, cache *RecycleCache) *GCRODR {
 				}
 			}
 			if ok {
+				// The space is copied straight into the workspaces'
+				// backing storage, so no task may still be reading them.
+				p.Drain()
 				for i := range cached {
 					copy(p.VecData(s.uvec[i], 0), cached[i])
 				}
@@ -162,8 +175,7 @@ func NewGCRODR(p *core.Planner, m, k int, cache *RecycleCache) *GCRODR {
 			}
 		}
 	}
-	s.restart()
-	return s
+	s.arnoldi.restart()
 }
 
 // refreshC recomputes C = A·U and MGS-orthonormalizes the pairs so that

@@ -1,6 +1,7 @@
 package solvers
 
 import (
+	"fmt"
 	"math"
 
 	"kdrsolvers/internal/core"
@@ -19,31 +20,17 @@ type ResilientConfig struct {
 	// vector. At 0 nothing is checkpointed or rolled back: the solve
 	// stops on the first bad state.
 	CheckpointEvery int
-	// MaxRestarts is the restart budget of a recovery-enabled solve
-	// (<= 0 disables restarts). Each restart rolls the solution back to
-	// the last verified checkpoint and rebuilds the solver, re-running
-	// its residual initialization.
+	// MaxRestarts is the rollback budget of a recovery-enabled solve
+	// (<= 0 disables rollbacks). Each rollback restores the solution
+	// from the last verified checkpoint and restarts the solver from it.
 	MaxRestarts int
 	// DetectSDC enables ABFT checksum detection on the planner
-	// (core.EnableSDCDetection). A recovery-enabled solve drives
-	// selective recovery from its alarms: solution pieces a checksum
-	// localized corruption to are restored from the last verified
-	// checkpoint — healthy pieces keep their newer state — and the
-	// solver's recurrence is force-rebased on the recomputed true
-	// residual. Solvers without residual replacement fall back to a
-	// whole-solve rollback on alarm. Without recovery the alarms are only
+	// (core.EnableSDCDetection). A recovery-enabled solve answers an
+	// alarm by restoring the last verified checkpoint and restarting the
+	// solver from it, without spending MaxRestarts: a detected corruption
+	// is a repair, not a failure. Without recovery the alarms are only
 	// counted (ResilientResult.SDCAlarms).
 	DetectSDC bool
-	// ReplaceEvery, when positive and the solver implements
-	// ResidualReplacer, runs a residual-replacement check every
-	// ReplaceEvery iterations: the true residual b − A·x is recomputed
-	// and the recurrence rebased when its drift exceeds DriftTol (van der
-	// Vorst & Ye). This bounds the damage of corruption below the
-	// detection floor as well as honest rounding drift.
-	ReplaceEvery int
-	// DriftTol is the relative drift threshold of the periodic
-	// replacement check; <= 0 replaces unconditionally at every check.
-	DriftTol float64
 	// StartIteration offsets the iteration counter: a solve resumed from
 	// a persisted checkpoint continues counting from the checkpointed
 	// iteration instead of 0. MaxIter keeps bounding the TOTAL iteration
@@ -84,7 +71,8 @@ type Checkpoint struct {
 // ResilientResult extends Result with recovery accounting.
 type ResilientResult struct {
 	Result
-	// Restarts is the number of checkpoint rollbacks performed.
+	// Restarts is the number of rollbacks that spent the MaxRestarts
+	// budget; an SDC alarm's rollback does not (SDCAlarms counts those).
 	Restarts int
 	// Checkpoints is the number of verified checkpoints taken.
 	Checkpoints int
@@ -95,17 +83,15 @@ type ResilientResult struct {
 	// SDCAlarms counts checksum alarms the detection layer raised
 	// (DetectSDC only).
 	SDCAlarms int64
-	// PieceRestores counts solution pieces selectively restored from the
-	// last checkpoint after an alarm localized corruption to them.
-	PieceRestores int
-	// MaxDrift is the largest recurrence-vs-true drift any replacement
-	// check observed.
-	MaxDrift float64
 }
 
 // divergeFactor is the multiple of the best verified residual past which
 // a recovery-enabled solve declares divergence and rolls back.
 const divergeFactor = 1e8
+
+// driftFactor is the multiple of a solver's own measure past which the
+// true residual verified at a checkpoint counts as recurrence drift.
+const driftFactor = 2
 
 // SolveResilient is the one convergence driver: Solve, serve.RunSolve
 // (mmsolve, a solo POST /solve) and the server's coalesced batches all
@@ -118,10 +104,14 @@ const divergeFactor = 1e8
 // measure reaches Tol, the driver settles the solver's deferred state
 // (the Arnoldi cycle's x += V y), drains the runtime and recomputes
 // ‖b − Ax‖ from A, x and b itself. Converged is true exactly when that
-// number is within Tol. On a miss, a ResidualReplacer is rebased on
-// b − Ax and keeps iterating, until a miss fails to halve the previous
-// miss's true residual; any other solver stops unconverged there.
+// number is within Tol. On a miss the solver restarts in place from x
+// (its recurrence begins again on b − Ax) and keeps iterating, until a
+// miss fails to halve the previous miss's true residual.
 //
+// Restart rule: there is one restart, "start again from the current x"
+// (every solver of this package restarts itself in place; for any other
+// the driver calls newSolver again). Besides the rejected claim, every
+// bad state restores the last verified checkpoint and then restarts.
 // A bad state is a NaN/Inf residual (a poisoned future or corruption),
 // a Krylov breakdown, or — recovery only — divergence past
 // divergeFactor × the best verified residual. Without recovery
@@ -130,28 +120,27 @@ const divergeFactor = 1e8
 //
 //   - Every CheckpointEvery iterations it drains the runtime, recomputes
 //     the true residual, and — if finite and not diverged — checkpoints
-//     the solution vector through the planner.
+//     the solution vector through the planner. When that verified
+//     residual exceeds driftFactor × the solver's own measure, the
+//     recurrence has drifted from x: the solve rolls back to the
+//     checkpoint it just took (losing no progress) and restarts. The test
+//     is skipped while the measure includes an update x does not hold yet
+//     (an Arnoldi cycle in progress, which restarts from b − Ax at every
+//     cycle anyway).
 //   - With DetectSDC, the planner's checksummed kernels raise alarms the
-//     driver polls every iteration. An alarm on a solution piece restores
-//     just that piece from the last checkpoint (core.RestoreSolPieces);
-//     alarms anywhere else leave the data in place. Either way the
-//     recurrence is force-rebased on the recomputed true residual
-//     (ResidualReplacer), so corrupted workspaces are rebuilt rather than
-//     trusted. The mixed-age solution this produces is a legitimate
-//     restart point — the Krylov methods here are stationary in x.
-//     (Without recovery, detection only counts alarms.)
-//   - With ReplaceEvery > 0, a periodic residual-replacement check
-//     bounds recurrence drift (and sub-floor corruption) between alarms.
-//   - On a bad state — or an alarm on a solver without residual
-//     replacement — it restores the whole checkpoint and rebuilds the
-//     solver with newSolver, a bounded number of times (MaxRestarts).
+//     driver polls every iteration. An alarm restores the checkpoint and
+//     restarts without spending the budget, so corrupted workspaces are
+//     rebuilt rather than trusted. (Without recovery, detection only
+//     counts alarms.)
+//   - Every other bad state, drift included, restores the checkpoint
+//     and restarts a bounded number of times (MaxRestarts).
 //
 // Any finite intermediate state is a legitimate restart point for the
 // Krylov methods here (they are stationary in x), which is why a verified
 // checkpoint needs only a finite true residual, not a consistent one.
 //
-// newSolver is called once, and once more after every rollback, when it
-// must build a fresh solver. p must be the real (non-virtual), finalized
+// newSolver is called once; it is called again only to restart a solver
+// from outside this package. p must be the real (non-virtual), finalized
 // planner the solver runs on.
 func SolveResilient(p *core.Planner, newSolver func() Solver, cfg ResilientConfig) ResilientResult {
 	recovering := cfg.CheckpointEvery > 0
@@ -164,9 +153,9 @@ func SolveResilient(p *core.Planner, newSolver func() Solver, cfg ResilientConfi
 	}
 
 	// clearRecovered empties the session's error window once a rollback
-	// (or selective restore) has provably recovered — the state just
-	// verified against the true residual. Without this, a long-running
-	// session keeps reporting failures it already absorbed.
+	// has provably recovered — the state just verified against the true
+	// residual. Without this, a long-running session keeps reporting
+	// failures it already absorbed.
 	clearRecovered := func(when string) {
 		if n := p.Session().ClearErrs(); n > 0 {
 			logf("resilient: cleared %d recovered task failure(s) at %s", n, when)
@@ -209,11 +198,6 @@ func SolveResilient(p *core.Planner, newSolver func() Solver, cfg ResilientConfi
 		}
 		return out
 	}
-	noteDrift := func(rep ReplacementReport) {
-		if isFinite(rep.Drift) && rep.Drift > out.MaxDrift {
-			out.MaxDrift = rep.Drift
-		}
-	}
 
 	var ckpt [][]float64
 	var best float64
@@ -246,74 +230,52 @@ func SolveResilient(p *core.Planner, newSolver func() Solver, cfg ResilientConfi
 		}
 	}
 
-	for restart := 0; ; restart++ {
-		s := newSolver()
-		rplc, _ := s.(ResidualReplacer)
-		sinceCkpt, sinceReplace := 0, 0
+	s := newSolver()
+	measure := func() float64 { return math.Sqrt(s.ConvergenceMeasure().Value()) }
+	// restart starts s again from the current x.
+	restart := func() {
+		if r, ok := s.(restarter); ok {
+			r.restart()
+		} else {
+			s = newSolver()
+		}
+	}
+	// rollback restores the last verified checkpoint and restarts from it.
+	rollback := func() {
+		p.Drain()
+		p.RestoreSol(ckpt)
+		if mon != nil {
+			mon.Take() // the restore discards whatever the alarms indicted
+		}
+		restart()
+	}
+
+	for {
+		sinceCkpt := 0
 		bad := "" // non-empty when this leg must be abandoned
 		var res float64
 		lastMiss := math.Inf(1) // true residual of the leg's last rejected claim
 
 	leg:
 		for {
-			res = math.Sqrt(s.ConvergenceMeasure().Value())
+			res = measure()
 			if cfg.Observe != nil {
 				cfg.Observe(iter, res)
 			}
 
-			// Selective SDC recovery, before the bad-residual triage: a
-			// detected corruption is repaired in place (piece restore +
-			// forced replacement) instead of burning a whole-solve restart.
+			// A detected corruption is repaired, not counted as a failure:
+			// roll back without spending the restart budget.
 			if mon != nil && recovering {
-				alarms := mon.Take()
-				if len(alarms) > 0 {
+				if alarms := mon.Take(); len(alarms) > 0 {
 					p.Drain()
-					alarms = append(alarms, mon.Take()...) // alarms surfaced by the drain
-					out.SDCAlarms += int64(len(alarms))
-					if rplc == nil {
-						bad = "sdc alarm (solver lacks residual replacement)"
-						break leg
-					}
-					slots := solSlots(alarms)
-					if len(slots) > 0 {
-						p.RestoreSolPieces(ckpt, slots)
-						out.PieceRestores += len(slots)
-					}
-					rep := rplc.ReplaceResidual(0) // forced rebase on b − A·x
-					out.Replacements++
-					noteDrift(rep)
-					p.Drain()
-					// Recovery itself read the pre-rebase state (the corrupt
-					// residual, the restored pieces' neighbors); any alarms it
-					// raised are self-inflicted and already handled.
-					mon.Take()
-					logf("resilient: %d sdc alarm(s) at iter %d; restored %d piece(s), rebased residual (true %.3g, drift %.3g)",
-						len(alarms), iter, len(slots), rep.TrueResidual, rep.Drift)
-					if !isFinite(rep.TrueResidual) {
-						bad = "true residual is not finite after sdc recovery"
-						break leg
-					}
-					res = rep.TrueResidual
-					sinceReplace = 0
+					n := len(alarms) + len(mon.Take()) // alarms surfaced by the drain
+					out.SDCAlarms += int64(n)
+					rollback()
+					sinceCkpt = 0
+					res = measure()
+					logf("resilient: %d sdc alarm(s) at iter %d; restored the checkpoint and restarted (residual %.3g)",
+						n, iter, res)
 				}
-			}
-
-			// Periodic residual replacement (van der Vorst & Ye): rebase the
-			// recurrence when it has drifted from b − A·x.
-			if rplc != nil && cfg.ReplaceEvery > 0 && sinceReplace >= cfg.ReplaceEvery {
-				rep := rplc.ReplaceResidual(cfg.DriftTol)
-				noteDrift(rep)
-				sinceReplace = 0
-				if rep.Replaced {
-					out.Replacements++
-					logf("resilient: residual replaced at iter %d (true %.3g, drift %.3g)",
-						iter, rep.TrueResidual, rep.Drift)
-				}
-				if !isFinite(rep.TrueResidual) {
-					bad = "true residual is not finite at replacement check"
-					break leg
-				}
-				res = rep.TrueResidual
 			}
 
 			switch {
@@ -337,17 +299,15 @@ func SolveResilient(p *core.Planner, newSolver func() Solver, cfg ResilientConfi
 					bad = "true residual is not finite"
 					break leg
 				}
-				if rplc == nil || tr > lastMiss/2 {
+				if tr > lastMiss/2 {
 					logf("solve: measure %.3g but true residual %.3g; stopping", res, tr)
 					return finish(res, tr, false)
 				}
 				lastMiss = tr
-				rep := rplc.ReplaceResidual(0)
+				restart()
 				out.Replacements++
-				noteDrift(rep)
-				sinceReplace = 0
-				logf("solve: measure %.3g but true residual %.3g; residual replaced", res, tr)
-				res = rep.TrueResidual
+				logf("solve: measure %.3g but true residual %.3g; restarted from x", res, tr)
+				res = measure()
 			}
 
 			// Breakdown guards zero the step's coefficients, so the iterate is
@@ -377,6 +337,10 @@ func SolveResilient(p *core.Planner, newSolver func() Solver, cfg ResilientConfi
 					}
 					clearRecovered("verified checkpoint")
 					logf("resilient: checkpoint at iter %d, true residual %.3g", iter, rn)
+					if rn > driftFactor*res && !midCycle(s) {
+						bad = fmt.Sprintf("recurrence drift (measure %.3g, true residual %.3g)", res, rn)
+						break leg
+					}
 				}
 			}
 
@@ -386,12 +350,11 @@ func SolveResilient(p *core.Planner, newSolver func() Solver, cfg ResilientConfi
 			s.Step()
 			iter++
 			sinceCkpt++
-			sinceReplace++
 		}
 
-		if bad == "" || restart >= cfg.MaxRestarts {
+		if bad == "" || out.Restarts >= cfg.MaxRestarts {
 			if bad != "" {
-				logf("solve: %s; stopping after %d restart(s)", bad, restart)
+				logf("solve: %s; stopping after %d restart(s)", bad, out.Restarts)
 				if bc, ok := s.(BreakdownChecker); ok {
 					out.Breakdown = bc.Breakdown()
 				}
@@ -404,25 +367,15 @@ func SolveResilient(p *core.Planner, newSolver func() Solver, cfg ResilientConfi
 			return finish(res, trueResidual(), false)
 		}
 		logf("resilient: %s; rolling back to last checkpoint (restart %d/%d)",
-			bad, restart+1, cfg.MaxRestarts)
-		p.Drain()
-		p.RestoreSol(ckpt)
-		if mon != nil {
-			mon.Take() // rollback discards whatever the alarms indicted
-		}
+			bad, out.Restarts+1, cfg.MaxRestarts)
+		rollback()
 		out.Restarts++
 	}
 }
 
-// solSlots collects the distinct solution-piece slots the alarms indict.
-func solSlots(alarms []core.SDCAlarm) []int {
-	var slots []int
-	seen := map[int]bool{}
-	for _, a := range alarms {
-		if a.Vec == core.SOL && !seen[a.Slot] {
-			seen[a.Slot] = true
-			slots = append(slots, a.Slot)
-		}
-	}
-	return slots
+// midCycle reports whether s's measure includes an update x does not
+// hold yet (an Arnoldi cycle in progress).
+func midCycle(s Solver) bool {
+	m, ok := s.(interface{ midCycle() bool })
+	return ok && m.midCycle()
 }

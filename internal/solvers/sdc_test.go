@@ -69,9 +69,9 @@ func runTrusting(s Solver, tol float64, maxSteps int) bool {
 // planted bit flip and no detection, the recurrence claims convergence
 // but the true residual is orders of magnitude off — the regression
 // witness for why detection exists; (b) the same run with checksummed
-// kernels raises an alarm; (c) SolveResilient with detection and
-// residual replacement converges to the ACTUAL solution, with
-// Result.TrueResidual at tolerance.
+// kernels raises an alarm; (c) SolveResilient with detection, which
+// answers the alarm by restoring the checkpoint and restarting, converges
+// to the ACTUAL solution, with Result.TrueResidual at tolerance.
 func TestSDCSolverAcceptance(t *testing.T) {
 	const tol = 1e-8
 	a, b := sdcProblem()
@@ -112,7 +112,7 @@ func TestSDCSolverAcceptance(t *testing.T) {
 			mk := tc.mk
 			res := SolveResilient(p, func() Solver { return mk(p) }, ResilientConfig{
 				Tol: tol, MaxIter: 2000, CheckpointEvery: 5, MaxRestarts: 10,
-				DetectSDC: true, ReplaceEvery: 25, DriftTol: 1e-6,
+				DetectSDC: true,
 			})
 			p.Drain()
 			if p.Runtime().Stats().Corrupted == 0 {
@@ -127,107 +127,16 @@ func TestSDCSolverAcceptance(t *testing.T) {
 			if res.SDCAlarms == 0 {
 				t.Fatalf("no SDC alarms counted despite corruption: %+v", res)
 			}
+			// An alarm is a repair, not a failure: its rollback must not
+			// spend the restart budget.
+			if res.Restarts != 0 {
+				t.Fatalf("sdc recovery spent %d restart(s) of the budget: %+v", res.Restarts, res)
+			}
 			// The solution itself must be good, by arithmetic the planner
 			// never touched.
 			if tr := drainedResidual(a, p, b); tr > 10*tol {
 				t.Fatalf("host-side true residual %g past tolerance", tr)
 			}
 		})
-	}
-}
-
-// Selective recovery accounting: an alarm that localizes corruption to a
-// solution piece must restore just that piece (PieceRestores), not burn
-// a whole-solve restart.
-func TestSDCSelectiveRecoveryKeepsHealthyPieces(t *testing.T) {
-	const tol = 1e-8
-	a, b := sdcProblem()
-	p := planFor(a, b, 4)
-	mon := p.EnableSDCDetection(0)
-
-	// Solve partway, checkpoint via the driver, then flip a bit in a
-	// solution piece directly and let SolveResilient pick up the pieces.
-	s := NewCG(p)
-	RunIterations(s, 5)
-	p.Drain()
-	d := p.VecData(core.SOL, 0)
-	d[20] = fault.FlipBit(d[20], 52) // piece 1 of 4 × 16 entries
-
-	res := SolveResilient(p, func() Solver { return NewCG(p) }, ResilientConfig{
-		Tol: tol, MaxIter: 500, CheckpointEvery: 5, MaxRestarts: 5, DetectSDC: true,
-	})
-	p.Drain()
-	if !res.Converged || res.TrueResidual > tol {
-		t.Fatalf("recovery failed: %+v (alarms %v)", res, mon.Alarms())
-	}
-	if res.SDCAlarms == 0 {
-		t.Fatalf("planted flip raised no alarm: %+v", res)
-	}
-	if res.Restarts != 0 {
-		t.Fatalf("selective recovery burned %d whole-solve restarts: %+v", res.Restarts, res)
-	}
-}
-
-// Residual replacement on a clean run: periodic checks must not fire
-// spurious replacements when DriftTol is honest, and the result must
-// still report the true residual.
-func TestSDCReplaceEveryCleanRun(t *testing.T) {
-	const tol = 1e-10
-	a, b := sdcProblem()
-	for _, tc := range sdcCases {
-		t.Run(tc.name, func(t *testing.T) {
-			p := planFor(a, b, 4)
-			mk := tc.mk
-			res := SolveResilient(p, func() Solver { return mk(p) }, ResilientConfig{
-				Tol: tol, MaxIter: 2000, CheckpointEvery: 10,
-				ReplaceEvery: 10, DriftTol: 1e-4,
-			})
-			p.Drain()
-			if !res.Converged || res.TrueResidual > tol {
-				t.Fatalf("clean run with periodic replacement: %+v", res)
-			}
-			// CG and PipeCG carry an explicit recurrence residual whose clean
-			// drift is far below 1e-4 relative; a spurious rebase would mean
-			// the drift measurement is broken. (The estimate-based s-step
-			// solver always replaces by contract.)
-			if tc.name != "sstep-cg" && res.Replacements != 0 {
-				t.Fatalf("%d spurious replacements on a clean run (max drift %g)",
-					res.Replacements, res.MaxDrift)
-			}
-		})
-	}
-}
-
-// ReplaceResidual's drift measurement, exercised directly: corrupt the
-// recurrence residual of a mid-solve CG, force a replacement, and the
-// solver must converge to the true solution afterwards.
-func TestSDCReplaceResidualRebases(t *testing.T) {
-	const tol = 1e-9
-	a, b := sdcProblem()
-	p := planFor(a, b, 4)
-	s := NewCG(p)
-	RunIterations(s, 5)
-	p.Drain()
-
-	// Corrupt the maintained residual vector r (workspace index: pv, q, r
-	// are allocated in order; use the solver's own state via reflection-free
-	// means — corrupt x instead, which desynchronizes r from b − A·x).
-	d := p.VecData(core.SOL, 0)
-	d[3] = fault.FlipBit(d[3], 52)
-
-	rep := s.ReplaceResidual(1e-6)
-	if !rep.Replaced {
-		t.Fatalf("corrupted iterate did not trigger replacement: %+v", rep)
-	}
-	if !(rep.Drift > 0) {
-		t.Fatalf("replacement reported no drift: %+v", rep)
-	}
-	res := Solve(p, s, tol, 500)
-	p.Drain()
-	if !res.Converged {
-		t.Fatalf("post-replacement solve: %+v", res)
-	}
-	if tr := drainedResidual(a, p, b); tr > 10*tol {
-		t.Fatalf("true residual %g after replacement-led solve", tr)
 	}
 }

@@ -17,12 +17,14 @@
 // GMRES, pipelined GMRES and GCRO-DR are one Arnoldi process with
 // different orthogonalization; the restart cycle they share (trace
 // scope, happy-breakdown test, Givens estimate, Hessenberg solve,
-// x += V y, residual replacement) is the embedded arnoldi type, and each
-// method keeps only its step's column and its restart prologue.
+// x += V y, restart from b − Ax) is the embedded arnoldi type, and each
+// method keeps only its step's column and its cycle prologue.
 //
 // No solver decides its own convergence: the driver (SolveResilient)
 // recomputes ‖b − Ax‖ at every claim of its measure, and that number
-// alone decides Result.Converged.
+// alone decides Result.Converged. Every solver here can start again from
+// the current x in place (restarter); the driver does so after a
+// rejected claim and after restoring a checkpoint.
 package solvers
 
 import (
@@ -108,10 +110,9 @@ type Result struct {
 	TrueResidual float64
 	// Converged reports whether TrueResidual is within the tolerance.
 	Converged bool
-	// Replacements counts residual-replacement events: rebasings of the
-	// recurrence residual onto the recomputed true residual b − A·x,
-	// performed after a rejected convergence claim, periodically, or on a
-	// corruption alarm.
+	// Replacements counts restarts from x after rejected convergence
+	// claims: the solver's recurrence started again on the recomputed
+	// b − A·x.
 	Replacements int
 	// Breakdown is non-nil when the method hit a Krylov breakdown (a
 	// vanished recurrence denominator) and stopped cleanly at the last
@@ -142,33 +143,17 @@ type settler interface {
 	settle()
 }
 
-// ReplacementReport describes one residual-replacement decision.
-type ReplacementReport struct {
-	// TrueResidual is ‖b − A·x‖ recomputed from the current iterate.
-	TrueResidual float64
-	// Drift is the distance between the recurrence residual and the true
-	// residual (‖r_rec − r_true‖ for methods carrying an explicit residual
-	// vector; |est − true| for estimate-based methods).
-	Drift float64
-	// Replaced reports whether the recurrence was rebased onto the true
-	// residual.
-	Replaced bool
-}
-
-// ResidualReplacer is implemented by solvers supporting residual
-// replacement (van der Vorst & Ye): ReplaceResidual recomputes the true
-// residual b − A·x, measures how far the recurrence residual has
-// drifted from it, and — when the relative drift exceeds driftTol, or
-// always when driftTol <= 0 (a forced replacement, the corruption-
-// recovery path) — rebases the recurrence on the true residual so the
-// method converges to the actual solution rather than to its drifted
-// recurrence's fiction. Pipelined and s-step methods rebuild their
-// auxiliary recurrences (w = Ar, s = Ap, basis blocks) from the rebased
-// state; estimate-based methods (the Arnoldi family, s-step CG) finish
-// any open cycle first and always replace. The driver also rebases a
-// replacer whose convergence claim ‖b − Ax‖ did not back.
-type ResidualReplacer interface {
-	ReplaceResidual(driftTol float64) ReplacementReport
+// restarter is implemented by every solver of this package. restart
+// starts the method again from the current x: r ← b − Ax, every
+// recurrence, scalar, breakdown flag, open cycle and trace scope reset,
+// and every workspace the first step reads before writing zeroed, so the
+// solver is indistinguishable from one freshly built on the same
+// workspaces — whatever they held, NaN included. Each constructor is
+// "allocate workspaces, then restart". The driver restarts a solver in
+// place after a rejected convergence claim and after restoring a
+// checkpoint.
+type restarter interface {
+	restart()
 }
 
 // breakdownFlag records the first breakdown observed by guarded scalar
@@ -184,6 +169,13 @@ func (f *breakdownFlag) report(method, what string) {
 	if f.err == nil {
 		f.err = fmt.Errorf("%w: %s: %s denominator vanished", ErrBreakdown, method, what)
 	}
+	f.mu.Unlock()
+}
+
+// reset forgets a recorded breakdown.
+func (f *breakdownFlag) reset() {
+	f.mu.Lock()
+	f.err = nil
 	f.mu.Unlock()
 }
 

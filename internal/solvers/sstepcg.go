@@ -77,11 +77,28 @@ func NewSStepCG(p *core.Planner, s int) *SStepCG {
 	for i := 0; i < s-1; i++ {
 		sv.rws = append(sv.rws, p.AllocateWorkspace(core.RhsShape))
 	}
-	p.BeginPhase("sstep.init")
-	residualInit(p, sv.rv)
-	sv.res = p.Dot(sv.rv, sv.rv)
-	p.Copy(sv.pv, sv.rv)
+	sv.restart()
 	return sv
+}
+
+// restart implements restarter: r = b − A·x, p = r, the monomial basis
+// and an empty coefficient history. Each Step swaps rv↔rNext and
+// pv↔pNext together; restart swaps them back to the constructor's
+// allocation order, so the two-block trace instances that follow name
+// the regions the recorded template does.
+func (s *SStepCG) restart() {
+	p := s.p
+	s.closeTrace()
+	if s.rv > s.rNext {
+		s.rv, s.rNext = s.rNext, s.rv
+		s.pv, s.pNext = s.pNext, s.pv
+	}
+	s.shifts, s.alphas, s.betas = nil, nil, nil
+	s.flag.reset()
+	p.BeginPhase("sstep.init")
+	residualInit(p, s.rv)
+	s.res = p.Dot(s.rv, s.rv)
+	p.Copy(s.pv, s.rv)
 }
 
 // Name implements Solver.
@@ -297,24 +314,6 @@ func (s *SStepCG) maybeSwitchBasis(gm [][]float64, condFailed bool) {
 // settle implements settler: the driver's residual check is no part of
 // a block, so it must not launch inside the open two-block trace scope.
 func (s *SStepCG) settle() { s.closeTrace() }
-
-// ReplaceResidual implements ResidualReplacer. The s-step block measure
-// lives entirely in coefficient space, so there is no recurrence vector
-// to compare elementwise: drift is |est − true| between the block's
-// coefficient-space estimate and the recomputed ‖b − A·x‖, and
-// replacement always rebases — r ← b − Ax with the direction restarted
-// from it, which is exactly the recovery a corrupted basis block needs.
-func (s *SStepCG) ReplaceResidual(float64) ReplacementReport {
-	p := s.p
-	est := math.Sqrt(math.Max(s.res.Value(), 0))
-	s.settle()
-	p.BeginPhase("sstep.replace")
-	residualInit(p, s.rv)
-	s.res = p.Dot(s.rv, s.rv)
-	p.Copy(s.pv, s.rv)
-	tr := math.Sqrt(math.Max(s.res.Value(), 0))
-	return ReplacementReport{TrueResidual: tr, Drift: math.Abs(tr - est), Replaced: true}
-}
 
 // quadForm evaluates aᵀ G b.
 func quadForm(g [][]float64, a, b []float64) float64 {

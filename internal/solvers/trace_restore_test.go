@@ -13,7 +13,7 @@ import (
 // runtime, so every spliced dependence is already satisfied) or falls
 // back to full analysis and re-records — and either way the computed
 // iterates are bitwise identical to the untraced run of the same
-// checkpoint/restore/replace sequence.
+// checkpoint/restore/restart sequence.
 func TestTraceCheckpointRestoreMidSplice(t *testing.T) {
 	a, b := sdcProblem()
 	run := func(tracing bool) []float64 {
@@ -26,9 +26,9 @@ func TestTraceCheckpointRestoreMidSplice(t *testing.T) {
 		RunIterations(s, 4)
 		p.Drain()
 		p.RestoreSol(ckpt) // mid-splice host-side write
-		// The restore desynchronized the recurrence (r, p) from x; rebase
-		// exactly as a resilient driver would before iterating on.
-		s.ReplaceResidual(0)
+		// The restore desynchronized the recurrence (r, p) from x; restart
+		// from it exactly as a resilient driver would before iterating on.
+		s.restart()
 		RunIterations(s, 6)
 		p.Drain()
 		if tracing {
