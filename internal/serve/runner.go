@@ -182,7 +182,7 @@ func RunSolve(a *sparse.CSR, spec jobspec.Spec, opt Options) JobResult {
 		}
 		copy(x, opt.Resume.X)
 	}
-	out := solveSystem(a, x, b, spec, opt)
+	out := solveSystem(a, 1, x, b, spec, opt)
 	// The honest yardstick: ‖b − A·x‖ recomputed host-side from the raw
 	// matrix and arrays, sharing no state with the solve.
 	out.TrueResidual = HostResidual(a, x, b)
@@ -191,35 +191,50 @@ func RunSolve(a *sparse.CSR, spec jobspec.Spec, opt Options) JobResult {
 }
 
 // solveSystem is the one place a planner is built and driven: it plans
-// A·x = b inside opt.Session as spec describes, runs spec's solver from
-// the x supplied through the one driver (solvers.SolveResilient), and
-// reports everything but the host-side evidence (TrueResidual, X), which
-// callers compute per system — RunSolve for its job, runBatch for each
-// member of a block-diagonal batch.
-func solveSystem(a *sparse.CSR, x, b []float64, spec jobspec.Spec, opt Options) JobResult {
+// diag(A, …, A)·x = b with k diagonal blocks inside opt.Session as spec
+// describes, runs spec's solver from the x supplied through the one
+// driver (solvers.SolveResilient), and reports everything but the
+// host-side evidence (TrueResidual, X), which callers compute per
+// system — RunSolve for its job (k = 1), runBatch for each member of a
+// batch. The n×n operator is converted (or tuned, over the row bands of
+// one member's partition) once, and sparse.BlockDiag tiles that one
+// operator k times; the k·n vectors take the spec's piece count, so a
+// batch launches as many tasks per iteration as one solo solve.
+func solveSystem(a *sparse.CSR, k int, x, b []float64, spec jobspec.Spec, opt Options) JobResult {
 	sess := opt.Session
 	rows, _ := sparse.Dims(a)
-	out := JobResult{Solver: spec.Solver, N: int(rows), NNZ: a.NNZ()}
+	n := int64(k) * rows
+	out := JobResult{Solver: spec.Solver, N: int(n), NNZ: int64(k) * a.NNZ()}
 
 	p := core.NewPlanner(core.Config{Machine: machine.Lassen(1), Session: sess})
 	// Colors past the row count would be empty pieces: same answer, more
 	// to plan.
-	pieces := int(min(int64(spec.Pieces), max(rows, 1)))
-	si := p.AddSolVector(x, index.EqualPartition(index.NewSpace("D", rows), pieces))
-	ri := p.AddRHSVector(b, index.EqualPartition(index.NewSpace("R", rows), pieces))
+	pieces := func(size int64) int { return int(min(int64(spec.Pieces), max(size, 1))) }
+	si := p.AddSolVector(x, index.EqualPartition(index.NewSpace("D", n), pieces(n)))
+	ri := p.AddRHSVector(b, index.EqualPartition(index.NewSpace("R", n), pieces(n)))
+	var m sparse.Matrix
 	if canon, _ := sparse.CanonicalFormat(spec.Format); canon == "Auto" {
-		tuned := p.AddOperatorAuto(a, si, ri)
+		// A band per piece of one member's range, so that for k = 1 every
+		// task piece computes over a single tile.
+		var starts []int64
+		for _, pc := range index.EqualPartition(index.NewSpace("R", rows), pieces(rows)).Pieces() {
+			if !pc.Empty() {
+				starts = append(starts, pc.Bounds().Lo)
+			}
+		}
+		tuned := sparse.AutoSelectBands(a, starts)
 		out.AutoFormats = tuned.SelectedFormats()
+		m = tuned
 	} else {
-		m, err := sparse.ConvertNamed(a, spec.Format)
-		if err != nil {
+		var err error
+		if m, err = sparse.ConvertNamed(a, spec.Format); err != nil {
 			out.Err = err.Error()
 			return out
 		}
-		p.AddOperator(m, si, ri)
 	}
+	p.AddOperator(sparse.BlockDiag(m, k), si, ri)
 	if spec.Solver == "pcg" {
-		p.AddPreconditioner(precond.Jacobi(a), si, ri)
+		p.AddPreconditioner(sparse.BlockDiag(precond.Jacobi(a), k), si, ri)
 	}
 	p.Finalize()
 	p.SetTracing(opt.Tracing)
@@ -268,7 +283,7 @@ func solveSystem(a *sparse.CSR, x, b []float64, spec jobspec.Spec, opt Options) 
 	if sink := opt.CheckpointSink; sink != nil {
 		basis := p.OperatorFingerprint()
 		cfg.CheckpointSink = func(c solvers.Checkpoint) {
-			sink(c.Iteration, c.TrueResidual, flattenCheckpoint(c.Sol), basis)
+			sink(c.Iteration, c.TrueResidual, c.Sol[0], basis)
 		}
 	}
 
@@ -302,24 +317,6 @@ func solveSystem(a *sparse.CSR, x, b []float64, spec jobspec.Spec, opt Options) 
 		out.Err = err.Error()
 	}
 	out.Session = sess.Stats()
-	return out
-}
-
-// flattenCheckpoint concatenates a planner checkpoint's per-component
-// slices into one index-ordered vector (RunSolve planners have a single
-// solution component, so this is usually a copy of that one slice).
-func flattenCheckpoint(sol [][]float64) []float64 {
-	if len(sol) == 1 {
-		return append([]float64(nil), sol[0]...)
-	}
-	var n int
-	for _, s := range sol {
-		n += len(s)
-	}
-	out := make([]float64, 0, n)
-	for _, s := range sol {
-		out = append(out, s...)
-	}
 	return out
 }
 

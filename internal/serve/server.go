@@ -42,7 +42,7 @@ type Config struct {
 	QueueDepth int
 	// CoalesceMax caps how many compatible queued jobs are fused into
 	// one batched multi-RHS solve (sharing the operator the multirhs
-	// pattern aliases). 0 or 1 disables coalescing. Default 8.
+	// pattern aliases). 1 disables coalescing. Default (0) 8.
 	CoalesceMax int
 	// Tracing enables per-session trace memoization of solver iteration
 	// loops.
@@ -219,11 +219,14 @@ type MetricsSnapshot struct {
 // makes coalescing and recycle-cache hits possible at all:
 // Planner.OperatorFingerprint identifies operators by concrete matrix
 // object, so tenants must alias one CSR to count as "sharing an
-// operator".
+// operator". cache is the matrix's recycle cache: gcrodr jobs on the
+// same operator warm-start from each other's deflation spaces, and
+// different operators never share one.
 type matrixEntry struct {
-	once sync.Once
-	a    *sparse.CSR
-	err  error
+	once  sync.Once
+	a     *sparse.CSR
+	err   error
+	cache *solvers.RecycleCache
 }
 
 // Server multiplexes many solve jobs over one shared taskrt.Runtime,
@@ -251,7 +254,6 @@ type Server struct {
 	journalClose sync.Once
 
 	matrices map[string]*matrixEntry
-	caches   map[string]*solvers.RecycleCache
 
 	workers sync.WaitGroup
 	metrics Metrics
@@ -275,7 +277,6 @@ func NewServer(cfg Config) (*Server, error) {
 		rt:       rt,
 		jobs:     make(map[string]*Job),
 		matrices: make(map[string]*matrixEntry),
-		caches:   make(map[string]*solvers.RecycleCache),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	if cfg.WALDir != "" {
@@ -624,104 +625,68 @@ func coalesceKey(sp jobspec.Spec) string {
 	return fmt.Sprintf("%s|%s|%s|%g|%d|%d", sp.Matrix, sp.Solver, sp.Format, sp.Tol, sp.MaxIter, sp.Pieces)
 }
 
-// matrix returns the shared loaded matrix for a spec string, loading it
-// on first use. Concurrent callers share one load.
-func (s *Server) matrix(key string) (*sparse.CSR, error) {
+// matrix returns the shared entry for a spec string, loading the
+// matrix on first use. Concurrent callers share one load.
+func (s *Server) matrix(key string) *matrixEntry {
 	s.mu.Lock()
 	e := s.matrices[key]
 	if e == nil {
-		e = &matrixEntry{}
+		e = &matrixEntry{cache: solvers.NewRecycleCache()}
 		s.matrices[key] = e
 	}
 	s.mu.Unlock()
 	e.once.Do(func() { e.a, e.err = jobspec.LoadMatrix(key) })
-	return e.a, e.err
+	return e
 }
 
-// recycleCache returns the matrix's shared recycle cache. Jobs solving
-// the same operator with gcrodr warm-start from each other's deflation
-// spaces; different operators never share (distinct fingerprints would
-// miss anyway — this just keeps each cache's LRU pressure local).
-func (s *Server) recycleCache(key string) *solvers.RecycleCache {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	c := s.caches[key]
-	if c == nil {
-		c = solvers.NewRecycleCache()
-		s.caches[key] = c
-	}
-	return c
-}
-
-// batchNNZBudget caps the storage a coalesced batch may tile: BlockDiag
-// owns k× the operator's nonzeros, so chunk width is bounded by
-// budget/nnz. Claim time cannot enforce this — the matrix may not be
-// loaded yet — so runGroup re-chunks an oversized group.
-const batchNNZBudget = 8 << 20
-
-// runGroup executes one claimed group — solo or coalesced — completing
-// every member job. Each chunk runs in its own session so a failure in
-// one batch cannot pollute the error window of the next.
+// runGroup executes one claimed group — solo or coalesced — in one
+// session, completing every member job.
 func (s *Server) runGroup(worker int, group []*Job) {
 	spec := group[0].Spec
-	a, err := s.matrix(spec.Matrix)
-	if err != nil {
+	e := s.matrix(spec.Matrix)
+	if e.err != nil {
 		for _, j := range group {
-			s.completeJob(j, &JobResult{Solver: j.Spec.Solver, Err: err.Error()})
+			s.completeJob(j, &JobResult{Solver: j.Spec.Solver, Err: e.err.Error()})
 		}
 		return
 	}
-	maxK := len(group)
-	if nnz := a.NNZ(); nnz > 0 && int64(maxK)*nnz > batchNNZBudget {
-		maxK = int(batchNNZBudget / nnz)
-		if maxK < 1 {
-			maxK = 1
+	sess := s.rt.NewSession(group[0].ID)
+	defer sess.Close()
+	start := time.Now()
+	if len(group) > 1 {
+		s.metrics.Batches.Inc()
+		s.metrics.CoalescedJobs.Add(int64(len(group)))
+		s.cfg.Log("coalesce: %d %s jobs on %s into one block-diagonal multi-RHS solve",
+			len(group), spec.Solver, spec.Matrix)
+		results := runBatch(e.a, group, sess, s.cfg.Tracing)
+		s.metrics.SolveTime.ObserveN(time.Since(start), int64(len(group)))
+		for i, j := range group {
+			s.completeJob(j, results[i])
+		}
+		return
+	}
+	j := group[0]
+	opt := Options{
+		Session: sess,
+		Cache:   e.cache,
+		Tracing: s.cfg.Tracing,
+		Resume:  j.resume,
+	}
+	if s.journal != nil && j.Spec.CheckpointEvery > 0 {
+		id := j.ID
+		opt.CheckpointSink = func(iter int, residual float64, x []float64, basis string) {
+			if err := s.journal.Checkpoint(id, iter, residual, x, basis); err != nil {
+				s.cfg.Log("wal: journal checkpoint for %s: %v", id, err)
+			}
 		}
 	}
-	for len(group) > 0 {
-		chunk := group
-		if len(chunk) > maxK {
-			chunk = group[:maxK]
-		}
-		group = group[len(chunk):]
-		sess := s.rt.NewSession(chunk[0].ID)
-		start := time.Now()
-		if len(chunk) == 1 {
-			j := chunk[0]
-			opt := Options{
-				Session: sess,
-				Cache:   s.recycleCache(j.Spec.Matrix),
-				Tracing: s.cfg.Tracing,
-				Resume:  j.resume,
-			}
-			if s.journal != nil && j.Spec.CheckpointEvery > 0 {
-				id := j.ID
-				opt.CheckpointSink = func(iter int, residual float64, x []float64, basis string) {
-					if err := s.journal.Checkpoint(id, iter, residual, x, basis); err != nil {
-						s.cfg.Log("wal: journal checkpoint for %s: %v", id, err)
-					}
-				}
-			}
-			if j.resume != nil {
-				s.cfg.Log("resume: %s restarts from verified checkpoint at iteration %d (residual %.3e)",
-					j.ID, j.resume.Iter, j.resume.Residual)
-			}
-			out := RunSolve(a, j.Spec, opt)
-			s.metrics.SolveTime.Observe(time.Since(start))
-			s.completeJob(j, &out)
-		} else {
-			s.metrics.Batches.Inc()
-			s.metrics.CoalescedJobs.Add(int64(len(chunk)))
-			s.cfg.Log("coalesce: %d %s jobs on %s into one block-diagonal multi-RHS solve",
-				len(chunk), spec.Solver, spec.Matrix)
-			results := runBatch(a, chunk, sess, s.cfg.Tracing)
-			s.metrics.SolveTime.ObserveN(time.Since(start), int64(len(chunk)))
-			for i, j := range chunk {
-				s.completeJob(j, results[i])
-			}
-		}
-		sess.Close()
+	if j.resume != nil {
+		s.cfg.Log("resume: %s restarts from verified checkpoint at iteration %d (residual %.3e)",
+			j.ID, j.resume.Iter, j.resume.Residual)
 	}
+	out := RunSolve(e.a, j.Spec, opt)
+	s.metrics.SolveTime.Observe(time.Since(start))
+	s.completeJob(j, &out)
 }
 
 // completeJob finishes one job and updates the outcome counters. With
@@ -756,8 +721,9 @@ func (s *Server) completeJob(j *Job, res *JobResult) {
 // a k-wide batch launches exactly as many tasks per iteration as one
 // solo solve, each doing k× the arithmetic; that division of the launch
 // budget is where the server's aggregate throughput over sequential
-// one-shot runs comes from. The cost is k× operator storage (BlockDiag
-// tiles the arrays), which runGroup bounds before forming a batch. The
+// one-shot runs comes from. The operator is stored once: the block
+// diagonal is a sparse.BlockDiag view whose k tiles alias one converted
+// n×n operator, so a batch costs k× the vectors, not k× the matrix. The
 // joint residual norm reaching tol implies each member's residual did;
 // each job still gets its own host-recomputed true residual as
 // independent evidence.
@@ -772,7 +738,7 @@ func runBatch(a *sparse.CSR, group []*Job, sess *taskrt.Session, tracing bool) [
 	for i, j := range group {
 		copy(bigB[i*n:(i+1)*n], j.Spec.BuildRHS(a, n))
 	}
-	joint := solveSystem(sparse.BlockDiag(a, k), bigX, bigB, spec, Options{Session: sess, Tracing: tracing})
+	joint := solveSystem(a, k, bigX, bigB, spec, Options{Session: sess, Tracing: tracing})
 
 	results := make([]*JobResult, k)
 	for i := range group {

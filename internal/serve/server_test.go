@@ -2,14 +2,19 @@ package serve
 
 import (
 	"encoding/json"
+	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
 	"testing"
 
 	"kdrsolvers/internal/jobspec"
+	"kdrsolvers/internal/sparse"
 )
 
 // mustServer starts a server, failing the test on a journal-open
@@ -216,6 +221,61 @@ func TestServerCoalescesSameOperatorJobs(t *testing.T) {
 	m := s.Metrics()
 	if m.Batches != 1 || m.CoalescedJobs != 4 {
 		t.Fatalf("batches=%d coalesced=%d, want 1/4", m.Batches, m.CoalescedJobs)
+	}
+}
+
+// A claimed group runs as one batch however large its operator: the
+// batch tiles one stored operator, so there is no storage budget to cut
+// it by. (At 8 × 1.12 M nonzeros a budget of 8 Mi stored entries would
+// split these jobs 7 + 1.)
+func TestServerRunsClaimedGroupAsOneBatch(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("writes and loads a 1.12 M-nonzero matrix")
+	}
+	const rows, perRow = 2000, 560
+	r := rand.New(rand.NewSource(35))
+	coords := make([]sparse.Coord, 0, rows*perRow)
+	for i := int64(0); i < rows; i++ {
+		for j := int64(0); j < perRow; j++ {
+			// 3 and rows are coprime, so a row's columns are distinct.
+			coords = append(coords, sparse.Coord{Row: i, Col: (i + 3*j) % rows, Val: r.NormFloat64()})
+		}
+	}
+	path := filepath.Join(t.TempDir(), "wide.mtx")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sparse.WriteMatrixMarket(f, sparse.CSRFromCoords(rows, rows, coords)); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s := mustServer(t, Config{MaxActive: 1, QueueDepth: 16, CoalesceMax: 8})
+	defer s.Drain()
+	blocker, release := wedgeWorker(t, s)
+	defer release()
+	var group []*Job
+	for i := 0; i < 8; i++ {
+		j, err := s.Submit(testSpec(func(sp *jobspec.Spec) {
+			sp.Matrix, sp.MaxIter, sp.RHS = path, 2, fmt.Sprintf("rand:%d", i+1)
+		}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		group = append(group, j)
+	}
+	release()
+	blocker.Result()
+	for _, j := range group {
+		if r := j.Result(); r.Coalesced != 8 || r.Err != "" {
+			t.Fatalf("job %s ran in a batch of %d (err %q), want 8", j.ID, r.Coalesced, r.Err)
+		}
+	}
+	if m := s.Metrics(); m.Batches != 1 || m.CoalescedJobs != 8 {
+		t.Fatalf("batches=%d coalesced=%d, want 1/8", m.Batches, m.CoalescedJobs)
 	}
 }
 

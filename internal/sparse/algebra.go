@@ -1,7 +1,6 @@
 package sparse
 
-// Sparse matrix algebra on CSR operands: diagonals, block-diagonal
-// replication and addition.
+// Sparse matrix algebra on CSR operands: diagonals and addition.
 
 // DiagonalCSR returns diag(d) in CSR form.
 func DiagonalCSR(d []float64) *CSR {
@@ -41,32 +40,6 @@ func Diagonal(a Matrix) []float64 {
 		d[j] = y[j]
 	}
 	return d
-}
-
-// BlockDiag returns the k-fold block-diagonal matrix diag(a, …, a) in
-// CSR form. Index and value arrays are tiled with per-block offsets, so
-// the result owns k× the input's storage — callers batching many systems
-// over one operator should bound k·nnz before concatenating.
-func BlockDiag(a *CSR, k int) *CSR {
-	if k < 1 {
-		panic("sparse: BlockDiag needs k >= 1")
-	}
-	nnz := int64(len(a.vals))
-	rowptr := make([]int64, int64(k)*a.rows+1)
-	colIdx := make([]int64, int64(k)*nnz)
-	vals := make([]float64, int64(k)*nnz)
-	for b := int64(0); b < int64(k); b++ {
-		ro, co, ko := b*a.rows, b*a.cols, b*nnz
-		for i := int64(0); i < a.rows; i++ {
-			rowptr[ro+i] = ko + a.rowptr[i]
-		}
-		for j, c := range a.colIdx {
-			colIdx[ko+int64(j)] = co + c
-		}
-		copy(vals[ko:ko+nnz], a.vals)
-	}
-	rowptr[int64(k)*a.rows] = int64(k) * nnz
-	return NewCSR(int64(k)*a.rows, int64(k)*a.cols, rowptr, colIdx, vals)
 }
 
 // Add returns A + B in CSR form; shapes must match.

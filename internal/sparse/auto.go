@@ -8,16 +8,18 @@ import (
 	"kdrsolvers/internal/index"
 )
 
-// Auto is a row-banded composite matrix: each contiguous row band is
-// stored in the format the profile model predicts fastest for that
-// band's structure ("Bring Your Own Formats": the composite satisfies
-// the ordinary Matrix contract, so planners and solvers cannot tell a
-// tuned matrix from a hand-picked one). The composite's kernel space
-// concatenates the tiles' kernel spaces in band order, and its row and
-// column relations are the tiles' own relations shifted into global
-// coordinates (dpart.Concat) — nothing is materialized per kernel point,
-// so a uniform pick costs the planner exactly what the plain format
-// costs, and partition projection, dependence analysis, and the
+// Auto is a composite matrix of tiles, each an ordinary Matrix placed
+// at a row band and a column window of the whole. AutoSelectBands makes
+// one tile per row band, stored in the format the profile model predicts
+// fastest for that band's structure, and BlockDiag makes diag(m, …, m)
+// out of k tiles that all alias one m ("Bring Your Own Formats": the
+// composite satisfies the ordinary Matrix contract, so planners and
+// solvers cannot tell it from a matrix stored whole). The composite's
+// kernel space concatenates the tiles' kernel spaces in tile order, and
+// its row and column relations are the tiles' own relations shifted into
+// global coordinates (dpart.Concat) — nothing is materialized per kernel
+// point, so a uniform pick costs the planner exactly what the plain
+// format costs, and partition projection, dependence analysis, and the
 // conformance matrix all work unchanged.
 type Auto struct {
 	tiles []autoTile
@@ -26,9 +28,10 @@ type Auto struct {
 	rowRel, colRel *dpart.Concat
 }
 
-// autoTile is one row band of an Auto matrix.
+// autoTile is one tile of an Auto matrix.
 type autoTile struct {
 	r0, r1 int64 // global row band [r0, r1)
+	c0, c1 int64 // global column window [c0, c1)
 	koff   int64 // global kernel offset of the tile's kernel space
 	klen   int64 // tile kernel size
 	mat    Matrix
@@ -85,31 +88,57 @@ func AutoSelectBands(a *CSR, starts []int64) *Auto {
 		}
 	}
 
-	au := &Auto{}
-	var koff int64
+	var tiles []autoTile
 	for _, p := range picks {
-		r0, r1, f := p.r0, p.r1, p.f
 		// The pick is within a rate ratio of the band's CSR size, so it
 		// needs no size check.
-		mat := f.build(bandCSR(a, r0, r1))
-		klen := mat.Kernel().Size()
-		au.tiles = append(au.tiles, autoTile{
-			r0: r0, r1: r1, koff: koff, klen: klen, mat: mat, format: f.name,
-		})
-		koff += klen
-		au.nnz += mat.NNZ()
+		tiles = append(tiles, autoTile{r0: p.r0, r1: p.r1, c1: cols,
+			mat: p.f.build(bandCSR(a, p.r0, p.r1)), format: p.f.name})
 	}
-	if len(au.tiles) == 0 {
+	if len(tiles) == 0 {
 		// Zero-row matrix: keep one empty CSR tile so the relations and
 		// kernels are well defined.
-		mat := bandCSR(a, 0, rows)
-		au.tiles = append(au.tiles, autoTile{mat: mat, format: "CSR"})
+		tiles = append(tiles, autoTile{c1: cols, mat: bandCSR(a, 0, rows), format: "CSR"})
 	}
-	rowParts := make([]dpart.ConcatPart, len(au.tiles))
-	colParts := make([]dpart.ConcatPart, len(au.tiles))
-	for i, t := range au.tiles {
+	return newAuto(tiles, rows, cols)
+}
+
+// BlockDiag returns diag(m, …, m) with k diagonal blocks as a view: k
+// tiles that all alias m, so the result stores nothing per nonzero and
+// its kernels run m's own kernels on each block's slice of the vectors.
+// k = 1 returns m itself.
+func BlockDiag(m Matrix, k int) Matrix {
+	if k < 1 {
+		panic("sparse: BlockDiag needs k >= 1")
+	}
+	if k == 1 {
+		return m
+	}
+	rows, cols := Dims(m)
+	tiles := make([]autoTile, k)
+	for b := range tiles {
+		o := int64(b)
+		tiles[b] = autoTile{r0: o * rows, r1: (o + 1) * rows, c0: o * cols, c1: (o + 1) * cols,
+			mat: m, format: m.Format()}
+	}
+	return newAuto(tiles, int64(k)*rows, int64(k)*cols)
+}
+
+// newAuto places tiles in a rows × cols composite: kernel offsets in
+// tile order, and each tile's relations shifted to its row band and
+// column window.
+func newAuto(tiles []autoTile, rows, cols int64) *Auto {
+	au := &Auto{tiles: tiles}
+	rowParts := make([]dpart.ConcatPart, len(tiles))
+	colParts := make([]dpart.ConcatPart, len(tiles))
+	var koff int64
+	for i := range tiles {
+		t := &tiles[i]
+		t.koff, t.klen = koff, t.mat.Kernel().Size()
+		koff += t.klen
+		au.nnz += t.mat.NNZ()
 		rowParts[i] = dpart.ConcatPart{Rel: t.mat.RowRelation(), RightOff: t.r0}
-		colParts[i] = dpart.ConcatPart{Rel: t.mat.ColRelation()}
+		colParts[i] = dpart.ConcatPart{Rel: t.mat.ColRelation(), RightOff: t.c0}
 	}
 	au.rowRel = dpart.NewConcat("K", rowParts, index.NewSpace("R", rows))
 	au.colRel = dpart.NewConcat("K", colParts, index.NewSpace("D", cols))
@@ -146,8 +175,9 @@ func bandCSR(a *CSR, r0, r1 int64) *CSR {
 	return NewCSR(r1-r0, a.cols, rp, a.colIdx[lo:hi:hi], a.vals[lo:hi:hi])
 }
 
-// SelectedFormats reports the chosen format of every band, in band
-// order, as "format[r0:r1)" strings — what mmsolve -format auto prints.
+// SelectedFormats reports the format of every tile, in tile order, as
+// "format[r0:r1)" strings over the tile's row band — what mmsolve
+// -format auto prints.
 func (a *Auto) SelectedFormats() []string {
 	out := make([]string, len(a.tiles))
 	for i, t := range a.tiles {
@@ -200,7 +230,7 @@ func (a *Auto) MultiplyAddPart(y, x []float64, kset index.IntervalSet) {
 	for i := range a.tiles {
 		t := &a.tiles[i]
 		if local := t.localKset(kset); !local.Empty() {
-			t.mat.MultiplyAddPart(y[t.r0:t.r1], x, local)
+			t.mat.MultiplyAddPart(y[t.r0:t.r1], x[t.c0:t.c1], local)
 		}
 	}
 }
@@ -211,7 +241,7 @@ func (a *Auto) MultiplyAddTPart(y, x []float64, kset index.IntervalSet) {
 	for i := range a.tiles {
 		t := &a.tiles[i]
 		if local := t.localKset(kset); !local.Empty() {
-			t.mat.MultiplyAddTPart(y, x[t.r0:t.r1], local)
+			t.mat.MultiplyAddTPart(y[t.c0:t.c1], x[t.r0:t.r1], local)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package sparse
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -64,6 +65,22 @@ func buildAll(rows, cols int64, coords []Coord) []Matrix {
 		ms = append(ms, BCSRFromCSR(csr, 2, 2), Convert(csr, "BCSC"))
 	}
 	return ms
+}
+
+// blockDiagViews returns BlockDiag(m, 3) for every format of the matrix
+// and for an AutoSelectBands composite of it, with the 3-fold tiled
+// coordinates the views must equal.
+func blockDiagViews(rows, cols int64, coords []Coord) (views []Matrix, tiled []Coord) {
+	ms := append(buildAll(rows, cols, coords), AutoSelectBands(CSRFromCoords(rows, cols, coords), []int64{rows / 3, rows / 2}))
+	for _, m := range ms {
+		views = append(views, BlockDiag(m, 3))
+	}
+	for b := int64(0); b < 3; b++ {
+		for _, c := range coords {
+			tiled = append(tiled, Coord{Row: b*rows + c.Row, Col: b*cols + c.Col, Val: c.Val})
+		}
+	}
+	return views, tiled
 }
 
 // randomKernelSplit cuts [0, klen) at seeded random points and deals the
@@ -179,6 +196,16 @@ func TestQuickPartitionedMultiplyAdd(t *testing.T) {
 		for _, m := range buildAll(rows, cols, coords) {
 			checkRangeKernels(t, m, r, x, w, wantY, wantZ)
 		}
+		// The block-diagonal views against the CSR of the tiled entries.
+		views, tiled := blockDiagViews(rows, cols, coords)
+		ref := CSRFromCoords(3*rows, 3*cols, tiled)
+		bx, bw := randVec(r, 3*cols), randVec(r, 3*rows)
+		bY, bZ := make([]float64, 3*rows), make([]float64, 3*cols)
+		MultiplyAdd(ref, bY, bx)
+		MultiplyAddT(ref, bZ, bw)
+		for _, m := range views {
+			checkRangeKernels(t, m, r, bx, bw, bY, bZ)
+		}
 		if t.Failed() {
 			t.Logf("seed %d", seed)
 		}
@@ -202,25 +229,29 @@ func TestQuickRelationsMatchEntries(t *testing.T) {
 		if len(coords) == 0 {
 			return true
 		}
-		var wantRows, wantCols []int64
-		for _, c := range coords {
-			wantRows = append(wantRows, c.Row)
-			wantCols = append(wantCols, c.Col)
-		}
-		rset := index.FromPoints(wantRows)
-		cset := index.FromPoints(wantCols)
-		for _, m := range buildAll(rows, cols, coords) {
-			full := m.Kernel().Set
-			if !m.RowRelation().Image(full).ContainsSet(rset) {
-				t.Logf("%s row relation misses rows (seed %d)", m.Format(), seed)
-				return false
+		covers := func(ms []Matrix, coords []Coord) bool {
+			var wantRows, wantCols []int64
+			for _, c := range coords {
+				wantRows = append(wantRows, c.Row)
+				wantCols = append(wantCols, c.Col)
 			}
-			if !m.ColRelation().Image(full).ContainsSet(cset) {
-				t.Logf("%s col relation misses cols (seed %d)", m.Format(), seed)
-				return false
+			rset := index.FromPoints(wantRows)
+			cset := index.FromPoints(wantCols)
+			for _, m := range ms {
+				full := m.Kernel().Set
+				if !m.RowRelation().Image(full).ContainsSet(rset) {
+					t.Logf("%s row relation misses rows (seed %d)", m.Format(), seed)
+					return false
+				}
+				if !m.ColRelation().Image(full).ContainsSet(cset) {
+					t.Logf("%s col relation misses cols (seed %d)", m.Format(), seed)
+					return false
+				}
 			}
+			return true
 		}
-		return true
+		views, tiled := blockDiagViews(rows, cols, coords)
+		return covers(buildAll(rows, cols, coords), coords) && covers(views, tiled)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -274,6 +305,44 @@ func TestQuickCoPartitioningSoundness(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBlockDiagStoresNothingPerNonzero pins BlockDiag as a view: building
+// diag(m, m, m) allocates no more for a 20 000-entry m than for a
+// 64-entry one, in every format. (BCSR builds its own relations on first
+// use, once per operand; the warm-up call leaves that to m.)
+func TestBlockDiagStoresNothingPerNonzero(t *testing.T) {
+	// Bytes per call, the least of five rounds: a stray runtime
+	// allocation can land in one round, not in all of them.
+	alloc := func(m Matrix) uint64 {
+		BlockDiag(m, 3)
+		least := uint64(math.MaxUint64)
+		for round := 0; round < 5; round++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < 100; i++ {
+				BlockDiag(m, 3)
+			}
+			runtime.ReadMemStats(&after)
+			least = min(least, (after.TotalAlloc-before.TotalAlloc)/100)
+		}
+		return least
+	}
+	small := Laplacian2D(4, 4)
+	large := Laplacian2D(64, 64)
+	for _, f := range []string{"Dense", "COO", "CSR", "CSC", "ELL", "ELL'", "DIA", "BCSR", "BCSC"} {
+		bs := alloc(Convert(small, f))
+		if f == "Dense" {
+			continue // a 4 096-row dense matrix is 128 MB; the small one suffices
+		}
+		if bl := alloc(Convert(large, f)); bl > bs {
+			t.Errorf("%s: BlockDiag allocates %d B at nnz %d, %d B at nnz %d", f, bl, large.NNZ(), bs, small.NNZ())
+		}
+	}
+	bs, bl := alloc(AutoSelect(small, 4)), alloc(AutoSelect(large, 4))
+	if bl > bs {
+		t.Errorf("Auto: BlockDiag allocates %d B at nnz %d, %d B at nnz %d", bl, large.NNZ(), bs, small.NNZ())
 	}
 }
 
