@@ -134,6 +134,38 @@ func (p *Planner) DotBatch(pairs ...DotPair) []*Scalar {
 	return p.FusedSweep(nil, pairs)
 }
 
+// Gram computes the Gram matrix G[i][j] = vs[i]·vs[j] of a basis with a
+// single batched reduction: one partial task per piece computing every
+// distinct pair, one combine total. The s-step methods fold all
+// their inner products into this call — the one global synchronization
+// of an s-iteration block. The returned matrix is symmetric (the lower
+// triangle aliases the upper triangle's scalars).
+func (p *Planner) Gram(vs ...VecID) [][]*Scalar {
+	if len(vs) == 0 {
+		panic("core: Gram of an empty basis")
+	}
+	pairs := make([]DotPair, 0, len(vs)*(len(vs)+1)/2)
+	for i := range vs {
+		for j := i; j < len(vs); j++ {
+			pairs = append(pairs, DotPair{V: vs[i], W: vs[j]})
+		}
+	}
+	flat := p.DotBatch(pairs...)
+	g := make([][]*Scalar, len(vs))
+	for i := range g {
+		g[i] = make([]*Scalar, len(vs))
+	}
+	k := 0
+	for i := range vs {
+		for j := i; j < len(vs); j++ {
+			g[i][j] = flat[k]
+			g[j][i] = flat[k]
+			k++
+		}
+	}
+	return g
+}
+
 // sweepVec is one distinct vector of a sweep and the privilege the
 // sweep's use of it needs: write-discard when its first use overwrites it,
 // read-write when it is read and then written, read-only otherwise.

@@ -109,6 +109,34 @@ func TestDotBatchMatchesIndividualDots(t *testing.T) {
 	}
 }
 
+func TestGramMatchesIndividualDots(t *testing.T) {
+	const n, pieces = 96, 3
+	p, a, _ := fusedTestPlanner(n, pieces)
+	b := p.AllocateWorkspace(RhsShape)
+	p.Matmul(b, RHS)
+	vs := []VecID{RHS, a, b}
+	g := p.Gram(vs...)
+	want := make([][]*Scalar, len(vs))
+	for i := range vs {
+		want[i] = make([]*Scalar, len(vs))
+		for j := range vs {
+			want[i][j] = p.Dot(vs[i], vs[j])
+		}
+	}
+	p.Drain()
+	for i := range vs {
+		for j := range vs {
+			if g[i][j].Value() != want[i][j].Value() {
+				t.Errorf("G[%d][%d] = %g, individual dot %g", i, j,
+					g[i][j].Value(), want[i][j].Value())
+			}
+			if g[i][j] != g[j][i] {
+				t.Errorf("G[%d][%d] and G[%d][%d] are distinct scalars", i, j, j, i)
+			}
+		}
+	}
+}
+
 func relDiff(a, b float64) float64 {
 	d := a - b
 	if d < 0 {

@@ -23,7 +23,6 @@ import (
 // groupingSystem builds one of the two test systems on a fresh planner.
 type groupingSystem struct {
 	name  string
-	multi bool // several components: the matrix-powers solvers do not apply
 	build func(withPre bool) *core.Planner
 }
 
@@ -38,7 +37,7 @@ func groupingRHS(n int64, phase float64) []float64 {
 var groupingSystems = []groupingSystem{
 	// The served workload: lap2d:32x32 in the default 8 pieces of 128
 	// points, one group a sweep.
-	{"lap2d:32x32", false, func(withPre bool) *core.Planner {
+	{"lap2d:32x32", func(withPre bool) *core.Planner {
 		const n = 32 * 32
 		a := sparse.Laplacian2D(32, 32)
 		p := core.NewPlanner(core.Config{Machine: machine.Lassen(1)})
@@ -56,7 +55,7 @@ var groupingSystems = []groupingSystem{
 	// added twice (aliased storage, reduction privilege on the second),
 	// and the coupling block of each row launched before its diagonal
 	// block, so a group's members mix fresh and folding write sets.
-	{"two-component", true, func(withPre bool) *core.Planner {
+	{"two-component", func(withPre bool) *core.Planner {
 		const n, half = 32 * 32, 16 * 32
 		var blocks [2][2][]sparse.Coord
 		for _, c := range sparse.CoordsFromCSR(sparse.Laplacian2D(32, 32)) {
@@ -114,9 +113,6 @@ func TestGroupedLaunchIsBitwiseIdentical(t *testing.T) {
 	const steps = 40
 	for _, sys := range groupingSystems {
 		for _, name := range []string{"cg", "bicg", "bicgstab", "cgs", "pipecg", "gmres", "minres", "sstep-cg", "pcg"} {
-			if sys.multi && name == "sstep-cg" {
-				continue // the matrix-powers kernel takes single-component systems
-			}
 			for _, traced := range []bool{false, true} {
 				for _, sdc := range []bool{false, true} {
 					t.Run(fmt.Sprintf("%s/%s/traced=%v/sdc=%v", sys.name, name, traced, sdc), func(t *testing.T) {

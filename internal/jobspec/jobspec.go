@@ -95,6 +95,13 @@ func KnownSolver(name string) bool {
 // (the planner launches them by the grain), not to plan.
 const maxPieces = 1 << 16
 
+// maxFaultPieces bounds Spec.Pieces under a fault plan. An active injector
+// launches one task per piece, and every reader of a dot then depends on
+// every piece's partial: pieces² edges a dot, which at 4096 pieces runs
+// the process out of memory even for a plan that never fires. 128 still
+// lets one task wave fail more tasks than a session's error window holds.
+const maxFaultPieces = 128
+
 func (s *Spec) Validate() error {
 	var errs []error
 	fail := func(format string, args ...any) {
@@ -131,6 +138,9 @@ func (s *Spec) Validate() error {
 	if s.Faults != "" {
 		if _, err := fault.ParsePlan(s.Faults); err != nil {
 			errs = append(errs, err)
+		}
+		if s.Pieces > maxFaultPieces {
+			fail("pieces must be at most %d with faults set, got %d", maxFaultPieces, s.Pieces)
 		}
 	}
 	if s.Retries < 0 {

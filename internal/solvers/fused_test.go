@@ -345,8 +345,8 @@ func TestReductionsPerIteration(t *testing.T) {
 	// launches the combines. These are counts of graph nodes, not
 	// timings, so equality is exact: classical CG pays two
 	// global reductions per iteration, pipelined CG one, and s-step CG
-	// one block Gram reduction per s iterations — the claim the
-	// matrix-powers kernel exists to earn.
+	// one block Gram reduction per s iterations — its basis is plain
+	// products, which reduce nothing.
 	for _, c := range []struct {
 		name         string
 		itersPerStep int

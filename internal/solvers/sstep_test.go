@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"kdrsolvers/internal/core"
+	"kdrsolvers/internal/index"
+	"kdrsolvers/internal/machine"
 	"kdrsolvers/internal/sparse"
 )
 
@@ -177,6 +179,87 @@ func TestSStepCGNewtonBasisSwitch(t *testing.T) {
 	}
 	if tr := hostTrueResidual(mat, p.VecData(core.SOL, 0), b); tr > 1e-6 {
 		t.Errorf("true residual %g after Newton-basis solve", tr)
+	}
+}
+
+// hostBasis is the reference for SStepCG.basis: the levels
+// [(A−θ₁)x, (A−θ₂)(A−θ₁)x, …] by plain host loops, A being the sum of
+// the operators. Each level starts at zero, takes every operator's
+// multiply-add in turn and then subtracts θ times the previous level —
+// the per-point order of a decomposed product followed by an axpy.
+func hostBasis(mats []sparse.Matrix, x []float64, levels int, shifts []float64) [][]float64 {
+	out := make([][]float64, levels)
+	cur := x
+	for k := range out {
+		out[k] = make([]float64, len(x))
+		for _, m := range mats {
+			sparse.MultiplyAdd(m, out[k], cur)
+		}
+		if shifts != nil && shifts[k] != 0 {
+			for i := range cur {
+				out[k][i] -= shifts[k] * cur[i]
+			}
+		}
+		cur = out[k]
+	}
+	return out
+}
+
+// TestSStepBasisMatchesHostLoops checks the s-step basis bit for bit
+// against host loops: monomial and Newton-shifted levels (one shift
+// zero), over assembled, adaptive and matrix-free formats, and on a
+// system of two operators, which must act as their sum at every level.
+func TestSStepBasisMatchesHostLoops(t *testing.T) {
+	const n, pieces, levels = 64, 4, 4
+	lap := sparse.Laplacian2D(8, 8)
+	var tri []sparse.Coord // a nonsymmetric tridiagonal second operator
+	for i := int64(0); i < n; i++ {
+		tri = append(tri, sparse.Coord{Row: i, Col: i, Val: 3})
+		if i > 0 {
+			tri = append(tri, sparse.Coord{Row: i, Col: i - 1, Val: -1.5})
+		}
+		if i < n-1 {
+			tri = append(tri, sparse.Coord{Row: i, Col: i + 1, Val: -0.5})
+		}
+	}
+	systems := map[string][]sparse.Matrix{
+		"csr":     {lap},
+		"ell":     {sparse.Convert(lap, "ELL")},
+		"dia":     {sparse.Convert(lap, "DIA")},
+		"auto":    {sparse.Convert(lap, "Auto")},
+		"stencil": {sparse.NewStencilOperator(sparse.Stencil2D5, index.NewGrid(8, 8))},
+		"csr+tri": {lap, sparse.CSRFromCoords(n, n, tri)},
+	}
+	for name, mats := range systems {
+		for _, shifts := range [][]float64{nil, {0.5, -0.25, 1.5, 0}} {
+			t.Run(fmt.Sprintf("%s/newton=%v", name, shifts != nil), func(t *testing.T) {
+				p := core.NewPlanner(core.Config{Machine: machine.Lassen(2)})
+				si := p.AddSolVector(make([]float64, n), index.EqualPartition(index.NewSpace("D", n), pieces))
+				ri := p.AddRHSVector(fusedRHS(n), index.EqualPartition(index.NewSpace("R", n), pieces))
+				for _, m := range mats {
+					p.AddOperator(m, si, ri)
+				}
+				p.Finalize()
+				sv := NewSStepCG(p, levels)
+				dsts := make([]core.VecID, levels)
+				for i := range dsts {
+					dsts[i] = p.AllocateWorkspace(core.RhsShape)
+				}
+				sv.basis(dsts, core.RHS, shifts)
+				p.Drain()
+				if err := p.Runtime().Err(); err != nil {
+					t.Fatalf("runtime error: %v", err)
+				}
+				want := hostBasis(mats, p.VecData(core.RHS, 0), levels, shifts)
+				for k, d := range dsts {
+					for i, v := range p.VecData(d, 0) {
+						if math.Float64bits(v) != math.Float64bits(want[k][i]) {
+							t.Fatalf("level %d [%d] = %v, host loop %v", k+1, i, v, want[k][i])
+						}
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -9,14 +9,15 @@ import (
 // SStepCG is communication-avoiding s-step conjugate gradients
 // (Chronopoulos–Gear / Hoemmen): each Step runs one *block* of s CG
 // iterations against a single global reduction. The block builds the
-// 2s+1 column basis V = [p, Ap, …, Aˢp, r, Ar, …, Aˢ⁻¹r] with two
-// matrix-powers sweeps (no communication beyond the depth-s halo
-// exchange), folds every inner product of the block into one batched
-// Gram reduction G = VᵀV, and then advances the s iterations entirely
-// in 2s+1-dimensional coefficient space on the host — every α, β, and
-// residual norm of the block is a tiny quadratic form in G. One fused
-// vector sweep at block end maps the accumulated coefficients back onto
-// x, r, and p.
+// 2s+1 column basis V = [p, Ap, …, Aˢp, r, Ar, …, Aˢ⁻¹r] with 2s−1
+// ordinary products (Matmul, the decomposed product every solver uses),
+// folds every inner product of the block into one batched Gram
+// reduction G = VᵀV — the block's only global synchronization, and so
+// the source of its 1/s reductions per iteration — and then advances
+// the s iterations entirely in 2s+1-dimensional coefficient space on
+// the host: every α, β, and residual norm of the block is a tiny
+// quadratic form in G. One fused vector sweep at block end maps the
+// accumulated coefficients back onto x, r, and p.
 //
 // The monomial basis [p, Ap, A²p, …] loses linear independence in
 // floating point as fast as the power method converges; when the Gram
@@ -27,10 +28,8 @@ import (
 type SStepCG struct {
 	p     *core.Planner
 	s     int
-	planP *core.PowersPlan // depth s, builds the p-polynomial block
-	planR *core.PowersPlan // depth s−1, builds the r-polynomial block
-	pv    core.VecID       // current direction (basis column P₀)
-	rv    core.VecID       // current residual (basis column R₀)
+	pv    core.VecID // current direction (basis column P₀)
+	rv    core.VecID // current residual (basis column R₀)
 	pNext core.VecID
 	rNext core.VecID
 	pws   []core.VecID // P₁ … P_s
@@ -64,8 +63,6 @@ func NewSStepCG(p *core.Planner, s int) *SStepCG {
 	}
 	sv := &SStepCG{
 		p: p, s: s,
-		planP: core.NewPowersPlan(p, s),
-		planR: core.NewPowersPlan(p, s-1),
 		pv:    p.AllocateWorkspace(core.RhsShape),
 		rv:    p.AllocateWorkspace(core.RhsShape),
 		pNext: p.AllocateWorkspace(core.RhsShape),
@@ -111,9 +108,9 @@ func (s *SStepCG) ConvergenceMeasure() *core.Scalar { return s.res }
 // Breakdown implements BreakdownChecker.
 func (s *SStepCG) Breakdown() error { return s.flag.get() }
 
-// Step implements Solver: one s-iteration block — two powers sweeps,
-// one Gram reduction, s host-side coefficient iterations, one fused
-// basis combination.
+// Step implements Solver: one s-iteration block — the two basis
+// polynomials, one Gram reduction, s host-side coefficient iterations,
+// one fused basis combination.
 func (s *SStepCG) Step() {
 	p := s.p
 	p.BeginPhase("sstep.basis")
@@ -132,8 +129,8 @@ func (s *SStepCG) Step() {
 	if s.shifts != nil {
 		shiftsR = s.shifts[:s.s-1]
 	}
-	s.planP.Sweep(s.pws, s.pv, s.shifts)
-	s.planR.Sweep(s.rws, s.rv, shiftsR)
+	s.basis(s.pws, s.pv, s.shifts)
+	s.basis(s.rws, s.rv, shiftsR)
 	g := p.Gram(v...)
 
 	p.BeginPhase("sstep.update")
@@ -171,6 +168,20 @@ func (s *SStepCG) Step() {
 	s.res = p.Constant(math.Max(rr, 0))
 	if closing {
 		s.closeTrace()
+	}
+}
+
+// basis builds dsts[k] ← (A − shifts[k])·dsts[k−1], with dsts[−1] = src:
+// the monomial basis [A·src, A²·src, …] for nil shifts, the Newton basis
+// otherwise.
+func (s *SStepCG) basis(dsts []core.VecID, src core.VecID, shifts []float64) {
+	prev := src
+	for k, d := range dsts {
+		s.p.Matmul(d, prev)
+		if shifts != nil && shifts[k] != 0 {
+			s.p.AxpyConst(d, -shifts[k], prev)
+		}
+		prev = d
 	}
 }
 
