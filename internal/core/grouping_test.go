@@ -311,8 +311,7 @@ func TestGroupedOperationsBitwise(t *testing.T) {
 			}
 			for i, mon := range mons {
 				pl := []*Planner{pg, pp}[i]
-				pl.LaunchChecksumCheck(SOL, RHS)
-				pl.Drain()
+				probe(pl, SOL, RHS)
 				if mon.Count() != 0 {
 					t.Errorf("sdc=%v ops=%v planner %d: %d alarms on a clean run: %v", sdc, ops, i, mon.Count(), mon.Alarms())
 				}

@@ -9,7 +9,6 @@ import (
 	"kdrsolvers/internal/index"
 	"kdrsolvers/internal/obs"
 	"kdrsolvers/internal/region"
-	"kdrsolvers/internal/taskrt"
 )
 
 // Algorithm-based fault tolerance (ABFT) for silent data corruption.
@@ -37,8 +36,8 @@ import (
 // update by update in a sweep's order whether it holds one operation or
 // many; the product applies the last row (matmul.go, whose zero fills of
 // pieces no operator writes apply the first). Readers (sweep piece tasks,
-// for every vector whose incoming data they read, and explicit
-// vec.checksum tasks) re-sum the data they read, compare against the slot
+// for every vector whose incoming data they read) re-sum the data they
+// read, compare against the slot
 // within a relative tolerance, raise an SDCAlarm on mismatch, and refresh
 // the slot with the measured sum — the refresh bounds the rounding drift
 // of the recurrence maintenance to the few operations between consecutive
@@ -308,58 +307,6 @@ func sumPiece(d []float64, subset index.IntervalSet) (sum, abs float64) {
 		}
 	})
 	return sum, abs
-}
-
-// LaunchChecksumCheck launches the cheap per-piece vec.checksum tasks for
-// the given vectors: each verifies one piece's data against its
-// maintained checksum and reports mismatches to the monitor. The tasks
-// are detached and read-mostly, so a resilient driver can schedule them
-// off the critical path every few iterations. No-op when detection is
-// off.
-func (p *Planner) LaunchChecksumCheck(ids ...VecID) {
-	if !p.sdcOn() {
-		return
-	}
-	mon, tol, hooks := p.sdc.mon, p.sdc.tol, p.faultHooks()
-	for _, id := range ids {
-		v := p.vecs[id]
-		chk := p.chkData(id)
-		for ci, groups := range p.launchGroups(v.shape, hooks) {
-			d := v.regs[ci].Field("v")
-			body := func(subset index.IntervalSet, slot int) {
-				sum, abs := sumPiece(d, subset)
-				verifySlot(mon, tol, "vec.checksum", id, slot, chk, sum, abs)
-			}
-			for gi := range groups {
-				g := &groups[gi]
-				p.batch(taskrt.TaskSpec{
-					Name: "vec.checksum", Proc: g.proc,
-					Cost:  p.mach.DotCost(g.subset.Size()),
-					Piece: g.slot + 1,
-					Refs: []region.Ref{
-						pieceRef(v.regs[ci], g.subset, region.ReadOnly),
-						p.chkRef(id, g.slot, len(g.pieces), region.ReadWrite),
-					},
-					Run:       g.run(body),
-					Retryable: true,
-				})
-			}
-		}
-	}
-	p.flushBatch()
-}
-
-// VerifyChecksums runs LaunchChecksumCheck and drains, returning the
-// number of NEW alarms the scan raised. Convenience for tests and
-// host-side drivers.
-func (p *Planner) VerifyChecksums(ids ...VecID) int {
-	if !p.sdcOn() {
-		return 0
-	}
-	before := p.sdc.mon.Count()
-	p.LaunchChecksumCheck(ids...)
-	p.Drain()
-	return int(p.sdc.mon.Count() - before)
 }
 
 // nthPoint returns the k-th point (0-based) of an interval set.

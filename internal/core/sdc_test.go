@@ -33,6 +33,20 @@ func sdcTestPlanner(t *testing.T, n int64, pieces int) (p *Planner, mon *SDCMoni
 	return p, mon, a, b
 }
 
+// probe verifies vectors the way every sweep verifies the vectors it
+// reads, with a dot sweep of each vector with itself, drained. It
+// returns the number of new alarms.
+func probe(p *Planner, ids ...VecID) int {
+	before := p.sdc.mon.Count()
+	pairs := make([]DotPair, len(ids))
+	for i, id := range ids {
+		pairs[i] = DotPair{V: id, W: id}
+	}
+	p.DotBatch(pairs...)
+	p.Drain()
+	return int(p.sdc.mon.Count() - before)
+}
+
 // A clean run through every checksummed kernel must raise no alarms:
 // recurrence maintenance plus verify-refresh keeps drift far under the
 // tolerance over many iterations.
@@ -51,16 +65,15 @@ func TestSDCCleanRunNoFalseAlarms(t *testing.T) {
 			[]DotPair{{V: a, W: a}, {V: a, W: SOL}})
 		_ = d.Value()
 	}
-	p.LaunchChecksumCheck(SOL, RHS, a, b)
-	p.Drain()
+	probe(p, SOL, RHS, a, b)
 	if c := mon.Count(); c != 0 {
 		t.Fatalf("clean run raised %d alarms: %v", c, mon.Alarms())
 	}
 }
 
 // A bit flip planted in a vector between operations must alarm at the
-// next consumer, through every detection path: the explicit checksum
-// scan and the sweep's pre-update verify, fused or single-operation.
+// next consumer, through every detection path: the sweep's pre-pass
+// verify, fused or single-operation, of an update or a dot.
 func TestSDCPlantedFlipDetected(t *testing.T) {
 	const n, pieces = 256, 4
 	flip := func(p *Planner, id VecID, i int) {
@@ -69,19 +82,19 @@ func TestSDCPlantedFlipDetected(t *testing.T) {
 		d[i] = fault.FlipBit(d[i], 52) // exponent bit: large perturbation
 	}
 
-	t.Run("vec.checksum", func(t *testing.T) {
+	t.Run("a dot probe alarms once, and a second probe is clean", func(t *testing.T) {
 		p, mon, a, _ := sdcTestPlanner(t, n, pieces)
 		flip(p, a, 37)
-		if got := p.VerifyChecksums(a); got != 1 {
-			t.Fatalf("checksum scan raised %d alarms, want 1: %v", got, mon.Alarms())
+		if got := probe(p, a); got != 1 {
+			t.Fatalf("dot probe raised %d alarms, want 1: %v", got, mon.Alarms())
 		}
 		al := mon.Take()
 		if al[0].Vec != a || al[0].Slot != 0 {
 			t.Errorf("alarm = %+v, want vec %d slot 0", al[0], a)
 		}
-		// The scan refreshed the slot, so a second scan is clean.
-		if got := p.VerifyChecksums(a); got != 0 {
-			t.Errorf("second scan raised %d alarms, want 0", got)
+		// The probe refreshed the slot, so a second probe is clean.
+		if got := probe(p, a); got != 0 {
+			t.Errorf("second probe raised %d alarms, want 0", got)
 		}
 	})
 
@@ -164,8 +177,8 @@ func TestSDCFusedCopySweep(t *testing.T) {
 				t.Fatalf("%d alarms, want none: %v", len(al), al)
 			}
 			// The maintained checksums match the data the sweep left.
-			if got := p.VerifyChecksums(w, RHS); got != 0 {
-				t.Errorf("scan after the sweep raised %d alarms: %v", got, mon.Alarms())
+			if got := probe(p, w, RHS); got != 0 {
+				t.Errorf("probe after the sweep raised %d alarms: %v", got, mon.Alarms())
 			}
 		})
 	}
@@ -238,8 +251,8 @@ func TestSDCChecksumSpMV(t *testing.T) {
 		// Post-run corruption is invisible to the producing task itself.
 		t.Fatalf("matmul self-check alarmed on post-run corruption (%d alarms) — corruption model violated", c)
 	}
-	if got := p.VerifyChecksums(b); got != 1 {
-		t.Fatalf("scan after corrupted SpMV raised %d alarms, want 1: %v", got, mon.Alarms())
+	if got := probe(p, b); got != 1 {
+		t.Fatalf("probe after corrupted SpMV raised %d alarms, want 1: %v", got, mon.Alarms())
 	}
 }
 
@@ -262,7 +275,7 @@ func TestSDCDetectionFloor(t *testing.T) {
 	p.Drain()
 	d := p.VecData(a, 0)
 	d[3] = fault.FlipBit(d[3], 0) // lowest mantissa bit
-	if got := p.VerifyChecksums(a); got != 0 {
+	if got := probe(p, a); got != 0 {
 		t.Fatalf("low-bit flip unexpectedly alarmed (%v) — detection floor moved", mon.Alarms())
 	}
 	if math.IsNaN(d[3]) {

@@ -51,18 +51,9 @@ type pieceGroup struct {
 	subset index.IntervalSet   // their union
 }
 
-// run wraps a per-piece kernel body as the body of the group's task.
-func (g *pieceGroup) run(body func(subset index.IntervalSet, slot int)) func() float64 {
-	return func() float64 {
-		for i, subset := range g.pieces {
-			body(subset, g.slot+i)
-		}
-		return 0
-	}
-}
-
-// runWith is run for a body that reads scalars: the task evaluates each
-// one once, before its first piece, and hands every piece the values.
+// runWith wraps a per-piece kernel body that reads scalars as the body
+// of the group's task: the task evaluates each scalar once, before its
+// first piece, and hands every piece the values.
 func (g *pieceGroup) runWith(scalars []*Scalar, body func(subset index.IntervalSet, slot int, vals []float64)) func() float64 {
 	return func() float64 {
 		vals := make([]float64, len(scalars))

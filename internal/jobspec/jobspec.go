@@ -173,16 +173,11 @@ func validRHS(rhs string) error {
 	return fmt.Errorf("rhs must be Aones, ones, or rand:SEED, got %q", rhs)
 }
 
-// maxStencilPoints bounds the unknowns nx·ny of a generated stencil:
-// beyond it the product overflows (and the generator indexes out of
-// range) long before memory runs out. It is the ceiling 32-bit index
-// arrays would impose; what a given server is willing to allocate is a
-// separate, smaller policy.
-const maxStencilPoints = 1<<31 - 1
-
 // ParseLap2D parses the dimensions of a "lap2d:NXxNY" stencil spec
-// (the part after the colon). Both must be positive and their product
-// at most maxStencilPoints.
+// (the part after the colon). Both must be positive, and the grid's CSR
+// (5 entries a row at 16 bytes plus an 8-byte row pointer: 88·n + 8
+// bytes) must fit the bound every named conversion enforces,
+// sparse.MaxStoredBytes. The largest square is 3493 × 3493.
 func ParseLap2D(dims string) (nx, ny int64, err error) {
 	sx, sy, ok := strings.Cut(dims, "x")
 	if ok {
@@ -190,8 +185,9 @@ func ParseLap2D(dims string) (nx, ny int64, err error) {
 		nx, e1 = strconv.ParseInt(sx, 10, 64)
 		ny, e2 = strconv.ParseInt(sy, 10, 64)
 		if e1 == nil && e2 == nil && nx > 0 && ny > 0 {
-			if nx > maxStencilPoints/ny { // nx·ny > cap, without forming the product
-				return 0, 0, fmt.Errorf("stencil %q too large: at most %d unknowns", "lap2d:"+dims, maxStencilPoints)
+			if nx > (sparse.MaxStoredBytes-8)/88/ny { // 88·nx·ny + 8 > bound, without forming the product
+				return 0, 0, fmt.Errorf("stencil %q too large: its CSR needs %.3g bytes, above the bound of %d",
+					"lap2d:"+dims, 88*float64(nx)*float64(ny)+8, int64(sparse.MaxStoredBytes))
 			}
 			return nx, ny, nil
 		}

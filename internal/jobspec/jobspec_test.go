@@ -52,6 +52,10 @@ func TestValidateRejections(t *testing.T) {
 		{"stencil product wraps negative", func(s *Spec) { s.Matrix = "lap2d:3037000500x3037000500" }, "too large"},
 		{"stencil one past the cap", func(s *Spec) { s.Matrix = "lap2d:2147483648x1" }, "too large"},
 		{"stencil of 1e10 unknowns", func(s *Spec) { s.Matrix = "lap2d:100000x100000" }, "too large"},
+		{"stencil of 2^31 - 1 unknowns", func(s *Spec) { s.Matrix = "lap2d:1x2147483647" }, "too large"},
+		{"stencil of 1.9e11 CSR bytes", func(s *Spec) { s.Matrix = "lap2d:46340x46340" }, "too large"},
+		{"square stencil one past the byte bound", func(s *Spec) { s.Matrix = "lap2d:3494x3494" }, "too large"},
+		{"stencil one point past the byte bound", func(s *Spec) { s.Matrix = "lap2d:1x12201612" }, "too large"},
 		{"unknown solver", func(s *Spec) { s.Solver = "sor" }, "unknown solver"},
 		{"unfused ablation solver", func(s *Spec) { s.Solver = "cg-unfused" }, "unknown solver"},
 		{"unknown format", func(s *Spec) { s.Format = "hyb" }, "unknown format"},
@@ -91,8 +95,8 @@ func TestValidateAccepts(t *testing.T) {
 		mut  func(*Spec)
 	}{
 		{"auto format", func(s *Spec) { s.Format = "auto" }},
-		{"stencil at the cap", func(s *Spec) { s.Matrix = "lap2d:1x2147483647" }},
-		{"largest square stencil", func(s *Spec) { s.Matrix = "lap2d:46340x46340" }},
+		{"largest square stencil", func(s *Spec) { s.Matrix = "lap2d:3493x3493" }},
+		{"stencil at the byte bound", func(s *Spec) { s.Matrix = "lap2d:1x12201611" }},
 		{"rand rhs", func(s *Spec) { s.RHS = "rand:42" }},
 		{"ones rhs", func(s *Spec) { s.RHS = "ones" }},
 		{"mtx path unchecked until load", func(s *Spec) { s.Matrix = "does-not-exist.mtx" }},

@@ -261,15 +261,6 @@ func solveSystem(a *sparse.CSR, k int, x, b []float64, spec jobspec.Spec, opt Op
 		sess.SetRecorder(opt.Recorder)
 	}
 
-	var s solvers.Solver // the last solver built, for the recycle harvest
-	newSolver := func() solvers.Solver {
-		if spec.Solver == "gcrodr" && opt.Cache != nil {
-			s = solvers.NewGCRODR(p, 10, 4, opt.Cache)
-		} else {
-			s = solvers.New(spec.Solver, p)
-		}
-		return s
-	}
 	cfg := solvers.ResilientConfig{
 		Tol: spec.Tol, MaxIter: spec.MaxIter,
 		CheckpointEvery: spec.CheckpointEvery, MaxRestarts: spec.MaxRestarts,
@@ -288,7 +279,16 @@ func solveSystem(a *sparse.CSR, k int, x, b []float64, spec jobspec.Spec, opt Op
 	}
 
 	start := time.Now()
-	res := solvers.SolveResilient(p, newSolver, cfg)
+	if spec.DetectSDC {
+		p.EnableSDCDetection(0) // before the solver's set-up tasks, so they are checked too
+	}
+	var s solvers.Solver
+	if spec.Solver == "gcrodr" && opt.Cache != nil {
+		s = solvers.NewGCRODR(p, 10, 4, opt.Cache)
+	} else {
+		s = solvers.New(spec.Solver, p)
+	}
+	res := solvers.SolveResilient(p, s, cfg)
 	p.Drain()
 	if g, ok := s.(*solvers.GCRODR); ok && res.Converged {
 		g.SaveRecycleSpace()

@@ -173,7 +173,7 @@ func TestHalvingRuleStopsBelowAttainableAccuracy(t *testing.T) {
 	a := sparse.Laplacian2D(side, side)
 	b := fusedRHS(side * side)
 	p := planFor(a, append([]float64(nil), b...), 4)
-	res := SolveResilient(p, func() Solver { return NewMINRES(p) }, ResilientConfig{Tol: tol, MaxIter: budget})
+	res := SolveResilient(p, NewMINRES(p), ResilientConfig{Tol: tol, MaxIter: budget})
 	p.Drain()
 	host := hostTrueResidual(a, p.VecData(core.SOL, 0), b)
 	t.Logf("stopped at %d iterations after %d restart(s) from x, true residual %.3g",

@@ -123,7 +123,7 @@ func TestFaultSolveResilientCleanRun(t *testing.T) {
 	}
 	want := denseSolve(a, b)
 	p := planFor(a, b, 4)
-	res := SolveResilient(p, func() Solver { return NewCG(p) }, ResilientConfig{
+	res := SolveResilient(p, NewCG(p), ResilientConfig{
 		Tol: 1e-10, MaxIter: 300, CheckpointEvery: 10,
 	})
 	p.Drain()
@@ -158,7 +158,7 @@ func TestFaultSolveResilientCleanRun(t *testing.T) {
 			run := func(checkpointEvery int) (ResilientResult, int) {
 				p := planFor(a, b, 8)
 				rejected := 0
-				res := SolveResilient(p, func() Solver { return New(name, p) }, ResilientConfig{
+				res := SolveResilient(p, New(name, p), ResilientConfig{
 					Tol: 1e-8, MaxIter: 5000, CheckpointEvery: checkpointEvery,
 					Log: func(format string, _ ...any) {
 						if strings.Contains(format, "continuing") {
@@ -202,7 +202,7 @@ func TestFaultSolveResilientRecoversFromInjectedPanics(t *testing.T) {
 	rt.DefaultSession().SetFaultInjector(fault.NewInjector(fault.Plan{Seed: 1, PanicRate: 0.01}))
 	rt.DefaultSession().SetRetryPolicy(taskrt.RetryPolicy{MaxAttempts: 3})
 
-	res := SolveResilient(p, func() Solver { return NewCG(p) }, ResilientConfig{
+	res := SolveResilient(p, NewCG(p), ResilientConfig{
 		Tol: 1e-8, MaxIter: 2000, CheckpointEvery: 5, MaxRestarts: 100,
 	})
 	p.Drain()
@@ -268,7 +268,7 @@ func TestFaultSolveResilientNaNCorruption(t *testing.T) {
 	// finish once the injector's budget is spent.
 	rt.DefaultSession().SetFaultInjector(fault.NewInjector(fault.Plan{Seed: 3, NaNRate: 0.02, MaxFaults: 5}))
 
-	res := SolveResilient(p, func() Solver { return NewCG(p) }, ResilientConfig{
+	res := SolveResilient(p, NewCG(p), ResilientConfig{
 		Tol: 1e-8, MaxIter: 2000, CheckpointEvery: 5, MaxRestarts: 100,
 	})
 	p.Drain()

@@ -25,11 +25,14 @@ type ResilientConfig struct {
 	// from the last verified checkpoint and restarts the solver from it.
 	MaxRestarts int
 	// DetectSDC enables ABFT checksum detection on the planner
-	// (core.EnableSDCDetection). A recovery-enabled solve answers an
-	// alarm by restoring the last verified checkpoint and restarting the
-	// solver from it, without spending MaxRestarts: a detected corruption
-	// is a repair, not a failure. Without recovery the alarms are only
-	// counted (ResilientResult.SDCAlarms).
+	// (core.EnableSDCDetection). Enable it on the planner before building
+	// the solver to check the solver's set-up tasks too; otherwise the
+	// driver drains and seeds the checksums from the data as it stands.
+	// A recovery-enabled solve answers an alarm by restoring the last
+	// verified checkpoint and restarting the solver from it, without
+	// spending MaxRestarts: a detected corruption is a repair, not a
+	// failure. Without recovery the alarms are only counted
+	// (ResilientResult.SDCAlarms).
 	DetectSDC bool
 	// StartIteration offsets the iteration counter: a solve resumed from
 	// a persisted checkpoint continues counting from the checkpointed
@@ -109,9 +112,10 @@ const driftFactor = 2
 // miss fails to halve the previous miss's true residual.
 //
 // Restart rule: there is one restart, "start again from the current x"
-// (every solver of this package restarts itself in place; for any other
-// the driver calls newSolver again). Besides the rejected claim, every
-// bad state restores the last verified checkpoint and then restarts.
+// (every solver of this package restarts itself in place). Besides the
+// rejected claim, every bad state restores the last verified checkpoint
+// and then restarts. A solver from outside this package cannot be
+// restarted, so its solve stops at the first point that needs a restart.
 // A bad state is a NaN/Inf residual (a poisoned future or corruption),
 // a Krylov breakdown, or — recovery only — divergence past
 // divergeFactor × the best verified residual. Without recovery
@@ -139,11 +143,11 @@ const driftFactor = 2
 // Krylov methods here (they are stationary in x), which is why a verified
 // checkpoint needs only a finite true residual, not a consistent one.
 //
-// newSolver is called once; it is called again only to restart a solver
-// from outside this package. p must be the real (non-virtual), finalized
-// planner the solver runs on.
-func SolveResilient(p *core.Planner, newSolver func() Solver, cfg ResilientConfig) ResilientResult {
+// p must be the real (non-virtual), finalized planner s runs on, and s
+// must be built from the x the solve starts at.
+func SolveResilient(p *core.Planner, s Solver, cfg ResilientConfig) ResilientResult {
 	recovering := cfg.CheckpointEvery > 0
+	r, restartable := s.(restarter)
 	if !recovering {
 		cfg.MaxRestarts = 0
 	}
@@ -164,6 +168,7 @@ func SolveResilient(p *core.Planner, newSolver func() Solver, cfg ResilientConfi
 
 	var mon *core.SDCMonitor
 	if cfg.DetectSDC {
+		p.Drain() // seeding checksums needs a quiescent runtime
 		mon = p.EnableSDCDetection(0)
 		if rec := p.Session().Recorder(); rec != nil {
 			mon.SetRecorder(rec) // alarms show up in profiles as FailureSDC
@@ -225,21 +230,9 @@ func SolveResilient(p *core.Planner, newSolver func() Solver, cfg ResilientConfi
 			return finish(best, best, false)
 		}
 		checkpoint(best)
-		if mon != nil {
-			mon.Take() // alarms before the verified x0 checkpoint are moot
-		}
 	}
 
-	s := newSolver()
 	measure := func() float64 { return math.Sqrt(s.ConvergenceMeasure().Value()) }
-	// restart starts s again from the current x.
-	restart := func() {
-		if r, ok := s.(restarter); ok {
-			r.restart()
-		} else {
-			s = newSolver()
-		}
-	}
 	// rollback restores the last verified checkpoint and restarts from it.
 	rollback := func() {
 		p.Drain()
@@ -247,7 +240,7 @@ func SolveResilient(p *core.Planner, newSolver func() Solver, cfg ResilientConfi
 		if mon != nil {
 			mon.Take() // the restore discards whatever the alarms indicted
 		}
-		restart()
+		r.restart()
 	}
 
 	for {
@@ -270,6 +263,10 @@ func SolveResilient(p *core.Planner, newSolver func() Solver, cfg ResilientConfi
 					p.Drain()
 					n := len(alarms) + len(mon.Take()) // alarms surfaced by the drain
 					out.SDCAlarms += int64(n)
+					if !restartable {
+						bad = fmt.Sprintf("%d sdc alarm(s)", n)
+						break leg
+					}
 					rollback()
 					sinceCkpt = 0
 					res = measure()
@@ -299,12 +296,12 @@ func SolveResilient(p *core.Planner, newSolver func() Solver, cfg ResilientConfi
 					bad = "true residual is not finite"
 					break leg
 				}
-				if tr > lastMiss/2 {
+				if tr > lastMiss/2 || !restartable {
 					logf("solve: measure %.3g but true residual %.3g; stopping", res, tr)
 					return finish(res, tr, false)
 				}
 				lastMiss = tr
-				restart()
+				r.restart()
 				out.Replacements++
 				logf("solve: measure %.3g but true residual %.3g; restarted from x", res, tr)
 				res = measure()
@@ -352,7 +349,7 @@ func SolveResilient(p *core.Planner, newSolver func() Solver, cfg ResilientConfi
 			sinceCkpt++
 		}
 
-		if bad == "" || out.Restarts >= cfg.MaxRestarts {
+		if bad == "" || out.Restarts >= cfg.MaxRestarts || !restartable {
 			if bad != "" {
 				logf("solve: %s; stopping after %d restart(s)", bad, out.Restarts)
 				if bc, ok := s.(BreakdownChecker); ok {

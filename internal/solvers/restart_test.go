@@ -151,7 +151,7 @@ func TestCheckpointingCleanRunTakesNoRestart(t *testing.T) {
 			a := confBase(side, wantsSPD(name))
 			run := func(every int) (ResilientResult, []float64) {
 				p := restartPlan(a, b, make([]float64, n), 4, true, name == "pcg")
-				res := SolveResilient(p, func() Solver { return New(name, p) }, ResilientConfig{
+				res := SolveResilient(p, New(name, p), ResilientConfig{
 					Tol: tol, MaxIter: 2000, CheckpointEvery: every, MaxRestarts: 3,
 				})
 				p.Drain()
@@ -170,5 +170,32 @@ func TestCheckpointingCleanRunTakesNoRestart(t *testing.T) {
 				t.Fatalf("x[%d] = %v checkpointing, %v without", i, xc[i], xp[i])
 			}
 		})
+	}
+}
+
+// A solver from outside this package has no restart: at its rejected
+// convergence claim the driver stops the solve instead of counting a
+// restart it never made. The package's own CGS, on the same system,
+// restarts there once and converges.
+func TestUnrestartableSolverStopsAtRejectedClaim(t *testing.T) {
+	const side, tol = 64, 1e-10
+	a := sparse.Laplacian2D(side, side)
+	b := make([]float64, side*side)
+	for i := range b {
+		b[i] = float64((7919*i)%97) / 97
+	}
+	solve := func(wrap bool) ResilientResult {
+		p := planFor(a, b, 8)
+		var s Solver = NewCGS(p)
+		if wrap {
+			s = struct{ Solver }{s} // hides restart
+		}
+		return SolveResilient(p, s, ResilientConfig{Tol: tol, MaxIter: 10000})
+	}
+	if own := solve(false); !own.Converged || own.Replacements != 1 {
+		t.Fatalf("package CGS: %+v; want converged after 1 restart", own.Result)
+	}
+	if got := solve(true); got.Converged || got.Replacements != 0 {
+		t.Fatalf("wrapped CGS: %+v; want unconverged with 0 restarts", got.Result)
 	}
 }

@@ -110,7 +110,7 @@ func TestSDCSolverAcceptance(t *testing.T) {
 			p := planFor(a, b, 4)
 			p.Session().SetFaultInjector(fault.NewInjector(singleFlipPlan(tc.seed)))
 			mk := tc.mk
-			res := SolveResilient(p, func() Solver { return mk(p) }, ResilientConfig{
+			res := SolveResilient(p, mk(p), ResilientConfig{
 				Tol: tol, MaxIter: 2000, CheckpointEvery: 5, MaxRestarts: 10,
 				DetectSDC: true,
 			})

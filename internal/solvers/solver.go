@@ -211,7 +211,7 @@ func guardedDiv(p *core.Planner, f *breakdownFlag, method, what string, a, b *co
 // are checked against ‖b − Ax‖ and that stops on the first NaN or
 // breakdown.
 func Solve(p *core.Planner, s Solver, tol float64, maxIter int) Result {
-	return SolveResilient(p, func() Solver { return s }, ResilientConfig{Tol: tol, MaxIter: maxIter}).Result
+	return SolveResilient(p, s, ResilientConfig{Tol: tol, MaxIter: maxIter}).Result
 }
 
 // residualInit launches r ← b − A·x into workspace r, the common

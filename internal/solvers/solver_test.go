@@ -149,8 +149,8 @@ func TestCGOnAllStencils(t *testing.T) {
 	cases := []sparse.Matrix{
 		sparse.Laplacian1D(30),
 		sparse.Laplacian2D(5, 6),
-		sparse.Laplacian3D(3, 3, 3),
-		sparse.Laplacian3D27(3, 3, 3),
+		sparse.Stencil(sparse.Stencil3D7, index.NewGrid(3, 3, 3)),
+		sparse.Stencil(sparse.Stencil3D27, index.NewGrid(3, 3, 3)),
 	}
 	for _, a := range cases {
 		n, _ := sparse.Dims(a)

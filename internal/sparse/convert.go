@@ -139,15 +139,16 @@ func formatNamed(name string) *format {
 	panic("sparse: no format " + name)
 }
 
-// maxStoredBytes bounds the arrays one named conversion may allocate:
-// 2²⁷ stored 8-byte entries. Padded formats multiply a matrix's size by
-// its shape (Dense), its longest row (ELL) or its diagonal count (DIA),
-// so a small request can name terabytes; the out-of-memory fault that
-// follows is fatal, not a panic anything could recover.
-const maxStoredBytes = 8 << 27
+// MaxStoredBytes bounds the arrays one named conversion may allocate,
+// and the CSR a lap2d: spec may generate (jobspec): 2²⁷ stored 8-byte
+// entries. Padded formats multiply a matrix's size by its shape (Dense),
+// its longest row (ELL) or its diagonal count (DIA), so a small request
+// can name terabytes; the out-of-memory fault that follows is fatal, not
+// a panic anything could recover.
+const MaxStoredBytes = 8 << 27
 
 // checkStored refuses to encode a in format f (asked for as name) when
-// the arrays would exceed maxStoredBytes. The bound is first tried on the
+// the arrays would exceed MaxStoredBytes. The bound is first tried on the
 // worst structure a's shape and entry count allow, which costs nothing,
 // so only a conversion that could overflow pays the O(nnz) profile.
 func (f *format) checkStored(name string, a *CSR) error {
@@ -156,12 +157,12 @@ func (f *format) checkStored(name string, a *CSR) error {
 	}
 	n := a.NNZ()
 	worst := Profile{Rows: a.rows, Cols: a.cols, NNZ: n, Diags: min(n, a.rows+a.cols), MaxRowLen: min(n, a.cols)}
-	if f.bytes(worst) <= maxStoredBytes {
+	if f.bytes(worst) <= MaxStoredBytes {
 		return nil
 	}
-	if need := f.bytes(ProfileRows(a, 0, a.rows)); need > maxStoredBytes {
+	if need := f.bytes(ProfileRows(a, 0, a.rows)); need > MaxStoredBytes {
 		return fmt.Errorf("sparse: %s storage of this matrix (%d nonzeros) needs %.3g bytes, above the bound of %d (2^27 stored entries)",
-			name, n, need, int64(maxStoredBytes))
+			name, n, need, int64(MaxStoredBytes))
 	}
 	return nil
 }
@@ -185,7 +186,7 @@ func Convert(a *CSR, format string) Matrix {
 // name is matched case-insensitively against Formats (plus "Auto"), an
 // unrecognized name returns an error wrapping ErrUnknownFormat that
 // lists every valid spelling, and a conversion whose arrays would exceed
-// maxStoredBytes returns an error naming the format and the bound before
+// MaxStoredBytes returns an error naming the format and the bound before
 // anything is allocated — no panic, no out-of-memory fault. A view
 // format encodes Aᵀ in its twin and exchanges the relations.
 func ConvertNamed(a *CSR, format string) (Matrix, error) {

@@ -22,45 +22,52 @@ const (
 	Stencil3D27 StencilKind = 4
 )
 
+// stencils is the one statement of every stencil, indexed by kind: the
+// paper's name, the rank, the neighbour offsets in grid coordinates in
+// ascending-column order (row-major, the last coordinate fastest), and
+// the value on the diagonal. Every other entry is −1, so each matrix is
+// symmetric and weakly diagonally dominant, and Dirichlet truncation at
+// the boundary makes it positive definite. The CSR generator (Stencil)
+// and the matrix-free operator (NewStencilOperator) both read it.
+var stencils = [...]struct {
+	name string
+	rank int
+	offs [][3]int64
+	diag float64
+}{
+	Stencil1D3:  {"3pt-1D", 1, [][3]int64{{-1}, {0}, {1}}, 2},
+	Stencil2D5:  {"5pt-2D", 2, [][3]int64{{-1, 0}, {0, -1}, {0, 0}, {0, 1}, {1, 0}}, 4},
+	Stencil3D7:  {"7pt-3D", 3, [][3]int64{{-1, 0, 0}, {0, -1, 0}, {0, 0, -1}, {0, 0, 0}, {0, 0, 1}, {0, 1, 0}, {1, 0, 0}}, 6},
+	Stencil3D27: {"27pt-3D", 3, cube(), 26},
+}
+
+// cube returns the 27 offsets of the 3 × 3 × 3 cube in lexicographic
+// order.
+func cube() [][3]int64 {
+	offs := make([][3]int64, 27)
+	for i := range offs {
+		offs[i] = [3]int64{int64(i/9 - 1), int64(i/3%3 - 1), int64(i%3 - 1)}
+	}
+	return offs
+}
+
+// known reports whether s names a row of the stencil table.
+func (s StencilKind) known() bool { return s >= Stencil1D3 && int(s) < len(stencils) }
+
 // String returns the paper's name for the stencil.
 func (s StencilKind) String() string {
-	switch s {
-	case Stencil1D3:
-		return "3pt-1D"
-	case Stencil2D5:
-		return "5pt-2D"
-	case Stencil3D7:
-		return "7pt-3D"
-	case Stencil3D27:
-		return "27pt-3D"
+	if s.known() {
+		return stencils[s].name
 	}
 	return fmt.Sprintf("StencilKind(%d)", int(s))
 }
 
-// PointsPerRow returns the maximum nonzeros per matrix row.
-func (s StencilKind) PointsPerRow() int64 {
-	switch s {
-	case Stencil1D3:
-		return 3
-	case Stencil2D5:
-		return 5
-	case Stencil3D7:
-		return 7
-	case Stencil3D27:
-		return 27
-	}
-	panic("sparse: unknown stencil kind")
-}
-
 // Rank returns the spatial dimension of the stencil.
 func (s StencilKind) Rank() int {
-	if s == Stencil1D3 {
-		return 1
+	if !s.known() {
+		panic("sparse: unknown stencil kind")
 	}
-	if s == Stencil2D5 {
-		return 2
-	}
-	return 3
+	return stencils[s].rank
 }
 
 // GridFor builds a grid of roughly n unknowns with the stencil's rank,
@@ -89,160 +96,75 @@ func (s StencilKind) GridFor(n int64) index.Grid {
 	}
 }
 
-// Laplacian1D builds the 3-point finite-difference Laplacian on a 1D grid
-// of nx points with Dirichlet boundaries, in CSR form. The diagonal is 2
-// and off-diagonals are -1, making the matrix symmetric positive definite.
-func Laplacian1D(nx int64) *CSR {
-	rowptr := make([]int64, nx+1)
-	colIdx := make([]int64, 0, 3*nx)
-	vals := make([]float64, 0, 3*nx)
-	for i := int64(0); i < nx; i++ {
-		rowptr[i] = int64(len(vals))
-		if i > 0 {
-			colIdx = append(colIdx, i-1)
-			vals = append(vals, -1)
-		}
-		colIdx = append(colIdx, i)
-		vals = append(vals, 2)
-		if i < nx-1 {
-			colIdx = append(colIdx, i+1)
-			vals = append(vals, -1)
-		}
-	}
-	rowptr[nx] = int64(len(vals))
-	return NewCSR(nx, nx, rowptr, colIdx, vals)
-}
+// Laplacian1D builds the 3-point Laplacian on a 1D grid of nx points.
+func Laplacian1D(nx int64) *CSR { return Stencil(Stencil1D3, index.NewGrid(nx)) }
 
-// Laplacian2D builds the 5-point Laplacian on an nx × ny grid with
-// Dirichlet boundaries, in CSR form (diagonal 4, neighbors -1).
-func Laplacian2D(nx, ny int64) *CSR {
-	g := index.NewGrid(nx, ny)
-	n := g.Size()
-	rowptr := make([]int64, n+1)
-	colIdx := make([]int64, 0, 5*n)
-	vals := make([]float64, 0, 5*n)
-	add := func(c int64, v float64) {
-		colIdx = append(colIdx, c)
-		vals = append(vals, v)
-	}
-	for i := int64(0); i < nx; i++ {
-		for j := int64(0); j < ny; j++ {
-			row := g.Linearize(i, j)
-			rowptr[row] = int64(len(vals))
-			if i > 0 {
-				add(g.Linearize(i-1, j), -1)
-			}
-			if j > 0 {
-				add(g.Linearize(i, j-1), -1)
-			}
-			add(row, 4)
-			if j < ny-1 {
-				add(g.Linearize(i, j+1), -1)
-			}
-			if i < nx-1 {
-				add(g.Linearize(i+1, j), -1)
-			}
-		}
-	}
-	rowptr[n] = int64(len(vals))
-	return NewCSR(n, n, rowptr, colIdx, vals)
-}
+// Laplacian2D builds the 5-point Laplacian on an nx × ny grid.
+func Laplacian2D(nx, ny int64) *CSR { return Stencil(Stencil2D5, index.NewGrid(nx, ny)) }
 
-// Laplacian3D builds the 7-point Laplacian on an nx × ny × nz grid with
-// Dirichlet boundaries, in CSR form (diagonal 6, neighbors -1).
-func Laplacian3D(nx, ny, nz int64) *CSR {
-	g := index.NewGrid(nx, ny, nz)
-	n := g.Size()
-	rowptr := make([]int64, n+1)
-	colIdx := make([]int64, 0, 7*n)
-	vals := make([]float64, 0, 7*n)
-	add := func(c int64, v float64) {
-		colIdx = append(colIdx, c)
-		vals = append(vals, v)
-	}
-	for i := int64(0); i < nx; i++ {
-		for j := int64(0); j < ny; j++ {
-			for k := int64(0); k < nz; k++ {
-				row := g.Linearize(i, j, k)
-				rowptr[row] = int64(len(vals))
-				if i > 0 {
-					add(g.Linearize(i-1, j, k), -1)
-				}
-				if j > 0 {
-					add(g.Linearize(i, j-1, k), -1)
-				}
-				if k > 0 {
-					add(g.Linearize(i, j, k-1), -1)
-				}
-				add(row, 6)
-				if k < nz-1 {
-					add(g.Linearize(i, j, k+1), -1)
-				}
-				if j < ny-1 {
-					add(g.Linearize(i, j+1, k), -1)
-				}
-				if i < nx-1 {
-					add(g.Linearize(i+1, j, k), -1)
-				}
-			}
-		}
-	}
-	rowptr[n] = int64(len(vals))
-	return NewCSR(n, n, rowptr, colIdx, vals)
-}
-
-// Laplacian3D27 builds the 27-point Laplacian on an nx × ny × nz grid with
-// Dirichlet boundaries, in CSR form (diagonal 26, all neighbors in the
-// 3 × 3 × 3 cube -1). The matrix is symmetric and diagonally dominant,
-// hence positive semidefinite; interior Dirichlet truncation makes it
-// positive definite.
-func Laplacian3D27(nx, ny, nz int64) *CSR {
-	g := index.NewGrid(nx, ny, nz)
-	n := g.Size()
-	rowptr := make([]int64, n+1)
-	colIdx := make([]int64, 0, 27*n)
-	vals := make([]float64, 0, 27*n)
-	for i := int64(0); i < nx; i++ {
-		for j := int64(0); j < ny; j++ {
-			for k := int64(0); k < nz; k++ {
-				row := g.Linearize(i, j, k)
-				rowptr[row] = int64(len(vals))
-				for di := int64(-1); di <= 1; di++ {
-					for dj := int64(-1); dj <= 1; dj++ {
-						for dk := int64(-1); dk <= 1; dk++ {
-							ii, jj, kk := i+di, j+dj, k+dk
-							if !g.Contains(ii, jj, kk) {
-								continue
-							}
-							if di == 0 && dj == 0 && dk == 0 {
-								colIdx = append(colIdx, row)
-								vals = append(vals, 26)
-							} else {
-								colIdx = append(colIdx, g.Linearize(ii, jj, kk))
-								vals = append(vals, -1)
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-	rowptr[n] = int64(len(vals))
-	return NewCSR(n, n, rowptr, colIdx, vals)
-}
-
-// Stencil builds the requested stencil matrix on a grid, dispatching on
-// kind and the grid's rank. The grid rank must match the stencil.
+// Stencil builds the stencil matrix of kind on grid g, with Dirichlet
+// boundaries, in CSR form. It walks the rows in order with a coordinate
+// counter and emits every neighbour of the table that lies in the grid,
+// in ascending column order. The grid's rank must match the stencil's.
 func Stencil(kind StencilKind, g index.Grid) *CSR {
-	switch kind {
-	case Stencil1D3:
-		return Laplacian1D(g.Dims[0])
-	case Stencil2D5:
-		return Laplacian2D(g.Dims[0], g.Dims[1])
-	case Stencil3D7:
-		return Laplacian3D(g.Dims[0], g.Dims[1], g.Dims[2])
-	case Stencil3D27:
-		return Laplacian3D27(g.Dims[0], g.Dims[1], g.Dims[2])
+	if g.Rank() != kind.Rank() {
+		panic("sparse: grid rank does not match stencil")
 	}
-	panic("sparse: unknown stencil kind")
+	st, dims, n := &stencils[kind], g.Dims, g.Size()
+	offs := linearOffsets(st.offs, dims)
+	rowptr := make([]int64, n+1)
+	colIdx := make([]int64, 0, int64(len(offs))*n)
+	vals := make([]float64, 0, int64(len(offs))*n)
+	var cd [3]int64 // the grid coordinates of row
+	for row := int64(0); row < n; row++ {
+		rowptr[row] = int64(len(vals))
+		for b, c := range st.offs {
+			if !inGrid(&cd, &c, dims, 1) {
+				continue
+			}
+			v := -1.0
+			if offs[b] == 0 {
+				v = st.diag
+			}
+			colIdx = append(colIdx, row+offs[b])
+			vals = append(vals, v)
+		}
+		nextPoint(&cd, dims)
+	}
+	rowptr[n] = int64(len(vals))
+	return NewCSR(n, n, rowptr, colIdx, vals)
+}
+
+// linearOffsets returns each coordinate offset's column-minus-row offset
+// on a grid of the given extents.
+func linearOffsets(coords [][3]int64, dims []int64) []int64 {
+	offs := make([]int64, len(coords))
+	for b, c := range coords {
+		for d := range dims {
+			offs[b] = offs[b]*dims[d] + c[d]
+		}
+	}
+	return offs
+}
+
+// inGrid reports whether the point cd + sign·c lies in a grid of the
+// given extents.
+func inGrid(cd, c *[3]int64, dims []int64, sign int64) bool {
+	for d := range dims {
+		if i := cd[d] + sign*c[d]; i < 0 || i >= dims[d] {
+			return false
+		}
+	}
+	return true
+}
+
+// nextPoint advances grid coordinates cd to the next point in row-major
+// order.
+func nextPoint(cd *[3]int64, dims []int64) {
+	for d := len(dims) - 1; d >= 0; d-- {
+		if cd[d]++; cd[d] < dims[d] {
+			return
+		}
+		cd[d] = 0
+	}
 }

@@ -20,13 +20,9 @@ type StencilOperator struct {
 	kind StencilKind
 	grid index.Grid
 	n    int64
-	// offsets[b] is the linearized column-minus-row offset of diagonal b;
-	// coordOff[b] is the same offset in grid coordinates, used to reject
-	// the wrap-around slots where a linearized offset crosses a grid
-	// boundary.
-	offsets  []int64
-	coordOff [][3]int64
-	diagVal  float64
+	// offsets[b] is the linearized column-minus-row offset of diagonal b,
+	// the table's offset b on this grid.
+	offsets []int64
 
 	rowRel *dpart.DiagRelation
 	colRel *dpart.ModRelation
@@ -38,39 +34,7 @@ func NewStencilOperator(kind StencilKind, grid index.Grid) *StencilOperator {
 	if grid.Rank() != kind.Rank() {
 		panic("sparse: grid rank does not match stencil")
 	}
-	op := &StencilOperator{kind: kind, grid: grid, n: grid.Size()}
-	var coords [][3]int64
-	switch kind {
-	case Stencil1D3:
-		coords = [][3]int64{{-1}, {0}, {1}}
-		op.diagVal = 2
-	case Stencil2D5:
-		coords = [][3]int64{{-1, 0}, {0, -1}, {0, 0}, {0, 1}, {1, 0}}
-		op.diagVal = 4
-	case Stencil3D7:
-		coords = [][3]int64{{-1, 0, 0}, {0, -1, 0}, {0, 0, -1}, {0, 0, 0}, {0, 0, 1}, {0, 1, 0}, {1, 0, 0}}
-		op.diagVal = 6
-	case Stencil3D27:
-		for dx := int64(-1); dx <= 1; dx++ {
-			for dy := int64(-1); dy <= 1; dy++ {
-				for dz := int64(-1); dz <= 1; dz++ {
-					coords = append(coords, [3]int64{dx, dy, dz})
-				}
-			}
-		}
-		op.diagVal = 26
-	default:
-		panic("sparse: unknown stencil kind")
-	}
-	op.coordOff = coords
-	op.offsets = make([]int64, len(coords))
-	for b, c := range coords {
-		off := int64(0)
-		for d := 0; d < grid.Rank(); d++ {
-			off = off*grid.Dims[d] + c[d]
-		}
-		op.offsets[b] = off
-	}
+	op := &StencilOperator{kind: kind, grid: grid, n: grid.Size(), offsets: linearOffsets(stencils[kind].offs, grid.Dims)}
 	op.rowRel = dpart.NewDiagRelation("K", op.offsets, op.n, op.n, "R")
 	op.colRel = dpart.NewModRelation("K", int64(len(op.offsets)), op.n, "D")
 	return op
@@ -123,38 +87,26 @@ func (a *StencilOperator) MultiplyAddTPart(y, x []float64, kset index.IntervalSe
 // wrap-around — and is padding otherwise. The grid coordinates of j are
 // divided out once per block and then counted up with carry.
 func (a *StencilOperator) mulIntervals(y, x []float64, ivs []index.Interval, adjoint bool) {
-	rank, dims := a.grid.Rank(), a.grid.Dims
+	st, dims := &stencils[a.kind], a.grid.Dims
 	var blk blockSegs
 	walkDiagBlocks(ivs, a.offsets, a.n, a.n, adjoint, &blk, func() {
 		for _, s := range blk.segs[:blk.n] {
-			c := a.coordOff[s.b]
+			c := &st.offs[s.b]
 			v := -1.0
 			if a.offsets[s.b] == 0 {
-				v = a.diagVal
+				v = st.diag
 			}
 			var cd [3]int64
 			rem := s.col + s.lo // column of the first slot
-			for d := rank - 1; d >= 0; d-- {
+			for d := len(dims) - 1; d >= 0; d-- {
 				cd[d] = rem % dims[d]
 				rem /= dims[d]
 			}
 			for o := s.lo; o <= s.hi; o++ {
-				inGrid := true
-				for d := 0; d < rank; d++ {
-					if id := cd[d] - c[d]; id < 0 || id >= dims[d] {
-						inGrid = false
-						break
-					}
-				}
-				if inGrid {
+				if inGrid(&cd, c, dims, -1) {
 					y[o] += v * x[o+s.shift]
 				}
-				for d := rank - 1; d >= 0; d-- {
-					if cd[d]++; cd[d] < dims[d] {
-						break
-					}
-					cd[d] = 0
-				}
+				nextPoint(&cd, dims)
 			}
 		}
 	})

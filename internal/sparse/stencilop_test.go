@@ -19,8 +19,8 @@ func stencilCases() []struct {
 	}{
 		{NewStencilOperator(Stencil1D3, index.NewGrid(17)), Laplacian1D(17)},
 		{NewStencilOperator(Stencil2D5, index.NewGrid(5, 7)), Laplacian2D(5, 7)},
-		{NewStencilOperator(Stencil3D7, index.NewGrid(3, 4, 2)), Laplacian3D(3, 4, 2)},
-		{NewStencilOperator(Stencil3D27, index.NewGrid(3, 2, 3)), Laplacian3D27(3, 2, 3)},
+		{NewStencilOperator(Stencil3D7, index.NewGrid(3, 4, 2)), Stencil(Stencil3D7, index.NewGrid(3, 4, 2))},
+		{NewStencilOperator(Stencil3D27, index.NewGrid(3, 2, 3)), Stencil(Stencil3D27, index.NewGrid(3, 2, 3))},
 	}
 }
 
