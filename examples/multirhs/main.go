@@ -67,12 +67,13 @@ func main() {
 	// The sequential alternative: when the right-hand sides arrive one at
 	// a time (a time-stepping loop, a parameter sweep), GCRO-DR carries
 	// its deflation subspace from solve to solve through a RecycleCache
-	// keyed by operator identity — later solves skip re-discovering the
-	// slow eigenspace the first one paid for. (A 2D Laplacian of the same
-	// size here: the 1D chain's spectrum stagnates any short-restart
-	// GMRES, recycled or not.)
-	a2 := sparse.Laplacian2D(20, 20) // one object: one cache key across solves
-	cache := solvers.NewRecycleCache()
+	// the caller owns: every solve handed the same cache warm-starts from
+	// the last one's space, so later solves skip re-discovering the slow
+	// eigenspace the first one paid for. (A 2D Laplacian of the same size
+	// here: the 1D chain's spectrum stagnates any short-restart GMRES,
+	// recycled or not.)
+	a2 := sparse.Laplacian2D(20, 20)
+	var cache solvers.RecycleCache
 	iters := make([]int, nSystems)
 	for k := 0; k < nSystems; k++ {
 		x := make([]float64, n)
@@ -81,7 +82,7 @@ func main() {
 		ri := pk.AddRHSVector(bs[k], index.EqualPartition(index.NewSpace("R", n), 2))
 		pk.AddOperator(a2, si, ri)
 		pk.Finalize()
-		s := solvers.NewGCRODR(pk, 10, 4, cache)
+		s := solvers.NewGCRODR(pk, 10, 4, &cache)
 		rk := solvers.Solve(pk, s, 1e-8, 4000)
 		pk.Drain()
 		if !rk.Converged {

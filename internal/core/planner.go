@@ -541,19 +541,6 @@ func (p *Planner) RestoreSol(ckpt [][]float64) {
 	}
 }
 
-// OperatorFingerprint identifies the planner's operator set by the
-// concrete matrix values backing it. Two planners built over the same
-// matrix objects — the repeated-operator workloads recycling solvers
-// target — report the same fingerprint; planners over different (even
-// structurally identical) matrices do not.
-func (p *Planner) OperatorFingerprint() string {
-	var s string
-	for i := range p.ops {
-		s += fmt.Sprintf("%T@%p;", p.ops[i].mat, p.ops[i].mat)
-	}
-	return s
-}
-
 func (p *Planner) mustBeFinalized() {
 	if !p.finalized {
 		panic("core: call Finalize before using planner operations")

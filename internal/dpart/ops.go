@@ -65,20 +65,6 @@ func MatVecInputPartition(row, col Relation, rangePart index.Partition) index.Pa
 	return ColKToD(col, RowRToK(row, rangePart))
 }
 
-// PowerInputPartition iterates MatVecInputPartition to obtain the finest
-// domain partition needed to compute A^power · x (equation 5 computes the
-// power = 2 case). power must be at least 1.
-func PowerInputPartition(row, col Relation, rangePart index.Partition, power int) index.Partition {
-	if power < 1 {
-		panic("dpart: power must be >= 1")
-	}
-	q := rangePart
-	for i := 0; i < power; i++ {
-		q = MatVecInputPartition(row, col, q)
-	}
-	return q
-}
-
 // PartitionByField builds a partition from an explicit coloring — the
 // third dependent-partitioning primitive of Treichler et al. alongside
 // image and preimage. colors[i] is the color of point i of a dense space

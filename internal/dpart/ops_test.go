@@ -72,34 +72,6 @@ func TestMatVecInputPartition(t *testing.T) {
 	}
 }
 
-func TestPowerInputPartition(t *testing.T) {
-	row, col := tridiagCSR(16)
-	rangePart := index.EqualPartition(index.NewSpace("R", 16), 4)
-	// Equation 5: the halo for A²x is one stencil radius wider than for Ax.
-	in2 := PowerInputPartition(row, col, rangePart, 2)
-	if !in2.Piece(1).Equal(index.Span(2, 9)) {
-		t.Errorf("A² piece 1 = %v, want [2,9]", in2.Piece(1))
-	}
-	// power=1 must agree with MatVecInputPartition.
-	in1 := PowerInputPartition(row, col, rangePart, 1)
-	want := MatVecInputPartition(row, col, rangePart)
-	for c := 0; c < 4; c++ {
-		if !in1.Piece(c).Equal(want.Piece(c)) {
-			t.Errorf("power=1 piece %d mismatch", c)
-		}
-	}
-}
-
-func TestPowerInputPartitionPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for power < 1")
-		}
-	}()
-	row, col := tridiagCSR(4)
-	PowerInputPartition(row, col, index.EqualPartition(index.NewSpace("R", 4), 2), 0)
-}
-
 func TestImagePreimagePartitionShapes(t *testing.T) {
 	row, _ := tridiagCSR(8)
 	kPart := index.EqualPartition(row.Left(), 3)

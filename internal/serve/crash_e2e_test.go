@@ -134,8 +134,8 @@ func TestCrashRecoveryEndToEnd(t *testing.T) {
 	}
 
 	// Independent evidence from the journal itself: the second
-	// incarnation wrote resume records at iteration > 0, and replay
-	// recovered records the first incarnation wrote.
+	// incarnation journaled done records of jobs resumed at iteration
+	// > 0, and replay recovered records the first incarnation wrote.
 	m2 := fetchMetrics(t, base2)
 	if m2.WAL == nil || m2.WAL.RecordsReplayed == 0 {
 		t.Fatalf("second incarnation replayed nothing: %+v", m2.WAL)
@@ -146,7 +146,7 @@ func TestCrashRecoveryEndToEnd(t *testing.T) {
 	srv2.Process.Signal(syscall.SIGTERM)
 	srv2.Wait()
 
-	resumeRecords := 0
+	resumedDone := 0
 	l, err := wal.Open(walDir, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -157,18 +157,18 @@ func TestCrashRecoveryEndToEnd(t *testing.T) {
 		if err := json.Unmarshal(p, &rec); err != nil {
 			return nil
 		}
-		if rec.T == recResume && rec.Iter > 0 {
-			resumeRecords++
+		if rec.T == recDone && rec.Result != nil && rec.Result.ResumedFrom > 0 {
+			resumedDone++
 		}
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if resumeRecords == 0 {
-		t.Fatal("journal holds no resume records at iteration > 0")
+	if resumedDone == 0 {
+		t.Fatal("journal holds no done record of a job resumed at iteration > 0")
 	}
-	t.Logf("restart: %d job(s) resumed from checkpoints (%d resume records), all %d jobs converged ≤ %g",
-		resumedJobs, resumeRecords, jobs, 1.05*tol)
+	t.Logf("restart: %d job(s) resumed from checkpoints (%d done records say so), all %d jobs converged ≤ %g",
+		resumedJobs, resumedDone, jobs, 1.05*tol)
 }
 
 // startMMServe launches the built binary against walDir and waits for

@@ -26,31 +26,31 @@ import (
 // # Records
 //
 // Each WAL record is one journal record, and its first byte says which
-// decoder it needs. Accept, resume and done records are JSON objects
+// decoder it needs. Accept and done records are JSON objects
 // (journalRecord; they are small and carry jobspec.Spec and JobResult).
 // A checkpoint record is binary, because it is the solution vector and
 // a vector costs what its bytes cost:
 //
 //	ckptTag | i64 iter | u64 residual bits | u32 n | u16 len(id) |
-//	u16 len(basis) | id | basis | n × u64 float64 bits  (little-endian)
+//	id | n × u64 float64 bits  (little-endian)
 //
 // so a checkpoint round-trips bit for bit by construction — NaN
 // payloads, −0 and subnormals included — and a record is valid only if
-// its length is exactly what its fields say. Checkpoint records the
-// parent format wrote as JSON (an "x" array) still decode; nothing
-// encodes them any more.
+// its length is exactly what its fields say. A record of a kind replay
+// does not read — an older build's resume record, or its checkpoint as
+// JSON or with a basis string — is skipped: a checkpoint only saves
+// progress, so its job replays from its accept record.
 //
 // # The fold
 //
-// Replay is an idempotent fold with three rules: a job is pending from
-// its first accept until a done record; the latest checkpoint of a
-// pending job wins; resume records are provenance and change nothing.
-// Pending jobs and done jobs are ordered by the ordinal (journalRecord.
-// Seq) stamped on accept and done records when they are first written,
-// not by where a copy of the record sits in the log. Replay keeps a
-// checkpoint's bytes and decodes the vector once, at the end, for jobs
-// still pending: a checkpoint of a finished job, or a superseded one,
-// costs a header parse.
+// Replay is an idempotent fold with two rules: a job is pending from
+// its first accept until a done record, and the latest checkpoint of a
+// pending job wins. Pending jobs and done jobs are ordered by the
+// ordinal (journalRecord.Seq) stamped on accept and done records when
+// they are first written, not by where a copy of the record sits in the
+// log. Replay keeps a checkpoint's bytes and decodes the vector once, at
+// the end, for jobs still pending: a checkpoint of a finished job, or a
+// superseded one, costs a header parse.
 //
 // # Compaction
 //
@@ -76,14 +76,11 @@ import (
 // every Resume, on the retained tail of DoneOrder and on MaxID (the
 // done record of the highest job id is never dropped).
 const (
-	recAccept     = "accept"     // job admitted: id + spec + submission time
-	recCheckpoint = "checkpoint" // verified resilient checkpoint: iter + residual + solution
-	recResume     = "resume"     // informational: a replayed job was re-enqueued from iteration N
-	recDone       = "done"       // terminal state: converged, failed, or rejected — replay skips the job
+	recAccept = "accept" // job admitted: id + spec + submission time
+	recDone   = "done"   // terminal state: converged, failed, or rejected — replay skips the job
 )
 
-// journalRecord is the JSON envelope of accept, resume and done
-// records, and the decode-only form of a parent-format checkpoint.
+// journalRecord is the JSON envelope of accept and done records.
 type journalRecord struct {
 	T  string `json:"t"`
 	ID string `json:"id"`
@@ -93,10 +90,6 @@ type journalRecord struct {
 	Seq       int64         `json:"n,omitempty"`
 	Spec      *jobspec.Spec `json:"spec,omitempty"`
 	Submitted time.Time     `json:"submitted,omitempty"`
-	Iter      int           `json:"iter,omitempty"`
-	Residual  float64       `json:"residual,omitempty"`
-	X         []float64     `json:"x,omitempty"` // parent-format checkpoints only
-	Basis     string        `json:"basis,omitempty"`
 	Result    *JobResult    `json:"result,omitempty"`
 }
 
@@ -105,22 +98,21 @@ type journalRecord struct {
 const ckptTag = 0xCB
 
 // ckptHeaderBytes is the fixed part of a checkpoint record: tag, iter,
-// residual, n and the two string lengths.
-const ckptHeaderBytes = 1 + 8 + 8 + 4 + 2 + 2
+// residual, n and the id's length.
+const ckptHeaderBytes = 1 + 8 + 8 + 4 + 2
 
 // appendCheckpoint appends the binary checkpoint record to b.
-func appendCheckpoint(b []byte, id string, iter int, residual float64, x []float64, basis string) ([]byte, error) {
-	if id == "" || len(id) > math.MaxUint16 || len(basis) > math.MaxUint16 || int64(len(x)) > math.MaxUint32 {
-		return b, fmt.Errorf("serve: checkpoint of %q does not fit a record (id %d B, basis %d B, %d values)",
-			id, len(id), len(basis), len(x))
+func appendCheckpoint(b []byte, id string, iter int, residual float64, x []float64) ([]byte, error) {
+	if id == "" || len(id) > math.MaxUint16 || int64(len(x)) > math.MaxUint32 {
+		return b, fmt.Errorf("serve: checkpoint of %q does not fit a record (id %d B, %d values)",
+			id, len(id), len(x))
 	}
 	le := binary.LittleEndian
-	b = slices.Grow(b, ckptHeaderBytes+len(id)+len(basis)+8*len(x))
+	b = slices.Grow(b, ckptHeaderBytes+len(id)+8*len(x))
 	b = le.AppendUint64(append(b, ckptTag), uint64(int64(iter)))
 	b = le.AppendUint64(b, math.Float64bits(residual))
 	b = le.AppendUint32(b, uint32(len(x)))
-	b = le.AppendUint16(le.AppendUint16(b, uint16(len(id))), uint16(len(basis)))
-	b = append(append(b, id...), basis...)
+	b = append(le.AppendUint16(b, uint16(len(id))), id...)
 	for _, v := range x {
 		b = le.AppendUint64(b, math.Float64bits(v))
 	}
@@ -136,15 +128,13 @@ func parseCheckpoint(p []byte) (id string, rp ResumePoint, x []byte, ok bool) {
 	}
 	le := binary.LittleEndian
 	n, idLen := int64(le.Uint32(p[17:])), int(le.Uint16(p[21:]))
-	strLen := idLen + int(le.Uint16(p[23:])) // id and basis together
-	if idLen == 0 || int64(len(p)) != ckptHeaderBytes+int64(strLen)+8*n {
+	if idLen == 0 || int64(len(p)) != ckptHeaderBytes+int64(idLen)+8*n {
 		return "", rp, nil, false
 	}
 	rp.Iter = int(int64(le.Uint64(p[1:])))
 	rp.Residual = math.Float64frombits(le.Uint64(p[9:]))
 	p = p[ckptHeaderBytes:]
-	rp.Basis = string(p[idLen:strLen])
-	return string(p[:idLen]), rp, p[strLen:], true
+	return string(p[:idLen]), rp, p[idLen:], true
 }
 
 // decodeCheckpoint decodes a whole binary checkpoint record.
@@ -171,10 +161,6 @@ type ResumePoint struct {
 	Residual float64
 	// X is the full checkpointed solution vector in index order.
 	X []float64
-	// Basis is the operator fingerprint the job's recycle space was
-	// keyed by (gcrodr provenance; the in-memory deflation basis itself
-	// dies with the process and is rebuilt).
-	Basis string
 }
 
 // ReplayedJob is one journaled job a restart owes work on: accepted,
@@ -244,16 +230,7 @@ func (f *fold) apply(payload []byte) {
 		f.skipped++
 		return
 	}
-	if r.T != recCheckpoint {
-		f.applyRecord(&r)
-		return
-	}
-	// A parent-format checkpoint: the same record as text. Re-encoded,
-	// so the fold holds one format and the next snapshot writes binary
-	// (one that does not fit the binary record encodes to nothing, which
-	// is skipped like any other invalid record).
-	b, _ := appendCheckpoint(nil, r.ID, r.Iter, r.Residual, r.X, r.Basis)
-	f.applyCheckpoint(b)
+	f.applyRecord(&r)
 }
 
 func (f *fold) applyCheckpoint(payload []byte) {
@@ -271,8 +248,7 @@ func (f *fold) applyCheckpoint(payload []byte) {
 	}
 }
 
-// applyRecord folds a decoded accept, resume or done record. r is
-// retained.
+// applyRecord folds a decoded accept or done record. r is retained.
 func (f *fold) applyRecord(r *journalRecord) {
 	f.noteID(r.ID)
 	switch r.T {
@@ -291,8 +267,6 @@ func (f *fold) applyRecord(r *journalRecord) {
 		f.stamp(r)
 		f.done[r.ID] = r
 		delete(f.pending, r.ID)
-	case recResume:
-		// Provenance only; the fold ignores it.
 	default:
 		f.skipped++
 	}
@@ -406,6 +380,11 @@ func openJournal(dir string, opts wal.Options, retainDone int) (*Journal, *Journ
 		return nil, nil, err
 	}
 	rep := j.state.replay()
+	for _, p := range rep.Pending {
+		if p.Resume != nil {
+			j.resumed.Inc()
+		}
+	}
 	j.trimDone()
 	return j, rep, nil
 }
@@ -422,9 +401,7 @@ func (j *Journal) fold() (*fold, error) {
 // JournalReplay. It is a pure function of the log contents: replaying
 // twice — or closing and reopening between replays, or compacting —
 // yields identical state, and a job appears in Pending at most once no
-// matter how many times its records were written. Resume records never
-// change the fold (they are provenance, not state), which is why
-// re-journaling a resumed job cannot make it double-run.
+// matter how many times its records were written.
 func (j *Journal) Replay() (*JournalReplay, error) {
 	f, err := j.fold()
 	if err != nil {
@@ -443,13 +420,11 @@ func numericSuffix(id string) (int64, bool) {
 	return n, err == nil
 }
 
-// append journals one accept, resume or done record and folds it.
+// append journals one accept or done record and folds it.
 func (j *Journal) append(r *journalRecord) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if r.T != recResume {
-		r.Seq = j.state.seq + 1
-	}
+	r.Seq = j.state.seq + 1
 	payload, err := json.Marshal(r)
 	if err != nil {
 		return fmt.Errorf("serve: journal encode: %w", err)
@@ -507,13 +482,12 @@ func (j *Journal) Accept(id string, spec jobspec.Spec, submitted time.Time) erro
 }
 
 // Checkpoint journals one verified checkpoint: iteration, true
-// residual, the full solution vector, and the recycle-basis
-// fingerprint.
-func (j *Journal) Checkpoint(id string, iter int, residual float64, x []float64, basis string) error {
+// residual and the full solution vector.
+func (j *Journal) Checkpoint(id string, iter int, residual float64, x []float64) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	var err error
-	if j.buf, err = appendCheckpoint(j.buf[:0], id, iter, residual, x, basis); err != nil {
+	if j.buf, err = appendCheckpoint(j.buf[:0], id, iter, residual, x); err != nil {
 		return err
 	}
 	if err := j.log.Append(j.buf); err != nil {
@@ -522,17 +496,6 @@ func (j *Journal) Checkpoint(id string, iter int, residual float64, x []float64,
 	j.checkpoints.Inc()
 	j.state.applyCheckpoint(j.buf)
 	return j.compactIfDue()
-}
-
-// Resume journals that a replayed job was re-enqueued from iteration
-// iter — provenance for post-mortems and the crash e2e's "resumed from
-// a checkpoint, not iteration 0" assertion. Replay ignores it.
-func (j *Journal) Resume(id string, iter int) error {
-	err := j.append(&journalRecord{T: recResume, ID: id, Iter: iter})
-	if err == nil {
-		j.resumed.Inc()
-	}
-	return err
 }
 
 // Done journals a terminal state. Replay skips done jobs, making

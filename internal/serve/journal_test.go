@@ -37,17 +37,17 @@ func sameBits(a, b []float64) bool {
 // the encoder alone and through a journal on disk.
 func TestCheckpointRoundTripBits(t *testing.T) {
 	for _, residual := range awkwardFloats {
-		rec, err := appendCheckpoint(nil, "job-7", 41, residual, awkwardFloats, "fp-basis")
+		rec, err := appendCheckpoint(nil, "job-7", 41, residual, awkwardFloats)
 		if err != nil {
 			t.Fatal(err)
 		}
 		id, rp, ok := decodeCheckpoint(rec)
-		if !ok || id != "job-7" || rp.Iter != 41 || rp.Basis != "fp-basis" ||
+		if !ok || id != "job-7" || rp.Iter != 41 ||
 			math.Float64bits(rp.Residual) != math.Float64bits(residual) || !sameBits(rp.X, awkwardFloats) {
 			t.Fatalf("residual %x: decoded %q %+v ok=%v", math.Float64bits(residual), id, rp, ok)
 		}
 	}
-	if _, err := appendCheckpoint(nil, "", 1, 0, nil, ""); err == nil {
+	if _, err := appendCheckpoint(nil, "", 1, 0, nil); err == nil {
 		t.Fatal("a checkpoint without a job id was encoded")
 	}
 
@@ -59,7 +59,7 @@ func TestCheckpointRoundTripBits(t *testing.T) {
 	if err := jn.Accept("job-7", testSpec(nil), time.Unix(1700000000, 0).UTC()); err != nil {
 		t.Fatal(err)
 	}
-	if err := jn.Checkpoint("job-7", -3, awkwardFloats[0], awkwardFloats, ""); err != nil {
+	if err := jn.Checkpoint("job-7", -3, awkwardFloats[0], awkwardFloats); err != nil {
 		t.Fatal(err)
 	}
 	jn.Close()
@@ -81,7 +81,7 @@ func TestCheckpointRoundTripBits(t *testing.T) {
 // past the payload's size; a record either fails cleanly — and the fold
 // counts it in Skipped — or re-encodes to the same bytes.
 func FuzzDecodeCheckpoint(f *testing.F) {
-	good, _ := appendCheckpoint(nil, "job-1", 8, 1e-5, []float64{3, 4}, "fp-a")
+	good, _ := appendCheckpoint(nil, "job-1", 8, 1e-5, []float64{3, 4})
 	f.Add(good[1:])
 	f.Add(good[1 : len(good)-1])                  // one byte short
 	f.Add(append(good[1:len(good):len(good)], 0)) // one byte long
@@ -91,7 +91,7 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 	huge := append([]byte(nil), good[1:]...)
 	binary.LittleEndian.PutUint32(huge[16:], math.MaxUint32) // n claims 32 GiB
 	f.Add(huge)
-	empty, _ := appendCheckpoint(nil, "j", 0, 0, nil, "")
+	empty, _ := appendCheckpoint(nil, "j", 0, 0, nil)
 	f.Add(empty[1:])
 
 	f.Fuzz(func(t *testing.T, body []byte) {
@@ -104,7 +104,7 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 		fold.pending["job-1"] = &pendingJob{accept: journalRecord{T: recAccept, ID: "job-1", Seq: 1}}
 		fold.apply(payload)
 		if !ok {
-			if allocs > 3 { // at most the ResumePoint and two strings the payload holds
+			if allocs > 2 { // at most the ResumePoint and the id the payload holds
 				t.Fatalf("rejecting the record allocated %v times", allocs)
 			}
 			if fold.skipped != 1 || fold.pending["job-1"].ckpt != nil {
@@ -112,12 +112,12 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 			}
 			return
 		}
-		// id, basis, the ResumePoint and the vector: nothing sized by a
-		// length field the payload does not back.
-		if allocs > 4 || 8*len(rp.X)+len(id)+len(rp.Basis) > len(payload) {
+		// id, the ResumePoint and the vector: nothing sized by a length
+		// field the payload does not back.
+		if allocs > 3 || 8*len(rp.X)+len(id) > len(payload) {
 			t.Fatalf("decoding %d bytes allocated %v times, %d values", len(payload), allocs, len(rp.X))
 		}
-		again, err := appendCheckpoint(nil, id, rp.Iter, rp.Residual, rp.X, rp.Basis)
+		again, err := appendCheckpoint(nil, id, rp.Iter, rp.Residual, rp.X)
 		if err != nil || !bytes.Equal(again, payload) {
 			t.Fatalf("decoded record re-encodes differently (err %v):\n% x\n% x", err, payload, again)
 		}
@@ -127,8 +127,8 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 	})
 }
 
-// appendRaw writes payloads straight into the WAL under dir, as a
-// parent-commit server would have.
+// appendRaw writes records straight into the WAL under dir, as an
+// older server would have: a []byte as it is, anything else as JSON.
 func appendRaw(t *testing.T, dir string, records ...any) {
 	t.Helper()
 	l, err := wal.Open(dir, wal.Options{FsyncEvery: 1 << 20})
@@ -137,9 +137,11 @@ func appendRaw(t *testing.T, dir string, records ...any) {
 	}
 	defer l.Close()
 	for _, r := range records {
-		b, err := json.Marshal(r)
-		if err != nil {
-			t.Fatal(err)
+		b, raw := r.([]byte)
+		if !raw {
+			if b, err = json.Marshal(r); err != nil {
+				t.Fatal(err)
+			}
 		}
 		if err := l.Append(b); err != nil {
 			t.Fatal(err)
@@ -191,30 +193,41 @@ func withFields(t *testing.T, rec journalRecord, key string, extra map[string]an
 	return b
 }
 
-// A journal the parent commit wrote — checkpoints as JSON with an "x"
-// array, no ordinals, specs and results carrying the since-removed
-// periodic-replacement knobs and their accounting — replays to the same
-// resume point bit for bit, and the first compaction rewrites it in the
-// binary format.
+// parentCheckpoint is a binary checkpoint record in an older layout: a
+// u16 basis length after the id's, and the basis string after the id.
+func parentCheckpoint(id string, iter int, residual float64, x []float64, basis string) []byte {
+	le := binary.LittleEndian
+	b := le.AppendUint64([]byte{ckptTag}, uint64(int64(iter)))
+	b = le.AppendUint64(b, math.Float64bits(residual))
+	b = le.AppendUint32(b, uint32(len(x)))
+	b = le.AppendUint16(le.AppendUint16(b, uint16(len(id))), uint16(len(basis)))
+	b = append(append(b, id...), basis...)
+	for _, v := range x {
+		b = le.AppendUint64(b, math.Float64bits(v))
+	}
+	return b
+}
+
+// A journal an older build wrote — no ordinals, specs and results
+// carrying the since-removed periodic-replacement knobs and their
+// accounting — replays every accept and done record. The records replay
+// no longer reads — a checkpoint as JSON, one in the binary layout with
+// a basis string, a resume record — are each skipped, so the job they
+// name replays from its accept, and the first compaction drops them.
 func TestJournalReplaysParentFormat(t *testing.T) {
 	dir := t.TempDir()
 	spec := testSpec(nil)
 	now := time.Unix(1700000000, 0).UTC()
-	// Every finite awkward value; the parent could not journal the rest.
-	var x []float64
-	for _, v := range awkwardFloats {
-		if !math.IsNaN(v) && !math.IsInf(v, 0) {
-			x = append(x, v)
-		}
-	}
 	appendRaw(t, dir,
 		journalRecord{T: recAccept, ID: "job-1", Spec: &spec, Submitted: now},
 		journalRecord{T: recAccept, ID: "job-2", Spec: &spec, Submitted: now},
-		journalRecord{T: recCheckpoint, ID: "job-2", Iter: 5, Residual: 0.5, X: []float64{9, 9}, Basis: "fp"},
+		withFields(t, journalRecord{T: "checkpoint", ID: "job-2"}, "",
+			map[string]any{"iter": 5, "residual": 0.5, "x": []float64{9, 9}, "basis": "fp"}),
 		journalRecord{T: recDone, ID: "job-1", Result: &JobResult{Solver: "cg", Converged: true}},
 		withFields(t, journalRecord{T: recAccept, ID: "job-3", Spec: &spec, Submitted: now},
 			"spec", map[string]any{"replace_every": 50, "drift_tol": 1e-6}),
-		journalRecord{T: recCheckpoint, ID: "job-2", Iter: 10, Residual: 0x1p-30, X: x, Basis: "fp"},
+		parentCheckpoint("job-2", 10, 0x1p-30, []float64{1, 2, 3}, "*sparse.CSR@0xc000123456;"),
+		withFields(t, journalRecord{T: "resume", ID: "job-2"}, "", map[string]any{"iter": 10}),
 		withFields(t, journalRecord{T: recDone, ID: "job-4", Result: &JobResult{Solver: "cg"}},
 			"result", map[string]any{"max_drift": 3.5e-9, "piece_restores": 2}),
 	)
@@ -224,9 +237,8 @@ func TestJournalReplaysParentFormat(t *testing.T) {
 		if len(rep.Pending) != 2 || rep.Pending[0].ID != "job-2" || rep.Pending[1].ID != "job-3" {
 			t.Fatalf("pending = %+v", rep.Pending)
 		}
-		rp := rep.Pending[0].Resume
-		if rp == nil || rp.Iter != 10 || rp.Residual != 0x1p-30 || rp.Basis != "fp" || !sameBits(rp.X, x) {
-			t.Fatalf("job-2 resume point = %+v", rp)
+		if rp := rep.Pending[0].Resume; rp != nil {
+			t.Fatalf("job-2 resumes from %+v, want its accept", rp)
 		}
 		if !reflect.DeepEqual(rep.DoneOrder, []string{"job-1", "job-4"}) || !rep.Done["job-1"].Converged ||
 			rep.Done["job-4"].Solver != "cg" {
@@ -235,18 +247,24 @@ func TestJournalReplaysParentFormat(t *testing.T) {
 		if !reflect.DeepEqual(rep.Pending[1].Spec, spec) {
 			t.Fatalf("job-3 spec = %+v, want %+v", rep.Pending[1].Spec, spec)
 		}
-		if rep.MaxID != 4 || rep.Skipped != 0 {
-			t.Fatalf("MaxID %d, skipped %d", rep.MaxID, rep.Skipped)
+		if rep.MaxID != 4 {
+			t.Fatalf("MaxID %d", rep.MaxID)
 		}
 	}
-	// Small segments: the parent's records already span several, so the
+	// Small segments: the old records already span several, so the
 	// first append of this incarnation compacts.
 	jn, rep, err := openJournal(dir, wal.Options{SegmentBytes: 512, FsyncEvery: 1}, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	check(rep)
-	if err := jn.Resume("job-2", 10); err != nil {
+	if rep.Skipped != 3 {
+		t.Fatalf("skipped %d records, want the two checkpoints and the resume record", rep.Skipped)
+	}
+	if m := jn.Metrics(); m.JobsResumed != 0 {
+		t.Fatalf("%d jobs resumed from skipped checkpoints", m.JobsResumed)
+	}
+	if err := jn.Checkpoint("job-1", 1, 0, nil); err != nil { // job-1 is done: the fold is unchanged
 		t.Fatal(err)
 	}
 	if m := jn.Metrics(); m.Compactions != 1 || m.SegmentsDropped == 0 {
@@ -259,25 +277,17 @@ func TestJournalReplaysParentFormat(t *testing.T) {
 	check(again)
 	jn.Close()
 
-	checkpoints := 0
 	for _, p := range walPayloads(t, dir) {
-		if p[0] == ckptTag {
-			checkpoints++
+		if _, _, ok := decodeCheckpoint(p); ok {
 			continue
 		}
 		var r journalRecord
-		if err := json.Unmarshal(p, &r); err != nil {
-			t.Fatalf("undecodable record after compaction: %q", p)
+		if err := json.Unmarshal(p, &r); err != nil || (r.T != recAccept && r.T != recDone) {
+			t.Fatalf("a record replay does not read survived compaction: %q", p)
 		}
-		if r.T == recCheckpoint {
-			t.Fatalf("a JSON checkpoint survived compaction: %q", p)
-		}
-		if (r.T == recAccept || r.T == recDone) && r.Seq == 0 {
+		if r.Seq == 0 {
 			t.Fatalf("compaction wrote a %s record without an ordinal: %q", r.T, p)
 		}
-	}
-	if checkpoints != 1 {
-		t.Fatalf("compacted journal holds %d binary checkpoints, want job-2's latest alone", checkpoints)
 	}
 }
 
@@ -329,7 +339,7 @@ func (m *journalModel) check(t *testing.T, what string, rep *JournalReplay, reta
 		switch want, ok := m.iter[p.ID]; {
 		case !ok && p.Resume != nil:
 			t.Fatalf("%s: %s resumes from iteration %d, never checkpointed", what, p.ID, p.Resume.Iter)
-		case ok && (p.Resume == nil || p.Resume.Iter != want || !sameBits(p.Resume.X, m.x[p.ID]) || p.Resume.Basis != "fp-"+p.ID):
+		case ok && (p.Resume == nil || p.Resume.Iter != want || !sameBits(p.Resume.X, m.x[p.ID])):
 			t.Fatalf("%s: %s resume point = %+v, want iteration %d", what, p.ID, p.Resume, want)
 		}
 		if p.Spec.Matrix != "lap2d:16x16" || p.Submitted.IsZero() {
@@ -492,7 +502,7 @@ func TestJournalCompactionCrashSafe(t *testing.T) {
 			x[i] = awkwardFloats[(i+iter)%len(awkwardFloats)]
 		}
 		step(fmt.Sprintf("checkpoint %s@%d", id, iter),
-			func(j *Journal) error { return j.Checkpoint(id, iter, 1/float64(iter), x, "fp-"+id) },
+			func(j *Journal) error { return j.Checkpoint(id, iter, 1/float64(iter), x) },
 			func() { model.iter[id], model.x[id] = iter, x })
 	}
 	done := func(id string) {
@@ -577,7 +587,7 @@ func TestJournalSizeBoundedByLiveSet(t *testing.T) {
 				t.Fatal(err)
 			}
 			for iter := 1; iter <= 5; iter++ {
-				if err := jn.Checkpoint(id, iter, 1, x, "fp"); err != nil {
+				if err := jn.Checkpoint(id, iter, 1, x); err != nil {
 					t.Fatal(err)
 				}
 				peak = max(peak, jn.Metrics().BytesOnDisk)

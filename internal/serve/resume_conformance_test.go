@@ -104,10 +104,10 @@ func TestResumeConformanceAuto(t *testing.T) {
 				// checkpoint along the way.
 				var cks []ResumePoint
 				ref := run(a, spec, Options{
-					CheckpointSink: func(iter int, residual float64, x []float64, basis string) {
+					CheckpointSink: func(iter int, residual float64, x []float64) {
 						cks = append(cks, ResumePoint{
 							Iter: iter, Residual: residual,
-							X: append([]float64(nil), x...), Basis: basis,
+							X: append([]float64(nil), x...),
 						})
 					},
 				})
@@ -140,7 +140,7 @@ func TestResumeConformanceAuto(t *testing.T) {
 				if err := jn.Accept("job-1", spec, time.Now()); err != nil {
 					t.Fatal(err)
 				}
-				if err := jn.Checkpoint("job-1", mid.Iter, mid.Residual, mid.X, mid.Basis); err != nil {
+				if err := jn.Checkpoint("job-1", mid.Iter, mid.Residual, mid.X); err != nil {
 					t.Fatal(err)
 				}
 				jn.Close()

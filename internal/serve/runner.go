@@ -32,7 +32,7 @@ type Options struct {
 	Session *taskrt.Session
 	// Cache, when non-nil and the spec's solver is gcrodr, warm-starts
 	// the solve from (and publishes the harvested space back to) the
-	// shared cross-solve recycle cache.
+	// recycle space the caller shares among related solves.
 	Cache *solvers.RecycleCache
 	// Telemetry, when non-nil, is the driver's observer
 	// (solvers.ResilientConfig.Observe): called with the iteration number
@@ -56,11 +56,10 @@ type Options struct {
 	// CheckpointSink, when non-nil and the spec checkpoints
 	// (CheckpointEvery > 0), receives every verified checkpoint the
 	// moment it is taken:
-	// the absolute iteration, the host-verified true residual, the full
-	// solution vector in index order, and the operator fingerprint the
-	// job's recycle space is keyed by. The slice is only valid during
-	// the call — persist synchronously.
-	CheckpointSink func(iter int, residual float64, x []float64, basis string)
+	// the absolute iteration, the host-verified true residual and the
+	// full solution vector in index order. The slice is only valid
+	// during the call — persist synchronously.
+	CheckpointSink func(iter int, residual float64, x []float64)
 }
 
 // JobResult is the outcome of one solve job, shaped for the server's
@@ -272,9 +271,8 @@ func solveSystem(a *sparse.CSR, k int, x, b []float64, spec jobspec.Spec, opt Op
 		out.ResumedFrom = opt.Resume.Iter
 	}
 	if sink := opt.CheckpointSink; sink != nil {
-		basis := p.OperatorFingerprint()
 		cfg.CheckpointSink = func(c solvers.Checkpoint) {
-			sink(c.Iteration, c.TrueResidual, c.Sol[0], basis)
+			sink(c.Iteration, c.TrueResidual, c.Sol[0])
 		}
 	}
 

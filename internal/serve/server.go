@@ -215,18 +215,15 @@ type MetricsSnapshot struct {
 }
 
 // matrixEntry loads one matrix exactly once and shares the loaded object
-// across every job naming the same spec string. The sharing is what
-// makes coalescing and recycle-cache hits possible at all:
-// Planner.OperatorFingerprint identifies operators by concrete matrix
-// object, so tenants must alias one CSR to count as "sharing an
-// operator". cache is the matrix's recycle cache: gcrodr jobs on the
-// same operator warm-start from each other's deflation spaces, and
-// different operators never share one.
+// across every job naming the same spec string, which is what makes
+// coalescing possible at all. cache is the matrix's one recycle space:
+// each gcrodr job on the matrix, whatever its storage format,
+// warm-starts from the space the last one harvested.
 type matrixEntry struct {
 	once  sync.Once
 	a     *sparse.CSR
 	err   error
-	cache *solvers.RecycleCache
+	cache solvers.RecycleCache
 }
 
 // Server multiplexes many solve jobs over one shared taskrt.Runtime,
@@ -300,7 +297,6 @@ func (s *Server) replayJournal() error {
 		return fmt.Errorf("serve: open wal journal: %w", err)
 	}
 	s.journal = jn
-	// Read before the resume records below add to them.
 	mt, checkpoints := jn.Metrics(), jn.state.checkpoints
 	s.nextID = rep.MaxID
 	now := time.Now()
@@ -312,7 +308,6 @@ func (s *Server) replayJournal() error {
 		s.doneOrder = append(s.doneOrder, id)
 	}
 	s.evictDoneLocked(now)
-	resumed := 0
 	for _, rj := range rep.Pending {
 		j := &Job{
 			ID: rj.ID, Spec: rj.Spec, resume: rj.Resume,
@@ -324,20 +319,11 @@ func (s *Server) replayJournal() error {
 		}
 		s.jobs[j.ID] = j
 		s.queue = append(s.queue, j)
-		if rj.Resume != nil {
-			resumed++
-			// Journal the resumption so the log records that this incarnation
-			// picked up at a checkpoint, not iteration 0. Replay ignores
-			// resume records, so re-journaling cannot double-run the job.
-			if err := jn.Resume(rj.ID, rj.Resume.Iter); err != nil {
-				s.cfg.Log("wal: journal resume of %s: %v", rj.ID, err)
-			}
-		}
 	}
 	if mt.RecordsReplayed > 0 || mt.RecordsTruncated > 0 {
 		s.cfg.Log("wal: replayed %d record(s), %d bytes in %v (%d truncation(s)): %d done, %d requeued, %d resuming from a checkpoint (checkpoint vectors: %d decoded, %d skipped)",
 			mt.RecordsReplayed, mt.BytesOnDisk, time.Duration(mt.RecoveryNS), mt.RecordsTruncated,
-			len(rep.DoneOrder), len(rep.Pending), resumed, resumed, checkpoints-int64(resumed))
+			len(rep.DoneOrder), len(rep.Pending), mt.JobsResumed, mt.JobsResumed, checkpoints-mt.JobsResumed)
 	}
 	if rep.Skipped > 0 {
 		s.cfg.Log("wal: skipped %d undecodable record(s) (version skew?)", rep.Skipped)
@@ -618,24 +604,31 @@ func coalescible(sp jobspec.Spec) bool {
 }
 
 // coalesceKey groups jobs that can share one multi-RHS planner: same
-// matrix (hence, through the server's matrix cache, the same object and
-// the same operator fingerprint), same method and storage format, same
-// stopping rule, same partition.
+// matrix (hence, through the server's matrix cache, the same object),
+// same method and storage format, same stopping rule, same partition.
 func coalesceKey(sp jobspec.Spec) string {
 	return fmt.Sprintf("%s|%s|%s|%g|%d|%d", sp.Matrix, sp.Solver, sp.Format, sp.Tol, sp.MaxIter, sp.Pieces)
 }
 
 // matrix returns the shared entry for a spec string, loading the
-// matrix on first use. Concurrent callers share one load.
+// matrix on first use. Concurrent callers share one load. A failed load
+// leaves the map, so the next job naming the key loads it afresh.
 func (s *Server) matrix(key string) *matrixEntry {
 	s.mu.Lock()
 	e := s.matrices[key]
 	if e == nil {
-		e = &matrixEntry{cache: solvers.NewRecycleCache()}
+		e = &matrixEntry{}
 		s.matrices[key] = e
 	}
 	s.mu.Unlock()
 	e.once.Do(func() { e.a, e.err = jobspec.LoadMatrix(key) })
+	if e.err != nil {
+		s.mu.Lock()
+		if s.matrices[key] == e {
+			delete(s.matrices, key)
+		}
+		s.mu.Unlock()
+	}
 	return e
 }
 
@@ -668,14 +661,14 @@ func (s *Server) runGroup(worker int, group []*Job) {
 	j := group[0]
 	opt := Options{
 		Session: sess,
-		Cache:   e.cache,
+		Cache:   &e.cache,
 		Tracing: s.cfg.Tracing,
 		Resume:  j.resume,
 	}
 	if s.journal != nil && j.Spec.CheckpointEvery > 0 {
 		id := j.ID
-		opt.CheckpointSink = func(iter int, residual float64, x []float64, basis string) {
-			if err := s.journal.Checkpoint(id, iter, residual, x, basis); err != nil {
+		opt.CheckpointSink = func(iter int, residual float64, x []float64) {
+			if err := s.journal.Checkpoint(id, iter, residual, x); err != nil {
 				s.cfg.Log("wal: journal checkpoint for %s: %v", id, err)
 			}
 		}

@@ -309,32 +309,75 @@ func TestServerContainsFaultedTenant(t *testing.T) {
 	}
 }
 
-// Same operator + gcrodr: later jobs warm-start from the shared recycle
-// cache and converge in fewer iterations.
+// Same matrix + gcrodr: the matrix entry's one recycle space carries
+// over from job to job in every storage format — a job converts or
+// tunes its own operator, and the space does not care which object it
+// was harvested over — so the second job converges in fewer iterations.
 func TestServerSharesRecycleCache(t *testing.T) {
+	for _, format := range []string{"csr", "auto", "ell"} {
+		t.Run(format, func(t *testing.T) {
+			s := mustServer(t, Config{MaxActive: 1, CoalesceMax: 1})
+			defer s.Drain()
+			spec := testSpec(func(sp *jobspec.Spec) {
+				sp.Solver = "gcrodr"
+				sp.Matrix = "lap2d:20x20"
+				sp.Format = format
+				sp.Tol = 1e-8
+			})
+			var r [2]*JobResult
+			for i := range r {
+				j, err := s.Submit(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if r[i] = j.Result(); !r[i].Converged {
+					t.Fatalf("gcrodr job %d failed: %+v", i+1, r[i])
+				}
+			}
+			if r[1].Iterations >= r[0].Iterations {
+				t.Fatalf("recycled job took %d iterations vs %d cold — shared space not used",
+					r[1].Iterations, r[0].Iterations)
+			}
+		})
+	}
+}
+
+// A matrix that fails to load is not remembered: the entry leaves the
+// map, and once the file exists the next job on its path solves.
+func TestServerRetriesFailedMatrixLoad(t *testing.T) {
 	s := mustServer(t, Config{MaxActive: 1, CoalesceMax: 1})
 	defer s.Drain()
-	spec := testSpec(func(sp *jobspec.Spec) {
-		sp.Solver = "gcrodr"
-		sp.Matrix = "lap2d:20x20"
-		sp.Tol = 1e-8
-	})
-	j1, err := s.Submit(spec)
+	path := filepath.Join(t.TempDir(), "late.mtx")
+	spec := testSpec(func(sp *jobspec.Spec) { sp.Matrix = path })
+	j, err := s.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1 := j1.Result()
-	j2, err := s.Submit(spec)
+	if r := j.Result(); r.Err == "" {
+		t.Fatalf("job on a missing file = %+v, want a load error", r)
+	}
+	s.mu.Lock()
+	left := len(s.matrices)
+	s.mu.Unlock()
+	if left != 0 {
+		t.Fatalf("%d matrix entries left after a failed load, want 0", left)
+	}
+
+	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2 := j2.Result()
-	if !r1.Converged || !r2.Converged {
-		t.Fatalf("gcrodr jobs failed: %v / %v", r1.Converged, r2.Converged)
+	if err := sparse.WriteMatrixMarket(f, sparse.Laplacian2D(16, 16)); err != nil {
+		t.Fatal(err)
 	}
-	if r2.Iterations > r1.Iterations {
-		t.Fatalf("recycled job took %d iterations vs %d cold — shared cache not hit",
-			r2.Iterations, r1.Iterations)
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if j, err = s.Submit(spec); err != nil {
+		t.Fatal(err)
+	}
+	if r := j.Result(); !r.Converged || r.Err != "" {
+		t.Fatalf("job after the file was written = %+v, want a converged solve", r)
 	}
 }
 

@@ -104,9 +104,9 @@ func TestWALResumeFromCheckpoint(t *testing.T) {
 	sess := rt.NewSession("crashed")
 	RunSolve(a, spec, Options{
 		Session: sess,
-		CheckpointSink: func(iter int, residual float64, x []float64, basis string) {
+		CheckpointSink: func(iter int, residual float64, x []float64) {
 			if iter <= cutoff {
-				if err := jn.Checkpoint("job-1", iter, residual, x, basis); err != nil {
+				if err := jn.Checkpoint("job-1", iter, residual, x); err != nil {
 					t.Errorf("checkpoint: %v", err)
 				}
 			}
@@ -139,9 +139,8 @@ func TestWALResumeFromCheckpoint(t *testing.T) {
 	}
 }
 
-// Replay is a pure fold of the record stream: replaying again — with
-// the extra resume records a restart appends — reconstructs identical
-// state, and close/reopen changes nothing.
+// Replay is a pure fold of the record stream: replaying again
+// reconstructs identical state, and close/reopen changes nothing.
 //
 // The compacted case runs the same history through segments smaller
 // than a record: every append rotates, so what is replayed has been
@@ -175,13 +174,12 @@ func journalReplayIdempotent(t *testing.T, open func(dir string) (*Journal, *Jou
 	// checkpoint after done, accept after done, interleaved completions.
 	jn.Accept("job-1", spec, now)
 	jn.Accept("job-2", spec, now)
-	jn.Checkpoint("job-1", 4, 1e-3, []float64{1, 2}, "fp-a")
+	jn.Checkpoint("job-1", 4, 1e-3, []float64{1, 2})
 	jn.Accept("job-1", spec, now) // duplicate accept
-	jn.Checkpoint("job-1", 8, 1e-5, []float64{3, 4}, "fp-a")
+	jn.Checkpoint("job-1", 8, 1e-5, []float64{3, 4})
 	jn.Done("job-2", &JobResult{Solver: "cg", Converged: true})
-	jn.Accept("job-2", spec, now)              // accept after done: stays done
-	jn.Checkpoint("job-2", 2, 1e-2, nil, "fp") // checkpoint after done: ignored
-	jn.Resume("job-1", 8)                      // provenance only
+	jn.Accept("job-2", spec, now)        // accept after done: stays done
+	jn.Checkpoint("job-2", 2, 1e-2, nil) // checkpoint after done: ignored
 	jn.Accept("job-3", spec, now)
 
 	first, err := jn.Replay()
@@ -195,12 +193,7 @@ func journalReplayIdempotent(t *testing.T, open func(dir string) (*Journal, *Jou
 	if !reflect.DeepEqual(first, second) {
 		t.Fatalf("same log, different folds:\n%+v\n%+v", first, second)
 	}
-	// What a restart does: journal resume records, close, reopen.
-	for _, p := range first.Pending {
-		if p.Resume != nil {
-			jn.Resume(p.ID, p.Resume.Iter)
-		}
-	}
+	// What a restart does: close, reopen.
 	jn.Close()
 	jn2, third, err := open(dir)
 	if err != nil {

@@ -16,98 +16,48 @@ import (
 // cycle end the recycle space is refreshed from the Ritz vectors of
 // smallest magnitude — the slowly-converging directions worth keeping.
 //
-// Across solves the space travels through a RecycleCache keyed by the
-// planner's operator fingerprint: sequences of systems sharing an
-// operator (examples/relatedsystems, examples/multirhs) warm-start each
-// solve with the previous one's deflation space. The restart cycle
-// around the deflated steps is arnoldi's.
+// Across solves the space travels through a RecycleCache, which holds
+// one space: its owner decides which solves share it — the server keeps
+// one per matrix, a library caller passes the same cache to a sequence
+// of related systems (examples/multirhs). A loaded space is projected
+// through C = A·U afresh, so it warm-starts any operator of the same
+// size. The restart cycle around the deflated steps is arnoldi's.
 
-// maxRecycleEntries bounds the cache: a server recycling across many
-// distinct operators keeps the most recently used spaces instead of
-// growing without bound (each entry holds k dense vectors).
-const maxRecycleEntries = 32
-
-// recycleEntry is one cached space with its last-use tick for LRU
-// eviction.
-type recycleEntry struct {
-	u    [][]float64
-	used int64
-}
-
-// RecycleCache carries harvested recycle spaces between solves, keyed by
-// operator identity. Safe for concurrent use: loads take a read lock and
-// deep-copy the space, so a solve reading a warm start can never observe
-// a concurrent store mutating it, and concurrent GCRO-DR sessions sharing
-// one cache do not race. The cache holds at most maxRecycleEntries
-// spaces; storing past the bound evicts the least recently used one.
+// RecycleCache carries one harvested recycle space between solves.
+// The zero value is empty and ready for use. Safe for concurrent use:
+// load and store deep-copy the space, so a solve reading a warm start
+// can never observe a concurrent store mutating it, and concurrent
+// GCRO-DR sessions sharing one cache do not race.
 type RecycleCache struct {
-	mu      sync.RWMutex
-	entries map[string]*recycleEntry
-	clock   int64
+	mu sync.Mutex
+	u  [][]float64
 }
 
-// NewRecycleCache returns an empty cross-solve recycle store.
-func NewRecycleCache() *RecycleCache {
-	return &RecycleCache{entries: map[string]*recycleEntry{}}
-}
-
-// Len returns the number of cached spaces.
-func (c *RecycleCache) Len() int {
-	if c == nil {
-		return 0
-	}
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.entries)
-}
-
-func (c *RecycleCache) load(fp string) [][]float64 {
+func (c *RecycleCache) load() [][]float64 {
 	if c == nil {
 		return nil
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e := c.entries[fp]
-	if e == nil {
-		return nil
+	return cloneSpace(c.u)
+}
+
+func (c *RecycleCache) store(u [][]float64) {
+	if c == nil {
+		return
 	}
-	c.clock++
-	e.used = c.clock
-	out := make([][]float64, len(e.u))
-	for i := range e.u {
-		out[i] = append([]float64(nil), e.u[i]...)
+	cp := cloneSpace(u)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.u = cp
+}
+
+func cloneSpace(u [][]float64) [][]float64 {
+	out := make([][]float64, len(u))
+	for i := range u {
+		out[i] = append([]float64(nil), u[i]...)
 	}
 	return out
-}
-
-func (c *RecycleCache) store(fp string, u [][]float64) {
-	if c == nil {
-		return
-	}
-	cp := make([][]float64, len(u))
-	for i := range u {
-		cp[i] = append([]float64(nil), u[i]...)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.clock++
-	if e := c.entries[fp]; e != nil {
-		e.u = cp
-		e.used = c.clock
-		return
-	}
-	if len(c.entries) >= maxRecycleEntries {
-		var lruKey string
-		lru := int64(math.MaxInt64)
-		for k, e := range c.entries {
-			if e.used < lru {
-				lru = e.used
-				lruKey = k
-			}
-		}
-		delete(c.entries, lruKey)
-	}
-	c.entries[fp] = &recycleEntry{u: cp, used: c.clock}
 }
 
 // GCRODR is the recycling solver. A nil cache still performs deflated
@@ -124,8 +74,8 @@ type GCRODR struct {
 }
 
 // NewGCRODR builds a GCRO-DR solver with cycle length m keeping k
-// recycle vectors. If cache holds a space for this planner's operator
-// fingerprint (real planners only), the solve warm-starts from it.
+// recycle vectors. If cache holds a space of k vectors of the system's
+// length (real planners only), the solve warm-starts from it.
 func NewGCRODR(p *core.Planner, m, k int, cache *RecycleCache) *GCRODR {
 	if !p.IsSquare() {
 		panic("solvers: GCRO-DR requires a square system")
@@ -147,7 +97,7 @@ func NewGCRODR(p *core.Planner, m, k int, cache *RecycleCache) *GCRODR {
 }
 
 // restart implements restarter: the recycle space re-warms from the
-// cache — or, without a cached space for this operator, empties — and
+// cache — or, without a cached space of the system's size, empties — and
 // the cycle prologue projects b − A·x against it.
 func (s *GCRODR) restart() {
 	p := s.p
@@ -155,7 +105,7 @@ func (s *GCRODR) restart() {
 	s.tr = false
 	s.nrec = 0
 	if !p.Virtual() {
-		if cached := s.cache.load(p.OperatorFingerprint()); len(cached) == s.k {
+		if cached := s.cache.load(); len(cached) == s.k {
 			ok := true
 			for i := range cached {
 				if len(cached[i]) != len(p.VecData(s.uvec[i], 0)) {
@@ -325,9 +275,9 @@ func (s *GCRODR) harvest(h [][]float64) {
 	s.refreshC()
 }
 
-// SaveRecycleSpace publishes the current recycle space into the cache
-// under this planner's operator fingerprint, so the next solve on the
-// same operator warm-starts from it. Call after the planner has drained;
+// SaveRecycleSpace publishes the current recycle space into the cache,
+// replacing what it held, so the next solve sharing the cache
+// warm-starts from it. Call after the planner has drained;
 // it reads vector data host-side. No-op without an active space, on
 // virtual planners, or with a nil cache.
 func (s *GCRODR) SaveRecycleSpace() {
@@ -336,7 +286,7 @@ func (s *GCRODR) SaveRecycleSpace() {
 	}
 	u := make([][]float64, s.nrec)
 	for i := 0; i < s.nrec; i++ {
-		u[i] = append([]float64(nil), s.p.VecData(s.uvec[i], 0)...)
+		u[i] = s.p.VecData(s.uvec[i], 0) // store copies
 	}
-	s.cache.store(s.p.OperatorFingerprint(), u)
+	s.cache.store(u)
 }

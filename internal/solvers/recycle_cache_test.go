@@ -1,99 +1,60 @@
 package solvers
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 )
 
 // TestRecycleCacheDeepCopy verifies the aliasing contract: a loaded
 // space is the loader's own storage, so neither mutating it nor a later
-// store under the same key can corrupt what another solve reads.
+// store can corrupt what another solve reads.
 func TestRecycleCacheDeepCopy(t *testing.T) {
-	c := NewRecycleCache()
+	var c RecycleCache
+	if len(c.load()) != 0 {
+		t.Error("empty cache should load no space")
+	}
 	orig := [][]float64{{1, 2}, {3, 4}}
-	c.store("fp", orig)
+	c.store(orig)
 
 	// Mutating the caller's slice after store must not reach the cache.
 	orig[0][0] = -99
-	got := c.load("fp")
+	got := c.load()
 	if got[0][0] != 1 {
 		t.Errorf("store aliased caller storage: got %g, want 1", got[0][0])
 	}
 
 	// Mutating a loaded copy must not reach the cache either.
 	got[1][1] = -77
-	again := c.load("fp")
+	again := c.load()
 	if again[1][1] != 4 {
 		t.Errorf("load returned shared storage: got %g, want 4", again[1][1])
 	}
 
-	if c.load("missing") != nil {
-		t.Error("missing key should load nil")
-	}
-	if (*RecycleCache)(nil).load("fp") != nil {
+	if (*RecycleCache)(nil).load() != nil {
 		t.Error("nil cache should load nil")
 	}
-	(*RecycleCache)(nil).store("fp", orig) // must not panic
-}
-
-// TestRecycleCacheLRUBound fills the cache past its bound and checks the
-// least recently used entry is the one evicted.
-func TestRecycleCacheLRUBound(t *testing.T) {
-	c := NewRecycleCache()
-	for i := 0; i < maxRecycleEntries; i++ {
-		c.store(fmt.Sprintf("fp%d", i), [][]float64{{float64(i)}})
-	}
-	if c.Len() != maxRecycleEntries {
-		t.Fatalf("cache holds %d entries, want %d", c.Len(), maxRecycleEntries)
-	}
-	// Touch fp0 so fp1 becomes the LRU entry, then overflow.
-	if c.load("fp0") == nil {
-		t.Fatal("fp0 missing before overflow")
-	}
-	c.store("overflow", [][]float64{{42}})
-	if c.Len() != maxRecycleEntries {
-		t.Errorf("cache grew past its bound: %d entries", c.Len())
-	}
-	if c.load("fp1") != nil {
-		t.Error("LRU entry fp1 survived eviction")
-	}
-	if c.load("fp0") == nil {
-		t.Error("recently used fp0 was evicted")
-	}
-	if got := c.load("overflow"); got == nil || got[0][0] != 42 {
-		t.Errorf("new entry lost: %v", got)
-	}
-	// Storing under an existing key replaces in place, no eviction.
-	c.store("fp0", [][]float64{{7}})
-	if c.Len() != maxRecycleEntries {
-		t.Errorf("replacing store changed the entry count to %d", c.Len())
-	}
-	if got := c.load("fp0"); got[0][0] != 7 {
-		t.Errorf("replacing store lost the new value: %v", got)
-	}
+	(*RecycleCache)(nil).store(orig) // must not panic
 }
 
 // TestRecycleCacheConcurrent hammers one cache from many goroutines
-// under -race: the original unguarded map races here.
+// under -race: an unguarded space races here.
 func TestRecycleCacheConcurrent(t *testing.T) {
-	c := NewRecycleCache()
+	var c RecycleCache
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			fp := fmt.Sprintf("op%d", g%4)
 			for i := 0; i < 200; i++ {
-				c.store(fp, [][]float64{{float64(g), float64(i)}})
-				if u := c.load(fp); u != nil {
+				c.store([][]float64{{float64(g), float64(i)}})
+				if u := c.load(); len(u) != 0 {
 					u[0][0]++ // private copy: mutation must be safe
 				}
 			}
 		}(g)
 	}
 	wg.Wait()
-	if c.Len() == 0 {
+	if len(c.load()) != 1 {
 		t.Error("cache empty after concurrent stores")
 	}
 }

@@ -46,7 +46,7 @@ func TestRestartMatchesFreshSolver(t *testing.T) {
 	const side, k = 16, 7
 	n := side * side
 	b := fusedRHS(n)
-	cache := NewRecycleCache()
+	cache := &RecycleCache{}
 	{
 		a := sparse.Laplacian2D(side, side)
 		p := restartPlan(a, b, make([]float64, n), 4, false, false)
@@ -54,7 +54,7 @@ func TestRestartMatchesFreshSolver(t *testing.T) {
 		RunIterations(g, 25)
 		p.Drain()
 		g.SaveRecycleSpace()
-		if cache.Len() != 1 {
+		if len(cache.load()) != 4 {
 			t.Fatal("warm-up solve left no recycle space in the cache")
 		}
 	}

@@ -343,16 +343,18 @@ func TestSolveSetsTrueResidual(t *testing.T) {
 	}
 }
 
-// TestGCRODRRecycleAcrossSolves runs two solves of the same operator
-// through a shared RecycleCache: the second, warm-started with the
-// first solve's deflation space, must not take more iterations, and
-// both must reach the tolerance honestly.
+// TestGCRODRRecycleAcrossSolves runs two solves through a shared
+// RecycleCache, each over its own Laplacian2D(8, 8) object: the cache
+// holds a space, not an operator identity, so the second solve warm-
+// starts with the first one's deflation space and takes fewer
+// iterations, and both reach the tolerance honestly. A space of another
+// size is ignored: the solve runs bit for bit as without a cache.
 func TestGCRODRRecycleAcrossSolves(t *testing.T) {
 	const tol = 1e-8
-	mat := sparse.Laplacian2D(8, 8)
-	cache := NewRecycleCache()
+	cache := &RecycleCache{}
 	iters := make([]int, 2)
 	for round := 0; round < 2; round++ {
+		mat := sparse.Laplacian2D(8, 8)
 		b := fusedRHS(64)
 		p := planFor(mat, b, 4)
 		s := NewGCRODR(p, 10, 4, cache)
@@ -370,16 +372,21 @@ func TestGCRODRRecycleAcrossSolves(t *testing.T) {
 		s.SaveRecycleSpace()
 		iters[round] = res.Iterations
 	}
-	if len(cache.entries) == 0 {
+	if len(cache.load()) != 4 {
 		t.Fatal("cache never populated")
 	}
-	if iters[1] > iters[0] {
+	if iters[1] >= iters[0] {
 		t.Errorf("recycled solve took %d iterations vs %d cold", iters[1], iters[0])
 	}
-	// A planner over a different matrix must not see this entry.
-	other := planFor(sparse.Laplacian2D(8, 8), fusedRHS(64), 4)
-	if got := cache.load(other.OperatorFingerprint()); got != nil {
-		t.Error("cache entry leaked across distinct operators")
+
+	// The cached space has 64 rows; a 100-row system must ignore it.
+	solve := func(c *RecycleCache) []float64 {
+		p := planFor(sparse.Laplacian2D(10, 10), fusedRHS(100), 4)
+		Solve(p, NewGCRODR(p, 10, 4, c), tol, 500)
+		p.Drain()
+		return p.VecData(core.SOL, 0)
 	}
-	other.Drain()
+	if i := firstBitDiff(solve(cache), solve(nil)); i >= 0 {
+		t.Errorf("a space of another size changed x[%d]", i)
+	}
 }

@@ -9,8 +9,8 @@
 // into overlapping data are serialized in launch order so floating-point
 // results stay deterministic.
 //
-// Session is the launch API: Launch, LaunchBatch, IndexLaunch, trace
-// scopes (BeginTrace/EndTrace), the phase label, the retry policy, the
+// Session is the launch API: Launch, LaunchBatch (the index launch:
+// one point task per color, in one critical section), trace scopes (BeginTrace/EndTrace), the phase label, the retry policy, the
 // watchdog, the fault injector, and the recorder are all methods of a
 // Session. The program is per session too: sessions must reference
 // disjoint regions, so each owns its task IDs (dense from 0), its access

@@ -540,11 +540,23 @@ func TestHistoryShrinkingRoutesBytesPerProducer(t *testing.T) {
 	}
 }
 
-func TestIndexLaunch(t *testing.T) {
+// launchPoints launches one point task per color of [0, n) in one
+// batch, as the planner launches an operation over a partition.
+func launchPoints(s *Session, n int, point func(color int) TaskSpec) []*Future {
+	specs := make([]TaskSpec, n)
+	for c := range specs {
+		specs[c] = point(c)
+	}
+	return s.LaunchBatch(specs)
+}
+
+// A batch of point tasks over a disjoint partition: one future per
+// color, no dependence edges.
+func TestLaunchBatchPointTasks(t *testing.T) {
 	rt := New()
 	r := region.New("v", index.NewSpace("D", 16), "x")
 	data := r.Field("x")
-	futs := rt.DefaultSession().IndexLaunch(4, func(c int) TaskSpec {
+	futs := launchPoints(rt.DefaultSession(), 4, func(c int) TaskSpec {
 		lo := int64(c * 4)
 		return TaskSpec{
 			Name: "fill", Proc: c,
@@ -617,13 +629,13 @@ func TestTraceReplayTwoCyclesSameKey(t *testing.T) {
 	}
 }
 
-func TestIndexLaunchFutureColorOrder(t *testing.T) {
+func TestLaunchBatchFutureColorOrder(t *testing.T) {
 	// futs[c] must be color c's future regardless of processor mapping or
 	// completion order; map colors to processors in reverse to make an
 	// ordering mix-up visible.
 	rt := New()
 	r := region.New("v", index.NewSpace("D", 32), "x")
-	futs := rt.DefaultSession().IndexLaunch(8, func(c int) TaskSpec {
+	futs := launchPoints(rt.DefaultSession(), 8, func(c int) TaskSpec {
 		lo := int64(c * 4)
 		return TaskSpec{
 			Name: "point", Proc: 7 - c,

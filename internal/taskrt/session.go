@@ -218,21 +218,6 @@ func (s *Session) LaunchBatch(specs []TaskSpec) []*Future {
 	return futs
 }
 
-// IndexLaunch launches one point task per color of a color space
-// [0, n), the runtime analogue of Legion's index task launches (Soi et
-// al., SC'21): a single logical operation over a partition becomes n
-// point tasks whose dependences the runtime derives individually, as one
-// batch under the fused LaunchBatch locking. point builds the spec for
-// one color. The returned futures are in color order (nil when every
-// point is Detached).
-func (s *Session) IndexLaunch(n int, point func(color int) TaskSpec) []*Future {
-	specs := make([]TaskSpec, n)
-	for c := 0; c < n; c++ {
-		specs[c] = point(c)
-	}
-	return s.LaunchBatch(specs)
-}
-
 // SetPhase labels the session's subsequently launched tasks with a
 // solver-phase name (recorded on Node.Phase and in spans), prefixed with
 // the session name for non-default sessions. Specs carrying their own

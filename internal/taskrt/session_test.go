@@ -308,7 +308,6 @@ func TestClosedSessionPanicsOnLaunch(t *testing.T) {
 	}{
 		{"Launch", func(s *Session) { s.Launch(spec) }},
 		{"LaunchBatch", func(s *Session) { s.LaunchBatch([]TaskSpec{spec, spec}) }},
-		{"IndexLaunch", func(s *Session) { s.IndexLaunch(2, func(int) TaskSpec { return spec }) }},
 		{"BeginTrace", func(s *Session) { s.BeginTrace("k") }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
