@@ -280,7 +280,7 @@ func (p *Planner) FusedSweep(ups []VecUpdate, dots []DotPair) []*Scalar {
 		if p.virtual {
 			scratch = region.NewVirtual("dotscratch", space)
 		} else {
-			scratch = region.New("dotscratch", space, "s")
+			scratch = region.New("dotscratch", space)
 		}
 	}
 	nrefs := len(vecs) + len(leaves)
@@ -315,7 +315,7 @@ func (p *Planner) FusedSweep(ups []VecUpdate, dots []DotPair) []*Scalar {
 				refs = append(refs, l.ref)
 			}
 			if k > 0 {
-				refs = append(refs, region.Ref{Region: scratch.ID(), Field: "s", Subset: span, Priv: region.WriteDiscard})
+				refs = append(refs, region.Ref{Region: scratch.ID(), Subset: span, Priv: region.WriteDiscard})
 			}
 			if sdc {
 				// Verification refreshes the slot, so even a pure source's
@@ -349,11 +349,11 @@ func (p *Planner) FusedSweep(ups []VecUpdate, dots []DotPair) []*Scalar {
 				var targets []corruptTarget
 				for _, v := range vecs {
 					if v.priv != region.ReadOnly {
-						targets = append(targets, corruptTarget{p.vecs[v.id].regs[ci].Field("v"), g.subset})
+						targets = append(targets, corruptTarget{p.vecs[v.id].regs[ci].Data(), g.subset})
 					}
 				}
 				if k > 0 {
-					targets = append(targets, corruptTarget{scratch.Field("s"), span})
+					targets = append(targets, corruptTarget{scratch.Data(), span})
 				}
 				spec.Corrupt = corruptHook(targets...)
 			}
@@ -366,13 +366,12 @@ func (p *Planner) FusedSweep(ups []VecUpdate, dots []DotPair) []*Scalar {
 		return nil
 	}
 	partials := []scalarLeaf{{futs: futs, ref: region.Ref{
-		Region: scratch.ID(), Field: "s",
-		Subset: index.Span(0, int64(total*stride)-1), Priv: region.ReadOnly,
+		Region: scratch.ID(), Subset: index.Span(0, int64(total*stride)-1), Priv: region.ReadOnly,
 	}}}
 	if p.virtual {
 		return p.batchReduce(reduceName, partials, k)
 	}
-	return p.dotLeaves(reduceName, scratch.Field("s"), partials, total, stride, k)
+	return p.dotLeaves(reduceName, scratch.Data(), partials, total, stride, k)
 }
 
 // sweepBody binds a sweep's real-mode arithmetic to the storage of one
@@ -403,7 +402,7 @@ func (p *Planner) sweepBody(name string, ci int, scratch *region.Region, stride 
 	for i, u := range ups {
 		bu[i] = boundUpdate{
 			kind: u.Kind, neg: u.Neg,
-			d:   p.vecs[u.Dst].regs[ci].Field("v"),
+			d:   p.vecs[u.Dst].regs[ci].Data(),
 			a:   slices.Index(alphas, u.Alpha),
 			dot: -1,
 		}
@@ -411,7 +410,7 @@ func (p *Planner) sweepBody(name string, ci int, scratch *region.Region, stride 
 			bu[i].cd = p.chkData(u.Dst)
 		}
 		if u.Kind.hasSrc() {
-			bu[i].s = p.vecs[u.Src].regs[ci].Field("v")
+			bu[i].s = p.vecs[u.Src].regs[ci].Data()
 			if sdc {
 				bu[i].cs = p.chkData(u.Src)
 			}
@@ -425,7 +424,7 @@ func (p *Planner) sweepBody(name string, ci int, scratch *region.Region, stride 
 	var bv []boundChk // the vectors whose incoming data the sweep reads
 	for _, v := range vecs {
 		if sdc && v.priv != region.WriteDiscard {
-			bv = append(bv, boundChk{id: v.id, d: p.vecs[v.id].regs[ci].Field("v"), chk: p.chkData(v.id)})
+			bv = append(bv, boundChk{id: v.id, d: p.vecs[v.id].regs[ci].Data(), chk: p.chkData(v.id)})
 		}
 	}
 	type boundDot struct {
@@ -435,8 +434,8 @@ func (p *Planner) sweepBody(name string, ci int, scratch *region.Region, stride 
 	bd := make([]boundDot, len(dots))
 	for j, d := range dots {
 		bd[j] = boundDot{
-			v: p.vecs[d.V].regs[ci].Field("v"),
-			w: p.vecs[d.W].regs[ci].Field("v"),
+			v: p.vecs[d.V].regs[ci].Data(),
+			w: p.vecs[d.W].regs[ci].Data(),
 		}
 		// The dot rides the pass of the last update writing an operand,
 		// unless an earlier dot already rides it.
@@ -452,7 +451,7 @@ func (p *Planner) sweepBody(name string, ci int, scratch *region.Region, stride 
 	}
 	var out []float64
 	if scratch != nil {
-		out = scratch.Field("s")
+		out = scratch.Data()
 	}
 	guard := sdc && len(dots) > 0
 	k := int64(len(dots))

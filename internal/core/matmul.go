@@ -248,8 +248,8 @@ func (p *Planner) launchMultiplyAdd(name string, opIdx int, g *pieceGroup, op *o
 	}
 	var run func() float64
 	if !p.virtual {
-		y := outReg.Field("v")
-		x := inReg.Field("v")
+		y := outReg.Data()
+		x := inReg.Data()
 		mat := op.mat
 		run = func() float64 {
 			for i := range members {
@@ -323,7 +323,7 @@ func (p *Planner) launchMultiplyAdd(name string, opIdx int, g *pieceGroup, op *o
 		spec.Refs = append(spec.Refs, p.chkRef(dst, lo, hi-lo+1, chkPriv))
 	}
 	if hooks {
-		spec.Corrupt = corruptHook(corruptTarget{outReg.Field("v"), outSet})
+		spec.Corrupt = corruptHook(corruptTarget{outReg.Data(), outSet})
 	}
 	p.batch(spec)
 }
@@ -342,7 +342,7 @@ func (p *Planner) zeroPieces(reg *region.Region, subset index.IntervalSet, proc 
 	}
 	var run func() float64
 	if !p.virtual {
-		d := reg.Field("v")
+		d := reg.Data()
 		run = func() float64 {
 			subset.EachInterval(func(iv index.Interval) {
 				for i := iv.Lo; i <= iv.Hi; i++ {
@@ -363,7 +363,7 @@ func (p *Planner) zeroPieces(reg *region.Region, subset index.IntervalSet, proc 
 		spec.Refs = append(spec.Refs, p.chkRef(dst, slot, slots, region.WriteDiscard))
 	}
 	if hooks {
-		spec.Corrupt = corruptHook(corruptTarget{reg.Field("v"), subset})
+		spec.Corrupt = corruptHook(corruptTarget{reg.Data(), subset})
 	}
 	p.batch(spec)
 }

@@ -40,10 +40,6 @@ const (
 type Config struct {
 	// Machine provides the cost model for simulated task costs. Required.
 	Machine machine.Machine
-	// Mapper assigns vector pieces (and by default compute tasks) to
-	// processors. Defaults to a round-robin over the machine's
-	// processors.
-	Mapper taskrt.Mapper
 	// Virtual disables physical storage and real arithmetic: tasks are
 	// recorded with costs for the simulator but perform no work. Virtual
 	// planners scale to the paper's 2^32-unknown problems.
@@ -54,6 +50,12 @@ type Config struct {
 	// matrix tiles between nodes. Returning a negative value keeps the
 	// default placement (the owner of the output piece).
 	MatmulProc func(op, color int) int
+	// VectorProc, if non-nil, picks the processor owning vector piece
+	// color (colors count on across components in the order they are
+	// added); compute tasks run on the owner of the piece they write.
+	// Defaults to color mod the machine's processor count — the paper's
+	// static block mapping when there is one piece per GPU.
+	VectorProc func(color int) int
 	// Session, if non-nil, makes the planner launch into the given
 	// session of an existing shared runtime instead of creating a fresh
 	// runtime of its own. Every launch, phase label, trace scope, fault
@@ -115,9 +117,9 @@ type Planner struct {
 	rt      *taskrt.Runtime
 	sess    *taskrt.Session
 	mach    machine.Machine
-	mapper  taskrt.Mapper
 	virtual bool
 	mmProc  func(op, color int) int
+	vecProc func(color int) int
 
 	sol, rhs  []component
 	ops, pre  []opEntry
@@ -155,9 +157,10 @@ type Planner struct {
 // or — when cfg.Session is set — launching into that session of a
 // shared runtime.
 func NewPlanner(cfg Config) *Planner {
-	mapper := cfg.Mapper
-	if mapper == nil {
-		mapper = taskrt.RoundRobinMapper{NumProcs: cfg.Machine.NumProcs()}
+	vecProc := cfg.VectorProc
+	if vecProc == nil {
+		n := max(cfg.Machine.NumProcs(), 1)
+		vecProc = func(color int) int { return color % n }
 	}
 	sess := cfg.Session
 	if sess == nil {
@@ -167,9 +170,9 @@ func NewPlanner(cfg Config) *Planner {
 		rt:      sess.Runtime(),
 		sess:    sess,
 		mach:    cfg.Machine,
-		mapper:  mapper,
 		virtual: cfg.Virtual,
 		mmProc:  cfg.MatmulProc,
+		vecProc: vecProc,
 		grain:   launchGrain,
 		vecs:    make([]vec, 2), // SOL and RHS, filled by Add*Vector
 	}
@@ -239,7 +242,7 @@ func (p *Planner) Machine() machine.Machine { return p.mach }
 func (p *Planner) Virtual() bool { return p.virtual }
 
 // addComponent registers a component with its canonical partition and
-// assigns piece owners through the mapper.
+// assigns piece owners through vecProc.
 func (p *Planner) addComponent(name string, n int64, part index.Partition, data []float64) (component, *region.Region) {
 	space := index.NewSpace(name, n)
 	if part.NumColors() == 0 {
@@ -254,7 +257,7 @@ func (p *Planner) addComponent(name string, n int64, part index.Partition, data 
 	}
 	procs := make([]int, part.NumColors())
 	for c := range procs {
-		procs[c] = p.mapper.SelectProc("vector", p.colorBase+c)
+		procs[c] = p.vecProc(p.colorBase + c)
 	}
 	p.colorBase += part.NumColors()
 
@@ -262,9 +265,9 @@ func (p *Planner) addComponent(name string, n int64, part index.Partition, data 
 	if p.virtual {
 		reg = region.NewVirtual(name, space)
 	} else if data != nil {
-		reg = region.Adopt(name, space, "v", data)
+		reg = region.Adopt(name, space, data)
 	} else {
-		reg = region.New(name, space, "v")
+		reg = region.New(name, space)
 	}
 	return component{space: space, part: part, procs: procs}, reg
 }
@@ -469,7 +472,7 @@ func (p *Planner) AllocateWorkspace(shape Shape) VecID {
 		if p.virtual {
 			v.regs = append(v.regs, region.NewVirtual(name, c.space))
 		} else {
-			v.regs = append(v.regs, region.New(name, c.space, "v"))
+			v.regs = append(v.regs, region.New(name, c.space))
 		}
 	}
 	p.vecs = append(p.vecs, v)
@@ -497,7 +500,7 @@ func (p *Planner) vecComps(id VecID) (vec, []component) {
 // VecData returns the storage of component comp of any vector, for tests
 // and examples. Real planners only.
 func (p *Planner) VecData(id VecID, comp int) []float64 {
-	return p.vecs[id].regs[comp].Field("v")
+	return p.vecs[id].regs[comp].Data()
 }
 
 // Drain blocks until all tasks launched through this planner's session
@@ -513,7 +516,7 @@ func (p *Planner) CheckpointSol() [][]float64 {
 	}
 	out := make([][]float64, len(p.vecs[SOL].regs))
 	for i, reg := range p.vecs[SOL].regs {
-		out[i] = append([]float64(nil), reg.Field("v")...)
+		out[i] = append([]float64(nil), reg.Data()...)
 	}
 	return out
 }
@@ -530,7 +533,7 @@ func (p *Planner) RestoreSol(ckpt [][]float64) {
 		panic("core: checkpoint component count mismatch")
 	}
 	for i, reg := range p.vecs[SOL].regs {
-		dst := reg.Field("v")
+		dst := reg.Data()
 		if len(ckpt[i]) != len(dst) {
 			panic("core: checkpoint component size mismatch")
 		}

@@ -464,3 +464,40 @@ func TestNotSquare(t *testing.T) {
 		t.Fatal("4x6 system reported square")
 	}
 }
+
+// Config.VectorProc places vector pieces: colors count on across
+// components in the order they are added, the default is color mod the
+// machine's processor count, and a sweep runs each piece's task on the
+// owner of the piece it writes.
+func TestVectorProcPlacement(t *testing.T) {
+	for _, c := range []struct {
+		name     string
+		proc     func(color int) int
+		sol, rhs []int
+	}{
+		{"default", nil, []int{0, 1, 2, 3, 0, 1}, []int{2, 3, 0, 1, 2, 3}},
+		{"custom", func(color int) int { return 7 - color%8 }, []int{7, 6, 5, 4, 3, 2}, []int{1, 0, 7, 6, 5, 4}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			p := NewPlanner(Config{Machine: machine.Lassen(1), Virtual: true, VectorProc: c.proc})
+			si := p.AddSolVectorVirtual(60, index.EqualPartition(index.NewSpace("D", 60), 6))
+			ri := p.AddRHSVectorVirtual(60, index.EqualPartition(index.NewSpace("R", 60), 6))
+			p.AddOperator(sparse.Laplacian1D(60), si, ri)
+			p.Finalize()
+			if !slices.Equal(p.sol[0].procs, c.sol) || !slices.Equal(p.rhs[0].procs, c.rhs) {
+				t.Fatalf("procs: sol %v rhs %v, want %v and %v", p.sol[0].procs, p.rhs[0].procs, c.sol, c.rhs)
+			}
+			ws := p.AllocateWorkspace(SolShape)
+			start := p.Runtime().Graph().Len()
+			p.Copy(ws, SOL)
+			p.Drain()
+			var got []int
+			for _, n := range p.Runtime().Graph().Nodes[start:] {
+				got = append(got, n.Proc)
+			}
+			if !slices.Equal(got, c.sol) {
+				t.Fatalf("copy tasks ran on %v, want the owners %v", got, c.sol)
+			}
+		})
+	}
+}

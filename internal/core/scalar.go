@@ -91,11 +91,11 @@ func (p *Planner) newScalar(name string) (s *Scalar, w region.Ref, data []float6
 	if p.virtual {
 		reg = region.NewVirtual(full, index.NewSpace("S", 1))
 	} else {
-		reg = region.New(full, index.NewSpace("S", 1), "s")
-		data = reg.Field("s")
+		reg = region.New(full, index.NewSpace("S", 1))
+		data = reg.Data()
 		s.eval = func() float64 { return data[0] }
 	}
-	w = region.Ref{Region: reg.ID(), Field: "s", Subset: index.Span(0, 0), Priv: region.ReadOnly}
+	w = region.Ref{Region: reg.ID(), Subset: index.Span(0, 0), Priv: region.ReadOnly}
 	s.leaves = []scalarLeaf{{ref: w}}
 	w.Priv = region.WriteDiscard
 	return s, w, data

@@ -146,8 +146,8 @@ type colCheck struct {
 type sdcState struct {
 	mon *SDCMonitor
 	tol float64
-	// chk[id] is vector id's checksum region ("s" field, one slot per
-	// piece in eachSlot order), parallel to Planner.vecs.
+	// chk[id] is vector id's checksum region (one slot per piece in
+	// eachSlot order), parallel to Planner.vecs.
 	chk []*region.Region
 	// colchk[op][color] is the forward product's column checksum.
 	colchk [][]colCheck
@@ -210,7 +210,7 @@ func (p *Planner) sdcAddVec(id VecID) {
 	}
 	v := p.vecs[id]
 	total := p.shapePieces(v.shape)
-	reg := region.New(fmt.Sprintf("chk%d", id), index.NewSpace(fmt.Sprintf("chk%d", id), int64(total)), "s")
+	reg := region.New(fmt.Sprintf("chk%d", id), index.NewSpace(fmt.Sprintf("chk%d", id), int64(total)))
 	s.chk[id] = reg
 	p.seedChecksum(id)
 }
@@ -219,9 +219,9 @@ func (p *Planner) sdcAddVec(id VecID) {
 // current data. The runtime must be quiescent.
 func (p *Planner) seedChecksum(id VecID) {
 	v, comps := p.vecComps(id)
-	out := p.sdc.chk[id].Field("s")
+	out := p.sdc.chk[id].Data()
 	eachSlot(comps, func(ci, slot int, subset index.IntervalSet) {
-		d := v.regs[ci].Field("v")
+		d := v.regs[ci].Data()
 		var sum float64
 		subset.EachInterval(func(iv index.Interval) {
 			for i := iv.Lo; i <= iv.Hi; i++ {
@@ -277,13 +277,12 @@ func (p *Planner) buildColChecks(op *opEntry) []colCheck {
 // chkRef builds the region reference for n consecutive checksum slots.
 func (p *Planner) chkRef(id VecID, slot, n int, priv region.Privilege) region.Ref {
 	return region.Ref{
-		Region: p.sdc.chk[id].ID(), Field: "s",
-		Subset: index.Span(int64(slot), int64(slot+n-1)), Priv: priv,
+		Region: p.sdc.chk[id].ID(), Subset: index.Span(int64(slot), int64(slot+n-1)), Priv: priv,
 	}
 }
 
 // chkData returns a vector's checksum slot storage.
-func (p *Planner) chkData(id VecID) []float64 { return p.sdc.chk[id].Field("s") }
+func (p *Planner) chkData(id VecID) []float64 { return p.sdc.chk[id].Data() }
 
 // verifySlot compares a measured piece sum against the maintained
 // checksum, raises an alarm on mismatch, and refreshes the slot with the

@@ -26,7 +26,7 @@ import (
 // pieceRef builds a region reference for one piece of one vector
 // component.
 func pieceRef(reg *region.Region, subset index.IntervalSet, priv region.Privilege) region.Ref {
-	return region.Ref{Region: reg.ID(), Field: "v", Subset: subset, Priv: priv}
+	return region.Ref{Region: reg.ID(), Subset: subset, Priv: priv}
 }
 
 // launchGrain is the fewest points one launched task should hold. Below

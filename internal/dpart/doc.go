@@ -19,5 +19,5 @@
 // Figure 3 of the paper: explicit function arrays (COO row/col), segment
 // maps (CSR/CSC/BCSR rowptr/colptr), implicit div/mod projections of
 // product spaces (Dense, ELL, BCSR block structure), per-diagonal offset
-// maps (DIA), plus composition and inversion combinators.
+// maps (DIA).
 package dpart

@@ -486,54 +486,6 @@ func (r *BlockRelation) Preimage(s index.IntervalSet) index.IntervalSet {
 	return r.left.Set.Clone()
 }
 
-// Composed is the relational composition B ∘ A of A ⊆ I × J and B ⊆ J × L:
-// i relates to l when some j links them. It implements the nested
-// projections of equation 5 (e.g. the finest partition of D needed to
-// compute A²x).
-type Composed struct {
-	A, B Relation
-}
-
-// Compose returns the composition of a and b; a.Right and b.Left must be
-// the same space.
-func Compose(a, b Relation) *Composed { return &Composed{A: a, B: b} }
-
-// Left implements Relation.
-func (r *Composed) Left() index.Space { return r.A.Left() }
-
-// Right implements Relation.
-func (r *Composed) Right() index.Space { return r.B.Right() }
-
-// Image implements Relation.
-func (r *Composed) Image(s index.IntervalSet) index.IntervalSet {
-	return r.B.Image(r.A.Image(s))
-}
-
-// Preimage implements Relation.
-func (r *Composed) Preimage(s index.IntervalSet) index.IntervalSet {
-	return r.A.Preimage(r.B.Preimage(s))
-}
-
-// Inverse swaps the two sides of a relation, exchanging Image and Preimage.
-type Inverse struct {
-	R Relation
-}
-
-// Invert returns the inverse relation.
-func Invert(r Relation) *Inverse { return &Inverse{R: r} }
-
-// Left implements Relation.
-func (r *Inverse) Left() index.Space { return r.R.Right() }
-
-// Right implements Relation.
-func (r *Inverse) Right() index.Space { return r.R.Left() }
-
-// Image implements Relation.
-func (r *Inverse) Image(s index.IntervalSet) index.IntervalSet { return r.R.Preimage(s) }
-
-// Preimage implements Relation.
-func (r *Inverse) Preimage(s index.IntervalSet) index.IntervalSet { return r.R.Image(s) }
-
 // ConcatPart is one member of a Concat relation: Rel's left space takes
 // the next stretch of the concatenated left space, and its right points
 // are shifted by RightOff into the shared right space.

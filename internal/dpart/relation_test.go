@@ -295,37 +295,6 @@ func TestQuickConcat(t *testing.T) {
 	}
 }
 
-func TestComposeAndInvert(t *testing.T) {
-	// f: K -> D, g: D -> C; compose relates K to C.
-	f := []int64{0, 1, 2, 0}
-	g := []int64{1, 1, 0}
-	rf := NewFnRelation("K", f, index.NewSpace("D", 3))
-	rg := NewFnRelation("D", g, index.NewSpace("C", 2))
-	comp := Compose(rf, rg)
-	if comp.Left().Name != "K" || comp.Right().Name != "C" {
-		t.Fatal("composed spaces wrong")
-	}
-	// K point 2 -> D 2 -> C 0.
-	if got := comp.Image(index.Span(2, 2)); !got.Equal(index.Span(0, 0)) {
-		t.Errorf("composed Image = %v", got)
-	}
-	// C 1 <- D {0,1} <- K {0,1,3}.
-	if got := comp.Preimage(index.Span(1, 1)); !got.Equal(index.FromPoints([]int64{0, 1, 3})) {
-		t.Errorf("composed Preimage = %v", got)
-	}
-
-	inv := Invert(rf)
-	if inv.Left().Name != "D" || inv.Right().Name != "K" {
-		t.Fatal("inverted spaces wrong")
-	}
-	if got := inv.Image(index.Span(0, 0)); !got.Equal(index.FromPoints([]int64{0, 3})) {
-		t.Errorf("inverted Image = %v", got)
-	}
-	if got := inv.Preimage(index.Span(0, 0)); !got.Equal(index.Span(0, 0)) {
-		t.Errorf("inverted Preimage = %v", got)
-	}
-}
-
 func TestQuickGaloisProperties(t *testing.T) {
 	// For functional left-to-right relations (every concrete relation in
 	// this package maps each left point to at most one right point):

@@ -8,7 +8,6 @@ import (
 	"kdrsolvers/internal/sim"
 	"kdrsolvers/internal/solvers"
 	"kdrsolvers/internal/sparse"
-	"kdrsolvers/internal/taskrt"
 )
 
 // Fig10Config describes the Section 6.3 dynamic load-balancing
@@ -92,11 +91,9 @@ func fig10Planner(cfg Fig10Config, m machine.Machine, owner func(op int) int) *c
 	perNode := cfg.Pieces / cfg.Nodes
 
 	p := core.NewPlanner(core.Config{
-		Machine: m,
-		Virtual: true,
-		Mapper: taskrt.FuncMapper(func(_ string, color int) int {
-			return (color % cfg.Pieces) / perNode
-		}),
+		Machine:    m,
+		Virtual:    true,
+		VectorProc: func(color int) int { return (color % cfg.Pieces) / perNode },
 		MatmulProc: func(op, _ int) int { return owner(op) },
 	})
 	for j := 0; j < cfg.Pieces; j++ {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"kdrsolvers/internal/baseline"
+	"kdrsolvers/internal/core"
 	"kdrsolvers/internal/index"
 	"kdrsolvers/internal/machine"
 	"kdrsolvers/internal/region"
@@ -18,18 +19,57 @@ import (
 // counts (the simulator is deterministic, so a handful of timed
 // iterations measures the same per-iteration cost as the paper's 200).
 
-// unfusedCGIterTime is KDRIterTime for the per-operation CG, which has
-// a constructor but no name in solvers.New's table.
+// perOpCG is the paper's per-operation CG (Figure 7): one task sweep per
+// vector operation, built from the planner's exported operations — the
+// formulation the fused CG of package solvers replaced.
+type perOpCG struct {
+	p        *core.Planner
+	pv, q, r core.VecID
+	res      *core.Scalar // r·r
+}
+
+func newPerOpCG(p *core.Planner) *perOpCG {
+	s := &perOpCG{
+		p:  p,
+		pv: p.AllocateWorkspace(core.SolShape),
+		q:  p.AllocateWorkspace(core.RhsShape),
+		r:  p.AllocateWorkspace(core.RhsShape),
+	}
+	p.BeginPhase("cg.init")
+	p.Matmul(s.r, core.SOL)               // r = A x
+	p.Xpay(s.r, p.Constant(-1), core.RHS) // r = b − A x
+	p.Copy(s.pv, s.r)
+	s.res = p.Dot(s.r, s.r)
+	return s
+}
+
+func (s *perOpCG) Name() string                     { return "CG" }
+func (s *perOpCG) ConvergenceMeasure() *core.Scalar { return s.res }
+
+func (s *perOpCG) Step() {
+	p := s.p
+	p.BeginPhase("cg.step")
+	defer p.TraceEnd(p.TraceBegin("cg.step"))
+	p.Matmul(s.q, s.pv)                     // q = A p
+	alpha := p.Div(s.res, p.Dot(s.pv, s.q)) // α = res / pᵀAp
+	p.Axpy(core.SOL, alpha, s.pv)           // x += α p
+	p.Axpy(s.r, p.Neg(alpha), s.q)          // r -= α q
+	newRes := p.Dot(s.r, s.r)
+	p.Xpay(s.pv, p.Div(newRes, s.res), s.r) // p = r + β p
+	s.res = newRes
+}
+
+// unfusedCGIterTime is KDRIterTime for the per-operation CG.
 func unfusedCGIterTime(m machine.Machine, n int64) Measurement {
 	p := stencilPlanner(m, sparse.Stencil2D5, n, m.NumProcs())
-	return measureSolver(p, func() solvers.Solver { return solvers.NewCGUnfused(p) }, 3, 5, KDROptions{Tracing: true})
+	return measureSolver(p, func() solvers.Solver { return newPerOpCG(p) }, 3, 5, KDROptions{Tracing: true})
 }
 
 func TestFig8SmallProblemsFavorBaselines(t *testing.T) {
 	// Paper, Section 6.1: "The execution time of LegionSolvers on small
 	// problems is dominated by fixed overheads" — the dynamic runtime
 	// loses below the crossover. The claim is about the paper's
-	// per-operation formulation (solvers.NewCGUnfused here); the fused CG cuts
+	// per-operation formulation (perOpCG here); the fused CG cuts
 	// per-iteration launches enough that it clears this baseline even at
 	// small sizes, which TestFig8FusionBeatsPaperCrossover pins down.
 	m := machine.Lassen(16)
@@ -255,7 +295,7 @@ func TestInterleavedApplicationWork(t *testing.T) {
 	run := func(appCost float64) sim.Result {
 		p := stencilPlanner(m, sparse.Stencil3D27, n, m.NumProcs())
 		s := solvers.New("cg", p)
-		appRegion := region.New("app", index.NewSpace("A", int64(m.NumProcs())), "v")
+		appRegion := region.New("app", index.NewSpace("A", int64(m.NumProcs())))
 		for i := 0; i < iters; i++ {
 			p.Session().BeginTrace("iter+app")
 			s.Step()
@@ -269,7 +309,7 @@ func TestInterleavedApplicationWork(t *testing.T) {
 						p.Session().Launch(taskrt.TaskSpec{
 							Name: "app.chemistry", Proc: pr, Cost: appCost,
 							Refs: []region.Ref{{
-								Region: appRegion.ID(), Field: "v",
+								Region: appRegion.ID(),
 								Subset: index.Span(int64(pr), int64(pr)),
 								Priv:   region.ReadWrite,
 							}},

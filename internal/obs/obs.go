@@ -18,7 +18,7 @@ type Span struct {
 	Name string
 	// Phase is the solver-phase label active at launch ("cg.step", ...).
 	Phase string
-	// Proc is the simulated processor the mapper assigned.
+	// Proc is the simulated processor the task was placed on.
 	Proc int
 	// Worker identifies the executor: the goroutine-pool slot for real
 	// spans, the simulated processor for simulated spans.

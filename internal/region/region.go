@@ -1,11 +1,12 @@
-// Package region provides logical regions: named, field-structured data
-// collections over index spaces, in the style of Legion's region
-// abstraction. A logical region pairs an index space with a field space;
-// a physical instance holds the actual storage as structure-of-arrays.
+// Package region provides logical regions in the style of Legion's
+// region abstraction, reduced to what the solvers use: a region is one
+// float64 array over an index space. There are no field spaces, region
+// trees or subregions; a partition is a set of index subsets, and a task
+// names the part of a region it touches with a Ref.
 //
 // The task runtime (package taskrt) performs dependence analysis on
-// logical region references — (region, field, subset, privilege) tuples —
-// while computational kernels operate directly on the physical storage.
+// region references — (region, subset, privilege) tuples — while
+// computational kernels operate directly on the region's array.
 package region
 
 import (
@@ -27,15 +28,15 @@ var nextID atomic.Int64
 // regions from long-lived ones.
 func LastID() ID { return ID(nextID.Load()) }
 
-// A Region is a logical region: an index space paired with a set of named
-// float64 fields and a physical structure-of-arrays instance backing them.
+// A Region is a logical region: an index space paired with one float64
+// array backing it.
 type Region struct {
 	id    ID
 	name  string
 	space index.Space
-	// fields maps field names to dense storage indexed by the points of
-	// the space's bounding interval (the common case is a dense space).
-	fields map[string][]float64
+	// data is dense storage indexed by the points of the space's bounding
+	// interval (the common case is a dense space).
+	data []float64
 	// virtual regions carry no storage; see NewVirtual.
 	virtual bool
 }
@@ -43,7 +44,7 @@ type Region struct {
 // NewVirtual creates a region with no physical storage. Virtual regions
 // participate fully in dependence analysis — which only needs index
 // subsets — and let paper-scale problems (up to 2^32 unknowns) run through
-// the simulator without allocating vectors. Field panics on a virtual
+// the simulator without allocating vectors. Data panics on a virtual
 // region.
 func NewVirtual(name string, space index.Space) *Region {
 	return &Region{
@@ -54,39 +55,22 @@ func NewVirtual(name string, space index.Space) *Region {
 	}
 }
 
-// Adopt creates a region over the given index space whose single field
-// aliases caller-owned storage, implementing the paper's in-place
+// Adopt creates a region over the given index space whose array aliases
+// caller-owned storage, implementing the paper's in-place
 // ingestion (P4): vector data is consumed where it already lives, with no
 // copy into library-specific structures. len(data) must cover the space.
-func Adopt(name string, space index.Space, field string, data []float64) *Region {
+func Adopt(name string, space index.Space, data []float64) *Region {
 	if n := space.Set.Bounds().Hi + 1; int64(len(data)) < n {
 		panic(fmt.Sprintf("region: Adopt storage too small: %d < %d", len(data), n))
 	}
-	return &Region{
-		id:     ID(nextID.Add(1)),
-		name:   name,
-		space:  space,
-		fields: map[string][]float64{field: data},
-	}
+	return &Region{id: ID(nextID.Add(1)), name: name, space: space, data: data}
 }
 
-// New creates a region over the given index space with the named float64
-// fields, all zero-initialized.
-func New(name string, space index.Space, fieldNames ...string) *Region {
-	n := space.Set.Bounds().Hi + 1
-	if n < 0 {
-		n = 0
-	}
-	fields := make(map[string][]float64, len(fieldNames))
-	for _, f := range fieldNames {
-		fields[f] = make([]float64, n)
-	}
-	return &Region{
-		id:     ID(nextID.Add(1)),
-		name:   name,
-		space:  space,
-		fields: fields,
-	}
+// New creates a region over the given index space with a zero-initialized
+// array covering the space's bounding interval.
+func New(name string, space index.Space) *Region {
+	n := max(space.Set.Bounds().Hi+1, 0)
+	return &Region{id: ID(nextID.Add(1)), name: name, space: space, data: make([]float64, n)}
 }
 
 // ID returns the region's unique identifier.
@@ -95,26 +79,20 @@ func (r *Region) ID() ID { return r.id }
 // Space returns the region's index space.
 func (r *Region) Space() index.Space { return r.space }
 
-// Field returns the storage of the named field. It panics if the field
-// does not exist or the region is virtual, since both are programming
-// errors.
-func (r *Region) Field(name string) []float64 {
+// Data returns the region's array. It panics on a virtual region, since
+// reading storage that does not exist is a programming error.
+func (r *Region) Data() []float64 {
 	if r.virtual {
 		panic(fmt.Sprintf("region: %s is virtual and has no storage", r.name))
 	}
-	f, ok := r.fields[name]
-	if !ok {
-		panic(fmt.Sprintf("region: %s has no field %q", r.name, name))
-	}
-	return f
+	return r.data
 }
 
-// Ref names data touched by a task: a subset of one field of one region
-// together with the access privilege. Refs are what the task runtime's
-// dependence (interference) analysis operates on.
+// Ref names data touched by a task: a subset of one region together with
+// the access privilege. Refs are what the task runtime's dependence
+// (interference) analysis operates on.
 type Ref struct {
 	Region ID
-	Field  string
 	Subset index.IntervalSet
 	Priv   Privilege
 }

@@ -6,43 +6,68 @@ import (
 	"kdrsolvers/internal/index"
 )
 
+// TestRegionFields pins New's storage: one zero-filled array over the
+// space's bounding interval (a sparse space included), and Data returns
+// the region's own storage. TestEmptyRegion, TestAdoptAliasesStorage and
+// TestVirtualRegion pin the rest of the one-array contract.
 func TestRegionFields(t *testing.T) {
-	r := New("x", index.NewSpace("D", 10), "val")
-	if r.name != "x" || r.Space().Size() != 10 {
-		t.Fatal("metadata wrong")
-	}
-	f := r.Field("val")
-	if len(f) != 10 {
-		t.Fatalf("field len = %d", len(f))
-	}
-	f[3] = 7
-	if r.Field("val")[3] != 7 {
-		t.Fatal("field storage not shared")
-	}
-}
-
-func TestRegionUniqueIDs(t *testing.T) {
-	a := New("a", index.NewSpace("D", 1), "v")
-	b := New("b", index.NewSpace("D", 1), "v")
-	if a.ID() == b.ID() {
-		t.Fatal("region IDs must be unique")
-	}
-}
-
-func TestRegionPanics(t *testing.T) {
-	r := New("x", index.NewSpace("D", 2), "v")
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
+	sparse := index.Space{Name: "S", Set: index.NewIntervalSet(index.Interval{Lo: 5, Hi: 6}, index.Interval{Lo: 9, Hi: 9})}
+	for _, space := range []index.Space{index.NewSpace("D", 10), sparse} {
+		r := New("x", space)
+		if r.name != "x" || len(r.Data()) != 10 {
+			t.Fatalf("New over %v: name %q, len %d, want 10", space.Set, r.name, len(r.Data()))
 		}
-	}()
-	r.Field("missing")
+		for i, v := range r.Data() {
+			if v != 0 {
+				t.Fatalf("New over %v: Data()[%d] = %g, want 0", space.Set, i, v)
+			}
+		}
+	}
+
+	r := New("x", index.NewSpace("D", 4))
+	r.Data()[3] = 7
+	if r.Data()[3] != 7 {
+		t.Fatal("Data must return the region's own storage")
+	}
 }
 
 func TestEmptyRegion(t *testing.T) {
-	r := New("e", index.Space{Name: "E"}, "v")
-	if len(r.Field("v")) != 0 {
-		t.Fatal("empty region should have empty fields")
+	r := New("e", index.Space{Name: "E"})
+	if len(r.Data()) != 0 {
+		t.Fatal("empty region should have an empty array")
+	}
+}
+
+func TestAdoptAliasesStorage(t *testing.T) {
+	data := []float64{1, 2, 3}
+	r := Adopt("y", index.NewSpace("D", 3), data)
+	if r.virtual {
+		t.Fatal("adopted region is physical")
+	}
+	r.Data()[1] = 42
+	if data[1] != 42 || &r.Data()[0] != &data[0] {
+		t.Fatal("Adopt must alias, not copy")
+	}
+}
+
+func TestVirtualRegion(t *testing.T) {
+	v := NewVirtual("v", index.NewSpace("D", 1<<40))
+	if !v.virtual || v.Space().Size() != 1<<40 {
+		t.Fatal("virtual regions carry full-size spaces without storage")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Data on a virtual region must panic")
+		}
+	}()
+	v.Data()
+}
+
+func TestRegionUniqueIDs(t *testing.T) {
+	a := New("a", index.NewSpace("D", 1))
+	b := New("b", index.NewSpace("D", 1))
+	if a.ID() == b.ID() {
+		t.Fatal("region IDs must be unique")
 	}
 }
 
@@ -74,41 +99,13 @@ func TestPrivilegeConflicts(t *testing.T) {
 	}
 }
 
-func TestVirtualRegion(t *testing.T) {
-	r := NewVirtual("v", index.NewSpace("D", 1<<40))
-	if !r.virtual {
-		t.Fatal("Virtual() = false")
-	}
-	if r.Space().Size() != 1<<40 {
-		t.Fatal("virtual regions carry full-size spaces without storage")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Field on a virtual region must panic")
-		}
-	}()
-	r.Field("x")
-}
-
-func TestAdoptAliasesStorage(t *testing.T) {
-	data := []float64{1, 2, 3}
-	r := Adopt("x", index.NewSpace("D", 3), "v", data)
-	if r.virtual {
-		t.Fatal("adopted region is physical")
-	}
-	r.Field("v")[1] = 42
-	if data[1] != 42 {
-		t.Fatal("Adopt must alias, not copy")
-	}
-}
-
 func TestAdoptTooSmallPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	Adopt("x", index.NewSpace("D", 5), "v", make([]float64, 3))
+	Adopt("x", index.NewSpace("D", 5), make([]float64, 3))
 }
 
 func TestVectorBytesOf(t *testing.T) {

@@ -420,10 +420,16 @@ func numericSuffix(id string) (int64, bool) {
 	return n, err == nil
 }
 
-// append journals one accept or done record and folds it.
+// append journals one accept or done record and folds it. An accept of
+// a job the fold holds, pending or done, writes nothing: the fold would
+// ignore it, and a copy stamped with a fresh ordinal could sit ahead of
+// a snapshot's copy and reorder the next replay.
 func (j *Journal) append(r *journalRecord) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	if r.T == recAccept && (j.state.pending[r.ID] != nil || j.state.done[r.ID] != nil) {
+		return nil
+	}
 	r.Seq = j.state.seq + 1
 	payload, err := json.Marshal(r)
 	if err != nil {

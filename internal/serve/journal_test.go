@@ -568,6 +568,62 @@ func TestJournalCompactionCrashSafe(t *testing.T) {
 	t.Logf("%d compactions dropped %d segments; %d crash states replayed", m.Compactions, m.SegmentsDropped, states)
 }
 
+// A second accept of a job the journal already holds writes nothing, so
+// it cannot reorder a replay: were it written with a fresh ordinal, the
+// compaction its own append triggers would leave it in the active
+// segment ahead of the snapshot's copy, and the reopened journal would
+// list job-2 after job-3.
+func TestJournalDuplicateAcceptKeepsOrdinal(t *testing.T) {
+	opts := wal.Options{SegmentBytes: 1024, FsyncEvery: 1 << 20}
+	dir := t.TempDir()
+	jn, _, err := openJournal(dir, opts, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := testSpec(nil)
+	now := time.Unix(1700000000, 0).UTC()
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	must(jn.Accept("job-1", spec, now))
+	must(jn.Accept("job-2", spec, now))
+	must(jn.Done("job-1", &JobResult{Solver: "cg"}))
+	must(jn.Accept("job-3", spec, now))
+	// Fill the first segment, so the next record rotates the log and
+	// its append compacts.
+	for jn.Metrics().BytesOnDisk < opts.SegmentBytes {
+		must(jn.Checkpoint("job-3", 1, 1, make([]float64, 8)))
+	}
+	appended := jn.Metrics().RecordsAppended
+	must(jn.Accept("job-2", spec, now)) // pending: the duplicate
+	must(jn.Accept("job-1", spec, now)) // done: stays done
+	if got := jn.Metrics().RecordsAppended - appended; got != 0 {
+		t.Errorf("accepts of held jobs appended %d records", got)
+	}
+	must(jn.Checkpoint("job-3", 2, 1, make([]float64, 8)))
+	if jn.Metrics().Compactions == 0 {
+		t.Fatal("no compaction: the scenario needs one")
+	}
+	live, err := jn.Replay()
+	must(err)
+	must(jn.Close())
+	jn2, reopened, err := openJournal(dir, opts, 4)
+	must(err)
+	defer jn2.Close()
+	for what, rep := range map[string]*JournalReplay{"live": live, "reopened": reopened} {
+		var ids []string
+		for _, p := range rep.Pending {
+			ids = append(ids, p.ID)
+		}
+		if !slices.Equal(ids, []string{"job-2", "job-3"}) {
+			t.Errorf("%s journal: pending %v, want [job-2 job-3]", what, ids)
+		}
+	}
+}
+
 // The journal on disk follows the live set, not history: ten times the
 // jobs leave it within a segment of where the first batch left it.
 func TestJournalSizeBoundedByLiveSet(t *testing.T) {

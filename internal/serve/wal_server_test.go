@@ -172,6 +172,7 @@ func journalReplayIdempotent(t *testing.T, open func(dir string) (*Journal, *Jou
 	now := time.Unix(1700000000, 0).UTC()
 	// A history with every idempotency hazard: duplicate accepts,
 	// checkpoint after done, accept after done, interleaved completions.
+	// (The journal writes no record for an accept of a job it holds.)
 	jn.Accept("job-1", spec, now)
 	jn.Accept("job-2", spec, now)
 	jn.Checkpoint("job-1", 4, 1e-3, []float64{1, 2})

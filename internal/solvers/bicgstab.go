@@ -9,8 +9,7 @@ import "kdrsolvers/internal/core"
 // the final residual dot into the closing update sweep, and fuses the
 // direction/solution updates (core.FusedSweep), cutting the launches per
 // iteration by over a third against the per-operation formulation while
-// computing bitwise identical iterates. NewBiCGStabUnfused keeps the
-// per-operation formulation for ablation and benchmarks.
+// computing bitwise identical iterates.
 type BiCGStab struct {
 	p                 *core.Planner
 	r, rhat, pv, v    core.VecID
@@ -18,7 +17,6 @@ type BiCGStab struct {
 	rho, alpha, omega *core.Scalar
 	res               *core.Scalar
 	bd                breakdownFlag
-	unfused           bool
 }
 
 // NewBiCGStab builds a BiCGStab solver on a finalized square system.
@@ -55,14 +53,6 @@ func (s *BiCGStab) restart() {
 	s.res = p.Dot(s.r, s.r)
 }
 
-// NewBiCGStabUnfused builds a BiCGStab solver on the pre-fusion
-// per-operation formulation, kept for ablation and benchmarks.
-func NewBiCGStabUnfused(p *core.Planner) *BiCGStab {
-	s := NewBiCGStab(p)
-	s.unfused = true
-	return s
-}
-
 // Name implements Solver.
 func (s *BiCGStab) Name() string { return "BiCGStab" }
 
@@ -78,12 +68,10 @@ func (s *BiCGStab) Step() {
 	p := s.p
 	p.BeginPhase("bicgstab.step")
 	defer p.TraceEnd(p.TraceBegin("bicgstab.step"))
-	if s.unfused {
-		s.stepUnfused()
-		return
-	}
 	rho := p.Dot(s.rhat, s.r)
-	// Breakdown-guarded divisions, as in the unfused step.
+	// Breakdown-guarded divisions: ρ/ρ₋₁, α/ω, ρ/r̂ᵀv, and tᵀs/tᵀt all
+	// vanish on breakdown (ρ ≈ 0 or ω ≈ 0); the guards zero the
+	// coefficients and flag Breakdown instead of NaN-poisoning x and r.
 	beta := p.Mul(guardedDiv(p, &s.bd, "bicgstab", "rho", rho, s.rho),
 		guardedDiv(p, &s.bd, "bicgstab", "omega", s.alpha, s.omega))
 	// p = r + β(p − ω v), one sweep: the xpay chains on the axpy.
@@ -105,31 +93,4 @@ func (s *BiCGStab) Step() {
 		{Kind: core.UpdAxpy, Dst: s.r, Alpha: omega, Neg: true, Src: s.t},
 	}, []core.DotPair{{V: s.r, W: s.r}})[0]
 	s.rho, s.alpha, s.omega = rho, alpha, omega
-}
-
-// stepUnfused is the per-operation BiCGStab iteration.
-func (s *BiCGStab) stepUnfused() {
-	p := s.p
-	rho := p.Dot(s.rhat, s.r)
-	// Breakdown-guarded divisions: ρ/ρ₋₁, α/ω, ρ/r̂ᵀv, and tᵀs/tᵀt all
-	// vanish on breakdown (ρ ≈ 0 or ω ≈ 0); the guards zero the
-	// coefficients and flag Breakdown instead of NaN-poisoning x and r.
-	beta := p.Mul(guardedDiv(p, &s.bd, "bicgstab", "rho", rho, s.rho),
-		guardedDiv(p, &s.bd, "bicgstab", "omega", s.alpha, s.omega))
-	// p = r + β(p − ω v)
-	p.Axpy(s.pv, p.Neg(s.omega), s.v)
-	p.Xpay(s.pv, beta, s.r)
-	p.Matmul(s.v, s.pv) // v = A p
-	alpha := guardedDiv(p, &s.bd, "bicgstab", "rhat·v", rho, p.Dot(s.rhat, s.v))
-	// s (reusing r): r ← r − α v
-	p.Axpy(s.r, p.Neg(alpha), s.v)
-	p.Matmul(s.t, s.r) // t = A s
-	omega := guardedDiv(p, &s.bd, "bicgstab", "t·t", p.Dot(s.t, s.r), p.Dot(s.t, s.t))
-	// x += α p + ω s
-	p.Axpy(core.SOL, alpha, s.pv)
-	p.Axpy(core.SOL, omega, s.r)
-	// r ← s − ω t
-	p.Axpy(s.r, p.Neg(omega), s.t)
-	s.rho, s.alpha, s.omega = rho, alpha, omega
-	s.res = p.Dot(s.r, s.r)
 }

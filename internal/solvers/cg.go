@@ -10,13 +10,11 @@ import "kdrsolvers/internal/core"
 // and residual updates and the residual dot product share one piece
 // sweep (core.FusedSweep), cutting the launches per iteration by about
 // a third against the per-operation formulation while computing bitwise
-// identical iterates. NewCGUnfused keeps the per-operation formulation
-// for ablation and benchmarks.
+// identical iterates.
 type CG struct {
 	p        *core.Planner
 	pv, q, r core.VecID
 	res      *core.Scalar // r·r
-	unfused  bool
 }
 
 // NewCG builds a CG solver on a finalized square, unpreconditioned
@@ -44,15 +42,6 @@ func (s *CG) restart() {
 	s.res = p.Dot(s.r, s.r)
 }
 
-// NewCGUnfused builds a CG solver whose Step launches one task sweep
-// per vector operation — the pre-fusion formulation, kept as the
-// baseline the fused step is benchmarked and tested against.
-func NewCGUnfused(p *core.Planner) *CG {
-	s := NewCG(p)
-	s.unfused = true
-	return s
-}
-
 // Name implements Solver.
 func (s *CG) Name() string { return "CG" }
 
@@ -64,30 +53,12 @@ func (s *CG) Step() {
 	p := s.p
 	p.BeginPhase("cg.step")
 	defer p.TraceEnd(p.TraceBegin("cg.step"))
-	if s.unfused {
-		s.stepUnfused()
-		return
-	}
 	p.Matmul(s.q, s.pv)                      // q = A p
 	alpha := p.Div(s.res, p.Dot(s.pv, s.q))  // α = res / pᵀAp
 	newRes := p.FusedSweep([]core.VecUpdate{ // one sweep:
 		{Kind: core.UpdAxpy, Dst: core.SOL, Alpha: alpha, Src: s.pv},      // x += α p
 		{Kind: core.UpdAxpy, Dst: s.r, Alpha: alpha, Neg: true, Src: s.q}, // r -= α q
 	}, []core.DotPair{{V: s.r, W: s.r}})[0] //                                     res' = r·r
-	beta := p.Div(newRes, s.res) // β = res' / res
-	p.Xpay(s.pv, beta, s.r)      // p = r + β p
-	s.res = newRes
-}
-
-// stepUnfused is the per-operation CG iteration.
-func (s *CG) stepUnfused() {
-	p := s.p
-	p.Matmul(s.q, s.pv)            // q = A p
-	pq := p.Dot(s.pv, s.q)         // pᵀAp
-	alpha := p.Div(s.res, pq)      // α = res / pᵀAp
-	p.Axpy(core.SOL, alpha, s.pv)  // x += α p
-	p.Axpy(s.r, p.Neg(alpha), s.q) // r -= α q
-	newRes := p.Dot(s.r, s.r)
 	beta := p.Div(newRes, s.res) // β = res' / res
 	p.Xpay(s.pv, beta, s.r)      // p = r + β p
 	s.res = newRes

@@ -62,25 +62,95 @@ func runBitwisePair(t *testing.T, name string, steps int,
 	}
 }
 
+// unfusedCG is CG's per-operation step — the pre-fusion formulation,
+// six single-operation sweeps and two reductions per iteration — kept
+// here as the bitwise reference for the fused step. It opens the same
+// trace scope as the fused step, so an expression over the previous
+// step's scalars is evaluated the same way (core.Scalar).
+type unfusedCG struct{ *CG }
+
+func (s unfusedCG) Step() {
+	p := s.p
+	p.BeginPhase("cg.step")
+	defer p.TraceEnd(p.TraceBegin("cg.step"))
+	p.Matmul(s.q, s.pv)            // q = A p
+	pq := p.Dot(s.pv, s.q)         // pᵀAp
+	alpha := p.Div(s.res, pq)      // α = res / pᵀAp
+	p.Axpy(core.SOL, alpha, s.pv)  // x += α p
+	p.Axpy(s.r, p.Neg(alpha), s.q) // r -= α q
+	newRes := p.Dot(s.r, s.r)
+	beta := p.Div(newRes, s.res) // β = res' / res
+	p.Xpay(s.pv, beta, s.r)      // p = r + β p
+	s.res = newRes
+}
+
+func newUnfusedCG(p *core.Planner) Solver { return unfusedCG{NewCG(p)} }
+
+// unfusedPCG is PCG's per-operation step, the bitwise reference for the
+// fused step.
+type unfusedPCG struct{ *PCG }
+
+func (s unfusedPCG) Step() {
+	p := s.p
+	p.BeginPhase("pcg.step")
+	defer p.TraceEnd(p.TraceBegin("pcg.step"))
+	p.Matmul(s.q, s.pv)
+	alpha := p.Div(s.rz, p.Dot(s.pv, s.q))
+	p.Axpy(core.SOL, alpha, s.pv)
+	p.Axpy(s.r, p.Neg(alpha), s.q)
+	p.PSolve(s.z, s.r)
+	rzNew := p.Dot(s.r, s.z)
+	beta := p.Div(rzNew, s.rz)
+	p.Xpay(s.pv, beta, s.z)
+	s.rz = rzNew
+	s.res = p.Dot(s.r, s.r)
+}
+
+func newUnfusedPCG(p *core.Planner) Solver { return unfusedPCG{NewPCG(p)} }
+
+// unfusedBiCGStab is BiCGStab's per-operation step, the bitwise
+// reference for the fused step.
+type unfusedBiCGStab struct{ *BiCGStab }
+
+func (s unfusedBiCGStab) Step() {
+	p := s.p
+	p.BeginPhase("bicgstab.step")
+	defer p.TraceEnd(p.TraceBegin("bicgstab.step"))
+	rho := p.Dot(s.rhat, s.r)
+	beta := p.Mul(guardedDiv(p, &s.bd, "bicgstab", "rho", rho, s.rho),
+		guardedDiv(p, &s.bd, "bicgstab", "omega", s.alpha, s.omega))
+	p.Axpy(s.pv, p.Neg(s.omega), s.v) // p = r + β(p − ω v)
+	p.Xpay(s.pv, beta, s.r)
+	p.Matmul(s.v, s.pv) // v = A p
+	alpha := guardedDiv(p, &s.bd, "bicgstab", "rhat·v", rho, p.Dot(s.rhat, s.v))
+	p.Axpy(s.r, p.Neg(alpha), s.v) // s (reusing r): r ← r − α v
+	p.Matmul(s.t, s.r)             // t = A s
+	omega := guardedDiv(p, &s.bd, "bicgstab", "t·t", p.Dot(s.t, s.r), p.Dot(s.t, s.t))
+	p.Axpy(core.SOL, alpha, s.pv) // x += α p + ω s
+	p.Axpy(core.SOL, omega, s.r)
+	p.Axpy(s.r, p.Neg(omega), s.t) // r ← s − ω t
+	s.rho, s.alpha, s.omega = rho, alpha, omega
+	s.res = p.Dot(s.r, s.r)
+}
+
+func newUnfusedBiCGStab(p *core.Planner) Solver { return unfusedBiCGStab{NewBiCGStab(p)} }
+
 func TestCGFusedBitwiseMatchesUnfused(t *testing.T) {
 	runBitwisePair(t, "cg", 10,
 		func() *core.Planner { return planFor(sparse.Laplacian2D(8, 8), fusedRHS(64), 4) },
-		func(p *core.Planner) Solver { return NewCG(p) },
-		func(p *core.Planner) Solver { return NewCGUnfused(p) })
+		func(p *core.Planner) Solver { return NewCG(p) }, newUnfusedCG)
 }
 
 func TestPCGFusedBitwiseMatchesUnfused(t *testing.T) {
 	runBitwisePair(t, "pcg", 10,
 		func() *core.Planner { return pcgPlanFor(sparse.Laplacian2D(8, 8), fusedRHS(64), 4) },
-		func(p *core.Planner) Solver { return NewPCG(p) },
-		func(p *core.Planner) Solver { return NewPCGUnfused(p) })
+		func(p *core.Planner) Solver { return NewPCG(p) }, newUnfusedPCG)
 }
 
 func TestBiCGStabFusedBitwiseMatchesUnfused(t *testing.T) {
 	runBitwisePair(t, "bicgstab", 10,
 		func() *core.Planner { return planFor(convectionDiffusion(64, 0.3), fusedRHS(64), 4) },
-		func(p *core.Planner) Solver { return NewBiCGStab(p) },
-		func(p *core.Planner) Solver { return NewBiCGStabUnfused(p) })
+		func(p *core.Planner) Solver { return NewBiCGStab(p) }, newUnfusedBiCGStab)
 }
 
 // unfusedBiCG is BiCG's per-operation step — seven single-operation
@@ -409,14 +479,11 @@ func TestFusionLaunchReduction(t *testing.T) {
 		wantF, wantU float64
 	}{
 		{"cg", plain,
-			func(p *core.Planner) Solver { return NewCG(p) },
-			func(p *core.Planner) Solver { return NewCGUnfused(p) }, 0.30, 16, 24},
+			func(p *core.Planner) Solver { return NewCG(p) }, newUnfusedCG, 0.30, 16, 24},
 		{"pcg", withJacobi,
-			func(p *core.Planner) Solver { return NewPCG(p) },
-			func(p *core.Planner) Solver { return NewPCGUnfused(p) }, 0.25, 24, 32},
+			func(p *core.Planner) Solver { return NewPCG(p) }, newUnfusedPCG, 0.25, 24, 32},
 		{"bicgstab", nonsym,
-			func(p *core.Planner) Solver { return NewBiCGStab(p) },
-			func(p *core.Planner) Solver { return NewBiCGStabUnfused(p) }, 0.30, 33, 54},
+			func(p *core.Planner) Solver { return NewBiCGStab(p) }, newUnfusedBiCGStab, 0.30, 33, 54},
 		{"bicg", nonsym,
 			func(p *core.Planner) Solver { return NewBiCG(p) }, newUnfusedBiCG, 0.45, 20, 40},
 		{"cgs", nonsym,

@@ -16,7 +16,6 @@ type PCG struct {
 	pv, q, r, z core.VecID
 	rz          *core.Scalar
 	res         *core.Scalar
-	unfused     bool
 }
 
 // NewPCG builds a preconditioned CG solver; the planner must have a
@@ -50,14 +49,6 @@ func (s *PCG) restart() {
 	s.res = p.Dot(s.r, s.r)
 }
 
-// NewPCGUnfused builds a PCG solver on the pre-fusion per-operation
-// formulation, kept for ablation and benchmarks.
-func NewPCGUnfused(p *core.Planner) *PCG {
-	s := NewPCG(p)
-	s.unfused = true
-	return s
-}
-
 // Name implements Solver.
 func (s *PCG) Name() string { return "PCG" }
 
@@ -69,10 +60,6 @@ func (s *PCG) Step() {
 	p := s.p
 	p.BeginPhase("pcg.step")
 	defer p.TraceEnd(p.TraceBegin("pcg.step"))
-	if s.unfused {
-		s.stepUnfused()
-		return
-	}
 	p.Matmul(s.q, s.pv)
 	alpha := p.Div(s.rz, p.Dot(s.pv, s.q))
 	p.FusedUpdate(
@@ -86,19 +73,4 @@ func (s *PCG) Step() {
 	p.Xpay(s.pv, beta, s.z)
 	s.rz = rzNew
 	s.res = d[1]
-}
-
-// stepUnfused is the per-operation PCG iteration.
-func (s *PCG) stepUnfused() {
-	p := s.p
-	p.Matmul(s.q, s.pv)
-	alpha := p.Div(s.rz, p.Dot(s.pv, s.q))
-	p.Axpy(core.SOL, alpha, s.pv)
-	p.Axpy(s.r, p.Neg(alpha), s.q)
-	p.PSolve(s.z, s.r)
-	rzNew := p.Dot(s.r, s.z)
-	beta := p.Div(rzNew, s.rz)
-	p.Xpay(s.pv, beta, s.z)
-	s.rz = rzNew
-	s.res = p.Dot(s.r, s.r)
 }

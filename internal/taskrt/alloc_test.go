@@ -22,10 +22,10 @@ func TestReplayLaunchAllocs(t *testing.T) {
 	rt := New()
 	rt.SetGraphRetention(false)
 	sp := index.NewSpace("D", 256)
-	a := region.New("a", sp, "x")
-	b := region.New("b", sp, "x")
+	a := region.New("a", sp)
+	b := region.New("b", sp)
 	ref := func(r *region.Region, priv region.Privilege) region.Ref {
-		return region.Ref{Region: r.ID(), Field: "x", Subset: index.Span(0, 255), Priv: priv}
+		return region.Ref{Region: r.ID(), Subset: index.Span(0, 255), Priv: priv}
 	}
 	noop := func() float64 { return 0 }
 	specs := []TaskSpec{
@@ -69,10 +69,10 @@ func BenchmarkReplayIteration(b *testing.B) {
 	rt := New()
 	rt.SetGraphRetention(false)
 	sp := index.NewSpace("D", 256)
-	ra := region.New("bra", sp, "x")
-	rb := region.New("brb", sp, "x")
+	ra := region.New("bra", sp)
+	rb := region.New("brb", sp)
 	ref := func(r *region.Region, priv region.Privilege) region.Ref {
-		return region.Ref{Region: r.ID(), Field: "x", Subset: index.Span(0, 255), Priv: priv}
+		return region.Ref{Region: r.ID(), Subset: index.Span(0, 255), Priv: priv}
 	}
 	noop := func() float64 { return 0 }
 	specs := []TaskSpec{
@@ -106,8 +106,8 @@ func TestAnalyzedLaunchAllocsBounded(t *testing.T) {
 	rt := New()
 	rt.SetGraphRetention(false)
 	sp := index.NewSpace("D", 256)
-	a := region.New("ua", sp, "x")
-	ref := region.Ref{Region: a.ID(), Field: "x", Subset: index.Span(0, 255), Priv: region.ReadWrite}
+	a := region.New("ua", sp)
+	ref := region.Ref{Region: a.ID(), Subset: index.Span(0, 255), Priv: region.ReadWrite}
 	spec := TaskSpec{Name: "rmw", Refs: []region.Ref{ref}, Run: func() float64 { return 0 }, Detached: true}
 	iter := func() {
 		rt.DefaultSession().Launch(spec)

@@ -1,7 +1,7 @@
 // Package taskrt is the task-oriented runtime substrate that stands in for
 // Legion in this reproduction.
 //
-// Tasks declare the data they touch as region references — (region, field,
+// Tasks declare the data they touch as region references — (region,
 // index subset, privilege) tuples — and the runtime derives the dependence
 // graph automatically, exactly as Legion's interference analysis does
 // (Section 4.1 of the paper). Independent tasks execute concurrently;
@@ -19,7 +19,7 @@
 // a served job's history dies with its session. A launch is one critical
 // section of that lock: ID assignment, interference analysis (or trace
 // splice), graph retention and wiring onto live predecessors, which
-// keeps every history key's updates in task-ID order with no further
+// keeps every region's history updates in task-ID order with no further
 // protocol. A Runtime (New) owns only what is machine-wide — the run
 // queue, Stats, Drain and the joined Err — and hands out sessions:
 // DefaultSession for a single-client program (whose graph Runtime.Graph

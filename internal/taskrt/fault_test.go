@@ -111,28 +111,28 @@ func TestFaultPoisonPropagationDiamond(t *testing.T) {
 	rt := New()
 	rec := obs.NewRecorder()
 	rt.DefaultSession().SetRecorder(rec)
-	r := region.New("v", index.NewSpace("D", 8), "x")
+	r := region.New("v", index.NewSpace("D", 8))
 	var ran atomic.Int64
 	body := func() float64 { ran.Add(1); return 1 }
 
 	rt.DefaultSession().Launch(TaskSpec{
 		Name: "A",
-		Refs: []region.Ref{ref(r, "x", 0, 7, region.WriteDiscard)},
+		Refs: []region.Ref{ref(r, 0, 7, region.WriteDiscard)},
 		Run:  func() float64 { panic("root cause") },
 	})
 	b := rt.DefaultSession().Launch(TaskSpec{
 		Name: "B",
-		Refs: []region.Ref{ref(r, "x", 0, 3, region.ReadWrite)},
+		Refs: []region.Ref{ref(r, 0, 3, region.ReadWrite)},
 		Run:  body,
 	})
 	c := rt.DefaultSession().Launch(TaskSpec{
 		Name: "C",
-		Refs: []region.Ref{ref(r, "x", 4, 7, region.ReadWrite)},
+		Refs: []region.Ref{ref(r, 4, 7, region.ReadWrite)},
 		Run:  body,
 	})
 	d := rt.DefaultSession().Launch(TaskSpec{
 		Name: "D",
-		Refs: []region.Ref{ref(r, "x", 0, 7, region.ReadOnly)},
+		Refs: []region.Ref{ref(r, 0, 7, region.ReadOnly)},
 		Run:  body,
 	})
 	rt.Drain()
@@ -179,13 +179,13 @@ func TestFaultPoisonClearedByRecovery(t *testing.T) {
 	// A retryable task that recovers must NOT poison its successors.
 	rt := New()
 	rt.DefaultSession().SetRetryPolicy(RetryPolicy{MaxAttempts: 2})
-	r := region.New("v", index.NewSpace("D", 4), "x")
-	data := r.Field("x")
+	r := region.New("v", index.NewSpace("D", 4))
+	data := r.Data()
 	var first atomic.Bool
 	rt.DefaultSession().Launch(TaskSpec{
 		Name:      "flaky-writer",
 		Retryable: true,
-		Refs:      []region.Ref{ref(r, "x", 0, 3, region.WriteDiscard)},
+		Refs:      []region.Ref{ref(r, 0, 3, region.WriteDiscard)},
 		Run: func() float64 {
 			if first.CompareAndSwap(false, true) {
 				panic("transient")
@@ -198,7 +198,7 @@ func TestFaultPoisonClearedByRecovery(t *testing.T) {
 	})
 	sum := rt.DefaultSession().Launch(TaskSpec{
 		Name: "reader",
-		Refs: []region.Ref{ref(r, "x", 0, 3, region.ReadOnly)},
+		Refs: []region.Ref{ref(r, 0, 3, region.ReadOnly)},
 		Run: func() float64 {
 			var s float64
 			for _, v := range data {
@@ -223,13 +223,13 @@ func TestFaultErrAggregatesDistinctFailures(t *testing.T) {
 	// Independent failures (disjoint regions, no poisoning between them)
 	// must all surface through the joined Err.
 	rt := New()
-	r := region.New("v", index.NewSpace("D", 30), "x")
+	r := region.New("v", index.NewSpace("D", 30))
 	for i := 0; i < 3; i++ {
 		msg := "independent-" + string(rune('a'+i))
 		lo := int64(i * 10)
 		rt.DefaultSession().Launch(TaskSpec{
 			Name: "f",
-			Refs: []region.Ref{ref(r, "x", lo, lo+9, region.ReadWrite)},
+			Refs: []region.Ref{ref(r, lo, lo+9, region.ReadWrite)},
 			Run:  func() float64 { panic(msg) },
 		})
 	}
@@ -253,12 +253,12 @@ func TestFaultInjectorDeterministicThroughRuntime(t *testing.T) {
 	run := func() []bool {
 		rt := New()
 		rt.DefaultSession().SetFaultInjector(fault.NewInjector(fault.Plan{Seed: 5, PanicRate: 0.3}))
-		r := region.New("v", index.NewSpace("D", 4), "x")
+		r := region.New("v", index.NewSpace("D", 4))
 		var futs []*Future
 		for i := 0; i < 40; i++ {
 			futs = append(futs, rt.DefaultSession().Launch(TaskSpec{
 				Name: "t",
-				Refs: []region.Ref{ref(r, "x", 0, 3, region.ReadWrite)},
+				Refs: []region.Ref{ref(r, 0, 3, region.ReadWrite)},
 				Run:  func() float64 { return 1 },
 			}))
 		}

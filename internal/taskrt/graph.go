@@ -12,7 +12,7 @@ type Node struct {
 	// Phase is the solver-phase label active when the task was launched
 	// ("cg.step", "gmres.arnoldi", ...), empty when untagged.
 	Phase string
-	// Proc is the simulated processor the mapper assigned.
+	// Proc is the simulated processor the task was placed on.
 	Proc int
 	// Cost is the task's compute time in seconds on that processor.
 	Cost float64

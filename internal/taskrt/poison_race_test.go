@@ -44,8 +44,8 @@ func TestMidFlightFailurePoisonsLateWiredConsumers(t *testing.T) {
 	// for the producer even on a single-CPU machine.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	rt := New()
-	r := region.New("v", index.NewSpace("D", 8), "x")
-	park := region.New("p", index.NewSpace("P", 1), "x")
+	r := region.New("v", index.NewSpace("D", 8))
+	park := region.New("p", index.NewSpace("P", 1))
 
 	// The blocker keeps the runtime non-quiescent across the whole
 	// scenario: with it parked, inflight never reaches zero, so the
@@ -53,13 +53,13 @@ func TestMidFlightFailurePoisonsLateWiredConsumers(t *testing.T) {
 	release := make(chan struct{})
 	rt.DefaultSession().Launch(TaskSpec{ // id 0
 		Name: "blocker",
-		Refs: []region.Ref{ref(park, "x", 0, 0, region.ReadWrite)},
+		Refs: []region.Ref{ref(park, 0, 0, region.ReadWrite)},
 		Run:  func() float64 { <-release; return 0 },
 	})
 
 	bad := rt.DefaultSession().Launch(TaskSpec{ // id 1
 		Name: "producer",
-		Refs: []region.Ref{ref(r, "x", 0, 7, region.WriteDiscard)},
+		Refs: []region.Ref{ref(r, 0, 7, region.WriteDiscard)},
 		Run:  func() float64 { panic("producer died") },
 	})
 	if !math.IsNaN(bad.Value()) {
@@ -73,7 +73,7 @@ func TestMidFlightFailurePoisonsLateWiredConsumers(t *testing.T) {
 	var ran atomic.Int64
 	lone := rt.DefaultSession().Launch(TaskSpec{
 		Name: "consumer",
-		Refs: []region.Ref{ref(r, "x", 0, 7, region.ReadOnly)},
+		Refs: []region.Ref{ref(r, 0, 7, region.ReadOnly)},
 		Run:  func() float64 { ran.Add(1); return 1 },
 	})
 
@@ -83,12 +83,12 @@ func TestMidFlightFailurePoisonsLateWiredConsumers(t *testing.T) {
 	futs := rt.DefaultSession().LaunchBatch([]TaskSpec{
 		{
 			Name: "batch-consumer",
-			Refs: []region.Ref{ref(r, "x", 0, 7, region.ReadWrite)},
+			Refs: []region.Ref{ref(r, 0, 7, region.ReadWrite)},
 			Run:  func() float64 { ran.Add(1); return 2 },
 		},
 		{
 			Name: "batch-clean",
-			Refs: []region.Ref{ref(park, "x", 0, 0, region.ReadOnly)},
+			Refs: []region.Ref{ref(park, 0, 0, region.ReadOnly)},
 			Run:  func() float64 { return 3 },
 		},
 	})
@@ -122,7 +122,7 @@ func TestMidFlightFailurePoisonsLateWiredConsumers(t *testing.T) {
 	}
 	clean := rt.DefaultSession().Launch(TaskSpec{
 		Name: "recovery",
-		Refs: []region.Ref{ref(r, "x", 0, 7, region.WriteDiscard)},
+		Refs: []region.Ref{ref(r, 0, 7, region.WriteDiscard)},
 		Run:  func() float64 { return 7 },
 	})
 	if got := clean.Value(); got != 7 {
@@ -142,8 +142,8 @@ func TestMidFlightFailurePoisonsLateWiredConsumers(t *testing.T) {
 func TestPoisonLedgerHammer(t *testing.T) {
 	rt := New()
 	const lanes, rounds, width = 4, 40, 8
-	r := region.New("v", index.NewSpace("D", lanes*width), "x")
-	data := r.Field("x")
+	r := region.New("v", index.NewSpace("D", lanes*width))
+	data := r.Data()
 
 	var wg sync.WaitGroup
 	var sawGarbage atomic.Int64
@@ -159,7 +159,7 @@ func TestPoisonLedgerHammer(t *testing.T) {
 				rt.DefaultSession().LaunchBatch([]TaskSpec{
 					{
 						Name: "w",
-						Refs: []region.Ref{ref(r, "x", lo, hi, region.WriteDiscard)},
+						Refs: []region.Ref{ref(r, lo, hi, region.WriteDiscard)},
 						Run: func() float64 {
 							for j := lo; j <= hi; j++ {
 								if fail {
@@ -176,7 +176,7 @@ func TestPoisonLedgerHammer(t *testing.T) {
 					},
 					{
 						Name: "r",
-						Refs: []region.Ref{ref(r, "x", lo, hi, region.ReadOnly)},
+						Refs: []region.Ref{ref(r, lo, hi, region.ReadOnly)},
 						Run: func() float64 {
 							for j := lo; j <= hi; j++ {
 								if math.IsNaN(data[j]) {

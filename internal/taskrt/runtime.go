@@ -29,7 +29,7 @@ type TaskSpec struct {
 	// empty Phase inherits the launching session's current phase
 	// (Session.SetPhase).
 	Phase string
-	// Proc is the simulated processor the mapper chose for the task.
+	// Proc is the simulated processor the task is placed on.
 	Proc int
 	// Cost is the task's simulated compute time in seconds.
 	Cost float64
@@ -152,12 +152,6 @@ type counters struct {
 	failed, retries, poisoned, stragglers, corrupted atomic.Int64
 }
 
-// histKey identifies one field of one region in the dependence history.
-type histKey struct {
-	region region.ID
-	field  string
-}
-
 // histEntry is one prior access recorded for interference analysis.
 type histEntry struct {
 	task   int64
@@ -169,8 +163,8 @@ type histEntry struct {
 	buf []index.Interval
 }
 
-// histShard holds one histKey's slice of the owning session's dependence
-// history. Per-key work must happen in task-ID order (dependences may
+// histShard holds one region's slice of the owning session's dependence
+// history. Per-region work must happen in task-ID order (dependences may
 // only point backward); the session lock a launch holds from ID
 // assignment through wiring gives exactly that, so a shard needs no lock
 // or queue of its own.
@@ -394,13 +388,13 @@ func (rt *Runtime) LaunchTiming() (analyzed, spliced obs.TimerSnapshot) {
 	return rt.tAnalyzed.Snapshot(), rt.tSpliced.Snapshot()
 }
 
-// shardFor returns (creating if needed) the history shard of a key.
+// shardFor returns (creating if needed) the history shard of a region.
 // Caller holds s.mu.
-func (s *Session) shardFor(key histKey) *histShard {
-	sh := s.hist[key]
+func (s *Session) shardFor(id region.ID) *histShard {
+	sh := s.hist[id]
 	if sh == nil {
 		sh = &histShard{}
-		s.hist[key] = sh
+		s.hist[id] = sh
 	}
 	return sh
 }
@@ -470,13 +464,13 @@ func (s *Session) prep(spec *TaskSpec, ts *taskState, id int64) {
 func (s *Session) resolve(spec *TaskSpec, ts *taskState, depBytes map[int64]int64) {
 	if ts.splice {
 		for _, ref := range spec.Refs {
-			s.shardFor(histKey{ref.Region, ref.Field}).record(ts.id, ref)
+			s.shardFor(ref.Region).record(ts.id, ref)
 		}
 		return
 	}
 	clear(depBytes)
 	for _, ref := range spec.Refs {
-		ts.scans += s.shardFor(histKey{ref.Region, ref.Field}).analyze(ts.id, ref, depBytes)
+		ts.scans += s.shardFor(ref.Region).analyze(ts.id, ref, depBytes)
 	}
 	ts.deps = ts.deps[:0]
 	for d := range depBytes {

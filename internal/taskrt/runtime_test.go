@@ -16,18 +16,18 @@ import (
 	"kdrsolvers/internal/region"
 )
 
-func ref(r *region.Region, field string, lo, hi int64, p region.Privilege) region.Ref {
-	return region.Ref{Region: r.ID(), Field: field, Subset: index.Span(lo, hi), Priv: p}
+func ref(r *region.Region, lo, hi int64, p region.Privilege) region.Ref {
+	return region.Ref{Region: r.ID(), Subset: index.Span(lo, hi), Priv: p}
 }
 
 func TestRAWDependence(t *testing.T) {
 	rt := New()
-	r := region.New("v", index.NewSpace("D", 8), "x")
-	data := r.Field("x")
+	r := region.New("v", index.NewSpace("D", 8))
+	data := r.Data()
 
 	rt.DefaultSession().Launch(TaskSpec{
 		Name: "write",
-		Refs: []region.Ref{ref(r, "x", 0, 7, region.WriteDiscard)},
+		Refs: []region.Ref{ref(r, 0, 7, region.WriteDiscard)},
 		Run: func() float64 {
 			for i := range data {
 				data[i] = 3
@@ -37,7 +37,7 @@ func TestRAWDependence(t *testing.T) {
 	})
 	sum := rt.DefaultSession().Launch(TaskSpec{
 		Name: "read",
-		Refs: []region.Ref{ref(r, "x", 0, 7, region.ReadOnly)},
+		Refs: []region.Ref{ref(r, 0, 7, region.ReadOnly)},
 		Run: func() float64 {
 			var s float64
 			for _, v := range data {
@@ -66,12 +66,12 @@ func TestRAWDependence(t *testing.T) {
 
 func TestIndependentTasksHaveNoEdges(t *testing.T) {
 	rt := New()
-	r := region.New("v", index.NewSpace("D", 16), "x")
+	r := region.New("v", index.NewSpace("D", 16))
 	for c := 0; c < 4; c++ {
 		lo := int64(c * 4)
 		rt.DefaultSession().Launch(TaskSpec{
 			Name: "piece",
-			Refs: []region.Ref{ref(r, "x", lo, lo+3, region.ReadWrite)},
+			Refs: []region.Ref{ref(r, lo, lo+3, region.ReadWrite)},
 			Run:  func() float64 { return 0 },
 		})
 	}
@@ -85,11 +85,11 @@ func TestIndependentTasksHaveNoEdges(t *testing.T) {
 
 func TestReadersDoNotConflict(t *testing.T) {
 	rt := New()
-	r := region.New("v", index.NewSpace("D", 4), "x")
+	r := region.New("v", index.NewSpace("D", 4))
 	for i := 0; i < 3; i++ {
 		rt.DefaultSession().Launch(TaskSpec{
 			Name: "read",
-			Refs: []region.Ref{ref(r, "x", 0, 3, region.ReadOnly)},
+			Refs: []region.Ref{ref(r, 0, 3, region.ReadOnly)},
 		})
 	}
 	rt.Drain()
@@ -100,7 +100,7 @@ func TestReadersDoNotConflict(t *testing.T) {
 
 func TestWARAndWAWSerialize(t *testing.T) {
 	rt := New()
-	r := region.New("v", index.NewSpace("D", 4), "x")
+	r := region.New("v", index.NewSpace("D", 4))
 	var order []string
 	var mu sync.Mutex
 	log := func(s string) func() float64 {
@@ -111,9 +111,9 @@ func TestWARAndWAWSerialize(t *testing.T) {
 			return 0
 		}
 	}
-	rt.DefaultSession().Launch(TaskSpec{Name: "w1", Refs: []region.Ref{ref(r, "x", 0, 3, region.ReadWrite)}, Run: log("w1")})
-	rt.DefaultSession().Launch(TaskSpec{Name: "r1", Refs: []region.Ref{ref(r, "x", 0, 3, region.ReadOnly)}, Run: log("r1")})
-	rt.DefaultSession().Launch(TaskSpec{Name: "w2", Refs: []region.Ref{ref(r, "x", 0, 3, region.WriteDiscard)}, Run: log("w2")})
+	rt.DefaultSession().Launch(TaskSpec{Name: "w1", Refs: []region.Ref{ref(r, 0, 3, region.ReadWrite)}, Run: log("w1")})
+	rt.DefaultSession().Launch(TaskSpec{Name: "r1", Refs: []region.Ref{ref(r, 0, 3, region.ReadOnly)}, Run: log("r1")})
+	rt.DefaultSession().Launch(TaskSpec{Name: "w2", Refs: []region.Ref{ref(r, 0, 3, region.WriteDiscard)}, Run: log("w2")})
 	rt.Drain()
 	if len(order) != 3 || order[0] != "w1" || order[1] != "r1" || order[2] != "w2" {
 		t.Fatalf("order = %v, want [w1 r1 w2]", order)
@@ -133,14 +133,14 @@ func TestReduceSerializedDeterministically(t *testing.T) {
 	// non-commutative update that the order really is launch order.
 	for trial := 0; trial < 10; trial++ {
 		rt := New()
-		r := region.New("acc", index.NewSpace("D", 1), "x")
-		data := r.Field("x")
+		r := region.New("acc", index.NewSpace("D", 1))
+		data := r.Data()
 		data[0] = 0
 		for i := 1; i <= 5; i++ {
 			v := float64(i)
 			rt.DefaultSession().Launch(TaskSpec{
 				Name: "reduce",
-				Refs: []region.Ref{ref(r, "x", 0, 0, region.ReduceSum)},
+				Refs: []region.Ref{ref(r, 0, 0, region.ReduceSum)},
 				Run: func() float64 {
 					data[0] = data[0]*10 + v
 					return 0
@@ -156,10 +156,10 @@ func TestReduceSerializedDeterministically(t *testing.T) {
 
 func TestPartialOverlapDependence(t *testing.T) {
 	rt := New()
-	r := region.New("v", index.NewSpace("D", 10), "x")
-	rt.DefaultSession().Launch(TaskSpec{Name: "a", Refs: []region.Ref{ref(r, "x", 0, 5, region.ReadWrite)}})
-	rt.DefaultSession().Launch(TaskSpec{Name: "b", Refs: []region.Ref{ref(r, "x", 6, 9, region.ReadWrite)}})
-	rt.DefaultSession().Launch(TaskSpec{Name: "c", Refs: []region.Ref{ref(r, "x", 4, 7, region.ReadOnly)}})
+	r := region.New("v", index.NewSpace("D", 10))
+	rt.DefaultSession().Launch(TaskSpec{Name: "a", Refs: []region.Ref{ref(r, 0, 5, region.ReadWrite)}})
+	rt.DefaultSession().Launch(TaskSpec{Name: "b", Refs: []region.Ref{ref(r, 6, 9, region.ReadWrite)}})
+	rt.DefaultSession().Launch(TaskSpec{Name: "c", Refs: []region.Ref{ref(r, 4, 7, region.ReadOnly)}})
 	rt.Drain()
 	g := rt.Graph()
 	c := g.Nodes[2]
@@ -178,9 +178,9 @@ func TestHistoryDomination(t *testing.T) {
 	// Repeated full-region writers prune the history so analysis work per
 	// launch stays constant across iterations.
 	rt := New()
-	r := region.New("v", index.NewSpace("D", 64), "x")
+	r := region.New("v", index.NewSpace("D", 64))
 	for i := 0; i < 50; i++ {
-		rt.DefaultSession().Launch(TaskSpec{Name: "w", Refs: []region.Ref{ref(r, "x", 0, 63, region.ReadWrite)}})
+		rt.DefaultSession().Launch(TaskSpec{Name: "w", Refs: []region.Ref{ref(r, 0, 63, region.ReadWrite)}})
 	}
 	rt.Drain()
 	st := rt.Stats()
@@ -199,11 +199,11 @@ func TestHistoryDomination(t *testing.T) {
 
 func TestNoSelfDependence(t *testing.T) {
 	rt := New()
-	r := region.New("v", index.NewSpace("D", 8), "x")
+	r := region.New("v", index.NewSpace("D", 8))
 	// One task both reads and writes overlapping subsets of one field.
 	rt.DefaultSession().Launch(TaskSpec{Name: "rw", Refs: []region.Ref{
-		ref(r, "x", 0, 7, region.ReadOnly),
-		ref(r, "x", 2, 5, region.ReadWrite),
+		ref(r, 0, 7, region.ReadOnly),
+		ref(r, 2, 5, region.ReadWrite),
 	}})
 	rt.Drain()
 	n := rt.Graph().Nodes[0]
@@ -229,11 +229,11 @@ func TestFutures(t *testing.T) {
 
 func TestTraceReplayFlags(t *testing.T) {
 	rt := New()
-	r := region.New("v", index.NewSpace("D", 4), "x")
+	r := region.New("v", index.NewSpace("D", 4))
 	iter := func() {
 		rt.DefaultSession().BeginTrace("cg-step")
-		rt.DefaultSession().Launch(TaskSpec{Name: "a", Refs: []region.Ref{ref(r, "x", 0, 3, region.ReadWrite)}})
-		rt.DefaultSession().Launch(TaskSpec{Name: "b", Refs: []region.Ref{ref(r, "x", 0, 3, region.ReadOnly)}})
+		rt.DefaultSession().Launch(TaskSpec{Name: "a", Refs: []region.Ref{ref(r, 0, 3, region.ReadWrite)}})
+		rt.DefaultSession().Launch(TaskSpec{Name: "b", Refs: []region.Ref{ref(r, 0, 3, region.ReadOnly)}})
 		rt.DefaultSession().EndTrace()
 	}
 	iter() // records the fingerprint
@@ -289,7 +289,7 @@ func TestStressRandomDAGRespectsDependences(t *testing.T) {
 	// timestamp on start and verifies that all graph dependences
 	// completed first.
 	rt := New()
-	r := region.New("v", index.NewSpace("D", 40), "x")
+	r := region.New("v", index.NewSpace("D", 40))
 	const n = 300
 	var clock atomic.Int64
 	started := make([]atomic.Int64, n)
@@ -303,7 +303,7 @@ func TestStressRandomDAGRespectsDependences(t *testing.T) {
 		i := i
 		rt.DefaultSession().Launch(TaskSpec{
 			Name: "t",
-			Refs: []region.Ref{ref(r, "x", lo, hi, p)},
+			Refs: []region.Ref{ref(r, lo, hi, p)},
 			Run: func() float64 {
 				started[i].Store(clock.Add(1))
 				finished[i].Store(clock.Add(1))
@@ -337,38 +337,24 @@ func TestGraphCostHelpers(t *testing.T) {
 	}
 }
 
-func TestMappers(t *testing.T) {
-	rr := RoundRobinMapper{NumProcs: 4}
-	if rr.SelectProc("x", 0) != 0 || rr.SelectProc("x", 5) != 1 {
-		t.Error("round robin wrong")
-	}
-	if (RoundRobinMapper{}).SelectProc("x", 3) != 0 {
-		t.Error("degenerate round robin should pin to 0")
-	}
-	fm := FuncMapper(func(name string, color int) int { return color * 2 })
-	if fm.SelectProc("x", 3) != 6 {
-		t.Error("func mapper wrong")
-	}
-}
-
 func TestConcurrentLaunchSafety(t *testing.T) {
 	// The runtime documents Launch as safe for concurrent use; hammer it
 	// from several goroutines against disjoint regions and one shared
 	// region.
 	rt := New()
-	shared := region.New("s", index.NewSpace("D", 8), "x")
+	shared := region.New("s", index.NewSpace("D", 8))
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
-		own := region.New("own", index.NewSpace("D", 16), "x")
+		own := region.New("own", index.NewSpace("D", 16))
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				rt.DefaultSession().Launch(TaskSpec{
 					Name: "w",
 					Refs: []region.Ref{
-						ref(own, "x", 0, 15, region.ReadWrite),
-						ref(shared, "x", 0, 7, region.ReadOnly),
+						ref(own, 0, 15, region.ReadWrite),
+						ref(shared, 0, 7, region.ReadOnly),
 					},
 				})
 			}
@@ -413,11 +399,11 @@ func TestFutureValueFromManyWaiters(t *testing.T) {
 
 func TestGraphSnapshotIsolation(t *testing.T) {
 	rt := New()
-	r := region.New("v", index.NewSpace("D", 4), "x")
-	rt.DefaultSession().Launch(TaskSpec{Name: "a", Refs: []region.Ref{ref(r, "x", 0, 3, region.ReadWrite)}})
+	r := region.New("v", index.NewSpace("D", 4))
+	rt.DefaultSession().Launch(TaskSpec{Name: "a", Refs: []region.Ref{ref(r, 0, 3, region.ReadWrite)}})
 	rt.Drain()
 	g1 := rt.Graph()
-	rt.DefaultSession().Launch(TaskSpec{Name: "b", Refs: []region.Ref{ref(r, "x", 0, 3, region.ReadWrite)}})
+	rt.DefaultSession().Launch(TaskSpec{Name: "b", Refs: []region.Ref{ref(r, 0, 3, region.ReadWrite)}})
 	rt.Drain()
 	if g1.Len() != 1 {
 		t.Fatalf("snapshot mutated: %d", g1.Len())
@@ -429,17 +415,17 @@ func TestGraphSnapshotIsolation(t *testing.T) {
 
 func TestPanickingTaskIsCaptured(t *testing.T) {
 	rt := New()
-	r := region.New("v", index.NewSpace("D", 4), "x")
+	r := region.New("v", index.NewSpace("D", 4))
 	bad := rt.DefaultSession().Launch(TaskSpec{
 		Name: "explode",
-		Refs: []region.Ref{ref(r, "x", 0, 3, region.ReadWrite)},
+		Refs: []region.Ref{ref(r, 0, 3, region.ReadWrite)},
 		Run:  func() float64 { panic("kernel bug") },
 	})
 	// A dependent task must NOT run its body: the failure poisons it.
 	ran := false
 	after := rt.DefaultSession().Launch(TaskSpec{
 		Name: "after",
-		Refs: []region.Ref{ref(r, "x", 0, 3, region.ReadOnly)},
+		Refs: []region.Ref{ref(r, 0, 3, region.ReadOnly)},
 		Run:  func() float64 { ran = true; return 1 },
 	})
 	rt.Drain()
@@ -463,12 +449,12 @@ func TestPanickingTaskIsCaptured(t *testing.T) {
 
 func TestErrKeepsFirstFailure(t *testing.T) {
 	rt := New()
-	r := region.New("v", index.NewSpace("D", 1), "x")
+	r := region.New("v", index.NewSpace("D", 1))
 	for i := 0; i < 3; i++ {
 		msg := fmt.Sprintf("boom-%d", i)
 		rt.DefaultSession().Launch(TaskSpec{
 			Name: "f",
-			Refs: []region.Ref{ref(r, "x", 0, 0, region.ReadWrite)},
+			Refs: []region.Ref{ref(r, 0, 0, region.ReadWrite)},
 			Run:  func() float64 { panic(msg) },
 		})
 	}
@@ -493,18 +479,18 @@ func TestHistoryShrinkingBoundsReaderEntries(t *testing.T) {
 	// Shrinking must keep per-launch analysis work constant across
 	// iterations instead of scanning an ever-growing reader list.
 	rt := New()
-	r := region.New("y", index.NewSpace("R", 64), "x")
+	r := region.New("y", index.NewSpace("R", 64))
 	const iters = 60
 	for i := 0; i < iters; i++ {
 		// Four block writers...
 		for b := int64(0); b < 4; b++ {
 			rt.DefaultSession().Launch(TaskSpec{Name: "w", Refs: []region.Ref{
-				ref(r, "x", b*16, b*16+15, region.WriteDiscard),
+				ref(r, b*16, b*16+15, region.WriteDiscard),
 			}})
 		}
 		// ...then a whole-piece reader.
 		rt.DefaultSession().Launch(TaskSpec{Name: "read", Refs: []region.Ref{
-			ref(r, "x", 0, 63, region.ReadOnly),
+			ref(r, 0, 63, region.ReadOnly),
 		}})
 	}
 	rt.Drain()
@@ -519,11 +505,11 @@ func TestHistoryShrinkingRoutesBytesPerProducer(t *testing.T) {
 	// A reader spanning two writers' regions pulls each part from the
 	// writer that produced it — not the full overlap from both.
 	rt := New()
-	r := region.New("y", index.NewSpace("R", 10), "x")
-	w1 := rt.DefaultSession().Launch(TaskSpec{Name: "w1", Refs: []region.Ref{ref(r, "x", 0, 9, region.ReadWrite)}})
+	r := region.New("y", index.NewSpace("R", 10))
+	w1 := rt.DefaultSession().Launch(TaskSpec{Name: "w1", Refs: []region.Ref{ref(r, 0, 9, region.ReadWrite)}})
 	_ = w1
-	rt.DefaultSession().Launch(TaskSpec{Name: "w2", Refs: []region.Ref{ref(r, "x", 0, 4, region.ReadWrite)}})
-	rt.DefaultSession().Launch(TaskSpec{Name: "read", Refs: []region.Ref{ref(r, "x", 0, 9, region.ReadOnly)}})
+	rt.DefaultSession().Launch(TaskSpec{Name: "w2", Refs: []region.Ref{ref(r, 0, 4, region.ReadWrite)}})
+	rt.DefaultSession().Launch(TaskSpec{Name: "read", Refs: []region.Ref{ref(r, 0, 9, region.ReadOnly)}})
 	rt.Drain()
 	g := rt.Graph()
 	read := g.Nodes[2]
@@ -554,13 +540,13 @@ func launchPoints(s *Session, n int, point func(color int) TaskSpec) []*Future {
 // color, no dependence edges.
 func TestLaunchBatchPointTasks(t *testing.T) {
 	rt := New()
-	r := region.New("v", index.NewSpace("D", 16), "x")
-	data := r.Field("x")
+	r := region.New("v", index.NewSpace("D", 16))
+	data := r.Data()
 	futs := launchPoints(rt.DefaultSession(), 4, func(c int) TaskSpec {
 		lo := int64(c * 4)
 		return TaskSpec{
 			Name: "fill", Proc: c,
-			Refs: []region.Ref{ref(r, "x", lo, lo+3, region.WriteDiscard)},
+			Refs: []region.Ref{ref(r, lo, lo+3, region.WriteDiscard)},
 			Run: func() float64 {
 				for i := lo; i < lo+4; i++ {
 					data[i] = float64(c)
@@ -595,12 +581,12 @@ func TestTraceReplayTwoCyclesSameKey(t *testing.T) {
 	// and TraceReplays counts exactly the spliced tasks. A later cycle
 	// under a fresh key records again and replays nothing.
 	rt := New()
-	r := region.New("v", index.NewSpace("D", 8), "x")
+	r := region.New("v", index.NewSpace("D", 8))
 	cycle := func(key string) {
 		rt.DefaultSession().BeginTrace(key)
-		rt.DefaultSession().Launch(TaskSpec{Name: "a", Refs: []region.Ref{ref(r, "x", 0, 7, region.ReadWrite)}})
-		rt.DefaultSession().Launch(TaskSpec{Name: "b", Refs: []region.Ref{ref(r, "x", 0, 7, region.ReadOnly)}})
-		rt.DefaultSession().Launch(TaskSpec{Name: "c", Refs: []region.Ref{ref(r, "x", 0, 7, region.ReadOnly)}})
+		rt.DefaultSession().Launch(TaskSpec{Name: "a", Refs: []region.Ref{ref(r, 0, 7, region.ReadWrite)}})
+		rt.DefaultSession().Launch(TaskSpec{Name: "b", Refs: []region.Ref{ref(r, 0, 7, region.ReadOnly)}})
+		rt.DefaultSession().Launch(TaskSpec{Name: "c", Refs: []region.Ref{ref(r, 0, 7, region.ReadOnly)}})
 		rt.DefaultSession().EndTrace()
 	}
 	cycle("step")
@@ -634,12 +620,12 @@ func TestLaunchBatchFutureColorOrder(t *testing.T) {
 	// completion order; map colors to processors in reverse to make an
 	// ordering mix-up visible.
 	rt := New()
-	r := region.New("v", index.NewSpace("D", 32), "x")
+	r := region.New("v", index.NewSpace("D", 32))
 	futs := launchPoints(rt.DefaultSession(), 8, func(c int) TaskSpec {
 		lo := int64(c * 4)
 		return TaskSpec{
 			Name: "point", Proc: 7 - c,
-			Refs: []region.Ref{ref(r, "x", lo, lo+3, region.WriteDiscard)},
+			Refs: []region.Ref{ref(r, lo, lo+3, region.WriteDiscard)},
 			Run:  func() float64 { return float64(c*c + 1) },
 		}
 	})
@@ -664,12 +650,12 @@ func TestWorkersExitWhenQueueDrains(t *testing.T) {
 	rt := New()
 	rt.SetGraphRetention(false)
 	const lanes = 8
-	r := region.New("v", index.NewSpace("D", lanes), "x")
+	r := region.New("v", index.NewSpace("D", lanes))
 	for i := 0; i < 2000; i++ {
 		lane := int64(i % lanes)
 		rt.DefaultSession().Launch(TaskSpec{
 			Name:     "w",
-			Refs:     []region.Ref{ref(r, "x", lane, lane, region.ReadWrite)},
+			Refs:     []region.Ref{ref(r, lane, lane, region.ReadWrite)},
 			Run:      func() float64 { return 0 },
 			Detached: true,
 		})
@@ -695,11 +681,11 @@ func TestLongChainRunsAtConstantStackDepth(t *testing.T) {
 	const links = 100000
 	rt := New()
 	rt.SetGraphRetention(false)
-	r := region.New("v", index.NewSpace("D", 1), "x")
+	r := region.New("v", index.NewSpace("D", 1))
 	gate := make(chan struct{})
 	rt.DefaultSession().Launch(TaskSpec{
 		Name:     "head",
-		Refs:     []region.Ref{ref(r, "x", 0, 0, region.ReadWrite)},
+		Refs:     []region.Ref{ref(r, 0, 0, region.ReadWrite)},
 		Run:      func() float64 { <-gate; return 0 },
 		Detached: true,
 	})
@@ -707,7 +693,7 @@ func TestLongChainRunsAtConstantStackDepth(t *testing.T) {
 	count, first, deepest := 0, 0, 0
 	link := TaskSpec{
 		Name: "link",
-		Refs: []region.Ref{ref(r, "x", 0, 0, region.ReadWrite)},
+		Refs: []region.Ref{ref(r, 0, 0, region.ReadWrite)},
 		Run: func() float64 {
 			var pcs [128]uintptr
 			depth := runtime.Callers(0, pcs[:])

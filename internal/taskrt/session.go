@@ -66,7 +66,7 @@ type Session struct {
 	nextID      int64 // the ID the next launched task gets
 	graph       Graph
 	depArena    []int64 // backs graph's dep slices (arenaCopy)
-	hist        map[histKey]*histShard
+	hist        map[region.ID]*histShard
 	tasks       map[int64]*taskState // incomplete tasks only
 	phase       string
 	errs        []error
@@ -126,7 +126,7 @@ func newSession(rt *Runtime, name string) *Session {
 	s := &Session{
 		rt:     rt,
 		name:   name,
-		hist:   make(map[histKey]*histShard),
+		hist:   make(map[region.ID]*histShard),
 		tasks:  make(map[int64]*taskState),
 		failed: make(map[int64]error),
 		traces: make(map[string]*traceTmpl),

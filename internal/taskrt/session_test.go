@@ -20,16 +20,16 @@ func TestSessionErrorScoping(t *testing.T) {
 	bad := rt.NewSession("bad")
 	good := rt.NewSession("good")
 
-	ra := region.New("a", index.NewSpace("D", 4), "x")
-	rb := region.New("b", index.NewSpace("D", 4), "x")
+	ra := region.New("a", index.NewSpace("D", 4))
+	rb := region.New("b", index.NewSpace("D", 4))
 	bad.Launch(TaskSpec{
 		Name: "boom",
-		Refs: []region.Ref{ref(ra, "x", 0, 3, region.ReadWrite)},
+		Refs: []region.Ref{ref(ra, 0, 3, region.ReadWrite)},
 		Run:  func() float64 { panic("scoped failure") },
 	})
 	good.Launch(TaskSpec{
 		Name: "fine",
-		Refs: []region.Ref{ref(rb, "x", 0, 3, region.ReadWrite)},
+		Refs: []region.Ref{ref(rb, 0, 3, region.ReadWrite)},
 		Run:  func() float64 { return 1 },
 	})
 	rt.Drain()
@@ -58,22 +58,22 @@ func TestSessionPoisonContainment(t *testing.T) {
 	bad := rt.NewSession("bad")
 	good := rt.NewSession("good")
 
-	ra := region.New("a", index.NewSpace("D", 4), "x")
-	rb := region.New("b", index.NewSpace("D", 4), "x")
+	ra := region.New("a", index.NewSpace("D", 4))
+	rb := region.New("b", index.NewSpace("D", 4))
 	bad.Launch(TaskSpec{
 		Name: "boom",
-		Refs: []region.Ref{ref(ra, "x", 0, 3, region.WriteDiscard)},
+		Refs: []region.Ref{ref(ra, 0, 3, region.WriteDiscard)},
 		Run:  func() float64 { panic("die") },
 	})
 	fBad := bad.Launch(TaskSpec{
 		Name: "downstream",
-		Refs: []region.Ref{ref(ra, "x", 0, 3, region.ReadOnly)},
+		Refs: []region.Ref{ref(ra, 0, 3, region.ReadOnly)},
 		Run:  func() float64 { return 7 },
 	})
 	ran := false
 	good.Launch(TaskSpec{
 		Name: "stranger",
-		Refs: []region.Ref{ref(rb, "x", 0, 3, region.ReadWrite)},
+		Refs: []region.Ref{ref(rb, 0, 3, region.ReadWrite)},
 		Run:  func() float64 { ran = true; return 0 },
 	})
 	rt.Drain()
@@ -105,8 +105,8 @@ func TestSessionLedgerClearsAtSessionQuiescence(t *testing.T) {
 	bad := rt.NewSession("bad")
 	busy := rt.NewSession("busy")
 
-	ra := region.New("a", index.NewSpace("D", 4), "x")
-	rb := region.New("b", index.NewSpace("D", 4), "x")
+	ra := region.New("a", index.NewSpace("D", 4))
+	rb := region.New("b", index.NewSpace("D", 4))
 
 	// Keep the neighbor in flight while the failing session quiesces.
 	release := make(chan struct{})
@@ -114,7 +114,7 @@ func TestSessionLedgerClearsAtSessionQuiescence(t *testing.T) {
 	var once sync.Once
 	busy.Launch(TaskSpec{
 		Name: "long",
-		Refs: []region.Ref{ref(rb, "x", 0, 3, region.ReadWrite)},
+		Refs: []region.Ref{ref(rb, 0, 3, region.ReadWrite)},
 		Run: func() float64 {
 			once.Do(func() { close(started) })
 			<-release
@@ -125,7 +125,7 @@ func TestSessionLedgerClearsAtSessionQuiescence(t *testing.T) {
 
 	bad.Launch(TaskSpec{
 		Name: "boom",
-		Refs: []region.Ref{ref(ra, "x", 0, 3, region.ReadWrite)},
+		Refs: []region.Ref{ref(ra, 0, 3, region.ReadWrite)},
 		Run:  func() float64 { panic("die") },
 	})
 	bad.Drain() // session quiescent; runtime is not (busy still running)
@@ -146,12 +146,12 @@ func TestSessionLedgerClearsAtSessionQuiescence(t *testing.T) {
 func TestSessionErrorWindowBounded(t *testing.T) {
 	rt := New()
 	s := rt.NewSession("chaos")
-	r := region.New("v", index.NewSpace("D", 4), "x")
+	r := region.New("v", index.NewSpace("D", 4))
 	const n = maxSessionErrs + 17
 	for i := 0; i < n; i++ {
 		s.Launch(TaskSpec{
 			Name: fmt.Sprintf("boom%d", i),
-			Refs: []region.Ref{ref(r, "x", 0, 3, region.ReadWrite)},
+			Refs: []region.Ref{ref(r, 0, 3, region.ReadWrite)},
 			Run:  func() float64 { panic("die") },
 		})
 		s.Drain() // quiesce so each failure is a fresh root, not poison
@@ -187,15 +187,15 @@ func TestSessionClearAndClose(t *testing.T) {
 	rt := New()
 	s1 := rt.NewSession("one")
 	s2 := rt.NewSession("two")
-	r1 := region.New("a", index.NewSpace("D", 4), "x")
-	r2 := region.New("b", index.NewSpace("D", 4), "x")
+	r1 := region.New("a", index.NewSpace("D", 4))
+	r2 := region.New("b", index.NewSpace("D", 4))
 	for _, sr := range []struct {
 		s *Session
 		r *region.Region
 	}{{s1, r1}, {s2, r2}} {
 		sr.s.Launch(TaskSpec{
 			Name: "boom",
-			Refs: []region.Ref{ref(sr.r, "x", 0, 3, region.ReadWrite)},
+			Refs: []region.Ref{ref(sr.r, 0, 3, region.ReadWrite)},
 			Run:  func() float64 { panic("die") },
 		})
 	}
@@ -228,10 +228,10 @@ func TestSessionPhasePrefix(t *testing.T) {
 	rt := New()
 	s := rt.NewSession("tenant7")
 	s.SetPhase("cg.step")
-	r := region.New("v", index.NewSpace("D", 4), "x")
+	r := region.New("v", index.NewSpace("D", 4))
 	s.Launch(TaskSpec{
 		Name: "work",
-		Refs: []region.Ref{ref(r, "x", 0, 3, region.ReadWrite)},
+		Refs: []region.Ref{ref(r, 0, 3, region.ReadWrite)},
 		Run:  func() float64 { return 0 },
 	})
 	rt.Drain()
@@ -249,13 +249,13 @@ func TestSessionRetryScoping(t *testing.T) {
 	plain := rt.NewSession("plain")
 	retrying.SetRetryPolicy(RetryPolicy{MaxAttempts: 3})
 
-	ra := region.New("a", index.NewSpace("D", 4), "x")
-	rb := region.New("b", index.NewSpace("D", 4), "x")
+	ra := region.New("a", index.NewSpace("D", 4))
+	rb := region.New("b", index.NewSpace("D", 4))
 	attempts := 0
 	f := retrying.Launch(TaskSpec{
 		Name:      "flaky",
 		Retryable: true,
-		Refs:      []region.Ref{ref(ra, "x", 0, 3, region.ReadWrite)},
+		Refs:      []region.Ref{ref(ra, 0, 3, region.ReadWrite)},
 		Run: func() float64 {
 			attempts++
 			if attempts < 3 {
@@ -268,7 +268,7 @@ func TestSessionRetryScoping(t *testing.T) {
 	plain.Launch(TaskSpec{
 		Name:      "flaky",
 		Retryable: true,
-		Refs:      []region.Ref{ref(rb, "x", 0, 3, region.ReadWrite)},
+		Refs:      []region.Ref{ref(rb, 0, 3, region.ReadWrite)},
 		Run: func() float64 {
 			plainAttempts++
 			panic("always")
@@ -296,10 +296,10 @@ func TestSessionRetryScoping(t *testing.T) {
 // already in flight finish and are still waited for by the session's own
 // Drain (Runtime.Drain walks live sessions only).
 func TestClosedSessionPanicsOnLaunch(t *testing.T) {
-	r := region.New("v", index.NewSpace("D", 4), "x")
+	r := region.New("v", index.NewSpace("D", 4))
 	spec := TaskSpec{
 		Name: "late",
-		Refs: []region.Ref{ref(r, "x", 0, 3, region.ReadWrite)},
+		Refs: []region.Ref{ref(r, 0, 3, region.ReadWrite)},
 		Run:  func() float64 { return 1 },
 	}
 	for _, tc := range []struct {
@@ -316,13 +316,13 @@ func TestClosedSessionPanicsOnLaunch(t *testing.T) {
 			release := make(chan struct{})
 			s.Launch(TaskSpec{
 				Name:     "inflight",
-				Refs:     []region.Ref{ref(r, "x", 0, 3, region.ReadWrite)},
+				Refs:     []region.Ref{ref(r, 0, 3, region.ReadWrite)},
 				Run:      func() float64 { <-release; return 0 },
 				Detached: true,
 			})
 			succ := s.Launch(TaskSpec{
 				Name: "successor",
-				Refs: []region.Ref{ref(r, "x", 0, 3, region.ReadOnly)},
+				Refs: []region.Ref{ref(r, 0, 3, region.ReadOnly)},
 				Run:  func() float64 { return 7 },
 			})
 			s.Close() // does not wait for the parked task
@@ -359,11 +359,11 @@ func TestClosedSessionPanicsOnLaunch(t *testing.T) {
 // chain on its own span, alternating Launch and LaunchBatch. Alone it
 // discovers lanes·(rounds−1) edges.
 func laneProgram(s *Session, r *region.Region, lanes, rounds int) {
-	data := r.Field("x")
+	data := r.Data()
 	spec := func(lane int) TaskSpec {
 		return TaskSpec{
 			Name:     "rmw",
-			Refs:     []region.Ref{ref(r, "x", int64(lane), int64(lane), region.ReadWrite)},
+			Refs:     []region.Ref{ref(r, int64(lane), int64(lane), region.ReadWrite)},
 			Run:      func() float64 { data[lane]++; return 0 },
 			Detached: true,
 		}
@@ -392,7 +392,7 @@ func TestSessionsDiscoverNoCrossEdges(t *testing.T) {
 	sp := index.NewSpace("D", lanes)
 
 	alone := New()
-	laneProgram(alone.DefaultSession(), region.New("solo", sp, "x"), lanes, rounds)
+	laneProgram(alone.DefaultSession(), region.New("solo", sp), lanes, rounds)
 	alone.Drain()
 	want := alone.DefaultSession().Stats()
 	if want.DepEdges != lanes*(rounds-1) {
@@ -402,7 +402,7 @@ func TestSessionsDiscoverNoCrossEdges(t *testing.T) {
 	rt := New()
 	var wg sync.WaitGroup
 	sessions := []*Session{rt.NewSession("a"), rt.NewSession("b")}
-	regions := []*region.Region{region.New("ra", sp, "x"), region.New("rb", sp, "x")}
+	regions := []*region.Region{region.New("ra", sp), region.New("rb", sp)}
 	for i, s := range sessions {
 		s.SetPhase("lanes") // nodes carry "a/lanes" / "b/lanes"
 		wg.Add(1)
@@ -418,7 +418,7 @@ func TestSessionsDiscoverNoCrossEdges(t *testing.T) {
 		if got := s.Stats(); got != want {
 			t.Errorf("session %s: stats %+v shared vs %+v alone", s.name, got, want)
 		}
-		for lane, v := range regions[i].Field("x") {
+		for lane, v := range regions[i].Data() {
 			if v != rounds {
 				t.Errorf("session %s lane %d ran %g of %d chained updates", s.name, lane, v, rounds)
 			}
@@ -437,13 +437,13 @@ func TestParkedSessionDoesNotDelayNeighbor(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4)) // A's parked body holds one worker
 	rt := New()
 	a, b := rt.NewSession("a"), rt.NewSession("b")
-	ra := region.New("a", index.NewSpace("D", 4), "x")
-	rb := region.New("b", index.NewSpace("D", 4), "x")
+	ra := region.New("a", index.NewSpace("D", 4))
+	rb := region.New("b", index.NewSpace("D", 4))
 
 	release, started := make(chan struct{}), make(chan struct{})
 	a.Launch(TaskSpec{
 		Name: "parked",
-		Refs: []region.Ref{ref(ra, "x", 0, 3, region.ReadWrite)},
+		Refs: []region.Ref{ref(ra, 0, 3, region.ReadWrite)},
 		Run:  func() float64 { close(started); <-release; return 0 },
 	})
 	<-started
@@ -453,7 +453,7 @@ func TestParkedSessionDoesNotDelayNeighbor(t *testing.T) {
 	go func() {
 		f := b.Launch(TaskSpec{
 			Name: "free",
-			Refs: []region.Ref{ref(rb, "x", 0, 3, region.ReadWrite)},
+			Refs: []region.Ref{ref(rb, 0, 3, region.ReadWrite)},
 			Run:  func() float64 { return 3 },
 		})
 		b.Drain()
@@ -481,11 +481,11 @@ func TestRuntimeWideCallsDuringSessionClose(t *testing.T) {
 	sessions := make([]*Session, closers*perCloser)
 	for i := range sessions {
 		s := rt.NewSession(fmt.Sprintf("t%d", i))
-		r := region.New("v", index.NewSpace("D", 4), "x")
+		r := region.New("v", index.NewSpace("D", 4))
 		laneProgram(s, r, 4, 4)
 		s.Launch(TaskSpec{
 			Name: "boom",
-			Refs: []region.Ref{ref(r, "x", 0, 3, region.ReadWrite)},
+			Refs: []region.Ref{ref(r, 0, 3, region.ReadWrite)},
 			Run:  func() float64 { panic("die") },
 		})
 		if i%2 == 0 {
@@ -551,14 +551,14 @@ func TestRuntimeDrainRacesLaunches(t *testing.T) {
 	var launchers sync.WaitGroup
 	for i := 0; i < 2; i++ {
 		s := rt.NewSession(fmt.Sprintf("t%d", i))
-		r := region.New("v", index.NewSpace("D", 1), "x")
+		r := region.New("v", index.NewSpace("D", 1))
 		launchers.Add(1)
 		go func() {
 			defer launchers.Done()
 			for k := 0; k < perSession; k++ {
 				s.Launch(TaskSpec{
 					Name:     "tick",
-					Refs:     []region.Ref{ref(r, "x", 0, 0, region.ReadWrite)},
+					Refs:     []region.Ref{ref(r, 0, 0, region.ReadWrite)},
 					Run:      func() float64 { ran.Add(1); return 0 },
 					Detached: true,
 				})

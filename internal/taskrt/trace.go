@@ -81,7 +81,6 @@ type refTmpl struct {
 	class  int
 	region region.ID // rcStable: the exact ID
 	idx    int       // rcCur/rcPrev: first-appearance index
-	field  string
 	subset index.IntervalSet
 	priv   region.Privilege
 }
@@ -184,7 +183,7 @@ func (at *activeTrace) fingerprint(spec *TaskSpec) taskTmpl {
 	t := taskTmpl{name: spec.Name, host: spec.Host}
 	for _, ref := range spec.Refs {
 		class, idx := at.classify(ref.Region)
-		rt := refTmpl{class: class, idx: idx, field: ref.Field, subset: ref.Subset, priv: ref.Priv}
+		rt := refTmpl{class: class, idx: idx, subset: ref.Subset, priv: ref.Priv}
 		if class == rcStable {
 			rt.region = ref.Region
 		}
@@ -194,7 +193,7 @@ func (at *activeTrace) fingerprint(spec *TaskSpec) taskTmpl {
 }
 
 // matches reports whether a launch fits template task t — the one
-// matcher of calibrate and replay, comparing fields against the raw spec
+// matcher of calibrate and replay, comparing against the raw spec
 // so it allocates nothing. Classifying a ref registers a fresh region
 // exactly as fingerprint would, in the same order, so a launch that
 // fails to match can be fingerprinted afterwards with the same indices.
@@ -214,7 +213,7 @@ func (at *activeTrace) matches(t *taskTmpl, spec *TaskSpec) bool {
 	}
 	for i := range t.refs {
 		tref, ref := &t.refs[i], &spec.Refs[i]
-		if tref.field != ref.Field || tref.priv != ref.Priv {
+		if tref.priv != ref.Priv {
 			return false
 		}
 		class, idx := at.classify(ref.Region)

@@ -154,8 +154,8 @@ type progRun struct {
 }
 
 func (r *progRun) newRegion(name string, size int64) *region.Region {
-	reg := region.New(name, index.NewSpace(name, size), "x")
-	for i, d := 0, reg.Field("x"); i < len(d); i++ {
+	reg := region.New(name, index.NewSpace(name, size))
+	for i, d := 0, reg.Data(); i < len(d); i++ {
 		d[i] = float64(len(r.all)*100 + i + 1)
 	}
 	r.all = append(r.all, reg)
@@ -179,8 +179,8 @@ func (r *progRun) spec(t progTask) TaskSpec {
 		} else {
 			reg = r.fresh[-pr.reg-1]
 		}
-		spec.Refs = append(spec.Refs, region.Ref{Region: reg.ID(), Field: "x", Subset: index.Span(pr.lo, pr.hi), Priv: pr.priv})
-		acc = append(acc, access{reg.Field("x"), pr.lo, pr.hi, pr.priv})
+		spec.Refs = append(spec.Refs, region.Ref{Region: reg.ID(), Subset: index.Span(pr.lo, pr.hi), Priv: pr.priv})
+		acc = append(acc, access{reg.Data(), pr.lo, pr.hi, pr.priv})
 	}
 	spec.Run = func() float64 {
 		v := 1.0
@@ -280,7 +280,7 @@ func TestTracedEqualsUntracedOnRandomPrograms(t *testing.T) {
 				t.Fatalf("seed %d, session %d: %s", seed, i, d)
 			}
 			for k, reg := range plain[i].all {
-				want, got := reg.Field("x"), traced[i].all[k].Field("x")
+				want, got := reg.Data(), traced[i].all[k].Data()
 				for j := range want {
 					if math.Float64bits(want[j]) != math.Float64bits(got[j]) {
 						t.Fatalf("seed %d, session %d, region %d point %d: untraced %v, traced %v",

@@ -20,21 +20,21 @@ func syntheticCG(rt *Runtime, iters int, traced bool, mutate func(i int)) {
 	sess := rt.DefaultSession()
 	sp := index.NewSpace("D", 64)
 	scalar := index.NewSpace("S", 1)
-	sol := region.New("sol", sp, "x")
-	p := region.New("p", sp, "x")
-	q := region.New("q", sp, "x")
+	sol := region.New("sol", sp)
+	p := region.New("p", sp)
+	q := region.New("q", sp)
 	full := func(r *region.Region, priv region.Privilege) region.Ref {
-		return region.Ref{Region: r.ID(), Field: "x", Subset: index.Span(0, 63), Priv: priv}
+		return region.Ref{Region: r.ID(), Subset: index.Span(0, 63), Priv: priv}
 	}
 	sref := func(r *region.Region, priv region.Privilege) region.Ref {
-		return region.Ref{Region: r.ID(), Field: "v", Subset: index.Span(0, 0), Priv: priv}
+		return region.Ref{Region: r.ID(), Subset: index.Span(0, 0), Priv: priv}
 	}
 
 	// Pre-trace initialization, including the initial residual scalar the
 	// first traced iteration reads (the rcStable→rcPrev upgrade case).
 	sess.Launch(TaskSpec{Name: "init.sol", Refs: []region.Ref{full(sol, region.WriteDiscard)}})
 	sess.Launch(TaskSpec{Name: "init.p", Refs: []region.Ref{full(p, region.WriteDiscard)}})
-	res := region.New("res", scalar, "v")
+	res := region.New("res", scalar)
 	sess.Launch(TaskSpec{Name: "init.res", Refs: []region.Ref{
 		full(p, region.ReadOnly), sref(res, region.WriteDiscard),
 	}})
@@ -46,14 +46,14 @@ func syntheticCG(rt *Runtime, iters int, traced bool, mutate func(i int)) {
 		sess.Launch(TaskSpec{Name: "matmul", Refs: []region.Ref{
 			full(p, region.ReadOnly), full(q, region.WriteDiscard),
 		}})
-		s1 := region.New("dot", scalar, "v")
+		s1 := region.New("dot", scalar)
 		sess.Launch(TaskSpec{Name: "dot", Refs: []region.Ref{
 			full(p, region.ReadOnly), full(q, region.ReadOnly), sref(s1, region.WriteDiscard),
 		}})
 		sess.Launch(TaskSpec{Name: "axpy", Refs: []region.Ref{
 			full(p, region.ReadOnly), sref(s1, region.ReadOnly), full(sol, region.ReadWrite),
 		}})
-		s2 := region.New("res", scalar, "v")
+		s2 := region.New("res", scalar)
 		sess.Launch(TaskSpec{Name: "update", Refs: []region.Ref{
 			sref(res, region.ReadOnly), sref(s1, region.ReadOnly), sref(s2, region.WriteDiscard),
 		}})
@@ -133,16 +133,16 @@ func TestTraceReplayZeroAnalysisScans(t *testing.T) {
 	// regions.
 	rt := New()
 	sp := index.NewSpace("D", 32)
-	v := region.New("v", sp, "x")
+	v := region.New("v", sp)
 	iter := func() {
 		rt.DefaultSession().BeginTrace("step")
 		rt.DefaultSession().Launch(TaskSpec{Name: "w", Refs: []region.Ref{
-			{Region: v.ID(), Field: "x", Subset: index.Span(0, 31), Priv: region.ReadWrite},
+			{Region: v.ID(), Subset: index.Span(0, 31), Priv: region.ReadWrite},
 		}})
-		s := region.New("s", index.NewSpace("S", 1), "v")
+		s := region.New("s", index.NewSpace("S", 1))
 		rt.DefaultSession().Launch(TaskSpec{Name: "d", Refs: []region.Ref{
-			{Region: v.ID(), Field: "x", Subset: index.Span(0, 31), Priv: region.ReadOnly},
-			{Region: s.ID(), Field: "v", Subset: index.Span(0, 0), Priv: region.WriteDiscard},
+			{Region: v.ID(), Subset: index.Span(0, 31), Priv: region.ReadOnly},
+			{Region: s.ID(), Subset: index.Span(0, 0), Priv: region.WriteDiscard},
 		}})
 		rt.DefaultSession().EndTrace()
 	}
@@ -170,11 +170,11 @@ func TestTraceFallbackOnMismatch(t *testing.T) {
 	analyzed, traced := New(), New()
 	mutate := func(rt *Runtime) func(int) {
 		sp := index.NewSpace("E", 16)
-		extra := region.New("extra", sp, "x")
+		extra := region.New("extra", sp)
 		return func(i int) {
 			if i == 5 {
 				rt.DefaultSession().Launch(TaskSpec{Name: "odd", Refs: []region.Ref{
-					{Region: extra.ID(), Field: "x", Subset: index.Span(0, 15), Priv: region.ReadWrite},
+					{Region: extra.ID(), Subset: index.Span(0, 15), Priv: region.ReadWrite},
 				}})
 			}
 		}
@@ -205,10 +205,10 @@ func TestTraceGapDemotesToAnalysis(t *testing.T) {
 	analyzed, traced := New(), New()
 	run := func(rt *Runtime, traced bool) {
 		sp := index.NewSpace("D", 32)
-		v := region.New("v", sp, "x")
-		foreign := region.New("f", sp, "x")
+		v := region.New("v", sp)
+		foreign := region.New("f", sp)
 		w := func(r *region.Region, priv region.Privilege) region.Ref {
-			return region.Ref{Region: r.ID(), Field: "x", Subset: index.Span(0, 31), Priv: priv}
+			return region.Ref{Region: r.ID(), Subset: index.Span(0, 31), Priv: priv}
 		}
 		rt.DefaultSession().Launch(TaskSpec{Name: "init", Refs: []region.Ref{w(v, region.WriteDiscard)}})
 		for i := 0; i < 8; i++ {
@@ -254,10 +254,10 @@ func TestTraceForeignLaunchInsideInstanceChangesNothing(t *testing.T) {
 		rt := New()
 		a, b := rt.DefaultSession(), rt.NewSession("b")
 		sp, scalar := index.NewSpace("D", 32), index.NewSpace("S", 1)
-		v := region.New("v", sp, "x")
-		other := region.New("other", sp, "x")
+		v := region.New("v", sp)
+		other := region.New("other", sp)
 		vec := func(r *region.Region, priv region.Privilege) region.Ref {
-			return region.Ref{Region: r.ID(), Field: "x", Subset: index.Span(0, 31), Priv: priv}
+			return region.Ref{Region: r.ID(), Subset: index.Span(0, 31), Priv: priv}
 		}
 		foreign := func() {
 			b.Launch(TaskSpec{Name: "foreign", Refs: []region.Ref{vec(other, region.ReadWrite)}})
@@ -270,9 +270,9 @@ func TestTraceForeignLaunchInsideInstanceChangesNothing(t *testing.T) {
 			if i >= 3 && i%2 == 1 {
 				foreign() // inside the instance, before "d" and "u"
 			}
-			s := region.New("s", scalar, "v")
+			s := region.New("s", scalar)
 			sref := func(priv region.Privilege) region.Ref {
-				return region.Ref{Region: s.ID(), Field: "v", Subset: index.Span(0, 0), Priv: priv}
+				return region.Ref{Region: s.ID(), Subset: index.Span(0, 0), Priv: priv}
 			}
 			a.Launch(TaskSpec{Name: "d", Refs: []region.Ref{vec(v, region.ReadOnly), sref(region.WriteDiscard)}})
 			a.Launch(TaskSpec{Name: "u", Refs: []region.Ref{sref(region.ReadOnly), vec(v, region.ReadWrite)}})
@@ -309,7 +309,7 @@ func TestConcurrentLaunchersWithGraphSnapshots(t *testing.T) {
 	// -race this also exercises the sharded history and graph retention.
 	rt := New()
 	sp := index.NewSpace("D", 256)
-	shared := region.New("shared", sp, "x")
+	shared := region.New("shared", sp)
 	const launchers, perLauncher = 6, 40
 
 	done := make(chan struct{})
@@ -347,7 +347,7 @@ func TestConcurrentLaunchersWithGraphSnapshots(t *testing.T) {
 					priv = region.ReadWrite
 				}
 				rt.DefaultSession().Launch(TaskSpec{Name: "t", Refs: []region.Ref{
-					{Region: shared.ID(), Field: "x", Subset: index.Span(lo, lo+3), Priv: priv},
+					{Region: shared.ID(), Subset: index.Span(lo, lo+3), Priv: priv},
 				}})
 			}
 		}(l)
@@ -370,8 +370,8 @@ func TestLaunchAfterDrainedFailureRunsClean(t *testing.T) {
 	// overwrites the damaged data is itself ordered after the failure.
 	rt := New()
 	sp := index.NewSpace("D", 8)
-	v := region.New("v", sp, "x")
-	w := region.Ref{Region: v.ID(), Field: "x", Subset: index.Span(0, 7), Priv: region.ReadWrite}
+	v := region.New("v", sp)
+	w := region.Ref{Region: v.ID(), Subset: index.Span(0, 7), Priv: region.ReadWrite}
 	rt.DefaultSession().Launch(TaskSpec{Name: "boom", Refs: []region.Ref{w}, Run: func() float64 {
 		panic("kernel fault")
 	}})
@@ -394,11 +394,11 @@ func TestLaunchAfterDrainedFailureRunsClean(t *testing.T) {
 func TestLaunchTimingSplit(t *testing.T) {
 	rt := New()
 	sp := index.NewSpace("D", 16)
-	v := region.New("v", sp, "x")
+	v := region.New("v", sp)
 	iter := func() {
 		rt.DefaultSession().BeginTrace("k")
 		rt.DefaultSession().Launch(TaskSpec{Name: "w", Refs: []region.Ref{
-			{Region: v.ID(), Field: "x", Subset: index.Span(0, 15), Priv: region.ReadWrite},
+			{Region: v.ID(), Subset: index.Span(0, 15), Priv: region.ReadWrite},
 		}})
 		rt.DefaultSession().EndTrace()
 	}
