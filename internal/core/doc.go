@@ -18,8 +18,8 @@
 // co-partitioned automatically with the universal projection operators of
 // package dpart, and the runtime's interference analysis orders
 // conflicting multiply-adds (Section 4.1). Scalars, including dot-product
-// results, are futures a reading task receives by value: it declares the
-// regions they are computed from, so scalar dataflow is ordered like any
+// results, are futures a reading task receives by value: it awaits the
+// tasks they are computed from, so scalar dataflow is ordered like any
 // other dependence, and a virtual planner records every reduction's combine
 // so the simulator charges its synchronization cost (see Scalar).
 //

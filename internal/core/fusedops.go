@@ -61,7 +61,7 @@ import (
 // finally writes a per-piece guard slot — the sum of the piece's dot
 // partials — that the reduction's first fold recomputes
 // bitwise-identically, so corruption anywhere in a solver's working set
-// or reduction scratch surfaces within one iteration.
+// or in the dot partials surfaces within one iteration.
 
 // UpdateKind selects the recurrence form of one fused vector update.
 type UpdateKind int
@@ -257,36 +257,35 @@ func (p *Planner) FusedSweep(ups []VecUpdate, dots []DotPair) []*Scalar {
 		panic("core: FusedSweep needs at least one update or dot pair")
 	}
 	vecs, alphas := p.sweepOperands(ups, dots)
-	var leaves []scalarLeaf
+	var leaves []*scalarLeaf
 	for _, a := range alphas {
 		leaves = addLeaves(leaves, a)
 	}
+	awaits := leafAwaits(leaves) // every task of the sweep awaits the same futures
 	shape := p.vecs[vecs[0].id].shape
 	sdc, hooks := p.sdcOn(), p.faultHooks()
 	name, reduceName := sweepNames(ups, dots)
 
-	// One scratch slot per (piece, dot), piece-major, so each partial
+	// One partial slot per (piece, dot), piece-major, so each partial
 	// task writes one contiguous span. With detection on each piece gets
-	// one extra guard slot holding the sum of its partials.
+	// one extra guard slot holding the sum of its partials. The slots are
+	// plain memory the sweep's scalars hold: their readers await the
+	// partial tasks.
 	k := len(dots)
 	stride := k
 	if sdc && k > 0 {
 		stride = k + 1
 	}
 	total := p.shapePieces(shape)
-	var scratch *region.Region
+	var partials []float64
+	var partialAwaits []taskrt.Await // one per partial task; futures set after the launch
 	if k > 0 {
-		space := index.NewSpace("dotscratch", int64(total*stride))
-		if p.virtual {
-			scratch = region.NewVirtual("dotscratch", space)
-		} else {
-			scratch = region.New("dotscratch", space)
+		partialAwaits = make([]taskrt.Await, 0, total)
+		if !p.virtual {
+			partials = make([]float64, total*stride)
 		}
 	}
-	nrefs := len(vecs) + len(leaves)
-	if k > 0 {
-		nrefs++
-	}
+	nrefs := len(vecs)
 	if sdc {
 		nrefs += len(vecs)
 	}
@@ -298,24 +297,18 @@ func (p *Planner) FusedSweep(ups []VecUpdate, dots []DotPair) []*Scalar {
 		// The arithmetic is bound once per component, not once per task.
 		var body func(subset index.IntervalSet, slot int, alpha []float64)
 		if !p.virtual {
-			body = p.sweepBody(name, ci, scratch, stride, ups, dots, vecs, alphas)
+			body = p.sweepBody(name, ci, partials, stride, ups, dots, vecs, alphas)
 		}
 		for gi := range groups {
 			g := &groups[gi]
-			var span index.IntervalSet // the members' scratch slots
 			if k > 0 {
-				span = index.Span(int64(g.slot*stride), int64((g.slot+len(g.pieces))*stride)-1)
+				// A reader receives the members' partial slots from the task.
+				partialAwaits = append(partialAwaits, taskrt.Await{Bytes: int64(8 * stride * len(g.pieces))})
 			}
 			// Each distinct vector is declared once, under its use's privilege.
 			refs := make([]region.Ref, 0, nrefs)
 			for _, v := range vecs {
 				refs = append(refs, pieceRef(p.vecs[v.id].regs[ci], g.subset, v.priv))
-			}
-			for _, l := range leaves {
-				refs = append(refs, l.ref)
-			}
-			if k > 0 {
-				refs = append(refs, region.Ref{Region: scratch.ID(), Subset: span, Priv: region.WriteDiscard})
 			}
 			if sdc {
 				// Verification refreshes the slot, so even a pure source's
@@ -338,9 +331,9 @@ func (p *Planner) FusedSweep(ups []VecUpdate, dots []DotPair) []*Scalar {
 			}
 			spec := taskrt.TaskSpec{
 				Name: name, Proc: g.proc, Piece: g.slot + 1,
-				Cost: cost, Refs: refs, Retryable: retry,
-				// A real dot's readers wait on its partial tasks' futures.
-				Detached: k == 0 || p.virtual,
+				Cost: cost, Refs: refs, Awaits: awaits, Retryable: retry,
+				// A dot's readers await its partial tasks' futures.
+				Detached: k == 0,
 			}
 			if body != nil {
 				spec.Run = g.runWith(alphas, body)
@@ -353,7 +346,8 @@ func (p *Planner) FusedSweep(ups []VecUpdate, dots []DotPair) []*Scalar {
 					}
 				}
 				if k > 0 {
-					targets = append(targets, corruptTarget{scratch.Data(), span})
+					span := index.Span(int64(g.slot*stride), int64((g.slot+len(g.pieces))*stride)-1)
+					targets = append(targets, corruptTarget{partials, span})
 				}
 				spec.Corrupt = corruptHook(targets...)
 			}
@@ -365,13 +359,14 @@ func (p *Planner) FusedSweep(ups []VecUpdate, dots []DotPair) []*Scalar {
 	if k == 0 {
 		return nil
 	}
-	partials := []scalarLeaf{{futs: futs, ref: region.Ref{
-		Region: scratch.ID(), Subset: index.Span(0, int64(total*stride)-1), Priv: region.ReadOnly,
-	}}}
-	if p.virtual {
-		return p.batchReduce(reduceName, partials, k)
+	for i := range partialAwaits {
+		partialAwaits[i].Future = futs[i]
 	}
-	return p.dotLeaves(reduceName, scratch.Data(), partials, total, stride, k)
+	leaf := &scalarLeaf{awaits: partialAwaits}
+	if p.virtual {
+		return p.batchReduce(reduceName, leaf, k)
+	}
+	return p.dotLeaves(reduceName, partials, leaf, total, stride, k)
 }
 
 // sweepBody binds a sweep's real-mode arithmetic to the storage of one
@@ -379,10 +374,10 @@ func (p *Planner) FusedSweep(ups []VecUpdate, dots []DotPair) []*Scalar {
 // per piece it covers. A call runs the checksum verification pre-pass
 // (detection only), the updates in order with checksum maintenance —
 // each pass computing the dot that rides it — then the remaining dots,
-// writing every partial into the piece's scratch slots slot·stride..+k-1
+// writing every partial into the piece's slots of out, slot·stride..+k-1
 // (and the guard slot after them when detection is on). alpha holds the
 // values of the sweep's distinct coefficients, in sweepOperands order.
-func (p *Planner) sweepBody(name string, ci int, scratch *region.Region, stride int,
+func (p *Planner) sweepBody(name string, ci int, out []float64, stride int,
 	ups []VecUpdate, dots []DotPair, vecs []sweepVec, alphas []*Scalar) func(subset index.IntervalSet, slot int, alpha []float64) {
 
 	type boundUpdate struct {
@@ -394,9 +389,9 @@ func (p *Planner) sweepBody(name string, ci int, scratch *region.Region, stride 
 		cd, cs []float64 // checksum slots of dst and src (nil without sdc)
 	}
 	sdc := p.sdcOn()
-	mon, tol := (*SDCMonitor)(nil), 0.0
+	var mon *SDCMonitor
 	if sdc {
-		mon, tol = p.sdc.mon, p.sdc.tol
+		mon = p.sdc.mon
 	}
 	bu := make([]boundUpdate, len(ups))
 	for i, u := range ups {
@@ -449,10 +444,6 @@ func (p *Planner) sweepBody(name string, ci int, scratch *region.Region, stride 
 			bu[last].dot, bd[j].fused = j, true
 		}
 	}
-	var out []float64
-	if scratch != nil {
-		out = scratch.Data()
-	}
 	guard := sdc && len(dots) > 0
 	k := int64(len(dots))
 	return func(subset index.IntervalSet, slot int, alpha []float64) {
@@ -464,7 +455,7 @@ func (p *Planner) sweepBody(name string, ci int, scratch *region.Region, stride 
 		// alarms here.
 		for _, c := range bv {
 			sum, abs := sumPiece(c.d, subset)
-			verifySlot(mon, tol, name, c.id, slot, c.chk, sum, abs)
+			verifySlot(mon, name, c.id, slot, c.chk, sum, abs)
 		}
 		for _, u := range bu {
 			var av float64
@@ -588,36 +579,31 @@ func sweepRun(k UpdateKind, av float64, d, s, v, w []float64, iv index.Interval,
 }
 
 // batchReduce launches a virtual planner's one combine task for a sweep's
-// k dots, reading the partials and writing all k output scalars: one
-// allreduce instead of k. The scalars share its future.
-func (p *Planner) batchReduce(name string, partials []scalarLeaf, k int) []*Scalar {
-	outs := make([]*Scalar, k)
-	refs := leafRefs(partials)
-	for j := range outs {
-		var w region.Ref
-		outs[j], w, _ = p.newScalar("dot")
-		refs = append(refs, w)
-	}
+// k dots, awaiting the partial tasks and computing all k output scalars:
+// one allreduce instead of k. The scalars share its future.
+func (p *Planner) batchReduce(name string, partials *scalarLeaf, k int) []*Scalar {
 	fut := p.sess.Launch(taskrt.TaskSpec{
 		Name: name,
 		// One tree reduction regardless of k: the scalars ride the same
 		// allreduce message, the MPI_Allreduce the real machine pays.
-		Cost: p.mach.AllReduceTime(),
-		Refs: refs, Retryable: true,
+		Cost:   p.mach.AllReduceTime(),
+		Awaits: partials.awaits, Retryable: true,
 	})
-	for _, s := range outs {
-		s.produced(fut)
+	outs := make([]*Scalar, k)
+	for j := range outs {
+		outs[j] = p.taskScalar(fut)
 	}
 	return outs
 }
 
-// dotLeaves returns a real planner's k dot results over the scratch
-// partials in: each folds its per-piece partials in slot order, the
-// combine task's arithmetic, wherever it is read. With detection on, the
-// reduction's first fold recomputes every piece's guard sum — partials
-// were written and summed in the same order, so any corruption of the
-// scratch makes the bitwise comparison fail — and alarms as name.
-func (p *Planner) dotLeaves(name string, in []float64, partials []scalarLeaf, pieces, stride, k int) []*Scalar {
+// dotLeaves returns a real planner's k dot results over the partials in,
+// which the tasks of leaf write: each folds its per-piece partials in slot
+// order, the combine task's arithmetic, wherever it is read. With
+// detection on, the reduction's first fold recomputes every piece's guard
+// sum — partials were written and summed in the same order, so any
+// corruption of them makes the bitwise comparison fail — and alarms as
+// name.
+func (p *Planner) dotLeaves(name string, in []float64, leaf *scalarLeaf, pieces, stride, k int) []*Scalar {
 	guard := stride > k
 	var once sync.Once
 	check := func() {
@@ -634,9 +620,10 @@ func (p *Planner) dotLeaves(name string, in []float64, partials []scalarLeaf, pi
 			}
 		}
 	}
+	leaves := []*scalarLeaf{leaf}
 	outs := make([]*Scalar, k)
 	for j := range outs {
-		outs[j] = &Scalar{leaves: partials, durable: true, eval: func() float64 {
+		outs[j] = &Scalar{leaves: leaves, durable: true, eval: func() float64 {
 			if guard {
 				once.Do(check)
 			}

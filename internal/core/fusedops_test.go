@@ -103,8 +103,8 @@ func TestDotBatchMatchesIndividualDots(t *testing.T) {
 			t.Errorf("dot %d: batch %g vs individual %g", i, g, w)
 		}
 		// One reduction: every dot of the batch folds the same partials.
-		if len(got[i].leaves) != 1 || got[i].leaves[0].ref.Region != got[0].leaves[0].ref.Region {
-			t.Errorf("dot %d reads %d leaves, want the batch's one scratch region", i, len(got[i].leaves))
+		if len(got[i].leaves) != 1 || got[i].leaves[0] != got[0].leaves[0] {
+			t.Errorf("dot %d reads %d leaves, want the batch's one set of partial tasks", i, len(got[i].leaves))
 		}
 	}
 }
@@ -426,9 +426,7 @@ func parentSpecs(p *Planner, kind UpdateKind, dst, src VecID, alpha *Scalar) []t
 			case UpdScal:
 				spec.Name, spec.Cost = "scal", p.mach.ScalCost(size)
 				spec.Refs = []region.Ref{pieceRef(d, g.subset, region.ReadWrite)}
-				for _, l := range alpha.leaves {
-					spec.Refs = append(spec.Refs, l.ref)
-				}
+				spec.Awaits = leafAwaits(alpha.leaves)
 				if sdc {
 					spec.Refs = append(spec.Refs, p.chkRef(dst, g.slot, n, region.ReadWrite))
 				}
@@ -448,7 +446,8 @@ func parentSpecs(p *Planner, kind UpdateKind, dst, src VecID, alpha *Scalar) []t
 // Copy, Scal and Zero are one-update sweeps, and each launches exactly the
 // task it launched when it built its own: name, processor, piece, cost,
 // the refs in order under the same privileges (write-discard on a copy or
-// zero dst and its checksum slot), retryability and detachment — on real
+// zero dst and its checksum slot), the awaited futures of its scalar,
+// retryability and detachment — on real
 // and virtual planners, with SDC detection and fault hooks on and off.
 // The specs are read from the planner's batch: its session is closed, so
 // each launch panics before the batch is consumed.
@@ -476,7 +475,7 @@ func TestOneUpdateSweepsLaunchTheirOperationsTasks(t *testing.T) {
 			p.AddOperator(sparse.Laplacian1D(n), si, ri)
 			p.Finalize()
 			if c.sdc {
-				p.EnableSDCDetection(0)
+				p.EnableSDCDetection()
 			}
 			if c.injector {
 				p.Session().SetFaultInjector(fault.NewInjector(fault.Plan{Seed: 1, NaNRate: 1, Names: []string{"no.such.task"}}))
@@ -508,7 +507,7 @@ func TestOneUpdateSweepsLaunchTheirOperationsTasks(t *testing.T) {
 					w := want[i]
 					if g.Name != w.Name || g.Proc != w.Proc || g.Piece != w.Piece || g.Cost != w.Cost ||
 						g.Retryable != w.Retryable || g.Detached != w.Detached || g.Host != w.Host ||
-						!reflect.DeepEqual(g.Refs, w.Refs) {
+						!reflect.DeepEqual(g.Refs, w.Refs) || !reflect.DeepEqual(g.Awaits, w.Awaits) {
 						t.Errorf("%s task %d:\n got %+v\nwant %+v", updNames[op.kind], i, g, w)
 					}
 					if (g.Run != nil) == c.virtual || (g.Corrupt != nil) != c.injector {

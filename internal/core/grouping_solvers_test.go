@@ -124,7 +124,7 @@ func TestGroupedLaunchIsBitwiseIdentical(t *testing.T) {
 							p.SetLaunchGrain(grain)
 							p.SetTracing(traced)
 							if sdc {
-								mons[i] = p.EnableSDCDetection(0)
+								mons[i] = p.EnableSDCDetection()
 							}
 							ps[i], ss[i] = p, solvers.New(name, p)
 						}

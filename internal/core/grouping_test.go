@@ -278,7 +278,7 @@ func TestGroupedOperationsBitwise(t *testing.T) {
 			pp.grain = 0
 			var mons []*SDCMonitor
 			if sdc {
-				mons = []*SDCMonitor{pg.EnableSDCDetection(0), pp.EnableSDCDetection(0)}
+				mons = []*SDCMonitor{pg.EnableSDCDetection(), pp.EnableSDCDetection()}
 			}
 			grouped, perPiece := groupingProgram(pg), groupingProgram(pp)
 			for round := 0; round < 3; round++ {
@@ -361,7 +361,7 @@ func TestExemptPlannersLaunchPerPiece(t *testing.T) {
 // at the next sweep, naming that piece's slot.
 func TestSDCPlantedFlipInGroupedSweep(t *testing.T) {
 	p := unevenPlanner(false, opsPlain)
-	mon := p.EnableSDCDetection(0)
+	mon := p.EnableSDCDetection()
 	w := p.AllocateWorkspace(SolShape)
 	p.Copy(w, SOL)
 	p.Drain()

@@ -241,10 +241,9 @@ func (p *Planner) launchMultiplyAdd(name string, opIdx int, g *pieceGroup, op *o
 	sdc, hooks := p.sdcOn(), p.faultHooks()
 	var chk []float64
 	var mon *SDCMonitor
-	var tol float64
 	if sdc {
 		chk = p.chkData(dst)
-		mon, tol = p.sdc.mon, p.sdc.tol
+		mon = p.sdc.mon
 	}
 	var run func() float64
 	if !p.virtual {
@@ -283,7 +282,7 @@ func (p *Planner) launchMultiplyAdd(name string, opIdx int, g *pieceGroup, op *o
 						wx += m.cc.val[t] * x[j]
 					}
 					scale := abs + math.Abs(wx) + 1
-					if diff := math.Abs(wx - contrib); diff > tol*scale || diff != diff {
+					if diff := math.Abs(wx - contrib); diff > sdcTol*scale || diff != diff {
 						mon.report(SDCAlarm{
 							Task: "matmul.abft", Vec: dst, Slot: m.slot,
 							Expected: wx, Got: contrib, Scale: scale,

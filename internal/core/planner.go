@@ -135,7 +135,6 @@ type Planner struct {
 		byComp [][]pieceGroup
 	}
 	colorBase int
-	scalarSeq int
 	// step counts TraceBegin calls: an expression never spans two (Scalar).
 	step      int
 	tracing   bool

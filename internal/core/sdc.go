@@ -48,8 +48,8 @@ import (
 // set) must equal w·x up to rounding, the classic ABFT checksummed SpMV.
 // Every dot, single or batched, carries a per-piece guard slot (the sum of
 // the piece's partials, recomputed bitwise-identically by the reduction's
-// first fold), so corruption of reduction scratch between partial and
-// combine is caught exactly.
+// first fold), so corruption of the partials between partial and combine
+// is caught exactly.
 //
 // Everything here is opt-in via EnableSDCDetection; with detection off,
 // no extra region references, passes, or allocations exist anywhere.
@@ -145,7 +145,6 @@ type colCheck struct {
 // sdcState is the planner's detection bookkeeping.
 type sdcState struct {
 	mon *SDCMonitor
-	tol float64
 	// chk[id] is vector id's checksum region (one slot per piece in
 	// eachSlot order), parallel to Planner.vecs.
 	chk []*region.Region
@@ -153,21 +152,21 @@ type sdcState struct {
 	colchk [][]colCheck
 }
 
-// DefaultSDCTol is the default relative verification tolerance. It rides
-// far above the rounding drift the recurrence maintenance accumulates
-// between verifications, and far below any exponent- or high-mantissa-bit
+// sdcTol is the relative verification tolerance. It rides far above the
+// rounding drift the recurrence maintenance accumulates between
+// verifications, and far below any exponent- or high-mantissa-bit
 // corruption of a well-scaled entry.
-const DefaultSDCTol = 1e-7
+const sdcTol = 1e-7
 
 // EnableSDCDetection turns on checksummed kernels for this planner and
 // returns the alarm monitor. Every existing vector gets a checksum region
 // seeded from its current data, and every operator gets per-piece column
 // checksums for the ABFT SpMV; workspaces allocated later join
-// automatically. tol <= 0 selects DefaultSDCTol. The call requires a
+// automatically. The call requires a
 // finalized real-mode planner and a quiescent runtime; calling it again
 // returns the same monitor. Detection is observation-only — alarms are
 // recorded, never acted on — recovery policy lives in the solver layer.
-func (p *Planner) EnableSDCDetection(tol float64) *SDCMonitor {
+func (p *Planner) EnableSDCDetection() *SDCMonitor {
 	p.mustBeFinalized()
 	if p.virtual {
 		panic("core: SDC detection requires a real planner")
@@ -175,10 +174,7 @@ func (p *Planner) EnableSDCDetection(tol float64) *SDCMonitor {
 	if p.sdc != nil {
 		return p.sdc.mon
 	}
-	if tol <= 0 {
-		tol = DefaultSDCTol
-	}
-	s := &sdcState{mon: &SDCMonitor{}, tol: tol}
+	s := &sdcState{mon: &SDCMonitor{}}
 	p.sdc = s
 	for id := range p.vecs {
 		p.sdcAddVec(VecID(id))
@@ -288,10 +284,10 @@ func (p *Planner) chkData(id VecID) []float64 { return p.sdc.chk[id].Data() }
 // checksum, raises an alarm on mismatch, and refreshes the slot with the
 // measured value (bounding recurrence drift to the span between
 // verifications). abs is Σ|vᵢ|, the magnitude the tolerance scales by.
-func verifySlot(mon *SDCMonitor, tol float64, task string, id VecID, slot int, chk []float64, sum, abs float64) {
+func verifySlot(mon *SDCMonitor, task string, id VecID, slot int, chk []float64, sum, abs float64) {
 	expected := chk[slot]
 	scale := abs + math.Abs(expected) + 1
-	if diff := math.Abs(expected - sum); diff > tol*scale || diff != diff {
+	if diff := math.Abs(expected - sum); diff > sdcTol*scale || diff != diff {
 		mon.report(SDCAlarm{Task: task, Vec: id, Slot: slot, Expected: expected, Got: sum, Scale: scale})
 	}
 	chk[slot] = sum

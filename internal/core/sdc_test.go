@@ -25,7 +25,7 @@ func sdcTestPlanner(t *testing.T, n int64, pieces int) (p *Planner, mon *SDCMoni
 	ri := p.AddRHSVector(rhs, index.EqualPartition(index.NewSpace("R", n), pieces))
 	p.AddOperator(sparse.Laplacian2D(n/8, 8), si, ri)
 	p.Finalize()
-	mon = p.EnableSDCDetection(0)
+	mon = p.EnableSDCDetection()
 	a = p.AllocateWorkspace(SolShape)
 	b = p.AllocateWorkspace(RhsShape)
 	p.Copy(a, SOL)
@@ -212,7 +212,7 @@ func TestSDCDotBatchGuard(t *testing.T) {
 			ri := p.AddRHSVector(rhs, index.EqualPartition(index.NewSpace("R", n), pieces))
 			p.AddOperator(sparse.Laplacian2D(n/8, 8), si, ri)
 			p.Finalize()
-			mon := p.EnableSDCDetection(0)
+			mon := p.EnableSDCDetection()
 			// Corrupt every partial task's output with certainty: the hook
 			// targets the scratch span (data + guard), and the flip of a low
 			// exponent bit shifts a partial enough to break the exact guard.

@@ -101,7 +101,7 @@ func runSweepProgram(t *testing.T, seed int64, prog sweepProgram) {
 	}
 	var mon *SDCMonitor
 	if prog.sdc {
-		mon = p.EnableSDCDetection(0)
+		mon = p.EnableSDCDetection()
 	}
 
 	ups := make([]VecUpdate, len(prog.ups))

@@ -16,17 +16,12 @@ import (
 	"kdrsolvers/internal/index"
 )
 
-// ID uniquely identifies a logical region within a process.
+// ID uniquely identifies a logical region within a process. IDs come
+// from one process-wide counter, so a region's ID is never reused: the
+// dependence history and trace fingerprints of package taskrt key on it.
 type ID int64
 
 var nextID atomic.Int64
-
-// LastID returns the most recently assigned region ID. IDs are assigned
-// from a process-wide monotonic counter, so a region r was created after
-// a call to LastID exactly when r.ID() > the returned watermark — the
-// property trace memoization uses to tell iteration-scoped scratch
-// regions from long-lived ones.
-func LastID() ID { return ID(nextID.Load()) }
 
 // A Region is a logical region: an index space paired with one float64
 // array backing it.

@@ -78,6 +78,45 @@ func TestVerifiedConvergenceOnEveryPath(t *testing.T) {
 	}
 }
 
+// Every solver replays its steps: traced on one system, no solver misses
+// or falls back more often than the bounds below. A solver whose steps
+// stop replaying — a launch sequence that differs from step to step, a
+// region created inside a step — fails here. While a dot's partials and
+// every deferred scalar were regions, matched by class in the trace
+// fingerprints, pipecg, bicgstab and pcg each missed one instance more.
+func TestEverySolverReplays(t *testing.T) {
+	bounds := map[string]struct{ misses, fallbacks int64 }{
+		"cg": {2, 0}, "pipecg": {3, 0}, "bicgstab": {3, 0}, "gmres": {3, 1},
+		"minres": {3, 0}, "bicg": {2, 0}, "pcg": {2, 0}, "cgs": {3, 0},
+		"sstep-cg": {2, 0}, "pgmres": {3, 1}, "gcrodr": {4, 1},
+	}
+	a, err := jobspec.LoadMatrix("lap2d:32x32")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range solvers.Names {
+		t.Run(name, func(t *testing.T) {
+			b, ok := bounds[name]
+			if !ok {
+				t.Fatalf("no replay bound for solver %q", name)
+			}
+			spec := jobspec.Default()
+			spec.Matrix, spec.RHS, spec.Solver, spec.Pieces, spec.Tol = "lap2d:32x32", "rand:7", name, 8, 1e-8
+			sess := taskrt.New().DefaultSession()
+			out := RunSolve(a, spec, Options{Session: sess, Tracing: true})
+			if !out.Converged || out.Err != "" {
+				t.Fatalf("did not converge: %+v", out)
+			}
+			st := sess.Runtime().Stats()
+			if st.TraceMisses > b.misses || st.TraceFallbacks > b.fallbacks {
+				t.Errorf("%d hits / %d misses / %d fallbacks, want at most %d misses and %d fallbacks",
+					st.TraceHits, st.TraceMisses, st.TraceFallbacks, b.misses, b.fallbacks)
+			}
+			t.Logf("%d hits / %d misses / %d fallbacks", st.TraceHits, st.TraceMisses, st.TraceFallbacks)
+		})
+	}
+}
+
 // A convergence claim is the driver's ‖b − Ax‖ within tol, for every
 // solver: Converged implies the host-side residual of the returned x is
 // within tol, up to the 5 % rounding slack mmsolve -strict-residual and

@@ -423,12 +423,19 @@ func numericSuffix(id string) (int64, bool) {
 // append journals one accept or done record and folds it. An accept of
 // a job the fold holds, pending or done, writes nothing: the fold would
 // ignore it, and a copy stamped with a fresh ordinal could sit ahead of
-// a snapshot's copy and reorder the next replay.
+// a snapshot's copy and reorder the next replay. Nor does an accept of a
+// "job-N" at or below the highest id journaled: the server accepts only
+// ids above it, so such a job was accepted before, and finished if the
+// fold no longer holds it — trimDone dropped its done record, which a
+// replay of the log may still read.
 func (j *Journal) append(r *journalRecord) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if r.T == recAccept && (j.state.pending[r.ID] != nil || j.state.done[r.ID] != nil) {
-		return nil
+	if r.T == recAccept {
+		n, numeric := numericSuffix(r.ID)
+		if numeric && n <= j.state.maxID || j.state.pending[r.ID] != nil || j.state.done[r.ID] != nil {
+			return nil
+		}
 	}
 	r.Seq = j.state.seq + 1
 	payload, err := json.Marshal(r)

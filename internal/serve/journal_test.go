@@ -624,6 +624,68 @@ func TestJournalDuplicateAcceptKeepsOrdinal(t *testing.T) {
 	}
 }
 
+// A done record that trimming dropped from the fold still closes its job.
+// With one done record retained, job-1, job-2 and job-3 finish, and job-1
+// is accepted again: the accept writes nothing, so the live fold, a
+// replay, a compacted journal and a reopened one all hold no pending job.
+// (The live fold used to reopen job-1 while a replay of the same log kept
+// it done.)
+func TestJournalReacceptAfterTrimmedDoneStaysDone(t *testing.T) {
+	opts := wal.Options{SegmentBytes: 256, FsyncEvery: 1 << 20}
+	dir := t.TempDir()
+	jn, _, err := openJournal(dir, opts, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := testSpec(nil)
+	now := time.Unix(1700000000, 0).UTC()
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, id := range []string{"job-1", "job-2", "job-3"} {
+		must(jn.Accept(id, spec, now))
+		must(jn.Done(id, &JobResult{Solver: "cg"}))
+	}
+	appended := jn.Metrics().RecordsAppended
+	must(jn.Accept("job-1", spec, now))
+	if got := jn.Metrics().RecordsAppended - appended; got != 0 {
+		t.Errorf("re-accepting a finished job appended %d records", got)
+	}
+	jn.mu.Lock()
+	live := jn.state.replay()
+	jn.mu.Unlock()
+	replayed, err := jn.Replay()
+	must(err)
+	jn.mu.Lock()
+	snap, err := jn.state.snapshot()
+	if err == nil {
+		err = jn.log.Compact(snap)
+	}
+	jn.mu.Unlock()
+	must(err)
+	compacted, err := jn.Replay()
+	must(err)
+	must(jn.Close())
+	jn2, reopened, err := openJournal(dir, opts, 1)
+	must(err)
+	defer jn2.Close()
+	for _, c := range []struct {
+		what string
+		rep  *JournalReplay
+	}{{"live fold", live}, {"replay", replayed}, {"compacted", compacted}, {"reopened", reopened}} {
+		var ids []string
+		for _, p := range c.rep.Pending {
+			ids = append(ids, p.ID)
+		}
+		if len(ids) != 0 || c.rep.MaxID != 3 {
+			t.Errorf("%s: pending %v, max id %d; want none pending, max id 3", c.what, ids, c.rep.MaxID)
+		}
+	}
+}
+
 // The journal on disk follows the live set, not history: ten times the
 // jobs leave it within a segment of where the first batch left it.
 func TestJournalSizeBoundedByLiveSet(t *testing.T) {

@@ -278,7 +278,7 @@ func solveSystem(a *sparse.CSR, k int, x, b []float64, spec jobspec.Spec, opt Op
 
 	start := time.Now()
 	if spec.DetectSDC {
-		p.EnableSDCDetection(0) // before the solver's set-up tasks, so they are checked too
+		p.EnableSDCDetection() // before the solver's set-up tasks, so they are checked too
 	}
 	var s solvers.Solver
 	if spec.Solver == "gcrodr" && opt.Cache != nil {

@@ -12,13 +12,13 @@ import (
 // TestFusedCGStepAllocs pins the per-iteration allocation budget of the
 // fused CG step under trace replay. The piece tasks launch through the
 // batch API and splice their dependences from the memoized trace, so what
-// remains is the iteration's host-side bookkeeping: the dots' fresh
-// scratch regions and scalars, the futures of the dot sweeps' piece tasks
-// (a dot's host reader waits on them) and the per-task closures. The pin
-// is a regression tripwire: if the hot path regrows per-task allocations
-// the count jumps by O(pieces × launches), two orders of magnitude above
-// this budget. The step reads 226–227 allocations; the pin is that plus
-// 5 %.
+// remains is the iteration's host-side bookkeeping: the dots' partials
+// and scalars, the futures of the dot sweeps' piece tasks (a dot's readers
+// await them) and the per-task closures. The pin is a regression
+// tripwire: if the hot path regrows per-task allocations the count jumps
+// by O(pieces × launches), two orders of magnitude above this budget. The
+// step reads 200–202 allocations (226–227 while a dot's partials were a
+// region); the pin is that plus 5 %.
 func TestFusedCGStepAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; the pin only means something without it")
@@ -63,8 +63,8 @@ func TestFusedCGStepAllocs(t *testing.T) {
 			after.TraceFallbacks-before.TraceFallbacks)
 	}
 	launchesPerStep := float64(after.Launched-before.Launched) / 21
-	if allocs > 238 {
-		t.Errorf("fused CG step allocates %.0f objects/iteration (%.0f launches), want <= 238",
+	if allocs > 212 {
+		t.Errorf("fused CG step allocates %.0f objects/iteration (%.0f launches), want <= 212",
 			allocs, launchesPerStep)
 	}
 	t.Logf("fused CG: %.1f allocs/iteration over %.0f launches (%.2f allocs/launch)",

@@ -169,7 +169,7 @@ func SolveResilient(p *core.Planner, s Solver, cfg ResilientConfig) ResilientRes
 	var mon *core.SDCMonitor
 	if cfg.DetectSDC {
 		p.Drain() // seeding checksums needs a quiescent runtime
-		mon = p.EnableSDCDetection(0)
+		mon = p.EnableSDCDetection()
 		if rec := p.Session().Recorder(); rec != nil {
 			mon.SetRecorder(rec) // alarms show up in profiles as FailureSDC
 		}

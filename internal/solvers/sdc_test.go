@@ -94,7 +94,7 @@ func TestSDCSolverAcceptance(t *testing.T) {
 
 		t.Run(tc.name+"/detection", func(t *testing.T) {
 			p := planFor(a, b, 4)
-			mon := p.EnableSDCDetection(0)
+			mon := p.EnableSDCDetection()
 			p.Session().SetFaultInjector(fault.NewInjector(singleFlipPlan(tc.seed)))
 			runTrusting(tc.mk(p), tol, 500)
 			p.Drain()

@@ -7,7 +7,9 @@
 // (Section 4.1 of the paper). Independent tasks execute concurrently;
 // tasks related by a true dependence are ordered, and reduction tasks
 // into overlapping data are serialized in launch order so floating-point
-// results stay deterministic.
+// results stay deterministic. A task reads a scalar another task returns
+// by awaiting its Future (TaskSpec.Awaits), which orders it after that
+// task like a region dependence does.
 //
 // Session is the launch API: Launch, LaunchBatch (the index launch:
 // one point task per color, in one critical section), trace scopes (BeginTrace/EndTrace), the phase label, the retry policy, the

@@ -12,7 +12,9 @@ import "sync"
 // ErrPoisoned). Value then returns NaN so legacy numeric consumers see an
 // unmistakably invalid number; Err and Result expose the cause.
 //
-// Launches whose result is never read should set TaskSpec.Detached,
+// A task reads a future by awaiting it (TaskSpec.Awaits): the launch
+// orders the reader after the future's task, so the body finds the value
+// ready. Launches whose result is never read should set TaskSpec.Detached,
 // which skips the future entirely.
 type Future struct {
 	mu   sync.Mutex
@@ -20,6 +22,18 @@ type Future struct {
 	done bool
 	val  float64
 	err  error
+
+	// sess and task name the producing task, set at launch; sess is nil
+	// for a future no task produces (Resolved).
+	sess *Session
+	task int64
+}
+
+// An Await is one future a task reads and the bytes its producer delivers
+// along the dependence edge the read adds.
+type Await struct {
+	Future *Future
+	Bytes  int64
 }
 
 // newFuture allocates a future as one object including its condition

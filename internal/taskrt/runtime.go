@@ -37,6 +37,12 @@ type TaskSpec struct {
 	// derives dependences from these; a task must not touch data it does
 	// not declare.
 	Refs []region.Ref
+	// Awaits lists the futures the task reads. The launch adds one
+	// dependence edge to each future's task, carrying its Bytes, beside
+	// the edges Refs derive; a predecessor reached both ways is one edge
+	// carrying both byte counts. The futures must come from launches of
+	// the same session; one no task produces (Resolved) adds no edge.
+	Awaits []Await
 	// Run performs the task's real computation and returns its scalar
 	// result (delivered through the launch's Future). A nil Run records
 	// the task in the graph without any real work.
@@ -437,6 +443,9 @@ func (rt *Runtime) recycle(ts *taskState) {
 func (s *Session) prep(spec *TaskSpec, ts *taskState, id int64) {
 	ts.id = id
 	ts.sess = s
+	if ts.future != nil {
+		ts.future.sess, ts.future.task = s, id
+	}
 	ts.phase = spec.Phase
 	if ts.phase == "" {
 		ts.phase = s.phase
@@ -458,28 +467,49 @@ func (s *Session) prep(spec *TaskSpec, ts *taskState, id int64) {
 }
 
 // resolve is launch step 2, the interval-set work against the session's
-// history: interference analysis for analyzed launches, the history
-// shadow update for spliced ones. Caller holds s.mu, which is what keeps
-// every shard's updates in task-ID order.
+// history — interference analysis for analyzed launches, the history
+// shadow update for spliced ones — followed by the awaited edges, which
+// no template holds: a calibrating launch captures its region edges
+// before they join. Caller holds s.mu, which is what keeps every shard's
+// updates in task-ID order.
 func (s *Session) resolve(spec *TaskSpec, ts *taskState, depBytes map[int64]int64) {
 	if ts.splice {
 		for _, ref := range spec.Refs {
 			s.shardFor(ref.Region).record(ts.id, ref)
 		}
-		return
+	} else {
+		clear(depBytes)
+		for _, ref := range spec.Refs {
+			ts.scans += s.shardFor(ref.Region).analyze(ts.id, ref, depBytes)
+		}
+		ts.deps = ts.deps[:0]
+		for d := range depBytes {
+			ts.deps = append(ts.deps, d)
+		}
+		slices.Sort(ts.deps)
+		ts.bytes = ts.bytes[:0]
+		for _, d := range ts.deps {
+			ts.bytes = append(ts.bytes, depBytes[d])
+		}
+		if s.trace != nil && s.trace.mode == trCalibrate {
+			s.traceCapture(ts.deps, ts.bytes)
+		}
 	}
-	clear(depBytes)
-	for _, ref := range spec.Refs {
-		ts.scans += s.shardFor(ref.Region).analyze(ts.id, ref, depBytes)
-	}
-	ts.deps = ts.deps[:0]
-	for d := range depBytes {
-		ts.deps = append(ts.deps, d)
-	}
-	slices.Sort(ts.deps)
-	ts.bytes = ts.bytes[:0]
-	for _, d := range ts.deps {
-		ts.bytes = append(ts.bytes, depBytes[d])
+	for _, a := range spec.Awaits {
+		f := a.Future
+		if f.sess == nil {
+			continue // resolved without a task
+		}
+		if f.sess != s {
+			panic(fmt.Sprintf("taskrt: task %q awaits a future of another session", spec.Name))
+		}
+		i, found := slices.BinarySearch(ts.deps, f.task)
+		if found {
+			ts.bytes[i] += a.Bytes
+			continue
+		}
+		ts.deps = slices.Insert(ts.deps, i, f.task)
+		ts.bytes = slices.Insert(ts.bytes, i, a.Bytes)
 	}
 }
 
@@ -498,13 +528,10 @@ func (s *Session) arenaCopy(xs []int64) []int64 {
 	return s.depArena[n:len(s.depArena):len(s.depArena)]
 }
 
-// wire is launch step 3: capture template edges when calibrating and
-// hook the task onto its live predecessors. Returns whether the task is
-// immediately ready to execute. Caller holds s.mu.
+// wire is launch step 3: hook the task onto its live predecessors.
+// Returns whether the task is immediately ready to execute. Caller holds
+// s.mu.
 func (s *Session) wire(ts *taskState) bool {
-	if s.trace != nil && s.trace.mode == trCalibrate {
-		s.traceCapture(ts.deps, ts.bytes)
-	}
 	for _, d := range ts.deps {
 		if pred, live := s.tasks[d]; live {
 			pred.succs = append(pred.succs, ts)

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -225,6 +226,50 @@ func TestFutures(t *testing.T) {
 		t.Fatal("Resolved wrong")
 	}
 	rt.Drain()
+}
+
+func TestAwaitedFuturesAddEdges(t *testing.T) {
+	// An awaited future adds one edge to its task, carrying the await's
+	// bytes; a predecessor also reached through a region is one edge with
+	// both byte counts, deps stay sorted, and a resolved future adds none.
+	rt := New()
+	s := rt.DefaultSession()
+	r := region.New("v", index.NewSpace("D", 8))
+	w := s.Launch(TaskSpec{Name: "w", Refs: []region.Ref{ref(r, 0, 7, region.WriteDiscard)}, Run: func() float64 { return 2 }})
+	a := s.Launch(TaskSpec{Name: "a", Run: func() float64 { return 3 }})
+	b := s.Launch(TaskSpec{Name: "b", Run: func() float64 { return 5 }})
+	sum := s.Launch(TaskSpec{
+		Name: "sum", Refs: []region.Ref{ref(r, 0, 3, region.ReadOnly)},
+		Awaits: []Await{{b, 16}, {Resolved(7), 8}, {w, 8}, {a, 8}, {b, 8}},
+		Run: func() float64 {
+			if !w.Ready() || !a.Ready() || !b.Ready() {
+				panic("ran before an awaited future resolved")
+			}
+			return w.Value() + a.Value() + b.Value()
+		},
+	})
+	if v, err := sum.Result(); v != 10 || err != nil {
+		t.Fatalf("sum = (%v, %v), want (10, nil)", v, err)
+	}
+	rt.Drain()
+	n := rt.Graph().Nodes[3]
+	if want := []int64{0, 1, 2}; !slices.Equal(n.Deps, want) {
+		t.Fatalf("deps = %v, want %v", n.Deps, want)
+	}
+	if want := []int64{32 + 8, 8, 24}; !slices.Equal(n.DepBytes, want) {
+		t.Fatalf("dep bytes = %v, want %v", n.DepBytes, want)
+	}
+	if got := s.Stats().DepEdges; got != 3 {
+		t.Fatalf("DepEdges = %d, want 3", got)
+	}
+
+	other := rt.NewSession("other")
+	defer func() {
+		if recover() == nil {
+			t.Fatal("awaiting another session's future did not panic")
+		}
+	}()
+	other.Launch(TaskSpec{Name: "foreign", Awaits: []Await{{a, 8}}})
 }
 
 func TestTraceReplayFlags(t *testing.T) {

@@ -404,10 +404,6 @@ func (s *Session) BeginTrace(key string) {
 	at.tmpl = tmpl
 	at.base = s.nextID
 	at.n = 0
-	at.watermark = region.LastID()
-	at.fresh = tmpl.freshBufs[tmpl.flip][:0]
-	clear(at.freshIdx)
-	clear(at.prevIdx)
 	switch {
 	case !tmpl.lastOK || tmpl.lastBase+int64(tmpl.lastLen) != s.nextID:
 		// A gap (launches outside the scope, another key, a failed
@@ -421,14 +417,6 @@ func (s *Session) BeginTrace(key string) {
 		at.mode = trCalibrate
 	default:
 		at.mode = trReplay
-	}
-	if at.mode != trRecord && len(tmpl.lastFresh) > 0 {
-		if at.prevIdx == nil {
-			at.prevIdx = make(map[region.ID]int, len(tmpl.lastFresh))
-		}
-		for j, id := range tmpl.lastFresh {
-			at.prevIdx[id] = j
-		}
 	}
 	s.trace = at
 }
@@ -465,7 +453,4 @@ func (s *Session) EndTrace() {
 	tmpl.lastOK = true
 	tmpl.lastBase = at.base
 	tmpl.lastLen = at.n
-	tmpl.lastFresh = at.fresh
-	tmpl.freshBufs[tmpl.flip] = at.fresh
-	tmpl.flip ^= 1
 }

@@ -10,7 +10,7 @@ package taskrt
 // interference analysis:
 //
 //	instance 1 (record):    full analysis; fingerprint every launch
-//	                        (name + region-class refs) into the template.
+//	                        (name + region refs) into the template.
 //	instance 2 (calibrate): full analysis; match each launch against the
 //	                        template and capture its dependence edges as
 //	                        trace-relative offsets.
@@ -23,18 +23,13 @@ package taskrt
 // instance onward do the edges take their steady-state, offset-stable
 // shape.
 //
-// Regions in a fingerprint are classified rather than matched by ID,
-// because solver iterations create fresh scratch regions (dot-product
-// partials, deferred scalars) on every instance:
-//
-//	rcStable: a long-lived region (solution, workspace vectors) that
-//	          must reappear with the same ID.
-//	rcCur:    the j-th region created during the instance itself
-//	          (ID above the BeginTrace watermark), in first-appearance
-//	          order.
-//	rcPrev:   the j-th region created during the *previous* instance —
-//	          how a CG step reads the r·r scalar produced one iteration
-//	          earlier.
+// A fingerprint matches every region by its ID, so an instance that
+// names a region created inside it never replays. The values a solver
+// step produces and reads — dot products, deferred scalars — are futures,
+// not regions, and a template holds only the edges regions derive: the
+// edges to a launch's awaited futures (TaskSpec.Awaits) are added at
+// every launch, replayed or analyzed, from the futures the launch names,
+// and are never captured.
 //
 // Captured edges come in three classes: internal (offset into the
 // current instance), prev (offset into the immediately preceding
@@ -65,25 +60,10 @@ package taskrt
 // is what Stats.AnalysisScans counts.
 
 import (
-	"kdrsolvers/internal/index"
+	"slices"
+
 	"kdrsolvers/internal/region"
 )
-
-// Region classes in a fingerprint.
-const (
-	rcStable = iota // long-lived region, matched by exact ID
-	rcCur           // j-th region created during the current instance
-	rcPrev          // j-th region created during the previous instance
-)
-
-// refTmpl is the fingerprint of one region reference.
-type refTmpl struct {
-	class  int
-	region region.ID // rcStable: the exact ID
-	idx    int       // rcCur/rcPrev: first-appearance index
-	subset index.IntervalSet
-	priv   region.Privilege
-}
 
 // Dependence-edge classes in a template.
 const (
@@ -105,7 +85,7 @@ type depTmpl struct {
 type taskTmpl struct {
 	name string
 	host bool
-	refs []refTmpl
+	refs []region.Ref
 	deps []depTmpl
 }
 
@@ -116,18 +96,9 @@ type traceTmpl struct {
 
 	// Bookkeeping about the most recent completed instance, consulted by
 	// the next BeginTrace to decide adjacency.
-	lastOK    bool // it matched the fingerprint end to end
-	lastBase  int64
-	lastLen   int
-	lastFresh []region.ID // its fresh regions, first-appearance order
-
-	// freshBufs double-buffers the fresh-region storage so steady-state
-	// replay allocates nothing: lastFresh aliases the buffer the previous
-	// instance filled, and the next instance appends into the other one.
-	// An instance's lastFresh is consumed (copied into prevIdx) at the
-	// following BeginTrace, so two buffers always suffice.
-	freshBufs [2][]region.ID
-	flip      int
+	lastOK   bool // it matched the fingerprint end to end
+	lastBase int64
+	lastLen  int
 }
 
 // Trace modes of an active instance.
@@ -140,92 +111,30 @@ const (
 
 // activeTrace is the state of the instance currently between BeginTrace
 // and EndTrace, guarded by the session's mu. A session keeps a single
-// recycled activeTrace (at most one instance is open at a time) so a trace scope
-// itself costs no allocation on the replay path; its maps are cleared,
-// not rebuilt, between instances.
+// recycled activeTrace (at most one instance is open at a time) so a trace
+// scope itself costs no allocation on the replay path.
 type activeTrace struct {
 	tmpl *traceTmpl
 	mode int
-
-	base      int64     // ID of the instance's first task
-	n         int       // tasks launched so far in this instance
-	watermark region.ID // region-ID watermark at BeginTrace
-
-	fresh    []region.ID       // fresh regions, first-appearance order
-	freshIdx map[region.ID]int // inverse of fresh
-	prevIdx  map[region.ID]int // previous instance's fresh regions
+	base int64 // ID of the instance's first task
+	n    int   // tasks launched so far in this instance
 }
 
-// classify returns the class of a region reference within the active
-// instance, assigning first-appearance indices to newly created regions.
-func (at *activeTrace) classify(id region.ID) (class, idx int) {
-	if id > at.watermark {
-		j, ok := at.freshIdx[id]
-		if !ok {
-			if at.freshIdx == nil {
-				at.freshIdx = make(map[region.ID]int, 8)
-			}
-			j = len(at.fresh)
-			at.fresh = append(at.fresh, id)
-			at.freshIdx[id] = j
-		}
-		return rcCur, j
-	}
-	if j, ok := at.prevIdx[id]; ok {
-		return rcPrev, j
-	}
-	return rcStable, 0
-}
-
-// fingerprint builds the template task of a launch under the active
-// instance's region classification.
-func (at *activeTrace) fingerprint(spec *TaskSpec) taskTmpl {
-	t := taskTmpl{name: spec.Name, host: spec.Host}
-	for _, ref := range spec.Refs {
-		class, idx := at.classify(ref.Region)
-		rt := refTmpl{class: class, idx: idx, subset: ref.Subset, priv: ref.Priv}
-		if class == rcStable {
-			rt.region = ref.Region
-		}
-		t.refs = append(t.refs, rt)
-	}
-	return t
+// fingerprint builds the template task of a launch.
+func fingerprint(spec *TaskSpec) taskTmpl {
+	return taskTmpl{name: spec.Name, host: spec.Host, refs: slices.Clone(spec.Refs)}
 }
 
 // matches reports whether a launch fits template task t — the one
-// matcher of calibrate and replay, comparing against the raw spec
-// so it allocates nothing. Classifying a ref registers a fresh region
-// exactly as fingerprint would, in the same order, so a launch that
-// fails to match can be fingerprinted afterwards with the same indices.
-//
-// One divergence is accepted while calibrating, never while replaying,
-// and written into t: a ref recorded as rcStable may be observed as
-// rcPrev. The recording instance saw a scratch region created by
-// pre-trace code (e.g. CG's initial r·r scalar, made during solver
-// setup), which in steady state is a fresh region of the previous
-// instance. The upgrade is safe in calibrate mode because the edges
-// being captured come from this instance's real analysis. In replay mode
-// a calibrated template's rcStable refs name genuinely durable regions,
-// so observing rcPrev there is a real structural change.
-func (at *activeTrace) matches(t *taskTmpl, spec *TaskSpec) bool {
+// matcher of calibrate and replay, comparing against the raw spec so it
+// allocates nothing.
+func (t *taskTmpl) matches(spec *TaskSpec) bool {
 	if t.name != spec.Name || t.host != spec.Host || len(t.refs) != len(spec.Refs) {
 		return false
 	}
 	for i := range t.refs {
 		tref, ref := &t.refs[i], &spec.Refs[i]
-		if tref.priv != ref.Priv {
-			return false
-		}
-		class, idx := at.classify(ref.Region)
-		switch {
-		case class == rcPrev && tref.class == rcStable && at.mode == trCalibrate:
-			tref.class, tref.idx = rcPrev, idx
-		case class != tref.class,
-			class == rcStable && tref.region != ref.Region,
-			class != rcStable && idx != tref.idx:
-			return false
-		}
-		if !tref.subset.Equal(ref.Subset) {
+		if tref.Region != ref.Region || tref.Priv != ref.Priv || !tref.Subset.Equal(ref.Subset) {
 			return false
 		}
 	}
@@ -285,7 +194,7 @@ func (s *Session) traceObserve(spec *TaskSpec, ts *taskState) {
 	tasks := at.tmpl.tasks
 	switch at.mode {
 	case trReplay:
-		if pos < len(tasks) && at.matches(&tasks[pos], spec) {
+		if pos < len(tasks) && tasks[pos].matches(spec) {
 			ts.deps, ts.bytes = spliceDepsInto(
 				tasks[pos].deps, at.base, len(tasks), ts.deps[:0], ts.bytes[:0])
 			ts.splice = true
@@ -299,18 +208,18 @@ func (s *Session) traceObserve(spec *TaskSpec, ts *taskState) {
 	case trFallback:
 		return
 	case trCalibrate:
-		if pos < len(tasks) && at.matches(&tasks[pos], spec) {
-			return // wire captures the analyzed edges
+		if pos < len(tasks) && tasks[pos].matches(spec) {
+			return // resolve captures the analyzed edges
 		}
 		at.tmpl.tasks = tasks[:pos]
 		at.mode = trRecord
 	}
-	at.tmpl.tasks = append(at.tmpl.tasks, at.fingerprint(spec))
+	at.tmpl.tasks = append(at.tmpl.tasks, fingerprint(spec))
 }
 
-// traceCapture stores a calibrating launch's analyzed edges into its
-// template task. Caller holds s.mu since the launch's traceObserve, so
-// the launch is the instance's latest.
+// traceCapture stores a calibrating launch's analyzed region edges into
+// its template task. Caller holds s.mu since the launch's traceObserve,
+// so the launch is the instance's latest.
 func (s *Session) traceCapture(deps, bytes []int64) {
 	at := s.trace
 	t := &at.tmpl.tasks[at.n-1]

@@ -1,7 +1,9 @@
 package taskrt
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 
@@ -10,34 +12,25 @@ import (
 )
 
 // syntheticCG drives a CG-shaped launch sequence against rt: stable
-// workspace vectors, a fresh dot-scratch scalar per iteration, and a
-// residual scalar produced each iteration and read by the next — the
-// exact region lifecycle that forces the tracer through rcStable, rcCur,
-// rcPrev, and ancient-edge handling. mutate, when non-nil, is called with
-// the iteration number and may launch extra tasks or return a changed
-// privilege for the axpy task to provoke fingerprint mismatches.
+// workspace vectors, a dot whose future the same iteration's update
+// awaits, and a residual future produced each iteration and awaited by the
+// next, the first one by pre-trace code — region edges of every template
+// class (internal, prev, ancient) beside awaited edges of every age. mutate,
+// when non-nil, is called with the iteration number inside the instance
+// and may launch extra tasks to provoke fingerprint mismatches.
 func syntheticCG(rt *Runtime, iters int, traced bool, mutate func(i int)) {
 	sess := rt.DefaultSession()
 	sp := index.NewSpace("D", 64)
-	scalar := index.NewSpace("S", 1)
 	sol := region.New("sol", sp)
 	p := region.New("p", sp)
 	q := region.New("q", sp)
 	full := func(r *region.Region, priv region.Privilege) region.Ref {
 		return region.Ref{Region: r.ID(), Subset: index.Span(0, 63), Priv: priv}
 	}
-	sref := func(r *region.Region, priv region.Privilege) region.Ref {
-		return region.Ref{Region: r.ID(), Subset: index.Span(0, 0), Priv: priv}
-	}
 
-	// Pre-trace initialization, including the initial residual scalar the
-	// first traced iteration reads (the rcStable→rcPrev upgrade case).
 	sess.Launch(TaskSpec{Name: "init.sol", Refs: []region.Ref{full(sol, region.WriteDiscard)}})
 	sess.Launch(TaskSpec{Name: "init.p", Refs: []region.Ref{full(p, region.WriteDiscard)}})
-	res := region.New("res", scalar)
-	sess.Launch(TaskSpec{Name: "init.res", Refs: []region.Ref{
-		full(p, region.ReadOnly), sref(res, region.WriteDiscard),
-	}})
+	res := sess.Launch(TaskSpec{Name: "init.res", Refs: []region.Ref{full(p, region.ReadOnly)}})
 
 	for i := 0; i < iters; i++ {
 		if traced {
@@ -46,18 +39,13 @@ func syntheticCG(rt *Runtime, iters int, traced bool, mutate func(i int)) {
 		sess.Launch(TaskSpec{Name: "matmul", Refs: []region.Ref{
 			full(p, region.ReadOnly), full(q, region.WriteDiscard),
 		}})
-		s1 := region.New("dot", scalar)
-		sess.Launch(TaskSpec{Name: "dot", Refs: []region.Ref{
-			full(p, region.ReadOnly), full(q, region.ReadOnly), sref(s1, region.WriteDiscard),
+		dot := sess.Launch(TaskSpec{Name: "dot", Refs: []region.Ref{
+			full(p, region.ReadOnly), full(q, region.ReadOnly),
 		}})
 		sess.Launch(TaskSpec{Name: "axpy", Refs: []region.Ref{
-			full(p, region.ReadOnly), sref(s1, region.ReadOnly), full(sol, region.ReadWrite),
-		}})
-		s2 := region.New("res", scalar)
-		sess.Launch(TaskSpec{Name: "update", Refs: []region.Ref{
-			sref(res, region.ReadOnly), sref(s1, region.ReadOnly), sref(s2, region.WriteDiscard),
-		}})
-		res = s2
+			full(p, region.ReadOnly), full(sol, region.ReadWrite),
+		}, Awaits: []Await{{dot, 8}}})
+		res = sess.Launch(TaskSpec{Name: "update", Awaits: []Await{{res, 8}, {dot, 8}}})
 		if mutate != nil {
 			mutate(i)
 		}
@@ -102,10 +90,10 @@ func graphDiff(ga, gt Graph) string {
 }
 
 func TestTraceReplayEquivalence(t *testing.T) {
-	// A replayed instance must splice exactly the edges full analysis
-	// would derive — same predecessors, same payload bytes — including
-	// prev-instance edges through the residual scalar and ancient edges
-	// to the pre-trace writer of p.
+	// A replayed instance must record exactly the edges full analysis
+	// derives — same predecessors, same payload bytes — including awaited
+	// edges into the previous instance and to pre-trace code, and ancient
+	// edges to the pre-trace writer of p.
 	analyzed, traced := New(), New()
 	syntheticCG(analyzed, 8, false, nil)
 	syntheticCG(traced, 8, true, nil)
@@ -127,24 +115,48 @@ func TestTraceReplayEquivalence(t *testing.T) {
 	}
 }
 
+func TestSessionHistoryStaysBoundedUnderReplay(t *testing.T) {
+	// The values a step produces are futures, so a replayed step creates
+	// no region and the history holds one shard per region the program
+	// names, however many steps run.
+	rt := New()
+	s := rt.DefaultSession()
+	var at100 int
+	syntheticCG(rt, 1000, true, func(i int) {
+		if i == 99 {
+			s.mu.Lock()
+			at100 = len(s.hist)
+			s.mu.Unlock()
+		}
+	})
+	s.mu.Lock()
+	at1000 := len(s.hist)
+	s.mu.Unlock()
+	if at100 != at1000 || at1000 != 3 {
+		t.Fatalf("history shards after 100 steps %d, after 1000 %d; want 3 both times (sol, p, q)", at100, at1000)
+	}
+	if st := rt.Stats(); st.TraceHits != 998 || st.TraceFallbacks != 0 {
+		t.Fatalf("TraceHits/Fallbacks = %d/%d, want 998/0", st.TraceHits, st.TraceFallbacks)
+	}
+}
+
 func TestTraceReplayZeroAnalysisScans(t *testing.T) {
 	// Once a trace replays, iterations must perform no interference
-	// analysis at all, even though every iteration creates fresh scratch
-	// regions.
+	// analysis at all, even though every iteration awaits a fresh future.
 	rt := New()
+	sess := rt.DefaultSession()
 	sp := index.NewSpace("D", 32)
 	v := region.New("v", sp)
 	iter := func() {
-		rt.DefaultSession().BeginTrace("step")
-		rt.DefaultSession().Launch(TaskSpec{Name: "w", Refs: []region.Ref{
+		sess.BeginTrace("step")
+		sess.Launch(TaskSpec{Name: "w", Refs: []region.Ref{
 			{Region: v.ID(), Subset: index.Span(0, 31), Priv: region.ReadWrite},
 		}})
-		s := region.New("s", index.NewSpace("S", 1))
-		rt.DefaultSession().Launch(TaskSpec{Name: "d", Refs: []region.Ref{
+		d := sess.Launch(TaskSpec{Name: "d", Refs: []region.Ref{
 			{Region: v.ID(), Subset: index.Span(0, 31), Priv: region.ReadOnly},
-			{Region: s.ID(), Subset: index.Span(0, 0), Priv: region.WriteDiscard},
 		}})
-		rt.DefaultSession().EndTrace()
+		sess.Launch(TaskSpec{Name: "u", Awaits: []Await{{d, 8}}, Detached: true})
+		sess.EndTrace()
 	}
 	iter()
 	iter()
@@ -253,7 +265,7 @@ func TestTraceForeignLaunchInsideInstanceChangesNothing(t *testing.T) {
 	run := func(traced bool) *Runtime {
 		rt := New()
 		a, b := rt.DefaultSession(), rt.NewSession("b")
-		sp, scalar := index.NewSpace("D", 32), index.NewSpace("S", 1)
+		sp := index.NewSpace("D", 32)
 		v := region.New("v", sp)
 		other := region.New("other", sp)
 		vec := func(r *region.Region, priv region.Privilege) region.Ref {
@@ -270,12 +282,8 @@ func TestTraceForeignLaunchInsideInstanceChangesNothing(t *testing.T) {
 			if i >= 3 && i%2 == 1 {
 				foreign() // inside the instance, before "d" and "u"
 			}
-			s := region.New("s", scalar)
-			sref := func(priv region.Privilege) region.Ref {
-				return region.Ref{Region: s.ID(), Subset: index.Span(0, 0), Priv: priv}
-			}
-			a.Launch(TaskSpec{Name: "d", Refs: []region.Ref{vec(v, region.ReadOnly), sref(region.WriteDiscard)}})
-			a.Launch(TaskSpec{Name: "u", Refs: []region.Ref{sref(region.ReadOnly), vec(v, region.ReadWrite)}})
+			d := a.Launch(TaskSpec{Name: "d", Refs: []region.Ref{vec(v, region.ReadOnly)}})
+			a.Launch(TaskSpec{Name: "u", Refs: []region.Ref{vec(v, region.ReadWrite)}, Awaits: []Await{{d, 8}}})
 			if traced {
 				a.EndTrace()
 			}
@@ -388,6 +396,41 @@ func TestLaunchAfterDrainedFailureRunsClean(t *testing.T) {
 	}
 	if got := rt.Stats().Poisoned; got != 0 {
 		t.Fatalf("Poisoned = %d, want 0", got)
+	}
+}
+
+func TestAwaitedFailureSameLedgerAsRegions(t *testing.T) {
+	// A task awaiting the future of a failed task is poisoned like one
+	// reading its region: wired while the failure is in flight or after it
+	// completed, up to the session's next Drain. After that Drain the
+	// failure is handled, and a task awaiting the same future runs clean.
+	rt := New()
+	s := rt.DefaultSession()
+	release := make(chan struct{})
+	boom := s.Launch(TaskSpec{Name: "boom", Run: func() float64 {
+		<-release
+		panic("kernel fault")
+	}})
+	ran := func() float64 { return 42 }
+	inFlight := s.Launch(TaskSpec{Name: "in-flight", Awaits: []Await{{boom, 8}}, Run: ran})
+	close(release)
+	if boom.Err() == nil {
+		t.Fatal("boom did not fail")
+	}
+	late := s.Launch(TaskSpec{Name: "late", Awaits: []Await{{boom, 8}}, Run: ran})
+	s.Drain()
+	for _, f := range []*Future{inFlight, late} {
+		if v, err := f.Result(); !errors.Is(err, ErrPoisoned) || !math.IsNaN(v) {
+			t.Fatalf("reader of a failed future = (%v, %v), want poisoned NaN", v, err)
+		}
+	}
+	after := s.Launch(TaskSpec{Name: "after", Awaits: []Await{{boom, 8}}, Run: ran})
+	s.Drain()
+	if v, err := after.Result(); err != nil || v != 42 {
+		t.Fatalf("reader launched after the drain = (%v, %v), want (42, nil)", v, err)
+	}
+	if st := s.Stats(); st.Failed != 1 || st.Poisoned != 2 {
+		t.Fatalf("Failed/Poisoned = %d/%d, want 1/2", st.Failed, st.Poisoned)
 	}
 }
 
