@@ -70,7 +70,7 @@ func main() {
 	flag.Float64Var(&spec.Tol, "tol", spec.Tol, "residual tolerance")
 	flag.IntVar(&spec.MaxIter, "maxiter", spec.MaxIter, "iteration limit")
 	flag.IntVar(&spec.Pieces, "pieces", spec.Pieces, "vector pieces")
-	flag.StringVar(&spec.Format, "format", spec.Format, "operator storage: a format name (csr, coo, dia, ...) or 'auto' to tune each row band")
+	flag.StringVar(&spec.Format, "format", spec.Format, "operator storage: a format name (csr, coo, dia, ...) or 'auto' to tune each row band (a lap2d: matrix runs matrix-free)")
 	flag.StringVar(&spec.RHS, "rhs", spec.RHS, "right-hand side: 'Aones' (b = A·1), 'ones' (b = 1), or 'rand:SEED'")
 	profile := flag.Bool("profile", false, "record task timings; print per-iteration telemetry and a per-task breakdown")
 	trace := flag.Bool("trace", true, "memoize dependence analysis of repeated solver iterations (trace replay)")

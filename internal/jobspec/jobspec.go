@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"kdrsolvers/internal/fault"
+	"kdrsolvers/internal/index"
 	"kdrsolvers/internal/solvers"
 	"kdrsolvers/internal/sparse"
 )
@@ -212,6 +213,21 @@ func LoadMatrix(arg string) (*sparse.CSR, error) {
 	}
 	defer f.Close()
 	return sparse.ReadMatrixMarket(f)
+}
+
+// MatrixFree returns the matrix-free operator of a generated matrix — the
+// 5-point stencil of "lap2d:NXxNY", equal entry for entry to the CSR
+// LoadMatrix builds — or nil when arg names a file or no valid stencil.
+func MatrixFree(arg string) *sparse.StencilOperator {
+	dims, ok := strings.CutPrefix(arg, "lap2d:")
+	if !ok {
+		return nil
+	}
+	nx, ny, err := ParseLap2D(dims)
+	if err != nil {
+		return nil
+	}
+	return sparse.NewStencilOperator(sparse.Stencil2D5, index.NewGrid(nx, ny))
 }
 
 // BuildRHS materializes the spec's right-hand side for an n×n matrix a.

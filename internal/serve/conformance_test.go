@@ -3,8 +3,10 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
@@ -274,5 +276,101 @@ func TestTelemetryFiresEveryIteration(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// A generated matrix under format auto is never stored: the solve runs
+// the matrix-free stencil, and answers as the stored DIA does — the
+// format the tuner picks on these grids — iterations, x and the true
+// residual bit for bit, the adjoint kernel included (BiCG). A coalesced
+// batch tiles the stencil as it tiles any operator: each member gets the
+// answer of the same batch on the stored DIA, and its solo answer to the
+// solve's accuracy. SDC detection's column checksums, which come from the
+// stencil's adjoint kernel, raise no alarm on a clean solve.
+// Under -short or the race detector only the 8-piece rows of lap2d:40x33
+// run.
+func TestAutoRunsGeneratedMatrixFree(t *testing.T) {
+	bits := func(v []float64) []uint64 {
+		b := make([]uint64, len(v))
+		for i, f := range v {
+			b[i] = math.Float64bits(f)
+		}
+		return b
+	}
+	solve := func(a *sparse.CSR, spec jobspec.Spec) JobResult {
+		return RunSolve(a, spec, Options{Session: taskrt.New().DefaultSession(), Tracing: true})
+	}
+	for _, matrix := range []string{"lap2d:24x24", "lap2d:40x33"} {
+		a, err := jobspec.LoadMatrix(matrix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pieces := range []int{1, 7, 8, 13} {
+			if (testing.Short() || raceEnabled) && (matrix != "lap2d:40x33" || pieces != 8) {
+				continue
+			}
+			for _, name := range solvers.Names {
+				t.Run(fmt.Sprintf("%s/%s/pieces=%d", matrix, name, pieces), func(t *testing.T) {
+					spec := jobspec.Default()
+					spec.Matrix, spec.RHS, spec.Solver, spec.Pieces = matrix, "rand:7", name, pieces
+					spec.Format = "dia"
+					dia := solve(a, spec)
+					spec.Format = "auto"
+					auto := solve(a, spec)
+					if !slices.Equal(auto.AutoFormats, []string{"Stencil(5pt-2D)"}) {
+						t.Fatalf("auto formats %v, want [Stencil(5pt-2D)]", auto.AutoFormats)
+					}
+					if auto.Err != "" || auto.Iterations != dia.Iterations ||
+						math.Float64bits(auto.TrueResidual) != math.Float64bits(dia.TrueResidual) ||
+						!slices.Equal(bits(auto.X), bits(dia.X)) {
+						t.Fatalf("auto: %d iterations, true residual %v, err %q; dia: %d, %v (x equal: %v)",
+							auto.Iterations, auto.TrueResidual, auto.Err, dia.Iterations, dia.TrueResidual,
+							slices.Equal(bits(auto.X), bits(dia.X)))
+					}
+				})
+			}
+		}
+	}
+
+	a, err := jobspec.LoadMatrix("lap2d:40x33")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"cg", "bicg"} {
+		spec := jobspec.Default()
+		spec.Matrix, spec.RHS, spec.Solver, spec.Format, spec.Pieces = "lap2d:40x33", "rand:7", name, "auto", 8
+		solo := solve(a, spec)
+		for _, k := range []int{2, 8} {
+			batch := func(format string) []*JobResult {
+				group := make([]*Job, k)
+				for i := range group {
+					group[i] = &Job{ID: fmt.Sprintf("job-%d", i+1), Spec: spec}
+					group[i].Spec.Format = format
+				}
+				return runBatch(a, group, taskrt.New().DefaultSession(), true)
+			}
+			dia := batch("dia")
+			for i, r := range batch("auto") {
+				if !slices.Equal(r.AutoFormats, solo.AutoFormats) || !r.Converged || r.Err != "" {
+					t.Fatalf("%s k=%d member %d: formats %v, converged %v, err %q", name, k, i, r.AutoFormats, r.Converged, r.Err)
+				}
+				if r.Iterations != dia[i].Iterations || !slices.Equal(bits(r.X), bits(dia[i].X)) {
+					t.Fatalf("%s k=%d member %d: %d iterations, dia %d (x equal: %v)",
+						name, k, i, r.Iterations, dia[i].Iterations, slices.Equal(bits(r.X), bits(dia[i].X)))
+				}
+				// The joint norm stops the batch up to an iteration
+				// later than the solo solve, so the two agree to the
+				// solve's accuracy, not bit for bit.
+				for j, v := range r.X {
+					if d := math.Abs(v - solo.X[j]); d > 1e-6 {
+						t.Fatalf("%s k=%d member %d: x[%d] = %v, solo %v", name, k, i, j, v, solo.X[j])
+					}
+				}
+			}
+		}
+		spec.DetectSDC = true
+		if out := solve(a, spec); out.SDCAlarms != 0 || !out.Converged || out.Err != "" {
+			t.Fatalf("%s with SDC detection: %d alarms, converged %v, err %q", name, out.SDCAlarms, out.Converged, out.Err)
+		}
 	}
 }

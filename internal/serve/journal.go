@@ -421,21 +421,18 @@ func numericSuffix(id string) (int64, bool) {
 }
 
 // append journals one accept or done record and folds it. An accept of
-// a job the fold holds, pending or done, writes nothing: the fold would
-// ignore it, and a copy stamped with a fresh ordinal could sit ahead of
-// a snapshot's copy and reorder the next replay. Nor does an accept of a
-// "job-N" at or below the highest id journaled: the server accepts only
-// ids above it, so such a job was accepted before, and finished if the
-// fold no longer holds it — trimDone dropped its done record, which a
-// replay of the log may still read.
+// a "job-N" at or below the highest id journaled writes nothing: the
+// server accepts only ids above it, so such a job was accepted before —
+// the fold holds it pending or done, or trimDone dropped its done record,
+// which a replay of the log may still read. Were it written, the fold
+// would ignore it, or reopen a finished job, and a copy stamped with a
+// fresh ordinal could sit ahead of a snapshot's copy and reorder the next
+// replay.
 func (j *Journal) append(r *journalRecord) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if r.T == recAccept {
-		n, numeric := numericSuffix(r.ID)
-		if numeric && n <= j.state.maxID || j.state.pending[r.ID] != nil || j.state.done[r.ID] != nil {
-			return nil
-		}
+	if n, _ := numericSuffix(r.ID); r.T == recAccept && n <= j.state.maxID {
+		return nil
 	}
 	r.Seq = j.state.seq + 1
 	payload, err := json.Marshal(r)
@@ -489,8 +486,13 @@ func (j *Journal) compactIfDue() error {
 }
 
 // Accept journals a job admission. Once the covering fsync runs, a
-// crash cannot lose the job.
+// crash cannot lose the job. id must be "job-N", as the server issues
+// them: the journal tells a new job from a finished one by N, so any
+// other id is an error and writes nothing.
 func (j *Journal) Accept(id string, spec jobspec.Spec, submitted time.Time) error {
+	if _, ok := numericSuffix(id); !ok {
+		return fmt.Errorf("serve: journal accept of %q: want an id job-N", id)
+	}
 	return j.append(&journalRecord{T: recAccept, ID: id, Spec: &spec, Submitted: submitted})
 }
 

@@ -654,10 +654,78 @@ func TestJournalReacceptAfterTrimmedDoneStaysDone(t *testing.T) {
 	if got := jn.Metrics().RecordsAppended - appended; got != 0 {
 		t.Errorf("re-accepting a finished job appended %d records", got)
 	}
+	for _, v := range journalViews(t, jn, dir, opts, 1) {
+		if ids := pendingIDs(v.rep); len(ids) != 0 || v.rep.MaxID != 3 {
+			t.Errorf("%s: pending %v, max id %d; want none pending, max id 3", v.what, ids, v.rep.MaxID)
+		}
+	}
+}
+
+// The journal tells a new job from a finished one by the N of its "job-N"
+// id, so an accept of any other id is an error and writes nothing. Once
+// such ids were journaled, retain 1 and a re-accepted "a" left the live
+// fold with a pending job that a replay of the same log did not list.
+func TestJournalRejectsIDWithoutJobNumber(t *testing.T) {
+	opts := wal.Options{FsyncEvery: 1 << 20}
+	dir := t.TempDir()
+	jn, _, err := openJournal(dir, opts, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := testSpec(nil)
+	now := time.Unix(1700000000, 0).UTC()
+	accept := func(id string) {
+		t.Helper()
+		appended := jn.Metrics().RecordsAppended
+		if err := jn.Accept(id, spec, now); err == nil {
+			t.Errorf("accept of %q: no error", id)
+		}
+		if got := jn.Metrics().RecordsAppended - appended; got != 0 {
+			t.Errorf("accept of %q appended %d records", id, got)
+		}
+	}
+	for _, id := range []string{"job-x", "job-", "1"} {
+		accept(id)
+	}
+	for _, id := range []string{"a", "b", "c"} {
+		accept(id)
+		if err := jn.Done(id, &JobResult{Solver: "cg"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	accept("a")
+	views := journalViews(t, jn, dir, opts, 1)
+	live := pendingIDs(views[0].rep)
+	for _, v := range views {
+		if ids := pendingIDs(v.rep); len(ids) != 0 || !slices.Equal(ids, live) {
+			t.Errorf("%s: pending %v, live fold %v; want none", v.what, ids, live)
+		}
+	}
+}
+
+type journalView struct {
+	what string
+	rep  *JournalReplay
+}
+
+// journalViews returns the live fold of jn and every replay a restart
+// could see of its log: Replay, a reopened journal, and a compacted one
+// replayed and reopened. It closes jn (and the journals it reopens).
+func journalViews(t *testing.T, jn *Journal, dir string, opts wal.Options, retain int) []journalView {
+	t.Helper()
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
 	jn.mu.Lock()
 	live := jn.state.replay()
 	jn.mu.Unlock()
 	replayed, err := jn.Replay()
+	must(err)
+	must(jn.Close())
+	jn, reopened, err := openJournal(dir, opts, retain)
 	must(err)
 	jn.mu.Lock()
 	snap, err := jn.state.snapshot()
@@ -669,21 +737,20 @@ func TestJournalReacceptAfterTrimmedDoneStaysDone(t *testing.T) {
 	compacted, err := jn.Replay()
 	must(err)
 	must(jn.Close())
-	jn2, reopened, err := openJournal(dir, opts, 1)
+	jn, compactedReopened, err := openJournal(dir, opts, retain)
 	must(err)
-	defer jn2.Close()
-	for _, c := range []struct {
-		what string
-		rep  *JournalReplay
-	}{{"live fold", live}, {"replay", replayed}, {"compacted", compacted}, {"reopened", reopened}} {
-		var ids []string
-		for _, p := range c.rep.Pending {
-			ids = append(ids, p.ID)
-		}
-		if len(ids) != 0 || c.rep.MaxID != 3 {
-			t.Errorf("%s: pending %v, max id %d; want none pending, max id 3", c.what, ids, c.rep.MaxID)
-		}
+	must(jn.Close())
+	return []journalView{{"live fold", live}, {"replay", replayed}, {"reopened", reopened},
+		{"compacted", compacted}, {"compacted and reopened", compactedReopened}}
+}
+
+// pendingIDs lists rep's pending jobs in order.
+func pendingIDs(rep *JournalReplay) []string {
+	var ids []string
+	for _, p := range rep.Pending {
+		ids = append(ids, p.ID)
 	}
+	return ids
 }
 
 // The journal on disk follows the live set, not history: ten times the

@@ -89,8 +89,8 @@ type JobResult struct {
 	Retryable bool   `json:"retryable,omitempty"`
 
 	// Injected counts faults the job's injector fired; AutoFormats
-	// lists the per-band formats adaptive tuning chose (format "auto"
-	// only).
+	// lists the per-band formats adaptive tuning chose, or the one
+	// matrix-free stencil of a generated matrix (format "auto" only).
 	Injected    int64    `json:"injected,omitempty"`
 	AutoFormats []string `json:"auto_formats,omitempty"`
 
@@ -195,10 +195,12 @@ func RunSolve(a *sparse.CSR, spec jobspec.Spec, opt Options) JobResult {
 // driver (solvers.SolveResilient), and reports everything but the
 // host-side evidence (TrueResidual, X), which callers compute per
 // system — RunSolve for its job (k = 1), runBatch for each member of a
-// batch. The n×n operator is converted (or tuned, over the row bands of
-// one member's partition) once, and sparse.BlockDiag tiles that one
-// operator k times; the k·n vectors take the spec's piece count, so a
-// batch launches as many tasks per iteration as one solo solve.
+// batch. a is the matrix spec.Matrix names. The n×n operator is
+// converted (or tuned, over the row bands of one member's partition) once
+// — under "auto", a generated matrix is not stored at all but runs as its
+// matrix-free stencil (jobspec.MatrixFree) — and sparse.BlockDiag tiles
+// that one operator k times; the k·n vectors take the spec's piece count,
+// so a batch launches as many tasks per iteration as one solo solve.
 func solveSystem(a *sparse.CSR, k int, x, b []float64, spec jobspec.Spec, opt Options) JobResult {
 	sess := opt.Session
 	rows, _ := sparse.Dims(a)
@@ -213,17 +215,24 @@ func solveSystem(a *sparse.CSR, k int, x, b []float64, spec jobspec.Spec, opt Op
 	ri := p.AddRHSVector(b, index.EqualPartition(index.NewSpace("R", n), pieces(n)))
 	var m sparse.Matrix
 	if canon, _ := sparse.CanonicalFormat(spec.Format); canon == "Auto" {
-		// A band per piece of one member's range, so that for k = 1 every
-		// task piece computes over a single tile.
-		var starts []int64
-		for _, pc := range index.EqualPartition(index.NewSpace("R", rows), pieces(rows)).Pieces() {
-			if !pc.Empty() {
-				starts = append(starts, pc.Bounds().Lo)
+		if op := jobspec.MatrixFree(spec.Matrix); op != nil {
+			// A generated operator is never stored: the stencil kernel
+			// computes its coefficients and reads only the vectors.
+			out.AutoFormats = []string{op.Format()}
+			m = op
+		} else {
+			// A band per piece of one member's range, so that for k = 1
+			// every task piece computes over a single tile.
+			var starts []int64
+			for _, pc := range index.EqualPartition(index.NewSpace("R", rows), pieces(rows)).Pieces() {
+				if !pc.Empty() {
+					starts = append(starts, pc.Bounds().Lo)
+				}
 			}
+			tuned := sparse.AutoSelectBands(a, starts)
+			out.AutoFormats = tuned.SelectedFormats()
+			m = tuned
 		}
-		tuned := sparse.AutoSelectBands(a, starts)
-		out.AutoFormats = tuned.SelectedFormats()
-		m = tuned
 	} else {
 		var err error
 		if m, err = sparse.ConvertNamed(a, spec.Format); err != nil {

@@ -1,7 +1,10 @@
 package sparse
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"kdrsolvers/internal/index"
@@ -191,5 +194,95 @@ func TestStencilOperatorScale(t *testing.T) {
 	want := rp.Piece(7).Size() + 2<<16
 	if got := dset.Size(); got != want {
 		t.Fatalf("halo size = %d, want %d", got, want)
+	}
+}
+
+// TestStencilKernelMatchesDIA holds the run-split kernel to the stored DIA
+// of the same stencil, Float64bits for Float64bits, forward and adjoint:
+// over the whole kernel, and over random sets of one to four intervals
+// that cut diagonals mid-way. The DIA runs the in-grid slots of the
+// stencil's set, each moved to the stored diagonal of its offset, so a
+// slot the stencil pads contributes to neither, and an output its set
+// does not reach keeps its −0 canary. Both kernels give an output its
+// terms in ascending column order forward and descending row order
+// adjoint, which on in-grid slots is the stencil table's order. Grids of
+// extent 1 store fewer diagonals than the stencil has, 2×2×2 merges
+// 27-point offsets that coincide, and 3×1500 has lines that span several
+// output blocks of the walk.
+func TestStencilKernelMatchesDIA(t *testing.T) {
+	r := rand.New(rand.NewSource(41))
+	cases := []struct {
+		kind StencilKind
+		dims []int64
+	}{
+		{Stencil1D3, []int64{50}},
+		{Stencil1D3, []int64{2500}},
+		{Stencil2D5, []int64{1, 50}},
+		{Stencil2D5, []int64{50, 1}},
+		{Stencil2D5, []int64{33, 40}},
+		{Stencil2D5, []int64{1500, 3}},
+		{Stencil2D5, []int64{3, 1500}},
+		{Stencil3D7, []int64{2, 2, 2}},
+		{Stencil3D7, []int64{5, 6, 7}},
+		{Stencil3D27, []int64{2, 2, 2}},
+		{Stencil3D27, []int64{5, 6, 7}},
+	}
+	for _, c := range cases {
+		g := index.NewGrid(c.dims...)
+		op, dia := NewStencilOperator(c.kind, g), DIAFromCSR(Stencil(c.kind, g))
+		label := fmt.Sprintf("%s on %v", c.kind, c.dims)
+		k := op.Kernel().Size()
+		checkStencilAgainstDIA(t, label+" whole", op, dia, r, index.Span(0, k-1), index.Span(0, dia.Kernel().Size()-1))
+		for range 200 {
+			var kset index.IntervalSet
+			for range 1 + r.Intn(4) {
+				lo := r.Int63n(k)
+				kset.AddInterval(index.Interval{Lo: lo, Hi: min(lo+r.Int63n([]int64{4, 2 * g.Dims[len(g.Dims)-1], k}[r.Intn(3)]), k-1)})
+			}
+			checkStencilAgainstDIA(t, label, op, dia, r, kset, diaSlots(op, dia, kset))
+		}
+	}
+}
+
+// diaSlots maps the in-grid slots of a stencil kernel set to the slots of
+// the stored DIA that hold the same entries.
+func diaSlots(op *StencilOperator, dia *DIA, kset index.IntervalSet) index.IntervalSet {
+	st, dims, n := &stencils[op.kind], op.grid.Dims, op.n
+	var pts []int64
+	kset.Each(func(k int64) {
+		b, j := k/n, k%n
+		var cd [3]int64 // the grid coordinates of column j
+		for d, rem := len(dims)-1, j; d >= 0; d-- {
+			cd[d] = rem % dims[d]
+			rem /= dims[d]
+		}
+		if inGrid(&cd, &st.offs[b], dims, -1) {
+			pts = append(pts, int64(slices.Index(dia.offsets, op.offsets[b]))*n+j)
+		}
+	})
+	return index.FromPoints(pts)
+}
+
+// checkStencilAgainstDIA requires the stencil's kernels over kset to equal
+// the DIA's over dset, Float64bits for Float64bits, from outputs that
+// start with −0 canaries.
+func checkStencilAgainstDIA(t *testing.T, label string, op *StencilOperator, dia *DIA, r *rand.Rand, kset, dset index.IntervalSet) {
+	t.Helper()
+	x, w := randVec(r, op.n), randVec(r, op.n)
+	y, z := outVec(r, op.n), outVec(r, op.n)
+	wantY, wantZ := slices.Clone(y), slices.Clone(z)
+	op.MultiplyAddPart(y, x, kset)
+	op.MultiplyAddTPart(z, w, kset)
+	dia.MultiplyAddPart(wantY, x, dset)
+	dia.MultiplyAddTPart(wantZ, w, dset)
+	for _, c := range []struct {
+		dir       string
+		got, want []float64
+	}{{"A·x", y, wantY}, {"Aᵀ·x", z, wantZ}} {
+		for i := range c.got {
+			if math.Float64bits(c.got[i]) != math.Float64bits(c.want[i]) {
+				t.Fatalf("%s %s over %v: [%d] = %v, DIA %v", label, c.dir, kset.Intervals(), i, c.got[i], c.want[i])
+			}
+		}
 	}
 }
