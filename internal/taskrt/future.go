@@ -1,6 +1,11 @@
 package taskrt
 
-import "sync"
+import (
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"time"
+)
 
 // A Future is the eventual scalar result of a task, in the style of
 // Legion futures. Solvers receive dot products as futures and block only
@@ -19,7 +24,9 @@ import "sync"
 type Future struct {
 	mu   sync.Mutex
 	cond sync.Cond // cond.L is &mu, set once by newFuture
-	done bool
+	// done is stored after val and err, so a waiter that loads it true
+	// reads both without the lock.
+	done atomic.Bool
 	val  float64
 	err  error
 
@@ -49,19 +56,45 @@ func (f *Future) resolve(v float64, err error) {
 	f.mu.Lock()
 	f.val = v
 	f.err = err
-	f.done = true
+	f.done.Store(true)
 	f.mu.Unlock()
 	f.cond.Broadcast()
+}
+
+// wait returns once the future is resolved. It first spins for up to
+// spinWindow, yielding every yieldEvery polls, while the runtime is hot
+// and its busy workers leave a processor free: a waiter woken from
+// cond.Wait pays a full wake-up, often longer than the task it waits
+// for. It spins on no processor a busy worker needs.
+func (f *Future) wait() {
+	if f.done.Load() {
+		return
+	}
+	if rt := f.sess.rt; rt.hot() {
+		deadline := time.Now().Add(spinWindow)
+		for i := 1; rt.live.Load()-rt.lingering.Load() < int32(rt.maxWorkers); i++ {
+			if f.done.Load() {
+				return
+			}
+			if i%yieldEvery == 0 {
+				runtime.Gosched()
+				if time.Now().After(deadline) {
+					break
+				}
+			}
+		}
+	}
+	f.mu.Lock()
+	for !f.done.Load() {
+		f.cond.Wait()
+	}
+	f.mu.Unlock()
 }
 
 // Value blocks until the producing task completes, then returns the
 // result (NaN when the task failed or was poisoned).
 func (f *Future) Value() float64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for !f.done {
-		f.cond.Wait()
-	}
+	f.wait()
 	return f.val
 }
 
@@ -70,37 +103,25 @@ func (f *Future) Value() float64 {
 // ErrPoisoned-wrapping error when the task was cancelled because an
 // upstream task failed.
 func (f *Future) Err() error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for !f.done {
-		f.cond.Wait()
-	}
+	f.wait()
 	return f.err
 }
 
 // Result blocks until the producing task completes, then returns both the
 // value and the error state.
 func (f *Future) Result() (float64, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for !f.done {
-		f.cond.Wait()
-	}
+	f.wait()
 	return f.val, f.err
 }
 
 // Ready reports whether the value is already available.
-func (f *Future) Ready() bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.done
-}
+func (f *Future) Ready() bool { return f.done.Load() }
 
 // Resolved returns an already-completed future holding v. It is useful
 // for scalar arithmetic that needs no task.
 func Resolved(v float64) *Future {
 	f := newFuture()
-	f.done = true
 	f.val = v
+	f.done.Store(true)
 	return f
 }

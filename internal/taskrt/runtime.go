@@ -148,6 +148,10 @@ type Stats struct {
 	// these; the counter exists so chaos tests can assert the corruption
 	// actually landed.
 	Corrupted int64
+	// Spawned is the number of worker goroutines started. A worker that
+	// finds work while it lingers is reused, so a solve whose steps follow
+	// each other within the spin window spawns far fewer than one per step.
+	Spawned int64
 }
 
 // counters is Stats as the runtime keeps it: one atomic per field, so
@@ -156,7 +160,23 @@ type counters struct {
 	launched, depEdges, analysisScans, traceReplays  atomic.Int64
 	traceHits, traceMisses, traceFallbacks           atomic.Int64
 	failed, retries, poisoned, stragglers, corrupted atomic.Int64
+	spawned                                          atomic.Int64
 }
+
+// spinWindow is how long an idle worker lingers for work, and a future
+// waiter spins for its value, before it sleeps. It is above the p90 of
+// the wake-up it saves: a goroutine handed to a processor that had been
+// idle for 2 ms started 77 / 92 / 126 µs later (p10 / p50 / p90) on a
+// 2-vCPU Xeon VM with go1.24, longer than a whole served CG iteration.
+// The price is paid by the network: Go polls it only from an idle
+// processor (or every 10 ms), so a request that reaches a single-tenant
+// server mid-solve waits for the solve (EXPERIMENTS.md, "A hot pool").
+const spinWindow = 200 * time.Microsecond
+
+// yieldEvery is how many polls a spinning goroutine makes between
+// yields, so a goroutine readied onto its processor (the solver waking
+// from a future, say) is never stuck behind it.
+const yieldEvery = 64
 
 // histEntry is one prior access recorded for interference analysis.
 type histEntry struct {
@@ -338,18 +358,28 @@ type Runtime struct {
 	retain atomic.Bool
 
 	// The run queue: ready tasks in FIFO order (runq[runHead:]), drained
-	// by at most maxWorkers goroutines that are spawned when work arrives
-	// and exit when the queue is empty, so an idle runtime owns no
-	// goroutine. work is the pre-bound worker entry point: `go rt.work()`
-	// hands the scheduler an existing func value, where `go rt.worker()`
-	// would allocate a closure per spawn.
-	runMu      sync.Mutex
-	runq       []*taskState
-	runHead    int
-	live       int   // worker goroutines running
-	freeIDs    []int // worker IDs not in use, lowest on top
-	maxWorkers int
-	work       func()
+	// by at most maxWorkers goroutines that are spawned when work arrives.
+	// A worker that finds the queue empty lingers for spinWindow, polling
+	// queued, and exits if nothing arrives, so a runtime idle for longer
+	// than the window owns no goroutine. live and lingering change only
+	// under runMu; waiters read them lock-free. work is the pre-bound
+	// worker entry point: `go rt.work()` hands the scheduler an existing
+	// func value, where `go rt.worker()` would allocate a closure per
+	// spawn.
+	runMu           sync.Mutex
+	runq            []*taskState
+	runHead         int
+	queued          atomic.Int64 // len(runq) - runHead, for lingering workers
+	live, lingering atomic.Int32
+	freeIDs         []int // worker IDs not in use, lowest on top
+	maxWorkers      int
+	work            func()
+
+	// tenants counts the open sessions other than the default one. The
+	// idle side spins only while there is at most one: several tenants
+	// keep the processors busy between them, and a spinner would take one
+	// from a neighbour.
+	tenants atomic.Int32
 
 	tsPool sync.Pool // *taskState
 	scPool sync.Pool // *launchScratch
@@ -625,12 +655,15 @@ func (s *Session) launch(specs []TaskSpec, futs []*Future) {
 }
 
 // submit appends ready tasks to the run queue and spawns workers for
-// them, up to the concurrency limit.
+// the ones lingering workers will not take, up to the concurrency limit.
+// A lingering worker takes the backlog first, so only the lingerers the
+// backlog leaves over count against the new tasks.
 func (rt *Runtime) submit(ready []*taskState) {
 	if len(ready) == 0 {
 		return
 	}
 	rt.runMu.Lock()
+	backlog := len(rt.runq) - rt.runHead
 	if rt.runHead > 0 && len(rt.runq)+len(ready) > cap(rt.runq) {
 		// Reclaim the drained front before growing, so the queue's
 		// storage is bounded by the backlog, not by history.
@@ -639,36 +672,76 @@ func (rt *Runtime) submit(ready []*taskState) {
 		rt.runq, rt.runHead = rt.runq[:n], 0
 	}
 	rt.runq = append(rt.runq, ready...)
-	spawn := min(len(ready), rt.maxWorkers-rt.live)
-	rt.live += spawn
+	rt.queued.Add(int64(len(ready)))
+	spare := max(int(rt.lingering.Load())-backlog, 0)
+	spawn := max(min(len(ready)-spare, rt.maxWorkers-int(rt.live.Load())), 0)
+	rt.live.Add(int32(spawn))
 	rt.runMu.Unlock()
+	if spawn > 0 {
+		rt.stats.spawned.Add(int64(spawn))
+	}
 	for ; spawn > 0; spawn-- {
 		go rt.work()
 	}
 }
 
-// worker drains the run queue and exits when it is empty. After each
-// task it keeps running that task's first ready successor inline — a
-// loop, not a recursion, so a dependent chain of any length runs on one
+// hot reports whether the idle side may spin: there is a processor to
+// spare and at most one tenant besides the default session.
+func (rt *Runtime) hot() bool { return rt.maxWorkers > 1 && rt.tenants.Load() <= 1 }
+
+// worker drains the run queue; when it is empty, it lingers for work
+// (linger) and exits once the window passes with none. After each task
+// it keeps running that task's first ready successor inline — a loop,
+// not a recursion, so a dependent chain of any length runs on one
 // goroutine at constant stack depth without a queue round trip per link.
 func (rt *Runtime) worker() {
 	rt.runMu.Lock()
 	w := rt.freeIDs[len(rt.freeIDs)-1]
 	rt.freeIDs = rt.freeIDs[:len(rt.freeIDs)-1]
-	for rt.runHead < len(rt.runq) {
-		ts := rt.runq[rt.runHead]
-		rt.runq[rt.runHead] = nil
-		rt.runHead++
-		rt.runMu.Unlock()
-		for ts != nil {
-			ts = rt.execute(ts, w)
+	for {
+		for rt.runHead < len(rt.runq) {
+			ts := rt.runq[rt.runHead]
+			rt.runq[rt.runHead] = nil
+			rt.runHead++
+			rt.queued.Add(-1)
+			rt.runMu.Unlock()
+			for ts != nil {
+				ts = rt.execute(ts, w)
+			}
+			rt.runMu.Lock()
 		}
+		if !rt.hot() {
+			break
+		}
+		rt.lingering.Add(1)
+		rt.runMu.Unlock()
+		rt.linger()
 		rt.runMu.Lock()
+		rt.lingering.Add(-1)
+		// Re-check under the lock: a submit that counted this worker as
+		// lingering spawned no goroutine for what it queued.
+		if rt.runHead == len(rt.runq) {
+			break
+		}
 	}
 	rt.runq, rt.runHead = rt.runq[:0], 0
 	rt.freeIDs = append(rt.freeIDs, w)
-	rt.live--
+	rt.live.Add(-1)
 	rt.runMu.Unlock()
+}
+
+// linger polls the queued-task count for up to spinWindow and returns
+// when it sees work or the window passes.
+func (rt *Runtime) linger() {
+	deadline := time.Now().Add(spinWindow)
+	for i := 1; rt.queued.Load() == 0; i++ {
+		if i%yieldEvery == 0 {
+			runtime.Gosched()
+			if time.Now().After(deadline) {
+				return
+			}
+		}
+	}
 }
 
 // count bumps one runtime counter and its per-session twin.
@@ -951,5 +1024,6 @@ func (rt *Runtime) Stats() Stats {
 		TraceFallbacks: c.traceFallbacks.Load(), Failed: c.failed.Load(),
 		Retries: c.retries.Load(), Poisoned: c.poisoned.Load(),
 		Stragglers: c.stragglers.Load(), Corrupted: c.corrupted.Load(),
+		Spawned: c.spawned.Load(),
 	}
 }

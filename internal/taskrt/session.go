@@ -119,6 +119,7 @@ func (rt *Runtime) NewSession(name string) *Session {
 	rt.mu.Lock()
 	rt.sessions = append(rt.sessions, s)
 	rt.mu.Unlock()
+	rt.tenants.Add(1)
 	return s
 }
 
@@ -178,6 +179,7 @@ func (s *Session) Close() {
 		rt.sessions = slices.Delete(rt.sessions, i, i+1)
 	}
 	rt.mu.Unlock()
+	rt.tenants.Add(-1)
 }
 
 // panicClosed rejects a launch or trace scope on a closed session: its
