@@ -1,10 +1,8 @@
 package taskrt
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // A Future is the eventual scalar result of a task, in the style of
@@ -71,18 +69,9 @@ func (f *Future) wait() {
 		return
 	}
 	if rt := f.sess.rt; rt.hot() {
-		deadline := time.Now().Add(spinWindow)
-		for i := 1; rt.live.Load()-rt.lingering.Load() < int32(rt.maxWorkers); i++ {
-			if f.done.Load() {
-				return
-			}
-			if i%yieldEvery == 0 {
-				runtime.Gosched()
-				if time.Now().After(deadline) {
-					break
-				}
-			}
-		}
+		spin(func() bool {
+			return f.done.Load() || rt.live.Load()-rt.lingering.Load() >= int32(rt.maxWorkers)
+		})
 	}
 	f.mu.Lock()
 	for !f.done.Load() {

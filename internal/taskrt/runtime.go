@@ -375,10 +375,12 @@ type Runtime struct {
 	maxWorkers      int
 	work            func()
 
-	// tenants counts the open sessions other than the default one. The
-	// idle side spins only while there is at most one: several tenants
-	// keep the processors busy between them, and a spinner would take one
-	// from a neighbour.
+	// tenants is len(sessions) - 1, the open sessions other than the
+	// default one, stored under mu for hot's lock-free read. The idle side
+	// spins only while there is at most one: a spinning pool leaves no
+	// processor idle to poll the network, and with two tenants solving
+	// side by side that stalls every request until the monitor thread's
+	// 10 ms poll (EXPERIMENTS.md, "A hot pool").
 	tenants atomic.Int32
 
 	tsPool sync.Pool // *taskState
@@ -690,7 +692,7 @@ func (rt *Runtime) submit(ready []*taskState) {
 func (rt *Runtime) hot() bool { return rt.maxWorkers > 1 && rt.tenants.Load() <= 1 }
 
 // worker drains the run queue; when it is empty, it lingers for work
-// (linger) and exits once the window passes with none. After each task
+// (spin) and exits once the window passes with none. After each task
 // it keeps running that task's first ready successor inline — a loop,
 // not a recursion, so a dependent chain of any length runs on one
 // goroutine at constant stack depth without a queue round trip per link.
@@ -715,7 +717,7 @@ func (rt *Runtime) worker() {
 		}
 		rt.lingering.Add(1)
 		rt.runMu.Unlock()
-		rt.linger()
+		spin(func() bool { return rt.queued.Load() != 0 })
 		rt.runMu.Lock()
 		rt.lingering.Add(-1)
 		// Re-check under the lock: a submit that counted this worker as
@@ -730,11 +732,13 @@ func (rt *Runtime) worker() {
 	rt.runMu.Unlock()
 }
 
-// linger polls the queued-task count for up to spinWindow and returns
-// when it sees work or the window passes.
-func (rt *Runtime) linger() {
+// spin polls the condition until, yielding the processor every
+// yieldEvery polls, and returns when it holds or spinWindow passes. The
+// idle side's two waits share it: a lingering worker's for work, and a
+// future waiter's for its value.
+func spin(until func() bool) {
 	deadline := time.Now().Add(spinWindow)
-	for i := 1; rt.queued.Load() == 0; i++ {
+	for i := 1; !until(); i++ {
 		if i%yieldEvery == 0 {
 			runtime.Gosched()
 			if time.Now().After(deadline) {

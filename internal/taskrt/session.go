@@ -118,8 +118,8 @@ func (rt *Runtime) NewSession(name string) *Session {
 	s := newSession(rt, name)
 	rt.mu.Lock()
 	rt.sessions = append(rt.sessions, s)
+	rt.tenants.Store(int32(len(rt.sessions) - 1))
 	rt.mu.Unlock()
-	rt.tenants.Add(1)
 	return s
 }
 
@@ -178,8 +178,8 @@ func (s *Session) Close() {
 	if i := slices.Index(rt.sessions, s); i >= 0 {
 		rt.sessions = slices.Delete(rt.sessions, i, i+1)
 	}
+	rt.tenants.Store(int32(len(rt.sessions) - 1))
 	rt.mu.Unlock()
-	rt.tenants.Add(-1)
 }
 
 // panicClosed rejects a launch or trace scope on a closed session: its
