@@ -2,8 +2,10 @@ package core
 
 import (
 	"math"
+	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"kdrsolvers/internal/index"
 	"kdrsolvers/internal/machine"
@@ -16,30 +18,42 @@ import (
 // matmul.go): it applies k updates to a piece in one task visit and folds
 // any number of dot products into a single tree reduction — one partial
 // task per piece computing every requested dot. The combine is not a task
-// on a real planner: every reader of a dot folds the partials itself (see
-// Scalar), where a virtual planner launches one combine task for all the
-// sweep's dots, the allreduce the simulator charges. Planner.Axpy, Xpay,
-// Copy, Scal, Zero and Dot (vecops.go) are its one-operation calls and
-// keep their task names; a solver that issues them separately sweeps the
-// same pieces once per operation and synchronizes on every dot, and the
-// fused solver steps collapse both costs ("Hardware-Oriented Krylov
-// Methods for HPC").
+// on a real planner: the first reader of a dot folds the partials and
+// every later reader reads the memoized sum (see Scalar), where a virtual
+// planner launches one combine task for all the sweep's dots, the
+// allreduce the simulator charges. Planner.Axpy, Xpay, Copy, Scal, Zero
+// and Dot (vecops.go) are its one-operation calls and keep their task
+// names; a solver that issues them separately sweeps the same pieces once
+// per operation and synchronizes on every dot, and the fused solver steps
+// collapse both costs ("Hardware-Oriented Krylov Methods for HPC").
 //
-// Numerics are preserved exactly where the paper's solvers need them
-// preserved: updates execute in argument order inside each piece (the
-// same order separate launches would impose through their region
+// A dot is a function of its vectors, whatever the pieces: the canonical
+// dot over a component of n points sums leaves of DotLeaf points, each
+// with four interleaved accumulators (leafDots), and then folds the
+// ⌈n/DotLeaf⌉ leaf partials pairwise in index order (pairwiseSum; the
+// components' leaves follow one another). A piece task writes the
+// partials of its own leaves, and since a partition cut at multiples of
+// DotLeaf splits no leaf, every such partition and launch grouping gives
+// the same bits. A piece boundary inside a leaf still works — each side
+// sums its fragment as a leaf of its own — but the answer then depends
+// on the cut. One leaf sum serves the three places a dot runs: a sweep's
+// own pass and a product that carries the dots of its output (matmul.go)
+// call leafDots, and the pass of an axpy or xpay that a dot rides adds
+// the same terms in the same order as it writes them (rideRun).
+//
+// Updates are preserved exactly where the paper's solvers need them
+// preserved: they execute in argument order inside each piece (the same
+// order separate launches would impose through their region
 // dependences), so a fused sweep is bitwise identical to the sequence of
-// single-operation sweeps; dots accumulate per piece and then combine in
-// piece order, batched or not, wherever the combine runs.
+// single-operation sweeps.
 //
 // A piece task makes one pass over the piece per update, and a dot rides
-// the pass of the update that last writes one of its operands: right
-// after that pass writes d[i] it adds v[i]·w[i], which no later update
-// changes. The dot's terms are the ones a separate pass after the updates
-// would add, in the same ascending order, so the partial is bitwise the
-// same while its operands are read from memory one time fewer. A pass
-// carries at most one dot; the others, and dots over vectors no update
-// writes, keep a pass of their own after the updates.
+// the pass of the update that last writes one of its operands: the pass
+// adds each point's v·w term right after writing the point, which no
+// later update changes (rideRun), so the dot's operands are read from
+// memory one time fewer and the partial is the same. A pass carries at
+// most one dot; the others, and dots over vectors no update writes, keep
+// a pass of their own after the updates.
 //
 // Every per-vector decision of a task follows from how the sweep uses the
 // vector. One whose first use overwrites it (the dst of a copy or zero) is
@@ -58,7 +72,7 @@ import (
 // checksum of every vector whose data it reads — update dsts, update
 // sources and dot operands, one extra read pass per distinct vector —
 // then maintains the dst checksums through the update recurrences, and
-// finally writes a per-piece guard slot — the sum of the piece's dot
+// finally writes a per-piece guard slot — the sum of the piece's leaf
 // partials — that the reduction's first fold recomputes
 // bitwise-identically, so corruption anywhere in a solver's working set
 // or in the dot partials surfaces within one iteration.
@@ -256,6 +270,13 @@ func (p *Planner) FusedSweep(ups []VecUpdate, dots []DotPair) []*Scalar {
 	if len(ups) == 0 && len(dots) == 0 {
 		panic("core: FusedSweep needs at least one update or dot pair")
 	}
+	name, reduceName := sweepNames(ups, dots)
+	return p.sweep(name, reduceName, ups, dots)
+}
+
+// sweep launches FusedSweep's tasks under the given piece and combine
+// task names.
+func (p *Planner) sweep(name, reduceName string, ups []VecUpdate, dots []DotPair) []*Scalar {
 	vecs, alphas := p.sweepOperands(ups, dots)
 	var leaves []*scalarLeaf
 	for _, a := range alphas {
@@ -264,27 +285,26 @@ func (p *Planner) FusedSweep(ups []VecUpdate, dots []DotPair) []*Scalar {
 	awaits := leafAwaits(leaves) // every task of the sweep awaits the same futures
 	shape := p.vecs[vecs[0].id].shape
 	sdc, hooks := p.sdcOn(), p.faultHooks()
-	name, reduceName := sweepNames(ups, dots)
 
-	// One partial slot per (piece, dot), piece-major, so each partial
-	// task writes one contiguous span. With detection on each piece gets
-	// one extra guard slot holding the sum of its partials. The slots are
-	// plain memory the sweep's scalars hold: their readers await the
-	// partial tasks.
+	// The partials are plain memory the sweep's scalars hold (newPartials);
+	// their readers await the partial tasks. An edge to a reader carries a
+	// piece's k values, and its guard when detection is on.
 	k := len(dots)
 	stride := k
 	if sdc && k > 0 {
 		stride = k + 1
 	}
-	total := p.shapePieces(shape)
+	var buf *[]float64
 	var partials []float64
 	var partialAwaits []taskrt.Await // one per partial task; futures set after the launch
 	if k > 0 {
-		partialAwaits = make([]taskrt.Await, 0, total)
+		partialAwaits = make([]taskrt.Await, 0, p.shapePieces(shape))
 		if !p.virtual {
-			partials = make([]float64, total*stride)
+			buf = p.newPartials(shape, k, sdc)
+			partials = *buf
 		}
 	}
+	lm := p.leafMap(shape)
 	nrefs := len(vecs)
 	if sdc {
 		nrefs += len(vecs)
@@ -297,12 +317,12 @@ func (p *Planner) FusedSweep(ups []VecUpdate, dots []DotPair) []*Scalar {
 		// The arithmetic is bound once per component, not once per task.
 		var body func(subset index.IntervalSet, slot int, alpha []float64)
 		if !p.virtual {
-			body = p.sweepBody(name, ci, partials, stride, ups, dots, vecs, alphas)
+			body = p.sweepBody(name, ci, partials, lm, ups, dots, vecs, alphas)
 		}
 		for gi := range groups {
 			g := &groups[gi]
 			if k > 0 {
-				// A reader receives the members' partial slots from the task.
+				// A reader receives the members' partials from the task.
 				partialAwaits = append(partialAwaits, taskrt.Await{Bytes: int64(8 * stride * len(g.pieces))})
 			}
 			// Each distinct vector is declared once, under its use's privilege.
@@ -346,8 +366,7 @@ func (p *Planner) FusedSweep(ups []VecUpdate, dots []DotPair) []*Scalar {
 					}
 				}
 				if k > 0 {
-					span := index.Span(int64(g.slot*stride), int64((g.slot+len(g.pieces))*stride)-1)
-					targets = append(targets, corruptTarget{partials, span})
+					targets = append(targets, corruptTarget{partials, lm.span(k, ci, g, sdc)})
 				}
 				spec.Corrupt = corruptHook(targets...)
 			}
@@ -366,7 +385,7 @@ func (p *Planner) FusedSweep(ups []VecUpdate, dots []DotPair) []*Scalar {
 	if p.virtual {
 		return p.batchReduce(reduceName, leaf, k)
 	}
-	return p.dotLeaves(reduceName, partials, leaf, total, stride, k)
+	return p.dotLeaves(reduceName, buf, leaf, shape, k, sdc)
 }
 
 // sweepBody binds a sweep's real-mode arithmetic to the storage of one
@@ -374,10 +393,10 @@ func (p *Planner) FusedSweep(ups []VecUpdate, dots []DotPair) []*Scalar {
 // per piece it covers. A call runs the checksum verification pre-pass
 // (detection only), the updates in order with checksum maintenance —
 // each pass computing the dot that rides it — then the remaining dots,
-// writing every partial into the piece's slots of out, slot·stride..+k-1
-// (and the guard slot after them when detection is on). alpha holds the
-// values of the sweep's distinct coefficients, in sweepOperands order.
-func (p *Planner) sweepBody(name string, ci int, out []float64, stride int,
+// writing the piece's leaf partials into out (and its guard slot when
+// detection is on). alpha holds the values of the sweep's distinct
+// coefficients, in sweepOperands order.
+func (p *Planner) sweepBody(name string, ci int, out []float64, lm *leafMap,
 	ups []VecUpdate, dots []DotPair, vecs []sweepVec, alphas []*Scalar) func(subset index.IntervalSet, slot int, alpha []float64) {
 
 	type boundUpdate struct {
@@ -445,9 +464,8 @@ func (p *Planner) sweepBody(name string, ci int, out []float64, stride int,
 		}
 	}
 	guard := sdc && len(dots) > 0
-	k := int64(len(dots))
+	k := len(dots)
 	return func(subset index.IntervalSet, slot int, alpha []float64) {
-		base := int64(slot * stride)
 		ivs := subset.Intervals()
 		// Verify every vector this sweep reads against its incoming
 		// checksum, before touching anything: a corruption planted
@@ -465,16 +483,13 @@ func (p *Planner) sweepBody(name string, ci int, out []float64, stride int,
 					av = -av
 				}
 			}
-			var v, w []float64
-			if u.dot >= 0 {
-				v, w = bd[u.dot].v, bd[u.dot].w
-			}
-			var sum float64
 			for _, iv := range ivs {
-				sum = sweepRun(u.kind, av, u.d, u.s, v, w, iv, sum)
-			}
-			if u.dot >= 0 {
-				out[base+int64(u.dot)] = sum
+				if u.dot < 0 {
+					sweepRun(u.kind, av, u.d, u.s, iv.Lo, iv.Hi+1)
+					continue
+				}
+				d := bd[u.dot]
+				rideRun(u.kind, av, u.d, u.s, d.v, d.w, iv, out[lm.partial(u.dot, ci, iv.Lo):])
 			}
 			if u.cd == nil {
 				continue
@@ -492,90 +507,282 @@ func (p *Planner) sweepBody(name string, ci int, out []float64, stride int,
 				u.cd[slot] = 0
 			}
 		}
-		var gsum float64
 		for j, d := range bd {
 			if !d.fused {
-				var sum float64
 				for _, iv := range ivs {
-					vs := d.v[iv.Lo : iv.Hi+1]
-					ws := d.w[iv.Lo : iv.Hi+1][:len(vs)]
-					for i := range vs {
-						sum += vs[i] * ws[i]
-					}
+					leafDots(d.v, d.w, iv, out[lm.partial(j, ci, iv.Lo):])
 				}
-				out[base+int64(j)] = sum
 			}
-			gsum += out[base+int64(j)]
 		}
 		if guard {
-			out[base+k] = gsum
+			out[lm.guard(k, slot)] = lm.guardSum(out, k, ci, subset)
 		}
 	}
 }
 
-// sweepRun applies one update of kind k with coefficient av to d over
-// the interval iv, reading the source s, and returns sum plus v[i]·w[i]
-// over iv, each term added right after d[i] is written; v is nil when the
-// pass computes no dot. The loops run on resliced slices of one length, so
-// they carry no per-element bounds check.
-func sweepRun(k UpdateKind, av float64, d, s, v, w []float64, iv index.Interval, sum float64) float64 {
-	lo, hi := iv.Lo, iv.Hi+1
+// sweepRun applies one update of kind k with coefficient av to d[lo:hi],
+// reading the source s. The loops run on resliced slices of one length,
+// so they carry no per-element bounds check.
+func sweepRun(k UpdateKind, av float64, d, s []float64, lo, hi int64) {
 	ds := d[lo:hi]
-	if v == nil {
-		switch k {
-		case UpdAxpy:
-			ss := s[lo:hi][:len(ds)]
-			for i := range ds {
-				ds[i] += av * ss[i]
-			}
-		case UpdXpay:
-			ss := s[lo:hi][:len(ds)]
-			for i := range ds {
-				ds[i] = ss[i] + av*ds[i]
-			}
-		case UpdCopy:
-			copy(ds, s[lo:hi])
-		case UpdScal:
-			for i := range ds {
-				ds[i] *= av
-			}
-		case UpdZero:
-			clear(ds)
-		}
-		return sum
-	}
-	vs, ws := v[lo:hi][:len(ds)], w[lo:hi][:len(ds)]
 	switch k {
 	case UpdAxpy:
 		ss := s[lo:hi][:len(ds)]
 		for i := range ds {
 			ds[i] += av * ss[i]
-			sum += vs[i] * ws[i]
 		}
 	case UpdXpay:
 		ss := s[lo:hi][:len(ds)]
 		for i := range ds {
 			ds[i] = ss[i] + av*ds[i]
-			sum += vs[i] * ws[i]
 		}
 	case UpdCopy:
-		ss := s[lo:hi][:len(ds)]
-		for i := range ds {
-			ds[i] = ss[i]
-			sum += vs[i] * ws[i]
-		}
+		copy(ds, s[lo:hi])
 	case UpdScal:
 		for i := range ds {
 			ds[i] *= av
-			sum += vs[i] * ws[i]
 		}
 	case UpdZero:
-		for i := range ds {
-			ds[i] = 0
-			sum += vs[i] * ws[i]
+		clear(ds)
+	}
+}
+
+// DotLeaf is the number of points in a leaf of the canonical dot. A
+// partition whose cuts fall on multiples of it (index.AlignedPartition)
+// gives every dot, and so every solve, the bits of the one-piece run.
+const DotLeaf = 64
+
+// leafDots writes the canonical leaf partials of v·w over iv into out,
+// one per leaf fragment, in index order: point i of a fragment goes to
+// accumulator i mod 4, and the four combine as (a₀+a₁)+(a₂+a₃). Four
+// independent chains hide the latency of the floating-point add that a
+// single running sum waits on at every point.
+func leafDots(v, w []float64, iv index.Interval, out []float64) {
+	for lo, at := iv.Lo, 0; lo <= iv.Hi; at++ {
+		hi := leafEnd(lo, iv.Hi)
+		if hi-lo == DotLeaf {
+			out[at] = leafDot(leaf(v, lo), leaf(w, lo))
+		} else {
+			out[at] = fragDot(v[lo:hi], w[lo:hi])
+		}
+		lo = hi
+	}
+}
+
+// leaf returns the whole leaf of x that starts at lo.
+func leaf(x []float64, lo int64) *[DotLeaf]float64 { return (*[DotLeaf]float64)(x[lo : lo+DotLeaf]) }
+
+// leafDot is leafDots' sum over one whole leaf; the fixed length leaves
+// its loop without bounds checks.
+func leafDot(v, w *[DotLeaf]float64) float64 {
+	var a0, a1, a2, a3 float64
+	for i := 0; i <= DotLeaf-4; i += 4 {
+		a0 += v[i] * w[i]
+		a1 += v[i+1] * w[i+1]
+		a2 += v[i+2] * w[i+2]
+		a3 += v[i+3] * w[i+3]
+	}
+	return (a0 + a1) + (a2 + a3)
+}
+
+// fragDot is leafDots' sum over a fragment shorter than a leaf.
+func fragDot(v, w []float64) float64 {
+	var a [4]float64
+	for i := range v {
+		a[i%4] += v[i] * w[i]
+	}
+	return (a[0] + a[1]) + (a[2] + a[3])
+}
+
+// leafEnd returns the end (exclusive) of the leaf fragment that starts at
+// lo within an interval ending at hi (inclusive).
+func leafEnd(lo, hi int64) int64 { return min(hi+1, (lo/DotLeaf+1)*DotLeaf) }
+
+// rideRun applies one update of kind k with coefficient av to d over iv
+// and writes the leaf partials of v·w over the updated values into out,
+// leafDots' sums. Over a whole leaf, axpy and xpay — the updates
+// solvers' dots ride — add a point's term right after writing the point,
+// in leafDot's order, so the operands are read once; other kinds and
+// shorter fragments update and then sum.
+func rideRun(k UpdateKind, av float64, d, s, v, w []float64, iv index.Interval, out []float64) {
+	if k != UpdAxpy && k != UpdXpay {
+		sweepRun(k, av, d, s, iv.Lo, iv.Hi+1)
+		leafDots(v, w, iv, out)
+		return
+	}
+	for lo, at := iv.Lo, 0; lo <= iv.Hi; at++ {
+		hi := leafEnd(lo, iv.Hi)
+		switch {
+		case hi-lo < DotLeaf:
+			sweepRun(k, av, d, s, lo, hi)
+			out[at] = fragDot(v[lo:hi], w[lo:hi])
+		case k == UpdAxpy:
+			out[at] = rideAxpy(av, leaf(d, lo), leaf(s, lo), leaf(v, lo), leaf(w, lo))
+		default:
+			out[at] = rideXpay(av, leaf(d, lo), leaf(s, lo), leaf(v, lo), leaf(w, lo))
+		}
+		lo = hi
+	}
+}
+
+// rideAxpy is d ← d + av·s over one leaf, returning leafDot(v, w) of the
+// result.
+func rideAxpy(av float64, d, s, v, w *[DotLeaf]float64) float64 {
+	var a0, a1, a2, a3 float64
+	for i := 0; i <= DotLeaf-4; i += 4 {
+		d[i] += av * s[i]
+		a0 += v[i] * w[i]
+		d[i+1] += av * s[i+1]
+		a1 += v[i+1] * w[i+1]
+		d[i+2] += av * s[i+2]
+		a2 += v[i+2] * w[i+2]
+		d[i+3] += av * s[i+3]
+		a3 += v[i+3] * w[i+3]
+	}
+	return (a0 + a1) + (a2 + a3)
+}
+
+// rideXpay is d ← s + av·d over one leaf, returning leafDot(v, w) of the
+// result.
+func rideXpay(av float64, d, s, v, w *[DotLeaf]float64) float64 {
+	var a0, a1, a2, a3 float64
+	for i := 0; i <= DotLeaf-4; i += 4 {
+		d[i] = s[i] + av*d[i]
+		a0 += v[i] * w[i]
+		d[i+1] = s[i+1] + av*d[i+1]
+		a1 += v[i+1] * w[i+1]
+		d[i+2] = s[i+2] + av*d[i+2]
+		a2 += v[i+2] * w[i+2]
+		d[i+3] = s[i+3] + av*d[i+3]
+		a3 += v[i+3] * w[i+3]
+	}
+	return (a0 + a1) + (a2 + a3)
+}
+
+// leafCount returns the number of leaf fragments in iv.
+func leafCount(iv index.Interval) int { return int(iv.Hi/DotLeaf-iv.Lo/DotLeaf) + 1 }
+
+// pairwiseSum returns the pairwise sum of a, folding it in place: each
+// level adds neighbours (a[2i] + a[2i+1]) and carries an odd last entry
+// up unchanged, until one value is left. The tree is a function of
+// len(a) alone.
+func pairwiseSum(a []float64) float64 {
+	if len(a) == 0 {
+		return 0
+	}
+	for n := len(a); n > 1; n = (n + 1) / 2 {
+		for i := 0; i < n/2; i++ {
+			a[i] = a[2*i] + a[2*i+1]
+		}
+		if n%2 == 1 {
+			a[n/2] = a[n-1]
 		}
 	}
-	return sum
+	return a[0]
+}
+
+// leafMap numbers the leaf fragments of one shape's vectors in index
+// order, component after component. A fragment starts at each multiple
+// of DotLeaf and at each piece interval start off one (cuts), so an
+// aligned partition numbers exactly the ⌈n/DotLeaf⌉ leaves of each
+// component, whatever its piece count.
+type leafMap struct {
+	base  []int     // each component's first leaf
+	cuts  [][]int64 // each component's unaligned piece starts, ascending
+	total int       // the shape's fragment count L
+}
+
+// leafMap returns the shape's leaf numbering, built on first use (the
+// partitions are fixed once the planner is finalized).
+func (p *Planner) leafMap(shape Shape) *leafMap {
+	m := &p.leaves[shape]
+	if m.base != nil {
+		return m
+	}
+	for _, c := range p.comps(shape) {
+		var cuts []int64
+		for _, piece := range c.part.Pieces() {
+			for _, iv := range piece.Intervals() {
+				if iv.Lo%DotLeaf != 0 {
+					cuts = append(cuts, iv.Lo)
+				}
+			}
+		}
+		slices.Sort(cuts)
+		m.base = append(m.base, m.total)
+		m.cuts = append(m.cuts, cuts)
+		m.total += int((c.space.Size()+DotLeaf-1)/DotLeaf) + len(cuts)
+	}
+	return m
+}
+
+// aligned reports whether no piece cuts a leaf: every partition of the
+// components that does not numbers their leaves alike.
+func (m *leafMap) aligned() bool {
+	return !slices.ContainsFunc(m.cuts, func(c []int64) bool { return len(c) > 0 })
+}
+
+// newPartials returns the memory of k dots' partials over a shape: dot
+// j's leaf partials fill [j·L, (j+1)·L), and with guards one slot per
+// piece follows. Every slot is written by the task of its piece before
+// any reader folds, so memory a folded batch gave back (dotBatch) is
+// reused as it is.
+func (p *Planner) newPartials(shape Shape, k int, guards bool) *[]float64 {
+	n := k * p.leafMap(shape).total
+	if guards {
+		n += p.shapePieces(shape)
+	}
+	if b, ok := p.partials.Get().(*[]float64); ok && cap(*b) >= n {
+		*b = (*b)[:n]
+		return b
+	}
+	b := make([]float64, n)
+	return &b
+}
+
+// partial returns the index of dot j's partial of the fragment starting
+// at point lo of component ci: the fragments that start before lo are
+// the multiples of DotLeaf below it and the cuts below it.
+func (m *leafMap) partial(j, ci int, lo int64) int {
+	cut, _ := slices.BinarySearch(m.cuts[ci], lo)
+	return j*m.total + m.base[ci] + int((lo+DotLeaf-1)/DotLeaf) + cut
+}
+
+// guard returns the index of piece slot's guard in a batch of k dots.
+func (m *leafMap) guard(k, slot int) int { return k*m.total + slot }
+
+// guardSum returns the sum of one piece's leaf partials over k dots, in
+// the order the piece task and the reduction's check both add them.
+func (m *leafMap) guardSum(buf []float64, k, ci int, subset index.IntervalSet) float64 {
+	var g float64
+	for j := 0; j < k; j++ {
+		for _, iv := range subset.Intervals() {
+			at := m.partial(j, ci, iv.Lo)
+			for _, x := range buf[at : at+leafCount(iv)] {
+				g += x
+			}
+		}
+	}
+	return g
+}
+
+// span returns the indices a launch group's task writes in a batch of k
+// dots' partials (and guards): what a fault plan may corrupt.
+func (m *leafMap) span(k, ci int, g *pieceGroup, guards bool) index.IntervalSet {
+	var s index.IntervalSet
+	for j := 0; j < k; j++ {
+		for _, piece := range g.pieces {
+			for _, iv := range piece.Intervals() {
+				at := int64(m.partial(j, ci, iv.Lo))
+				s.AddInterval(index.Interval{Lo: at, Hi: at + int64(leafCount(iv)) - 1})
+			}
+		}
+	}
+	if guards {
+		lo := int64(m.guard(k, g.slot))
+		s.AddInterval(index.Interval{Lo: lo, Hi: lo + int64(len(g.pieces)) - 1})
+	}
+	return s
 }
 
 // batchReduce launches a virtual planner's one combine task for a sweep's
@@ -596,43 +803,97 @@ func (p *Planner) batchReduce(name string, partials *scalarLeaf, k int) []*Scala
 	return outs
 }
 
-// dotLeaves returns a real planner's k dot results over the partials in,
-// which the tasks of leaf write: each folds its per-piece partials in slot
-// order, the combine task's arithmetic, wherever it is read. With
-// detection on, the reduction's first fold recomputes every piece's guard
-// sum — partials were written and summed in the same order, so any
-// corruption of them makes the bitwise comparison fail — and alarms as
-// name.
-func (p *Planner) dotLeaves(name string, in []float64, leaf *scalarLeaf, pieces, stride, k int) []*Scalar {
-	guard := stride > k
-	var once sync.Once
-	check := func() {
-		for pc := 0; pc < pieces; pc++ {
-			var g float64
-			for j := 0; j < k; j++ {
-				g += in[pc*stride+j]
-			}
-			if got := in[pc*stride+k]; got != g || math.IsNaN(g) {
-				p.sdc.mon.report(SDCAlarm{
-					Task: name, Vec: -1, Slot: pc,
-					Expected: got, Got: g, Scale: math.Abs(g),
-				})
-			}
-		}
+// dotLeaves returns a real planner's k dot results over the leaf
+// partials in buf, which the tasks of leaf write. The first reader of
+// each scalar folds its partials pairwise (consuming them) and later
+// readers read the sum; once all k have folded, buf goes back to the
+// planner for the next batch. With guards, the first fold of any of them
+// first recomputes every piece's guard sum — the partials were written
+// and summed in the same order, so any corruption of them makes the
+// bitwise comparison fail — and alarms as name.
+func (p *Planner) dotLeaves(name string, buf *[]float64, leaf *scalarLeaf, shape Shape, k int, guards bool) []*Scalar {
+	m := p.leafMap(shape)
+	b := &dotBatch{buf: buf, pool: &p.partials}
+	b.left.Store(int32(k))
+	if guards {
+		b.verify = func() { p.checkGuards(name, *buf, shape, k) }
 	}
 	leaves := []*scalarLeaf{leaf}
+	dots := make([]Scalar, k)
 	outs := make([]*Scalar, k)
 	for j := range outs {
-		outs[j] = &Scalar{leaves: leaves, durable: true, eval: func() float64 {
-			if guard {
-				once.Do(check)
-			}
-			var sum float64
-			for pc := 0; pc < pieces; pc++ {
-				sum += in[pc*stride+j]
-			}
-			return sum
-		}}
+		s := &dots[j]
+		s.leaves, s.durable = leaves, true
+		s.dot.partials, s.dot.batch = (*buf)[j*m.total:(j+1)*m.total], b
+		outs[j] = s
 	}
 	return outs
+}
+
+// checkGuards recomputes every piece's guard sum over a batch of k dots'
+// partials and alarms as name where it differs from the guard slot the
+// piece task wrote.
+func (p *Planner) checkGuards(name string, buf []float64, shape Shape, k int) {
+	m := p.leafMap(shape)
+	eachSlot(p.comps(shape), func(ci, slot int, subset index.IntervalSet) {
+		g := m.guardSum(buf, k, ci, subset)
+		if got := buf[m.guard(k, slot)]; got != g || math.IsNaN(g) {
+			p.sdc.mon.report(SDCAlarm{
+				Task: name, Vec: -1, Slot: slot,
+				Expected: got, Got: g, Scale: math.Abs(g),
+			})
+		}
+	})
+}
+
+// dotBatch is what the k dots of one batch share: the memory their
+// partials live in, which goes back to pool when the last of them has
+// folded, and the guard check (verify, nil without detection) that runs
+// once, before any fold.
+type dotBatch struct {
+	buf    *[]float64
+	pool   *sync.Pool
+	left   atomic.Int32 // dots not folded yet
+	check  sync.Once
+	verify func()
+}
+
+// dotSum is one dot's memoized fold over its leaf partials. The readers
+// of a dot start together — every task of the next sweep reads it — so
+// the fold's first caller computes it and the others spin the few
+// microseconds it takes rather than park behind a lock, which costs a
+// worker's wake-up each time.
+type dotSum struct {
+	state    atomic.Int32 // sumOpen, sumFolding or sumDone
+	partials []float64
+	batch    *dotBatch
+	sum      float64 // written before state turns sumDone
+}
+
+const (
+	sumOpen = iota
+	sumFolding
+	sumDone
+)
+
+func (d *dotSum) value() float64 {
+	if d.state.Load() == sumDone {
+		return d.sum
+	}
+	if !d.state.CompareAndSwap(sumOpen, sumFolding) {
+		for d.state.Load() != sumDone {
+			runtime.Gosched()
+		}
+		return d.sum
+	}
+	b := d.batch
+	if b.verify != nil {
+		b.check.Do(b.verify)
+	}
+	d.sum, d.partials = pairwiseSum(d.partials), nil
+	if b.left.Add(-1) == 0 {
+		b.pool.Put(b.buf)
+	}
+	d.state.Store(sumDone)
+	return d.sum
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 
 	"kdrsolvers/internal/index"
 	"kdrsolvers/internal/region"
@@ -30,10 +31,22 @@ import (
 //
 // dst must be range-shaped-compatible and src domain-shaped-compatible
 // with the system (interchangeable for square systems).
-func (p *Planner) Matmul(dst, src VecID) {
+//
+// The product carries the dots of its output: each pair in dots becomes
+// one deferred scalar, returned in pair order. When every output piece
+// has a single writer — one task that computes the whole piece, as with
+// one operator component — that task also computes the pairs' leaf
+// partials over the piece it just wrote, reading the other operands'
+// pieces, so the dots cost no launch and no second pass over a vector
+// still in cache. Otherwise, and on virtual planners, with SDC detection
+// or with a fault injector active, the pairs launch as a dot sweep
+// after the product (tasks named matmul.dots, or psolve.dots), whose
+// checksum pre-pass verifies the operands. Both compute the canonical
+// dot (fusedops.go), so the scalars carry the same bits either way.
+func (p *Planner) Matmul(dst, src VecID, dots ...DotPair) []*Scalar {
 	p.mustBeFinalized()
 	p.checkMatmulShapes(p.vecs[dst], p.vecs[src])
-	p.runMultiOp(p.ops, dst, src, false, false)
+	return p.runMultiOp(p.ops, dst, src, false, false, dots)
 }
 
 // MatmulT computes dst ← A_totalᵀ · src: the adjoint product, partitioned
@@ -43,17 +56,18 @@ func (p *Planner) MatmulT(dst, src VecID) {
 	p.mustBeFinalized()
 	p.checkMatmulTShapes(p.vecs[dst], p.vecs[src])
 	p.deriveAdjoint()
-	p.runMultiOp(p.ops, dst, src, true, false)
+	p.runMultiOp(p.ops, dst, src, true, false, nil)
 }
 
 // PSolve computes dst ← P_total · src, applying the user-supplied
-// preconditioner components. It panics when no preconditioner was added.
-func (p *Planner) PSolve(dst, src VecID) {
+// preconditioner components, and carries the dots of its output as
+// Matmul does. It panics when no preconditioner was added.
+func (p *Planner) PSolve(dst, src VecID, dots ...DotPair) []*Scalar {
 	p.mustBeFinalized()
 	if !p.HasPreconditioner() {
 		panic("core: PSolve without a preconditioner")
 	}
-	p.runMultiOp(p.pre, dst, src, false, true)
+	return p.runMultiOp(p.pre, dst, src, false, true, dots)
 }
 
 // opTarget describes where one operator writes and reads for a forward or
@@ -76,15 +90,21 @@ func opTarget(op *opEntry, adjoint, pre bool) (outIdx, inIdx int, kpart, inHalo,
 // no operator writes get explicit zero tasks (the empty sum of
 // equation 8). Each operator launches one multiply-add per launch group of
 // its output component (launchGroups), covering the group's output pieces
-// in color order.
-func (p *Planner) runMultiOp(ops []opEntry, dst, src VecID, adjoint, pre bool) {
+// in color order. It returns the scalars of the dot pairs the product
+// carries (Matmul).
+func (p *Planner) runMultiOp(ops []opEntry, dst, src VecID, adjoint, pre bool, dots []DotPair) []*Scalar {
 	dv, sv := p.vecs[dst], p.vecs[src]
 	outShape := RhsShape
 	if adjoint || pre {
 		outShape = SolShape
 	}
 	outComps := p.comps(outShape)
-	outGroups := p.launchGroups(outShape, p.faultHooks())
+	sdc, hooks := p.sdcOn(), p.faultHooks()
+	outGroups := p.launchGroups(outShape, hooks)
+	var rd *riders
+	if len(dots) > 0 && !p.virtual && !sdc && !hooks && p.soleWriters(ops, outShape, adjoint, pre) {
+		rd = p.newRiders(dst, outShape, dots)
+	}
 	// covered[comp][color] accumulates the points already written in this
 	// product; wrote tracks whether any task (checksum-wise, the slot
 	// writer) reached the piece yet.
@@ -100,7 +120,6 @@ func (p *Planner) runMultiOp(ops []opEntry, dst, src VecID, adjoint, pre bool) {
 	} else if pre {
 		name = "psolve"
 	}
-	sdc := p.sdcOn()
 	for oi := range ops {
 		op := &ops[oi]
 		outIdx, inIdx, kpart, inHalo, outImage := opTarget(op, adjoint, pre)
@@ -131,8 +150,8 @@ func (p *Planner) runMultiOp(ops []opEntry, dst, src VecID, adjoint, pre bool) {
 				wrote[outIdx][color] = true
 			}
 			if len(members) > 0 {
-				p.launchMultiplyAdd(name, oi, g, op, dv.regs[outIdx], sv.regs[inIdx],
-					members, inSet, adjoint, pre, dst)
+				p.launchMultiplyAdd(name, oi, g, op, outIdx, dv.regs[outIdx], sv.regs[inIdx],
+					members, inSet, adjoint, pre, dst, rd)
 			}
 		}
 	}
@@ -176,7 +195,113 @@ func (p *Planner) runMultiOp(ops []opEntry, dst, src VecID, adjoint, pre bool) {
 	}
 	// The whole product — every operator's multiply-adds plus the
 	// explicit zero fills — submits as one fused batch.
-	p.flushBatch()
+	futs := p.flushBatch()
+	if len(dots) == 0 {
+		return nil
+	}
+	_, reduceName := sweepNames(nil, dots)
+	if rd == nil {
+		// The carried dots' own sweep is named for the product, so a
+		// graph comparison can tell it from a solver's Dot or DotBatch.
+		return p.sweep(name+".dots", reduceName, nil, dots)
+	}
+	// A riding product has no zero fills: its tasks are the batch.
+	for i := range rd.awaits {
+		rd.awaits[i].Future = futs[i]
+	}
+	return p.dotLeaves(reduceName, rd.buf, &scalarLeaf{awaits: rd.awaits}, outShape, len(dots), false)
+}
+
+// riders are the dot pairs a product's tasks compute over the output
+// pieces they write: per output component, the pairs' operands and the
+// regions other than the output the tasks must declare a read of; the
+// memory the leaf partials go to (newPartials); and, one per task, the
+// awaits of the pairs' readers.
+type riders struct {
+	operands [][][2][]float64 // [component][pair] {v, w}
+	reads    [][]*region.Region
+	buf      *[]float64
+	leaves   *leafMap
+	awaits   []taskrt.Await
+}
+
+// newRiders prepares a product's tasks to carry dots over the output
+// vector dst of the given shape, or returns nil when they cannot. Every
+// operand must share dst's component structure and number its leaves as
+// dst's shape does — the same shape, or two partitions cut at leaf
+// boundaries — so a riding dot sums the leaves a sweep would.
+func (p *Planner) newRiders(dst VecID, shape Shape, dots []DotPair) *riders {
+	lm := p.leafMap(shape)
+	for _, d := range dots {
+		for _, id := range [2]VecID{d.V, d.W} {
+			p.checkCompatible(dst, id)
+			if s := p.vecs[id].shape; s != shape && !(lm.aligned() && p.leafMap(s).aligned()) {
+				return nil
+			}
+		}
+	}
+	comps := len(p.vecs[dst].regs)
+	rd := &riders{
+		operands: make([][][2][]float64, comps),
+		reads:    make([][]*region.Region, comps),
+		buf:      p.newPartials(shape, len(dots), false),
+		leaves:   lm,
+		awaits:   make([]taskrt.Await, 0, p.shapePieces(shape)),
+	}
+	for ci := range comps {
+		for _, d := range dots {
+			v, w := p.vecs[d.V].regs[ci], p.vecs[d.W].regs[ci]
+			rd.operands[ci] = append(rd.operands[ci], [2][]float64{v.Data(), w.Data()})
+			for _, r := range [2]*region.Region{v, w} {
+				if r != p.vecs[dst].regs[ci] && !slices.Contains(rd.reads[ci], r) {
+					rd.reads[ci] = append(rd.reads[ci], r)
+				}
+			}
+		}
+	}
+	return rd
+}
+
+// soleWriters reports whether every nonempty output piece of a product
+// is written whole by exactly one multiply-add member, the one task that
+// may then compute dots over it. Partitions are fixed once the planner
+// is finalized, so the answer is kept per direction.
+func (p *Planner) soleWriters(ops []opEntry, outShape Shape, adjoint, pre bool) bool {
+	dir := 0
+	if adjoint {
+		dir = 1
+	} else if pre {
+		dir = 2
+	}
+	if c := p.sole[dir]; c != 0 {
+		return c > 0
+	}
+	comps := p.comps(outShape)
+	writers := make([][]int, len(comps))
+	for ci, c := range comps {
+		writers[ci] = make([]int, c.part.NumColors())
+	}
+	ok := true
+	for oi := range ops {
+		outIdx, _, kpart, _, outImage := opTarget(&ops[oi], adjoint, pre)
+		for color := range writers[outIdx] {
+			if kpart.Piece(color).Empty() || outImage.Piece(color).Empty() {
+				continue
+			}
+			writers[outIdx][color]++
+			ok = ok && outImage.Piece(color).Equal(comps[outIdx].part.Piece(color))
+		}
+	}
+	for ci, c := range comps {
+		for color, n := range writers[ci] {
+			ok = ok && (n == 1 || n == 0 && c.part.Piece(color).Empty())
+		}
+	}
+	p.sole[dir] = -1
+	if ok {
+		p.sole[dir] = 1
+	}
+	return ok
 }
 
 // unionInto returns acc ∪ s, sharing s's storage when acc is empty (a
@@ -206,10 +331,13 @@ type mulMember struct {
 // the output pieces of one launch group. A
 // task whose members' write sets are all fresh takes write-discard
 // privilege over their union; all folding takes reduction privilege,
-// which the runtime orders; a mix takes read-write.
+// which the runtime orders; a mix takes read-write. With riders (each
+// member then writes its whole piece and is its only writer) the task
+// also reads the other operands' pieces and computes the pairs' leaf
+// partials over every member once its multiply-add is done.
 func (p *Planner) launchMultiplyAdd(name string, opIdx int, g *pieceGroup, op *opEntry,
-	outReg, inReg *region.Region,
-	members []mulMember, inSet index.IntervalSet, adjoint, pre bool, dst VecID) {
+	outIdx int, outReg, inReg *region.Region,
+	members []mulMember, inSet index.IntervalSet, adjoint, pre bool, dst VecID, rd *riders) {
 
 	proc := g.proc
 	if !pre && p.mmProc != nil {
@@ -245,6 +373,16 @@ func (p *Planner) launchMultiplyAdd(name string, opIdx int, g *pieceGroup, op *o
 		chk = p.chkData(dst)
 		mon = p.sdc.mon
 	}
+	var dots [][2][]float64 // the riders' operands in the output component
+	var reads []*region.Region
+	if rd != nil {
+		dots, reads = rd.operands[outIdx], rd.reads[outIdx]
+	}
+	refs := make([]region.Ref, 0, 3+len(reads))
+	refs = append(refs, pieceRef(outReg, outSet, priv), pieceRef(inReg, inSet, region.ReadOnly))
+	for _, r := range reads {
+		refs = append(refs, pieceRef(r, outSet, region.ReadOnly))
+	}
 	var run func() float64
 	if !p.virtual {
 		y := outReg.Data()
@@ -267,6 +405,11 @@ func (p *Planner) launchMultiplyAdd(name string, opIdx int, g *pieceGroup, op *o
 					mat.MultiplyAddTPart(y, x, m.kset)
 				} else {
 					mat.MultiplyAddPart(y, x, m.kset)
+				}
+				for j, d := range dots {
+					for _, iv := range m.outSet.Intervals() {
+						leafDots(d[0], d[1], iv, (*rd.buf)[rd.leaves.partial(j, outIdx, iv.Lo):])
+					}
 				}
 				if !sdc {
 					continue
@@ -299,14 +442,13 @@ func (p *Planner) launchMultiplyAdd(name string, opIdx int, g *pieceGroup, op *o
 		}
 	}
 	lo, hi := members[0].slot, members[len(members)-1].slot
+	cost := p.mach.SpMVCost(ksize, outSet.Size())
+	for range dots {
+		cost += p.mach.DotCost(outSet.Size())
+	}
 	spec := taskrt.TaskSpec{
 		Name: name, Proc: proc, Piece: lo + 1,
-		Cost: p.mach.SpMVCost(ksize, outSet.Size()),
-		Refs: []region.Ref{
-			pieceRef(outReg, outSet, priv),
-			pieceRef(inReg, inSet, region.ReadOnly),
-		},
-		Run: run,
+		Cost: cost, Refs: refs, Run: run,
 		// A write-discard multiply-add zeroes its whole write set before
 		// accumulating, so re-execution is safe; a reduction into data
 		// earlier operators wrote is not, and neither is a checksum-slot
@@ -324,7 +466,13 @@ func (p *Planner) launchMultiplyAdd(name string, opIdx int, g *pieceGroup, op *o
 	if hooks {
 		spec.Corrupt = corruptHook(corruptTarget{outReg.Data(), outSet})
 	}
-	p.batch(spec)
+	if rd == nil {
+		p.batch(spec)
+		return
+	}
+	// The riders' readers await the task for its members' partials.
+	rd.awaits = append(rd.awaits, taskrt.Await{Bytes: int64(8 * len(dots) * len(g.pieces))})
+	p.specBuf = append(p.specBuf, spec)
 }
 
 // zeroPieces launches a zero-fill of a launch group's pieces (or of their

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"kdrsolvers/internal/dpart"
 	"kdrsolvers/internal/index"
@@ -134,6 +135,15 @@ type Planner struct {
 		grain  int64
 		byComp [][]pieceGroup
 	}
+	// leaves numbers each shape's dot leaves (fusedops.go), built on
+	// first use; partials holds the memory of folded dot batches for
+	// reuse (newPartials).
+	leaves   [2]leafMap
+	partials sync.Pool
+	// sole caches, per product direction (forward, adjoint,
+	// preconditioner), whether every output piece has one writer: 1 yes,
+	// -1 no, 0 not known yet (soleWriters).
+	sole      [3]int8
 	colorBase int
 	// step counts TraceBegin calls: an expression never spans two (Scalar).
 	step      int

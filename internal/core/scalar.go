@@ -12,14 +12,17 @@ import (
 // scalar is the futures of the tasks its value is computed from.
 //
 // On a real planner no task produces a scalar. A dot product is computed
-// from its sweep's partial tasks, which write the partials into memory the
-// scalar holds; a Constant from no task; and Div, Mul, Neg, Sqrt and
-// ScalarExpr are expressions over their operands. A task that reads a
-// scalar awaits the tasks it is computed from (taskrt.TaskSpec.Awaits) —
-// so it depends on the partial tasks themselves — and evaluates it once in
-// its body. Expressions never span steps (TraceBegin counts them): one
-// whose operand is an earlier step's expression is computed by a host
-// task, whose future its readers then await.
+// from the tasks that write its leaf partials into memory the scalar
+// holds — its sweep's piece tasks, or those of the product that carries
+// it — and its first reader folds them, in a fixed pairwise order, into
+// the value later readers share; a Constant from no task; and Div, Mul,
+// Neg, Sqrt and ScalarExpr are expressions over their operands. A task
+// that reads a scalar awaits the tasks it is computed from
+// (taskrt.TaskSpec.Awaits) — so it depends on the partial tasks
+// themselves — and evaluates it once in its body. Expressions never span
+// steps (TraceBegin counts them): one whose operand is an earlier step's
+// expression is computed by a host task, whose future its readers then
+// await.
 //
 // On a virtual planner every dot's combine and every expression is such a
 // task, so the recorded graph keeps the paper's launch shape and the
@@ -28,8 +31,11 @@ type Scalar struct {
 	// leaves are the task sets the value is computed from: what a reading
 	// task awaits and what Value waits on.
 	leaves []*scalarLeaf
-	// eval computes the value once every leaf's tasks completed.
+	// eval computes the value once every leaf's tasks completed. It is
+	// nil for a real planner's dot, whose value is the memoized fold of
+	// its leaf partials, dot.
 	eval func() float64
+	dot  dotSum
 	// step is the planner step the scalar was made in; durable marks a dot
 	// result or a constant, which any later step may read through.
 	step    int
@@ -75,6 +81,14 @@ func (s *Scalar) Value() float64 {
 			}
 		}
 	}
+	return s.value()
+}
+
+// value computes the scalar; every task it is computed from completed.
+func (s *Scalar) value() float64 {
+	if s.eval == nil {
+		return s.dot.value()
+	}
 	return s.eval()
 }
 
@@ -109,7 +123,7 @@ func (p *Planner) ScalarExpr(name string, fn func(vals []float64) float64, args 
 	eval := func() float64 {
 		vals := make([]float64, len(args))
 		for i, a := range args {
-			vals[i] = a.eval()
+			vals[i] = a.value()
 		}
 		return fn(vals)
 	}

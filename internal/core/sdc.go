@@ -47,8 +47,8 @@ import (
 // The forward SpMV additionally self-checks in-task: Σ(y over the write
 // set) must equal w·x up to rounding, the classic ABFT checksummed SpMV.
 // Every dot, single or batched, carries a per-piece guard slot (the sum of
-// the piece's partials, recomputed bitwise-identically by the reduction's
-// first fold), so corruption of the partials between partial and combine
+// the piece's leaf partials, recomputed bitwise-identically before the
+// reduction's first fold), so corruption of the partials between partial and combine
 // is caught exactly.
 //
 // Everything here is opt-in via EnableSDCDetection; with detection off,

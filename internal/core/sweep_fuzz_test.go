@@ -18,6 +18,7 @@ type sweepProgram struct {
 	pieces   int
 	perPiece bool // launch one task per piece instead of by the grain
 	sdc      bool
+	product  bool // the dots also ride a product after the sweep
 	ups      []progUpdate
 	dots     [][2]int
 }
@@ -33,7 +34,8 @@ const sweepVecs = 4
 
 // decodeSweep reads a program from b, reading zeros past its end:
 //
-//	b[0]  pieces {1, 7, 8, 13}[b&3], 0x4 one task per piece, 0x8 SDC on
+//	b[0]  pieces {1, 7, 8, 13}[b&3], 0x4 one task per piece, 0x8 SDC on,
+//	      0x10 the dots also ride a product
 //	b[1]  n = 8·(2 + 3·b) points
 //	b[2]  b%5 updates, (b/5)%4 dots (one dot when both are zero)
 //	then per update: kind (b%5; 0x40 reuse the previous coefficient,
@@ -52,6 +54,7 @@ func decodeSweep(b []byte) sweepProgram {
 		pieces:   []int{1, 7, 8, 13}[flags&3],
 		perPiece: flags&4 != 0,
 		sdc:      flags&8 != 0,
+		product:  flags&0x10 != 0,
 		n:        8 * (2 + 3*int64(next())),
 	}
 	counts := next()
@@ -74,8 +77,10 @@ func decodeSweep(b []byte) sweepProgram {
 
 // runSweepProgram runs prog as one FusedSweep on a real planner and
 // checks it against straight-line host loops: each update over the whole
-// vector in argument order, then each dot summed per piece in index order
-// and its partials added in piece order. Vectors and dots must agree
+// vector in argument order, then each dot as the canonical leaf sum
+// (hostDot) over the partition's pieces. With prog.product, a product
+// y = A·x over two of the vectors then carries the same dots, checked
+// against a host SpMV and the same sums. Vectors and dots must agree
 // Float64bits for Float64bits.
 func runSweepProgram(t *testing.T, seed int64, prog sweepProgram) {
 	t.Helper()
@@ -151,31 +156,74 @@ func runSweepProgram(t *testing.T, seed int64, prog sweepProgram) {
 			}
 		}
 	}
-	for j, d := range prog.dots {
-		var want float64
-		for _, piece := range part.Pieces() {
-			var partial float64
-			for _, iv := range piece.Intervals() {
-				for k := iv.Lo; k <= iv.Hi; k++ {
-					partial += host[d[0]][k] * host[d[1]][k]
-				}
+	checkDots := func(what string, got []*Scalar) {
+		t.Helper()
+		for j, d := range prog.dots {
+			want := hostDot(host[d[0]], host[d[1]], part)
+			if g := got[j].Value(); math.Float64bits(g) != math.Float64bits(want) {
+				t.Fatalf("%+v: %s dot %d (%d·%d) = %v, host loops %v", prog, what, j, d[0], d[1], g, want)
 			}
-			want += partial
 		}
-		if g := got[j].Value(); math.Float64bits(g) != math.Float64bits(want) {
-			t.Fatalf("%+v: dot %d (%d·%d) = %v, host loops %v", prog, j, d[0], d[1], g, want)
+	}
+	checkDots("sweep", got)
+	if prog.product && len(pairs) > 0 {
+		// y = A·x into vector 0 from vector 1 (x is y itself when the two
+		// are one vector, which a product may not have).
+		got := p.Matmul(ids[0], ids[1], pairs...)
+		p.Drain()
+		sparse.SpMV(p.ops[0].mat, host[0], host[1])
+		if d := p.VecData(ids[0], 0); !slices.Equal(d, host[0]) {
+			t.Fatalf("%+v: product differs from the host SpMV", prog)
 		}
+		checkDots("product", got)
 	}
 	if mon != nil && mon.Count() != 0 {
 		t.Fatalf("%+v: %d SDC alarms on a clean sweep: %+v", prog, mon.Count(), mon.Alarms())
 	}
 }
 
+// hostDot is the canonical dot written out plainly: a fragment starts at
+// every multiple of DotLeaf and at every piece start; each is summed with
+// its point i going to accumulator i mod 4, and the fragments' sums are
+// added in pairs, level by level, an odd last one carried up.
+func hostDot(v, w []float64, part index.Partition) float64 {
+	starts := map[int64]bool{}
+	for _, piece := range part.Pieces() {
+		for _, iv := range piece.Intervals() {
+			starts[iv.Lo] = true
+		}
+	}
+	var level []float64
+	var acc [4]float64
+	at := 0
+	for i := range v {
+		if i > 0 && (i%DotLeaf == 0 || starts[int64(i)]) {
+			level = append(level, (acc[0]+acc[1])+(acc[2]+acc[3]))
+			acc, at = [4]float64{}, 0
+		}
+		acc[at%4] += v[i] * w[i]
+		at++
+	}
+	level = append(level, (acc[0]+acc[1])+(acc[2]+acc[3]))
+	for len(level) > 1 {
+		var up []float64
+		for i := 0; i+1 < len(level); i += 2 {
+			up = append(up, level[i]+level[i+1])
+		}
+		if len(level)%2 == 1 {
+			up = append(up, level[len(level)-1])
+		}
+		level = up
+	}
+	return level[0]
+}
+
 // FuzzFusedSweep draws random sweeps — all five update kinds, chained or
 // not, and up to three dots whose operands the updates write before, by
 // or after the pass that fuses them, or not at all — at pieces {1, 7, 8,
 // 13}, launched by the grain or one task per piece, with and without SDC
-// detection, and requires bitwise agreement with straight-line host loops
+// detection, optionally followed by a product carrying the same dots,
+// and requires bitwise agreement with straight-line host loops
 // (runSweepProgram). The seeds below run in every go test.
 func FuzzFusedSweep(f *testing.F) {
 	const (
@@ -205,6 +253,13 @@ func FuzzFusedSweep(f *testing.F) {
 		{7, []byte{3 | 8, 255, counts(4, 3), axpy, 0, 1, axpy | same, 1, 0, cp, 2, 0, zero, 3, 0, 0, 1, 2, 2, 3, 0}},
 		// Updates only.
 		{8, []byte{1 | 4, 40, counts(3, 0), scal, 2, 0, axpy, 2, 2, cp, 0, 2}},
+		// A product carrying dots over its output (y = vector 0), its
+		// source and a vector it does not touch: 8 pieces of 128 points (cut
+		// at leaf boundaries), then 13 unaligned pieces one task each; with
+		// SDC on the dots launch as a sweep instead.
+		{9, []byte{2 | 0x10, 42, counts(1, 3), axpy, 1, 2, 0, 0, 0, 1, 3, 2}},
+		{10, []byte{3 | 4 | 0x10, 170, counts(0, 2), 1, 0, 2, 0}},
+		{11, []byte{1 | 8 | 0x10, 200, counts(2, 2), xpay, 2, 1, axpy, 0, 3, 0, 1, 2, 2}},
 	} {
 		f.Add(seed.s, seed.prog)
 	}

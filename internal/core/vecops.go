@@ -58,7 +58,7 @@ func (g *pieceGroup) runWith(scalars []*Scalar, body func(subset index.IntervalS
 	return func() float64 {
 		vals := make([]float64, len(scalars))
 		for i, s := range scalars {
-			vals[i] = s.eval()
+			vals[i] = s.value()
 		}
 		for i, subset := range g.pieces {
 			body(subset, g.slot+i, vals)
@@ -144,12 +144,12 @@ func (p *Planner) Xpay(dst VecID, alpha *Scalar, src VecID) {
 	p.FusedSweep([]VecUpdate{{Kind: UpdXpay, Dst: dst, Alpha: alpha, Src: src}}, nil)
 }
 
-// Dot computes the inner product v·w as a deferred scalar. Per-piece
-// partial dots run on the piece owners; the partials combine in
-// deterministic (color) order — in every reader on a real planner, in a
+// Dot computes the inner product v·w as a deferred scalar. The piece
+// owners compute the partials of their 64-point leaves; the leaves fold
+// pairwise in index order — in the first reader on a real planner, in a
 // reduction task on processor 0 paying the machine's allreduce cost on a
-// virtual one. This is the global synchronization point of every Krylov
-// iteration.
+// virtual one — so the value does not depend on the pieces. This is the
+// global synchronization point of every Krylov iteration.
 func (p *Planner) Dot(v, w VecID) *Scalar {
 	return p.FusedSweep(nil, []DotPair{{V: v, W: w}})[0]
 }

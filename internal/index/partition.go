@@ -55,6 +55,35 @@ func EqualPartition(space Space, n int) Partition {
 	return Partition{Space: space, pieces: pieces}
 }
 
+// AlignedPartition splits the dense space [0, N) into n contiguous
+// pieces whose cuts fall on multiples of align: the ⌈N/align⌉ blocks of
+// align points (the last one short) are dealt out as EqualPartition deals
+// points, so the pieces are EqualPartition's whenever align divides N/n.
+// Colors past the block count are empty.
+func AlignedPartition(space Space, n int, align int64) Partition {
+	if n <= 0 || align <= 0 {
+		panic("index: AlignedPartition requires n > 0 and align > 0")
+	}
+	total := space.Size()
+	if total > 0 && !space.Set.Equal(Span(0, total-1)) {
+		panic("index: AlignedPartition requires a dense space [0, N)")
+	}
+	blocks := (total + align - 1) / align
+	pieces := make([]IntervalSet, n)
+	var lo int64
+	for c := range pieces {
+		// Colors [0, blocks%n) receive one extra block.
+		q := blocks / int64(n)
+		if int64(c) < blocks%int64(n) {
+			q++
+		}
+		hi := min64(lo+q*align, total)
+		pieces[c] = Span(lo, hi-1)
+		lo = hi
+	}
+	return Partition{Space: space, pieces: pieces}
+}
+
 // NumColors returns the size of the color space.
 func (p Partition) NumColors() int { return len(p.pieces) }
 

@@ -60,6 +60,42 @@ func TestEqualPartitionSparseSpace(t *testing.T) {
 	}
 }
 
+// An aligned partition is complete and disjoint, cuts only at multiples
+// of its alignment, deals blocks as EqualPartition deals points (so it is
+// EqualPartition whenever the alignment divides the piece size), and
+// leaves colors past the block count empty.
+func TestAlignedPartition(t *testing.T) {
+	for _, c := range []struct {
+		n      int64
+		pieces int
+	}{{4096, 7}, {4096, 8}, {1000, 3}, {64, 1}, {63, 2}, {200, 9}, {1, 1}} {
+		p := AlignedPartition(NewSpace("D", c.n), c.pieces, 64)
+		if p.NumColors() != c.pieces || !p.Complete() || !p.Disjoint() {
+			t.Fatalf("%+v: %d colors, complete %v, disjoint %v", c, p.NumColors(), p.Complete(), p.Disjoint())
+		}
+		blocks := int((c.n + 63) / 64)
+		for col, piece := range p.Pieces() {
+			if col >= blocks {
+				if !piece.Empty() {
+					t.Errorf("%+v: color %d past the %d blocks holds %v", c, col, blocks, piece)
+				}
+				continue
+			}
+			if lo := piece.Bounds().Lo; piece.NumIntervals() != 1 || lo%64 != 0 {
+				t.Errorf("%+v: piece %d is %v", c, col, piece)
+			}
+		}
+		if c.n%(64*int64(c.pieces)) == 0 {
+			eq := EqualPartition(NewSpace("D", c.n), c.pieces)
+			for col := range p.Pieces() {
+				if !p.Piece(col).Equal(eq.Piece(col)) {
+					t.Errorf("%+v: piece %d is %v, EqualPartition's %v", c, col, p.Piece(col), eq.Piece(col))
+				}
+			}
+		}
+	}
+}
+
 func TestPartitionPredicates(t *testing.T) {
 	sp := NewSpace("I", 10)
 	// Aliased, incomplete partition.

@@ -39,8 +39,9 @@ type Spec struct {
 	// entries in [-1, 1)).
 	RHS string `json:"rhs"`
 	// Tol is the residual tolerance; MaxIter the iteration budget;
-	// Pieces the vector partition width (1 to 65 536; a solve uses at
-	// most one piece per row).
+	// Pieces the vector partition width (1 to 65 536; a solve cuts its
+	// vectors at 64-point leaf boundaries, so it uses at most one piece
+	// per 64 rows).
 	Tol     float64 `json:"tol"`
 	MaxIter int     `json:"maxiter"`
 	Pieces  int     `json:"pieces"`

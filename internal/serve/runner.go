@@ -208,11 +208,15 @@ func solveSystem(a *sparse.CSR, k int, x, b []float64, spec jobspec.Spec, opt Op
 	out := JobResult{Solver: spec.Solver, N: int(n), NNZ: int64(k) * a.NNZ()}
 
 	p := core.NewPlanner(core.Config{Machine: machine.Lassen(1), Session: sess})
-	// Colors past the row count would be empty pieces: same answer, more
-	// to plan.
-	pieces := func(size int64) int { return int(min(int64(spec.Pieces), max(size, 1))) }
-	si := p.AddSolVector(x, index.EqualPartition(index.NewSpace("D", n), pieces(n)))
-	ri := p.AddRHSVector(b, index.EqualPartition(index.NewSpace("R", n), pieces(n)))
+	// Vectors are cut at the dot's leaf boundaries, so the answer does not
+	// depend on the piece count (core.DotLeaf). Colors past the leaf count
+	// would be empty pieces: same answer, more to plan.
+	part := func(name string, size int64) index.Partition {
+		leaves := (size + core.DotLeaf - 1) / core.DotLeaf
+		return index.AlignedPartition(index.NewSpace(name, size), int(min(int64(spec.Pieces), max(leaves, 1))), core.DotLeaf)
+	}
+	si := p.AddSolVector(x, part("D", n))
+	ri := p.AddRHSVector(b, part("R", n))
 	var m sparse.Matrix
 	if canon, _ := sparse.CanonicalFormat(spec.Format); canon == "Auto" {
 		if op := jobspec.MatrixFree(spec.Matrix); op != nil {
@@ -224,7 +228,7 @@ func solveSystem(a *sparse.CSR, k int, x, b []float64, spec jobspec.Spec, opt Op
 			// A band per piece of one member's range, so that for k = 1
 			// every task piece computes over a single tile.
 			var starts []int64
-			for _, pc := range index.EqualPartition(index.NewSpace("R", rows), pieces(rows)).Pieces() {
+			for _, pc := range part("R", rows).Pieces() {
 				if !pc.Empty() {
 					starts = append(starts, pc.Bounds().Lo)
 				}

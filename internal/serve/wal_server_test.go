@@ -348,9 +348,10 @@ func TestHTTPMetricsErrsDroppedAndWAL(t *testing.T) {
 	// 128 pieces means the first task wave has well over the window's 64
 	// independent root tasks, every one of which panics (rate 1), so the
 	// window must evict. The resilient driver then rolls back, the
-	// injector's budget runs out, and the job still converges.
+	// injector's budget runs out, and the job still converges. (Vectors
+	// are cut at 64-point leaves, so 128 pieces need 8 192 rows or more.)
 	j, err := s.Submit(testSpec(func(sp *jobspec.Spec) {
-		sp.Matrix = "lap2d:32x32"
+		sp.Matrix = "lap2d:96x96"
 		sp.Pieces = 128
 		sp.Faults = "panic=1,max=128,seed=1"
 		sp.CheckpointEvery = 1

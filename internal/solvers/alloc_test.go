@@ -13,12 +13,13 @@ import (
 // fused CG step under trace replay. The piece tasks launch through the
 // batch API and splice their dependences from the memoized trace, so what
 // remains is the iteration's host-side bookkeeping: the dots' partials
-// and scalars, the futures of the dot sweeps' piece tasks (a dot's readers
-// await them) and the per-task closures. The pin is a regression
-// tripwire: if the hot path regrows per-task allocations the count jumps
-// by O(pieces × launches), two orders of magnitude above this budget. The
-// step reads 200–202 allocations (226–227 while a dot's partials were a
-// region); the pin is that plus 5 %.
+// and scalars, the futures of the tasks that write a dot's partials (a
+// dot's readers await them) and the per-task closures. The pin is a
+// regression tripwire: if the hot path regrows per-task allocations the
+// count jumps by O(pieces × launches), two orders of magnitude above this
+// budget. The step reads 186 allocations over 24 launches since the
+// product carries pᵀAp (202 over 32 with a dot sweep of its own, 226–227
+// while a dot's partials were a region); the pin is that plus 5 %.
 func TestFusedCGStepAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; the pin only means something without it")
@@ -63,8 +64,8 @@ func TestFusedCGStepAllocs(t *testing.T) {
 			after.TraceFallbacks-before.TraceFallbacks)
 	}
 	launchesPerStep := float64(after.Launched-before.Launched) / 21
-	if allocs > 212 {
-		t.Errorf("fused CG step allocates %.0f objects/iteration (%.0f launches), want <= 212",
+	if allocs > 195 {
+		t.Errorf("fused CG step allocates %.0f objects/iteration (%.0f launches), want <= 195",
 			allocs, launchesPerStep)
 	}
 	t.Logf("fused CG: %.1f allocs/iteration over %.0f launches (%.2f allocs/launch)",

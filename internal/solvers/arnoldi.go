@@ -130,12 +130,17 @@ func (s *arnoldi) push(col []*core.Scalar) bool {
 // mgsStep finishes Arnoldi step j for the methods that orthogonalize
 // sequentially: w, holding A·v_j, goes through modified Gram-Schmidt
 // against v₀ … v_j with deferred scalar coefficients, and what is left
-// of it, normalized, becomes v_{j+1}.
-func (s *arnoldi) mgsStep(w core.VecID) {
+// of it, normalized, becomes v_{j+1}. h0, when not nil, is w·v₀ as the
+// product that wrote w computed it.
+func (s *arnoldi) mgsStep(w core.VecID, h0 *core.Scalar) {
 	p, j := s.p, s.j
 	col := make([]*core.Scalar, j+2)
 	for i := 0; i <= j; i++ {
-		col[i] = p.Dot(w, s.basis[i])
+		if i == 0 && h0 != nil {
+			col[i] = h0
+		} else {
+			col[i] = p.Dot(w, s.basis[i])
+		}
 		p.Axpy(w, p.Neg(col[i]), s.basis[i])
 	}
 	col[j+1] = p.Sqrt(p.Dot(w, w))

@@ -72,9 +72,9 @@ func (s *BiCG) Step() {
 	p := s.p
 	p.BeginPhase("bicg.step")
 	defer p.TraceEnd(p.TraceBegin("bicg.step"))
-	p.Matmul(s.q, s.pv)   // q = A p
-	p.MatmulT(s.qt, s.pt) // q̃ = Aᵀ p̃
-	alpha := guardedDiv(p, &s.bd, "bicg", "pt·Ap", s.rho, p.Dot(s.pt, s.q))
+	ptq := p.Matmul(s.q, s.pv, core.DotPair{V: s.pt, W: s.q})[0] // q = A p, carrying p̃ᵀAp
+	p.MatmulT(s.qt, s.pt)                                        // q̃ = Aᵀ p̃
+	alpha := guardedDiv(p, &s.bd, "bicg", "pt·Ap", s.rho, ptq)
 	d := p.FusedSweep([]core.VecUpdate{ // one sweep:
 		{Kind: core.UpdAxpy, Dst: core.SOL, Alpha: alpha, Src: s.pv},        // x += α p
 		{Kind: core.UpdAxpy, Dst: s.r, Alpha: alpha, Neg: true, Src: s.q},   // r -= α q

@@ -79,12 +79,11 @@ func (s *BiCGStab) Step() {
 		core.VecUpdate{Kind: core.UpdAxpy, Dst: s.pv, Alpha: s.omega, Neg: true, Src: s.v},
 		core.VecUpdate{Kind: core.UpdXpay, Dst: s.pv, Alpha: beta, Src: s.r},
 	)
-	p.Matmul(s.v, s.pv) // v = A p
-	alpha := guardedDiv(p, &s.bd, "bicgstab", "rhat·v", rho, p.Dot(s.rhat, s.v))
+	rv := p.Matmul(s.v, s.pv, core.DotPair{V: s.rhat, W: s.v})[0] // v = A p, carrying r̂ᵀv
+	alpha := guardedDiv(p, &s.bd, "bicgstab", "rhat·v", rho, rv)
 	// s (reusing r): r ← r − α v
 	p.FusedUpdate(core.VecUpdate{Kind: core.UpdAxpy, Dst: s.r, Alpha: alpha, Neg: true, Src: s.v})
-	p.Matmul(s.t, s.r) // t = A s
-	d := p.DotBatch(core.DotPair{V: s.t, W: s.r}, core.DotPair{V: s.t, W: s.t})
+	d := p.Matmul(s.t, s.r, core.DotPair{V: s.t, W: s.r}, core.DotPair{V: s.t, W: s.t}) // t = A s, carrying tᵀs and tᵀt
 	omega := guardedDiv(p, &s.bd, "bicgstab", "t·t", d[0], d[1])
 	// x += α p + ω s; r ← s − ω t; res = r·r — one sweep, one reduce.
 	s.res = p.FusedSweep([]core.VecUpdate{

@@ -6,11 +6,13 @@ import "kdrsolvers/internal/core"
 // symmetric positive definite systems — the paper's Figure 7 solver,
 // generalized to a nonzero initial guess.
 //
-// The iteration runs on the planner's fused kernels: the two solution
-// and residual updates and the residual dot product share one piece
-// sweep (core.FusedSweep), cutting the launches per iteration by about
-// a third against the per-operation formulation while computing bitwise
-// identical iterates.
+// The iteration runs on the planner's fused kernels, three launches per
+// piece: the product carries pᵀAp over the pieces it writes; the
+// residual update carries rᵀr (core.FusedSweep); and the solution
+// update shares the search direction's sweep, which reads p anyway —
+// x += αp runs before p is overwritten, so the iterates are bitwise
+// those of the per-operation formulation, and the sweep behind the rᵀr
+// reduction reads and writes two vectors instead of four.
 type CG struct {
 	p        *core.Planner
 	pv, q, r core.VecID
@@ -53,13 +55,15 @@ func (s *CG) Step() {
 	p := s.p
 	p.BeginPhase("cg.step")
 	defer p.TraceEnd(p.TraceBegin("cg.step"))
-	p.Matmul(s.q, s.pv)                      // q = A p
-	alpha := p.Div(s.res, p.Dot(s.pv, s.q))  // α = res / pᵀAp
-	newRes := p.FusedSweep([]core.VecUpdate{ // one sweep:
-		{Kind: core.UpdAxpy, Dst: core.SOL, Alpha: alpha, Src: s.pv},      // x += α p
-		{Kind: core.UpdAxpy, Dst: s.r, Alpha: alpha, Neg: true, Src: s.q}, // r -= α q
-	}, []core.DotPair{{V: s.r, W: s.r}})[0] //                                     res' = r·r
+	pq := p.Matmul(s.q, s.pv, core.DotPair{V: s.pv, W: s.q})[0] // q = A p, carrying pᵀAp
+	alpha := p.Div(s.res, pq)                                   // α = res / pᵀAp
+	newRes := p.FusedSweep([]core.VecUpdate{                    // r -= α q, carrying res' = r·r
+		{Kind: core.UpdAxpy, Dst: s.r, Alpha: alpha, Neg: true, Src: s.q},
+	}, []core.DotPair{{V: s.r, W: s.r}})[0]
 	beta := p.Div(newRes, s.res) // β = res' / res
-	p.Xpay(s.pv, beta, s.r)      // p = r + β p
+	p.FusedUpdate(               // one sweep:
+		core.VecUpdate{Kind: core.UpdAxpy, Dst: core.SOL, Alpha: alpha, Src: s.pv}, // x += α p
+		core.VecUpdate{Kind: core.UpdXpay, Dst: s.pv, Alpha: beta, Src: s.r},       // p = r + β p
+	)
 	s.res = newRes
 }

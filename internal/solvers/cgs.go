@@ -87,8 +87,8 @@ func (s *CGS) Step() {
 			core.VecUpdate{Kind: core.UpdAxpy, Dst: s.pp, Alpha: one, Src: s.u})
 	}
 	s.k++
-	p.Matmul(s.vhat, s.pp) // v̂ = A p
-	alpha := guardedDiv(p, &s.bd, "cgs", "rt·v", rho, p.Dot(s.rt, s.vhat))
+	rv := p.Matmul(s.vhat, s.pp, core.DotPair{V: s.rt, W: s.vhat})[0] // v̂ = A p, carrying r̃ᵀv̂
+	alpha := guardedDiv(p, &s.bd, "cgs", "rt·v", rho, rv)
 	p.FusedUpdate( // q = u − α v̂; uq = u + q; x += α uq
 		core.VecUpdate{Kind: core.UpdCopy, Dst: s.q, Src: s.u},
 		core.VecUpdate{Kind: core.UpdAxpy, Dst: s.q, Alpha: alpha, Neg: true, Src: s.vhat},

@@ -479,15 +479,15 @@ func TestFusionLaunchReduction(t *testing.T) {
 		wantF, wantU float64
 	}{
 		{"cg", plain,
-			func(p *core.Planner) Solver { return NewCG(p) }, newUnfusedCG, 0.30, 16, 24},
+			func(p *core.Planner) Solver { return NewCG(p) }, newUnfusedCG, 0.30, 12, 24},
 		{"pcg", withJacobi,
-			func(p *core.Planner) Solver { return NewPCG(p) }, newUnfusedPCG, 0.25, 24, 32},
+			func(p *core.Planner) Solver { return NewPCG(p) }, newUnfusedPCG, 0.25, 16, 32},
 		{"bicgstab", nonsym,
-			func(p *core.Planner) Solver { return NewBiCGStab(p) }, newUnfusedBiCGStab, 0.30, 33, 54},
+			func(p *core.Planner) Solver { return NewBiCGStab(p) }, newUnfusedBiCGStab, 0.30, 25, 54},
 		{"bicg", nonsym,
-			func(p *core.Planner) Solver { return NewBiCG(p) }, newUnfusedBiCG, 0.45, 20, 40},
+			func(p *core.Planner) Solver { return NewBiCG(p) }, newUnfusedBiCG, 0.45, 16, 40},
 		{"cgs", nonsym,
-			func(p *core.Planner) Solver { return NewCGS(p) }, newUnfusedCGS, 0.55, 28, 68},
+			func(p *core.Planner) Solver { return NewCGS(p) }, newUnfusedCGS, 0.55, 24, 68},
 		{"minres", plain,
 			func(p *core.Planner) Solver { return NewMINRES(p) }, newUnfusedMINRES, 0.65, 20, 64},
 		// PGMRES's eight-step window closes one cycle (x += V y, restart).
@@ -509,13 +509,16 @@ func TestFusionLaunchReduction(t *testing.T) {
 				c.name, f, u, c.wantF, c.wantU)
 		}
 	}
-	// PipeCG must beat even fused CG on launches: one reduction, one
-	// fully fused update sweep.
+	// PipeCG's graph is its own: one batched reduction, one product that
+	// overlaps it, one fully fused update sweep, and the host task of its
+	// α recurrence. Fused CG, whose product carries pᵀAp, launches the
+	// same three piece sweeps without the host task; what PipeCG keeps
+	// over it is one reduction barrier an iteration instead of two.
 	pipe := measure(plain, func(p *core.Planner) Solver { return NewPipeCG(p) })
 	fcg := measure(plain, func(p *core.Planner) Solver { return NewCG(p) })
 	t.Logf("pipecg: %.1f launches/iter vs fused cg %.1f", pipe, fcg)
-	if pipe >= fcg || pipe != 13 {
-		t.Errorf("pipecg launches/iter %.1f, want 13, below fused cg %.1f", pipe, fcg)
+	if pipe != 13 || pipe != fcg+1 {
+		t.Errorf("pipecg launches/iter %.1f, want 13, one host task above fused cg's %.1f", pipe, fcg)
 	}
 }
 

@@ -37,9 +37,10 @@ func NewGMRES(p *core.Planner, m int) *GMRES {
 func (s *GMRES) Name() string { return "GMRES" }
 
 // Step implements Solver: one Arnoldi step, w = A v_j orthogonalized
-// against v₀ … v_j; every m-th step also ends the cycle.
+// against v₀ … v_j; every m-th step also ends the cycle. The product
+// carries the first Gram-Schmidt coefficient, w·v₀.
 func (s *GMRES) Step() {
 	j := s.open()
-	s.p.Matmul(s.w, s.basis[j])
-	s.mgsStep(s.w)
+	h0 := s.p.Matmul(s.w, s.basis[j], core.DotPair{V: s.w, W: s.basis[0]})[0]
+	s.mgsStep(s.w, h0)
 }

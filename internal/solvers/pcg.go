@@ -9,8 +9,10 @@ import "kdrsolvers/internal/core"
 // precond provides the Jacobi construction that PCG consumes.
 //
 // The fused step batches the r·z and r·r reductions into one combine
-// (core.DotBatch) and fuses the solution/residual updates into one
-// sweep, so an iteration pays two reduction barriers instead of three.
+// carried by the preconditioner product that writes z, lets the operator
+// product carry pᵀAp, and fuses the solution/residual updates into one
+// sweep, so an iteration pays two reduction barriers instead of three and
+// no launch for a dot.
 type PCG struct {
 	p           *core.Planner
 	pv, q, r, z core.VecID
@@ -60,14 +62,12 @@ func (s *PCG) Step() {
 	p := s.p
 	p.BeginPhase("pcg.step")
 	defer p.TraceEnd(p.TraceBegin("pcg.step"))
-	p.Matmul(s.q, s.pv)
-	alpha := p.Div(s.rz, p.Dot(s.pv, s.q))
+	alpha := p.Div(s.rz, p.Matmul(s.q, s.pv, core.DotPair{V: s.pv, W: s.q})[0])
 	p.FusedUpdate(
 		core.VecUpdate{Kind: core.UpdAxpy, Dst: core.SOL, Alpha: alpha, Src: s.pv},
 		core.VecUpdate{Kind: core.UpdAxpy, Dst: s.r, Alpha: alpha, Neg: true, Src: s.q},
 	)
-	p.PSolve(s.z, s.r)
-	d := p.DotBatch(core.DotPair{V: s.r, W: s.z}, core.DotPair{V: s.r, W: s.r})
+	d := p.PSolve(s.z, s.r, core.DotPair{V: s.r, W: s.z}, core.DotPair{V: s.r, W: s.r})
 	rzNew := d[0]
 	beta := p.Div(rzNew, s.rz)
 	p.Xpay(s.pv, beta, s.z)

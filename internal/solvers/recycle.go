@@ -175,17 +175,29 @@ func (s *GCRODR) Name() string { return "GCRO-DR" }
 func (s *GCRODR) Step() {
 	p := s.p
 	j := s.open()
-	p.Matmul(s.w, s.basis[j])
+	// The product carries the first coefficient w takes: the first
+	// deflation one, or without a recycle space the first Gram-Schmidt one.
+	first := s.basis[0]
+	if s.nrec > 0 {
+		first = s.cvec[0]
+	}
+	h := p.Matmul(s.w, s.basis[j], core.DotPair{V: s.w, W: first})[0]
 	// Deflate against the recycle space: w ← (I − CCᵀ) A v_j, recording
 	// the C-components as the B coupling block.
 	bc := make([]*core.Scalar, s.nrec)
 	for i := 0; i < s.nrec; i++ {
-		bij := p.Dot(s.w, s.cvec[i])
+		bij := h
+		if i > 0 {
+			bij = p.Dot(s.w, s.cvec[i])
+		}
 		bc[i] = bij
 		p.Axpy(s.w, p.Neg(bij), s.cvec[i])
 	}
 	s.bcol = append(s.bcol, bc)
-	s.mgsStep(s.w)
+	if s.nrec > 0 {
+		h = nil
+	}
+	s.mgsStep(s.w, h)
 }
 
 // correctAndHarvest finishes a cycle after x += V y: it applies
