@@ -17,12 +17,12 @@ import (
 // leaves in the same order, so every solver in every format (dense
 // aside: too large here) returns at pieces {2, 7, 8, 13} an x
 // Float64bits-identical to its one-piece solve, after as many
-// iterations. A format's one-piece solve is in turn the csr one, except
-// where BiCG's adjoint product meets a DIA layout (dia, and auto, whose
-// lap2d: operator is the DIA-ordered stencil and whose tuner picks DIA
-// bands of the random matrix): its kernel adds a column's terms
-// diagonal by diagonal, not in csr's row order, so the answer moves in
-// the last bits while the iteration count does not. The systems are
+// iterations. A format's one-piece solve is in turn the csr one, BiCG's
+// adjoint product included: every kernel adds a column's terms in
+// ascending row order, the DIA layout's too (dia, and auto, whose lap2d:
+// operator is the DIA-ordered stencil and whose tuner picks DIA bands of
+// the random matrix), by walking an adjoint kernel set from its last
+// diagonal. The systems are
 // lap2d:64x64 and a seeded random SPD matrix of 2 500 rows (its last
 // leaf is short). The GMRES family, which takes ten times CG's
 // iterations on lap2d:64x64, runs at pieces {1, 7, 13}; under -short or
@@ -68,8 +68,7 @@ func TestSolvesArePieceInvariant(t *testing.T) {
 				ref := solve(sys.name, sys.a, name, "csr", 1)
 				for _, format := range formats {
 					own := solve(sys.name, sys.a, name, format, 1)
-					adjointDIA := name == "bicg" && (format == "dia" || format == "auto")
-					if own.Iterations != ref.Iterations || !adjointDIA && !sameX(own, ref) {
+					if own.Iterations != ref.Iterations || !sameX(own, ref) {
 						t.Errorf("%s: %d iterations, x equal to csr's: %v (csr: %d iterations)",
 							format, own.Iterations, sameX(own, ref), ref.Iterations)
 					}

@@ -43,25 +43,39 @@ import (
 //
 // # The fold
 //
-// Replay is an idempotent fold with two rules: a job is pending from
-// its first accept until a done record, and the latest checkpoint of a
-// pending job wins. Pending jobs and done jobs are ordered by the
-// ordinal (journalRecord.Seq) stamped on accept and done records when
-// they are first written, not by where a copy of the record sits in the
-// log. Replay keeps a checkpoint's bytes and decodes the vector once, at
-// the end, for jobs still pending: a checkpoint of a finished job, or a
-// superseded one, costs a header parse.
+// Replay is an idempotent fold with three rules: a job is pending from
+// its first accept until a done record, the latest checkpoint of a
+// pending job wins, and once more than retain (the server's RetainDone)
+// done records are held the oldest by ordinal leaves. Pending jobs and
+// done jobs are ordered by the ordinal (journalRecord.Seq) stamped on
+// accept and done records when they are first written, not by where a
+// copy of the record sits in the log. A record's id is parsed once, as it
+// folds: one that is not "job-N" counts as skipped. Replay keeps a
+// checkpoint's bytes and decodes the vector once, at the end, for jobs
+// still pending: a checkpoint of a finished job, or a superseded one,
+// costs a header parse.
+//
+// The live journal is the same fold. An append writes its record and
+// folds it with the code a replay runs, so the journal's state is the
+// fold of its log at every step, retention included, and Replay, a
+// reopened journal and the live one cannot disagree. Append has one rule
+// of its own: an accept of job N at or below the highest number folded
+// (MaxID) writes nothing, since the server issues numbers in increasing
+// order, so that job was accepted before.
 //
 // # Compaction
 //
-// The journal keeps that fold current as it appends. When the WAL has
-// rotated and the log is at least twice the size the last compaction
-// left (so rewriting never costs more than the history it replaces),
-// the journal hands wal.Log.Compact a snapshot: the last RetainDone done
-// records, and each pending job's accept and latest checkpoint. Compact
-// appends it, syncs, and deletes the segments sealed before it began;
-// the journal on disk is bounded by snapshot + one segment instead of
-// by history.
+// When the WAL has rotated and the log is at least twice the size the
+// last compaction left (so rewriting never costs more than the history
+// it replaces), the journal hands wal.Log.Compact a snapshot of the
+// fold: its retained done records, and each pending job's accept and
+// latest checkpoint. The snapshot's first record also carries MaxID, so
+// the highest job number survives the records that held it. When MaxID
+// is above zero the snapshot has a first record: the newest done job is
+// always retained, and an accepted job is pending or done. Compact
+// appends the snapshot, syncs, and deletes the segments sealed before it
+// began; the journal on disk is bounded by snapshot + one segment
+// instead of by history.
 //
 // Crash argument. A snapshot record is a copy of a record the log
 // already held (same ordinal) or, for a checkpoint, of the latest one.
@@ -71,10 +85,12 @@ import (
 // + the whole snapshot — records in the suffix whose job's accept was
 // dropped are ignored (checkpoints) or restated (done), the snapshot
 // re-establishes every pending job and retained done job with its
-// original ordinal, and what follows the snapshot is applied as it was
-// live. In each case the fold equals the pre-crash fold on Pending, on
-// every Resume, on the retained tail of DoneOrder and on MaxID (the
-// done record of the highest job id is never dropped).
+// original ordinal and MaxID, and what follows the snapshot is applied
+// as it was live. Retention keeps the newest retain done records of
+// whatever it has folded, and the snapshot's are the newest of history,
+// so the suffix's done records leave again. In each case the fold equals
+// the pre-crash fold on Pending, on every Resume, on DoneOrder and on
+// MaxID.
 const (
 	recAccept = "accept" // job admitted: id + spec + submission time
 	recDone   = "done"   // terminal state: converged, failed, or rejected — replay skips the job
@@ -87,10 +103,25 @@ type journalRecord struct {
 	// Seq orders accept records among accepts and done records among
 	// dones (see "The fold"). Records written before it existed carry
 	// none and take their position's.
-	Seq       int64         `json:"n,omitempty"`
+	Seq int64 `json:"n,omitempty"`
+	// MaxID is the highest job number of the fold a snapshot restates, on
+	// the snapshot's first record only (see "Compaction").
+	MaxID     int64         `json:"max_id,omitempty"`
 	Spec      *jobspec.Spec `json:"spec,omitempty"`
 	Submitted time.Time     `json:"submitted,omitempty"`
 	Result    *JobResult    `json:"result,omitempty"`
+
+	num int64 // N of ID, set as the record folds
+}
+
+// jobID spells job number n as the journal and the server do.
+func jobID(n int64) string { return "job-" + strconv.FormatInt(n, 10) }
+
+// jobNumber parses the N of a "job-N" id as jobID spells it: N ≥ 1, no
+// sign, no leading zero.
+func jobNumber(id string) (int64, bool) {
+	n, err := strconv.ParseInt(strings.TrimPrefix(id, "job-"), 10, 64)
+	return n, err == nil && n > 0 && jobID(n) == id
 }
 
 // ckptTag opens a binary checkpoint record. No JSON text starts with
@@ -166,7 +197,10 @@ type ResumePoint struct {
 // ReplayedJob is one journaled job a restart owes work on: accepted,
 // never journaled done.
 type ReplayedJob struct {
-	ID        string
+	ID string
+	// Num is the job number the journal takes for this job's records: ID
+	// is "job-Num".
+	Num       int64
 	Spec      jobspec.Spec
 	Submitted time.Time
 	// Resume is the job's last persisted checkpoint, nil when it never
@@ -181,20 +215,20 @@ type JournalReplay struct {
 	// the order they re-enter the queue, preserving FIFO fairness across
 	// the crash.
 	Pending []*ReplayedJob
-	// Done maps finished job ids to their journaled results, so job
-	// status survives a restart.
+	// Done maps the retained finished job ids — the newest RetainDone —
+	// to their journaled results, so job status survives a restart.
 	Done map[string]*JobResult
 	// DoneOrder lists Done's keys in completion order (retention
 	// eviction replays in the same order it would have happened live).
 	DoneOrder []string
-	// MaxID is the highest numeric suffix among journaled "job-N" ids;
-	// the server's id counter restarts past it so new submissions never
-	// collide with replayed jobs.
+	// MaxID is the highest job number the journal has folded; the
+	// server's id counter restarts past it so new submissions never
+	// collide with journaled jobs.
 	MaxID int64
 	// Skipped counts records that passed the WAL checksum but failed to
-	// decode — writer version skew, not torn writes (those the WAL
-	// truncates). They are skipped, not fatal: an old journal must not
-	// brick a new server.
+	// decode, or name no "job-N" — writer version skew, not torn writes
+	// (those the WAL truncates). They are skipped, not fatal: an old
+	// journal must not brick a new server.
 	Skipped int64
 }
 
@@ -207,16 +241,18 @@ type pendingJob struct {
 // fold is the state the record stream reduces to. The same code folds
 // a log being replayed and the records a live journal appends.
 type fold struct {
+	retain      int   // done records kept, at least 1
 	seq         int64 // highest ordinal seen or assigned
 	maxID       int64
 	skipped     int64
 	checkpoints int64 // valid checkpoint records seen
-	pending     map[string]*pendingJob
-	done        map[string]*journalRecord
+	pending     map[int64]*pendingJob
+	done        []*journalRecord         // retained done records, ascending ordinal
+	doneJobs    map[int64]*journalRecord // done's records by job number
 }
 
-func newFold() *fold {
-	return &fold{pending: make(map[string]*pendingJob), done: make(map[string]*journalRecord)}
+func newFold(retain int) *fold {
+	return &fold{retain: retain, pending: make(map[int64]*pendingJob), doneJobs: make(map[int64]*journalRecord)}
 }
 
 // apply folds one encoded record. payload is not retained.
@@ -226,7 +262,7 @@ func (f *fold) apply(payload []byte) {
 		return
 	}
 	var r journalRecord
-	if err := json.Unmarshal(payload, &r); err != nil || r.ID == "" {
+	if err := json.Unmarshal(payload, &r); err != nil {
 		f.skipped++
 		return
 	}
@@ -235,13 +271,13 @@ func (f *fold) apply(payload []byte) {
 
 func (f *fold) applyCheckpoint(payload []byte) {
 	id, _, _, ok := parseCheckpoint(payload)
-	if !ok {
+	n, job := jobNumber(id)
+	if !ok || !job {
 		f.skipped++
 		return
 	}
-	f.noteID(id)
 	f.checkpoints++
-	if p := f.pending[id]; p != nil {
+	if p := f.pending[n]; p != nil {
 		// Latest checkpoint wins: records are appended in order, so the
 		// last one in the log is the furthest verified state.
 		p.ckpt = append(p.ckpt[:0], payload...)
@@ -250,31 +286,44 @@ func (f *fold) applyCheckpoint(payload []byte) {
 
 // applyRecord folds a decoded accept or done record. r is retained.
 func (f *fold) applyRecord(r *journalRecord) {
-	f.noteID(r.ID)
-	switch r.T {
-	case recAccept:
-		if r.Spec == nil {
-			f.skipped++
-			return
-		}
-		f.stamp(r)
-		// Idempotent: a re-journaled accept is one job, and an accept
-		// after done stays done.
-		if f.pending[r.ID] == nil && f.done[r.ID] == nil {
-			f.pending[r.ID] = &pendingJob{accept: *r}
-		}
-	case recDone:
-		f.stamp(r)
-		f.done[r.ID] = r
-		delete(f.pending, r.ID)
-	default:
+	n, ok := jobNumber(r.ID)
+	if !ok || !(r.T == recAccept && r.Spec != nil || r.T == recDone) {
 		f.skipped++
+		return
+	}
+	r.num = n
+	f.maxID = max(f.maxID, n, r.MaxID)
+	r.MaxID = 0 // the next snapshot states its own
+	f.stamp(r)
+	if r.T == recDone {
+		// A copy of a retained done record — a snapshot's — changes
+		// nothing.
+		if f.doneJobs[n] == nil {
+			delete(f.pending, n)
+			f.finish(r)
+		}
+		return
+	}
+	// Idempotent: a re-journaled accept is one job, and an accept of a
+	// retained done job stays done.
+	if f.pending[n] == nil && f.doneJobs[n] == nil {
+		f.pending[n] = &pendingJob{accept: *r}
 	}
 }
 
-func (f *fold) noteID(id string) {
-	if n, ok := numericSuffix(id); ok && n > f.maxID {
-		f.maxID = n
+// finish retains a done record in ordinal order and drops the oldest
+// past retain. A record folded in order appends; one a snapshot restates
+// out of order is placed by binary search, so nothing sorts.
+func (f *fold) finish(r *journalRecord) {
+	i := len(f.done)
+	if i > 0 && f.done[i-1].Seq > r.Seq {
+		i, _ = slices.BinarySearchFunc(f.done, r.Seq, func(d *journalRecord, seq int64) int { return cmp.Compare(d.Seq, seq) })
+	}
+	f.done = slices.Insert(f.done, i, r)
+	f.doneJobs[r.num] = r
+	if len(f.done) > f.retain {
+		delete(f.doneJobs, f.done[0].num)
+		f.done = slices.Delete(f.done, 0, 1)
 	}
 }
 
@@ -288,34 +337,25 @@ func (f *fold) stamp(r *journalRecord) {
 	f.seq = max(f.seq, r.Seq)
 }
 
-// bySeq returns m's values ordered by ordinal.
-func bySeq[T any](m map[string]*T, seq func(*T) int64) []*T {
-	vs := make([]*T, 0, len(m))
-	for _, v := range m {
-		vs = append(vs, v)
-	}
-	slices.SortFunc(vs, func(a, b *T) int { return cmp.Compare(seq(a), seq(b)) })
-	return vs
-}
-
-func (f *fold) doneInOrder() []*journalRecord {
-	return bySeq(f.done, func(r *journalRecord) int64 { return r.Seq })
-}
-
 func (f *fold) pendingInOrder() []*pendingJob {
-	return bySeq(f.pending, func(p *pendingJob) int64 { return p.accept.Seq })
+	ps := make([]*pendingJob, 0, len(f.pending))
+	for _, p := range f.pending {
+		ps = append(ps, p)
+	}
+	slices.SortFunc(ps, func(a, b *pendingJob) int { return cmp.Compare(a.accept.Seq, b.accept.Seq) })
+	return ps
 }
 
 // replay is the fold as a restarting server consumes it. This is where
 // checkpoint vectors are decoded: one per job still pending.
 func (f *fold) replay() *JournalReplay {
-	rep := &JournalReplay{Done: make(map[string]*JobResult), MaxID: f.maxID, Skipped: f.skipped}
-	for _, r := range f.doneInOrder() {
+	rep := &JournalReplay{Done: make(map[string]*JobResult, len(f.done)), MaxID: f.maxID, Skipped: f.skipped}
+	for _, r := range f.done {
 		rep.DoneOrder = append(rep.DoneOrder, r.ID)
 		rep.Done[r.ID] = r.Result
 	}
 	for _, p := range f.pendingInOrder() {
-		job := &ReplayedJob{ID: p.accept.ID, Spec: *p.accept.Spec, Submitted: p.accept.Submitted}
+		job := &ReplayedJob{ID: p.accept.ID, Num: p.accept.num, Spec: *p.accept.Spec, Submitted: p.accept.Submitted}
 		if p.ckpt != nil {
 			_, job.Resume, _ = decodeCheckpoint(p.ckpt)
 		}
@@ -325,17 +365,21 @@ func (f *fold) replay() *JournalReplay {
 }
 
 // snapshot restates the fold as records: what Compact writes in place
-// of history. Checkpoint records alias the fold's buffers.
+// of history. The first record carries maxID; checkpoint records alias
+// the fold's buffers.
 func (f *fold) snapshot() (recs [][]byte, err error) {
-	add := func(r *journalRecord) {
+	add := func(r journalRecord) {
+		if len(recs) == 0 {
+			r.MaxID = f.maxID
+		}
 		b, e := json.Marshal(r)
 		recs, err = append(recs, b), errors.Join(err, e)
 	}
-	for _, r := range f.doneInOrder() {
-		add(r)
+	for _, r := range f.done {
+		add(*r)
 	}
 	for _, p := range f.pendingInOrder() {
-		add(&p.accept)
+		add(p.accept)
 		if p.ckpt != nil {
 			recs = append(recs, p.ckpt)
 		}
@@ -348,7 +392,7 @@ func (f *fold) snapshot() (recs [][]byte, err error) {
 // size. All methods are safe for concurrent use.
 type Journal struct {
 	log    *wal.Log
-	retain int // done records a snapshot keeps: the server's RetainDone
+	retain int // done records the fold keeps: the server's RetainDone
 
 	// mu makes "append a record, fold it, compact if due" one step, so
 	// the fold always equals a replay of the log.
@@ -368,13 +412,14 @@ func OpenJournal(dir string, fsyncEvery int) (*Journal, *JournalReplay, error) {
 }
 
 // openJournal is OpenJournal with the WAL's options and the number of
-// done records compaction keeps spelled out.
+// done records the fold keeps (at least one, so a snapshot always has a
+// record to carry MaxID) spelled out.
 func openJournal(dir string, opts wal.Options, retainDone int) (*Journal, *JournalReplay, error) {
 	l, err := wal.Open(dir, opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	j := &Journal{log: l, retain: retainDone}
+	j := &Journal{log: l, retain: max(retainDone, 1)}
 	if j.state, err = j.fold(); err != nil {
 		l.Close()
 		return nil, nil, err
@@ -385,12 +430,11 @@ func openJournal(dir string, opts wal.Options, retainDone int) (*Journal, *Journ
 			j.resumed.Inc()
 		}
 	}
-	j.trimDone()
 	return j, rep, nil
 }
 
 func (j *Journal) fold() (*fold, error) {
-	f := newFold()
+	f := newFold(j.retain)
 	return f, j.log.Replay(func(payload []byte) error {
 		f.apply(payload)
 		return nil
@@ -410,28 +454,13 @@ func (j *Journal) Replay() (*JournalReplay, error) {
 	return f.replay(), nil
 }
 
-// numericSuffix parses the N of a "job-N" id.
-func numericSuffix(id string) (int64, bool) {
-	s, ok := strings.CutPrefix(id, "job-")
-	if !ok {
-		return 0, false
-	}
-	n, err := strconv.ParseInt(s, 10, 64)
-	return n, err == nil
-}
-
 // append journals one accept or done record and folds it. An accept of
-// a "job-N" at or below the highest id journaled writes nothing: the
-// server accepts only ids above it, so such a job was accepted before —
-// the fold holds it pending or done, or trimDone dropped its done record,
-// which a replay of the log may still read. Were it written, the fold
-// would ignore it, or reopen a finished job, and a copy stamped with a
-// fresh ordinal could sit ahead of a snapshot's copy and reorder the next
-// replay.
+// a job numbered at or below the highest number folded writes nothing
+// (see "The fold").
 func (j *Journal) append(r *journalRecord) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if n, _ := numericSuffix(r.ID); r.T == recAccept && n <= j.state.maxID {
+	if r.T == recAccept && r.num <= j.state.maxID {
 		return nil
 	}
 	r.Seq = j.state.seq + 1
@@ -443,26 +472,7 @@ func (j *Journal) append(r *journalRecord) error {
 		return err
 	}
 	j.state.applyRecord(r)
-	if r.T == recDone {
-		j.trimDone()
-	}
 	return j.compactIfDue()
-}
-
-// trimDone drops all but the newest retain done records from the fold,
-// and so from the next snapshot. The record of the highest job id
-// stays whatever its age: the server's id counter restarts from it.
-func (j *Journal) trimDone() {
-	f := j.state
-	if len(f.done) <= j.retain {
-		return
-	}
-	recs := f.doneInOrder()
-	for _, r := range recs[:len(recs)-j.retain] {
-		if n, ok := numericSuffix(r.ID); !ok || n != f.maxID {
-			delete(f.done, r.ID)
-		}
-	}
 }
 
 // compactIfDue replaces history with a snapshot of the fold once the
@@ -485,24 +495,19 @@ func (j *Journal) compactIfDue() error {
 	return nil
 }
 
-// Accept journals a job admission. Once the covering fsync runs, a
-// crash cannot lose the job. id must be "job-N", as the server issues
-// them: the journal tells a new job from a finished one by N, so any
-// other id is an error and writes nothing.
-func (j *Journal) Accept(id string, spec jobspec.Spec, submitted time.Time) error {
-	if _, ok := numericSuffix(id); !ok {
-		return fmt.Errorf("serve: journal accept of %q: want an id job-N", id)
-	}
-	return j.append(&journalRecord{T: recAccept, ID: id, Spec: &spec, Submitted: submitted})
+// Accept journals the admission of job n, as the server numbers jobs.
+// Once the covering fsync runs, a crash cannot lose the job.
+func (j *Journal) Accept(n int64, spec jobspec.Spec, submitted time.Time) error {
+	return j.append(&journalRecord{T: recAccept, ID: jobID(n), num: n, Spec: &spec, Submitted: submitted})
 }
 
-// Checkpoint journals one verified checkpoint: iteration, true
+// Checkpoint journals one verified checkpoint of job n: iteration, true
 // residual and the full solution vector.
-func (j *Journal) Checkpoint(id string, iter int, residual float64, x []float64) error {
+func (j *Journal) Checkpoint(n int64, iter int, residual float64, x []float64) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	var err error
-	if j.buf, err = appendCheckpoint(j.buf[:0], id, iter, residual, x); err != nil {
+	if j.buf, err = appendCheckpoint(j.buf[:0], jobID(n), iter, residual, x); err != nil {
 		return err
 	}
 	if err := j.log.Append(j.buf); err != nil {
@@ -513,11 +518,11 @@ func (j *Journal) Checkpoint(id string, iter int, residual float64, x []float64)
 	return j.compactIfDue()
 }
 
-// Done journals a terminal state. Replay skips done jobs, making
-// restart idempotent; a done record lost to a crash (batched fsync)
-// merely re-runs a deterministic solve.
-func (j *Journal) Done(id string, res *JobResult) error {
-	return j.append(&journalRecord{T: recDone, ID: id, Result: res})
+// Done journals the terminal state of job n. Replay skips done jobs,
+// making restart idempotent; a done record lost to a crash (batched
+// fsync) merely re-runs a deterministic solve.
+func (j *Journal) Done(n int64, res *JobResult) error {
+	return j.append(&journalRecord{T: recDone, ID: jobID(n), Result: res})
 }
 
 // Close syncs and closes the underlying WAL.

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"math"
 	"os"
 	"path/filepath"
@@ -56,10 +57,10 @@ func TestCheckpointRoundTripBits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := jn.Accept("job-7", testSpec(nil), time.Unix(1700000000, 0).UTC()); err != nil {
+	if err := jn.Accept(7, testSpec(nil), time.Unix(1700000000, 0).UTC()); err != nil {
 		t.Fatal(err)
 	}
-	if err := jn.Checkpoint("job-7", -3, awkwardFloats[0], awkwardFloats); err != nil {
+	if err := jn.Checkpoint(7, -3, awkwardFloats[0], awkwardFloats); err != nil {
 		t.Fatal(err)
 	}
 	jn.Close()
@@ -79,7 +80,8 @@ func TestCheckpointRoundTripBits(t *testing.T) {
 // FuzzDecodeCheckpoint feeds arbitrary bytes behind the checkpoint tag
 // to the decoder and to the fold. They never panic and never allocate
 // past the payload's size; a record either fails cleanly — and the fold
-// counts it in Skipped — or re-encodes to the same bytes.
+// counts it in Skipped — or re-encodes to the same bytes, and the fold
+// skips it only if its id is not "job-N".
 func FuzzDecodeCheckpoint(f *testing.F) {
 	good, _ := appendCheckpoint(nil, "job-1", 8, 1e-5, []float64{3, 4})
 	f.Add(good[1:])
@@ -100,14 +102,14 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 		var rp *ResumePoint
 		var ok bool
 		allocs := testing.AllocsPerRun(1, func() { id, rp, ok = decodeCheckpoint(payload) })
-		fold := newFold()
-		fold.pending["job-1"] = &pendingJob{accept: journalRecord{T: recAccept, ID: "job-1", Seq: 1}}
+		fold := newFold(1)
+		fold.pending[1] = &pendingJob{accept: journalRecord{T: recAccept, ID: "job-1", Seq: 1, num: 1}}
 		fold.apply(payload)
 		if !ok {
 			if allocs > 2 { // at most the ResumePoint and the id the payload holds
 				t.Fatalf("rejecting the record allocated %v times", allocs)
 			}
-			if fold.skipped != 1 || fold.pending["job-1"].ckpt != nil {
+			if fold.skipped != 1 || fold.pending[1].ckpt != nil {
 				t.Fatalf("fold kept an undecodable checkpoint: skipped=%d", fold.skipped)
 			}
 			return
@@ -121,7 +123,7 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 		if err != nil || !bytes.Equal(again, payload) {
 			t.Fatalf("decoded record re-encodes differently (err %v):\n% x\n% x", err, payload, again)
 		}
-		if fold.skipped != 0 || (id == "job-1") != (fold.pending["job-1"].ckpt != nil) {
+		if _, job := jobNumber(id); (fold.skipped == 0) != job || (id == "job-1") != (fold.pending[1].ckpt != nil) {
 			t.Fatalf("fold disagrees with the decoder on a valid record for %q", id)
 		}
 	})
@@ -264,7 +266,7 @@ func TestJournalReplaysParentFormat(t *testing.T) {
 	if m := jn.Metrics(); m.JobsResumed != 0 {
 		t.Fatalf("%d jobs resumed from skipped checkpoints", m.JobsResumed)
 	}
-	if err := jn.Checkpoint("job-1", 1, 0, nil); err != nil { // job-1 is done: the fold is unchanged
+	if err := jn.Checkpoint(1, 1, 0, nil); err != nil { // job-1 is done: the fold is unchanged
 		t.Fatal(err)
 	}
 	if m := jn.Metrics(); m.Compactions != 1 || m.SegmentsDropped == 0 {
@@ -291,69 +293,161 @@ func TestJournalReplaysParentFormat(t *testing.T) {
 	}
 }
 
-// dirFiles reads every file under dir.
-func dirFiles(t *testing.T, dir string) map[string][]byte {
+// journalEpoch is the submission time of every job the journal tests
+// accept.
+var journalEpoch = time.Unix(1700000000, 0).UTC()
+
+func mustOK(t testing.TB, err error) {
 	t.Helper()
-	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// dirFiles reads every file under dir.
+func dirFiles(t testing.TB, dir string) map[string][]byte {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	mustOK(t, err)
 	files := make(map[string][]byte, len(entries))
 	for _, e := range entries {
 		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
+		mustOK(t, err)
 		files[e.Name()] = b
 	}
 	return files
 }
 
-// journalModel is the test's own fold of the traffic it generates.
+// writeFiles makes dir hold exactly files.
+func writeFiles(t testing.TB, dir string, files map[string][]byte) {
+	t.Helper()
+	for name := range dirFiles(t, dir) {
+		mustOK(t, os.Remove(filepath.Join(dir, name)))
+	}
+	for name, b := range files {
+		mustOK(t, os.WriteFile(filepath.Join(dir, name), b, 0o644))
+	}
+}
+
+// grownSegments lists, in log order, the segments that hold more bytes
+// after an operation than before it.
+func grownSegments(before, after map[string][]byte) []string {
+	var names []string
+	for name, b := range after {
+		if len(b) > len(before[name]) {
+			names = append(names, name)
+		}
+	}
+	slices.Sort(names)
+	return names
+}
+
+// appended is how many bytes an operation wrote to the log, and how
+// many of them its own record took: the first it wrote, ahead of any
+// snapshot its compaction appended.
+func appended(before, after map[string][]byte) (total, own int) {
+	names := grownSegments(before, after)
+	for _, name := range names {
+		total += len(after[name]) - len(before[name])
+	}
+	if total > 0 {
+		own = 8 + int(binary.LittleEndian.Uint32(after[names[0]][len(before[names[0]]):]))
+	}
+	return total, own
+}
+
+// tornLog is the directory a crash leaves when it lands cut bytes into
+// what an operation wrote: the files as before, with the segments the
+// operation grew or created holding their share of the first cut bytes.
+// The segments its compaction deleted are still there, because deletion
+// waits for the whole snapshot.
+func tornLog(before, after map[string][]byte, cut int) map[string][]byte {
+	torn := maps.Clone(before)
+	for _, name := range grownSegments(before, after) {
+		if cut == 0 {
+			break
+		}
+		n := min(cut, len(after[name])-len(before[name]))
+		torn[name] = after[name][:len(before[name])+n]
+		cut -= n
+	}
+	return torn
+}
+
+// journalModel is the test's own fold of the traffic it generates: the
+// journal's rules restated over job numbers.
 type journalModel struct {
-	pending []string
-	iter    map[string]int
-	x       map[string][]float64
-	done    []string
+	retain  int
+	pending []int64
+	iter    map[int64]int
+	x       map[int64][]float64
+	done    []int64 // every finished job once, in completion order
 	maxID   int64
 }
 
-func (m *journalModel) accept(id string) {
-	m.pending = append(m.pending, id)
-	n, _ := numericSuffix(id)
+func newJournalModel(retain int) *journalModel {
+	return &journalModel{retain: retain, iter: map[int64]int{}, x: map[int64][]float64{}}
+}
+
+// accept admits job n unless a job numbered n or higher was journaled.
+func (m *journalModel) accept(n int64) {
+	if n > m.maxID {
+		m.pending, m.maxID = append(m.pending, n), n
+	}
+}
+
+// checkpoint moves job n's resume point, if n is pending.
+func (m *journalModel) checkpoint(n int64, iter int, x []float64) {
+	if slices.Contains(m.pending, n) {
+		m.iter[n], m.x[n] = iter, x
+	}
+}
+
+// finish closes job n, unless its done record is among the retained
+// ones, which a second copy does not change.
+func (m *journalModel) finish(n int64) {
+	if slices.Contains(m.retained(), n) {
+		return
+	}
+	m.pending = slices.DeleteFunc(m.pending, func(p int64) bool { return p == n })
+	m.done = append(slices.DeleteFunc(m.done, func(d int64) bool { return d == n }), n)
+	delete(m.iter, n)
+	delete(m.x, n)
 	m.maxID = max(m.maxID, n)
 }
 
-func (m *journalModel) finish(id string) {
-	m.pending = slices.DeleteFunc(m.pending, func(p string) bool { return p == id })
-	m.done = append(m.done, id)
-}
+// retained is the newest retain finished jobs, oldest first.
+func (m *journalModel) retained() []int64 { return m.done[max(0, len(m.done)-m.retain):] }
 
 // check compares a replay with the model: Pending order, every resume
-// point bit for bit, the newest retain done jobs in order, MaxID.
-func (m *journalModel) check(t *testing.T, what string, rep *JournalReplay, retain int) {
+// point bit for bit, the retained done jobs — the newest retain — in
+// order with their results and nothing else, MaxID.
+func (m *journalModel) check(t testing.TB, what string, rep *JournalReplay) {
 	t.Helper()
-	var ids []string
+	var nums []int64
 	for _, p := range rep.Pending {
-		ids = append(ids, p.ID)
-		switch want, ok := m.iter[p.ID]; {
+		nums = append(nums, p.Num)
+		switch want, ok := m.iter[p.Num]; {
 		case !ok && p.Resume != nil:
 			t.Fatalf("%s: %s resumes from iteration %d, never checkpointed", what, p.ID, p.Resume.Iter)
-		case ok && (p.Resume == nil || p.Resume.Iter != want || !sameBits(p.Resume.X, m.x[p.ID])):
+		case ok && (p.Resume == nil || p.Resume.Iter != want || !sameBits(p.Resume.X, m.x[p.Num])):
 			t.Fatalf("%s: %s resume point = %+v, want iteration %d", what, p.ID, p.Resume, want)
 		}
-		if p.Spec.Matrix != "lap2d:16x16" || p.Submitted.IsZero() {
-			t.Fatalf("%s: %s lost its accept record's content: %+v", what, p.ID, p)
+		if p.ID != jobID(p.Num) || p.Spec.Matrix != "lap2d:16x16" || p.Submitted.IsZero() {
+			t.Fatalf("%s: job %d lost its accept record's content: %+v", what, p.Num, p)
 		}
 	}
-	if !slices.Equal(ids, m.pending) {
-		t.Fatalf("%s: pending = %v, want %v", what, ids, m.pending)
+	if !slices.Equal(nums, m.pending) {
+		t.Fatalf("%s: pending = %v, want %v", what, nums, m.pending)
 	}
-	tail := func(s []string) []string { return s[max(0, len(s)-retain):] }
-	if got, want := tail(rep.DoneOrder), tail(m.done); !slices.Equal(got, want) {
-		t.Fatalf("%s: newest %d done = %v, want %v (all: %v)", what, retain, got, want, rep.DoneOrder)
+	var done []string
+	for _, n := range m.retained() {
+		done = append(done, jobID(n))
 	}
-	for _, id := range tail(rep.DoneOrder) {
+	if !slices.Equal(rep.DoneOrder, done) || len(rep.Done) != len(done) {
+		t.Fatalf("%s: done = %v (%d results), want %v", what, rep.DoneOrder, len(rep.Done), done)
+	}
+	for _, id := range done {
 		if r := rep.Done[id]; r == nil || r.Solver != id {
 			t.Fatalf("%s: done result of %s = %+v", what, id, r)
 		}
@@ -361,6 +455,99 @@ func (m *journalModel) check(t *testing.T, what string, rep *JournalReplay, reta
 	if rep.MaxID != m.maxID {
 		t.Fatalf("%s: MaxID = %d, want %d", what, rep.MaxID, m.maxID)
 	}
+}
+
+// checkViews holds every view to the model, so the views agree with one
+// another on all the model states.
+func (m *journalModel) checkViews(t testing.TB, what string, views []journalView) {
+	t.Helper()
+	for _, v := range views {
+		m.check(t, what+": "+v.what, v.rep)
+	}
+}
+
+// journalOp is one operation of a test's traffic, as a journal and as
+// the model take it.
+type journalOp struct {
+	what   string
+	run    func(*Journal) error
+	update func(*journalModel)
+}
+
+func acceptOp(n int64) journalOp {
+	spec := testSpec(nil)
+	return journalOp{fmt.Sprintf("accept %d", n),
+		func(j *Journal) error { return j.Accept(n, spec, journalEpoch) },
+		func(m *journalModel) { m.accept(n) }}
+}
+
+// checkpointOp checkpoints job n at iter with a vector of the given
+// length, drawn from awkwardFloats.
+func checkpointOp(n int64, iter, values int) journalOp {
+	x := make([]float64, values)
+	for i := range x {
+		x[i] = awkwardFloats[(i+iter)%len(awkwardFloats)]
+	}
+	return journalOp{fmt.Sprintf("checkpoint %d@%d", n, iter),
+		func(j *Journal) error { return j.Checkpoint(n, iter, 1/float64(iter), x) },
+		func(m *journalModel) { m.checkpoint(n, iter, x) }}
+}
+
+// doneOp finishes job n with a result naming it.
+func doneOp(n int64) journalOp {
+	return journalOp{fmt.Sprintf("done %d", n),
+		func(j *Journal) error { return j.Done(n, &JobResult{Solver: jobID(n)}) },
+		func(m *journalModel) { m.finish(n) }}
+}
+
+// apply runs op on jn and the model.
+func (m *journalModel) apply(t testing.TB, jn *Journal, op journalOp) {
+	t.Helper()
+	if err := op.run(jn); err != nil {
+		t.Fatalf("%s: %v", op.what, err)
+	}
+	op.update(m)
+}
+
+type journalView struct {
+	what string
+	rep  *JournalReplay
+}
+
+// journalViews returns the live fold of jn and every replay a restart
+// could see of its log: Replay, and a copy of dir reopened, compacted,
+// and compacted then reopened. jn stays open.
+func journalViews(t testing.TB, jn *Journal, dir string, opts wal.Options) []journalView {
+	t.Helper()
+	jn.mu.Lock()
+	live := jn.state.replay()
+	jn.mu.Unlock()
+	replayed, err := jn.Replay()
+	mustOK(t, err)
+	cp := t.TempDir()
+	writeFiles(t, cp, dirFiles(t, dir))
+	jc, reopened, err := openJournal(cp, opts, jn.retain)
+	mustOK(t, err)
+	mustOK(t, forceCompaction(jc))
+	compacted, err := jc.Replay()
+	mustOK(t, err)
+	mustOK(t, jc.Close())
+	jc, compactedReopened, err := openJournal(cp, opts, jn.retain)
+	mustOK(t, err)
+	mustOK(t, jc.Close())
+	return []journalView{{"live fold", live}, {"replay", replayed}, {"reopened", reopened},
+		{"compacted", compacted}, {"compacted and reopened", compactedReopened}}
+}
+
+// forceCompaction compacts jn whether or not a compaction is due.
+func forceCompaction(jn *Journal) error {
+	jn.mu.Lock()
+	defer jn.mu.Unlock()
+	snap, err := jn.state.snapshot()
+	if err != nil {
+		return err
+	}
+	return jn.log.Compact(snap)
 }
 
 // Compaction is crash-safe: at every point a kill can land — part of
@@ -372,88 +559,66 @@ func TestJournalCompactionCrashSafe(t *testing.T) {
 	opts := wal.Options{SegmentBytes: 2048, FsyncEvery: 1 << 20}
 	dir := t.TempDir()
 	jn, _, err := openJournal(dir, opts, retain)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mustOK(t, err)
 	defer jn.Close()
 	// The reference journal takes the same traffic and never rotates.
 	ref, _, err := openJournal(t.TempDir(), wal.Options{FsyncEvery: 1 << 20}, retain)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mustOK(t, err)
 	defer ref.Close()
-
-	model := &journalModel{iter: map[string]int{}, x: map[string][]float64{}}
-	spec := testSpec(nil)
-	now := time.Unix(1700000000, 0).UTC()
+	model := newJournalModel(retain)
 	states := 0
 
 	// replayOf opens a copy of the journal made of files and checks it.
 	replayOf := func(what string, files map[string][]byte) {
 		t.Helper()
 		tmp := t.TempDir()
-		for name, b := range files {
-			if err := os.WriteFile(filepath.Join(tmp, name), b, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
+		writeFiles(t, tmp, files)
 		j2, rep, err := openJournal(tmp, opts, retain)
 		if err != nil {
 			t.Fatalf("%s: %v", what, err)
 		}
 		j2.Close()
-		model.check(t, what, rep, retain)
+		model.check(t, what, rep)
 		states++
 	}
 
 	// step applies one operation to both journals and the model; when it
 	// compacted, it rebuilds every directory a crash inside that
 	// compaction could have left and replays each.
-	step := func(what string, op func(j *Journal) error, update func()) {
+	step := func(op journalOp) {
 		t.Helper()
 		before := dirFiles(t, dir)
 		compactions := jn.Metrics().Compactions
-		for _, j := range []*Journal{jn, ref} {
-			if err := op(j); err != nil {
-				t.Fatalf("%s: %v", what, err)
-			}
-		}
-		update()
+		mustOK(t, op.run(ref))
+		model.apply(t, jn, op)
 		if jn.Metrics().Compactions == compactions {
 			return
 		}
 		after := dirFiles(t, dir)
 		refRep, err := ref.Replay()
-		if err != nil {
-			t.Fatal(err)
-		}
-		model.check(t, what+": uncompacted fold", refRep, retain)
+		mustOK(t, err)
+		model.check(t, op.what+": uncompacted fold", refRep)
 
 		// Kill point 2: the snapshot is durable, nothing is deleted yet.
 		// A file in both is the active segment, which only grew.
-		synced := make(map[string][]byte)
-		var dropped, grown []string
-		for name, b := range before {
-			synced[name] = b
+		synced := maps.Clone(before)
+		var dropped []string
+		for name := range before {
 			if _, kept := after[name]; !kept {
 				dropped = append(dropped, name)
 			}
 		}
 		for name, b := range after {
 			if !bytes.HasPrefix(b, before[name]) {
-				t.Fatalf("%s: compaction rewrote %s in place", what, name)
-			}
-			if len(b) > len(before[name]) {
-				grown = append(grown, name)
+				t.Fatalf("%s: compaction rewrote %s in place", op.what, name)
 			}
 			synced[name] = b
 		}
 		slices.Sort(dropped)
-		slices.Sort(grown)
 		if len(dropped) == 0 {
-			t.Fatalf("%s: a compaction dropped nothing", what)
+			t.Fatalf("%s: a compaction dropped nothing", op.what)
 		}
-		replayOf(what+": snapshot synced, nothing deleted", synced)
+		replayOf(op.what+": snapshot synced, nothing deleted", synced)
 
 		// Kill point 3: the old segments go oldest first.
 		for k := 1; k <= len(dropped); k++ {
@@ -463,93 +628,61 @@ func TestJournalCompactionCrashSafe(t *testing.T) {
 					partial[name] = b
 				}
 			}
-			replayOf(fmt.Sprintf("%s: %d of %d old segments deleted", what, k, len(dropped)), partial)
+			replayOf(fmt.Sprintf("%s: %d of %d old segments deleted", op.what, k, len(dropped)), partial)
 		}
 
 		// Kill point 1: the operation's own record is down, the snapshot
 		// behind it is cut short — at a record boundary, inside a record,
 		// and (when the snapshot rotated) in an earlier segment.
-		first := grown[0]
-		own := len(before[first]) + 8 + int(binary.LittleEndian.Uint32(after[first][len(before[first]):]))
-		var written int
-		for _, name := range grown {
-			written += len(after[name]) - len(before[name])
-		}
-		snapshot := written - (own - len(before[first]))
+		total, own := appended(before, after)
+		snapshot := total - own
 		for _, keep := range []int{0, 1, snapshot / 3, snapshot / 2, snapshot - 1} {
-			torn := make(map[string][]byte)
-			for name, b := range before {
-				torn[name] = b
-			}
-			left := own - len(before[first]) + keep
-			for _, name := range grown {
-				n := min(left, len(after[name])-len(before[name]))
-				torn[name] = after[name][:len(before[name])+n]
-				if left -= n; left == 0 {
-					break
-				}
-			}
-			replayOf(fmt.Sprintf("%s: %d of %d snapshot bytes written", what, keep, snapshot), torn)
+			replayOf(fmt.Sprintf("%s: %d of %d snapshot bytes written", op.what, keep, snapshot),
+				tornLog(before, after, own+keep))
 		}
 	}
-
-	accept := func(id string) {
-		step("accept "+id, func(j *Journal) error { return j.Accept(id, spec, now) }, func() { model.accept(id) })
-	}
-	checkpoint := func(id string, iter, n int) {
-		x := make([]float64, n)
-		for i := range x {
-			x[i] = awkwardFloats[(i+iter)%len(awkwardFloats)]
-		}
-		step(fmt.Sprintf("checkpoint %s@%d", id, iter),
-			func(j *Journal) error { return j.Checkpoint(id, iter, 1/float64(iter), x) },
-			func() { model.iter[id], model.x[id] = iter, x })
-	}
-	done := func(id string) {
-		step("done "+id, func(j *Journal) error { return j.Done(id, &JobResult{Solver: id}) }, func() { model.finish(id) })
-	}
-	job := func(n int) string { return fmt.Sprintf("job-%d", n) }
 
 	// Three jobs in flight at a time, finishing out of acceptance order,
 	// every one checkpointing; each job's checkpoints are a quarter of a
 	// segment, so a handful of jobs is a rotation.
-	accept(job(1))
-	accept(job(2))
-	for n := 3; n <= 24; n++ {
-		accept(job(n))
+	step(acceptOp(1))
+	step(acceptOp(2))
+	for n := int64(3); n <= 24; n++ {
+		step(acceptOp(n))
 		for iter := 10; iter <= 30; iter += 10 {
-			checkpoint(job(n-1), iter, 20)
+			step(checkpointOp(n-1, iter, 20))
 		}
-		checkpoint(job(n), 5, 20)
+		step(checkpointOp(n, 5, 20))
 		if n%2 == 0 {
-			done(job(n - 1))
-			done(job(n - 2))
+			step(doneOp(n - 1))
+			step(doneOp(n - 2))
 		}
 	}
 	// A job whose checkpoint alone is larger than a segment: every
 	// snapshot from here on rotates the log while it is being written.
-	accept(job(25))
+	step(acceptOp(25))
 	for iter := 1; iter <= 6; iter++ {
-		checkpoint(job(25), iter, 400)
-		checkpoint(job(24), 40+iter, 20)
+		step(checkpointOp(25, iter, 400))
+		step(checkpointOp(24, 40+iter, 20))
 	}
-	done(job(25))
-	// The highest id finishes first and more than retain jobs after it:
-	// its done record leaves the retained tail, the id must not.
-	for n := 26; n <= 31; n++ {
-		accept(job(n))
+	step(doneOp(25))
+	// The highest job finishes first and more than retain jobs after it:
+	// its done record leaves the retained tail, and its number stays ...
+	for n := int64(26); n <= 31; n++ {
+		step(acceptOp(n))
 	}
-	done(job(31))
-	for n := 26; n <= 30; n++ {
+	step(doneOp(31))
+	for n := int64(26); n <= 30; n++ {
 		for iter := 1; iter <= 4; iter++ {
-			checkpoint(job(n), iter, 30)
+			step(checkpointOp(n, iter, 30))
 		}
-		done(job(n))
+		step(doneOp(n))
 	}
-	// ... through compactions that copy nothing else of job-31's.
+	// ... through compactions that copy no record of job 31's: the
+	// snapshot's first record carries it.
 	compactions := jn.Metrics().Compactions
 	for iter := 50; jn.Metrics().Compactions < compactions+2; iter++ {
-		checkpoint(job(24), iter, 100)
+		step(checkpointOp(24, iter, 100))
 	}
 
 	m := jn.Metrics()
@@ -557,13 +690,10 @@ func TestJournalCompactionCrashSafe(t *testing.T) {
 		t.Fatalf("only %d compactions; the traffic was meant to cross at least 5", m.Compactions)
 	}
 	final, err := jn.Replay()
-	if err != nil {
-		t.Fatal(err)
-	}
-	model.check(t, "final compacted journal", final, retain)
-	if _, ok := final.Done[job(31)]; !ok || len(jn.state.done) != retain+1 {
-		t.Fatalf("done set on disk %v, %d in the live fold: want job-31 kept beside the newest %d",
-			final.DoneOrder, len(jn.state.done), retain)
+	mustOK(t, err)
+	model.check(t, "final compacted journal", final)
+	if _, ok := final.Done[jobID(31)]; ok || final.MaxID != 31 {
+		t.Fatalf("done set on disk %v, MaxID %d: want job-31's record gone and its number kept", final.DoneOrder, final.MaxID)
 	}
 	t.Logf("%d compactions dropped %d segments; %d crash states replayed", m.Compactions, m.SegmentsDropped, states)
 }
@@ -576,181 +706,209 @@ func TestJournalCompactionCrashSafe(t *testing.T) {
 func TestJournalDuplicateAcceptKeepsOrdinal(t *testing.T) {
 	opts := wal.Options{SegmentBytes: 1024, FsyncEvery: 1 << 20}
 	dir := t.TempDir()
-	jn, _, err := openJournal(dir, opts, 4)
-	if err != nil {
-		t.Fatal(err)
+	m := newJournalModel(4)
+	jn, _, err := openJournal(dir, opts, m.retain)
+	mustOK(t, err)
+	defer jn.Close()
+	for _, op := range []journalOp{acceptOp(1), acceptOp(2), doneOp(1), acceptOp(3)} {
+		m.apply(t, jn, op)
 	}
-	spec := testSpec(nil)
-	now := time.Unix(1700000000, 0).UTC()
-	must := func(err error) {
-		t.Helper()
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	must(jn.Accept("job-1", spec, now))
-	must(jn.Accept("job-2", spec, now))
-	must(jn.Done("job-1", &JobResult{Solver: "cg"}))
-	must(jn.Accept("job-3", spec, now))
 	// Fill the first segment, so the next record rotates the log and
 	// its append compacts.
 	for jn.Metrics().BytesOnDisk < opts.SegmentBytes {
-		must(jn.Checkpoint("job-3", 1, 1, make([]float64, 8)))
+		m.apply(t, jn, checkpointOp(3, 1, 8))
 	}
 	appended := jn.Metrics().RecordsAppended
-	must(jn.Accept("job-2", spec, now)) // pending: the duplicate
-	must(jn.Accept("job-1", spec, now)) // done: stays done
+	m.apply(t, jn, acceptOp(2)) // pending: the duplicate
+	m.apply(t, jn, acceptOp(1)) // done: stays done
 	if got := jn.Metrics().RecordsAppended - appended; got != 0 {
 		t.Errorf("accepts of held jobs appended %d records", got)
 	}
-	must(jn.Checkpoint("job-3", 2, 1, make([]float64, 8)))
+	m.apply(t, jn, checkpointOp(3, 2, 8))
 	if jn.Metrics().Compactions == 0 {
 		t.Fatal("no compaction: the scenario needs one")
 	}
-	live, err := jn.Replay()
-	must(err)
-	must(jn.Close())
-	jn2, reopened, err := openJournal(dir, opts, 4)
-	must(err)
-	defer jn2.Close()
-	for what, rep := range map[string]*JournalReplay{"live": live, "reopened": reopened} {
-		var ids []string
-		for _, p := range rep.Pending {
-			ids = append(ids, p.ID)
-		}
-		if !slices.Equal(ids, []string{"job-2", "job-3"}) {
-			t.Errorf("%s journal: pending %v, want [job-2 job-3]", what, ids)
-		}
+	if !slices.Equal(m.pending, []int64{2, 3}) {
+		t.Fatalf("model pending %v, want [2 3]", m.pending)
 	}
+	m.checkViews(t, "after the duplicate accepts", journalViews(t, jn, dir, opts))
 }
 
-// A done record that trimming dropped from the fold still closes its job.
-// With one done record retained, job-1, job-2 and job-3 finish, and job-1
-// is accepted again: the accept writes nothing, so the live fold, a
-// replay, a compacted journal and a reopened one all hold no pending job.
-// (The live fold used to reopen job-1 while a replay of the same log kept
-// it done.)
+// A done record that retention dropped from the fold still closes its
+// job. With one done record retained, job-1, job-2 and job-3 finish, and
+// job-1 is accepted again: the accept writes nothing, so the live fold,
+// a replay, a compacted journal and a reopened one all hold no pending
+// job and job-3's done record alone. (The live fold once reopened job-1
+// while a replay of the same log kept it done.)
 func TestJournalReacceptAfterTrimmedDoneStaysDone(t *testing.T) {
 	opts := wal.Options{SegmentBytes: 256, FsyncEvery: 1 << 20}
 	dir := t.TempDir()
-	jn, _, err := openJournal(dir, opts, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := testSpec(nil)
-	now := time.Unix(1700000000, 0).UTC()
-	must := func(err error) {
-		t.Helper()
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, id := range []string{"job-1", "job-2", "job-3"} {
-		must(jn.Accept(id, spec, now))
-		must(jn.Done(id, &JobResult{Solver: "cg"}))
+	m := newJournalModel(1)
+	jn, _, err := openJournal(dir, opts, m.retain)
+	mustOK(t, err)
+	defer jn.Close()
+	for n := int64(1); n <= 3; n++ {
+		m.apply(t, jn, acceptOp(n))
+		m.apply(t, jn, doneOp(n))
 	}
 	appended := jn.Metrics().RecordsAppended
-	must(jn.Accept("job-1", spec, now))
+	m.apply(t, jn, acceptOp(1))
 	if got := jn.Metrics().RecordsAppended - appended; got != 0 {
 		t.Errorf("re-accepting a finished job appended %d records", got)
 	}
-	for _, v := range journalViews(t, jn, dir, opts, 1) {
-		if ids := pendingIDs(v.rep); len(ids) != 0 || v.rep.MaxID != 3 {
-			t.Errorf("%s: pending %v, max id %d; want none pending, max id 3", v.what, ids, v.rep.MaxID)
-		}
+	m.checkViews(t, "after the re-accept", journalViews(t, jn, dir, opts))
+}
+
+// foreignRecords are records whose ids are not "job-N" as jobID spells
+// it, in the order an old journal could hold them: the server never
+// wrote one, and Accept's number cannot spell one.
+func foreignRecords() []any {
+	spec := testSpec(nil)
+	accept := func(id string) journalRecord {
+		return journalRecord{T: recAccept, ID: id, Spec: &spec, Submitted: journalEpoch}
 	}
+	done := func(id string) journalRecord {
+		return journalRecord{T: recDone, ID: id, Result: &JobResult{Solver: id}}
+	}
+	ckpt, _ := appendCheckpoint(nil, "a", 1, 0, []float64{1})
+	return []any{accept("a"), done("a"), accept("b"), done("b"), accept("a"), ckpt,
+		accept("job-x"), accept("job-"), accept("1"), accept("job-0"), accept("job-07"),
+		accept("job--3"), accept("job-+4"), done("job-99999999999999999999")}
 }
 
 // The journal tells a new job from a finished one by the N of its "job-N"
-// id, so an accept of any other id is an error and writes nothing. Once
-// such ids were journaled, retain 1 and a re-accepted "a" left the live
-// fold with a pending job that a replay of the same log did not list.
+// id, so a record of any other id is skipped by every view and never
+// pending. Once such ids were journaled, retain 1 and a re-accepted "a"
+// left the live fold with a pending job that a replay of the same log did
+// not list.
 func TestJournalRejectsIDWithoutJobNumber(t *testing.T) {
 	opts := wal.Options{FsyncEvery: 1 << 20}
 	dir := t.TempDir()
-	jn, _, err := openJournal(dir, opts, 1)
-	if err != nil {
-		t.Fatal(err)
+	foreign := foreignRecords()
+	appendRaw(t, dir, foreign...)
+	m := newJournalModel(1)
+	jn, rep, err := openJournal(dir, opts, m.retain)
+	mustOK(t, err)
+	defer jn.Close()
+	if rep.Skipped != int64(len(foreign)) {
+		t.Errorf("skipped %d of %d foreign records", rep.Skipped, len(foreign))
 	}
-	spec := testSpec(nil)
-	now := time.Unix(1700000000, 0).UTC()
-	accept := func(id string) {
-		t.Helper()
-		appended := jn.Metrics().RecordsAppended
-		if err := jn.Accept(id, spec, now); err == nil {
-			t.Errorf("accept of %q: no error", id)
-		}
-		if got := jn.Metrics().RecordsAppended - appended; got != 0 {
-			t.Errorf("accept of %q appended %d records", id, got)
-		}
+	m.checkViews(t, "foreign records alone", journalViews(t, jn, dir, opts))
+	for _, op := range []journalOp{acceptOp(1), acceptOp(2), doneOp(1), acceptOp(1)} {
+		m.apply(t, jn, op)
 	}
-	for _, id := range []string{"job-x", "job-", "1"} {
-		accept(id)
-	}
-	for _, id := range []string{"a", "b", "c"} {
-		accept(id)
-		if err := jn.Done(id, &JobResult{Solver: "cg"}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	accept("a")
-	views := journalViews(t, jn, dir, opts, 1)
-	live := pendingIDs(views[0].rep)
-	for _, v := range views {
-		if ids := pendingIDs(v.rep); len(ids) != 0 || !slices.Equal(ids, live) {
-			t.Errorf("%s: pending %v, live fold %v; want none", v.what, ids, live)
-		}
-	}
+	m.checkViews(t, "foreign records, then jobs", journalViews(t, jn, dir, opts))
 }
 
-type journalView struct {
-	what string
-	rep  *JournalReplay
-}
+// FuzzJournal drives a journal with random traffic — accept the next
+// job or re-accept an old one, checkpoint or finish a job, compact,
+// close and reopen, or crash inside one of the first four — and holds
+// the live fold and every replay a restart could see (journalViews) to
+// journalModel after each operation. The journal syncs every record, so
+// a crash costs at most the operation it cut short: no acknowledged
+// accept is lost, and no finished job is pending again. foreign starts
+// the log with foreignRecords, which every view skips.
+//
+// An operation is one byte: the low three bits its kind, the rest its
+// argument (see op below).
+func FuzzJournal(f *testing.F) {
+	const (
+		accept = iota
+		reaccept
+		checkpoint
+		done
+		compact
+		reopen
+		crash
+	)
+	op := func(kind, arg int) byte { return byte(arg<<3 | kind) }
+	// TestJournalDuplicateAcceptKeepsOrdinal, retain 4: checkpoints of
+	// job 3 (the second pending job) of 48 values fill the first segment.
+	f.Add(uint8(3), false, []byte{op(accept, 0), op(accept, 0), op(done, 0), op(accept, 0),
+		op(checkpoint, 25), op(checkpoint, 25), op(checkpoint, 25), op(reaccept, 2), op(reaccept, 1),
+		op(checkpoint, 25), op(compact, 0), op(reopen, 0)})
+	// TestJournalReacceptAfterTrimmedDoneStaysDone, retain 1.
+	f.Add(uint8(0), false, []byte{op(accept, 0), op(done, 0), op(accept, 0), op(done, 0),
+		op(accept, 0), op(done, 0), op(reaccept, 1), op(reopen, 0), op(compact, 0)})
+	// A crash inside a compaction, retain 2: the checkpoint the crash
+	// cuts short rotates the log and compacts, and the cut lands at 7/8
+	// of what it wrote, inside the snapshot.
+	f.Add(uint8(1), false, []byte{op(accept, 0), op(accept, 0), op(checkpoint, 24), op(checkpoint, 25),
+		op(checkpoint, 24), op(done, 1), op(accept, 0), op(checkpoint, 25), op(checkpoint, 24),
+		op(crash, 30), op(checkpoint, 25), op(crash, 14)})
+	// A log holding records whose ids are not "job-N".
+	f.Add(uint8(2), true, []byte{op(accept, 0), op(checkpoint, 8), op(reaccept, 0), op(done, 0),
+		op(reopen, 0), op(accept, 0)})
 
-// journalViews returns the live fold of jn and every replay a restart
-// could see of its log: Replay, a reopened journal, and a compacted one
-// replayed and reopened. It closes jn (and the journals it reopens).
-func journalViews(t *testing.T, jn *Journal, dir string, opts wal.Options, retain int) []journalView {
-	t.Helper()
-	must := func(err error) {
-		t.Helper()
-		if err != nil {
-			t.Fatal(err)
+	f.Fuzz(func(t *testing.T, retain uint8, foreign bool, ops []byte) {
+		opts := wal.Options{SegmentBytes: 1024, FsyncEvery: 1}
+		dir := t.TempDir()
+		if foreign {
+			appendRaw(t, dir, foreignRecords()...)
 		}
-	}
-	jn.mu.Lock()
-	live := jn.state.replay()
-	jn.mu.Unlock()
-	replayed, err := jn.Replay()
-	must(err)
-	must(jn.Close())
-	jn, reopened, err := openJournal(dir, opts, retain)
-	must(err)
-	jn.mu.Lock()
-	snap, err := jn.state.snapshot()
-	if err == nil {
-		err = jn.log.Compact(snap)
-	}
-	jn.mu.Unlock()
-	must(err)
-	compacted, err := jn.Replay()
-	must(err)
-	must(jn.Close())
-	jn, compactedReopened, err := openJournal(dir, opts, retain)
-	must(err)
-	must(jn.Close())
-	return []journalView{{"live fold", live}, {"replay", replayed}, {"reopened", reopened},
-		{"compacted", compacted}, {"compacted and reopened", compactedReopened}}
-}
-
-// pendingIDs lists rep's pending jobs in order.
-func pendingIDs(rep *JournalReplay) []string {
-	var ids []string
-	for _, p := range rep.Pending {
-		ids = append(ids, p.ID)
-	}
-	return ids
+		m := newJournalModel(1 + int(retain%4))
+		jn, _, err := openJournal(dir, opts, m.retain)
+		mustOK(t, err)
+		defer func() { jn.Close() }()
+		iter := 0
+		// traffic is the operation of a kind below compact: a checkpoint
+		// or a done names a pending job when there is one, and otherwise
+		// the next job number, which no journal holds.
+		traffic := func(kind, arg int) journalOp {
+			n := m.maxID + 1
+			if len(m.pending) > 0 {
+				n = m.pending[arg%len(m.pending)]
+			}
+			switch kind {
+			case accept:
+				return acceptOp(m.maxID + 1)
+			case reaccept:
+				return acceptOp(int64(arg) % (m.maxID + 1))
+			case checkpoint:
+				iter++
+				return checkpointOp(n, iter, 16*(arg/8))
+			}
+			return doneOp(n)
+		}
+		for i, b := range ops[:min(len(ops), 64)] {
+			kind, arg := int(b&7), int(b>>3)
+			what := ""
+			switch kind {
+			case compact:
+				what = "compact"
+				mustOK(t, forceCompaction(jn))
+			case reopen:
+				what = "reopen"
+				mustOK(t, jn.Close())
+				jn, _, err = openJournal(dir, opts, m.retain)
+				mustOK(t, err)
+			case crash, crash + 1:
+				// The crash lands in [0, 7/8] of what the operation wrote;
+				// the operation counts if its own record is whole.
+				o := traffic(arg%4, arg)
+				before := dirFiles(t, dir)
+				mustOK(t, o.run(jn))
+				mustOK(t, jn.Close())
+				after := dirFiles(t, dir)
+				total, own := appended(before, after)
+				cut := total * (arg / 4) / 8
+				what = fmt.Sprintf("crash %d of %d bytes into %s", cut, total, o.what)
+				if total > 0 {
+					writeFiles(t, dir, tornLog(before, after, cut))
+				}
+				if cut >= own {
+					o.update(m)
+				}
+				jn, _, err = openJournal(dir, opts, m.retain)
+				mustOK(t, err)
+			default:
+				o := traffic(kind, arg)
+				what = o.what
+				m.apply(t, jn, o)
+			}
+			m.checkViews(t, fmt.Sprintf("op %d, %s", i, what), journalViews(t, jn, dir, opts))
+		}
+	})
 }
 
 // The journal on disk follows the live set, not history: ten times the
@@ -759,33 +917,24 @@ func TestJournalSizeBoundedByLiveSet(t *testing.T) {
 	opts := wal.Options{SegmentBytes: 8192, FsyncEvery: 1 << 20}
 	dir := t.TempDir()
 	jn, _, err := openJournal(dir, opts, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mustOK(t, err)
 	defer jn.Close()
 	spec := testSpec(nil)
 	x := make([]float64, 64)
-	run := func(from, to int) (peak int64) {
+	run := func(from, to int64) (peak int64) {
 		for n := from; n < to; n++ {
-			id := fmt.Sprintf("job-%d", n)
-			if err := jn.Accept(id, spec, time.Now()); err != nil {
-				t.Fatal(err)
-			}
+			mustOK(t, jn.Accept(n, spec, time.Now()))
 			for iter := 1; iter <= 5; iter++ {
-				if err := jn.Checkpoint(id, iter, 1, x); err != nil {
-					t.Fatal(err)
-				}
+				mustOK(t, jn.Checkpoint(n, iter, 1, x))
 				peak = max(peak, jn.Metrics().BytesOnDisk)
 			}
-			if err := jn.Done(id, &JobResult{Solver: "cg"}); err != nil {
-				t.Fatal(err)
-			}
+			mustOK(t, jn.Done(n, &JobResult{Solver: "cg"}))
 		}
 		return peak
 	}
 	const jobs = 40
-	first := run(0, jobs)
-	rest := run(jobs, 11*jobs)
+	first := run(1, jobs+1)
+	rest := run(jobs+1, 11*jobs+1)
 	if jn.Metrics().Compactions < 10 {
 		t.Fatalf("%d compactions over %d jobs", jn.Metrics().Compactions, 11*jobs)
 	}

@@ -137,10 +137,10 @@ func TestResumeConformanceAuto(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := jn.Accept("job-1", spec, time.Now()); err != nil {
+				if err := jn.Accept(1, spec, time.Now()); err != nil {
 					t.Fatal(err)
 				}
-				if err := jn.Checkpoint("job-1", mid.Iter, mid.Residual, mid.X); err != nil {
+				if err := jn.Checkpoint(1, mid.Iter, mid.Residual, mid.X); err != nil {
 					t.Fatal(err)
 				}
 				jn.Close()

@@ -107,6 +107,9 @@ type Job struct {
 	ID   string
 	Spec jobspec.Spec
 
+	// num is the job's number, which the journal takes: ID is "job-num".
+	num int64
+
 	// resume, when non-nil, is the persisted checkpoint a replayed job
 	// restarts from. Set only during journal replay, before the job is
 	// visible to workers.
@@ -300,6 +303,8 @@ func (s *Server) replayJournal() error {
 	mt, checkpoints := jn.Metrics(), jn.state.checkpoints
 	s.nextID = rep.MaxID
 	now := time.Now()
+	// The journal retains RetainDone done jobs, the registry's bound, and
+	// they finish now, so none is evicted here.
 	for _, id := range rep.DoneOrder {
 		j := &Job{ID: id, state: StateDone, result: rep.Done[id], finished: now,
 			done: make(chan struct{})}
@@ -307,10 +312,9 @@ func (s *Server) replayJournal() error {
 		s.jobs[id] = j
 		s.doneOrder = append(s.doneOrder, id)
 	}
-	s.evictDoneLocked(now)
 	for _, rj := range rep.Pending {
 		j := &Job{
-			ID: rj.ID, Spec: rj.Spec, resume: rj.Resume,
+			ID: rj.ID, num: rj.Num, Spec: rj.Spec, resume: rj.Resume,
 			state: StateQueued, submitted: rj.Submitted,
 			done: make(chan struct{}),
 		}
@@ -356,7 +360,8 @@ func (s *Server) Submit(spec jobspec.Spec) (*Job, error) {
 	}
 	s.nextID++
 	j := &Job{
-		ID:        fmt.Sprintf("job-%d", s.nextID),
+		ID:        jobID(s.nextID),
+		num:       s.nextID,
 		Spec:      spec,
 		state:     StateQueued,
 		submitted: time.Now(),
@@ -366,7 +371,7 @@ func (s *Server) Submit(spec jobspec.Spec) (*Job, error) {
 		// Journal before acknowledging: a job the log cannot make durable
 		// must not be accepted (the client would believe it survives a
 		// crash when it wouldn't).
-		if err := s.journal.Accept(j.ID, j.Spec, j.submitted); err != nil {
+		if err := s.journal.Accept(j.num, j.Spec, j.submitted); err != nil {
 			s.nextID--
 			s.mu.Unlock()
 			s.cfg.Log("wal: journal accept: %v", err)
@@ -666,10 +671,9 @@ func (s *Server) runGroup(worker int, group []*Job) {
 		Resume:  j.resume,
 	}
 	if s.journal != nil && j.Spec.CheckpointEvery > 0 {
-		id := j.ID
 		opt.CheckpointSink = func(iter int, residual float64, x []float64) {
-			if err := s.journal.Checkpoint(id, iter, residual, x); err != nil {
-				s.cfg.Log("wal: journal checkpoint for %s: %v", id, err)
+			if err := s.journal.Checkpoint(j.num, iter, residual, x); err != nil {
+				s.cfg.Log("wal: journal checkpoint for %s: %v", j.ID, err)
 			}
 		}
 	}
@@ -688,7 +692,7 @@ func (s *Server) runGroup(worker int, group []*Job) {
 // solve and the done record merely re-runs a deterministic solve.
 func (s *Server) completeJob(j *Job, res *JobResult) {
 	if s.journal != nil {
-		if err := s.journal.Done(j.ID, res); err != nil {
+		if err := s.journal.Done(j.num, res); err != nil {
 			s.cfg.Log("wal: journal done for %s: %v", j.ID, err)
 		}
 	}

@@ -96,7 +96,7 @@ func TestWALResumeFromCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := jn.Accept("job-1", spec, time.Now()); err != nil {
+	if err := jn.Accept(1, spec, time.Now()); err != nil {
 		t.Fatal(err)
 	}
 	const cutoff = 6
@@ -106,7 +106,7 @@ func TestWALResumeFromCheckpoint(t *testing.T) {
 		Session: sess,
 		CheckpointSink: func(iter int, residual float64, x []float64) {
 			if iter <= cutoff {
-				if err := jn.Checkpoint("job-1", iter, residual, x); err != nil {
+				if err := jn.Checkpoint(1, iter, residual, x); err != nil {
 					t.Errorf("checkpoint: %v", err)
 				}
 			}
@@ -173,15 +173,15 @@ func journalReplayIdempotent(t *testing.T, open func(dir string) (*Journal, *Jou
 	// A history with every idempotency hazard: duplicate accepts,
 	// checkpoint after done, accept after done, interleaved completions.
 	// (The journal writes no record for an accept of a job it holds.)
-	jn.Accept("job-1", spec, now)
-	jn.Accept("job-2", spec, now)
-	jn.Checkpoint("job-1", 4, 1e-3, []float64{1, 2})
-	jn.Accept("job-1", spec, now) // duplicate accept
-	jn.Checkpoint("job-1", 8, 1e-5, []float64{3, 4})
-	jn.Done("job-2", &JobResult{Solver: "cg", Converged: true})
-	jn.Accept("job-2", spec, now)        // accept after done: stays done
-	jn.Checkpoint("job-2", 2, 1e-2, nil) // checkpoint after done: ignored
-	jn.Accept("job-3", spec, now)
+	jn.Accept(1, spec, now)
+	jn.Accept(2, spec, now)
+	jn.Checkpoint(1, 4, 1e-3, []float64{1, 2})
+	jn.Accept(1, spec, now) // duplicate accept
+	jn.Checkpoint(1, 8, 1e-5, []float64{3, 4})
+	jn.Done(2, &JobResult{Solver: "cg", Converged: true})
+	jn.Accept(2, spec, now)        // accept after done: stays done
+	jn.Checkpoint(2, 2, 1e-2, nil) // checkpoint after done: ignored
+	jn.Accept(3, spec, now)
 
 	first, err := jn.Replay()
 	if err != nil {

@@ -196,9 +196,12 @@ type blockSegs struct {
 // diagonal boundaries (one division per interval), drops padding slots,
 // and hands fn every output block in turn: blocks of diagBlock output
 // points outermost, each with all of its segments, clipped to the block
-// and in kernel order. A kernel that applies a block's segments in the
-// order given therefore gives every output point its contributions in
-// ascending kernel order — the order of a plain sweep over the intervals.
+// and in walk order. A forward walk takes the diagonals in ascending
+// kernel order; an adjoint walk takes them from the last interval's last
+// diagonal down, because a column's row j − offset ascends as the offset
+// descends. A kernel that applies a block's segments in
+// the order given therefore gives every output point its contributions in
+// ascending row order either way — the order csr, ell and coo add them in.
 // The block arrives in *blk, which the caller owns, rather than as an
 // argument of fn: a slice handed to a function value escapes, and the
 // walk would allocate on every call.
@@ -229,29 +232,35 @@ func walkDiagBlocks(ivs []index.Interval, offsets []int64, rows, cols int64, adj
 		}
 		segs = segs[:0]
 	}
-	for _, iv := range ivs {
+	for i := range ivs {
+		iv := ivs[i]
+		if adjoint {
+			iv = ivs[len(ivs)-1-i]
+		}
 		if iv.Empty() {
 			continue
 		}
-		b := iv.Lo / cols
-		for k := iv.Lo; k <= iv.Hi; b++ {
-			start := b * cols
-			end := min(start+cols-1, iv.Hi)
-			off := offsets[b]
-			// Columns of the run, clipped to slots whose row j − off
-			// exists.
-			jLo, jHi := max(k-start, off), min(end-start, rows-1+off)
-			if jLo <= jHi {
-				if len(segs) == cap(segs) {
-					flush()
-				}
-				if adjoint {
-					segs = append(segs, diagSeg{b: int(b), lo: jLo, hi: jHi, shift: -off, base: start})
-				} else {
-					segs = append(segs, diagSeg{b: int(b), lo: jLo - off, hi: jHi - off, shift: off, base: start + off, col: off})
-				}
+		bLo, bHi := iv.Lo/cols, iv.Hi/cols
+		for d := int64(0); d <= bHi-bLo; d++ {
+			b := bLo + d
+			if adjoint {
+				b = bHi - d
 			}
-			k = end + 1
+			start, off := b*cols, offsets[b]
+			// Columns of the interval's run on diagonal b, clipped to slots
+			// whose row j − off exists.
+			jLo, jHi := max(iv.Lo-start, 0, off), min(iv.Hi-start, cols-1, rows-1+off)
+			if jLo > jHi {
+				continue
+			}
+			if len(segs) == cap(segs) {
+				flush()
+			}
+			if adjoint {
+				segs = append(segs, diagSeg{b: int(b), lo: jLo, hi: jHi, shift: -off, base: start})
+			} else {
+				segs = append(segs, diagSeg{b: int(b), lo: jLo - off, hi: jHi - off, shift: off, base: start + off, col: off})
+			}
 		}
 	}
 	flush()

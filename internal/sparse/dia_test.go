@@ -11,13 +11,20 @@ import (
 )
 
 // diaOracle is the DIA product as a plain sweep over kset: every
-// in-matrix kernel slot, in ascending kernel order, adds its term to its
-// output. Each output therefore receives its terms in ascending kernel
-// order, one rounding per term — the order the blocked, grouped kernel
-// promises to reproduce bit for bit.
+// in-matrix kernel slot adds its term to its output, in ascending kernel
+// order forward and in descending kernel order adjoint. Each output
+// therefore receives its terms in ascending row order, one rounding per
+// term — the order the blocked, grouped kernel promises to reproduce bit
+// for bit, and the order csr adds them in.
 func diaOracle(a *DIA, y, x []float64, kset index.IntervalSet, adjoint bool) {
-	for _, iv := range kset.Intervals() {
-		for k := iv.Lo; k <= iv.Hi; k++ {
+	ivs := kset.Intervals()
+	for n := range ivs {
+		iv, k, step := ivs[n], ivs[n].Lo, int64(1)
+		if adjoint {
+			iv = ivs[len(ivs)-1-n]
+			k, step = iv.Hi, -1
+		}
+		for ; k >= iv.Lo && k <= iv.Hi; k += step {
 			j := k % a.cols
 			i := j - a.offsets[k/a.cols]
 			if i < 0 || i >= a.rows {

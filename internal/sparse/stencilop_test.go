@@ -204,8 +204,9 @@ func TestStencilOperatorScale(t *testing.T) {
 // stencil's set, each moved to the stored diagonal of its offset, so a
 // slot the stencil pads contributes to neither, and an output its set
 // does not reach keeps its −0 canary. Both kernels give an output its
-// terms in ascending column order forward and descending row order
-// adjoint, which on in-grid slots is the stencil table's order. Grids of
+// terms in ascending column order forward and ascending row order
+// adjoint, which on in-grid slots is the stencil table's order forward
+// and its reverse adjoint. Grids of
 // extent 1 store fewer diagonals than the stencil has, 2×2×2 merges
 // 27-point offsets that coincide, and 3×1500 has lines that span several
 // output blocks of the walk.

@@ -32,7 +32,8 @@ func outVec(r *rand.Rand, n int64) []float64 {
 
 // checkWalkIsPerIntervalCall requires MultiplyAddPart / MultiplyAddTPart
 // over the whole of kset to equal, Float64bits for Float64bits, the same
-// kernel called once per interval of kset — where a row-major kernel
+// kernel called once per interval of kset, in the order its walk takes
+// them (adjointPerInterval) — where a row-major kernel
 // searches its owning row afresh each time instead of carrying a cursor —
 // and to leave every output outside kset's image along the output
 // relation bit for bit as it was: a planner task declares only that image,
@@ -49,8 +50,8 @@ func checkWalkIsPerIntervalCall(t *testing.T, label string, m Matrix, r *rand.Ra
 	m.MultiplyAddTPart(z, w, kset)
 	for _, iv := range kset.Intervals() {
 		m.MultiplyAddPart(yEach, x, index.Span(iv.Lo, iv.Hi))
-		m.MultiplyAddTPart(zEach, w, index.Span(iv.Lo, iv.Hi))
 	}
+	adjointPerInterval(m, zEach, w, kset)
 	for _, c := range []struct {
 		dir              string
 		walk, each, orig []float64
@@ -66,6 +67,27 @@ func checkWalkIsPerIntervalCall(t *testing.T, label string, m Matrix, r *rand.Ra
 					label, m.Format(), c.dir, len(kset.Intervals()), i, c.orig[i], c.walk[i])
 			}
 		}
+	}
+}
+
+// adjointPerInterval calls m's adjoint kernel once per interval of kset,
+// in the order its own walk takes them: a DIA-layout kernel (see
+// walkDiagBlocks) from the last interval, an Auto tile by tile.
+func adjointPerInterval(m Matrix, z, w []float64, kset index.IntervalSet) {
+	ivs := kset.Intervals()
+	switch m := m.(type) {
+	case *Auto:
+		for i := range m.tiles {
+			t := &m.tiles[i]
+			adjointPerInterval(t.mat, z[t.c0:t.c1], w[t.r0:t.r1], t.localKset(kset))
+		}
+		return
+	case *DIA, *Band, *StencilOperator:
+		ivs = slices.Clone(ivs)
+		slices.Reverse(ivs)
+	}
+	for _, iv := range ivs {
+		m.MultiplyAddTPart(z, w, index.Span(iv.Lo, iv.Hi))
 	}
 }
 
