@@ -9,9 +9,14 @@ import (
 // Test-only access for package core_test, which — unlike this package's
 // own tests — may import the solvers and drive them over a planner.
 
-// SetLaunchGrain overrides the planner's launch grain; 0 launches one
-// task per piece.
-func (p *Planner) SetLaunchGrain(points int64) { p.grain = points }
+// SetLaunchGrain overrides the planner's launch grain before its first
+// launch (the groups are built once); 0 launches one task per piece.
+func (p *Planner) SetLaunchGrain(points int64) {
+	if p.groups[0] != nil || p.groups[1] != nil {
+		panic("core: SetLaunchGrain after the planner launched")
+	}
+	p.grain = points
+}
 
 // LaunchGrain is the grain every planner starts with.
 const LaunchGrain = launchGrain

@@ -37,9 +37,10 @@ import (
 // the same bits. A piece boundary inside a leaf still works — each side
 // sums its fragment as a leaf of its own — but the answer then depends
 // on the cut. One leaf sum serves the three places a dot runs: a sweep's
-// own pass and a product that carries the dots of its output (matmul.go)
-// call leafDots, and the pass of an axpy or xpay that a dot rides adds
-// the same terms in the same order as it writes them (rideRun).
+// own pass and a product that carries the dots of its output (matmul.go,
+// through the sweep's body) call leafDots, and the pass of an axpy or
+// xpay that a dot rides adds the same terms in the same order as it
+// writes them (rideRun).
 //
 // Updates are preserved exactly where the paper's solvers need them
 // preserved: they execute in argument order inside each piece (the same
@@ -313,7 +314,7 @@ func (p *Planner) sweep(name, reduceName string, ups []VecUpdate, dots []DotPair
 	// first attempt; one with a read-write vector can.
 	retry := !slices.ContainsFunc(vecs, func(v sweepVec) bool { return v.priv == region.ReadWrite })
 
-	for ci, groups := range p.launchGroups(shape, hooks) {
+	for ci, groups := range p.launchGroups(shape) {
 		// The arithmetic is bound once per component, not once per task.
 		var body func(subset index.IntervalSet, slot int, alpha []float64)
 		if !p.virtual {
@@ -350,7 +351,7 @@ func (p *Planner) sweep(name, reduceName string, ups []VecUpdate, dots []DotPair
 				cost += p.mach.DotCost(size)
 			}
 			spec := taskrt.TaskSpec{
-				Name: name, Proc: g.proc, Piece: g.slot + 1,
+				Name: name, Proc: g.proc, Pieces: [2]int{g.slot, g.slot + len(g.pieces)},
 				Cost: cost, Refs: refs, Awaits: awaits, Retryable: retry,
 				// A dot's readers await its partial tasks' futures.
 				Detached: k == 0,
@@ -395,7 +396,8 @@ func (p *Planner) sweep(name, reduceName string, ups []VecUpdate, dots []DotPair
 // each pass computing the dot that rides it — then the remaining dots,
 // writing the piece's leaf partials into out (and its guard slot when
 // detection is on). alpha holds the values of the sweep's distinct
-// coefficients, in sweepOperands order.
+// coefficients, in sweepOperands order. A product's tasks call the body
+// of a dots-only sweep for the dots they carry (newRiders).
 func (p *Planner) sweepBody(name string, ci int, out []float64, lm *leafMap,
 	ups []VecUpdate, dots []DotPair, vecs []sweepVec, alphas []*Scalar) func(subset index.IntervalSet, slot int, alpha []float64) {
 
@@ -724,9 +726,9 @@ func (m *leafMap) aligned() bool {
 
 // newPartials returns the memory of k dots' partials over a shape: dot
 // j's leaf partials fill [j·L, (j+1)·L), and with guards one slot per
-// piece follows. Every slot is written by the task of its piece before
-// any reader folds, so memory a folded batch gave back (dotBatch) is
-// reused as it is.
+// piece follows. Every partial, and the guard of every nonempty piece, is
+// written by the task of its piece before any reader folds, so memory a
+// folded batch gave back (dotBatch) is reused as it is.
 func (p *Planner) newPartials(shape Shape, k int, guards bool) *[]float64 {
 	n := k * p.leafMap(shape).total
 	if guards {
@@ -830,14 +832,14 @@ func (p *Planner) dotLeaves(name string, buf *[]float64, leaf *scalarLeaf, shape
 	return outs
 }
 
-// checkGuards recomputes every piece's guard sum over a batch of k dots'
-// partials and alarms as name where it differs from the guard slot the
-// piece task wrote.
+// checkGuards recomputes every nonempty piece's guard sum over a batch of
+// k dots' partials and alarms as name where it differs from the guard
+// slot the piece's task wrote (a product writes none for an empty piece).
 func (p *Planner) checkGuards(name string, buf []float64, shape Shape, k int) {
 	m := p.leafMap(shape)
 	eachSlot(p.comps(shape), func(ci, slot int, subset index.IntervalSet) {
 		g := m.guardSum(buf, k, ci, subset)
-		if got := buf[m.guard(k, slot)]; got != g || math.IsNaN(g) {
+		if got := buf[m.guard(k, slot)]; !subset.Empty() && (got != g || math.IsNaN(g)) {
 			p.sdc.mon.report(SDCAlarm{
 				Task: name, Vec: -1, Slot: slot,
 				Expected: got, Got: g, Scale: math.Abs(g),

@@ -377,7 +377,9 @@ func TestSweepTaskVocabulary(t *testing.T) {
 
 // A dot is as good as its partial tasks: when one fails for good (a
 // permanent panic, no retries), Value reports NaN and every task reading
-// the dot is poisoned instead of running on a garbage partial.
+// the dot is poisoned instead of running on a garbage partial. The four
+// 16-point pieces launch as one group, so the plan's piece 2 names the
+// one partial task, and the one axpy task reads the dot.
 func TestFailedPartialPoisonsDotReaders(t *testing.T) {
 	const pieces = 4
 	p, a, _ := fusedTestPlanner(64, pieces)
@@ -393,9 +395,10 @@ func TestFailedPartialPoisonsDotReaders(t *testing.T) {
 		t.Errorf("Dot = %g with a failed partial task, want NaN", v)
 	}
 	st := p.Session().Stats()
-	if st.Failed != 1 || st.Poisoned != pieces {
+	groups := int64(len(p.launchGroups(SolShape)[0]))
+	if st.Failed != 1 || st.Poisoned != groups {
 		t.Errorf("%d failed, %d poisoned tasks; want the one partial and the %d axpy tasks reading the dot",
-			st.Failed, st.Poisoned, pieces)
+			st.Failed, st.Poisoned, groups)
 	}
 	if !bitwiseEqual(before, p.VecData(a, 0)) {
 		t.Error("a poisoned axpy wrote its destination")
@@ -409,10 +412,10 @@ func TestFailedPartialPoisonsDotReaders(t *testing.T) {
 func parentSpecs(p *Planner, kind UpdateKind, dst, src VecID, alpha *Scalar) []taskrt.TaskSpec {
 	sdc := p.sdcOn()
 	var specs []taskrt.TaskSpec
-	for ci, groups := range p.launchGroups(p.vecs[dst].shape, p.faultHooks()) {
+	for ci, groups := range p.launchGroups(p.vecs[dst].shape) {
 		for _, g := range groups {
 			n, size, d := len(g.pieces), g.subset.Size(), p.vecs[dst].regs[ci]
-			spec := taskrt.TaskSpec{Proc: g.proc, Piece: g.slot + 1, Detached: true}
+			spec := taskrt.TaskSpec{Proc: g.proc, Pieces: [2]int{g.slot, g.slot + n}, Detached: true}
 			switch kind {
 			case UpdCopy:
 				spec.Name, spec.Cost, spec.Retryable = "copy", p.mach.CopyCost(size), true
@@ -505,7 +508,7 @@ func TestOneUpdateSweepsLaunchTheirOperationsTasks(t *testing.T) {
 				}
 				for i, g := range got {
 					w := want[i]
-					if g.Name != w.Name || g.Proc != w.Proc || g.Piece != w.Piece || g.Cost != w.Cost ||
+					if g.Name != w.Name || g.Proc != w.Proc || g.Pieces != w.Pieces || g.Cost != w.Cost ||
 						g.Retryable != w.Retryable || g.Detached != w.Detached || g.Host != w.Host ||
 						!reflect.DeepEqual(g.Refs, w.Refs) || !reflect.DeepEqual(g.Awaits, w.Awaits) {
 						t.Errorf("%s task %d:\n got %+v\nwant %+v", updNames[op.kind], i, g, w)

@@ -120,12 +120,13 @@ func TestLaunchGroups(t *testing.T) {
 	for c := range perPiece {
 		perPiece[c] = []int{c}
 	}
-	check("grouped", p.launchGroups(RhsShape, false), unevenGroups)
-	check("fault injector active", p.launchGroups(RhsShape, true), perPiece)
-	check("grouped again", p.launchGroups(RhsShape, false), unevenGroups)
+	check("grouped", p.launchGroups(RhsShape), unevenGroups)
+	p.Session().SetFaultInjector(fault.NewInjector(fault.Plan{Seed: 1, NaNRate: 1, Names: []string{"no.such.task"}}))
+	check("fault injector active", p.launchGroups(RhsShape), unevenGroups)
+	p = unevenPlanner(false, opsPlain)
 	p.grain = 0
-	check("grain 0", p.launchGroups(RhsShape, false), perPiece)
-	check("virtual", unevenPlanner(true, opsPlain).launchGroups(RhsShape, false), perPiece)
+	check("grain 0", p.launchGroups(RhsShape), perPiece)
+	check("virtual", unevenPlanner(true, opsPlain).launchGroups(RhsShape), perPiece)
 
 	// A partition wider than its space: the empty pieces join a group,
 	// and a trailing run of nothing but empty pieces is still launched.
@@ -135,7 +136,7 @@ func TestLaunchGroups(t *testing.T) {
 	ri := q.AddRHSVector(make([]float64, n), index.EqualPartition(index.NewSpace("R", n), int(2*n)))
 	q.AddOperator(sparse.Laplacian1D(n), si, ri)
 	q.Finalize()
-	groups := q.launchGroups(SolShape, false)[0]
+	groups := q.launchGroups(SolShape)[0]
 	if len(groups) != 2 || len(groups[0].pieces) != launchGrain || len(groups[1].pieces) != int(2*n)-launchGrain ||
 		groups[1].subset.Size() != n-launchGrain {
 		t.Fatalf("pieces > n: %d groups, first of %d pieces", len(groups), len(groups[0].pieces))
@@ -323,9 +324,9 @@ func TestGroupedOperationsBitwise(t *testing.T) {
 	}
 }
 
-// Two kinds of planner keep one task per piece whatever the pieces hold: a
-// virtual one, and a real one for as long as its session has an active
-// fault injector.
+// Only a virtual planner keeps one task per piece whatever the pieces
+// hold; a real one launches the same groups whether or not its session
+// has a fault injector.
 func TestExemptPlannersLaunchPerPiece(t *testing.T) {
 	pieces, groups := int64(len(unevenSizes)), int64(len(unevenGroups))
 	sweeps := func(p *Planner) int64 {
@@ -348,8 +349,8 @@ func TestExemptPlannersLaunchPerPiece(t *testing.T) {
 		t.Errorf("real planner: %d tasks per sweep, want %d", got, groups)
 	}
 	p.Session().SetFaultInjector(fault.NewInjector(fault.Plan{Seed: 1, NaNRate: 1, Names: []string{"no.such.task"}}))
-	if got := sweeps(p); got != pieces {
-		t.Errorf("fault injector active: %d tasks per sweep, want %d", got, pieces)
+	if got := sweeps(p); got != groups {
+		t.Errorf("fault injector active: %d tasks per sweep, want %d", got, groups)
 	}
 	p.Session().SetFaultInjector(nil)
 	if got := sweeps(p); got != groups {
@@ -383,5 +384,31 @@ func TestSDCPlantedFlipInGroupedSweep(t *testing.T) {
 	}
 	if launched != int64(len(unevenGroups)) {
 		t.Fatalf("the sweep launched %d tasks, want %d groups", launched, len(unevenGroups))
+	}
+}
+
+// A bit flip planted in a piece of a carried dot's operand alarms from
+// the product task of that piece's group, naming that slot: the product
+// verifies the operands it reads for its riders as a sweep does.
+func TestSDCPlantedFlipInGroupedProduct(t *testing.T) {
+	p := unevenPlanner(false, opsPlain)
+	mon := p.EnableSDCDetection()
+	y := p.AllocateWorkspace(RhsShape)
+	const slot = 3 // second member of group {2,3}
+	i := p.rhs[0].part.Piece(slot).Bounds().Lo + 7
+	d := p.VecData(RHS, 0)
+	d[i] = fault.FlipBit(d[i], 52)
+	p.Matmul(y, SOL, DotPair{RHS, y})[0].Value()
+	p.Drain()
+	al := mon.Take()
+	if len(al) != 1 || al[0].Vec != RHS || al[0].Slot != slot || al[0].Task != "matmul" {
+		t.Fatalf("alarms = %v, want one for vector %d slot %d from matmul", al, RHS, slot)
+	}
+	names := map[string]int{}
+	for _, n := range p.Runtime().Graph().Nodes {
+		names[n.Name]++
+	}
+	if names["matmul"] != len(unevenGroups) || names["matmul.dots"] != 0 {
+		t.Fatalf("the product launched %v, want %d matmul tasks and no dot sweep", names, len(unevenGroups))
 	}
 }

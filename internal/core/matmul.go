@@ -11,7 +11,8 @@ import (
 
 // Matmul computes dst ← A_total · src (Section 4.1): for every operator
 // quadruple (K_ℓ, A_ℓ, i_ℓ, j_ℓ) a multiply-add y_{j_ℓ} ← A_ℓ x_{i_ℓ} +
-// y_{j_ℓ} is launched per output piece (per launch group of small pieces). The first task writing each
+// y_{j_ℓ} is launched per output piece (per launch group of small pieces,
+// in every mode: launchGroups). The first task writing each
 // output piece takes write-discard privilege and zeroes the piece inline
 // (no separate zero pass costs bandwidth); later tasks into the same
 // piece carry reduction privileges, so the runtime's interference
@@ -35,13 +36,15 @@ import (
 // The product carries the dots of its output: each pair in dots becomes
 // one deferred scalar, returned in pair order. When every output piece
 // has a single writer — one task that computes the whole piece, as with
-// one operator component — that task also computes the pairs' leaf
-// partials over the piece it just wrote, reading the other operands'
+// one operator component — that task also runs the dot sweep's body over
+// each piece it just wrote (sweepBody), reading the other operands'
 // pieces, so the dots cost no launch and no second pass over a vector
-// still in cache. Otherwise, and on virtual planners, with SDC detection
-// or with a fault injector active, the pairs launch as a dot sweep
-// after the product (tasks named matmul.dots, or psolve.dots), whose
-// checksum pre-pass verifies the operands. Both compute the canonical
+// still in cache. The body is the sweep's in every mode: with SDC
+// detection on it verifies the other operands' checksums first and
+// writes the piece's guard slot, and a fault injector's corruption may
+// land in the partials. Otherwise (several writers to a piece, or a
+// virtual planner) the pairs launch as a dot sweep after the product
+// (tasks named matmul.dots, or psolve.dots). Both compute the canonical
 // dot (fusedops.go), so the scalars carry the same bits either way.
 func (p *Planner) Matmul(dst, src VecID, dots ...DotPair) []*Scalar {
 	p.mustBeFinalized()
@@ -99,11 +102,15 @@ func (p *Planner) runMultiOp(ops []opEntry, dst, src VecID, adjoint, pre bool, d
 		outShape = SolShape
 	}
 	outComps := p.comps(outShape)
-	sdc, hooks := p.sdcOn(), p.faultHooks()
-	outGroups := p.launchGroups(outShape, hooks)
-	var rd *riders
-	if len(dots) > 0 && !p.virtual && !sdc && !hooks && p.soleWriters(ops, outShape, adjoint, pre) {
-		rd = p.newRiders(dst, outShape, dots)
+	outGroups := p.launchGroups(outShape)
+	pr := &product{name: "matmul", dst: dst, adjoint: adjoint, pre: pre, sdc: p.sdcOn(), hooks: p.faultHooks()}
+	if adjoint {
+		pr.name = "matmulT"
+	} else if pre {
+		pr.name = "psolve"
+	}
+	if len(dots) > 0 && !p.virtual && p.soleWriters(ops, outShape, adjoint, pre) {
+		pr.rd = p.newRiders(pr, outShape, dots)
 	}
 	// covered[comp][color] accumulates the points already written in this
 	// product; wrote tracks whether any task (checksum-wise, the slot
@@ -113,12 +120,6 @@ func (p *Planner) runMultiOp(ops []opEntry, dst, src VecID, adjoint, pre bool, d
 	for i, c := range outComps {
 		covered[i] = make([]index.IntervalSet, c.part.NumColors())
 		wrote[i] = make([]bool, c.part.NumColors())
-	}
-	name := "matmul"
-	if adjoint {
-		name = "matmulT"
-	} else if pre {
-		name = "psolve"
 	}
 	for oi := range ops {
 		op := &ops[oi]
@@ -137,7 +138,7 @@ func (p *Planner) runMultiOp(ops []opEntry, dst, src VecID, adjoint, pre bool, d
 				fresh := outSet.Subtract(covered[outIdx][color])
 				covered[outIdx][color] = covered[outIdx][color].Union(outSet)
 				var cc *colCheck
-				if sdc && !adjoint && !pre {
+				if pr.sdc && !adjoint && !pre {
 					if cols := p.sdc.colchk[oi]; color < len(cols) && cols[color].idx != nil {
 						cc = &cols[color]
 					}
@@ -150,8 +151,7 @@ func (p *Planner) runMultiOp(ops []opEntry, dst, src VecID, adjoint, pre bool, d
 				wrote[outIdx][color] = true
 			}
 			if len(members) > 0 {
-				p.launchMultiplyAdd(name, oi, g, op, outIdx, dv.regs[outIdx], sv.regs[inIdx],
-					members, inSet, adjoint, pre, dst, rd)
+				p.launchMultiplyAdd(pr, oi, g, op, outIdx, dv.regs[outIdx], sv.regs[inIdx], members, inSet)
 			}
 		}
 	}
@@ -166,12 +166,7 @@ func (p *Planner) runMultiOp(ops []opEntry, dst, src VecID, adjoint, pre bool, d
 			var first bool
 			fill := func() {
 				if n > 0 {
-					slots := 0
-					if first {
-						slots = n
-					}
-					p.zeroPieces(dv.regs[ci], rest, outComps[ci].procs[g.lo+start],
-						dst, g.slot+start, slots)
+					p.zeroPieces(pr, dv.regs[ci], rest, outComps[ci].procs[g.lo+start], g.slot+start, n, first)
 				}
 				rest, n = index.IntervalSet{}, 0
 			}
@@ -200,64 +195,73 @@ func (p *Planner) runMultiOp(ops []opEntry, dst, src VecID, adjoint, pre bool, d
 		return nil
 	}
 	_, reduceName := sweepNames(nil, dots)
+	rd := pr.rd
 	if rd == nil {
 		// The carried dots' own sweep is named for the product, so a
 		// graph comparison can tell it from a solver's Dot or DotBatch.
-		return p.sweep(name+".dots", reduceName, nil, dots)
+		return p.sweep(pr.name+".dots", reduceName, nil, dots)
 	}
 	// A riding product has no zero fills: its tasks are the batch.
 	for i := range rd.awaits {
 		rd.awaits[i].Future = futs[i]
 	}
-	return p.dotLeaves(reduceName, rd.buf, &scalarLeaf{awaits: rd.awaits}, outShape, len(dots), false)
+	return p.dotLeaves(reduceName, rd.buf, &scalarLeaf{awaits: rd.awaits}, outShape, rd.k, pr.sdc)
 }
 
-// riders are the dot pairs a product's tasks compute over the output
-// pieces they write: per output component, the pairs' operands and the
-// regions other than the output the tasks must declare a read of; the
-// memory the leaf partials go to (newPartials); and, one per task, the
-// awaits of the pairs' readers.
+// product is what the launches of one runMultiOp call share, the
+// session's detection and injector state included, read once.
+type product struct {
+	name         string
+	dst          VecID
+	adjoint, pre bool
+	sdc, hooks   bool
+	rd           *riders
+}
+
+// riders are the k dot pairs a product's tasks compute over the output
+// pieces they write: the operands other than the output, which the tasks
+// read (and with detection on verify); per output component, the dot
+// sweep's body bound to them (sweepBody); the memory the leaf partials
+// and guards go to (newPartials); and, one per task, the awaits of the
+// pairs' readers.
 type riders struct {
-	operands [][][2][]float64 // [component][pair] {v, w}
-	reads    [][]*region.Region
-	buf      *[]float64
-	leaves   *leafMap
-	awaits   []taskrt.Await
+	k          int
+	pieceBytes int64 // a piece's partials and guard
+	vecs       []sweepVec
+	bodies     []func(subset index.IntervalSet, slot int, alpha []float64)
+	buf        *[]float64
+	leaves     *leafMap
+	awaits     []taskrt.Await
 }
 
-// newRiders prepares a product's tasks to carry dots over the output
-// vector dst of the given shape, or returns nil when they cannot. Every
-// operand must share dst's component structure and number its leaves as
-// dst's shape does — the same shape, or two partitions cut at leaf
+// newRiders prepares a product's tasks to carry dots over its output of
+// the given shape, or returns nil when they cannot. Every operand must
+// share the output's component structure and number its leaves as the
+// output's shape does — the same shape, or two partitions cut at leaf
 // boundaries — so a riding dot sums the leaves a sweep would.
-func (p *Planner) newRiders(dst VecID, shape Shape, dots []DotPair) *riders {
+func (p *Planner) newRiders(pr *product, shape Shape, dots []DotPair) *riders {
+	vecs, _ := p.sweepOperands(nil, dots)
+	p.checkCompatible(pr.dst, vecs[0].id)
 	lm := p.leafMap(shape)
-	for _, d := range dots {
-		for _, id := range [2]VecID{d.V, d.W} {
-			p.checkCompatible(dst, id)
-			if s := p.vecs[id].shape; s != shape && !(lm.aligned() && p.leafMap(s).aligned()) {
-				return nil
-			}
+	for _, v := range vecs {
+		if s := p.vecs[v.id].shape; s != shape && !(lm.aligned() && p.leafMap(s).aligned()) {
+			return nil
 		}
 	}
-	comps := len(p.vecs[dst].regs)
+	// The task has just written the output and its checksum slot; the
+	// body verifies the operands it only reads.
+	vecs = slices.DeleteFunc(vecs, func(v sweepVec) bool { return v.id == pr.dst })
 	rd := &riders{
-		operands: make([][][2][]float64, comps),
-		reads:    make([][]*region.Region, comps),
-		buf:      p.newPartials(shape, len(dots), false),
-		leaves:   lm,
-		awaits:   make([]taskrt.Await, 0, p.shapePieces(shape)),
+		k: len(dots), pieceBytes: int64(8 * len(dots)), vecs: vecs,
+		buf:    p.newPartials(shape, len(dots), pr.sdc),
+		leaves: lm,
+		awaits: make([]taskrt.Await, 0, p.shapePieces(shape)),
 	}
-	for ci := range comps {
-		for _, d := range dots {
-			v, w := p.vecs[d.V].regs[ci], p.vecs[d.W].regs[ci]
-			rd.operands[ci] = append(rd.operands[ci], [2][]float64{v.Data(), w.Data()})
-			for _, r := range [2]*region.Region{v, w} {
-				if r != p.vecs[dst].regs[ci] && !slices.Contains(rd.reads[ci], r) {
-					rd.reads[ci] = append(rd.reads[ci], r)
-				}
-			}
-		}
+	if pr.sdc {
+		rd.pieceBytes += 8
+	}
+	for ci := range p.vecs[pr.dst].regs {
+		rd.bodies = append(rd.bodies, p.sweepBody(pr.name, ci, *rd.buf, lm, nil, dots, vecs, nil))
 	}
 	return rd
 }
@@ -333,14 +337,13 @@ type mulMember struct {
 // privilege over their union; all folding takes reduction privilege,
 // which the runtime orders; a mix takes read-write. With riders (each
 // member then writes its whole piece and is its only writer) the task
-// also reads the other operands' pieces and computes the pairs' leaf
-// partials over every member once its multiply-add is done.
-func (p *Planner) launchMultiplyAdd(name string, opIdx int, g *pieceGroup, op *opEntry,
-	outIdx int, outReg, inReg *region.Region,
-	members []mulMember, inSet index.IntervalSet, adjoint, pre bool, dst VecID, rd *riders) {
+// also reads the other operands' pieces and runs the riders' body over
+// every member once its multiply-add is done.
+func (p *Planner) launchMultiplyAdd(pr *product, opIdx int, g *pieceGroup, op *opEntry,
+	outIdx int, outReg, inReg *region.Region, members []mulMember, inSet index.IntervalSet) {
 
 	proc := g.proc
-	if !pre && p.mmProc != nil {
+	if !pr.pre && p.mmProc != nil {
 		if q := p.mmProc(opIdx, g.lo); q >= 0 {
 			proc = q
 		}
@@ -366,22 +369,29 @@ func (p *Planner) launchMultiplyAdd(name string, opIdx int, g *pieceGroup, op *o
 	case len(members):
 		priv = region.ReduceSum
 	}
-	sdc, hooks := p.sdcOn(), p.faultHooks()
+	dst, sdc, adjoint, rd := pr.dst, pr.sdc, pr.adjoint, pr.rd
 	var chk []float64
 	var mon *SDCMonitor
 	if sdc {
 		chk = p.chkData(dst)
 		mon = p.sdc.mon
 	}
-	var dots [][2][]float64 // the riders' operands in the output component
-	var reads []*region.Region
+	lo, hi := members[0].slot, members[len(members)-1].slot+1
+	cost := p.mach.SpMVCost(ksize, outSet.Size())
+	var body func(subset index.IntervalSet, slot int, alpha []float64)
+	var vecs []sweepVec // the riders' operands other than the output
 	if rd != nil {
-		dots, reads = rd.operands[outIdx], rd.reads[outIdx]
+		body, vecs = rd.bodies[outIdx], rd.vecs
+		for range rd.k {
+			cost += p.mach.DotCost(outSet.Size())
+		}
 	}
-	refs := make([]region.Ref, 0, 3+len(reads))
+	// The output, the input, the operands, and with detection on their
+	// checksum slots.
+	refs := make([]region.Ref, 0, 3+2*len(vecs))
 	refs = append(refs, pieceRef(outReg, outSet, priv), pieceRef(inReg, inSet, region.ReadOnly))
-	for _, r := range reads {
-		refs = append(refs, pieceRef(r, outSet, region.ReadOnly))
+	for _, v := range vecs {
+		refs = append(refs, pieceRef(p.vecs[v.id].regs[outIdx], outSet, region.ReadOnly))
 	}
 	var run func() float64
 	if !p.virtual {
@@ -406,10 +416,8 @@ func (p *Planner) launchMultiplyAdd(name string, opIdx int, g *pieceGroup, op *o
 				} else {
 					mat.MultiplyAddPart(y, x, m.kset)
 				}
-				for j, d := range dots {
-					for _, iv := range m.outSet.Intervals() {
-						leafDots(d[0], d[1], iv, (*rd.buf)[rd.leaves.partial(j, outIdx, iv.Lo):])
-					}
+				if body != nil {
+					body(m.outSet, m.slot, nil)
 				}
 				if !sdc {
 					continue
@@ -441,13 +449,8 @@ func (p *Planner) launchMultiplyAdd(name string, opIdx int, g *pieceGroup, op *o
 			return 0
 		}
 	}
-	lo, hi := members[0].slot, members[len(members)-1].slot
-	cost := p.mach.SpMVCost(ksize, outSet.Size())
-	for range dots {
-		cost += p.mach.DotCost(outSet.Size())
-	}
 	spec := taskrt.TaskSpec{
-		Name: name, Proc: proc, Piece: lo + 1,
+		Name: pr.name, Proc: proc, Pieces: [2]int{lo, hi},
 		Cost: cost, Refs: refs, Run: run,
 		// A write-discard multiply-add zeroes its whole write set before
 		// accumulating, so re-execution is safe; a reduction into data
@@ -458,34 +461,41 @@ func (p *Planner) launchMultiplyAdd(name string, opIdx int, g *pieceGroup, op *o
 	if sdc {
 		// Write-discard only when the task initializes every slot it spans.
 		chkPriv := region.ReadWrite
-		if firsts == hi-lo+1 {
+		if firsts == hi-lo {
 			chkPriv = region.WriteDiscard
 		}
-		spec.Refs = append(spec.Refs, p.chkRef(dst, lo, hi-lo+1, chkPriv))
+		spec.Refs = append(spec.Refs, p.chkRef(dst, lo, hi-lo, chkPriv))
+		// Verification refreshes the riders' operands' slots, as a
+		// sweep's does.
+		for _, v := range vecs {
+			spec.Refs = append(spec.Refs, p.chkRef(v.id, lo, hi-lo, region.ReadWrite))
+		}
 	}
-	if hooks {
-		spec.Corrupt = corruptHook(corruptTarget{outReg.Data(), outSet})
+	if pr.hooks {
+		targets := []corruptTarget{{outReg.Data(), outSet}}
+		if rd != nil {
+			targets = append(targets, corruptTarget{*rd.buf, rd.leaves.span(rd.k, outIdx, g, sdc)})
+		}
+		spec.Corrupt = corruptHook(targets...)
 	}
 	if rd == nil {
 		p.batch(spec)
 		return
 	}
-	// The riders' readers await the task for its members' partials.
-	rd.awaits = append(rd.awaits, taskrt.Await{Bytes: int64(8 * len(dots) * len(g.pieces))})
+	// The riders' readers await the task for its members' partials (and
+	// guards).
+	rd.awaits = append(rd.awaits, taskrt.Await{Bytes: rd.pieceBytes * int64(len(g.pieces))})
 	p.specBuf = append(p.specBuf, spec)
 }
 
-// zeroPieces launches a zero-fill of a launch group's pieces (or of their
-// remainders). slots > 0 makes it the first checksum writer, in this
-// product, of that many pieces from slot on — no operator touched them at
-// all — so it also zeroes their checksum slots.
-func (p *Planner) zeroPieces(reg *region.Region, subset index.IntervalSet, proc int,
-	dst VecID, slot, slots int) {
-
-	sdc, hooks := p.sdcOn(), p.faultHooks()
+// zeroPieces launches a zero-fill of n pieces of a launch group from slot
+// on (or of their remainders). first makes it the pieces' first checksum
+// writer in this product — no operator touched them at all — so it also
+// zeroes their checksum slots.
+func (p *Planner) zeroPieces(pr *product, reg *region.Region, subset index.IntervalSet, proc, slot, n int, first bool) {
 	var chk []float64
-	if sdc && slots > 0 {
-		chk = p.chkData(dst)[slot : slot+slots]
+	if pr.sdc && first {
+		chk = p.chkData(pr.dst)[slot : slot+n]
 	}
 	var run func() float64
 	if !p.virtual {
@@ -501,15 +511,15 @@ func (p *Planner) zeroPieces(reg *region.Region, subset index.IntervalSet, proc 
 		}
 	}
 	spec := taskrt.TaskSpec{
-		Name: "zero", Proc: proc, Piece: slot + 1,
+		Name: "zero", Proc: proc, Pieces: [2]int{slot, slot + n},
 		Cost: p.mach.Blas1Cost(subset.Size()),
 		Refs: []region.Ref{pieceRef(reg, subset, region.WriteDiscard)},
 		Run:  run, Retryable: true,
 	}
 	if chk != nil {
-		spec.Refs = append(spec.Refs, p.chkRef(dst, slot, slots, region.WriteDiscard))
+		spec.Refs = append(spec.Refs, p.chkRef(pr.dst, slot, n, region.WriteDiscard))
 	}
-	if hooks {
+	if pr.hooks {
 		spec.Corrupt = corruptHook(corruptTarget{reg.Data(), subset})
 	}
 	p.batch(spec)

@@ -128,13 +128,10 @@ type Planner struct {
 	finalized bool
 	// adjoint is set once every operator's adjoint partitions exist.
 	adjoint bool
-	// grain is the launch grain (launchGrain; tests may zero it) and groups
-	// caches each shape's launch groups under the grain last used.
+	// grain is the launch grain (launchGrain; a test may zero it before
+	// the first launch) and groups caches each shape's launch groups.
 	grain  int64
-	groups [2]struct {
-		grain  int64
-		byComp [][]pieceGroup
-	}
+	groups [2][][]pieceGroup
 	// leaves numbers each shape's dot leaves (fusedops.go), built on
 	// first use; partials holds the memory of folded dot batches for
 	// reuse (newPartials).

@@ -36,8 +36,9 @@ import (
 // update by update in a sweep's order whether it holds one operation or
 // many; the product applies the last row (matmul.go, whose zero fills of
 // pieces no operator writes apply the first). Readers (sweep piece tasks,
-// for every vector whose incoming data they read) re-sum the data they
-// read, compare against the slot
+// for every vector whose incoming data they read, and product tasks for
+// the operands of the dots they carry) re-sum the data they read, compare
+// against the slot
 // within a relative tolerance, raise an SDCAlarm on mismatch, and refresh
 // the slot with the measured sum — the refresh bounds the rounding drift
 // of the recurrence maintenance to the few operations between consecutive
@@ -46,7 +47,8 @@ import (
 //
 // The forward SpMV additionally self-checks in-task: Σ(y over the write
 // set) must equal w·x up to rounding, the classic ABFT checksummed SpMV.
-// Every dot, single or batched, carries a per-piece guard slot (the sum of
+// Every dot, single, batched or carried by a product, carries a per-piece
+// guard slot (the sum of
 // the piece's leaf partials, recomputed bitwise-identically before the
 // reduction's first fold), so corruption of the partials between partial and combine
 // is caught exactly.

@@ -2,12 +2,14 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"kdrsolvers/internal/fault"
 	"kdrsolvers/internal/index"
 	"kdrsolvers/internal/machine"
 	"kdrsolvers/internal/sparse"
+	"kdrsolvers/internal/taskrt"
 )
 
 // sdcTestPlanner builds a real single-operator planner over a 2D stencil
@@ -185,10 +187,13 @@ func TestSDCFusedCopySweep(t *testing.T) {
 }
 
 // Corrupting the reduction scratch between partial and combine trips the
-// bitwise guard-slot comparison, for a batch and for a single dot alike,
-// once the dot is read: the check runs on the reduction's first fold. The
-// injector targets the partial task's scratch span via the
-// planner-installed corruption hook.
+// bitwise guard-slot comparison, for a batch, a single dot and the dots a
+// product carries alike, once the dot is read: the check runs on the
+// reduction's first fold. The injector targets a dot task's scratch span
+// via the planner-installed corruption hook; the planner launches one
+// task per piece here, so every piece's partials are corrupted. A
+// product task's hook spans its output too, so the product row corrupts
+// every carried partial of its first dot by hand instead.
 func TestSDCDotBatchGuard(t *testing.T) {
 	const n, pieces = 256, 4
 	for _, tc := range []struct {
@@ -199,6 +204,15 @@ func TestSDCDotBatchGuard(t *testing.T) {
 			return p.DotBatch(DotPair{V: SOL, W: RHS}, DotPair{V: RHS, W: RHS})
 		}},
 		{"dot.partial", "dot.reduce", func(p *Planner) []*Scalar { return []*Scalar{p.Dot(SOL, RHS)} }},
+		{"matmul", "dot.batchreduce", func(p *Planner) []*Scalar {
+			q := p.AllocateWorkspace(RhsShape)
+			dots := p.Matmul(q, SOL, DotPair{V: SOL, W: q}, DotPair{V: q, W: q})
+			p.Drain()
+			for i, x := range dots[0].dot.partials {
+				dots[0].dot.partials[i] = fault.FlipBit(x, 52)
+			}
+			return dots
+		}},
 	} {
 		t.Run(tc.partial, func(t *testing.T) {
 			sol := make([]float64, n)
@@ -212,11 +226,14 @@ func TestSDCDotBatchGuard(t *testing.T) {
 			ri := p.AddRHSVector(rhs, index.EqualPartition(index.NewSpace("R", n), pieces))
 			p.AddOperator(sparse.Laplacian2D(n/8, 8), si, ri)
 			p.Finalize()
+			p.grain = 0
 			mon := p.EnableSDCDetection()
 			// Corrupt every partial task's output with certainty: the hook
 			// targets the scratch span (data + guard), and the flip of a low
 			// exponent bit shifts a partial enough to break the exact guard.
-			p.Session().SetFaultInjector(fault.NewInjector(fault.Plan{Seed: 3, BitFlipRate: 1, Bit: 52, Names: []string{tc.partial}}))
+			if tc.partial != "matmul" {
+				p.Session().SetFaultInjector(fault.NewInjector(fault.Plan{Seed: 3, BitFlipRate: 1, Bit: 52, Names: []string{tc.partial}}))
+			}
 			dots := tc.launch(p)
 			p.Drain()
 			if c := mon.Count(); c != 0 {
@@ -280,5 +297,35 @@ func TestSDCDetectionFloor(t *testing.T) {
 	}
 	if math.IsNaN(d[3]) {
 		t.Fatal("flip produced NaN")
+	}
+}
+
+// A piece with no points has no product task, so no guard of a dot the
+// product carries is written for it: the guard check skips empty pieces
+// rather than read whatever the reused partials memory held there (here
+// an earlier batch's partials).
+func TestSDCCarriedDotsOverEmptyPieces(t *testing.T) {
+	const n, pieces = 8, 16
+	vals := make([]float64, n)
+	for i := range vals {
+		vals[i] = float64(i) + 1
+	}
+	p := NewPlanner(Config{Machine: machine.Lassen(1)})
+	si := p.AddSolVector(slices.Clone(vals), index.EqualPartition(index.NewSpace("D", n), pieces))
+	ri := p.AddRHSVector(slices.Clone(vals), index.EqualPartition(index.NewSpace("R", n), pieces))
+	p.AddOperator(sparse.Laplacian1D(n), si, ri)
+	p.Finalize()
+	mon := p.EnableSDCDetection()
+	y := p.AllocateWorkspace(RhsShape)
+	for _, d := range p.DotBatch(DotPair{SOL, SOL}, DotPair{RHS, RHS}, DotPair{SOL, RHS}) {
+		d.Value()
+	}
+	p.Matmul(y, SOL, DotPair{y, y})[0].Value()
+	p.Drain()
+	if names := p.Runtime().Graph().Nodes; slices.ContainsFunc(names, func(nd taskrt.Node) bool { return nd.Name == "matmul.dots" }) {
+		t.Fatal("the product launched a dot sweep; this test is about carried dots")
+	}
+	if c := mon.Count(); c != 0 {
+		t.Fatalf("%d alarms on a clean run: %v", c, mon.Alarms())
 	}
 }

@@ -256,7 +256,8 @@ func FuzzFusedSweep(f *testing.F) {
 		// A product carrying dots over its output (y = vector 0), its
 		// source and a vector it does not touch: 8 pieces of 128 points (cut
 		// at leaf boundaries), then 13 unaligned pieces one task each; with
-		// SDC on the dots launch as a sweep instead.
+		// SDC on the product's tasks also verify the operands and write the
+		// guards.
 		{9, []byte{2 | 0x10, 42, counts(1, 3), axpy, 1, 2, 0, 0, 0, 1, 3, 2}},
 		{10, []byte{3 | 4 | 0x10, 170, counts(0, 2), 1, 0, 2, 0}},
 		{11, []byte{1 | 8 | 0x10, 200, counts(2, 2), xpay, 2, 1, axpy, 0, 3, 0, 1, 2, 2}},

@@ -67,24 +67,23 @@ func (g *pieceGroup) runWith(scalars []*Scalar, body func(subset index.IntervalS
 	}
 }
 
-// launchGroups returns the units of launch of every component of a shape.
-// Two kinds of launch keep one task per piece, whatever the pieces hold:
-// a virtual planner's (each task models one simulated processor's share,
-// so coarsening would change the simulated figures) and, with perPiece
-// set, a session with an active fault injector's (a fault plan addresses
-// and corrupts or retries one piece task). The groups are rebuilt only
-// when that choice changes.
-func (p *Planner) launchGroups(shape Shape, perPiece bool) [][]pieceGroup {
+// launchGroups returns the units of launch of every component of a shape,
+// built on first use (the partitions are fixed once the planner is
+// finalized). Every mode of a real planner launches these groups: a fault
+// plan addresses a group's task by the pieces it holds, and SDC
+// detection checks each member piece. A virtual planner keeps one task
+// per piece, whatever the pieces hold: each task models one simulated
+// processor's share, so coarsening would change the simulated figures.
+func (p *Planner) launchGroups(shape Shape) [][]pieceGroup {
+	if g := p.groups[shape]; g != nil {
+		return g
+	}
 	grain := p.grain
-	if p.virtual || perPiece {
+	if p.virtual {
 		grain = 0
 	}
-	c := &p.groups[shape]
-	if c.byComp != nil && c.grain == grain {
-		return c.byComp
-	}
 	comps := p.comps(shape)
-	c.grain, c.byComp = grain, make([][]pieceGroup, len(comps))
+	byComp := make([][]pieceGroup, len(comps))
 	slot := 0
 	for ci, comp := range comps {
 		pieces := comp.part.Pieces()
@@ -94,7 +93,7 @@ func (p *Planner) launchGroups(shape Shape, perPiece bool) [][]pieceGroup {
 				subset = subset.Union(pieces[hi])
 				hi++
 			}
-			c.byComp[ci] = append(c.byComp[ci], pieceGroup{
+			byComp[ci] = append(byComp[ci], pieceGroup{
 				lo: lo, slot: slot + lo, proc: comp.procs[lo],
 				pieces: pieces[lo:hi], subset: subset,
 			})
@@ -102,7 +101,8 @@ func (p *Planner) launchGroups(shape Shape, perPiece bool) [][]pieceGroup {
 		}
 		slot += len(pieces)
 	}
-	return c.byComp
+	p.groups[shape] = byComp
+	return byComp
 }
 
 // eachSlot walks the canonical pieces host-side in slot order (checksum

@@ -12,12 +12,22 @@
 // task launch under its launch lock, so a single-threaded launcher (the
 // usual solver goroutine) sees an identical fault schedule on every run
 // with the same seed, plan, and program.
+//
+// A plan addresses tasks, and a task may hold a run of pieces: the
+// planner launches adjacent small pieces as one task (a launch group),
+// whether or not an injector is installed, so a plan observes the graph a
+// plain run launches. A task is eligible under a piece filter when its
+// piece range holds a listed piece. A data corruption lands on any point
+// the eligible task writes, in a listed piece or not. A failed task's
+// retry re-runs the whole task, every piece of its group, under the
+// runtime's usual retryability rules.
 package fault
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -142,9 +152,9 @@ type Plan struct {
 	Names []string
 	// Phases restricts injection to the listed solver phases (empty = all).
 	Phases []string
-	// Pieces restricts injection to the listed piece indices (empty =
-	// all). Tasks not associated with a piece are never eligible under a
-	// piece filter.
+	// Pieces restricts injection to tasks holding one of the listed piece
+	// indices (empty = all). Tasks not associated with a piece are never
+	// eligible under a piece filter.
 	Pieces []int
 	// Sticky makes faults re-fire on retry attempts.
 	Sticky bool
@@ -176,7 +186,6 @@ type Injector struct {
 	rng     *rand.Rand
 	names   map[string]bool
 	phases  map[string]bool
-	pieces  map[int]bool
 	decided int64
 	counts  map[Kind]int64
 }
@@ -196,6 +205,7 @@ func NewInjector(p Plan) *Injector {
 	if p.ScaleBy == 0 {
 		p.ScaleBy = 1 + 1.0/1024
 	}
+	p.Pieces = slices.Clone(p.Pieces) // Decide reads it; the caller keeps its own
 	in := &Injector{
 		plan:   p,
 		rng:    rand.New(rand.NewSource(p.Seed)),
@@ -213,21 +223,15 @@ func NewInjector(p Plan) *Injector {
 			in.phases[ph] = true
 		}
 	}
-	if len(p.Pieces) > 0 {
-		in.pieces = make(map[int]bool, len(p.Pieces))
-		for _, pc := range p.Pieces {
-			in.pieces[pc] = true
-		}
-	}
 	return in
 }
 
-// Decide chooses the fault (possibly None) for one task launch. The piece
-// argument is the task's piece index, or a negative value for tasks not
-// associated with one piece. Filtered tasks consume no randomness, so
-// adding tasks outside the filter does not perturb the schedule of tasks
-// inside it.
-func (in *Injector) Decide(name, phase string, piece int) Injection {
+// Decide chooses the fault (possibly None) for one task launch. pieces
+// is the range of piece indices the task holds, first and one past the
+// last; an empty range marks a task not associated with pieces. Filtered
+// tasks consume no randomness, so adding tasks outside the filter does
+// not perturb the schedule of tasks inside it.
+func (in *Injector) Decide(name, phase string, pieces [2]int) Injection {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	if in.names != nil && !in.names[name] {
@@ -236,7 +240,9 @@ func (in *Injector) Decide(name, phase string, piece int) Injection {
 	if in.phases != nil && !in.phases[phase] {
 		return Injection{}
 	}
-	if in.pieces != nil && (piece < 0 || !in.pieces[piece]) {
+	if len(in.plan.Pieces) > 0 && !slices.ContainsFunc(in.plan.Pieces, func(pc int) bool {
+		return pieces[0] <= pc && pc < pieces[1]
+	}) {
 		return Injection{}
 	}
 	if in.plan.MaxFaults > 0 && in.total() >= int64(in.plan.MaxFaults) {

@@ -12,7 +12,7 @@ import (
 func schedule(in *Injector, n int, name, phase string) []Kind {
 	out := make([]Kind, n)
 	for i := range out {
-		out[i] = in.Decide(name, phase, -1).Kind
+		out[i] = in.Decide(name, phase, [2]int{}).Kind
 	}
 	return out
 }
@@ -70,10 +70,10 @@ func TestFaultFiltersConsumeNoRandomness(t *testing.T) {
 	in := NewInjector(plan)
 	var b []Kind
 	for i := 0; i < 100; i++ {
-		if got := in.Decide("dot.partial", "", -1); got.Kind != None {
+		if got := in.Decide("dot.partial", "", [2]int{}); got.Kind != None {
 			t.Fatal("filtered-out task was injected")
 		}
-		b = append(b, in.Decide("axpy", "", -1).Kind)
+		b = append(b, in.Decide("axpy", "", [2]int{}).Kind)
 	}
 	for i := range a {
 		if a[i] != b[i] {
@@ -84,32 +84,40 @@ func TestFaultFiltersConsumeNoRandomness(t *testing.T) {
 
 func TestFaultPhaseFilter(t *testing.T) {
 	in := NewInjector(Plan{Seed: 1, PanicRate: 1, Phases: []string{"cg.step"}})
-	if in.Decide("axpy", "resilient.verify", -1).Kind != None {
+	if in.Decide("axpy", "resilient.verify", [2]int{}).Kind != None {
 		t.Fatal("wrong phase was injected")
 	}
-	if in.Decide("axpy", "cg.step", -1).Kind != Panic {
+	if in.Decide("axpy", "cg.step", [2]int{}).Kind != Panic {
 		t.Fatal("matching phase was not injected at rate 1")
 	}
 }
 
 func TestFaultPieceFilter(t *testing.T) {
 	in := NewInjector(Plan{Seed: 1, BitFlipRate: 1, Pieces: []int{2}})
-	if in.Decide("axpy", "", 0).Kind != None {
+	if in.Decide("axpy", "", [2]int{0, 1}).Kind != None {
 		t.Fatal("wrong piece was injected")
 	}
-	if in.Decide("axpy", "", -1).Kind != None {
+	if in.Decide("axpy", "", [2]int{}).Kind != None {
 		t.Fatal("pieceless task was injected under a piece filter")
 	}
-	if in.Decide("axpy", "", 2).Kind != BitFlip {
+	if in.Decide("axpy", "", [2]int{2, 3}).Kind != BitFlip {
 		t.Fatal("matching piece was not injected at rate 1")
+	}
+	// A task holding a run of pieces (a launch group) is eligible when
+	// the run holds a listed piece.
+	if in.Decide("axpy", "", [2]int{1, 3}).Kind != BitFlip {
+		t.Fatal("a task over pieces [1,3) was not injected under piece 2")
+	}
+	if in.Decide("axpy", "", [2]int{0, 2}).Kind != None {
+		t.Fatal("a task over pieces [0,2) was injected under piece 2")
 	}
 	// Filtered pieces consume no randomness: the eligible subsequence is
 	// unperturbed by interleaved off-piece decisions.
 	plan := Plan{Seed: 11, BitFlipRate: 0.5, Pieces: []int{1}}
 	a, b := NewInjector(plan), NewInjector(plan)
 	for i := 0; i < 50; i++ {
-		b.Decide("axpy", "", 0)
-		if a.Decide("axpy", "", 1).Kind != b.Decide("axpy", "", 1).Kind {
+		b.Decide("axpy", "", [2]int{0, 1})
+		if a.Decide("axpy", "", [2]int{1, 2}).Kind != b.Decide("axpy", "", [2]int{1, 2}).Kind {
 			t.Fatalf("off-piece decisions perturbed the schedule at %d", i)
 		}
 	}
@@ -127,7 +135,7 @@ func TestFaultMaxFaultsCap(t *testing.T) {
 
 func TestFaultStickyAndStallPropagate(t *testing.T) {
 	in := NewInjector(Plan{Seed: 1, StallRate: 1, StallFor: 7 * time.Millisecond, Sticky: true})
-	inj := in.Decide("t", "", -1)
+	inj := in.Decide("t", "", [2]int{})
 	if inj.Kind != Stall || !inj.Sticky || inj.Stall != 7*time.Millisecond {
 		t.Fatalf("injection = %+v", inj)
 	}
@@ -135,14 +143,14 @@ func TestFaultStickyAndStallPropagate(t *testing.T) {
 
 func TestFaultDefaultStall(t *testing.T) {
 	in := NewInjector(Plan{Seed: 1, StallRate: 1})
-	if got := in.Decide("t", "", -1).Stall; got != 50*time.Millisecond {
+	if got := in.Decide("t", "", [2]int{}).Stall; got != 50*time.Millisecond {
 		t.Fatalf("default stall = %v, want 50ms", got)
 	}
 }
 
 func TestFaultBitFlipInjectionParams(t *testing.T) {
 	in := NewInjector(Plan{Seed: 5, BitFlipRate: 1, Bit: 52})
-	inj := in.Decide("t", "", -1)
+	inj := in.Decide("t", "", [2]int{})
 	if inj.Kind != BitFlip || inj.Bit != 52 {
 		t.Fatalf("injection = %+v, want pinned bit 52", inj)
 	}
@@ -150,14 +158,14 @@ func TestFaultBitFlipInjectionParams(t *testing.T) {
 		t.Fatalf("Pos = %v, want in [0,1)", inj.Pos)
 	}
 	// Same seed, same corruption site.
-	again := NewInjector(Plan{Seed: 5, BitFlipRate: 1, Bit: 52}).Decide("t", "", -1)
+	again := NewInjector(Plan{Seed: 5, BitFlipRate: 1, Bit: 52}).Decide("t", "", [2]int{})
 	if again.Pos != inj.Pos || again.Bit != inj.Bit {
 		t.Fatalf("corruption params not deterministic: %+v vs %+v", inj, again)
 	}
 	// Random bit mode stays in range and is deterministic too.
 	rb := NewInjector(Plan{Seed: 9, BitFlipRate: 1, RandomBit: true})
-	b1 := rb.Decide("t", "", -1).Bit
-	b2 := NewInjector(Plan{Seed: 9, BitFlipRate: 1, RandomBit: true}).Decide("t", "", -1).Bit
+	b1 := rb.Decide("t", "", [2]int{}).Bit
+	b2 := NewInjector(Plan{Seed: 9, BitFlipRate: 1, RandomBit: true}).Decide("t", "", [2]int{}).Bit
 	if b1 != b2 || b1 < 0 || b1 > 63 {
 		t.Fatalf("random bit: %d vs %d", b1, b2)
 	}
@@ -197,7 +205,7 @@ func TestFaultNaNCorruptsData(t *testing.T) {
 		}
 	}
 	in := NewInjector(Plan{Seed: 4, NaNRate: 1})
-	if inj := in.Decide("dot.partial", "", 0); inj.Kind != NaN || inj.Pos != 0 {
+	if inj := in.Decide("dot.partial", "", [2]int{0, 1}); inj.Kind != NaN || inj.Pos != 0 {
 		t.Fatalf("nan decision = %+v, want kind nan at position 0", inj)
 	}
 }
@@ -215,7 +223,7 @@ func TestFaultKindRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("ParsePlan(%q): %v", spec, err)
 		}
-		got := NewInjector(p).Decide("t", "", -1).Kind
+		got := NewInjector(p).Decide("t", "", [2]int{}).Kind
 		if got.String() != k.String() {
 			t.Errorf("ParsePlan(%q) → Decide → %q, want %q", spec, got, k)
 		}

@@ -85,25 +85,18 @@ func KnownSolver(name string) bool {
 	return slices.Contains(solvers.Names, name)
 }
 
-// Validate checks every parameter against its domain and returns all
-// violations joined into one error (errors.Join), or nil. Front ends
-// treat a non-nil result as a usage error: exit 2 from the CLI, HTTP
-// 400 from the server. Validation is pure — no file access — so a
-// matrix path that does not exist fails at load time (a runtime error,
-// exit 1), not here; a malformed stencil spec fails here.
 // maxPieces bounds Spec.Pieces: a partition allocates one interval set per
 // color and the planner derives per-color kernel and halo sets from it, so
 // the width is a resource a client names. Small pieces are cheap to run
 // (the planner launches them by the grain), not to plan.
 const maxPieces = 1 << 16
 
-// maxFaultPieces bounds Spec.Pieces under a fault plan. An active injector
-// launches one task per piece, and every reader of a dot then depends on
-// every piece's partial: pieces² edges a dot, which at 4096 pieces runs
-// the process out of memory even for a plan that never fires. 128 still
-// lets one task wave fail more tasks than a session's error window holds.
-const maxFaultPieces = 128
-
+// Validate checks every parameter against its domain and returns all
+// violations joined into one error (errors.Join), or nil. Front ends
+// treat a non-nil result as a usage error: exit 2 from the CLI, HTTP
+// 400 from the server. Validation is pure — no file access — so a
+// matrix path that does not exist fails at load time (a runtime error,
+// exit 1), not here; a malformed stencil spec fails here.
 func (s *Spec) Validate() error {
 	var errs []error
 	fail := func(format string, args ...any) {
@@ -140,9 +133,6 @@ func (s *Spec) Validate() error {
 	if s.Faults != "" {
 		if _, err := fault.ParsePlan(s.Faults); err != nil {
 			errs = append(errs, err)
-		}
-		if s.Pieces > maxFaultPieces {
-			fail("pieces must be at most %d with faults set, got %d", maxFaultPieces, s.Pieces)
 		}
 	}
 	if s.Retries < 0 {

@@ -55,11 +55,12 @@ func TestCrashRecoveryEndToEnd(t *testing.T) {
 		spec.Pieces = 8
 		spec.CheckpointEvery = 2
 		spec.MaxRestarts = 3
-		// ~5% of tasks stall 10ms: tens of milliseconds per iteration,
-		// seconds per job — the batch is guaranteed to still be in flight
-		// when the kill lands. Stalls never fail tasks, so convergence is
+		// Half the tasks stall 10ms: at the three or four grouped tasks
+		// of a CG iteration, tens of milliseconds per iteration, seconds
+		// per job — the batch is guaranteed to still be in flight when
+		// the kill lands. Stalls never fail tasks, so convergence is
 		// untouched.
-		spec.Faults = fmt.Sprintf("stall=0.05,stallms=10,seed=%d", i+1)
+		spec.Faults = fmt.Sprintf("stall=0.5,stallms=10,seed=%d", i+1)
 		body, _ := json.Marshal(spec)
 		resp, err := http.Post(base1+"/solve", "application/json", bytes.NewReader(body))
 		if err != nil {

@@ -345,15 +345,17 @@ func TestHTTPMetricsErrsDroppedAndWAL(t *testing.T) {
 	walBefore := walCounters(before)
 
 	// Overflow one session error window in a single resilient attempt:
-	// 128 pieces means the first task wave has well over the window's 64
-	// independent root tasks, every one of which panics (rate 1), so the
-	// window must evict. The resilient driver then rolls back, the
-	// injector's budget runs out, and the job still converges. (Vectors
-	// are cut at 64-point leaves, so 128 pieces need 8 192 rows or more.)
+	// every launch panics (rate 1) until 256 faults are spent. The 128
+	// pieces launch as three groups, so a failed task's successors are
+	// poisoned without running and about a third of the faulted launches
+	// fail (85 here), well over the window's 64, so the window must
+	// evict. The resilient driver then rolls back, the injector's budget
+	// is spent, and the job still converges. (Vectors are cut at 64-point
+	// leaves, so 128 pieces need 8 192 rows or more.)
 	j, err := s.Submit(testSpec(func(sp *jobspec.Spec) {
 		sp.Matrix = "lap2d:96x96"
 		sp.Pieces = 128
-		sp.Faults = "panic=1,max=128,seed=1"
+		sp.Faults = "panic=1,max=256,seed=1"
 		sp.CheckpointEvery = 1
 		sp.MaxRestarts = 200
 	}))

@@ -17,9 +17,10 @@ import (
 // dot's readers await them) and the per-task closures. The pin is a
 // regression tripwire: if the hot path regrows per-task allocations the
 // count jumps by O(pieces × launches), two orders of magnitude above this
-// budget. The step reads 186 allocations over 24 launches since the
-// product carries pᵀAp (202 over 32 with a dot sweep of its own, 226–227
-// while a dot's partials were a region); the pin is that plus 5 %.
+// budget. The step reads 188 allocations over 24 launches since the
+// product carries pᵀAp through the sweep's dot body (186 with a dot loop
+// of its own, 202 over 32 with a dot sweep of its own, 226–227 while a
+// dot's partials were a region); the pin is 186 plus 5 %.
 func TestFusedCGStepAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; the pin only means something without it")

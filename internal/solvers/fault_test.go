@@ -2,8 +2,10 @@ package solvers
 
 import (
 	"errors"
+	"maps"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -188,8 +190,9 @@ func TestFaultSolveResilientCleanRun(t *testing.T) {
 }
 
 func TestFaultSolveResilientRecoversFromInjectedPanics(t *testing.T) {
-	// The acceptance scenario: CG on an SPD stencil with 1% injected
-	// panics. Retries absorb transient faults on idempotent tasks;
+	// The acceptance scenario: CG on an SPD stencil with 4% injected
+	// panics — about two a solve, at the 47 grouped launches a plain
+	// solve of this system makes. Retries absorb transient faults on idempotent tasks;
 	// permanent failures on read-modify-write tasks poison the residual
 	// and are recovered by checkpoint rollback.
 	a := sparse.Laplacian2D(8, 8)
@@ -199,7 +202,7 @@ func TestFaultSolveResilientRecoversFromInjectedPanics(t *testing.T) {
 	}
 	p := planFor(a, b, 4)
 	rt := p.Runtime()
-	rt.DefaultSession().SetFaultInjector(fault.NewInjector(fault.Plan{Seed: 1, PanicRate: 0.01}))
+	rt.DefaultSession().SetFaultInjector(fault.NewInjector(fault.Plan{Seed: 1, PanicRate: 0.04}))
 	rt.DefaultSession().SetRetryPolicy(taskrt.RetryPolicy{MaxAttempts: 3})
 
 	res := SolveResilient(p, NewCG(p), ResilientConfig{
@@ -207,7 +210,7 @@ func TestFaultSolveResilientRecoversFromInjectedPanics(t *testing.T) {
 	})
 	p.Drain()
 	if !res.Converged {
-		t.Fatalf("resilient CG did not converge under 1%% panics: %+v (runtime: %v)",
+		t.Fatalf("resilient CG did not converge under 4%% panics: %+v (runtime: %v)",
 			res, rt.Err())
 	}
 	// The tolerance was verified against the TRUE residual, so the
@@ -242,7 +245,7 @@ func TestFaultSolveWithoutRecoveryAborts(t *testing.T) {
 	}
 	p := planFor(a, b, 4)
 	rt := p.Runtime()
-	rt.DefaultSession().SetFaultInjector(fault.NewInjector(fault.Plan{Seed: 1, PanicRate: 0.01}))
+	rt.DefaultSession().SetFaultInjector(fault.NewInjector(fault.Plan{Seed: 1, PanicRate: 0.04}))
 
 	res := Solve(p, NewCG(p), 1e-8, 2000)
 	p.Drain()
@@ -277,5 +280,59 @@ func TestFaultSolveResilientNaNCorruption(t *testing.T) {
 	}
 	if err := rt.Err(); err != nil {
 		t.Fatalf("silent corruption must not surface as a task error: %v", err)
+	}
+}
+
+// A resilience mode observes the program; it does not replace it. For
+// each solver, a traced plain solve over 8 small pieces and the same solve
+// under a fault plan that never fires launch the same graph: the same
+// task names in the same order, so the same count per name, and the same
+// dependence edges. With SDC detection on the names and counts are the
+// plain solve's too; the checksum references add edges.
+func TestFaultFreePlanLaunchesPlainGraph(t *testing.T) {
+	const side, pieces, tol = 32, 8, 1e-10
+	for _, name := range []string{"cg", "bicg", "bicgstab", "gmres"} {
+		t.Run(name, func(t *testing.T) {
+			a := confBase(side, wantsSPD(name))
+			run := func(mode string) taskrt.Graph {
+				p := planFor(a, fusedRHS(side*side), pieces)
+				p.SetTracing(true)
+				switch mode {
+				case "faults":
+					p.Session().SetFaultInjector(fault.NewInjector(fault.Plan{
+						Seed: 1, PanicRate: 1, Names: []string{"no.such.task"},
+					}))
+				case "sdc":
+					p.EnableSDCDetection()
+				}
+				Solve(p, New(name, p), tol, 3000)
+				p.Drain()
+				return p.Session().Graph()
+			}
+			plain, faulted, checked := run("plain"), run("faults"), run("sdc")
+			counts := func(g taskrt.Graph) map[string]int {
+				c := map[string]int{}
+				for _, n := range g.Nodes {
+					c[n.Name]++
+				}
+				return c
+			}
+			want := counts(plain)
+			for mode, g := range map[string]taskrt.Graph{"fault plan": faulted, "sdc": checked} {
+				if got := counts(g); !maps.Equal(got, want) {
+					t.Errorf("%s: %d tasks %v, plain solve %d tasks %v", mode, g.Len(), got, plain.Len(), want)
+				}
+			}
+			if faulted.Len() != plain.Len() {
+				return
+			}
+			for i, n := range faulted.Nodes {
+				w := plain.Nodes[i]
+				if n.Name != w.Name || !slices.Equal(n.Deps, w.Deps) || !slices.Equal(n.DepBytes, w.DepBytes) {
+					t.Fatalf("fault plan: task %d is %s after %v (%v bytes), plain solve %s after %v (%v bytes)",
+						i, n.Name, n.Deps, n.DepBytes, w.Name, w.Deps, w.DepBytes)
+				}
+			}
+		})
 	}
 }

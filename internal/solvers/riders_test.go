@@ -8,17 +8,17 @@ import (
 	"kdrsolvers/internal/taskrt"
 )
 
-// Riding does not change answers: a product that carries its output's
-// dots computes the leaves a dot sweep would, so every solver's solve
-// with riders is Float64bits-identical, iterate and iteration count, to
-// the same solve with SDC detection on, where every dot launches as a
-// sweep whose checksum pre-pass verifies its operands. The solvers whose
-// steps pass dots to a product (all but PipeCG, MINRES, s-step CG and
-// PGMRES) launch that sweep (matmul.dots, psolve.dots) with detection on
-// and never with riders.
+// Detection does not change answers or the carried dots: a product
+// carries its output's dots in the sweep's dot body with SDC detection
+// on and off alike, the body then also verifying the operands it reads
+// and writing guard slots. So every solver's solve is
+// Float64bits-identical, iterate and iteration count, with detection on
+// and off, raises no alarm, and launches no separate dot sweep
+// (matmul.dots, psolve.dots) either way. That the riders' leaves are a
+// sweep's is FuzzFusedSweep's and TestDotIsPieceInvariant's, which hold
+// both paths to the host dot.
 func TestRidingDotsKeepAnswers(t *testing.T) {
 	const side, pieces, tol = 32, 8, 1e-10
-	rides := map[string]bool{"cg": true, "pcg": true, "bicg": true, "bicgstab": true, "cgs": true, "gmres": true, "gcrodr": true}
 	dotSweeps := func(g taskrt.Graph) (k int) {
 		for _, n := range g.Nodes {
 			if n.Name == "matmul.dots" || n.Name == "psolve.dots" {
@@ -46,19 +46,18 @@ func TestRidingDotsKeepAnswers(t *testing.T) {
 				}
 				return res, p.VecData(core.SOL, 0), dotSweeps(p.Runtime().Graph())
 			}
-			rode, x, swept := run(false)
-			plain, xs, sweptSDC := run(true)
-			if rode.Iterations != plain.Iterations {
-				t.Fatalf("%d iterations with riders, %d with dot sweeps", rode.Iterations, plain.Iterations)
+			plain, x, swept := run(false)
+			checked, xs, sweptSDC := run(true)
+			if plain.Iterations != checked.Iterations {
+				t.Fatalf("%d iterations without detection, %d with", plain.Iterations, checked.Iterations)
 			}
 			for i := range x {
 				if math.Float64bits(x[i]) != math.Float64bits(xs[i]) {
-					t.Fatalf("x[%d] = %v with riders, %v with dot sweeps", i, x[i], xs[i])
+					t.Fatalf("x[%d] = %v without detection, %v with", i, x[i], xs[i])
 				}
 			}
-			if swept != 0 || (sweptSDC > 0) != rides[name] {
-				t.Errorf("%d carried-dot sweep tasks with riders, %d with detection; want 0 and some: %v",
-					swept, sweptSDC, rides[name])
+			if swept != 0 || sweptSDC != 0 {
+				t.Errorf("%d carried-dot sweep tasks without detection, %d with; want none", swept, sweptSDC)
 			}
 		})
 	}

@@ -60,10 +60,11 @@ type TaskSpec struct {
 	// launches of a solver iteration never read their futures; detaching
 	// them removes the last allocation on the trace-replay launch path.
 	Detached bool
-	// Piece is 1 + the task's piece index for tasks that operate on one
-	// piece of a partitioned vector, or 0 for tasks not associated with
-	// one piece. The fault injector's piece filter keys on it.
-	Piece int
+	// Pieces is the range of piece indices the task operates on, first
+	// and one past the last (a launch group's run of pieces of a
+	// partitioned vector); the zero value marks a task not associated
+	// with pieces. The fault injector's piece filter keys on it.
+	Pieces [2]int
 	// Corrupt, when set, is invoked after a successful body run if the
 	// injector chose a data-corruption fault (nan, bitflip, scale) for this
 	// launch: it applies the corruption to the task's output region data.
@@ -488,7 +489,7 @@ func (s *Session) prep(spec *TaskSpec, ts *taskState, id int64) {
 		s.traceObserve(spec, ts)
 	}
 	if s.injector != nil {
-		ts.inj = s.injector.Decide(spec.Name, ts.phase, spec.Piece-1)
+		ts.inj = s.injector.Decide(spec.Name, ts.phase, spec.Pieces)
 	}
 	ts.rec = s.rec
 	if ts.rec != nil {
