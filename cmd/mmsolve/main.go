@@ -25,14 +25,15 @@
 //
 // Fault tolerance (chaos runs): -faults injects a deterministic fault
 // plan (e.g. -faults "panic=0.01,seed=1" or "bitflip=0.001,bit=52"),
-// -retries enables bounded re-execution of idempotent tasks, -watchdog
-// flags stragglers, and -checkpoint-every N turns on the driver's
-// recovery: it checkpoints the solution every N iterations and rolls
-// back on failure, divergence, or recurrence drift (a verified residual
-// more than twice the solver's own measure), restarting the solver from
-// the restored solution; -max-restarts bounds the rollbacks. Without it
-// the same driver stops on the first bad state. Either way a rejected
-// convergence claim restarts the solver from its current solution.
+// -retries N re-runs a failed idempotent task at once, up to N attempts
+// in all (at most 8), -watchdog counts stragglers, and
+// -checkpoint-every N turns on the driver's recovery: it checkpoints the
+// solution every N iterations and rolls back on failure, divergence, or
+// recurrence drift (a verified residual more than twice the solver's own
+// measure), restarting the solver from the restored solution;
+// -max-restarts bounds the rollbacks. Without it the same driver stops on
+// the first bad state. Either way a rejected convergence claim restarts
+// the solver from its current solution.
 //
 // Silent data corruption: -detect-sdc turns on checksummed kernels
 // (ABFT) that alarm on corrupted vector pieces; with -checkpoint-every
@@ -76,8 +77,7 @@ func main() {
 	trace := flag.Bool("trace", true, "memoize dependence analysis of repeated solver iterations (trace replay)")
 	traceOut := flag.String("trace-out", "", "write recorded task spans as a Chrome trace to this file (implies -profile)")
 	flag.StringVar(&spec.Faults, "faults", "", "fault-injection plan, e.g. 'panic=0.01,seed=1' (see internal/fault)")
-	flag.IntVar(&spec.Retries, "retries", 0, "execution attempts per idempotent task (0 or 1 disables retry)")
-	flag.DurationVar(&spec.RetryBackoff, "retry-backoff", 0, "delay before re-executing a failed task (doubles per attempt)")
+	flag.IntVar(&spec.Retries, "retries", 0, "execution attempts per idempotent task, re-run back to back (0 or 1 disables retry; at most 8)")
 	flag.IntVar(&spec.CheckpointEvery, "checkpoint-every", 0, "checkpoint the solution every N iterations and roll back on failure (0: no recovery, stop on the first bad state)")
 	flag.IntVar(&spec.MaxRestarts, "max-restarts", spec.MaxRestarts, "checkpoint rollback budget for failures, divergence and recurrence drift (with -checkpoint-every; sdc alarms do not spend it)")
 	flag.DurationVar(&spec.Watchdog, "watchdog", 0, "flag tasks running past this wall-clock budget as stragglers (0 disables)")

@@ -7,7 +7,6 @@ import (
 
 	"kdrsolvers/internal/fault"
 	"kdrsolvers/internal/index"
-	"kdrsolvers/internal/obs"
 	"kdrsolvers/internal/region"
 )
 
@@ -87,29 +86,13 @@ type SDCMonitor struct {
 	mu     sync.Mutex
 	alarms []SDCAlarm
 	total  int64
-	rec    *obs.Recorder
-}
-
-// SetRecorder mirrors every subsequent alarm into an obs recorder as a
-// FailureSDC record, so corruption events appear in profiles next to
-// panics and stragglers.
-func (m *SDCMonitor) SetRecorder(rec *obs.Recorder) {
-	m.mu.Lock()
-	m.rec = rec
-	m.mu.Unlock()
 }
 
 func (m *SDCMonitor) report(a SDCAlarm) {
 	m.mu.Lock()
 	m.alarms = append(m.alarms, a)
 	m.total++
-	rec := m.rec
 	m.mu.Unlock()
-	if rec != nil {
-		rec.RecordFailure(obs.Failure{
-			Name: a.Task, Kind: obs.FailureSDC, Msg: a.String(),
-		})
-	}
 }
 
 // Count returns the total number of alarms raised so far (including

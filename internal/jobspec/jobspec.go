@@ -50,9 +50,9 @@ type Spec struct {
 	// disables injection.
 	Faults string `json:"faults,omitempty"`
 	// Retries is execution attempts per idempotent task (0 or 1
-	// disables retry); RetryBackoff the delay before re-execution.
-	Retries      int           `json:"retries,omitempty"`
-	RetryBackoff time.Duration `json:"retry_backoff,omitempty"`
+	// disables retry; at most maxRetries). A failed attempt is re-run at
+	// once on the same worker.
+	Retries int `json:"retries,omitempty"`
 	// CheckpointEvery > 0 turns the driver's recovery on, checkpointing
 	// every N iterations; MaxRestarts bounds its rollbacks (<= 0
 	// disables them).
@@ -90,6 +90,11 @@ func KnownSolver(name string) bool {
 // the width is a resource a client names. Small pieces are cheap to run
 // (the planner launches them by the grain), not to plan.
 const maxPieces = 1 << 16
+
+// maxRetries bounds Spec.Retries: under a sticky fault plan every
+// retryable task re-runs its body that many times on a shared worker,
+// so the count is a resource a client names too.
+const maxRetries = 8
 
 // Validate checks every parameter against its domain and returns all
 // violations joined into one error (errors.Join), or nil. Front ends
@@ -137,9 +142,8 @@ func (s *Spec) Validate() error {
 	}
 	if s.Retries < 0 {
 		fail("retries must not be negative, got %d", s.Retries)
-	}
-	if s.RetryBackoff < 0 {
-		fail("retry-backoff must not be negative, got %v", s.RetryBackoff)
+	} else if s.Retries > maxRetries {
+		fail("retries must be at most %d, got %d", maxRetries, s.Retries)
 	}
 	if s.CheckpointEvery < 0 {
 		fail("checkpoint-every must not be negative, got %d", s.CheckpointEvery)

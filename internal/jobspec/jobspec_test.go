@@ -65,7 +65,7 @@ func TestValidateRejections(t *testing.T) {
 		{"zero tol", func(s *Spec) { s.Tol = 0 }, "tol must be"},
 		{"negative tol", func(s *Spec) { s.Tol = -1e-8 }, "tol must be"},
 		{"negative retries", func(s *Spec) { s.Retries = -1 }, "retries must not"},
-		{"negative backoff", func(s *Spec) { s.RetryBackoff = -1 }, "retry-backoff"},
+		{"too many retries", func(s *Spec) { s.Retries = maxRetries + 1 }, "retries must be at most 8"},
 		{"negative checkpoint", func(s *Spec) { s.CheckpointEvery = -2 }, "checkpoint-every"},
 		{"negative watchdog", func(s *Spec) { s.Watchdog = -1 }, "watchdog"},
 		{"bad fault plan", func(s *Spec) { s.Faults = "explode=1" }, ""},
@@ -99,6 +99,7 @@ func TestValidateAccepts(t *testing.T) {
 		{"mtx path unchecked until load", func(s *Spec) { s.Matrix = "does-not-exist.mtx" }},
 		{"resilient", func(s *Spec) { s.CheckpointEvery = 5 }},
 		{"fault plan", func(s *Spec) { s.Faults = "panic=0.01,seed=1" }},
+		{"retries at the cap", func(s *Spec) { s.Retries = maxRetries }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

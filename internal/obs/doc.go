@@ -3,6 +3,10 @@
 // critical-path analyzer over recorded executions, and a Chrome-trace
 // (chrome://tracing / Perfetto) exporter.
 //
+// A Recorder records spans only. A task failure shows in its span's
+// Outcome (retried, failed, poisoned); counts of failures, retries and
+// stragglers are the task runtime's Stats.
+//
 // The package deliberately depends on nothing but the standard library,
 // so both the real runtime (package taskrt) and the discrete-event
 // simulator (package sim) can produce Spans without an import cycle:

@@ -47,44 +47,14 @@ func (s Span) Duration() float64 { return s.End - s.Start }
 // execution in seconds.
 func (s Span) QueueLatency() float64 { return s.Start - s.Launch }
 
-// Failure records one task-failure event for telemetry: a panicked
-// attempt, a straggler flag, or a poisoned cancellation.
-type Failure struct {
-	// Task is the graph ID of the failed task.
-	Task int64
-	// Name and Phase identify what failed.
-	Name, Phase string
-	// Msg is the event detail (the recovered panic value for panics).
-	Msg string
-	// Kind classifies the event: FailurePanic (default for legacy
-	// records), FailureStraggler, or FailureCancelled.
-	Kind string
-	// Attempt is the zero-based execution attempt the event belongs to.
-	Attempt int
-	// Final marks the event that made the failure permanent (the attempt
-	// that exhausted the retry budget, or a cancellation).
-	Final bool
-}
-
-// Failure kinds.
-const (
-	FailurePanic     = "panic"
-	FailureStraggler = "straggler"
-	FailureCancelled = "cancelled"
-	// FailureSDC records a silent-data-corruption checksum alarm (raised
-	// by core's ABFT verification, not by the failing task itself).
-	FailureSDC = "sdc"
-)
-
-// Recorder collects spans and failures from a concurrent execution. All
-// methods are safe for concurrent use; recording is one short critical
-// section per task.
+// Recorder collects spans from a concurrent execution. All methods are
+// safe for concurrent use; recording is one short critical section per
+// task.
 type Recorder struct {
 	epoch time.Time
 
-	mu       sync.Mutex
-	spans    []Span
-	failures []Failure
+	mu    sync.Mutex
+	spans []Span
 }
 
 // NewRecorder returns an empty recorder whose epoch is now.
@@ -104,13 +74,6 @@ func (r *Recorder) Record(s Span) {
 	r.mu.Unlock()
 }
 
-// RecordFailure appends one task failure.
-func (r *Recorder) RecordFailure(f Failure) {
-	r.mu.Lock()
-	r.failures = append(r.failures, f)
-	r.mu.Unlock()
-}
-
 // Spans returns a snapshot of the recorded spans, sorted by task ID.
 func (r *Recorder) Spans() []Span {
 	r.mu.Lock()
@@ -118,13 +81,6 @@ func (r *Recorder) Spans() []Span {
 	r.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
-}
-
-// Failures returns a snapshot of the recorded failures, in record order.
-func (r *Recorder) Failures() []Failure {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]Failure(nil), r.failures...)
 }
 
 // Counter is a lightweight atomic event counter.

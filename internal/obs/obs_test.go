@@ -60,10 +60,6 @@ func TestRecorderConcurrent(t *testing.T) {
 			t.Fatalf("spans not sorted by ID: %d at %d", s.ID, i)
 		}
 	}
-	r.RecordFailure(Failure{Task: 3, Name: "t", Msg: "boom"})
-	if f := r.Failures(); len(f) != 1 || f[0].Msg != "boom" {
-		t.Fatalf("failures = %+v", f)
-	}
 }
 
 // diamond builds the spans and deps of a 4-task diamond:

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"kdrsolvers/internal/jobspec"
 	"kdrsolvers/internal/wal"
 )
 
@@ -290,6 +291,30 @@ func TestJournalReplaysParentFormat(t *testing.T) {
 		if r.Seq == 0 {
 			t.Fatalf("compaction wrote a %s record without an ordinal: %q", r.T, p)
 		}
+	}
+}
+
+// An accept record an older build wrote with the since-removed
+// retry_backoff field still replays its job as pending, with the spec
+// this build declares: the journal decodes with json.Unmarshal, which
+// ignores the key, where the HTTP handler refuses it.
+func TestFaultJournalReplaysRetryBackoffSpec(t *testing.T) {
+	dir := t.TempDir()
+	spec := testSpec(func(s *jobspec.Spec) { s.Faults = "panic=0.04,seed=1"; s.Retries = 3 })
+	appendRaw(t, dir,
+		withFields(t, journalRecord{T: recAccept, ID: "job-1", Spec: &spec, Submitted: journalEpoch},
+			"spec", map[string]any{"retry_backoff": 1500000000}),
+	)
+	jn, rep, err := openJournal(dir, wal.Options{FsyncEvery: 1}, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jn.Close()
+	if len(rep.Pending) != 1 || rep.Pending[0].ID != "job-1" || rep.Skipped != 0 {
+		t.Fatalf("replay = %+v, want job-1 pending and nothing skipped", rep)
+	}
+	if !reflect.DeepEqual(rep.Pending[0].Spec, spec) {
+		t.Fatalf("job-1 spec = %+v, want %+v", rep.Pending[0].Spec, spec)
 	}
 }
 

@@ -165,7 +165,7 @@ func (r *JobResult) UnmarshalJSON(b []byte) error {
 }
 
 // RunSolve executes one job against an already loaded matrix, inside
-// opt.Session. The planner, fault injector, retry policy, and watchdog
+// opt.Session. The planner, fault injector, attempt cap, and watchdog
 // are all session-scoped, so concurrent RunSolve calls on one runtime
 // stay independent: a fault plan in one job never fires in another, and
 // one job's permanent failure never pollutes another's error state.
@@ -264,7 +264,7 @@ func solveSystem(a *sparse.CSR, k int, x, b []float64, spec jobspec.Spec, opt Op
 		}
 	}
 	if spec.Retries > 1 {
-		sess.SetRetryPolicy(taskrt.RetryPolicy{MaxAttempts: spec.Retries, Backoff: spec.RetryBackoff})
+		sess.SetMaxAttempts(spec.Retries)
 	}
 	if spec.Watchdog > 0 {
 		sess.SetWatchdog(spec.Watchdog)

@@ -685,3 +685,32 @@ func TestPiecesAreBounded(t *testing.T) {
 		t.Errorf("pieces 2000 launched %.1f tasks per iteration, want at most 12", perIter)
 	}
 }
+
+// A retry runs back to back and its count is bounded, so a spec cannot
+// park a shared worker: retry_backoff is an unknown field, a 400 that
+// names it, and a retry count above the cap is a 400 too.
+func TestFaultRetrySpecsAreBounded(t *testing.T) {
+	s := mustServer(t, Config{MaxActive: 1})
+	defer s.Drain()
+	ts := httptest.NewServer(Handler(s))
+	defer ts.Close()
+
+	for _, tc := range []struct{ body, want string }{
+		{`{"matrix":"lap2d:8x8","retries":2,"retry_backoff":1000000000}`, `unknown field "retry_backoff"`},
+		{`{"matrix":"lap2d:8x8","faults":"panic=1,sticky=1,seed=1","retries":9}`, "retries must be at most 8"},
+	} {
+		resp, err := http.Post(ts.URL+"/solve", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := make([]byte, 4096)
+		n, _ := resp.Body.Read(body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body[:n]), tc.want) {
+			t.Errorf("POST /solve %s = %d %s, want 400 naming %q", tc.body, resp.StatusCode, body[:n], tc.want)
+		}
+	}
+	if m := s.Metrics(); m.Completed+m.Failed != 0 || m.Active+m.Queued != 0 {
+		t.Errorf("a rejected spec ran: %+v", m)
+	}
+}

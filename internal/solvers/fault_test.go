@@ -203,7 +203,7 @@ func TestFaultSolveResilientRecoversFromInjectedPanics(t *testing.T) {
 	p := planFor(a, b, 4)
 	rt := p.Runtime()
 	rt.DefaultSession().SetFaultInjector(fault.NewInjector(fault.Plan{Seed: 1, PanicRate: 0.04}))
-	rt.DefaultSession().SetRetryPolicy(taskrt.RetryPolicy{MaxAttempts: 3})
+	rt.DefaultSession().SetMaxAttempts(3)
 
 	res := SolveResilient(p, NewCG(p), ResilientConfig{
 		Tol: 1e-8, MaxIter: 2000, CheckpointEvery: 5, MaxRestarts: 100,

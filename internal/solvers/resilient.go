@@ -170,9 +170,6 @@ func SolveResilient(p *core.Planner, s Solver, cfg ResilientConfig) ResilientRes
 	if cfg.DetectSDC {
 		p.Drain() // seeding checksums needs a quiescent runtime
 		mon = p.EnableSDCDetection()
-		if rec := p.Session().Recorder(); rec != nil {
-			mon.SetRecorder(rec) // alarms show up in profiles as FailureSDC
-		}
 	}
 
 	// trueResidual recomputes ‖b − Ax‖ into a workspace reused across

@@ -12,7 +12,7 @@
 // task like a region dependence does.
 //
 // Session is the launch API: Launch, LaunchBatch (the index launch:
-// one point task per color, in one critical section), trace scopes (BeginTrace/EndTrace), the phase label, the retry policy, the
+// one point task per color, in one critical section), trace scopes (BeginTrace/EndTrace), the phase label, the attempt cap, the
 // watchdog, the fault injector, and the recorder are all methods of a
 // Session. The program is per session too: sessions must reference
 // disjoint regions, so each owns its task IDs (dense from 0), its access
@@ -55,19 +55,20 @@
 // silently poisoning downstream data:
 //
 //   - A panicking task body is caught, never crashing the process. If the
-//     task is Retryable (its body is idempotent) and a RetryPolicy is set,
-//     the body is re-executed with backoff up to the attempt cap.
+//     task is Retryable (its body is idempotent) and the session's attempt
+//     cap (Session.SetMaxAttempts) is above one, the body is re-run back
+//     to back on the same worker until it succeeds or the cap is reached.
 //   - A permanent failure (retries exhausted, or not retryable) resolves
 //     the task's future to NaN with an error, and poisons its transitive
 //     successors: they are cancelled without executing their bodies, and
 //     their futures resolve to NaN with an error wrapping ErrPoisoned that
 //     names the root failure. No successor of a permanently failed task
 //     ever runs on garbage data.
-//   - A watchdog (Session.SetWatchdog) flags tasks running past a wall-clock
-//     budget as stragglers in Stats and the attached obs.Recorder.
+//   - A watchdog (Session.SetWatchdog) counts tasks running past a
+//     wall-clock budget as Stats.Stragglers.
 //   - Failures, retries, cancellations, and straggler flags are counted in
-//     Stats and reported through the obs telemetry (span outcomes and
-//     failure records).
+//     Stats and SessionStats; with an obs.Recorder attached, each task's
+//     span carries its outcome (retried, failed, poisoned).
 //   - Deterministic fault injection (package fault, Session.SetFaultInjector)
 //     exercises every one of these paths reproducibly.
 //
@@ -77,6 +78,6 @@
 // blocks until every launched task has executed, retried, or been
 // cancelled, and then Err, which aggregates every distinct permanent task
 // failure into a single error (errors.Join) — nil means everything ran
-// (possibly after retries). Callers that need per-failure detail attach an
+// (possibly after retries). Callers that need per-task outcomes attach an
 // obs.Recorder; callers that need counts read Stats.
 package taskrt

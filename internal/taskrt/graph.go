@@ -56,24 +56,3 @@ func (g Graph) DepLists() [][]int64 {
 	}
 	return deps
 }
-
-// CriticalPathCost returns the longest compute-cost path through the
-// dependence graph — the best possible makespan on infinitely many
-// processors with free communication.
-func (g *Graph) CriticalPathCost() float64 {
-	finish := make([]float64, len(g.Nodes))
-	var best float64
-	for i, n := range g.Nodes {
-		var start float64
-		for _, d := range n.Deps {
-			if finish[d] > start {
-				start = finish[d]
-			}
-		}
-		finish[i] = start + n.Cost
-		if finish[i] > best {
-			best = finish[i]
-		}
-	}
-	return best
-}

@@ -51,8 +51,8 @@ type TaskSpec struct {
 	Host bool
 	// Retryable declares the body idempotent: it fully overwrites its
 	// outputs and reads nothing it writes, so re-executing a failed
-	// attempt is safe. Only retryable tasks participate in the runtime's
-	// retry policy; a non-retryable failure is immediately permanent.
+	// attempt is safe. Only retryable tasks are re-run under the session's
+	// attempt cap; a non-retryable failure is immediately permanent.
 	Retryable bool
 	// Detached skips creating a Future for the launch: the task's scalar
 	// result is discarded on completion and Launch returns nil (a fully
@@ -70,46 +70,6 @@ type TaskSpec struct {
 	// launch: it applies the corruption to the task's output region data.
 	// Tasks without the hook have their scalar result corrupted instead.
 	Corrupt func(fault.Injection)
-}
-
-// RetryPolicy bounds re-execution of retryable task bodies.
-type RetryPolicy struct {
-	// MaxAttempts is the total number of execution attempts per retryable
-	// task (first run included). Values below 2 disable retry.
-	MaxAttempts int
-	// Backoff is the delay before re-execution, doubled each further
-	// attempt. Zero retries immediately. The doubling is clamped (see
-	// backoffDelay) so a large attempt budget cannot overflow the delay
-	// into a huge or negative sleep.
-	Backoff time.Duration
-}
-
-// maxBackoffDelay caps one retry sleep. Doubling stops here; an
-// explicitly larger configured base Backoff is honored as-is.
-const maxBackoffDelay = 30 * time.Second
-
-// backoffDelay returns the clamped exponential-backoff delay before
-// re-executing attempt+1: base doubled per completed attempt, capped so
-// the shift can neither overflow time.Duration nor grow past
-// maxBackoffDelay (or past the configured base, whichever is larger).
-func backoffDelay(base time.Duration, attempt int) time.Duration {
-	if base <= 0 {
-		return 0
-	}
-	cap := maxBackoffDelay
-	if base > cap {
-		cap = base
-	}
-	// 2^30 × 1ns is already over a second; anything beyond the cap — and
-	// any overflowed (non-positive) shift — clamps.
-	if attempt > 30 {
-		return cap
-	}
-	d := base << uint(attempt)
-	if d <= 0 || d > cap {
-		return cap
-	}
-	return d
 }
 
 // Stats counts runtime activity, exposed for tests and ablation studies.
@@ -294,10 +254,10 @@ func (sh *histShard) record(id int64, ref region.Ref) {
 //
 // taskStates are pooled: complete() recycles the state (and its owned
 // scratch slices — deps, bytes, ready — whose capacity survives the
-// round trip) unless noRecycle pins it for an async reader. A state is
-// safe to recycle at the end of its own complete(): every successor was
-// handed off under the session lock, the ID was unregistered, and
-// execute() touches nothing after complete() returns.
+// round trip). A state is safe to recycle at the end of its own
+// complete(): every successor was handed off under the session lock, the
+// ID was unregistered, and execute() touches nothing after complete()
+// returns.
 type taskState struct {
 	id        int64
 	name      string
@@ -314,7 +274,6 @@ type taskState struct {
 	inj       fault.Injection
 	corrupt   func(fault.Injection)
 	poison    error // set under sess.mu before the task becomes ready
-	noRecycle bool  // an async reader (watchdog) may outlive complete()
 
 	// Per-launch scratch, owned by the state and reused across pool
 	// round trips.
@@ -767,7 +726,10 @@ func (rt *Runtime) execute(ts *taskState, w int) *taskState {
 	if poison != nil {
 		sess.stats.Poisoned++
 	}
-	policy := sess.retry
+	maxAttempts := 1
+	if ts.retryable && sess.maxAttempts > 1 {
+		maxAttempts = sess.maxAttempts
+	}
 	budget := sess.watchdog
 	sess.mu.Unlock()
 
@@ -783,19 +745,8 @@ func (rt *Runtime) execute(ts *taskState, w int) *taskState {
 				Worker: -1, Launch: ts.launch, Start: now, End: now,
 				Outcome: obs.OutcomePoisoned,
 			})
-			ts.rec.RecordFailure(obs.Failure{
-				Task: ts.id, Name: ts.name, Phase: ts.phase,
-				Kind: obs.FailureCancelled, Msg: poison.Error(), Final: true,
-			})
 		}
 		return rt.complete(ts, math.NaN(), poison)
-	}
-
-	if budget > 0 {
-		// The watchdog's AfterFunc goroutine reads ts asynchronously —
-		// possibly after completion — so a watched state must never be
-		// recycled.
-		ts.noRecycle = true
 	}
 
 	var start float64
@@ -803,20 +754,16 @@ func (rt *Runtime) execute(ts *taskState, w int) *taskState {
 		start = ts.rec.Now()
 	}
 
-	maxAttempts := 1
-	if ts.retryable && policy.MaxAttempts > 1 {
-		maxAttempts = policy.MaxAttempts
-	}
 	var val float64
 	var err error
 	outcome := obs.OutcomeOK
 	for attempt := 0; ; attempt++ {
-		// The watchdog budget covers one attempt's execution, re-armed
-		// here so retry backoff sleeps do not count against it and a
-		// transiently failing task is not falsely flagged a straggler.
+		// The watchdog budget covers one attempt's execution. Its
+		// closure captures the runtime only, never ts, so a watched
+		// state is recycled like any other.
 		var wd *time.Timer
 		if budget > 0 {
-			wd = time.AfterFunc(budget, func() { rt.flagStraggler(ts, budget) })
+			wd = time.AfterFunc(budget, func() { rt.stats.stragglers.Add(1) })
 		}
 		val, err = rt.runGuarded(ts, attempt)
 		if wd != nil {
@@ -828,15 +775,7 @@ func (rt *Runtime) execute(ts *taskState, w int) *taskState {
 			}
 			break
 		}
-		final := attempt+1 >= maxAttempts
-		if ts.rec != nil {
-			ts.rec.RecordFailure(obs.Failure{
-				Task: ts.id, Name: ts.name, Phase: ts.phase,
-				Kind: obs.FailurePanic, Msg: err.Error(),
-				Attempt: attempt, Final: final,
-			})
-		}
-		if final {
+		if attempt+1 >= maxAttempts {
 			outcome = obs.OutcomeFailed
 			val = math.NaN()
 			err = fmt.Errorf("taskrt: task %d (%s) failed after %d attempt(s): %v",
@@ -849,9 +788,6 @@ func (rt *Runtime) execute(ts *taskState, w int) *taskState {
 			break
 		}
 		sess.count(&rt.stats.retries, &sess.stats.Retries)
-		if policy.Backoff > 0 {
-			time.Sleep(backoffDelay(policy.Backoff, attempt))
-		}
 	}
 	if ts.rec != nil {
 		ts.rec.Record(obs.Span{
@@ -919,23 +855,8 @@ func (rt *Runtime) complete(ts *taskState, val float64, err error) (next *taskSt
 	}
 	clear(ready)
 	ts.ready = ready[:0]
-	if !ts.noRecycle {
-		rt.recycle(ts)
-	}
+	rt.recycle(ts)
 	return next
-}
-
-// flagStraggler records that a task blew its wall-clock budget. It runs
-// on the watchdog timer's goroutine, concurrently with the task.
-func (rt *Runtime) flagStraggler(ts *taskState, budget time.Duration) {
-	rt.stats.stragglers.Add(1)
-	if ts.rec != nil {
-		ts.rec.RecordFailure(obs.Failure{
-			Task: ts.id, Name: ts.name, Phase: ts.phase,
-			Kind: obs.FailureStraggler,
-			Msg:  fmt.Sprintf("running past the %v wall-clock budget", budget),
-		})
-	}
 }
 
 // runGuarded executes one attempt of the task body, applying any injected

@@ -376,10 +376,6 @@ func TestGraphCostHelpers(t *testing.T) {
 	if g.Len() != 3 {
 		t.Fatalf("Len = %d", g.Len())
 	}
-	// Critical path: max(2,3) + 4 = 7.
-	if got := g.CriticalPathCost(); got != 7 {
-		t.Fatalf("CriticalPathCost = %g", got)
-	}
 }
 
 func TestConcurrentLaunchSafety(t *testing.T) {

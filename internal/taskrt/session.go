@@ -43,7 +43,7 @@ import (
 // scopes assume a single launching goroutine per session.
 //
 // Locking: one lock per session. A launch holds mu from ID assignment
-// through wiring, a worker takes it to read the retry policy and to
+// through wiring, a worker takes it to read the attempt cap and to
 // retire a task, and independent sessions never touch the same lock.
 // The lock order is Session.mu → Runtime.mu (the leaf lock over the
 // session list), never the reverse: runtime-wide calls (Drain, Err)
@@ -74,7 +74,7 @@ type Session struct {
 	inflight    int64
 	failed      map[int64]error
 	stats       SessionStats
-	retry       RetryPolicy
+	maxAttempts int
 	watchdog    time.Duration
 	injector    *fault.Injector
 	rec         *obs.Recorder
@@ -245,24 +245,24 @@ func (s *Session) SetFaultInjector(in *fault.Injector) {
 	s.mu.Unlock()
 }
 
-// SetRetryPolicy bounds re-execution of the session's retryable task
-// bodies: a task whose body panics is re-run (after backoff) until it
-// succeeds or the attempt cap is reached, at which point the failure
-// becomes permanent. The policy applies to tasks executed after the
-// call.
-func (s *Session) SetRetryPolicy(p RetryPolicy) {
+// SetMaxAttempts bounds re-execution of the session's retryable task
+// bodies: n is the total number of attempts per task, first run
+// included. A task whose body panics is re-run at once, on the same
+// worker, until it succeeds or n attempts have failed, at which point
+// the failure becomes permanent. Values below 2 disable retry. The
+// bound applies to tasks executed after the call.
+func (s *Session) SetMaxAttempts(n int) {
 	s.mu.Lock()
-	s.retry = p
+	s.maxAttempts = n
 	s.mu.Unlock()
 }
 
 // SetWatchdog flags this session's tasks whose execution exceeds
-// budget: Stats.Stragglers is incremented and a "straggler" failure
-// record goes to the attached recorder. The task itself is not
-// interrupted (goroutines cannot be killed safely); the flag is the
+// budget: each one increments Stats.Stragglers. The task itself is not
+// interrupted (goroutines cannot be killed safely); the count is the
 // signal a scheduler or operator acts on. The budget covers one
-// execution attempt: it is re-armed per retry, so backoff sleeps between
-// attempts do not count against it. A zero budget disables the watchdog.
+// execution attempt and is re-armed per retry. A zero budget disables
+// the watchdog.
 func (s *Session) SetWatchdog(budget time.Duration) {
 	s.mu.Lock()
 	s.watchdog = budget
@@ -280,20 +280,12 @@ func (s *Session) FaultsActive() bool {
 
 // SetRecorder attaches an observability recorder to the session: every
 // task it launches from now on records a wall-clock span (launch, start,
-// end, worker, outcome) and failures are reported as telemetry. A nil
-// recorder disables recording. Tasks launched before the call are not
-// back-filled.
+// end, worker, outcome). A nil recorder disables recording. Tasks
+// launched before the call are not back-filled.
 func (s *Session) SetRecorder(r *obs.Recorder) {
 	s.mu.Lock()
 	s.rec = r
 	s.mu.Unlock()
-}
-
-// Recorder returns the session's recorder, or nil.
-func (s *Session) Recorder() *obs.Recorder {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.rec
 }
 
 // Drain blocks until every task this session launched has completed,

@@ -241,13 +241,13 @@ func TestSessionPhasePrefix(t *testing.T) {
 	}
 }
 
-// Retry policy is session state: a retrying tenant must not grant its
+// The attempt cap is session state: a retrying tenant must not grant its
 // neighbor's failing tasks extra attempts.
 func TestSessionRetryScoping(t *testing.T) {
 	rt := New()
 	retrying := rt.NewSession("retrying")
 	plain := rt.NewSession("plain")
-	retrying.SetRetryPolicy(RetryPolicy{MaxAttempts: 3})
+	retrying.SetMaxAttempts(3)
 
 	ra := region.New("a", index.NewSpace("D", 4))
 	rb := region.New("b", index.NewSpace("D", 4))
@@ -280,7 +280,7 @@ func TestSessionRetryScoping(t *testing.T) {
 		t.Fatalf("retrying session's task = %g, want 9", got)
 	}
 	if plainAttempts != 1 {
-		t.Fatalf("plain session's task ran %d times; retry policy leaked across sessions", plainAttempts)
+		t.Fatalf("plain session's task ran %d times; attempt cap leaked across sessions", plainAttempts)
 	}
 	if retrying.Err() != nil {
 		t.Fatalf("recovered session Err = %v", retrying.Err())
