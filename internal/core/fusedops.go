@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -275,17 +274,54 @@ func (p *Planner) FusedSweep(ups []VecUpdate, dots []DotPair) []*Scalar {
 	return p.sweep(name, reduceName, ups, dots)
 }
 
-// sweep launches FusedSweep's tasks under the given piece and combine
-// task names.
+// sweep launches one call of FusedSweep's site under the given piece and
+// combine task names (launch.go): the call's coefficients, the futures
+// they are computed from and, for dots, the memory their partials go to.
 func (p *Planner) sweep(name, reduceName string, ups []VecUpdate, dots []DotPair) []*Scalar {
-	vecs, alphas := p.sweepOperands(ups, dots)
-	var leaves []*scalarLeaf
-	for _, a := range alphas {
-		leaves = addLeaves(leaves, a)
+	p.siteKey(name, 0, 0, ups, dots)
+	t := p.template()
+	if t == nil {
+		t = p.buildSweep(name, reduceName, ups, dots)
+		p.keep(t)
 	}
-	awaits := leafAwaits(leaves) // every task of the sweep awaits the same futures
+	var c *launchCall
+	var leafBuf [4]*scalarLeaf
+	leaves := leafBuf[:0]
+	if t.perCall() {
+		c = &launchCall{}
+		c.alphas = c.inline[:0]
+		for _, i := range t.alphaOf {
+			a := ups[i].Alpha
+			if a == nil {
+				panic("core: VecUpdate requires a scalar coefficient")
+			}
+			c.alphas = append(c.alphas, a)
+			leaves = addLeaves(leaves, a)
+		}
+	}
+	// Every task of the sweep awaits the same futures.
+	awaits := leafAwaits(leaves)
+	var buf *[]float64
+	if t.k > 0 && !p.virtual {
+		buf = p.newPartials(t.shape, t.k, t.sdc)
+		c.out = *buf
+	}
+	futs := p.launch(t, c, awaits)
+	if t.k == 0 {
+		return nil
+	}
+	return p.dotResults(t, futs, buf)
+}
+
+// buildSweep builds the template of a sweep's site from its first call.
+func (p *Planner) buildSweep(name, reduceName string, ups []VecUpdate, dots []DotPair) *launchTmpl {
+	vecs, alphas := p.sweepOperands(ups, dots)
 	shape := p.vecs[vecs[0].id].shape
-	sdc, hooks := p.sdcOn(), p.faultHooks()
+	sdc := p.sdcOn()
+	t := &launchTmpl{k: len(dots), shape: shape, reduce: reduceName, sdc: sdc, hooks: p.faultHooks()}
+	for _, a := range alphas {
+		t.alphaOf = append(t.alphaOf, slices.IndexFunc(ups, func(u VecUpdate) bool { return u.Kind.scaled() && u.Alpha == a }))
+	}
 
 	// The partials are plain memory the sweep's scalars hold (newPartials);
 	// their readers await the partial tasks. An edge to a reader carries a
@@ -294,16 +330,6 @@ func (p *Planner) sweep(name, reduceName string, ups []VecUpdate, dots []DotPair
 	stride := k
 	if sdc && k > 0 {
 		stride = k + 1
-	}
-	var buf *[]float64
-	var partials []float64
-	var partialAwaits []taskrt.Await // one per partial task; futures set after the launch
-	if k > 0 {
-		partialAwaits = make([]taskrt.Await, 0, p.shapePieces(shape))
-		if !p.virtual {
-			buf = p.newPartials(shape, k, sdc)
-			partials = *buf
-		}
 	}
 	lm := p.leafMap(shape)
 	nrefs := len(vecs)
@@ -316,16 +342,13 @@ func (p *Planner) sweep(name, reduceName string, ups []VecUpdate, dots []DotPair
 
 	for ci, groups := range p.launchGroups(shape) {
 		// The arithmetic is bound once per component, not once per task.
-		var body func(subset index.IntervalSet, slot int, alpha []float64)
+		var body kernelBody
 		if !p.virtual {
-			body = p.sweepBody(name, ci, partials, lm, ups, dots, vecs, alphas)
+			body = p.sweepBody(name, ci, lm, ups, dots, vecs, alphas)
 		}
 		for gi := range groups {
 			g := &groups[gi]
-			if k > 0 {
-				// A reader receives the members' partials from the task.
-				partialAwaits = append(partialAwaits, taskrt.Await{Bytes: int64(8 * stride * len(g.pieces))})
-			}
+			tt := tmplTask{op: -1, bytes: int64(8 * stride * len(g.pieces))}
 			// Each distinct vector is declared once, under its use's privilege.
 			refs := make([]region.Ref, 0, nrefs)
 			for _, v := range vecs {
@@ -352,41 +375,32 @@ func (p *Planner) sweep(name, reduceName string, ups []VecUpdate, dots []DotPair
 			}
 			spec := taskrt.TaskSpec{
 				Name: name, Proc: g.proc, Pieces: [2]int{g.slot, g.slot + len(g.pieces)},
-				Cost: cost, Refs: refs, Awaits: awaits, Retryable: retry,
+				Cost: cost, Refs: refs, Retryable: retry,
 				// A dot's readers await its partial tasks' futures.
 				Detached: k == 0,
 			}
 			if body != nil {
-				spec.Run = g.runWith(alphas, body)
+				tt.body = func(c *launchCall) float64 {
+					for i, subset := range g.pieces {
+						body(subset, g.slot+i, c.alphas, c.out)
+					}
+					return 0
+				}
 			}
-			if hooks {
-				var targets []corruptTarget
+			if t.hooks {
 				for _, v := range vecs {
 					if v.priv != region.ReadOnly {
-						targets = append(targets, corruptTarget{p.vecs[v.id].regs[ci].Data(), g.subset})
+						tt.targets = append(tt.targets, corruptTarget{p.vecs[v.id].regs[ci].Data(), g.subset})
 					}
 				}
 				if k > 0 {
-					targets = append(targets, corruptTarget{partials, lm.span(k, ci, g, sdc)})
+					tt.span = lm.span(k, ci, g, sdc)
 				}
-				spec.Corrupt = corruptHook(targets...)
 			}
-			p.specBuf = append(p.specBuf, spec)
+			t.add(spec, tt)
 		}
 	}
-	futs := p.flushBatch()
-
-	if k == 0 {
-		return nil
-	}
-	for i := range partialAwaits {
-		partialAwaits[i].Future = futs[i]
-	}
-	leaf := &scalarLeaf{awaits: partialAwaits}
-	if p.virtual {
-		return p.batchReduce(reduceName, leaf, k)
-	}
-	return p.dotLeaves(reduceName, buf, leaf, shape, k, sdc)
+	return t
 }
 
 // sweepBody binds a sweep's real-mode arithmetic to the storage of one
@@ -395,11 +409,12 @@ func (p *Planner) sweep(name, reduceName string, ups []VecUpdate, dots []DotPair
 // (detection only), the updates in order with checksum maintenance —
 // each pass computing the dot that rides it — then the remaining dots,
 // writing the piece's leaf partials into out (and its guard slot when
-// detection is on). alpha holds the values of the sweep's distinct
-// coefficients, in sweepOperands order. A product's tasks call the body
-// of a dots-only sweep for the dots they carry (newRiders).
-func (p *Planner) sweepBody(name string, ci int, out []float64, lm *leafMap,
-	ups []VecUpdate, dots []DotPair, vecs []sweepVec, alphas []*Scalar) func(subset index.IntervalSet, slot int, alpha []float64) {
+// detection is on). alpha holds the sweep's distinct coefficients, in
+// sweepOperands order, and out is one call's memory (launchCall). A
+// product's tasks call the body of a dots-only sweep for the dots they
+// carry (newRiders).
+func (p *Planner) sweepBody(name string, ci int, lm *leafMap,
+	ups []VecUpdate, dots []DotPair, vecs []sweepVec, alphas []*Scalar) kernelBody {
 
 	type boundUpdate struct {
 		kind   UpdateKind
@@ -467,7 +482,7 @@ func (p *Planner) sweepBody(name string, ci int, out []float64, lm *leafMap,
 	}
 	guard := sdc && len(dots) > 0
 	k := len(dots)
-	return func(subset index.IntervalSet, slot int, alpha []float64) {
+	return func(subset index.IntervalSet, slot int, alpha []*Scalar, out []float64) {
 		ivs := subset.Intervals()
 		// Verify every vector this sweep reads against its incoming
 		// checksum, before touching anything: a corruption planted
@@ -480,7 +495,7 @@ func (p *Planner) sweepBody(name string, ci int, out []float64, lm *leafMap,
 		for _, u := range bu {
 			var av float64
 			if u.a >= 0 {
-				av = alpha[u.a]
+				av = alpha[u.a].value()
 				if u.neg {
 					av = -av
 				}
@@ -521,6 +536,9 @@ func (p *Planner) sweepBody(name string, ci int, out []float64, lm *leafMap,
 		}
 	}
 }
+
+// kernelBody is a sweep's arithmetic over one piece of a component.
+type kernelBody func(subset index.IntervalSet, slot int, alpha []*Scalar, out []float64)
 
 // sweepRun applies one update of kind k with coefficient av to d[lo:hi],
 // reading the source s. The loops run on resliced slices of one length,
@@ -805,33 +823,6 @@ func (p *Planner) batchReduce(name string, partials *scalarLeaf, k int) []*Scala
 	return outs
 }
 
-// dotLeaves returns a real planner's k dot results over the leaf
-// partials in buf, which the tasks of leaf write. The first reader of
-// each scalar folds its partials pairwise (consuming them) and later
-// readers read the sum; once all k have folded, buf goes back to the
-// planner for the next batch. With guards, the first fold of any of them
-// first recomputes every piece's guard sum — the partials were written
-// and summed in the same order, so any corruption of them makes the
-// bitwise comparison fail — and alarms as name.
-func (p *Planner) dotLeaves(name string, buf *[]float64, leaf *scalarLeaf, shape Shape, k int, guards bool) []*Scalar {
-	m := p.leafMap(shape)
-	b := &dotBatch{buf: buf, pool: &p.partials}
-	b.left.Store(int32(k))
-	if guards {
-		b.verify = func() { p.checkGuards(name, *buf, shape, k) }
-	}
-	leaves := []*scalarLeaf{leaf}
-	dots := make([]Scalar, k)
-	outs := make([]*Scalar, k)
-	for j := range outs {
-		s := &dots[j]
-		s.leaves, s.durable = leaves, true
-		s.dot.partials, s.dot.batch = (*buf)[j*m.total:(j+1)*m.total], b
-		outs[j] = s
-	}
-	return outs
-}
-
 // checkGuards recomputes every nonempty piece's guard sum over a batch of
 // k dots' partials and alarms as name where it differs from the guard
 // slot the piece's task wrote (a product writes none for an empty piece).
@@ -848,11 +839,13 @@ func (p *Planner) checkGuards(name string, buf []float64, shape Shape, k int) {
 	})
 }
 
-// dotBatch is what the k dots of one batch share: the memory their
-// partials live in, which goes back to pool when the last of them has
-// folded, and the guard check (verify, nil without detection) that runs
-// once, before any fold.
+// dotBatch is what the k dots of one call share: the tasks their
+// partials come from (leaf), the memory the partials live in, which goes
+// back to pool when the last of them has folded, and the guard check
+// (verify, nil without detection) that runs once, before any fold.
 type dotBatch struct {
+	leaf   scalarLeaf
+	leaves [1]*scalarLeaf
 	buf    *[]float64
 	pool   *sync.Pool
 	left   atomic.Int32 // dots not folded yet
@@ -860,42 +853,24 @@ type dotBatch struct {
 	verify func()
 }
 
-// dotSum is one dot's memoized fold over its leaf partials. The readers
-// of a dot start together — every task of the next sweep reads it — so
-// the fold's first caller computes it and the others spin the few
-// microseconds it takes rather than park behind a lock, which costs a
-// worker's wake-up each time.
+// dotSum is a real planner's dot before its first reader folds it: its
+// leaf partials and the batch it belongs to.
 type dotSum struct {
-	state    atomic.Int32 // sumOpen, sumFolding or sumDone
 	partials []float64
 	batch    *dotBatch
-	sum      float64 // written before state turns sumDone
 }
 
-const (
-	sumOpen = iota
-	sumFolding
-	sumDone
-)
-
-func (d *dotSum) value() float64 {
-	if d.state.Load() == sumDone {
-		return d.sum
-	}
-	if !d.state.CompareAndSwap(sumOpen, sumFolding) {
-		for d.state.Load() != sumDone {
-			runtime.Gosched()
-		}
-		return d.sum
-	}
+// fold sums the partials pairwise, the batch's guard check first, and
+// gives the batch's memory back when it is the batch's last fold.
+func (d *dotSum) fold() float64 {
 	b := d.batch
 	if b.verify != nil {
 		b.check.Do(b.verify)
 	}
-	d.sum, d.partials = pairwiseSum(d.partials), nil
+	sum := pairwiseSum(d.partials)
+	d.partials = nil
 	if b.left.Add(-1) == 0 {
 		b.pool.Put(b.buf)
 	}
-	d.state.Store(sumDone)
-	return d.sum
+	return sum
 }

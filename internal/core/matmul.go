@@ -48,8 +48,8 @@ import (
 // dot (fusedops.go), so the scalars carry the same bits either way.
 func (p *Planner) Matmul(dst, src VecID, dots ...DotPair) []*Scalar {
 	p.mustBeFinalized()
-	p.checkMatmulShapes(p.vecs[dst], p.vecs[src])
-	return p.runMultiOp(p.ops, dst, src, false, false, dots)
+	checkShapes("Matmul", p.vecs[dst], p.vecs[src], p.rhs, p.sol)
+	return p.runMultiOp(p.ops, dst, src, "matmul", false, false, dots)
 }
 
 // MatmulT computes dst ← A_totalᵀ · src: the adjoint product, partitioned
@@ -57,9 +57,9 @@ func (p *Planner) Matmul(dst, src VecID, dots ...DotPair) []*Scalar {
 // the adjoint co-partitions.
 func (p *Planner) MatmulT(dst, src VecID) {
 	p.mustBeFinalized()
-	p.checkMatmulTShapes(p.vecs[dst], p.vecs[src])
+	checkShapes("MatmulT", p.vecs[dst], p.vecs[src], p.sol, p.rhs)
 	p.deriveAdjoint()
-	p.runMultiOp(p.ops, dst, src, true, false, nil)
+	p.runMultiOp(p.ops, dst, src, "matmulT", true, false, nil)
 }
 
 // PSolve computes dst ← P_total · src, applying the user-supplied
@@ -70,7 +70,7 @@ func (p *Planner) PSolve(dst, src VecID, dots ...DotPair) []*Scalar {
 	if !p.HasPreconditioner() {
 		panic("core: PSolve without a preconditioner")
 	}
-	return p.runMultiOp(p.pre, dst, src, false, true, dots)
+	return p.runMultiOp(p.pre, dst, src, "psolve", false, true, dots)
 }
 
 // opTarget describes where one operator writes and reads for a forward or
@@ -86,16 +86,45 @@ func opTarget(op *opEntry, adjoint, pre bool) (outIdx, inIdx int, kpart, inHalo,
 	}
 }
 
-// runMultiOp launches the decomposed product over an operator set. Every
-// point of the output vector is zeroed exactly once before any
+// runMultiOp launches one call of a product's site (launch.go) and returns
+// the scalars of the dot pairs the product carries (Matmul): with riders,
+// from the partials its tasks write into the call's memory; otherwise from
+// a dot sweep of their own, named for the product.
+func (p *Planner) runMultiOp(ops []opEntry, dst, src VecID, name string, adjoint, pre bool, dots []DotPair) []*Scalar {
+	p.siteKey(name, dst, src, nil, dots)
+	t := p.template()
+	if t == nil {
+		t = p.buildProduct(ops, dst, src, name, adjoint, pre, dots)
+		p.keep(t)
+	}
+	var c *launchCall
+	var buf *[]float64
+	if t.k > 0 {
+		buf = p.newPartials(t.shape, t.k, t.sdc)
+		c = &launchCall{out: *buf}
+	}
+	futs := p.launch(t, c, nil)
+	switch {
+	case len(dots) == 0:
+		return nil
+	case t.k == 0:
+		// The carried dots' own sweep is named for the product, so a graph
+		// comparison can tell it from a solver's Dot or DotBatch.
+		_, reduceName := sweepNames(nil, dots)
+		return p.sweep(name+".dots", reduceName, nil, dots)
+	}
+	return p.dotResults(t, futs, buf)
+}
+
+// buildProduct builds the template of a product's site over an operator
+// set. Every point of the output vector is zeroed exactly once before any
 // multiply-add touches it: the operator that first reaches a point zeroes
 // it inline (write-discard when its whole write set is fresh), and points
-// no operator writes get explicit zero tasks (the empty sum of
-// equation 8). Each operator launches one multiply-add per launch group of
-// its output component (launchGroups), covering the group's output pieces
-// in color order. It returns the scalars of the dot pairs the product
-// carries (Matmul).
-func (p *Planner) runMultiOp(ops []opEntry, dst, src VecID, adjoint, pre bool, dots []DotPair) []*Scalar {
+// no operator writes get explicit zero tasks (the empty sum of equation
+// 8). Each operator launches one multiply-add per launch group of its
+// output component (launchGroups), covering the group's output pieces in
+// color order.
+func (p *Planner) buildProduct(ops []opEntry, dst, src VecID, name string, adjoint, pre bool, dots []DotPair) *launchTmpl {
 	dv, sv := p.vecs[dst], p.vecs[src]
 	outShape := RhsShape
 	if adjoint || pre {
@@ -103,14 +132,14 @@ func (p *Planner) runMultiOp(ops []opEntry, dst, src VecID, adjoint, pre bool, d
 	}
 	outComps := p.comps(outShape)
 	outGroups := p.launchGroups(outShape)
-	pr := &product{name: "matmul", dst: dst, adjoint: adjoint, pre: pre, sdc: p.sdcOn(), hooks: p.faultHooks()}
-	if adjoint {
-		pr.name = "matmulT"
-	} else if pre {
-		pr.name = "psolve"
-	}
+	t := &launchTmpl{shape: outShape, sdc: p.sdcOn(), hooks: p.faultHooks()}
+	pr := &product{launchTmpl: t, name: name, dst: dst, adjoint: adjoint, pre: pre}
 	if len(dots) > 0 && !p.virtual && p.soleWriters(ops, outShape, adjoint, pre) {
 		pr.rd = p.newRiders(pr, outShape, dots)
+	}
+	if pr.rd != nil {
+		t.k = len(dots)
+		_, t.reduce = sweepNames(nil, dots)
 	}
 	// covered[comp][color] accumulates the points already written in this
 	// product; wrote tracks whether any task (checksum-wise, the slot
@@ -138,7 +167,7 @@ func (p *Planner) runMultiOp(ops []opEntry, dst, src VecID, adjoint, pre bool, d
 				fresh := outSet.Subtract(covered[outIdx][color])
 				covered[outIdx][color] = covered[outIdx][color].Union(outSet)
 				var cc *colCheck
-				if pr.sdc && !adjoint && !pre {
+				if t.sdc && !adjoint && !pre {
 					if cols := p.sdc.colchk[oi]; color < len(cols) && cols[color].idx != nil {
 						cc = &cols[color]
 					}
@@ -151,7 +180,7 @@ func (p *Planner) runMultiOp(ops []opEntry, dst, src VecID, adjoint, pre bool, d
 				wrote[outIdx][color] = true
 			}
 			if len(members) > 0 {
-				p.launchMultiplyAdd(pr, oi, g, op, outIdx, dv.regs[outIdx], sv.regs[inIdx], members, inSet)
+				p.addMultiplyAdd(pr, oi, g, op, outIdx, dv.regs[outIdx], sv.regs[inIdx], members, inSet)
 			}
 		}
 	}
@@ -166,7 +195,7 @@ func (p *Planner) runMultiOp(ops []opEntry, dst, src VecID, adjoint, pre bool, d
 			var first bool
 			fill := func() {
 				if n > 0 {
-					p.zeroPieces(pr, dv.regs[ci], rest, outComps[ci].procs[g.lo+start], g.slot+start, n, first)
+					p.addZeroFill(pr, dv.regs[ci], rest, outComps[ci].procs[g.lo+start], g.slot+start, n, first)
 				}
 				rest, n = index.IntervalSet{}, 0
 			}
@@ -188,50 +217,32 @@ func (p *Planner) runMultiOp(ops []opEntry, dst, src VecID, adjoint, pre bool, d
 			fill()
 		}
 	}
-	// The whole product — every operator's multiply-adds plus the
-	// explicit zero fills — submits as one fused batch.
-	futs := p.flushBatch()
-	if len(dots) == 0 {
-		return nil
-	}
-	_, reduceName := sweepNames(nil, dots)
-	rd := pr.rd
-	if rd == nil {
-		// The carried dots' own sweep is named for the product, so a
-		// graph comparison can tell it from a solver's Dot or DotBatch.
-		return p.sweep(pr.name+".dots", reduceName, nil, dots)
-	}
-	// A riding product has no zero fills: its tasks are the batch.
-	for i := range rd.awaits {
-		rd.awaits[i].Future = futs[i]
-	}
-	return p.dotLeaves(reduceName, rd.buf, &scalarLeaf{awaits: rd.awaits}, outShape, rd.k, pr.sdc)
+	// The whole product — every operator's multiply-adds plus the explicit
+	// zero fills — submits as one batch.
+	return t
 }
 
-// product is what the launches of one runMultiOp call share, the
-// session's detection and injector state included, read once.
+// product is what the tasks of one product's template share while it is
+// built.
 type product struct {
+	*launchTmpl
 	name         string
 	dst          VecID
 	adjoint, pre bool
-	sdc, hooks   bool
 	rd           *riders
 }
 
 // riders are the k dot pairs a product's tasks compute over the output
 // pieces they write: the operands other than the output, which the tasks
 // read (and with detection on verify); per output component, the dot
-// sweep's body bound to them (sweepBody); the memory the leaf partials
-// and guards go to (newPartials); and, one per task, the awaits of the
-// pairs' readers.
+// sweep's body bound to them (sweepBody); and the bytes of a piece's
+// partials and guard, what an edge to the pairs' readers carries.
 type riders struct {
 	k          int
-	pieceBytes int64 // a piece's partials and guard
+	pieceBytes int64
 	vecs       []sweepVec
-	bodies     []func(subset index.IntervalSet, slot int, alpha []float64)
-	buf        *[]float64
+	bodies     []kernelBody
 	leaves     *leafMap
-	awaits     []taskrt.Await
 }
 
 // newRiders prepares a product's tasks to carry dots over its output of
@@ -251,35 +262,20 @@ func (p *Planner) newRiders(pr *product, shape Shape, dots []DotPair) *riders {
 	// The task has just written the output and its checksum slot; the
 	// body verifies the operands it only reads.
 	vecs = slices.DeleteFunc(vecs, func(v sweepVec) bool { return v.id == pr.dst })
-	rd := &riders{
-		k: len(dots), pieceBytes: int64(8 * len(dots)), vecs: vecs,
-		buf:    p.newPartials(shape, len(dots), pr.sdc),
-		leaves: lm,
-		awaits: make([]taskrt.Await, 0, p.shapePieces(shape)),
-	}
+	rd := &riders{k: len(dots), pieceBytes: int64(8 * len(dots)), vecs: vecs, leaves: lm}
 	if pr.sdc {
 		rd.pieceBytes += 8
 	}
 	for ci := range p.vecs[pr.dst].regs {
-		rd.bodies = append(rd.bodies, p.sweepBody(pr.name, ci, *rd.buf, lm, nil, dots, vecs, nil))
+		rd.bodies = append(rd.bodies, p.sweepBody(pr.name, ci, lm, nil, dots, vecs, nil))
 	}
 	return rd
 }
 
 // soleWriters reports whether every nonempty output piece of a product
 // is written whole by exactly one multiply-add member, the one task that
-// may then compute dots over it. Partitions are fixed once the planner
-// is finalized, so the answer is kept per direction.
+// may then compute dots over it.
 func (p *Planner) soleWriters(ops []opEntry, outShape Shape, adjoint, pre bool) bool {
-	dir := 0
-	if adjoint {
-		dir = 1
-	} else if pre {
-		dir = 2
-	}
-	if c := p.sole[dir]; c != 0 {
-		return c > 0
-	}
 	comps := p.comps(outShape)
 	writers := make([][]int, len(comps))
 	for ci, c := range comps {
@@ -300,10 +296,6 @@ func (p *Planner) soleWriters(ops []opEntry, outShape Shape, adjoint, pre bool) 
 		for color, n := range writers[ci] {
 			ok = ok && (n == 1 || n == 0 && c.part.Piece(color).Empty())
 		}
-	}
-	p.sole[dir] = -1
-	if ok {
-		p.sole[dir] = 1
 	}
 	return ok
 }
@@ -331,22 +323,20 @@ type mulMember struct {
 	cc                  *colCheck
 }
 
-// launchMultiplyAdd launches one multiply-add task of one operator over
-// the output pieces of one launch group. A
-// task whose members' write sets are all fresh takes write-discard
-// privilege over their union; all folding takes reduction privilege,
-// which the runtime orders; a mix takes read-write. With riders (each
-// member then writes its whole piece and is its only writer) the task
-// also reads the other operands' pieces and runs the riders' body over
-// every member once its multiply-add is done.
-func (p *Planner) launchMultiplyAdd(pr *product, opIdx int, g *pieceGroup, op *opEntry,
+// addMultiplyAdd adds one multiply-add task of one operator over the
+// output pieces of one launch group. A task whose members' write sets are
+// all fresh takes write-discard privilege over their union; all folding
+// takes reduction privilege, which the runtime orders; a mix takes
+// read-write. With riders (each member then writes its whole piece and is
+// its only writer) the task also reads the other operands' pieces and runs
+// the riders' body over every member once its multiply-add is done,
+// writing the partials into the call's memory.
+func (p *Planner) addMultiplyAdd(pr *product, opIdx int, g *pieceGroup, op *opEntry,
 	outIdx int, outReg, inReg *region.Region, members []mulMember, inSet index.IntervalSet) {
 
-	proc := g.proc
-	if !pr.pre && p.mmProc != nil {
-		if q := p.mmProc(opIdx, g.lo); q >= 0 {
-			proc = q
-		}
+	tt := tmplTask{op: -1, color: g.lo}
+	if !pr.pre {
+		tt.op = opIdx
 	}
 	var outSet index.IntervalSet
 	var ksize int64
@@ -378,13 +368,14 @@ func (p *Planner) launchMultiplyAdd(pr *product, opIdx int, g *pieceGroup, op *o
 	}
 	lo, hi := members[0].slot, members[len(members)-1].slot+1
 	cost := p.mach.SpMVCost(ksize, outSet.Size())
-	var body func(subset index.IntervalSet, slot int, alpha []float64)
+	var body kernelBody
 	var vecs []sweepVec // the riders' operands other than the output
 	if rd != nil {
 		body, vecs = rd.bodies[outIdx], rd.vecs
 		for range rd.k {
 			cost += p.mach.DotCost(outSet.Size())
 		}
+		tt.bytes = rd.pieceBytes * int64(len(g.pieces))
 	}
 	// The output, the input, the operands, and with detection on their
 	// checksum slots.
@@ -393,12 +384,11 @@ func (p *Planner) launchMultiplyAdd(pr *product, opIdx int, g *pieceGroup, op *o
 	for _, v := range vecs {
 		refs = append(refs, pieceRef(p.vecs[v.id].regs[outIdx], outSet, region.ReadOnly))
 	}
-	var run func() float64
 	if !p.virtual {
 		y := outReg.Data()
 		x := inReg.Data()
 		mat := op.mat
-		run = func() float64 {
+		tt.body = func(c *launchCall) float64 {
 			for i := range members {
 				m := &members[i]
 				for _, iv := range m.fresh.Intervals() {
@@ -417,7 +407,7 @@ func (p *Planner) launchMultiplyAdd(pr *product, opIdx int, g *pieceGroup, op *o
 					mat.MultiplyAddPart(y, x, m.kset)
 				}
 				if body != nil {
-					body(m.outSet, m.slot, nil)
+					body(m.outSet, m.slot, nil, c.out)
 				}
 				if !sdc {
 					continue
@@ -450,13 +440,16 @@ func (p *Planner) launchMultiplyAdd(pr *product, opIdx int, g *pieceGroup, op *o
 		}
 	}
 	spec := taskrt.TaskSpec{
-		Name: pr.name, Proc: proc, Pieces: [2]int{lo, hi},
-		Cost: cost, Refs: refs, Run: run,
+		Name: pr.name, Proc: g.proc, Pieces: [2]int{lo, hi},
+		Cost: cost, Refs: refs,
 		// A write-discard multiply-add zeroes its whole write set before
 		// accumulating, so re-execution is safe; a reduction into data
 		// earlier operators wrote is not, and neither is a checksum-slot
 		// accumulation (chk[slot] += contrib would double-apply).
 		Retryable: priv == region.WriteDiscard && (!sdc || firsts == len(members)),
+		// The riders' readers await the task for its members' partials
+		// (and guards); the plain product's futures are never read.
+		Detached: rd == nil,
 	}
 	if sdc {
 		// Write-discard only when the task initializes every slot it spans.
@@ -472,35 +465,27 @@ func (p *Planner) launchMultiplyAdd(pr *product, opIdx int, g *pieceGroup, op *o
 		}
 	}
 	if pr.hooks {
-		targets := []corruptTarget{{outReg.Data(), outSet}}
+		tt.targets = []corruptTarget{{outReg.Data(), outSet}}
 		if rd != nil {
-			targets = append(targets, corruptTarget{*rd.buf, rd.leaves.span(rd.k, outIdx, g, sdc)})
+			tt.span = rd.leaves.span(rd.k, outIdx, g, sdc)
 		}
-		spec.Corrupt = corruptHook(targets...)
 	}
-	if rd == nil {
-		p.batch(spec)
-		return
-	}
-	// The riders' readers await the task for its members' partials (and
-	// guards).
-	rd.awaits = append(rd.awaits, taskrt.Await{Bytes: rd.pieceBytes * int64(len(g.pieces))})
-	p.specBuf = append(p.specBuf, spec)
+	pr.add(spec, tt)
 }
 
-// zeroPieces launches a zero-fill of n pieces of a launch group from slot
-// on (or of their remainders). first makes it the pieces' first checksum
+// addZeroFill adds a zero-fill of n pieces of a launch group from slot on
+// (or of their remainders). first makes it the pieces' first checksum
 // writer in this product — no operator touched them at all — so it also
 // zeroes their checksum slots.
-func (p *Planner) zeroPieces(pr *product, reg *region.Region, subset index.IntervalSet, proc, slot, n int, first bool) {
+func (p *Planner) addZeroFill(pr *product, reg *region.Region, subset index.IntervalSet, proc, slot, n int, first bool) {
 	var chk []float64
 	if pr.sdc && first {
 		chk = p.chkData(pr.dst)[slot : slot+n]
 	}
-	var run func() float64
+	tt := tmplTask{op: -1}
 	if !p.virtual {
 		d := reg.Data()
-		run = func() float64 {
+		tt.body = func(*launchCall) float64 {
 			subset.EachInterval(func(iv index.Interval) {
 				for i := iv.Lo; i <= iv.Hi; i++ {
 					d[i] = 0
@@ -512,51 +497,34 @@ func (p *Planner) zeroPieces(pr *product, reg *region.Region, subset index.Inter
 	}
 	spec := taskrt.TaskSpec{
 		Name: "zero", Proc: proc, Pieces: [2]int{slot, slot + n},
-		Cost: p.mach.Blas1Cost(subset.Size()),
-		Refs: []region.Ref{pieceRef(reg, subset, region.WriteDiscard)},
-		Run:  run, Retryable: true,
+		Cost:      p.mach.Blas1Cost(subset.Size()),
+		Refs:      []region.Ref{pieceRef(reg, subset, region.WriteDiscard)},
+		Retryable: true, Detached: true,
 	}
 	if chk != nil {
 		spec.Refs = append(spec.Refs, p.chkRef(pr.dst, slot, n, region.WriteDiscard))
 	}
 	if pr.hooks {
-		spec.Corrupt = corruptHook(corruptTarget{reg.Data(), subset})
+		tt.targets = []corruptTarget{{reg.Data(), subset}}
 	}
-	p.batch(spec)
+	pr.add(spec, tt)
 }
 
-// checkMatmulShapes panics unless dst matches the range components and
-// src the domain components.
-func (p *Planner) checkMatmulShapes(dv, sv vec) {
-	if len(dv.regs) != len(p.rhs) || len(sv.regs) != len(p.sol) {
-		panic("core: Matmul vector component counts do not match the system")
+// checkShapes panics unless dst matches the components out and src the
+// components in (the range and domain components for Matmul, the other
+// way round for MatmulT); op names the operation.
+func checkShapes(op string, dv, sv vec, out, in []component) {
+	if len(dv.regs) != len(out) || len(sv.regs) != len(in) {
+		panic("core: " + op + " vector component counts do not match the system")
 	}
-	for j, c := range p.rhs {
+	for j, c := range out {
 		if dv.regs[j].Space().Size() != c.space.Size() {
-			panic("core: Matmul destination shape mismatch")
+			panic("core: " + op + " destination shape mismatch")
 		}
 	}
-	for i, c := range p.sol {
+	for i, c := range in {
 		if sv.regs[i].Space().Size() != c.space.Size() {
-			panic("core: Matmul source shape mismatch")
-		}
-	}
-}
-
-// checkMatmulTShapes panics unless dst matches the domain components and
-// src the range components.
-func (p *Planner) checkMatmulTShapes(dv, sv vec) {
-	if len(dv.regs) != len(p.sol) || len(sv.regs) != len(p.rhs) {
-		panic("core: MatmulT vector component counts do not match the system")
-	}
-	for i, c := range p.sol {
-		if dv.regs[i].Space().Size() != c.space.Size() {
-			panic("core: MatmulT destination shape mismatch")
-		}
-	}
-	for j, c := range p.rhs {
-		if sv.regs[j].Space().Size() != c.space.Size() {
-			panic("core: MatmulT source shape mismatch")
+			panic("core: " + op + " source shape mismatch")
 		}
 	}
 }

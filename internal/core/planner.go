@@ -135,23 +135,23 @@ type Planner struct {
 	// leaves numbers each shape's dot leaves (fusedops.go), built on
 	// first use; partials holds the memory of folded dot batches for
 	// reuse (newPartials).
-	leaves   [2]leafMap
-	partials sync.Pool
-	// sole caches, per product direction (forward, adjoint,
-	// preconditioner), whether every output piece has one writer: 1 yes,
-	// -1 no, 0 not known yet (soleWriters).
-	sole      [3]int8
+	leaves    [2]leafMap
+	partials  sync.Pool
 	colorBase int
 	// step counts TraceBegin calls: an expression never spans two (Scalar).
 	step      int
 	tracing   bool
 	traceOpen bool
 
-	// specBuf collects the per-piece specs of one logical operation so
-	// they submit through a single LaunchBatch (one runtime-lock round
-	// trip per sweep instead of per task). The buffer is reused across
-	// operations; Planner methods are single-goroutine, so no launch can
-	// interleave with an open batch.
+	// tmpls holds one launch template per call site (launch.go), keyed by
+	// the site's encoding, which siteKey writes into the reused key.
+	tmpls map[string]*launchTmpl
+	key   []byte
+	// specBuf collects the specs of one call so they submit through a
+	// single LaunchBatch (one runtime-lock round trip per operation instead
+	// of per task). The buffer is reused across operations; Planner
+	// methods are single-goroutine, so no launch can interleave with an
+	// open batch.
 	specBuf []taskrt.TaskSpec
 
 	// sdc holds the checksummed-kernel state when EnableSDCDetection has
@@ -560,32 +560,6 @@ func (p *Planner) mustNotBeFinalized() {
 	if p.finalized {
 		panic("core: planner already finalized")
 	}
-}
-
-// batch appends one piece task to the planner's pending detached batch.
-// The bulk per-piece launches of updates and products never read their
-// futures, so the whole batch runs detached — LaunchBatch then returns nil
-// and the launch path allocates no futures at all. (A real dot sweep's
-// tasks are the exception: its scalars wait on them, see FusedSweep.)
-func (p *Planner) batch(spec taskrt.TaskSpec) {
-	spec.Detached = true
-	p.specBuf = append(p.specBuf, spec)
-}
-
-// flushBatch submits the pending piece tasks as one fused LaunchBatch
-// and resets the buffer for reuse, returning the futures of a batch that
-// is not detached. Entries are scrubbed so the buffer does not retain task
-// closures past the launch.
-func (p *Planner) flushBatch() []*taskrt.Future {
-	if len(p.specBuf) == 0 {
-		return nil
-	}
-	futs := p.sess.LaunchBatch(p.specBuf)
-	for i := range p.specBuf {
-		p.specBuf[i] = taskrt.TaskSpec{}
-	}
-	p.specBuf = p.specBuf[:0]
-	return futs
 }
 
 // checkCompatible panics unless both vectors exist and have the same

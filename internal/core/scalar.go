@@ -2,7 +2,9 @@ package core
 
 import (
 	"math"
+	"runtime"
 	"slices"
+	"sync/atomic"
 
 	"kdrsolvers/internal/taskrt"
 )
@@ -32,10 +34,13 @@ type Scalar struct {
 	// task awaits and what Value waits on.
 	leaves []*scalarLeaf
 	// eval computes the value once every leaf's tasks completed. It is
-	// nil for a real planner's dot, whose value is the memoized fold of
-	// its leaf partials, dot.
+	// nil for a real planner's dot, whose value is the fold of its leaf
+	// partials, dot.
 	eval func() float64
 	dot  dotSum
+	// state and v memoize the value: the first reader computes it (value).
+	state atomic.Int32
+	v     float64
 	// step is the planner step the scalar was made in; durable marks a dot
 	// result or a constant, which any later step may read through.
 	step    int
@@ -61,7 +66,14 @@ func addLeaves(dst []*scalarLeaf, s *Scalar) []*scalarLeaf {
 
 // leafAwaits returns the futures a task reading the leaves awaits.
 func leafAwaits(leaves []*scalarLeaf) []taskrt.Await {
-	var awaits []taskrt.Await
+	n := 0
+	for _, l := range leaves {
+		n += len(l.awaits)
+	}
+	if n == 0 {
+		return nil
+	}
+	awaits := make([]taskrt.Await, 0, n)
 	for _, l := range leaves {
 		awaits = append(awaits, l.awaits...)
 	}
@@ -84,13 +96,48 @@ func (s *Scalar) Value() float64 {
 	return s.value()
 }
 
-// value computes the scalar; every task it is computed from completed.
+// value returns the scalar, computing it on the first call; every task it
+// is computed from completed. The readers of a scalar start together —
+// every task of the next sweep reads it — so the first caller computes it
+// and the others spin the few microseconds it takes rather than park
+// behind a lock, which costs a worker's wake-up each time.
 func (s *Scalar) value() float64 {
-	if s.eval == nil {
-		return s.dot.value()
+	for {
+		switch s.state.Load() {
+		case valDone:
+			return s.v
+		case valOpen:
+			if s.state.CompareAndSwap(valOpen, valComputing) {
+				return s.compute()
+			}
+		default:
+			runtime.Gosched()
+		}
 	}
-	return s.eval()
 }
+
+// compute evaluates the scalar for value. One that panics leaves the
+// value to the next reader, as if never begun.
+func (s *Scalar) compute() float64 {
+	defer func() {
+		if s.state.Load() != valDone {
+			s.state.Store(valOpen)
+		}
+	}()
+	if s.eval != nil {
+		s.v = s.eval()
+	} else {
+		s.v = s.dot.fold()
+	}
+	s.state.Store(valDone)
+	return s.v
+}
+
+const (
+	valOpen = iota
+	valComputing
+	valDone
+)
 
 // taskScalar returns the scalar a task computes: its value is the task's
 // result, and a reader awaits the task for that one value's 8 bytes.
@@ -106,7 +153,9 @@ func (p *Planner) stale(s *Scalar) bool { return !s.durable && s.step != p.step 
 // Constant returns a scalar holding a compile-time constant. No task is
 // launched; readers see the value immediately.
 func (p *Planner) Constant(v float64) *Scalar {
-	return &Scalar{eval: func() float64 { return v }, durable: true}
+	s := &Scalar{v: v, durable: true}
+	s.state.Store(valDone)
+	return s
 }
 
 // ScalarExpr returns fn over the values of args as a deferred scalar: an

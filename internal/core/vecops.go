@@ -31,9 +31,11 @@ func pieceRef(reg *region.Region, subset index.IntervalSet, priv region.Privileg
 
 // launchGrain is the fewest points one launched task should hold. Below
 // it the runtime's fixed cost per task (about 2.7 µs wall on the benchmark
-// host) exceeds the sweep kernel's cost per piece (about 0.7 ns a point),
-// so the planner launches adjacent pieces together; the fit is recorded
-// in EXPERIMENTS.md ("Launch grain").
+// host when the grain was fitted, 2.6–2.9 µs re-measured with launch
+// templates: a served CG iteration at 24 tasks against 3) exceeds the
+// sweep kernel's cost per piece (about 0.7 ns a point), so the planner
+// launches adjacent pieces together; the fit is recorded in EXPERIMENTS.md
+// ("Launch grain", "A launch built once").
 const launchGrain = 4096
 
 // pieceGroup is one unit of launch: a run of adjacent colors of one
@@ -49,22 +51,6 @@ type pieceGroup struct {
 	proc   int                 // owner of the first member
 	pieces []index.IntervalSet // the members' canonical pieces, in color order
 	subset index.IntervalSet   // their union
-}
-
-// runWith wraps a per-piece kernel body that reads scalars as the body
-// of the group's task: the task evaluates each scalar once, before its
-// first piece, and hands every piece the values.
-func (g *pieceGroup) runWith(scalars []*Scalar, body func(subset index.IntervalSet, slot int, vals []float64)) func() float64 {
-	return func() float64 {
-		vals := make([]float64, len(scalars))
-		for i, s := range scalars {
-			vals[i] = s.value()
-		}
-		for i, subset := range g.pieces {
-			body(subset, g.slot+i, vals)
-		}
-		return 0
-	}
 }
 
 // launchGroups returns the units of launch of every component of a shape,

@@ -714,3 +714,43 @@ func TestFaultRetrySpecsAreBounded(t *testing.T) {
 		t.Errorf("a rejected spec ran: %+v", m)
 	}
 }
+
+// A job that sets a watchdog reads its own stragglers in session_stats:
+// the three stalled tasks of the first job outrun its 1 ms budget (a
+// preempted clean task may add one more), and the next job, whose tasks
+// do not, reads none of them.
+func TestFaultJobSeesItsOwnStragglers(t *testing.T) {
+	s := mustServer(t, Config{MaxActive: 1})
+	defer s.Drain()
+	ts := httptest.NewServer(Handler(s))
+	defer ts.Close()
+
+	stragglers := func(body string) float64 {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/solve?wait=1", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var view struct {
+			Result struct {
+				Converged bool               `json:"converged"`
+				Session   map[string]float64 `json:"session_stats"`
+			} `json:"result"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&view); err != nil {
+			t.Fatal(err)
+		}
+		n, ok := view.Result.Session["Stragglers"]
+		if !view.Result.Converged || !ok {
+			t.Fatalf("POST %s: converged %v, session_stats %v", body, view.Result.Converged, view.Result.Session)
+		}
+		return n
+	}
+	if n := stragglers(`{"matrix":"lap2d:8x8","faults":"stall=1,stallms=5,seed=1,max=3","watchdog":1000000}`); n < 3 {
+		t.Errorf("stalled job: %v stragglers, want at least 3", n)
+	}
+	if n := stragglers(`{"matrix":"lap2d:8x8","watchdog":1000000000}`); n != 0 {
+		t.Errorf("plain job: %v stragglers, want 0", n)
+	}
+}

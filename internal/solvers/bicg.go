@@ -8,10 +8,11 @@ import "kdrsolvers/internal/core"
 // operators (projected along the column relation instead of the row
 // relation).
 //
-// Like CG, the iteration runs on the planner's fused kernels: the three
-// solution and residual updates share one piece sweep with the batched
-// r̃·r and r·r reductions (core.FusedSweep), and both direction updates
-// share a second, so an iteration pays two reduction barriers instead of
+// Like CG, the iteration runs on the planner's fused kernels: the two
+// residual updates share one piece sweep with the batched r̃·r and r·r
+// reductions (core.FusedSweep), and the solution update shares the
+// direction updates' sweep, which reads p anyway — x += αp runs before p
+// is overwritten — so an iteration pays two reduction barriers instead of
 // four and about half the launches of the per-operation formulation,
 // with bitwise identical iterates.
 type BiCG struct {
@@ -76,13 +77,13 @@ func (s *BiCG) Step() {
 	p.MatmulT(s.qt, s.pt)                                        // q̃ = Aᵀ p̃
 	alpha := guardedDiv(p, &s.bd, "bicg", "pt·Ap", s.rho, ptq)
 	d := p.FusedSweep([]core.VecUpdate{ // one sweep:
-		{Kind: core.UpdAxpy, Dst: core.SOL, Alpha: alpha, Src: s.pv},        // x += α p
 		{Kind: core.UpdAxpy, Dst: s.r, Alpha: alpha, Neg: true, Src: s.q},   // r -= α q
 		{Kind: core.UpdAxpy, Dst: s.rt, Alpha: alpha, Neg: true, Src: s.qt}, // r̃ -= α q̃
 	}, []core.DotPair{{V: s.rt, W: s.r}, {V: s.r, W: s.r}}) // ρ' = r̃·r, res' = r·r
 	beta := guardedDiv(p, &s.bd, "bicg", "rho", d[0], s.rho)
-	p.FusedUpdate(
-		core.VecUpdate{Kind: core.UpdXpay, Dst: s.pv, Alpha: beta, Src: s.r},  // p = r + β p
-		core.VecUpdate{Kind: core.UpdXpay, Dst: s.pt, Alpha: beta, Src: s.rt}) // p̃ = r̃ + β p̃
+	p.FusedUpdate( // one sweep:
+		core.VecUpdate{Kind: core.UpdAxpy, Dst: core.SOL, Alpha: alpha, Src: s.pv}, // x += α p
+		core.VecUpdate{Kind: core.UpdXpay, Dst: s.pv, Alpha: beta, Src: s.r},       // p = r + β p
+		core.VecUpdate{Kind: core.UpdXpay, Dst: s.pt, Alpha: beta, Src: s.rt})      // p̃ = r̃ + β p̃
 	s.rho, s.res = d[0], d[1]
 }

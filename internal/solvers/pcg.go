@@ -10,9 +10,11 @@ import "kdrsolvers/internal/core"
 //
 // The fused step batches the r·z and r·r reductions into one combine
 // carried by the preconditioner product that writes z, lets the operator
-// product carry pᵀAp, and fuses the solution/residual updates into one
-// sweep, so an iteration pays two reduction barriers instead of three and
-// no launch for a dot.
+// product carry pᵀAp, and moves the solution update into the direction
+// update's sweep, which reads p anyway — x += αp runs before p is
+// overwritten, so the iterates are bitwise those of the per-operation
+// formulation — so an iteration pays two reduction barriers instead of
+// three and no launch for a dot.
 type PCG struct {
 	p           *core.Planner
 	pv, q, r, z core.VecID
@@ -63,14 +65,14 @@ func (s *PCG) Step() {
 	p.BeginPhase("pcg.step")
 	defer p.TraceEnd(p.TraceBegin("pcg.step"))
 	alpha := p.Div(s.rz, p.Matmul(s.q, s.pv, core.DotPair{V: s.pv, W: s.q})[0])
-	p.FusedUpdate(
-		core.VecUpdate{Kind: core.UpdAxpy, Dst: core.SOL, Alpha: alpha, Src: s.pv},
-		core.VecUpdate{Kind: core.UpdAxpy, Dst: s.r, Alpha: alpha, Neg: true, Src: s.q},
-	)
+	p.FusedUpdate(core.VecUpdate{Kind: core.UpdAxpy, Dst: s.r, Alpha: alpha, Neg: true, Src: s.q}) // r -= α q
 	d := p.PSolve(s.z, s.r, core.DotPair{V: s.r, W: s.z}, core.DotPair{V: s.r, W: s.r})
 	rzNew := d[0]
 	beta := p.Div(rzNew, s.rz)
-	p.Xpay(s.pv, beta, s.z)
+	p.FusedUpdate( // one sweep:
+		core.VecUpdate{Kind: core.UpdAxpy, Dst: core.SOL, Alpha: alpha, Src: s.pv}, // x += α p
+		core.VecUpdate{Kind: core.UpdXpay, Dst: s.pv, Alpha: beta, Src: s.z},       // p = z + β p
+	)
 	s.rz = rzNew
 	s.res = d[1]
 }

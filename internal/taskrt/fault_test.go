@@ -347,6 +347,33 @@ func TestFaultWatchdogFlagsStraggler(t *testing.T) {
 	}
 }
 
+// A straggler counts in the session that launched it and in no other:
+// a served job reads its own stragglers from its SessionStats.
+func TestFaultWatchdogCountsStragglerInItsOwnSession(t *testing.T) {
+	rt := New()
+	slow, fast := rt.NewSession("slow"), rt.NewSession("fast")
+	defer slow.Close()
+	defer fast.Close()
+	slow.SetWatchdog(5 * time.Millisecond)
+	fast.SetWatchdog(5 * time.Millisecond)
+	slow.Launch(TaskSpec{Name: "slow", Run: func() float64 {
+		time.Sleep(60 * time.Millisecond)
+		return 0
+	}})
+	fast.Launch(TaskSpec{Name: "fast", Run: func() float64 { return 1 }})
+	slow.Drain()
+	fast.Drain()
+	if got := slow.Stats().Stragglers; got != 1 {
+		t.Errorf("slow session: Stragglers = %d, want 1", got)
+	}
+	if got := fast.Stats().Stragglers; got != 0 {
+		t.Errorf("neighbour session: Stragglers = %d, want 0", got)
+	}
+	if got := rt.Stats().Stragglers; got != 1 {
+		t.Errorf("runtime: Stragglers = %d, want 1", got)
+	}
+}
+
 func TestFaultInjectedStallTriggersWatchdog(t *testing.T) {
 	rt := New()
 	rt.DefaultSession().SetWatchdog(5 * time.Millisecond)

@@ -759,11 +759,11 @@ func (rt *Runtime) execute(ts *taskState, w int) *taskState {
 	outcome := obs.OutcomeOK
 	for attempt := 0; ; attempt++ {
 		// The watchdog budget covers one attempt's execution. Its
-		// closure captures the runtime only, never ts, so a watched
-		// state is recycled like any other.
+		// closure captures the runtime and the session only, never ts,
+		// so a watched state is recycled like any other.
 		var wd *time.Timer
 		if budget > 0 {
-			wd = time.AfterFunc(budget, func() { rt.stats.stragglers.Add(1) })
+			wd = time.AfterFunc(budget, func() { sess.count(&rt.stats.stragglers, &sess.stats.Stragglers) })
 		}
 		val, err = rt.runGuarded(ts, attempt)
 		if wd != nil {

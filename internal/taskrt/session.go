@@ -96,6 +96,9 @@ type SessionStats struct {
 	// re-execution attempts, Poisoned its cancelled successors, and
 	// Corrupted its silently corrupted task outputs.
 	Failed, Retries, Poisoned, Corrupted int64
+	// Stragglers counts the session's task attempts that outran its
+	// watchdog budget (SetWatchdog).
+	Stragglers int64
 	// ErrsDropped counts permanent failures evicted from the bounded
 	// error window (the joined Err reports at most maxSessionErrs).
 	ErrsDropped int64
@@ -258,9 +261,10 @@ func (s *Session) SetMaxAttempts(n int) {
 }
 
 // SetWatchdog flags this session's tasks whose execution exceeds
-// budget: each one increments Stats.Stragglers. The task itself is not
-// interrupted (goroutines cannot be killed safely); the count is the
-// signal a scheduler or operator acts on. The budget covers one
+// budget: each one increments Stats.Stragglers and the session's own
+// SessionStats.Stragglers. The task itself is not interrupted
+// (goroutines cannot be killed safely); the count is the signal a
+// scheduler or operator acts on. The budget covers one
 // execution attempt and is re-armed per retry. A zero budget disables
 // the watchdog.
 func (s *Session) SetWatchdog(budget time.Duration) {
