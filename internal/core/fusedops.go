@@ -278,12 +278,9 @@ func (p *Planner) FusedSweep(ups []VecUpdate, dots []DotPair) []*Scalar {
 // combine task names (launch.go): the call's coefficients, the futures
 // they are computed from and, for dots, the memory their partials go to.
 func (p *Planner) sweep(name, reduceName string, ups []VecUpdate, dots []DotPair) []*Scalar {
-	p.siteKey(name, 0, 0, ups, dots)
-	t := p.template()
-	if t == nil {
-		t = p.buildSweep(name, reduceName, ups, dots)
-		p.keep(t)
-	}
+	t := p.site(name, 0, 0, ups, dots, func() *launchTmpl {
+		return p.buildSweep(name, reduceName, ups, dots)
+	})
 	var c *launchCall
 	var leafBuf [4]*scalarLeaf
 	leaves := leafBuf[:0]

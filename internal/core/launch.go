@@ -84,11 +84,13 @@ func (t *launchTmpl) add(spec taskrt.TaskSpec, tt tmplTask) {
 	t.tasks = append(t.tasks, tt)
 }
 
-// siteKey encodes a call site into p.key: the operation's name, the
-// detection and injector modes, the product's vectors, each update's kind,
-// sign, vectors and the first update reading the same coefficient, and
-// the dot pairs.
-func (p *Planner) siteKey(name string, dst, src VecID, ups []VecUpdate, dots []DotPair) {
+// site returns the template of a call site, calling build and keeping its
+// result on the site's first call. The key encodes the operation's name,
+// the detection and injector modes, the product's vectors, each update's
+// kind, sign, vectors and the first update reading the same coefficient,
+// and the dot pairs; it is written into the planner's reused buffer and
+// read only here, so a build that launches another site cannot clobber it.
+func (p *Planner) site(name string, dst, src VecID, ups []VecUpdate, dots []DotPair, build func() *launchTmpl) *launchTmpl {
 	k := append(p.key[:0], name...)
 	k = append(k, 0, boolByte(p.sdcOn()), boolByte(p.faultHooks()))
 	k = binary.AppendVarint(k, int64(dst))
@@ -113,6 +115,16 @@ func (p *Planner) siteKey(name string, dst, src VecID, ups []VecUpdate, dots []D
 		k = binary.AppendVarint(k, int64(d.W))
 	}
 	p.key = k
+	if t := p.tmpls[string(k)]; t != nil {
+		return t
+	}
+	key := string(k)
+	t := build()
+	if p.tmpls == nil {
+		p.tmpls = make(map[string]*launchTmpl)
+	}
+	p.tmpls[key] = t
+	return t
 }
 
 func boolByte(b bool) byte {
@@ -120,18 +132,6 @@ func boolByte(b bool) byte {
 		return 1
 	}
 	return 0
-}
-
-// template returns the template of the site in p.key, or nil before the
-// site's first call has built it.
-func (p *Planner) template() *launchTmpl { return p.tmpls[string(p.key)] }
-
-// keep stores the template just built for the site in p.key.
-func (p *Planner) keep(t *launchTmpl) {
-	if p.tmpls == nil {
-		p.tmpls = make(map[string]*launchTmpl)
-	}
-	p.tmpls[string(p.key)] = t
 }
 
 // launch submits one call of t as a batch: the template's specs, each with

@@ -91,12 +91,9 @@ func opTarget(op *opEntry, adjoint, pre bool) (outIdx, inIdx int, kpart, inHalo,
 // from the partials its tasks write into the call's memory; otherwise from
 // a dot sweep of their own, named for the product.
 func (p *Planner) runMultiOp(ops []opEntry, dst, src VecID, name string, adjoint, pre bool, dots []DotPair) []*Scalar {
-	p.siteKey(name, dst, src, nil, dots)
-	t := p.template()
-	if t == nil {
-		t = p.buildProduct(ops, dst, src, name, adjoint, pre, dots)
-		p.keep(t)
-	}
+	t := p.site(name, dst, src, nil, dots, func() *launchTmpl {
+		return p.buildProduct(ops, dst, src, name, adjoint, pre, dots)
+	})
 	var c *launchCall
 	var buf *[]float64
 	if t.k > 0 {

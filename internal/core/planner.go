@@ -144,7 +144,7 @@ type Planner struct {
 	traceOpen bool
 
 	// tmpls holds one launch template per call site (launch.go), keyed by
-	// the site's encoding, which siteKey writes into the reused key.
+	// the site's encoding, which site writes into the reused key.
 	tmpls map[string]*launchTmpl
 	key   []byte
 	// specBuf collects the specs of one call so they submit through a

@@ -19,10 +19,10 @@ import (
 // launch template; TestOperationAllocs splits the count by operation).
 // The pin is a regression tripwire: if the hot path regrows per-task
 // allocations the count jumps by O(pieces × launches). The step reads 75
-// allocations over 24 launches since launches are built once per call
-// site (188 while every call rebuilt its refs, members and bodies, 202
-// over 32 with a dot sweep of its own, 226–227 while a dot's partials
-// were a region); the pin is 75 plus 5 %.
+// or 76 allocations over 24 launches since launches are built once per
+// call site (188 while every call rebuilt its refs, members and bodies,
+// 202 over 32 with a dot sweep of its own, 226–227 while a dot's partials
+// were a region); the pin is the higher reading plus 5 %.
 func TestFusedCGStepAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; the pin only means something without it")
@@ -67,8 +67,8 @@ func TestFusedCGStepAllocs(t *testing.T) {
 			after.TraceFallbacks-before.TraceFallbacks)
 	}
 	launchesPerStep := float64(after.Launched-before.Launched) / 21
-	if allocs > 78 {
-		t.Errorf("fused CG step allocates %.0f objects/iteration (%.0f launches), want <= 78",
+	if allocs > 79 {
+		t.Errorf("fused CG step allocates %.0f objects/iteration (%.0f launches), want <= 79",
 			allocs, launchesPerStep)
 	}
 	t.Logf("fused CG: %.1f allocs/iteration over %.0f launches (%.2f allocs/launch)",
@@ -82,7 +82,9 @@ func TestFusedCGStepAllocs(t *testing.T) {
 // closes over the call (one per task of an operation that reads
 // coefficients or computes dots) and the future of a task whose dots a
 // reader awaits; per call, the call's state, its awaits and its dot
-// scalars. The pins are the readings plus 5 %; rebuilding a task's refs,
+// scalars. The readings are the same in every run; each pin is its
+// reading plus 5 % or plus one, whichever is more, so a one-object shift
+// in the runtime does not trip it, while rebuilding a task's refs,
 // members or kernel bodies per call shows as eight or more per call.
 func TestOperationAllocs(t *testing.T) {
 	if raceEnabled {
@@ -105,15 +107,15 @@ func TestOperationAllocs(t *testing.T) {
 		call func()
 		pin  float64
 	}{
-		{"matmul", func() { p.Matmul(q, core.SOL) }, 0},
+		{"matmul", func() { p.Matmul(q, core.SOL) }, 1},
 		{"matmul+dot", func() { p.Matmul(q, core.SOL, core.DotPair{V: core.SOL, W: q})[0].Value() }, 23},
-		{"matmulT", func() { p.MatmulT(z, r) }, 0},
+		{"matmulT", func() { p.MatmulT(z, r) }, 1},
 		{"psolve+dots", func() { p.PSolve(z, r, core.DotPair{V: r, W: z}, core.DotPair{V: r, W: r})[1].Value() }, 25},
-		{"axpy", func() { p.Axpy(z, alpha, core.SOL) }, 10},
+		{"axpy", func() { p.Axpy(z, alpha, core.SOL) }, 11},
 		{"fused.update", func() {
 			p.FusedUpdate(core.VecUpdate{Kind: core.UpdAxpy, Dst: z, Alpha: alpha, Src: core.SOL},
 				core.VecUpdate{Kind: core.UpdXpay, Dst: q, Alpha: beta, Src: r})
-		}, 10},
+		}, 11},
 		{"fused.updatedot", func() {
 			p.FusedSweep([]core.VecUpdate{{Kind: core.UpdAxpy, Dst: z, Alpha: alpha, Neg: true, Src: core.SOL}},
 				[]core.DotPair{{V: z, W: z}})[0].Value()
