@@ -53,7 +53,6 @@ func main() {
 	walDir := flag.String("wal-dir", "", "write-ahead-log directory for crash durability (empty disables)")
 	fsyncEvery := flag.Int("fsync-every", 16, "fsync the journal every N records (1 = every record)")
 	retainDone := flag.Int("retain-done", 256, "completed jobs kept for GET /jobs/{id} before LRU eviction")
-	retainTTL := flag.Duration("retain-ttl", 0, "additionally expire completed jobs by age (0 disables)")
 	flag.Parse()
 	if *maxActive < 1 || *queueDepth < 1 || *coalesceMax < 1 {
 		fmt.Fprintln(os.Stderr, "mmserve: -max-active, -queue-depth, and -coalesce-max must be at least 1")
@@ -71,7 +70,6 @@ func main() {
 		WALDir:      *walDir,
 		FsyncEvery:  *fsyncEvery,
 		RetainDone:  *retainDone,
-		RetainTTL:   *retainTTL,
 		Log:         logf,
 	})
 	if err != nil {

@@ -108,8 +108,8 @@ func buildBoth(t *testing.T, program func(p *Planner)) (real, virt taskrt.Graph)
 func setupSystem(p *Planner, n int64, pieces int) {
 	op := sparse.NewStencilOperator(sparse.Stencil2D5, index.NewGrid(n/8, 8))
 	if p.Virtual() {
-		si := p.AddSolVectorVirtual(n, index.EqualPartition(index.NewSpace("D", n), pieces))
-		ri := p.AddRHSVectorVirtual(n, index.EqualPartition(index.NewSpace("R", n), pieces))
+		si := p.AddSolVector(nil, index.EqualPartition(index.NewSpace("D", n), pieces))
+		ri := p.AddRHSVector(nil, index.EqualPartition(index.NewSpace("R", n), pieces))
 		p.AddOperator(op, si, ri)
 	} else {
 		si := p.AddSolVector(make([]float64, n), index.EqualPartition(index.NewSpace("D", n), pieces))
@@ -231,8 +231,8 @@ func TestTraceReplayGraphsAreStructurallyIdentical(t *testing.T) {
 	// what justifies charging them the memoized overhead.
 	p := NewPlanner(Config{Machine: machine.Lassen(2), Virtual: true})
 	op := sparse.NewStencilOperator(sparse.Stencil2D5, index.NewGrid(32, 32))
-	si := p.AddSolVectorVirtual(1024, index.EqualPartition(index.NewSpace("D", 1024), 4))
-	ri := p.AddRHSVectorVirtual(1024, index.EqualPartition(index.NewSpace("R", 1024), 4))
+	si := p.AddSolVector(nil, index.EqualPartition(index.NewSpace("D", 1024), 4))
+	ri := p.AddRHSVector(nil, index.EqualPartition(index.NewSpace("R", 1024), 4))
 	p.AddOperator(op, si, ri)
 	p.Finalize()
 	y := p.AllocateWorkspace(RhsShape)

@@ -471,7 +471,7 @@ func TestOneUpdateSweepsLaunchTheirOperationsTasks(t *testing.T) {
 			p := NewPlanner(Config{Machine: machine.Lassen(4), Virtual: c.virtual, Session: taskrt.New().NewSession("shape")})
 			var si, ri int
 			if c.virtual {
-				si, ri = p.AddSolVectorVirtual(n, dp), p.AddRHSVectorVirtual(n, rp)
+				si, ri = p.AddSolVector(nil, dp), p.AddRHSVector(nil, rp)
 			} else {
 				si, ri = p.AddSolVector(make([]float64, n), dp), p.AddRHSVector(make([]float64, n), rp)
 			}

@@ -65,7 +65,7 @@ func unevenPlanner(virtual bool, ops int) *Planner {
 	p := NewPlanner(Config{Machine: machine.Lassen(4), Virtual: virtual})
 	var si, ri int
 	if virtual {
-		si, ri = p.AddSolVectorVirtual(n, dp), p.AddRHSVectorVirtual(n, rp)
+		si, ri = p.AddSolVector(nil, dp), p.AddRHSVector(nil, rp)
 	} else {
 		x, b := make([]float64, n), make([]float64, n)
 		for i := range x {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"kdrsolvers/internal/dpart"
@@ -116,8 +117,8 @@ func TestMixedFormatEveryPair(t *testing.T) {
 			xc := append([]float64{}, x...)
 			si := p.AddSolVector(xc, index.EqualPartition(index.NewSpace("D", n), 2))
 			ri := p.AddRHSVector(make([]float64, n), index.EqualPartition(index.NewSpace("R", n), 2))
-			p.AddOperator(sparse.Convert(bandCSR, f1), si, ri)
-			p.AddOperator(sparse.Convert(restCSR, f2), si, ri)
+			p.AddOperator(convertAll(bandCSR, f1), si, ri)
+			p.AddOperator(convertAll(restCSR, f2), si, ri)
 			p.Finalize()
 			y := p.AllocateWorkspace(RhsShape)
 			p.Matmul(y, SOL)
@@ -219,5 +220,34 @@ func TestAutoRelationsMatchMaterialized(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// AddOperatorAuto bands the operator by the range component's pieces:
+// a tile per piece, each in the format its rows want — here CSR over a
+// lower-triangular head, ELL over a tridiagonal tail.
+func TestAddOperatorAutoTilesByPieces(t *testing.T) {
+	const head, n = 48, 128
+	var coords []sparse.Coord
+	for i := int64(0); i < n; i++ {
+		lo, hi := max(i-1, 0), min(i+1, n-1)
+		if i < head {
+			lo, hi = 0, i
+		}
+		for j := lo; j <= hi; j++ {
+			coords = append(coords, sparse.Coord{Row: i, Col: j, Val: 1})
+		}
+	}
+	a := sparse.CSRFromCoords(n, n, coords)
+	for pieces, want := range map[int][]string{
+		3: {"CSR[0:43)", "CSR[43:86)", "ELL[86:128)"},
+		8: {"CSR[0:16)", "CSR[16:32)", "CSR[32:48)", "ELL[48:64)", "ELL[64:80)", "ELL[80:96)", "ELL[96:112)", "ELL[112:128)"},
+	} {
+		p := NewPlanner(Config{Machine: machine.Lassen(1)})
+		si := p.AddSolVector(make([]float64, n), index.EqualPartition(index.NewSpace("D", n), pieces))
+		ri := p.AddRHSVector(make([]float64, n), index.EqualPartition(index.NewSpace("R", n), pieces))
+		if got := p.AddOperatorAuto(a, si, ri).SelectedFormats(); !slices.Equal(got, want) {
+			t.Errorf("pieces=%d: tiles %v, want %v", pieces, got, want)
+		}
 	}
 }

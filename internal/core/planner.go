@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"kdrsolvers/internal/dpart"
@@ -248,8 +247,20 @@ func (p *Planner) Machine() machine.Machine { return p.mach }
 func (p *Planner) Virtual() bool { return p.virtual }
 
 // addComponent registers a component with its canonical partition and
-// assigns piece owners through vecProc.
-func (p *Planner) addComponent(name string, n int64, part index.Partition, data []float64) (component, *region.Region) {
+// assigns piece owners through vecProc. A real planner adopts data; a
+// virtual one stores nothing and, given nil data, takes the size from
+// the partition.
+func (p *Planner) addComponent(name string, data []float64, part index.Partition) (component, *region.Region) {
+	n := int64(len(data))
+	switch {
+	case !p.virtual && data == nil:
+		panic("core: a real planner needs a vector's data")
+	case p.virtual && data == nil:
+		if part.NumColors() == 0 {
+			panic("core: a virtual planner takes a vector's size from its partition, which is empty")
+		}
+		n = part.Space.Size()
+	}
 	space := index.NewSpace(name, n)
 	if part.NumColors() == 0 {
 		part = index.EqualPartition(space, 1)
@@ -267,13 +278,9 @@ func (p *Planner) addComponent(name string, n int64, part index.Partition, data 
 	}
 	p.colorBase += part.NumColors()
 
-	var reg *region.Region
-	if p.virtual {
-		reg = region.NewVirtual(name, space)
-	} else if data != nil {
+	reg := region.NewVirtual(name, space)
+	if !p.virtual {
 		reg = region.Adopt(name, space, data)
-	} else {
-		reg = region.New(name, space)
 	}
 	return component{space: space, part: part, procs: procs}, reg
 }
@@ -281,25 +288,11 @@ func (p *Planner) addComponent(name string, n int64, part index.Partition, data 
 // AddSolVector supplies one component of the initial solution vector,
 // adopting the caller's storage in place (no copy). An empty partition
 // means a single piece. It returns the component's index i for use in
-// AddOperator. Real-mode planners require data; virtual planners ignore
-// it and only need its length via n.
+// AddOperator. A virtual planner may pass nil data: the component then
+// has the partition's size.
 func (p *Planner) AddSolVector(data []float64, part index.Partition) int {
 	p.mustNotBeFinalized()
-	comp, reg := p.addComponent(fmt.Sprintf("sol%d", len(p.sol)), int64(len(data)), part, data)
-	p.sol = append(p.sol, comp)
-	p.vecs[SOL].shape = SolShape
-	p.vecs[SOL].regs = append(p.vecs[SOL].regs, reg)
-	return len(p.sol) - 1
-}
-
-// AddSolVectorVirtual is AddSolVector for virtual planners, where no real
-// storage exists: only the component's size is needed.
-func (p *Planner) AddSolVectorVirtual(n int64, part index.Partition) int {
-	p.mustNotBeFinalized()
-	if !p.virtual {
-		panic("core: AddSolVectorVirtual requires a virtual planner")
-	}
-	comp, reg := p.addComponent(fmt.Sprintf("sol%d", len(p.sol)), n, part, nil)
+	comp, reg := p.addComponent(fmt.Sprintf("sol%d", len(p.sol)), data, part)
 	p.sol = append(p.sol, comp)
 	p.vecs[SOL].shape = SolShape
 	p.vecs[SOL].regs = append(p.vecs[SOL].regs, reg)
@@ -307,24 +300,12 @@ func (p *Planner) AddSolVectorVirtual(n int64, part index.Partition) int {
 }
 
 // AddRHSVector supplies one component of the right-hand-side vector,
-// adopting the caller's storage in place. It returns the component's
-// index j for use in AddOperator.
+// adopting the caller's storage in place (nil on a virtual planner, as
+// for AddSolVector). It returns the component's index j for use in
+// AddOperator.
 func (p *Planner) AddRHSVector(data []float64, part index.Partition) int {
 	p.mustNotBeFinalized()
-	comp, reg := p.addComponent(fmt.Sprintf("rhs%d", len(p.rhs)), int64(len(data)), part, data)
-	p.rhs = append(p.rhs, comp)
-	p.vecs[RHS].shape = RhsShape
-	p.vecs[RHS].regs = append(p.vecs[RHS].regs, reg)
-	return len(p.rhs) - 1
-}
-
-// AddRHSVectorVirtual is AddRHSVector for virtual planners.
-func (p *Planner) AddRHSVectorVirtual(n int64, part index.Partition) int {
-	p.mustNotBeFinalized()
-	if !p.virtual {
-		panic("core: AddRHSVectorVirtual requires a virtual planner")
-	}
-	comp, reg := p.addComponent(fmt.Sprintf("rhs%d", len(p.rhs)), n, part, nil)
+	comp, reg := p.addComponent(fmt.Sprintf("rhs%d", len(p.rhs)), data, part)
 	p.rhs = append(p.rhs, comp)
 	p.vecs[RHS].shape = RhsShape
 	p.vecs[RHS].regs = append(p.vecs[RHS].regs, reg)
@@ -363,15 +344,7 @@ func (p *Planner) AddOperatorAuto(a *sparse.CSR, solIdx, rhsIdx int) *sparse.Aut
 	if rhsIdx < 0 || rhsIdx >= len(p.rhs) {
 		panic("core: AddOperatorAuto component index out of range")
 	}
-	pieces := p.rhs[rhsIdx].part.Pieces()
-	starts := make([]int64, 0, len(pieces))
-	for _, pc := range pieces {
-		if !pc.Empty() {
-			starts = append(starts, pc.Bounds().Lo)
-		}
-	}
-	sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
-	tuned := sparse.AutoSelectBands(a, starts)
+	tuned := sparse.AutoSelectBands(a, p.rhs[rhsIdx].part)
 	p.AddOperator(tuned, solIdx, rhsIdx)
 	return tuned
 }

@@ -14,6 +14,16 @@ import (
 
 // newTestPlanner builds a real-mode planner for Ax = b with the given
 // number of vector pieces.
+// convertAll is sparse.Convert over sparse.Formats plus "Auto", which
+// tunes the four bands of a four-piece range partition.
+func convertAll(a *sparse.CSR, f string) sparse.Matrix {
+	if f == "Auto" {
+		rows, _ := sparse.Dims(a)
+		return sparse.AutoSelectBands(a, index.EqualPartition(index.NewSpace("R", rows), 4))
+	}
+	return sparse.Convert(a, f)
+}
+
 func newTestPlanner(t *testing.T, a sparse.Matrix, x, b []float64, pieces int) *Planner {
 	t.Helper()
 	p := NewPlanner(Config{Machine: machine.Lassen(2)})
@@ -72,7 +82,7 @@ func TestMatmulAllFormats(t *testing.T) {
 	want := make([]float64, 16)
 	sparse.SpMV(csr, want, x)
 	for _, f := range append(append([]string(nil), sparse.Formats...), "Auto") {
-		m := sparse.Convert(csr, f)
+		m := convertAll(csr, f)
 		xc := make([]float64, 16)
 		copy(xc, x)
 		p := newTestPlanner(t, m, xc, make([]float64, 16), 3)
@@ -335,8 +345,8 @@ func TestVirtualPlannerGraph(t *testing.T) {
 	op := sparse.NewStencilOperator(sparse.Stencil2D5, index.NewGrid(1<<12, 1<<12))
 	n := op.Domain().Size()
 	p := NewPlanner(Config{Machine: m, Virtual: true})
-	si := p.AddSolVectorVirtual(n, index.EqualPartition(index.NewSpace("D", n), 16))
-	ri := p.AddRHSVectorVirtual(n, index.EqualPartition(index.NewSpace("R", n), 16))
+	si := p.AddSolVector(nil, index.EqualPartition(index.NewSpace("D", n), 16))
+	ri := p.AddRHSVector(nil, index.EqualPartition(index.NewSpace("R", n), 16))
 	p.AddOperator(op, si, ri)
 	p.Finalize()
 	y := p.AllocateWorkspace(RhsShape)
@@ -375,8 +385,8 @@ func TestGraphHasScalarDataflow(t *testing.T) {
 	real := newTestPlanner(t, a, make([]float64, 16), make([]float64, 16), 2)
 	real.grain = 0
 	virt := NewPlanner(Config{Machine: machine.Lassen(2), Virtual: true})
-	virt.AddSolVectorVirtual(16, index.EqualPartition(index.NewSpace("D", 16), 2))
-	virt.AddRHSVectorVirtual(16, index.EqualPartition(index.NewSpace("R", 16), 2))
+	virt.AddSolVector(nil, index.EqualPartition(index.NewSpace("D", 16), 2))
+	virt.AddRHSVector(nil, index.EqualPartition(index.NewSpace("R", 16), 2))
 	virt.AddOperator(a, 0, 0)
 	virt.Finalize()
 	for _, p := range []*Planner{real, virt} {
@@ -447,10 +457,36 @@ func TestPlannerValidation(t *testing.T) {
 		bad := index.NewPartition(sp, []index.IntervalSet{index.Span(0, 2), index.Span(2, 3)})
 		p.AddSolVector(make([]float64, 4), bad)
 	})
-	mustPanic("virtual add on real planner", func() {
-		p := NewPlanner(Config{Machine: m})
-		p.AddSolVectorVirtual(4, index.Partition{})
+	mustPanic("real planner without data", func() {
+		NewPlanner(Config{Machine: m}).AddSolVector(nil, index.EqualPartition(index.NewSpace("D", 4), 2))
 	})
+	mustPanic("virtual planner without data or partition", func() {
+		NewPlanner(Config{Machine: m, Virtual: true}).AddRHSVector(nil, index.Partition{})
+	})
+}
+
+func TestVirtualVectorTakesPartitionSize(t *testing.T) {
+	// A virtual planner stores nothing: nil data gives a component of the
+	// partition's size, and data, if passed, only gives its length.
+	p := NewPlanner(Config{Machine: machine.Lassen(1), Virtual: true})
+	si := p.AddSolVector(nil, index.EqualPartition(index.NewSpace("D", 12), 3))
+	ri := p.AddRHSVector(make([]float64, 12), index.EqualPartition(index.NewSpace("R", 12), 3))
+	if got := p.sol[si].space.Size(); got != 12 {
+		t.Fatalf("sol component size %d, want 12", got)
+	}
+	if got := p.sol[si].part.NumColors(); got != 3 {
+		t.Fatalf("sol component has %d pieces, want 3", got)
+	}
+	if got := p.rhs[ri].space.Size(); got != 12 {
+		t.Fatalf("rhs component size %d, want 12", got)
+	}
+	p.AddOperator(sparse.Laplacian1D(12), si, ri)
+	p.Finalize()
+	p.Matmul(RHS, SOL)
+	p.Drain()
+	if got := p.Runtime().Graph().Len(); got != 3 {
+		t.Fatalf("virtual product launched %d tasks, want one per range piece (3)", got)
+	}
 }
 
 func TestNotSquare(t *testing.T) {
@@ -480,8 +516,8 @@ func TestVectorProcPlacement(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			p := NewPlanner(Config{Machine: machine.Lassen(1), Virtual: true, VectorProc: c.proc})
-			si := p.AddSolVectorVirtual(60, index.EqualPartition(index.NewSpace("D", 60), 6))
-			ri := p.AddRHSVectorVirtual(60, index.EqualPartition(index.NewSpace("R", 60), 6))
+			si := p.AddSolVector(nil, index.EqualPartition(index.NewSpace("D", 60), 6))
+			ri := p.AddRHSVector(nil, index.EqualPartition(index.NewSpace("R", 60), 6))
 			p.AddOperator(sparse.Laplacian1D(60), si, ri)
 			p.Finalize()
 			if !slices.Equal(p.sol[0].procs, c.sol) || !slices.Equal(p.rhs[0].procs, c.rhs) {

@@ -96,11 +96,12 @@ func fig10Planner(cfg Fig10Config, m machine.Machine, owner func(op int) int) *c
 		VectorProc: func(color int) int { return (color % cfg.Pieces) / perNode },
 		MatmulProc: func(op, _ int) int { return owner(op) },
 	})
+	wholeStrip := index.EqualPartition(index.NewSpace("strip", compSize), 1)
 	for j := 0; j < cfg.Pieces; j++ {
-		p.AddSolVectorVirtual(compSize, index.Partition{})
+		p.AddSolVector(nil, wholeStrip)
 	}
 	for i := 0; i < cfg.Pieces; i++ {
-		p.AddRHSVectorVirtual(compSize, index.Partition{})
+		p.AddRHSVector(nil, wholeStrip)
 	}
 	// Tile (i, j): reads block i of column strip j, writes block j of row
 	// strip i (contiguous in the strip-local layouts chosen in DESIGN.md).

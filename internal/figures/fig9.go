@@ -33,10 +33,10 @@ func SplitPlanner(m machine.Machine, e int, vp int) *core.Planner {
 	n := half * nx // unknowns per half
 
 	p := core.NewPlanner(core.Config{Machine: m, Virtual: true})
-	d1 := p.AddSolVectorVirtual(n, index.EqualPartition(index.NewSpace("D1", n), vp))
-	d2 := p.AddSolVectorVirtual(n, index.EqualPartition(index.NewSpace("D2", n), vp))
-	r1 := p.AddRHSVectorVirtual(n, index.EqualPartition(index.NewSpace("R1", n), vp))
-	r2 := p.AddRHSVectorVirtual(n, index.EqualPartition(index.NewSpace("R2", n), vp))
+	d1 := p.AddSolVector(nil, index.EqualPartition(index.NewSpace("D1", n), vp))
+	d2 := p.AddSolVector(nil, index.EqualPartition(index.NewSpace("D2", n), vp))
+	r1 := p.AddRHSVector(nil, index.EqualPartition(index.NewSpace("R1", n), vp))
+	r2 := p.AddRHSVector(nil, index.EqualPartition(index.NewSpace("R2", n), vp))
 
 	// Self-interaction: the 5-point stencil restricted to each half.
 	a11 := sparse.NewStencilOperator(sparse.Stencil2D5, index.NewGrid(half, nx))

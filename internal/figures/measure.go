@@ -59,8 +59,8 @@ type KDROptions struct {
 func stencilPlanner(m machine.Machine, kind sparse.StencilKind, n int64, vp int) *core.Planner {
 	op := sparse.NewStencilOperator(kind, kind.GridFor(n))
 	p := core.NewPlanner(core.Config{Machine: m, Virtual: true})
-	si := p.AddSolVectorVirtual(n, index.EqualPartition(index.NewSpace("D", n), vp))
-	ri := p.AddRHSVectorVirtual(n, index.EqualPartition(index.NewSpace("R", n), vp))
+	si := p.AddSolVector(nil, index.EqualPartition(index.NewSpace("D", n), vp))
+	ri := p.AddRHSVector(nil, index.EqualPartition(index.NewSpace("R", n), vp))
 	p.AddOperator(op, si, ri)
 	p.Finalize()
 	return p

@@ -225,15 +225,9 @@ func solveSystem(a *sparse.CSR, k int, x, b []float64, spec jobspec.Spec, opt Op
 			out.AutoFormats = []string{op.Format()}
 			m = op
 		} else {
-			// A band per piece of one member's range, so that for k = 1
+			// Banded by one member's range partition, so that for k = 1
 			// every task piece computes over a single tile.
-			var starts []int64
-			for _, pc := range part("R", rows).Pieces() {
-				if !pc.Empty() {
-					starts = append(starts, pc.Bounds().Lo)
-				}
-			}
-			tuned := sparse.AutoSelectBands(a, starts)
+			tuned := sparse.AutoSelectBands(a, part("R", rows))
 			out.AutoFormats = tuned.SelectedFormats()
 			m = tuned
 		}

@@ -65,9 +65,6 @@ type Config struct {
 	// GET /jobs/{id}: past the bound the oldest-completed are evicted
 	// (lookups then 404). Default 256.
 	RetainDone int
-	// RetainTTL additionally expires completed jobs by age; 0 disables
-	// the TTL (eviction is then purely LRU via RetainDone).
-	RetainTTL time.Duration
 	// Log, when non-nil, receives server progress lines.
 	Log func(format string, args ...any)
 }
@@ -303,8 +300,8 @@ func (s *Server) replayJournal() error {
 	mt, checkpoints := jn.Metrics(), jn.state.checkpoints
 	s.nextID = rep.MaxID
 	now := time.Now()
-	// The journal retains RetainDone done jobs, the registry's bound, and
-	// they finish now, so none is evicted here.
+	// The journal retains RetainDone done jobs, the registry's bound, so
+	// none is evicted here.
 	for _, id := range rep.DoneOrder {
 		j := &Job{ID: id, state: StateDone, result: rep.Done[id], finished: now,
 			done: make(chan struct{})}
@@ -386,50 +383,12 @@ func (s *Server) Submit(spec jobspec.Spec) (*Job, error) {
 }
 
 // Job looks up a submitted job by ID. Unknown ids — never submitted,
-// or completed and since evicted by the retention policy — report
-// false.
+// or completed and since evicted past RetainDone — report false.
 func (s *Server) Job(id string) (*Job, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.evictDoneLocked(time.Now())
 	j, ok := s.jobs[id]
 	return j, ok
-}
-
-// evictDoneLocked enforces the completed-job retention policy: drop
-// jobs older than RetainTTL (when set), then the oldest-completed past
-// the RetainDone bound. Queued and running jobs are never evicted.
-// Called with s.mu held.
-func (s *Server) evictDoneLocked(now time.Time) {
-	evict := func(id string) {
-		delete(s.jobs, id)
-		s.metrics.EvictedJobs.Inc()
-	}
-	if ttl := s.cfg.RetainTTL; ttl > 0 {
-		keep := s.doneOrder[:0]
-		for _, id := range s.doneOrder {
-			j := s.jobs[id]
-			if j == nil {
-				continue
-			}
-			j.mu.Lock()
-			expired := now.Sub(j.finished) > ttl
-			j.mu.Unlock()
-			if expired {
-				evict(id)
-			} else {
-				keep = append(keep, id)
-			}
-		}
-		for i := len(keep); i < len(s.doneOrder); i++ {
-			s.doneOrder[i] = ""
-		}
-		s.doneOrder = keep
-	}
-	for len(s.doneOrder) > s.cfg.RetainDone {
-		evict(s.doneOrder[0])
-		s.doneOrder = s.doneOrder[1:]
-	}
 }
 
 // Metrics returns a point-in-time snapshot of the server's counters and
@@ -704,8 +663,14 @@ func (s *Server) completeJob(j *Job, res *JobResult) {
 	started := j.Snapshot().Started
 	s.mu.Lock()
 	s.finishJob(j, res, started)
+	// The registry keeps the newest RetainDone completed jobs, the done
+	// records the journal keeps; queued and running jobs stay.
 	s.doneOrder = append(s.doneOrder, j.ID)
-	s.evictDoneLocked(time.Now())
+	for len(s.doneOrder) > s.cfg.RetainDone {
+		delete(s.jobs, s.doneOrder[0])
+		s.doneOrder = s.doneOrder[1:]
+		s.metrics.EvictedJobs.Inc()
+	}
 	s.mu.Unlock()
 }
 

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -752,5 +753,83 @@ func TestFaultJobSeesItsOwnStragglers(t *testing.T) {
 	}
 	if n := stragglers(`{"matrix":"lap2d:8x8","watchdog":1000000000}`); n != 0 {
 		t.Errorf("plain job: %v stragglers, want 0", n)
+	}
+}
+
+// triangularHeadTridiagonalTail is an n×n matrix whose first head rows
+// are lower-triangular (row i stores i+1 entries) and whose other rows
+// are tridiagonal: the tuner stores the two parts in different formats.
+func triangularHeadTridiagonalTail(head, n int64) *sparse.CSR {
+	var coords []sparse.Coord
+	for i := int64(0); i < head; i++ {
+		for j := int64(0); j <= i; j++ {
+			v := -0.01
+			if i == j {
+				v = float64(head)
+			}
+			coords = append(coords, sparse.Coord{Row: i, Col: j, Val: v})
+		}
+	}
+	for i := head; i < n; i++ {
+		for _, j := range []int64{i - 1, i, i + 1} {
+			if j < n {
+				v := -1.0
+				if j == i {
+					v = 4
+				}
+				coords = append(coords, sparse.Coord{Row: i, Col: j, Val: v})
+			}
+		}
+	}
+	return sparse.CSRFromCoords(n, n, coords)
+}
+
+// A served auto job on a Matrix Market file is tuned over one member's
+// range partition, a band per piece, solo and coalesced alike.
+func TestServedAutoTunesFileByPieces(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "mixed.mtx")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sparse.WriteMatrixMarket(f, triangularHeadTridiagonalTail(128, 512)); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"CSR[0:64)", "CSR[64:128)", "ELL[128:192)", "ELL[192:256)",
+		"ELL[256:320)", "ELL[320:384)", "ELL[384:448)", "ELL[448:512)"}
+	spec := func(i int) jobspec.Spec {
+		return testSpec(func(sp *jobspec.Spec) {
+			sp.Matrix, sp.Format, sp.Pieces, sp.RHS = path, "auto", 8, fmt.Sprintf("rand:%d", i+1)
+		})
+	}
+
+	s := mustServer(t, Config{MaxActive: 1, QueueDepth: 16, CoalesceMax: 4})
+	defer s.Drain()
+	solo, err := s.Submit(spec(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := solo.Result(); r.Coalesced > 1 || !r.Converged || !slices.Equal(r.AutoFormats, want) {
+		t.Fatalf("solo: coalesced %d, converged %v, formats %v; want %v", r.Coalesced, r.Converged, r.AutoFormats, want)
+	}
+	blocker, release := wedgeWorker(t, s)
+	defer release()
+	var group []*Job
+	for i := 1; i <= 3; i++ {
+		j, err := s.Submit(spec(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		group = append(group, j)
+	}
+	release()
+	blocker.Result()
+	for _, j := range group {
+		if r := j.Result(); r.Coalesced != 3 || !r.Converged || !slices.Equal(r.AutoFormats, want) {
+			t.Fatalf("%s: coalesced %d, converged %v, formats %v; want 3, true, %v", j.ID, r.Coalesced, r.Converged, r.AutoFormats, want)
+		}
 	}
 }

@@ -2,6 +2,8 @@ package serve
 
 import (
 	"encoding/json"
+	"fmt"
+	"maps"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -268,30 +270,55 @@ func TestServerRetainDoneEviction(t *testing.T) {
 	}
 }
 
-// RetainTTL expires completed jobs by age, independent of count.
-func TestServerRetainTTLEviction(t *testing.T) {
-	s := mustServer(t, Config{MaxActive: 1, CoalesceMax: 1, RetainTTL: 20 * time.Millisecond})
-	defer s.Drain()
-	j, err := s.Submit(testSpec(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	j.Result()
-	if _, ok := s.Job(j.ID); !ok {
-		t.Fatal("job evicted before its TTL")
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if _, ok := s.Job(j.ID); !ok {
-			break
+// The registry keeps what the journal keeps: the newest RetainDone
+// completed jobs. A restart on the same WAL directory answers GET for
+// exactly the ids the first incarnation answered, with the same results.
+func TestRegistryKeepsWhatJournalKeeps(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{MaxActive: 1, CoalesceMax: 1, RetainDone: 3, WALDir: dir, FsyncEvery: 1}
+	s := mustServer(t, cfg)
+	var ids []string
+	for i := 0; i < 5; i++ {
+		j, err := s.Submit(testSpec(func(sp *jobspec.Spec) { sp.RHS = fmt.Sprintf("rand:%d", i+1) }))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if time.Now().After(deadline) {
-			t.Fatal("job outlived its TTL")
-		}
-		time.Sleep(5 * time.Millisecond)
+		j.Result()
+		ids = append(ids, j.ID)
 	}
-	if got := s.Metrics().EvictedJobs; got != 1 {
-		t.Fatalf("EvictedJobs = %d, want 1", got)
+	answers := func(s *Server) map[string]int {
+		got := map[string]int{}
+		ts := httptest.NewServer(Handler(s))
+		defer ts.Close()
+		for _, id := range ids {
+			resp, err := http.Get(ts.URL + "/jobs/" + id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode == http.StatusOK {
+				j, _ := s.Job(id)
+				got[id] = j.Result().Iterations
+			} else if resp.StatusCode != http.StatusNotFound {
+				t.Fatalf("GET /jobs/%s = %d", id, resp.StatusCode)
+			}
+		}
+		return got
+	}
+	before := answers(s)
+	s.Drain()
+	if len(before) != 3 {
+		t.Fatalf("first server answers %v, want the newest 3 of %v", before, ids)
+	}
+	for _, id := range ids[2:] {
+		if _, ok := before[id]; !ok {
+			t.Fatalf("first server answers %v, want the newest 3 of %v", before, ids)
+		}
+	}
+	s2 := mustServer(t, cfg)
+	defer s2.Drain()
+	if after := answers(s2); !maps.Equal(after, before) {
+		t.Fatalf("after a restart the server answers %v, before it %v", after, before)
 	}
 }
 

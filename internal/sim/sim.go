@@ -66,9 +66,6 @@ type Result struct {
 	CommBytes int64
 	// IntraBytes is the total bytes moved within nodes.
 	IntraBytes int64
-	// BusyByName attributes total compute time (including overheads) to
-	// task names — the simulator's profile view.
-	BusyByName map[string]float64
 	// Spans is the simulated schedule as observability spans, indexed by
 	// task ID; only filled when Options.RecordSpans is set. Launch is the
 	// time the task's last input arrived, so QueueLatency is the time
@@ -100,9 +97,8 @@ func Simulate(g taskrt.Graph, m machine.Machine, opt Options) Result {
 	recvFree := make([]float64, m.Nodes)
 	intraFree := make([]float64, m.Nodes)
 	res := Result{
-		ProcBusy:   make([]float64, nprocs),
-		NodeBusy:   make([]float64, m.Nodes),
-		BusyByName: make(map[string]float64),
+		ProcBusy: make([]float64, nprocs),
+		NodeBusy: make([]float64, m.Nodes),
 	}
 	if opt.RecordSpans {
 		res.Spans = make([]obs.Span, g.Len())
@@ -202,7 +198,6 @@ func Simulate(g taskrt.Graph, m machine.Machine, opt Options) Result {
 		procIdle[proc] = false
 		res.ProcBusy[proc] += compute
 		res.NodeBusy[node] += compute
-		res.BusyByName[n.Name] += compute
 		if fin > res.Makespan {
 			res.Makespan = fin
 		}

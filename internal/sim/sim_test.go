@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"kdrsolvers/internal/machine"
+	"kdrsolvers/internal/obs"
 	"kdrsolvers/internal/taskrt"
 )
 
@@ -215,27 +216,45 @@ func TestLatencyAccounting(t *testing.T) {
 	}
 }
 
-func TestBusyByNameAttribution(t *testing.T) {
+func TestSimulateRecordSpans(t *testing.T) {
 	var g taskrt.Graph
-	g.Add(taskrt.Node{Name: "matmul", Proc: 0, Cost: 3})
-	g.Add(taskrt.Node{Name: "matmul", Proc: 1, Cost: 2})
-	g.Add(taskrt.Node{Name: "axpy", Proc: 0, Cost: 1})
-	res := Simulate(g, testMachine(), Options{})
-	if !approx(res.BusyByName["matmul"], 5) {
-		t.Fatalf("matmul busy = %g", res.BusyByName["matmul"])
+	a := g.Add(taskrt.Node{Name: "a", Phase: "init", Proc: 0, Cost: 1})
+	b := g.Add(taskrt.Node{Name: "b", Phase: "step", Proc: 0, Cost: 2, Deps: []int64{a}, DepBytes: []int64{0}})
+	g.Add(taskrt.Node{Name: "c", Phase: "step", Proc: 0, Cost: 3, Deps: []int64{b}, DepBytes: []int64{0}})
+
+	res := Simulate(g, testMachine(), Options{RecordSpans: true})
+	if len(res.Spans) != 3 {
+		t.Fatalf("len(Spans) = %d, want 3", len(res.Spans))
 	}
-	if !approx(res.BusyByName["axpy"], 1) {
-		t.Fatalf("axpy busy = %g", res.BusyByName["axpy"])
+	// The serial chain runs back to back: [0,1), [1,3), [3,6).
+	wantStart := []float64{0, 1, 3}
+	wantEnd := []float64{1, 3, 6}
+	for i, s := range res.Spans {
+		if s.ID != int64(i) {
+			t.Fatalf("span %d has ID %d", i, s.ID)
+		}
+		if !approx(s.Start, wantStart[i]) || !approx(s.End, wantEnd[i]) {
+			t.Fatalf("span %d = [%g, %g), want [%g, %g)", i, s.Start, s.End, wantStart[i], wantEnd[i])
+		}
+		if s.Phase != g.Nodes[i].Phase {
+			t.Fatalf("span %d phase %q, want %q", i, s.Phase, g.Nodes[i].Phase)
+		}
+		// Chain with same-proc zero-byte edges: data arrives the moment the
+		// producer finishes, so nothing waits in a queue.
+		if !approx(s.QueueLatency(), 0) {
+			t.Fatalf("span %d queue latency %g, want 0", i, s.QueueLatency())
+		}
 	}
-	// Attribution sums to total proc busy.
-	var total, byName float64
-	for _, b := range res.ProcBusy {
-		total += b
+
+	// The simulated spans must feed the critical-path analyzer directly.
+	rep := obs.Analyze(res.Spans, g.DepLists())
+	if !approx(rep.CriticalPathTime, 6) {
+		t.Fatalf("CriticalPathTime = %g, want 6", rep.CriticalPathTime)
 	}
-	for _, b := range res.BusyByName {
-		byName += b
-	}
-	if !approx(total, byName) {
-		t.Fatalf("attribution mismatch: %g vs %g", total, byName)
+
+	// Without the option, no spans are allocated.
+	res = Simulate(g, testMachine(), Options{})
+	if res.Spans != nil {
+		t.Fatalf("Spans recorded without RecordSpans: %v", res.Spans)
 	}
 }

@@ -36,12 +36,19 @@ type confOperator struct {
 	mat  func(side int64, spd bool) sparse.Matrix
 }
 
+// tuned4 is the adaptive composite over four equal row bands, the range
+// partition of a four-piece planner.
+func tuned4(a *sparse.CSR) sparse.Matrix {
+	rows, _ := sparse.Dims(a)
+	return sparse.AutoSelectBands(a, index.EqualPartition(index.NewSpace("R", rows), 4))
+}
+
 var confOperators = []confOperator{
 	{"csr", func(side int64, spd bool) sparse.Matrix { return confBase(side, spd) }},
 	{"ell", func(side int64, spd bool) sparse.Matrix { return sparse.Convert(confBase(side, spd), "ELL") }},
 	// The adaptive composite picks a (possibly different) format per row
 	// band; solvers must not be able to tell.
-	{"auto", func(side int64, spd bool) sparse.Matrix { return sparse.Convert(confBase(side, spd), "Auto") }},
+	{"auto", func(side int64, spd bool) sparse.Matrix { return tuned4(confBase(side, spd)) }},
 	// The stencil operator is matrix-free and inherently symmetric; the
 	// nonsymmetric methods must still converge on it.
 	{"stencil", func(side int64, _ bool) sparse.Matrix {
@@ -83,8 +90,8 @@ func confPlanner(mat sparse.Matrix, pre *sparse.CSR, virt, traced bool) *core.Pl
 	p := core.NewPlanner(core.Config{Machine: machine.Lassen(2), Virtual: virt})
 	var si, ri int
 	if virt {
-		si = p.AddSolVectorVirtual(n, part("D"))
-		ri = p.AddRHSVectorVirtual(n, part("R"))
+		si = p.AddSolVector(nil, part("D"))
+		ri = p.AddRHSVector(nil, part("R"))
 	} else {
 		si = p.AddSolVector(make([]float64, n), part("D"))
 		ri = p.AddRHSVector(fusedRHS(int(n)), part("R"))

@@ -2,6 +2,7 @@ package solvers
 
 import (
 	"errors"
+	"fmt"
 	"maps"
 	"math"
 	"math/rand"
@@ -334,5 +335,58 @@ func TestFaultFreePlanLaunchesPlainGraph(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// A seeded bit-flip run under SDC detection and checkpointing repeats to
+// the iteration: the driver drains before it takes the alarms, so every
+// task of the steps already launched has raised its own, and the run acts
+// on the same alarms at the same iterations whatever the workers' timing.
+// The system is mmsolve's `-solver cg -pieces 8 -faults
+// "bitflip=0.08,bit=52,seed=2,max=6" -checkpoint-every 10 -detect-sdc
+// lap2d:32x32`.
+func TestSeededSDCRunRepeats(t *testing.T) {
+	const side, pieces = 32, 8
+	a := sparse.Laplacian2D(side, side)
+	ones := make([]float64, side*side)
+	for i := range ones {
+		ones[i] = 1
+	}
+	type outcome struct {
+		iters, alarms int64
+		alarmIters    string
+		converged     bool
+	}
+	run := func() outcome {
+		b := make([]float64, side*side)
+		sparse.SpMV(a, b, ones)
+		p := planFor(a, b, pieces)
+		plan, err := fault.ParsePlan("bitflip=0.08,bit=52,seed=2,max=6")
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Session().SetFaultInjector(fault.NewInjector(plan))
+		p.EnableSDCDetection()
+		var at []string
+		res := SolveResilient(p, New("cg", p), ResilientConfig{
+			Tol: 1e-8, MaxIter: 10000, CheckpointEvery: 10, MaxRestarts: 3, DetectSDC: true,
+			Log: func(format string, args ...any) {
+				if line := fmt.Sprintf(format, args...); strings.Contains(line, "sdc alarm") {
+					at = append(at, line)
+				}
+			},
+		})
+		p.Drain()
+		return outcome{int64(res.Iterations), res.SDCAlarms, strings.Join(at, "\n"), res.Converged}
+	}
+	first := run()
+	if first.alarms == 0 || !first.converged {
+		t.Fatalf("seeded run raised %d alarms, converged %v; want alarms and convergence", first.alarms, first.converged)
+	}
+	for i := 1; i < 10; i++ {
+		if got := run(); got != first {
+			t.Fatalf("run %d: %d iterations, %d alarms:\n%s\nrun 0: %d iterations, %d alarms:\n%s",
+				i, got.iters, got.alarms, got.alarmIters, first.iters, first.alarms, first.alarmIters)
+		}
 	}
 }

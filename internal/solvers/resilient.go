@@ -254,11 +254,13 @@ func SolveResilient(p *core.Planner, s Solver, cfg ResilientConfig) ResilientRes
 			}
 
 			// A detected corruption is repaired, not counted as a failure:
-			// roll back without spending the restart budget.
+			// roll back without spending the restart budget. The drain
+			// first lets every task of the steps already launched raise
+			// its alarms, so a seeded run acts on them at the same
+			// iteration whatever the workers' timing.
 			if mon != nil && recovering {
-				if alarms := mon.Take(); len(alarms) > 0 {
-					p.Drain()
-					n := len(alarms) + len(mon.Take()) // alarms surfaced by the drain
+				p.Drain()
+				if n := len(mon.Take()); n > 0 {
 					out.SDCAlarms += int64(n)
 					if !restartable {
 						bad = fmt.Sprintf("%d sdc alarm(s)", n)

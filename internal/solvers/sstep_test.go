@@ -226,7 +226,7 @@ func TestSStepBasisMatchesHostLoops(t *testing.T) {
 		"csr":     {lap},
 		"ell":     {sparse.Convert(lap, "ELL")},
 		"dia":     {sparse.Convert(lap, "DIA")},
-		"auto":    {sparse.Convert(lap, "Auto")},
+		"auto":    {tuned4(lap)},
 		"stencil": {sparse.NewStencilOperator(sparse.Stencil2D5, index.NewGrid(8, 8))},
 		"csr+tri": {lap, sparse.CSRFromCoords(n, n, tri)},
 	}

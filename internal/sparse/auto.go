@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"kdrsolvers/internal/dpart"
@@ -38,13 +39,23 @@ type autoTile struct {
 	format string
 }
 
-// AutoSelectBands tunes each row band of a to its predicted-fastest
-// storage format. starts lists the first row of every band in ascending
-// order; a missing leading 0 is implied and degenerate (empty) bands are
-// skipped. Matrices with no rows are returned as a single CSR-backed
-// band so the result is always a usable Matrix.
-func AutoSelectBands(a *CSR, starts []int64) *Auto {
+// AutoSelectBands tunes a over the row partition a planner cuts its
+// range into: one band per nonempty piece, starting at the piece's first
+// row, so every task piece computes over a single tile. Each band is
+// stored in the format the profile model predicts fastest for its
+// structure. A partition with no pieces is one band, and a matrix with
+// no rows is a single CSR-backed band, so the result is always a usable
+// Matrix. Core's Planner.AddOperatorAuto and the served solve plan
+// "auto" through it.
+func AutoSelectBands(a *CSR, part index.Partition) *Auto {
 	rows, cols := a.rows, a.cols
+	starts := make([]int64, 0, part.NumColors())
+	for _, pc := range part.Pieces() {
+		if !pc.Empty() {
+			starts = append(starts, pc.Bounds().Lo)
+		}
+	}
+	slices.Sort(starts)
 	bounds := make([]int64, 0, len(starts)+2)
 	bounds = append(bounds, 0)
 	for _, s := range starts {
@@ -143,24 +154,6 @@ func newAuto(tiles []autoTile, rows, cols int64) *Auto {
 	au.rowRel = dpart.NewConcat("K", rowParts, index.NewSpace("R", rows))
 	au.colRel = dpart.NewConcat("K", colParts, index.NewSpace("D", cols))
 	return au
-}
-
-// AutoSelect tunes a with nbands equal row bands (clamped to the row
-// count). nbands should match the piece count the planner partitions
-// the operator's range into, so each piece gets the format its local
-// structure wants; AddOperatorAuto derives that automatically.
-func AutoSelect(a *CSR, nbands int) *Auto {
-	if nbands < 1 {
-		nbands = 1
-	}
-	if int64(nbands) > a.rows && a.rows > 0 {
-		nbands = int(a.rows)
-	}
-	starts := make([]int64, 0, nbands)
-	for b := 0; b < nbands; b++ {
-		starts = append(starts, a.rows*int64(b)/int64(nbands))
-	}
-	return AutoSelectBands(a, starts)
 }
 
 // bandCSR extracts rows [r0, r1) of a as a standalone CSR matrix over

@@ -10,6 +10,11 @@ import (
 // produces, so callers can branch on it with errors.Is.
 var ErrUnknownFormat = errors.New("sparse: unknown format")
 
+// errAutoNeedsPartition is ConvertNamed's answer to "Auto": the tuner
+// bands a matrix by the pieces of the partition that runs it.
+var errAutoNeedsPartition = errors.New("sparse: format Auto is tuned over a planner's range partition; " +
+	"plan it with core.Planner.AddOperatorAuto or a served solve (serve.solveSystem), not ConvertNamed")
+
 // CoordsFromCSR extracts the explicit nonzero coordinates of a CSR matrix.
 func CoordsFromCSR(a *CSR) []Coord {
 	out := make([]Coord, 0, a.NNZ())
@@ -170,10 +175,8 @@ func (f *format) checkStored(name string, a *CSR) error {
 // Convert re-encodes a CSR matrix into the named storage format. It is
 // the dispatch used by format-sweep benchmarks. Block formats use 2 × 2
 // blocks, degrading per axis to width 1 when a dimension is odd, so any
-// shape converts without panicking. "Auto" profiles the matrix and
-// builds a row-banded composite of predicted-fastest formats. It panics
-// on an error of ConvertNamed, which callers handling user input should
-// use instead.
+// shape converts without panicking. It panics on an error of
+// ConvertNamed, which callers handling user input should use instead.
 func Convert(a *CSR, format string) Matrix {
 	m, err := ConvertNamed(a, format)
 	if err != nil {
@@ -183,12 +186,14 @@ func Convert(a *CSR, format string) Matrix {
 }
 
 // ConvertNamed is Convert with user-input-grade handling: the format
-// name is matched case-insensitively against Formats (plus "Auto"), an
-// unrecognized name returns an error wrapping ErrUnknownFormat that
-// lists every valid spelling, and a conversion whose arrays would exceed
-// MaxStoredBytes returns an error naming the format and the bound before
-// anything is allocated — no panic, no out-of-memory fault. A view
-// format encodes Aᵀ in its twin and exchanges the relations.
+// name is matched case-insensitively against Formats, an unrecognized
+// name returns an error wrapping ErrUnknownFormat that lists every valid
+// spelling, and a conversion whose arrays would exceed MaxStoredBytes
+// returns an error naming the format and the bound before anything is
+// allocated — no panic, no out-of-memory fault. A view format encodes Aᵀ
+// in its twin and exchanges the relations. "Auto" is not a conversion:
+// its bands are the pieces of a planner's partition (AutoSelectBands),
+// so asking for it here is an error.
 func ConvertNamed(a *CSR, format string) (Matrix, error) {
 	canon, ok := CanonicalFormat(format)
 	if !ok {
@@ -196,7 +201,7 @@ func ConvertNamed(a *CSR, format string) (Matrix, error) {
 			ErrUnknownFormat, format, strings.Join(Formats, ", "))
 	}
 	if canon == "Auto" {
-		return AutoSelect(a, defaultAutoBands(a.rows)), nil
+		return nil, errAutoNeedsPartition
 	}
 	f, src := formatNamed(canon), a
 	view := f.twin != ""
@@ -240,20 +245,6 @@ func blockShape(a *CSR) (br, bd int64) {
 		bd = 1
 	}
 	return br, bd
-}
-
-// defaultAutoBands is the band count Convert's "Auto" case uses when no
-// planner partition supplies one: up to 4 bands, never exceeding the row
-// count.
-func defaultAutoBands(rows int64) int {
-	n := int64(4)
-	if rows < n {
-		n = rows
-	}
-	if n < 1 {
-		n = 1
-	}
-	return int(n)
 }
 
 // CSRFromMatrix re-encodes any Matrix back to CSR by densifying it and

@@ -67,6 +67,30 @@ func TestConvertNamedMatchesConvert(t *testing.T) {
 	}
 }
 
+// TestConvertRefusesAuto: the tuner bands a matrix by the pieces of the
+// partition that runs it, so Auto is not a conversion. ConvertNamed says
+// where it is planned, and Convert panics with the same message.
+func TestConvertRefusesAuto(t *testing.T) {
+	a := Laplacian2D(4, 4)
+	for _, name := range []string{"auto", "Auto", "AUTO"} {
+		m, err := ConvertNamed(a, name)
+		if m != nil || !errors.Is(err, errAutoNeedsPartition) {
+			t.Fatalf("ConvertNamed(%q) = (%v, %v), want (nil, %v)", name, m, err, errAutoNeedsPartition)
+		}
+	}
+	for _, where := range []string{"AddOperatorAuto", "solveSystem"} {
+		if !strings.Contains(errAutoNeedsPartition.Error(), where) {
+			t.Errorf("error %q does not name %s", errAutoNeedsPartition, where)
+		}
+	}
+	defer func() {
+		if r := recover(); r != errAutoNeedsPartition.Error() {
+			t.Errorf("Convert(auto) panicked with %v, want %q", r, errAutoNeedsPartition)
+		}
+	}()
+	Convert(a, "auto")
+}
+
 // TestConvertNamedRefusesBlowUp: a padded format multiplies a matrix's
 // size by its shape (Dense), its longest row (ELL, or column for ELL′)
 // or its diagonal count (DIA), so a small matrix can name a gigabyte and

@@ -2,12 +2,39 @@ package sparse
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
+
+	"kdrsolvers/internal/index"
 )
 
 // allFormats is every Convert target, the adaptive composite included.
 func allFormats() []string {
 	return append(append([]string(nil), Formats...), "Auto")
+}
+
+// convertAll is Convert over allFormats: "Auto" tunes the four bands a
+// four-piece planner cuts the range into.
+func convertAll(a *CSR, f string) Matrix {
+	if f == "Auto" {
+		return AutoSelectBands(a, index.EqualPartition(index.NewSpace("R", a.rows), 4))
+	}
+	return Convert(a, f)
+}
+
+// rowBands is the partition of rows into the bands that begin at starts
+// (ascending, the first 0): [starts[i], starts[i+1]), the last running
+// to rows. Equal starts make empty pieces.
+func rowBands(rows int64, starts ...int64) index.Partition {
+	pieces := make([]index.IntervalSet, len(starts))
+	for i, lo := range starts {
+		hi := rows
+		if i+1 < len(starts) {
+			hi = starts[i+1]
+		}
+		pieces[i] = index.Span(lo, hi-1)
+	}
+	return index.NewPartition(index.NewSpace("R", rows), pieces)
 }
 
 // TestDegenerateShapes pushes the shapes that historically break sparse
@@ -66,7 +93,7 @@ func TestDegenerateShapes(t *testing.T) {
 
 			for _, f := range allFormats() {
 				t.Run(f, func(t *testing.T) {
-					m := Convert(a, f)
+					m := convertAll(a, f)
 					if rows, cols := Dims(m); rows != tc.rows || cols != tc.cols {
 						t.Fatalf("dims changed: %dx%d, want %dx%d", rows, cols, tc.rows, tc.cols)
 					}
@@ -144,7 +171,7 @@ func TestDuplicateCOOEntries(t *testing.T) {
 	}
 	for _, f := range allFormats() {
 		y := make([]float64, 3)
-		SpMV(Convert(back, f), y, x)
+		SpMV(convertAll(back, f), y, x)
 		if d := maxAbs(y, wantY); d > 1e-12 {
 			t.Errorf("%s from duplicate-built CSR off by %g", f, d)
 		}
@@ -305,9 +332,20 @@ func TestAutoSelectBands(t *testing.T) {
 	// at row 64: the head band must still get a dense-friendly format and
 	// the tail bands a banded one, and the tiles' kernel offsets,
 	// clipped relations, and split kernels must all line up.
-	au := AutoSelectBands(a, []int64{0, 100, 300, 480})
+	au := AutoSelectBands(a, rowBands(512, 0, 100, 300, 480))
 	if got := len(au.SelectedFormats()); got < 2 {
 		t.Fatalf("got %d band(s) %v, want a multi-format tiling", got, au.SelectedFormats())
+	}
+	// A band per nonempty piece, whatever the pieces' order: the same
+	// partition with its pieces reversed and an empty one added tiles alike.
+	fwd := rowBands(512, 0, 100, 300, 300, 480).Pieces()
+	rev := make([]index.IntervalSet, len(fwd))
+	for i, pc := range fwd {
+		rev[len(fwd)-1-i] = pc
+	}
+	shuffled := AutoSelectBands(a, index.NewPartition(index.NewSpace("R", 512), rev))
+	if got, want := shuffled.SelectedFormats(), au.SelectedFormats(); !slices.Equal(got, want) {
+		t.Errorf("reversed partition with an empty piece tiles %v, want %v", got, want)
 	}
 	if au.NNZ() < a.NNZ() {
 		t.Errorf("composite NNZ %d < source %d", au.NNZ(), a.NNZ())

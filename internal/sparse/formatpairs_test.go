@@ -81,11 +81,11 @@ func TestFormatPairConformance(t *testing.T) {
 		for _, f1 := range allFormats() {
 			for _, f2 := range allFormats() {
 				t.Run(fmt.Sprintf("%dx%d/%s_to_%s", sh.rows, sh.cols, f1, f2), func(t *testing.T) {
-					m1 := Convert(a, f1)
+					m1 := convertAll(a, f1)
 					// Recover CSR from the first format, then encode in the
 					// second: exercises both f1's read-out (via its products)
 					// and f2's kernels.
-					m2 := Convert(CSRFromMatrix(m1), f2)
+					m2 := convertAll(CSRFromMatrix(m1), f2)
 					if rows, cols := Dims(m2); rows != sh.rows || cols != sh.cols {
 						t.Fatalf("dims changed: %dx%d", rows, cols)
 					}

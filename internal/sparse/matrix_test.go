@@ -71,7 +71,7 @@ func buildAll(rows, cols int64, coords []Coord) []Matrix {
 // and for an AutoSelectBands composite of it, with the 3-fold tiled
 // coordinates the views must equal.
 func blockDiagViews(rows, cols int64, coords []Coord) (views []Matrix, tiled []Coord) {
-	ms := append(buildAll(rows, cols, coords), AutoSelectBands(CSRFromCoords(rows, cols, coords), []int64{rows / 3, rows / 2}))
+	ms := append(buildAll(rows, cols, coords), AutoSelectBands(CSRFromCoords(rows, cols, coords), rowBands(rows, 0, rows/3, rows/2)))
 	for _, m := range ms {
 		views = append(views, BlockDiag(m, 3))
 	}
@@ -340,7 +340,7 @@ func TestBlockDiagStoresNothingPerNonzero(t *testing.T) {
 			t.Errorf("%s: BlockDiag allocates %d B at nnz %d, %d B at nnz %d", f, bl, large.NNZ(), bs, small.NNZ())
 		}
 	}
-	bs, bl := alloc(AutoSelect(small, 4)), alloc(AutoSelect(large, 4))
+	bs, bl := alloc(convertAll(small, "Auto")), alloc(convertAll(large, "Auto"))
 	if bl > bs {
 		t.Errorf("Auto: BlockDiag allocates %d B at nnz %d, %d B at nnz %d", bl, large.NNZ(), bs, small.NNZ())
 	}

@@ -126,7 +126,7 @@ func TestKernelSetWalkIsPerIntervalCall(t *testing.T) {
 	// Dense is left out: 128 MB, and no cursor to carry.
 	lap := Laplacian2D(64, 64)
 	for _, name := range slices.Concat(Formats[1:], []string{"Auto"}) {
-		m := Convert(lap, name)
+		m := convertAll(lap, name)
 		kpart := dpart.PreimagePartition(m.RowRelation(), index.EqualPartition(m.Range(), 8))
 		kpartT := dpart.PreimagePartition(m.ColRelation(), index.EqualPartition(m.Domain(), 8))
 		for c := range 8 {

@@ -25,10 +25,6 @@ var ErrPoisoned = errors.New("taskrt: task cancelled: upstream task failed")
 type TaskSpec struct {
 	// Name labels the task kind for diagnostics and the recorded graph.
 	Name string
-	// Phase optionally labels the solver phase the task belongs to; an
-	// empty Phase inherits the launching session's current phase
-	// (Session.SetPhase).
-	Phase string
 	// Proc is the simulated processor the task is placed on.
 	Proc int
 	// Cost is the task's simulated compute time in seconds.
@@ -438,10 +434,7 @@ func (s *Session) prep(spec *TaskSpec, ts *taskState, id int64) {
 	if ts.future != nil {
 		ts.future.sess, ts.future.task = s, id
 	}
-	ts.phase = spec.Phase
-	if ts.phase == "" {
-		ts.phase = s.phase
-	}
+	ts.phase = s.phase
 	ts.splice = false
 	ts.scans = 0
 	if s.trace != nil {

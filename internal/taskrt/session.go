@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"kdrsolvers/internal/fault"
@@ -82,6 +83,10 @@ type Session struct {
 	trace       *activeTrace
 	atScratch   *activeTrace
 	closed      bool
+
+	// faults mirrors injector != nil, so FaultsActive, which planners
+	// ask on every operation, reads it without mu.
+	faults atomic.Bool
 }
 
 // SessionStats counts one session's runtime activity.
@@ -245,6 +250,7 @@ func (s *Session) SetPhase(label string) {
 func (s *Session) SetFaultInjector(in *fault.Injector) {
 	s.mu.Lock()
 	s.injector = in
+	s.faults.Store(in != nil)
 	s.mu.Unlock()
 }
 
@@ -276,11 +282,7 @@ func (s *Session) SetWatchdog(budget time.Duration) {
 // FaultsActive reports whether the session has a fault injector. Planner
 // layers use it to skip building per-launch corruption hooks on clean
 // runs.
-func (s *Session) FaultsActive() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.injector != nil
-}
+func (s *Session) FaultsActive() bool { return s.faults.Load() }
 
 // SetRecorder attaches an observability recorder to the session: every
 // task it launches from now on records a wall-clock span (launch, start,
